@@ -18,7 +18,7 @@
 // EXPERIMENTS.md's "Perf methodology" section describes: -suite sweep
 // (the default) measures the Monte Carlo engine's
 // index × reuse × workers grid, -suite pdb the PDB query layer's
-// query × executor × workers grid (ns per world, scalar vs columnar).
+// query × workers grid (ns per world).
 // With -baseline it additionally compares the fresh numbers against a
 // checked-in report of the same suite and exits nonzero when any
 // recorded cell's ns/point regressed by more than -maxregress — the

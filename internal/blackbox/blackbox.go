@@ -34,22 +34,6 @@ type Box interface {
 	Eval(args []float64, r *rng.Rand) float64
 }
 
-// BulkEvaluator is the optional set-at-a-time capability of a Box: for
-// a fixed argument vector, produce one sample per world seed with the
-// per-sample setup amortized. The PDB substrate's vectorized operators
-// use it; the lightweight engine is deliberately tuple-at-a-time (the
-// architectural contrast measured in Fig. 7). rowID decorrelates
-// per-row streams within a world.
-//
-// Bulk samples follow the same distribution as Eval samples but may
-// consume randomness in a different order; an engine must never mix
-// the two orders within one estimate.
-type BulkEvaluator interface {
-	Box
-	// EvalBulk returns one sample per world seed.
-	EvalBulk(args []float64, worldSeeds []uint64, rowID int) []float64
-}
-
 // Func adapts a plain function to the Box interface.
 type Func struct {
 	// FuncName is the registered name.

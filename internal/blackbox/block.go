@@ -9,17 +9,14 @@ import (
 // BlockBox is the optional block-at-a-time capability of a Box: for a
 // fixed argument vector, draw one sample per seed with the per-sample
 // setup (arity check, argument decoding, distribution parameters)
-// amortized across the block. It is the engine-facing analogue of
-// BulkEvaluator, with one crucial difference: EvalBlock preserves the
-// scalar seeding discipline exactly — out[i] is bit-identical to
+// amortized across the block. EvalBlock preserves the scalar seeding
+// discipline exactly — out[i] is bit-identical to
 //
 //	r.Seed(seeds[i]); out[i] = b.Eval(args, r)
 //
 // so the Monte Carlo engine can mix block and scalar evaluation
 // freely: fingerprints, basis matches and sweep results never depend
-// on block boundaries. (BulkEvaluator, by contrast, may reorder
-// randomness consumption and must never be mixed with Eval within one
-// estimate.)
+// on block boundaries.
 type BlockBox interface {
 	Box
 	// EvalBlock writes one sample per seed into out. len(out) must

@@ -140,9 +140,9 @@ func (o *Overload) EvalStream(args []float64, out []float64, rands []rng.Rand, a
 
 // EvalStream implements StreamBox: the activity test and mean
 // (including the expensive growth power) compute once per row-column,
-// and the per-world body is a bare LogNormal draw — the set-oriented
-// amortization of EvalBulk without reordering randomness, so the
-// columnar PDB path stays bit-identical to per-world interpretation.
+// and the per-world body is a bare LogNormal draw — set-oriented
+// amortization without reordering randomness, so the columnar PDB
+// path stays bit-identical to per-world interpretation.
 func (UserUsage) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity("UserUsage", 5, args)
 	checkStream("UserUsage", out, rands, active)

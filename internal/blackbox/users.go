@@ -91,37 +91,6 @@ func (u *UserSelection) userUsage(usr *User, week float64, r *rng.Rand) float64 
 	return mean * r.LogNormal(0, usr.Volatility)
 }
 
-// EvalBulk is the set-at-a-time kernel used by the PDB engine's
-// vectorized operator: for each seed it produces one sample, but the
-// dataset is traversed in the outer loop so per-user state (activity,
-// tenure growth) is computed once and amortized across all samples —
-// the same set-oriented advantage a database engine has over a
-// tuple-at-a-time script (§6.1).
-//
-// The returned samples differ from per-sample Eval draws (randomness
-// is consumed user-major rather than sample-major) but follow the
-// identical distribution; the engine never mixes the two orders within
-// one estimate.
-func (u *UserSelection) EvalBulk(week float64, seeds []uint64) []float64 {
-	out := make([]float64, len(seeds))
-	gens := make([]rng.Rand, len(seeds))
-	for s, seed := range seeds {
-		gens[s].Seed(seed)
-	}
-	for i := range u.Users {
-		usr := &u.Users[i]
-		if week < usr.JoinWeek {
-			continue
-		}
-		tenure := week - usr.JoinWeek
-		mean := usr.BaseCores * math.Pow(usr.GrowthRate, tenure)
-		for s := range seeds {
-			out[s] += mean * gens[s].LogNormal(0, usr.Volatility)
-		}
-	}
-	return out
-}
-
 // String describes the dataset size for experiment logs.
 func (u *UserSelection) String() string {
 	return fmt.Sprintf("UserSelection[%d users]", len(u.Users))
@@ -129,9 +98,9 @@ func (u *UserSelection) String() string {
 
 // UserUsage is the per-row VG function behind UserSelection, as the
 // PDB substrate consumes it: the users dataset is a table and each
-// row's weekly usage is an uncertain attribute. It implements
-// BulkEvaluator, which is what lets the set-oriented engine amortize
-// the deterministic per-row work (activity test, tenure growth) across
+// row's weekly usage is an uncertain attribute. Its StreamBox kernel
+// (stream.go) is what lets the set-oriented engine amortize the
+// deterministic per-row work (activity test, tenure growth) across
 // all worlds — the Fig. 7 "wrapper wins on data-dependent models"
 // effect.
 //
@@ -155,32 +124,3 @@ func (UserUsage) Eval(args []float64, r *rng.Rand) float64 {
 	mean := base * math.Pow(growth, week-join)
 	return mean * r.LogNormal(0, vol)
 }
-
-// EvalBulk implements BulkEvaluator: the mean (including the expensive
-// growth power) is computed once, and the per-world stochastic factors
-// are drawn sequentially from a single per-row stream — the world
-// index selects the position in the stream rather than reseeding. The
-// draws are independent across rows (stream seeded by row) and across
-// worlds (disjoint stream positions), so the per-world sums follow the
-// same distribution as tuple-at-a-time evaluation while the inner loop
-// is a bare LogNormal draw. This is the set-oriented amortization that
-// wins Fig. 7's UserSelect row.
-func (UserUsage) EvalBulk(args []float64, worldSeeds []uint64, rowID int) []float64 {
-	checkArity("UserUsage", 5, args)
-	out := make([]float64, len(worldSeeds))
-	week, join, base, growth, vol := args[0], args[1], args[2], args[3], args[4]
-	if week < join {
-		return out
-	}
-	mean := base * math.Pow(growth, week-join)
-	var r rng.Rand
-	if len(worldSeeds) > 0 {
-		r.Seed(rng.Mix(worldSeeds[0], uint64(rowID)))
-	}
-	for w := range worldSeeds {
-		out[w] = mean * r.LogNormal(0, vol)
-	}
-	return out
-}
-
-var _ BulkEvaluator = UserUsage{}

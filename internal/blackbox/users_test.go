@@ -1,12 +1,10 @@
 package blackbox
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"jigsaw/internal/rng"
-	"jigsaw/internal/stats"
 )
 
 func TestGenerateUsersDeterministic(t *testing.T) {
@@ -61,41 +59,6 @@ func TestUserSelectionDeterministic(t *testing.T) {
 	u := NewUserSelection(100, 4)
 	if u.Eval([]float64{30}, rng.New(5)) != u.Eval([]float64{30}, rng.New(5)) {
 		t.Fatal("UserSelection not deterministic")
-	}
-}
-
-func TestEvalBulkMatchesEvalDistribution(t *testing.T) {
-	// Bulk evaluation consumes randomness user-major instead of
-	// sample-major, so individual samples differ — but the estimated
-	// mean must agree (both are the same integral).
-	u := NewUserSelection(50, 7)
-	const week = 30.0
-	const n = 4000
-
-	seedSet := rng.MustSeedSet(42, n)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = seedSet.Seed(i)
-	}
-
-	bulk := u.EvalBulk(week, seeds)
-	perSample := make([]float64, n)
-	for i, s := range seeds {
-		perSample[i] = u.Eval([]float64{week}, rng.New(s))
-	}
-	mb, ms := stats.MeanOf(bulk), stats.MeanOf(perSample)
-	if rel := math.Abs(mb-ms) / ms; rel > 0.05 {
-		t.Fatalf("bulk mean %g vs per-sample mean %g (rel %g)", mb, ms, rel)
-	}
-}
-
-func TestEvalBulkLength(t *testing.T) {
-	u := NewUserSelection(10, 1)
-	if got := len(u.EvalBulk(10, []uint64{1, 2, 3})); got != 3 {
-		t.Fatalf("bulk length = %d", got)
-	}
-	if got := u.EvalBulk(10, nil); len(got) != 0 {
-		t.Fatalf("empty bulk = %v", got)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // BuildPDBPlan lowers a SELECT statement onto the PDB substrate —
 // the "wrapper" execution path of the Fig. 7 comparison. Unlike the
 // lightweight compiler it supports FROM over stored tables and WHERE
-// predicates, at the cost of per-world plan interpretation.
+// predicates, at the cost of running a general relational plan over
+// every world.
 func BuildPDBPlan(stmt *sqlparse.SelectStmt, db *pdb.DB) (pdb.Plan, error) {
 	if stmt == nil {
 		return nil, errors.New("exec: nil SELECT")

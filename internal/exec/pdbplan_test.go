@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -108,15 +109,15 @@ func TestBuildPDBPlanWithWhereAndFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Execute(&pdb.RowCtx{})
+	out, err := pdb.RunDistribution(plan, nil, pdb.WorldsOptions{Worlds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 {
-		t.Fatalf("rows = %d", out.Len())
+	if out.NumRows() != 2 {
+		t.Fatalf("rows = %d", out.NumRows())
 	}
-	if f, _ := out.Rows[0][1].AsFloat(); f != 40 {
-		t.Fatalf("dbl = %g", f)
+	if dbl := out.Cells[0][1]; dbl.Mean != 40 {
+		t.Fatalf("dbl = %g", dbl.Mean)
 	}
 	if out.Schema.String() != "week, dbl" {
 		t.Fatalf("schema = %s", out.Schema)
@@ -153,24 +154,24 @@ func TestBuildPDBPlanMultiArmCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Execute(&pdb.RowCtx{})
+	out, err := pdb.RunDistribution(plan, nil, pdb.WorldsOptions{Worlds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := out.Rows[0][0].AsFloat(); f != 20 {
-		t.Fatalf("multi-arm CASE = %v", out.Rows[0][0])
+	if v := out.Cells[0][0]; v.N != 1 || v.Mean != 20 {
+		t.Fatalf("multi-arm CASE = %+v", v)
 	}
-	if !out.Rows[0][1].IsNull() {
-		t.Fatal("NULL literal lost")
+	if n := out.Cells[0][1]; n.N != 0 {
+		t.Fatalf("NULL literal lost: %+v", n) // NULL cells contribute no sample
 	}
 }
 
 func TestBuildPDBPlanTakesColumnarPath(t *testing.T) {
-	// Lowered plans are built from the pdb package's native operators,
-	// so RunDistribution's default columnar executor applies to every
-	// lowered query — and must match the per-world reference
-	// interpreter bit for bit, masks (WHERE), extends and projections
-	// included.
+	// Lowered plans are trees of the pdb package's native operators in
+	// the shapes its oracle zoo pins bit for bit (TestColumnarLoweredShapes
+	// hand-builds the Fig. 1, FROM and WHERE shapes). Here: the lowering
+	// produces exactly those shapes, and their answers do not depend on
+	// the worker count.
 	db := fig1DB()
 	tbl := pdb.MustNewTable("week", "volume")
 	tbl.MustAppend(pdb.Row{pdb.Float(10), pdb.Float(40)})
@@ -178,35 +179,57 @@ func TestBuildPDBPlanTakesColumnarPath(t *testing.T) {
 	if err := db.CreateTable("purchases", tbl); err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]string{
-		"fig1":  figure1Source,
-		"from":  `SELECT week, volume * DemandModel(week, 99) AS noisy FROM purchases WHERE volume > 15`,
-		"where": `SELECT volume AS v FROM purchases WHERE DemandModel(week, 99) > 0`,
+	for _, tc := range []struct{ name, src, shape string }{
+		{"fig1", figure1Source, "Project>Extend>Values"},
+		{"from", `SELECT week, volume * DemandModel(week, 99) AS noisy FROM purchases WHERE volume > 15`,
+			"Project>Select>Extend>Scan"},
+		{"where", `SELECT volume AS v FROM purchases WHERE DemandModel(week, 99) > 0`,
+			"Project>Select>Extend>Scan"},
 	} {
-		script, err := sqlparse.Parse(src)
+		script, err := sqlparse.Parse(tc.src)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		plan, err := BuildPDBPlan(script.Selects[0], db)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := planShape(plan); got != tc.shape {
+			t.Fatalf("%s: lowered to %s, want %s", tc.name, got, tc.shape)
 		}
 		params := map[string]float64{
 			"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36,
 		}
-		opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 3, KeepSamples: true, HistBins: 6}
-		sOpts := opts
-		sOpts.Mode = pdb.ExecScalar
-		want, wantErr := pdb.RunDistribution(plan, params, sOpts)
-		got, gotErr := pdb.RunDistribution(plan, params, opts)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: scalar err %v, columnar err %v", name, wantErr, gotErr)
+		opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 3, KeepSamples: true, HistBins: 6, BlockWorlds: 7}
+		want, err := pdb.RunDistribution(plan, params, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if wantErr != nil {
-			continue
+		opts.Workers = 4
+		got, err := pdb.RunDistribution(plan, params, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: lowered plan diverges between executors", name)
+			t.Fatalf("%s: lowered plan's answer depends on the worker count", tc.name)
 		}
 	}
+}
+
+// planShape renders an operator chain outermost first, e.g.
+// "Project>Select>Extend>Scan".
+func planShape(p pdb.Plan) string {
+	switch n := p.(type) {
+	case *pdb.ProjectPlan:
+		return "Project>" + planShape(n.Child)
+	case *pdb.SelectPlan:
+		return "Select>" + planShape(n.Child)
+	case *pdb.ExtendPlan:
+		return "Extend>" + planShape(n.Child)
+	case *pdb.ScanPlan:
+		return "Scan"
+	case pdb.ValuesPlan:
+		return "Values"
+	}
+	return fmt.Sprintf("%T", p)
 }

@@ -3,10 +3,9 @@ package experiments
 // The PDB execution micro-benchmark behind BENCH_pdb.json: where
 // BENCH_sweep.json tracks the Monte Carlo engine's hot path,
 // this grid tracks the query layer — ns, allocations and bytes per
-// *world* for representative query shapes under both executors
-// (per-world scalar interpretation vs world-blocked columnar), so a
-// regression in the columnar pipeline, or an erosion of its margin
-// over the scalar reference, is caught by diffing two JSON files.
+// *world* for representative query shapes on the world-blocked
+// columnar executor, so a regression in it is caught by diffing two
+// JSON files.
 
 import (
 	"fmt"
@@ -119,13 +118,9 @@ func measurePDBCell(name string, q pdbBenchQuery, opts pdb.WorldsOptions) (Sweep
 		return SweepBenchResult{}, runErr
 	}
 	worlds := float64(opts.Worlds)
-	mode := "columnar"
-	if opts.Mode == pdb.ExecScalar {
-		mode = "scalar"
-	}
 	return SweepBenchResult{
 		Name:           name,
-		Index:          "pdb/" + mode,
+		Index:          "pdb/columnar",
 		Workers:        opts.Workers,
 		Points:         opts.Worlds,
 		NsPerPoint:     float64(res.NsPerOp()) / worlds,
@@ -134,12 +129,10 @@ func measurePDBCell(name string, q pdbBenchQuery, opts pdb.WorldsOptions) (Sweep
 	}, nil
 }
 
-// PDBBench measures the PDB query layer over the query × mode ×
-// workers grid and returns the report for BENCH_pdb.json. Cell
-// figures are per world (the PDB analogue of per point); the
-// columnar/scalar pairs share identical Distributions — the bit-
-// identity the pdb package's property tests pin — so their ratio is
-// pure execution cost.
+// PDBBench measures the PDB query layer over the query × workers grid
+// and returns the report for BENCH_pdb.json. Cell figures are per
+// world (the PDB analogue of per point). Cell names keep the
+// mode=columnar segment so they match the recorded baseline.
 func PDBBench(cfg Config) (*SweepBenchReport, error) {
 	cfg = cfg.withDefaults()
 	queries, err := pdbBenchQueries(cfg)
@@ -166,23 +159,14 @@ func PDBBench(cfg Config) (*SweepBenchReport, error) {
 		Points:     cfg.Samples,
 	}
 	for _, q := range queries {
-		for _, mode := range []pdb.ExecMode{pdb.ExecScalar, pdb.ExecColumnar} {
-			for _, workers := range workerGrid {
-				opts := pdb.WorldsOptions{
-					Worlds: cfg.Samples, MasterSeed: cfg.MasterSeed,
-					Workers: workers, Mode: mode,
-				}
-				modeName := "columnar"
-				if mode == pdb.ExecScalar {
-					modeName = "scalar"
-				}
-				name := fmt.Sprintf("pdb/query=%s/mode=%s/workers=%d", q.name, modeName, workers)
-				cell, err := measurePDBCell(name, q, opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				report.Results = append(report.Results, cell)
+		for _, workers := range workerGrid {
+			opts := pdb.WorldsOptions{Worlds: cfg.Samples, MasterSeed: cfg.MasterSeed, Workers: workers}
+			name := fmt.Sprintf("pdb/query=%s/mode=columnar/workers=%d", q.name, workers)
+			cell, err := measurePDBCell(name, q, opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
+			report.Results = append(report.Results, cell)
 		}
 	}
 	return report, nil

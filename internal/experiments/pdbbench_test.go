@@ -8,8 +8,8 @@ import (
 )
 
 func TestPDBBenchQueriesBuildAndRun(t *testing.T) {
-	// The grid's plans must build and execute under both executors at
-	// a tiny scale (the full measurement loop is jigsaw-bench's job).
+	// The grid's plans must build and execute at a tiny scale (the
+	// full measurement loop is jigsaw-bench's job).
 	cfg := Quick()
 	cfg.Users = 50
 	queries, err := pdbBenchQueries(cfg)
@@ -20,11 +20,9 @@ func TestPDBBenchQueriesBuildAndRun(t *testing.T) {
 		t.Fatalf("queries = %d", len(queries))
 	}
 	for _, q := range queries {
-		for _, mode := range []pdb.ExecMode{pdb.ExecScalar, pdb.ExecColumnar} {
-			opts := pdb.WorldsOptions{Worlds: 20, MasterSeed: cfg.MasterSeed, Mode: mode}
-			if _, err := pdb.RunDistribution(q.plan, q.params, opts); err != nil {
-				t.Fatalf("%s mode=%d: %v", q.name, mode, err)
-			}
+		opts := pdb.WorldsOptions{Worlds: 20, MasterSeed: cfg.MasterSeed}
+		if _, err := pdb.RunDistribution(q.plan, q.params, opts); err != nil {
+			t.Fatalf("%s: %v", q.name, err)
 		}
 	}
 }

@@ -136,7 +136,10 @@ func (a *aggState) result() Value {
 
 // GroupPlan groups rows by key expressions and computes aggregates per
 // group. With no keys, the whole input is one group and the output is
-// a single row (the global-aggregate form).
+// a single row (the global-aggregate form). Group order is
+// first-appearance, keeping per-world outputs positionally aligned
+// across worlds (the tuple-bundle discipline the worlds layer's
+// estimator relies on).
 type GroupPlan struct {
 	Child  Plan
 	Keys   []NamedBound
@@ -171,81 +174,6 @@ func NewGroupPlan(child Plan, keys []NamedBound, aggs []AggSpec) (*GroupPlan, er
 
 // Schema implements Plan.
 func (p *GroupPlan) Schema() Schema { return p.schema }
-
-// Execute implements Plan. Group order is first-appearance, keeping
-// per-world outputs positionally aligned across worlds (the tuple-
-// bundle discipline the worlds layer's estimator relies on).
-func (p *GroupPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	type group struct {
-		keyVals []Value
-		states  []*aggState
-	}
-	var order []string
-	groups := make(map[string]*group)
-
-	for _, row := range in.Rows {
-		keyVals := make([]Value, len(p.Keys))
-		var kb strings.Builder
-		for i, k := range p.Keys {
-			v, err := k.Expr.Eval(row, ctx)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			kb.WriteString(v.String())
-			kb.WriteByte('\x00')
-		}
-		key := kb.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &group{keyVals: keyVals, states: make([]*aggState, len(p.Aggs))}
-			for i, a := range p.Aggs {
-				g.states[i] = newAggState(a.Kind)
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i, a := range p.Aggs {
-			if a.Arg == nil {
-				g.states[i].addCountStar()
-				continue
-			}
-			v, err := a.Arg.Eval(row, ctx)
-			if err != nil {
-				return nil, err
-			}
-			if err := g.states[i].add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Global aggregate over empty input still yields one row.
-	if len(p.Keys) == 0 && len(order) == 0 {
-		g := &group{states: make([]*aggState, len(p.Aggs))}
-		for i, a := range p.Aggs {
-			g.states[i] = newAggState(a.Kind)
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-
-	out := &Table{Schema: p.schema, Rows: make([]Row, 0, len(order))}
-	for _, key := range order {
-		g := groups[key]
-		row := make(Row, 0, len(p.schema))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
 
 // blockAggState is the vectorized form of aggState: one lane of
 // (n, sum, min, max) per world, updated with exactly aggState.add's
@@ -338,15 +266,15 @@ func (st *blockAggState) resultVec(ctx *BlockCtx) *Vec {
 	return dst
 }
 
-// ExecuteBlock implements BlockPlan. Keys and aggregate arguments
+// ExecuteBlock implements Plan. Keys and aggregate arguments
 // evaluate column-wise per row (keys first, then arguments — the
-// scalar per-row order); with deterministic keys and full masks the
+// per-world row order); with deterministic keys and full masks the
 // grouping itself happens once per block and each aggregate folds a
 // whole world column per member row. World-varying keys or masked
-// inputs fall back to scalar grouping per world over the already-
-// evaluated columns (no re-execution, no re-draws).
+// inputs fall back to grouping each world separately over the
+// already-evaluated columns (no re-execution, no re-draws).
 func (p *GroupPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +285,7 @@ func (p *GroupPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
 		for i, k := range p.Keys {
-			v, err := evalExprBlock(k.Expr, row, m, ctx)
+			v, err := k.Expr.EvalBlock(row, m, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -370,7 +298,7 @@ func (p *GroupPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 			if a.Arg == nil {
 				continue
 			}
-			v, err := evalExprBlock(a.Arg, row, m, ctx)
+			v, err := a.Arg.EvalBlock(row, m, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -449,11 +377,10 @@ func (p *GroupPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	return out, nil
 }
 
-// groupPerWorld replicates the scalar interpreter's grouping for each
-// world over the pre-evaluated key and argument columns: first-
-// appearance order among that world's active rows, scalar aggState
-// updates, and a positional gather of the per-world group lists into
-// a masked block table.
+// groupPerWorld groups each world separately over the pre-evaluated
+// key and argument columns: first-appearance order among that world's
+// active rows, per-world aggState updates, and a positional gather of
+// the per-world group lists into a masked block table.
 func (p *GroupPlan) groupPerWorld(in *BlockTable, keyV, argV []*Vec, ctx *BlockCtx) (*BlockTable, error) {
 	nk, na := len(p.Keys), len(p.Aggs)
 	type pwGroup struct {

@@ -31,16 +31,16 @@ func allocPipeline(t *testing.T, nRows int) Plan {
 	}
 	scan, _ := db.Scan("users")
 	env := db.Env()
-	usage := mustBindX(t, Call{"UserUsage", []Expr{
+	usage := mustBind(t, Call{"UserUsage", []Expr{
 		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
 	}}, scan.Schema(), env)
 	ext, err := NewExtendPlan(scan, []NamedBound{{Name: "usage", Expr: usage}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := mustBindX(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
+	pred := mustBind(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "join_week > -1"}
-	arg := mustBindX(t, Col{"usage"}, sel.Schema(), env)
+	arg := mustBind(t, Col{"usage"}, sel.Schema(), env)
 	plan, err := NewGroupPlan(sel, nil, []AggSpec{
 		{Kind: AggSum, Arg: arg, Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
@@ -92,7 +92,7 @@ func TestColumnarSingleVGAllocsPerWorld(t *testing.T) {
 	const worlds = 1000
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())
-	bound := mustBindX(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, Schema{}, db.Env())
+	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, Schema{}, db.Env())
 	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "demand", Expr: bound}})
 	if err != nil {
 		t.Fatal(err)

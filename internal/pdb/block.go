@@ -1,44 +1,29 @@
 package pdb
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/rng"
 )
 
-// This file holds the execution state of the columnar path: the
+// This file holds the execution state of the block executor: the
 // per-block context (world generators, parameter bindings, scratch
-// arena), the BlockPlan capability, and the scalar fallback adapters
-// that let any third-party Plan or BoundExpr participate in a blocked
-// run unmodified.
+// arena) and the adapter that runs a custom BoundFunc per world.
 //
 // Determinism contract. A block covers a contiguous world range
-// [lo, hi); each world w owns generator state derived from seed σw
-// exactly as the scalar interpreter derives it, and every operator
-// consumes world w's stream in the scalar interpreter's (operator,
-// row, expression) order. Worlds are independent streams, so
-// evaluating a column world-major, row-major or expression-major all
-// interleave *across* worlds differently while each world's own
-// stream order is fixed — which is why columnar results are
-// bit-identical to per-world interpretation for any block size and
-// any worker count.
-
-// BlockPlan is the optional columnar capability of a Plan: execute
-// the operator for a whole block of worlds at once. Built-in plans
-// all implement it; plans that do not are executed per world through
-// the scalar fallback adapter.
-type BlockPlan interface {
-	Plan
-	// ExecuteBlock materializes the operator's output for every world
-	// of the block.
-	ExecuteBlock(ctx *BlockCtx) (*BlockTable, error)
-}
+// [lo, hi); each world w owns generator state derived from seed σw,
+// and every operator consumes world w's stream in per-world
+// interpretation order: (operator, row, expression). Worlds are
+// independent streams, so evaluating a column world-major, row-major
+// or expression-major all interleave *across* worlds differently
+// while each world's own stream order is fixed — which is why results
+// are bit-identical to a per-world interpreter (the test oracle in
+// reference_test.go) for any block size and any worker count.
 
 // runFlags carries cross-block, cross-worker execution hints. The
 // fresh-stream fast lane (dispatching a VG column to BlockBox kernels
-// while world generators are still unseeded) costs a scalar replay
+// while world generators are still unseeded) costs a per-world replay
 // when a later draw forces materialization; once one block observes
 // that, later blocks skip the lane. The flag is purely a performance
 // hint — both lanes are bit-identical — so a benign race between
@@ -49,8 +34,8 @@ type runFlags struct {
 
 // deferredDraw records a VG column evaluated through the fresh-stream
 // fast lane: if the block later needs live per-world generators, the
-// draw is replayed against them so stream positions match the scalar
-// interpreter's.
+// draw is replayed against them so stream positions match per-world
+// interpretation.
 type deferredDraw struct {
 	box  blackbox.Box
 	args []float64
@@ -90,9 +75,9 @@ type BlockCtx struct {
 	masksUsed int
 	rowPtrs   []*Vec // bump chunk for BlockRow backing
 	floatBuf  []float64
-	argVecs   []*Vec
-	scalarRow Row
-	scalarCtx RowCtx
+	// funcRow and funcCtx are BoundFunc's per-world views.
+	funcRow Row
+	funcCtx RowCtx
 }
 
 // reset prepares the context for a new block over seeds (one world
@@ -112,11 +97,11 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 		c.Rands = make([]rng.Rand, c.W)
 	}
 	c.Rands = c.Rands[:c.W]
-	c.scalarCtx = RowCtx{Params: params}
+	c.funcCtx = RowCtx{Params: params}
 }
 
 // materialize seeds the per-world generators and replays any deferred
-// fresh-lane draw, bringing Rands to the exact state the scalar
+// fresh-lane draw, bringing Rands to the exact state a per-world
 // interpreter would hold at this point of each world's execution.
 func (c *BlockCtx) materialize() {
 	if c.live {
@@ -250,77 +235,18 @@ func (c *BlockCtx) floats(n int) []float64 {
 	return c.floatBuf[:n]
 }
 
-// ---------- Scalar fallbacks ----------
+// ---------- Custom-expression adapter ----------
 
-// executePlanBlock runs p for the whole block: natively when p
-// implements BlockPlan, otherwise per world through the fallback
-// adapter.
-func executePlanBlock(p Plan, ctx *BlockCtx) (*BlockTable, error) {
-	if bp, ok := p.(BlockPlan); ok {
-		return bp.ExecuteBlock(ctx)
-	}
-	return scalarPlanFallback(p, ctx)
-}
-
-// scalarPlanFallback executes a non-columnar plan once per world of
-// the block and re-blocks the per-world tables. It requires the
-// operator's cardinality to be world-invariant within the block; a
-// custom operator with world-dependent cardinality must run under
-// ExecScalar instead.
-func scalarPlanFallback(p Plan, ctx *BlockCtx) (*BlockTable, error) {
+// EvalBlock implements BoundExpr for a hand-written evaluator: it runs
+// once per active world against a Row view of the block row and that
+// world's live generator, so its draws land exactly where per-world
+// interpretation would put them.
+func (f BoundFunc) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 	ctx.materialize()
-	var out *BlockTable
-	for w := 0; w < ctx.W; w++ {
-		ctx.scalarCtx.Rand = &ctx.Rands[w]
-		t, err := p.Execute(&ctx.scalarCtx)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = &BlockTable{Schema: t.Schema, Rows: make([]BlockRow, len(t.Rows))}
-			for r := range out.Rows {
-				row := ctx.newRow(len(t.Schema))
-				for col := range row {
-					row[col] = ctx.lanesVec()
-				}
-				out.Rows[r] = row
-			}
-		} else if len(t.Rows) != len(out.Rows) {
-			return nil, fmt.Errorf("pdb: operator %s produced %d rows in one world and %d in another within a block; "+
-				"run world-dependent custom operators with ExecScalar", p, len(t.Rows), len(out.Rows))
-		}
-		for r, tr := range t.Rows {
-			for col, v := range tr {
-				out.Rows[r][col].setLane(w, v)
-			}
-		}
+	if cap(ctx.funcRow) < len(row) {
+		ctx.funcRow = make(Row, len(row))
 	}
-	if out == nil {
-		return nil, fmt.Errorf("pdb: empty block")
-	}
-	return out, nil
-}
-
-// evalExprBlock evaluates a bound expression over the block for one
-// row: natively when the expression carries a columnar evaluator,
-// otherwise per world through the scalar adapter.
-func evalExprBlock(e BoundExpr, row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-	if be, ok := e.(*boundExpr); ok && be.block != nil {
-		return be.block(row, mask, ctx)
-	}
-	return scalarExprFallback(e, row, mask, ctx)
-}
-
-// scalarExprFallback evaluates a custom BoundExpr lane by lane,
-// presenting each world with a scalar Row view of the block row. Draw
-// discipline matches the scalar interpreter exactly: only active
-// worlds evaluate, each against its own live generator.
-func scalarExprFallback(e BoundExpr, row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-	ctx.materialize()
-	if cap(ctx.scalarRow) < len(row) {
-		ctx.scalarRow = make(Row, len(row))
-	}
-	sr := ctx.scalarRow[:len(row)]
+	sr := ctx.funcRow[:len(row)]
 	dst := ctx.lanesVec()
 	for w := 0; w < ctx.W; w++ {
 		if mask != nil && !mask[w] {
@@ -329,8 +255,8 @@ func scalarExprFallback(e BoundExpr, row BlockRow, mask Mask, ctx *BlockCtx) (*V
 		for i, v := range row {
 			sr[i] = v.Lane(w)
 		}
-		ctx.scalarCtx.Rand = &ctx.Rands[w]
-		val, err := e.Eval(sr, &ctx.scalarCtx)
+		ctx.funcCtx.Rand = &ctx.Rands[w]
+		val, err := f(sr, &ctx.funcCtx)
 		if err != nil {
 			return nil, err
 		}

@@ -9,9 +9,9 @@ import (
 )
 
 // The columnar executor's contract is bit-identity: for every
-// operator, block size and worker count, RunDistribution under
-// ExecColumnar must produce exactly the Distribution the per-world
-// reference interpreter produces — cells (including quantiles and
+// operator, block size and worker count, RunDistribution must produce
+// exactly the Distribution the per-world reference oracle
+// (reference_test.go) produces — cells (including quantiles and
 // histograms), key rows, schema, everything. These tests pin that
 // across a query zoo covering every built-in operator and the
 // interesting randomness disciplines (fresh-lane kernel dispatch,
@@ -42,52 +42,24 @@ func columnarDB(t *testing.T) *DB {
 	return db
 }
 
-// mustBindX binds an expression, failing the test on error.
-func mustBindX(t *testing.T, e Expr, s Schema, env *Env) BoundExpr {
-	t.Helper()
-	b, err := e.Bind(s, env)
-	if err != nil {
-		t.Fatalf("bind %s: %v", e, err)
-	}
-	return b
-}
-
-// assertBitIdentical runs plan under both executors for every block
-// size × worker grid point and requires deeply equal Distributions
-// (or identical errors).
+// assertBitIdentical runs plan through RunDistribution at every block
+// size × worker grid point and requires a Distribution deeply equal to
+// the oracle's (or an error from both).
 func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worlds int) {
 	t.Helper()
 	for _, bw := range columnarBlockSizes {
+		opts := WorldsOptions{
+			Worlds: worlds, MasterSeed: 0x1234, KeepSamples: true, HistBins: 8, BlockWorlds: bw,
+		}
+		want, wantErr := refDistribution(plan, params, opts)
 		for _, workers := range columnarWorkers {
-			opts := WorldsOptions{
-				Worlds: worlds, MasterSeed: 0x1234, KeepSamples: true, HistBins: 8,
-				BlockWorlds: bw, Workers: workers,
-			}
-			sOpts := opts
-			sOpts.Mode = ExecScalar
-			want, wantErr := RunDistribution(plan, params, sOpts)
-			cOpts := opts
-			cOpts.Mode = ExecColumnar
-			got, gotErr := RunDistribution(plan, params, cOpts)
+			opts.Workers = workers
+			got, gotErr := RunDistribution(plan, params, opts)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("bw=%d workers=%d: scalar err %v, columnar err %v", bw, workers, wantErr, gotErr)
+				t.Fatalf("bw=%d workers=%d: oracle err %v, executor err %v", bw, workers, wantErr, gotErr)
 			}
-			if wantErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("bw=%d workers=%d: columnar Distribution diverges from scalar", bw, workers)
-			}
-			// Worker count must not affect bits at all.
-			if workers != 1 {
-				cOpts.Workers = 1
-				got1, err := RunDistribution(plan, params, cOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, got1) {
-					t.Fatalf("bw=%d: columnar result depends on worker count", bw)
-				}
+			if wantErr == nil && !reflect.DeepEqual(want, got) {
+				t.Fatalf("bw=%d workers=%d: Distribution diverges from the oracle", bw, workers)
 			}
 		}
 	}
@@ -97,7 +69,7 @@ func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worl
 // given base plan.
 func vgExtendPlan(t *testing.T, db *DB, base Plan, name string) *ExtendPlan {
 	t.Helper()
-	bound := mustBindX(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, base.Schema(), db.Env())
+	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, base.Schema(), db.Env())
 	ext, err := NewExtendPlan(base, []NamedBound{{Name: name, Expr: bound}})
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +91,14 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	// must combine both columns.
 	db := columnarDB(t)
 	ext1 := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	capacity := mustBindX(t,
+	capacity := mustBind(t,
 		Call{"CapacityModel", []Expr{Param{"week"}, Lit{Float(8)}, Lit{Float(24)}}},
 		ext1.Schema(), db.Env())
 	ext2, err := NewExtendPlan(ext1, []NamedBound{{Name: "capacity", Expr: capacity}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over := mustBindX(t,
+	over := mustBind(t,
 		Case{When: BinOp{"<", Col{"capacity"}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}},
 		ext2.Schema(), db.Env())
 	ext3, err := NewExtendPlan(ext2, []NamedBound{{Name: "overload", Expr: over}})
@@ -141,10 +113,10 @@ func TestColumnarGroupedVGWithStringKeys(t *testing.T) {
 	// (KeyRows must match), and every aggregate kind at once.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	noisy := mustBindX(t, BinOp{"*", Col{"volume"},
+	noisy := mustBind(t, BinOp{"*", Col{"volume"},
 		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}, scan.Schema(), db.Env())
-	region := mustBindX(t, Col{"region"}, scan.Schema(), db.Env())
-	week := mustBindX(t, Col{"week"}, scan.Schema(), db.Env())
+	region := mustBind(t, Col{"region"}, scan.Schema(), db.Env())
+	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
 	plan, err := NewGroupPlan(scan,
 		[]NamedBound{{Name: "region", Expr: region}},
 		[]AggSpec{
@@ -170,7 +142,7 @@ func signSelectPlan(t *testing.T, db *DB) Plan {
 	t.Helper()
 	scan, _ := db.Scan("signs")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBindX(t, BinOp{">",
+	pred := mustBind(t, BinOp{">",
 		BinOp{"*", Col{"sign"}, BinOp{"-", Col{"vg"}, Param{"week"}}},
 		Lit{Float(0)}}, ext.Schema(), db.Env())
 	return &SelectPlan{Child: ext, Pred: pred, Desc: "sign*(vg-week) > 0"}
@@ -192,9 +164,9 @@ func TestColumnarMaskedAggregate(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("signs")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBindX(t, BinOp{">", Col{"vg"}, Param{"week"}}, ext.Schema(), db.Env())
+	pred := mustBind(t, BinOp{">", Col{"vg"}, Param{"week"}}, ext.Schema(), db.Env())
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "vg > week"}
-	arg := mustBindX(t, Col{"vg"}, sel.Schema(), db.Env())
+	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
 	plan, err := NewGroupPlan(sel, nil, []AggSpec{
 		{Kind: AggSum, Arg: arg, Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
@@ -212,10 +184,10 @@ func TestColumnarMaskedKeyedGroup(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("signs")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBindX(t, BinOp{">", Col{"vg"}, Lit{Float(-1e9)}}, ext.Schema(), db.Env())
+	pred := mustBind(t, BinOp{">", Col{"vg"}, Lit{Float(-1e9)}}, ext.Schema(), db.Env())
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "always"}
-	tag := mustBindX(t, Col{"tag"}, sel.Schema(), db.Env())
-	arg := mustBindX(t, Col{"vg"}, sel.Schema(), db.Env())
+	tag := mustBind(t, Col{"tag"}, sel.Schema(), db.Env())
+	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
 	plan, err := NewGroupPlan(sel,
 		[]NamedBound{{Name: "tag", Expr: tag}},
 		[]AggSpec{{Kind: AggSum, Arg: arg, Name: "total"}})
@@ -228,7 +200,7 @@ func TestColumnarMaskedKeyedGroup(t *testing.T) {
 func TestColumnarOrderByUniformAndLimit(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	key := mustBindX(t, Col{"volume"}, scan.Schema(), db.Env())
+	key := mustBind(t, Col{"volume"}, scan.Schema(), db.Env())
 	plan := &LimitPlan{Child: &OrderByPlan{Child: scan, Key: key, Desc: true}, N: 2}
 	assertBitIdentical(t, plan, nil, 200)
 }
@@ -239,7 +211,7 @@ func TestColumnarOrderByWorldVaryingKey(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	key := mustBindX(t, Col{"vg"}, ext.Schema(), db.Env())
+	key := mustBind(t, Col{"vg"}, ext.Schema(), db.Env())
 	plan := &OrderByPlan{Child: ext, Key: key}
 	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 250)
 }
@@ -253,7 +225,7 @@ func TestColumnarOrderByNullKeysAndLimitMasked(t *testing.T) {
 	tbl.MustAppend(Row{Null()})
 	tbl.MustAppend(Row{Float(1)})
 	scan := NewScanPlan("t", tbl)
-	key := mustBindX(t, Col{"v"}, scan.Schema(), nil)
+	key := mustBind(t, Col{"v"}, scan.Schema(), nil)
 	assertBitIdentical(t, &OrderByPlan{Child: scan, Key: key}, nil, 64)
 
 	sel := signSelectPlan(t, db)
@@ -265,12 +237,12 @@ func TestColumnarJoinWithVGPredicate(t *testing.T) {
 	left, _ := db.Scan("purchases")
 	right, _ := db.Scan("regions")
 	schema := left.Schema().Concat(right.Schema())
-	pred := mustBindX(t, BinOp{"AND",
+	pred := mustBind(t, BinOp{"AND",
 		BinOp{"=", Col{"region"}, Col{"name"}},
 		BinOp{">", Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}, Lit{Float(5)}},
 	}, schema, db.Env())
 	join := NewJoinPlan(left, right, pred)
-	vol := mustBindX(t, Col{"volume"}, join.Schema(), db.Env())
+	vol := mustBind(t, Col{"volume"}, join.Schema(), db.Env())
 	plan, err := NewGroupPlan(join, nil, []AggSpec{
 		{Kind: AggSum, Arg: vol, Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
@@ -291,19 +263,22 @@ func TestColumnarCrossJoin(t *testing.T) {
 
 func TestColumnarCaseBranchDraws(t *testing.T) {
 	// VG draws inside CASE branches: each branch must draw only in the
-	// worlds that take it.
+	// worlds that take it. A trailing draw observes each world's stream
+	// position, so an extra draw in either branch shows up.
 	db := columnarDB(t)
-	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	branch := mustBindX(t, Case{
-		When: BinOp{">", Col{"demand"}, Param{"week"}},
-		Then: Call{"CapacityModel", []Expr{Param{"week"}, Lit{Float(8)}, Lit{Float(24)}}},
-		Else: Lit{Float(0)},
-	}, ext.Schema(), db.Env())
-	plan, err := NewExtendPlan(ext, []NamedBound{{Name: "c", Expr: branch}})
-	if err != nil {
-		t.Fatal(err)
+	when := BinOp{">", Col{"demand"}, Param{"week"}}
+	capacity := Call{"CapacityModel", []Expr{Param{"week"}, Lit{Float(8)}, Lit{Float(24)}}}
+	for _, c := range []Case{
+		{When: when, Then: capacity, Else: Lit{Float(0)}},
+		{When: when, Then: Lit{Float(0)}, Else: capacity},
+	} {
+		ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
+		plan, err := NewExtendPlan(ext, []NamedBound{{Name: "c", Expr: mustBind(t, c, ext.Schema(), db.Env())}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, vgExtendPlan(t, db, plan, "after"), map[string]float64{"week": 20}, 300)
 	}
-	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
 }
 
 func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
@@ -315,14 +290,14 @@ func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
 	scan := NewScanPlan("t", tbl)
 	env := db.Env()
 	outs := []NamedBound{
-		{Name: "s", Expr: mustBindX(t, Call{"SQRT", []Expr{Col{"a"}}}, scan.Schema(), env)},
-		{Name: "p", Expr: mustBindX(t, Call{"POW", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "m", Expr: mustBindX(t, Call{"MINV", []Expr{Col{"a"}, Param{"week"}}}, scan.Schema(), env)},
-		{Name: "q", Expr: mustBindX(t, BinOp{"/", Col{"a"}, BinOp{"-", Col{"b"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "n", Expr: mustBindX(t, Neg{Col{"a"}}, scan.Schema(), env)},
-		{Name: "vgnull", Expr: mustBindX(t, Call{"DemandModel", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "cmp", Expr: mustBindX(t, BinOp{">=", Col{"a"}, Col{"b"}}, scan.Schema(), env)},
-		{Name: "lg", Expr: mustBindX(t, BinOp{"AND", BinOp{">", Col{"a"}, Lit{Float(0)}}, Not{BinOp{"<", Col{"b"}, Lit{Float(0)}}}}, scan.Schema(), env)},
+		{Name: "s", Expr: mustBind(t, Call{"SQRT", []Expr{Col{"a"}}}, scan.Schema(), env)},
+		{Name: "p", Expr: mustBind(t, Call{"POW", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
+		{Name: "m", Expr: mustBind(t, Call{"MINV", []Expr{Col{"a"}, Param{"week"}}}, scan.Schema(), env)},
+		{Name: "q", Expr: mustBind(t, BinOp{"/", Col{"a"}, BinOp{"-", Col{"b"}, Col{"b"}}}, scan.Schema(), env)},
+		{Name: "n", Expr: mustBind(t, Neg{Col{"a"}}, scan.Schema(), env)},
+		{Name: "vgnull", Expr: mustBind(t, Call{"DemandModel", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
+		{Name: "cmp", Expr: mustBind(t, BinOp{">=", Col{"a"}, Col{"b"}}, scan.Schema(), env)},
+		{Name: "lg", Expr: mustBind(t, BinOp{"AND", BinOp{">", Col{"a"}, Lit{Float(0)}}, Not{BinOp{"<", Col{"b"}, Lit{Float(0)}}}}, scan.Schema(), env)},
 	}
 	plan, err := NewExtendPlan(scan, outs)
 	if err != nil {
@@ -334,8 +309,8 @@ func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
 }
 
 func TestColumnarCustomExprAndPlanFallback(t *testing.T) {
-	// A hand-written BoundFunc and a hand-written Plan exercise both
-	// scalar fallback adapters inside a columnar run.
+	// A hand-written BoundFunc (run per world by its adapter) and a
+	// hand-written Plan (delegating ExecuteBlock) inside a columnar run.
 	db := columnarDB(t)
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	custom := BoundFunc(func(row Row, ctx *RowCtx) (Value, error) {
@@ -356,31 +331,32 @@ func TestColumnarCustomExprAndPlanFallback(t *testing.T) {
 	assertBitIdentical(t, after, map[string]float64{"week": 15}, 200)
 }
 
-// opaquePlan hides a plan's BlockPlan capability, forcing the
-// per-world fallback adapter.
+// opaquePlan is a third-party operator: it implements Plan by
+// delegation, so the executor sees a type it does not know.
 type opaquePlan struct{ inner Plan }
 
-func (o opaquePlan) Schema() Schema                    { return o.inner.Schema() }
-func (o opaquePlan) Execute(c *RowCtx) (*Table, error) { return o.inner.Execute(c) }
-func (o opaquePlan) String() string                    { return "Opaque(" + o.inner.String() + ")" }
+func (o opaquePlan) Schema() Schema { return o.inner.Schema() }
+func (o opaquePlan) ExecuteBlock(c *BlockCtx) (*BlockTable, error) {
+	return o.inner.ExecuteBlock(c)
+}
+func (o opaquePlan) String() string { return "Opaque(" + o.inner.String() + ")" }
 
 func TestColumnarCardinalityErrorParity(t *testing.T) {
 	// A filter over an uncertain value with genuinely varying counts
-	// must fail identically (message and all) in both modes.
+	// must fail identically (message and all) in the executor and the
+	// oracle.
 	db := columnarDB(t)
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	pred := mustBindX(t, BinOp{">", Col{"demand"}, Param{"week"}}, ext.Schema(), db.Env())
+	pred := mustBind(t, BinOp{">", Col{"demand"}, Param{"week"}}, ext.Schema(), db.Env())
 	plan := &SelectPlan{Child: ext, Pred: pred, Desc: "demand > week"}
 	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, BlockWorlds: 64}
-	sOpts := opts
-	sOpts.Mode = ExecScalar
-	_, wantErr := RunDistribution(plan, map[string]float64{"week": 20}, sOpts)
+	_, wantErr := refDistribution(plan, map[string]float64{"week": 20}, opts)
 	_, gotErr := RunDistribution(plan, map[string]float64{"week": 20}, opts)
 	if wantErr == nil || gotErr == nil {
-		t.Fatalf("expected both modes to reject varying cardinality (scalar %v, columnar %v)", wantErr, gotErr)
+		t.Fatalf("expected both to reject varying cardinality (oracle %v, executor %v)", wantErr, gotErr)
 	}
 	if wantErr.Error() != gotErr.Error() {
-		t.Fatalf("error mismatch:\nscalar:   %v\ncolumnar: %v", wantErr, gotErr)
+		t.Fatalf("error mismatch:\noracle:   %v\nexecutor: %v", wantErr, gotErr)
 	}
 	if !strings.Contains(gotErr.Error(), "world-invariant") {
 		t.Fatalf("unexpected error %v", gotErr)
@@ -388,35 +364,48 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 }
 
 func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
-	// BulkVGSumPlan is a special case of the columnar path: its sums
-	// must match per-world interpretation of the equivalent tree
-	// bit-for-bit, under either executor.
+	// BulkVGSumPlan's fused fold must reproduce, bit for bit, the
+	// oracle's per-world sums over the equivalent SUM(UserUsage(...))
+	// tree, at every block size and worker count.
 	users := blackbox.GenerateUsers(60, 11)
 	tbl := MustNewTable("join_week", "base", "growth", "vol")
 	for _, u := range users {
 		tbl.MustAppend(Row{Float(u.JoinWeek), Float(u.BaseCores), Float(u.GrowthRate), Float(u.Volatility)})
 	}
-	var args []BoundExpr
+	tbl.MustAppend(Row{Float(0), Null(), Float(1), Float(0.1)}) // NULL row: no draw, no contribution
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.UserUsage{})
 	scan := NewScanPlan("users", tbl)
-	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		args = append(args, mustBindX(t, e, scan.Schema(), nil))
+	argExprs := []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}}
+	var args []BoundExpr
+	for _, e := range argExprs {
+		args = append(args, mustBind(t, e, scan.Schema(), nil))
+	}
+	usage := mustBind(t, Call{"UserUsage", argExprs}, scan.Schema(), db.Env())
+	tree, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]float64{"week": 40}
+	const worlds, master = 300, 9
+	want := make([]float64, worlds)
+	for k, seed := range worldSeeds(master, worlds) {
+		out, err := refRun(tree, params, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k], _ = out.Rows[0][0].AsFloat() // NULL (no live rows) sums to 0
 	}
 	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
-	params := map[string]float64{"week": 40}
-	for _, bw := range []int{1, 7, 256, 1000} {
-		opts := WorldsOptions{Worlds: 300, MasterSeed: 9, BlockWorlds: bw}
-		col, err := bulk.Run(params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sOpts := opts
-		sOpts.Mode = ExecScalar
-		ref, err := bulk.Run(params, sOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(col, ref) {
-			t.Fatalf("bw=%d: bulk sums diverge between executors", bw)
+	for _, bw := range columnarBlockSizes {
+		for _, workers := range columnarWorkers {
+			got, err := bulk.Run(params, WorldsOptions{Worlds: worlds, MasterSeed: master, BlockWorlds: bw, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("bw=%d workers=%d: bulk sums diverge from the oracle", bw, workers)
+			}
 		}
 	}
 }
@@ -435,7 +424,7 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan, _ := db.Scan("users")
-	usage := mustBindX(t, Call{"UserUsage", []Expr{
+	usage := mustBind(t, Call{"UserUsage", []Expr{
 		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
 	}}, scan.Schema(), db.Env())
 	plan, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
@@ -455,7 +444,7 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 
 	var args []BoundExpr
 	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		args = append(args, mustBindX(t, e, scan.Schema(), db.Env()))
+		args = append(args, mustBind(t, e, scan.Schema(), db.Env()))
 	}
 	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
 	sums, err := bulk.Run(params, opts)
@@ -483,12 +472,81 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 	}
 }
 
+// namedExpr pairs an output name with an unbound expression.
+type namedExpr struct {
+	name string
+	expr Expr
+}
+
+// loweredPlan hand-builds the Base → Extend → Select → Project shape
+// exec.BuildPDBPlan lowers a SELECT to: extend the computed items
+// (later items read earlier ones), filter, then project exactly the
+// SELECT list. A nil where omits the Select.
+func loweredPlan(t *testing.T, db *DB, base Plan, extend []namedExpr, where Expr, finals []string) Plan {
+	t.Helper()
+	var outs []NamedBound
+	schema := base.Schema()
+	for _, e := range extend {
+		outs = append(outs, NamedBound{Name: e.name, Expr: mustBind(t, e.expr, schema, db.Env())})
+		schema = schema.Concat(Schema{{Name: e.name}})
+	}
+	var top Plan
+	top, err := NewExtendPlan(base, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if where != nil {
+		top = &SelectPlan{Child: top, Pred: mustBind(t, where, top.Schema(), db.Env()), Desc: where.String()}
+	}
+	var proj []NamedBound
+	for _, name := range finals {
+		proj = append(proj, NamedBound{Name: name, Expr: mustBind(t, Col{name}, top.Schema(), db.Env())})
+	}
+	plan, err := NewProjectPlan(top, proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func TestColumnarLoweredShapes(t *testing.T) {
+	db := columnarDB(t)
+	tbl := MustNewTable("week", "volume")
+	tbl.MustAppend(Row{Float(10), Float(40)})
+	tbl.MustAppend(Row{Float(20), Float(60)})
+	scan := NewScanPlan("lowered", tbl)
+	vg := Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}
+	// SELECT week, volume * DemandModel(week, 99) AS noisy
+	//   FROM lowered WHERE volume > 15
+	from := loweredPlan(t, db, scan,
+		[]namedExpr{{"noisy", BinOp{"*", Col{"volume"}, vg}}},
+		BinOp{">", Col{"volume"}, Lit{Float(15)}}, []string{"week", "noisy"})
+	assertBitIdentical(t, from, nil, 300)
+	// SELECT volume AS v FROM lowered WHERE DemandModel(week, 99) > 0
+	where := loweredPlan(t, db, scan,
+		[]namedExpr{{"v", Col{"volume"}}},
+		BinOp{">", vg, Lit{Float(0)}}, []string{"v"})
+	assertBitIdentical(t, where, nil, 300)
+	// Fig. 1: one Extend whose CASE reads the two VG outputs before it
+	// in the same operator, under a Project and no FROM.
+	fig1 := loweredPlan(t, db, ValuesPlan{},
+		[]namedExpr{
+			{"demand", Call{"DemandModel", []Expr{Param{"current_week"}, Param{"feature_release"}}}},
+			{"capacity", Call{"CapacityModel", []Expr{Param{"current_week"}, Param{"purchase1"}, Param{"purchase2"}}}},
+			{"overload", Case{When: BinOp{"<", Col{"capacity"}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}}},
+		},
+		nil, []string{"demand", "capacity", "overload"})
+	assertBitIdentical(t, fig1, map[string]float64{
+		"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36,
+	}, 300)
+}
+
 func TestColumnarKeyRows(t *testing.T) {
-	// String cells surface as KeyRows in both executors.
+	// String cells surface as KeyRows.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	region := mustBindX(t, Col{"region"}, scan.Schema(), db.Env())
-	vol := mustBindX(t, Col{"volume"}, scan.Schema(), db.Env())
+	region := mustBind(t, Col{"region"}, scan.Schema(), db.Env())
+	vol := mustBind(t, Col{"volume"}, scan.Schema(), db.Env())
 	plan, err := NewGroupPlan(scan,
 		[]NamedBound{{Name: "region", Expr: region}},
 		[]AggSpec{{Kind: AggSum, Arg: vol, Name: "total"}})

@@ -21,62 +21,39 @@ type Expr interface {
 	String() string
 }
 
-// BoundExpr is a compiled expression. Every built-in Expr binds to an
-// evaluator that carries both a tuple-at-a-time form (Eval) and a
-// world-blocked columnar form used by the vectorized executor; custom
-// implementations (see BoundFunc) only need Eval — the columnar path
-// falls back to per-world evaluation for them, so they keep working
-// unmodified.
+// BoundExpr is a compiled expression: it evaluates over a whole
+// world block at once, one Vec per call. Every built-in Expr binds to
+// a blockExpr; custom evaluators plug in through BoundFunc.
 type BoundExpr interface {
-	// Eval evaluates against a row within a row context.
-	Eval(row Row, ctx *RowCtx) (Value, error)
+	// EvalBlock evaluates against one block row over the worlds active
+	// in mask (nil = every world of the block).
+	EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 }
 
-// BoundFunc adapts a plain evaluation function to BoundExpr. It is
-// the extension point for hand-written evaluators; the columnar
-// executor runs it through the scalar fallback adapter (one call per
-// active world, against that world's live generator).
+// blockExpr is the form every built-in expression compiles to.
+type blockExpr func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
+
+// EvalBlock implements BoundExpr.
+func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return f(row, mask, ctx)
+}
+
+// BoundFunc adapts a plain per-world evaluation function to BoundExpr.
+// It is the extension point for hand-written evaluators: the executor
+// calls it once per active world, with that world's row view and live
+// generator.
 type BoundFunc func(row Row, ctx *RowCtx) (Value, error)
 
-// Eval implements BoundExpr.
-func (f BoundFunc) Eval(row Row, ctx *RowCtx) (Value, error) { return f(row, ctx) }
-
-// scalarFn and blockFn are the two evaluation forms a built-in
-// expression compiles to.
-type (
-	scalarFn = func(Row, *RowCtx) (Value, error)
-	blockFn  = func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
-)
-
-// boundExpr pairs the forms; the executor type-asserts for the block
-// one (evalExprBlock in block.go).
-type boundExpr struct {
-	scalar scalarFn
-	block  blockFn
-}
-
-// Eval implements BoundExpr.
-func (b *boundExpr) Eval(row Row, ctx *RowCtx) (Value, error) { return b.scalar(row, ctx) }
-
-func bound(s scalarFn, b blockFn) *boundExpr { return &boundExpr{scalar: s, block: b} }
-
-// RowCtx carries per-world evaluation state: the world's generator
-// (all VG randomness) and the parameter bindings of the current point.
+// RowCtx is the per-world state a BoundFunc sees: the world's
+// generator and the parameter bindings of the current point.
 type RowCtx struct {
-	// Rand is the world's seeded generator; every VG invocation in the
-	// world draws from it in plan order, making the whole per-world
-	// query evaluation a deterministic function of the world seed —
-	// which is exactly what lets Jigsaw fingerprint "the entire Monte
-	// Carlo simulation" (§3).
+	// Rand is the world's generator; every draw in the world comes from
+	// it in plan order, making the world's query evaluation a
+	// deterministic function of the world seed — which is exactly what
+	// lets Jigsaw fingerprint "the entire Monte Carlo simulation" (§3).
 	Rand *rng.Rand
-	// Params holds @parameter values. Parameter references resolve
-	// through a per-context slot cache filled on first touch, so the
-	// map is consulted once per parameter per RowCtx rather than once
-	// per row; callers that mutate Params must use a fresh RowCtx.
+	// Params holds @parameter values.
 	Params map[string]float64
-
-	// pcache is the slot cache, indexed by bind-time slot id.
-	pcache []pcached
 }
 
 // pcached is one parameter slot's resolution state.
@@ -85,28 +62,8 @@ type pcached struct {
 	val   float64
 }
 
-// paramBySlot resolves slot (falling back to one map lookup on first
-// touch). ok=false means the parameter is unbound.
-func (ctx *RowCtx) paramBySlot(slot int, name string) (float64, bool) {
-	if ctx == nil {
-		return 0, false
-	}
-	for len(ctx.pcache) <= slot {
-		ctx.pcache = append(ctx.pcache, pcached{})
-	}
-	pc := &ctx.pcache[slot]
-	if pc.state == 0 {
-		if v, ok := ctx.Params[name]; ok {
-			pc.state, pc.val = 1, v
-		} else {
-			pc.state = 2
-		}
-	}
-	return pc.val, pc.state == 1
-}
-
-// paramBySlot is the BlockCtx analogue of RowCtx.paramBySlot: one
-// resolution per parameter per block.
+// paramBySlot resolves a parameter slot, consulting Params once per
+// parameter per block. ok=false means the parameter is unbound.
 func (c *BlockCtx) paramBySlot(slot int, name string) (float64, bool) {
 	for len(c.pcache) <= slot {
 		c.pcache = append(c.pcache, pcached{})
@@ -166,10 +123,9 @@ type Lit struct{ Val Value }
 // Bind implements Expr.
 func (l Lit) Bind(Schema, *Env) (BoundExpr, error) {
 	v := l.Val
-	return bound(
-		func(Row, *RowCtx) (Value, error) { return v, nil },
-		func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) { return ctx.uniformVec(v), nil },
-	), nil
+	return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
+		return ctx.uniformVec(v), nil
+	}), nil
 }
 
 func (l Lit) String() string { return l.Val.String() }
@@ -183,10 +139,7 @@ func (c Col) Bind(s Schema, _ *Env) (BoundExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bound(
-		func(row Row, _ *RowCtx) (Value, error) { return row[i], nil },
-		func(row BlockRow, _ Mask, _ *BlockCtx) (*Vec, error) { return row[i], nil },
-	), nil
+	return blockExpr(func(row BlockRow, _ Mask, _ *BlockCtx) (*Vec, error) { return row[i], nil }), nil
 }
 
 func (c Col) String() string { return c.Name }
@@ -199,22 +152,13 @@ type Param struct{ Name string }
 func (p Param) Bind(Schema, *Env) (BoundExpr, error) {
 	name := p.Name
 	slot := paramSlotID(name)
-	return bound(
-		func(_ Row, ctx *RowCtx) (Value, error) {
-			v, ok := ctx.paramBySlot(slot, name)
-			if !ok {
-				return Null(), fmt.Errorf("pdb: unbound parameter @%s", name)
-			}
-			return Float(v), nil
-		},
-		func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
-			v, ok := ctx.paramBySlot(slot, name)
-			if !ok {
-				return nil, fmt.Errorf("pdb: unbound parameter @%s", name)
-			}
-			return ctx.uniformVec(Float(v)), nil
-		},
-	), nil
+	return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
+		v, ok := ctx.paramBySlot(slot, name)
+		if !ok {
+			return nil, fmt.Errorf("pdb: unbound parameter @%s", name)
+		}
+		return ctx.uniformVec(Float(v)), nil
+	}), nil
 }
 
 func (p Param) String() string { return "@" + p.Name }
@@ -242,9 +186,9 @@ func (b BinOp) Bind(s Schema, env *Env) (BoundExpr, error) {
 	case "+", "-", "*", "/":
 		return bindArith(op, l, r), nil
 	case "<", "<=", ">", ">=", "=", "<>":
-		return bindCompare(op, l, r), nil
+		return binOpBlock(l, r, func(lv, rv Value) (Value, error) { return compareValues(op, lv, rv) }), nil
 	case "AND", "OR":
-		return bindLogic(op, l, r), nil
+		return binOpBlock(l, r, func(lv, rv Value) (Value, error) { return logicValues(op, lv, rv) }), nil
 	default:
 		return nil, fmt.Errorf("pdb: unknown operator %q", op)
 	}
@@ -254,9 +198,9 @@ func (b BinOp) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.Left, b.Op, b.Right)
 }
 
-// arithValues is the scalar core of arithmetic, shared by the
-// tuple-at-a-time path and the columnar uniform fast path so both
-// produce identical bits and identical errors.
+// arithValues is the value-level core of arithmetic: the uniform fast
+// path uses it directly, and the lane loop in bindArith reproduces it
+// bit for bit on unboxed floats.
 func arithValues(op string, lv, rv Value) (Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return Null(), nil
@@ -288,13 +232,13 @@ func arithValues(op string, lv, rv Value) (Value, error) {
 // lane-wise with combine, taking the compute-once shortcut when both
 // sides are uniform (deterministic subtrees evaluate once per block,
 // not once per world).
-func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) blockFn {
+func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) blockExpr {
 	return func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		lv, err := evalExprBlock(l, row, mask, ctx)
+		lv, err := l.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
-		rv, err := evalExprBlock(r, row, mask, ctx)
+		rv, err := r.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -321,31 +265,19 @@ func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) block
 }
 
 func bindArith(op string, l, r BoundExpr) BoundExpr {
-	combine := func(lv, rv Value) (Value, error) { return arithValues(op, lv, rv) }
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		lv, err := l.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		rv, err := r.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return combine(lv, rv)
-	}
 	// The lane loop special-cases the all-numeric case to skip Value
-	// boxing; mixed lanes fall back to the shared scalar core.
-	blk := func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		lv, err := evalExprBlock(l, row, mask, ctx)
+	// boxing; uniform operands go through the value-level core.
+	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+		lv, err := l.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
-		rv, err := evalExprBlock(r, row, mask, ctx)
+		rv, err := r.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
 		if lv.uniform && rv.uniform {
-			val, err := combine(lv.u, rv.u)
+			val, err := arithValues(op, lv.u, rv.u)
 			if err != nil {
 				return nil, err
 			}
@@ -381,11 +313,10 @@ func bindArith(op string, l, r BoundExpr) BoundExpr {
 			}
 		}
 		return dst, nil
-	}
-	return bound(scalar, blk)
+	})
 }
 
-// compareValues is the scalar core of comparison.
+// compareValues is the value-level core of comparison.
 func compareValues(op string, lv, rv Value) (Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return Null(), nil
@@ -412,23 +343,7 @@ func compareValues(op string, lv, rv Value) (Value, error) {
 	}
 }
 
-func bindCompare(op string, l, r BoundExpr) BoundExpr {
-	combine := func(lv, rv Value) (Value, error) { return compareValues(op, lv, rv) }
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		lv, err := l.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		rv, err := r.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return combine(lv, rv)
-	}
-	return bound(scalar, binOpBlock(l, r, combine))
-}
-
-// logicValues is the scalar core of AND/OR.
+// logicValues is the value-level core of AND/OR.
 func logicValues(op string, lv, rv Value) (Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return Null(), nil
@@ -447,26 +362,11 @@ func logicValues(op string, lv, rv Value) (Value, error) {
 	return Bool(lb || rb), nil
 }
 
-func bindLogic(op string, l, r BoundExpr) BoundExpr {
-	combine := func(lv, rv Value) (Value, error) { return logicValues(op, lv, rv) }
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		lv, err := l.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		rv, err := r.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return combine(lv, rv)
-	}
-	return bound(scalar, binOpBlock(l, r, combine))
-}
-
-// unaryValues applies f to a non-null value, propagating NULL.
-func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockFn {
+// unaryBlock applies f lane-wise to e's column (once for a uniform
+// column).
+func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockExpr {
 	return func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		v, err := evalExprBlock(e, row, mask, ctx)
+		v, err := e.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -501,24 +401,19 @@ func (n Neg) Bind(s Schema, env *Env) (BoundExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	core := func(v Value) (Value, error) {
-		if v.IsNull() {
-			return Null(), nil
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return Null(), err
-		}
-		return Float(-f), nil
+	return unaryBlock(e, negValue), nil
+}
+
+// negValue is the value-level core of unary minus.
+func negValue(v Value) (Value, error) {
+	if v.IsNull() {
+		return Null(), nil
 	}
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		v, err := e.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return core(v)
+	f, err := v.AsFloat()
+	if err != nil {
+		return Null(), err
 	}
-	return bound(scalar, unaryBlock(e, core)), nil
+	return Float(-f), nil
 }
 
 func (n Neg) String() string { return fmt.Sprintf("(-%s)", n.E) }
@@ -532,24 +427,19 @@ func (n Not) Bind(s Schema, env *Env) (BoundExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	core := func(v Value) (Value, error) {
-		if v.IsNull() {
-			return Null(), nil
-		}
-		b, err := v.AsBool()
-		if err != nil {
-			return Null(), err
-		}
-		return Bool(!b), nil
+	return unaryBlock(e, notValue), nil
+}
+
+// notValue is the value-level core of logical negation.
+func notValue(v Value) (Value, error) {
+	if v.IsNull() {
+		return Null(), nil
 	}
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		v, err := e.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		return core(v)
+	b, err := v.AsBool()
+	if err != nil {
+		return Null(), err
 	}
-	return bound(scalar, unaryBlock(e, core)), nil
+	return Bool(!b), nil
 }
 
 func (n Not) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
@@ -576,31 +466,12 @@ func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
 			return nil, err
 		}
 	}
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		cond, err := w.Eval(row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		ok := false
-		if !cond.IsNull() {
-			if ok, err = cond.AsBool(); err != nil {
-				return Null(), err
-			}
-		}
-		if ok {
-			return t.Eval(row, ctx)
-		}
-		if e == nil {
-			return Null(), nil
-		}
-		return e.Eval(row, ctx)
-	}
-	// The columnar form evaluates the condition once over the block,
-	// then each branch only over the worlds that take it — so branch
-	// randomness (a VG call inside THEN) is consumed in exactly the
-	// worlds the scalar interpreter would consume it in.
-	blk := func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		cond, err := evalExprBlock(w, row, mask, ctx)
+	// The condition evaluates once over the block, then each branch
+	// only over the worlds that take it — so branch randomness (a VG
+	// call inside THEN) is consumed in exactly the worlds a per-world
+	// evaluation would consume it in.
+	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+		cond, err := w.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -612,12 +483,12 @@ func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
 				}
 			}
 			if ok {
-				return evalExprBlock(t, row, mask, ctx)
+				return t.EvalBlock(row, mask, ctx)
 			}
 			if e == nil {
 				return ctx.uniformVec(Null()), nil
 			}
-			return evalExprBlock(e, row, mask, ctx)
+			return e.EvalBlock(row, mask, ctx)
 		}
 		thenM := ctx.newMask(nil)
 		elseM := ctx.newMask(nil)
@@ -642,12 +513,12 @@ func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
 		}
 		var tv, ev *Vec
 		if anyThen {
-			if tv, err = evalExprBlock(t, row, thenM, ctx); err != nil {
+			if tv, err = t.EvalBlock(row, thenM, ctx); err != nil {
 				return nil, err
 			}
 		}
 		if e != nil && anyElse {
-			if ev, err = evalExprBlock(e, row, elseM, ctx); err != nil {
+			if ev, err = e.EvalBlock(row, elseM, ctx); err != nil {
 				return nil, err
 			}
 		}
@@ -663,8 +534,7 @@ func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
 			}
 		}
 		return dst, nil
-	}
-	return bound(scalar, blk), nil
+	}), nil
 }
 
 func (c Case) String() string {
@@ -684,7 +554,7 @@ func (v *Vec) laneIsNull(w int) bool {
 
 // Call invokes either a scalar builtin (ABS, SQRT, MIN, MAX, POW) or a
 // registered VG-function (stochastic black box). VG calls draw from
-// the world generator in the row context.
+// each world's generator.
 type Call struct {
 	Name string
 	Args []Expr
@@ -733,20 +603,20 @@ func (c Call) Bind(s Schema, env *Env) (BoundExpr, error) {
 	return bindVGCall(box, args), nil
 }
 
-// evalArgColumns evaluates call arguments over the block with the
-// scalar interpreter's NULL discipline: a NULL argument in world w
-// stops evaluation of the remaining arguments *in that world* (they
-// are neither computed nor drawn there), so each argument column is
+// evalArgColumns evaluates call arguments over the block with SQL's
+// per-world NULL discipline: a NULL argument in world w stops
+// evaluation of the remaining arguments *in that world* (they are
+// neither computed nor drawn there), so each argument column is
 // evaluated under a progressively narrowed mask. It returns the
 // narrowed mask of worlds where every argument is non-NULL, whether
 // all argument vectors are uniform, and dead=true when no active
 // world survived (the whole column is NULL; later arguments were not
-// evaluated at all, matching the scalar short-stop).
+// evaluated at all).
 func evalArgColumns(args []BoundExpr, vecs []*Vec, row BlockRow, mask Mask, ctx *BlockCtx) (cur Mask, allUniform, dead bool, err error) {
 	cur = mask
 	allUniform = true
 	for i, a := range args {
-		v, err := evalExprBlock(a, row, cur, ctx)
+		v, err := a.EvalBlock(row, cur, ctx)
 		if err != nil {
 			return nil, false, false, err
 		}
@@ -779,21 +649,7 @@ func evalArgColumns(args []BoundExpr, vecs []*Vec, row BlockRow, mask Mask, ctx 
 }
 
 func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) BoundExpr {
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		fs, err := evalFloatArgs(args, row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if fs == nil {
-			return Null(), nil
-		}
-		f, err := fn(fs)
-		if err != nil {
-			return Null(), err
-		}
-		return Float(f), nil
-	}
-	blk := func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
 		if err != nil {
@@ -834,32 +690,18 @@ func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) Bound
 			dst.setFloat(w, f)
 		}
 		return dst, nil
-	}
-	return bound(scalar, blk)
+	})
 }
 
+// bindVGCall is where the block pipeline pays off: the argument
+// columns of a data-dependent model are uniform across worlds (they
+// come from stored tables and parameters), so the argument decode
+// happens once per row-block and the draws go through a kernel —
+// BlockBox + bulk rng fills while the world streams are untouched
+// (first draw of each world), StreamBox on live streams afterwards —
+// instead of W interface dispatches.
 func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
-	scalar := func(row Row, ctx *RowCtx) (Value, error) {
-		if ctx == nil || ctx.Rand == nil {
-			return Null(), fmt.Errorf("pdb: VG function %s invoked outside a world", box.Name())
-		}
-		fs, err := evalFloatArgs(args, row, ctx)
-		if err != nil {
-			return Null(), err
-		}
-		if fs == nil {
-			return Null(), nil
-		}
-		return Float(box.Eval(fs, ctx.Rand)), nil
-	}
-	// The columnar form is where the block pipeline pays off: the
-	// argument columns of a data-dependent model are uniform across
-	// worlds (they come from stored tables and parameters), so the
-	// argument decode happens once per row-block and the draws go
-	// through a kernel — BlockBox + bulk rng fills while the world
-	// streams are untouched (first draw of each world), StreamBox on
-	// live streams afterwards — instead of W interface dispatches.
-	blk := func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
 		if err != nil {
@@ -912,27 +754,7 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 			dst.setFloat(w, box.Eval(argv, &ctx.Rands[w]))
 		}
 		return dst, nil
-	}
-	return bound(scalar, blk)
-}
-
-// evalFloatArgs evaluates all args; a NULL argument yields (nil, nil),
-// propagating NULL without invoking the function.
-func evalFloatArgs(args []BoundExpr, row Row, ctx *RowCtx) ([]float64, error) {
-	fs := make([]float64, len(args))
-	for i, a := range args {
-		v, err := a.Eval(row, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			return nil, nil
-		}
-		if fs[i], err = v.AsFloat(); err != nil {
-			return nil, err
-		}
-	}
-	return fs, nil
+	})
 }
 
 func (c Call) String() string {

@@ -9,21 +9,46 @@ import (
 	"jigsaw/internal/rng"
 )
 
-// evalExpr binds e against schema and evaluates it on row.
-func evalExpr(t *testing.T, e Expr, s Schema, row Row, ctx *RowCtx) Value {
+// evalExpr binds e against schema and evaluates it on row in one
+// world of the block executor.
+func evalExpr(t *testing.T, e Expr, s Schema, row Row, params map[string]float64) Value {
 	t.Helper()
 	b, err := e.Bind(s, testEnv())
 	if err != nil {
 		t.Fatalf("bind %s: %v", e, err)
 	}
-	if ctx == nil {
-		ctx = &RowCtx{}
-	}
-	v, err := b.Eval(row, ctx)
+	v, err := evalWorld(b, row, params, 1)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
 	return v
+}
+
+// oneWorldCtx returns a block context holding the single world seeded
+// by seed.
+func oneWorldCtx(seed uint64, params map[string]float64) *BlockCtx {
+	ctx := &BlockCtx{}
+	ctx.reset([]uint64{seed}, params, nil)
+	return ctx
+}
+
+// evalWorld evaluates a bound expression on row in a one-world block
+// seeded by seed.
+func evalWorld(b BoundExpr, row Row, params map[string]float64, seed uint64) (Value, error) {
+	return evalIn(oneWorldCtx(seed, params), b, row)
+}
+
+// evalIn evaluates b on row (as uniform columns) in ctx's first world.
+func evalIn(ctx *BlockCtx, b BoundExpr, row Row) (Value, error) {
+	br := ctx.newRow(len(row))
+	for i, v := range row {
+		br[i] = ctx.uniformVec(v)
+	}
+	v, err := b.EvalBlock(br, nil, ctx)
+	if err != nil {
+		return Null(), err
+	}
+	return v.Lane(0), nil
 }
 
 func testEnv() *Env {
@@ -47,13 +72,12 @@ func TestLiteralAndColumn(t *testing.T) {
 }
 
 func TestParamRef(t *testing.T) {
-	ctx := &RowCtx{Params: map[string]float64{"week": 12}}
-	v := evalExpr(t, Param{"week"}, Schema{}, Row{}, ctx)
+	v := evalExpr(t, Param{"week"}, Schema{}, Row{}, map[string]float64{"week": 12})
 	if !v.Equal(Float(12)) {
 		t.Fatalf("param = %v", v)
 	}
 	b, _ := Param{"missing"}.Bind(Schema{}, nil)
-	if _, err := b.Eval(Row{}, &RowCtx{Params: map[string]float64{}}); err == nil {
+	if _, err := evalWorld(b, Row{}, map[string]float64{}, 1); err == nil {
 		t.Fatal("unbound param evaluated")
 	}
 }
@@ -196,8 +220,7 @@ func TestVGCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &RowCtx{Rand: rng.New(5), Params: map[string]float64{"week": 10}}
-	v, err := b.Eval(Row{}, ctx)
+	v, err := evalWorld(b, Row{}, map[string]float64{"week": 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +243,6 @@ func TestVGCallErrors(t *testing.T) {
 	if _, err := (Call{"DemandModel", []Expr{Lit{Float(1)}}}).Bind(Schema{}, testEnv()); err == nil {
 		t.Fatal("VG arity violation bound")
 	}
-	// VG call without a world generator.
-	b, err := (Call{"DemandModel", []Expr{Lit{Float(1)}, Lit{Float(2)}}}).Bind(Schema{}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Eval(Row{}, &RowCtx{}); err == nil {
-		t.Fatal("VG call without generator succeeded")
-	}
 }
 
 func TestVGCallNullArgSkipsInvocation(t *testing.T) {
@@ -235,13 +250,15 @@ func TestVGCallNullArgSkipsInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(1)
-	before := r.State()
-	v, err := b.Eval(Row{}, &RowCtx{Rand: r})
+	ctx := oneWorldCtx(1, nil)
+	v, err := evalIn(ctx, b, Row{})
 	if err != nil || !v.IsNull() {
 		t.Fatalf("NULL arg: %v, %v", v, err)
 	}
-	if r.State() != before {
+	// Materializing replays any draw the call made; an untouched
+	// stream is exactly a freshly seeded generator.
+	ctx.materialize()
+	if ctx.Rands[0].State() != rng.New(1).State() {
 		t.Fatal("NULL-arg call consumed randomness")
 	}
 }

@@ -3,21 +3,19 @@ package pdb
 import (
 	"fmt"
 	"sort"
-
-	"jigsaw/internal/pool"
 )
 
-// Plan is a query-plan node: a relational operator tree executed once
-// per possible world. Plans are built (bound) against a DB, then
-// executed with a per-world RowCtx. Built-in plans additionally
-// implement BlockPlan (ExecuteBlock), the world-blocked columnar form
-// the vectorized executor uses; custom plans without it run through
-// the per-world fallback adapter.
+// Plan is a query-plan node: a relational operator tree whose answer
+// is one relation per possible world. Plans are built (bound) against
+// a DB, then executed a block of worlds at a time: ExecuteBlock
+// returns the operator's output for every world of the block in
+// world-blocked columnar form.
 type Plan interface {
 	// Schema returns the output schema.
 	Schema() Schema
-	// Execute materializes the operator's output for one world.
-	Execute(ctx *RowCtx) (*Table, error)
+	// ExecuteBlock materializes the operator's output for every world
+	// of the block.
+	ExecuteBlock(ctx *BlockCtx) (*BlockTable, error)
 	// String renders a one-line operator description.
 	String() string
 }
@@ -31,12 +29,7 @@ type ValuesPlan struct{}
 // Schema implements Plan.
 func (ValuesPlan) Schema() Schema { return Schema{} }
 
-// Execute implements Plan.
-func (ValuesPlan) Execute(*RowCtx) (*Table, error) {
-	return &Table{Schema: Schema{}, Rows: []Row{{}}}, nil
-}
-
-// ExecuteBlock implements BlockPlan.
+// ExecuteBlock implements Plan.
 func (ValuesPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	return &BlockTable{Schema: Schema{}, Rows: []BlockRow{ctx.newRow(0)}}, nil
 }
@@ -45,7 +38,7 @@ func (ValuesPlan) String() string { return "Values()" }
 
 // ScanPlan reads a stored table. The backing table is shared across
 // worlds (deterministic data); uncertain attributes enter through VG
-// calls in enclosing Project nodes.
+// calls in enclosing Project and Extend nodes.
 type ScanPlan struct {
 	Name  string
 	table *Table
@@ -57,13 +50,7 @@ func NewScanPlan(name string, t *Table) *ScanPlan { return &ScanPlan{Name: name,
 // Schema implements Plan.
 func (s *ScanPlan) Schema() Schema { return s.table.Schema }
 
-// Execute implements Plan: rows are shared, not copied; downstream
-// operators never mutate input rows.
-func (s *ScanPlan) Execute(*RowCtx) (*Table, error) {
-	return &Table{Schema: s.table.Schema, Rows: s.table.Rows}, nil
-}
-
-// ExecuteBlock implements BlockPlan: stored data is deterministic, so
+// ExecuteBlock implements Plan: stored data is deterministic, so
 // every cell blocks into a uniform Vec — no per-world storage at all.
 func (s *ScanPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	nc := len(s.table.Schema)
@@ -92,37 +79,12 @@ type SelectPlan struct {
 // Schema implements Plan.
 func (p *SelectPlan) Schema() Schema { return p.Child.Schema() }
 
-// Execute implements Plan.
-func (p *SelectPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Schema: in.Schema}
-	for _, row := range in.Rows {
-		v, err := p.Pred.Eval(row, ctx)
-		if err != nil {
-			return nil, err
-		}
-		keep := false
-		if !v.IsNull() {
-			if keep, err = v.AsBool(); err != nil {
-				return nil, err
-			}
-		}
-		if keep {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
-}
-
-// ExecuteBlock implements BlockPlan. A predicate over deterministic
+// ExecuteBlock implements Plan. A predicate over deterministic
 // inputs drops or keeps each row for the whole block at once; a
 // world-varying predicate (uncertain WHERE) narrows the row's world
 // mask instead, keeping the block positional.
 func (p *SelectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +93,7 @@ func (p *SelectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	anyMask := false
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
-		pv, err := evalExprBlock(p.Pred, row, m, ctx)
+		pv, err := p.Pred.EvalBlock(row, m, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -219,29 +181,10 @@ func NewProjectPlan(child Plan, outputs []NamedBound) (*ProjectPlan, error) {
 // Schema implements Plan.
 func (p *ProjectPlan) Schema() Schema { return p.schema }
 
-// Execute implements Plan.
-func (p *ProjectPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Schema: p.schema, Rows: make([]Row, 0, len(in.Rows))}
-	for _, row := range in.Rows {
-		nr := make(Row, len(p.Outputs))
-		for i, o := range p.Outputs {
-			if nr[i], err = o.Expr.Eval(row, ctx); err != nil {
-				return nil, err
-			}
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
-}
-
-// ExecuteBlock implements BlockPlan: each output expression evaluates
+// ExecuteBlock implements Plan: each output expression evaluates
 // once per row over the whole world column.
 func (p *ProjectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +193,7 @@ func (p *ProjectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 		m := in.rowMask(r)
 		nr := ctx.newRow(len(p.Outputs))
 		for i, o := range p.Outputs {
-			if nr[i], err = evalExprBlock(o.Expr, row, m, ctx); err != nil {
+			if nr[i], err = o.Expr.EvalBlock(row, m, ctx); err != nil {
 				return nil, err
 			}
 		}
@@ -297,37 +240,13 @@ func NewExtendPlan(child Plan, outputs []NamedBound) (*ExtendPlan, error) {
 // Schema implements Plan.
 func (p *ExtendPlan) Schema() Schema { return p.schema }
 
-// Execute implements Plan. Each output expression is evaluated against
-// the progressively extended row, so expression i sees columns
-// appended by expressions < i.
-func (p *ExtendPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Schema: p.schema, Rows: make([]Row, 0, len(in.Rows))}
-	for _, row := range in.Rows {
-		nr := make(Row, len(in.Schema), len(p.schema))
-		copy(nr, row)
-		for _, o := range p.Outputs {
-			v, err := o.Expr.Eval(nr, ctx)
-			if err != nil {
-				return nil, err
-			}
-			nr = append(nr, v)
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
-}
-
-// ExecuteBlock implements BlockPlan. Rows extend column-wise: for
+// ExecuteBlock implements Plan. Rows extend column-wise: for
 // each row the appended expressions evaluate left to right over the
 // world column, each seeing the columns appended before it — so per
-// world, randomness is consumed in exactly the scalar interpreter's
-// (row, expression) order.
+// world, randomness is consumed in exactly per-world interpretation
+// order: row by row, expression by expression.
 func (p *ExtendPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +257,7 @@ func (p *ExtendPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 		nr := ctx.newRow(len(p.schema))
 		copy(nr, row)
 		for i, o := range p.Outputs {
-			v, err := evalExprBlock(o.Expr, nr[:base+i], m, ctx)
+			v, err := o.Expr.EvalBlock(nr[:base+i], m, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -361,17 +280,6 @@ type OrderByPlan struct {
 // Schema implements Plan.
 func (p *OrderByPlan) Schema() Schema { return p.Child.Schema() }
 
-// orderScratch is the pooled per-execution sort state: key values,
-// the index permutation, and the sorter whose pointer receiver keeps
-// sort.Stable from allocating a comparator closure per world.
-type orderScratch struct {
-	keys   []Value
-	perm   []int
-	sorter rowSorter
-}
-
-var orderPool = pool.NewPool[orderScratch](nil)
-
 // rowSorter sorts an index permutation by key value — NULLs first,
 // then ascending (or descending with Desc), ties keeping input order
 // via sort.Stable.
@@ -388,9 +296,9 @@ func (s *rowSorter) Less(i, j int) bool {
 	return lessKey(s.keys[s.perm[i]], s.keys[s.perm[j]], s.desc, s.err)
 }
 
-// lessKey is the ordering every sort path (scalar, columnar-uniform,
-// columnar per-world) shares: NULL keys sort first regardless of
-// direction; comparison errors latch into errp.
+// lessKey is the ordering both sort paths (uniform keys, per-world
+// lanes) share: NULL keys sort first regardless of direction;
+// comparison errors latch into errp.
 func lessKey(a, b Value, desc bool, errp *error) bool {
 	if a.IsNull() {
 		return !b.IsNull()
@@ -408,51 +316,16 @@ func lessKey(a, b Value, desc bool, errp *error) bool {
 	return c < 0
 }
 
-// Execute implements Plan. The child's rows are shared, not copied
-// (ScanPlan's contract), so sorting must never reorder or mutate the
-// child's Rows slice in place: keys are computed once into pooled
-// scratch, an index permutation is sorted, and a fresh output slice
-// is gathered through it.
-func (p *OrderByPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sc := orderPool.Get()
-	defer orderPool.Put(sc)
-	sc.keys = sc.keys[:0]
-	sc.perm = sc.perm[:0]
-	for i, row := range in.Rows {
-		v, err := p.Key.Eval(row, ctx)
-		if err != nil {
-			return nil, err
-		}
-		sc.keys = append(sc.keys, v)
-		sc.perm = append(sc.perm, i)
-	}
-	var sortErr error
-	sc.sorter = rowSorter{keys: sc.keys, perm: sc.perm, desc: p.Desc, err: &sortErr}
-	sort.Stable(&sc.sorter)
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	out := &Table{Schema: in.Schema, Rows: make([]Row, len(sc.perm))}
-	for i, idx := range sc.perm {
-		out.Rows[i] = in.Rows[idx]
-	}
-	return out, nil
-}
-
-// ExecuteBlock implements BlockPlan. With a deterministic key the
+// ExecuteBlock implements Plan. With a deterministic key the
 // sort happens once for the whole block: a stable sort's output is
 // the unique order by (key, input position), so restricting the
 // globally sorted order to each world's active rows equals sorting
 // that world's rows directly — masks just ride along. World-varying
 // keys (or key columns whose kinds could make comparisons
 // world-dependent) fall back to sorting each world's lanes with the
-// exact scalar comparator.
+// same comparator.
 func (p *OrderByPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +333,7 @@ func (p *OrderByPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	uniform := true
 	numeric, str := false, false
 	for r, row := range in.Rows {
-		v, err := evalExprBlock(p.Key, row, in.rowMask(r), ctx)
+		v, err := p.Key.EvalBlock(row, in.rowMask(r), ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +381,7 @@ func (p *OrderByPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 // executeBlockPerWorld sorts each world's active rows by that world's
-// key lanes — the scalar interpreter's sort, per world — and gathers
+// key lanes — exactly a per-world sort — and gathers
 // the results positionally: output position k holds, for each world,
 // that world's k-th sorted row, with a mask marking worlds holding
 // fewer rows.
@@ -597,27 +470,11 @@ type LimitPlan struct {
 // Schema implements Plan.
 func (p *LimitPlan) Schema() Schema { return p.Child.Schema() }
 
-// Execute implements Plan.
-func (p *LimitPlan) Execute(ctx *RowCtx) (*Table, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := p.N
-	if n > len(in.Rows) {
-		n = len(in.Rows)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return &Table{Schema: in.Schema, Rows: in.Rows[:n]}, nil
-}
-
-// ExecuteBlock implements BlockPlan. Without masks this is a slice;
+// ExecuteBlock implements Plan. Without masks this is a slice;
 // with masks each world keeps its own first N active rows, so the
 // per-row output masks encode world-dependent truncation.
 func (p *LimitPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := executePlanBlock(p.Child, ctx)
+	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -698,53 +555,16 @@ func NewJoinPlan(left, right Plan, pred BoundExpr) *JoinPlan {
 // Schema implements Plan.
 func (p *JoinPlan) Schema() Schema { return p.schema }
 
-// Execute implements Plan.
-func (p *JoinPlan) Execute(ctx *RowCtx) (*Table, error) {
-	l, err := p.Left.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.Right.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Schema: p.schema}
-	for _, lr := range l.Rows {
-		for _, rr := range r.Rows {
-			joined := make(Row, 0, len(lr)+len(rr))
-			joined = append(joined, lr...)
-			joined = append(joined, rr...)
-			if p.Pred != nil {
-				v, err := p.Pred.Eval(joined, ctx)
-				if err != nil {
-					return nil, err
-				}
-				keep := false
-				if !v.IsNull() {
-					if keep, err = v.AsBool(); err != nil {
-						return nil, err
-					}
-				}
-				if !keep {
-					continue
-				}
-			}
-			out.Rows = append(out.Rows, joined)
-		}
-	}
-	return out, nil
-}
-
-// ExecuteBlock implements BlockPlan: the nested loop runs over block
+// ExecuteBlock implements Plan: the nested loop runs over block
 // rows (Vec pointers concatenate without copying world lanes), pair
 // masks intersect the sides' row masks, and the predicate narrows
 // them exactly like SelectPlan.
 func (p *JoinPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	l, err := executePlanBlock(p.Left, ctx)
+	l, err := p.Left.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := executePlanBlock(p.Right, ctx)
+	r, err := p.Right.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -776,7 +596,7 @@ func (p *JoinPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 			copy(joined, lr)
 			copy(joined[len(lr):], rr)
 			if p.Pred != nil {
-				pv, err := evalExprBlock(p.Pred, joined, m, ctx)
+				pv, err := p.Pred.EvalBlock(joined, m, ctx)
 				if err != nil {
 					return nil, err
 				}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/rng"
 )
 
 // fixtureDB builds a small database with a purchases table.
@@ -24,20 +23,24 @@ func fixtureDB(t *testing.T) *DB {
 	return db
 }
 
-func mustBind(t *testing.T, e Expr, s Schema, env *Env) BoundExpr {
+// execute runs p through the block executor for a single world and
+// returns that world's table.
+func execute(t *testing.T, p Plan) *Table {
 	t.Helper()
-	b, err := e.Bind(s, env)
+	bt, err := p.ExecuteBlock(oneWorldCtx(1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-func execute(t *testing.T, p Plan) *Table {
-	t.Helper()
-	out, err := p.Execute(&RowCtx{Rand: rng.New(1), Params: map[string]float64{}})
-	if err != nil {
-		t.Fatal(err)
+	out := &Table{Schema: bt.Schema}
+	for r, row := range bt.Rows {
+		if m := bt.rowMask(r); m != nil && !m[0] {
+			continue
+		}
+		tr := make(Row, len(row))
+		for c, v := range row {
+			tr[c] = v.Lane(0)
+		}
+		out.Rows = append(out.Rows, tr)
 	}
 	return out
 }

@@ -1,0 +1,448 @@
+package pdb
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"jigsaw/internal/rng"
+)
+
+// The reference oracle: a per-world interpreter that evaluates a plan
+// one world at a time, tuple at a time, against that world's seeded
+// generator. It shares only value-level cores with the executor
+// (arithValues, compareValues, logicValues, aggState, lessKey and the
+// Value methods). Plans are interpreted by a type switch over the
+// built-in operators; expressions by walking the *unbound* Expr tree
+// that mustBind records, so the oracle never runs the closures Bind
+// produced. Per-world tables feed the production commit (blockOut →
+// commitBlocks), so a Distribution from the oracle is comparable with
+// reflect.DeepEqual to one from RunDistribution.
+
+// astBound is what mustBind returns: the production evaluator plus the
+// expression, schema and environment it was bound from. The executor
+// calls the embedded BoundExpr; the oracle reads the AST.
+type astBound struct {
+	BoundExpr
+	expr   Expr
+	schema Schema
+	env    *Env
+}
+
+// mustBind binds an expression, failing the test on error, and records
+// its AST for the oracle.
+func mustBind(t *testing.T, e Expr, s Schema, env *Env) BoundExpr {
+	t.Helper()
+	b, err := e.Bind(s, env)
+	if err != nil {
+		t.Fatalf("bind %s: %v", e, err)
+	}
+	return astBound{BoundExpr: b, expr: e, schema: s, env: env}
+}
+
+// refWorld interprets plans within one world.
+type refWorld struct {
+	ctx RowCtx
+}
+
+// refRun evaluates plan in the world seeded by seed.
+func refRun(plan Plan, params map[string]float64, seed uint64) (*Table, error) {
+	var r rng.Rand
+	r.Seed(seed)
+	w := &refWorld{ctx: RowCtx{Rand: &r, Params: params}}
+	return w.plan(plan)
+}
+
+// refDistribution is the oracle's RunDistribution: same options, same
+// world seeds, same block partition (the batched accumulation is
+// split-dependent), per-world interpretation instead of blocks.
+func refDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
+	var outs []*blockOut
+	for lo := 0; lo < opts.Worlds; lo += opts.BlockWorlds {
+		hi := lo + opts.BlockWorlds
+		if hi > opts.Worlds {
+			hi = opts.Worlds
+		}
+		tables := make([]*Table, hi-lo)
+		for lane := range tables {
+			if tables[lane], err = refRun(plan, params, seeds[lo+lane]); err != nil {
+				return nil, fmt.Errorf("pdb: world %d: %w", lo+lane, err)
+			}
+		}
+		out := &blockOut{}
+		out.reset(lo, hi-lo)
+		refFlatten(out, plan.Schema(), tables)
+		outs = append(outs, out)
+	}
+	return commitBlocks(outs, opts)
+}
+
+// refFlatten writes one block's per-world tables into the commit
+// representation. Worlds with fewer rows than the widest get a
+// presence mask, so the commit reports the cardinality error.
+func refFlatten(out *blockOut, schema Schema, tables []*Table) {
+	w := len(tables)
+	nrows := 0
+	for _, t := range tables {
+		if len(t.Rows) > nrows {
+			nrows = len(t.Rows)
+		}
+	}
+	out.shape(schema, nrows)
+	varying := false
+	for lane, t := range tables {
+		out.counts[lane] = len(t.Rows)
+		varying = varying || len(t.Rows) != nrows
+		for ri, row := range t.Rows {
+			for c, v := range row {
+				idx := (ri*out.ncols+c)*w + lane
+				out.kinds[idx] = uint8(v.Kind())
+				switch v.Kind() {
+				case KindFloat, KindBool:
+					out.vals[idx], _ = v.AsFloat() // bools as 0/1
+				case KindString:
+					s, _ := v.Text()
+					out.setStr(idx, s)
+				}
+			}
+		}
+	}
+	if varying {
+		out.sel = make([]bool, nrows*w)
+		for ri := 0; ri < nrows; ri++ {
+			for lane := 0; lane < w; lane++ {
+				out.sel[ri*w+lane] = ri < out.counts[lane]
+			}
+		}
+	}
+}
+
+// plan interprets one operator (and its inputs) in this world.
+func (w *refWorld) plan(p Plan) (*Table, error) {
+	switch p := p.(type) {
+	case ValuesPlan:
+		return &Table{Schema: p.Schema(), Rows: []Row{{}}}, nil
+	case *ScanPlan:
+		return &Table{Schema: p.Schema(), Rows: p.table.Rows}, nil
+	case opaquePlan:
+		return w.plan(p.inner)
+	case *SelectPlan:
+		in, err := w.plan(p.Child)
+		if err != nil {
+			return nil, err
+		}
+		out := &Table{Schema: in.Schema}
+		for _, row := range in.Rows {
+			keep, err := w.truth(p.Pred, row)
+			if err != nil {
+				return nil, err
+			}
+			if keep {
+				out.Rows = append(out.Rows, row)
+			}
+		}
+		return out, nil
+	case *ProjectPlan:
+		in, err := w.plan(p.Child)
+		if err != nil {
+			return nil, err
+		}
+		out := &Table{Schema: p.Schema()}
+		for _, row := range in.Rows {
+			nr := make(Row, len(p.Outputs))
+			for i, o := range p.Outputs {
+				if nr[i], err = w.eval(o.Expr, row); err != nil {
+					return nil, err
+				}
+			}
+			out.Rows = append(out.Rows, nr)
+		}
+		return out, nil
+	case *ExtendPlan:
+		in, err := w.plan(p.Child)
+		if err != nil {
+			return nil, err
+		}
+		out := &Table{Schema: p.Schema()}
+		for _, row := range in.Rows {
+			nr := append(Row(nil), row...)
+			for _, o := range p.Outputs {
+				v, err := w.eval(o.Expr, nr)
+				if err != nil {
+					return nil, err
+				}
+				nr = append(nr, v)
+			}
+			out.Rows = append(out.Rows, nr)
+		}
+		return out, nil
+	case *OrderByPlan:
+		in, err := w.plan(p.Child)
+		if err != nil {
+			return nil, err
+		}
+		keys := make([]Value, len(in.Rows))
+		perm := make([]int, len(in.Rows))
+		for i, row := range in.Rows {
+			if keys[i], err = w.eval(p.Key, row); err != nil {
+				return nil, err
+			}
+			perm[i] = i
+		}
+		var sortErr error
+		sort.SliceStable(perm, func(i, j int) bool {
+			return lessKey(keys[perm[i]], keys[perm[j]], p.Desc, &sortErr)
+		})
+		if sortErr != nil {
+			return nil, sortErr
+		}
+		out := &Table{Schema: in.Schema}
+		for _, i := range perm {
+			out.Rows = append(out.Rows, in.Rows[i])
+		}
+		return out, nil
+	case *LimitPlan:
+		in, err := w.plan(p.Child)
+		if err != nil {
+			return nil, err
+		}
+		n := min(max(p.N, 0), len(in.Rows))
+		return &Table{Schema: in.Schema, Rows: in.Rows[:n]}, nil
+	case *JoinPlan:
+		l, err := w.plan(p.Left)
+		if err != nil {
+			return nil, err
+		}
+		r, err := w.plan(p.Right)
+		if err != nil {
+			return nil, err
+		}
+		out := &Table{Schema: p.Schema()}
+		for _, lr := range l.Rows {
+			for _, rr := range r.Rows {
+				joined := append(append(Row(nil), lr...), rr...)
+				if p.Pred != nil {
+					keep, err := w.truth(p.Pred, joined)
+					if err != nil {
+						return nil, err
+					}
+					if !keep {
+						continue
+					}
+				}
+				out.Rows = append(out.Rows, joined)
+			}
+		}
+		return out, nil
+	case *GroupPlan:
+		return w.group(p)
+	}
+	return nil, fmt.Errorf("oracle: no interpretation for plan %T", p)
+}
+
+// group interprets a GroupPlan: first-appearance group order, NULLs
+// skipped by aggregates, one row for a global aggregate over no input.
+func (w *refWorld) group(p *GroupPlan) (*Table, error) {
+	in, err := w.plan(p.Child)
+	if err != nil {
+		return nil, err
+	}
+	type group struct {
+		keys   []Value
+		states []*aggState
+	}
+	newGroup := func(keys []Value) *group {
+		g := &group{keys: keys}
+		for _, a := range p.Aggs {
+			g.states = append(g.states, newAggState(a.Kind))
+		}
+		return g
+	}
+	var order []*group
+	byKey := make(map[string]*group)
+	for _, row := range in.Rows {
+		keys := make([]Value, len(p.Keys))
+		var kb strings.Builder
+		for i, k := range p.Keys {
+			if keys[i], err = w.eval(k.Expr, row); err != nil {
+				return nil, err
+			}
+			kb.WriteString(keys[i].String())
+			kb.WriteByte(0)
+		}
+		g, ok := byKey[kb.String()]
+		if !ok {
+			g = newGroup(keys)
+			byKey[kb.String()] = g
+			order = append(order, g)
+		}
+		for i, a := range p.Aggs {
+			if a.Arg == nil {
+				g.states[i].addCountStar()
+				continue
+			}
+			v, err := w.eval(a.Arg, row)
+			if err != nil {
+				return nil, err
+			}
+			if err := g.states[i].add(v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(p.Keys) == 0 && len(order) == 0 {
+		order = append(order, newGroup(nil))
+	}
+	out := &Table{Schema: p.Schema()}
+	for _, g := range order {
+		row := append(Row(nil), g.keys...)
+		for _, st := range g.states {
+			row = append(row, st.result())
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
+}
+
+// truth evaluates a predicate; NULL is false.
+func (w *refWorld) truth(e BoundExpr, row Row) (bool, error) {
+	v, err := w.eval(e, row)
+	if err != nil || v.IsNull() {
+		return false, err
+	}
+	return v.AsBool()
+}
+
+// eval evaluates a bound expression: a recorded AST is interpreted, a
+// BoundFunc is called with this world's context.
+func (w *refWorld) eval(e BoundExpr, row Row) (Value, error) {
+	switch e := e.(type) {
+	case astBound:
+		return w.expr(e.expr, e.schema, e.env, row)
+	case BoundFunc:
+		return e(row, &w.ctx)
+	}
+	return Null(), fmt.Errorf("oracle: expression %T was not bound through mustBind", e)
+}
+
+// expr interprets an unbound expression against row, resolving names
+// in schema s.
+func (w *refWorld) expr(e Expr, s Schema, env *Env, row Row) (Value, error) {
+	switch e := e.(type) {
+	case Lit:
+		return e.Val, nil
+	case Col:
+		i, err := s.IndexOf(e.Name)
+		if err != nil {
+			return Null(), err
+		}
+		return row[i], nil
+	case Param:
+		v, ok := w.ctx.Params[e.Name]
+		if !ok {
+			return Null(), fmt.Errorf("oracle: unbound parameter @%s", e.Name)
+		}
+		return Float(v), nil
+	case BinOp:
+		l, err := w.expr(e.Left, s, env, row)
+		if err != nil {
+			return Null(), err
+		}
+		r, err := w.expr(e.Right, s, env, row)
+		if err != nil {
+			return Null(), err
+		}
+		switch e.Op {
+		case "+", "-", "*", "/":
+			return arithValues(e.Op, l, r)
+		case "AND", "OR":
+			return logicValues(e.Op, l, r)
+		default:
+			return compareValues(e.Op, l, r)
+		}
+	case Neg:
+		v, err := w.expr(e.E, s, env, row)
+		if err != nil || v.IsNull() {
+			return Null(), err
+		}
+		f, err := v.AsFloat()
+		return Float(-f), err
+	case Not:
+		v, err := w.expr(e.E, s, env, row)
+		if err != nil || v.IsNull() {
+			return Null(), err
+		}
+		b, err := v.AsBool()
+		return Bool(!b), err
+	case Case:
+		cond, err := w.expr(e.When, s, env, row)
+		if err != nil {
+			return Null(), err
+		}
+		taken := false
+		if !cond.IsNull() {
+			if taken, err = cond.AsBool(); err != nil {
+				return Null(), err
+			}
+		}
+		if taken {
+			return w.expr(e.Then, s, env, row)
+		}
+		if e.Else == nil {
+			return Null(), nil
+		}
+		return w.expr(e.Else, s, env, row)
+	case Call:
+		return w.call(e, s, env, row)
+	}
+	return Null(), fmt.Errorf("oracle: no interpretation for expression %T", e)
+}
+
+// call interprets a builtin or VG call: arguments evaluate left to
+// right and a NULL argument yields NULL without evaluating the rest
+// or invoking the function.
+func (w *refWorld) call(c Call, s Schema, env *Env, row Row) (Value, error) {
+	vals := make([]Value, len(c.Args))
+	for i, a := range c.Args {
+		v, err := w.expr(a, s, env, row)
+		if err != nil {
+			return Null(), err
+		}
+		if v.IsNull() {
+			return Null(), nil
+		}
+		vals[i] = v
+	}
+	args := make([]float64, len(vals))
+	for i, v := range vals {
+		f, err := v.AsFloat()
+		if err != nil {
+			return Null(), err
+		}
+		args[i] = f
+	}
+	switch strings.ToUpper(c.Name) {
+	case "ABS":
+		return Float(math.Abs(args[0])), nil
+	case "SQRT":
+		return Float(math.Sqrt(args[0])), nil
+	case "POW":
+		return Float(math.Pow(args[0], args[1])), nil
+	case "MINV":
+		return Float(math.Min(args[0], args[1])), nil
+	case "MAXV":
+		return Float(math.Max(args[0], args[1])), nil
+	}
+	box, err := env.Boxes.Lookup(c.Name)
+	if err != nil {
+		return Null(), err
+	}
+	return Float(box.Eval(args, w.ctx.Rand)), nil
+}

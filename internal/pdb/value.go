@@ -7,10 +7,9 @@
 //
 // The package doubles as the reproduction's stand-in for the paper's
 // "C# + MS SQL Server" prototype in the Fig. 7 comparison: queries go
-// through the full parse → plan → per-world interpretation stack with
-// materialized intermediates, paying DB overhead on tiny models but
-// winning on data-dependent ones through set-oriented (bulk) VG
-// evaluation.
+// through the full parse → plan → execute stack over every sampled
+// world, paying DB overhead on tiny models but winning on
+// data-dependent ones through set-oriented (bulk) VG evaluation.
 package pdb
 
 import (

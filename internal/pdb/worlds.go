@@ -11,21 +11,6 @@ import (
 	"jigsaw/internal/stats"
 )
 
-// ExecMode selects the query executor behind RunDistribution.
-type ExecMode int
-
-const (
-	// ExecColumnar (the default) runs the world-blocked columnar
-	// executor: expressions evaluate over columns of worlds, VG draws
-	// go through block kernels, and aggregation is batched.
-	ExecColumnar ExecMode = iota
-	// ExecScalar runs the reference per-world interpreter. For any
-	// fixed (BlockWorlds, Workers) it produces a bit-identical
-	// Distribution — the property the columnar tests pin — at
-	// tuple-at-a-time cost.
-	ExecScalar
-)
-
 // DefaultBlockWorlds is the default number of worlds per execution
 // block, matching the Monte Carlo engine's sample-block size.
 const DefaultBlockWorlds = 256
@@ -47,19 +32,21 @@ type WorldsOptions struct {
 	HistBins int
 	// BlockWorlds is the number of worlds per execution block
 	// (default DefaultBlockWorlds). Results are bit-identical across
-	// Mode and Workers for a fixed BlockWorlds; across *different*
-	// block sizes, cell moments may differ in final-ulp rounding (the
-	// batched reduction is split-dependent, like the engine's).
+	// Workers for a fixed BlockWorlds; across *different* block sizes,
+	// cell moments may differ in final-ulp rounding (the batched
+	// reduction is split-dependent, like the engine's).
 	BlockWorlds int
 	// Workers sizes the worker pool world blocks execute on (≤1 =
 	// sequential). Blocks are committed in order, so results are
 	// bit-identical for any worker count.
 	Workers int
-	// Mode selects the executor (columnar by default).
-	Mode ExecMode
 }
 
-func (o WorldsOptions) withDefaults() WorldsOptions {
+// withDefaults validates the options and fills in defaults.
+func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
+	if o.Worlds < 0 {
+		return o, fmt.Errorf("pdb: Worlds = %d; want > 0, or 0 for the default", o.Worlds)
+	}
 	if o.Worlds == 0 {
 		o.Worlds = 1000
 	}
@@ -69,7 +56,7 @@ func (o WorldsOptions) withDefaults() WorldsOptions {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	return o
+	return o, nil
 }
 
 // Distribution is a PDB query answer: a distribution over result
@@ -116,8 +103,8 @@ func (d *Distribution) CellByName(row int, col string) (stats.Summary, error) {
 
 // blockOut is one block's flattened result: per-world row counts and
 // the lane matrix of the block's final table, the only state the
-// ordered commit needs. Both executors produce it, so accumulation is
-// shared — which is what makes their Distributions bit-identical.
+// ordered commit needs. The test oracle produces it from per-world
+// tables, so its Distributions go through the same accumulation.
 type blockOut struct {
 	err    error
 	lo     int // first world id
@@ -186,9 +173,9 @@ func (o *blockOut) setStr(idx int, s string) {
 	o.strs[idx] = s
 }
 
-// flattenBlockTable lowers the executor's final BlockTable into the
-// commit representation.
-func (o *blockOut) flattenBlockTable(bt *BlockTable, ctx *BlockCtx) {
+// flattenBlockTable lowers a block's final BlockTable into the commit
+// representation.
+func (o *blockOut) flattenBlockTable(bt *BlockTable) {
 	o.shape(bt.Schema, len(bt.Rows))
 	w := o.w
 	for r, row := range bt.Rows {
@@ -252,85 +239,20 @@ func (o *blockOut) flattenBlockTable(bt *BlockTable, ctx *BlockCtx) {
 	}
 }
 
-// runBlock executes one world block under the selected mode.
-func runBlock(plan Plan, params map[string]float64, opts WorldsOptions, seeds []uint64, lo int, flags *runFlags) *blockOut {
+// runBlock executes one world block.
+func runBlock(plan Plan, params map[string]float64, seeds []uint64, lo int, flags *runFlags) *blockOut {
 	out := blockOutPool.Get()
 	out.reset(lo, len(seeds))
-	if opts.Mode == ExecScalar {
-		runBlockScalar(plan, params, seeds, lo, out)
-		return out
-	}
 	bctx := blockCtxPool.Get()
 	bctx.reset(seeds, params, flags)
-	bt, err := executePlanBlock(plan, bctx)
+	bt, err := plan.ExecuteBlock(bctx)
 	if err != nil {
 		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, lo+len(seeds)-1, err)
 	} else {
-		out.flattenBlockTable(bt, bctx)
+		out.flattenBlockTable(bt)
 	}
 	blockCtxPool.Put(bctx)
 	return out
-}
-
-// runBlockScalar is the reference executor: the plan interprets once
-// per world, and the per-world tables flatten into the same commit
-// representation the columnar executor produces.
-func runBlockScalar(plan Plan, params map[string]float64, seeds []uint64, lo int, out *blockOut) {
-	w := len(seeds)
-	tables := make([]*Table, w)
-	nrows := 0
-	var r rng.Rand
-	ctx := &RowCtx{Rand: &r, Params: params}
-	for lane := 0; lane < w; lane++ {
-		r.Seed(seeds[lane])
-		t, err := plan.Execute(ctx)
-		if err != nil {
-			out.err = fmt.Errorf("pdb: world %d: %w", lo+lane, err)
-			return
-		}
-		tables[lane] = t
-		if len(t.Rows) > nrows {
-			nrows = len(t.Rows)
-		}
-	}
-	out.shape(tables[0].Schema, nrows)
-	varying := false
-	for lane, t := range tables {
-		out.counts[lane] = len(t.Rows)
-		if len(t.Rows) != nrows {
-			varying = true
-		}
-		for ri, row := range t.Rows {
-			for c, v := range row {
-				idx := (ri*out.ncols+c)*w + lane
-				out.kinds[idx] = uint8(v.kind)
-				switch v.kind {
-				case KindFloat:
-					out.vals[idx] = v.f
-				case KindBool:
-					if v.b {
-						out.vals[idx] = 1
-					}
-				case KindString:
-					out.setStr(idx, v.s)
-				}
-			}
-		}
-	}
-	if varying {
-		// Worlds produced different row counts; encode presence so the
-		// commit reports the canonical cardinality error.
-		if cap(out.sel) < nrows*w {
-			out.sel = make([]bool, nrows*w)
-		} else {
-			out.sel = out.sel[:nrows*w]
-		}
-		for ri := 0; ri < nrows; ri++ {
-			for lane := 0; lane < w; lane++ {
-				out.sel[ri*w+lane] = ri < out.counts[lane]
-			}
-		}
-	}
 }
 
 // runBlocks partitions the worlds into blocks, executes them on the
@@ -351,7 +273,7 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 		if hi > opts.Worlds {
 			hi = opts.Worlds
 		}
-		outs[b] = runBlock(plan, params, opts, seeds[lo:hi], lo, flags)
+		outs[b] = runBlock(plan, params, seeds[lo:hi], lo, flags)
 	})
 	for _, out := range outs {
 		if out.err != nil {
@@ -372,25 +294,33 @@ func putBlockOuts(outs []*blockOut) {
 	}
 }
 
-// RunDistribution executes the plan across sampled worlds — in
-// world-blocked columnar form by default, per world under ExecScalar
-// — and aggregates each numeric cell across worlds. Every world must
-// produce the same number of rows; a query whose cardinality is
-// world-dependent is not positionally alignable and is rejected (wrap
-// it in an aggregate instead). Both executors, and any Workers
-// setting, produce bit-identical Distributions for a fixed
-// BlockWorlds.
+// RunDistribution executes the plan across sampled worlds, a block of
+// worlds at a time, and aggregates each numeric cell across worlds.
+// Every world must produce the same number of rows; a query whose
+// cardinality is world-dependent is not positionally alignable and is
+// rejected (wrap it in an aggregate instead). Any Workers setting
+// produces a bit-identical Distribution for a fixed BlockWorlds.
 func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	if plan == nil {
 		return nil, errors.New("pdb: nil plan")
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	outs, err := runBlocks(plan, params, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer putBlockOuts(outs)
+	return commitBlocks(outs, opts)
+}
 
+// commitBlocks accumulates block outputs, in world order, into the
+// Distribution: per-world positional compaction of masked rows, the
+// cardinality check, string cells carried as KeyRows, and one batched
+// AddBlock per cell per block.
+func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 	var dist *Distribution
 	var accs [][]*stats.Accumulator
 	nrows := 0
@@ -484,7 +414,7 @@ func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 func worldSeeds(master uint64, n int) []uint64 {
 	set, err := rng.NewSeedSet(master, 1)
 	if err != nil {
-		panic(err) // n >= 1 enforced by withDefaults
+		panic(err) // a one-seed set cannot fail
 	}
 	return set.StreamSeeds(master, n)
 }
@@ -493,25 +423,21 @@ func worldSeeds(master uint64, n int) []uint64 {
 //
 //	SELECT SUM(VG(args...)) FROM table
 //
-// It is now a thin special case of the general columnar executor: the
-// source scans into uniform columns, the VG call evaluates column-at-
-// a-time per row (argument decode amortized across the block, draws
-// through the box's block/stream kernels), and the SUM folds world
-// columns — the execution shape that wins the "wrapper" its
-// UserSelection row in Fig. 7 (§6.1). Unlike the pre-columnar
-// implementation, draws follow the per-world stream discipline, so
-// results are bit-identical to per-world interpretation of the
-// equivalent plan tree.
+// the execution shape that wins the "wrapper" its UserSelection row
+// in Fig. 7 (§6.1). Draws follow the per-world stream discipline, so
+// its sums are bit-identical to per-world interpretation of the
+// equivalent Scan → Extend(VG) → SUM plan tree.
 type BulkVGSumPlan struct {
 	// Source is the scanned table.
 	Source *Table
 	// Box is the per-row VG function.
 	Box blackbox.Box
-	// Args are the VG arguments, bound against Source's schema.
+	// Args are the VG arguments, bound against Source's schema. They
+	// must be deterministic (columns, parameters, constants).
 	Args []BoundExpr
 }
 
-// validate checks the box/argument wiring shared by both executors.
+// validate checks the box/argument wiring.
 func (p *BulkVGSumPlan) validate() error {
 	if p.Box == nil {
 		return errors.New("pdb: bulk plan without box")
@@ -522,82 +448,66 @@ func (p *BulkVGSumPlan) validate() error {
 	return nil
 }
 
-// plan lowers the bulk pattern onto the general operator tree (the
-// caller has validated the wiring).
-func (p *BulkVGSumPlan) plan() (Plan, error) {
-	name := "__vg"
-	for p.Source.Schema.Has(name) {
-		name += "_"
-	}
-	ext, err := NewExtendPlan(NewScanPlan("bulk", p.Source),
-		[]NamedBound{{Name: name, Expr: bindVGCall(p.Box, p.Args)}})
+// resolveArgs evaluates every source row's argument vector once,
+// through the block evaluator over a one-world context. live[r] is
+// false for rows with a NULL argument (SQL SUM skips them, and they
+// draw nothing).
+func (p *BulkVGSumPlan) resolveArgs(params map[string]float64) (argvs []float64, live []bool, err error) {
+	ctx := blockCtxPool.Get()
+	defer blockCtxPool.Put(ctx)
+	ctx.reset([]uint64{0}, params, nil)
+	src, err := NewScanPlan("bulk", p.Source).ExecuteBlock(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	arg, err := (Col{Name: name}).Bind(ext.Schema(), nil)
-	if err != nil {
-		return nil, err
+	arity := len(p.Args)
+	argvs = make([]float64, len(src.Rows)*arity)
+	live = make([]bool, len(src.Rows))
+	vecs := make([]*Vec, arity)
+	for r, row := range src.Rows {
+		_, allUniform, dead, err := evalArgColumns(p.Args, vecs, row, nil, ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		// World-dependence is checked first: a world-dependent argument
+		// that is NULL in this one world is still an error, not a skip.
+		if !allUniform {
+			return nil, nil, fmt.Errorf("pdb: bulk plan row %d: %s arguments must be deterministic", r, p.Box.Name())
+		}
+		if dead {
+			continue
+		}
+		for i, v := range vecs {
+			if argvs[r*arity+i], err = v.u.AsFloat(); err != nil {
+				return nil, nil, err
+			}
+		}
+		live[r] = true
 	}
-	return NewGroupPlan(ext, nil, []AggSpec{{Kind: AggSum, Arg: arg, Name: "total"}})
+	return argvs, live, nil
 }
 
 // Run produces the per-world sums (0 when every row's contribution is
-// NULL, matching SQL SUM's skip semantics as the pre-columnar
-// implementation reported them).
-//
-// Under the default columnar mode Run takes a fused fold: the
-// deterministic argument vectors resolve once per row, and each row's
-// world column streams through the box's kernel straight into the
-// sums — no intermediate block table at all. The fold consumes each
-// world's stream in exactly the order the lowered plan tree does
-// (rows outer, worlds inner, NULL rows drawing nothing), so its sums
-// are bit-identical to RunDistribution over the equivalent tree under
-// either executor — the property TestColumnarBulkVGSumBitIdentical
-// pins by running this fold against ExecScalar's generic path.
+// NULL). It is a fused fold: the deterministic argument vectors
+// resolve once per row, and each row's world column streams through
+// the box's kernel straight into the sums — no intermediate block
+// table at all. The fold consumes each world's stream in exactly the
+// order the equivalent plan tree does (rows outer, worlds inner, NULL
+// rows drawing nothing), which TestColumnarBulkVGSumBitIdentical pins
+// against the per-world test oracle.
 func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Mode == ExecScalar {
-		plan, err := p.plan()
-		if err != nil {
-			return nil, err
-		}
-		outs, err := runBlocks(plan, params, opts)
-		if err != nil {
-			return nil, err
-		}
-		defer putBlockOuts(outs)
-		sums := make([]float64, opts.Worlds)
-		for _, out := range outs {
-			for lane := 0; lane < out.w; lane++ {
-				idx := 0*out.w + lane // single row, single column
-				if Kind(out.kinds[idx]) == KindFloat {
-					sums[out.lo+lane] = out.vals[idx]
-				}
-			}
-		}
-		return sums, nil
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	arity := p.Box.Arity()
-	// Arguments are deterministic per row (columns, parameters,
-	// constants): resolve every row's vector once, outside any world.
-	ctx := &RowCtx{Params: params}
-	rows := len(p.Source.Rows)
-	argvs := make([]float64, rows*arity)
-	live := make([]bool, rows)
-	for r, row := range p.Source.Rows {
-		fs, err := evalFloatArgs(p.Args, row, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if fs == nil {
-			continue // SQL SUM skips NULL contributions (and draws nothing)
-		}
-		live[r] = true
-		copy(argvs[r*arity:(r+1)*arity], fs)
+	argvs, live, err := p.resolveArgs(params)
+	if err != nil {
+		return nil, err
 	}
+	arity := len(p.Args)
 	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
 	sums := make([]float64, opts.Worlds)
 	bw := opts.BlockWorlds
@@ -621,8 +531,8 @@ func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]fl
 		for i := range rands {
 			rands[i].Seed(seeds[lo+i])
 		}
-		for r := 0; r < rows; r++ {
-			if !live[r] {
+		for r, ok := range live {
+			if !ok {
 				continue
 			}
 			blackbox.EvalStream(p.Box, argvs[r*arity:(r+1)*arity], out, rands, nil)

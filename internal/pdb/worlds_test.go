@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -86,6 +87,55 @@ func TestRunDistributionCellErrors(t *testing.T) {
 func TestRunDistributionNilPlan(t *testing.T) {
 	if _, err := RunDistribution(nil, nil, WorldsOptions{}); err == nil {
 		t.Fatal("nil plan accepted")
+	}
+}
+
+func TestWorldsOptionsValidation(t *testing.T) {
+	// A negative world count is an error at entry (it used to panic in
+	// seed derivation); zero still selects the default.
+	bulk := &BulkVGSumPlan{Source: MustNewTable("a"), Box: blackbox.UserUsage{},
+		Args: make([]BoundExpr, blackbox.UserUsage{}.Arity())}
+	for _, tc := range []struct {
+		worlds  int
+		wantErr bool
+	}{
+		{-3, true},
+		{-1, true},
+		{0, false},
+		{1, false},
+	} {
+		opts := WorldsOptions{Worlds: tc.worlds}
+		if _, err := RunDistribution(ValuesPlan{}, nil, opts); (err != nil) != tc.wantErr {
+			t.Errorf("RunDistribution(Worlds: %d): err = %v, want error %v", tc.worlds, err, tc.wantErr)
+		}
+		if _, err := bulk.Run(nil, opts); (err != nil) != tc.wantErr {
+			t.Errorf("BulkVGSumPlan.Run(Worlds: %d): err = %v, want error %v", tc.worlds, err, tc.wantErr)
+		}
+	}
+}
+
+func TestBulkVGSumRejectsWorldDependentArgs(t *testing.T) {
+	// Argument vectors resolve once, so a world-dependent argument is an
+	// error — also when it happens to be NULL, which for a deterministic
+	// argument would skip the row.
+	tbl := MustNewTable("join_week", "base", "growth", "vol")
+	tbl.MustAppend(Row{Float(0), Float(1), Float(1), Float(0.1)})
+	scan := NewScanPlan("users", tbl)
+	var args []BoundExpr
+	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
+		args = append(args, mustBind(t, e, scan.Schema(), nil))
+	}
+	for _, tc := range []struct {
+		name string
+		val  Value
+	}{{"float", Float(2)}, {"null", Null()}} {
+		bulkArgs := append([]BoundExpr(nil), args...)
+		bulkArgs[2] = BoundFunc(func(Row, *RowCtx) (Value, error) { return tc.val, nil })
+		bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: bulkArgs}
+		_, err := bulk.Run(map[string]float64{"week": 40}, WorldsOptions{Worlds: 10})
+		if err == nil || !strings.Contains(err.Error(), "must be deterministic") {
+			t.Errorf("%s BoundFunc argument: err = %v, want a determinism error", tc.name, err)
+		}
 	}
 }
 

@@ -89,9 +89,6 @@ type (
 	Box = blackbox.Box
 	// BoxFunc adapts a plain function to Box.
 	BoxFunc = blackbox.Func
-	// BulkBox is the optional set-at-a-time capability used by the
-	// PDB substrate's vectorized operators.
-	BulkBox = blackbox.BulkEvaluator
 	// Registry resolves box names for SQL queries.
 	Registry = blackbox.Registry
 	// User is a row of the synthetic per-user dataset.
@@ -360,17 +357,6 @@ type (
 	Distribution = pdb.Distribution
 	// WorldsOptions configures Monte Carlo query execution.
 	WorldsOptions = pdb.WorldsOptions
-	// ExecMode selects the PDB query executor (columnar or the
-	// per-world reference interpreter); both are bit-identical.
-	ExecMode = pdb.ExecMode
-)
-
-// PDB executor modes for WorldsOptions.Mode.
-const (
-	// ExecColumnar is the world-blocked columnar executor (default).
-	ExecColumnar = pdb.ExecColumnar
-	// ExecScalar is the per-world reference interpreter.
-	ExecScalar = pdb.ExecScalar
 )
 
 // NewDB returns an empty probabilistic database.
@@ -397,10 +383,9 @@ func BuildPDBPlan(stmt *sqlparse.SelectStmt, db *DB) (PDBPlan, error) {
 	return exec.BuildPDBPlan(stmt, db)
 }
 
-// RunDistribution executes a plan across sampled worlds — in
-// world-blocked columnar form by default (see WorldsOptions.Mode,
-// BlockWorlds and Workers); results are bit-identical across modes
-// and worker counts.
+// RunDistribution executes a plan across sampled worlds in
+// world-blocked columnar form (see WorldsOptions.BlockWorlds and
+// Workers); results are bit-identical across worker counts.
 func RunDistribution(plan PDBPlan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	return pdb.RunDistribution(plan, params, opts)
 }
