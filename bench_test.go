@@ -21,7 +21,6 @@ import (
 	"jigsaw/internal/param"
 	"jigsaw/internal/pdb"
 	"jigsaw/internal/sqlparse"
-	"jigsaw/internal/symbolic"
 )
 
 const (
@@ -474,58 +473,6 @@ func BenchmarkAblationIndexQuantization(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionSymbolicOverload measures the paper's suggested
-// improvement (§6.2): resolving the overload comparison symbolically
-// over separately fingerprinted demand and capacity bases instead of
-// simulating the composed boolean box. Compare against
-// BenchmarkFigure8OverloadJigsaw — the symbolic strategy restores the
-// orders-of-magnitude reuse the boolean output destroys.
-func BenchmarkExtensionSymbolicOverload(b *testing.B) {
-	over := blackbox.NewOverload()
-	space := capacitySpace(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := symbolic.NewEvaluator(mc.Options{
-			Samples: benchSamples, FingerprintLen: benchM,
-			MasterSeed: benchSeed, Reuse: true, Workers: 1,
-		})
-		if err := e.Register("demand", mc.MustBindBox(over.DemandModel, "current_week", "release")); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Register("capacity", mc.MustBindBox(over.CapacityModel, "current_week", "purchase1", "purchase2")); err != nil {
-			b.Fatal(err)
-		}
-		sink := 0.0
-		var failed error
-		space.Each(func(p param.Point) bool {
-			p["release"] = 1e9
-			dem, err := e.Var("demand", p)
-			if err != nil {
-				failed = err
-				return false
-			}
-			cap, err := e.Var("capacity", p)
-			if err != nil {
-				failed = err
-				return false
-			}
-			pr, err := symbolic.ProbLess(cap, dem)
-			if err != nil {
-				failed = err
-				return false
-			}
-			sink += pr
-			return true
-		})
-		if failed != nil {
-			b.Fatal(failed)
-		}
-		if sink < 0 {
-			b.Fatal("impossible")
-		}
-	}
-}
-
 // BenchmarkFingerprintMatch isolates the §3 primitives: mapping
 // discovery against stores of growing size.
 func BenchmarkFingerprintMatch(b *testing.B) {
@@ -555,7 +502,7 @@ func BenchmarkFingerprintMatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, ok := store.Match(probe); !ok {
+					if _, _, ok := store.Match(probe, nil, nil, nil); !ok {
 						b.Fatal("probe did not match")
 					}
 				}

@@ -107,9 +107,10 @@ func main() {
 	if *trials > 0 {
 		cfg.Trials = *trials
 	}
-	// 0 (and negatives) mean all cores, matching cmd/jigsaw and the
-	// library's EngineOptions.Workers; the flag default of 1 keeps the
-	// paper's single-threaded timing semantics.
+	// 0 means all cores, matching cmd/jigsaw and the library's
+	// EngineOptions.Workers (which reject negatives; this flag treats
+	// them as 0); the flag default of 1 keeps the paper's
+	// single-threaded timing semantics.
 	if *workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	} else {

@@ -45,9 +45,9 @@ func TestProbeSignaturesZeroAlloc(t *testing.T) {
 }
 
 func TestMatchWithScratchZeroAlloc(t *testing.T) {
-	// A warm MatchWhereBuf probe — hash, candidate scan, mapping
-	// discovery and validation — allocates only the boxed mapping it
-	// returns (one interface allocation).
+	// A warm Match probe with caller-owned scratch and view — hash,
+	// candidate scan, mapping discovery and validation — allocates only
+	// the boxed mapping it returns (one interface allocation).
 	for name, mk := range map[string]func() Index{
 		"norm": func() Index { return NewNormalizationIndex(6, DefaultTolerance) },
 		"sid":  func() Index { return NewSortedSIDIndex(DefaultTolerance, true) },
@@ -59,12 +59,13 @@ func TestMatchWithScratchZeroAlloc(t *testing.T) {
 		}
 		probe := base.MappedBy(Linear{Alpha: 2, Beta: -1})
 		var scratch ProbeScratch
+		var view MatchView
 		// Warm the scratch buffers.
-		if _, _, ok := s.MatchWhereBuf(probe, nil, &scratch); !ok {
+		if _, _, ok := s.Match(probe, nil, &scratch, &view); !ok {
 			t.Fatalf("%s: probe did not match", name)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, ok := s.MatchWhereBuf(probe, nil, &scratch); !ok {
+			if _, _, ok := s.Match(probe, nil, &scratch, &view); !ok {
 				t.Fatal("probe did not match")
 			}
 		})

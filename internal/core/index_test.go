@@ -91,11 +91,12 @@ func TestStoreSkipsConstantProbeUnderStrictClass(t *testing.T) {
 	if _, err := s.Add(Fingerprint{0, 0, 0}, "zero", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Match(Fingerprint{0, 0, 0}); ok {
+	var view MatchView
+	if _, _, ok := s.Match(Fingerprint{0, 0, 0}, nil, nil, &view); ok {
 		t.Fatal("strict class matched a constant")
 	}
-	if st := s.Stats(); st.CandidatesScanned != 0 {
-		t.Fatalf("constant probe scanned %d candidates under strict class", st.CandidatesScanned)
+	if n := view.ScannedTotal(); n != 0 {
+		t.Fatalf("constant probe scanned %d candidates under strict class", n)
 	}
 }
 

@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// Tests for the speculative match surface: MatchSpeculative must agree
-// with MatchWhereBuf against an unchanged store, ViewCurrent must
-// detect exactly the insertions that could invalidate a speculation,
-// and SigCandidates must enumerate the same candidates Candidates
-// does (it is the store's no-rehash probe path).
+// Tests for the match view: recording a view must not change Match's
+// answer, its scan total must count every mapping-discovery attempt
+// (also past the view's capacity), ViewCurrent must detect exactly the
+// insertions that could invalidate a speculation, and SigCandidates
+// must enumerate the same candidates Candidates does (it is the
+// store's no-rehash probe path).
 
 // specIndexes enumerates the index strategies under test, fresh per
 // call.
@@ -45,7 +47,18 @@ func specBase(seed float64) Fingerprint {
 	return base
 }
 
-func TestMatchSpeculativeAgreesWithMatchWhereBuf(t *testing.T) {
+// countingAccept returns an accept filter that admits every basis and
+// counts its calls: with nothing rejected, every call is one
+// mapping-discovery attempt, an independent tally of what
+// MatchView.ScannedTotal must report.
+func countingAccept(calls *int64) func(*Basis) bool {
+	return func(*Basis) bool {
+		*calls++
+		return true
+	}
+}
+
+func TestMatchViewAgreesWithPlainMatch(t *testing.T) {
 	for name, mk := range specIndexes() {
 		t.Run(name, func(t *testing.T) {
 			s := NewStore(LinearClass{}, mk(), 0)
@@ -68,29 +81,111 @@ func TestMatchSpeculativeAgreesWithMatchWhereBuf(t *testing.T) {
 			}
 			var sc ProbeScratch
 			for pi, probe := range probes {
-				before := s.Stats()
 				var view MatchView
-				sb, sm, sok := s.MatchSpeculative(probe, nil, &sc, &view)
-				if mid := s.Stats(); mid != before {
-					t.Fatalf("probe %d: MatchSpeculative moved store counters: %+v -> %+v", pi, before, mid)
-				}
+				var calls int64
+				vb, vm, vok := s.Match(probe, countingAccept(&calls), &sc, &view)
 				if !s.ViewCurrent(&view) {
-					t.Fatalf("probe %d: view stale immediately after speculation", pi)
+					t.Fatalf("probe %d: view stale immediately after the match", pi)
 				}
-				wb, wm, wok := s.MatchWhereBuf(probe, nil, &sc)
-				if sok != wok || sb != wb || fmt.Sprint(sm) != fmt.Sprint(wm) {
-					t.Fatalf("probe %d: speculative (%v,%v,%v) != direct (%v,%v,%v)",
-						pi, sb, sm, sok, wb, wm, wok)
+				pb, pm, pok := s.Match(probe, nil, nil, nil)
+				if vok != pok || vb != pb || fmt.Sprint(vm) != fmt.Sprint(pm) {
+					t.Fatalf("probe %d: with view (%v,%v,%v) != plain (%v,%v,%v)",
+						pi, vb, vm, vok, pb, pm, pok)
 				}
-				after := s.Stats()
-				if got, want := int64(after.CandidatesScanned-before.CandidatesScanned), view.ScannedTotal(); got != want {
-					t.Fatalf("probe %d: view recorded %d scans, MatchWhereBuf scanned %d", pi, want, got)
+				if got := view.ScannedTotal(); got != calls {
+					t.Fatalf("probe %d: view recorded %d scans, accept saw %d candidates", pi, got, calls)
 				}
-				if sok != (view.HitProbe() >= 0) {
-					t.Fatalf("probe %d: ok=%v but HitProbe=%d", pi, sok, view.HitProbe())
+				if vok != (view.HitProbe() >= 0) {
+					t.Fatalf("probe %d: ok=%v but HitProbe=%d", pi, vok, view.HitProbe())
 				}
 			}
 		})
+	}
+}
+
+// fanoutIndex is a Sharder that probes more signatures than a
+// MatchView tracks: every fingerprint is filed under one of fanout
+// signatures chosen by its first entry, and every probe visits all of
+// them. It exists to drive the view's overflow path, which no
+// built-in index reaches.
+type fanoutIndex struct {
+	fanout  uint64
+	buckets map[uint64][]int
+	n       int
+}
+
+func newFanoutIndex(fanout uint64) *fanoutIndex {
+	return &fanoutIndex{fanout: fanout, buckets: map[uint64][]int{}}
+}
+
+func (x *fanoutIndex) Insert(id int, fp Fingerprint) {
+	sig := x.InsertSignature(fp)
+	x.buckets[sig] = append(x.buckets[sig], id)
+	x.n++
+}
+
+func (x *fanoutIndex) Candidates(fp Fingerprint, buf []int) []int {
+	for _, sig := range x.ProbeSignatures(fp, nil) {
+		buf = x.SigCandidates(sig, buf)
+	}
+	return buf
+}
+
+func (x *fanoutIndex) Len() int     { return x.n }
+func (x *fanoutIndex) Name() string { return "Fanout" }
+func (x *fanoutIndex) Fork() Index  { return newFanoutIndex(x.fanout) }
+
+func (x *fanoutIndex) InsertSignature(fp Fingerprint) uint64 {
+	return uint64(math.Abs(fp[0])) % x.fanout
+}
+
+func (x *fanoutIndex) ProbeSignatures(_ Fingerprint, buf []uint64) []uint64 {
+	for sig := uint64(0); sig < x.fanout; sig++ {
+		buf = append(buf, sig)
+	}
+	return buf
+}
+
+func (x *fanoutIndex) SigCandidates(sig uint64, buf []int) []int {
+	return append(buf, x.buckets[sig]...)
+}
+
+func TestMatchViewScannedTotalBeyondCapacity(t *testing.T) {
+	const fanout = matchViewProbes + 2
+	s := NewStore(LinearClass{}, newFanoutIndex(fanout), 0)
+	// One unrelated basis per signature, then the probe's own family
+	// in the last signature — beyond the view's capacity — so a hit
+	// scans every earlier group first.
+	for sig := 0; sig < fanout; sig++ {
+		base := specBase(float64(sig) + 0.25)
+		if _, err := s.Add(base, fmt.Sprint(sig), sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	family := specBase(float64(fanout-1) + 0.5)
+	if _, err := s.Add(family, "family", -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		probe Fingerprint
+		hit   bool
+	}{
+		{"hit", specFamily(family, 2), true},
+		{"miss", specBase(99.0), false},
+	} {
+		var view MatchView
+		var calls int64
+		b, _, ok := s.Match(tc.probe, countingAccept(&calls), nil, &view)
+		if ok != tc.hit || (ok && b.Label != "family") {
+			t.Fatalf("%s: matched (%v, %v), want hit=%v on the family basis", tc.name, b, ok, tc.hit)
+		}
+		if !view.Overflow() {
+			t.Fatalf("%s: %d probe signatures did not overflow a %d-group view", tc.name, fanout, matchViewProbes)
+		}
+		if got := view.ScannedTotal(); got != calls || calls < fanout {
+			t.Fatalf("%s: view recorded %d scans, accept saw %d (want ≥ %d)", tc.name, got, calls, fanout)
+		}
 	}
 }
 
@@ -106,7 +201,7 @@ func TestViewCurrentDetectsRelatedInsert(t *testing.T) {
 			probe := specFamily(baseA, 5)
 			var sc ProbeScratch
 			var view MatchView
-			if _, _, ok := s.MatchSpeculative(probe, nil, &sc, &view); !ok {
+			if _, _, ok := s.Match(probe, nil, &sc, &view); !ok {
 				t.Fatal("probe did not match its family")
 			}
 
@@ -151,7 +246,7 @@ func TestViewStaticProbes(t *testing.T) {
 		constant[i] = 4.5
 	}
 	var view MatchView
-	if _, _, ok := s.MatchSpeculative(constant, nil, nil, &view); ok {
+	if _, _, ok := s.Match(constant, nil, nil, &view); ok {
 		t.Fatal("constant probe matched under StrictConstants")
 	}
 	if !view.Static() {

@@ -58,9 +58,11 @@ type storeShard struct {
 // keyed on the fingerprint's index signature when the index strategy
 // supports it (NormalizationIndex and SortedSIDIndex do), and by a
 // single lock otherwise (ArrayIndex and external Index
-// implementations). Counters are atomic. Concurrent Adds of mappable
-// fingerprints may transiently create redundant bases — the same
-// failure mode as an index miss: wasted work, never a wrong answer.
+// implementations). The store keeps no query counters: callers
+// account for their probes from a MatchView. Concurrent Adds of
+// mappable fingerprints may transiently create redundant bases — the
+// same failure mode as an index miss: wasted work, never a wrong
+// answer.
 type Store struct {
 	class MappingClass
 	tol   float64
@@ -76,10 +78,6 @@ type Store struct {
 	// does not implement Sharder.
 	shards  []storeShard
 	sharder Sharder
-
-	queries atomic.Int64
-	hits    atomic.Int64
-	scanned atomic.Int64
 }
 
 // DefaultTolerance is the relative tolerance used to validate mappings
@@ -235,24 +233,27 @@ type ProbeScratch struct {
 }
 
 // matchViewProbes is the number of probe groups a MatchView can track
-// inline. The built-in sharders probe at most two signatures
-// (SortedSID: forward and reversed); an exotic index exceeding this
-// marks the view overflowed, and commit falls back to a full
-// re-match.
-const matchViewProbes = 3
+// inline: exactly what the built-in sharders need (SortedSID probes
+// forward and reversed; Normalization one signature), keeping the
+// view — one per point in a sweep's plan — small. An exotic index
+// exceeding it marks the view overflowed, and a speculative commit
+// falls back to a full re-match.
+const matchViewProbes = 2
 
-// MatchView records what a speculative match observed: the signatures
-// it probed, the insertion epoch of each probed shard, and how many
-// candidates per probe group survived the accept filter and reached
-// mapping discovery. A commit loop uses it to decide in O(1) whether
-// the speculation still reflects the store (ViewCurrent) and, if not,
-// to replay only the candidates the speculation never saw — new
+// MatchView records what a match observed: the signatures it probed,
+// the insertion epoch of each probed shard, and how many candidates
+// survived the accept filter and reached mapping discovery, per probe
+// group and in total. Callers count their probes from it, and a
+// speculative commit loop uses it to decide in O(1) whether the
+// speculation still reflects the store (ViewCurrent) and, if not, to
+// replay only the candidates the speculation never saw — new
 // insertions append to probe buckets, so the speculation's scan is a
 // per-bucket prefix of the commit-time scan.
 type MatchView struct {
 	sigs    [matchViewProbes]uint64
 	epochs  [matchViewProbes]uint64
 	scanned [matchViewProbes]uint32
+	total   uint32
 	nprobes int8
 	hit     int8
 	flags   uint8
@@ -281,17 +282,13 @@ func (v *MatchView) Sig(j int) uint64 { return v.sigs[j] }
 // failed, except the last one of the hit group.
 func (v *MatchView) ScannedIn(j int) int { return int(v.scanned[j]) }
 
-// ScannedTotal sums ScannedIn over all probe groups.
-func (v *MatchView) ScannedTotal() int64 {
-	var t int64
-	for j := 0; j < int(v.nprobes); j++ {
-		t += int64(v.scanned[j])
-	}
-	return t
-}
+// ScannedTotal returns the number of mapping-discovery attempts the
+// match made (the CandidatesScanned statistic), over every probe
+// group — including groups beyond the view's capacity.
+func (v *MatchView) ScannedTotal() int64 { return int64(v.total) }
 
-// HitProbe returns the probe group the speculative hit came from, or
-// -1 for a miss.
+// HitProbe returns the probe group the hit came from, or -1 for a
+// miss (or a hit in a group beyond the view's capacity).
 func (v *MatchView) HitProbe() int { return int(v.hit) }
 
 // Static reports whether the outcome was decided without consulting
@@ -330,111 +327,57 @@ func (s *Store) ViewCurrent(v *MatchView) bool {
 // Match searches for a basis distribution whose fingerprint the
 // mapping class maps onto fp (the candidate-pruning and FindMapping
 // loop of Algorithm 3). The returned mapping satisfies
-// mapping.Apply(basis.Fingerprint[k]) ≈ fp[k] for all k.
+// mapping.Apply(basis.Fingerprint[k]) ≈ fp[k] for all k. ok=false
+// means the caller must run the full simulation and Add the result as
+// a new basis.
 //
-// ok=false means the caller must run the full simulation and Add the
-// result as a new basis.
-func (s *Store) Match(fp Fingerprint) (basis *Basis, mapping Mapping, ok bool) {
-	return s.MatchWhereBuf(fp, nil, nil)
-}
-
-// MatchWhere is Match with a candidate filter: when accept is non-nil
-// it is consulted before mapping discovery, and a rejected basis is
-// skipped (not scanned, not returned) rather than ending the search.
-// The Monte Carlo engine uses it to step over bases whose payloads a
-// concurrent — or cancelled — sweep never finished filling in, so an
-// abandoned registration costs one redundant simulation instead of
-// shadowing its fingerprint family forever.
-func (s *Store) MatchWhere(fp Fingerprint, accept func(*Basis) bool) (basis *Basis, mapping Mapping, ok bool) {
-	return s.MatchWhereBuf(fp, accept, nil)
-}
-
-// MatchWhereBuf is MatchWhere with caller-owned probe buffers: a
-// non-nil scratch makes the steady-state probe allocation-free. A nil
-// scratch falls back to local buffers (one allocation per probe with
-// candidates).
-func (s *Store) MatchWhereBuf(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch) (basis *Basis, mapping Mapping, ok bool) {
-	s.queries.Add(1)
-	basis, mapping, ok, scanned := s.matchInto(fp, accept, scratch, nil)
-	if scanned != 0 {
-		s.scanned.Add(scanned)
-	}
-	if ok {
-		s.hits.Add(1)
-	}
-	return basis, mapping, ok
-}
-
-// MatchSpeculative is the parallel-sweep form of MatchWhereBuf: it
-// runs the full probe — signatures, candidate collection, mapping
-// discovery — against the store's current state, records what it
-// observed in view, and touches none of the store's query counters
-// (the work is speculative; whoever commits it accounts for it, see
-// RecordMatches). The caller revalidates the outcome later with
-// ViewCurrent: if the probed shards' epochs are unchanged, the
-// returned (basis, mapping, ok) is exactly what MatchWhereBuf would
-// return at that moment; if not, new candidates appended to the
-// probed buckets since the speculation — and only those — must be
-// replayed, in probe-group order, with earlier groups' appendices
-// taking precedence over a later group's speculative hit.
+// Every argument after fp is optional (nil):
 //
-// The accept filter must be stable for the bases that existed at
-// speculation time — a basis it rejects must stay rejected — for the
-// replay to be exact; the engine's payload-readiness filter is stable
-// in any single sweep. Under concurrent foreign writers an unstable
-// accept costs at most a missed reuse (a redundant simulation), never
-// a wrong answer.
-func (s *Store) MatchSpeculative(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch, view *MatchView) (basis *Basis, mapping Mapping, ok bool) {
-	basis, mapping, ok, _ = s.matchInto(fp, accept, scratch, view)
-	return basis, mapping, ok
-}
-
-// RecordMatches merges externally tracked probe counters into the
-// store's statistics. The sweep's commit loop replays speculative
-// matches without calling MatchWhereBuf, accumulates the counts a
-// sequential sweep would have produced, and flushes them here once —
-// so SweepStats stay bit-identical to the sequential path without a
-// per-point atomic round trip.
-func (s *Store) RecordMatches(queries, hits, scanned int64) {
-	if queries != 0 {
-		s.queries.Add(queries)
+//   - accept filters candidates before mapping discovery; a rejected
+//     basis is skipped (not scanned, not returned) rather than ending
+//     the search. The Monte Carlo engine uses it to step over bases
+//     whose payloads a concurrent — or cancelled — sweep never
+//     finished filling in, so an abandoned registration costs one
+//     redundant simulation instead of shadowing its fingerprint
+//     family forever. nil accepts every basis.
+//   - scratch supplies caller-owned probe buffers, making the
+//     steady-state probe allocation-free; nil uses local buffers (one
+//     allocation per probe with candidates).
+//   - view records what the probe observed: the probed signatures,
+//     each probed shard's insertion epoch and the per-group scan
+//     counts. It is how a caller accounts for the probe (the store
+//     keeps no query counters) and how a speculative caller
+//     revalidates the outcome later with ViewCurrent: if the probed
+//     shards' epochs are unchanged, (basis, mapping, ok) is exactly
+//     what Match would return at that moment; if not, the candidates
+//     appended to the probed buckets since — and only those — must be
+//     replayed, in probe-group order, with earlier groups'
+//     appendices taking precedence over a later group's hit.
+//
+// For that replay to be exact, accept must be stable for the bases
+// that existed at probe time — a basis it rejects must stay rejected;
+// the engine's payload-readiness filter is stable in any single
+// sweep. Under concurrent foreign writers an unstable accept costs at
+// most a missed reuse (a redundant simulation), never a wrong answer.
+func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch, view *MatchView) (basis *Basis, mapping Mapping, ok bool) {
+	if view == nil {
+		view = &MatchView{}
 	}
-	if hits != 0 {
-		s.hits.Add(hits)
-	}
-	if scanned != 0 {
-		s.scanned.Add(scanned)
-	}
-}
-
-// matchInto is the shared match implementation: collect candidates
-// per probe group, then run mapping discovery in group order against
-// one snapshot of the basis list. A non-nil view additionally records
-// the probe signatures, shard epochs and per-group scan counts for
-// speculative commit. scanned reports the number of mapping-discovery
-// attempts (the CandidatesScanned statistic).
-func (s *Store) matchInto(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch, view *MatchView) (basis *Basis, mapping Mapping, ok bool, scanned int64) {
-	if view != nil {
-		*view = MatchView{hit: -1}
-	}
+	*view = MatchView{hit: -1}
 	s.mu.RLock()
 	fpLen := s.fpLen
 	s.mu.RUnlock()
 	if fpLen != 0 && len(fp) != fpLen {
-		if view != nil {
-			view.flags |= viewStatic
-		}
-		return nil, nil, false, 0
+		view.flags |= viewStatic
+		return nil, nil, false
 	}
 	// A constant probe cannot match under a class that rejects
 	// constants; skip the candidate scan (boolean-output models
 	// produce mostly constant fingerprints, which would otherwise
 	// pile into one bucket and turn every probe into a full scan).
 	if !s.class.CanMatchConstants() && fp.IsConstant(s.tol) {
-		if view != nil {
-			view.flags |= viewStatic
-		}
-		return nil, nil, false, 0
+		view.flags |= viewStatic
+		return nil, nil, false
 	}
 	if scratch == nil {
 		scratch = &ProbeScratch{}
@@ -454,9 +397,7 @@ func (s *Store) matchInto(fp Fingerprint, accept func(*Basis) bool, scratch *Pro
 	if s.sharder == nil {
 		sh := &s.shards[0]
 		sh.mu.RLock()
-		if view != nil {
-			view.epochs[0] = sh.epoch.Load()
-		}
+		view.epochs[0] = sh.epoch.Load()
 		ids = sh.index.Candidates(fp, ids)
 		sh.mu.RUnlock()
 		ends = append(ends, len(ids))
@@ -470,25 +411,23 @@ func (s *Store) matchInto(fp Fingerprint, accept func(*Basis) bool, scratch *Pro
 			epoch := sh.epoch.Load()
 			ids = sh.sharder.SigCandidates(sig, ids)
 			sh.mu.RUnlock()
-			if view != nil && nprobes < matchViewProbes {
+			if nprobes < matchViewProbes {
 				view.sigs[nprobes] = sig
 				view.epochs[nprobes] = epoch
 			}
 			ends = append(ends, len(ids))
 			nprobes++
 		}
-		if view != nil && nprobes > matchViewProbes {
+		if nprobes > matchViewProbes {
 			view.flags |= viewOverflow
 			nprobes = matchViewProbes
 		}
 	}
 	scratch.ids = ids
 	scratch.ends = ends
-	if view != nil {
-		view.nprobes = int8(nprobes)
-	}
+	view.nprobes = int8(nprobes)
 	if len(ids) == 0 {
-		return nil, nil, false, 0
+		return nil, nil, false
 	}
 
 	s.mu.RLock()
@@ -496,7 +435,7 @@ func (s *Store) matchInto(fp Fingerprint, accept func(*Basis) bool, scratch *Pro
 	s.mu.RUnlock()
 	lo := 0
 	for j, end := range ends {
-		group := int64(0)
+		group := uint32(0)
 		for _, id := range ids[lo:end] {
 			if id < 0 || id >= len(bases) {
 				continue
@@ -506,46 +445,19 @@ func (s *Store) matchInto(fp Fingerprint, accept func(*Basis) bool, scratch *Pro
 				continue
 			}
 			group++
-			scanned++
+			view.total++
 			if m, found := s.class.Find(b.Fingerprint, fp, s.tol); found {
-				if view != nil && j < matchViewProbes {
-					view.scanned[j] = uint32(group)
+				if j < matchViewProbes {
+					view.scanned[j] = group
 					view.hit = int8(j)
 				}
-				return b, m, true, scanned
+				return b, m, true
 			}
 		}
-		if view != nil && j < matchViewProbes {
-			view.scanned[j] = uint32(group)
+		if j < matchViewProbes {
+			view.scanned[j] = group
 		}
 		lo = end
 	}
-	return nil, nil, false, scanned
-}
-
-// Stats describes the store's reuse behavior; the experiment harness
-// reports these alongside timings.
-type StoreStats struct {
-	// Bases is the number of basis distributions accumulated.
-	Bases int
-	// Queries is the number of Match calls.
-	Queries int
-	// Hits is the number of Match calls that found a mapping.
-	Hits int
-	// CandidatesScanned counts FindMapping attempts across all
-	// queries; the index strategies exist to minimize it.
-	CandidatesScanned int
-}
-
-// Stats returns a snapshot of the store counters. Concurrent use can
-// make the snapshot non-atomic across counters (a Match in flight may
-// be counted in Queries but not yet in Hits); each counter is
-// individually exact.
-func (s *Store) Stats() StoreStats {
-	return StoreStats{
-		Bases:             s.Len(),
-		Queries:           int(s.queries.Load()),
-		Hits:              int(s.hits.Load()),
-		CandidatesScanned: int(s.scanned.Load()),
-	}
+	return nil, nil, false
 }

@@ -18,7 +18,7 @@ func TestStoreAddAndMatch(t *testing.T) {
 	}
 
 	probe := Compute(gaussianBox(4, 2.5), testSeeds)
-	got, m, ok := s.Match(probe)
+	got, m, ok := s.Match(probe, nil, nil, nil)
 	if !ok {
 		t.Fatal("affinely related fingerprint did not match")
 	}
@@ -41,18 +41,17 @@ func TestStoreMissThenAdd(t *testing.T) {
 	if _, err := s.Add(fpA, "A", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Match(fpB); ok {
+	if _, _, ok := s.Match(fpB, nil, nil, nil); ok {
 		t.Fatal("unrelated fingerprint matched")
 	}
 	if _, err := s.Add(fpB, "B", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Match(fpB.MappedBy(Shift(3))); !ok {
+	if _, _, ok := s.Match(fpB.MappedBy(Shift(3)), nil, nil, nil); !ok {
 		t.Fatal("shifted copy of B did not match after Add")
 	}
-	st := s.Stats()
-	if st.Bases != 2 || st.Queries != 2 || st.Hits != 1 {
-		t.Fatalf("stats = %+v", st)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
 
@@ -82,7 +81,7 @@ func TestStoreFingerprintLengthEnforced(t *testing.T) {
 		t.Fatal("empty fingerprint accepted")
 	}
 	// Wrong-length probes must miss, not panic.
-	if _, _, ok := s.Match(Fingerprint{1, 2}); ok {
+	if _, _, ok := s.Match(Fingerprint{1, 2}, nil, nil, nil); ok {
 		t.Fatal("wrong-length probe matched")
 	}
 }
@@ -119,21 +118,22 @@ func TestStoreMatchPrefersValidatedCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := linearBase.MappedBy(Linear{Alpha: 2, Beta: 1})
-	b, _, ok := s.Match(probe)
+	var view MatchView
+	b, _, ok := s.Match(probe, nil, nil, &view)
 	if !ok {
 		t.Fatal("no match found")
 	}
 	if b.Label != "lin" {
 		t.Fatalf("matched %q, want lin", b.Label)
 	}
-	if st := s.Stats(); st.CandidatesScanned < 2 {
-		t.Fatalf("expected the false positive to be scanned, stats = %+v", st)
+	if n := view.ScannedTotal(); n < 2 {
+		t.Fatalf("expected the false positive to be scanned, scanned %d", n)
 	}
 }
 
 func TestStoreMatchEmpty(t *testing.T) {
 	s := NewStore(nil, nil, 0)
-	if _, _, ok := s.Match(Fingerprint{1, 2, 3}); ok {
+	if _, _, ok := s.Match(Fingerprint{1, 2, 3}, nil, nil, nil); ok {
 		t.Fatal("empty store matched")
 	}
 }

@@ -65,7 +65,11 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 		if err != nil {
 			return nil, err
 		}
-		engines[series.Column] = mc.MustNew(opts)
+		eng, err := mc.New(opts)
+		if err != nil {
+			return nil, err
+		}
+		engines[series.Column] = eng
 		evals[series.Column] = ev
 	}
 

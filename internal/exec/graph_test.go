@@ -106,4 +106,9 @@ func TestRunGraphValidation(t *testing.T) {
 		param.Point{"purchase1": 0, "purchase2": 0, "feature_release": 12}, opts); err == nil {
 		t.Fatal("unknown column accepted")
 	}
+	// Invalid engine options are an error, not a panic.
+	if _, err := RunGraph(s, script.Graph,
+		param.Point{"purchase1": 0, "purchase2": 0, "feature_release": 12}, mc.Options{Workers: -1}); err == nil {
+		t.Fatal("invalid engine options accepted")
+	}
 }

@@ -249,7 +249,7 @@ func (s *Session) ensurePoint(p param.Point) (*pointState, error) {
 		validated:   map[int]bool{},
 		basisID:     -1,
 	}
-	if b, mapping, ok := s.store.Match(fp); ok {
+	if b, mapping, ok := s.store.Match(fp, nil, nil, nil); ok {
 		if inv, invertible := mapping.Inverse(); invertible {
 			_ = inv // mapping stored point-ward; inverse checked up front
 			ps.basisID = b.Payload.(*basis).id
@@ -488,4 +488,3 @@ func (s *Session) explore(ps *pointState) param.Point {
 	}
 	return target.Clone()
 }
-

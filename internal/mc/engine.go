@@ -8,6 +8,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -201,9 +202,9 @@ type Options struct {
 	// KeepSamples is set.
 	HistBins int
 	// Workers sizes the engine's worker pool; 0 means GOMAXPROCS, 1
-	// forces sequential evaluation. Sweep and SweepBatch spread
-	// parameter points across the pool; a lone EvaluatePoint call
-	// spreads its sample rounds instead. Results are deterministic for
+	// forces sequential evaluation, negative values are rejected.
+	// Sweep and SweepBatch spread parameter points across the pool; a
+	// lone EvaluatePoint call spreads its sample rounds instead. Results are deterministic for
 	// any worker count (see DESIGN.md, "Concurrency model").
 	Workers int
 	// BlockSize is the number of samples the full-simulation path
@@ -278,6 +279,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate rejects option values that no default repairs. It runs
+// before withDefaults, so a non-finite Tolerance is caught instead of
+// silently disabling reuse (NaN) or being replaced by the default
+// (-Inf).
+func (o Options) validate() error {
+	switch {
+	case o.Workers < 0:
+		return fmt.Errorf("mc: negative Workers %d", o.Workers)
+	case o.ValidationSamples < 0:
+		return fmt.Errorf("mc: negative ValidationSamples %d", o.ValidationSamples)
+	case o.HistBins < 0:
+		return fmt.Errorf("mc: negative HistBins %d", o.HistBins)
+	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
+		return fmt.Errorf("mc: non-finite Tolerance %g", o.Tolerance)
+	case o.Index < IndexArray || o.Index > IndexSortedSID:
+		return fmt.Errorf("mc: unknown index %v", o.Index)
+	}
+	return nil
+}
+
 // newIndex instantiates the configured index strategy.
 func (o Options) newIndex() core.Index {
 	switch o.Index {
@@ -298,8 +319,8 @@ type BasisPayload struct {
 	// Samples holds the raw draws when Options.KeepSamples is set.
 	Samples []float64
 
-	// pending is nonzero between a parallel sweep registering the
-	// basis (phase B) and filling in its simulation results (phase C).
+	// pending is nonzero between a sweep registering the basis (phase
+	// B) and filling in its simulation results (phase C).
 	// Everywhere else payloads are constructed complete, so the zero
 	// value reads as ready.
 	pending atomic.Uint32
@@ -321,7 +342,7 @@ func (p *BasisPayload) complete() { p.pending.Store(0) }
 // miss registers a usable duplicate) and never a wrong answer.
 func (p *BasisPayload) Ready() bool { return p.pending.Load() == 0 }
 
-// payloadReady is the engine's Store.MatchWhere filter: bases whose
+// payloadReady is the engine's Store.Match accept filter: bases whose
 // payloads are still (or forever) incomplete are skipped during
 // candidate scanning. Foreign payload types are left to mapBasis.
 func payloadReady(b *core.Basis) bool {
@@ -348,8 +369,8 @@ type PointResult struct {
 // Engine evaluates parameter points with optional fingerprint reuse.
 //
 // An Engine is safe for concurrent use: the basis store takes sharded
-// locks, the reuse counters are atomic, and per-worker scratch state
-// is pooled, so independent goroutines (e.g. interactive sessions
+// locks, the reuse and probe counters are atomic, and per-worker
+// scratch state is pooled, so independent goroutines (e.g. interactive sessions
 // sharing a warmed store) may call EvaluatePoint concurrently. Note
 // that concurrent EvaluatePoint callers race benignly on basis
 // registration — both may fully simulate the same fingerprint family
@@ -364,12 +385,22 @@ type Engine struct {
 	// scratches recycles per-worker hot-path buffers (see scratch.go).
 	scratches *pool.Pool[scratch]
 
+	// Engine-lifetime reuse accounting. The probe counters (queries,
+	// hits, mapping-discovery attempts) live here, not in the store:
+	// every reuse decision is one query, whether EvaluatePoint probed
+	// or a sweep's commit loop settled a speculation.
 	fullSims atomic.Int64
 	reused   atomic.Int64
+	queries  atomic.Int64
+	hits     atomic.Int64
+	scanned  atomic.Int64
 }
 
 // New constructs an engine.
 func New(opts Options) (*Engine, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if opts.FingerprintLen > opts.Samples {
 		return nil, fmt.Errorf("mc: fingerprint length %d exceeds sample count %d",
@@ -434,16 +465,16 @@ func (e *Engine) fingerprintFill(f PointEval, p param.Point, dst core.Fingerprin
 func (e *Engine) EvaluatePoint(f PointEval, p param.Point) PointResult {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
-	return e.evaluatePoint(f, p, sc, e.opts.Workers)
-}
-
-// evaluatePoint is EvaluatePoint against caller-owned scratch.
-func (e *Engine) evaluatePoint(f PointEval, p param.Point, sc *scratch, workers int) PointResult {
 	fp := sc.fingerprint(e.seeds.Len())
 	e.fingerprintFill(f, p, fp, sc)
 
 	if e.opts.Reuse {
-		if basis, mapping, ok := e.store.MatchWhereBuf(fp, payloadReady, &sc.probe); ok {
+		var view core.MatchView
+		basis, mapping, ok := e.store.Match(fp, payloadReady, &sc.probe, &view)
+		e.queries.Add(1)
+		e.scanned.Add(view.ScannedTotal())
+		if ok {
+			e.hits.Add(1)
 			if e.validateMatch(f, p, basis, mapping, sc) {
 				if res, ok := e.mapBasis(basis, mapping, p, false, sc); ok {
 					e.reused.Add(1)
@@ -453,7 +484,7 @@ func (e *Engine) evaluatePoint(f PointEval, p param.Point, sc *scratch, workers 
 		}
 	}
 
-	res, samples := e.fullSimulation(f, p, fp, workers, sc)
+	res, samples := e.fullSimulation(f, p, fp, e.opts.Workers, sc)
 	if e.opts.Reuse {
 		payload := &BasisPayload{Summary: res.Summary}
 		if e.opts.KeepSamples {
@@ -559,12 +590,13 @@ func (e *Engine) mapBasis(basis *core.Basis, mapping core.Mapping, p param.Point
 // fullSimulation runs all n rounds: the fingerprint rounds are reused
 // as the first m samples, the remainder is drawn from the seed stream,
 // optionally spread over workers goroutines (MCDB evaluates sampled
-// worlds in parallel, §2.1; the parallel sweep passes workers=1
-// because the pool is already busy with other points). Results are
-// deterministic regardless of worker count because each sample's seed
-// depends only on its id. The raw sample vector is returned for
-// basis-payload retention; when the engine does not retain samples it
-// lives in the scratch and must not outlive the point.
+// worlds in parallel, §2.1; a sweep wider than one worker passes
+// workers=1 because the pool is already busy with other points).
+// Results are deterministic regardless of worker count because each
+// sample's seed depends only on its id. The raw sample vector is
+// returned for basis-payload retention; when the engine does not
+// retain samples it lives in the scratch and must not outlive the
+// point.
 func (e *Engine) fullSimulation(f PointEval, p param.Point, fp core.Fingerprint, workers int, sc *scratch) (PointResult, []float64) {
 	n := e.opts.Samples
 	var samples []float64
@@ -650,16 +682,37 @@ type SweepStats struct {
 	FullSimulations int
 	// Reused counts points answered from a mapped basis.
 	Reused int
-	// Store carries the basis-store counters.
-	Store core.StoreStats
+	// Store carries the basis-store probe accounting.
+	Store StoreStats
 }
 
-// Stats returns sweep statistics with the given point count.
+// StoreStats describes the engine's use of its basis store; the
+// experiment harness reports these alongside timings.
+type StoreStats struct {
+	// Bases is the number of basis distributions accumulated.
+	Bases int
+	// Queries is the number of store lookups (one per reuse decision).
+	Queries int
+	// Hits is the number of lookups that found a mapping.
+	Hits int
+	// CandidatesScanned counts FindMapping attempts across all
+	// queries; the index strategies exist to minimize it.
+	CandidatesScanned int
+}
+
+// Stats returns sweep statistics with the given point count. The
+// counters are engine-lifetime; concurrent use can make the snapshot
+// non-atomic across counters, but each counter is individually exact.
 func (e *Engine) Stats(points int) SweepStats {
 	return SweepStats{
 		Points:          points,
 		FullSimulations: int(e.fullSims.Load()),
 		Reused:          int(e.reused.Load()),
-		Store:           e.store.Stats(),
+		Store: StoreStats{
+			Bases:             e.store.Len(),
+			Queries:           int(e.queries.Load()),
+			Hits:              int(e.hits.Load()),
+			CandidatesScanned: int(e.scanned.Load()),
+		},
 	}
 }

@@ -72,6 +72,33 @@ func TestNewRejectsFingerprintLongerThanSamples(t *testing.T) {
 	}
 }
 
+func TestNewRejectsInvalidOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"negative workers", Options{Workers: -1}, "Workers"},
+		{"negative validation samples", Options{ValidationSamples: -1}, "ValidationSamples"},
+		{"negative hist bins", Options{HistBins: -2}, "HistBins"},
+		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
+		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
+		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},
+		{"unknown index", Options{Index: 7}, "index"},
+		{"negative index", Options{Index: -1}, "index"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(tc.opts)
+			if err == nil {
+				t.Fatalf("New(%+v) accepted invalid options (engine %v)", tc.opts, e != nil)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %s", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestIndexKindString(t *testing.T) {
 	if IndexArray.String() != "Array" ||
 		IndexNormalization.String() != "Normalization" ||

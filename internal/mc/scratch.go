@@ -19,7 +19,7 @@ import (
 
 // scratch is one worker's reusable state. A scratch is owned by one
 // goroutine at a time: engines hand them out via a pool.Pool
-// (EvaluatePoint) or pin one per worker id (sweepParallel).
+// (EvaluatePoint) or pin one per worker id (the sweep).
 type scratch struct {
 	// probe carries the store's candidate-id and signature buffers.
 	probe core.ProbeScratch

@@ -2,6 +2,8 @@ package mc
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -123,10 +125,10 @@ func TestSweepPhaseCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepReuseSteadyStateAllocs pins the tentpole's allocation
-// budget: on a warmed store, a parallel sweep's per-point allocations
-// must not exceed the sequential sweep's — speculation (views, probe
-// scratch, commit bookkeeping) costs no per-point heap.
+// TestSweepReuseSteadyStateAllocs pins the sweep's allocation budget:
+// on a warmed store, its per-point allocations must not exceed an
+// EvaluatePoint loop's, at one worker or several — speculation (views,
+// probe scratch, commit bookkeeping) costs no per-point heap.
 func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
@@ -135,32 +137,89 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	points := space.Points()
 	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 
-	perPoint := func(workers int) float64 {
+	perPoint := func(workers int, run func(*Engine)) float64 {
 		opts := sweepOptions(workers)
 		opts.Index = IndexNormalization
 		eng := MustNew(opts)
 		for i := 0; i < 3; i++ { // warm store, scratch pool, worker slots
-			if _, _, err := eng.SweepBatch(ev, points); err != nil {
-				t.Fatal(err)
-			}
+			run(eng)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := eng.SweepBatch(ev, points); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return allocs / float64(len(points))
+		return testing.AllocsPerRun(10, func() { run(eng) }) / float64(len(points))
+	}
+	loop := func(eng *Engine) { evaluateLoop(eng, ev, points) }
+	sweep := func(eng *Engine) {
+		if _, _, err := eng.SweepBatch(ev, points); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	seq := perPoint(1)
-	par := perPoint(4)
-	// The sequential path allocates ~1 per reused point (the boxed
-	// mapping). The parallel path boxes the same mapping in phase A;
+	ref := perPoint(1, loop)
+	// The EvaluatePoint loop allocates ~1 per reused point (the boxed
+	// mapping). The sweep boxes the same mapping in phase A;
 	// everything speculation adds — views, plans, own-registration
 	// tracking — must amortize to O(1) per sweep, leaving headroom
 	// only for fixed per-sweep and per-goroutine bookkeeping.
-	if par > seq+0.5 {
-		t.Errorf("parallel sweep allocates %.2f/point on a warmed store vs %.2f sequential; speculation must not add per-point allocations", par, seq)
+	for _, workers := range []int{1, 4} {
+		if got := perPoint(workers, sweep); got > ref+0.5 {
+			t.Errorf("workers=%d sweep allocates %.2f/point on a warmed store vs %.2f for the EvaluatePoint loop; speculation must not add per-point allocations", workers, got, ref)
+		}
+	}
+}
+
+// blockLenEval is a block evaluator that records the lengths of the
+// seed blocks it is handed. Block boundaries restart at every chunk
+// of a fanned-out full simulation, so the recorded lengths reveal how
+// many goroutines drew the samples.
+type blockLenEval struct {
+	mu   sync.Mutex
+	lens map[int]bool
+}
+
+func (b *blockLenEval) EvalPoint(_ param.Point, r *rng.Rand) float64 { return r.Uniform(0, 1) }
+
+func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
+
+func (b *blockLenEval) EvalBound(_ []float64, r *rng.Rand) float64 { return r.Uniform(0, 1) }
+
+func (b *blockLenEval) EvalBlockBound(_ []float64, out []float64, seeds []uint64) {
+	b.mu.Lock()
+	b.lens[len(seeds)] = true
+	b.mu.Unlock()
+	var r rng.Rand
+	for i, s := range seeds {
+		r.Seed(s)
+		out[i] = r.Uniform(0, 1)
+	}
+}
+
+// TestOneWideSweepFansOutSamples pins the one behavior a sweep whose
+// pool is one point wide keeps from a lone EvaluatePoint: with
+// Workers > 1 the point's full simulation spreads its samples over
+// goroutines. With n−m = 1024 post-fingerprint samples and 2 workers
+// the samples split into two chunks of 512, each drawn in blocks of
+// 300 — so a 212-sample block appears only when the samples fan out
+// (one goroutine draws 300, 300, 300, 124).
+func TestOneWideSweepFansOutSamples(t *testing.T) {
+	p := param.Point{"week": 1}
+	for _, tc := range []struct {
+		workers int
+		fanOut  bool
+	}{{1, false}, {2, true}} {
+		eng := MustNew(Options{
+			Samples: 1034, FingerprintLen: 10, BlockSize: 300,
+			MasterSeed: 0x5161, Workers: tc.workers,
+		})
+		ev := &blockLenEval{lens: map[int]bool{}}
+		res, _, err := eng.SweepBatch(ev, []param.Point{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ev.lens[212]; got != tc.fanOut {
+			t.Errorf("workers=%d: samples fanned out = %v, want %v (block lengths %v)", tc.workers, got, tc.fanOut, ev.lens)
+		}
+		if want := eng.EvaluatePoint(ev, p); !reflect.DeepEqual(res[0].Summary, want.Summary) {
+			t.Errorf("workers=%d: sweep summary %+v differs from EvaluatePoint's %+v", tc.workers, res[0].Summary, want.Summary)
+		}
 	}
 }
 
@@ -217,8 +276,8 @@ func TestFullSimulationSmallStaysSequential(t *testing.T) {
 // its three regimes:
 //
 //   - full-match: what phase B paid per reused point before
-//     speculation (the complete MatchWhereBuf probe, quantization and
-//     all), and still the sequential sweep's per-point match cost;
+//     speculation (the complete Store.Match probe, quantization and
+//     all), and still what EvaluatePoint and phase A pay per point;
 //   - commit-current: the speculative commit when the probed shards
 //     are unchanged (warmed store, the steady state of repeated or
 //     reuse-heavy sweeps) — an epoch load and a plan copy;
@@ -248,9 +307,10 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 	b.Run("full-match", func(b *testing.B) {
 		eng, _, _, fps := mkEngine()
 		var sc core.ProbeScratch
+		var view core.MatchView
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, ok := eng.Store().MatchWhereBuf(fps[i%len(fps)], payloadReady, &sc); !ok {
+			if _, _, ok := eng.Store().Match(fps[i%len(fps)], payloadReady, &sc, &view); !ok {
 				b.Fatal("probe missed")
 			}
 		}
@@ -262,14 +322,14 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 		defer eng.scratches.Put(sc)
 		plans := make([]pointPlan, len(fps))
 		for i, fp := range fps {
-			plans[i].specBasis, plans[i].specMapping, _ =
-				eng.store.MatchSpeculative(fp, payloadReady, &sc.probe, &plans[i].view)
+			plans[i].basis, plans[i].mapping, _ =
+				eng.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
 		}
 		var own ownAdds
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i % len(fps)
-			if _, _, ok, _, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
+			if _, _, ok, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
 				b.Fatal("commit missed")
 			}
 		}
@@ -293,8 +353,8 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 		}
 		plans := make([]pointPlan, len(fps))
 		for i, fp := range fps {
-			plans[i].specBasis, plans[i].specMapping, _ =
-				eng.store.MatchSpeculative(fp, payloadReady, &sc.probe, &plans[i].view)
+			plans[i].basis, plans[i].mapping, _ =
+				eng.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
 			if plans[i].view.HitProbe() >= 0 {
 				b.Fatal("speculation against the empty store hit")
 			}
@@ -314,7 +374,7 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i % len(fps)
-			if _, _, ok, _, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
+			if _, _, ok, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
 				b.Fatal("commit missed")
 			}
 		}

@@ -9,9 +9,12 @@ import (
 	"jigsaw/internal/pool"
 )
 
-// This file implements the concurrent sweep subsystem: point-level
-// parallelism over a parameter space (or an explicit batch of points)
-// with results bit-identical to a sequential sweep.
+// This file implements the sweep: the evaluation of a parameter space
+// (or an explicit batch of points) on the engine's worker pool, with
+// results bit-identical for every worker count. There is one sweep
+// implementation; at Workers: 1 the pool degrades to a plain loop on
+// the calling goroutine (pool.ForWorker) and the phases below run
+// back to back.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
@@ -19,9 +22,9 @@ import (
 // three phases (DESIGN.md, "Concurrency model"):
 //
 //	A. fingerprints AND speculative store matches for every point, in
-//	   parallel — each worker probes the store exactly as phase B
-//	   would (signatures, candidate scan, mapping discovery) and
-//	   records what it observed in a core.MatchView;
+//	   parallel — each worker runs the full Store.Match probe
+//	   (signatures, candidate scan, mapping discovery) and records what
+//	   it observed in a core.MatchView;
 //	B. a serial COMMIT loop in enumeration order: a point whose
 //	   probed shards are at their speculation epoch adopts the
 //	   speculative outcome in O(1); a point whose shard gained a
@@ -31,15 +34,15 @@ import (
 //	C. full simulations for the miss points in parallel, then mapped
 //	   results for the hit points — each deterministic given phase B.
 //
-// Phase B used to carry the entire per-point match cost — normal-form
-// quantization, key hashing, candidate probing, Algorithm-2 mapping
-// discovery — which Amdahl-capped reuse-heavy sweeps at 1× regardless
-// of worker count. With speculation that work rides in phase A and
-// the serial section shrinks to epoch loads plus the occasional
-// delta replay. The exception is match validation (ValidationSamples
-// with KeepSamples — off by default): its paired draws and inline
-// basis completions still run inside phase B, so validation-enabled
-// sweeps trade scaling for the guard.
+// The reference semantics is a loop of EvaluatePoint calls in
+// enumeration order on a fresh engine: the commit loop reaches exactly
+// that loop's decisions, and its probe accounting (queries, hits,
+// candidates scanned) is what that loop would count. The per-point
+// match cost rides in phase A, so the serial section shrinks to epoch
+// loads plus the occasional delta replay. The exception is match
+// validation (ValidationSamples with KeepSamples — off by default):
+// its paired draws and inline basis completions still run inside
+// phase B, so validation-enabled sweeps trade scaling for the guard.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: fingerprints fill a single bulk
@@ -50,8 +53,9 @@ import (
 // Sweep evaluates every point of the space in enumeration order and
 // returns per-point results plus reuse statistics. This is Jigsaw's
 // batch-mode inner loop (Fig. 3): Parameter Enumerator → PDB → basis
-// reuse. With Options.Workers > 1 the points are evaluated by a
-// worker pool; results and statistics are bit-identical to Workers: 1.
+// reuse. The points are spread over the engine's worker pool
+// (Options.Workers); results and statistics are bit-identical for
+// every worker count.
 func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
 	return e.SweepContext(context.Background(), f, space)
 }
@@ -62,24 +66,7 @@ func (e *Engine) SweepContext(ctx context.Context, f PointEval, space *param.Spa
 	if space == nil {
 		return nil, SweepStats{}, errors.New("mc: nil parameter space")
 	}
-	if e.sweepWorkers(space.Size()) <= 1 {
-		sc := e.scratches.Get()
-		defer e.scratches.Put(sc)
-		results := make([]PointResult, 0, space.Size())
-		var err error
-		space.Each(func(p param.Point) bool {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-			results = append(results, e.evaluatePoint(f, p, sc, e.opts.Workers))
-			return true
-		})
-		if err != nil {
-			return nil, SweepStats{}, err
-		}
-		return results, e.Stats(len(results)), nil
-	}
-	return e.sweepParallel(ctx, f, space.Points())
+	return e.sweep(ctx, f, space.Points())
 }
 
 // SweepBatch evaluates an explicit list of parameter points through
@@ -93,28 +80,13 @@ func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, S
 
 // SweepBatchContext is SweepBatch with cancellation.
 func (e *Engine) SweepBatchContext(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	if e.sweepWorkers(len(points)) <= 1 {
-		sc := e.scratches.Get()
-		defer e.scratches.Put(sc)
-		results := make([]PointResult, 0, len(points))
-		for _, p := range points {
-			if err := ctx.Err(); err != nil {
-				return nil, SweepStats{}, err
-			}
-			results = append(results, e.evaluatePoint(f, p, sc, e.opts.Workers))
-		}
-		return results, e.Stats(len(results)), nil
-	}
-	return e.sweepParallel(ctx, f, points)
+	return e.sweep(ctx, f, points)
 }
 
-// sweepWorkers clamps the configured pool size to the job size.
+// sweepWorkers clamps the configured pool size to the job size (at
+// least one worker, so an empty job still has a scratch to pin).
 func (e *Engine) sweepWorkers(points int) int {
-	w := e.opts.Workers
-	if w > points {
-		w = points
-	}
-	return w
+	return max(1, min(e.opts.Workers, points))
 }
 
 // pointPlan is one point's record through the phases: the speculative
@@ -124,20 +96,16 @@ type pointPlan struct {
 	// signatures, shard epochs, per-group scan counts); the commit
 	// loop validates the speculation against it.
 	view core.MatchView
-	// specBasis/specMapping hold phase A's speculative match (nil when
-	// the speculation missed — view.HitProbe() < 0).
-	specBasis   *core.Basis
-	specMapping core.Mapping
-	// simulate marks a miss: the point runs a full simulation in
-	// phase C1.
-	simulate bool
-	// basis is the matched basis (reuse) or the newly registered one
-	// (simulate with reuse enabled); nil with reuse disabled.
-	basis *core.Basis
-	// payload is the registered basis' payload, filled by C1.
-	payload *BasisPayload
-	// mapping maps the matched basis onto this point (reuse only).
+	// basis and mapping hold phase A's speculative match (nil when it
+	// missed) until the commit loop replaces them with its decision:
+	// the matched basis and its mapping (reuse), or the newly
+	// registered basis (simulate, with reuse enabled; nil otherwise).
+	basis   *core.Basis
 	mapping core.Mapping
+	// simulate marks a miss: the point runs a full simulation in
+	// phase C1 — unless done, set when the validation path already
+	// simulated it inline in phase B.
+	simulate, done bool
 }
 
 // ownAdds tracks the bases the commit loop registered during this
@@ -178,13 +146,20 @@ func (o *ownAdds) tail(store *core.Store, v *core.MatchView, j int) []*core.Basi
 	return o.all
 }
 
-// sweepParallel is the phased concurrent sweep. See the file comment
-// for the phase structure and DESIGN.md for the determinism argument.
-func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+// sweep is the phased sweep. See the file comment for the phase
+// structure and DESIGN.md for the determinism argument.
+func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
 	n := len(points)
 	workers := e.sweepWorkers(n)
+	// simWorkers is the fan-out of each full simulation. A pool wider
+	// than one worker is already busy with other points; a pool one
+	// wide (Workers: 1, or a one-point batch) leaves the cores to the
+	// point's own samples, as a lone EvaluatePoint would.
+	simWorkers := 1
+	if workers == 1 {
+		simWorkers = e.opts.Workers
+	}
 	results := make([]PointResult, n)
-	fps := make([]core.Fingerprint, n)
 	plans := make([]pointPlan, n)
 
 	// One scratch per worker id, pinned for all three phases: a
@@ -203,23 +178,22 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 	// Phase A: fingerprints and speculative matches, embarrassingly
 	// parallel. All n fingerprints share one backing array — one
 	// allocation instead of n (they outlive the phases: misses donate
-	// theirs to the store, which clones, and C2's defensive
-	// resimulation rereads). The speculative match runs the full probe
-	// — quantization, hashing, candidate scan, mapping discovery —
-	// that phase B would otherwise serialize; its outcome and the
-	// store state it saw land in the point's plan for the commit loop
-	// to validate.
+	// theirs to the store, which clones, and C1 and C2 reread them).
+	// The speculative match runs the full probe — quantization,
+	// hashing, candidate scan, mapping discovery — that phase B would
+	// otherwise serialize; its outcome and the store state it saw land
+	// in the point's plan for the commit loop to validate.
 	m := e.seeds.Len()
 	backing := make([]float64, n*m)
+	fingerprint := func(i int) core.Fingerprint { return backing[i*m : (i+1)*m : (i+1)*m] }
 	reuse := e.opts.Reuse
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
 		sc := scratches[w]
-		fp := core.Fingerprint(backing[i*m : (i+1)*m : (i+1)*m])
+		fp := fingerprint(i)
 		e.fingerprintFill(f, points[i], fp, sc)
-		fps[i] = fp
 		if reuse {
-			plans[i].specBasis, plans[i].specMapping, _ =
-				e.store.MatchSpeculative(fp, payloadReady, &sc.probe, &plans[i].view)
+			plans[i].basis, plans[i].mapping, _ =
+				e.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
 		}
 	}); err != nil {
 		return nil, SweepStats{}, err
@@ -227,29 +201,17 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 
 	// Phase B: the serial commit loop, strictly in enumeration order.
 	// pending maps a basis ID registered during this sweep to the
-	// index of the point that owns its simulation; done marks points
-	// already simulated inline by the validation path; own tracks this
-	// sweep's registrations per probe bucket for delta replays. Store
-	// probe counters are accumulated locally and flushed once, so the
-	// final SweepStats are bit-identical to the sequential sweep
-	// without per-point atomics.
+	// index of the point that owns its simulation; own tracks this
+	// sweep's registrations per probe bucket for delta replays. Probe
+	// counts are tallied locally and flushed into the engine once —
+	// also when cancelled, so a cancelled sweep's partial probes still
+	// land in the lifetime statistics — leaving the final SweepStats
+	// equal to the EvaluatePoint loop's without per-point atomics.
 	pending := make(map[int]int)
-	done := make([]bool, n)
 	validating := e.opts.ValidationSamples > 0 && e.opts.KeepSamples
 	sc0 := scratches[0]
 	var own ownAdds
 	var queries, hits, scanned int64
-	// Flush the batched counters before the final Stats snapshot —
-	// and on every early (error) return, so a cancelled sweep's
-	// partial probes still land in the store's lifetime statistics.
-	flushed := false
-	flush := func() {
-		if !flushed {
-			flushed = true
-			e.store.RecordMatches(queries, hits, scanned)
-		}
-	}
-	defer flush()
 	// Accept this sweep's own pending bases (phase C fills them
 	// before C2 reads); skip bases another — possibly cancelled —
 	// sweep never completed.
@@ -259,39 +221,34 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		}
 		return payloadReady(b)
 	}
+	var err error
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, SweepStats{}, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		if reuse {
+			basis, mapping, ok, pointScanned := e.commitMatch(fingerprint(i), &plans[i], &own, accept, sc0)
 			queries++
-			basis, mapping, ok, pointScanned, counted := e.commitMatch(fps[i], &plans[i], &own, accept, sc0)
-			if counted {
-				queries--
-			} else {
-				scanned += pointScanned
-			}
+			scanned += pointScanned
 			if ok {
-				if !counted {
-					hits++
-				}
+				hits++
 				_, ownPending := pending[basis.ID]
 				if validating && ownPending {
 					// Validation compares against the basis' retained
 					// samples; a basis registered earlier in this sweep
 					// may not be simulated yet — complete it now, which
-					// is exactly the state the sequential sweep would
+					// is exactly the state the EvaluatePoint loop would
 					// have reached before evaluating point i.
 					owner := pending[basis.ID]
-					e.completeSimulation(f, points, fps, plans, results, owner, sc0)
-					done[owner] = true
+					results[owner] = e.completeSimulation(f, points[owner], fingerprint(owner), &plans[owner], simWorkers, sc0)
+					plans[owner].done = true
 					delete(pending, basis.ID)
 					ownPending = false
 				}
 				// A basis still pending in this sweep at this line has
 				// no retained samples to validate against (with
 				// validation active it was completed inline above), and
-				// the sequential sweep trusts such matches as-is.
+				// the EvaluatePoint loop trusts such matches as-is.
 				valid := ownPending || e.validateMatch(f, points[i], basis, mapping, sc0)
 				if valid && e.basisUsable(basis, mapping, ownPending) {
 					plans[i].basis = basis
@@ -300,25 +257,30 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 				}
 			}
 		}
-		plans[i].simulate = true
+		plans[i].basis, plans[i].mapping, plans[i].simulate = nil, nil, true
 		if reuse {
 			payload := &BasisPayload{}
 			payload.markPending()
-			if basis, err := e.store.Add(fps[i], points[i].Key(), payload); err == nil {
+			if basis, err := e.store.Add(fingerprint(i), points[i].Key(), payload); err == nil {
 				plans[i].basis = basis
-				plans[i].payload = payload
 				pending[basis.ID] = i
-				own.add(e.store, fps[i], basis)
+				own.add(e.store, fingerprint(i), basis)
 			}
 		}
+	}
+	e.queries.Add(queries)
+	e.hits.Add(hits)
+	e.scanned.Add(scanned)
+	if err != nil {
+		return nil, SweepStats{}, err
 	}
 
 	// Phase C1: full simulations for the miss points, in parallel.
 	// Simulated payloads must be complete before any reuse point maps
 	// from them, hence the barrier before C2.
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		if plans[i].simulate && !done[i] {
-			e.completeSimulation(f, points, fps, plans, results, i, scratches[w])
+		if plans[i].simulate && !plans[i].done {
+			results[i] = e.completeSimulation(f, points[i], fingerprint(i), &plans[i], simWorkers, scratches[w])
 		}
 	}); err != nil {
 		return nil, SweepStats{}, err
@@ -339,93 +301,88 @@ func (e *Engine) sweepParallel(ctx context.Context, f PointEval, points []param.
 		}
 		// Unreachable when basisUsable agreed to the reuse; simulate
 		// defensively rather than return a zero result.
-		res, _ := e.fullSimulation(f, points[i], fps[i], 1, scratches[w])
+		res, _ := e.fullSimulation(f, points[i], fingerprint(i), simWorkers, scratches[w])
 		results[i] = res
 		e.fullSims.Add(1)
 	}); err != nil {
 		return nil, SweepStats{}, err
 	}
-
-	flush()
 	return results, e.Stats(n), nil
 }
 
 // commitMatch replays point i's speculative match against the store
 // as of this commit step and returns exactly the (basis, mapping, ok)
-// a sequential sweep's MatchWhereBuf would return here, plus the
-// number of mapping-discovery attempts that decision would have
-// scanned. The cases, cheapest first:
+// a Store.Match here would return, plus the number of
+// mapping-discovery attempts that match would scan. The cases,
+// cheapest first:
 //
 //   - the probed shards are at their speculation epochs (ViewCurrent):
-//     no candidate list changed, the speculation IS the sequential
+//     no candidate list changed, the speculation IS the commit-time
 //     decision — O(1), no locks, no index access;
 //   - a probed shard changed: the only in-sweep writer is this loop,
 //     so the appended candidates are in own; replay them per probe
 //     group, in group order — a speculative hit in group j yields to
 //     a delta hit in any earlier group (those candidates precede it
-//     in sequential scan order) but beats anything appended to group
-//     j or later (appends land after the hit position);
+//     in scan order) but beats anything appended to group j or later
+//     (appends land after the hit position);
 //   - the view overflowed (an exotic index with more probe signatures
-//     than the view tracks): fall back to a full re-match through
-//     MatchWhereBuf, which updates the store counters itself —
-//     signalled to the caller via counted.
+//     than the view tracks): re-match from scratch.
 //
 // Own registrations always pass the accept filter (they are this
 // sweep's pending bases, or were completed inline by validation), so
 // the replay skips the accept call for them.
-func (e *Engine) commitMatch(fp core.Fingerprint, plan *pointPlan, own *ownAdds, accept func(*core.Basis) bool, sc *scratch) (basis *core.Basis, mapping core.Mapping, ok bool, scanned int64, counted bool) {
+func (e *Engine) commitMatch(fp core.Fingerprint, plan *pointPlan, own *ownAdds, accept func(*core.Basis) bool, sc *scratch) (basis *core.Basis, mapping core.Mapping, ok bool, scanned int64) {
 	v := &plan.view
 	if v.Overflow() {
-		basis, mapping, ok = e.store.MatchWhereBuf(fp, accept, &sc.probe)
-		return basis, mapping, ok, 0, true
+		var fresh core.MatchView
+		basis, mapping, ok = e.store.Match(fp, accept, &sc.probe, &fresh)
+		return basis, mapping, ok, fresh.ScannedTotal()
 	}
 	if v.Static() || e.store.ViewCurrent(v) {
 		if v.HitProbe() >= 0 {
-			return plan.specBasis, plan.specMapping, true, v.ScannedTotal(), false
+			return plan.basis, plan.mapping, true, v.ScannedTotal()
 		}
-		return nil, nil, false, v.ScannedTotal(), false
+		return nil, nil, false, v.ScannedTotal()
 	}
 	class, tol := e.store.Class(), e.store.Tolerance()
 	for j := 0; j < v.Probes(); j++ {
 		// The speculation's scan of group j is a prefix of the
-		// sequential scan: its failures stay failures (fingerprints
+		// commit-time scan: its failures stay failures (fingerprints
 		// are immutable and pre-sweep payload readiness is stable
 		// within a sweep), and a speculative hit here ends the scan
-		// exactly where the sequential one would.
+		// exactly where the commit-time one would.
 		scanned += int64(v.ScannedIn(j))
 		if v.HitProbe() == j {
-			return plan.specBasis, plan.specMapping, true, scanned, false
+			return plan.basis, plan.mapping, true, scanned
 		}
 		for _, b := range own.tail(e.store, v, j) {
 			scanned++
 			if m, found := class.Find(b.Fingerprint, fp, tol); found {
-				return b, m, true, scanned, false
+				return b, m, true, scanned
 			}
 		}
 	}
-	return nil, nil, false, scanned, false
+	return nil, nil, false, scanned
 }
 
-// completeSimulation runs point i's full simulation, stores its result
-// and fills its registered basis payload. Inner sample parallelism is
-// disabled: either the pool is already saturated with other points
-// (phase C1) or the call is a one-off on the sequential path (phase B
-// validation) where determinism, not latency, is the concern. The
-// counter is incremented here — when the work actually runs — so a
-// cancelled sweep does not inflate the engine's lifetime stats with
-// simulations that never happened.
-func (e *Engine) completeSimulation(f PointEval, points []param.Point, fps []core.Fingerprint, plans []pointPlan, results []PointResult, i int, sc *scratch) {
+// completeSimulation runs a miss point's full simulation over workers
+// goroutines, fills the payload of the basis its plan registered, and
+// returns the point's result. The counter is incremented here — when
+// the work actually runs — so a cancelled sweep does not inflate the
+// engine's lifetime stats with simulations that never happened.
+func (e *Engine) completeSimulation(f PointEval, p param.Point, fp core.Fingerprint, plan *pointPlan, workers int, sc *scratch) PointResult {
 	e.fullSims.Add(1)
-	res, samples := e.fullSimulation(f, points[i], fps[i], 1, sc)
-	if plans[i].basis != nil {
-		plans[i].payload.Summary = res.Summary
+	res, samples := e.fullSimulation(f, p, fp, workers, sc)
+	if plan.basis != nil {
+		payload := plan.basis.Payload.(*BasisPayload)
+		payload.Summary = res.Summary
 		if e.opts.KeepSamples {
-			plans[i].payload.Samples = samples
+			payload.Samples = samples
 		}
-		plans[i].payload.complete()
-		res.BasisID = plans[i].basis.ID
+		payload.complete()
+		res.BasisID = plan.basis.ID
 	}
-	results[i] = res
+	return res
 }
 
 // basisUsable reports whether mapBasis will be able to derive a result

@@ -84,14 +84,26 @@ func synthSpace(t *testing.T, n int) *param.Space {
 	return param.MustSpace(idx)
 }
 
-// TestSweepParallelDeterminism is the core guarantee of the concurrent
-// sweep subsystem: for every index strategy, with reuse on and off,
-// with basis registrations forced throughout the sweep (multi-family
-// workloads) and against both a fresh and a warmed store — the former
-// drives the commit loop's delta replay, the latter commits
-// speculative hits verbatim — a parallel sweep returns bit-identical
-// PointResults and SweepStats to the sequential sweep, for every
-// worker count.
+// evaluateLoop is the sweep's reference semantics: EvaluatePoint on
+// every point in order, with the engine's statistics taken afterwards.
+// It shares no code with the phased pipeline beyond the per-point
+// primitives (fingerprint, Store.Match, simulation, mapping).
+func evaluateLoop(eng *Engine, ev PointEval, points []param.Point) ([]PointResult, SweepStats) {
+	res := make([]PointResult, len(points))
+	for i, p := range points {
+		res[i] = eng.EvaluatePoint(ev, p)
+	}
+	return res, eng.Stats(len(points))
+}
+
+// TestSweepParallelDeterminism is the core guarantee of the sweep: for
+// every index strategy, with reuse on and off, with basis
+// registrations forced throughout the sweep (multi-family workloads)
+// and against both a fresh and a warmed store — the former drives the
+// commit loop's delta replay, the latter commits speculative hits
+// verbatim — the phased sweep returns PointResults and SweepStats
+// bit-identical to an EvaluatePoint loop on a Workers: 1 engine, for
+// every worker count including one.
 func TestSweepParallelDeterminism(t *testing.T) {
 	demandSpace := sweepSpace(t)
 	demand := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
@@ -121,49 +133,46 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		{"families/sid", famEval, famSpace(t), func(o *Options) { o.Index = IndexSortedSID }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seqOpts := sweepOptions(1)
-			tc.mutate(&seqOpts)
-			seqEng := MustNew(seqOpts)
-			// Two sweeps per engine: the first runs against an empty
+			refOpts := sweepOptions(1)
+			tc.mutate(&refOpts)
+			refEng := MustNew(refOpts)
+			points := tc.space.Points()
+			// Two rounds per engine: the first runs against an empty
 			// store (every speculative view goes stale as bases
 			// register), the second against a warmed one (speculative
 			// hits commit verbatim in O(1)).
-			var seqRes [2][]PointResult
-			var seqStats [2]SweepStats
-			for round := range seqRes {
-				res, st, err := seqEng.Sweep(tc.ev, tc.space)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seqRes[round], seqStats[round] = res, st
+			var refRes [2][]PointResult
+			var refStats [2]SweepStats
+			for round := range refRes {
+				refRes[round], refStats[round] = evaluateLoop(refEng, tc.ev, points)
 			}
 
-			for _, workers := range []int{2, 4, 7} {
-				parOpts := sweepOptions(workers)
-				tc.mutate(&parOpts)
-				parEng := MustNew(parOpts)
-				for round := range seqRes {
-					parRes, parStats, err := parEng.Sweep(tc.ev, tc.space)
+			for _, workers := range []int{1, 2, 4, 7} {
+				opts := sweepOptions(workers)
+				tc.mutate(&opts)
+				eng := MustNew(opts)
+				for round := range refRes {
+					res, st, err := eng.Sweep(tc.ev, tc.space)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(seqRes[round]) != len(parRes) {
+					if len(refRes[round]) != len(res) {
 						t.Fatalf("workers=%d round %d: result count %d vs %d",
-							workers, round, len(seqRes[round]), len(parRes))
+							workers, round, len(refRes[round]), len(res))
 					}
-					for i := range parRes {
-						if !reflect.DeepEqual(seqRes[round][i], parRes[i]) {
-							t.Fatalf("workers=%d round %d point %d diverged:\nsequential: %+v\nparallel:   %+v",
-								workers, round, i, seqRes[round][i], parRes[i])
+					for i := range res {
+						if !reflect.DeepEqual(refRes[round][i], res[i]) {
+							t.Fatalf("workers=%d round %d point %d diverged:\nEvaluatePoint: %+v\nsweep:         %+v",
+								workers, round, i, refRes[round][i], res[i])
 						}
 					}
-					if !reflect.DeepEqual(seqStats[round], parStats) {
-						t.Fatalf("workers=%d round %d stats diverged:\nsequential: %+v\nparallel:   %+v",
-							workers, round, seqStats[round], parStats)
+					if !reflect.DeepEqual(refStats[round], st) {
+						t.Fatalf("workers=%d round %d stats diverged:\nEvaluatePoint: %+v\nsweep:         %+v",
+							workers, round, refStats[round], st)
 					}
 				}
 			}
-			if seqOpts.Reuse && seqStats[0].Reused == 0 {
+			if refOpts.Reuse && refStats[0].Reused == 0 {
 				t.Fatal("sweep with reuse enabled reused nothing; test space too small to be meaningful")
 			}
 		})
@@ -227,7 +236,7 @@ func TestSweepSharedEngineRace(t *testing.T) {
 }
 
 // TestAbandonedPendingBasisDoesNotShadow reproduces the state a
-// cancelled parallel sweep leaves behind — a registered basis whose
+// cancelled sweep leaves behind — a registered basis whose
 // payload was never completed — and checks it neither gets reused nor
 // permanently shadows its fingerprint family: the next miss registers
 // a usable duplicate and later points reuse that.
@@ -255,8 +264,8 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	}
 }
 
-// TestSweepContextCancel checks a cancelled context aborts both the
-// sequential and the parallel paths.
+// TestSweepContextCancel checks a cancelled context aborts the sweep
+// at one worker and at several.
 func TestSweepContextCancel(t *testing.T) {
 	space := sweepSpace(t)
 	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")

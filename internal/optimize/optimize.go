@@ -106,7 +106,11 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		engines[c.Column] = mc.MustNew(opts)
+		eng, err := mc.New(opts)
+		if err != nil {
+			return nil, err
+		}
+		engines[c.Column] = eng
 		evals[c.Column] = ev
 	}
 

@@ -153,6 +153,11 @@ func TestRunOptimizeValidation(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	bad := opts
+	bad.Workers = -1
+	if _, err := Run(s, script.Optimize, bad); err == nil {
+		t.Error("invalid engine options accepted")
+	}
 }
 
 func TestRunOptimizeInfeasible(t *testing.T) {

@@ -39,8 +39,9 @@
 // EngineOptions.Workers (0 = all cores) and Engine.Sweep,
 // Engine.SweepBatch and their context-aware variants
 // Engine.SweepContext / Engine.SweepBatchContext spread the points
-// over a worker pool while returning results bit-identical to a
-// sequential sweep. The basis store takes sharded locks keyed on
+// over a worker pool while returning results bit-identical for every
+// worker count, equal to evaluating the points one by one with
+// Engine.EvaluatePoint. The basis store takes sharded locks keyed on
 // fingerprint signatures, so engines may also be shared between
 // goroutines calling EvaluatePoint. Interactive sessions draw their
 // per-tick sample batches on a pool sized by SessionOptions.Workers.

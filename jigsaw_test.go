@@ -50,7 +50,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 // TestPublicAPIConcurrentSweep is the facade-level determinism
 // contract: a sweep over all cores returns bit-identical results and
-// statistics to the sequential sweep.
+// statistics to a one-worker sweep.
 func TestPublicAPIConcurrentSweep(t *testing.T) {
 	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), "week", "release")
 	if err != nil {
@@ -75,12 +75,12 @@ func TestPublicAPIConcurrentSweep(t *testing.T) {
 	}
 	workers := runtime.NumCPU()
 	if workers < 4 {
-		workers = 4 // force the parallel path even on small machines
+		workers = 4 // spread the points even on small machines
 	}
 	seqRes, seqStats := run(1)
 	parRes, parStats := run(workers)
 	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatal("parallel sweep results differ from sequential")
+		t.Fatal("parallel sweep results differ from one-worker sweep")
 	}
 	if !reflect.DeepEqual(seqStats, parStats) {
 		t.Fatalf("parallel sweep stats differ: %+v vs %+v", seqStats, parStats)
@@ -232,7 +232,7 @@ func TestPublicAPIFingerprints(t *testing.T) {
 	if _, err := store.Add(fpA, "A", "payload"); err != nil {
 		t.Fatal(err)
 	}
-	basis, mapping, ok := store.Match(fpB)
+	basis, mapping, ok := store.Match(fpB, nil, nil, nil)
 	if !ok {
 		t.Fatal("affine fingerprints did not match")
 	}
