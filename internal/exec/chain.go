@@ -28,16 +28,17 @@ type ScenarioChain struct {
 
 // NewScenarioChain builds the chain for the scenario's single CHAIN
 // declaration. outputCol selects the reported column (the "interesting
-// output" of §4.2, demand in Fig. 5); fixed supplies values for any
-// parameters other than the driver and the chain.
+// output" of §4.2, demand in Fig. 5); fixed must bind every declared
+// parameter other than the driver and the chain.
 func NewScenarioChain(s *Scenario, outputCol string, fixed param.Point) (*ScenarioChain, error) {
-	if len(s.chains) == 0 {
+	chains := s.Space.Chains()
+	if len(chains) == 0 {
 		return nil, errors.New("exec: scenario has no CHAIN parameter")
 	}
-	if len(s.chains) > 1 {
+	if len(chains) > 1 {
 		return nil, errors.New("exec: multiple CHAIN parameters are not supported")
 	}
-	decl := s.chains[0]
+	decl := chains[0]
 	chainIdx := -1
 	outputIdx := -1
 	for i, c := range s.Columns {
@@ -56,6 +57,11 @@ func NewScenarioChain(s *Scenario, outputCol string, fixed param.Point) (*Scenar
 	}
 	if _, ok := s.Space.Decl(decl.DriverName); !ok {
 		return nil, fmt.Errorf("exec: chain driver @%s is not declared", decl.DriverName)
+	}
+	for _, d := range s.Space.Decls() {
+		if _, ok := fixed[d.Name]; !ok && d.Name != decl.DriverName {
+			return nil, fmt.Errorf("exec: chain requires a fixed value for @%s", d.Name)
+		}
 	}
 	return &ScenarioChain{
 		scenario:  s,
@@ -77,11 +83,8 @@ func (c *ScenarioChain) Initial() markov.State {
 func (c *ScenarioChain) Step(step int, prev markov.State, r *rng.Rand) markov.State {
 	p := c.fixed.With(c.decl.DriverName, float64(step))
 	p[c.decl.Name] = prev[0] // chain parameter = fed-back value
-	slots := make([]float64, len(c.scenario.Columns))
-	if err := c.scenario.EvalRow(p, r, slots); err != nil {
-		panic(err) // resolution is compile-time; see ColumnEval
-	}
-	return markov.State{slots[c.chainIdx], slots[c.outputIdx]}
+	v := c.scenario.evalRow(p, r)
+	return markov.State{v[c.chainIdx], v[c.outputIdx]}
 }
 
 // Output implements markov.Chain: the designated output column.

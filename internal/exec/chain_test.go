@@ -2,11 +2,13 @@ package exec
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/core"
 	"jigsaw/internal/markov"
+	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/sqlparse"
@@ -95,6 +97,54 @@ func TestScenarioChainErrors(t *testing.T) {
 	plain := compileFig1(t)
 	if _, err := NewScenarioChain(plain, "demand", param.Point{}); err == nil {
 		t.Fatal("chain-less scenario accepted")
+	}
+}
+
+func TestColumnEvalRejectsChainScenario(t *testing.T) {
+	s := compileFig5(t)
+	if _, err := s.ColumnEval("demand"); err == nil || !strings.Contains(err.Error(), "@release_week") {
+		t.Fatalf("ColumnEval on a CHAIN row: err = %v", err)
+	}
+	g := &sqlparse.GraphStmt{Over: "current_week", Series: []sqlparse.GraphSeries{{Column: "demand"}}}
+	if _, err := RunGraph(s, g, param.Point{}, mc.Options{Samples: 20, Workers: 1}); err == nil {
+		t.Fatal("GRAPH over a CHAIN row accepted")
+	}
+}
+
+func TestScenarioChainRequiresFixedParams(t *testing.T) {
+	script, err := sqlparse.Parse(`
+DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @bump AS SET (0, 10);
+DECLARE PARAMETER @release_week AS CHAIN release_week
+    FROM @current_week : @current_week - 1
+    INITIAL VALUE 52;
+SELECT ReleaseWeekModel(@current_week, demand, @release_week) AS release_week, demand
+FROM (SELECT DemandModel(@current_week, @release_week) + @bump AS demand)
+INTO results`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := CompileScenario(script, fig5Registry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewScenarioChain(s, "demand", param.Point{}); err == nil || !strings.Contains(err.Error(), "@bump") {
+		t.Fatalf("chain without @bump: err = %v", err)
+	}
+	c, err := NewScenarioChain(s, "demand", param.Point{"bump": 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixed binding reaches the row: the same world with @bump
+	// bound to 0 reads exactly 10 less.
+	c0, err := NewScenarioChain(s, "demand", param.Point{"bump": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := c.Step(5, c.Initial(), rng.New(4))
+	base := c0.Step(5, c0.Initial(), rng.New(4))
+	if got[1] != base[1]+10 {
+		t.Fatalf("demand with @bump=10 is %g, with @bump=0 %g", got[1], base[1])
 	}
 }
 

@@ -8,6 +8,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
@@ -30,18 +31,26 @@ type Scenario struct {
 	// Into is the results table name ("" when anonymous).
 	Into string
 
-	boxes *blackbox.Registry
-	// evals computes each column in order; inputs are the slots of
-	// earlier columns.
+	// evals computes each column in order into the row vector.
 	evals []colEval
-	// chains are the CHAIN declarations (Fig. 5).
-	chains []param.Decl
+	// width is the row vector's length: one slot per column, then one
+	// argument region per call site.
+	width int
+	// params are the parameters the row reads, in first-reference
+	// order; chainParam is the first of them declared as a CHAIN ("" when
+	// the row reads none).
+	params     []string
+	chainParam string
 }
 
 // colEval is the lightweight engine's compiled expression form: a
 // direct float interpreter with no value boxing, table materialization
-// or NULL bookkeeping — the "Ruby prototype" analogue of §6.1.
-type colEval func(slots []float64, p param.Point, r *rng.Rand) (float64, error)
+// or NULL bookkeeping — the "Ruby prototype" analogue of §6.1. v is
+// the row vector (see Scenario.width): a column reads earlier columns
+// from it, and a call site writes its arguments to its own region, so
+// a row evaluation allocates nothing beyond v. Every name is resolved
+// at compile time, so evaluation cannot fail.
+type colEval func(v []float64, p param.Point, r *rng.Rand) float64
 
 // CompileScenario compiles the script's SELECT statements against a
 // black-box registry. Multiple SELECTs are allowed; the scenario is
@@ -54,75 +63,70 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 	sel := script.Selects[len(script.Selects)-1]
 
 	decls := make([]param.Decl, 0, len(script.Decls))
-	var chains []param.Decl
 	for _, d := range script.Decls {
 		pd, err := convertDecl(d)
 		if err != nil {
 			return nil, err
 		}
 		decls = append(decls, pd)
-		if pd.Kind == param.KindChain {
-			chains = append(chains, pd)
-		}
 	}
 	space, err := param.NewSpace(decls...)
 	if err != nil {
 		return nil, err
 	}
-
-	s := &Scenario{
-		Script: script,
-		Space:  space,
-		Into:   sel.Into,
-		boxes:  boxes,
-		chains: chains,
-	}
-	slotIndex := map[string]int{}
-
-	var compileSelect func(stmt *sqlparse.SelectStmt) error
-	compileSelect = func(stmt *sqlparse.SelectStmt) error {
-		if stmt.Where != nil {
-			return errors.New("exec: WHERE is not supported in scenario SELECTs " +
-				"(filter on the OPTIMIZE constraints or use the PDB engine)")
-		}
-		if stmt.From != nil {
-			if stmt.From.Table != "" {
-				return fmt.Errorf("exec: FROM %s requires the PDB engine; "+
-					"the lightweight engine evaluates model-only scenarios", stmt.From.Table)
-			}
-			// Fig. 5: FROM (SELECT ...) — compile the subquery's
-			// columns first so outer items can reference them.
-			if err := compileSelect(stmt.From.Subquery); err != nil {
-				return err
-			}
-		}
-		for _, item := range stmt.Items {
-			name := item.Name()
-			// A bare reference to a column the subquery already
-			// produced is a pass-through (Fig. 5 re-selects demand),
-			// not a new column.
-			if c, ok := item.Expr.(*sqlparse.ColRef); ok {
-				if _, exists := slotIndex[c.Name]; exists && name == c.Name {
-					continue
-				}
-			}
-			if _, dup := slotIndex[name]; dup {
-				return fmt.Errorf("exec: duplicate result column %q", name)
-			}
-			ev, err := compileExpr(item.Expr, slotIndex, boxes)
-			if err != nil {
-				return fmt.Errorf("exec: column %q: %w", name, err)
-			}
-			slotIndex[name] = len(s.evals)
-			s.Columns = append(s.Columns, name)
-			s.evals = append(s.evals, ev)
-		}
-		return nil
-	}
-	if err := compileSelect(sel); err != nil {
+	items, err := scenarioItems(sel, nil)
+	if err != nil {
 		return nil, err
 	}
+
+	s := &Scenario{Script: script, Space: space, Into: sel.Into}
+	c := &compiler{space: space, boxes: boxes, slots: map[string]int{}, width: len(items)}
+	for i, item := range items {
+		name := item.Name()
+		ev, err := c.expr(item.Expr)
+		if err != nil {
+			return nil, fmt.Errorf("exec: column %q: %w", name, err)
+		}
+		c.slots[name] = i
+		s.Columns = append(s.Columns, name)
+		s.evals = append(s.evals, ev)
+	}
+	s.width, s.params, s.chainParam = c.width, c.params, c.chainParam
 	return s, nil
+}
+
+// scenarioItems appends stmt's result columns to items in evaluation
+// order. A FROM subquery's columns (Fig. 5) come first so outer items
+// can reference them; a bare reference to a column already produced,
+// under its own name, is a pass-through (Fig. 5 re-selects demand),
+// not a new column.
+func scenarioItems(stmt *sqlparse.SelectStmt, items []sqlparse.SelectItem) ([]sqlparse.SelectItem, error) {
+	if stmt.Where != nil {
+		return nil, errors.New("exec: WHERE is not supported in scenario SELECTs " +
+			"(filter on the OPTIMIZE constraints or use the PDB engine)")
+	}
+	if stmt.From != nil {
+		if stmt.From.Table != "" {
+			return nil, fmt.Errorf("exec: FROM %s requires the PDB engine; "+
+				"the lightweight engine evaluates model-only scenarios", stmt.From.Table)
+		}
+		var err error
+		if items, err = scenarioItems(stmt.From.Subquery, items); err != nil {
+			return nil, err
+		}
+	}
+	for _, item := range stmt.Items {
+		name := item.Name()
+		exists := slices.ContainsFunc(items, func(it sqlparse.SelectItem) bool { return it.Name() == name })
+		if c, ok := item.Expr.(*sqlparse.ColRef); ok && exists && name == c.Name {
+			continue
+		}
+		if exists {
+			return nil, fmt.Errorf("exec: duplicate result column %q", name)
+		}
+		items = append(items, item)
+	}
+	return items, nil
 }
 
 // convertDecl lowers a parsed declaration into a param.Decl.
@@ -141,127 +145,144 @@ func convertDecl(d sqlparse.ParamDecl) (param.Decl, error) {
 
 // HasColumn reports whether the scenario produces the named column.
 func (s *Scenario) HasColumn(name string) bool {
-	for _, c := range s.Columns {
-		if c == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.Columns, name)
 }
 
 // Chains returns the CHAIN declarations.
-func (s *Scenario) Chains() []param.Decl { return s.chains }
+func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
 
 // EvalRow evaluates all result columns for one world, in order, into
-// out (len(out) must equal len(Columns)).
+// out (len(out) must equal len(Columns)). p must bind every parameter
+// the row reads.
 func (s *Scenario) EvalRow(p param.Point, r *rng.Rand, out []float64) error {
 	if len(out) != len(s.evals) {
 		return fmt.Errorf("exec: row buffer %d != %d columns", len(out), len(s.evals))
 	}
-	for i, ev := range s.evals {
-		v, err := ev(out, p, r)
-		if err != nil {
-			return err
+	for _, name := range s.params {
+		if _, ok := p[name]; !ok {
+			return fmt.Errorf("exec: point %v does not bind @%s", p, name)
 		}
-		out[i] = v
 	}
+	copy(out, s.evalRow(p, r))
 	return nil
+}
+
+// evalRow evaluates one world into a fresh row vector and returns it;
+// the columns are its first len(Columns) entries.
+func (s *Scenario) evalRow(p param.Point, r *rng.Rand) []float64 {
+	v := make([]float64, s.width)
+	for i, ev := range s.evals {
+		v[i] = ev(v, p, r)
+	}
+	return v
 }
 
 // ColumnEval returns a PointEval producing the named column. Every
 // invocation evaluates the full row (one world of the whole scenario)
 // and projects the column — the simulation is a single stochastic
-// function; columns are views of it.
+// function; columns are views of it. A row that reads a CHAIN
+// parameter has no value at a plain parameter point; NewScenarioChain
+// evaluates it.
 func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
-	idx := -1
-	for i, c := range s.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(s.Columns, name)
 	if idx < 0 {
 		return nil, fmt.Errorf("exec: no result column %q (have %v)", name, s.Columns)
 	}
-	nCols := len(s.evals)
+	if s.chainParam != "" {
+		return nil, fmt.Errorf("exec: column %q reads CHAIN parameter @%s; use NewScenarioChain",
+			name, s.chainParam)
+	}
 	return mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		slots := make([]float64, nCols)
-		if err := s.EvalRow(p, r, slots); err != nil {
-			// PointEval is infallible by contract; runtime evaluation
-			// errors indicate a compilation bug (all name resolution
-			// happens at compile time) and must not be silently folded
-			// into estimates.
-			panic(err)
-		}
-		return slots[idx]
+		return s.evalRow(p, r)[idx]
 	}), nil
 }
 
-// compileExpr lowers a parsed expression to the direct interpreter
-// form. Name resolution happens here; evaluation cannot fail on
-// resolution. Booleans are represented as 0/1 floats.
-func compileExpr(e sqlparse.Expr, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
+// compiler lowers one scenario's expressions to colEvals: it resolves
+// every column, parameter and function name and lays out the row
+// vector.
+type compiler struct {
+	space *param.Space
+	boxes *blackbox.Registry
+	// slots maps each compiled column to its row-vector index.
+	slots map[string]int
+	// width is the row vector's length so far.
+	width int
+	// params and chainParam become the Scenario's fields.
+	params     []string
+	chainParam string
+}
+
+// expr lowers a parsed expression to the direct interpreter form.
+// Booleans are represented as 0/1 floats.
+func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
 	switch n := e.(type) {
 	case *sqlparse.NumberLit:
 		v := n.Value
-		return func([]float64, param.Point, *rng.Rand) (float64, error) { return v, nil }, nil
+		return func([]float64, param.Point, *rng.Rand) float64 { return v }, nil
 	case *sqlparse.StringLit:
 		return nil, errors.New("string literals are not numeric")
 	case *sqlparse.ColRef:
-		idx, ok := slots[n.Name]
+		idx, ok := c.slots[n.Name]
 		if !ok {
 			return nil, fmt.Errorf("unknown column %q", n.Name)
 		}
-		return func(s []float64, _ param.Point, _ *rng.Rand) (float64, error) {
-			return s[idx], nil
-		}, nil
+		return func(v []float64, _ param.Point, _ *rng.Rand) float64 { return v[idx] }, nil
 	case *sqlparse.ParamRef:
-		name := n.Name
-		return func(_ []float64, p param.Point, _ *rng.Rand) (float64, error) {
-			v, ok := p.Get(name)
-			if !ok {
-				return 0, fmt.Errorf("exec: unbound parameter @%s", name)
-			}
-			return v, nil
-		}, nil
+		return c.param(n.Name)
 	case *sqlparse.Unary:
-		inner, err := compileExpr(n.E, slots, boxes)
+		inner, err := c.expr(n.E)
 		if err != nil {
 			return nil, err
 		}
 		if n.Op == "NOT" {
-			return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-				v, err := inner(s, p, r)
-				if err != nil {
-					return 0, err
-				}
-				if v == 0 {
-					return 1, nil
-				}
-				return 0, nil
+			return func(v []float64, p param.Point, r *rng.Rand) float64 {
+				return b2f(inner(v, p, r) == 0)
 			}, nil
 		}
-		return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-			v, err := inner(s, p, r)
-			return -v, err
+		return func(v []float64, p param.Point, r *rng.Rand) float64 {
+			return -inner(v, p, r)
 		}, nil
 	case *sqlparse.Binary:
-		return compileBinary(n, slots, boxes)
+		return c.binary(n)
 	case *sqlparse.CaseExpr:
-		return compileCase(n, slots, boxes)
+		return c.caseExpr(n)
 	case *sqlparse.FuncCall:
-		return compileCall(n, slots, boxes)
+		return c.call(n)
 	default:
 		return nil, fmt.Errorf("unsupported expression %T", e)
 	}
 }
 
-func compileBinary(n *sqlparse.Binary, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
-	l, err := compileExpr(n.Left, slots, boxes)
+// param resolves a parameter reference against the declarations.
+func (c *compiler) param(name string) (colEval, error) {
+	d, ok := c.space.Decl(name)
+	if !ok {
+		return nil, fmt.Errorf("undeclared parameter @%s", name)
+	}
+	if !slices.Contains(c.params, name) {
+		c.params = append(c.params, name)
+	}
+	if d.Kind == param.KindChain && c.chainParam == "" {
+		c.chainParam = name
+	}
+	return func(_ []float64, p param.Point, _ *rng.Rand) float64 {
+		v, ok := p[name]
+		if !ok {
+			// Only a caller that breaks the PointEval contract gets
+			// here: every point a Space or ScenarioChain builds binds
+			// the declared parameters, and EvalRow checks its point.
+			panic(fmt.Sprintf("exec: point %v does not bind @%s", p, name))
+		}
+		return v
+	}, nil
+}
+
+func (c *compiler) binary(n *sqlparse.Binary) (colEval, error) {
+	l, err := c.expr(n.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileExpr(n.Right, slots, boxes)
+	r, err := c.expr(n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -294,34 +315,27 @@ func compileBinary(n *sqlparse.Binary, slots map[string]int, boxes *blackbox.Reg
 	default:
 		return nil, fmt.Errorf("unsupported operator %q", n.Op)
 	}
-	return func(s []float64, p param.Point, rr *rng.Rand) (float64, error) {
-		a, err := l(s, p, rr)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r(s, p, rr)
-		if err != nil {
-			return 0, err
-		}
-		return op(a, b), nil
+	return func(v []float64, p param.Point, rr *rng.Rand) float64 {
+		a := l(v, p, rr)
+		return op(a, r(v, p, rr))
 	}, nil
 }
 
-// compileCase compiles all arms. Arms are evaluated in order; note
-// that unlike SQL's lazy CASE, *model calls inside untaken arms are
-// still evaluated* so the generator stream advances identically on
-// every code path — the fixed stream-consumption discipline that keeps
+// caseExpr compiles all arms. Arms are evaluated in order; note that
+// unlike SQL's lazy CASE, *model calls inside untaken arms are still
+// evaluated* so the generator stream advances identically on every
+// code path — the fixed stream-consumption discipline that keeps
 // fingerprints comparable across parameter values (§3.1). Scenario
 // authors pay a little wasted work for deterministic alignment.
-func compileCase(n *sqlparse.CaseExpr, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
+func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
 	type arm struct{ when, then colEval }
 	arms := make([]arm, 0, len(n.Whens))
 	for _, a := range n.Whens {
-		w, err := compileExpr(a.When, slots, boxes)
+		w, err := c.expr(a.When)
 		if err != nil {
 			return nil, err
 		}
-		t, err := compileExpr(a.Then, slots, boxes)
+		t, err := c.expr(a.Then)
 		if err != nil {
 			return nil, err
 		}
@@ -330,114 +344,102 @@ func compileCase(n *sqlparse.CaseExpr, slots map[string]int, boxes *blackbox.Reg
 	var elseEv colEval
 	if n.Else != nil {
 		var err error
-		if elseEv, err = compileExpr(n.Else, slots, boxes); err != nil {
+		if elseEv, err = c.expr(n.Else); err != nil {
 			return nil, err
 		}
 	}
-	return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-		chosen := -1 // index of first satisfied arm; -2 selects ELSE
+	return func(v []float64, p param.Point, r *rng.Rand) float64 {
+		chosen := false
 		result := 0.0
-		for i, a := range arms {
-			c, err := a.when(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			v, err := a.then(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			if chosen == -1 && c != 0 {
-				chosen = i
-				result = v
+		for _, a := range arms {
+			cond := a.when(v, p, r)
+			then := a.then(v, p, r)
+			if !chosen && cond != 0 {
+				chosen = true
+				result = then
 			}
 		}
-		if chosen >= 0 {
-			return result, nil
+		if !chosen && elseEv != nil {
+			return elseEv(v, p, r)
 		}
-		if elseEv != nil {
-			return elseEv(s, p, r)
-		}
-		return 0, nil
+		return result
 	}, nil
 }
 
-func compileCall(n *sqlparse.FuncCall, slots map[string]int, boxes *blackbox.Registry) (colEval, error) {
+// call compiles a builtin or black-box call. The call site owns a
+// fixed region of the row vector for its arguments; nested calls get
+// their own regions, so evaluating an argument never overwrites
+// another.
+func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 	if n.Name == "NULL" {
 		return nil, errors.New("NULL is not supported by the lightweight engine")
 	}
+	box, ok := scalarBuiltin(n.Name)
+	if !ok {
+		if c.boxes == nil {
+			return nil, fmt.Errorf("unknown function %q (no registry)", n.Name)
+		}
+		var err error
+		if box, err = c.boxes.Lookup(n.Name); err != nil {
+			return nil, err
+		}
+	}
+	if box.Arity() != len(n.Args) {
+		return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(n.Args))
+	}
+	lo := c.width
+	hi := lo + len(n.Args)
+	c.width = hi
 	args := make([]colEval, len(n.Args))
 	for i, a := range n.Args {
-		ev, err := compileExpr(a, slots, boxes)
+		ev, err := c.expr(a)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = ev
 	}
-	if fn, arity, ok := scalarBuiltin(n.Name); ok {
-		if arity != len(args) {
-			return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, arity, len(args))
-		}
-		return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-			buf := make([]float64, len(args))
-			for i, a := range args {
-				v, err := a(s, p, r)
-				if err != nil {
-					return 0, err
-				}
-				buf[i] = v
-			}
-			return fn(buf), nil
-		}, nil
-	}
-	if boxes == nil {
-		return nil, fmt.Errorf("unknown function %q (no registry)", n.Name)
-	}
-	box, err := boxes.Lookup(n.Name)
-	if err != nil {
-		return nil, err
-	}
-	if box.Arity() != len(args) {
-		return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(args))
-	}
-	return func(s []float64, p param.Point, r *rng.Rand) (float64, error) {
-		buf := make([]float64, len(args))
+	return func(v []float64, p param.Point, r *rng.Rand) float64 {
+		buf := v[lo:hi]
 		for i, a := range args {
-			v, err := a(s, p, r)
-			if err != nil {
-				return 0, err
-			}
-			buf[i] = v
+			buf[i] = a(v, p, r)
 		}
-		return box.Eval(buf, r), nil
+		return box.Eval(buf, r)
 	}, nil
 }
 
-func scalarBuiltin(name string) (func([]float64) float64, int, bool) {
+// scalarBuiltin returns the deterministic builtin of that name as a
+// box; builtins draw nothing from the generator.
+func scalarBuiltin(name string) (blackbox.Box, bool) {
 	switch name {
 	case "ABS", "abs":
-		return func(a []float64) float64 {
+		return builtin(name, 1, func(a []float64) float64 {
 			if a[0] < 0 {
 				return -a[0]
 			}
 			return a[0]
-		}, 1, true
+		}), true
 	case "MINV", "minv":
-		return func(a []float64) float64 {
+		return builtin(name, 2, func(a []float64) float64 {
 			if a[0] < a[1] {
 				return a[0]
 			}
 			return a[1]
-		}, 2, true
+		}), true
 	case "MAXV", "maxv":
-		return func(a []float64) float64 {
+		return builtin(name, 2, func(a []float64) float64 {
 			if a[0] > a[1] {
 				return a[0]
 			}
 			return a[1]
-		}, 2, true
+		}), true
 	default:
-		return nil, 0, false
+		return nil, false
 	}
+}
+
+func builtin(name string, arity int, fn func([]float64) float64) blackbox.Box {
+	return blackbox.Func{FuncName: name, NArgs: arity,
+		Fn: func(a []float64, _ *rng.Rand) float64 { return fn(a) }}
 }
 
 func b2f(b bool) float64 {

@@ -92,6 +92,23 @@ func TestEvalRowBufferValidation(t *testing.T) {
 	if err := s.EvalRow(param.Point{}, rng.New(1), make([]float64, 1)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
+	p := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}
+	err := s.EvalRow(p, rng.New(1), make([]float64, 3))
+	if err == nil || !strings.Contains(err.Error(), "@feature_release") {
+		t.Fatalf("point missing @feature_release: err = %v", err)
+	}
+}
+
+func TestCompileRejectsUndeclaredParameter(t *testing.T) {
+	script, err := sqlparse.Parse(`DECLARE PARAMETER @w AS RANGE 0 TO 10 STEP BY 1;
+	SELECT DemandModel(@w, @typo) AS demand`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompileScenario(script, stdRegistry())
+	if err == nil || !strings.Contains(err.Error(), "@typo") {
+		t.Fatalf("undeclared parameter: err = %v", err)
+	}
 }
 
 func TestColumnEval(t *testing.T) {
@@ -246,13 +263,15 @@ func TestScenarioSweepReuse(t *testing.T) {
 	}
 }
 
+// subquerySource re-selects a subquery column beside a derived one.
+const subquerySource = `
+DECLARE PARAMETER @w AS RANGE 0 TO 10 STEP BY 1;
+SELECT demand * 2 AS doubled, demand
+FROM (SELECT DemandModel(@w, 99) AS demand)
+INTO results`
+
 func TestCompileSubqueryColumns(t *testing.T) {
-	src := `
-	DECLARE PARAMETER @w AS RANGE 0 TO 10 STEP BY 1;
-	SELECT demand * 2 AS doubled, demand
-	FROM (SELECT DemandModel(@w, 99) AS demand)
-	INTO results`
-	script, err := sqlparse.Parse(src)
+	script, err := sqlparse.Parse(subquerySource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,4 +293,28 @@ func TestCompileSubqueryColumns(t *testing.T) {
 	if !strings.Contains(s.Columns[1], "doubled") {
 		t.Fatal("impossible")
 	}
+}
+
+// FuzzCompileScenario checks that CompileScenario never panics and
+// that a scenario it accepts without a CHAIN evaluates a row at its
+// space's first point without error: every name resolves at compile
+// time.
+func FuzzCompileScenario(f *testing.F) {
+	for _, src := range []string{figure1Source, figure5Source, subquerySource, figure1Source + graphSource} {
+		f.Add(src)
+	}
+	reg := fig5Registry()
+	f.Fuzz(func(t *testing.T, src string) {
+		script, err := sqlparse.Parse(src)
+		if err != nil {
+			return
+		}
+		s, err := CompileScenario(script, reg)
+		if err != nil || len(s.Chains()) > 0 {
+			return
+		}
+		if err := s.EvalRow(s.Space.Point(0), rng.New(1), make([]float64, len(s.Columns))); err != nil {
+			t.Fatalf("compiled scenario fails at its first point: %v", err)
+		}
+	})
 }

@@ -30,8 +30,8 @@ type GraphResult struct {
 
 // RunGraph evaluates a GRAPH statement over the scenario: the Over
 // parameter is swept across its domain while fixed binds every other
-// enumerable parameter. One engine per referenced column provides
-// fingerprint reuse along the sweep.
+// enumerable parameter. A ColumnSweep over the series' columns
+// provides fingerprint reuse along the domain.
 func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Options) (*GraphResult, error) {
 	if g == nil {
 		return nil, errors.New("exec: nil GRAPH statement")
@@ -50,69 +50,39 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 		}
 	}
 
-	domain := decl.Domain()
-	res := &GraphResult{Over: g.Over}
-
-	// One engine (and basis store) per distinct column keeps mappings
-	// sound: different columns are different stochastic functions.
-	engines := map[string]*mc.Engine{}
-	evals := map[string]mc.PointEval{}
-	for _, series := range g.Series {
-		if _, ok := engines[series.Column]; ok {
-			continue
-		}
-		ev, err := s.ColumnEval(series.Column)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := mc.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		engines[series.Column] = eng
-		evals[series.Column] = ev
+	cols := make([]string, len(g.Series))
+	for i, series := range g.Series {
+		cols[i] = series.Column
 	}
-
-	// The swept points are shared by every column's engine; each
-	// engine walks them through its worker pool (Options.Workers) via
-	// the deterministic batched sweep.
+	sweep, err := s.SweepColumns(cols, opts)
+	if err != nil {
+		return nil, err
+	}
+	domain := decl.Domain()
 	batch := make([]param.Point, 0, len(domain))
 	for _, x := range domain {
 		batch = append(batch, fixed.With(g.Over, x))
 	}
-	type cell struct{ mean, std float64 }
-	values := map[string][]cell{}
-	for col, eng := range engines {
-		prs, _, err := eng.SweepBatch(evals[col], batch)
-		if err != nil {
-			return nil, err
-		}
-		cells := make([]cell, 0, len(domain))
-		for _, pr := range prs {
-			cells = append(cells, cell{pr.Summary.Mean, pr.Summary.StdDev})
-		}
-		values[col] = cells
-		st := eng.Stats(len(domain))
-		res.Stats.Points += st.Points
-		res.Stats.FullSimulations += st.FullSimulations
-		res.Stats.Reused += st.Reused
+	swept, err := sweep.Sweep(batch)
+	if err != nil {
+		return nil, err
 	}
 
-	for _, series := range g.Series {
+	res := &GraphResult{Over: g.Over, Stats: sweep.Stats()}
+	for i, series := range g.Series {
 		out := Series{
 			Label:  fmt.Sprintf("%s %s", series.Metric, series.Column),
 			Metric: series.Metric,
 			Column: series.Column,
 			Style:  series.Style,
 			X:      append([]float64(nil), domain...),
+			Y:      make([]float64, len(swept[i])),
 		}
-		cells := values[series.Column]
-		out.Y = make([]float64, len(cells))
-		for i, c := range cells {
+		for j, pr := range swept[i] {
 			if series.Metric == sqlparse.MetricStdDev {
-				out.Y[i] = c.std
+				out.Y[j] = pr.Summary.StdDev
 			} else {
-				out.Y[i] = c.mean
+				out.Y[j] = pr.Summary.Mean
 			}
 		}
 		res.Series = append(res.Series, out)

@@ -1,0 +1,89 @@
+package exec
+
+import (
+	"slices"
+
+	"jigsaw/internal/mc"
+	"jigsaw/internal/param"
+)
+
+// ColumnSweep sweeps scenario columns through the Monte Carlo engine
+// for OPTIMIZE constraints and GRAPH series. It owns one engine, and
+// so one basis store, per distinct column: different columns are
+// different stochastic functions, so a basis of one must never answer
+// for another. Engines persist across Sweep calls, so reuse spans
+// every batch swept — the whole (group × sweep) space of an OPTIMIZE,
+// which is where the two-orders-of-magnitude wins of §6.2 come from.
+type ColumnSweep struct {
+	// evals and engines hold one entry per distinct column, in the
+	// order the columns first appear.
+	evals   []mc.PointEval
+	engines []*mc.Engine
+	// column maps each requested name, by position, to its distinct
+	// column.
+	column []int
+	// points counts column-points swept.
+	points int
+}
+
+// SweepColumns builds the sweep of the named columns. A name may
+// repeat; its column is swept once.
+func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, error) {
+	cs := &ColumnSweep{column: make([]int, len(names))}
+	for i, name := range names {
+		if j := slices.Index(names[:i], name); j >= 0 {
+			cs.column[i] = cs.column[j]
+			continue
+		}
+		ev, err := s.ColumnEval(name)
+		if err != nil {
+			return nil, err
+		}
+		eng, err := mc.New(opts)
+		if err != nil {
+			return nil, err
+		}
+		cs.column[i] = len(cs.engines)
+		cs.evals = append(cs.evals, ev)
+		cs.engines = append(cs.engines, eng)
+	}
+	return cs, nil
+}
+
+// Sweep evaluates each distinct column at every point of batch, on
+// the engines' worker pools (Options.Workers), and returns one result
+// slice per name given to SweepColumns, in batch order. Names of the
+// same column share its slice.
+func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
+	swept := make([][]mc.PointResult, len(cs.engines))
+	for c, eng := range cs.engines {
+		prs, _, err := eng.SweepBatch(cs.evals[c], batch)
+		if err != nil {
+			return nil, err
+		}
+		swept[c] = prs
+		cs.points += len(prs)
+	}
+	out := make([][]mc.PointResult, len(cs.column))
+	for i, c := range cs.column {
+		out[i] = swept[c]
+	}
+	return out, nil
+}
+
+// Stats sums the engines' reuse accounting over every Sweep so far.
+// Points counts column-points swept: each distinct column once per
+// batch point.
+func (cs *ColumnSweep) Stats() mc.SweepStats {
+	st := mc.SweepStats{Points: cs.points}
+	for _, eng := range cs.engines {
+		es := eng.Stats(0)
+		st.FullSimulations += es.FullSimulations
+		st.Reused += es.Reused
+		st.Store.Bases += es.Store.Bases
+		st.Store.Queries += es.Store.Queries
+		st.Store.Hits += es.Store.Hits
+		st.Store.CandidatesScanned += es.Store.CandidatesScanned
+	}
+	return st
+}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"jigsaw/internal/core"
@@ -74,6 +75,26 @@ type Options struct {
 	Workers int
 }
 
+// validate rejects option values that no default repairs. It runs
+// before withDefaults, so a non-finite Tolerance is caught instead of
+// silently breaking validation (NaN) or being replaced by the default
+// (-Inf).
+func (o Options) validate() error {
+	switch {
+	case o.BatchSize < 0:
+		return fmt.Errorf("interactive: negative BatchSize %d", o.BatchSize)
+	case o.FingerprintLen < 0:
+		return fmt.Errorf("interactive: negative FingerprintLen %d", o.FingerprintLen)
+	case o.Workers < 0:
+		return fmt.Errorf("interactive: negative Workers %d", o.Workers)
+	case o.HistBins < 0:
+		return fmt.Errorf("interactive: negative HistBins %d", o.HistBins)
+	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
+		return fmt.Errorf("interactive: non-finite Tolerance %g", o.Tolerance)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.BatchSize == 0 {
 		o.BatchSize = 10
@@ -84,7 +105,7 @@ func (o Options) withDefaults() Options {
 	if o.Tolerance <= 0 {
 		o.Tolerance = core.DefaultTolerance
 	}
-	if o.Workers < 1 {
+	if o.Workers == 0 {
 		o.Workers = 1
 	}
 	return o
@@ -156,6 +177,9 @@ func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, 
 	}
 	if space == nil {
 		return nil, errors.New("interactive: nil space")
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	seeds, err := rng.NewSeedSet(opts.MasterSeed, opts.FingerprintLen)

@@ -53,6 +53,34 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 }
 
+func TestNewSessionRejectsInvalidOptions(t *testing.T) {
+	d, _ := param.Range("week", 0, 5, 1)
+	space := param.MustSpace(d)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"negative batch size", Options{BatchSize: -1}, "BatchSize"},
+		{"negative fingerprint length", Options{FingerprintLen: -3}, "FingerprintLen"},
+		{"negative workers", Options{Workers: -1}, "Workers"},
+		{"negative hist bins", Options{HistBins: -2}, "HistBins"},
+		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
+		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
+		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSession(linearEval, space, tc.opts)
+			if err == nil {
+				t.Fatalf("NewSession(%+v) accepted invalid options (session %v)", tc.opts, s != nil)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %s", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestTickRequiresFocus(t *testing.T) {
 	s := newTestSession(t, linearEval, 0, 5)
 	if _, _, err := s.Tick(); err != ErrNoFocus {

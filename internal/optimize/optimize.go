@@ -29,11 +29,11 @@ type Result struct {
 	Feasible int
 	// Groups counts enumerated groups.
 	Groups int
-	// PointsEvaluated counts (group × sweep) metric evaluations per
-	// constraint column.
+	// PointsEvaluated counts (group × sweep) points swept per distinct
+	// constraint column; it equals Stats.Points.
 	PointsEvaluated int
-	// Stats aggregates engine reuse counters across constraint
-	// columns.
+	// Stats aggregates the reuse accounting of the constraint columns'
+	// ColumnSweep.
 	Stats mc.SweepStats
 }
 
@@ -93,25 +93,13 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 		return nil, err
 	}
 
-	// One engine per distinct constraint column: reuse spans the whole
-	// (group × sweep) space, which is where the two-orders-of-magnitude
-	// wins of §6.2 come from.
-	engines := map[string]*mc.Engine{}
-	evals := map[string]mc.PointEval{}
-	for _, c := range stmt.Constraints {
-		if _, ok := engines[c.Column]; ok {
-			continue
-		}
-		ev, err := s.ColumnEval(c.Column)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := mc.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		engines[c.Column] = eng
-		evals[c.Column] = ev
+	cols := make([]string, len(stmt.Constraints))
+	for i, c := range stmt.Constraints {
+		cols[i] = c.Column
+	}
+	sweep, err := s.SweepColumns(cols, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Groups: groupSpace.Size()}
@@ -123,10 +111,6 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 
 	var sweepErr error
 	groupSpace.Each(func(g param.Point) bool {
-		// Compose the group's batch once; every constraint column
-		// sweeps the same points through its engine's worker pool
-		// (Options.Workers), so optimization rides the same concurrent
-		// sweep as Engine.Sweep.
 		batch := make([]param.Point, 0, sweepSpace.Size())
 		sweepSpace.Each(func(sp param.Point) bool {
 			full := g.Clone()
@@ -136,17 +120,16 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 			batch = append(batch, full)
 			return true
 		})
+		swept, err := sweep.Sweep(batch)
+		if err != nil {
+			sweepErr = err
+			return false
+		}
 		values := make([]float64, len(stmt.Constraints))
 		ok := true
 		for ci, c := range stmt.Constraints {
 			agg := newOuterAgg(c.Outer)
-			prs, _, err := engines[c.Column].SweepBatch(evals[c.Column], batch)
-			if err != nil {
-				sweepErr = err
-				return false
-			}
-			res.PointsEvaluated += len(prs)
-			for _, pr := range prs {
+			for _, pr := range swept[ci] {
 				metric := pr.Summary.Mean
 				if c.Metric == sqlparse.MetricStdDev {
 					metric = pr.Summary.StdDev
@@ -154,12 +137,7 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 				agg.add(metric)
 			}
 			values[ci] = agg.result()
-			if !satisfies(values[ci], c.Op, c.Bound) {
-				ok = false
-				// Remaining constraints still evaluated: their values
-				// are reported per group and the engines' bases keep
-				// warming for later groups.
-			}
+			ok = ok && satisfies(values[ci], c.Op, c.Bound)
 		}
 		if ok {
 			feasible = append(feasible, feasibleGroup{point: g, values: values})
@@ -171,16 +149,8 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 	}
 
 	res.Feasible = len(feasible)
-	for _, eng := range engines {
-		st := eng.Stats(0)
-		res.Stats.FullSimulations += st.FullSimulations
-		res.Stats.Reused += st.Reused
-		res.Stats.Store.Bases += st.Store.Bases
-		res.Stats.Store.Queries += st.Store.Queries
-		res.Stats.Store.Hits += st.Store.Hits
-		res.Stats.Store.CandidatesScanned += st.Store.CandidatesScanned
-	}
-	res.Stats.Points = res.PointsEvaluated
+	res.Stats = sweep.Stats()
+	res.PointsEvaluated = res.Stats.Points
 
 	if len(feasible) == 0 {
 		return res, nil

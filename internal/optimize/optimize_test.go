@@ -1,6 +1,8 @@
 package optimize
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -197,5 +199,47 @@ FOR MIN @purchase1, MIN @feature_release`)
 	}
 	if len(res.ConstraintValues) != 2 {
 		t.Fatalf("constraint values = %v", res.ConstraintValues)
+	}
+}
+
+// TestRunOptimizeSharedConstraintColumn: two constraints on one column
+// sweep it once, so the run does exactly the work of either constraint
+// alone and reports the same values. The loose bounds make every group
+// feasible, so all three runs choose the same group.
+func TestRunOptimizeSharedConstraintColumn(t *testing.T) {
+	run := func(where string) *Result {
+		t.Helper()
+		s, script := compileScenario(t, scenarioSource+`
+OPTIMIZE SELECT @purchase1, @feature_release
+FROM results
+WHERE `+where+`
+GROUP BY purchase1, feature_release
+FOR MAX @purchase1, MAX @feature_release`)
+		res, err := Run(s, script.Optimize, testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	both := run("MAX(EXPECT overload) < 2 AND AVG(EXPECT overload) < 2")
+	maxOnly := run("MAX(EXPECT overload) < 2")
+	avgOnly := run("AVG(EXPECT overload) < 2")
+
+	const points = 7 * 2 * 14 // (purchase1 × feature_release) groups × weeks
+	if both.Stats.Points != points || both.PointsEvaluated != points {
+		t.Fatalf("points = %d (evaluated %d), want one column's %d",
+			both.Stats.Points, both.PointsEvaluated, points)
+	}
+	if !reflect.DeepEqual(both.Stats, maxOnly.Stats) {
+		t.Fatalf("shared-column stats %+v, single constraint %+v", both.Stats, maxOnly.Stats)
+	}
+	want := []float64{maxOnly.ConstraintValues[0], avgOnly.ConstraintValues[0]}
+	for i, w := range want {
+		if math.Float64bits(both.ConstraintValues[i]) != math.Float64bits(w) {
+			t.Fatalf("constraint values %v, single-constraint runs %v", both.ConstraintValues, want)
+		}
+	}
+	if !reflect.DeepEqual(both.Chosen, maxOnly.Chosen) || !reflect.DeepEqual(both.Chosen, avgOnly.Chosen) {
+		t.Fatalf("chosen %v, single-constraint runs %v and %v", both.Chosen, maxOnly.Chosen, avgOnly.Chosen)
 	}
 }

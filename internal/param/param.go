@@ -69,8 +69,13 @@ type Decl struct {
 	Initial      float64 // INITIAL VALUE
 }
 
+// MaxDomain bounds the number of values one RANGE may take: the
+// Parameter Enumerator visits every value, and NewSpace materializes
+// each domain.
+const MaxDomain = 1 << 20
+
 // Range constructs a RANGE declaration. Step must be positive and the
-// range non-empty.
+// range non-empty, with at most MaxDomain values.
 func Range(name string, lo, hi, step float64) (Decl, error) {
 	if name == "" {
 		return Decl{}, errors.New("param: empty parameter name")
@@ -80,6 +85,11 @@ func Range(name string, lo, hi, step float64) (Decl, error) {
 	}
 	if hi < lo {
 		return Decl{}, fmt.Errorf("param: %s: RANGE %g TO %g is empty", name, lo, hi)
+	}
+	// Written as a negation so NaN bounds are rejected too.
+	if !((hi-lo)/step < MaxDomain) {
+		return Decl{}, fmt.Errorf("param: %s: RANGE %g TO %g STEP BY %g has more than %d values",
+			name, lo, hi, step, MaxDomain)
 	}
 	return Decl{Name: name, Kind: KindRange, Lo: lo, Hi: hi, Step: step}, nil
 }
@@ -189,4 +199,3 @@ func (d Decl) String() string {
 		return fmt.Sprintf("@%s AS <invalid>", d.Name)
 	}
 }
-

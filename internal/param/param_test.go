@@ -1,6 +1,7 @@
 package param
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,6 +46,14 @@ func TestRangeErrors(t *testing.T) {
 	}
 	if _, err := Range("x", 2, 1, 1); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+	if _, err := Range("x", 0, MaxDomain-1, 1); err != nil {
+		t.Fatalf("range of MaxDomain values rejected: %v", err)
+	}
+	for _, hi := range []float64{MaxDomain, 1e300, math.Inf(1), math.NaN()} {
+		if _, err := Range("x", 0, hi, 1); err == nil {
+			t.Fatalf("RANGE 0 TO %g accepted", hi)
+		}
 	}
 }
 
@@ -254,6 +263,19 @@ func TestSpaceDuplicateName(t *testing.T) {
 	a2, _ := Set("a", 5)
 	if _, err := NewSpace(a, a2); err == nil {
 		t.Fatal("duplicate parameter accepted")
+	}
+}
+
+func TestSpaceSizeOverflowRejected(t *testing.T) {
+	decls := make([]Decl, 4)
+	for i := range decls {
+		decls[i], _ = Range(string(rune('a'+i)), 0, MaxDomain-1, 1)
+	}
+	if _, err := NewSpace(decls[:3]...); err != nil {
+		t.Fatalf("2^60-point space rejected: %v", err)
+	}
+	if _, err := NewSpace(decls...); err == nil {
+		t.Fatal("2^80-point space accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package param
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -81,6 +82,7 @@ type Space struct {
 func NewSpace(decls ...Decl) (*Space, error) {
 	seen := make(map[string]bool, len(decls))
 	s := &Space{}
+	size := 1
 	for _, d := range decls {
 		if seen[d.Name] {
 			return nil, fmt.Errorf("param: duplicate parameter @%s", d.Name)
@@ -94,6 +96,10 @@ func NewSpace(decls ...Decl) (*Space, error) {
 		if len(dom) == 0 {
 			return nil, fmt.Errorf("param: @%s has an empty domain", d.Name)
 		}
+		if len(dom) > math.MaxInt/size {
+			return nil, fmt.Errorf("param: the space has more than %d points", math.MaxInt)
+		}
+		size *= len(dom)
 		s.decls = append(s.decls, d)
 		s.domains = append(s.domains, dom)
 	}

@@ -116,3 +116,36 @@ func TestDeepNestingDoesNotOverflow(t *testing.T) {
 		t.Fatalf("deep nesting rejected: %v", err)
 	}
 }
+
+// FuzzParse checks that Parse never panics and that every SELECT
+// item's printed expression reparses to the same printed form.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{figure1Query, figure5Query, graphQuery, figure1Query + graphQuery} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		script, err := Parse(src)
+		if err != nil {
+			return
+		}
+		var check func(sel *SelectStmt)
+		check = func(sel *SelectStmt) {
+			for _, item := range sel.Items {
+				printed := item.Expr.String()
+				re, err := ParseExpr(printed)
+				if err != nil {
+					t.Fatalf("reparse %q: %v", printed, err)
+				}
+				if re.String() != printed {
+					t.Fatalf("round trip unstable:\n  once  %q\n  twice %q", printed, re.String())
+				}
+			}
+			if sel.From != nil && sel.From.Subquery != nil {
+				check(sel.From.Subquery)
+			}
+		}
+		for _, sel := range script.Selects {
+			check(sel)
+		}
+	})
+}
