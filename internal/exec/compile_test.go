@@ -247,7 +247,7 @@ func TestScenarioSweepReuse(t *testing.T) {
 	full := 0
 	for week := 0.0; week <= 52; week++ {
 		for _, fr := range []float64{12, 36, 44} {
-			pr := eng.EvaluatePoint(ev, fixed.With("current_week", week).With("feature_release", fr))
+			pr, _ := eng.EvaluatePoint(ev, fixed.With("current_week", week).With("feature_release", fr))
 			if !pr.Reused {
 				full++
 			}

@@ -75,6 +75,11 @@ func TestRunGraphFigure2(t *testing.T) {
 		// columns → 3 engines × 53 points.
 		t.Fatalf("points = %d", res.Stats.Points)
 	}
+	// The column sweep sums its engines' per-call statistics: every
+	// column-point is one reuse decision, answered exactly once.
+	if st := res.Stats; st.FullSimulations+st.Reused != st.Points || st.Store.Queries != st.Points {
+		t.Fatalf("stats %+v: want Points == FullSimulations + Reused == Store.Queries", st)
+	}
 }
 
 func TestRunGraphValidation(t *testing.T) {

@@ -52,7 +52,8 @@ func TestEnginesAgreeAcrossTheSpace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := light[col].EvaluatePoint(ev, p).Summary
+			res, _ := light[col].EvaluatePoint(ev, p)
+			got := res.Summary
 			want, err := dist.CellByName(0, col)
 			if err != nil {
 				t.Fatal(err)

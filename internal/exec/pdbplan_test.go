@@ -83,7 +83,7 @@ func TestPDBPlanAgreesWithLightweightEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, 500, 11)
-	pr := eng.EvaluatePoint(ev, toPoint(params))
+	pr, _ := eng.EvaluatePoint(ev, toPoint(params))
 	if math.Abs(pr.Summary.Mean-wrapDemand.Mean) > 1e-9 {
 		t.Fatalf("engines disagree: %g vs %g", pr.Summary.Mean, wrapDemand.Mean)
 	}

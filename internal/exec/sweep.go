@@ -22,8 +22,8 @@ type ColumnSweep struct {
 	// column maps each requested name, by position, to its distinct
 	// column.
 	column []int
-	// points counts column-points swept.
-	points int
+	// stats sums every engine's per-call statistics over every Sweep.
+	stats mc.SweepStats
 }
 
 // SweepColumns builds the sweep of the named columns. A name may
@@ -57,12 +57,12 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
 	swept := make([][]mc.PointResult, len(cs.engines))
 	for c, eng := range cs.engines {
-		prs, _, err := eng.SweepBatch(cs.evals[c], batch)
+		prs, st, err := eng.SweepBatch(cs.evals[c], batch)
 		if err != nil {
 			return nil, err
 		}
 		swept[c] = prs
-		cs.points += len(prs)
+		cs.stats.Add(st)
 	}
 	out := make([][]mc.PointResult, len(cs.column))
 	for i, c := range cs.column {
@@ -71,19 +71,7 @@ func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
 	return out, nil
 }
 
-// Stats sums the engines' reuse accounting over every Sweep so far.
+// Stats returns the reuse accounting summed over every Sweep so far.
 // Points counts column-points swept: each distinct column once per
 // batch point.
-func (cs *ColumnSweep) Stats() mc.SweepStats {
-	st := mc.SweepStats{Points: cs.points}
-	for _, eng := range cs.engines {
-		es := eng.Stats(0)
-		st.FullSimulations += es.FullSimulations
-		st.Reused += es.Reused
-		st.Store.Bases += es.Store.Bases
-		st.Store.Queries += es.Store.Queries
-		st.Store.Hits += es.Store.Hits
-		st.Store.CandidatesScanned += es.Store.CandidatesScanned
-	}
-	return st
-}
+func (cs *ColumnSweep) Stats() mc.SweepStats { return cs.stats }

@@ -118,10 +118,10 @@ func measureSweepCell(name string, opts mc.Options, ev mc.PointEval, space *para
 	if err != nil {
 		return SweepBenchResult{}, err
 	}
-	if _, _, err := eng.Sweep(ev, space); err != nil {
+	_, st, err := eng.Sweep(ev, space)
+	if err != nil {
 		return SweepBenchResult{}, err
 	}
-	st := eng.Stats(space.Size())
 	reuseRate := 0.0
 	if st.Points > 0 {
 		reuseRate = float64(st.Reused) / float64(st.Points)

@@ -221,27 +221,40 @@ func (s *Session) Focus() param.Point { return s.focus.Clone() }
 // drawBatch evaluates the given sample ids for p on the session's
 // worker pool (Options.Workers) and returns the values in id-slice
 // order. Each id's seed is independent of every other draw, so the
-// result is identical for any worker count. Committed draws are
-// counted by the caller, not here: validation may discard speculative
-// draws after a mismatch, and the Evaluations counter tracks session
-// state, which must stay worker-count independent.
+// result is identical for any worker count. The batch splits into one
+// contiguous block per worker: a PointBinder evaluator binds p once
+// and draws each block through EvalBlockBound, any other evaluator
+// reseeds per sample — bit-identical by PointBinder's contract.
+// Committed draws are counted by the caller, not here: validation may
+// discard speculative draws after a mismatch, and the Evaluations
+// counter tracks session state, which must stay worker-count
+// independent.
 func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
-	if pb, ok := s.eval.(mc.PointBinder); ok {
-		// Bind the point once for the whole batch; EvalBound treats
-		// the bound arguments as read-only, so workers share them.
-		args := pb.BindPoint(p, s.argBuf)
-		s.argBuf = args
-		// pool.ForWorker with a background context never errors.
-		_ = pool.ForWorker(context.Background(), len(ids), s.opts.Workers, func(_, k int) {
-			var r rng.Rand
-			r.Seed(s.seeds.SampleSeed(s.opts.MasterSeed, ids[k]))
-			out[k] = pb.EvalBound(args, &r)
-		})
-		return out
+	seeds := make([]uint64, len(ids))
+	for k, id := range ids {
+		seeds[k] = s.seeds.SampleSeed(s.opts.MasterSeed, id)
 	}
-	_ = pool.For(context.Background(), len(ids), s.opts.Workers, func(k int) {
-		out[k] = s.eval.EvalPoint(p, rng.New(s.seeds.SampleSeed(s.opts.MasterSeed, ids[k])))
+	pb, bind := s.eval.(mc.PointBinder)
+	if bind {
+		// Workers share the binding: EvalBlockBound treats it as
+		// read-only.
+		s.argBuf = pb.BindPoint(p, s.argBuf)
+	}
+	workers := max(1, min(s.opts.Workers, len(ids)))
+	chunk := (len(ids) + workers - 1) / workers
+	// pool.For with a background context never errors.
+	_ = pool.For(context.Background(), workers, workers, func(c int) {
+		lo, hi := min(c*chunk, len(ids)), min((c+1)*chunk, len(ids))
+		if bind {
+			pb.EvalBlockBound(s.argBuf, out[lo:hi], seeds[lo:hi])
+			return
+		}
+		var r rng.Rand
+		for k := lo; k < hi; k++ {
+			r.Seed(seeds[k])
+			out[k] = s.eval.EvalPoint(p, &r)
+		}
 	})
 	return out
 }

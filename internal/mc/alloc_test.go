@@ -32,11 +32,11 @@ func TestEvaluatePointReusedAllocs(t *testing.T) {
 	// First point registers the basis.
 	e.EvaluatePoint(ev, param.Point{"week": 10, "feature": 52})
 	p := param.Point{"week": 30, "feature": 52}
-	if res := e.EvaluatePoint(ev, p); !res.Reused {
+	if res, _ := e.EvaluatePoint(ev, p); !res.Reused {
 		t.Fatal("second point not reused; test needs a mappable pair")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if res := e.EvaluatePoint(ev, p); !res.Reused {
+		if res, _ := e.EvaluatePoint(ev, p); !res.Reused {
 			t.Fatal("point stopped reusing")
 		}
 	})

@@ -6,14 +6,33 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/core"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
-// The block pipeline's engine-level guarantee: BlockSize is a pure
-// performance knob. Sweep results — summaries, reuse decisions, store
-// statistics — are bit-identical for every block size, every worker
-// count, and for block-capable and scalar-only evaluators alike.
+// The block pipeline's engine-level guarantee: the block size is a
+// pure performance choice. Sweep results — summaries, reuse decisions,
+// store statistics — are bit-identical for every block size, every
+// worker count, and for binder and plain evaluators alike.
+
+// mustNewBlockSize is MustNew with the engine drawing bs samples per
+// block instead of DefaultBlockSize.
+func mustNewBlockSize(opts Options, bs int) *Engine {
+	e := MustNew(opts)
+	e.blockSize = bs
+	return e
+}
+
+// fingerprintOf computes the fingerprint of f at p — the first m
+// simulation rounds (§3.1) — through the engine's own fill path.
+func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
+	sc := e.scratches.Get()
+	defer e.scratches.Put(sc)
+	fp := make(core.Fingerprint, e.seeds.Len())
+	e.fingerprintFill(f, p, fp, sc)
+	return fp
+}
 
 // blockSweepSpace is a space whose sweep exercises hits, misses and
 // both Demand branches.
@@ -38,7 +57,7 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 		Samples: 500, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexNormalization, Workers: 1,
 	}
-	ref := MustNew(base) // BlockSize 0 → DefaultBlockSize
+	ref := MustNew(base) // DefaultBlockSize
 	refRes, refStats, err := ref.Sweep(ev, space)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +67,8 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("block=%d/workers=%d", bs, workers), func(t *testing.T) {
 				opts := base
-				opts.BlockSize = bs
 				opts.Workers = workers
-				eng := MustNew(opts)
+				eng := mustNewBlockSize(opts, bs)
 				res, stats, err := eng.Sweep(ev, space)
 				if err != nil {
 					t.Fatal(err)
@@ -70,7 +88,7 @@ func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
 	// A BoundBox routes through the vectorized kernel; the same model
 	// wrapped as a plain EvalFunc takes the scalar fallback in
 	// sampleBlock. Both must produce bit-identical sweeps — the
-	// engine-level restatement of the BlockBinder contract.
+	// engine-level restatement of the PointBinder contract.
 	space := blockSweepSpace(t)
 	d := blackbox.NewDemand()
 	block := MustBindBox(d, "current_week", "feature_release")
@@ -119,9 +137,7 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{1, 7, 64} {
-		opts := base
-		opts.BlockSize = bs
-		eng := MustNew(opts)
+		eng := mustNewBlockSize(base, bs)
 		res, stats, err := eng.Sweep(ev, space)
 		if err != nil {
 			t.Fatal(err)
@@ -137,8 +153,8 @@ func TestFingerprintUnchangedByBlockSize(t *testing.T) {
 	p := param.Point{"current_week": 17, "feature_release": 4}
 	var want []float64
 	for _, bs := range []int{1, 3, 64} {
-		e := MustNew(Options{Samples: 100, FingerprintLen: 12, MasterSeed: 0x5161, BlockSize: bs, Workers: 1})
-		fp := e.Fingerprint(ev, p)
+		e := mustNewBlockSize(Options{Samples: 100, FingerprintLen: 12, MasterSeed: 0x5161, Workers: 1}, bs)
+		fp := fingerprintOf(e, ev, p)
 		if want == nil {
 			want = fp
 			continue

@@ -7,10 +7,10 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"jigsaw/internal/blackbox"
@@ -32,7 +32,7 @@ import (
 // engine spreads samples and points over workers). Plain functions
 // adapt via EvalFunc; evaluators that can separate argument binding
 // from sampling should additionally implement PointBinder, which the
-// engine's hot loops use to bind a point once instead of per sample.
+// engine's hot loops use to bind a point once and sample it in blocks.
 type PointEval interface {
 	// EvalPoint draws one sample at p using r as the sole randomness
 	// source.
@@ -45,50 +45,40 @@ type EvalFunc func(p param.Point, r *rng.Rand) float64
 // EvalPoint implements PointEval.
 func (f EvalFunc) EvalPoint(p param.Point, r *rng.Rand) float64 { return f(p, r) }
 
-// PointBinder is an optional PointEval capability: evaluators whose
-// per-sample work factors into "resolve the point's arguments" and
-// "run the model on resolved arguments" implement it so the engine
-// binds each point once and then draws all n samples against the
-// bound arguments — no per-sample map lookups, no per-sample
-// allocation. BindBox's evaluators implement it.
+// PointBinder is the one optional PointEval capability: evaluators
+// whose per-sample work factors into "resolve the point's arguments"
+// and "run the model on resolved arguments" implement it, and the
+// engine binds each point once and then draws its samples in pooled
+// seed blocks (fingerprints, full simulations, match validation) — no
+// per-sample map lookups, no per-sample allocation, and a vectorized
+// kernel where the model has one. EvalBlockBound must be bit-identical
+// to the reseed-per-sample loop over EvalPoint
+//
+//	for i := range seeds { r.Seed(seeds[i]); out[i] = EvalPoint(p, r) }
+//
+// with args = BindPoint(p, ...) — the engine relies on that to keep
+// results independent of block size and to mix binder and plain
+// evaluators freely (see DESIGN.md, "Block-sampling pipeline").
+// BindBox's evaluators implement it for every box (natively
+// block-capable or through the scalar adapter).
 type PointBinder interface {
 	PointEval
 	// BindPoint appends p's resolved arguments to buf (growing it as
-	// needed) and returns the bound slice for EvalBound. The
+	// needed) and returns the bound slice for EvalBlockBound. The
 	// implementation must not retain buf.
 	BindPoint(p param.Point, buf []float64) []float64
-	// EvalBound draws one sample against arguments previously bound by
-	// BindPoint. It must treat args as read-only: concurrent samples
-	// share one binding.
-	EvalBound(args []float64, r *rng.Rand) float64
-}
-
-// BlockBinder is an optional PointBinder capability: evaluators that
-// can draw a whole block of independently seeded samples in one call
-// implement it, and the engine's cold path (full simulations,
-// fingerprints, match validation) feeds them pooled seed blocks
-// instead of one sample per call. EvalBlockBound must be bit-identical
-// to the scalar loop
-//
-//	for i := range seeds { r.Seed(seeds[i]); out[i] = EvalBound(args, r) }
-//
-// — the engine relies on that to keep sweep results independent of
-// block size and to mix block and scalar evaluation freely (see
-// DESIGN.md, "Block-sampling pipeline"). BindBox's evaluators
-// implement it for every box (natively block-capable or through the
-// scalar adapter).
-type BlockBinder interface {
-	PointBinder
 	// EvalBlockBound draws one sample per seed against arguments
 	// previously bound by BindPoint. len(out) must equal len(seeds).
+	// It must treat args as read-only: concurrent blocks share one
+	// binding.
 	EvalBlockBound(args []float64, out []float64, seeds []uint64)
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional
 // arguments to named parameters. It implements PointBinder, so engine
-// hot loops resolve the parameter names once per point, and
-// BlockBinder, so they sample in blocks (vectorized when the box has a
-// native blackbox.BlockBox kernel, reference scalar loop otherwise).
+// hot loops resolve the parameter names once per point and sample in
+// blocks (vectorized when the box has a native blackbox.BlockBox
+// kernel, reference scalar loop otherwise).
 type BoundBox struct {
 	box   blackbox.Box
 	block blackbox.BlockBox
@@ -110,12 +100,7 @@ func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBound implements PointBinder.
-func (b *BoundBox) EvalBound(args []float64, r *rng.Rand) float64 {
-	return b.box.Eval(args, r)
-}
-
-// EvalBlockBound implements BlockBinder.
+// EvalBlockBound implements PointBinder.
 func (b *BoundBox) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
 	b.block.EvalBlock(args, out, seeds)
 }
@@ -207,18 +192,15 @@ type Options struct {
 	// lone EvaluatePoint call spreads its sample rounds instead. Results are deterministic for
 	// any worker count (see DESIGN.md, "Concurrency model").
 	Workers int
-	// BlockSize is the number of samples the full-simulation path
-	// draws per batch through the block pipeline; 0 means
-	// DefaultBlockSize. It is a pure performance knob: every sample's
-	// seed depends only on its id, so results are bit-identical for
-	// every block size (see DESIGN.md, "Block-sampling pipeline").
-	BlockSize int
 }
 
-// DefaultBlockSize is the sample-block size used when
-// Options.BlockSize is 0: large enough to amortize per-block setup
-// (seed fill, kernel dispatch, binding checks) to noise, small enough
-// that a block's seeds and samples stay L1-resident (4 KiB together).
+// DefaultBlockSize is the number of samples the engine draws per
+// batch through the block pipeline: large enough to amortize
+// per-block setup (seed fill, kernel dispatch, binding checks) to
+// noise, small enough that a block's seeds and samples stay
+// L1-resident (4 KiB together). Every sample's seed depends only on
+// its id, so results are bit-identical for every block size (see
+// DESIGN.md, "Block-sampling pipeline").
 const DefaultBlockSize = 256
 
 // MinSamplesPerWorker is the smallest number of post-fingerprint
@@ -272,9 +254,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = DefaultBlockSize
 	}
 	return o
 }
@@ -369,8 +348,8 @@ type PointResult struct {
 // Engine evaluates parameter points with optional fingerprint reuse.
 //
 // An Engine is safe for concurrent use: the basis store takes sharded
-// locks, the reuse and probe counters are atomic, and per-worker
-// scratch state is pooled, so independent goroutines (e.g. interactive sessions
+// locks, every call returns its own statistics, and per-worker scratch
+// state is pooled, so independent goroutines (e.g. interactive sessions
 // sharing a warmed store) may call EvaluatePoint concurrently. Note
 // that concurrent EvaluatePoint callers race benignly on basis
 // registration — both may fully simulate the same fingerprint family
@@ -384,16 +363,9 @@ type Engine struct {
 
 	// scratches recycles per-worker hot-path buffers (see scratch.go).
 	scratches *pool.Pool[scratch]
-
-	// Engine-lifetime reuse accounting. The probe counters (queries,
-	// hits, mapping-discovery attempts) live here, not in the store:
-	// every reuse decision is one query, whether EvaluatePoint probed
-	// or a sweep's commit loop settled a speculation.
-	fullSims atomic.Int64
-	reused   atomic.Int64
-	queries  atomic.Int64
-	hits     atomic.Int64
-	scanned  atomic.Int64
+	// blockSize is the number of samples drawn per block
+	// (DefaultBlockSize; tests vary it to pin block-size invariance).
+	blockSize int
 }
 
 // New constructs an engine.
@@ -415,6 +387,7 @@ func New(opts Options) (*Engine, error) {
 		seeds:     seeds,
 		store:     core.NewStore(opts.Class, opts.newIndex(), opts.Tolerance),
 		scratches: newScratchPool(),
+		blockSize: DefaultBlockSize,
 	}, nil
 }
 
@@ -437,20 +410,11 @@ func (e *Engine) Options() Options { return e.opts }
 // Seeds returns the engine's global seed set.
 func (e *Engine) Seeds() *rng.SeedSet { return e.seeds }
 
-// Fingerprint computes the fingerprint of f at p — the first m
-// simulation rounds (§3.1).
-func (e *Engine) Fingerprint(f PointEval, p param.Point) core.Fingerprint {
-	sc := e.scratches.Get()
-	defer e.scratches.Put(sc)
-	fp := make(core.Fingerprint, e.seeds.Len())
-	e.fingerprintFill(f, p, fp, sc)
-	return fp
-}
-
-// fingerprintFill computes the fingerprint of f at p into dst (whose
-// length selects the number of rounds), binding the point once and
-// sampling the m rounds as a single block out of the scratch's seed
-// buffer (the seed-set prefix is the first m sample seeds).
+// fingerprintFill computes the fingerprint of f at p — the first m
+// simulation rounds (§3.1) — into dst (whose length selects the
+// number of rounds), binding the point once and sampling the m rounds
+// as a single block out of the scratch's seed buffer (the seed-set
+// prefix is the first m sample seeds).
 func (e *Engine) fingerprintFill(f PointEval, p param.Point, dst core.Fingerprint, sc *scratch) {
 	sm := bindSampler(f, p, sc.args)
 	seeds := sc.seedBuf(len(dst))
@@ -461,30 +425,33 @@ func (e *Engine) fingerprintFill(f PointEval, p param.Point, dst core.Fingerprin
 }
 
 // EvaluatePoint runs the Monte Carlo estimation for one point,
-// reusing a basis distribution when the store yields a mapping.
-func (e *Engine) EvaluatePoint(f PointEval, p param.Point) PointResult {
+// reusing a basis distribution when the store yields a mapping, and
+// returns the point's result with this call's statistics (Points: 1).
+func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := sc.fingerprint(e.seeds.Len())
 	e.fingerprintFill(f, p, fp, sc)
 
+	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
 		var view core.MatchView
 		basis, mapping, ok := e.store.Match(fp, payloadReady, &sc.probe, &view)
-		e.queries.Add(1)
-		e.scanned.Add(view.ScannedTotal())
+		st.Store.Queries = 1
+		st.Store.CandidatesScanned = int(view.ScannedTotal())
 		if ok {
-			e.hits.Add(1)
+			st.Store.Hits = 1
 			if e.validateMatch(f, p, basis, mapping, sc) {
 				if res, ok := e.mapBasis(basis, mapping, p, false, sc); ok {
-					e.reused.Add(1)
-					return res
+					st.Reused = 1
+					return res, st
 				}
 			}
 		}
 	}
 
 	res, samples := e.fullSimulation(f, p, fp, e.opts.Workers, sc)
+	st.FullSimulations = 1
 	if e.opts.Reuse {
 		payload := &BasisPayload{Summary: res.Summary}
 		if e.opts.KeepSamples {
@@ -493,10 +460,10 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) PointResult {
 		basis, err := e.store.Add(fp, p.Key(), payload)
 		if err == nil {
 			res.BasisID = basis.ID
+			st.Store.Bases = 1
 		}
 	}
-	e.fullSims.Add(1)
-	return res
+	return res, st
 }
 
 // validateMatch extends a fingerprint match with additional paired
@@ -610,31 +577,21 @@ func (e *Engine) fullSimulation(f PointEval, p param.Point, fp core.Fingerprint,
 	rest := samples[len(fp):]
 
 	if workers = fullSimWorkers(workers, len(rest)); workers > 1 {
-		var wg sync.WaitGroup
+		// One chunk per worker, drawn on pooled per-worker scratch like
+		// the sweep phases: the binding buffer, seed block and fallback
+		// generator are recycled instead of allocated per goroutine.
 		chunk := (len(rest) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(rest) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(rest) {
-				hi = len(rest)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				// Pooled per-worker scratch, like the sweep phases: the
-				// binding buffer, seed block and fallback generator are
-				// all recycled instead of allocated per goroutine.
-				wsc := e.scratches.Get()
-				defer e.scratches.Put(wsc)
-				sm := bindSampler(f, p, wsc.args)
-				e.sampleRange(&sm, rest[lo:hi], len(fp)+lo, wsc)
-				wsc.args = sm.buf()
-			}(lo, hi)
-		}
-		wg.Wait()
+		chunks := (len(rest) + chunk - 1) / chunk
+		// pool.For with a background context never errors.
+		_ = pool.For(context.Background(), chunks, workers, func(c int) {
+			lo := c * chunk
+			hi := min(lo+chunk, len(rest))
+			wsc := e.scratches.Get()
+			defer e.scratches.Put(wsc)
+			sm := bindSampler(f, p, wsc.args)
+			e.sampleRange(&sm, rest[lo:hi], len(fp)+lo, wsc)
+			wsc.args = sm.buf()
+		})
 	} else {
 		sm := bindSampler(f, p, sc.args)
 		e.sampleRange(&sm, rest, len(fp), sc)
@@ -653,7 +610,7 @@ func (e *Engine) fullSimulation(f PointEval, p param.Point, fp core.Fingerprint,
 // Chunk and block boundaries are invisible in the output because each
 // sample's seed depends only on its id.
 func (e *Engine) sampleRange(sm *sampler, dst []float64, start int, sc *scratch) {
-	bs := e.opts.BlockSize
+	bs := e.blockSize
 	if bs > len(dst) {
 		bs = len(dst)
 	}
@@ -674,7 +631,11 @@ func (e *Engine) sampleRange(sm *sampler, dst []float64, start int, sc *scratch)
 	}
 }
 
-// SweepStats aggregates reuse accounting for a parameter sweep.
+// SweepStats is the reuse accounting of one engine call: an
+// EvaluatePoint, a Sweep or a SweepBatch. Every count covers that
+// call alone, so a call's Points == FullSimulations + Reused (and ==
+// Store.Queries with reuse on) on a fresh engine or a warmed one;
+// Add sums calls.
 type SweepStats struct {
 	// Points is the number of points evaluated.
 	Points int
@@ -686,10 +647,10 @@ type SweepStats struct {
 	Store StoreStats
 }
 
-// StoreStats describes the engine's use of its basis store; the
-// experiment harness reports these alongside timings.
+// StoreStats describes one call's use of the engine's basis store;
+// the experiment harness reports these alongside timings.
 type StoreStats struct {
-	// Bases is the number of basis distributions accumulated.
+	// Bases is the number of basis distributions the call registered.
 	Bases int
 	// Queries is the number of store lookups (one per reuse decision).
 	Queries int
@@ -700,19 +661,13 @@ type StoreStats struct {
 	CandidatesScanned int
 }
 
-// Stats returns sweep statistics with the given point count. The
-// counters are engine-lifetime; concurrent use can make the snapshot
-// non-atomic across counters, but each counter is individually exact.
-func (e *Engine) Stats(points int) SweepStats {
-	return SweepStats{
-		Points:          points,
-		FullSimulations: int(e.fullSims.Load()),
-		Reused:          int(e.reused.Load()),
-		Store: StoreStats{
-			Bases:             e.store.Len(),
-			Queries:           int(e.queries.Load()),
-			Hits:              int(e.hits.Load()),
-			CandidatesScanned: int(e.scanned.Load()),
-		},
-	}
+// Add accumulates another call's statistics into s.
+func (s *SweepStats) Add(o SweepStats) {
+	s.Points += o.Points
+	s.FullSimulations += o.FullSimulations
+	s.Reused += o.Reused
+	s.Store.Bases += o.Store.Bases
+	s.Store.Queries += o.Store.Queries
+	s.Store.Hits += o.Store.Hits
+	s.Store.CandidatesScanned += o.Store.CandidatesScanned
 }

@@ -112,7 +112,7 @@ func TestIndexKindString(t *testing.T) {
 
 func TestEvaluatePointFullSimulation(t *testing.T) {
 	e := MustNew(Options{Samples: 2000, Reuse: false, Workers: 1})
-	res := e.EvaluatePoint(gaussEval, param.Point{"week": 20})
+	res, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 20})
 	if res.Reused {
 		t.Fatal("reuse disabled but result reused")
 	}
@@ -136,15 +136,15 @@ func TestReuseProducesExactMappedMetrics(t *testing.T) {
 	p1 := param.Point{"week": 10}
 	p2 := param.Point{"week": 30}
 
-	r1 := reuse.EvaluatePoint(gaussEval, p1)
+	r1, _ := reuse.EvaluatePoint(gaussEval, p1)
 	if r1.Reused {
 		t.Fatal("first point cannot be reused")
 	}
-	r2 := reuse.EvaluatePoint(gaussEval, p2)
+	r2, _ := reuse.EvaluatePoint(gaussEval, p2)
 	if !r2.Reused {
 		t.Fatal("affinely related point not reused")
 	}
-	want := naive.EvaluatePoint(gaussEval, p2)
+	want, _ := naive.EvaluatePoint(gaussEval, p2)
 	relErr := math.Abs(r2.Summary.Mean-want.Summary.Mean) / math.Abs(want.Summary.Mean)
 	if relErr > 1e-9 {
 		t.Fatalf("reused mean %g vs full %g (rel %g)", r2.Summary.Mean, want.Summary.Mean, relErr)
@@ -198,8 +198,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	seq := MustNew(Options{Samples: 3000, Reuse: false, Workers: 1})
 	par := MustNew(Options{Samples: 3000, Reuse: false, Workers: 8})
 	p := param.Point{"week": 15}
-	a := seq.EvaluatePoint(gaussEval, p)
-	b := par.EvaluatePoint(gaussEval, p)
+	a, _ := seq.EvaluatePoint(gaussEval, p)
+	b, _ := par.EvaluatePoint(gaussEval, p)
 	if a.Summary.Mean != b.Summary.Mean || a.Summary.StdDev != b.Summary.StdDev {
 		t.Fatalf("parallel result differs: %g/%g vs %g/%g",
 			a.Summary.Mean, a.Summary.StdDev, b.Summary.Mean, b.Summary.StdDev)
@@ -208,7 +208,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestKeepSamplesPayload(t *testing.T) {
 	e := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: true, HistBins: 8, Workers: 1})
-	res := e.EvaluatePoint(gaussEval, param.Point{"week": 5})
+	res, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 5})
 	if res.Summary.Hist == nil {
 		t.Fatal("histogram missing")
 	}
@@ -227,8 +227,8 @@ func TestFingerprintIsPrefixOfSimulation(t *testing.T) {
 	// full simulation and the fingerprint agree on those samples.
 	e := MustNew(Options{Samples: 32, KeepSamples: true, Reuse: true, Workers: 1})
 	p := param.Point{"week": 9}
-	fp := e.Fingerprint(gaussEval, p)
-	res := e.EvaluatePoint(gaussEval, p)
+	fp := fingerprintOf(e, gaussEval, p)
+	res, _ := e.EvaluatePoint(gaussEval, p)
 	basis, _ := e.Store().Get(res.BasisID)
 	samples := basis.Payload.(*BasisPayload).Samples
 	for k := range fp {
@@ -287,8 +287,8 @@ func TestCapacitySweepFindsFewBases(t *testing.T) {
 
 func TestEvaluatePointMapsQuantiles(t *testing.T) {
 	e := MustNew(Options{Samples: 400, Reuse: true, KeepSamples: true, Workers: 1})
-	r1 := e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r2 := e.EvaluatePoint(gaussEval, param.Point{"week": 40})
+	r1, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 10})
+	r2, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 40})
 	if !r2.Reused {
 		t.Fatal("expected reuse")
 	}

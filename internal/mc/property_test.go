@@ -26,10 +26,13 @@ func TestQuickReuseEqualsNaiveOnAffineFamilies(t *testing.T) {
 		})
 		reuse := MustNew(Options{Samples: 64, Reuse: true, Workers: 1, MasterSeed: seed})
 		naive := MustNew(Options{Samples: 64, Reuse: false, Workers: 1, MasterSeed: seed})
+		var fullSims int
 		for w := 1.0; w <= 8; w++ {
 			p := param.Point{"w": w}
-			a := reuse.EvaluatePoint(eval, p).Summary
-			b := naive.EvaluatePoint(eval, p).Summary
+			ra, st := reuse.EvaluatePoint(eval, p)
+			rb, _ := naive.EvaluatePoint(eval, p)
+			a, b := ra.Summary, rb.Summary
+			fullSims += st.FullSimulations
 			if math.Abs(a.Mean-b.Mean) > 1e-9*(1+math.Abs(b.Mean)) {
 				return false
 			}
@@ -38,7 +41,7 @@ func TestQuickReuseEqualsNaiveOnAffineFamilies(t *testing.T) {
 			}
 		}
 		// And reuse must actually have engaged (one basis).
-		return reuse.Stats(8).FullSimulations == 1
+		return fullSims == 1
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
@@ -60,8 +63,10 @@ func TestNaNModelOutputsNeverMatch(t *testing.T) {
 	})
 	e := MustNew(Options{Samples: 32, Reuse: true, Workers: 1})
 	nanPoints := 0
+	var st SweepStats
 	for w := 1.0; w <= 8; w++ {
-		res := e.EvaluatePoint(eval, param.Point{"w": w})
+		res, pst := e.EvaluatePoint(eval, param.Point{"w": w})
+		st.Add(pst)
 		if math.IsNaN(res.Summary.Mean) {
 			nanPoints++
 			if res.Reused {
@@ -73,7 +78,6 @@ func TestNaNModelOutputsNeverMatch(t *testing.T) {
 		t.Fatalf("NaN points = %d, want 2", nanPoints)
 	}
 	// Healthy points still share one basis.
-	st := e.Stats(8)
 	if st.Store.Bases != 3 { // healthy basis + two NaN bases
 		t.Fatalf("bases = %d, want 3", st.Store.Bases)
 	}
@@ -90,7 +94,7 @@ func TestInfiniteModelOutputs(t *testing.T) {
 	})
 	e := MustNew(Options{Samples: 16, Reuse: true, Workers: 1})
 	for w := 1.0; w <= 4; w++ {
-		res := e.EvaluatePoint(eval, param.Point{"w": w})
+		res, _ := e.EvaluatePoint(eval, param.Point{"w": w})
 		if w == 2 {
 			// Welford's recurrence turns an all-Inf stream into NaN
 			// (Inf−Inf); either non-finite form is acceptable — the
@@ -121,7 +125,8 @@ func TestQuickIndexKindsAgreeOnRandomFamilies(t *testing.T) {
 			e := MustNew(Options{Samples: 48, Reuse: true, Workers: 1, MasterSeed: seed, Index: kind})
 			var means []float64
 			for w := 1.0; w <= 6; w++ {
-				means = append(means, e.EvaluatePoint(eval, param.Point{"w": w}).Summary.Mean)
+				res, _ := e.EvaluatePoint(eval, param.Point{"w": w})
+				means = append(means, res.Summary.Mean)
 			}
 			if ref == nil {
 				ref = means

@@ -37,7 +37,7 @@ type scratch struct {
 	// sample.
 	seeds []uint64
 	// r is the worker's generator, reseeded per sample on the scalar
-	// fallback path (block evaluators never touch it).
+	// fallback path (PointBinder evaluators never touch it).
 	r rng.Rand
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
@@ -76,15 +76,12 @@ func (sc *scratch) seedBuf(n int) []uint64 {
 }
 
 // sampler is a PointEval bound to one parameter point for repeated
-// sampling. For PointBinder evaluators the arguments are bound once
-// (map lookups and all) and every sample is a direct call; for plain
-// evaluators each sample goes through EvalPoint unchanged. Evaluators
-// with the BlockBinder capability additionally sample whole blocks
-// through one call.
+// block sampling. For PointBinder evaluators the arguments are bound
+// once (map lookups and all) and every block is one EvalBlockBound
+// call; plain evaluators draw each sample through EvalPoint.
 type sampler struct {
 	f    PointEval
 	pb   PointBinder // non-nil when f supports binding
-	bb   BlockBinder // non-nil when f supports block evaluation
 	p    param.Point
 	args []float64
 }
@@ -93,35 +90,24 @@ type sampler struct {
 // Call (*sampler).buf afterwards to recover the (possibly grown)
 // buffer for reuse.
 func bindSampler(f PointEval, p param.Point, buf []float64) sampler {
-	if bb, ok := f.(BlockBinder); ok {
-		return sampler{pb: bb, bb: bb, p: p, args: bb.BindPoint(p, buf)}
-	}
 	if pb, ok := f.(PointBinder); ok {
 		return sampler{pb: pb, p: p, args: pb.BindPoint(p, buf)}
 	}
 	return sampler{f: f, p: p, args: buf}
 }
 
-// sample evaluates one simulation round on r.
-func (s *sampler) sample(r *rng.Rand) float64 {
-	if s.pb != nil {
-		return s.pb.EvalBound(s.args, r)
-	}
-	return s.f.EvalPoint(s.p, r)
-}
-
 // sampleBlock evaluates one simulation round per seed into out.
-// Block-capable evaluators take the vectorized kernel; everything
-// else falls back to a reseed-per-sample loop on r, so the results
-// are bit-identical either way (BlockBinder's contract).
+// Binders take their block kernel; plain evaluators fall back to a
+// reseed-per-sample loop on r, so the results are bit-identical
+// either way (PointBinder's contract).
 func (s *sampler) sampleBlock(out []float64, seeds []uint64, r *rng.Rand) {
-	if s.bb != nil {
-		s.bb.EvalBlockBound(s.args, out, seeds)
+	if s.pb != nil {
+		s.pb.EvalBlockBound(s.args, out, seeds)
 		return
 	}
 	for i, seed := range seeds {
 		r.Seed(seed)
-		out[i] = s.sample(r)
+		out[i] = s.f.EvalPoint(s.p, r)
 	}
 }
 

@@ -179,8 +179,6 @@ func (b *blockLenEval) EvalPoint(_ param.Point, r *rng.Rand) float64 { return r.
 
 func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
 
-func (b *blockLenEval) EvalBound(_ []float64, r *rng.Rand) float64 { return r.Uniform(0, 1) }
-
 func (b *blockLenEval) EvalBlockBound(_ []float64, out []float64, seeds []uint64) {
 	b.mu.Lock()
 	b.lens[len(seeds)] = true
@@ -205,10 +203,10 @@ func TestOneWideSweepFansOutSamples(t *testing.T) {
 		workers int
 		fanOut  bool
 	}{{1, false}, {2, true}} {
-		eng := MustNew(Options{
-			Samples: 1034, FingerprintLen: 10, BlockSize: 300,
+		eng := mustNewBlockSize(Options{
+			Samples: 1034, FingerprintLen: 10,
 			MasterSeed: 0x5161, Workers: tc.workers,
-		})
+		}, 300)
 		ev := &blockLenEval{lens: map[int]bool{}}
 		res, _, err := eng.SweepBatch(ev, []param.Point{p})
 		if err != nil {
@@ -217,7 +215,7 @@ func TestOneWideSweepFansOutSamples(t *testing.T) {
 		if got := ev.lens[212]; got != tc.fanOut {
 			t.Errorf("workers=%d: samples fanned out = %v, want %v (block lengths %v)", tc.workers, got, tc.fanOut, ev.lens)
 		}
-		if want := eng.EvaluatePoint(ev, p); !reflect.DeepEqual(res[0].Summary, want.Summary) {
+		if want, _ := eng.EvaluatePoint(ev, p); !reflect.DeepEqual(res[0].Summary, want.Summary) {
 			t.Errorf("workers=%d: sweep summary %+v differs from EvaluatePoint's %+v", tc.workers, res[0].Summary, want.Summary)
 		}
 	}
@@ -299,7 +297,7 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 		for w := 1.0; w <= 16; w++ {
 			p := param.Point{"current_week": w, "feature_release": 30}
 			points = append(points, p)
-			fps = append(fps, eng.Fingerprint(ev, p))
+			fps = append(fps, fingerprintOf(eng, ev, p))
 		}
 		return eng, ev, points, fps
 	}
@@ -349,7 +347,7 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 		defer eng.scratches.Put(sc)
 		var fps []core.Fingerprint
 		for w := 1.0; w <= 16; w++ {
-			fps = append(fps, eng.Fingerprint(ev, param.Point{"current_week": w, "feature_release": 30}))
+			fps = append(fps, fingerprintOf(eng, ev, param.Point{"current_week": w, "feature_release": 30}))
 		}
 		plans := make([]pointPlan, len(fps))
 		for i, fp := range fps {
@@ -364,7 +362,7 @@ func BenchmarkSweepSerialSection(b *testing.B) {
 			{"current_week": 0, "feature_release": 30},
 			{"current_week": 20, "feature_release": 0},
 		} {
-			fp := eng.Fingerprint(ev, p)
+			fp := fingerprintOf(eng, ev, p)
 			basis, err := eng.store.Add(fp, p.Key(), &BasisPayload{})
 			if err != nil {
 				b.Fatal(err)

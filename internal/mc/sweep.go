@@ -35,9 +35,9 @@ import (
 //	   results for the hit points — each deterministic given phase B.
 //
 // The reference semantics is a loop of EvaluatePoint calls in
-// enumeration order on a fresh engine: the commit loop reaches exactly
-// that loop's decisions, and its probe accounting (queries, hits,
-// candidates scanned) is what that loop would count. The per-point
+// enumeration order on the same engine: the commit loop reaches
+// exactly that loop's decisions, and the sweep's statistics are the
+// sum of that loop's per-call statistics. The per-point
 // match cost rides in phase A, so the serial section shrinks to epoch
 // loads plus the occasional delta replay. The exception is match
 // validation (ValidationSamples with KeepSamples — off by default):
@@ -51,9 +51,9 @@ import (
 // zero on the reuse path (see scratch.go).
 
 // Sweep evaluates every point of the space in enumeration order and
-// returns per-point results plus reuse statistics. This is Jigsaw's
-// batch-mode inner loop (Fig. 3): Parameter Enumerator → PDB → basis
-// reuse. The points are spread over the engine's worker pool
+// returns per-point results plus this call's reuse statistics. This
+// is Jigsaw's batch-mode inner loop (Fig. 3): Parameter Enumerator →
+// PDB → basis reuse. The points are spread over the engine's worker pool
 // (Options.Workers); results and statistics are bit-identical for
 // every worker count.
 func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
@@ -202,16 +202,14 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 	// Phase B: the serial commit loop, strictly in enumeration order.
 	// pending maps a basis ID registered during this sweep to the
 	// index of the point that owns its simulation; own tracks this
-	// sweep's registrations per probe bucket for delta replays. Probe
-	// counts are tallied locally and flushed into the engine once —
-	// also when cancelled, so a cancelled sweep's partial probes still
-	// land in the lifetime statistics — leaving the final SweepStats
-	// equal to the EvaluatePoint loop's without per-point atomics.
+	// sweep's registrations per probe bucket for delta replays. The
+	// loop tallies the call's probe accounting (queries, hits,
+	// candidates scanned, registrations) as it decides.
 	pending := make(map[int]int)
 	validating := e.opts.ValidationSamples > 0 && e.opts.KeepSamples
 	sc0 := scratches[0]
 	var own ownAdds
-	var queries, hits, scanned int64
+	st := SweepStats{Points: n}
 	// Accept this sweep's own pending bases (phase C fills them
 	// before C2 reads); skip bases another — possibly cancelled —
 	// sweep never completed.
@@ -227,11 +225,11 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 			break
 		}
 		if reuse {
-			basis, mapping, ok, pointScanned := e.commitMatch(fingerprint(i), &plans[i], &own, accept, sc0)
-			queries++
-			scanned += pointScanned
+			basis, mapping, ok, scanned := e.commitMatch(fingerprint(i), &plans[i], &own, accept, sc0)
+			st.Store.Queries++
+			st.Store.CandidatesScanned += int(scanned)
 			if ok {
-				hits++
+				st.Store.Hits++
 				_, ownPending := pending[basis.ID]
 				if validating && ownPending {
 					// Validation compares against the basis' retained
@@ -265,12 +263,10 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 				plans[i].basis = basis
 				pending[basis.ID] = i
 				own.add(e.store, fingerprint(i), basis)
+				st.Store.Bases++
 			}
 		}
 	}
-	e.queries.Add(queries)
-	e.hits.Add(hits)
-	e.scanned.Add(scanned)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
@@ -296,18 +292,21 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 		// barrier.
 		if res, ok := e.mapBasis(plans[i].basis, plans[i].mapping, points[i], true, scratches[w]); ok {
 			results[i] = res
-			e.reused.Add(1)
 			return
 		}
 		// Unreachable when basisUsable agreed to the reuse; simulate
 		// defensively rather than return a zero result.
-		res, _ := e.fullSimulation(f, points[i], fingerprint(i), simWorkers, scratches[w])
-		results[i] = res
-		e.fullSims.Add(1)
+		results[i], _ = e.fullSimulation(f, points[i], fingerprint(i), simWorkers, scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, err
 	}
-	return results, e.Stats(n), nil
+	for i := range results {
+		if results[i].Reused {
+			st.Reused++
+		}
+	}
+	st.FullSimulations = n - st.Reused
+	return results, st, nil
 }
 
 // commitMatch replays point i's speculative match against the store
@@ -367,11 +366,8 @@ func (e *Engine) commitMatch(fp core.Fingerprint, plan *pointPlan, own *ownAdds,
 
 // completeSimulation runs a miss point's full simulation over workers
 // goroutines, fills the payload of the basis its plan registered, and
-// returns the point's result. The counter is incremented here — when
-// the work actually runs — so a cancelled sweep does not inflate the
-// engine's lifetime stats with simulations that never happened.
+// returns the point's result.
 func (e *Engine) completeSimulation(f PointEval, p param.Point, fp core.Fingerprint, plan *pointPlan, workers int, sc *scratch) PointResult {
-	e.fullSims.Add(1)
 	res, samples := e.fullSimulation(f, p, fp, workers, sc)
 	if plan.basis != nil {
 		payload := plan.basis.Payload.(*BasisPayload)

@@ -85,15 +85,18 @@ func synthSpace(t *testing.T, n int) *param.Space {
 }
 
 // evaluateLoop is the sweep's reference semantics: EvaluatePoint on
-// every point in order, with the engine's statistics taken afterwards.
-// It shares no code with the phased pipeline beyond the per-point
+// every point in order, with the per-point statistics summed. It
+// shares no code with the phased pipeline beyond the per-point
 // primitives (fingerprint, Store.Match, simulation, mapping).
 func evaluateLoop(eng *Engine, ev PointEval, points []param.Point) ([]PointResult, SweepStats) {
 	res := make([]PointResult, len(points))
+	var st SweepStats
 	for i, p := range points {
-		res[i] = eng.EvaluatePoint(ev, p)
+		var pst SweepStats
+		res[i], pst = eng.EvaluatePoint(ev, p)
+		st.Add(pst)
 	}
-	return res, eng.Stats(len(points))
+	return res, st
 }
 
 // TestSweepParallelDeterminism is the core guarantee of the sweep: for
@@ -204,8 +207,9 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 }
 
 // TestSweepSharedEngineRace drives concurrent SweepBatch calls into
-// one shared engine; under -race this exercises the engine's atomic
-// counters and the store's sharded locking on the real hot path.
+// one shared engine; under -race this exercises the store's sharded
+// locking on the real hot path, and the four calls' returned
+// statistics must still account for every evaluation.
 func TestSweepSharedEngineRace(t *testing.T) {
 	space := sweepSpace(t)
 	points := space.Points()
@@ -214,13 +218,16 @@ func TestSweepSharedEngineRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
-	for g := 0; g < 4; g++ {
+	stats := make([]SweepStats, 4)
+	for g := range stats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := eng.SweepBatch(ev, points); err != nil {
+			_, st, err := eng.SweepBatch(ev, points)
+			if err != nil {
 				errs <- err
 			}
+			stats[g] = st
 		}()
 	}
 	wg.Wait()
@@ -228,10 +235,64 @@ func TestSweepSharedEngineRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := eng.Stats(0)
+	var st SweepStats
+	for _, gst := range stats {
+		st.Add(gst)
+	}
+	if st.Points != 4*len(points) || st.Store.Queries != st.Points {
+		t.Fatalf("points %d, queries %d, want %d each", st.Points, st.Store.Queries, 4*len(points))
+	}
 	if st.FullSimulations+st.Reused != 4*len(points) {
 		t.Fatalf("full (%d) + reused (%d) != total evaluations (%d)",
 			st.FullSimulations, st.Reused, 4*len(points))
+	}
+}
+
+// TestSweepStatsArePerCall pins the accounting contract: a sweep's
+// statistics cover that call alone, so a second sweep on a warmed
+// engine reports its own n points, n queries and n evaluations (not
+// the engine's running totals), and SweepStats.Add over a batch's
+// halves reproduces the whole batch's statistics on a fresh engine.
+func TestSweepStatsArePerCall(t *testing.T) {
+	space := sweepSpace(t)
+	points := space.Points()
+	n := len(points)
+	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+
+	eng := MustNew(sweepOptions(2))
+	for round := 0; round < 2; round++ {
+		_, st, err := eng.Sweep(ev, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Points != n || st.Store.Queries != n || st.FullSimulations+st.Reused != n {
+			t.Fatalf("round %d: points %d, queries %d, full %d + reused %d; want %d each",
+				round, st.Points, st.Store.Queries, st.FullSimulations, st.Reused, n)
+		}
+		if round == 1 && (st.Store.Bases != 0 || st.FullSimulations != 0) {
+			t.Fatalf("warmed sweep registered %d bases and simulated %d points; want 0",
+				st.Store.Bases, st.FullSimulations)
+		}
+	}
+
+	_, whole, err := MustNew(sweepOptions(2)).SweepBatch(ev, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := MustNew(sweepOptions(2))
+	var sum SweepStats
+	for _, half := range [][]param.Point{points[:n/2], points[n/2:]} {
+		_, st, err := halves.SweepBatch(ev, half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Add(st)
+	}
+	if !reflect.DeepEqual(sum, whole) {
+		t.Fatalf("halves sum to %+v, whole batch %+v", sum, whole)
+	}
+	if whole.Store.Bases != halves.Store().Len() {
+		t.Fatalf("registered bases %d, store holds %d", whole.Store.Bases, halves.Store().Len())
 	}
 }
 
@@ -247,15 +308,15 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 
 	abandoned := &BasisPayload{}
 	abandoned.markPending() // what a sweep cancelled between phases B and C leaves
-	if _, err := eng.Store().Add(eng.Fingerprint(ev, p), "abandoned", abandoned); err != nil {
+	if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "abandoned", abandoned); err != nil {
 		t.Fatal(err)
 	}
 
-	res1 := eng.EvaluatePoint(ev, p)
+	res1, _ := eng.EvaluatePoint(ev, p)
 	if res1.Reused {
 		t.Fatal("reused a basis whose payload was never filled")
 	}
-	res2 := eng.EvaluatePoint(ev, param.Point{"current_week": 9, "feature_release": 20})
+	res2, _ := eng.EvaluatePoint(ev, param.Point{"current_week": 9, "feature_release": 20})
 	if !res2.Reused {
 		t.Fatal("abandoned basis shadowed its fingerprint family: mappable point did not reuse")
 	}

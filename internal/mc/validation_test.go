@@ -21,11 +21,11 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	// Without validation: a rare-risk point's all-zero fingerprint
 	// matches the zero-risk basis and inherits its ~0 mean.
 	plain := MustNew(Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77})
-	base := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0})
+	base, _ := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0})
 	if base.Summary.Mean != 0 {
 		t.Fatalf("zero-risk mean = %g", base.Summary.Mean)
 	}
-	risky := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
+	risky, _ := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
 	if !risky.Reused {
 		// The all-zero fingerprint occurs with probability .95^10 ≈ .60;
 		// seed 77 is chosen to hit it. If this fires, the engine's
@@ -41,7 +41,7 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	guarded := MustNew(Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
 		KeepSamples: true, ValidationSamples: 128})
 	guarded.EvaluatePoint(indicatorEval, param.Point{"risk": 0})
-	gr := guarded.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
+	gr, _ := guarded.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
 	if gr.Reused {
 		t.Fatal("validation failed to reject the false positive")
 	}
@@ -55,7 +55,7 @@ func TestValidationAcceptsTrueMatches(t *testing.T) {
 	e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1,
 		KeepSamples: true, ValidationSamples: 64})
 	e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
+	r, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
 	if !r.Reused {
 		t.Fatal("validation rejected an exact affine match")
 	}
@@ -66,7 +66,7 @@ func TestValidationNoopWithoutSamples(t *testing.T) {
 	// match (there is nothing to validate against).
 	e := MustNew(Options{Samples: 200, Reuse: true, Workers: 1, ValidationSamples: 64})
 	e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
+	r, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
 	if !r.Reused {
 		t.Fatal("sample-less validation should trust the match")
 	}

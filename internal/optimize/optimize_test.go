@@ -233,6 +233,14 @@ FOR MAX @purchase1, MAX @feature_release`)
 	if !reflect.DeepEqual(both.Stats, maxOnly.Stats) {
 		t.Fatalf("shared-column stats %+v, single constraint %+v", both.Stats, maxOnly.Stats)
 	}
+	// The column sweep sums per-call statistics across every batch of
+	// the (group × sweep) product, so each point is one reuse decision
+	// answered exactly once.
+	for _, res := range []*Result{both, maxOnly, avgOnly} {
+		if st := res.Stats; st.FullSimulations+st.Reused != st.Points || st.Store.Queries != st.Points {
+			t.Fatalf("stats %+v: want Points == FullSimulations + Reused == Store.Queries", st)
+		}
+	}
 	want := []float64{maxOnly.ConstraintValues[0], avgOnly.ConstraintValues[0]}
 	for i, w := range want {
 		if math.Float64bits(both.ConstraintValues[i]) != math.Float64bits(w) {

@@ -28,32 +28,39 @@ type WorldsOptions struct {
 	// histograms.
 	KeepSamples bool
 	// HistBins adds histograms to cell summaries when KeepSamples is
-	// set.
+	// set; negative values are rejected.
 	HistBins int
-	// BlockWorlds is the number of worlds per execution block
-	// (default DefaultBlockWorlds). Results are bit-identical across
+	// BlockWorlds is the number of worlds per execution block (0
+	// means DefaultBlockWorlds, negative values are rejected). Results are bit-identical across
 	// Workers for a fixed BlockWorlds; across *different* block sizes,
 	// cell moments may differ in final-ulp rounding (the batched
 	// reduction is split-dependent, like the engine's).
 	BlockWorlds int
-	// Workers sizes the worker pool world blocks execute on (≤1 =
-	// sequential). Blocks are committed in order, so results are
-	// bit-identical for any worker count.
+	// Workers sizes the worker pool world blocks execute on (0 or 1 =
+	// sequential, negative values are rejected). Blocks are committed
+	// in order, so results are bit-identical for any worker count.
 	Workers int
 }
 
 // withDefaults validates the options and fills in defaults.
 func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
-	if o.Worlds < 0 {
+	switch {
+	case o.Worlds < 0:
 		return o, fmt.Errorf("pdb: Worlds = %d; want > 0, or 0 for the default", o.Worlds)
+	case o.HistBins < 0:
+		return o, fmt.Errorf("pdb: negative HistBins %d", o.HistBins)
+	case o.BlockWorlds < 0:
+		return o, fmt.Errorf("pdb: negative BlockWorlds %d", o.BlockWorlds)
+	case o.Workers < 0:
+		return o, fmt.Errorf("pdb: negative Workers %d", o.Workers)
 	}
 	if o.Worlds == 0 {
 		o.Worlds = 1000
 	}
-	if o.BlockWorlds <= 0 {
+	if o.BlockWorlds == 0 {
 		o.BlockWorlds = DefaultBlockWorlds
 	}
-	if o.Workers <= 0 {
+	if o.Workers == 0 {
 		o.Workers = 1
 	}
 	return o, nil

@@ -114,6 +114,37 @@ func TestWorldsOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestWorldsOptionsRejectNegative checks the knobs no default repairs
+// are errors at entry, on both the plan and the fused-sum executor,
+// while zero keeps selecting the default.
+func TestWorldsOptionsRejectNegative(t *testing.T) {
+	bulk := &BulkVGSumPlan{Source: MustNewTable("a"), Box: blackbox.UserUsage{},
+		Args: make([]BoundExpr, blackbox.UserUsage{}.Arity())}
+	for _, tc := range []struct {
+		name string
+		opts WorldsOptions
+		want string // error substring; empty means accepted
+	}{
+		{"negative hist bins", WorldsOptions{Worlds: 4, HistBins: -1}, "HistBins"},
+		{"negative block worlds", WorldsOptions{Worlds: 4, BlockWorlds: -1}, "BlockWorlds"},
+		{"negative workers", WorldsOptions{Worlds: 4, Workers: -1}, "Workers"},
+		{"zero defaults", WorldsOptions{Worlds: 4}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, planErr := RunDistribution(ValuesPlan{}, nil, tc.opts)
+			_, bulkErr := bulk.Run(nil, tc.opts)
+			for _, err := range []error{planErr, bulkErr} {
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("rejected: %v", err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("err = %v, want one naming %s", err, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestBulkVGSumRejectsWorldDependentArgs(t *testing.T) {
 	// Argument vectors resolve once, so a world-dependent argument is an
 	// error — also when it happens to be NULL, which for a deterministic

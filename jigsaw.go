@@ -41,11 +41,13 @@
 // Engine.SweepContext / Engine.SweepBatchContext spread the points
 // over a worker pool while returning results bit-identical for every
 // worker count, equal to evaluating the points one by one with
-// Engine.EvaluatePoint. The basis store takes sharded locks keyed on
-// fingerprint signatures, so engines may also be shared between
-// goroutines calling EvaluatePoint. Interactive sessions draw their
-// per-tick sample batches on a pool sized by SessionOptions.Workers.
-// DESIGN.md ("Concurrency model") describes the shard layout and the
+// Engine.EvaluatePoint. Every call returns its own SweepStats (sum
+// several with SweepStats.Add); the engine keeps no running counters.
+// The basis store takes sharded locks keyed on fingerprint signatures,
+// so engines may also be shared between goroutines calling
+// EvaluatePoint. Interactive sessions draw their per-tick sample
+// batches on a pool sized by SessionOptions.Workers. DESIGN.md
+// ("Concurrency model") describes the shard layout and the
 // determinism argument.
 //
 // See examples/ for complete programs, DESIGN.md for the architecture,
@@ -221,13 +223,14 @@ type (
 	PointEval = mc.PointEval
 	// EvalFunc adapts a plain function to PointEval.
 	EvalFunc = mc.EvalFunc
-	// PointBinder is the optional PointEval capability the engine's
-	// hot loops use to bind a point's arguments once per point rather
-	// than once per sample (BindBox evaluators implement it).
+	// PointBinder is the one optional PointEval capability: the
+	// engine's hot loops and interactive sessions bind a point's
+	// arguments once per point and draw its samples in seed blocks
+	// through EvalBlockBound (BindBox evaluators implement it).
 	PointBinder = mc.PointBinder
 	// PointResult is the engine's per-point answer.
 	PointResult = mc.PointResult
-	// SweepStats reports reuse accounting.
+	// SweepStats reports one engine call's reuse accounting.
 	SweepStats = mc.SweepStats
 	// IndexKind selects the fingerprint index strategy.
 	IndexKind = mc.IndexKind
