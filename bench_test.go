@@ -502,7 +502,7 @@ func BenchmarkFingerprintMatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, ok := store.Match(probe, nil, nil, nil); !ok {
+					if _, _, ok, _ := store.Match(probe, nil, nil); !ok {
 						b.Fatal("probe did not match")
 					}
 				}

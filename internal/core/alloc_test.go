@@ -26,26 +26,8 @@ func TestCandidatesZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestProbeSignaturesZeroAlloc(t *testing.T) {
-	base := Fingerprint{3, 1, 4, 1.5, 9, 2.6, 5.3, 5.8, 9.7, 9.3}
-	for name, mk := range allIndexes() {
-		sh, ok := mk().(Sharder)
-		if !ok {
-			continue
-		}
-		sh.Insert(0, base)
-		buf := make([]uint64, 0, 4)
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = sh.ProbeSignatures(base, buf[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ProbeSignatures allocates %.1f per probe, want 0", name, allocs)
-		}
-	}
-}
-
 func TestMatchWithScratchZeroAlloc(t *testing.T) {
-	// A warm Match probe with caller-owned scratch and view — hash,
+	// A warm Match probe with caller-owned scratch — hash,
 	// candidate scan, mapping discovery and validation — allocates only
 	// the boxed mapping it returns (one interface allocation).
 	for name, mk := range map[string]func() Index{
@@ -59,13 +41,12 @@ func TestMatchWithScratchZeroAlloc(t *testing.T) {
 		}
 		probe := base.MappedBy(Linear{Alpha: 2, Beta: -1})
 		var scratch ProbeScratch
-		var view MatchView
-		// Warm the scratch buffers.
-		if _, _, ok := s.Match(probe, nil, &scratch, &view); !ok {
+		// Warm the scratch buffer.
+		if _, _, ok, _ := s.Match(probe, nil, &scratch); !ok {
 			t.Fatalf("%s: probe did not match", name)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, ok := s.Match(probe, nil, &scratch, &view); !ok {
+			if _, _, ok, _ := s.Match(probe, nil, &scratch); !ok {
 				t.Fatal("probe did not match")
 			}
 		})

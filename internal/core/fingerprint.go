@@ -117,11 +117,14 @@ func ApproxEqual(a, b, tol float64) bool { return approxEqual(a, b, tol) }
 // approxEqual compares with relative tolerance: |a−b| ≤ tol·max(1,|a|,|b|).
 // The max(1,·) floor makes comparisons near zero behave absolutely,
 // which matters for indicator-style model outputs (0/1 overload flags).
+// A NaN equals nothing and an infinity only itself: with an infinite
+// operand the relative bound would be infinite too, and +Inf would
+// "equal" −Inf and every finite value.
 func approxEqual(a, b, tol float64) bool {
 	if a == b {
 		return true
 	}
-	if math.IsNaN(a) || math.IsNaN(b) {
+	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 		return false
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))

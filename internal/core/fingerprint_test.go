@@ -91,6 +91,24 @@ func TestApproxEqual(t *testing.T) {
 	if a.ApproxEqual(Fingerprint{1, 2, math.NaN()}, 1e-9) {
 		t.Fatal("NaN accepted")
 	}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		a, b float64
+		want bool
+	}{
+		{inf, inf, true},
+		{-inf, -inf, true},
+		{inf, -inf, false},
+		{inf, 1, false},
+		{-inf, 0, false},
+		{math.MaxFloat64, inf, false},
+	} {
+		for _, pair := range [][2]float64{{tc.a, tc.b}, {tc.b, tc.a}} {
+			if got := ApproxEqual(pair[0], pair[1], 1e-9); got != tc.want {
+				t.Errorf("ApproxEqual(%v, %v) = %v, want %v", pair[0], pair[1], got, tc.want)
+			}
+		}
+	}
 }
 
 func TestMappedBy(t *testing.T) {

@@ -11,9 +11,13 @@ type Index interface {
 	// Insert registers a basis fingerprint under id.
 	Insert(id int, fp Fingerprint)
 	// Candidates appends the ids possibly similar to the probe to buf
-	// and returns the extended slice. Implementations must not retain
-	// buf; callers reuse it across probes, so a steady-state probe
-	// performs no allocation.
+	// and returns the extended slice. Ids within a bucket must come
+	// back in insertion order, and buckets in a fixed probe order:
+	// Store.Match reuses the first candidate that maps, so this order
+	// decides which basis a point reuses, and a sweep's results are
+	// reproducible only if it depends on nothing but the insertion
+	// history. Implementations must not retain buf; callers reuse it
+	// across probes, so a steady-state probe performs no allocation.
 	Candidates(fp Fingerprint, buf []int) []int
 	// Len returns the number of indexed fingerprints.
 	Len() int
@@ -21,48 +25,12 @@ type Index interface {
 	Name() string
 }
 
-// Sharder is an optional Index capability that enables the store's
-// sharded locking and its speculative match pipeline. An index
-// qualifies when its candidate lookup is driven by a signature with
-// the defining index property: two fingerprints the mapping class can
-// relate always produce intersecting insert/probe signature sets. The
-// store routes each fingerprint to the lock shard of its signature,
-// so related fingerprints always meet in the same shard and unrelated
-// ones never contend on a lock.
-//
-// ArrayIndex deliberately does not implement Sharder: an array scan
-// must see every basis, so the store falls back to a single lock.
-type Sharder interface {
-	Index
-	// Fork returns a new empty index with the same configuration, used
-	// as one shard's private sub-index. The fork must retain the
-	// Sharder capability (the store probes forks by signature).
-	Fork() Index
-	// InsertSignature returns the signature under which fp is filed.
-	InsertSignature(fp Fingerprint) uint64
-	// ProbeSignatures appends every signature under which a basis
-	// mappable onto fp may have been filed to buf, in probe order, and
-	// returns the extended slice. The appended signatures must be
-	// distinct (the store probes each exactly once) and must include
-	// InsertSignature(fp), so the identity mapping is always
-	// discoverable. Implementations must not retain buf.
-	ProbeSignatures(fp Fingerprint, buf []uint64) []uint64
-	// SigCandidates appends the ids filed under the given signature —
-	// previously obtained from ProbeSignatures for a probe fingerprint,
-	// so no key recomputation is needed — to buf and returns the
-	// extended slice. Ids must come back in insertion order: the
-	// store's speculative commit relies on new insertions only ever
-	// appending to a signature's candidate list. Implementations must
-	// not retain buf.
-	SigCandidates(sig uint64, buf []int) []int
-}
-
 // The hash indexes key their buckets with 64-bit FNV-1a hashes built
 // directly from the quantized binary form of the fingerprint — no
-// string rendering, no allocation. The same hash doubles as the
-// Sharder signature. A hash collision merges two buckets, which only
-// adds false candidates for FindMapping to discard; it never loses a
-// true candidate, so the §3.2 no-false-negatives contract holds.
+// string rendering, no allocation. A hash collision merges two
+// buckets, which only adds false candidates for FindMapping to
+// discard; it never loses a true candidate, so the §3.2
+// no-false-negatives contract holds.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

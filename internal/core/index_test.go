@@ -91,11 +91,11 @@ func TestStoreSkipsConstantProbeUnderStrictClass(t *testing.T) {
 	if _, err := s.Add(Fingerprint{0, 0, 0}, "zero", nil); err != nil {
 		t.Fatal(err)
 	}
-	var view MatchView
-	if _, _, ok := s.Match(Fingerprint{0, 0, 0}, nil, nil, &view); ok {
+	_, _, ok, n := s.Match(Fingerprint{0, 0, 0}, nil, nil)
+	if ok {
 		t.Fatal("strict class matched a constant")
 	}
-	if n := view.ScannedTotal(); n != 0 {
+	if n != 0 {
 		t.Fatalf("constant probe scanned %d candidates under strict class", n)
 	}
 }

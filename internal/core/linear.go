@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // LinearClass is the paper's default mapping class: M(x) = αx + β,
 // discovered by Algorithm 2 (FindLinearMapping). It fulfills all four
 // desired mapping-function characteristics: parameterized from two
@@ -58,7 +60,10 @@ func (c LinearClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
 	}
 	i, j, ok := from.FirstTwoDistinct(tol)
 	if !ok {
-		if !c.StrictConstants && to.IsConstant(tol) && approxEqual(from[0], to[0], tol) {
+		// Element-wise, not just from[0] against to[0]: tolerance is
+		// not transitive, so two near-constant fingerprints can agree
+		// at their first entries and still differ by up to 2·tol.
+		if !c.StrictConstants && to.IsConstant(tol) && from.ApproxEqual(to, tol) {
 			return Identity(), true
 		}
 		return nil, false
@@ -66,7 +71,14 @@ func (c LinearClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
 	if to.IsConstant(tol) {
 		return nil, false
 	}
-	alpha := (to[i] - to[j]) / (from[i] - from[j])
+	num, den := to[i]-to[j], from[i]-from[j]
+	if math.IsInf(num, 0) || math.IsInf(den, 0) {
+		// A span beyond the float64 range; halving first is exact for
+		// normal values, so even [−MaxFloat64, MaxFloat64] maps onto
+		// itself.
+		num, den = to[i]/2-to[j]/2, from[i]/2-from[j]/2
+	}
+	alpha := num / den
 	if alpha == 0 {
 		return nil, false
 	}

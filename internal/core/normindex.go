@@ -63,25 +63,6 @@ func (n *NormalizationIndex) Len() int { return n.n }
 // Name implements Index.
 func (n *NormalizationIndex) Name() string { return "Normalization" }
 
-// Fork implements Sharder.
-func (n *NormalizationIndex) Fork() Index { return NewNormalizationIndex(n.digits, n.tol) }
-
-// InsertSignature implements Sharder: linearly mappable fingerprints
-// share a normal form and therefore a signature — the bucket key is
-// the signature.
-func (n *NormalizationIndex) InsertSignature(fp Fingerprint) uint64 { return n.key(fp) }
-
-// ProbeSignatures implements Sharder.
-func (n *NormalizationIndex) ProbeSignatures(fp Fingerprint, buf []uint64) []uint64 {
-	return append(buf, n.key(fp))
-}
-
-// SigCandidates implements Sharder: the signature is the bucket key,
-// so the probe is a single map lookup with no key recomputation.
-func (n *NormalizationIndex) SigCandidates(sig uint64, buf []int) []int {
-	return append(buf, n.buckets[sig]...)
-}
-
 // Key tags distinguishing the two fingerprint shapes, folded into the
 // hash first so a constant fingerprint can never collide with a
 // normal-form one by value alone.

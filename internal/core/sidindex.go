@@ -66,37 +66,6 @@ func (s *SortedSIDIndex) Len() int { return s.n }
 // Name implements Index.
 func (s *SortedSIDIndex) Name() string { return "SortedSID" }
 
-// Fork implements Sharder.
-func (s *SortedSIDIndex) Fork() Index { return NewSortedSIDIndex(s.tol, s.bidirectional) }
-
-// InsertSignature implements Sharder: insertion files under the
-// forward SID key, so the forward signature routes it.
-func (s *SortedSIDIndex) InsertSignature(fp Fingerprint) uint64 {
-	return s.key(fp, false)
-}
-
-// ProbeSignatures implements Sharder: an increasing mapping preserves
-// the forward key; a decreasing one lands on the reversed key, so
-// bidirectional probes cover both shards (in forward-then-reversed
-// order, matching Candidates, and deduplicated the same way).
-func (s *SortedSIDIndex) ProbeSignatures(fp Fingerprint, buf []uint64) []uint64 {
-	fwd := s.key(fp, false)
-	buf = append(buf, fwd)
-	if s.bidirectional {
-		if rev := s.key(fp, true); rev != fwd {
-			buf = append(buf, rev)
-		}
-	}
-	return buf
-}
-
-// SigCandidates implements Sharder: each probe signature is one
-// bucket key (forward or reversed), so the probe is a single map
-// lookup with no re-sorting or rehashing.
-func (s *SortedSIDIndex) SigCandidates(sig uint64, buf []int) []int {
-	return append(buf, s.buckets[sig]...)
-}
-
 // sidStackLen is the fingerprint length up to which key computation
 // runs entirely on the stack. Fingerprints are short (the paper uses
 // m = 10); longer ones fall back to a heap scratch.

@@ -21,10 +21,9 @@ func stressFingerprint(family, m int, alpha, beta float64) Fingerprint {
 }
 
 // TestStoreConcurrentStress hammers one store with concurrent Add and
-// Match from every index strategy; run under -race this is the
-// concurrency guarantee of the sharded store. Invariants checked:
-// dense unique IDs, every returned mapping valid, and every Match
-// either hit or led to an Add.
+// Match from every index strategy; run under -race this is the store's
+// concurrency guarantee. Invariants checked: dense unique IDs, every
+// returned mapping valid, and every Match either hit or led to an Add.
 func TestStoreConcurrentStress(t *testing.T) {
 	// families stays below 17: the %17 term in stressFingerprint makes
 	// family f and f+17 genuinely affine-related, which would merge
@@ -58,7 +57,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						alpha := 1 + float64((w*rounds+i)%7)
 						beta := float64(i % 5)
 						fp := stressFingerprint(family, m, alpha, beta)
-						if b, mapping, ok := store.Match(fp, nil, nil, nil); ok {
+						if b, mapping, ok, _ := store.Match(fp, nil, nil); ok {
 							if !Validate(mapping, b.Fingerprint, fp, store.Tolerance()) {
 								errs <- fmt.Errorf("worker %d: invalid mapping %v returned for family %d", w, mapping, family)
 								return
@@ -109,22 +108,14 @@ func TestStoreConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestStoreShardRouting checks that sharded stores still find every
-// mappable basis: matches must be exactly as good as the single-shard
-// store's on a sequential workload.
+// TestStoreShardRouting checks that every index routes a probe to its
+// family: with many families stored, each affine image of a family
+// member — increasing and decreasing — must match a basis through a
+// valid mapping.
 func TestStoreShardRouting(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() Index
-	}{
-		{"norm", func() Index { return NewNormalizationIndex(6, DefaultTolerance) }},
-		{"sid", func() Index { return NewSortedSIDIndex(DefaultTolerance, true) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := NewStore(LinearClass{}, tc.mk(), DefaultTolerance)
-			if store.Shards() != storeShardCount {
-				t.Fatalf("Shards() = %d, want %d", store.Shards(), storeShardCount)
-			}
+	for name, mk := range allIndexes() {
+		t.Run(name, func(t *testing.T) {
+			store := NewStore(LinearClass{}, mk(), DefaultTolerance)
 			const families = 64
 			for f := 0; f < families; f++ {
 				if _, err := store.Add(stressFingerprint(f, 10, 1, 0), "", nil); err != nil {
@@ -134,7 +125,7 @@ func TestStoreShardRouting(t *testing.T) {
 			for f := 0; f < families; f++ {
 				for _, mapping := range []Linear{{Alpha: 2, Beta: 3}, {Alpha: -1.5, Beta: 7}} {
 					probe := stressFingerprint(f, 10, mapping.Alpha, mapping.Beta)
-					b, m, ok := store.Match(probe, nil, nil, nil)
+					b, m, ok, _ := store.Match(probe, nil, nil)
 					if !ok {
 						t.Fatalf("family %d probe %v missed", f, mapping)
 					}

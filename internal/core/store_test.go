@@ -18,7 +18,7 @@ func TestStoreAddAndMatch(t *testing.T) {
 	}
 
 	probe := Compute(gaussianBox(4, 2.5), testSeeds)
-	got, m, ok := s.Match(probe, nil, nil, nil)
+	got, m, ok, _ := s.Match(probe, nil, nil)
 	if !ok {
 		t.Fatal("affinely related fingerprint did not match")
 	}
@@ -41,13 +41,13 @@ func TestStoreMissThenAdd(t *testing.T) {
 	if _, err := s.Add(fpA, "A", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Match(fpB, nil, nil, nil); ok {
+	if _, _, ok, _ := s.Match(fpB, nil, nil); ok {
 		t.Fatal("unrelated fingerprint matched")
 	}
 	if _, err := s.Add(fpB, "B", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Match(fpB.MappedBy(Shift(3)), nil, nil, nil); !ok {
+	if _, _, ok, _ := s.Match(fpB.MappedBy(Shift(3)), nil, nil); !ok {
 		t.Fatal("shifted copy of B did not match after Add")
 	}
 	if s.Len() != 2 {
@@ -81,7 +81,7 @@ func TestStoreFingerprintLengthEnforced(t *testing.T) {
 		t.Fatal("empty fingerprint accepted")
 	}
 	// Wrong-length probes must miss, not panic.
-	if _, _, ok := s.Match(Fingerprint{1, 2}, nil, nil, nil); ok {
+	if _, _, ok, _ := s.Match(Fingerprint{1, 2}, nil, nil); ok {
 		t.Fatal("wrong-length probe matched")
 	}
 }
@@ -118,22 +118,43 @@ func TestStoreMatchPrefersValidatedCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := linearBase.MappedBy(Linear{Alpha: 2, Beta: 1})
-	var view MatchView
-	b, _, ok := s.Match(probe, nil, nil, &view)
+	b, _, ok, n := s.Match(probe, nil, nil)
 	if !ok {
 		t.Fatal("no match found")
 	}
 	if b.Label != "lin" {
 		t.Fatalf("matched %q, want lin", b.Label)
 	}
-	if n := view.ScannedTotal(); n < 2 {
+	if n < 2 {
 		t.Fatalf("expected the false positive to be scanned, scanned %d", n)
+	}
+}
+
+func TestStoreMatchRejectsInfiniteMismatch(t *testing.T) {
+	// An infinite entry equals only the same infinity: neither an
+	// identity nor an affine map may relate it to −Inf, a finite value
+	// or zero. The array index hands every basis to mapping discovery,
+	// so only the mapping class stands between probe and basis.
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		basis, probe Fingerprint
+	}{
+		{Fingerprint{inf, 1, 2, 3}, Fingerprint{-inf, inf, 1, 2}},               // via the identity
+		{Fingerprint{1, inf, 2, 3}, Fingerprint{0, math.Copysign(0, -1), 1, 2}}, // via x − 1
+	} {
+		s := NewStore(LinearClass{}, NewArrayIndex(), DefaultTolerance)
+		if _, err := s.Add(tc.basis, "inf", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, m, ok, _ := s.Match(tc.probe, nil, nil); ok {
+			t.Errorf("probe %v matched basis %v through %v", tc.probe, tc.basis, m)
+		}
 	}
 }
 
 func TestStoreMatchEmpty(t *testing.T) {
 	s := NewStore(nil, nil, 0)
-	if _, _, ok := s.Match(Fingerprint{1, 2, 3}, nil, nil, nil); ok {
+	if _, _, ok, _ := s.Match(Fingerprint{1, 2, 3}, nil, nil); ok {
 		t.Fatal("empty store matched")
 	}
 }

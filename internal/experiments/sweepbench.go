@@ -267,7 +267,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 	// grid above accumulates only ~2 bases, so the naive array scan is
 	// competitive and index pruning invisible; these rows are where a
 	// hash index must beat ArrayIndex's O(bases) probe, and where the
-	// sweep's commit loop sees registrations throughout the sweep
+	// sweep's phase B sees registrations throughout the sweep
 	// rather than only at the start.
 	manySpace := param.MustSpace(mustRange("point_index", 0, float64(manyBasesPoints-1), 1))
 	manyEv := mc.MustBindBox(blackbox.NewSynthBasis(manyBasesFamilies), "point_index")

@@ -286,7 +286,7 @@ func (s *Session) ensurePoint(p param.Point) (*pointState, error) {
 		validated:   map[int]bool{},
 		basisID:     -1,
 	}
-	if b, mapping, ok := s.store.Match(fp, nil, nil, nil); ok {
+	if b, mapping, ok, _ := s.store.Match(fp, nil, nil); ok {
 		if inv, invertible := mapping.Inverse(); invertible {
 			_ = inv // mapping stored point-ward; inverse checked up front
 			ps.basisID = b.Payload.(*basis).id

@@ -347,15 +347,15 @@ type PointResult struct {
 
 // Engine evaluates parameter points with optional fingerprint reuse.
 //
-// An Engine is safe for concurrent use: the basis store takes sharded
-// locks, every call returns its own statistics, and per-worker scratch
-// state is pooled, so independent goroutines (e.g. interactive sessions
-// sharing a warmed store) may call EvaluatePoint concurrently. Note
-// that concurrent EvaluatePoint callers race benignly on basis
-// registration — both may fully simulate the same fingerprint family
-// before either Adds it. Sweep and SweepBatch avoid that by
-// sequencing all store decisions in enumeration order, which also
-// makes their results bit-identical for every Workers setting.
+// An Engine is safe for concurrent use: the basis store is guarded by
+// one read-write lock, every call returns its own statistics, and
+// per-worker scratch state is pooled, so independent goroutines (e.g.
+// interactive sessions sharing a warmed store) may call EvaluatePoint
+// concurrently. Note that concurrent EvaluatePoint callers race
+// benignly on basis registration — both may fully simulate the same
+// fingerprint family before either Adds it. Sweep and SweepBatch avoid
+// that by sequencing all store decisions in enumeration order, which
+// also makes their results bit-identical for every Workers setting.
 type Engine struct {
 	opts  Options
 	seeds *rng.SeedSet
@@ -435,10 +435,9 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 
 	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
-		var view core.MatchView
-		basis, mapping, ok := e.store.Match(fp, payloadReady, &sc.probe, &view)
+		basis, mapping, ok, scanned := e.store.Match(fp, payloadReady, &sc.probe)
 		st.Store.Queries = 1
-		st.Store.CandidatesScanned = int(view.ScannedTotal())
+		st.Store.CandidatesScanned = scanned
 		if ok {
 			st.Store.Hits = 1
 			if e.validateMatch(f, p, basis, mapping, sc) {

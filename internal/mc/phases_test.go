@@ -8,18 +8,15 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/core"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
-// Tests for the speculative sweep pipeline beyond determinism (which
+// Tests for the phased sweep beyond determinism (which
 // TestSweepParallelDeterminism pins): cancellation in every phase
-// leaves the engine and store reusable, speculation adds no per-point
+// leaves the engine and store reusable, the phases add no per-point
 // steady-state allocations, and small full simulations skip the
-// goroutine fan-out. The serial-section benchmarks at the bottom
-// measure the commit loop's per-point cost against the full match it
-// replaced.
+// goroutine fan-out.
 
 // cancelAfterEval wraps an evaluator and cancels a context on the
 // k-th model evaluation, steering the cancellation into a chosen
@@ -74,7 +71,7 @@ func TestSweepPhaseCancellation(t *testing.T) {
 		{"phaseA", base, points * m / 2},
 		// First evaluation after all fingerprints with validation
 		// active is phase B's inline completion of a pending basis (or
-		// a validation draw) — the serial commit loop.
+		// a validation draw) — the serial match loop.
 		{"phaseB", validating, points*m + 1},
 		// Without validation, evaluations after the fingerprints are
 		// phase C1's full simulations.
@@ -127,8 +124,8 @@ func TestSweepPhaseCancellation(t *testing.T) {
 
 // TestSweepReuseSteadyStateAllocs pins the sweep's allocation budget:
 // on a warmed store, its per-point allocations must not exceed an
-// EvaluatePoint loop's, at one worker or several — speculation (views,
-// probe scratch, commit bookkeeping) costs no per-point heap.
+// EvaluatePoint loop's, at one worker or several — the phases' plans,
+// probe scratch and pending-basis bookkeeping cost no per-point heap.
 func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
@@ -155,13 +152,13 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 
 	ref := perPoint(1, loop)
 	// The EvaluatePoint loop allocates ~1 per reused point (the boxed
-	// mapping). The sweep boxes the same mapping in phase A;
-	// everything speculation adds — views, plans, own-registration
-	// tracking — must amortize to O(1) per sweep, leaving headroom
-	// only for fixed per-sweep and per-goroutine bookkeeping.
+	// mapping). The sweep boxes the same mapping in phase B; everything
+	// else it adds — plans, the fingerprint backing array, the pending
+	// map — must amortize to O(1) per sweep, leaving headroom only for
+	// fixed per-sweep and per-goroutine bookkeeping.
 	for _, workers := range []int{1, 4} {
 		if got := perPoint(workers, sweep); got > ref+0.5 {
-			t.Errorf("workers=%d sweep allocates %.2f/point on a warmed store vs %.2f for the EvaluatePoint loop; speculation must not add per-point allocations", workers, got, ref)
+			t.Errorf("workers=%d sweep allocates %.2f/point on a warmed store vs %.2f for the EvaluatePoint loop; the phases must not add per-point allocations", workers, got, ref)
 		}
 	}
 }
@@ -267,114 +264,4 @@ func TestFullSimulationSmallStaysSequential(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("n=1000 Workers=4 EvaluatePoint allocates %.1f per point (budget 1): small simulation did not skip goroutine fan-out", allocs)
 	}
-}
-
-// BenchmarkSweepSerialSection measures the per-point cost of the
-// sweep's serial section — the Amdahl term the tentpole shrinks — in
-// its three regimes:
-//
-//   - full-match: what phase B paid per reused point before
-//     speculation (the complete Store.Match probe, quantization and
-//     all), and still what EvaluatePoint and phase A pay per point;
-//   - commit-current: the speculative commit when the probed shards
-//     are unchanged (warmed store, the steady state of repeated or
-//     reuse-heavy sweeps) — an epoch load and a plan copy;
-//   - commit-stale: the speculative commit after the probed shard
-//     gained a basis mid-sweep — the delta replay against the
-//     sweep's own registrations.
-func BenchmarkSweepSerialSection(b *testing.B) {
-	mkEngine := func() (*Engine, PointEval, []param.Point, []core.Fingerprint) {
-		eng := MustNew(Options{
-			Samples: 400, FingerprintLen: 10, MasterSeed: 0x5161,
-			Reuse: true, Index: IndexNormalization, Workers: 1,
-		})
-		ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-		// Register the two Demand bases so every point below hits.
-		eng.EvaluatePoint(ev, param.Point{"current_week": 0, "feature_release": 30})
-		eng.EvaluatePoint(ev, param.Point{"current_week": 20, "feature_release": 0})
-		var points []param.Point
-		var fps []core.Fingerprint
-		for w := 1.0; w <= 16; w++ {
-			p := param.Point{"current_week": w, "feature_release": 30}
-			points = append(points, p)
-			fps = append(fps, fingerprintOf(eng, ev, p))
-		}
-		return eng, ev, points, fps
-	}
-
-	b.Run("full-match", func(b *testing.B) {
-		eng, _, _, fps := mkEngine()
-		var sc core.ProbeScratch
-		var view core.MatchView
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := eng.Store().Match(fps[i%len(fps)], payloadReady, &sc, &view); !ok {
-				b.Fatal("probe missed")
-			}
-		}
-	})
-
-	b.Run("commit-current", func(b *testing.B) {
-		eng, _, _, fps := mkEngine()
-		sc := eng.scratches.Get()
-		defer eng.scratches.Put(sc)
-		plans := make([]pointPlan, len(fps))
-		for i, fp := range fps {
-			plans[i].basis, plans[i].mapping, _ =
-				eng.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
-		}
-		var own ownAdds
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i % len(fps)
-			if _, _, ok, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
-				b.Fatal("commit missed")
-			}
-		}
-	})
-
-	// commit-stale is the fresh-store regime: every speculation ran
-	// against an empty store (a miss), then the commit loop registered
-	// the bases — so each commit replays the delta, running mapping
-	// discovery against the sweep's own registrations.
-	b.Run("commit-stale", func(b *testing.B) {
-		eng := MustNew(Options{
-			Samples: 400, FingerprintLen: 10, MasterSeed: 0x5161,
-			Reuse: true, Index: IndexNormalization, Workers: 1,
-		})
-		ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-		sc := eng.scratches.Get()
-		defer eng.scratches.Put(sc)
-		var fps []core.Fingerprint
-		for w := 1.0; w <= 16; w++ {
-			fps = append(fps, fingerprintOf(eng, ev, param.Point{"current_week": w, "feature_release": 30}))
-		}
-		plans := make([]pointPlan, len(fps))
-		for i, fp := range fps {
-			plans[i].basis, plans[i].mapping, _ =
-				eng.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
-			if plans[i].view.HitProbe() >= 0 {
-				b.Fatal("speculation against the empty store hit")
-			}
-		}
-		var own ownAdds
-		for _, p := range []param.Point{
-			{"current_week": 0, "feature_release": 30},
-			{"current_week": 20, "feature_release": 0},
-		} {
-			fp := fingerprintOf(eng, ev, p)
-			basis, err := eng.store.Add(fp, p.Key(), &BasisPayload{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			own.add(eng.store, fp, basis)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i % len(fps)
-			if _, _, ok, _ := eng.commitMatch(fps[j], &plans[j], &own, payloadReady, sc); !ok {
-				b.Fatal("commit missed")
-			}
-		}
-	})
 }

@@ -1,13 +1,13 @@
 package mc
 
-// Per-worker scratch state for the engine's hot path. The paper's
-// pitch is that fingerprint reuse makes sweep points cheap (§3,
-// Figs. 8–9); that only holds if a reused point does not spend its
-// savings in the allocator. Every buffer the per-point pipeline needs
-// — fingerprint, candidate ids, shard signatures, bound arguments,
-// sample vector, accumulator — lives here and is recycled through a
-// typed pool, so the steady-state cost of a reused point is a hash
-// probe and a mapping validation, with (amortized) zero allocations.
+// Per-worker scratch state for the engine's hot path. The paper's pitch
+// is that fingerprint reuse makes sweep points cheap (§3, Figs. 8–9);
+// that only holds if a reused point does not spend its savings in the
+// allocator. Every buffer the per-point pipeline needs — fingerprint,
+// candidate ids, bound arguments, sample vector, accumulator — lives
+// here and is recycled through a typed pool, so the steady-state cost
+// of a reused point is a hash probe and a mapping validation, with
+// (amortized) zero allocations.
 
 import (
 	"jigsaw/internal/core"
@@ -21,7 +21,7 @@ import (
 // goroutine at a time: engines hand them out via a pool.Pool
 // (EvaluatePoint) or pin one per worker id (the sweep).
 type scratch struct {
-	// probe carries the store's candidate-id and signature buffers.
+	// probe carries the store's candidate-id buffer.
 	probe core.ProbeScratch
 	// fp is the fingerprint buffer for probe-only fingerprints.
 	fp core.Fingerprint

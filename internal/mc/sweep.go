@@ -21,28 +21,23 @@ import (
 // point's result depends on that timing. Instead the sweep runs in
 // three phases (DESIGN.md, "Concurrency model"):
 //
-//	A. fingerprints AND speculative store matches for every point, in
-//	   parallel — each worker runs the full Store.Match probe
-//	   (signatures, candidate scan, mapping discovery) and records what
-//	   it observed in a core.MatchView;
-//	B. a serial COMMIT loop in enumeration order: a point whose
-//	   probed shards are at their speculation epoch adopts the
-//	   speculative outcome in O(1); a point whose shard gained a
-//	   basis mid-sweep replays only the appended candidates, which
-//	   this loop itself registered and tracks per signature (it is
-//	   the sweep's only store writer);
+//	A. fingerprints for every point, in parallel — no store access;
+//	B. a serial loop in enumeration order: one Store.Match per point
+//	   (plus match validation, when enabled), then the decision —
+//	   reuse the matched basis, or register the point as a new basis
+//	   whose payload stays pending until phase C1 fills it;
 //	C. full simulations for the miss points in parallel, then mapped
 //	   results for the hit points — each deterministic given phase B.
 //
 // The reference semantics is a loop of EvaluatePoint calls in
-// enumeration order on the same engine: the commit loop reaches
-// exactly that loop's decisions, and the sweep's statistics are the
-// sum of that loop's per-call statistics. The per-point
-// match cost rides in phase A, so the serial section shrinks to epoch
-// loads plus the occasional delta replay. The exception is match
-// validation (ValidationSamples with KeepSamples — off by default):
-// its paired draws and inline basis completions still run inside
-// phase B, so validation-enabled sweeps trade scaling for the guard.
+// enumeration order on the same engine: phase B makes exactly that
+// loop's store decisions, and the sweep's statistics are the sum of
+// that loop's per-call statistics. Phase B costs one probe per point,
+// small against the model evaluations of phases A and C. Match
+// validation (ValidationSamples with KeepSamples — off by default)
+// also runs inside phase B: its paired draws and inline basis
+// completions are serial, so validation-enabled sweeps trade scaling
+// for the guard.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: fingerprints fill a single bulk
@@ -89,61 +84,18 @@ func (e *Engine) sweepWorkers(points int) int {
 	return max(1, min(e.opts.Workers, points))
 }
 
-// pointPlan is one point's record through the phases: the speculative
-// match from phase A, and phase B's committed decision.
+// pointPlan is one point's record through the phases: phase B's
+// decision, which phases C1 and C2 carry out.
 type pointPlan struct {
-	// view records what the speculative match observed (probed
-	// signatures, shard epochs, per-group scan counts); the commit
-	// loop validates the speculation against it.
-	view core.MatchView
-	// basis and mapping hold phase A's speculative match (nil when it
-	// missed) until the commit loop replaces them with its decision:
-	// the matched basis and its mapping (reuse), or the newly
-	// registered basis (simulate, with reuse enabled; nil otherwise).
+	// basis and mapping hold the decision: the matched basis and its
+	// mapping (reuse), or the newly registered basis (simulate, with
+	// reuse enabled; nil otherwise).
 	basis   *core.Basis
 	mapping core.Mapping
 	// simulate marks a miss: the point runs a full simulation in
 	// phase C1 — unless done, set when the validation path already
 	// simulated it inline in phase B.
 	simulate, done bool
-}
-
-// ownAdds tracks the bases the commit loop registered during this
-// sweep, in registration order, grouped the way the index files them.
-// Since the commit loop is the sweep's only store writer, these are
-// exactly the candidates appended to any probe bucket after phase A's
-// speculations — the delta a stale speculation must replay.
-type ownAdds struct {
-	// bySig groups registrations by insert signature (sharded stores):
-	// the tail of probe bucket sig is bySig[sig], in insertion order.
-	bySig map[uint64][]*core.Basis
-	// all is the registration list for unsharded stores, whose single
-	// probe group sees every insertion.
-	all []*core.Basis
-}
-
-// add records a registration under the signature the store filed it.
-func (o *ownAdds) add(store *core.Store, fp core.Fingerprint, b *core.Basis) {
-	if sig, sharded := store.InsertSignature(fp); sharded {
-		if o.bySig == nil {
-			o.bySig = make(map[uint64][]*core.Basis)
-		}
-		o.bySig[sig] = append(o.bySig[sig], b)
-		return
-	}
-	o.all = append(o.all, b)
-}
-
-// tail returns the registrations appended to probe group j of the
-// view since speculation.
-func (o *ownAdds) tail(store *core.Store, v *core.MatchView, j int) []*core.Basis {
-	if store.Sharded() {
-		if o.bySig == nil {
-			return nil
-		}
-		return o.bySig[v.Sig(j)]
-	}
-	return o.all
 }
 
 // sweep is the phased sweep. See the file comment for the phase
@@ -175,40 +127,28 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 		}
 	}()
 
-	// Phase A: fingerprints and speculative matches, embarrassingly
-	// parallel. All n fingerprints share one backing array — one
-	// allocation instead of n (they outlive the phases: misses donate
-	// theirs to the store, which clones, and C1 and C2 reread them).
-	// The speculative match runs the full probe — quantization,
-	// hashing, candidate scan, mapping discovery — that phase B would
-	// otherwise serialize; its outcome and the store state it saw land
-	// in the point's plan for the commit loop to validate.
+	// Phase A: fingerprints, embarrassingly parallel. All n
+	// fingerprints share one backing array — one allocation instead of
+	// n (they outlive the phases: misses donate theirs to the store,
+	// which clones, and C1 and C2 reread them).
 	m := e.seeds.Len()
 	backing := make([]float64, n*m)
 	fingerprint := func(i int) core.Fingerprint { return backing[i*m : (i+1)*m : (i+1)*m] }
-	reuse := e.opts.Reuse
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		sc := scratches[w]
-		fp := fingerprint(i)
-		e.fingerprintFill(f, points[i], fp, sc)
-		if reuse {
-			plans[i].basis, plans[i].mapping, _ =
-				e.store.Match(fp, payloadReady, &sc.probe, &plans[i].view)
-		}
+		e.fingerprintFill(f, points[i], fingerprint(i), scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, err
 	}
 
-	// Phase B: the serial commit loop, strictly in enumeration order.
-	// pending maps a basis ID registered during this sweep to the
-	// index of the point that owns its simulation; own tracks this
-	// sweep's registrations per probe bucket for delta replays. The
-	// loop tallies the call's probe accounting (queries, hits,
-	// candidates scanned, registrations) as it decides.
+	// Phase B: one store lookup per point, strictly in enumeration
+	// order. pending maps a basis ID registered during this sweep to
+	// the index of the point that owns its simulation. The loop tallies
+	// the call's probe accounting (queries, hits, candidates scanned,
+	// registrations) as it decides.
+	reuse := e.opts.Reuse
 	pending := make(map[int]int)
 	validating := e.opts.ValidationSamples > 0 && e.opts.KeepSamples
 	sc0 := scratches[0]
-	var own ownAdds
 	st := SweepStats{Points: n}
 	// Accept this sweep's own pending bases (phase C fills them
 	// before C2 reads); skip bases another — possibly cancelled —
@@ -225,9 +165,9 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 			break
 		}
 		if reuse {
-			basis, mapping, ok, scanned := e.commitMatch(fingerprint(i), &plans[i], &own, accept, sc0)
+			basis, mapping, ok, scanned := e.store.Match(fingerprint(i), accept, &sc0.probe)
 			st.Store.Queries++
-			st.Store.CandidatesScanned += int(scanned)
+			st.Store.CandidatesScanned += scanned
 			if ok {
 				st.Store.Hits++
 				_, ownPending := pending[basis.ID]
@@ -255,14 +195,13 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 				}
 			}
 		}
-		plans[i].basis, plans[i].mapping, plans[i].simulate = nil, nil, true
+		plans[i].simulate = true
 		if reuse {
 			payload := &BasisPayload{}
 			payload.markPending()
 			if basis, err := e.store.Add(fingerprint(i), points[i].Key(), payload); err == nil {
 				plans[i].basis = basis
 				pending[basis.ID] = i
-				own.add(e.store, fingerprint(i), basis)
 				st.Store.Bases++
 			}
 		}
@@ -307,61 +246,6 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 	}
 	st.FullSimulations = n - st.Reused
 	return results, st, nil
-}
-
-// commitMatch replays point i's speculative match against the store
-// as of this commit step and returns exactly the (basis, mapping, ok)
-// a Store.Match here would return, plus the number of
-// mapping-discovery attempts that match would scan. The cases,
-// cheapest first:
-//
-//   - the probed shards are at their speculation epochs (ViewCurrent):
-//     no candidate list changed, the speculation IS the commit-time
-//     decision — O(1), no locks, no index access;
-//   - a probed shard changed: the only in-sweep writer is this loop,
-//     so the appended candidates are in own; replay them per probe
-//     group, in group order — a speculative hit in group j yields to
-//     a delta hit in any earlier group (those candidates precede it
-//     in scan order) but beats anything appended to group j or later
-//     (appends land after the hit position);
-//   - the view overflowed (an exotic index with more probe signatures
-//     than the view tracks): re-match from scratch.
-//
-// Own registrations always pass the accept filter (they are this
-// sweep's pending bases, or were completed inline by validation), so
-// the replay skips the accept call for them.
-func (e *Engine) commitMatch(fp core.Fingerprint, plan *pointPlan, own *ownAdds, accept func(*core.Basis) bool, sc *scratch) (basis *core.Basis, mapping core.Mapping, ok bool, scanned int64) {
-	v := &plan.view
-	if v.Overflow() {
-		var fresh core.MatchView
-		basis, mapping, ok = e.store.Match(fp, accept, &sc.probe, &fresh)
-		return basis, mapping, ok, fresh.ScannedTotal()
-	}
-	if v.Static() || e.store.ViewCurrent(v) {
-		if v.HitProbe() >= 0 {
-			return plan.basis, plan.mapping, true, v.ScannedTotal()
-		}
-		return nil, nil, false, v.ScannedTotal()
-	}
-	class, tol := e.store.Class(), e.store.Tolerance()
-	for j := 0; j < v.Probes(); j++ {
-		// The speculation's scan of group j is a prefix of the
-		// commit-time scan: its failures stay failures (fingerprints
-		// are immutable and pre-sweep payload readiness is stable
-		// within a sweep), and a speculative hit here ends the scan
-		// exactly where the commit-time one would.
-		scanned += int64(v.ScannedIn(j))
-		if v.HitProbe() == j {
-			return plan.basis, plan.mapping, true, scanned
-		}
-		for _, b := range own.tail(e.store, v, j) {
-			scanned++
-			if m, found := class.Find(b.Fingerprint, fp, tol); found {
-				return b, m, true, scanned
-			}
-		}
-	}
-	return nil, nil, false, scanned
 }
 
 // completeSimulation runs a miss point's full simulation over workers

@@ -38,13 +38,12 @@ func sweepOptions(workers int) Options {
 }
 
 // famEval is a multi-family test workload: parameter fam selects a
-// distinct nonlinear shape (families are not mappable onto each
-// other), while a and b place the point inside its family's affine
-// orbit — including negative a, so the SortedSID index exercises its
-// reversed-key probe and the speculative commit its cross-bucket
-// replay. The sample identity is recovered from the reseeded
-// generator's first draw, keeping the fingerprint a pure function of
-// (point, seed) on the scalar evaluation path.
+// distinct nonlinear shape (families are not mappable onto each other),
+// while a and b place the point inside its family's affine orbit —
+// including negative a, so the SortedSID index exercises its
+// reversed-key probe. The sample identity is recovered from the
+// reseeded generator's first draw, keeping the fingerprint a pure
+// function of (point, seed) on the scalar evaluation path.
 var famEval = EvalFunc(func(p param.Point, r *rng.Rand) float64 {
 	u := r.Uniform(0, 1)
 	fam := p.MustGet("fam")
@@ -100,13 +99,11 @@ func evaluateLoop(eng *Engine, ev PointEval, points []param.Point) ([]PointResul
 }
 
 // TestSweepParallelDeterminism is the core guarantee of the sweep: for
-// every index strategy, with reuse on and off, with basis
-// registrations forced throughout the sweep (multi-family workloads)
-// and against both a fresh and a warmed store — the former drives the
-// commit loop's delta replay, the latter commits speculative hits
-// verbatim — the phased sweep returns PointResults and SweepStats
-// bit-identical to an EvaluatePoint loop on a Workers: 1 engine, for
-// every worker count including one.
+// every index strategy, with reuse on and off, with basis registrations
+// forced throughout the sweep (multi-family workloads) and against both
+// a fresh and a warmed store, the phased sweep returns PointResults and
+// SweepStats bit-identical to an EvaluatePoint loop on a Workers: 1
+// engine, for every worker count including one.
 func TestSweepParallelDeterminism(t *testing.T) {
 	demandSpace := sweepSpace(t)
 	demand := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
@@ -141,9 +138,8 @@ func TestSweepParallelDeterminism(t *testing.T) {
 			refEng := MustNew(refOpts)
 			points := tc.space.Points()
 			// Two rounds per engine: the first runs against an empty
-			// store (every speculative view goes stale as bases
-			// register), the second against a warmed one (speculative
-			// hits commit verbatim in O(1)).
+			// store (phase B registers bases as it goes), the second
+			// against a warmed one (mostly hits).
 			var refRes [2][]PointResult
 			var refStats [2]SweepStats
 			for round := range refRes {
@@ -206,10 +202,10 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestSweepSharedEngineRace drives concurrent SweepBatch calls into
-// one shared engine; under -race this exercises the store's sharded
-// locking on the real hot path, and the four calls' returned
-// statistics must still account for every evaluation.
+// TestSweepSharedEngineRace drives concurrent SweepBatch calls into one
+// shared engine; under -race this exercises the store's lock on the
+// real hot path, and the four calls' returned statistics must still
+// account for every evaluation.
 func TestSweepSharedEngineRace(t *testing.T) {
 	space := sweepSpace(t)
 	points := space.Points()

@@ -24,9 +24,9 @@ func For(ctx context.Context, n, workers int, fn func(i int)) error {
 // atomic claim hands a worker a contiguous run of indexes sized so a
 // worker makes ~forChunkTarget claims over the whole job (bounded by
 // forChunkMax so uneven items still load-balance). For cheap per-item
-// fn — a sweep's speculative fingerprint probes run well under a
-// microsecond — per-item claims would spend a visible fraction of the
-// phase in the contended counter.
+// fn — a sweep's fingerprints of a cheap model, or its mapped results
+// — per-item claims would spend a visible fraction of the phase in the
+// contended counter.
 const (
 	forChunkTarget = 32
 	forChunkMax    = 64

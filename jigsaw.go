@@ -43,12 +43,11 @@
 // worker count, equal to evaluating the points one by one with
 // Engine.EvaluatePoint. Every call returns its own SweepStats (sum
 // several with SweepStats.Add); the engine keeps no running counters.
-// The basis store takes sharded locks keyed on fingerprint signatures,
-// so engines may also be shared between goroutines calling
-// EvaluatePoint. Interactive sessions draw their per-tick sample
-// batches on a pool sized by SessionOptions.Workers. DESIGN.md
-// ("Concurrency model") describes the shard layout and the
-// determinism argument.
+// The basis store is guarded by one read-write lock, so engines may
+// also be shared between goroutines calling EvaluatePoint. Interactive
+// sessions draw their per-tick sample batches on a pool sized by
+// SessionOptions.Workers. DESIGN.md ("Concurrency model") describes
+// the sweep's phases and the determinism argument.
 //
 // See examples/ for complete programs, DESIGN.md for the architecture,
 // and EXPERIMENTS.md for the reproduced evaluation.

@@ -232,7 +232,7 @@ func TestPublicAPIFingerprints(t *testing.T) {
 	if _, err := store.Add(fpA, "A", "payload"); err != nil {
 		t.Fatal(err)
 	}
-	basis, mapping, ok := store.Match(fpB, nil, nil, nil)
+	basis, mapping, ok, _ := store.Match(fpB, nil, nil)
 	if !ok {
 		t.Fatal("affine fingerprints did not match")
 	}
