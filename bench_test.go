@@ -444,6 +444,62 @@ func BenchmarkSweepWorkersReuseHeavy(b *testing.B) {
 	}
 }
 
+// graphUsersSource is a GRAPH-shaped scenario after perfbench's
+// graph_users workload: three columns over the weeks, one of them the
+// model-bound per-user usage.
+const graphUsersSource = `
+DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @feature_release AS SET (12, 36, 44);
+SELECT UserSelection(@current_week)                 AS usage,
+       DemandModel(@current_week, @feature_release) AS demand,
+       CASE WHEN usage > demand THEN 1 ELSE 0 END   AS overload
+INTO results;
+`
+
+// BenchmarkColumnSweep measures exec.ColumnSweep over a graph-shaped
+// batch (the weeks at a fixed release) from a cold store: k=1 sweeps
+// the usage column alone, k=3 all three, each sampled row evaluated
+// once for every column. ns/point is per batch point, so k=3 costs
+// about what k=1 does when the model-bound column misses everywhere.
+func BenchmarkColumnSweep(b *testing.B) {
+	script, err := sqlparse.Parse(graphUsersSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := blackbox.NewRegistry()
+	reg.MustRegister(blackbox.NewUserSelection(200, 0xD5))
+	reg.MustRegister(blackbox.NewDemand())
+	s, err := exec.CompileScenario(script, reg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	week, _ := s.Space.Decl("current_week")
+	var batch []param.Point
+	for _, w := range week.Domain() {
+		batch = append(batch, param.Point{"current_week": w, "feature_release": 36})
+	}
+	for _, cols := range [][]string{{"usage"}, {"usage", "demand", "overload"}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("k=%d/workers=%d", len(cols), workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sweep, err := s.SweepColumns(cols, mc.Options{
+						Samples: 200, FingerprintLen: benchM, MasterSeed: benchSeed,
+						Reuse: true, Index: mc.IndexNormalization, Workers: workers,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sweep.Sweep(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/point")
+			})
+		}
+	}
+}
+
 // BenchmarkAblationIndexQuantization probes normalization-index digit
 // counts: coarser keys risk false positives (rejected by FindMapping),
 // finer keys risk missed matches (costing full simulations).

@@ -83,7 +83,8 @@ func (c *ScenarioChain) Initial() markov.State {
 func (c *ScenarioChain) Step(step int, prev markov.State, r *rng.Rand) markov.State {
 	p := c.fixed.With(c.decl.DriverName, float64(step))
 	p[c.decl.Name] = prev[0] // chain parameter = fed-back value
-	v := c.scenario.evalRow(p, r)
+	v := make([]float64, c.scenario.RowLen())
+	c.scenario.FillRow(p, r, v)
 	return markov.State{v[c.chainIdx], v[c.outputIdx]}
 }
 

@@ -20,7 +20,7 @@ import (
 // Scenario is a compiled SELECT ... INTO definition: a parameter space
 // plus a row evaluator producing all result columns for one sampled
 // world. The whole row evaluation is "the stochastic function F" that
-// Jigsaw fingerprints (§3).
+// Jigsaw fingerprints (§3); Scenario implements mc.RowEval.
 type Scenario struct {
 	// Script is the source AST.
 	Script *sqlparse.Script
@@ -48,8 +48,9 @@ type Scenario struct {
 // or NULL bookkeeping — the "Ruby prototype" analogue of §6.1. v is
 // the row vector (see Scenario.width): a column reads earlier columns
 // from it, and a call site writes its arguments to its own region, so
-// a row evaluation allocates nothing beyond v. Every name is resolved
-// at compile time, so evaluation cannot fail.
+// a row evaluation allocates nothing: v is the caller's (in a sweep, a
+// worker's scratch row). Every name is resolved at compile time, so
+// evaluation cannot fail.
 type colEval func(v []float64, p param.Point, r *rng.Rand) float64
 
 // CompileScenario compiles the script's SELECT statements against a
@@ -163,37 +164,56 @@ func (s *Scenario) EvalRow(p param.Point, r *rng.Rand, out []float64) error {
 			return fmt.Errorf("exec: point %v does not bind @%s", p, name)
 		}
 	}
-	copy(out, s.evalRow(p, r))
+	row := make([]float64, s.width)
+	s.FillRow(p, r, row)
+	copy(out, row)
 	return nil
 }
 
-// evalRow evaluates one world into a fresh row vector and returns it;
-// the columns are its first len(Columns) entries.
-func (s *Scenario) evalRow(p param.Point, r *rng.Rand) []float64 {
-	v := make([]float64, s.width)
+// RowLen is the length of the row vector FillRow writes: one slot per
+// column, in Columns order, then one argument region per call site.
+func (s *Scenario) RowLen() int { return s.width }
+
+// FillRow evaluates one world of the whole scenario into the caller's
+// row vector (len(row) == RowLen()); column i lands in row[i]. It
+// allocates nothing, and with a per-worker row it is the scenario's
+// mc.RowEval: a sweep evaluates each sampled row once for all of its
+// columns. p must bind every parameter the row reads.
+func (s *Scenario) FillRow(p param.Point, r *rng.Rand, row []float64) {
 	for i, ev := range s.evals {
-		v[i] = ev(v, p, r)
+		row[i] = ev(row, p, r)
 	}
-	return v
 }
 
-// ColumnEval returns a PointEval producing the named column. Every
-// invocation evaluates the full row (one world of the whole scenario)
-// and projects the column — the simulation is a single stochastic
-// function; columns are views of it. A row that reads a CHAIN
-// parameter has no value at a plain parameter point; NewScenarioChain
-// evaluates it.
-func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
+// column returns the row slot of a column a sweep can evaluate at a
+// plain parameter point. A row that reads a CHAIN parameter has no
+// value there; NewScenarioChain evaluates it.
+func (s *Scenario) column(name string) (int, error) {
 	idx := slices.Index(s.Columns, name)
 	if idx < 0 {
-		return nil, fmt.Errorf("exec: no result column %q (have %v)", name, s.Columns)
+		return 0, fmt.Errorf("exec: no result column %q (have %v)", name, s.Columns)
 	}
 	if s.chainParam != "" {
-		return nil, fmt.Errorf("exec: column %q reads CHAIN parameter @%s; use NewScenarioChain",
+		return 0, fmt.Errorf("exec: column %q reads CHAIN parameter @%s; use NewScenarioChain",
 			name, s.chainParam)
 	}
+	return idx, nil
+}
+
+// ColumnEval returns a PointEval producing the named column: the
+// one-column projection of FillRow. Every invocation evaluates the
+// full row (one world of the whole scenario) and keeps one slot — the
+// simulation is a single stochastic function; columns are views of
+// it. Sweeps of several columns share rows instead (SweepColumns).
+func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
+	idx, err := s.column(name)
+	if err != nil {
+		return nil, err
+	}
 	return mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		return s.evalRow(p, r)[idx]
+		row := make([]float64, s.width)
+		s.FillRow(p, r, row)
+		return row[idx]
 	}), nil
 }
 

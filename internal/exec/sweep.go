@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"slices"
 
 	"jigsaw/internal/mc"
@@ -11,13 +12,16 @@ import (
 // for OPTIMIZE constraints and GRAPH series. It owns one engine, and
 // so one basis store, per distinct column: different columns are
 // different stochastic functions, so a basis of one must never answer
-// for another. Engines persist across Sweep calls, so reuse spans
-// every batch swept — the whole (group × sweep) space of an OPTIMIZE,
-// which is where the two-orders-of-magnitude wins of §6.2 come from.
+// for another. The columns are swept jointly (mc.SweepRows): each
+// sampled row of the scenario is evaluated once and feeds every
+// column. Engines persist across Sweep calls, so reuse spans every
+// batch swept — the whole (group × sweep) space of an OPTIMIZE, which
+// is where the two-orders-of-magnitude wins of §6.2 come from.
 type ColumnSweep struct {
-	// evals and engines hold one entry per distinct column, in the
-	// order the columns first appear.
-	evals   []mc.PointEval
+	scenario *Scenario
+	// slots and engines hold one entry per distinct column, in the
+	// order the columns first appear: its row slot and its engine.
+	slots   []int
 	engines []*mc.Engine
 	// column maps each requested name, by position, to its distinct
 	// column.
@@ -29,13 +33,13 @@ type ColumnSweep struct {
 // SweepColumns builds the sweep of the named columns. A name may
 // repeat; its column is swept once.
 func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, error) {
-	cs := &ColumnSweep{column: make([]int, len(names))}
+	cs := &ColumnSweep{scenario: s, column: make([]int, len(names))}
 	for i, name := range names {
 		if j := slices.Index(names[:i], name); j >= 0 {
 			cs.column[i] = cs.column[j]
 			continue
 		}
-		ev, err := s.ColumnEval(name)
+		slot, err := s.column(name)
 		if err != nil {
 			return nil, err
 		}
@@ -44,26 +48,25 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 			return nil, err
 		}
 		cs.column[i] = len(cs.engines)
-		cs.evals = append(cs.evals, ev)
+		cs.slots = append(cs.slots, slot)
 		cs.engines = append(cs.engines, eng)
 	}
 	return cs, nil
 }
 
-// Sweep evaluates each distinct column at every point of batch, on
-// the engines' worker pools (Options.Workers), and returns one result
-// slice per name given to SweepColumns, in batch order. Names of the
-// same column share its slice.
+// Sweep evaluates each distinct column at every point of batch, in one
+// joint sweep on the engines' worker pool (Options.Workers), and
+// returns one result slice per name given to SweepColumns, in batch
+// order. Names of the same column share its slice.
 func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
-	swept := make([][]mc.PointResult, len(cs.engines))
-	for c, eng := range cs.engines {
-		prs, st, err := eng.SweepBatch(cs.evals[c], batch)
-		if err != nil {
-			return nil, err
-		}
-		swept[c] = prs
-		cs.stats.Add(st)
+	if len(cs.engines) == 0 { // an OPTIMIZE without WHERE
+		return nil, nil
 	}
+	swept, st, err := mc.SweepRows(context.Background(), cs.engines, cs.scenario, cs.slots, batch)
+	if err != nil {
+		return nil, err
+	}
+	cs.stats.Add(st)
 	out := make([][]mc.PointResult, len(cs.column))
 	for i, c := range cs.column {
 		out[i] = swept[c]

@@ -243,8 +243,10 @@ func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	}
 	workers := max(1, min(s.opts.Workers, len(ids)))
 	chunk := (len(ids) + workers - 1) / workers
-	// pool.For with a background context never errors.
-	_ = pool.For(context.Background(), workers, workers, func(c int) {
+	// pool.For with a background context fails only when the evaluator
+	// panics; the panic resumes on the caller's goroutine, as it would
+	// on a sequential draw.
+	if err := pool.For(context.Background(), workers, workers, func(c int) {
 		lo, hi := min(c*chunk, len(ids)), min((c+1)*chunk, len(ids))
 		if bind {
 			pb.EvalBlockBound(s.argBuf, out[lo:hi], seeds[lo:hi])
@@ -255,7 +257,9 @@ func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 			r.Seed(seeds[k])
 			out[k] = s.eval.EvalPoint(p, &r)
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return out
 }
 

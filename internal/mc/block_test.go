@@ -30,7 +30,8 @@ func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := make(core.Fingerprint, e.seeds.Len())
-	e.fingerprintFill(f, p, fp, sc)
+	ev := pointEvaluator(f)
+	e.fingerprints(&ev, p, [][]float64{fp}, sc)
 	return fp
 }
 

@@ -74,6 +74,23 @@ type PointBinder interface {
 	EvalBlockBound(args []float64, out []float64, seeds []uint64)
 }
 
+// RowEval evaluates several outputs of one sample at once: a row, such
+// as every result column of one sampled world of a compiled scenario.
+// SweepRows fingerprints and simulates the row once per seed and
+// projects it onto its outputs, instead of re-evaluating the row once
+// per output.
+//
+// Implementations must be safe for concurrent FillRow calls on
+// distinct row buffers.
+type RowEval interface {
+	// RowLen is the length of the row buffer FillRow writes.
+	RowLen() int
+	// FillRow draws one sample at p, using r as the sole randomness
+	// source, into row (len(row) == RowLen()). It must not retain
+	// row, and must not depend on row's prior contents.
+	FillRow(p param.Point, r *rng.Rand, row []float64)
+}
+
 // BoundBox adapts a black box to a PointEval by binding its positional
 // arguments to named parameters. It implements PointBinder, so engine
 // hot loops resolve the parameter names once per point and sample in
@@ -410,18 +427,16 @@ func (e *Engine) Options() Options { return e.opts }
 // Seeds returns the engine's global seed set.
 func (e *Engine) Seeds() *rng.SeedSet { return e.seeds }
 
-// fingerprintFill computes the fingerprint of f at p — the first m
-// simulation rounds (§3.1) — into dst (whose length selects the
-// number of rounds), binding the point once and sampling the m rounds
-// as a single block out of the scratch's seed buffer (the seed-set
+// fingerprints computes the fingerprints of ev's outputs at p — the
+// first m simulation rounds (§3.1) — into dsts (dsts[c], of length m,
+// for output c), binding the point once and sampling the m rounds as
+// a single block out of the scratch's seed buffer (the seed-set
 // prefix is the first m sample seeds).
-func (e *Engine) fingerprintFill(f PointEval, p param.Point, dst core.Fingerprint, sc *scratch) {
-	sm := bindSampler(f, p, sc.args)
-	seeds := sc.seedBuf(len(dst))
+func (e *Engine) fingerprints(ev *evaluator, p param.Point, dsts [][]float64, sc *scratch) {
+	seeds := sc.seedBuf(e.seeds.Len())
 	st := e.seeds.Stream(e.opts.MasterSeed)
 	st.FillSeeds(seeds)
-	sm.sampleBlock(dst, seeds, &sc.r)
-	sc.args = sm.buf()
+	ev.bind(p, sc).sampleBlock(dsts, 0, seeds)
 }
 
 // EvaluatePoint runs the Monte Carlo estimation for one point,
@@ -430,8 +445,11 @@ func (e *Engine) fingerprintFill(f PointEval, p param.Point, dst core.Fingerprin
 func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
+	ev := pointEvaluator(f)
 	fp := sc.fingerprint(e.seeds.Len())
-	e.fingerprintFill(f, p, fp, sc)
+	dsts := sc.outputs(1)
+	dsts[0] = fp
+	e.fingerprints(&ev, p, dsts, sc)
 
 	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
@@ -440,7 +458,7 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 		st.Store.CandidatesScanned = scanned
 		if ok {
 			st.Store.Hits = 1
-			if e.validateMatch(f, p, basis, mapping, sc) {
+			if e.validateMatch(&ev, 0, p, basis, mapping, sc) {
 				if res, ok := e.mapBasis(basis, mapping, p, false, sc); ok {
 					st.Reused = 1
 					return res, st
@@ -449,7 +467,12 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 		}
 	}
 
-	res, samples := e.fullSimulation(f, p, fp, e.opts.Workers, sc)
+	samples := e.sampleVector(0, sc)
+	copy(samples, fp)
+	dsts = sc.outputs(1)
+	dsts[0] = samples
+	e.simulateRows(&ev, p, dsts, e.opts.Workers, sc)
+	res := e.summarize(p, samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
 		payload := &BasisPayload{Summary: res.Summary}
@@ -465,12 +488,12 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	return res, st
 }
 
-// validateMatch extends a fingerprint match with additional paired
-// samples (seed-aligned between basis and target) and re-validates the
-// mapping on them. With ValidationSamples == 0, or when the basis
-// lacks retained samples, the match is trusted as-is (the paper's
-// behavior).
-func (e *Engine) validateMatch(f PointEval, p param.Point, basis *core.Basis, mapping core.Mapping, sc *scratch) bool {
+// validateMatch extends a fingerprint match of ev's output c with
+// additional paired samples (seed-aligned between basis and target)
+// and re-validates the mapping on them. With ValidationSamples == 0,
+// or when the basis lacks retained samples, the match is trusted as-is
+// (the paper's behavior).
+func (e *Engine) validateMatch(ev *evaluator, c int, p param.Point, basis *core.Basis, mapping core.Mapping, sc *scratch) bool {
 	k := e.opts.ValidationSamples
 	if k <= 0 {
 		return true
@@ -495,17 +518,18 @@ func (e *Engine) validateMatch(f PointEval, p param.Point, basis *core.Basis, ma
 	if hi <= m {
 		return true
 	}
-	sm := bindSampler(f, p, sc.args)
-	defer func() { sc.args = sm.buf() }()
 	count := hi - m
 	seeds := sc.seedBuf(count)
 	st := e.seeds.Stream(e.opts.MasterSeed)
 	st.Skip(m)
 	st.FillSeeds(seeds)
-	// The target draws land in the scratch sample buffer; on a failed
-	// validation the subsequent full simulation simply overwrites it.
-	targets := sc.floats(count)
-	sm.sampleBlock(targets, seeds, &sc.r)
+	// The target draws land in the scratch sample buffer of output c;
+	// on a failed validation the subsequent full simulation simply
+	// overwrites it.
+	targets := sc.floats(c, count)
+	dsts := sc.outputs(len(ev.slots))
+	dsts[c] = targets
+	ev.bind(p, sc).sampleBlock(dsts, 0, seeds)
 	for i := m; i < hi; i++ {
 		if !core.ApproxEqual(mapping.Apply(payload.Samples[i]), targets[i-m], e.opts.Tolerance) {
 			return false
@@ -553,80 +577,80 @@ func (e *Engine) mapBasis(basis *core.Basis, mapping core.Mapping, p param.Point
 	return PointResult{}, false
 }
 
-// fullSimulation runs all n rounds: the fingerprint rounds are reused
-// as the first m samples, the remainder is drawn from the seed stream,
+// sampleVector returns the buffer for output c's n samples: freshly
+// allocated when the engine retains samples (ownership transfers to
+// the basis payload), the scratch's buffer for output c otherwise, in
+// which case it must not outlive the point.
+func (e *Engine) sampleVector(c int, sc *scratch) []float64 {
+	if e.opts.KeepSamples {
+		return make([]float64, e.opts.Samples)
+	}
+	return sc.floats(c, e.opts.Samples)
+}
+
+// summarize returns the result of a fully simulated point.
+func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointResult {
+	acc := &sc.acc
+	acc.Reset(e.opts.KeepSamples)
+	acc.AddBlock(samples)
+	return PointResult{Point: p, Summary: acc.Summarize(e.opts.HistBins), BasisID: -1}
+}
+
+// simulateRows runs the rounds after the fingerprint, m to n−1, one
+// row per round for all of ev's outputs: output c's samples land in
+// dsts[c][m:n], whose first m entries the caller fills with the
+// output's fingerprint; nil entries are skipped. The rounds are
 // optionally spread over workers goroutines (MCDB evaluates sampled
 // worlds in parallel, §2.1; a sweep wider than one worker passes
 // workers=1 because the pool is already busy with other points).
 // Results are deterministic regardless of worker count because each
-// sample's seed depends only on its id. The raw sample vector is
-// returned for basis-payload retention; when the engine does not
-// retain samples it lives in the scratch and must not outlive the
-// point.
-func (e *Engine) fullSimulation(f PointEval, p param.Point, fp core.Fingerprint, workers int, sc *scratch) (PointResult, []float64) {
-	n := e.opts.Samples
-	var samples []float64
-	if e.opts.KeepSamples {
-		// Ownership transfers to the basis payload: allocate.
-		samples = make([]float64, n)
-	} else {
-		samples = sc.floats(n)
-	}
-	copy(samples, fp)
-	rest := samples[len(fp):]
-
-	if workers = fullSimWorkers(workers, len(rest)); workers > 1 {
-		// One chunk per worker, drawn on pooled per-worker scratch like
-		// the sweep phases: the binding buffer, seed block and fallback
-		// generator are recycled instead of allocated per goroutine.
-		chunk := (len(rest) + workers - 1) / workers
-		chunks := (len(rest) + chunk - 1) / chunk
-		// pool.For with a background context never errors.
-		_ = pool.For(context.Background(), chunks, workers, func(c int) {
-			lo := c * chunk
-			hi := min(lo+chunk, len(rest))
-			wsc := e.scratches.Get()
-			defer e.scratches.Put(wsc)
-			sm := bindSampler(f, p, wsc.args)
-			e.sampleRange(&sm, rest[lo:hi], len(fp)+lo, wsc)
-			wsc.args = sm.buf()
-		})
-	} else {
-		sm := bindSampler(f, p, sc.args)
-		e.sampleRange(&sm, rest, len(fp), sc)
-		sc.args = sm.buf()
-	}
-
-	acc := &sc.acc
-	acc.Reset(e.opts.KeepSamples)
-	acc.AddBlock(samples)
-	return PointResult{Point: p, Summary: acc.Summarize(e.opts.HistBins), BasisID: -1}, samples
-}
-
-// sampleRange draws the samples with ids [start, start+len(dst)) into
-// dst, one block at a time: each block's seeds are materialized into
-// the scratch's seed buffer and handed to the sampler's block kernel.
-// Chunk and block boundaries are invisible in the output because each
 // sample's seed depends only on its id.
-func (e *Engine) sampleRange(sm *sampler, dst []float64, start int, sc *scratch) {
-	bs := e.blockSize
-	if bs > len(dst) {
-		bs = len(dst)
-	}
-	if bs == 0 {
+func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, workers int, sc *scratch) {
+	m, n := e.seeds.Len(), e.opts.Samples
+	if workers = fullSimWorkers(workers, n-m); workers > 1 {
+		e.simulateRowsParallel(*ev, p, dsts, workers)
 		return
 	}
-	seeds := sc.seedBuf(bs)
+	e.sampleRange(ev.bind(p, sc), dsts, m, n)
+}
+
+// simulateRowsParallel is simulateRows' fan-out: one chunk of rounds
+// per worker, drawn on pooled per-worker scratch like the sweep
+// phases, so the binding buffer, row, seed block and generator are
+// recycled instead of allocated per goroutine. A panicking evaluator
+// panics again on the caller's goroutine.
+func (e *Engine) simulateRowsParallel(ev evaluator, p param.Point, dsts [][]float64, workers int) {
+	m, n := e.seeds.Len(), e.opts.Samples
+	chunk := (n - m + workers - 1) / workers
+	chunks := (n - m + chunk - 1) / chunk
+	if err := pool.For(context.Background(), chunks, workers, func(c int) {
+		lo := m + c*chunk
+		hi := min(lo+chunk, n)
+		wsc := e.scratches.Get()
+		defer e.scratches.Put(wsc)
+		e.sampleRange(ev.bind(p, wsc), dsts, lo, hi)
+	}); err != nil {
+		panic(err)
+	}
+}
+
+// sampleRange draws the rounds with ids [lo, hi) into dsts[c][lo:hi],
+// one block at a time: each block's seeds are materialized into the
+// sampler's seed buffer and handed to its block kernel. Chunk and
+// block boundaries are invisible in the output because each sample's
+// seed depends only on its id.
+func (e *Engine) sampleRange(sm sampler, dsts [][]float64, lo, hi int) {
+	bs := min(e.blockSize, hi-lo)
+	if bs <= 0 {
+		return
+	}
+	seeds := sm.sc.seedBuf(bs)
 	st := e.seeds.Stream(e.opts.MasterSeed)
-	st.Skip(start)
-	for lo := 0; lo < len(dst); lo += bs {
-		hi := lo + bs
-		if hi > len(dst) {
-			hi = len(dst)
-		}
-		blk := seeds[:hi-lo]
+	st.Skip(lo)
+	for off := lo; off < hi; off += bs {
+		blk := seeds[:min(bs, hi-off)]
 		st.FillSeeds(blk)
-		sm.sampleBlock(dst[lo:hi], blk, &sc.r)
+		sm.sampleBlock(dsts, off, blk)
 	}
 }
 

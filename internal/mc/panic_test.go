@@ -1,0 +1,119 @@
+package mc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"jigsaw/internal/param"
+	"jigsaw/internal/pool"
+	"jigsaw/internal/rng"
+)
+
+// panicRow is a three-output row evaluator that panics on its at-th
+// evaluation at the point whose week is bad: at ≤ m lands in phase A
+// (fingerprints), at = m+1 in phase C1 (the point's full simulation;
+// its outputs map onto no other point's, so it always misses).
+type panicRow struct {
+	bad   float64
+	at    int64
+	count atomic.Int64
+}
+
+func (r *panicRow) RowLen() int { return 3 }
+
+func (r *panicRow) FillRow(p param.Point, rr *rng.Rand, row []float64) {
+	w := p.MustGet("week")
+	if w == r.bad && r.count.Add(1) == r.at {
+		panic("model failure")
+	}
+	x := rr.Uniform(0, 1)
+	if w == r.bad {
+		x = math.Exp(3 * x) // no basis maps onto the bad point: it is simulated
+	}
+	row[0], row[1], row[2] = x*(w+1), x+w, x*x
+}
+
+// TestSweepPanicReturnsError checks that a panicking evaluator, in
+// either parallel phase and in a sweep of one output or three, stops
+// the sweep with an error naming the point instead of killing the
+// process.
+func TestSweepPanicReturnsError(t *testing.T) {
+	const m, bad = 10, 7
+	var points []param.Point
+	for w := 0; w < 20; w++ {
+		points = append(points, param.Point{"week": float64(w)})
+	}
+	for _, tc := range []struct {
+		name    string
+		samples int
+		points  []param.Point
+	}{
+		{"batch", 200, points},
+		// A one-point batch at Workers > 1 spreads the point's
+		// samples over goroutines: the panic crosses a nested pool.
+		{"fan-out", 2*MinSamplesPerWorker + m, []param.Point{{"week": bad}}},
+	} {
+		for _, workers := range []int{1, 2} {
+			for _, at := range []int64{1, m + 1} {
+				for _, k := range []int{1, 3} {
+					name := fmt.Sprintf("%s/workers=%d/at=%d/k=%d", tc.name, workers, at, k)
+					t.Run(name, func(t *testing.T) {
+						opts := Options{
+							Samples: tc.samples, FingerprintLen: m, MasterSeed: 0x5161,
+							Reuse: true, Workers: workers,
+						}
+						row := &panicRow{bad: bad, at: at}
+						var err error
+						if k == 1 {
+							f := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
+								var out [3]float64
+								row.FillRow(p, r, out[:])
+								return out[0]
+							})
+							_, _, err = MustNew(opts).SweepBatch(f, tc.points)
+						} else {
+							engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
+							_, _, err = SweepRows(context.Background(), engines, row, []int{0, 1, 2}, tc.points)
+						}
+						var perr *pool.PanicError
+						if !errors.As(err, &perr) || perr.Value != "model failure" {
+							t.Fatalf("err = %v, want the recovered panic", err)
+						}
+						want := fmt.Sprintf("point %s: ", param.Point{"week": bad}.Key())
+						if !strings.HasPrefix(err.Error(), want) {
+							t.Fatalf("err = %q, want prefix %q", err, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
+	opts := Options{Samples: 100, FingerprintLen: 10, MasterSeed: 1, Workers: 1}
+	other := opts
+	other.MasterSeed = 2
+	row := &panicRow{bad: -1}
+	points := []param.Point{{"week": 1}}
+	e := MustNew(opts)
+	for name, tc := range map[string]struct {
+		engines []*Engine
+		slots   []int
+	}{
+		"no outputs":      {nil, nil},
+		"slot count":      {[]*Engine{e}, []int{0, 1}},
+		"master seed":     {[]*Engine{e, MustNew(other)}, []int{0, 1}},
+		"repeated engine": {[]*Engine{e, e}, []int{0, 1}},
+		"slot range":      {[]*Engine{e}, []int{3}},
+	} {
+		if _, _, err := SweepRows(context.Background(), tc.engines, row, tc.slots, points); err == nil {
+			t.Errorf("%s: SweepRows accepted it", name)
+		}
+	}
+}

@@ -4,10 +4,10 @@ package mc
 // is that fingerprint reuse makes sweep points cheap (§3, Figs. 8–9);
 // that only holds if a reused point does not spend its savings in the
 // allocator. Every buffer the per-point pipeline needs — fingerprint,
-// candidate ids, bound arguments, sample vector, accumulator — lives
-// here and is recycled through a typed pool, so the steady-state cost
-// of a reused point is a hash probe and a mapping validation, with
-// (amortized) zero allocations.
+// candidate ids, bound arguments, row, one sample vector per output,
+// accumulator — lives here and is recycled through a typed pool, so
+// the steady-state cost of a reused point is a hash probe and a
+// mapping validation, with (amortized) zero allocations.
 
 import (
 	"jigsaw/internal/core"
@@ -25,19 +25,25 @@ type scratch struct {
 	probe core.ProbeScratch
 	// fp is the fingerprint buffer for probe-only fingerprints.
 	fp core.Fingerprint
-	// samples is the full-simulation sample buffer, reused when the
-	// engine does not retain samples (retained samples transfer
-	// ownership to the basis payload and must be freshly allocated).
-	samples []float64
+	// samples holds one full-simulation sample buffer per output,
+	// reused when the engine does not retain samples (retained samples
+	// transfer ownership to the basis payload and must be freshly
+	// allocated).
+	samples [][]float64
+	// dsts is the per-output destination list handed to a sampler.
+	dsts [][]float64
 	// args is the bound-argument buffer for PointBinder evaluators:
 	// the point is bound into it once, not once per sample.
 	args []float64
+	// row is the row buffer for RowEval evaluators: every sample's
+	// row is evaluated into it, then projected onto the outputs.
+	row []float64
 	// seeds is the per-block sample-seed buffer: the seed stream is
 	// materialized one block at a time instead of one cursor call per
 	// sample.
 	seeds []uint64
-	// r is the worker's generator, reseeded per sample on the scalar
-	// fallback path (PointBinder evaluators never touch it).
+	// r is the worker's generator, reseeded per sample on the row and
+	// scalar paths (PointBinder evaluators never touch it).
 	r rng.Rand
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
@@ -48,68 +54,113 @@ func newScratchPool() *pool.Pool[scratch] {
 	return pool.NewPool[scratch](nil)
 }
 
-// floats returns sc.samples grown to length n (values undefined).
-func (sc *scratch) floats(n int) []float64 {
-	if cap(sc.samples) < n {
-		sc.samples = make([]float64, n)
+// grow returns buf resliced to length n, reallocated when its
+// capacity is short (values undefined).
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	sc.samples = sc.samples[:n]
-	return sc.samples
+	return buf[:n]
+}
+
+// floats returns output c's sample buffer grown to length n (values
+// undefined).
+func (sc *scratch) floats(c, n int) []float64 {
+	for len(sc.samples) <= c {
+		sc.samples = append(sc.samples, nil)
+	}
+	sc.samples[c] = grow(sc.samples[c], n)
+	return sc.samples[c]
+}
+
+// outputs returns the destination list with k entries, all nil.
+func (sc *scratch) outputs(k int) [][]float64 {
+	sc.dsts = grow(sc.dsts, k)
+	clear(sc.dsts)
+	return sc.dsts
 }
 
 // fingerprint returns sc.fp grown to length m (values undefined).
 func (sc *scratch) fingerprint(m int) core.Fingerprint {
-	if cap(sc.fp) < m {
-		sc.fp = make(core.Fingerprint, m)
-	}
-	sc.fp = sc.fp[:m]
+	sc.fp = grow(sc.fp, m)
 	return sc.fp
 }
 
 // seedBuf returns sc.seeds grown to length n (values undefined).
 func (sc *scratch) seedBuf(n int) []uint64 {
-	if cap(sc.seeds) < n {
-		sc.seeds = make([]uint64, n)
-	}
-	sc.seeds = sc.seeds[:n]
+	sc.seeds = grow(sc.seeds, n)
 	return sc.seeds
 }
 
-// sampler is a PointEval bound to one parameter point for repeated
-// block sampling. For PointBinder evaluators the arguments are bound
-// once (map lookups and all) and every block is one EvalBlockBound
-// call; plain evaluators draw each sample through EvalPoint.
-type sampler struct {
-	f    PointEval
-	pb   PointBinder // non-nil when f supports binding
-	p    param.Point
-	args []float64
+// evaluator is the sampling loops' view of what a sweep evaluates: k
+// outputs per sample, output c being slot slots[c] of the row that
+// rows fills. A single-output PointEval is a one-output evaluator:
+// through its block kernel when it is a PointBinder, one EvalPoint
+// per sample otherwise.
+type evaluator struct {
+	rows  RowEval
+	pb    PointBinder
+	f     PointEval
+	slots []int
 }
 
-// bindSampler binds f to p, reusing buf for the bound arguments.
-// Call (*sampler).buf afterwards to recover the (possibly grown)
-// buffer for reuse.
-func bindSampler(f PointEval, p param.Point, buf []float64) sampler {
+// firstSlot is the slot list of every single-output evaluator.
+var firstSlot = []int{0}
+
+// pointEvaluator wraps a single-output PointEval.
+func pointEvaluator(f PointEval) evaluator {
 	if pb, ok := f.(PointBinder); ok {
-		return sampler{pb: pb, p: p, args: pb.BindPoint(p, buf)}
+		return evaluator{pb: pb, slots: firstSlot}
 	}
-	return sampler{f: f, p: p, args: buf}
+	return evaluator{f: f, slots: firstSlot}
 }
 
-// sampleBlock evaluates one simulation round per seed into out.
-// Binders take their block kernel; plain evaluators fall back to a
-// reseed-per-sample loop on r, so the results are bit-identical
-// either way (PointBinder's contract).
-func (s *sampler) sampleBlock(out []float64, seeds []uint64, r *rng.Rand) {
-	if s.pb != nil {
-		s.pb.EvalBlockBound(s.args, out, seeds)
-		return
+// bind binds the evaluator to p on sc: a PointBinder's arguments are
+// resolved once into sc.args, a row evaluator's row buffer is sized.
+func (ev *evaluator) bind(p param.Point, sc *scratch) sampler {
+	switch {
+	case ev.pb != nil:
+		sc.args = ev.pb.BindPoint(p, sc.args)
+	case ev.rows != nil:
+		sc.row = grow(sc.row, ev.rows.RowLen())
 	}
-	for i, seed := range seeds {
-		r.Seed(seed)
-		out[i] = s.f.EvalPoint(s.p, r)
-	}
+	return sampler{ev: *ev, p: p, sc: sc}
 }
 
-// buf returns the argument buffer for reuse by the next binding.
-func (s *sampler) buf() []float64 { return s.args }
+// sampler is an evaluator bound to one parameter point on one
+// worker's scratch.
+type sampler struct {
+	ev evaluator
+	p  param.Point
+	sc *scratch
+}
+
+// sampleBlock evaluates one simulation round per seed: output c of
+// the round seeded by seeds[j] lands in dsts[c][off+j], and outputs
+// whose dsts entry is nil are dropped. A row evaluator fills one row
+// per seed for all outputs at once; binders take their block kernel;
+// plain evaluators fall back to a reseed-per-sample loop, so the
+// results are bit-identical either way (PointBinder's contract).
+func (s sampler) sampleBlock(dsts [][]float64, off int, seeds []uint64) {
+	sc := s.sc
+	switch {
+	case s.ev.rows != nil:
+		for j, seed := range seeds {
+			sc.r.Seed(seed)
+			s.ev.rows.FillRow(s.p, &sc.r, sc.row)
+			for c, dst := range dsts {
+				if dst != nil {
+					dst[off+j] = sc.row[s.ev.slots[c]]
+				}
+			}
+		}
+	case s.ev.pb != nil:
+		s.ev.pb.EvalBlockBound(sc.args, dsts[0][off:off+len(seeds)], seeds)
+	default:
+		dst := dsts[0][off : off+len(seeds)]
+		for j, seed := range seeds {
+			sc.r.Seed(seed)
+			dst[j] = s.ev.f.EvalPoint(s.p, &sc.r)
+		}
+	}
+}

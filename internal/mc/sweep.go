@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/param"
@@ -12,38 +13,48 @@ import (
 // This file implements the sweep: the evaluation of a parameter space
 // (or an explicit batch of points) on the engine's worker pool, with
 // results bit-identical for every worker count. There is one sweep
-// implementation; at Workers: 1 the pool degrades to a plain loop on
-// the calling goroutine (pool.ForWorker) and the phases below run
-// back to back.
+// implementation, over k outputs of one evaluator: SweepRows sweeps
+// the k columns of a row evaluator, each on its own engine, and Sweep
+// and SweepBatch are its k=1 case. At Workers: 1 the pool degrades to
+// a plain loop on the calling goroutine (pool.ForWorker) and the
+// phases below run back to back.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
 // point's result depends on that timing. Instead the sweep runs in
-// three phases (DESIGN.md, "Concurrency model"):
+// three phases (DESIGN.md, "Concurrency model" and "Deterministic
+// sweep"):
 //
-//	A. fingerprints for every point, in parallel — no store access;
-//	B. a serial loop in enumeration order: one Store.Match per point
+//	A. the k fingerprints of every point from its m rows, in
+//	   parallel — no store access;
+//	B. a serial loop in enumeration order, point-major: for each point
+//	   and each output, one Store.Match against that output's store
 //	   (plus match validation, when enabled), then the decision —
 //	   reuse the matched basis, or register the point as a new basis
 //	   whose payload stays pending until phase C1 fills it;
-//	C. full simulations for the miss points in parallel, then mapped
-//	   results for the hit points — each deterministic given phase B.
+//	C. full simulations in parallel — a point's remaining n−m rows
+//	   once, for every output that missed there — then mapped results
+//	   for the hits, each deterministic given phase B.
 //
-// The reference semantics is a loop of EvaluatePoint calls in
-// enumeration order on the same engine: phase B makes exactly that
-// loop's store decisions, and the sweep's statistics are the sum of
-// that loop's per-call statistics. Phase B costs one probe per point,
-// small against the model evaluations of phases A and C. Match
-// validation (ValidationSamples with KeepSamples — off by default)
-// also runs inside phase B: its paired draws and inline basis
-// completions are serial, so validation-enabled sweeps trade scaling
-// for the guard.
+// The reference semantics is, per output, a loop of EvaluatePoint
+// calls in enumeration order on that output's engine: each store sees
+// exactly that loop's Match/Add sequence (stores are per output, and
+// phase B visits the points of every output in order), and the
+// sweep's statistics are the sum of those loops' per-call statistics.
+// Sharing a row between outputs is sound because the engines agree on
+// Samples, FingerprintLen and MasterSeed: sample j of an output is its
+// slot of row j. Phase B costs one probe per point and output, small
+// against the model evaluations of phases A and C. Match validation
+// (ValidationSamples with KeepSamples — off by default) also runs
+// inside phase B: its paired draws and inline basis completions are
+// serial, so validation-enabled sweeps trade scaling for the guard.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: fingerprints fill a single bulk
 // backing array, probes reuse candidate buffers, and simulations
-// reuse sample buffers — the steady-state allocation per point is
-// zero on the reuse path (see scratch.go).
+// reuse the row and one sample buffer per output — the steady-state
+// allocation per point is O(1) (see scratch.go). A panicking
+// evaluator stops the sweep with an error naming its point.
 
 // Sweep evaluates every point of the space in enumeration order and
 // returns per-point results plus this call's reuse statistics. This
@@ -78,191 +89,316 @@ func (e *Engine) SweepBatchContext(ctx context.Context, f PointEval, points []pa
 	return e.sweep(ctx, f, points)
 }
 
-// sweepWorkers clamps the configured pool size to the job size (at
-// least one worker, so an empty job still has a scratch to pin).
-func (e *Engine) sweepWorkers(points int) int {
-	return max(1, min(e.opts.Workers, points))
+// sweep is the single-output sweep: the k=1 case of the row sweep.
+func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+	results, st, err := sweepRows(ctx, []*Engine{e}, pointEvaluator(f), points)
+	if err != nil {
+		return nil, SweepStats{}, err
+	}
+	return results[0], st, nil
 }
 
-// pointPlan is one point's record through the phases: phase B's
-// decision, which phases C1 and C2 carry out.
+// SweepRows sweeps k outputs of one row evaluator over points, in
+// slice order: output c is slot slots[c] of f's row, answered by
+// engines[c] — its own basis store, and its own options for reuse,
+// validation and summaries. Each sampled row is evaluated once for
+// all k outputs. results[c] holds output c's per-point results, and
+// they and the returned statistics (summed over the outputs) are
+// bit-identical to k separate SweepBatch calls, engine c sweeping slot
+// slots[c] of f. The engines must be distinct and agree on Samples,
+// FingerprintLen and MasterSeed; the sweep runs on engines[0]'s
+// worker pool.
+func SweepRows(ctx context.Context, engines []*Engine, f RowEval, slots []int, points []param.Point) ([][]PointResult, SweepStats, error) {
+	switch {
+	case len(engines) == 0:
+		return nil, SweepStats{}, errors.New("mc: SweepRows needs at least one output")
+	case len(slots) != len(engines):
+		return nil, SweepStats{}, fmt.Errorf("mc: %d slots for %d engines", len(slots), len(engines))
+	}
+	lead := engines[0].opts
+	for c, e := range engines {
+		if o := e.opts; o.Samples != lead.Samples || o.FingerprintLen != lead.FingerprintLen || o.MasterSeed != lead.MasterSeed {
+			return nil, SweepStats{}, fmt.Errorf("mc: engine %d samples differently from engine 0 (Samples, FingerprintLen, MasterSeed)", c)
+		}
+		for _, prev := range engines[:c] {
+			if prev == e {
+				return nil, SweepStats{}, fmt.Errorf("mc: engine %d repeats an earlier output's engine", c)
+			}
+		}
+		if slots[c] < 0 || slots[c] >= f.RowLen() {
+			return nil, SweepStats{}, fmt.Errorf("mc: slot %d outside the row of %d", slots[c], f.RowLen())
+		}
+	}
+	return sweepRows(ctx, engines, evaluator{rows: f, slots: slots}, points)
+}
+
+// pointPlan is one (output, point) pair's record through the phases:
+// phase B's decision, which phases C1 and C2 carry out.
 type pointPlan struct {
 	// basis and mapping hold the decision: the matched basis and its
 	// mapping (reuse), or the newly registered basis (simulate, with
 	// reuse enabled; nil otherwise).
 	basis   *core.Basis
 	mapping core.Mapping
-	// simulate marks a miss: the point runs a full simulation in
-	// phase C1 — unless done, set when the validation path already
-	// simulated it inline in phase B.
+	// simulate marks a miss: the output is fully simulated at the
+	// point in phase C1 — unless done, set once its simulation ran
+	// (inline in phase B, when validation needed the basis early).
 	simulate, done bool
 }
 
-// sweep is the phased sweep. See the file comment for the phase
-// structure and DESIGN.md for the determinism argument.
-func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	n := len(points)
-	workers := e.sweepWorkers(n)
+// rowSweep is one sweep call's state over k outputs and n points.
+type rowSweep struct {
+	engines []*Engine
+	ev      evaluator
+	points  []param.Point
+	k, n, m int
 	// simWorkers is the fan-out of each full simulation. A pool wider
 	// than one worker is already busy with other points; a pool one
 	// wide (Workers: 1, or a one-point batch) leaves the cores to the
 	// point's own samples, as a lone EvaluatePoint would.
-	simWorkers := 1
-	if workers == 1 {
-		simWorkers = e.opts.Workers
+	simWorkers int
+	// fps backs all k·n fingerprints — one allocation instead of k·n
+	// (they outlive the phases: misses donate theirs to the store,
+	// which clones, and C1 rereads them).
+	fps []float64
+	// plans and results are indexed by output, then point.
+	plans   []pointPlan
+	results [][]PointResult
+	// pending maps, per output, a basis ID registered during this
+	// sweep to the index of the point that owns its simulation.
+	pending []map[int]int
+	// accept is output c's Store.Match filter.
+	accept []func(*core.Basis) bool
+}
+
+func (s *rowSweep) fingerprint(c, i int) core.Fingerprint {
+	lo := (c*s.n + i) * s.m
+	return s.fps[lo : lo+s.m : lo+s.m]
+}
+
+func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
+
+// sweepRows is the phased sweep. See the file comment for the phase
+// structure and DESIGN.md for the determinism argument.
+func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []param.Point) ([][]PointResult, SweepStats, error) {
+	lead := engines[0]
+	k, n, m := len(engines), len(points), lead.seeds.Len()
+	// At least one worker, so an empty job still has a scratch to pin.
+	workers := max(1, min(lead.opts.Workers, n))
+	s := &rowSweep{
+		engines: engines, ev: ev, points: points, k: k, n: n, m: m,
+		simWorkers: 1,
+		fps:        make([]float64, k*n*m),
+		plans:      make([]pointPlan, k*n),
+		results:    make([][]PointResult, k),
+		pending:    make([]map[int]int, k),
+		accept:     make([]func(*core.Basis) bool, k),
 	}
-	results := make([]PointResult, n)
-	plans := make([]pointPlan, n)
+	if workers == 1 {
+		s.simWorkers = lead.opts.Workers
+	}
+	for c := range engines {
+		s.results[c] = make([]PointResult, n)
+		pending := make(map[int]int)
+		s.pending[c] = pending
+		// Accept this sweep's own pending bases (phase C fills them
+		// before C2 reads); skip bases another — possibly cancelled —
+		// sweep never completed.
+		s.accept[c] = func(b *core.Basis) bool {
+			if _, ownPending := pending[b.ID]; ownPending {
+				return true
+			}
+			return payloadReady(b)
+		}
+	}
 
 	// One scratch per worker id, pinned for all three phases: a
 	// worker id never runs two points concurrently, so its buffers
 	// are reused point after point without synchronization.
 	scratches := make([]*scratch, workers)
 	for w := range scratches {
-		scratches[w] = e.scratches.Get()
+		scratches[w] = lead.scratches.Get()
 	}
 	defer func() {
 		for _, sc := range scratches {
-			e.scratches.Put(sc)
+			lead.scratches.Put(sc)
 		}
 	}()
 
-	// Phase A: fingerprints, embarrassingly parallel. All n
-	// fingerprints share one backing array — one allocation instead of
-	// n (they outlive the phases: misses donate theirs to the store,
-	// which clones, and C1 and C2 reread them).
-	m := e.seeds.Len()
-	backing := make([]float64, n*m)
-	fingerprint := func(i int) core.Fingerprint { return backing[i*m : (i+1)*m : (i+1)*m] }
+	// Phase A: fingerprints, embarrassingly parallel; each of a
+	// point's m rows fills all k.
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		e.fingerprintFill(f, points[i], fingerprint(i), scratches[w])
+		dsts := scratches[w].outputs(k)
+		for c := range dsts {
+			dsts[c] = s.fingerprint(c, i)
+		}
+		lead.fingerprints(&s.ev, points[i], dsts, scratches[w])
 	}); err != nil {
-		return nil, SweepStats{}, err
+		return nil, SweepStats{}, s.pointError(err)
 	}
 
-	// Phase B: one store lookup per point, strictly in enumeration
-	// order. pending maps a basis ID registered during this sweep to
-	// the index of the point that owns its simulation. The loop tallies
-	// the call's probe accounting (queries, hits, candidates scanned,
+	// Phase B: one store lookup per point and output, strictly in
+	// enumeration order, on the calling goroutine. It tallies the
+	// call's probe accounting (queries, hits, candidates scanned,
 	// registrations) as it decides.
-	reuse := e.opts.Reuse
-	pending := make(map[int]int)
-	validating := e.opts.ValidationSamples > 0 && e.opts.KeepSamples
-	sc0 := scratches[0]
-	st := SweepStats{Points: n}
-	// Accept this sweep's own pending bases (phase C fills them
-	// before C2 reads); skip bases another — possibly cancelled —
-	// sweep never completed.
-	accept := func(b *core.Basis) bool {
-		if _, ownPending := pending[b.ID]; ownPending {
-			return true
-		}
-		return payloadReady(b)
-	}
-	var err error
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if reuse {
-			basis, mapping, ok, scanned := e.store.Match(fingerprint(i), accept, &sc0.probe)
-			st.Store.Queries++
-			st.Store.CandidatesScanned += scanned
-			if ok {
-				st.Store.Hits++
-				_, ownPending := pending[basis.ID]
-				if validating && ownPending {
-					// Validation compares against the basis' retained
-					// samples; a basis registered earlier in this sweep
-					// may not be simulated yet — complete it now, which
-					// is exactly the state the EvaluatePoint loop would
-					// have reached before evaluating point i.
-					owner := pending[basis.ID]
-					results[owner] = e.completeSimulation(f, points[owner], fingerprint(owner), &plans[owner], simWorkers, sc0)
-					plans[owner].done = true
-					delete(pending, basis.ID)
-					ownPending = false
-				}
-				// A basis still pending in this sweep at this line has
-				// no retained samples to validate against (with
-				// validation active it was completed inline above), and
-				// the EvaluatePoint loop trusts such matches as-is.
-				valid := ownPending || e.validateMatch(f, points[i], basis, mapping, sc0)
-				if valid && e.basisUsable(basis, mapping, ownPending) {
-					plans[i].basis = basis
-					plans[i].mapping = mapping
-					continue
-				}
-			}
-		}
-		plans[i].simulate = true
-		if reuse {
-			payload := &BasisPayload{}
-			payload.markPending()
-			if basis, err := e.store.Add(fingerprint(i), points[i].Key(), payload); err == nil {
-				plans[i].basis = basis
-				pending[basis.ID] = i
-				st.Store.Bases++
-			}
-		}
-	}
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-
-	// Phase C1: full simulations for the miss points, in parallel.
-	// Simulated payloads must be complete before any reuse point maps
-	// from them, hence the barrier before C2.
-	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		if plans[i].simulate && !plans[i].done {
-			results[i] = e.completeSimulation(f, points[i], fingerprint(i), &plans[i], simWorkers, scratches[w])
+	st := SweepStats{Points: k * n}
+	if err := pool.ForWorker(ctx, n, 1, func(_, i int) {
+		for c := range engines {
+			s.decide(c, i, scratches[0], &st)
 		}
 	}); err != nil {
-		return nil, SweepStats{}, err
+		return nil, SweepStats{}, s.pointError(err)
 	}
 
-	// Phase C2: mapped results for the reuse points.
+	// Phase C1: full simulations for the misses, in parallel. Simulated
+	// payloads must be complete before any reuse point maps from them,
+	// hence the barrier before C2.
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		if plans[i].simulate {
-			return
+		s.complete(i, scratches[w])
+	}); err != nil {
+		return nil, SweepStats{}, s.pointError(err)
+	}
+
+	// Phase C2: mapped results for the hits.
+	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
+		s.mapHits(i, scratches[w])
+	}); err != nil {
+		return nil, SweepStats{}, s.pointError(err)
+	}
+	for _, results := range s.results {
+		for i := range results {
+			if results[i].Reused {
+				st.Reused++
+			}
+		}
+	}
+	st.FullSimulations = st.Points - st.Reused
+	return s.results, st, nil
+}
+
+// pointError names the point whose evaluation panicked.
+func (s *rowSweep) pointError(err error) error {
+	var perr *pool.PanicError
+	if errors.As(err, &perr) {
+		return fmt.Errorf("point %s: %w", s.points[perr.Index].Key(), err)
+	}
+	return err
+}
+
+// decide is phase B for output c at point i: one store lookup, then
+// reuse the match or register the point as a pending basis — the
+// decision an EvaluatePoint loop on output c's engine would make.
+func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
+	e := s.engines[c]
+	plan := s.plan(c, i)
+	fp := s.fingerprint(c, i)
+	if e.opts.Reuse {
+		basis, mapping, ok, scanned := e.store.Match(fp, s.accept[c], &sc.probe)
+		st.Store.Queries++
+		st.Store.CandidatesScanned += scanned
+		if ok {
+			st.Store.Hits++
+			owner, ownPending := s.pending[c][basis.ID]
+			if ownPending && e.opts.ValidationSamples > 0 && e.opts.KeepSamples {
+				// Validation compares against the basis' retained
+				// samples; a basis registered earlier in this sweep
+				// is not simulated yet — complete it now, which is
+				// exactly the state the EvaluatePoint loop would have
+				// reached before evaluating point i. The owner's row
+				// is simulated once for all of its misses: completing
+				// another output's basis early changes none of that
+				// output's decisions, because a complete basis is
+				// accepted, validated and usable exactly as the
+				// inline completion on that output would have left it.
+				s.complete(owner, sc)
+				ownPending = false
+			}
+			// A basis still pending in this sweep at this line has
+			// no retained samples to validate against (with
+			// validation active it was completed inline above), and
+			// the EvaluatePoint loop trusts such matches as-is.
+			valid := ownPending || e.validateMatch(&s.ev, c, s.points[i], basis, mapping, sc)
+			if valid && e.basisUsable(basis, mapping, ownPending) {
+				plan.basis = basis
+				plan.mapping = mapping
+				return
+			}
+		}
+	}
+	plan.simulate = true
+	if e.opts.Reuse {
+		payload := &BasisPayload{}
+		payload.markPending()
+		if basis, err := e.store.Add(fp, s.points[i].Key(), payload); err == nil {
+			plan.basis = basis
+			s.pending[c][basis.ID] = i
+			st.Store.Bases++
+		}
+	}
+}
+
+// complete runs point i's full simulation — its remaining n−m rows,
+// once — for every output that missed there and is not done yet,
+// fills the bases their plans registered, and records their results.
+func (s *rowSweep) complete(i int, sc *scratch) {
+	dsts := sc.outputs(s.k)
+	need := false
+	for c, e := range s.engines {
+		if plan := s.plan(c, i); plan.simulate && !plan.done {
+			dsts[c] = e.sampleVector(c, sc)
+			copy(dsts[c], s.fingerprint(c, i))
+			need = true
+		}
+	}
+	if !need {
+		return
+	}
+	p := s.points[i]
+	s.engines[0].simulateRows(&s.ev, p, dsts, s.simWorkers, sc)
+	for c, e := range s.engines {
+		if dsts[c] == nil {
+			continue
+		}
+		plan := s.plan(c, i)
+		res := e.summarize(p, dsts[c], sc)
+		if plan.basis != nil {
+			payload := plan.basis.Payload.(*BasisPayload)
+			payload.Summary = res.Summary
+			if e.opts.KeepSamples {
+				payload.Samples = dsts[c]
+			}
+			payload.complete()
+			res.BasisID = plan.basis.ID
+		}
+		s.results[c][i] = res
+		plan.done = true
+	}
+}
+
+// mapHits is phase C2 at point i: mapped results for every output
+// that hit there.
+func (s *rowSweep) mapHits(i int, sc *scratch) {
+	fallback := false
+	for c, e := range s.engines {
+		plan := s.plan(c, i)
+		if plan.simulate {
+			continue
 		}
 		// trusted=true: every basis reused by this sweep was either
 		// ready at phase B or completed by this sweep before the C1→C2
 		// barrier.
-		if res, ok := e.mapBasis(plans[i].basis, plans[i].mapping, points[i], true, scratches[w]); ok {
-			results[i] = res
-			return
+		if res, ok := e.mapBasis(plan.basis, plan.mapping, s.points[i], true, sc); ok {
+			s.results[c][i] = res
+			continue
 		}
 		// Unreachable when basisUsable agreed to the reuse; simulate
 		// defensively rather than return a zero result.
-		results[i], _ = e.fullSimulation(f, points[i], fingerprint(i), simWorkers, scratches[w])
-	}); err != nil {
-		return nil, SweepStats{}, err
+		*plan = pointPlan{simulate: true}
+		fallback = true
 	}
-	for i := range results {
-		if results[i].Reused {
-			st.Reused++
-		}
+	if fallback {
+		s.complete(i, sc)
 	}
-	st.FullSimulations = n - st.Reused
-	return results, st, nil
-}
-
-// completeSimulation runs a miss point's full simulation over workers
-// goroutines, fills the payload of the basis its plan registered, and
-// returns the point's result.
-func (e *Engine) completeSimulation(f PointEval, p param.Point, fp core.Fingerprint, plan *pointPlan, workers int, sc *scratch) PointResult {
-	res, samples := e.fullSimulation(f, p, fp, workers, sc)
-	if plan.basis != nil {
-		payload := plan.basis.Payload.(*BasisPayload)
-		payload.Summary = res.Summary
-		if e.opts.KeepSamples {
-			payload.Samples = samples
-		}
-		payload.complete()
-		res.BasisID = plan.basis.ID
-	}
-	return res
 }
 
 // basisUsable reports whether mapBasis will be able to derive a result

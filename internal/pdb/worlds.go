@@ -274,14 +274,19 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 	}
 	outs := make([]*blockOut, nblocks)
 	flags := &runFlags{}
-	_ = pool.ForWorker(context.Background(), nblocks, opts.Workers, func(_, b int) {
+	if err := pool.ForWorker(context.Background(), nblocks, opts.Workers, func(_, b int) {
 		lo := b * bw
 		hi := lo + bw
 		if hi > opts.Worlds {
 			hi = opts.Worlds
 		}
 		outs[b] = runBlock(plan, params, seeds[lo:hi], lo, flags)
-	})
+	}); err != nil {
+		// A panicking block: the pool stopped early, so some blocks
+		// never ran.
+		putBlockOuts(outs)
+		return nil, fmt.Errorf("pdb: %w", err)
+	}
 	for _, out := range outs {
 		if out.err != nil {
 			err := out.err
@@ -521,7 +526,7 @@ func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]fl
 	nblocks := (opts.Worlds + bw - 1) / bw
 	// Each block owns the disjoint sums[lo:hi) range, so the fold is
 	// race-free and bit-identical for any worker count.
-	_ = pool.For(context.Background(), nblocks, opts.Workers, func(b int) {
+	if err := pool.For(context.Background(), nblocks, opts.Workers, func(b int) {
 		lo := b * bw
 		hi := lo + bw
 		if hi > opts.Worlds {
@@ -547,7 +552,9 @@ func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]fl
 				sums[lo+i] += v
 			}
 		}
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("pdb: %w", err)
+	}
 	return sums, nil
 }
 

@@ -66,6 +66,28 @@ func TestRunDistributionDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunDistributionPanicReturnsError checks that a model panicking
+// on a worker returns an error instead of killing the process.
+func TestRunDistributionPanicReturnsError(t *testing.T) {
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.Func{FuncName: "Explode", NArgs: 1,
+		Fn: func([]float64, *rng.Rand) float64 { panic("model failure") }})
+	bound, err := Call{"Explode", []Expr{Param{"week"}}}.Bind(Schema{}, db.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "x", Expr: bound}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := RunDistribution(plan, map[string]float64{"week": 1}, WorldsOptions{Worlds: 500, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "panic: model failure") {
+			t.Fatalf("workers=%d: err = %v, want the recovered panic", workers, err)
+		}
+	}
+}
+
 func TestRunDistributionCellErrors(t *testing.T) {
 	db := fixtureDB(t)
 	plan := demandQueryPlan(t, db)

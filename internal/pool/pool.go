@@ -7,15 +7,56 @@ package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is a panic recovered from fn by For or ForWorker: the
+// index whose call panicked, the panic value and the panicking
+// goroutine's stack.
+type PanicError struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Unwrap returns the panic value when it is an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// call runs fn(w, i) and returns its panic, if any, as a *PanicError.
+// A value that is already a *PanicError (a nested For re-panicking on
+// its caller's goroutine) keeps its value and stack under the outer
+// index.
+func call(fn func(worker, i int), w, i int) (perr *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			if inner, ok := v.(*PanicError); ok {
+				perr = &PanicError{Index: i, Value: inner.Value, Stack: inner.Stack}
+				return
+			}
+			perr = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn(w, i)
+	return nil
+}
 
 // For runs fn(i) for every i in [0, n) on up to workers goroutines.
 // With workers <= 1 (or n <= 1) it degrades to a plain loop on the
 // calling goroutine. It stops scheduling new indexes once ctx is
 // cancelled and returns ctx.Err(); indexes already picked up still
-// finish, so fn never races with the caller after For returns.
+// finish, so fn never races with the caller after For returns. A
+// panic in fn does not kill the process: For recovers it, stops the
+// other workers from picking up further indexes, and returns it as a
+// *PanicError (the first one recovered, when several workers panic).
 func For(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ForWorker(ctx, n, workers, func(_, i int) { fn(i) })
 }
@@ -46,7 +87,9 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(0, i)
+			if perr := call(fn, 0, i); perr != nil {
+				return perr
+			}
 		}
 		return nil
 	}
@@ -57,12 +100,15 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 		chunk = forChunkMax
 	}
 	var next atomic.Int64
+	// failed holds the first recovered panic; every worker stops
+	// claiming indexes once it is set.
+	var failed atomic.Pointer[PanicError]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for ctx.Err() == nil && failed.Load() == nil {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
@@ -72,15 +118,21 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if ctx.Err() != nil {
+					if ctx.Err() != nil || failed.Load() != nil {
 						return
 					}
-					fn(w, i)
+					if perr := call(fn, w, i); perr != nil {
+						failed.CompareAndSwap(nil, perr)
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if perr := failed.Load(); perr != nil {
+		return perr
+	}
 	return ctx.Err()
 }
 

@@ -2,8 +2,10 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -102,5 +104,57 @@ func TestPoolNilConstructor(t *testing.T) {
 	x := p.Get()
 	if x == nil || *x != 0 {
 		t.Fatal("nil-constructor pool did not produce zero value")
+	}
+}
+
+func TestForWorkerRecoversPanic(t *testing.T) {
+	const n, bad = 500, 17
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		err := ForWorker(context.Background(), n, workers, func(_, i int) {
+			ran.Add(1)
+			if i == bad {
+				panic("boom")
+			}
+			// Slow enough that the early panic is seen before the
+			// other workers could run every index.
+			time.Sleep(100 * time.Microsecond)
+		})
+		var perr *PanicError
+		if !errors.As(err, &perr) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if perr.Index != bad || perr.Value != "boom" || len(perr.Stack) == 0 {
+			t.Fatalf("workers=%d: panic error %+v", workers, perr)
+		}
+		if workers == 1 && ran.Load() != bad+1 {
+			t.Fatalf("sequential path ran %d indexes after a panic at %d", ran.Load(), bad)
+		}
+		if ran.Load() == n {
+			t.Fatalf("workers=%d: a panic did not stop the other indexes", workers)
+		}
+	}
+}
+
+func TestNestedPanicKeepsInnerValue(t *testing.T) {
+	cause := errors.New("model failure")
+	err := For(context.Background(), 3, 2, func(i int) {
+		if i != 2 {
+			return
+		}
+		if err := For(context.Background(), 8, 2, func(j int) {
+			if j == 5 {
+				panic(cause)
+			}
+		}); err != nil {
+			panic(err) // resume on the outer worker's goroutine
+		}
+	})
+	var perr *PanicError
+	if !errors.As(err, &perr) || perr.Index != 2 {
+		t.Fatalf("err = %#v, want the outer index 2", err)
+	}
+	if !errors.Is(err, cause) || err.Error() != "panic: model failure" {
+		t.Fatalf("err = %q, want the inner panic value", err)
 	}
 }
