@@ -42,9 +42,9 @@ func BuildPDBPlan(stmt *sqlparse.SelectStmt, db *pdb.DB) (pdb.Plan, error) {
 	env := db.Env()
 	for _, item := range stmt.Items {
 		name := item.Name()
-		// A bare column already present in the base schema is a
-		// pass-through; re-extending would collide.
-		if c, ok := item.Expr.(*sqlparse.ColRef); ok && item.Alias == "" && schema.Has(c.Name) {
+		// A column of the base schema selected under its own name (bare
+		// or self-aliased) is a pass-through; re-extending would collide.
+		if c, ok := item.Expr.(*sqlparse.ColRef); ok && name == c.Name && schema.Has(c.Name) {
 			continue
 		}
 		bound, err := lowerExpr(item.Expr, schema, env)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/pdb"
+	"jigsaw/internal/pool"
 	"jigsaw/internal/sqlparse"
 )
 
@@ -144,6 +146,54 @@ func TestBuildPDBPlanErrors(t *testing.T) {
 	}
 }
 
+// usersDB is a small users table — one NULL cell, one string column —
+// over reg plus UserUsage.
+func usersDB(reg *blackbox.Registry) *pdb.DB {
+	db := pdb.NewDB()
+	db.Boxes = reg
+	db.Boxes.MustRegister(blackbox.UserUsage{})
+	users := pdb.MustNewTable("join_week", "base", "growth", "vol", "region")
+	users.MustAppend(pdb.Row{pdb.Float(0), pdb.Float(2), pdb.Float(1.01), pdb.Float(0.1), pdb.Str("east")})
+	users.MustAppend(pdb.Row{pdb.Float(10), pdb.Null(), pdb.Float(1.02), pdb.Float(0.2), pdb.Str("west")})
+	users.MustAppend(pdb.Row{pdb.Float(30), pdb.Float(4), pdb.Float(1.03), pdb.Float(0.3), pdb.Str("east")})
+	if err := db.CreateTable("users", users); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+func TestBuildPDBPlanSelfAliasPassThrough(t *testing.T) {
+	// A column aliased to its own name is a pass-through, as the
+	// scenario compiler treats it, not a second column of that name.
+	db := usersDB(stdRegistry())
+	script, err := sqlparse.Parse(`SELECT join_week AS join_week, base FROM users`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPDBPlan(script.Selects[0], db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := planShape(plan); got != "Project>Scan" {
+		t.Fatalf("lowered to %s, want Project>Scan", got)
+	}
+	out, err := pdb.RunDistribution(plan, nil, pdb.WorldsOptions{Worlds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Schema.String() != "join_week, base" || out.Cells[2][0].Mean != 30 {
+		t.Fatalf("schema %s, join_week[2] = %g", out.Schema, out.Cells[2][0].Mean)
+	}
+	// Redefining a base column under its own name still collides.
+	script, err = sqlparse.Parse(`SELECT join_week + 1 AS join_week FROM users`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildPDBPlan(script.Selects[0], db); err == nil {
+		t.Fatal("SELECT join_week + 1 AS join_week accepted")
+	}
+}
+
 func TestBuildPDBPlanMultiArmCase(t *testing.T) {
 	script, err := sqlparse.Parse(
 		`SELECT CASE WHEN 1 > 2 THEN 10 WHEN 2 > 1 THEN 20 ELSE 30 END AS v, NULL AS n`)
@@ -232,4 +282,56 @@ func planShape(p pdb.Plan) string {
 		return "Values"
 	}
 	return fmt.Sprintf("%T", p)
+}
+
+// FuzzBuildPDBPlan checks that a SELECT BuildPDBPlan accepts runs for a
+// few worlds without panicking, with every declared parameter bound to
+// its first value. Errors (unbound names, world-varying cardinality,
+// type mismatches) are fine; a panic, also one recovered on a worker,
+// is not.
+func FuzzBuildPDBPlan(f *testing.F) {
+	for _, src := range []string{
+		figure1Source,
+		subquerySource,
+		`DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+SELECT join_week, UserUsage(@current_week, join_week, base, growth, vol) AS usage
+FROM users
+WHERE join_week < @current_week`,
+		`DECLARE PARAMETER @w AS SET (20, 40);
+SELECT region, CASE WHEN NOT (base > 3) THEN NULL ELSE UserUsage(@w, join_week, base, growth, vol) END AS u
+FROM users WHERE NOT (join_week > @w)`,
+	} {
+		f.Add(src)
+	}
+	db := usersDB(fig5Registry())
+	opts := pdb.WorldsOptions{Worlds: 5, BlockWorlds: 3, MasterSeed: 1}
+	f.Fuzz(func(t *testing.T, src string) {
+		script, err := sqlparse.Parse(src)
+		if err != nil {
+			return
+		}
+		params := make(map[string]float64, len(script.Decls))
+		for _, d := range script.Decls {
+			switch d.Kind {
+			case sqlparse.ParamRange:
+				params[d.Name] = d.Lo
+			case sqlparse.ParamSet:
+				if len(d.Values) > 0 {
+					params[d.Name] = d.Values[0]
+				}
+			case sqlparse.ParamChain:
+				params[d.Name] = d.Initial
+			}
+		}
+		for _, stmt := range script.Selects {
+			plan, err := BuildPDBPlan(stmt, db)
+			if err != nil {
+				continue
+			}
+			_, err = pdb.RunDistribution(plan, params, opts)
+			if pe := (*pool.PanicError)(nil); errors.As(err, &pe) {
+				t.Fatalf("plan %s panicked: %v\n%s", plan, pe.Value, pe.Stack)
+			}
+		}
+	})
 }

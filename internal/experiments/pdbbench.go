@@ -82,7 +82,7 @@ func pdbBenchQueries(cfg Config) ([]pdbBenchQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	userPlan, err := pdb.NewGroupPlan(scan, nil,
+	userPlan, err := pdb.NewAggregatePlan(scan,
 		[]pdb.AggSpec{{Kind: pdb.AggSum, Arg: usage, Name: "total"}})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package pdb
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // AggKind enumerates the in-world aggregate functions (SUM over event
@@ -26,24 +25,6 @@ const (
 	AggMax
 )
 
-// ParseAggKind resolves an aggregate name.
-func ParseAggKind(name string) (AggKind, bool) {
-	switch strings.ToUpper(name) {
-	case "SUM":
-		return AggSum, true
-	case "COUNT":
-		return AggCount, true
-	case "AVG":
-		return AggAvg, true
-	case "MIN":
-		return AggMin, true
-	case "MAX":
-		return AggMax, true
-	default:
-		return 0, false
-	}
-}
-
 // String implements fmt.Stringer.
 func (k AggKind) String() string {
 	switch k {
@@ -62,7 +43,7 @@ func (k AggKind) String() string {
 	}
 }
 
-// AggSpec is one aggregate output of a GroupPlan.
+// AggSpec is one aggregate output of an AggregatePlan.
 type AggSpec struct {
 	Kind AggKind
 	// Arg is the aggregated expression; nil only for COUNT(*).
@@ -71,94 +52,19 @@ type AggSpec struct {
 	Name string
 }
 
-// aggState accumulates one aggregate within one group.
-type aggState struct {
-	kind     AggKind
-	n        int
-	sum      float64
-	min, max float64
-}
-
-func newAggState(kind AggKind) *aggState {
-	return &aggState{kind: kind, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (a *aggState) add(v Value) error {
-	if v.IsNull() {
-		return nil // SQL aggregates skip NULLs
-	}
-	f, err := v.AsFloat()
-	if err != nil {
-		return err
-	}
-	a.n++
-	a.sum += f
-	if f < a.min {
-		a.min = f
-	}
-	if f > a.max {
-		a.max = f
-	}
-	return nil
-}
-
-// addCountStar counts a row unconditionally (COUNT(*)).
-func (a *aggState) addCountStar() { a.n++ }
-
-func (a *aggState) result() Value {
-	switch a.kind {
-	case AggCount:
-		return Float(float64(a.n))
-	case AggSum:
-		if a.n == 0 {
-			return Null()
-		}
-		return Float(a.sum)
-	case AggAvg:
-		if a.n == 0 {
-			return Null()
-		}
-		return Float(a.sum / float64(a.n))
-	case AggMin:
-		if a.n == 0 {
-			return Null()
-		}
-		return Float(a.min)
-	case AggMax:
-		if a.n == 0 {
-			return Null()
-		}
-		return Float(a.max)
-	default:
-		return Null()
-	}
-}
-
-// GroupPlan groups rows by key expressions and computes aggregates per
-// group. With no keys, the whole input is one group and the output is
-// a single row (the global-aggregate form). Group order is
-// first-appearance, keeping per-world outputs positionally aligned
-// across worlds (the tuple-bundle discipline the worlds layer's
-// estimator relies on).
-type GroupPlan struct {
+// AggregatePlan computes global aggregates over its whole input: one
+// output row per world, also over empty input (COUNT 0, the others
+// NULL) — the SELECT SUM(...) FROM t form Fig. 7's wrapper runs.
+type AggregatePlan struct {
 	Child  Plan
-	Keys   []NamedBound
 	Aggs   []AggSpec
 	schema Schema
 }
 
-// NewGroupPlan validates output-name uniqueness across keys and
-// aggregates.
-func NewGroupPlan(child Plan, keys []NamedBound, aggs []AggSpec) (*GroupPlan, error) {
-	seen := make(map[string]bool)
-	s := make(Schema, 0, len(keys)+len(aggs))
-	for _, k := range keys {
-		if k.Name == "" || seen[k.Name] {
-			return nil, fmt.Errorf("pdb: bad group key name %q", k.Name)
-		}
-		seen[k.Name] = true
-		s = append(s, Column{Name: k.Name})
-	}
+// NewAggregatePlan validates the aggregates' names and arguments.
+func NewAggregatePlan(child Plan, aggs []AggSpec) (*AggregatePlan, error) {
+	seen := make(map[string]bool, len(aggs))
+	s := make(Schema, 0, len(aggs))
 	for _, a := range aggs {
 		if a.Name == "" || seen[a.Name] {
 			return nil, fmt.Errorf("pdb: bad aggregate name %q", a.Name)
@@ -169,15 +75,15 @@ func NewGroupPlan(child Plan, keys []NamedBound, aggs []AggSpec) (*GroupPlan, er
 		seen[a.Name] = true
 		s = append(s, Column{Name: a.Name})
 	}
-	return &GroupPlan{Child: child, Keys: keys, Aggs: aggs, schema: s}, nil
+	return &AggregatePlan{Child: child, Aggs: aggs, schema: s}, nil
 }
 
 // Schema implements Plan.
-func (p *GroupPlan) Schema() Schema { return p.schema }
+func (p *AggregatePlan) Schema() Schema { return p.schema }
 
-// blockAggState is the vectorized form of aggState: one lane of
-// (n, sum, min, max) per world, updated with exactly aggState.add's
-// operations per world so results stay bit-identical.
+// blockAggState accumulates one aggregate over a block: one lane of
+// (n, sum, min, max) per world. NULLs are skipped, as SQL aggregates
+// skip them.
 type blockAggState struct {
 	kind AggKind
 	n    []int
@@ -201,9 +107,8 @@ func newBlockAggState(kind AggKind, w int) *blockAggState {
 	return st
 }
 
-// addVec folds one member row's argument column into the state, over
-// the active worlds. NULL lanes are skipped; non-numeric lanes error,
-// as aggState.add does.
+// addVec folds one row's argument column into the state, over the
+// active worlds. NULL lanes are skipped; non-numeric lanes error.
 func (st *blockAggState) addVec(v *Vec, mask Mask, w int) error {
 	for lane := 0; lane < w; lane++ {
 		if mask != nil && !mask[lane] {
@@ -237,8 +142,8 @@ func (st *blockAggState) addCountStar(mask Mask, w int) {
 	}
 }
 
-// resultVec renders the per-world aggregate results (aggState.result
-// lane-wise).
+// resultVec renders the per-world aggregate results: COUNT is the
+// count, the others are NULL in a world that folded no value.
 func (st *blockAggState) resultVec(ctx *BlockCtx) *Vec {
 	dst := ctx.lanesVec()
 	for lane := 0; lane < ctx.W; lane++ {
@@ -266,206 +171,42 @@ func (st *blockAggState) resultVec(ctx *BlockCtx) *Vec {
 	return dst
 }
 
-// ExecuteBlock implements Plan. Keys and aggregate arguments
-// evaluate column-wise per row (keys first, then arguments — the
-// per-world row order); with deterministic keys and full masks the
-// grouping itself happens once per block and each aggregate folds a
-// whole world column per member row. World-varying keys or masked
-// inputs fall back to grouping each world separately over the
-// already-evaluated columns (no re-execution, no re-draws).
-func (p *GroupPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
+// ExecuteBlock implements Plan. Each row's aggregate arguments
+// evaluate column-wise in row order, aggregate by aggregate — the
+// per-world interpretation order — and fold straight into the states
+// under the row's mask.
+func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
-	nk, na := len(p.Keys), len(p.Aggs)
-	keyV := ctx.newRow(len(in.Rows) * nk)
-	argV := ctx.newRow(len(in.Rows) * na)
-	keysUniform := true
+	states := make([]*blockAggState, len(p.Aggs))
+	for j, a := range p.Aggs {
+		states[j] = newBlockAggState(a.Kind, ctx.W)
+	}
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
-		for i, k := range p.Keys {
-			v, err := k.Expr.EvalBlock(row, m, ctx)
-			if err != nil {
-				return nil, err
-			}
-			keyV[r*nk+i] = v
-			if !v.uniform {
-				keysUniform = false
-			}
-		}
 		for j, a := range p.Aggs {
 			if a.Arg == nil {
+				states[j].addCountStar(m, ctx.W)
 				continue
 			}
 			v, err := a.Arg.EvalBlock(row, m, ctx)
 			if err != nil {
 				return nil, err
 			}
-			argV[r*na+j] = v
-		}
-	}
-	if nk > 0 && (!keysUniform || in.masked()) {
-		return p.groupPerWorld(in, keyV, argV, ctx)
-	}
-
-	// Native path: grouping is world-invariant (no keys, or uniform
-	// keys over unmasked rows), so group discovery runs once and the
-	// aggregates are pure column folds.
-	type blockGroup struct {
-		keyVals []Value
-		states  []*blockAggState
-	}
-	newGroup := func(keyVals []Value) *blockGroup {
-		g := &blockGroup{keyVals: keyVals, states: make([]*blockAggState, na)}
-		for j, a := range p.Aggs {
-			g.states[j] = newBlockAggState(a.Kind, ctx.W)
-		}
-		return g
-	}
-	var order []*blockGroup
-	groups := make(map[string]*blockGroup)
-	for r := range in.Rows {
-		m := in.rowMask(r)
-		var g *blockGroup
-		if nk == 0 {
-			if len(order) == 0 {
-				order = append(order, newGroup(nil))
-			}
-			g = order[0]
-		} else {
-			keyVals := make([]Value, nk)
-			var kb strings.Builder
-			for i := 0; i < nk; i++ {
-				keyVals[i] = keyV[r*nk+i].u
-				kb.WriteString(keyVals[i].String())
-				kb.WriteByte('\x00')
-			}
-			key := kb.String()
-			var ok bool
-			if g, ok = groups[key]; !ok {
-				g = newGroup(keyVals)
-				groups[key] = g
-				order = append(order, g)
-			}
-		}
-		for j, a := range p.Aggs {
-			if a.Arg == nil {
-				g.states[j].addCountStar(m, ctx.W)
-				continue
-			}
-			if err := g.states[j].addVec(argV[r*na+j], m, ctx.W); err != nil {
+			if err := states[j].addVec(v, m, ctx.W); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if nk == 0 && len(order) == 0 {
-		// Global aggregate over empty input still yields one row.
-		order = append(order, newGroup(nil))
+	row := ctx.newRow(len(states))
+	for j, st := range states {
+		row[j] = st.resultVec(ctx)
 	}
-	out := &BlockTable{Schema: p.schema, Rows: make([]BlockRow, 0, len(order))}
-	for _, g := range order {
-		row := ctx.newRow(nk + na)
-		for i := 0; i < nk; i++ {
-			row[i] = ctx.uniformVec(g.keyVals[i])
-		}
-		for j, st := range g.states {
-			row[nk+j] = st.resultVec(ctx)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return &BlockTable{Schema: p.schema, Rows: []BlockRow{row}}, nil
 }
 
-// groupPerWorld groups each world separately over the pre-evaluated
-// key and argument columns: first-appearance order among that world's
-// active rows, per-world aggState updates, and a positional gather of
-// the per-world group lists into a masked block table.
-func (p *GroupPlan) groupPerWorld(in *BlockTable, keyV, argV []*Vec, ctx *BlockCtx) (*BlockTable, error) {
-	nk, na := len(p.Keys), len(p.Aggs)
-	type pwGroup struct {
-		keyVals []Value
-		states  []*aggState
-	}
-	worldGroups := make([][]*pwGroup, ctx.W)
-	maxG := 0
-	for w := 0; w < ctx.W; w++ {
-		var order []*pwGroup
-		groups := make(map[string]*pwGroup)
-		for r := range in.Rows {
-			if m := in.rowMask(r); m != nil && !m[w] {
-				continue
-			}
-			keyVals := make([]Value, nk)
-			var kb strings.Builder
-			for i := 0; i < nk; i++ {
-				keyVals[i] = keyV[r*nk+i].Lane(w)
-				kb.WriteString(keyVals[i].String())
-				kb.WriteByte('\x00')
-			}
-			key := kb.String()
-			g, ok := groups[key]
-			if !ok {
-				g = &pwGroup{keyVals: keyVals, states: make([]*aggState, na)}
-				for j, a := range p.Aggs {
-					g.states[j] = newAggState(a.Kind)
-				}
-				groups[key] = g
-				order = append(order, g)
-			}
-			for j, a := range p.Aggs {
-				if a.Arg == nil {
-					g.states[j].addCountStar()
-					continue
-				}
-				if err := g.states[j].add(argV[r*na+j].Lane(w)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		worldGroups[w] = order
-		if len(order) > maxG {
-			maxG = len(order)
-		}
-	}
-	out := &BlockTable{Schema: p.schema, Rows: make([]BlockRow, maxG)}
-	sels := make([]Mask, maxG)
-	anyMask := false
-	for k := 0; k < maxG; k++ {
-		row := ctx.newRow(nk + na)
-		for c := range row {
-			row[c] = ctx.lanesVec()
-		}
-		m := ctx.newMask(nil)
-		full := true
-		for w := 0; w < ctx.W; w++ {
-			if k >= len(worldGroups[w]) {
-				m[w] = false
-				full = false
-				continue
-			}
-			g := worldGroups[w][k]
-			for i := 0; i < nk; i++ {
-				row[i].setLane(w, g.keyVals[i])
-			}
-			for j, st := range g.states {
-				row[nk+j].setLane(w, st.result())
-			}
-		}
-		out.Rows[k] = row
-		if full {
-			sels[k] = nil
-		} else {
-			sels[k] = m
-			anyMask = true
-		}
-	}
-	if anyMask {
-		out.Sel = sels
-	}
-	return out, nil
-}
-
-func (p *GroupPlan) String() string {
-	return fmt.Sprintf("GroupBy(keys=%d, aggs=%d)", len(p.Keys), len(p.Aggs))
+func (p *AggregatePlan) String() string {
+	return fmt.Sprintf("Aggregate(%s)", p.schema)
 }

@@ -41,7 +41,7 @@ func allocPipeline(t *testing.T, nRows int) Plan {
 	pred := mustBind(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "join_week > -1"}
 	arg := mustBind(t, Col{"usage"}, sel.Schema(), env)
-	plan, err := NewGroupPlan(sel, nil, []AggSpec{
+	plan, err := NewAggregatePlan(sel, []AggSpec{
 		{Kind: AggSum, Arg: arg, Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
 	})

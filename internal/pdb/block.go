@@ -9,7 +9,7 @@ import (
 
 // This file holds the execution state of the block executor: the
 // per-block context (world generators, parameter bindings, scratch
-// arena) and the adapter that runs a custom BoundFunc per world.
+// arena).
 //
 // Determinism contract. A block covers a contiguous world range
 // [lo, hi); each world w owns generator state derived from seed σw,
@@ -75,9 +75,6 @@ type BlockCtx struct {
 	masksUsed int
 	rowPtrs   []*Vec // bump chunk for BlockRow backing
 	floatBuf  []float64
-	// funcRow and funcCtx are BoundFunc's per-world views.
-	funcRow Row
-	funcCtx RowCtx
 }
 
 // reset prepares the context for a new block over seeds (one world
@@ -97,7 +94,6 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 		c.Rands = make([]rng.Rand, c.W)
 	}
 	c.Rands = c.Rands[:c.W]
-	c.funcCtx = RowCtx{Params: params}
 }
 
 // materialize seeds the per-world generators and replays any deferred
@@ -233,34 +229,4 @@ func (c *BlockCtx) floats(n int) []float64 {
 		c.floatBuf = make([]float64, n)
 	}
 	return c.floatBuf[:n]
-}
-
-// ---------- Custom-expression adapter ----------
-
-// EvalBlock implements BoundExpr for a hand-written evaluator: it runs
-// once per active world against a Row view of the block row and that
-// world's live generator, so its draws land exactly where per-world
-// interpretation would put them.
-func (f BoundFunc) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-	ctx.materialize()
-	if cap(ctx.funcRow) < len(row) {
-		ctx.funcRow = make(Row, len(row))
-	}
-	sr := ctx.funcRow[:len(row)]
-	dst := ctx.lanesVec()
-	for w := 0; w < ctx.W; w++ {
-		if mask != nil && !mask[w] {
-			continue
-		}
-		for i, v := range row {
-			sr[i] = v.Lane(w)
-		}
-		ctx.funcCtx.Rand = &ctx.Rands[w]
-		val, err := f(sr, &ctx.funcCtx)
-		if err != nil {
-			return nil, err
-		}
-		dst.setLane(w, val)
-	}
-	return dst, nil
 }

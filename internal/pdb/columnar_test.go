@@ -20,19 +20,13 @@ import (
 var columnarBlockSizes = []int{1, 7, 256, 1000}
 var columnarWorkers = []int{1, 4}
 
-// columnarDB builds the shared fixture: purchases/regions tables plus
+// columnarDB builds the shared fixture: purchases/signs tables plus
 // the full model registry.
 func columnarDB(t *testing.T) *DB {
 	t.Helper()
 	db := fixtureDB(t)
 	db.Boxes.MustRegister(blackbox.NewOverload())
 	db.Boxes.MustRegister(blackbox.UserUsage{})
-	regions := MustNewTable("name", "capacity_base")
-	regions.MustAppend(Row{Str("east"), Float(100)})
-	regions.MustAppend(Row{Str("west"), Float(200)})
-	if err := db.CreateTable("regions", regions); err != nil {
-		t.Fatal(err)
-	}
 	signs := MustNewTable("sign", "tag")
 	signs.MustAppend(Row{Float(1), Str("pos")})
 	signs.MustAppend(Row{Float(-1), Str("neg")})
@@ -108,17 +102,15 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
-func TestColumnarGroupedVGWithStringKeys(t *testing.T) {
-	// Data-dependent draws (one per row per world), string group keys
-	// (KeyRows must match), and every aggregate kind at once.
+func TestColumnarAggregateKindsOverVGDraws(t *testing.T) {
+	// Data-dependent draws (one per row per world) and every aggregate
+	// kind at once.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
 	noisy := mustBind(t, BinOp{"*", Col{"volume"},
 		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}, scan.Schema(), db.Env())
-	region := mustBind(t, Col{"region"}, scan.Schema(), db.Env())
 	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
-	plan, err := NewGroupPlan(scan,
-		[]NamedBound{{Name: "region", Expr: region}},
+	plan, err := NewAggregatePlan(scan,
 		[]AggSpec{
 			{Kind: AggSum, Arg: noisy, Name: "total"},
 			{Kind: AggCount, Arg: nil, Name: "n"},
@@ -167,7 +159,7 @@ func TestColumnarMaskedAggregate(t *testing.T) {
 	pred := mustBind(t, BinOp{">", Col{"vg"}, Param{"week"}}, ext.Schema(), db.Env())
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "vg > week"}
 	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
-	plan, err := NewGroupPlan(sel, nil, []AggSpec{
+	plan, err := NewAggregatePlan(sel, []AggSpec{
 		{Kind: AggSum, Arg: arg, Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
 	})
@@ -175,90 +167,6 @@ func TestColumnarMaskedAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
-}
-
-func TestColumnarMaskedKeyedGroup(t *testing.T) {
-	// Masks + group keys force the per-world grouping fallback; group
-	// counts usually differ across worlds, so this mostly pins error
-	// parity, with agreement required whenever counts align.
-	db := columnarDB(t)
-	scan, _ := db.Scan("signs")
-	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBind(t, BinOp{">", Col{"vg"}, Lit{Float(-1e9)}}, ext.Schema(), db.Env())
-	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "always"}
-	tag := mustBind(t, Col{"tag"}, sel.Schema(), db.Env())
-	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
-	plan, err := NewGroupPlan(sel,
-		[]NamedBound{{Name: "tag", Expr: tag}},
-		[]AggSpec{{Kind: AggSum, Arg: arg, Name: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, plan, map[string]float64{"week": 10}, 200)
-}
-
-func TestColumnarOrderByUniformAndLimit(t *testing.T) {
-	db := columnarDB(t)
-	scan, _ := db.Scan("purchases")
-	key := mustBind(t, Col{"volume"}, scan.Schema(), db.Env())
-	plan := &LimitPlan{Child: &OrderByPlan{Child: scan, Key: key, Desc: true}, N: 2}
-	assertBitIdentical(t, plan, nil, 200)
-}
-
-func TestColumnarOrderByWorldVaryingKey(t *testing.T) {
-	// Sorting by an uncertain column permutes rows differently per
-	// world: the per-world sort path must gather positionally.
-	db := columnarDB(t)
-	scan, _ := db.Scan("purchases")
-	ext := vgExtendPlan(t, db, scan, "vg")
-	key := mustBind(t, Col{"vg"}, ext.Schema(), db.Env())
-	plan := &OrderByPlan{Child: ext, Key: key}
-	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 250)
-}
-
-func TestColumnarOrderByNullKeysAndLimitMasked(t *testing.T) {
-	// NULL keys sort first; a masked limit keeps each world's own
-	// first N rows.
-	db := columnarDB(t)
-	tbl := MustNewTable("v")
-	tbl.MustAppend(Row{Float(2)})
-	tbl.MustAppend(Row{Null()})
-	tbl.MustAppend(Row{Float(1)})
-	scan := NewScanPlan("t", tbl)
-	key := mustBind(t, Col{"v"}, scan.Schema(), nil)
-	assertBitIdentical(t, &OrderByPlan{Child: scan, Key: key}, nil, 64)
-
-	sel := signSelectPlan(t, db)
-	assertBitIdentical(t, &LimitPlan{Child: sel, N: 1}, map[string]float64{"week": 20}, 250)
-}
-
-func TestColumnarJoinWithVGPredicate(t *testing.T) {
-	db := columnarDB(t)
-	left, _ := db.Scan("purchases")
-	right, _ := db.Scan("regions")
-	schema := left.Schema().Concat(right.Schema())
-	pred := mustBind(t, BinOp{"AND",
-		BinOp{"=", Col{"region"}, Col{"name"}},
-		BinOp{">", Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}, Lit{Float(5)}},
-	}, schema, db.Env())
-	join := NewJoinPlan(left, right, pred)
-	vol := mustBind(t, Col{"volume"}, join.Schema(), db.Env())
-	plan, err := NewGroupPlan(join, nil, []AggSpec{
-		{Kind: AggSum, Arg: vol, Name: "total"},
-		{Kind: AggCount, Arg: nil, Name: "n"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, plan, nil, 250)
-}
-
-func TestColumnarCrossJoin(t *testing.T) {
-	db := columnarDB(t)
-	left, _ := db.Scan("purchases")
-	right, _ := db.Scan("regions")
-	plan := NewJoinPlan(left, right, nil)
-	assertBitIdentical(t, plan, nil, 100)
 }
 
 func TestColumnarCaseBranchDraws(t *testing.T) {
@@ -308,25 +216,13 @@ func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
 	assertBitIdentical(t, plan, map[string]float64{"week": 3}, 200)
 }
 
-func TestColumnarCustomExprAndPlanFallback(t *testing.T) {
-	// A hand-written BoundFunc (run per world by its adapter) and a
-	// hand-written Plan (delegating ExecuteBlock) inside a columnar run.
+func TestColumnarOpaquePlanFallback(t *testing.T) {
+	// A hand-written Plan (delegating ExecuteBlock) inside a columnar
+	// run: draws after it must continue each world's stream where the
+	// wrapped operator left it.
 	db := columnarDB(t)
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	custom := BoundFunc(func(row Row, ctx *RowCtx) (Value, error) {
-		f, err := row[0].AsFloat()
-		if err != nil {
-			return Null(), err
-		}
-		// Draw through the world generator so adapter stream positions
-		// are observable downstream.
-		return Float(f + ctx.Rand.Uniform(0, 1)), nil
-	})
-	ext2, err := NewExtendPlan(ext, []NamedBound{{Name: "adj", Expr: custom}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := opaquePlan{ext2}
+	wrapped := opaquePlan{ext}
 	after := vgExtendPlan(t, db, wrapped, "vg2")
 	assertBitIdentical(t, after, map[string]float64{"week": 15}, 200)
 }
@@ -363,6 +259,60 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 	}
 }
 
+func TestColumnarAggregateOverWorldVaryingNulls(t *testing.T) {
+	// An argument that is NULL in some worlds and not others (each
+	// draw lands above its week about half the time, so some worlds
+	// keep no row): each world's COUNT, AVG, MIN and MAX fold only its
+	// own non-NULL lanes.
+	db := columnarDB(t)
+	scan, _ := db.Scan("purchases")
+	draw := Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}
+	arg := mustBind(t, Case{When: BinOp{">", draw, Col{"week"}}, Then: Col{"volume"}},
+		scan.Schema(), db.Env())
+	plan, err := NewAggregatePlan(scan, []AggSpec{
+		{Kind: AggCount, Arg: arg, Name: "n"},
+		{Kind: AggAvg, Arg: arg, Name: "avg"},
+		{Kind: AggMin, Arg: arg, Name: "lo"},
+		{Kind: AggMax, Arg: arg, Name: "hi"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, plan, nil, 300)
+}
+
+func TestColumnarAggregateErrorParity(t *testing.T) {
+	// A non-numeric aggregate argument after a VG draw fails in both
+	// the executor and the oracle at every block size, for the same
+	// cause.
+	db := columnarDB(t)
+	scan, _ := db.Scan("purchases")
+	ext := vgExtendPlan(t, db, scan, "vg")
+	plan, err := NewAggregatePlan(ext, []AggSpec{
+		{Kind: AggSum, Arg: mustBind(t, Col{"vg"}, ext.Schema(), db.Env()), Name: "total"},
+		{Kind: AggMax, Arg: mustBind(t, Col{"region"}, ext.Schema(), db.Env()), Name: "last"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]float64{"week": 20}
+	for _, bw := range columnarBlockSizes {
+		opts := WorldsOptions{Worlds: 50, MasterSeed: 7, BlockWorlds: bw}
+		_, wantErr := refDistribution(plan, params, opts)
+		_, gotErr := RunDistribution(plan, params, opts)
+		if wantErr == nil || gotErr == nil {
+			t.Fatalf("bw=%d: expected both to reject MAX(region) (oracle %v, executor %v)", bw, wantErr, gotErr)
+		}
+		// The prefixes name a world and a block range respectively;
+		// the cause must be the same conversion failure.
+		for _, err := range []error{wantErr, gotErr} {
+			if !strings.HasSuffix(err.Error(), "pdb: STRING is not numeric") {
+				t.Fatalf("bw=%d: unexpected error %v", bw, err)
+			}
+		}
+	}
+}
+
 func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
 	// BulkVGSumPlan's fused fold must reproduce, bit for bit, the
 	// oracle's per-world sums over the equivalent SUM(UserUsage(...))
@@ -382,7 +332,7 @@ func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
 		args = append(args, mustBind(t, e, scan.Schema(), nil))
 	}
 	usage := mustBind(t, Call{"UserUsage", argExprs}, scan.Schema(), db.Env())
-	tree, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	tree, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +377,7 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 	usage := mustBind(t, Call{"UserUsage", []Expr{
 		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
 	}}, scan.Schema(), db.Env())
-	plan, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,28 +492,23 @@ func TestColumnarLoweredShapes(t *testing.T) {
 }
 
 func TestColumnarKeyRows(t *testing.T) {
-	// String cells surface as KeyRows.
+	// String cells of any result column surface as KeyRows; numeric
+	// cells stay NULL there.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	region := mustBind(t, Col{"region"}, scan.Schema(), db.Env())
-	vol := mustBind(t, Col{"volume"}, scan.Schema(), db.Env())
-	plan, err := NewGroupPlan(scan,
-		[]NamedBound{{Name: "region", Expr: region}},
-		[]AggSpec{{Kind: AggSum, Arg: vol, Name: "total"}})
+	dist, err := RunDistribution(scan, nil, WorldsOptions{Worlds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunDistribution(plan, nil, WorldsOptions{Worlds: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist.KeyRows) != 2 {
+	if len(dist.KeyRows) != 3 {
 		t.Fatalf("KeyRows = %v", dist.KeyRows)
 	}
-	if s, _ := dist.KeyRows[0][0].Text(); s != "east" {
-		t.Fatalf("KeyRows[0][0] = %v", dist.KeyRows[0][0])
+	for r, want := range []string{"east", "west", "east"} {
+		if s, _ := dist.KeyRows[r][2].Text(); s != want {
+			t.Fatalf("KeyRows[%d][2] = %v, want %s", r, dist.KeyRows[r][2], want)
+		}
 	}
-	if !dist.KeyRows[0][1].IsNull() {
+	if !dist.KeyRows[0][0].IsNull() || !dist.KeyRows[0][1].IsNull() {
 		t.Fatal("numeric cell leaked into KeyRows")
 	}
 }

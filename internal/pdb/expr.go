@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/rng"
 )
 
 // Expr is an unbound scalar expression. Expressions are compiled
@@ -23,7 +22,7 @@ type Expr interface {
 
 // BoundExpr is a compiled expression: it evaluates over a whole
 // world block at once, one Vec per call. Every built-in Expr binds to
-// a blockExpr; custom evaluators plug in through BoundFunc.
+// a blockExpr.
 type BoundExpr interface {
 	// EvalBlock evaluates against one block row over the worlds active
 	// in mask (nil = every world of the block).
@@ -36,24 +35,6 @@ type blockExpr func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 // EvalBlock implements BoundExpr.
 func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 	return f(row, mask, ctx)
-}
-
-// BoundFunc adapts a plain per-world evaluation function to BoundExpr.
-// It is the extension point for hand-written evaluators: the executor
-// calls it once per active world, with that world's row view and live
-// generator.
-type BoundFunc func(row Row, ctx *RowCtx) (Value, error)
-
-// RowCtx is the per-world state a BoundFunc sees: the world's
-// generator and the parameter bindings of the current point.
-type RowCtx struct {
-	// Rand is the world's generator; every draw in the world comes from
-	// it in plan order, making the world's query evaluation a
-	// deterministic function of the world seed — which is exactly what
-	// lets Jigsaw fingerprint "the entire Monte Carlo simulation" (§3).
-	Rand *rng.Rand
-	// Params holds @parameter values.
-	Params map[string]float64
 }
 
 // pcached is one parameter slot's resolution state.

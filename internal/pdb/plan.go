@@ -1,9 +1,6 @@
 package pdb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Plan is a query-plan node: a relational operator tree whose answer
 // is one relation per possible world. Plans are built (bound) against
@@ -269,383 +266,3 @@ func (p *ExtendPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 func (p *ExtendPlan) String() string { return fmt.Sprintf("Extend(%s)", p.schema) }
-
-// OrderByPlan sorts rows by a key expression.
-type OrderByPlan struct {
-	Child Plan
-	Key   BoundExpr
-	Desc  bool
-}
-
-// Schema implements Plan.
-func (p *OrderByPlan) Schema() Schema { return p.Child.Schema() }
-
-// rowSorter sorts an index permutation by key value — NULLs first,
-// then ascending (or descending with Desc), ties keeping input order
-// via sort.Stable.
-type rowSorter struct {
-	keys []Value
-	perm []int
-	desc bool
-	err  *error
-}
-
-func (s *rowSorter) Len() int      { return len(s.perm) }
-func (s *rowSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
-func (s *rowSorter) Less(i, j int) bool {
-	return lessKey(s.keys[s.perm[i]], s.keys[s.perm[j]], s.desc, s.err)
-}
-
-// lessKey is the ordering both sort paths (uniform keys, per-world
-// lanes) share: NULL keys sort first regardless of direction;
-// comparison errors latch into errp.
-func lessKey(a, b Value, desc bool, errp *error) bool {
-	if a.IsNull() {
-		return !b.IsNull()
-	}
-	if b.IsNull() {
-		return false
-	}
-	c, err := a.Compare(b)
-	if err != nil && *errp == nil {
-		*errp = err
-	}
-	if desc {
-		return c > 0
-	}
-	return c < 0
-}
-
-// ExecuteBlock implements Plan. With a deterministic key the
-// sort happens once for the whole block: a stable sort's output is
-// the unique order by (key, input position), so restricting the
-// globally sorted order to each world's active rows equals sorting
-// that world's rows directly — masks just ride along. World-varying
-// keys (or key columns whose kinds could make comparisons
-// world-dependent) fall back to sorting each world's lanes with the
-// same comparator.
-func (p *OrderByPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := p.Child.ExecuteBlock(ctx)
-	if err != nil {
-		return nil, err
-	}
-	keyVecs := ctx.newRow(len(in.Rows))
-	uniform := true
-	numeric, str := false, false
-	for r, row := range in.Rows {
-		v, err := p.Key.EvalBlock(row, in.rowMask(r), ctx)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[r] = v
-		if !v.uniform {
-			uniform = false
-			continue
-		}
-		switch v.u.Kind() {
-		case KindFloat, KindBool:
-			numeric = true
-		case KindString:
-			str = true
-		}
-	}
-	if uniform && !(numeric && str) {
-		// Homogeneous deterministic keys: one stable sort serves every
-		// world (mixed numeric/string keys could error on pairs a
-		// per-world sort never compares, so they take the exact path).
-		keys := make([]Value, len(in.Rows))
-		perm := make([]int, len(in.Rows))
-		for r := range in.Rows {
-			keys[r] = keyVecs[r].u
-			perm[r] = r
-		}
-		var sortErr error
-		rs := rowSorter{keys: keys, perm: perm, desc: p.Desc, err: &sortErr}
-		sort.Stable(&rs)
-		if sortErr != nil {
-			return nil, sortErr
-		}
-		out := &BlockTable{Schema: in.Schema, Rows: make([]BlockRow, len(perm))}
-		if in.Sel != nil {
-			out.Sel = make([]Mask, len(perm))
-		}
-		for i, idx := range perm {
-			out.Rows[i] = in.Rows[idx]
-			if in.Sel != nil {
-				out.Sel[i] = in.Sel[idx]
-			}
-		}
-		return out, nil
-	}
-	return p.executeBlockPerWorld(in, keyVecs, ctx)
-}
-
-// executeBlockPerWorld sorts each world's active rows by that world's
-// key lanes — exactly a per-world sort — and gathers
-// the results positionally: output position k holds, for each world,
-// that world's k-th sorted row, with a mask marking worlds holding
-// fewer rows.
-func (p *OrderByPlan) executeBlockPerWorld(in *BlockTable, keyVecs []*Vec, ctx *BlockCtx) (*BlockTable, error) {
-	worldOrder := make([][]int, ctx.W)
-	keys := make([]Value, 0, len(in.Rows))
-	maxN := 0
-	for w := 0; w < ctx.W; w++ {
-		order := make([]int, 0, len(in.Rows))
-		keys = keys[:0]
-		for r := range in.Rows {
-			if m := in.rowMask(r); m != nil && !m[w] {
-				continue
-			}
-			order = append(order, len(keys))
-			keys = append(keys, keyVecs[r].Lane(w))
-		}
-		// order currently indexes into the world's compacted key list;
-		// remap to block rows after sorting.
-		rows := make([]int, 0, len(order))
-		for r := range in.Rows {
-			if m := in.rowMask(r); m != nil && !m[w] {
-				continue
-			}
-			rows = append(rows, r)
-		}
-		var sortErr error
-		rs := rowSorter{keys: keys, perm: order, desc: p.Desc, err: &sortErr}
-		sort.Stable(&rs)
-		if sortErr != nil {
-			return nil, sortErr
-		}
-		final := make([]int, len(order))
-		for i, ki := range order {
-			final[i] = rows[ki]
-		}
-		worldOrder[w] = final
-		if len(final) > maxN {
-			maxN = len(final)
-		}
-	}
-	nc := len(in.Schema)
-	out := &BlockTable{Schema: in.Schema, Rows: make([]BlockRow, maxN)}
-	sels := make([]Mask, maxN)
-	anyMask := false
-	for k := 0; k < maxN; k++ {
-		nr := ctx.newRow(nc)
-		for c := 0; c < nc; c++ {
-			nr[c] = ctx.lanesVec()
-		}
-		m := ctx.newMask(nil)
-		full := true
-		for w := 0; w < ctx.W; w++ {
-			if k >= len(worldOrder[w]) {
-				m[w] = false
-				full = false
-				continue
-			}
-			src := worldOrder[w][k]
-			for c := 0; c < nc; c++ {
-				nr[c].setLane(w, in.Rows[src][c].Lane(w))
-			}
-		}
-		out.Rows[k] = nr
-		if full {
-			sels[k] = nil
-		} else {
-			sels[k] = m
-			anyMask = true
-		}
-	}
-	if anyMask {
-		out.Sel = sels
-	}
-	return out, nil
-}
-
-func (p *OrderByPlan) String() string { return "OrderBy" }
-
-// LimitPlan truncates to the first N rows.
-type LimitPlan struct {
-	Child Plan
-	N     int
-}
-
-// Schema implements Plan.
-func (p *LimitPlan) Schema() Schema { return p.Child.Schema() }
-
-// ExecuteBlock implements Plan. Without masks this is a slice;
-// with masks each world keeps its own first N active rows, so the
-// per-row output masks encode world-dependent truncation.
-func (p *LimitPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	in, err := p.Child.ExecuteBlock(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := p.N
-	if n < 0 {
-		n = 0
-	}
-	if !in.masked() {
-		if n > len(in.Rows) {
-			n = len(in.Rows)
-		}
-		out := &BlockTable{Schema: in.Schema, Rows: in.Rows[:n]}
-		if in.Sel != nil {
-			out.Sel = in.Sel[:n]
-		}
-		return out, nil
-	}
-	taken := make([]int, ctx.W)
-	out := &BlockTable{Schema: in.Schema}
-	var sels []Mask
-	anyMask := false
-	for r, row := range in.Rows {
-		m := in.rowMask(r)
-		nm := ctx.newMask(nil)
-		kept, active := 0, 0
-		for w := 0; w < ctx.W; w++ {
-			if m != nil && !m[w] {
-				nm[w] = false
-				continue
-			}
-			active++
-			if taken[w] < n {
-				taken[w]++
-				nm[w] = true
-				kept++
-			} else {
-				nm[w] = false
-			}
-		}
-		if kept == 0 {
-			continue
-		}
-		out.Rows = append(out.Rows, row)
-		if kept == ctx.W {
-			sels = append(sels, nil)
-		} else if kept == active && m != nil {
-			sels = append(sels, m)
-			anyMask = true
-		} else {
-			sels = append(sels, nm)
-			anyMask = true
-		}
-	}
-	if anyMask {
-		out.Sel = sels
-	}
-	return out, nil
-}
-
-func (p *LimitPlan) String() string { return fmt.Sprintf("Limit(%d)", p.N) }
-
-// ---------- Binary operators ----------
-
-// JoinPlan is a nested-loop inner join with an arbitrary bound
-// predicate over the concatenated row.
-type JoinPlan struct {
-	Left, Right Plan
-	Pred        BoundExpr // nil = cross join
-	schema      Schema
-}
-
-// NewJoinPlan builds a join node.
-func NewJoinPlan(left, right Plan, pred BoundExpr) *JoinPlan {
-	return &JoinPlan{Left: left, Right: right, Pred: pred,
-		schema: left.Schema().Concat(right.Schema())}
-}
-
-// Schema implements Plan.
-func (p *JoinPlan) Schema() Schema { return p.schema }
-
-// ExecuteBlock implements Plan: the nested loop runs over block
-// rows (Vec pointers concatenate without copying world lanes), pair
-// masks intersect the sides' row masks, and the predicate narrows
-// them exactly like SelectPlan.
-func (p *JoinPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	l, err := p.Left.ExecuteBlock(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.Right.ExecuteBlock(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &BlockTable{Schema: p.schema}
-	var sels []Mask
-	anyMask := false
-	for li, lr := range l.Rows {
-		lm := l.rowMask(li)
-		for ri, rr := range r.Rows {
-			rm := r.rowMask(ri)
-			m := lm
-			if rm != nil {
-				if lm == nil {
-					m = rm
-				} else {
-					nm := ctx.newMask(lm)
-					empty := true
-					for w := 0; w < ctx.W; w++ {
-						nm[w] = nm[w] && rm[w]
-						empty = empty && !nm[w]
-					}
-					if empty {
-						continue // the pair coexists in no world
-					}
-					m = nm
-				}
-			}
-			joined := ctx.newRow(len(lr) + len(rr))
-			copy(joined, lr)
-			copy(joined[len(lr):], rr)
-			if p.Pred != nil {
-				pv, err := p.Pred.EvalBlock(joined, m, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if pv.uniform {
-					keep := false
-					if !pv.u.IsNull() {
-						if keep, err = pv.u.AsBool(); err != nil {
-							return nil, err
-						}
-					}
-					if !keep {
-						continue
-					}
-				} else {
-					nm := ctx.newMask(nil)
-					kept := 0
-					for w := 0; w < ctx.W; w++ {
-						if m != nil && !m[w] {
-							nm[w] = false
-							continue
-						}
-						keep, notNull, err := pv.laneBool(w)
-						if err != nil {
-							return nil, err
-						}
-						nm[w] = notNull && keep
-						if nm[w] {
-							kept++
-						}
-					}
-					if kept == 0 {
-						continue
-					}
-					if kept < ctx.W {
-						m = nm
-					} else {
-						m = nil
-					}
-				}
-			}
-			out.Rows = append(out.Rows, joined)
-			sels = append(sels, m)
-			anyMask = anyMask || m != nil
-		}
-	}
-	if anyMask {
-		out.Sel = sels
-	}
-	return out, nil
-}
-
-func (p *JoinPlan) String() string { return "Join" }

@@ -2,6 +2,8 @@ package pdb
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -155,55 +157,9 @@ func TestExtendPlanSeesEarlierOutputs(t *testing.T) {
 	}
 }
 
-func TestOrderByAndLimit(t *testing.T) {
+func TestAggregatePlanKinds(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	key := mustBind(t, Col{"volume"}, scan.Schema(), db.Env())
-	sorted := execute(t, &OrderByPlan{Child: scan, Key: key})
-	if f, _ := sorted.Rows[0][1].AsFloat(); f != 20 {
-		t.Fatalf("ascending head = %g", f)
-	}
-	desc := execute(t, &OrderByPlan{Child: scan, Key: key, Desc: true})
-	if f, _ := desc.Rows[0][1].AsFloat(); f != 60 {
-		t.Fatalf("descending head = %g", f)
-	}
-	limited := execute(t, &LimitPlan{Child: &OrderByPlan{Child: scan, Key: key}, N: 2})
-	if limited.Len() != 2 {
-		t.Fatalf("limit rows = %d", limited.Len())
-	}
-	over := execute(t, &LimitPlan{Child: scan, N: 99})
-	if over.Len() != 3 {
-		t.Fatal("limit beyond length broken")
-	}
-}
-
-func TestJoinPlan(t *testing.T) {
-	db := fixtureDB(t)
-	regions := MustNewTable("name", "capacity_base")
-	regions.MustAppend(Row{Str("east"), Float(100)})
-	regions.MustAppend(Row{Str("west"), Float(200)})
-	if err := db.CreateTable("regions", regions); err != nil {
-		t.Fatal(err)
-	}
-	left, _ := db.Scan("purchases")
-	right, _ := db.Scan("regions")
-	pred := mustBind(t, BinOp{"=", Col{"region"}, Col{"name"}},
-		left.Schema().Concat(right.Schema()), db.Env())
-	join := NewJoinPlan(left, right, pred)
-	out := execute(t, join)
-	if out.Len() != 3 {
-		t.Fatalf("equi-join rows = %d", out.Len())
-	}
-	cross := NewJoinPlan(left, right, nil)
-	if got := execute(t, cross).Len(); got != 6 {
-		t.Fatalf("cross join rows = %d", got)
-	}
-}
-
-func TestGroupPlanKeyedAggregates(t *testing.T) {
-	db := fixtureDB(t)
-	scan, _ := db.Scan("purchases")
-	keys := []NamedBound{{Name: "region", Expr: mustBind(t, Col{"region"}, scan.Schema(), db.Env())}}
 	aggs := []AggSpec{
 		{Kind: AggSum, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
 		{Kind: AggCount, Arg: nil, Name: "n"},
@@ -211,42 +167,27 @@ func TestGroupPlanKeyedAggregates(t *testing.T) {
 		{Kind: AggMax, Arg: mustBind(t, Col{"week"}, scan.Schema(), db.Env()), Name: "last_week"},
 		{Kind: AggAvg, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "avg_vol"},
 	}
-	plan, err := NewGroupPlan(scan, keys, aggs)
+	plan, err := NewAggregatePlan(scan, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := execute(t, plan)
-	if out.Len() != 2 {
-		t.Fatalf("groups = %d", out.Len())
+	if out.Len() != 1 {
+		t.Fatalf("aggregate rows = %d", out.Len())
 	}
-	// Group order is first-appearance: east, then west.
-	east := out.Rows[0]
-	if s, _ := east[0].Text(); s != "east" {
-		t.Fatalf("first group = %v", east[0])
-	}
-	if f, _ := east[1].AsFloat(); f != 60 {
-		t.Fatalf("east total = %g", f)
-	}
-	if f, _ := east[2].AsFloat(); f != 2 {
-		t.Fatalf("east count = %g", f)
-	}
-	if f, _ := east[3].AsFloat(); f != 10 {
-		t.Fatalf("east first week = %g", f)
-	}
-	if f, _ := east[4].AsFloat(); f != 30 {
-		t.Fatalf("east last week = %g", f)
-	}
-	if f, _ := east[5].AsFloat(); f != 30 {
-		t.Fatalf("east avg = %g", f)
+	for i, want := range []float64{120, 3, 10, 30, 40} {
+		if f, _ := out.Rows[0][i].AsFloat(); f != want {
+			t.Fatalf("%s = %g, want %g", aggs[i].Name, f, want)
+		}
 	}
 }
 
-func TestGroupPlanGlobalOnEmptyInput(t *testing.T) {
+func TestAggregatePlanOnEmptyInput(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	empty := &SelectPlan{Child: scan,
 		Pred: mustBind(t, Lit{Bool(false)}, scan.Schema(), db.Env()), Desc: "false"}
-	plan, err := NewGroupPlan(empty, nil, []AggSpec{
+	plan, err := NewAggregatePlan(empty, []AggSpec{
 		{Kind: AggCount, Name: "n"},
 		{Kind: AggSum, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
 	})
@@ -265,35 +206,28 @@ func TestGroupPlanGlobalOnEmptyInput(t *testing.T) {
 	}
 }
 
-func TestGroupPlanValidation(t *testing.T) {
+func TestAggregatePlanValidation(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	if _, err := NewGroupPlan(scan, []NamedBound{{Name: ""}}, nil); err == nil {
-		t.Fatal("empty key name accepted")
+	if _, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggCount, Name: ""}}); err == nil {
+		t.Fatal("unnamed aggregate accepted")
 	}
-	if _, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Name: "x"}}); err == nil {
+	if _, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Name: "x"}}); err == nil {
 		t.Fatal("SUM without arg accepted")
 	}
-	if _, err := NewGroupPlan(scan, nil,
+	if _, err := NewAggregatePlan(scan,
 		[]AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggCount, Name: "n"}}); err == nil {
 		t.Fatal("duplicate agg name accepted")
 	}
 }
 
-func TestAggKindParsing(t *testing.T) {
-	for name, want := range map[string]AggKind{
-		"sum": AggSum, "COUNT": AggCount, "Avg": AggAvg, "MIN": AggMin, "max": AggMax,
+func TestAggKindString(t *testing.T) {
+	for kind, want := range map[AggKind]string{
+		AggSum: "SUM", AggCount: "COUNT", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX", AggKind(9): "AggKind(9)",
 	} {
-		got, ok := ParseAggKind(name)
-		if !ok || got != want {
-			t.Fatalf("ParseAggKind(%q) = %v, %v", name, got, ok)
+		if got := kind.String(); got != want {
+			t.Fatalf("AggKind(%d).String() = %q, want %q", int(kind), got, want)
 		}
-	}
-	if _, ok := ParseAggKind("MEDIAN"); ok {
-		t.Fatal("unknown aggregate parsed")
-	}
-	if AggSum.String() != "SUM" || AggKind(9).String() == "" {
-		t.Fatal("AggKind strings broken")
 	}
 }
 
@@ -304,7 +238,7 @@ func TestNullsSkippedByAggregates(t *testing.T) {
 	tbl.MustAppend(Row{Float(20)})
 	scan := NewScanPlan("t", tbl)
 	arg := mustBind(t, Col{"v"}, scan.Schema(), nil)
-	plan, err := NewGroupPlan(scan, nil, []AggSpec{
+	plan, err := NewAggregatePlan(scan, []AggSpec{
 		{Kind: AggAvg, Arg: arg, Name: "avg"},
 		{Kind: AggCount, Arg: arg, Name: "cnt"},
 	})
@@ -320,19 +254,86 @@ func TestNullsSkippedByAggregates(t *testing.T) {
 	}
 }
 
-func TestOrderByNullsFirst(t *testing.T) {
-	tbl := MustNewTable("v")
-	tbl.MustAppend(Row{Float(2)})
-	tbl.MustAppend(Row{Null()})
-	tbl.MustAppend(Row{Float(1)})
-	scan := NewScanPlan("t", tbl)
-	key := mustBind(t, Col{"v"}, scan.Schema(), nil)
-	out := execute(t, &OrderByPlan{Child: scan, Key: key})
-	if !out.Rows[0][0].IsNull() {
-		t.Fatal("NULL key should sort first")
+// maskedRowsPlan is a fixed three-world input for the aggregate fold:
+// v=5 exists in worlds 0 and 1, v=7 only in world 0, and a NULL row
+// in every world.
+type maskedRowsPlan struct{}
+
+func (maskedRowsPlan) Schema() Schema { return Schema{{Name: "v"}} }
+func (maskedRowsPlan) String() string { return "MaskedRows" }
+func (maskedRowsPlan) ExecuteBlock(c *BlockCtx) (*BlockTable, error) {
+	bt := &BlockTable{Schema: Schema{{Name: "v"}}}
+	for _, r := range []struct {
+		v    Value
+		mask Mask
+	}{
+		{Float(5), Mask{true, true, false}},
+		{Float(7), Mask{true, false, false}},
+		{Null(), nil},
+	} {
+		row := c.newRow(1)
+		row[0] = c.uniformVec(r.v)
+		bt.Rows = append(bt.Rows, row)
+		bt.Sel = append(bt.Sel, r.mask)
 	}
-	if f, _ := out.Rows[1][0].AsFloat(); f != 1 {
-		t.Fatal("ascending order broken after NULL")
+	return bt, nil
+}
+
+func TestAggregatePlanFoldsPerWorldMasks(t *testing.T) {
+	// Each world folds only the rows its mask keeps: world 2 keeps
+	// just the NULL row, so COUNT(*) sees it and the rest are NULL.
+	var child maskedRowsPlan
+	arg := mustBind(t, Col{"v"}, child.Schema(), nil)
+	cases := []struct {
+		spec AggSpec
+		want []Value
+	}{
+		{AggSpec{Kind: AggCount, Name: "star"}, []Value{Float(3), Float(2), Float(1)}},
+		{AggSpec{Kind: AggCount, Arg: arg, Name: "cnt"}, []Value{Float(2), Float(1), Float(0)}},
+		{AggSpec{Kind: AggSum, Arg: arg, Name: "sum"}, []Value{Float(12), Float(5), Null()}},
+		{AggSpec{Kind: AggMin, Arg: arg, Name: "min"}, []Value{Float(5), Float(5), Null()}},
+		{AggSpec{Kind: AggMax, Arg: arg, Name: "max"}, []Value{Float(7), Float(5), Null()}},
+		{AggSpec{Kind: AggAvg, Arg: arg, Name: "avg"}, []Value{Float(6), Float(5), Null()}},
+	}
+	aggs := make([]AggSpec, len(cases))
+	for i, tc := range cases {
+		aggs[i] = tc.spec
+	}
+	plan, err := NewAggregatePlan(child, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &BlockCtx{}
+	ctx.reset([]uint64{1, 2, 3}, nil, nil)
+	bt, err := plan.ExecuteBlock(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bt.Rows) != 1 || bt.rowMask(0) != nil {
+		t.Fatalf("aggregate output: %d rows, mask %v; want one unmasked row", len(bt.Rows), bt.rowMask(0))
+	}
+	for i, tc := range cases {
+		for w, want := range tc.want {
+			if got := bt.Rows[0][i].Lane(w); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s in world %d = %v, want %v", tc.spec.Name, w, got, want)
+			}
+		}
+	}
+}
+
+func TestAggregatePlanRejectsNonNumericArg(t *testing.T) {
+	db := fixtureDB(t)
+	scan, _ := db.Scan("purchases")
+	plan, err := NewAggregatePlan(scan, []AggSpec{
+		{Kind: AggCount, Name: "n"},
+		{Kind: AggSum, Arg: mustBind(t, Col{"region"}, scan.Schema(), db.Env()), Name: "total"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = plan.ExecuteBlock(oneWorldCtx(1, nil))
+	if err == nil || !strings.Contains(err.Error(), "not numeric") {
+		t.Fatalf("SUM over a string column: err = %v, want a not-numeric error", err)
 	}
 }
 
@@ -344,6 +345,13 @@ func TestPlanStrings(t *testing.T) {
 	}
 	if (ValuesPlan{}).String() != "Values()" {
 		t.Fatal("values string")
+	}
+	agg, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggCount, Name: "m"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.String(); got != "Aggregate(n, m)" {
+		t.Fatalf("aggregate string = %q", got)
 	}
 	if math.IsNaN(0) {
 		t.Fatal("impossible")

@@ -3,7 +3,6 @@ package pdb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -13,13 +12,13 @@ import (
 // The reference oracle: a per-world interpreter that evaluates a plan
 // one world at a time, tuple at a time, against that world's seeded
 // generator. It shares only value-level cores with the executor
-// (arithValues, compareValues, logicValues, aggState, lessKey and the
-// Value methods). Plans are interpreted by a type switch over the
-// built-in operators; expressions by walking the *unbound* Expr tree
-// that mustBind records, so the oracle never runs the closures Bind
-// produced. Per-world tables feed the production commit (blockOut →
-// commitBlocks), so a Distribution from the oracle is comparable with
-// reflect.DeepEqual to one from RunDistribution.
+// (arithValues, compareValues, logicValues and the Value methods);
+// its aggregate fold is its own. Plans are interpreted by a type
+// switch over the built-in operators; expressions by walking the
+// *unbound* Expr tree that mustBind records, so the oracle never runs
+// the closures Bind produced. Per-world tables feed the production
+// commit (blockOut → commitBlocks), so a Distribution from the oracle
+// is comparable with reflect.DeepEqual to one from RunDistribution.
 
 // astBound is what mustBind returns: the production evaluator plus the
 // expression, schema and environment it was bound from. The executor
@@ -42,16 +41,18 @@ func mustBind(t *testing.T, e Expr, s Schema, env *Env) BoundExpr {
 	return astBound{BoundExpr: b, expr: e, schema: s, env: env}
 }
 
-// refWorld interprets plans within one world.
+// refWorld interprets plans within one world: every draw comes from
+// the world's generator in plan order.
 type refWorld struct {
-	ctx RowCtx
+	rand   *rng.Rand
+	params map[string]float64
 }
 
 // refRun evaluates plan in the world seeded by seed.
 func refRun(plan Plan, params map[string]float64, seed uint64) (*Table, error) {
 	var r rng.Rand
 	r.Seed(seed)
-	w := &refWorld{ctx: RowCtx{Rand: &r, Params: params}}
+	w := &refWorld{rand: &r, params: params}
 	return w.plan(plan)
 }
 
@@ -183,132 +184,87 @@ func (w *refWorld) plan(p Plan) (*Table, error) {
 			out.Rows = append(out.Rows, nr)
 		}
 		return out, nil
-	case *OrderByPlan:
-		in, err := w.plan(p.Child)
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]Value, len(in.Rows))
-		perm := make([]int, len(in.Rows))
-		for i, row := range in.Rows {
-			if keys[i], err = w.eval(p.Key, row); err != nil {
-				return nil, err
-			}
-			perm[i] = i
-		}
-		var sortErr error
-		sort.SliceStable(perm, func(i, j int) bool {
-			return lessKey(keys[perm[i]], keys[perm[j]], p.Desc, &sortErr)
-		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
-		out := &Table{Schema: in.Schema}
-		for _, i := range perm {
-			out.Rows = append(out.Rows, in.Rows[i])
-		}
-		return out, nil
-	case *LimitPlan:
-		in, err := w.plan(p.Child)
-		if err != nil {
-			return nil, err
-		}
-		n := min(max(p.N, 0), len(in.Rows))
-		return &Table{Schema: in.Schema, Rows: in.Rows[:n]}, nil
-	case *JoinPlan:
-		l, err := w.plan(p.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := w.plan(p.Right)
-		if err != nil {
-			return nil, err
-		}
-		out := &Table{Schema: p.Schema()}
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
-				joined := append(append(Row(nil), lr...), rr...)
-				if p.Pred != nil {
-					keep, err := w.truth(p.Pred, joined)
-					if err != nil {
-						return nil, err
-					}
-					if !keep {
-						continue
-					}
-				}
-				out.Rows = append(out.Rows, joined)
-			}
-		}
-		return out, nil
-	case *GroupPlan:
-		return w.group(p)
+	case *AggregatePlan:
+		return w.aggregate(p)
 	}
 	return nil, fmt.Errorf("oracle: no interpretation for plan %T", p)
 }
 
-// group interprets a GroupPlan: first-appearance group order, NULLs
-// skipped by aggregates, one row for a global aggregate over no input.
-func (w *refWorld) group(p *GroupPlan) (*Table, error) {
+// aggregate interprets an AggregatePlan: NULLs skipped, one row also
+// over no input.
+func (w *refWorld) aggregate(p *AggregatePlan) (*Table, error) {
 	in, err := w.plan(p.Child)
 	if err != nil {
 		return nil, err
 	}
-	type group struct {
-		keys   []Value
-		states []*aggState
+	states := make([]*aggState, len(p.Aggs))
+	for i, a := range p.Aggs {
+		states[i] = &aggState{kind: a.Kind, min: math.Inf(1), max: math.Inf(-1)}
 	}
-	newGroup := func(keys []Value) *group {
-		g := &group{keys: keys}
-		for _, a := range p.Aggs {
-			g.states = append(g.states, newAggState(a.Kind))
-		}
-		return g
-	}
-	var order []*group
-	byKey := make(map[string]*group)
 	for _, row := range in.Rows {
-		keys := make([]Value, len(p.Keys))
-		var kb strings.Builder
-		for i, k := range p.Keys {
-			if keys[i], err = w.eval(k.Expr, row); err != nil {
-				return nil, err
-			}
-			kb.WriteString(keys[i].String())
-			kb.WriteByte(0)
-		}
-		g, ok := byKey[kb.String()]
-		if !ok {
-			g = newGroup(keys)
-			byKey[kb.String()] = g
-			order = append(order, g)
-		}
 		for i, a := range p.Aggs {
 			if a.Arg == nil {
-				g.states[i].addCountStar()
+				states[i].n++ // COUNT(*)
 				continue
 			}
 			v, err := w.eval(a.Arg, row)
 			if err != nil {
 				return nil, err
 			}
-			if err := g.states[i].add(v); err != nil {
+			if err := states[i].add(v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if len(p.Keys) == 0 && len(order) == 0 {
-		order = append(order, newGroup(nil))
+	out := make(Row, len(states))
+	for i, st := range states {
+		out[i] = st.result()
 	}
-	out := &Table{Schema: p.Schema()}
-	for _, g := range order {
-		row := append(Row(nil), g.keys...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		out.Rows = append(out.Rows, row)
+	return &Table{Schema: p.Schema(), Rows: []Row{out}}, nil
+}
+
+// aggState is the oracle's scalar fold of one aggregate in one world.
+type aggState struct {
+	kind     AggKind
+	n        int
+	sum      float64
+	min, max float64
+}
+
+func (a *aggState) add(v Value) error {
+	if v.IsNull() {
+		return nil
 	}
-	return out, nil
+	f, err := v.AsFloat()
+	if err != nil {
+		return err
+	}
+	a.n++
+	a.sum += f
+	if f < a.min {
+		a.min = f
+	}
+	if f > a.max {
+		a.max = f
+	}
+	return nil
+}
+
+func (a *aggState) result() Value {
+	switch {
+	case a.kind == AggCount:
+		return Float(float64(a.n))
+	case a.n == 0:
+		return Null()
+	case a.kind == AggSum:
+		return Float(a.sum)
+	case a.kind == AggAvg:
+		return Float(a.sum / float64(a.n))
+	case a.kind == AggMin:
+		return Float(a.min)
+	default:
+		return Float(a.max)
+	}
 }
 
 // truth evaluates a predicate; NULL is false.
@@ -320,14 +276,11 @@ func (w *refWorld) truth(e BoundExpr, row Row) (bool, error) {
 	return v.AsBool()
 }
 
-// eval evaluates a bound expression: a recorded AST is interpreted, a
-// BoundFunc is called with this world's context.
+// eval evaluates a bound expression by interpreting the AST mustBind
+// recorded.
 func (w *refWorld) eval(e BoundExpr, row Row) (Value, error) {
-	switch e := e.(type) {
-	case astBound:
+	if e, ok := e.(astBound); ok {
 		return w.expr(e.expr, e.schema, e.env, row)
-	case BoundFunc:
-		return e(row, &w.ctx)
 	}
 	return Null(), fmt.Errorf("oracle: expression %T was not bound through mustBind", e)
 }
@@ -345,7 +298,7 @@ func (w *refWorld) expr(e Expr, s Schema, env *Env, row Row) (Value, error) {
 		}
 		return row[i], nil
 	case Param:
-		v, ok := w.ctx.Params[e.Name]
+		v, ok := w.params[e.Name]
 		if !ok {
 			return Null(), fmt.Errorf("oracle: unbound parameter @%s", e.Name)
 		}
@@ -444,5 +397,5 @@ func (w *refWorld) call(c Call, s Schema, env *Env, row Row) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	return Float(box.Eval(args, w.ctx.Rand)), nil
+	return Float(box.Eval(args, w.rand)), nil
 }

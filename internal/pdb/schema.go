@@ -32,9 +32,9 @@ func (s Schema) Has(name string) bool {
 	return err == nil
 }
 
-// Concat appends another schema (used by joins). Duplicate names are
-// allowed across sides; IndexOf resolves to the leftmost, as in SQL
-// engines resolving unqualified references.
+// Concat appends another schema. Duplicate names are allowed;
+// IndexOf resolves to the leftmost, as in SQL engines resolving
+// unqualified references.
 func (s Schema) Concat(o Schema) Schema {
 	out := make(Schema, 0, len(s)+len(o))
 	out = append(out, s...)

@@ -31,12 +31,6 @@ type Vec struct {
 	s []string
 }
 
-// Uniform reports whether every world shares one value.
-func (v *Vec) Uniform() bool { return v.uniform }
-
-// UniformValue returns the shared value of a uniform Vec.
-func (v *Vec) UniformValue() Value { return v.u }
-
 // Lane returns world w's value.
 func (v *Vec) Lane(w int) Value {
 	if v.uniform {
@@ -78,16 +72,6 @@ func (v *Vec) setLane(w int, val Value) {
 func (v *Vec) setFloat(w int, f float64) {
 	v.kind[w] = uint8(KindFloat)
 	v.f[w] = f
-}
-
-// setBool stores a bool lane without constructing a Value.
-func (v *Vec) setBool(w int, b bool) {
-	v.kind[w] = uint8(KindBool)
-	if b {
-		v.f[w] = 1
-	} else {
-		v.f[w] = 0
-	}
 }
 
 // laneFloat unwraps lane w as a float with Value.AsFloat semantics

@@ -69,9 +69,9 @@ func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
 // Distribution is a PDB query answer: a distribution over result
 // tables, summarized cell-wise across worlds (§2.1: the answer "may be
 // represented as an expectation, maximum likelihood, histogram,
-// etc."). Rows are aligned positionally across worlds; plans keep
-// group order deterministic to preserve the alignment (the tuple-
-// bundle discipline).
+// etc."). Rows are aligned positionally across worlds: no operator
+// reorders rows, so row k is each world's k-th surviving row (the
+// tuple-bundle discipline).
 type Distribution struct {
 	// Schema is the result schema.
 	Schema Schema

@@ -174,20 +174,28 @@ func TestBulkVGSumRejectsWorldDependentArgs(t *testing.T) {
 	tbl := MustNewTable("join_week", "base", "growth", "vol")
 	tbl.MustAppend(Row{Float(0), Float(1), Float(1), Float(0.1)})
 	scan := NewScanPlan("users", tbl)
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.NewDemand())
 	var args []BoundExpr
 	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
 		args = append(args, mustBind(t, e, scan.Schema(), nil))
 	}
+	demand := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(99)}}}
 	for _, tc := range []struct {
 		name string
-		val  Value
-	}{{"float", Float(2)}, {"null", Null()}} {
+		arg  Expr
+	}{
+		{"float", demand},
+		// No world takes the branch, so the argument is NULL in every
+		// world, but a draw decided that.
+		{"null", Case{When: BinOp{"<", demand, Lit{Float(-1e9)}}, Then: Lit{Float(1)}}},
+	} {
 		bulkArgs := append([]BoundExpr(nil), args...)
-		bulkArgs[2] = BoundFunc(func(Row, *RowCtx) (Value, error) { return tc.val, nil })
+		bulkArgs[2] = mustBind(t, tc.arg, scan.Schema(), db.Env())
 		bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: bulkArgs}
 		_, err := bulk.Run(map[string]float64{"week": 40}, WorldsOptions{Worlds: 10})
 		if err == nil || !strings.Contains(err.Error(), "must be deterministic") {
-			t.Errorf("%s BoundFunc argument: err = %v, want a determinism error", tc.name, err)
+			t.Errorf("%s VG argument: err = %v, want a determinism error", tc.name, err)
 		}
 	}
 }
@@ -207,9 +215,9 @@ func TestRunDistributionRejectsUnstableCardinality(t *testing.T) {
 	}
 }
 
-func TestRunDistributionGroupedQuery(t *testing.T) {
-	// Aggregate over a data table with per-row VG noise: SELECT region,
-	// SUM(volume * DemandModel(week, 99)) ... GROUP BY region.
+func TestRunDistributionAggregateQuery(t *testing.T) {
+	// Aggregate over a data table with per-row VG noise:
+	// SELECT SUM(volume * DemandModel(week, 99)) FROM purchases.
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	noisy, err := (BinOp{"*", Col{"volume"},
@@ -217,12 +225,7 @@ func TestRunDistributionGroupedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := (Col{"region"}).Bind(scan.Schema(), db.Env())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewGroupPlan(scan, []NamedBound{{Name: "region", Expr: region}},
-		[]AggSpec{{Kind: AggSum, Arg: noisy, Name: "weighted"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: noisy, Name: "weighted"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,16 +233,17 @@ func TestRunDistributionGroupedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist.NumRows() != 2 {
-		t.Fatalf("groups = %d", dist.NumRows())
+	if dist.NumRows() != 1 {
+		t.Fatalf("rows = %d", dist.NumRows())
 	}
-	east, err := dist.CellByName(0, "weighted")
+	total, err := dist.CellByName(0, "weighted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// East: 40·E[demand@10] + 20·E[demand@30] = 40·10 + 20·30 = 1000.
-	if math.Abs(east.Mean-1000) > 25 {
-		t.Fatalf("east weighted mean = %g, want ~1000", east.Mean)
+	// 40·E[demand@10] + 60·E[demand@20] + 20·E[demand@30]
+	// = 40·10 + 60·20 + 20·30 = 2200.
+	if math.Abs(total.Mean-2200) > 25 {
+		t.Fatalf("weighted mean = %g ± %g, want ~2200", total.Mean, total.StdDev)
 	}
 }
 
@@ -267,7 +271,7 @@ func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewGroupPlan(scan, nil, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}
