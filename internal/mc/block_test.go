@@ -31,7 +31,7 @@ func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
 	defer e.scratches.Put(sc)
 	fp := make(core.Fingerprint, e.seeds.Len())
 	ev := pointEvaluator(f)
-	e.fingerprints(&ev, p, [][]float64{fp}, sc)
+	e.fingerprints(&ev, p, [][]float64{fp}, len(fp), sc)
 	return fp
 }
 

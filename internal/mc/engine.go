@@ -195,8 +195,12 @@ type Options struct {
 	// the batch-mode application of §5's "Validation" task. It guards
 	// against the §6.2 false-positive risk on indicator-style outputs,
 	// where m identical samples (e.g. ten zeros of a rare overload
-	// flag) can match a basis whose true distribution differs. Costs
-	// ValidationSamples extra evaluations per reused point; requires
+	// flag) can match a basis whose true distribution differs. The
+	// validation rounds are rounds m to m+v−1, v = min(ValidationSamples,
+	// Samples−FingerprintLen). A sweep draws them for every point in its
+	// parallel fingerprint phase, so the cost is v extra rounds per
+	// point, and a point that is simulated after all keeps them as its
+	// samples; a lone EvaluatePoint draws them only on a match. Requires
 	// KeepSamples so bases retain their seed-aligned sample vectors.
 	// 0 (the default) reproduces the paper's behavior exactly.
 	ValidationSamples int
@@ -427,16 +431,13 @@ func (e *Engine) Options() Options { return e.opts }
 // Seeds returns the engine's global seed set.
 func (e *Engine) Seeds() *rng.SeedSet { return e.seeds }
 
-// fingerprints computes the fingerprints of ev's outputs at p — the
-// first m simulation rounds (§3.1) — into dsts (dsts[c], of length m,
-// for output c), binding the point once and sampling the m rounds as
-// a single block out of the scratch's seed buffer (the seed-set
-// prefix is the first m sample seeds).
-func (e *Engine) fingerprints(ev *evaluator, p param.Point, dsts [][]float64, sc *scratch) {
-	seeds := sc.seedBuf(e.seeds.Len())
-	st := e.seeds.Stream(e.opts.MasterSeed)
-	st.FillSeeds(seeds)
-	ev.bind(p, sc).sampleBlock(dsts, 0, seeds)
+// fingerprints computes ev's output prefixes at p — simulation rounds
+// 0 to w−1 — into dsts (dsts[c], of length w, for output c), binding
+// the point once. The first m rounds are the fingerprint (§3.1); a
+// sweep that validates matches draws the validation rounds m to w−1
+// along with it (see rowSweep.w).
+func (e *Engine) fingerprints(ev *evaluator, p param.Point, dsts [][]float64, w int, sc *scratch) {
+	e.sampleRange(ev.bind(p, sc), dsts, 0, w)
 }
 
 // EvaluatePoint runs the Monte Carlo estimation for one point,
@@ -449,7 +450,8 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	fp := sc.fingerprint(e.seeds.Len())
 	dsts := sc.outputs(1)
 	dsts[0] = fp
-	e.fingerprints(&ev, p, dsts, sc)
+	m := len(fp)
+	e.fingerprints(&ev, p, dsts, m, sc)
 
 	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
@@ -458,7 +460,19 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 		st.Store.CandidatesScanned = scanned
 		if ok {
 			st.Store.Hits = 1
-			if e.validateMatch(&ev, 0, p, basis, mapping, sc) {
+			valid := true
+			if v := e.validationRounds(); v > 0 {
+				if payload, _ := basis.Payload.(*BasisPayload); payload != nil {
+					// The targets land in the scratch sample buffer; on a
+					// failed validation the full simulation overwrites it.
+					targets := sc.floats(0, m+v)
+					dsts = sc.outputs(1)
+					dsts[0] = targets
+					e.sampleRange(ev.bind(p, sc), dsts, m, m+v)
+					valid = e.validateMatch(mapping, payload.Samples, targets, v)
+				}
+			}
+			if valid {
 				if res, ok := e.mapBasis(basis, mapping, p, false, sc); ok {
 					st.Reused = 1
 					return res, st
@@ -471,7 +485,7 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	copy(samples, fp)
 	dsts = sc.outputs(1)
 	dsts[0] = samples
-	e.simulateRows(&ev, p, dsts, e.opts.Workers, sc)
+	e.simulateRows(&ev, p, dsts, m, e.opts.Workers, sc)
 	res := e.summarize(p, samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
@@ -488,50 +502,28 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	return res, st
 }
 
-// validateMatch extends a fingerprint match of ev's output c with
-// additional paired samples (seed-aligned between basis and target)
-// and re-validates the mapping on them. With ValidationSamples == 0,
-// or when the basis lacks retained samples, the match is trusted as-is
-// (the paper's behavior).
-func (e *Engine) validateMatch(ev *evaluator, c int, p param.Point, basis *core.Basis, mapping core.Mapping, sc *scratch) bool {
-	k := e.opts.ValidationSamples
-	if k <= 0 {
-		return true
+// validationRounds is v, the number of paired rounds past the
+// fingerprint on which a match is validated: ValidationSamples,
+// clamped to the n−m rounds there are, or 0 when the engine trusts
+// matches as-is (no reuse, no retained samples, or no validation).
+func (e *Engine) validationRounds() int {
+	o := e.opts
+	if !o.Reuse || !o.KeepSamples || o.ValidationSamples <= 0 {
+		return 0
 	}
-	payload, _ := basis.Payload.(*BasisPayload)
-	if payload == nil {
-		return true
-	}
-	if !payload.Ready() {
-		// Another sweep is still filling this basis in; it cannot be
-		// validated, so reject the match and simulate.
-		return false
-	}
-	if len(payload.Samples) == 0 {
-		return true
-	}
-	m := e.opts.FingerprintLen
-	hi := m + k
-	if hi > len(payload.Samples) {
-		hi = len(payload.Samples)
-	}
-	if hi <= m {
-		return true
-	}
-	count := hi - m
-	seeds := sc.seedBuf(count)
-	st := e.seeds.Stream(e.opts.MasterSeed)
-	st.Skip(m)
-	st.FillSeeds(seeds)
-	// The target draws land in the scratch sample buffer of output c;
-	// on a failed validation the subsequent full simulation simply
-	// overwrites it.
-	targets := sc.floats(c, count)
-	dsts := sc.outputs(len(ev.slots))
-	dsts[c] = targets
-	ev.bind(p, sc).sampleBlock(dsts, 0, seeds)
-	for i := m; i < hi; i++ {
-		if !core.ApproxEqual(mapping.Apply(payload.Samples[i]), targets[i-m], e.opts.Tolerance) {
+	return min(o.ValidationSamples, o.Samples-o.FingerprintLen)
+}
+
+// validateMatch re-validates a fingerprint match on the v paired
+// rounds after the fingerprint, m to m+v−1: the mapping must carry
+// round i of the basis' samples onto round i of the point's own
+// targets (both indexed by round id, so the pairs share a seed).
+// Rounds the basis did not retain are not compared, so a basis
+// without retained samples is trusted as-is (the paper's behavior).
+func (e *Engine) validateMatch(mapping core.Mapping, basis, targets []float64, v int) bool {
+	m := e.seeds.Len()
+	for i := m; i < min(m+v, len(basis)); i++ {
+		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i], e.opts.Tolerance) {
 			return false
 		}
 	}
@@ -596,22 +588,22 @@ func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointR
 	return PointResult{Point: p, Summary: acc.Summarize(e.opts.HistBins), BasisID: -1}
 }
 
-// simulateRows runs the rounds after the fingerprint, m to n−1, one
-// row per round for all of ev's outputs: output c's samples land in
-// dsts[c][m:n], whose first m entries the caller fills with the
-// output's fingerprint; nil entries are skipped. The rounds are
-// optionally spread over workers goroutines (MCDB evaluates sampled
-// worlds in parallel, §2.1; a sweep wider than one worker passes
-// workers=1 because the pool is already busy with other points).
-// Results are deterministic regardless of worker count because each
-// sample's seed depends only on its id.
-func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, workers int, sc *scratch) {
-	m, n := e.seeds.Len(), e.opts.Samples
-	if workers = fullSimWorkers(workers, n-m); workers > 1 {
-		e.simulateRowsParallel(*ev, p, dsts, workers)
+// simulateRows runs the rounds from lo to n−1, one row per round for
+// all of ev's outputs: output c's samples land in dsts[c][lo:n], whose
+// first lo entries the caller fills with rounds it drew already (the
+// fingerprint, or a sweep's whole prefix); nil entries are skipped.
+// The rounds are optionally spread over workers goroutines (MCDB
+// evaluates sampled worlds in parallel, §2.1; a sweep wider than one
+// worker passes workers=1 because the pool is already busy with other
+// points). Results are deterministic regardless of worker count
+// because each sample's seed depends only on its id.
+func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, lo, workers int, sc *scratch) {
+	n := e.opts.Samples
+	if workers = fullSimWorkers(workers, n-lo); workers > 1 {
+		e.simulateRowsParallel(*ev, p, dsts, lo, workers)
 		return
 	}
-	e.sampleRange(ev.bind(p, sc), dsts, m, n)
+	e.sampleRange(ev.bind(p, sc), dsts, lo, n)
 }
 
 // simulateRowsParallel is simulateRows' fan-out: one chunk of rounds
@@ -619,12 +611,12 @@ func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, wo
 // phases, so the binding buffer, row, seed block and generator are
 // recycled instead of allocated per goroutine. A panicking evaluator
 // panics again on the caller's goroutine.
-func (e *Engine) simulateRowsParallel(ev evaluator, p param.Point, dsts [][]float64, workers int) {
-	m, n := e.seeds.Len(), e.opts.Samples
-	chunk := (n - m + workers - 1) / workers
-	chunks := (n - m + chunk - 1) / chunk
+func (e *Engine) simulateRowsParallel(ev evaluator, p param.Point, dsts [][]float64, from, workers int) {
+	n := e.opts.Samples
+	chunk := (n - from + workers - 1) / workers
+	chunks := (n - from + chunk - 1) / chunk
 	if err := pool.For(context.Background(), chunks, workers, func(c int) {
-		lo := m + c*chunk
+		lo := from + c*chunk
 		hi := min(lo+chunk, n)
 		wsc := e.scratches.Get()
 		defer e.scratches.Put(wsc)

@@ -20,9 +20,9 @@ import (
 
 // cancelAfterEval wraps an evaluator and cancels a context on the
 // k-th model evaluation, steering the cancellation into a chosen
-// sweep phase by choosing k (fingerprints are evaluations n·m and
-// earlier; phase B's validation draws and inline completions, then
-// phase C1's full simulations, follow).
+// sweep phase by choosing k: phase A's prefixes are evaluations
+// n·(m+v) and earlier (v validation rounds, 0 without validation),
+// phase C1's full simulations follow, and phase B evaluates nothing.
 type cancelAfterEval struct {
 	inner  PointEval
 	at     int64
@@ -52,12 +52,12 @@ func countEvals(t *testing.T, opts Options, space *param.Space) int64 {
 func TestSweepPhaseCancellation(t *testing.T) {
 	space := sweepSpace(t)
 	points := int64(space.Size())
-	const m = 10
+	const m, v = 10, 16
 
 	base := sweepOptions(4)
 	validating := base
 	validating.KeepSamples = true
-	validating.ValidationSamples = 16
+	validating.ValidationSamples = v
 	totalPlain := countEvals(t, base, space)
 
 	for _, tc := range []struct {
@@ -69,10 +69,15 @@ func TestSweepPhaseCancellation(t *testing.T) {
 	}{
 		// Mid-fingerprinting: half the points are fingerprinted.
 		{"phaseA", base, points * m / 2},
-		// First evaluation after all fingerprints with validation
-		// active is phase B's inline completion of a pending basis (or
-		// a validation draw) — the serial match loop.
-		{"phaseB", validating, points*m + 1},
+		// With validation active each point's prefix is m+v rows. Were
+		// the points drawn one after another, this trigger would land
+		// halfway through the middle point's validation rows; on four
+		// workers it lands among the prefixes all the same.
+		{"phaseA/validation", validating, points/2*(m+v) + m + v/2},
+		// The last prefix row: cancellation lands on the A→B
+		// boundary, observed by A's pool exit or by the serial match
+		// loop of phase B, which itself evaluates nothing.
+		{"phaseB", validating, points * (m + v)},
 		// Without validation, evaluations after the fingerprints are
 		// phase C1's full simulations.
 		{"phaseC1", base, points*m + 5},
@@ -124,8 +129,9 @@ func TestSweepPhaseCancellation(t *testing.T) {
 
 // TestSweepReuseSteadyStateAllocs pins the sweep's allocation budget:
 // on a warmed store, its per-point allocations must not exceed an
-// EvaluatePoint loop's, at one worker or several — the phases' plans,
-// probe scratch and pending-basis bookkeeping cost no per-point heap.
+// EvaluatePoint loop's, at one worker or several, with validation off
+// and on — the phases' plans, probe scratch, pending-basis
+// bookkeeping and pooled prefix buffer cost no per-point heap.
 func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
@@ -134,9 +140,13 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 	points := space.Points()
 	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 
-	perPoint := func(workers int, run func(*Engine)) float64 {
+	perPoint := func(workers int, validate bool, run func(*Engine)) float64 {
 		opts := sweepOptions(workers)
 		opts.Index = IndexNormalization
+		if validate {
+			opts.KeepSamples = true
+			opts.ValidationSamples = 16
+		}
 		eng := MustNew(opts)
 		for i := 0; i < 3; i++ { // warm store, scratch pool, worker slots
 			run(eng)
@@ -150,15 +160,17 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	ref := perPoint(1, loop)
 	// The EvaluatePoint loop allocates ~1 per reused point (the boxed
 	// mapping). The sweep boxes the same mapping in phase B; everything
-	// else it adds — plans, the fingerprint backing array, the pending
-	// map — must amortize to O(1) per sweep, leaving headroom only for
-	// fixed per-sweep and per-goroutine bookkeeping.
-	for _, workers := range []int{1, 4} {
-		if got := perPoint(workers, sweep); got > ref+0.5 {
-			t.Errorf("workers=%d sweep allocates %.2f/point on a warmed store vs %.2f for the EvaluatePoint loop; the phases must not add per-point allocations", workers, got, ref)
+	// else it adds — plans, the prefix backing array, the pending map —
+	// must amortize to O(1) per sweep, leaving headroom only for fixed
+	// per-sweep and per-goroutine bookkeeping.
+	for _, validate := range []bool{false, true} {
+		ref := perPoint(1, validate, loop)
+		for _, workers := range []int{1, 4} {
+			if got := perPoint(workers, validate, sweep); got > ref+0.5 {
+				t.Errorf("validate=%v workers=%d sweep allocates %.2f/point on a warmed store vs %.2f for the EvaluatePoint loop; the phases must not add per-point allocations", validate, workers, got, ref)
+			}
 		}
 	}
 }

@@ -5,9 +5,9 @@ package mc
 // that only holds if a reused point does not spend its savings in the
 // allocator. Every buffer the per-point pipeline needs — fingerprint,
 // candidate ids, bound arguments, row, one sample vector per output,
-// accumulator — lives here and is recycled through a typed pool, so
-// the steady-state cost of a reused point is a hash probe and a
-// mapping validation, with (amortized) zero allocations.
+// accumulator, a sweep's prefixes — lives here and is recycled through
+// a typed pool, so the steady-state cost of a reused point is a hash
+// probe and a mapping validation, with (amortized) zero allocations.
 
 import (
 	"jigsaw/internal/core"
@@ -47,6 +47,9 @@ type scratch struct {
 	r rng.Rand
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
+	// prefixes backs every point's prefix rows in a sweep that pins
+	// this scratch as worker 0's (see rowSweep.prefixes).
+	prefixes []float64
 }
 
 // newScratchPool builds the engine's scratch pool.

@@ -25,14 +25,16 @@ import (
 // three phases (DESIGN.md, "Concurrency model" and "Deterministic
 // sweep"):
 //
-//	A. the k fingerprints of every point from its m rows, in
-//	   parallel — no store access;
+//	A. every point's prefix, in parallel — no store access: its rows
+//	   0 to w−1, whose first m are the k fingerprints and the rest the
+//	   match-validation targets (w = m without validation);
 //	B. a serial loop in enumeration order, point-major: for each point
 //	   and each output, one Store.Match against that output's store
 //	   (plus match validation, when enabled), then the decision —
 //	   reuse the matched basis, or register the point as a new basis
-//	   whose payload stays pending until phase C1 fills it;
-//	C. full simulations in parallel — a point's remaining n−m rows
+//	   whose payload stays pending until phase C1 fills it. Phase B
+//	   calls no evaluator;
+//	C. full simulations in parallel — a point's remaining n−w rows
 //	   once, for every output that missed there — then mapped results
 //	   for the hits, each deterministic given phase B.
 //
@@ -45,13 +47,18 @@ import (
 // Samples, FingerprintLen and MasterSeed: sample j of an output is its
 // slot of row j. Phase B costs one probe per point and output, small
 // against the model evaluations of phases A and C. Match validation
-// (ValidationSamples with KeepSamples — off by default) also runs
-// inside phase B: its paired draws and inline basis completions are
-// serial, so validation-enabled sweeps trade scaling for the guard.
+// (ValidationSamples with KeepSamples — off by default) adds only
+// comparisons to it: an output's v validation targets are the point's
+// rows m to m+v−1, which depend on the point and the seeds alone, so
+// phase A draws them with the fingerprint. They are compared against
+// the matched basis' retained samples — or, for a basis this sweep
+// registered and has not simulated yet, against its owner's prefix,
+// which holds the same rows. A miss keeps its whole prefix as the
+// first w of its samples, so no row is drawn twice.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
-// scratch for the whole sweep: fingerprints fill a single bulk
-// backing array, probes reuse candidate buffers, and simulations
+// scratch for the whole sweep: prefixes fill one backing array held
+// by worker 0's scratch, probes reuse candidate buffers, and simulations
 // reuse the row and one sample buffer per output — the steady-state
 // allocation per point is O(1) (see scratch.go). A panicking
 // evaluator stops the sweep with an error naming its point.
@@ -141,8 +148,9 @@ type pointPlan struct {
 	basis   *core.Basis
 	mapping core.Mapping
 	// simulate marks a miss: the output is fully simulated at the
-	// point in phase C1 — unless done, set once its simulation ran
-	// (inline in phase B, when validation needed the basis early).
+	// point in phase C1. done is set once that simulation ran, so a
+	// phase-C2 fallback at the same point simulates only its own
+	// output.
 	simulate, done bool
 }
 
@@ -152,15 +160,19 @@ type rowSweep struct {
 	ev      evaluator
 	points  []param.Point
 	k, n, m int
+	// w is the prefix width: m plus the widest output's validation
+	// rounds.
+	w int
 	// simWorkers is the fan-out of each full simulation. A pool wider
 	// than one worker is already busy with other points; a pool one
 	// wide (Workers: 1, or a one-point batch) leaves the cores to the
 	// point's own samples, as a lone EvaluatePoint would.
 	simWorkers int
-	// fps backs all k·n fingerprints — one allocation instead of k·n
-	// (they outlive the phases: misses donate theirs to the store,
-	// which clones, and C1 rereads them).
-	fps []float64
+	// prefixes backs all k·n prefixes, on worker 0's scratch: misses
+	// donate their fingerprints to the store, which clones them, and
+	// copy their prefixes into their sample vectors, so nothing
+	// outlives the sweep.
+	prefixes []float64
 	// plans and results are indexed by output, then point.
 	plans   []pointPlan
 	results [][]PointResult
@@ -171,9 +183,15 @@ type rowSweep struct {
 	accept []func(*core.Basis) bool
 }
 
+// prefix is output c's rows 0 to w−1 at point i.
+func (s *rowSweep) prefix(c, i int) []float64 {
+	lo := (c*s.n + i) * s.w
+	return s.prefixes[lo : lo+s.w : lo+s.w]
+}
+
+// fingerprint is the first m rows of output c's prefix at point i.
 func (s *rowSweep) fingerprint(c, i int) core.Fingerprint {
-	lo := (c*s.n + i) * s.m
-	return s.fps[lo : lo+s.m : lo+s.m]
+	return s.prefix(c, i)[:s.m:s.m]
 }
 
 func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
@@ -183,12 +201,15 @@ func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
 func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []param.Point) ([][]PointResult, SweepStats, error) {
 	lead := engines[0]
 	k, n, m := len(engines), len(points), lead.seeds.Len()
+	width := m
+	for _, e := range engines {
+		width = max(width, m+e.validationRounds())
+	}
 	// At least one worker, so an empty job still has a scratch to pin.
 	workers := max(1, min(lead.opts.Workers, n))
 	s := &rowSweep{
-		engines: engines, ev: ev, points: points, k: k, n: n, m: m,
+		engines: engines, ev: ev, points: points, k: k, n: n, m: m, w: width,
 		simWorkers: 1,
-		fps:        make([]float64, k*n*m),
 		plans:      make([]pointPlan, k*n),
 		results:    make([][]PointResult, k),
 		pending:    make([]map[int]int, k),
@@ -224,23 +245,25 @@ func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []pa
 			lead.scratches.Put(sc)
 		}
 	}()
+	scratches[0].prefixes = grow(scratches[0].prefixes, k*n*width)
+	s.prefixes = scratches[0].prefixes
 
-	// Phase A: fingerprints, embarrassingly parallel; each of a
-	// point's m rows fills all k.
+	// Phase A: prefixes, embarrassingly parallel; each of a point's w
+	// rows fills all k.
 	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
 		dsts := scratches[w].outputs(k)
 		for c := range dsts {
-			dsts[c] = s.fingerprint(c, i)
+			dsts[c] = s.prefix(c, i)
 		}
-		lead.fingerprints(&s.ev, points[i], dsts, scratches[w])
+		lead.fingerprints(&s.ev, points[i], dsts, width, scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
 
 	// Phase B: one store lookup per point and output, strictly in
-	// enumeration order, on the calling goroutine. It tallies the
-	// call's probe accounting (queries, hits, candidates scanned,
-	// registrations) as it decides.
+	// enumeration order, on the calling goroutine, and no evaluator
+	// call. It tallies the call's probe accounting (queries, hits,
+	// candidates scanned, registrations) as it decides.
 	st := SweepStats{Points: k * n}
 	if err := pool.ForWorker(ctx, n, 1, func(_, i int) {
 		for c := range engines {
@@ -299,25 +322,20 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 		if ok {
 			st.Store.Hits++
 			owner, ownPending := s.pending[c][basis.ID]
-			if ownPending && e.opts.ValidationSamples > 0 && e.opts.KeepSamples {
-				// Validation compares against the basis' retained
-				// samples; a basis registered earlier in this sweep
-				// is not simulated yet — complete it now, which is
-				// exactly the state the EvaluatePoint loop would have
-				// reached before evaluating point i. The owner's row
-				// is simulated once for all of its misses: completing
-				// another output's basis early changes none of that
-				// output's decisions, because a complete basis is
-				// accepted, validated and usable exactly as the
-				// inline completion on that output would have left it.
-				s.complete(owner, sc)
-				ownPending = false
+			valid := true
+			if v := e.validationRounds(); v > 0 {
+				// A basis registered earlier in this sweep is not
+				// simulated yet, but its owner's prefix holds the rows
+				// the EvaluatePoint loop would have retained for it by
+				// point i.
+				var samples []float64
+				if ownPending {
+					samples = s.prefix(c, owner)
+				} else if payload, _ := basis.Payload.(*BasisPayload); payload != nil {
+					samples = payload.Samples
+				}
+				valid = e.validateMatch(mapping, samples, s.prefix(c, i), v)
 			}
-			// A basis still pending in this sweep at this line has
-			// no retained samples to validate against (with
-			// validation active it was completed inline above), and
-			// the EvaluatePoint loop trusts such matches as-is.
-			valid := ownPending || e.validateMatch(&s.ev, c, s.points[i], basis, mapping, sc)
 			if valid && e.basisUsable(basis, mapping, ownPending) {
 				plan.basis = basis
 				plan.mapping = mapping
@@ -337,7 +355,7 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 	}
 }
 
-// complete runs point i's full simulation — its remaining n−m rows,
+// complete runs point i's full simulation — its remaining n−w rows,
 // once — for every output that missed there and is not done yet,
 // fills the bases their plans registered, and records their results.
 func (s *rowSweep) complete(i int, sc *scratch) {
@@ -346,7 +364,7 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 	for c, e := range s.engines {
 		if plan := s.plan(c, i); plan.simulate && !plan.done {
 			dsts[c] = e.sampleVector(c, sc)
-			copy(dsts[c], s.fingerprint(c, i))
+			copy(dsts[c], s.prefix(c, i))
 			need = true
 		}
 	}
@@ -354,7 +372,7 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 		return
 	}
 	p := s.points[i]
-	s.engines[0].simulateRows(&s.ev, p, dsts, s.simWorkers, sc)
+	s.engines[0].simulateRows(&s.ev, p, dsts, s.w, s.simWorkers, sc)
 	for c, e := range s.engines {
 		if dsts[c] == nil {
 			continue

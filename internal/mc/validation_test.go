@@ -1,8 +1,11 @@
 package mc
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"jigsaw/internal/blackbox"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
@@ -69,5 +72,131 @@ func TestValidationNoopWithoutSamples(t *testing.T) {
 	r, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
 	if !r.Reused {
 		t.Fatal("sample-less validation should trust the match")
+	}
+}
+
+// TestValidationSweepDrawsEachRowOnce pins the sweep's draw count with
+// validation on: phase A draws every point's fingerprint and
+// validation rows, m+v each (v clamped to the n−m rows there are), and
+// a point that is fully simulated draws only its remaining n−m−v rows
+// — a rejected match does not draw its validation rows a second time.
+func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
+	const n, m = 800, 10
+	points := []param.Point{{"risk": 0}, {"risk": 0.05}, {"risk": 0}, {"risk": 0.05}}
+	for _, tc := range []struct{ validation, v int }{{128, 128}, {2 * n, n - m}} {
+		for _, workers := range []int{1, 2} {
+			eng := MustNew(Options{Samples: n, Reuse: true, Workers: workers, MasterSeed: 77,
+				KeepSamples: true, ValidationSamples: tc.validation})
+			ce := &cancelAfterEval{inner: indicatorEval, at: -1, cancel: func() {}}
+			res, st, err := eng.SweepBatch(ce, points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[1].Reused || st.Store.Hits <= st.Reused {
+				t.Fatalf("ValidationSamples=%d workers=%d: no match was rejected (hits %d, reused %d); the workload must exercise a failed validation",
+					tc.validation, workers, st.Store.Hits, st.Reused)
+			}
+			want := int64(len(points)*(m+tc.v) + st.FullSimulations*(n-m-tc.v))
+			if got := ce.count.Load(); got != want {
+				t.Errorf("ValidationSamples=%d workers=%d: sweep made %d evaluations, want %d = %d points × (m+v) + %d full simulations × (n−m−v), v = %d",
+					tc.validation, workers, got, want, len(points), st.FullSimulations, tc.v)
+			}
+		}
+	}
+}
+
+// transformRow is a three-output row over one draw of f: the draw
+// itself, its square and an indicator of it exceeding 1.9, whose
+// fingerprints are prone to the §6.2 false positive.
+type transformRow struct{ f PointEval }
+
+var rowTransforms = [3]func(x float64) float64{
+	func(x float64) float64 { return x },
+	func(x float64) float64 { return x * x },
+	func(x float64) float64 {
+		if x > 1.9 {
+			return 1
+		}
+		return 0
+	},
+}
+
+func (r transformRow) RowLen() int { return len(rowTransforms) }
+
+func (r transformRow) FillRow(p param.Point, rr *rng.Rand, row []float64) {
+	x := r.f.EvalPoint(p, rr)
+	for j, tf := range rowTransforms {
+		row[j] = tf(x)
+	}
+}
+
+// slot is output j of the row as a single-output evaluator.
+func (r transformRow) slot(j int) PointEval {
+	return EvalFunc(func(p param.Point, rr *rng.Rand) float64 { return rowTransforms[j](r.f.EvalPoint(p, rr)) })
+}
+
+// TestSweepRowsMixedValidation sweeps outputs whose engines validate
+// differently — 16 rounds, none, and more than the n−m rounds there
+// are (clamped) — from one shared row: the prefix is as wide as the
+// widest output's, so outputs that validate less (or not at all) get
+// rows past their own validation rounds in phase A. Every output must
+// still match a separate SweepBatch on its own engine, on a fresh
+// store and a warmed one, at every worker count.
+func TestSweepRowsMixedValidation(t *testing.T) {
+	const samples = 200
+	validation := []int{16, 0, samples}
+	options := func(workers, c int) Options {
+		o := sweepOptions(workers)
+		o.Samples = samples
+		o.Index = IndexNormalization
+		o.KeepSamples = true
+		o.ValidationSamples = validation[c]
+		return o
+	}
+	for _, tc := range []struct {
+		name   string
+		f      PointEval
+		points []param.Point
+	}{
+		{"families", famEval, famSpace(t).Points()},
+		{"synth", MustBindBox(blackbox.NewSynthBasis(16), "point_index"), synthSpace(t, 120).Points()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row := transformRow{tc.f}
+			rejected := false
+			for _, workers := range []int{1, 2, 4, 7} {
+				engines := make([]*Engine, len(validation))
+				refs := make([]*Engine, len(validation))
+				for c := range engines {
+					engines[c] = MustNew(options(workers, c))
+					refs[c] = MustNew(options(workers, c))
+				}
+				for round := 0; round < 2; round++ {
+					res, st, err := SweepRows(context.Background(), engines, row, []int{0, 1, 2}, tc.points)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want SweepStats
+					for c, ref := range refs {
+						refRes, refSt, err := ref.SweepBatch(row.slot(c), tc.points)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(res[c], refRes) {
+							t.Fatalf("workers=%d round %d: output %d (ValidationSamples %d) differs from its own SweepBatch",
+								workers, round, c, validation[c])
+						}
+						rejected = rejected || refSt.Store.Hits > refSt.Reused
+						want.Add(refSt)
+					}
+					if !reflect.DeepEqual(st, want) {
+						t.Fatalf("workers=%d round %d: stats %+v, separate sweeps sum to %+v", workers, round, st, want)
+					}
+				}
+			}
+			if !rejected {
+				t.Fatal("no validation rejected a match; the workload does not exercise the validation path")
+			}
+		})
 	}
 }
