@@ -372,26 +372,6 @@ func BenchmarkAblationValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelWorlds measures the per-point worker pool
-// (MCDB's parallel world evaluation) on a heavy data-dependent model.
-func BenchmarkAblationParallelWorlds(b *testing.B) {
-	users := blackbox.NewUserSelection(2000, 0xD5)
-	ev := mc.MustBindBox(users, "w")
-	p := param.Point{"w": 30}
-	for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := mc.MustNew(mc.Options{
-				Samples: benchSamples, FingerprintLen: benchM, MasterSeed: benchSeed,
-				Workers: workers,
-			})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.EvaluatePoint(ev, p)
-			}
-		})
-	}
-}
-
 // BenchmarkSweepWorkers measures the concurrent sweep subsystem:
 // point-level parallelism over a data-dependent model whose sweep
 // admits little reuse, so nearly every point pays a full simulation.

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -37,7 +36,6 @@ func main() {
 		column    = flag.String("column", "", "result column to explore (default: first column)")
 		batch     = flag.Int("samples-per-tick", 10, "samples per background iteration")
 		seed      = flag.Uint64("seed", 1, "master seed")
-		workers   = flag.Int("workers", runtime.NumCPU(), "worker pool for per-tick sample batches")
 	)
 	flag.Parse()
 	if *queryPath == "" {
@@ -75,7 +73,6 @@ func main() {
 	sess, err := jigsaw.NewSession(eval, scenario.Space, jigsaw.SessionOptions{
 		BatchSize:  *batch,
 		MasterSeed: *seed,
-		Workers:    *workers,
 	})
 	if err != nil {
 		fatal(err)

@@ -291,45 +291,36 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 	// The full-simulation-only row: one warmed EvaluatePoint per
 	// iteration, no sweep machinery (enumeration, probing, result
 	// slices) — the isolated cost of the block-sampling cold path
-	// that dominates every reuse=false cell above. The workers>1 row
-	// is emitted only when the engine will actually take its parallel
-	// branch; at smaller scales it would silently re-measure the
-	// sequential path under a parallel label.
-	fullsimGrid := []int{1}
-	if mc.FullSimFanout(parallelWorkers, cfg.Samples, cfg.FingerprintLen) > 1 {
-		fullsimGrid = workerGrid
+	// that dominates every reuse=false cell above. A point's samples
+	// draw on one goroutine, so the row has one worker.
+	eng, err := mc.New(mc.Options{
+		Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
+		MasterSeed: cfg.MasterSeed, Reuse: false, Workers: 1,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, workers := range fullsimGrid {
-		opts := mc.Options{
-			Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
-			MasterSeed: cfg.MasterSeed, Reuse: false, Workers: workers,
+	p := param.Point{"current_week": float64(cfg.Weeks / 2), "feature_release": float64(cfg.Weeks / 4)}
+	procs := runtime.GOMAXPROCS(cellProcs(1))
+	eng.EvaluatePoint(ev, p) // warm the scratch pool
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng.EvaluatePoint(ev, p)
 		}
-		eng, err := mc.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		p := param.Point{"current_week": float64(cfg.Weeks / 2), "feature_release": float64(cfg.Weeks / 4)}
-		procs := runtime.GOMAXPROCS(cellProcs(workers))
-		eng.EvaluatePoint(ev, p) // warm the scratch pool
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.EvaluatePoint(ev, p)
-			}
-		})
-		runtime.GOMAXPROCS(procs)
-		report.Results = append(report.Results, SweepBenchResult{
-			Name:           fmt.Sprintf("fullsim/workers=%d", workers),
-			Index:          "none",
-			Reuse:          false,
-			Workers:        workers,
-			Points:         1,
-			NsPerPoint:     float64(res.NsPerOp()),
-			AllocsPerPoint: float64(res.AllocsPerOp()),
-			BytesPerPoint:  float64(res.AllocedBytesPerOp()),
-			ReuseRate:      0,
-		})
-	}
+	})
+	runtime.GOMAXPROCS(procs)
+	report.Results = append(report.Results, SweepBenchResult{
+		Name:           "fullsim/workers=1",
+		Index:          "none",
+		Reuse:          false,
+		Workers:        1,
+		Points:         1,
+		NsPerPoint:     float64(res.NsPerOp()),
+		AllocsPerPoint: float64(res.AllocsPerOp()),
+		BytesPerPoint:  float64(res.AllocedBytesPerOp()),
+		ReuseRate:      0,
+	})
 	return report, nil
 }
 

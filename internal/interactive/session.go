@@ -10,7 +10,6 @@
 package interactive
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -19,7 +18,6 @@ import (
 	"jigsaw/internal/core"
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
-	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/stats"
 )
@@ -68,11 +66,6 @@ type Options struct {
 	Tolerance float64
 	// HistBins adds a histogram to estimates when > 0.
 	HistBins int
-	// Workers sizes the pool a tick's sample batch is drawn on; 0 or
-	// 1 draws sequentially. Each (point, sampleID) pair has its own
-	// seed, so the session state after any tick is identical for
-	// every worker count.
-	Workers int
 }
 
 // validate rejects option values that no default repairs. It runs
@@ -85,8 +78,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("interactive: negative BatchSize %d", o.BatchSize)
 	case o.FingerprintLen < 0:
 		return fmt.Errorf("interactive: negative FingerprintLen %d", o.FingerprintLen)
-	case o.Workers < 0:
-		return fmt.Errorf("interactive: negative Workers %d", o.Workers)
 	case o.HistBins < 0:
 		return fmt.Errorf("interactive: negative HistBins %d", o.HistBins)
 	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
@@ -104,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = core.DefaultTolerance
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -218,47 +206,26 @@ func (s *Session) SetFocus(p param.Point) error {
 // Focus returns the current point of interest.
 func (s *Session) Focus() param.Point { return s.focus.Clone() }
 
-// drawBatch evaluates the given sample ids for p on the session's
-// worker pool (Options.Workers) and returns the values in id-slice
-// order. Each id's seed is independent of every other draw, so the
-// result is identical for any worker count. The batch splits into one
-// contiguous block per worker: a PointBinder evaluator binds p once
-// and draws each block through EvalBlockBound, any other evaluator
-// reseeds per sample — bit-identical by PointBinder's contract.
-// Committed draws are counted by the caller, not here: validation may
-// discard speculative draws after a mismatch, and the Evaluations
-// counter tracks session state, which must stay worker-count
-// independent.
+// drawBatch evaluates the given sample ids for p on the calling
+// goroutine and returns the values in id-slice order. A PointBinder
+// evaluator binds p once and draws the batch through EvalBlockBound;
+// any other evaluator reseeds per sample — bit-identical by
+// PointBinder's contract. Draws are counted by the caller.
 func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
 	seeds := make([]uint64, len(ids))
 	for k, id := range ids {
 		seeds[k] = s.seeds.SampleSeed(s.opts.MasterSeed, id)
 	}
-	pb, bind := s.eval.(mc.PointBinder)
-	if bind {
-		// Workers share the binding: EvalBlockBound treats it as
-		// read-only.
+	if pb, ok := s.eval.(mc.PointBinder); ok {
 		s.argBuf = pb.BindPoint(p, s.argBuf)
+		pb.EvalBlockBound(s.argBuf, out, seeds)
+		return out
 	}
-	workers := max(1, min(s.opts.Workers, len(ids)))
-	chunk := (len(ids) + workers - 1) / workers
-	// pool.For with a background context fails only when the evaluator
-	// panics; the panic resumes on the caller's goroutine, as it would
-	// on a sequential draw.
-	if err := pool.For(context.Background(), workers, workers, func(c int) {
-		lo, hi := min(c*chunk, len(ids)), min((c+1)*chunk, len(ids))
-		if bind {
-			pb.EvalBlockBound(s.argBuf, out[lo:hi], seeds[lo:hi])
-			return
-		}
-		var r rng.Rand
-		for k := lo; k < hi; k++ {
-			r.Seed(seeds[k])
-			out[k] = s.eval.EvalPoint(p, &r)
-		}
-	}); err != nil {
-		panic(err)
+	var r rng.Rand
+	for k, seed := range seeds {
+		r.Seed(seed)
+		out[k] = s.eval.EvalPoint(p, &r)
 	}
 	return out
 }
@@ -394,7 +361,7 @@ func (s *Session) taskHeuristic() Task {
 
 // refine draws BatchSize fresh sample ids for the point and folds them
 // into the basis through the inverse mapping (M⁻¹, §5). The ids are
-// picked first, then the batch is drawn on the worker pool.
+// picked first, then the batch is drawn in one call.
 func (s *Session) refine(ps *pointState) {
 	b := s.bases[ps.basisID]
 	inv, ok := ps.mapping.Inverse()
@@ -451,22 +418,8 @@ func (s *Session) validate(ps *pointState) {
 		s.refine(ps)
 		return
 	}
-	// With a pool, the whole batch is drawn speculatively; a mismatch
-	// at position k commits only ids[0..k] — exactly the state the
-	// sequential loop below reaches by stopping there — and the later
-	// speculative draws are discarded uncounted, keeping the session
-	// state and Evaluations counter identical for every worker count.
-	var vals []float64
-	if s.opts.Workers > 1 {
-		vals = s.drawBatch(ps.point, ids)
-	}
-	for k, id := range ids {
-		v := 0.0
-		if vals != nil {
-			v = vals[k]
-		} else {
-			v = s.eval.EvalPoint(ps.point, rng.New(s.seeds.SampleSeed(s.opts.MasterSeed, id)))
-		}
+	for _, id := range ids {
+		v := s.eval.EvalPoint(ps.point, rng.New(s.seeds.SampleSeed(s.opts.MasterSeed, id)))
 		ps.drawn[id] = v
 		ps.validated[id] = true
 		s.stats.Evaluations++

@@ -67,34 +67,3 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 		t.Errorf("full simulation allocates %.1f per point, budget 1", allocs)
 	}
 }
-
-func TestFullSimulationWorkersPooledScratch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
-	}
-	// The workers > 1 full-simulation branch routes every goroutine
-	// through the engine's scratch pool: no per-goroutine argument
-	// buffers, seed slices or sample staging. The remaining budget is
-	// goroutine/WaitGroup bookkeeping — a small constant per point,
-	// nothing proportional to samples or workers.
-	const workers = 4
-	e := MustNew(Options{
-		Samples: 4096, FingerprintLen: 10, MasterSeed: 0x5161,
-		Reuse: false, Workers: workers,
-	})
-	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
-	p := param.Point{"week": 30, "feature": 52}
-	for i := 0; i < 2*workers; i++ { // warm one scratch per worker slot
-		e.EvaluatePoint(ev, p)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		e.EvaluatePoint(ev, p)
-	})
-	// 2 allocs per spawned goroutine (closure + stack bookkeeping)
-	// observed on go1.22; anything near samples/workers means the
-	// scratch routing regressed.
-	if allocs > 4*workers {
-		t.Errorf("parallel full simulation allocates %.1f per point with %d workers, budget %d",
-			allocs, workers, 4*workers)
-	}
-}

@@ -7,7 +7,6 @@
 package mc
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -29,9 +28,9 @@ import (
 // simulation ... can be treated as the stochastic function F").
 //
 // Implementations must be safe for concurrent EvalPoint calls (the
-// engine spreads samples and points over workers). Plain functions
-// adapt via EvalFunc; evaluators that can separate argument binding
-// from sampling should additionally implement PointBinder, which the
+// engine spreads points over workers). Plain functions adapt via
+// EvalFunc; evaluators that can separate argument binding from
+// sampling should additionally implement PointBinder, which the
 // engine's hot loops use to bind a point once and sample it in blocks.
 type PointEval interface {
 	// EvalPoint draws one sample at p using r as the sole randomness
@@ -207,11 +206,12 @@ type Options struct {
 	// HistBins adds an equi-width histogram to summaries when
 	// KeepSamples is set.
 	HistBins int
-	// Workers sizes the engine's worker pool; 0 means GOMAXPROCS, 1
-	// forces sequential evaluation, negative values are rejected.
-	// Sweep and SweepBatch spread parameter points across the pool; a
-	// lone EvaluatePoint call spreads its sample rounds instead. Results are deterministic for
-	// any worker count (see DESIGN.md, "Concurrency model").
+	// Workers sizes the point pool of Sweep and SweepBatch; 0 means
+	// GOMAXPROCS, 1 runs the sweep on the calling goroutine, negative
+	// values are rejected. A point's own samples always draw on one
+	// goroutine, so a lone EvaluatePoint ignores Workers. Results are
+	// deterministic for any worker count (see DESIGN.md, "Concurrency
+	// model").
 	Workers int
 }
 
@@ -223,41 +223,6 @@ type Options struct {
 // its id, so results are bit-identical for every block size (see
 // DESIGN.md, "Block-sampling pipeline").
 const DefaultBlockSize = 256
-
-// MinSamplesPerWorker is the smallest number of post-fingerprint
-// samples worth handing one extra goroutine in a lone EvaluatePoint
-// with Workers > 1: the fan-out is clamped so every worker draws at
-// least this many, and small simulations (fewer than twice this)
-// skip goroutine spawning entirely — below that the per-goroutine
-// spawn and scratch-checkout overhead measurably exceeds the work
-// (the paper-scale n=1000 point was *slower* at Workers=4 than
-// sequential before the clamp). Exported so benchmark harnesses can
-// tell which branch a configuration exercises (see FullSimFanout).
-const MinSamplesPerWorker = 512
-
-// fullSimWorkers clamps a full simulation's fan-out to the number of
-// workers that still get MinSamplesPerWorker samples each; 1 means
-// the sequential path.
-func fullSimWorkers(workers, rest int) int {
-	if byWork := rest / MinSamplesPerWorker; workers > byWork {
-		workers = byWork
-	}
-	if workers < 1 {
-		return 1
-	}
-	return workers
-}
-
-// FullSimFanout reports the number of goroutines a lone EvaluatePoint
-// at the given scale actually spreads its samples across — 1 means
-// the sequential path. Benchmark harnesses use it to avoid recording
-// a sequential measurement under a parallel label.
-func FullSimFanout(workers, samples, fingerprintLen int) int {
-	if workers <= 1 {
-		return 1
-	}
-	return fullSimWorkers(workers, samples-fingerprintLen)
-}
 
 // withDefaults returns a copy with unset fields defaulted.
 func (o Options) withDefaults() Options {
@@ -485,7 +450,7 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	copy(samples, fp)
 	dsts = sc.outputs(1)
 	dsts[0] = samples
-	e.simulateRows(&ev, p, dsts, m, e.opts.Workers, sc)
+	e.simulateRows(&ev, p, dsts, m, sc)
 	res := e.summarize(p, samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
@@ -588,48 +553,21 @@ func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointR
 	return PointResult{Point: p, Summary: acc.Summarize(e.opts.HistBins), BasisID: -1}
 }
 
-// simulateRows runs the rounds from lo to n−1, one row per round for
-// all of ev's outputs: output c's samples land in dsts[c][lo:n], whose
-// first lo entries the caller fills with rounds it drew already (the
-// fingerprint, or a sweep's whole prefix); nil entries are skipped.
-// The rounds are optionally spread over workers goroutines (MCDB
-// evaluates sampled worlds in parallel, §2.1; a sweep wider than one
-// worker passes workers=1 because the pool is already busy with other
-// points). Results are deterministic regardless of worker count
-// because each sample's seed depends only on its id.
-func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, lo, workers int, sc *scratch) {
-	n := e.opts.Samples
-	if workers = fullSimWorkers(workers, n-lo); workers > 1 {
-		e.simulateRowsParallel(*ev, p, dsts, lo, workers)
-		return
-	}
-	e.sampleRange(ev.bind(p, sc), dsts, lo, n)
-}
-
-// simulateRowsParallel is simulateRows' fan-out: one chunk of rounds
-// per worker, drawn on pooled per-worker scratch like the sweep
-// phases, so the binding buffer, row, seed block and generator are
-// recycled instead of allocated per goroutine. A panicking evaluator
-// panics again on the caller's goroutine.
-func (e *Engine) simulateRowsParallel(ev evaluator, p param.Point, dsts [][]float64, from, workers int) {
-	n := e.opts.Samples
-	chunk := (n - from + workers - 1) / workers
-	chunks := (n - from + chunk - 1) / chunk
-	if err := pool.For(context.Background(), chunks, workers, func(c int) {
-		lo := from + c*chunk
-		hi := min(lo+chunk, n)
-		wsc := e.scratches.Get()
-		defer e.scratches.Put(wsc)
-		e.sampleRange(ev.bind(p, wsc), dsts, lo, hi)
-	}); err != nil {
-		panic(err)
-	}
+// simulateRows runs the rounds from lo to n−1 on the calling
+// goroutine, one row per round for all of ev's outputs: output c's
+// samples land in dsts[c][lo:n], whose first lo entries the caller
+// fills with rounds it drew already (the fingerprint, or a sweep's
+// whole prefix); nil entries are skipped. Parallelism lives outside a
+// point: a sweep spreads its points over the pool, and the PDB spreads
+// blocks of worlds.
+func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, lo int, sc *scratch) {
+	e.sampleRange(ev.bind(p, sc), dsts, lo, e.opts.Samples)
 }
 
 // sampleRange draws the rounds with ids [lo, hi) into dsts[c][lo:hi],
 // one block at a time: each block's seeds are materialized into the
-// sampler's seed buffer and handed to its block kernel. Chunk and
-// block boundaries are invisible in the output because each sample's
+// sampler's seed buffer and handed to its block kernel. Block
+// boundaries are invisible in the output because each sample's
 // seed depends only on its id.
 func (e *Engine) sampleRange(sm sampler, dsts [][]float64, lo, hi int) {
 	bs := min(e.blockSize, hi-lo)

@@ -54,9 +54,9 @@ func TestSweepPanicReturnsError(t *testing.T) {
 		points  []param.Point
 	}{
 		{"batch", 200, points},
-		// A one-point batch at Workers > 1 spreads the point's
-		// samples over goroutines: the panic crosses a nested pool.
-		{"fan-out", 2*MinSamplesPerWorker + m, []param.Point{{"week": bad}}},
+		// A one-point batch draws its samples on the one worker
+		// that holds the point.
+		{"one-point", 1024 + m, []param.Point{{"week": bad}}},
 	} {
 		for _, workers := range []int{1, 2} {
 			for _, at := range []int64{1, m + 1} {

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,8 @@ import (
 // Tests for the phased sweep beyond determinism (which
 // TestSweepParallelDeterminism pins): cancellation in every phase
 // leaves the engine and store reusable, the phases add no per-point
-// steady-state allocations, and small full simulations skip the
-// goroutine fan-out.
+// steady-state allocations, and a point's samples draw on one
+// goroutine.
 
 // cancelAfterEval wraps an evaluator and cancels a context on the
 // k-th model evaluation, steering the cancellation into a chosen
@@ -199,81 +200,60 @@ func (b *blockLenEval) EvalBlockBound(_ []float64, out []float64, seeds []uint64
 	}
 }
 
-// TestOneWideSweepFansOutSamples pins the one behavior a sweep whose
-// pool is one point wide keeps from a lone EvaluatePoint: with
-// Workers > 1 the point's full simulation spreads its samples over
-// goroutines. With n−m = 1024 post-fingerprint samples and 2 workers
-// the samples split into two chunks of 512, each drawn in blocks of
-// 300 — so a 212-sample block appears only when the samples fan out
-// (one goroutine draws 300, 300, 300, 124).
-func TestOneWideSweepFansOutSamples(t *testing.T) {
+// TestOneWideSweepDrawsSamplesOnOneGoroutine pins that a point's
+// samples draw on one goroutine whatever Workers says: a one-point
+// batch runs its full simulation in one sequence of blocks. With
+// n−m = 1024 post-fingerprint samples in blocks of 300, one goroutine
+// draws 300, 300, 300, 124; a 212-sample block would appear only if
+// the samples were split into two chunks of 512.
+func TestOneWideSweepDrawsSamplesOnOneGoroutine(t *testing.T) {
 	p := param.Point{"week": 1}
-	for _, tc := range []struct {
-		workers int
-		fanOut  bool
-	}{{1, false}, {2, true}} {
-		eng := mustNewBlockSize(Options{
-			Samples: 1034, FingerprintLen: 10,
-			MasterSeed: 0x5161, Workers: tc.workers,
-		}, 300)
-		ev := &blockLenEval{lens: map[int]bool{}}
-		res, _, err := eng.SweepBatch(ev, []param.Point{p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ev.lens[212]; got != tc.fanOut {
-			t.Errorf("workers=%d: samples fanned out = %v, want %v (block lengths %v)", tc.workers, got, tc.fanOut, ev.lens)
-		}
-		if want, _ := eng.EvaluatePoint(ev, p); !reflect.DeepEqual(res[0].Summary, want.Summary) {
-			t.Errorf("workers=%d: sweep summary %+v differs from EvaluatePoint's %+v", tc.workers, res[0].Summary, want.Summary)
-		}
+	want := map[int]bool{10: true, 300: true, 124: true}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng := mustNewBlockSize(Options{
+				Samples: 1034, FingerprintLen: 10,
+				MasterSeed: 0x5161, Workers: workers,
+			}, 300)
+			ev := &blockLenEval{lens: map[int]bool{}}
+			res, _, err := eng.SweepBatch(ev, []param.Point{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ev.lens, want) {
+				t.Errorf("block lengths %v, want %v (one goroutine, blocks of 300)", ev.lens, want)
+			}
+			if want, _ := eng.EvaluatePoint(ev, p); !reflect.DeepEqual(res[0].Summary, want.Summary) {
+				t.Errorf("sweep summary %+v differs from EvaluatePoint's %+v", res[0].Summary, want.Summary)
+			}
+		})
 	}
 }
 
-// TestFullSimWorkersClamp pins the fan-out threshold arithmetic.
-func TestFullSimWorkersClamp(t *testing.T) {
-	for _, tc := range []struct {
-		workers, rest, want int
-	}{
-		{1, 10000, 1},                     // sequential stays sequential
-		{4, 990, 1},                       // paper-scale n=1000: too small to fan out
-		{4, 2*MinSamplesPerWorker - 1, 1}, // below two full worker shares
-		{4, 2 * MinSamplesPerWorker, 2},
-		{4, 4086, 4}, // n=4096: every worker gets ≥512
-		{8, 4086, 7}, // clamped to rest/MinSamplesPerWorker
-	} {
-		if got := fullSimWorkers(tc.workers, tc.rest); got != tc.want {
-			t.Errorf("fullSimWorkers(%d, %d) = %d, want %d", tc.workers, tc.rest, got, tc.want)
-		}
-	}
-	if got := FullSimFanout(4, 1000, 10); got != 1 {
-		t.Errorf("FullSimFanout(4, 1000, 10) = %d, want 1 (the cell that regressed)", got)
-	}
-	if got := FullSimFanout(4, 4096, 10); got != 4 {
-		t.Errorf("FullSimFanout(4, 4096, 10) = %d, want 4", got)
-	}
-}
-
-// TestFullSimulationSmallStaysSequential pins the behavior behind the
-// clamp: at paper scale (n=1000) a Workers=4 EvaluatePoint must take
-// the sequential path — observable as the zero-allocation steady
-// state, which goroutine fan-out (closure + stack bookkeeping) would
-// break.
+// TestFullSimulationSmallStaysSequential pins that a lone
+// EvaluatePoint at Workers=4 draws its samples on the calling
+// goroutine, at paper scale (n=1000) and at n=4096 alike: observable
+// as the zero-allocation steady state, which goroutine fan-out
+// (closure + stack bookkeeping) would break.
 func TestFullSimulationSmallStaysSequential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
-	e := MustNew(Options{
-		Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
-		Reuse: false, Workers: 4,
-	})
 	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
 	p := param.Point{"week": 30, "feature": 52}
-	e.EvaluatePoint(ev, p) // warm the pool
-	allocs := testing.AllocsPerRun(20, func() {
-		e.EvaluatePoint(ev, p)
-	})
-	if allocs > 1 {
-		t.Errorf("n=1000 Workers=4 EvaluatePoint allocates %.1f per point (budget 1): small simulation did not skip goroutine fan-out", allocs)
+	for _, samples := range []int{1000, 4096} {
+		t.Run(fmt.Sprintf("n=%d", samples), func(t *testing.T) {
+			e := MustNew(Options{
+				Samples: samples, FingerprintLen: 10, MasterSeed: 0x5161,
+				Reuse: false, Workers: 4,
+			})
+			e.EvaluatePoint(ev, p) // warm the pool
+			allocs := testing.AllocsPerRun(20, func() {
+				e.EvaluatePoint(ev, p)
+			})
+			if allocs > 1 {
+				t.Errorf("Workers=4 EvaluatePoint allocates %.1f per point (budget 1): its samples did not draw on one goroutine", allocs)
+			}
+		})
 	}
 }

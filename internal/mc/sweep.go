@@ -15,9 +15,11 @@ import (
 // results bit-identical for every worker count. There is one sweep
 // implementation, over k outputs of one evaluator: SweepRows sweeps
 // the k columns of a row evaluator, each on its own engine, and Sweep
-// and SweepBatch are its k=1 case. At Workers: 1 the pool degrades to
-// a plain loop on the calling goroutine (pool.ForWorker) and the
-// phases below run back to back.
+// and SweepBatch are its k=1 case. The pool spreads points, never a
+// point's samples: each row of a point draws on the worker that holds
+// the point. At Workers: 1 the pool degrades to a plain loop on the
+// calling goroutine (pool.ForWorker) and the phases below run back to
+// back.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
@@ -163,11 +165,6 @@ type rowSweep struct {
 	// w is the prefix width: m plus the widest output's validation
 	// rounds.
 	w int
-	// simWorkers is the fan-out of each full simulation. A pool wider
-	// than one worker is already busy with other points; a pool one
-	// wide (Workers: 1, or a one-point batch) leaves the cores to the
-	// point's own samples, as a lone EvaluatePoint would.
-	simWorkers int
 	// prefixes backs all k·n prefixes, on worker 0's scratch: misses
 	// donate their fingerprints to the store, which clones them, and
 	// copy their prefixes into their sample vectors, so nothing
@@ -209,14 +206,10 @@ func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []pa
 	workers := max(1, min(lead.opts.Workers, n))
 	s := &rowSweep{
 		engines: engines, ev: ev, points: points, k: k, n: n, m: m, w: width,
-		simWorkers: 1,
-		plans:      make([]pointPlan, k*n),
-		results:    make([][]PointResult, k),
-		pending:    make([]map[int]int, k),
-		accept:     make([]func(*core.Basis) bool, k),
-	}
-	if workers == 1 {
-		s.simWorkers = lead.opts.Workers
+		plans:   make([]pointPlan, k*n),
+		results: make([][]PointResult, k),
+		pending: make([]map[int]int, k),
+		accept:  make([]func(*core.Basis) bool, k),
 	}
 	for c := range engines {
 		s.results[c] = make([]PointResult, n)
@@ -372,7 +365,7 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 		return
 	}
 	p := s.points[i]
-	s.engines[0].simulateRows(&s.ev, p, dsts, s.w, s.simWorkers, sc)
+	s.engines[0].simulateRows(&s.ev, p, dsts, s.w, sc)
 	for c, e := range s.engines {
 		if dsts[c] == nil {
 			continue

@@ -64,9 +64,6 @@ type BlockCtx struct {
 	deferred *deferredDraw
 	flags    *runFlags
 
-	// pcache is the bind-time parameter slot cache (see expr.go).
-	pcache []pcached
-
 	// Scratch arena: free lists reset per block, so steady-state
 	// blocks allocate nothing.
 	vecs      []*Vec
@@ -86,7 +83,6 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 	c.live = false
 	c.deferred = nil
 	c.flags = flags
-	c.pcache = c.pcache[:0]
 	c.vecsUsed = 0
 	c.masksUsed = 0
 	c.rowPtrs = c.rowPtrs[:0]

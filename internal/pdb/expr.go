@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"jigsaw/internal/blackbox"
 )
@@ -35,59 +34,6 @@ type blockExpr func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 // EvalBlock implements BoundExpr.
 func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 	return f(row, mask, ctx)
-}
-
-// pcached is one parameter slot's resolution state.
-type pcached struct {
-	state uint8 // 0 unresolved, 1 present, 2 absent
-	val   float64
-}
-
-// paramBySlot resolves a parameter slot, consulting Params once per
-// parameter per block. ok=false means the parameter is unbound.
-func (c *BlockCtx) paramBySlot(slot int, name string) (float64, bool) {
-	for len(c.pcache) <= slot {
-		c.pcache = append(c.pcache, pcached{})
-	}
-	pc := &c.pcache[slot]
-	if pc.state == 0 {
-		if v, ok := c.Params[name]; ok {
-			pc.state, pc.val = 1, v
-		} else {
-			pc.state = 2
-		}
-	}
-	return pc.val, pc.state == 1
-}
-
-// paramSlots assigns every parameter name a process-wide slot id at
-// bind time, so evaluation contexts can cache resolutions in a dense
-// slice instead of hashing the name per row per world. The registry
-// is deliberately process-global rather than per-Env: plan lowering
-// creates a fresh Env per bind pass (subqueries recurse through
-// db.Env()), so per-Env counters would hand different names the same
-// slot within one composed plan and the dense caches would alias.
-// The cost is that slot ids — a few bytes per *distinct* name, which
-// scripts fix at parse time — accumulate for the process lifetime.
-var paramSlots struct {
-	sync.Mutex
-	ids map[string]int
-}
-
-// paramSlotID returns name's stable slot id, assigning one on first
-// use.
-func paramSlotID(name string) int {
-	paramSlots.Lock()
-	defer paramSlots.Unlock()
-	if paramSlots.ids == nil {
-		paramSlots.ids = make(map[string]int)
-	}
-	id, ok := paramSlots.ids[name]
-	if !ok {
-		id = len(paramSlots.ids)
-		paramSlots.ids[name] = id
-	}
-	return id
 }
 
 // Env carries bind-time context: the black-box registry for VG calls.
@@ -128,13 +74,12 @@ func (c Col) String() string { return c.Name }
 // Param references a declared @parameter.
 type Param struct{ Name string }
 
-// Bind implements Expr: the name resolves to a slot id here, so
-// evaluation is a cached slot read instead of a map lookup per row.
+// Bind implements Expr. A parameter is uniform across the block's
+// worlds.
 func (p Param) Bind(Schema, *Env) (BoundExpr, error) {
 	name := p.Name
-	slot := paramSlotID(name)
 	return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
-		v, ok := ctx.paramBySlot(slot, name)
+		v, ok := ctx.Params[name]
 		if !ok {
 			return nil, fmt.Errorf("pdb: unbound parameter @%s", name)
 		}
@@ -324,23 +269,33 @@ func compareValues(op string, lv, rv Value) (Value, error) {
 	}
 }
 
-// logicValues is the value-level core of AND/OR.
+// logicValues is the value-level core of AND/OR, in SQL's
+// three-valued logic: an operand equal to the operator's deciding
+// value (FALSE for AND, TRUE for OR) decides the result even when the
+// other operand is NULL; otherwise a NULL operand makes it NULL. A
+// non-boolean operand is an error on either side, deciding value or
+// not.
 func logicValues(op string, lv, rv Value) (Value, error) {
-	if lv.IsNull() || rv.IsNull() {
+	decider := op == "OR"
+	decided, null := false, false
+	for _, v := range [2]Value{lv, rv} {
+		if v.IsNull() {
+			null = true
+			continue
+		}
+		b, err := v.AsBool()
+		if err != nil {
+			return Null(), err
+		}
+		decided = decided || b == decider
+	}
+	switch {
+	case decided:
+		return Bool(decider), nil
+	case null:
 		return Null(), nil
 	}
-	lb, err := lv.AsBool()
-	if err != nil {
-		return Null(), err
-	}
-	rb, err := rv.AsBool()
-	if err != nil {
-		return Null(), err
-	}
-	if op == "AND" {
-		return Bool(lb && rb), nil
-	}
-	return Bool(lb || rb), nil
+	return Bool(!decider), nil
 }
 
 // unaryBlock applies f lane-wise to e's column (once for a uniform

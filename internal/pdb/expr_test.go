@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +83,29 @@ func TestParamRef(t *testing.T) {
 	}
 }
 
+// TestParamReadsBlockParams checks that a bound parameter reads the
+// parameters of the block it evaluates in: one bound expression over
+// two names, evaluated in one context reset with new values, sees the
+// new values, and a name the block does not bind is an error naming it.
+func TestParamReadsBlockParams(t *testing.T) {
+	b := mustBind(t, BinOp{"-", Param{"a"}, Param{"b"}}, Schema{}, nil)
+	ctx := &BlockCtx{}
+	for _, params := range []map[string]float64{{"a": 5, "b": 2}, {"a": 1, "b": 4}} {
+		ctx.reset([]uint64{1}, params, nil)
+		v, err := evalIn(ctx, b, Row{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Float(params["a"] - params["b"]); v != want {
+			t.Fatalf("@a - @b with %v = %v, want %v", params, v, want)
+		}
+	}
+	ctx.reset([]uint64{1}, map[string]float64{"a": 1}, nil)
+	if _, err := evalIn(ctx, b, Row{}); err == nil || !strings.Contains(err.Error(), "@b") {
+		t.Fatalf("unbound @b: err = %v", err)
+	}
+}
+
 func TestArithmetic(t *testing.T) {
 	s := Schema{{Name: "a"}}
 	row := Row{Float(10)}
@@ -157,6 +181,95 @@ func TestLogic(t *testing.T) {
 	}
 	if v := evalExpr(t, Not{ff}, Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
 		t.Fatal("NOT broken")
+	}
+}
+
+// threeValued is SQL's AND/OR truth table over TRUE, FALSE and NULL:
+// want[op][i][j] is (vals[i] op vals[j]).
+var threeValued = struct {
+	vals []Value
+	want map[string][3][3]Value
+}{
+	vals: []Value{Bool(true), Bool(false), Null()},
+	want: map[string][3][3]Value{
+		"AND": {
+			{Bool(true), Bool(false), Null()},
+			{Bool(false), Bool(false), Bool(false)},
+			{Null(), Bool(false), Null()},
+		},
+		"OR": {
+			{Bool(true), Bool(true), Bool(true)},
+			{Bool(true), Bool(false), Null()},
+			{Bool(true), Null(), Null()},
+		},
+	},
+}
+
+// TestThreeValuedLogic checks AND and OR against SQL's truth table in
+// either operand order, on uniform operands (evaluated once per
+// block) and on per-world lanes (one combination per world): FALSE
+// AND NULL is FALSE, TRUE OR NULL is TRUE.
+func TestThreeValuedLogic(t *testing.T) {
+	vals := threeValued.vals
+	s := Schema{{Name: "a"}, {Name: "b"}}
+	for op, want := range threeValued.want {
+		b, err := BinOp{op, Col{"a"}, Col{"b"}}.Bind(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range vals {
+			for j, c := range vals {
+				v, err := evalWorld(b, Row{a, c}, nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v != want[i][j] {
+					t.Errorf("uniform %v %s %v = %v, want %v", a, op, c, v, want[i][j])
+				}
+			}
+		}
+		// World 3i+j holds the pair (vals[i], vals[j]).
+		ctx := &BlockCtx{}
+		ctx.reset(make([]uint64, 9), nil, nil)
+		row := ctx.newRow(2)
+		row[0], row[1] = ctx.lanesVec(), ctx.lanesVec()
+		for w := 0; w < 9; w++ {
+			row[0].setLane(w, vals[w/3])
+			row[1].setLane(w, vals[w%3])
+		}
+		out, err := b.EvalBlock(row, nil, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 9; w++ {
+			if got := out.Lane(w); got != want[w/3][w%3] {
+				t.Errorf("lane %v %s %v = %v, want %v", vals[w/3], op, vals[w%3], got, want[w/3][w%3])
+			}
+		}
+	}
+	if _, err := evalWorld(mustBind(t, BinOp{"AND", Lit{Bool(false)}, Lit{Str("x")}}, Schema{}, nil), Row{}, nil, 1); err == nil {
+		t.Error("FALSE AND 'x' evaluated; a non-boolean operand must be an error")
+	}
+}
+
+// TestWhereNotAndNull checks that WHERE NOT (a > 5 AND NULL) keeps
+// the rows where a > 5 is FALSE: FALSE AND NULL is FALSE, and NOT
+// FALSE is TRUE. The other rows see NOT NULL and drop.
+func TestWhereNotAndNull(t *testing.T) {
+	tbl := MustNewTable("a")
+	for _, a := range []float64{1, 10, 3} {
+		tbl.MustAppend(Row{Float(a)})
+	}
+	pred := Not{BinOp{"AND", BinOp{">", Col{"a"}, Lit{Float(5)}}, Lit{Null()}}}
+	scan := NewScanPlan("t", tbl)
+	out := execute(t, &SelectPlan{Child: scan, Pred: mustBind(t, pred, scan.Schema(), nil), Desc: pred.String()})
+	var got []float64
+	for _, row := range out.Rows {
+		f, _ := row[0].AsFloat()
+		got = append(got, f)
+	}
+	if want := []float64{1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("WHERE %s kept a = %v, want %v", pred, got, want)
 	}
 }
 

@@ -44,10 +44,11 @@
 // Engine.EvaluatePoint. Every call returns its own SweepStats (sum
 // several with SweepStats.Add); the engine keeps no running counters.
 // The basis store is guarded by one read-write lock, so engines may
-// also be shared between goroutines calling EvaluatePoint. Interactive
-// sessions draw their per-tick sample batches on a pool sized by
-// SessionOptions.Workers. DESIGN.md ("Concurrency model") describes
-// the sweep's phases and the determinism argument.
+// also be shared between goroutines calling EvaluatePoint. A point's
+// own samples draw on one goroutine, in a sweep, in a lone
+// EvaluatePoint and in an interactive session's ticks alike.
+// DESIGN.md ("Concurrency model") describes the sweep's phases and the
+// determinism argument.
 //
 // See examples/ for complete programs, DESIGN.md for the architecture,
 // and EXPERIMENTS.md for the reproduced evaluation.
