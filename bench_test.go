@@ -29,7 +29,7 @@ const (
 	benchSeed    = 0x5161
 )
 
-func benchEngine(reuse bool, kind mc.IndexKind, class core.MappingClass) *mc.Engine {
+func benchEngine(reuse bool, kind mc.IndexKind, class core.LinearClass) *mc.Engine {
 	return mc.MustNew(mc.Options{
 		Samples: benchSamples, FingerprintLen: benchM, MasterSeed: benchSeed,
 		Reuse: reuse, Index: kind, Workers: 1, Class: class,
@@ -91,7 +91,7 @@ func BenchmarkFigure7DemandWrapper(b *testing.B) {
 // BenchmarkFigure7DemandCore measures the same point through the
 // lightweight engine (the paper's "Offline" Ruby-analogue column).
 func BenchmarkFigure7DemandCore(b *testing.B) {
-	eng := benchEngine(false, mc.IndexArray, nil)
+	eng := benchEngine(false, mc.IndexArray, core.LinearClass{})
 	ev := mc.MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 	p := param.Point{"current_week": 30, "feature_release": 12}
 	b.ReportAllocs()
@@ -134,7 +134,7 @@ func BenchmarkFigure7UserSelectWrapper(b *testing.B) {
 // tuple-at-a-time through the lightweight engine.
 func BenchmarkFigure7UserSelectCore(b *testing.B) {
 	users := blackbox.NewUserSelection(2000, 0xD5)
-	eng := benchEngine(false, mc.IndexArray, nil)
+	eng := benchEngine(false, mc.IndexArray, core.LinearClass{})
 	ev := mc.MustBindBox(users, "w")
 	p := param.Point{"w": 30}
 	b.ReportAllocs()
@@ -145,7 +145,7 @@ func BenchmarkFigure7UserSelectCore(b *testing.B) {
 
 // ---------- Figure 8: Jigsaw vs full evaluation ----------
 
-func benchSweep(b *testing.B, box blackbox.Box, space *param.Space, reuse bool, class core.MappingClass, names ...string) {
+func benchSweep(b *testing.B, box blackbox.Box, space *param.Space, reuse bool, class core.LinearClass, names ...string) {
 	b.Helper()
 	ev := mc.MustBindBox(box, names...)
 	b.ReportAllocs()
@@ -234,7 +234,7 @@ func BenchmarkFigure9(b *testing.B) {
 				space := capacitySpace(b)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					eng := benchEngine(true, kind, nil)
+					eng := benchEngine(true, kind, core.LinearClass{})
 					if _, _, err := eng.Sweep(ev, space); err != nil {
 						b.Fatal(err)
 					}
@@ -261,7 +261,7 @@ func BenchmarkFigure10(b *testing.B) {
 				space := param.MustSpace(d)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					eng := benchEngine(true, kind, nil)
+					eng := benchEngine(true, kind, core.LinearClass{})
 					if _, _, err := eng.Sweep(ev, space); err != nil {
 						b.Fatal(err)
 					}
@@ -286,7 +286,7 @@ func BenchmarkFigure11(b *testing.B) {
 				space := param.MustSpace(d)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					eng := benchEngine(true, kind, nil)
+					eng := benchEngine(true, kind, core.LinearClass{})
 					if _, _, err := eng.Sweep(ev, space); err != nil {
 						b.Fatal(err)
 					}

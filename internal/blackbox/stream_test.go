@@ -33,7 +33,7 @@ func streamCases() []struct {
 // various states), not just fresh seeds.
 func advance(rands []rng.Rand, salt uint64) {
 	for i := range rands {
-		rands[i].Seed(rng.Mix(uint64(i+1), salt))
+		rands[i].Seed(salt<<32 | uint64(i+1))
 		for k := 0; k < i%3; k++ {
 			rands[i].Normal(0, 1) // odd draws leave a cached variate
 		}

@@ -95,7 +95,7 @@ func (fp Fingerprint) ApproxEqual(other Fingerprint, tol float64) bool {
 }
 
 // MappedBy returns the element-wise image of the fingerprint under m.
-func (fp Fingerprint) MappedBy(m Mapping) Fingerprint {
+func (fp Fingerprint) MappedBy(m Linear) Fingerprint {
 	out := make(Fingerprint, len(fp))
 	for i, v := range fp {
 		out[i] = m.Apply(v)

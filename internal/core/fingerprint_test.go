@@ -131,19 +131,9 @@ func TestLinearMappingBasics(t *testing.T) {
 	if m.Apply(5) != 7 {
 		t.Fatalf("Apply = %g", m.Apply(5))
 	}
-	inv, ok := m.Inverse()
-	if !ok {
-		t.Fatal("linear map with alpha != 0 not invertible")
-	}
+	inv := m.Inverse()
 	if got := inv.Apply(m.Apply(13.5)); math.Abs(got-13.5) > 1e-12 {
 		t.Fatalf("inverse round trip = %g", got)
-	}
-	if _, ok := (Linear{Alpha: 0, Beta: 1}).Inverse(); ok {
-		t.Fatal("alpha=0 mapping reported invertible")
-	}
-	a, b := m.Coefficients()
-	if a != 2 || b != -3 {
-		t.Fatal("Coefficients broken")
 	}
 	if !strings.Contains(m.String(), "2") {
 		t.Fatalf("String = %q", m.String())
@@ -151,17 +141,11 @@ func TestLinearMappingBasics(t *testing.T) {
 }
 
 func TestMappingConstructors(t *testing.T) {
-	if !IsIdentity(Identity(), 0) {
+	if Identity() != (Linear{Alpha: 1}) {
 		t.Fatal("Identity not identity")
 	}
 	if Shift(4).Apply(1) != 5 {
 		t.Fatal("Shift broken")
-	}
-	if Scale(3).Apply(2) != 6 {
-		t.Fatal("Scale broken")
-	}
-	if IsIdentity(Shift(1), 1e-9) {
-		t.Fatal("Shift(1) reported identity")
 	}
 }
 

@@ -31,7 +31,7 @@ func TestIndexNoFalseNegativesUnderLinearMaps(t *testing.T) {
 	// that the mapping class can map onto the probe.
 	base := Compute(gaussianBox(2, 1), testSeeds)
 	maps := []Linear{
-		Identity(), Shift(5), Scale(3), {Alpha: -2, Beta: 7}, {Alpha: 0.001, Beta: -4},
+		Identity(), Shift(5), {Alpha: 3}, {Alpha: -2, Beta: 7}, {Alpha: 0.001, Beta: -4},
 	}
 	for name, mk := range allIndexes() {
 		idx := mk()

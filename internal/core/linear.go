@@ -2,12 +2,12 @@ package core
 
 import "math"
 
-// LinearClass is the paper's default mapping class: M(x) = αx + β,
-// discovered by Algorithm 2 (FindLinearMapping). It fulfills all four
-// desired mapping-function characteristics: parameterized from two
-// distinct fingerprint entries, validated on the rest, trivially
-// computable, and exactly applicable to expectations and standard
-// deviations.
+// LinearClass is the mapping class: M(x) = αx + β, discovered by
+// Algorithm 2 (FindLinearMapping); its zero value is the default. It
+// fulfills all four desired mapping-function characteristics:
+// parameterized from two distinct fingerprint entries, validated on
+// the rest, trivially computable, and exactly applicable to
+// expectations and standard deviations.
 type LinearClass struct {
 	// StrictConstants reproduces the paper's Algorithm 2 literally:
 	// constant fingerprints never match anything (the α computation
@@ -19,18 +19,6 @@ type LinearClass struct {
 	// comment for the statistical trade-off.
 	StrictConstants bool
 }
-
-// Name implements MappingClass.
-func (LinearClass) Name() string { return "linear" }
-
-// CanMatchConstants implements MappingClass: identical constants match
-// via identity unless strict mode reproduces Algorithm 2 literally.
-func (c LinearClass) CanMatchConstants() bool { return !c.StrictConstants }
-
-// Monotone implements MappingClass. Linear maps with α>0 are
-// increasing and with α<0 decreasing; the Sorted-SID index checks both
-// orientations, so the class is declared monotone.
-func (LinearClass) Monotone() bool { return true }
 
 // Find implements Algorithm 2 of the paper with two robustness
 // extensions required by floating-point black boxes:
@@ -54,9 +42,12 @@ func (LinearClass) Monotone() bool { return true }
 // speedup to ~2× in Fig. 8 (§6.2). Mapping a constant source onto a
 // varying target, and the degenerate α=0 collapse, are rejected for
 // the same reason.
-func (c LinearClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
+//
+// Every mapping Find returns is invertible: α is finite and non-zero,
+// and β, 1/α and β/α are finite, so Linear.Inverse is total on them.
+func (c LinearClass) Find(from, to Fingerprint, tol float64) (Linear, bool) {
 	if len(from) != len(to) || len(from) < 2 {
-		return nil, false
+		return Linear{}, false
 	}
 	i, j, ok := from.FirstTwoDistinct(tol)
 	if !ok {
@@ -66,10 +57,10 @@ func (c LinearClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
 		if !c.StrictConstants && to.IsConstant(tol) && from.ApproxEqual(to, tol) {
 			return Identity(), true
 		}
-		return nil, false
+		return Linear{}, false
 	}
 	if to.IsConstant(tol) {
-		return nil, false
+		return Linear{}, false
 	}
 	num, den := to[i]-to[j], from[i]-from[j]
 	if math.IsInf(num, 0) || math.IsInf(den, 0) {
@@ -79,86 +70,23 @@ func (c LinearClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
 		num, den = to[i]/2-to[j]/2, from[i]/2-from[j]/2
 	}
 	alpha := num / den
-	if alpha == 0 {
-		return nil, false
-	}
-	beta := to[i] - alpha*from[i]
-	// Validate on the concrete value and box only a *successful*
-	// mapping, so a rejected candidate costs no allocation. That
-	// matters for wide probes — an array scan over B bases used to box
-	// O(B) rejected mappings per point before finding the match.
-	lin := Linear{Alpha: alpha, Beta: beta}
-	if !validateLinear(lin, from, to, tol) {
-		return nil, false
+	lin := Linear{Alpha: alpha, Beta: to[i] - alpha*from[i]}
+	if !lin.invertible() || !Validate(lin, from, to, tol) {
+		return Linear{}, false
 	}
 	return lin, true
 }
 
-// validateLinear is Validate specialized to the concrete Linear type:
-// the same element-wise check (identical arithmetic to Linear.Apply)
-// without an interface conversion, so rejecting a candidate performs
-// no allocation.
-func validateLinear(l Linear, from, to Fingerprint, tol float64) bool {
-	if len(from) != len(to) {
-		return false
-	}
-	for i := range from {
-		if !approxEqual(l.Alpha*from[i]+l.Beta, to[i], tol) {
+// invertible reports whether α ≠ 0 and α, β, 1/α and β/α are all
+// finite. Extreme fingerprints can yield a subnormal α (1/α = +Inf)
+// or a β/α beyond the float64 range; such a mapping may validate, but
+// the interactive engine could not fold samples back through it.
+func (l Linear) invertible() bool {
+	inv := l.Inverse()
+	for _, x := range [...]float64{l.Alpha, l.Beta, inv.Alpha, inv.Beta} {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
 			return false
 		}
 	}
-	return true
-}
-
-// ShiftClass restricts discovery to pure translations M(x) = x + β.
-// It is cheaper to validate than the full linear class and useful for
-// models known to differ only by offsets (e.g. cumulative capacity far
-// from any purchase event).
-type ShiftClass struct{}
-
-// Name implements MappingClass.
-func (ShiftClass) Name() string { return "shift" }
-
-// CanMatchConstants implements MappingClass: shifts map constants onto
-// constants.
-func (ShiftClass) CanMatchConstants() bool { return true }
-
-// Monotone implements MappingClass.
-func (ShiftClass) Monotone() bool { return true }
-
-// Find parameterizes β from the first entry pair and validates on the
-// rest (concretely, like LinearClass — rejections allocate nothing).
-func (ShiftClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
-	if len(from) != len(to) || len(from) == 0 {
-		return nil, false
-	}
-	m := Shift(to[0] - from[0])
-	if !validateLinear(m, from, to, tol) {
-		return nil, false
-	}
-	return m, true
-}
-
-// IdentityClass only matches identical fingerprints. It is the
-// degenerate class used when reuse must be exact (e.g. Markov state
-// regeneration safety checks).
-type IdentityClass struct{}
-
-// Name implements MappingClass.
-func (IdentityClass) Name() string { return "identity" }
-
-// CanMatchConstants implements MappingClass: equal constants are
-// identical fingerprints.
-func (IdentityClass) CanMatchConstants() bool { return true }
-
-// Monotone implements MappingClass.
-func (IdentityClass) Monotone() bool { return true }
-
-// Find returns the identity mapping iff the fingerprints agree
-// element-wise.
-func (IdentityClass) Find(from, to Fingerprint, tol float64) (Mapping, bool) {
-	if !from.ApproxEqual(to, tol) {
-		return nil, false
-	}
-	return Identity(), true
+	return l.Alpha != 0
 }

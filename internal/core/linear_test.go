@@ -15,7 +15,7 @@ func TestFindLinearMappingRecoversCoefficients(t *testing.T) {
 	if !ok {
 		t.Fatal("no mapping found for paper's example")
 	}
-	alpha, beta := m.(Affine).Coefficients()
+	alpha, beta := m.Alpha, m.Beta
 	if math.Abs(alpha-1) > 1e-9 || math.Abs(beta-0.1) > 1e-9 {
 		t.Fatalf("mapping = %v, want x+0.1", m)
 	}
@@ -28,7 +28,7 @@ func TestFindLinearMappingGeneral(t *testing.T) {
 	if !ok {
 		t.Fatal("no mapping found")
 	}
-	alpha, beta := m.(Affine).Coefficients()
+	alpha, beta := m.Alpha, m.Beta
 	if math.Abs(alpha-want.Alpha) > 1e-9 || math.Abs(beta-want.Beta) > 1e-9 {
 		t.Fatalf("mapping = %v, want %v", m, want)
 	}
@@ -52,7 +52,7 @@ func TestFindLinearMappingLeadingTies(t *testing.T) {
 	if !ok {
 		t.Fatal("no mapping found despite leading ties")
 	}
-	alpha, beta := m.(Affine).Coefficients()
+	alpha, beta := m.Alpha, m.Beta
 	if math.Abs(alpha-2) > 1e-9 || math.Abs(beta+1) > 1e-9 {
 		t.Fatalf("mapping = %v", m)
 	}
@@ -64,7 +64,7 @@ func TestFindLinearMappingConstants(t *testing.T) {
 	// Identical constants match via identity: an all-zero overload
 	// fingerprint may reuse another all-zero point's simulation.
 	m, ok := LinearClass{}.Find(c1, Fingerprint{3, 3, 3}, 1e-9)
-	if !ok || !IsIdentity(m, 1e-9) {
+	if !ok || m != Identity() {
 		t.Fatal("identical constants should match via identity")
 	}
 	// Different constants must NOT match: m identical samples cannot
@@ -92,44 +92,27 @@ func TestFindLinearMappingDegenerateInputs(t *testing.T) {
 	if _, ok := cls.Find(Fingerprint{1, 2}, Fingerprint{1, 2, 3}, 1e-9); ok {
 		t.Fatal("length mismatch accepted")
 	}
-	if cls.Name() != "linear" || !cls.Monotone() {
-		t.Fatal("class metadata broken")
-	}
 }
 
-func TestShiftClass(t *testing.T) {
-	cls := ShiftClass{}
-	from := Fingerprint{1, 5, 2}
-	m, ok := cls.Find(from, from.MappedBy(Shift(3)), 1e-9)
-	if !ok {
-		t.Fatal("shift not found")
-	}
-	if got := m.Apply(0); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("shift Apply(0) = %g", got)
-	}
-	if _, ok := cls.Find(from, from.MappedBy(Scale(2)), 1e-9); ok {
-		t.Fatal("scale accepted by shift class")
-	}
-	if _, ok := cls.Find(Fingerprint{}, Fingerprint{}, 1e-9); ok {
-		t.Fatal("empty fingerprints accepted")
-	}
-	if cls.Name() != "shift" || !cls.Monotone() {
-		t.Fatal("class metadata broken")
-	}
-}
-
-func TestIdentityClass(t *testing.T) {
-	cls := IdentityClass{}
-	fp := Fingerprint{1, 2, 3}
-	m, ok := cls.Find(fp, fp.Clone(), 1e-9)
-	if !ok || !IsIdentity(m, 0) {
-		t.Fatal("identity not found for equal fingerprints")
-	}
-	if _, ok := cls.Find(fp, fp.MappedBy(Shift(1)), 1e-9); ok {
-		t.Fatal("shifted fingerprint accepted by identity class")
-	}
-	if cls.Name() != "identity" || !cls.Monotone() {
-		t.Fatal("class metadata broken")
+// TestFindRejectsNonInvertibleMapping pins that every mapping Find
+// returns has a total inverse: extreme fingerprints that validate
+// under a subnormal α (1/α = +Inf) or a β/α beyond the float64 range
+// are rejected, by Find and by a Normalization-indexed Store.Match.
+func TestFindRejectsNonInvertibleMapping(t *testing.T) {
+	for _, tc := range []struct{ from, to Fingerprint }{
+		{Fingerprint{0, 1e308, 5e307, 0}, Fingerprint{0, 2e-9, 1e-9, 0}},
+		{Fingerprint{1e308, -1e308, 0, 5e307}, Fingerprint{1, 1 - 4e-9, 1 - 2e-9, 1 - 1e-9}},
+	} {
+		if m, ok := (LinearClass{}).Find(tc.from, tc.to, DefaultTolerance); ok {
+			t.Errorf("Find(%v, %v) = %v with inverse %v, want no mapping", tc.from, tc.to, m, m.Inverse())
+		}
+		s := NewStore(LinearClass{}, NewNormalizationIndex(6, DefaultTolerance), DefaultTolerance)
+		if _, err := s.Add(tc.from, "from", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, m, ok, _ := s.Match(tc.to, nil, nil); ok {
+			t.Errorf("Match(%v) = %v with inverse %v, want no mapping", tc.to, m, m.Inverse())
+		}
 	}
 }
 

@@ -1,57 +1,31 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Mapping is a closed-form function M relating the outputs of a
-// stochastic black box under two parameter valuations:
-// F(Pi) ~M F(Pj) ≡ ∀x: f(x|Pi) = f(M(x)|Pj) (§3).
+// Linear is a mapping M(x) = αx + β: a closed-form function relating
+// the outputs of a stochastic black box under two parameter
+// valuations, F(Pi) ~M F(Pj) ≡ ∀x: f(x|Pi) = f(M(x)|Pj) (§3).
 //
-// The paper requires mapping classes to be (1) easy to parameterize,
-// (2) easy to validate, (3) easy to compute, and (4) easily applied to
-// simple aggregate properties such as expectation. Property (4) is
-// expressed by the optional Affine capability below: affine mappings
-// push through means, standard deviations, quantiles and histogram
-// edges exactly.
-type Mapping interface {
-	// Apply maps a sample value from the source distribution into the
-	// target distribution's domain.
-	Apply(x float64) float64
-	// Inverse returns the inverse mapping when one exists. The
-	// interactive engine (§5) requires invertible mappings to fold new
-	// target-point samples back into the basis distribution.
-	Inverse() (Mapping, bool)
-	String() string
-}
-
-// Affine is the optional capability of mappings of the form αx+β.
-// Metric mapping (Mexpect and friends, §3) is exact for this family.
-type Affine interface {
-	Mapping
-	// Coefficients returns α and β.
-	Coefficients() (alpha, beta float64)
-}
-
-// Linear is the paper's default mapping class member: M(x) = αx + β.
+// The paper requires mappings to be (1) easy to parameterize, (2) easy
+// to validate, (3) easy to compute, and (4) easily applied to simple
+// aggregate properties such as expectation. Affine mappings meet
+// property (4) exactly: they push through means, standard deviations,
+// quantiles and histogram edges (stats.Summary.MapAffine).
 type Linear struct {
 	Alpha, Beta float64
 }
 
-// Apply implements Mapping.
+// Apply maps a sample value from the source distribution into the
+// target distribution's domain.
 func (l Linear) Apply(x float64) float64 { return l.Alpha*x + l.Beta }
 
-// Inverse implements Mapping. A zero α is not invertible.
-func (l Linear) Inverse() (Mapping, bool) {
-	if l.Alpha == 0 {
-		return nil, false
-	}
-	return Linear{Alpha: 1 / l.Alpha, Beta: -l.Beta / l.Alpha}, true
+// Inverse returns M⁻¹(x) = x/α − β/α. The interactive engine (§5)
+// folds new target-point samples back into the basis distribution
+// through it. Every mapping LinearClass.Find returns has a finite,
+// non-zero α and finite inverse coefficients.
+func (l Linear) Inverse() Linear {
+	return Linear{Alpha: 1 / l.Alpha, Beta: -l.Beta / l.Alpha}
 }
-
-// Coefficients implements Affine.
-func (l Linear) Coefficients() (alpha, beta float64) { return l.Alpha, l.Beta }
 
 func (l Linear) String() string { return fmt.Sprintf("M(x) = %g·x %+g", l.Alpha, l.Beta) }
 
@@ -61,54 +35,16 @@ func Identity() Linear { return Linear{Alpha: 1} }
 // Shift returns the pure-translation mapping x+β.
 func Shift(beta float64) Linear { return Linear{Alpha: 1, Beta: beta} }
 
-// Scale returns the pure-scaling mapping αx.
-func Scale(alpha float64) Linear { return Linear{Alpha: alpha} }
-
-// IsIdentity reports whether m is the identity within tol on both
-// coefficients. Non-affine mappings are never reported as identity.
-func IsIdentity(m Mapping, tol float64) bool {
-	a, ok := m.(Affine)
-	if !ok {
-		return false
-	}
-	alpha, beta := a.Coefficients()
-	return math.Abs(alpha-1) <= tol && math.Abs(beta) <= tol
-}
-
-// MappingClass discovers mappings of a particular family between
-// fingerprints. Jigsaw ships the linear class; users may provide their
-// own (§3.1: "the notion of similarity between two signatures is
-// application dependent").
-type MappingClass interface {
-	// Name identifies the class in diagnostics.
-	Name() string
-	// Find returns a mapping M with M(from[i]) ≈ to[i] for all i
-	// (within relative tolerance tol), or ok=false when the class
-	// contains no such mapping.
-	Find(from, to Fingerprint, tol float64) (Mapping, bool)
-	// Monotone reports whether every mapping in the class is monotone;
-	// required for the Sorted-SID index to be lossless (§3.2).
-	Monotone() bool
-	// CanMatchConstants reports whether any constant fingerprint can
-	// ever match under this class. When false, the basis store skips
-	// candidate scanning for constant probes entirely — without this,
-	// a boolean-output model floods one index bucket with thousands of
-	// constant fingerprints and every probe degenerates to a full
-	// scan of unmappable candidates.
-	CanMatchConstants() bool
-}
-
-// Validate checks that m maps from onto to element-wise within tol.
+// Validate checks that l maps from onto to element-wise within tol.
 // Mapping discovery parameterizes M from two fingerprint entries and
-// validates on the rest (Algorithm 2); Validate is the reusable second
-// half, also used by the interactive engine when extending fingerprints
-// with fresh samples (§5 "Validation").
-func Validate(m Mapping, from, to Fingerprint, tol float64) bool {
+// validates on the rest (Algorithm 2); Validate is that second half.
+// It allocates nothing, so rejecting a candidate is free.
+func Validate(l Linear, from, to Fingerprint, tol float64) bool {
 	if len(from) != len(to) {
 		return false
 	}
 	for i := range from {
-		if !approxEqual(m.Apply(from[i]), to[i], tol) {
+		if !approxEqual(l.Apply(from[i]), to[i], tol) {
 			return false
 		}
 	}

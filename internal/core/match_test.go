@@ -152,8 +152,9 @@ func isFinite(fp Fingerprint) bool {
 // FuzzStoreMatch checks Store.Match's contract on every index and both
 // constant policies: no panic; the scan count equals the candidates
 // the accept filter admitted and never exceeds the store's size; a
-// returned mapping carries the basis fingerprint onto the probe
-// within tolerance; and a finite, non-constant fingerprint always
+// returned mapping has a finite, non-zero α, a finite β and finite
+// inverse coefficients, and carries the basis fingerprint onto the
+// probe within tolerance; and a finite, non-constant fingerprint always
 // matches itself.
 func FuzzStoreMatch(f *testing.F) {
 	inf := math.Inf(1)
@@ -174,6 +175,10 @@ func FuzzStoreMatch(f *testing.F) {
 					t.Fatalf("%s %+v: scanned %d, accept admitted %d, store holds %d", name, class, scanned, calls, s.Len())
 				}
 				if ok {
+					inv := mapping.Inverse()
+					if mapping.Alpha == 0 || !isFinite(Fingerprint{mapping.Alpha, mapping.Beta, inv.Alpha, inv.Beta}) {
+						t.Fatalf("%s %+v: mapping %v has no finite inverse (%v)", name, class, mapping, inv)
+					}
 					for k, v := range basis.Fingerprint {
 						if !ApproxEqual(mapping.Apply(v), b[k], s.Tolerance()) {
 							t.Fatalf("%s %+v: mapping %v sends %v to %v, probe has %v at %d",

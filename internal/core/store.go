@@ -33,7 +33,7 @@ type Basis struct {
 // redundant bases — the same failure mode as an index miss: wasted
 // work, never a wrong answer.
 type Store struct {
-	class MappingClass
+	class LinearClass
 	tol   float64
 
 	// mu guards bases, fpLen and index. The bases slice is
@@ -53,12 +53,8 @@ type Store struct {
 const DefaultTolerance = 1e-9
 
 // NewStore creates a store using the given mapping class and index
-// strategy. A nil index defaults to the naive array scan; a nil class
-// defaults to the linear class.
-func NewStore(class MappingClass, index Index, tol float64) *Store {
-	if class == nil {
-		class = LinearClass{}
-	}
+// strategy. A nil index defaults to the naive array scan.
+func NewStore(class LinearClass, index Index, tol float64) *Store {
 	if index == nil {
 		index = NewArrayIndex()
 	}
@@ -70,12 +66,6 @@ func NewStore(class MappingClass, index Index, tol float64) *Store {
 
 // Tolerance returns the store's relative tolerance.
 func (s *Store) Tolerance() float64 { return s.tol }
-
-// Class returns the store's mapping class.
-func (s *Store) Class() MappingClass { return s.class }
-
-// IndexName returns the active index strategy's name.
-func (s *Store) IndexName() string { return s.index.Name() }
 
 // Len returns the number of basis distributions.
 func (s *Store) Len() int {
@@ -157,13 +147,13 @@ type ProbeScratch struct {
 //   - scratch supplies a caller-owned candidate buffer, making the
 //     steady-state probe allocation-free; nil uses a local buffer
 //     (one allocation per probe with candidates).
-func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch) (basis *Basis, mapping Mapping, ok bool, scanned int) {
-	// A constant probe cannot match under a class that rejects
-	// constants; skip the candidate scan (boolean-output models
-	// produce mostly constant fingerprints, which would otherwise
-	// pile into one bucket and turn every probe into a full scan).
-	if !s.class.CanMatchConstants() && fp.IsConstant(s.tol) {
-		return nil, nil, false, 0
+func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeScratch) (basis *Basis, mapping Linear, ok bool, scanned int) {
+	// A constant probe cannot match under strict constants; skip the
+	// candidate scan (boolean-output models produce mostly constant
+	// fingerprints, which would otherwise pile into one bucket and
+	// turn every probe into a full scan).
+	if s.class.StrictConstants && fp.IsConstant(s.tol) {
+		return nil, Linear{}, false, 0
 	}
 	if scratch == nil {
 		scratch = &ProbeScratch{}
@@ -174,7 +164,7 @@ func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeSc
 	s.mu.RLock()
 	if s.fpLen != 0 && len(fp) != s.fpLen {
 		s.mu.RUnlock()
-		return nil, nil, false, 0
+		return nil, Linear{}, false, 0
 	}
 	ids := s.index.Candidates(fp, scratch.ids[:0])
 	bases := s.bases[:len(s.bases):len(s.bases)]
@@ -190,5 +180,5 @@ func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeSc
 			return b, m, true, scanned
 		}
 	}
-	return nil, nil, false, scanned
+	return nil, Linear{}, false, scanned
 }

@@ -25,7 +25,7 @@ func TestStoreAddAndMatch(t *testing.T) {
 	if got.ID != b.ID {
 		t.Fatalf("matched basis %d, want %d", got.ID, b.ID)
 	}
-	alpha, beta := m.(Affine).Coefficients()
+	alpha, beta := m.Alpha, m.Beta
 	if math.Abs(alpha-2.5) > 1e-6 || math.Abs(beta-4) > 1e-6 {
 		t.Fatalf("mapping = %v, want 2.5x+4", m)
 	}
@@ -56,20 +56,14 @@ func TestStoreMissThenAdd(t *testing.T) {
 }
 
 func TestStoreDefaults(t *testing.T) {
-	s := NewStore(nil, nil, 0)
-	if s.Class().Name() != "linear" {
-		t.Fatal("default class not linear")
-	}
-	if s.IndexName() != "Array" {
-		t.Fatal("default index not array")
-	}
+	s := NewStore(LinearClass{}, nil, 0)
 	if s.Tolerance() != DefaultTolerance {
 		t.Fatal("default tolerance wrong")
 	}
 }
 
 func TestStoreFingerprintLengthEnforced(t *testing.T) {
-	s := NewStore(nil, nil, 0)
+	s := NewStore(LinearClass{}, nil, 0)
 	if _, err := s.Add(Fingerprint{1, 2, 3}, "a", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +81,7 @@ func TestStoreFingerprintLengthEnforced(t *testing.T) {
 }
 
 func TestStoreGet(t *testing.T) {
-	s := NewStore(nil, nil, 0)
+	s := NewStore(LinearClass{}, nil, 0)
 	b, _ := s.Add(Fingerprint{1, 2}, "x", 42)
 	got, ok := s.Get(b.ID)
 	if !ok || got.Payload.(int) != 42 {
@@ -153,7 +147,7 @@ func TestStoreMatchRejectsInfiniteMismatch(t *testing.T) {
 }
 
 func TestStoreMatchEmpty(t *testing.T) {
-	s := NewStore(nil, nil, 0)
+	s := NewStore(LinearClass{}, nil, 0)
 	if _, _, ok, _ := s.Match(Fingerprint{1, 2, 3}, nil, nil); ok {
 		t.Fatal("empty store matched")
 	}

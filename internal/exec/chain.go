@@ -94,7 +94,7 @@ func (c *ScenarioChain) Output(s markov.State) float64 { return s[1] }
 // ApplyMapping implements markov.Chain: the mapping acts on the
 // continuous output; the fed-back chain value is discrete model state
 // and is carried unchanged (§4.2's release-week example).
-func (c *ScenarioChain) ApplyMapping(m core.Mapping, s markov.State) markov.State {
+func (c *ScenarioChain) ApplyMapping(m core.Linear, s markov.State) markov.State {
 	return markov.State{s[0], m.Apply(s[1])}
 }
 

@@ -121,7 +121,7 @@ type pointState struct {
 	// validated marks basis sample ids this point has reproduced.
 	validated map[int]bool
 	basisID   int
-	mapping   core.Mapping // basis → point
+	mapping   core.Linear // basis → point
 }
 
 // Stats counts session work.
@@ -255,16 +255,11 @@ func (s *Session) ensurePoint(p param.Point) (*pointState, error) {
 		fingerprint: fp,
 		drawn:       drawn,
 		validated:   map[int]bool{},
-		basisID:     -1,
 	}
 	if b, mapping, ok, _ := s.store.Match(fp, nil, nil); ok {
-		if inv, invertible := mapping.Inverse(); invertible {
-			_ = inv // mapping stored point-ward; inverse checked up front
-			ps.basisID = b.Payload.(*basis).id
-			ps.mapping = mapping
-		}
-	}
-	if ps.basisID < 0 {
+		ps.basisID = b.Payload.(*basis).id
+		ps.mapping = mapping
+	} else {
 		ps.basisID = s.newBasis(key, fp)
 		ps.mapping = core.Identity()
 	}
@@ -364,10 +359,7 @@ func (s *Session) taskHeuristic() Task {
 // picked first, then the batch is drawn in one call.
 func (s *Session) refine(ps *pointState) {
 	b := s.bases[ps.basisID]
-	inv, ok := ps.mapping.Inverse()
-	if !ok {
-		inv = nil
-	}
+	inv := ps.mapping.Inverse()
 	ids := make([]int, 0, s.opts.BatchSize)
 	id := 0
 	for len(ids) < s.opts.BatchSize {
@@ -387,10 +379,8 @@ func (s *Session) refine(ps *pointState) {
 	s.stats.Evaluations += len(ids)
 	for k, id := range ids {
 		ps.drawn[id] = vals[k]
-		if inv != nil {
-			b.samples[id] = inv.Apply(vals[k])
-			b.contributor[id] = ps.point.Key()
-		}
+		b.samples[id] = inv.Apply(vals[k])
+		b.contributor[id] = ps.point.Key()
 	}
 }
 

@@ -36,7 +36,7 @@ type Chain interface {
 	// ApplyMapping applies a fingerprint mapping to a state. Which
 	// components a mapping acts on is model knowledge: a demand value
 	// is mapped, a release-week marker is not.
-	ApplyMapping(m core.Mapping, s State) State
+	ApplyMapping(m core.Linear, s State) State
 }
 
 // FuncChain adapts closures to the Chain interface. For scalar chains
@@ -49,7 +49,7 @@ type FuncChain struct {
 	// OutputFn extracts the scalar output; nil means component 0.
 	OutputFn func(s State) float64
 	// ApplyFn applies a mapping to the state; nil maps component 0.
-	ApplyFn func(m core.Mapping, s State) State
+	ApplyFn func(m core.Linear, s State) State
 }
 
 // Initial implements Chain.
@@ -69,7 +69,7 @@ func (c *FuncChain) Output(s State) float64 {
 }
 
 // ApplyMapping implements Chain.
-func (c *FuncChain) ApplyMapping(m core.Mapping, s State) State {
+func (c *FuncChain) ApplyMapping(m core.Linear, s State) State {
 	if c.ApplyFn != nil {
 		return c.ApplyFn(m, s)
 	}
@@ -103,7 +103,7 @@ func (b *BranchChain) Step(_ int, prev State, r *rng.Rand) State {
 func (*BranchChain) Output(s State) float64 { return s[0] }
 
 // ApplyMapping implements Chain.
-func (*BranchChain) ApplyMapping(m core.Mapping, s State) State {
+func (*BranchChain) ApplyMapping(m core.Linear, s State) State {
 	return State{m.Apply(s[0])}
 }
 
@@ -150,7 +150,7 @@ func (*DemandReleaseChain) Output(s State) float64 { return s[0] }
 // ApplyMapping implements Chain: demand is mapped; the release marker
 // is discrete state and must not be perturbed by a demand-space
 // mapping.
-func (*DemandReleaseChain) ApplyMapping(m core.Mapping, s State) State {
+func (*DemandReleaseChain) ApplyMapping(m core.Linear, s State) State {
 	return State{m.Apply(s[0]), s[1]}
 }
 
@@ -200,7 +200,7 @@ func (c *EventChain) Step(step int, prev State, _ *rng.Rand) State {
 func (*EventChain) Output(s State) float64 { return s[0] }
 
 // ApplyMapping implements Chain.
-func (*EventChain) ApplyMapping(m core.Mapping, s State) State {
+func (*EventChain) ApplyMapping(m core.Linear, s State) State {
 	return State{m.Apply(s[0])}
 }
 

@@ -16,9 +16,6 @@ type JumpOptions struct {
 	FingerprintLen int
 	// MasterSeed derives all per-(instance, step) seeds.
 	MasterSeed uint64
-	// Class is the mapping class used to compare estimator and chain
-	// fingerprints (default linear).
-	Class core.MappingClass
 	// Tolerance is the mapping validation tolerance.
 	Tolerance float64
 }
@@ -29,9 +26,6 @@ func (o JumpOptions) withDefaults() JumpOptions {
 	}
 	if o.FingerprintLen == 0 {
 		o.FingerprintLen = 10
-	}
-	if o.Class == nil {
-		o.Class = core.LinearClass{}
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = core.DefaultTolerance
@@ -161,12 +155,12 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 				trueFp[next] = fp
 			}
 		}
-		tryStep := func(s int) (core.Mapping, bool) {
-			return opts.Class.Find(estFingerprint(s), trueFp[s], opts.Tolerance)
+		tryStep := func(s int) (core.Linear, bool) {
+			return core.LinearClass{}.Find(estFingerprint(s), trueFp[s], opts.Tolerance)
 		}
 
 		lastValid := base
-		var lastMapping core.Mapping
+		var lastMapping core.Linear
 		gap := 1
 		s := base
 		finished := false
@@ -191,8 +185,8 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 			}
 			// Mismatch at s: backtrack to the last mappable step
 			// (Algorithm 4, line 11).
-			v, vm := binarySearch(lastValid, s, lastMapping, tryStep)
-			if v <= base || vm == nil {
+			v, vm, found := binarySearch(lastValid, s, lastMapping, lastValid > base, tryStep)
+			if !found {
 				// Estimator invalid immediately: advance the full
 				// instance set one true step (line 12).
 				next := base + 1
@@ -219,7 +213,7 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 // rebuild regenerates the full instance set at step s through the
 // estimator and the validated mapping (Algorithm 4, line 13:
 // state ← M(Fest(state))).
-func rebuild(c Chain, est func(i, s int) State, m core.Mapping, frozen []State, s int, st *JumpStats) []State {
+func rebuild(c Chain, est func(i, s int) State, m core.Linear, frozen []State, s int, st *JumpStats) []State {
 	out := make([]State, len(frozen))
 	for i := range frozen {
 		es := est(i, s)
@@ -232,19 +226,21 @@ func rebuild(c Chain, est func(i, s int) State, m core.Mapping, frozen []State, 
 }
 
 // binarySearch finds the largest step in [lo, hi) for which tryStep
-// yields a mapping, given that lo is known valid (mapping loMap, nil
-// when lo is the region base) and hi is known invalid.
-func binarySearch(lo, hi int, loMap core.Mapping, tryStep func(int) (core.Mapping, bool)) (int, core.Mapping) {
-	bestMap := loMap
+// yields a mapping, given that lo is known valid and hi is known
+// invalid. loFound reports whether lo has a mapping, loMap; it is
+// false when lo is the region base. found reports whether the
+// returned step has a mapping, bestMap.
+func binarySearch(lo, hi int, loMap core.Linear, loFound bool, tryStep func(int) (core.Linear, bool)) (step int, bestMap core.Linear, found bool) {
+	bestMap, found = loMap, loFound
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
 		if mapping, ok := tryStep(mid); ok {
-			lo, bestMap = mid, mapping
+			lo, bestMap, found = mid, mapping, true
 		} else {
 			hi = mid
 		}
 	}
-	return lo, bestMap
+	return lo, bestMap, found
 }
 
 // lastRecorded returns the highest step with a recorded fingerprint,

@@ -261,7 +261,7 @@ func TestFuncChainDefaults(t *testing.T) {
 	}
 	// Custom hooks override defaults.
 	c.OutputFn = func(s State) float64 { return s[1] }
-	c.ApplyFn = func(m core.Mapping, s State) State { return State{s[0], m.Apply(s[1])} }
+	c.ApplyFn = func(m core.Linear, s State) State { return State{s[0], m.Apply(s[1])} }
 	if c.Output(State{7, 9}) != 9 {
 		t.Fatal("custom output ignored")
 	}

@@ -10,14 +10,12 @@ import (
 // The sweep hot path must be (amortized) allocation-free per reused
 // point: fingerprint, probe, mapping application and summary all run
 // out of pooled per-worker scratch. This regression test pins the
-// budget — the small constant covers the boxed mapping returned by
-// mapping discovery and pool bookkeeping, nothing proportional to the
-// sample count.
+// budget — the small constant covers pool bookkeeping, nothing
+// proportional to the sample count.
 
 // reusedPointAllocBudget is the allowed allocations per reused
-// EvaluatePoint: the boxed core.Linear mapping plus sync.Pool get/put
-// bookkeeping. Anything near the sample count (1000) means the
-// scratch wiring regressed.
+// EvaluatePoint: sync.Pool get/put bookkeeping. Anything near the
+// sample count (1000) means the scratch wiring regressed.
 const reusedPointAllocBudget = 8
 
 func TestEvaluatePointReusedAllocs(t *testing.T) {

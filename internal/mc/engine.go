@@ -180,14 +180,15 @@ type Options struct {
 	Reuse bool
 	// Index selects the basis index strategy.
 	Index IndexKind
-	// Class is the mapping class (default linear).
-	Class core.MappingClass
+	// Class is the mapping class; its zero value is the paper's
+	// linear class with identical constants matched via identity.
+	Class core.LinearClass
 	// Tolerance is the mapping validation tolerance (default
 	// core.DefaultTolerance).
 	Tolerance float64
 	// KeepSamples retains raw samples in summaries and basis payloads
-	// (needed for quantiles, histograms, non-affine mapping classes,
-	// the interactive engine, and ValidationSamples).
+	// (needed for quantiles, histograms, the interactive engine, and
+	// ValidationSamples).
 	KeepSamples bool
 	// ValidationSamples extends every successful fingerprint match
 	// with that many additional paired samples before trusting it —
@@ -231,9 +232,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FingerprintLen == 0 {
 		o.FingerprintLen = 10
-	}
-	if o.Class == nil {
-		o.Class = core.LinearClass{}
 	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = core.DefaultTolerance
@@ -308,11 +306,12 @@ func (p *BasisPayload) complete() { p.pending.Store(0) }
 func (p *BasisPayload) Ready() bool { return p.pending.Load() == 0 }
 
 // payloadReady is the engine's Store.Match accept filter: bases whose
-// payloads are still (or forever) incomplete are skipped during
-// candidate scanning. Foreign payload types are left to mapBasis.
+// payloads are still (or forever) incomplete, and bases whose payload
+// is not a *BasisPayload at all, are skipped during candidate
+// scanning. Every basis a match returns can therefore be mapped.
 func payloadReady(b *core.Basis) bool {
 	p, ok := b.Payload.(*BasisPayload)
-	return !ok || p.Ready()
+	return ok && p.Ready()
 }
 
 // PointResult is the engine's answer for one parameter point.
@@ -326,9 +325,9 @@ type PointResult struct {
 	Reused bool
 	// BasisID identifies the basis used (or created).
 	BasisID int
-	// Mapping is the applied mapping for reused results (nil
-	// otherwise).
-	Mapping core.Mapping
+	// Mapping is the applied mapping for reused results (the zero
+	// value otherwise).
+	Mapping core.Linear
 }
 
 // Engine evaluates parameter points with optional fingerprint reuse.
@@ -427,21 +426,17 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 			st.Store.Hits = 1
 			valid := true
 			if v := e.validationRounds(); v > 0 {
-				if payload, _ := basis.Payload.(*BasisPayload); payload != nil {
-					// The targets land in the scratch sample buffer; on a
-					// failed validation the full simulation overwrites it.
-					targets := sc.floats(0, m+v)
-					dsts = sc.outputs(1)
-					dsts[0] = targets
-					e.sampleRange(ev.bind(p, sc), dsts, m, m+v)
-					valid = e.validateMatch(mapping, payload.Samples, targets, v)
-				}
+				// The targets land in the scratch sample buffer; on a
+				// failed validation the full simulation overwrites it.
+				targets := sc.floats(0, m+v)
+				dsts = sc.outputs(1)
+				dsts[0] = targets
+				e.sampleRange(ev.bind(p, sc), dsts, m, m+v)
+				valid = e.validateMatch(mapping, basis.Payload.(*BasisPayload).Samples, targets, v)
 			}
 			if valid {
-				if res, ok := e.mapBasis(basis, mapping, p, false, sc); ok {
-					st.Reused = 1
-					return res, st
-				}
+				st.Reused = 1
+				return e.mapBasis(basis, mapping, p), st
 			}
 		}
 	}
@@ -485,7 +480,7 @@ func (e *Engine) validationRounds() int {
 // targets (both indexed by round id, so the pairs share a seed).
 // Rounds the basis did not retain are not compared, so a basis
 // without retained samples is trusted as-is (the paper's behavior).
-func (e *Engine) validateMatch(mapping core.Mapping, basis, targets []float64, v int) bool {
+func (e *Engine) validateMatch(mapping core.Linear, basis, targets []float64, v int) bool {
 	m := e.seeds.Len()
 	for i := m; i < min(m+v, len(basis)); i++ {
 		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i], e.opts.Tolerance) {
@@ -495,43 +490,17 @@ func (e *Engine) validateMatch(mapping core.Mapping, basis, targets []float64, v
 	return true
 }
 
-// mapBasis derives the point's result from a matched basis. Affine
-// mappings push through the summary exactly; other mapping classes
-// fall back to mapping retained samples point-wise. A basis that
-// supports neither path — or whose payload a concurrent sweep is
-// still filling (trusted=false) — is reported unusable (ok=false)
-// and the caller runs the full simulation. trusted skips the Ready
-// check for bases the caller itself completed under a barrier.
-func (e *Engine) mapBasis(basis *core.Basis, mapping core.Mapping, p param.Point, trusted bool, sc *scratch) (PointResult, bool) {
-	payload, _ := basis.Payload.(*BasisPayload)
-	if payload == nil || (!trusted && !payload.Ready()) {
-		return PointResult{}, false
+// mapBasis derives the point's result from a matched basis by pushing
+// the mapping through its summary. The basis' payload must be a
+// complete *BasisPayload, which the engine's match filters guarantee.
+func (e *Engine) mapBasis(basis *core.Basis, mapping core.Linear, p param.Point) PointResult {
+	return PointResult{
+		Point:   p,
+		Summary: basis.Payload.(*BasisPayload).Summary.MapAffine(mapping.Alpha, mapping.Beta),
+		Reused:  true,
+		BasisID: basis.ID,
+		Mapping: mapping,
 	}
-	if aff, ok := mapping.(core.Affine); ok {
-		alpha, beta := aff.Coefficients()
-		return PointResult{
-			Point:   p,
-			Summary: payload.Summary.MapAffine(alpha, beta),
-			Reused:  true,
-			BasisID: basis.ID,
-			Mapping: mapping,
-		}, true
-	}
-	if len(payload.Samples) > 0 {
-		acc := &sc.acc
-		acc.Reset(e.opts.KeepSamples)
-		for _, x := range payload.Samples {
-			acc.Add(mapping.Apply(x))
-		}
-		return PointResult{
-			Point:   p,
-			Summary: acc.Summarize(e.opts.HistBins),
-			Reused:  true,
-			BasisID: basis.ID,
-			Mapping: mapping,
-		}, true
-	}
-	return PointResult{}, false
 }
 
 // sampleVector returns the buffer for output c's n samples: freshly

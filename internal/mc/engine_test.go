@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/core"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
@@ -58,7 +59,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Samples != 1000 || o.FingerprintLen != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.Class.Name() != "linear" {
+	if o.Class != (core.LinearClass{}) {
 		t.Fatal("default class not linear")
 	}
 	if e.Seeds().Len() != 10 {

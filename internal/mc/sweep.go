@@ -148,12 +148,10 @@ type pointPlan struct {
 	// mapping (reuse), or the newly registered basis (simulate, with
 	// reuse enabled; nil otherwise).
 	basis   *core.Basis
-	mapping core.Mapping
+	mapping core.Linear
 	// simulate marks a miss: the output is fully simulated at the
-	// point in phase C1. done is set once that simulation ran, so a
-	// phase-C2 fallback at the same point simulates only its own
-	// output.
-	simulate, done bool
+	// point in phase C1.
+	simulate bool
 }
 
 // rowSweep is one sweep call's state over k outputs and n points.
@@ -276,8 +274,8 @@ func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []pa
 	}
 
 	// Phase C2: mapped results for the hits.
-	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
-		s.mapHits(i, scratches[w])
+	if err := pool.ForWorker(ctx, n, workers, func(_, i int) {
+		s.mapHits(i)
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
@@ -324,12 +322,12 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 				var samples []float64
 				if ownPending {
 					samples = s.prefix(c, owner)
-				} else if payload, _ := basis.Payload.(*BasisPayload); payload != nil {
-					samples = payload.Samples
+				} else {
+					samples = basis.Payload.(*BasisPayload).Samples
 				}
 				valid = e.validateMatch(mapping, samples, s.prefix(c, i), v)
 			}
-			if valid && e.basisUsable(basis, mapping, ownPending) {
+			if valid {
 				plan.basis = basis
 				plan.mapping = mapping
 				return
@@ -349,13 +347,13 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 }
 
 // complete runs point i's full simulation — its remaining n−w rows,
-// once — for every output that missed there and is not done yet,
-// fills the bases their plans registered, and records their results.
+// once — for every output that missed there, fills the bases their
+// plans registered, and records their results.
 func (s *rowSweep) complete(i int, sc *scratch) {
 	dsts := sc.outputs(s.k)
 	need := false
 	for c, e := range s.engines {
-		if plan := s.plan(c, i); plan.simulate && !plan.done {
+		if s.plan(c, i).simulate {
 			dsts[c] = e.sampleVector(c, sc)
 			copy(dsts[c], s.prefix(c, i))
 			need = true
@@ -382,60 +380,16 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 			res.BasisID = plan.basis.ID
 		}
 		s.results[c][i] = res
-		plan.done = true
 	}
 }
 
 // mapHits is phase C2 at point i: mapped results for every output
-// that hit there.
-func (s *rowSweep) mapHits(i int, sc *scratch) {
-	fallback := false
+// that hit there. Every basis reused by this sweep was either ready
+// at phase B or completed by this sweep before the C1→C2 barrier.
+func (s *rowSweep) mapHits(i int) {
 	for c, e := range s.engines {
-		plan := s.plan(c, i)
-		if plan.simulate {
-			continue
+		if plan := s.plan(c, i); !plan.simulate {
+			s.results[c][i] = e.mapBasis(plan.basis, plan.mapping, s.points[i])
 		}
-		// trusted=true: every basis reused by this sweep was either
-		// ready at phase B or completed by this sweep before the C1→C2
-		// barrier.
-		if res, ok := e.mapBasis(plan.basis, plan.mapping, s.points[i], true, sc); ok {
-			s.results[c][i] = res
-			continue
-		}
-		// Unreachable when basisUsable agreed to the reuse; simulate
-		// defensively rather than return a zero result.
-		*plan = pointPlan{simulate: true}
-		fallback = true
 	}
-	if fallback {
-		s.complete(i, sc)
-	}
-}
-
-// basisUsable reports whether mapBasis will be able to derive a result
-// from the basis once its payload is complete — the phase-B mirror of
-// mapBasis' runtime checks: affine mappings push through the summary,
-// anything else needs retained samples. ownPending marks a basis this
-// sweep registered itself: its payload is legitimately incomplete
-// (phase C1 fills it before C2 reads) and its fields must not be read
-// yet. A basis pending in a *different* concurrent sweep is simply
-// not usable.
-func (e *Engine) basisUsable(basis *core.Basis, mapping core.Mapping, ownPending bool) bool {
-	payload, _ := basis.Payload.(*BasisPayload)
-	if payload == nil {
-		return false
-	}
-	_, affine := mapping.(core.Affine)
-	if ownPending {
-		// This sweep owns the simulation; samples will exist iff the
-		// engine keeps them.
-		return affine || e.opts.KeepSamples
-	}
-	if !payload.Ready() {
-		return false
-	}
-	if affine {
-		return true
-	}
-	return len(payload.Samples) > 0
 }

@@ -321,6 +321,34 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	}
 }
 
+// TestForeignPayloadBasisIsNeverScanned adds a basis whose payload
+// is not a *BasisPayload and checks that EvaluatePoint and a sweep
+// both skip it during candidate scanning and simulate the point, so a
+// matched basis always carries an engine payload.
+func TestForeignPayloadBasisIsNeverScanned(t *testing.T) {
+	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	p := param.Point{"current_week": 5, "feature_release": 20}
+	newEngine := func() *Engine {
+		eng := MustNew(sweepOptions(1))
+		if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "foreign", "not a BasisPayload"); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	res, st := newEngine().EvaluatePoint(ev, p)
+	if res.Reused || st.Store.CandidatesScanned != 0 || st.Store.Hits != 0 {
+		t.Fatalf("EvaluatePoint: reused %v, stats %+v; want a simulation and no scan", res.Reused, st.Store)
+	}
+	results, st, err := newEngine().SweepBatch(ev, []param.Point{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Reused || st.Store.CandidatesScanned != 0 || st.Store.Hits != 0 {
+		t.Fatalf("SweepBatch: reused %v, stats %+v; want a simulation and no scan", results[0].Reused, st.Store)
+	}
+}
+
 // TestSweepContextCancel checks a cancelled context aborts the sweep
 // at one worker and at several.
 func TestSweepContextCancel(t *testing.T) {

@@ -2,7 +2,6 @@ package pdb
 
 import (
 	"fmt"
-	"sort"
 
 	"jigsaw/internal/blackbox"
 )
@@ -36,15 +35,6 @@ func (db *DB) CreateTable(name string, t *Table) error {
 	return nil
 }
 
-// DropTable removes a table; missing tables error.
-func (db *DB) DropTable(name string) error {
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("pdb: no table %q", name)
-	}
-	delete(db.tables, name)
-	return nil
-}
-
 // Table resolves a stored table.
 func (db *DB) Table(name string) (*Table, error) {
 	t, ok := db.tables[name]
@@ -52,16 +42,6 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("pdb: no table %q", name)
 	}
 	return t, nil
-}
-
-// TableNames lists stored tables, sorted.
-func (db *DB) TableNames() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Scan builds a scan plan over a stored table.

@@ -75,11 +75,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0,
 // matching math/rand's contract.
 func (r *Rand) Intn(n int) int {
@@ -140,14 +135,6 @@ func (r *Rand) State() [4]uint64 {
 func (r *Rand) Restore(s [4]uint64) {
 	r.s = s
 	r.hasGauss = false
-}
-
-// Mix deterministically derives a new seed from a base seed and a
-// salt. The PDB's set-oriented execution uses it to give each
-// (world, row) pair an independent stream, and the Markov engine to
-// give each (instance, step) pair one.
-func Mix(seed, salt uint64) uint64 {
-	return smMix(seed + smGamma*(salt+1))
 }
 
 // ErrEmptySeedSet is returned by NewSeedSet when m < 1.

@@ -158,13 +158,12 @@ type (
 	// Fingerprint is a black box's output vector under the global
 	// seed set.
 	Fingerprint = core.Fingerprint
-	// Mapping is a closed-form map between output distributions.
-	Mapping = core.Mapping
-	// LinearMapping is M(x) = αx + β.
+	// LinearMapping is the mapping M(x) = αx + β between output
+	// distributions.
 	LinearMapping = core.Linear
-	// MappingClass discovers mappings between fingerprints.
-	MappingClass = core.MappingClass
-	// LinearMappingClass is the paper's Algorithm 2.
+	// LinearMappingClass discovers linear mappings between
+	// fingerprints (the paper's Algorithm 2); its zero value is the
+	// default.
 	LinearMappingClass = core.LinearClass
 	// BasisStore holds basis distributions and answers match queries
 	// (Algorithm 3).
@@ -179,8 +178,8 @@ func ComputeFingerprint(f func(seed uint64) float64, seeds *SeedSet) Fingerprint
 }
 
 // NewBasisStore builds a basis store with the given class and index
-// (nil arguments select the defaults).
-func NewBasisStore(class MappingClass, index FingerprintIndex, tol float64) *BasisStore {
+// (a nil index and a non-positive tol select the defaults).
+func NewBasisStore(class LinearMappingClass, index FingerprintIndex, tol float64) *BasisStore {
 	return core.NewStore(class, index, tol)
 }
 

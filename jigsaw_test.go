@@ -239,11 +239,7 @@ func TestPublicAPIFingerprints(t *testing.T) {
 	if basis.Label != "A" {
 		t.Fatalf("matched %q", basis.Label)
 	}
-	lin, isAffine := mapping.(interface{ Coefficients() (float64, float64) })
-	if !isAffine {
-		t.Fatal("mapping not affine")
-	}
-	alpha, beta := lin.Coefficients()
+	alpha, beta := mapping.Alpha, mapping.Beta
 	if math.Abs(alpha-3) > 1e-6 || math.Abs(beta-5) > 1e-6 {
 		t.Fatalf("mapping = %g·x+%g, want 3x+5", alpha, beta)
 	}
