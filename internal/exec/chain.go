@@ -84,7 +84,8 @@ func (c *ScenarioChain) Step(step int, prev markov.State, r *rng.Rand) markov.St
 	p := c.fixed.With(c.decl.DriverName, float64(step))
 	p[c.decl.Name] = prev[0] // chain parameter = fed-back value
 	v := make([]float64, c.scenario.RowLen())
-	c.scenario.FillRow(p, r, v)
+	c.scenario.BindRow(p, v)
+	c.scenario.FillRow(r, v)
 	return markov.State{v[c.chainIdx], v[c.outputIdx]}
 }
 

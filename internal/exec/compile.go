@@ -33,25 +33,34 @@ type Scenario struct {
 
 	// evals computes each column in order into the row vector.
 	evals []colEval
-	// width is the row vector's length: one slot per column, then one
-	// argument region per call site.
+	// width is the row vector's length: one slot per column, then the
+	// call sites' argument regions and the parameters' slots, in the
+	// order compilation reaches them.
 	width int
 	// params are the parameters the row reads, in first-reference
-	// order; chainParam is the first of them declared as a CHAIN ("" when
-	// the row reads none).
-	params     []string
+	// order, with their row slots; chainParam is the first of them
+	// declared as a CHAIN ("" when the row reads none).
+	params     []paramSlot
 	chainParam string
+}
+
+// paramSlot is a parameter the row reads and the row slot BindRow
+// writes it to.
+type paramSlot struct {
+	name string
+	slot int
 }
 
 // colEval is the lightweight engine's compiled expression form: a
 // direct float interpreter with no value boxing, table materialization
 // or NULL bookkeeping — the "Ruby prototype" analogue of §6.1. v is
 // the row vector (see Scenario.width): a column reads earlier columns
-// from it, and a call site writes its arguments to its own region, so
-// a row evaluation allocates nothing: v is the caller's (in a sweep, a
-// worker's scratch row). Every name is resolved at compile time, so
-// evaluation cannot fail.
-type colEval func(v []float64, p param.Point, r *rng.Rand) float64
+// and the bound parameters from it, and a call site writes its
+// arguments to its own region, so a row evaluation allocates nothing
+// and looks nothing up: v is the caller's (in a sweep, a worker's
+// scratch row, bound once per point). Every name is resolved to a
+// slot at compile time, so evaluation cannot fail.
+type colEval func(v []float64, r *rng.Rand) float64
 
 // CompileScenario compiles the script's SELECT statements against a
 // black-box registry. Multiple SELECTs are allowed; the scenario is
@@ -153,35 +162,54 @@ func (s *Scenario) HasColumn(name string) bool {
 func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
 
 // EvalRow evaluates all result columns for one world, in order, into
-// out (len(out) must equal len(Columns)). p must bind every parameter
-// the row reads.
+// out (len(out) must equal len(Columns)). A point that does not bind
+// every parameter the row reads is an error.
 func (s *Scenario) EvalRow(p param.Point, r *rng.Rand, out []float64) error {
 	if len(out) != len(s.evals) {
 		return fmt.Errorf("exec: row buffer %d != %d columns", len(out), len(s.evals))
 	}
-	for _, name := range s.params {
-		if _, ok := p[name]; !ok {
-			return fmt.Errorf("exec: point %v does not bind @%s", p, name)
+	for _, ps := range s.params {
+		if _, ok := p[ps.name]; !ok {
+			return fmt.Errorf("exec: point %v does not bind @%s", p, ps.name)
 		}
 	}
 	row := make([]float64, s.width)
-	s.FillRow(p, r, row)
+	s.BindRow(p, row)
+	s.FillRow(r, row)
 	copy(out, row)
 	return nil
 }
 
-// RowLen is the length of the row vector FillRow writes: one slot per
-// column, in Columns order, then one argument region per call site.
+// RowLen is the length of the row vector: one slot per column, in
+// Columns order, then the call sites' argument regions and the
+// parameters' slots.
 func (s *Scenario) RowLen() int { return s.width }
 
-// FillRow evaluates one world of the whole scenario into the caller's
-// row vector (len(row) == RowLen()); column i lands in row[i]. It
-// allocates nothing, and with a per-worker row it is the scenario's
+// BindRow writes p's value of every parameter the row reads into its
+// slot of row (len(row) == RowLen()). A sweep binds a point once, then
+// calls FillRow once per sample on the same row. It panics when p does
+// not bind one of them: every point a Space or ScenarioChain builds
+// binds the declared parameters, and a sweep returns the panic as an
+// error naming the point.
+func (s *Scenario) BindRow(p param.Point, row []float64) {
+	for _, ps := range s.params {
+		v, ok := p[ps.name]
+		if !ok {
+			panic(fmt.Sprintf("exec: point %v does not bind @%s", p, ps.name))
+		}
+		row[ps.slot] = v
+	}
+}
+
+// FillRow evaluates one world of the whole scenario into a row that
+// BindRow has bound; column i lands in row[i]. It reads only the
+// parameter slots BindRow wrote and the slots it writes itself, and
+// allocates nothing. With a per-worker row it is the scenario's
 // mc.RowEval: a sweep evaluates each sampled row once for all of its
-// columns. p must bind every parameter the row reads.
-func (s *Scenario) FillRow(p param.Point, r *rng.Rand, row []float64) {
+// columns.
+func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
 	for i, ev := range s.evals {
-		row[i] = ev(row, p, r)
+		row[i] = ev(row, r)
 	}
 }
 
@@ -200,21 +228,57 @@ func (s *Scenario) column(name string) (int, error) {
 	return idx, nil
 }
 
-// ColumnEval returns a PointEval producing the named column: the
-// one-column projection of FillRow. Every invocation evaluates the
+// ColumnEval returns an mc.PointBinder producing the named column:
+// the one-column projection of FillRow. Every sample evaluates the
 // full row (one world of the whole scenario) and keeps one slot — the
 // simulation is a single stochastic function; columns are views of
 // it. Sweeps of several columns share rows instead (SweepColumns).
-func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
+func (s *Scenario) ColumnEval(name string) (mc.PointBinder, error) {
 	idx, err := s.column(name)
 	if err != nil {
 		return nil, err
 	}
-	return mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		row := make([]float64, s.width)
-		s.FillRow(p, r, row)
-		return row[idx]
-	}), nil
+	return &columnEval{s: s, idx: idx}, nil
+}
+
+// columnEval is one column of a scenario as an mc.PointBinder: the
+// bound arguments are a row with the point's parameter slots written.
+type columnEval struct {
+	s   *Scenario
+	idx int
+}
+
+// EvalPoint implements mc.PointEval (the unbatched path: one binding
+// per sample).
+func (c *columnEval) EvalPoint(p param.Point, r *rng.Rand) float64 {
+	row := make([]float64, c.s.width)
+	c.s.BindRow(p, row)
+	c.s.FillRow(r, row)
+	return row[c.idx]
+}
+
+// BindPoint implements mc.PointBinder: buf becomes a row whose
+// parameter slots hold p's values.
+func (c *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
+	if cap(buf) < c.s.width {
+		buf = make([]float64, c.s.width)
+	}
+	buf = buf[:c.s.width]
+	c.s.BindRow(p, buf)
+	return buf
+}
+
+// EvalBlockBound implements mc.PointBinder. The binding is shared by
+// concurrent blocks, so each block fills a row of its own, copied from
+// it once.
+func (c *columnEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
+	row := slices.Clone(args)
+	r := new(rng.Rand)
+	for j, seed := range seeds {
+		r.Seed(seed)
+		c.s.FillRow(r, row)
+		out[j] = row[c.idx]
+	}
 }
 
 // compiler lowers one scenario's expressions to colEvals: it resolves
@@ -228,7 +292,7 @@ type compiler struct {
 	// width is the row vector's length so far.
 	width int
 	// params and chainParam become the Scenario's fields.
-	params     []string
+	params     []paramSlot
 	chainParam string
 }
 
@@ -238,7 +302,7 @@ func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
 	switch n := e.(type) {
 	case *sqlparse.NumberLit:
 		v := n.Value
-		return func([]float64, param.Point, *rng.Rand) float64 { return v }, nil
+		return func([]float64, *rng.Rand) float64 { return v }, nil
 	case *sqlparse.StringLit:
 		return nil, errors.New("string literals are not numeric")
 	case *sqlparse.ColRef:
@@ -246,7 +310,7 @@ func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown column %q", n.Name)
 		}
-		return func(v []float64, _ param.Point, _ *rng.Rand) float64 { return v[idx] }, nil
+		return slotRead(idx), nil
 	case *sqlparse.ParamRef:
 		return c.param(n.Name)
 	case *sqlparse.Unary:
@@ -255,12 +319,12 @@ func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
 			return nil, err
 		}
 		if n.Op == "NOT" {
-			return func(v []float64, p param.Point, r *rng.Rand) float64 {
-				return b2f(inner(v, p, r) == 0)
+			return func(v []float64, r *rng.Rand) float64 {
+				return b2f(inner(v, r) == 0)
 			}, nil
 		}
-		return func(v []float64, p param.Point, r *rng.Rand) float64 {
-			return -inner(v, p, r)
+		return func(v []float64, r *rng.Rand) float64 {
+			return -inner(v, r)
 		}, nil
 	case *sqlparse.Binary:
 		return c.binary(n)
@@ -273,28 +337,31 @@ func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
 	}
 }
 
-// param resolves a parameter reference against the declarations.
+// param resolves a parameter reference against the declarations to
+// its row slot.
 func (c *compiler) param(name string) (colEval, error) {
 	d, ok := c.space.Decl(name)
 	if !ok {
 		return nil, fmt.Errorf("undeclared parameter @%s", name)
 	}
-	if !slices.Contains(c.params, name) {
-		c.params = append(c.params, name)
-	}
 	if d.Kind == param.KindChain && c.chainParam == "" {
 		c.chainParam = name
 	}
-	return func(_ []float64, p param.Point, _ *rng.Rand) float64 {
-		v, ok := p[name]
-		if !ok {
-			// Only a caller that breaks the PointEval contract gets
-			// here: every point a Space or ScenarioChain builds binds
-			// the declared parameters, and EvalRow checks its point.
-			panic(fmt.Sprintf("exec: point %v does not bind @%s", p, name))
-		}
-		return v
-	}, nil
+	i := slices.IndexFunc(c.params, func(ps paramSlot) bool { return ps.name == name })
+	if i < 0 {
+		// The parameter's first reference claims the next free slot;
+		// BindRow fills it once per point.
+		i = len(c.params)
+		c.params = append(c.params, paramSlot{name: name, slot: c.width})
+		c.width++
+	}
+	return slotRead(c.params[i].slot), nil
+}
+
+// slotRead reads row slot idx: a column computed earlier in the row,
+// or a parameter BindRow wrote.
+func slotRead(idx int) colEval {
+	return func(v []float64, _ *rng.Rand) float64 { return v[idx] }
 }
 
 func (c *compiler) binary(n *sqlparse.Binary) (colEval, error) {
@@ -335,9 +402,9 @@ func (c *compiler) binary(n *sqlparse.Binary) (colEval, error) {
 	default:
 		return nil, fmt.Errorf("unsupported operator %q", n.Op)
 	}
-	return func(v []float64, p param.Point, rr *rng.Rand) float64 {
-		a := l(v, p, rr)
-		return op(a, r(v, p, rr))
+	return func(v []float64, rr *rng.Rand) float64 {
+		a := l(v, rr)
+		return op(a, r(v, rr))
 	}, nil
 }
 
@@ -368,19 +435,19 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
 			return nil, err
 		}
 	}
-	return func(v []float64, p param.Point, r *rng.Rand) float64 {
+	return func(v []float64, r *rng.Rand) float64 {
 		chosen := false
 		result := 0.0
 		for _, a := range arms {
-			cond := a.when(v, p, r)
-			then := a.then(v, p, r)
+			cond := a.when(v, r)
+			then := a.then(v, r)
 			if !chosen && cond != 0 {
 				chosen = true
 				result = then
 			}
 		}
 		if !chosen && elseEv != nil {
-			return elseEv(v, p, r)
+			return elseEv(v, r)
 		}
 		return result
 	}, nil
@@ -418,10 +485,10 @@ func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 		}
 		args[i] = ev
 	}
-	return func(v []float64, p param.Point, r *rng.Rand) float64 {
+	return func(v []float64, r *rng.Rand) float64 {
 		buf := v[lo:hi]
 		for i, a := range args {
-			buf[i] = a(v, p, r)
+			buf[i] = a(v, r)
 		}
 		return box.Eval(buf, r)
 	}, nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,6 +125,112 @@ func TestColumnEval(t *testing.T) {
 	}
 	if _, err := s.ColumnEval("missing"); err == nil {
 		t.Fatal("missing column accepted")
+	}
+}
+
+// TestColumnEvalBlockMatchesEvalPoint restates the mc.PointBinder
+// contract for compiled columns: one binding per point and one
+// EvalBlockBound per block are bit-identical to reseeding per sample
+// and calling EvalPoint, for every column and block size, and leave
+// the shared binding as it was.
+func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
+	s := compileFig1(t)
+	seeds := make([]uint64, 300)
+	for i := range seeds {
+		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	points := []param.Point{
+		{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12},
+		{"current_week": 20, "purchase1": 48, "purchase2": 52, "feature_release": 36},
+	}
+	for _, col := range s.Columns {
+		t.Run(col, func(t *testing.T) {
+			ev, err := s.ColumnEval(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r rng.Rand
+			for _, p := range points {
+				want := make([]float64, len(seeds))
+				for j, seed := range seeds {
+					r.Seed(seed)
+					want[j] = ev.EvalPoint(p, &r)
+				}
+				args := ev.BindPoint(p, nil)
+				bound := slices.Clone(args)
+				for _, bs := range []int{1, 7, len(seeds)} {
+					got := make([]float64, len(seeds))
+					for lo := 0; lo < len(seeds); lo += bs {
+						hi := min(lo+bs, len(seeds))
+						ev.EvalBlockBound(args, got[lo:hi], seeds[lo:hi])
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("at %v, block size %d: sample %d = %v, EvalPoint %v", p, bs, j, got[j], want[j])
+						}
+					}
+					if !slices.Equal(args, bound) {
+						t.Fatal("EvalBlockBound wrote to the shared binding")
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestColumnEvalBlockAllocs pins the block path's allocation budget: a
+// block allocates its own row and generator, O(1) and flat in the
+// block size, and nothing per sample.
+func TestColumnEvalBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets are meaningless under the race detector")
+	}
+	s := compileFig1(t)
+	ev, err := s.ColumnEval("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := ev.BindPoint(param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}, nil)
+	perBlock := func(n int) float64 {
+		out, seeds := make([]float64, n), make([]uint64, n)
+		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(args, out, seeds) })
+	}
+	const budget = 2
+	small, large := perBlock(16), perBlock(1024)
+	if large > budget || large != small {
+		t.Fatalf("EvalBlockBound allocates %.1f per 16-sample block and %.1f per 1024-sample block, budget %d flat", small, large, budget)
+	}
+}
+
+// TestSweepUnboundParameterReturnsError: a swept point that does not
+// bind a parameter the row reads panics in BindRow on a worker, and
+// the sweep returns that as an error naming the point, for the joint
+// column sweep and a single column's binder, at one worker and two.
+func TestSweepUnboundParameterReturnsError(t *testing.T) {
+	s := compileFig1(t)
+	bad := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}
+	batch := append(fig1Batches()[0], bad)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), "point "+bad.Key()+": ") ||
+			!strings.Contains(err.Error(), "does not bind @feature_release") {
+			t.Fatalf("%s: err = %v, want the unbound @feature_release at point %s", what, err, bad.Key())
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		opts := mc.Options{Samples: 100, Reuse: true, Workers: workers}
+		cs, err := s.SweepColumns([]string{"demand", "overload"}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cs.Sweep(batch)
+		check("ColumnSweep.Sweep", err)
+		ev, err := s.ColumnEval("overload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = mc.MustNew(opts).SweepBatch(ev, batch)
+		check("SweepBatch(ColumnEval)", err)
 	}
 }
 

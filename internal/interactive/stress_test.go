@@ -28,7 +28,7 @@ func TestFocusRandomWalk(t *testing.T) {
 	week := 15.0
 	for step := 0; step < 200; step++ {
 		// Random slider move of ±1..3 weeks, clamped to the domain.
-		delta := float64(walk.Intn(7) - 3)
+		delta := float64(int(walk.Uint64()%7) - 3)
 		week += delta
 		if week < 0 {
 			week = 0
@@ -41,7 +41,7 @@ func TestFocusRandomWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		visited[p.Key()] = true
-		for i := 0; i < walk.Intn(4); i++ {
+		for i := 0; i < int(walk.Uint64()%4); i++ {
 			if _, _, err := s.Tick(); err != nil {
 				t.Fatal(err)
 			}

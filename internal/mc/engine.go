@@ -59,7 +59,8 @@ func (f EvalFunc) EvalPoint(p param.Point, r *rng.Rand) float64 { return f(p, r)
 // results independent of block size and to mix binder and plain
 // evaluators freely (see DESIGN.md, "Block-sampling pipeline").
 // BindBox's evaluators implement it for every box (natively
-// block-capable or through the scalar adapter).
+// block-capable or through the scalar adapter), and so does a compiled
+// scenario column (exec's Scenario.ColumnEval).
 type PointBinder interface {
 	PointEval
 	// BindPoint appends p's resolved arguments to buf (growing it as
@@ -77,17 +78,23 @@ type PointBinder interface {
 // as every result column of one sampled world of a compiled scenario.
 // SweepRows fingerprints and simulates the row once per seed and
 // projects it onto its outputs, instead of re-evaluating the row once
-// per output.
+// per output. A point is bound into the row once (BindRow), then
+// sampled once per seed on the same row (FillRow), so no sample
+// resolves the point's parameters again.
 //
-// Implementations must be safe for concurrent FillRow calls on
-// distinct row buffers.
+// Implementations must be safe for concurrent calls on distinct row
+// buffers. Neither method may retain row.
 type RowEval interface {
-	// RowLen is the length of the row buffer FillRow writes.
+	// RowLen is the length of the row buffer the methods write.
 	RowLen() int
-	// FillRow draws one sample at p, using r as the sole randomness
-	// source, into row (len(row) == RowLen()). It must not retain
-	// row, and must not depend on row's prior contents.
-	FillRow(p param.Point, r *rng.Rand, row []float64)
+	// BindRow writes what the row needs of p into row (len(row) ==
+	// RowLen()). It draws nothing.
+	BindRow(p param.Point, row []float64)
+	// FillRow draws one sample, using r as the sole randomness source,
+	// into a row BindRow has bound. It may read only what BindRow
+	// wrote, so every sample of a bound row depends on the point and
+	// its seed alone.
+	FillRow(r *rng.Rand, row []float64)
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional

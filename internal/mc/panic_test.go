@@ -17,17 +17,20 @@ import (
 // panicRow is a three-output row evaluator that panics on its at-th
 // evaluation at the point whose week is bad: at ≤ m lands in phase A
 // (fingerprints), at = m+1 in phase C1 (the point's full simulation;
-// its outputs map onto no other point's, so it always misses).
+// its outputs map onto no other point's, so it always misses). The
+// week is bound into slot 3.
 type panicRow struct {
 	bad   float64
 	at    int64
 	count atomic.Int64
 }
 
-func (r *panicRow) RowLen() int { return 3 }
+func (r *panicRow) RowLen() int { return 4 }
 
-func (r *panicRow) FillRow(p param.Point, rr *rng.Rand, row []float64) {
-	w := p.MustGet("week")
+func (r *panicRow) BindRow(p param.Point, row []float64) { row[3] = p.MustGet("week") }
+
+func (r *panicRow) FillRow(rr *rng.Rand, row []float64) {
+	w := row[3]
 	if w == r.bad && r.count.Add(1) == r.at {
 		panic("model failure")
 	}
@@ -71,8 +74,9 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						var err error
 						if k == 1 {
 							f := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-								var out [3]float64
-								row.FillRow(p, r, out[:])
+								var out [4]float64
+								row.BindRow(p, out[:])
+								row.FillRow(r, out[:])
 								return out[0]
 							})
 							_, _, err = MustNew(opts).SweepBatch(f, tc.points)
@@ -110,7 +114,7 @@ func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
 		"slot count":      {[]*Engine{e}, []int{0, 1}},
 		"master seed":     {[]*Engine{e, MustNew(other)}, []int{0, 1}},
 		"repeated engine": {[]*Engine{e, e}, []int{0, 1}},
-		"slot range":      {[]*Engine{e}, []int{3}},
+		"slot range":      {[]*Engine{e}, []int{4}},
 	} {
 		if _, _, err := SweepRows(context.Background(), tc.engines, row, tc.slots, points); err == nil {
 			t.Errorf("%s: SweepRows accepted it", name)

@@ -35,8 +35,9 @@ type scratch struct {
 	// args is the bound-argument buffer for PointBinder evaluators:
 	// the point is bound into it once, not once per sample.
 	args []float64
-	// row is the row buffer for RowEval evaluators: every sample's
-	// row is evaluated into it, then projected onto the outputs.
+	// row is the row buffer for RowEval evaluators: bound once per
+	// point, then every sample's row is evaluated into it and
+	// projected onto the outputs.
 	row []float64
 	// seeds is the per-block sample-seed buffer: the seed stream is
 	// materialized one block at a time instead of one cursor call per
@@ -119,13 +120,15 @@ func pointEvaluator(f PointEval) evaluator {
 }
 
 // bind binds the evaluator to p on sc: a PointBinder's arguments are
-// resolved once into sc.args, a row evaluator's row buffer is sized.
+// resolved once into sc.args, a row evaluator's row buffer is sized
+// and bound once (RowEval.BindRow).
 func (ev *evaluator) bind(p param.Point, sc *scratch) sampler {
 	switch {
 	case ev.pb != nil:
 		sc.args = ev.pb.BindPoint(p, sc.args)
 	case ev.rows != nil:
 		sc.row = grow(sc.row, ev.rows.RowLen())
+		ev.rows.BindRow(p, sc.row)
 	}
 	return sampler{ev: *ev, p: p, sc: sc}
 }
@@ -140,8 +143,9 @@ type sampler struct {
 
 // sampleBlock evaluates one simulation round per seed: output c of
 // the round seeded by seeds[j] lands in dsts[c][off+j], and outputs
-// whose dsts entry is nil are dropped. A row evaluator fills one row
-// per seed for all outputs at once; binders take their block kernel;
+// whose dsts entry is nil are dropped. A row evaluator fills its bound
+// row once per seed for all outputs at once; binders take their block
+// kernel;
 // plain evaluators fall back to a reseed-per-sample loop, so the
 // results are bit-identical either way (PointBinder's contract).
 func (s sampler) sampleBlock(dsts [][]float64, off int, seeds []uint64) {
@@ -150,7 +154,7 @@ func (s sampler) sampleBlock(dsts [][]float64, off int, seeds []uint64) {
 	case s.ev.rows != nil:
 		for j, seed := range seeds {
 			sc.r.Seed(seed)
-			s.ev.rows.FillRow(s.p, &sc.r, sc.row)
+			s.ev.rows.FillRow(&sc.r, sc.row)
 			for c, dst := range dsts {
 				if dst != nil {
 					dst[off+j] = sc.row[s.ev.slots[c]]

@@ -45,11 +45,15 @@ func sweepOptions(workers int) Options {
 // reseeded generator's first draw, keeping the fingerprint a pure
 // function of (point, seed) on the scalar evaluation path.
 var famEval = EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	u := r.Uniform(0, 1)
-	fam := p.MustGet("fam")
-	g := math.Sin((fam+1)*2.7 + u*7)
-	return p.MustGet("a")*g + p.MustGet("b")
+	return famModel([]float64{p.MustGet("fam"), p.MustGet("a"), p.MustGet("b")}, r)
 })
+
+// famModel is famEval on bound arguments (fam, a, b).
+func famModel(args []float64, r *rng.Rand) float64 {
+	u := r.Uniform(0, 1)
+	g := math.Sin((args[0]+1)*2.7 + u*7)
+	return args[1]*g + args[2]
+}
 
 // famSpace enumerates famEval's space with fam varying slowest, so
 // each new family — and therefore each basis registration — appears

@@ -2,7 +2,10 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -105,10 +108,14 @@ func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
 	}
 }
 
-// transformRow is a three-output row over one draw of f: the draw
-// itself, its square and an indicator of it exceeding 1.9, whose
-// fingerprints are prone to the §6.2 false positive.
-type transformRow struct{ f PointEval }
+// transformRow is a three-output row over one draw of model: the
+// draw itself, its square and an indicator of it exceeding 1.9, whose
+// fingerprints are prone to the §6.2 false positive. BindRow writes
+// the model's named arguments after the three outputs.
+type transformRow struct {
+	model func(args []float64, r *rng.Rand) float64
+	names []string
+}
 
 var rowTransforms = [3]func(x float64) float64{
 	func(x float64) float64 { return x },
@@ -121,18 +128,30 @@ var rowTransforms = [3]func(x float64) float64{
 	},
 }
 
-func (r transformRow) RowLen() int { return len(rowTransforms) }
+func (r transformRow) RowLen() int { return len(rowTransforms) + len(r.names) }
 
-func (r transformRow) FillRow(p param.Point, rr *rng.Rand, row []float64) {
-	x := r.f.EvalPoint(p, rr)
+func (r transformRow) BindRow(p param.Point, row []float64) {
+	for i, name := range r.names {
+		row[len(rowTransforms)+i] = p.MustGet(name)
+	}
+}
+
+func (r transformRow) FillRow(rr *rng.Rand, row []float64) {
+	x := r.model(row[len(rowTransforms):], rr)
 	for j, tf := range rowTransforms {
 		row[j] = tf(x)
 	}
 }
 
-// slot is output j of the row as a single-output evaluator.
+// slot is output j of the row as a single-output evaluator that binds
+// a fresh row per sample.
 func (r transformRow) slot(j int) PointEval {
-	return EvalFunc(func(p param.Point, rr *rng.Rand) float64 { return rowTransforms[j](r.f.EvalPoint(p, rr)) })
+	return EvalFunc(func(p param.Point, rr *rng.Rand) float64 {
+		row := make([]float64, r.RowLen())
+		r.BindRow(p, row)
+		r.FillRow(rr, row)
+		return row[j]
+	})
 }
 
 // TestSweepRowsMixedValidation sweeps outputs whose engines validate
@@ -155,14 +174,14 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		f      PointEval
+		row    transformRow
 		points []param.Point
 	}{
-		{"families", famEval, famSpace(t).Points()},
-		{"synth", MustBindBox(blackbox.NewSynthBasis(16), "point_index"), synthSpace(t, 120).Points()},
+		{"families", transformRow{famModel, []string{"fam", "a", "b"}}, famSpace(t).Points()},
+		{"synth", transformRow{blackbox.NewSynthBasis(16).Eval, []string{"point_index"}}, synthSpace(t, 120).Points()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			row := transformRow{tc.f}
+			row := tc.row
 			rejected := false
 			for _, workers := range []int{1, 2, 4, 7} {
 				engines := make([]*Engine, len(validation))
@@ -198,5 +217,77 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 				t.Fatal("no validation rejected a match; the workload does not exercise the validation path")
 			}
 		})
+	}
+}
+
+// countingRow is a transformRow that counts its BindRow calls per
+// point and its FillRow calls.
+type countingRow struct {
+	transformRow
+	mu    sync.Mutex
+	binds map[string]int
+	fills atomic.Int64
+}
+
+func (r *countingRow) BindRow(p param.Point, row []float64) {
+	r.mu.Lock()
+	r.binds[p.Key()]++
+	r.mu.Unlock()
+	r.transformRow.BindRow(p, row)
+}
+
+func (r *countingRow) FillRow(rr *rng.Rand, row []float64) {
+	r.fills.Add(1)
+	r.transformRow.FillRow(rr, row)
+}
+
+// TestSweepRowsBindsOncePerPoint pins the RowEval contract's cost: a
+// sweep binds a point once when phase A draws its prefix and once more
+// when phase C1 simulates it (if any output missed there), never once
+// per sample, and the results are the same at every worker count.
+func TestSweepRowsBindsOncePerPoint(t *testing.T) {
+	points := famSpace(t).Points()
+	for _, validation := range []int{0, 16} {
+		var refRes [][]PointResult
+		var refSt SweepStats
+		for _, workers := range []int{1, 2, 4, 7} {
+			t.Run(fmt.Sprintf("validation=%d/workers=%d", validation, workers), func(t *testing.T) {
+				opts := sweepOptions(workers)
+				opts.Index = IndexNormalization
+				opts.KeepSamples = true
+				opts.ValidationSamples = validation
+				engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
+				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
+				res, st, err := SweepRows(context.Background(), engines, row, []int{0, 1, 2}, points)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := opts.FingerprintLen + validation
+				var fills int64
+				for i, p := range points {
+					want, rows := 1, w
+					if !res[0][i].Reused || !res[1][i].Reused || !res[2][i].Reused {
+						want, rows = 2, opts.Samples
+					}
+					if got := row.binds[p.Key()]; got != want {
+						t.Fatalf("point %d bound %d times, want %d", i, got, want)
+					}
+					fills += int64(rows)
+				}
+				if got := row.fills.Load(); got != fills {
+					t.Fatalf("%d rows filled, want %d", got, fills)
+				}
+				if st.Reused == 0 {
+					t.Fatal("nothing reused; every point binds twice")
+				}
+				if workers == 1 {
+					refRes, refSt = res, st
+					return
+				}
+				if !reflect.DeepEqual(res, refRes) || !reflect.DeepEqual(st, refSt) {
+					t.Fatal("results differ from workers=1")
+				}
+			})
+		}
 	}
 }

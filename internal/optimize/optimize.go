@@ -10,6 +10,7 @@ package optimize
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"jigsaw/internal/exec"
 	"jigsaw/internal/mc"
@@ -37,8 +38,93 @@ type Result struct {
 	Stats mc.SweepStats
 }
 
+// batchGroups is the number of whole groups one ColumnSweep.Sweep call
+// evaluates. A sweep call pays four phase barriers, so one call per
+// 27-point group leaves workers idle; a batch of groups amortizes
+// them. Results cannot depend on it: phase B visits the points in
+// enumeration order whatever the batch boundaries are (see DESIGN.md,
+// "Deterministic sweep"). It is fixed, not tied to Workers, so a run
+// sweeps the same batches at every worker count. Larger batches wait
+// less at barriers but keep more of a batch live (its prefixes,
+// batchGroups × 27 points × 74 rows at fig1's scale, its points and
+// its results): on fig1, 16 groups answered 9% faster than 4 but
+// raised the peak resident set by 9%, where 4 left it within noise.
+const batchGroups = 4
+
 // Run executes stmt against the compiled scenario.
 func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Result, error) {
+	q, err := newQuery(s, stmt, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Groups: q.groups.Size()}
+	sweeps := q.sweeps.Points()
+	per := len(sweeps)
+	// A batch's point maps are refilled for every batch: the sweep
+	// keeps no point past its call (a basis records its point's key),
+	// and flush aggregates a batch's results before the next batch
+	// overwrites them.
+	batch := make([]param.Point, min(batchGroups, res.Groups)*per)
+	for i := range batch {
+		batch[i] = make(param.Point, len(s.Space.Decls()))
+	}
+	groups := make([]param.Point, 0, batchGroups)
+	// flush sweeps the gathered groups in one call, then aggregates
+	// each group's slice of the results in enumeration order; the
+	// earliest of equally good feasible groups is kept.
+	flush := func() error {
+		swept, err := q.sweep.Sweep(batch[:len(groups)*per])
+		if err != nil {
+			return err
+		}
+		for gi, g := range groups {
+			values, ok := q.score(swept, gi*per, (gi+1)*per)
+			if !ok {
+				continue
+			}
+			res.Feasible++
+			if res.Chosen == nil || goalsBetter(stmt.Goals, g, res.Chosen) {
+				res.Chosen, res.ConstraintValues = g, values
+			}
+		}
+		groups = groups[:0]
+		return nil
+	}
+	q.groups.Each(func(g param.Point) bool {
+		for j, sp := range sweeps {
+			p := batch[len(groups)*per+j]
+			maps.Copy(p, g)
+			maps.Copy(p, sp)
+		}
+		groups = append(groups, g)
+		if len(groups) == batchGroups {
+			err = flush()
+		}
+		return err == nil
+	})
+	if err == nil && len(groups) > 0 {
+		err = flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = q.sweep.Stats()
+	res.PointsEvaluated = res.Stats.Points
+	return res, nil
+}
+
+// query is a validated OPTIMIZE statement: the grouped parameters'
+// space, the swept parameters' space, and the sweep of the constraint
+// columns.
+type query struct {
+	stmt           *sqlparse.OptimizeStmt
+	groups, sweeps *param.Space
+	sweep          *exec.ColumnSweep
+}
+
+// newQuery checks stmt against the scenario and partitions its
+// declared parameters into grouped and swept.
+func newQuery(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*query, error) {
 	if stmt == nil {
 		return nil, errors.New("optimize: nil statement")
 	}
@@ -101,69 +187,28 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	return &query{stmt: stmt, groups: groupSpace, sweeps: sweepSpace, sweep: sweep}, nil
+}
 
-	res := &Result{Groups: groupSpace.Size()}
-	type feasibleGroup struct {
-		point  param.Point
-		values []float64
-	}
-	var feasible []feasibleGroup
-
-	var sweepErr error
-	groupSpace.Each(func(g param.Point) bool {
-		batch := make([]param.Point, 0, sweepSpace.Size())
-		sweepSpace.Each(func(sp param.Point) bool {
-			full := g.Clone()
-			for k, v := range sp {
-				full[k] = v
+// score aggregates one group's swept results — entries lo to hi−1 of
+// every constraint's slice — into each constraint's value, and reports
+// whether the group satisfies them all.
+func (q *query) score(swept [][]mc.PointResult, lo, hi int) ([]float64, bool) {
+	values := make([]float64, len(q.stmt.Constraints))
+	ok := true
+	for ci, c := range q.stmt.Constraints {
+		agg := newOuterAgg(c.Outer)
+		for _, pr := range swept[ci][lo:hi] {
+			metric := pr.Summary.Mean
+			if c.Metric == sqlparse.MetricStdDev {
+				metric = pr.Summary.StdDev
 			}
-			batch = append(batch, full)
-			return true
-		})
-		swept, err := sweep.Sweep(batch)
-		if err != nil {
-			sweepErr = err
-			return false
+			agg.add(metric)
 		}
-		values := make([]float64, len(stmt.Constraints))
-		ok := true
-		for ci, c := range stmt.Constraints {
-			agg := newOuterAgg(c.Outer)
-			for _, pr := range swept[ci] {
-				metric := pr.Summary.Mean
-				if c.Metric == sqlparse.MetricStdDev {
-					metric = pr.Summary.StdDev
-				}
-				agg.add(metric)
-			}
-			values[ci] = agg.result()
-			ok = ok && satisfies(values[ci], c.Op, c.Bound)
-		}
-		if ok {
-			feasible = append(feasible, feasibleGroup{point: g, values: values})
-		}
-		return true
-	})
-	if sweepErr != nil {
-		return nil, sweepErr
+		values[ci] = agg.result()
+		ok = ok && satisfies(values[ci], c.Op, c.Bound)
 	}
-
-	res.Feasible = len(feasible)
-	res.Stats = sweep.Stats()
-	res.PointsEvaluated = res.Stats.Points
-
-	if len(feasible) == 0 {
-		return res, nil
-	}
-	best := feasible[0]
-	for _, cand := range feasible[1:] {
-		if goalsBetter(stmt.Goals, cand.point, best.point) {
-			best = cand
-		}
-	}
-	res.Chosen = best.point
-	res.ConstraintValues = best.values
-	return res, nil
+	return values, ok
 }
 
 // goalsBetter reports whether a beats b under the lexicographic goals.

@@ -94,55 +94,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Poisson returns a sample from Poisson(lambda). For small lambda it
-// uses Knuth's product method; for large lambda the PTRS transformed
-// rejection sampler (Hörmann 1993), keeping the draw O(1).
-func (r *Rand) Poisson(lambda float64) int {
-	switch {
-	case lambda < 0:
-		panic(fmt.Sprintf("rng: Poisson called with negative lambda %g", lambda))
-	case lambda == 0:
-		return 0
-	case lambda < 30:
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		return r.poissonPTRS(lambda)
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm for lambda >= 10.
-func (r *Rand) poissonPTRS(lambda float64) int {
-	b := 0.931 + 2.53*math.Sqrt(lambda)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(lambda)-lambda-lg {
-			return int(k)
-		}
-	}
-}
-
 // Binomial returns a sample from Binomial(n, p) by summing Bernoulli
 // trials. n is small in all model uses (failure counts per week), so
 // the O(n) cost is acceptable and the stream consumption is simple to
@@ -160,19 +111,6 @@ func (r *Rand) Binomial(n int, p float64) int {
 	return k
 }
 
-// Geometric returns the number of Bernoulli(p) failures before the
-// first success, sampled in O(1) by inversion.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("rng: Geometric called with p %g outside (0,1]", p))
-	}
-	if p == 1 {
-		return 0
-	}
-	u := 1 - r.Float64() // in (0, 1]
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Pareto returns a sample from a Pareto distribution with the given
 // minimum xm and shape alpha. Heavy-tailed user requirements use it in
 // workload generators.
@@ -182,27 +120,4 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	}
 	u := 1 - r.Float64()
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Categorical returns an index in [0, len(weights)) with probability
-// proportional to weights[i]. Zero total weight panics.
-func (r *Rand) Categorical(weights []float64) int {
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("rng: Categorical weight %d is negative (%g)", i, w))
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("rng: Categorical called with zero total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

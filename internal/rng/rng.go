@@ -75,51 +75,9 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0,
-// matching math/rand's contract.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn called with non-positive n")
-	}
-	// Lemire's nearly-divisionless bounded generation. The slight
-	// modulo bias of the plain approach matters for statistical tests,
-	// so reject to make the distribution exactly uniform.
-	un := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), un)
-	if lo < un {
-		threshold := (-un) % un
-		for lo < threshold {
-			hi, lo = bits.Mul64(r.Uint64(), un)
-		}
-	}
-	return int(hi)
-}
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a deterministic pseudorandom permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudorandomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("rng: Shuffle called with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // State returns the full internal state, allowing a generator to be

@@ -67,78 +67,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestIntnBounds(t *testing.T) {
-	r := New(5)
-	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
-		for i := 0; i < 2000; i++ {
-			v := r.Intn(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Intn(%d) = %d out of range", n, v)
-			}
-		}
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
-func TestIntnUniformity(t *testing.T) {
-	r := New(99)
-	const n, trials = 10, 100000
-	counts := make([]int, n)
-	for i := 0; i < trials; i++ {
-		counts[r.Intn(n)]++
-	}
-	// Chi-squared test with 9 degrees of freedom; 27.88 is the 0.1%
-	// critical value, generous enough to avoid flakiness while catching
-	// gross bias.
-	expected := float64(trials) / n
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	if chi2 > 27.88 {
-		t.Fatalf("Intn uniformity chi2 = %g (counts %v)", chi2, counts)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	for _, n := range []int{0, 1, 2, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(13)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("Shuffle produced duplicate %d: %v", v, xs)
-		}
-		seen[v] = true
-	}
-}
-
 func TestStateRestoreRoundTrip(t *testing.T) {
 	r := New(21)
 	for i := 0; i < 17; i++ {
@@ -245,24 +173,6 @@ func TestQuickStreamDeterminism(t *testing.T) {
 		a, b := New(seed), New(seed)
 		for i := 0; i < 64; i++ {
 			if a.Uint64() != b.Uint64() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Intn stays within bounds for arbitrary seeds and sizes.
-func TestQuickIntnInRange(t *testing.T) {
-	f := func(seed uint64, n uint16) bool {
-		bound := int(n%1000) + 1
-		r := New(seed)
-		for i := 0; i < 32; i++ {
-			v := r.Intn(bound)
-			if v < 0 || v >= bound {
 				return false
 			}
 		}

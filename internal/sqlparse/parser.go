@@ -16,24 +16,6 @@ func Parse(src string) (*Script, error) {
 	return p.parseScript()
 }
 
-// ParseExpr parses a single expression (used by tests and the
-// interactive shell's ad-hoc metric expressions).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errf("trailing input after expression: %s", p.peek())
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []Token
 	pos  int

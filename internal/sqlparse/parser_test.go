@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// parseExpr parses a single expression: the expression grammar of
+// Parse, on its own, for the parser and round-trip tests.
+func parseExpr(src string) (Expr, error) {
+	toks, err := Lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.atEOF() {
+		return nil, p.errf("trailing input after expression: %s", p.peek())
+	}
+	return e, nil
+}
+
 // figure1Query is the paper's Fig. 1 verbatim (modulo whitespace).
 const figure1Query = `
 -- DEFINITION --
@@ -163,7 +181,7 @@ func TestParseFullScriptCombination(t *testing.T) {
 }
 
 func TestExpressionPrecedence(t *testing.T) {
-	e, err := ParseExpr("1 + 2 * 3 < 10 AND NOT a = b OR c > 0")
+	e, err := parseExpr("1 + 2 * 3 < 10 AND NOT a = b OR c > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +206,14 @@ func TestExpressionForms(t *testing.T) {
 		"'str' = 'str'",
 		"1e-5 + 2.5E+3 + .5",
 	} {
-		if _, err := ParseExpr(src); err != nil {
-			t.Fatalf("ParseExpr(%q): %v", src, err)
+		if _, err := parseExpr(src); err != nil {
+			t.Fatalf("parseExpr(%q): %v", src, err)
 		}
 	}
 }
 
 func TestNumberLiteralForms(t *testing.T) {
-	e, err := ParseExpr("1e-5")
+	e, err := parseExpr("1e-5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +250,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseExprTrailing(t *testing.T) {
-	if _, err := ParseExpr("1 + 2 extra"); err == nil {
+	if _, err := parseExpr("1 + 2 extra"); err == nil {
 		t.Fatal("trailing input accepted")
 	}
 }
@@ -282,7 +300,7 @@ func TestTokenAndKindStrings(t *testing.T) {
 }
 
 func TestWalkAndParams(t *testing.T) {
-	e, err := ParseExpr("CASE WHEN @a < f(@b, c) THEN -@a ELSE @a + 1 END")
+	e, err := parseExpr("CASE WHEN @a < f(@b, c) THEN -@a ELSE @a + 1 END")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +316,7 @@ func TestWalkAndParams(t *testing.T) {
 }
 
 func TestASTStrings(t *testing.T) {
-	e, err := ParseExpr("CASE WHEN a THEN 'x' ELSE f(-1, @p) END")
+	e, err := parseExpr("CASE WHEN a THEN 'x' ELSE f(-1, @p) END")
 	if err != nil {
 		t.Fatal(err)
 	}

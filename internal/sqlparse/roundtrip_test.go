@@ -20,12 +20,12 @@ func TestExprStringReparses(t *testing.T) {
 		"@p1 - @p2 / 4 + g(h(1), 2)",
 	}
 	for _, src := range corpus {
-		e1, err := ParseExpr(src)
+		e1, err := parseExpr(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		printed := e1.String()
-		e2, err := ParseExpr(printed)
+		e2, err := parseExpr(printed)
 		if err != nil {
 			t.Fatalf("reparse %q (from %q): %v", printed, src, err)
 		}
@@ -36,7 +36,7 @@ func TestExprStringReparses(t *testing.T) {
 }
 
 // TestQuickGeneratedExprRoundTrip builds random expression trees from
-// a generator grammar and round-trips them through String/ParseExpr.
+// a generator grammar and round-trips them through String/parseExpr.
 func TestQuickGeneratedExprRoundTrip(t *testing.T) {
 	var build func(rnd uint64, depth int) Expr
 	build = func(rnd uint64, depth int) Expr {
@@ -73,7 +73,7 @@ func TestQuickGeneratedExprRoundTrip(t *testing.T) {
 	prop := func(rnd uint64) bool {
 		e := build(rnd, 3)
 		printed := e.String()
-		re, err := ParseExpr(printed)
+		re, err := parseExpr(printed)
 		if err != nil {
 			t.Logf("unparseable print %q", printed)
 			return false
@@ -132,7 +132,7 @@ func FuzzParse(f *testing.F) {
 		check = func(sel *SelectStmt) {
 			for _, item := range sel.Items {
 				printed := item.Expr.String()
-				re, err := ParseExpr(printed)
+				re, err := parseExpr(printed)
 				if err != nil {
 					t.Fatalf("reparse %q: %v", printed, err)
 				}

@@ -223,7 +223,7 @@ func (a *Accumulator) Max() float64 { return a.max }
 
 // Samples returns the retained samples in insertion order (nil when
 // not keeping). The returned slice must not be mutated; the
-// accumulator never reorders it (Quantile sorts a private copy).
+// accumulator never reorders it (Summarize sorts a private copy).
 func (a *Accumulator) Samples() []float64 { return a.samples }
 
 // ensureSorted (re)builds the private ascending copy of the samples.
@@ -234,24 +234,6 @@ func (a *Accumulator) ensureSorted() {
 	a.sorted = append(a.sorted[:0], a.samples...)
 	sort.Float64s(a.sorted)
 	a.sortedValid = true
-}
-
-// Quantile returns the q'th sample quantile (linear interpolation
-// between order statistics). It returns an error when q is outside
-// [0,1], when no samples were retained, or when the accumulator is
-// empty.
-func (a *Accumulator) Quantile(q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0,1]", q)
-	}
-	if !a.keep {
-		return 0, errors.New("stats: accumulator does not retain samples")
-	}
-	if a.n == 0 {
-		return 0, errors.New("stats: no samples")
-	}
-	a.ensureSorted()
-	return quantileSorted(a.sorted, q), nil
 }
 
 // quantileSorted interpolates the q'th quantile of an ascending
@@ -390,18 +372,4 @@ func normalQuantile(p float64) float64 {
 		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
-}
-
-// MeanOf is a convenience for one-shot mean computation.
-func MeanOf(xs []float64) float64 {
-	a := NewAccumulator(false)
-	a.AddAll(xs)
-	return a.Mean()
-}
-
-// StdDevOf is a convenience for one-shot standard deviation.
-func StdDevOf(xs []float64) float64 {
-	a := NewAccumulator(false)
-	a.AddAll(xs)
-	return a.StdDev()
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,58 +45,34 @@ func TestAccumulatorSingleSample(t *testing.T) {
 	if a.Variance() != 0 {
 		t.Fatal("variance of single sample != 0")
 	}
-	q, err := a.Quantile(0.5)
-	if err != nil || q != 3 {
-		t.Fatalf("median of single sample = %g, %v", q, err)
+	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
+		t.Fatalf("median of single sample = %g", q)
 	}
 }
 
 func TestQuantiles(t *testing.T) {
-	a := NewAccumulator(true)
-	for i := 1; i <= 100; i++ {
-		a.Add(float64(i))
+	sorted := make([]float64, 100)
+	for i := range sorted {
+		sorted[i] = float64(i + 1)
 	}
 	for _, tc := range []struct{ q, want float64 }{
 		{0, 1}, {1, 100}, {0.5, 50.5}, {0.25, 25.75}, {0.75, 75.25},
 	} {
-		got, err := a.Quantile(tc.q)
-		if err != nil {
-			t.Fatal(err)
+		if got := quantileSorted(sorted, tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Fatalf("quantileSorted(%g) = %g, want %g", tc.q, got, tc.want)
 		}
-		if math.Abs(got-tc.want) > 1e-9 {
-			t.Fatalf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
-		}
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	a := NewAccumulator(true)
-	if _, err := a.Quantile(0.5); err == nil {
-		t.Fatal("quantile of empty accumulator succeeded")
-	}
-	a.Add(1)
-	if _, err := a.Quantile(-0.1); err == nil {
-		t.Fatal("negative q accepted")
-	}
-	if _, err := a.Quantile(1.1); err == nil {
-		t.Fatal("q>1 accepted")
-	}
-	b := NewAccumulator(false)
-	b.Add(1)
-	if _, err := b.Quantile(0.5); err == nil {
-		t.Fatal("quantile without retained samples succeeded")
 	}
 }
 
 func TestQuantileAfterInterleavedAdds(t *testing.T) {
 	a := NewAccumulator(true)
 	a.AddAll([]float64{5, 1, 3})
-	if q, _ := a.Quantile(0.5); q != 3 {
+	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
 		t.Fatalf("median = %g", q)
 	}
 	a.Add(0)
 	a.Add(10)
-	if q, _ := a.Quantile(0.5); q != 3 {
+	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
 		t.Fatalf("median after re-add = %g", q)
 	}
 }
@@ -239,16 +216,6 @@ func TestNormalQuantile(t *testing.T) {
 	}
 }
 
-func TestOneShotHelpers(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if MeanOf(xs) != 2.5 {
-		t.Fatal("MeanOf broken")
-	}
-	if math.Abs(StdDevOf(xs)-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Fatal("StdDevOf broken")
-	}
-}
-
 func TestWelfordNumericalStability(t *testing.T) {
 	// Large offset + small variance is the classic catastrophic
 	// cancellation case for naive sum-of-squares.
@@ -267,28 +234,23 @@ func TestQuantileDoesNotReorderSamples(t *testing.T) {
 	a := NewAccumulator(true)
 	in := []float64{9, 1, 7, 3, 5}
 	a.AddAll(in)
-	if _, err := a.Quantile(0.5); err != nil {
-		t.Fatal(err)
-	}
+	a.Summarize(0)
 	got := a.Samples()
 	for i := range in {
 		if got[i] != in[i] {
-			t.Fatalf("Quantile reordered Samples(): %v", got)
+			t.Fatalf("Summarize reordered Samples(): %v", got)
 		}
 	}
 	// And the quantiles are still right.
-	med, err := a.Quantile(0.5)
-	if err != nil || med != 5 {
-		t.Fatalf("median = %g, %v", med, err)
+	if med := a.Summarize(0).Quantiles[0.5]; med != 5 {
+		t.Fatalf("median = %g", med)
 	}
 }
 
 func TestAccumulatorReset(t *testing.T) {
 	a := NewAccumulator(true)
 	a.AddAll([]float64{1, 2, 3, 4})
-	if _, err := a.Quantile(0.5); err != nil {
-		t.Fatal(err)
-	}
+	a.Summarize(0)
 	a.Reset(true)
 	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 {
 		t.Fatal("Reset left moments behind")
@@ -300,9 +262,8 @@ func TestAccumulatorReset(t *testing.T) {
 		t.Fatal("Reset left samples behind")
 	}
 	a.AddAll([]float64{10, 30, 20})
-	med, err := a.Quantile(0.5)
-	if err != nil || med != 20 {
-		t.Fatalf("post-Reset median = %g, %v", med, err)
+	if med := a.Summarize(0).Quantiles[0.5]; med != 20 {
+		t.Fatalf("post-Reset median = %g", med)
 	}
 	// Reset to keep=false must stop retaining.
 	a.Reset(false)
@@ -319,13 +280,11 @@ func TestSummarizeMatchesQuantile(t *testing.T) {
 		a.Add(r.Normal(10, 2))
 	}
 	s := a.Summarize(0)
+	sorted := slices.Clone(a.Samples())
+	slices.Sort(sorted)
 	for _, q := range DefaultQuantiles {
-		want, err := a.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Quantiles[q] != want {
-			t.Fatalf("Summarize q=%g: %g != Quantile %g", q, s.Quantiles[q], want)
+		if want := quantileSorted(sorted, q); s.Quantiles[q] != want {
+			t.Fatalf("Summarize q=%g: %g != quantileSorted %g", q, s.Quantiles[q], want)
 		}
 	}
 }
