@@ -130,11 +130,10 @@ func main() {
 			focus = next
 			showEstimate(sess, focus, col)
 		case "tick":
-			n := 30
-			if len(fields) > 1 {
-				if parsed, err := strconv.Atoi(fields[1]); err == nil {
-					n = parsed
-				}
+			n, ok := tickCount(fields[1:])
+			if !ok {
+				fmt.Println("usage: tick [n], n ≥ 1")
+				continue
 			}
 			for i := 0; i < n; i++ {
 				if _, _, err := sess.Tick(); err != nil {
@@ -155,6 +154,16 @@ func main() {
 			fmt.Printf("unknown command %q (try 'help')\n", fields[0])
 		}
 	}
+}
+
+// tickCount reads the optional count of a tick command: 30 without
+// one, and ok = false unless the count is an integer ≥ 1.
+func tickCount(args []string) (n int, ok bool) {
+	if len(args) == 0 {
+		return 30, true
+	}
+	n, err := strconv.Atoi(args[0])
+	return n, err == nil && n >= 1
 }
 
 func showEstimate(sess *jigsaw.Session, focus jigsaw.Point, col string) {

@@ -87,7 +87,7 @@ func main() {
 	jumpTime := time.Since(start)
 
 	meanOf := func(xs []float64) float64 {
-		acc := jigsaw.NewAccumulator(false)
+		acc := jigsaw.NewAccumulator()
 		acc.AddAll(xs)
 		return acc.Mean()
 	}

@@ -9,8 +9,8 @@ import "fmt"
 // The paper requires mappings to be (1) easy to parameterize, (2) easy
 // to validate, (3) easy to compute, and (4) easily applied to simple
 // aggregate properties such as expectation. Affine mappings meet
-// property (4) exactly: they push through means, standard deviations,
-// quantiles and histogram edges (stats.Summary.MapAffine).
+// property (4) exactly: they push through means, standard deviations
+// and the observed range (stats.Summary.MapAffine).
 type Linear struct {
 	Alpha, Beta float64
 }

@@ -188,7 +188,7 @@ func TestFig5ChainNaiveVsJump(t *testing.T) {
 
 // meanOf is the sample mean of xs.
 func meanOf(xs []float64) float64 {
-	a := stats.NewAccumulator(false)
+	a := stats.NewAccumulator()
 	a.AddAll(xs)
 	return a.Mean()
 }

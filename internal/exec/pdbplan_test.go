@@ -250,7 +250,7 @@ func TestBuildPDBPlanTakesColumnarPath(t *testing.T) {
 		params := map[string]float64{
 			"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36,
 		}
-		opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 3, KeepSamples: true, HistBins: 6, BlockWorlds: 7}
+		opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 3, BlockWorlds: 7}
 		want, err := pdb.RunDistribution(plan, params, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

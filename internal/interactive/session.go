@@ -64,8 +64,6 @@ type Options struct {
 	MasterSeed uint64
 	// Tolerance is the mapping validation tolerance.
 	Tolerance float64
-	// HistBins adds a histogram to estimates when > 0.
-	HistBins int
 }
 
 // validate rejects option values that no default repairs. It runs
@@ -78,8 +76,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("interactive: negative BatchSize %d", o.BatchSize)
 	case o.FingerprintLen < 0:
 		return fmt.Errorf("interactive: negative FingerprintLen %d", o.FingerprintLen)
-	case o.HistBins < 0:
-		return fmt.Errorf("interactive: negative HistBins %d", o.HistBins)
 	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
 		return fmt.Errorf("interactive: non-finite Tolerance %g", o.Tolerance)
 	}
@@ -297,7 +293,7 @@ func (s *Session) Estimate(p param.Point) (stats.Summary, bool) {
 		return stats.Summary{}, false
 	}
 	b := s.bases[ps.basisID]
-	acc := stats.NewAccumulator(s.opts.HistBins > 0)
+	acc := stats.NewAccumulator()
 	ids := make([]int, 0, len(b.samples))
 	for id := range b.samples {
 		ids = append(ids, id)
@@ -306,7 +302,7 @@ func (s *Session) Estimate(p param.Point) (stats.Summary, bool) {
 	for _, id := range ids {
 		acc.Add(ps.mapping.Apply(b.samples[id]))
 	}
-	return acc.Summarize(s.opts.HistBins), true
+	return acc.Summarize(), true
 }
 
 // ErrNoFocus is returned by Tick before any SetFocus call.

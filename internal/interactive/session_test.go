@@ -63,7 +63,6 @@ func TestNewSessionRejectsInvalidOptions(t *testing.T) {
 	}{
 		{"negative batch size", Options{BatchSize: -1}, "BatchSize"},
 		{"negative fingerprint length", Options{FingerprintLen: -3}, "FingerprintLen"},
-		{"negative hist bins", Options{HistBins: -2}, "HistBins"},
 		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
 		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
 		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -47,21 +48,28 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
-	// Without sample retention, the block-pipeline cold path must be
-	// allocation-free at steady state: sample blocks, seed blocks,
-	// bound arguments and the accumulator all come from pooled
-	// scratch. Budget ≤ 1 per point (pool bookkeeping only).
-	e := MustNew(Options{
-		Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
-		Reuse: false, Workers: 1,
-	})
-	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
-	p := param.Point{"week": 30, "feature": 52}
-	e.EvaluatePoint(ev, p) // warm the pool
-	allocs := testing.AllocsPerRun(20, func() {
-		e.EvaluatePoint(ev, p)
-	})
-	if allocs > 1 {
-		t.Errorf("full simulation allocates %.1f per point, budget 1", allocs)
+	// Unless a basis payload keeps the sample vector, the
+	// block-pipeline cold path must be allocation-free at steady
+	// state: sample blocks, seed blocks, bound arguments and the
+	// accumulator all come from pooled scratch. KeepSamples without
+	// Reuse keeps no vector, so it draws into scratch too (a fresh
+	// vector would be 1 per point). Budget 0: the scratch outlives a
+	// GC in the pool's victim cache, and AllocsPerRun floors the mean.
+	for _, keep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("KeepSamples=%v", keep), func(t *testing.T) {
+			e := MustNew(Options{
+				Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
+				Reuse: false, KeepSamples: keep, Workers: 1,
+			})
+			ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
+			p := param.Point{"week": 30, "feature": 52}
+			e.EvaluatePoint(ev, p) // warm the pool
+			allocs := testing.AllocsPerRun(20, func() {
+				e.EvaluatePoint(ev, p)
+			})
+			if allocs != 0 {
+				t.Errorf("full simulation allocates %.1f per point, want 0", allocs)
+			}
+		})
 	}
 }

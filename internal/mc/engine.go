@@ -193,9 +193,8 @@ type Options struct {
 	// Tolerance is the mapping validation tolerance (default
 	// core.DefaultTolerance).
 	Tolerance float64
-	// KeepSamples retains raw samples in summaries and basis payloads
-	// (needed for quantiles, histograms, the interactive engine, and
-	// ValidationSamples).
+	// KeepSamples retains each basis' sample vector in its payload,
+	// which ValidationSamples compares a match against.
 	KeepSamples bool
 	// ValidationSamples extends every successful fingerprint match
 	// with that many additional paired samples before trusting it —
@@ -211,9 +210,6 @@ type Options struct {
 	// KeepSamples so bases retain their seed-aligned sample vectors.
 	// 0 (the default) reproduces the paper's behavior exactly.
 	ValidationSamples int
-	// HistBins adds an equi-width histogram to summaries when
-	// KeepSamples is set.
-	HistBins int
 	// Workers sizes the point pool of Sweep and SweepBatch; 0 means
 	// GOMAXPROCS, 1 runs the sweep on the calling goroutine, negative
 	// values are rejected. A point's own samples always draw on one
@@ -259,8 +255,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("mc: negative Workers %d", o.Workers)
 	case o.ValidationSamples < 0:
 		return fmt.Errorf("mc: negative ValidationSamples %d", o.ValidationSamples)
-	case o.HistBins < 0:
-		return fmt.Errorf("mc: negative HistBins %d", o.HistBins)
 	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
 		return fmt.Errorf("mc: non-finite Tolerance %g", o.Tolerance)
 	case o.Index < IndexArray || o.Index > IndexSortedSID:
@@ -286,7 +280,9 @@ func (o Options) newIndex() core.Index {
 type BasisPayload struct {
 	// Summary holds the estimator output oi for the basis point.
 	Summary stats.Summary
-	// Samples holds the raw draws when Options.KeepSamples is set.
+	// Samples holds the basis' seed-aligned draws when
+	// Options.KeepSamples is set; validation compares matches against
+	// them.
 	Samples []float64
 
 	// pending is nonzero between a sweep registering the basis (phase
@@ -392,8 +388,8 @@ func MustNew(opts Options) *Engine {
 	return e
 }
 
-// Store exposes the basis store (read-only use by callers: experiment
-// reporting, interactive engine bootstrap).
+// Store exposes the basis store for read-only inspection of its bases
+// and size.
 func (e *Engine) Store() *core.Store { return e.store }
 
 // Options returns the engine's effective options.
@@ -511,11 +507,12 @@ func (e *Engine) mapBasis(basis *core.Basis, mapping core.Linear, p param.Point)
 }
 
 // sampleVector returns the buffer for output c's n samples: freshly
-// allocated when the engine retains samples (ownership transfers to
-// the basis payload), the scratch's buffer for output c otherwise, in
-// which case it must not outlive the point.
+// allocated when a basis payload will keep it (Reuse with
+// KeepSamples; ownership transfers to the payload), the scratch's
+// buffer for output c otherwise, in which case it must not outlive the
+// point.
 func (e *Engine) sampleVector(c int, sc *scratch) []float64 {
-	if e.opts.KeepSamples {
+	if e.opts.Reuse && e.opts.KeepSamples {
 		return make([]float64, e.opts.Samples)
 	}
 	return sc.floats(c, e.opts.Samples)
@@ -524,9 +521,9 @@ func (e *Engine) sampleVector(c int, sc *scratch) []float64 {
 // summarize returns the result of a fully simulated point.
 func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointResult {
 	acc := &sc.acc
-	acc.Reset(e.opts.KeepSamples)
+	acc.Reset()
 	acc.AddBlock(samples)
-	return PointResult{Point: p, Summary: acc.Summarize(e.opts.HistBins), BasisID: -1}
+	return PointResult{Point: p, Summary: acc.Summarize(), BasisID: -1}
 }
 
 // simulateRows runs the rounds from lo to n−1 on the calling

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"jigsaw/internal/core"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
+	"jigsaw/internal/stats"
 )
 
 // gaussEval is a PointEval drawing N(week, (0.1*week)^2+1): affine in
@@ -81,12 +83,12 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	}{
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative validation samples", Options{ValidationSamples: -1}, "ValidationSamples"},
-		{"negative hist bins", Options{HistBins: -2}, "HistBins"},
 		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
 		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
 		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},
 		{"unknown index", Options{Index: 7}, "index"},
 		{"negative index", Options{Index: -1}, "index"},
+		{"fingerprint longer than samples", Options{Samples: 5, FingerprintLen: 10}, "fingerprint length"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := New(tc.opts)
@@ -208,11 +210,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestKeepSamplesPayload(t *testing.T) {
-	e := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: true, HistBins: 8, Workers: 1})
+	e := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: true, Workers: 1})
 	res, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 5})
-	if res.Summary.Hist == nil {
-		t.Fatal("histogram missing")
-	}
 	basis, ok := e.Store().Get(res.BasisID)
 	if !ok {
 		t.Fatal("basis not stored")
@@ -220,6 +219,65 @@ func TestKeepSamplesPayload(t *testing.T) {
 	payload := basis.Payload.(*BasisPayload)
 	if len(payload.Samples) != 64 {
 		t.Fatalf("payload samples = %d", len(payload.Samples))
+	}
+	// The retained samples are the ones the point's summary was taken
+	// over, and a later miss's simulation does not overwrite them.
+	want := append([]float64(nil), payload.Samples...)
+	square := EvalFunc(func(_ param.Point, r *rng.Rand) float64 {
+		x := r.StdNormal()
+		return x * x
+	})
+	if miss, _ := e.EvaluatePoint(square, param.Point{"week": 5}); miss.Reused {
+		t.Fatal("a squared normal matched the Gaussian basis")
+	}
+	acc := stats.NewAccumulator()
+	acc.AddBlock(payload.Samples)
+	if got := acc.Summarize(); got != res.Summary || payload.Summary != res.Summary {
+		t.Fatalf("payload samples summarize to %+v, payload summary %+v, result %+v", got, payload.Summary, res.Summary)
+	}
+	if !slices.Equal(payload.Samples, want) {
+		t.Fatal("a later point overwrote the payload's samples")
+	}
+}
+
+func TestEvaluatePointMapsSummary(t *testing.T) {
+	// A reused point's summary is its basis' summary pushed through
+	// the found mapping: the mean and range endpoints map, σ scales by
+	// |α|, and the endpoints swap when α < 0.
+	flip := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
+		w := p.MustGet("week")
+		return w + (10-w/2)*r.StdNormal() // week 40 = -2·(week 10) + 60
+	})
+	for _, tc := range []struct {
+		name     string
+		ev       PointEval
+		negative bool
+	}{
+		{"positive alpha", gaussEval, false},
+		{"negative alpha", flip, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1})
+			basis, _ := e.EvaluatePoint(tc.ev, param.Point{"week": 10})
+			mapped, _ := e.EvaluatePoint(tc.ev, param.Point{"week": 40})
+			if basis.Reused || !mapped.Reused || mapped.BasisID != basis.BasisID {
+				t.Fatalf("want week 40 mapped from week 10's basis: %+v, %+v", basis, mapped)
+			}
+			m := mapped.Mapping
+			if (m.Alpha < 0) != tc.negative {
+				t.Fatalf("mapping %v, want negative α = %v", m, tc.negative)
+			}
+			if want := basis.Summary.MapAffine(m.Alpha, m.Beta); mapped.Summary != want {
+				t.Fatalf("mapped summary %+v, want %+v", mapped.Summary, want)
+			}
+			lo, hi := m.Apply(basis.Summary.Min), m.Apply(basis.Summary.Max)
+			if tc.negative {
+				lo, hi = hi, lo
+			}
+			if mapped.Summary.Min != lo || mapped.Summary.Max != hi || lo >= hi {
+				t.Fatalf("mapped range [%g, %g], want [%g, %g]", mapped.Summary.Min, mapped.Summary.Max, lo, hi)
+			}
+		})
 	}
 }
 
@@ -283,20 +341,5 @@ func TestCapacitySweepFindsFewBases(t *testing.T) {
 	}
 	if st.FullSimulations < 2 {
 		t.Fatalf("capacity sweep used %d bases; structures should force several", st.FullSimulations)
-	}
-}
-
-func TestEvaluatePointMapsQuantiles(t *testing.T) {
-	e := MustNew(Options{Samples: 400, Reuse: true, KeepSamples: true, Workers: 1})
-	r1, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r2, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 40})
-	if !r2.Reused {
-		t.Fatal("expected reuse")
-	}
-	if r2.Summary.Quantiles == nil {
-		t.Fatal("reused summary lost quantiles")
-	}
-	if r2.Summary.Quantiles[0.5] <= r1.Summary.Quantiles[0.5] {
-		t.Fatal("mapped median should grow with week")
 	}
 }

@@ -26,9 +26,9 @@ type scratch struct {
 	// fp is the fingerprint buffer for probe-only fingerprints.
 	fp core.Fingerprint
 	// samples holds one full-simulation sample buffer per output,
-	// reused when the engine does not retain samples (retained samples
-	// transfer ownership to the basis payload and must be freshly
-	// allocated).
+	// reused unless a basis payload keeps the vector (Reuse with
+	// KeepSamples: ownership transfers to the payload, so it must be
+	// freshly allocated).
 	samples [][]float64
 	// dsts is the per-output destination list handed to a sampler.
 	dsts [][]float64

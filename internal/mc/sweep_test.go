@@ -123,7 +123,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		{"reuse/norm", demand, demandSpace, func(o *Options) { o.Index = IndexNormalization }},
 		{"reuse/sid", demand, demandSpace, func(o *Options) { o.Index = IndexSortedSID }},
 		{"noreuse", demand, demandSpace, func(o *Options) { o.Reuse = false }},
-		{"keepsamples", demand, demandSpace, func(o *Options) { o.KeepSamples = true; o.HistBins = 8 }},
+		{"keepsamples", demand, demandSpace, func(o *Options) { o.KeepSamples = true }},
 		{"validation", demand, demandSpace, func(o *Options) { o.KeepSamples = true; o.ValidationSamples = 16 }},
 		{"midsweep/array", synth, synthSpace(t, 200), func(o *Options) { o.Index = IndexArray }},
 		{"midsweep/norm", synth, synthSpace(t, 200), func(o *Options) { o.Index = IndexNormalization }},

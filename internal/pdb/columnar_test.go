@@ -11,11 +11,11 @@ import (
 // The columnar executor's contract is bit-identity: for every
 // operator, block size and worker count, RunDistribution must produce
 // exactly the Distribution the per-world reference oracle
-// (reference_test.go) produces — cells (including quantiles and
-// histograms), key rows, schema, everything. These tests pin that
-// across a query zoo covering every built-in operator and the
-// interesting randomness disciplines (fresh-lane kernel dispatch,
-// stream kernels, branch-masked draws, world-varying selections).
+// (reference_test.go) produces — cells, key rows, schema, everything.
+// These tests pin that across a query zoo covering every built-in
+// operator and the interesting randomness disciplines (fresh-lane
+// kernel dispatch, stream kernels, branch-masked draws, world-varying
+// selections).
 
 var columnarBlockSizes = []int{1, 7, 256, 1000}
 var columnarWorkers = []int{1, 4}
@@ -43,7 +43,7 @@ func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worl
 	t.Helper()
 	for _, bw := range columnarBlockSizes {
 		opts := WorldsOptions{
-			Worlds: worlds, MasterSeed: 0x1234, KeepSamples: true, HistBins: 8, BlockWorlds: bw,
+			Worlds: worlds, MasterSeed: 0x1234, BlockWorlds: bw,
 		}
 		want, wantErr := refDistribution(plan, params, opts)
 		for _, workers := range columnarWorkers {
@@ -382,7 +382,7 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]float64{"week": 40}
-	opts := WorldsOptions{Worlds: 200, MasterSeed: 5, KeepSamples: true}
+	opts := WorldsOptions{Worlds: 200, MasterSeed: 5}
 	dist, err := RunDistribution(plan, params, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -401,9 +401,6 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := dist.Cells[0][0]
-	_ = samples
-	acc := cell
 	if len(sums) != opts.Worlds {
 		t.Fatalf("bulk returned %d sums for %d worlds", len(sums), opts.Worlds)
 	}
@@ -417,8 +414,8 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 			mx = s
 		}
 	}
-	if acc.Min != mn || acc.Max != mx {
-		t.Fatalf("bulk sums [%g,%g] vs distribution cell [%g,%g]", mn, mx, acc.Min, acc.Max)
+	if cell.Min != mn || cell.Max != mx {
+		t.Fatalf("bulk sums [%g,%g] vs distribution cell [%g,%g]", mn, mx, cell.Min, cell.Max)
 	}
 }
 

@@ -24,12 +24,6 @@ type WorldsOptions struct {
 	// reuse the fingerprint seeds so PDB answers are comparable with
 	// engine fingerprints.
 	MasterSeed uint64
-	// KeepSamples retains per-cell sample vectors for quantiles and
-	// histograms.
-	KeepSamples bool
-	// HistBins adds histograms to cell summaries when KeepSamples is
-	// set; negative values are rejected.
-	HistBins int
 	// BlockWorlds is the number of worlds per execution block (0
 	// means DefaultBlockWorlds, negative values are rejected). Results are bit-identical across
 	// Workers for a fixed BlockWorlds; across *different* block sizes,
@@ -47,8 +41,6 @@ func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
 	switch {
 	case o.Worlds < 0:
 		return o, fmt.Errorf("pdb: Worlds = %d; want > 0, or 0 for the default", o.Worlds)
-	case o.HistBins < 0:
-		return o, fmt.Errorf("pdb: negative HistBins %d", o.HistBins)
 	case o.BlockWorlds < 0:
 		return o, fmt.Errorf("pdb: negative BlockWorlds %d", o.BlockWorlds)
 	case o.Workers < 0:
@@ -67,11 +59,12 @@ func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
 }
 
 // Distribution is a PDB query answer: a distribution over result
-// tables, summarized cell-wise across worlds (§2.1: the answer "may be
-// represented as an expectation, maximum likelihood, histogram,
-// etc."). Rows are aligned positionally across worlds: no operator
-// reorders rows, so row k is each world's k-th surviving row (the
-// tuple-bundle discipline).
+// tables, summarized cell-wise across worlds. §2.1 lets the answer be
+// "represented as an expectation, maximum likelihood, histogram,
+// etc."; a cell holds what Jigsaw's statements read, the expectation
+// and standard deviation, with the observed range. Rows are aligned
+// positionally across worlds: no operator reorders rows, so row k is
+// each world's k-th surviving row (the tuple-bundle discipline).
 type Distribution struct {
 	// Schema is the result schema.
 	Schema Schema
@@ -348,7 +341,7 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 			for i := range accs {
 				accs[i] = make([]*stats.Accumulator, out.ncols)
 				for j := range accs[i] {
-					accs[i][j] = stats.NewAccumulator(opts.KeepSamples)
+					accs[i][j] = stats.NewAccumulator()
 				}
 			}
 			scratch = make([]float64, 0, out.w)
@@ -414,7 +407,7 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 	for i := range accs {
 		dist.Cells[i] = make([]stats.Summary, len(accs[i]))
 		for j := range accs[i] {
-			dist.Cells[i][j] = accs[i][j].Summarize(opts.HistBins)
+			dist.Cells[i][j] = accs[i][j].Summarize()
 		}
 	}
 	return dist, nil
@@ -566,14 +559,22 @@ type bulkScratch struct {
 
 var bulkScratchPool = pool.NewPool[bulkScratch](nil)
 
-// RunSummary aggregates the per-world sums into a Summary, matching
-// what RunDistribution would report for the equivalent plan tree.
+// RunSummary aggregates the per-world sums into a Summary bit-identical
+// to the SUM cell RunDistribution reports for the equivalent plan tree:
+// the sums are bit-identical, and they fold the way commitBlocks folds
+// a cell, one AddBlock per block of BlockWorlds worlds.
 func (p *BulkVGSumPlan) RunSummary(params map[string]float64, opts WorldsOptions) (stats.Summary, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return stats.Summary{}, err
+	}
 	sums, err := p.Run(params, opts)
 	if err != nil {
 		return stats.Summary{}, err
 	}
-	acc := stats.NewAccumulator(opts.KeepSamples)
-	acc.AddAll(sums)
-	return acc.Summarize(opts.HistBins), nil
+	acc := stats.NewAccumulator()
+	for lo := 0; lo < len(sums); lo += opts.BlockWorlds {
+		acc.AddBlock(sums[lo:min(lo+opts.BlockWorlds, len(sums))])
+	}
+	return acc.Summarize(), nil
 }

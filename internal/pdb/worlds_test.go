@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -147,7 +148,7 @@ func TestWorldsOptionsRejectNegative(t *testing.T) {
 		opts WorldsOptions
 		want string // error substring; empty means accepted
 	}{
-		{"negative hist bins", WorldsOptions{Worlds: 4, HistBins: -1}, "HistBins"},
+		{"negative worlds", WorldsOptions{Worlds: -1}, "Worlds ="},
 		{"negative block worlds", WorldsOptions{Worlds: 4, BlockWorlds: -1}, "BlockWorlds"},
 		{"negative workers", WorldsOptions{Worlds: 4, Workers: -1}, "Workers"},
 		{"zero defaults", WorldsOptions{Worlds: 4}, ""},
@@ -248,9 +249,10 @@ func TestRunDistributionAggregateQuery(t *testing.T) {
 }
 
 func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
-	// The vectorized fast path must estimate the same distribution as
-	// per-world execution of the equivalent plan (different randomness
-	// order, same statistics).
+	// The fused fast path draws the same per-world sums as per-world
+	// execution of the equivalent plan and folds them block by block
+	// the same way, so its summary equals the SUM cell bit for bit at
+	// every block size and worker count.
 	users := blackbox.GenerateUsers(300, 11)
 	tbl := MustNewTable("join_week", "base", "growth", "vol")
 	for _, u := range users {
@@ -276,17 +278,6 @@ func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]float64{"week": 40}
-	opts := WorldsOptions{Worlds: 1500, MasterSeed: 9}
-	dist, err := RunDistribution(plan, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perWorld, err := dist.CellByName(0, "total")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bulk plan over the same table.
 	var bulkArgs []BoundExpr
 	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
 		b, err := e.Bind(scan.Schema(), env)
@@ -296,12 +287,27 @@ func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
 		bulkArgs = append(bulkArgs, b)
 	}
 	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: bulkArgs}
-	bulkSummary, err := bulk.RunSummary(params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(bulkSummary.Mean-perWorld.Mean) / perWorld.Mean; rel > 0.05 {
-		t.Fatalf("bulk mean %g vs per-world %g (rel %g)", bulkSummary.Mean, perWorld.Mean, rel)
+	for _, bw := range []int{1, 7, 256} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("bw=%d/workers=%d", bw, workers), func(t *testing.T) {
+				opts := WorldsOptions{Worlds: 1500, MasterSeed: 9, BlockWorlds: bw, Workers: workers}
+				dist, err := RunDistribution(plan, params, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perWorld, err := dist.CellByName(0, "total")
+				if err != nil {
+					t.Fatal(err)
+				}
+				bulkSummary, err := bulk.RunSummary(params, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bulkSummary != perWorld {
+					t.Fatalf("bulk summary %+v, per-world cell %+v", bulkSummary, perWorld)
+				}
+			})
+		}
 	}
 }
 

@@ -1,60 +1,40 @@
 // Package stats implements the Estimator stage of Jigsaw's Monte Carlo
 // pipeline (Fig. 3): it aggregates i.i.d. samples of a query-result
-// distribution into the characteristics of interest — expectation,
-// standard deviation, quantiles, histograms — and knows how to push
-// affine mapping functions through those characteristics exactly, which
-// is what makes basis-distribution reuse free (§3: Mexpect and family).
+// distribution into the characteristics a statement can ask for —
+// expectation and standard deviation, with the observed range — and
+// knows how to push affine mapping functions through them exactly,
+// which is what makes basis-distribution reuse free (§3: Mexpect and
+// family).
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Accumulator ingests samples one at a time in O(1) memory for the
-// moment statistics, while optionally retaining samples for quantile
-// and histogram estimation. The Monte Carlo engine feeds it directly
-// from the sample stream.
+// Accumulator ingests samples, one at a time or a block at a time, in
+// O(1) memory. The Monte Carlo engine feeds it directly from the
+// sample stream.
 type Accumulator struct {
 	n        int
 	mean     float64
 	m2       float64 // sum of squared deviations (Welford)
 	min, max float64
-	keep     bool
-	samples  []float64
-	// sorted is a scratch copy of samples in ascending order, built
-	// lazily by ensureSorted and invalidated on Add. Quantile reads it
-	// so the slice handed out by Samples() keeps its insertion order.
-	sorted      []float64
-	sortedValid bool
 }
 
-// NewAccumulator returns an accumulator. keepSamples controls whether
-// individual samples are retained (required for quantiles/histograms;
-// the engine keeps them for basis distributions, which the interactive
-// mode extends incrementally).
-func NewAccumulator(keepSamples bool) *Accumulator {
+// NewAccumulator returns an empty accumulator.
+func NewAccumulator() *Accumulator {
 	a := &Accumulator{}
-	a.Reset(keepSamples)
+	a.Reset()
 	return a
 }
 
-// Reset returns the accumulator to its empty state while retaining
-// buffer capacity, so one accumulator can be recycled across Monte
-// Carlo points without allocating. keepSamples is as in
-// NewAccumulator. A zero-valued Accumulator must be Reset before use.
-func (a *Accumulator) Reset(keepSamples bool) {
-	a.n = 0
-	a.mean = 0
-	a.m2 = 0
-	a.min = math.Inf(1)
-	a.max = math.Inf(-1)
-	a.keep = keepSamples
-	a.samples = a.samples[:0]
-	a.sorted = a.sorted[:0]
-	a.sortedValid = false
+// Reset returns the accumulator to its empty state, so one accumulator
+// can be recycled across Monte Carlo points. A zero-valued Accumulator
+// must be Reset before use.
+func (a *Accumulator) Reset() {
+	*a = Accumulator{min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // Add ingests one sample using Welford's numerically stable update.
@@ -68,10 +48,6 @@ func (a *Accumulator) Add(x float64) {
 	}
 	if x > a.max {
 		a.max = x
-	}
-	if a.keep {
-		a.samples = append(a.samples, x)
-		a.sortedValid = false
 	}
 }
 
@@ -192,10 +168,6 @@ func (a *Accumulator) AddBlock(xs []float64) {
 	if mx > a.max {
 		a.max = mx
 	}
-	if a.keep {
-		a.samples = append(a.samples, xs...)
-		a.sortedValid = false
-	}
 }
 
 // N returns the number of samples ingested.
@@ -221,34 +193,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest sample (−Inf with no samples).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Samples returns the retained samples in insertion order (nil when
-// not keeping). The returned slice must not be mutated; the
-// accumulator never reorders it (Summarize sorts a private copy).
-func (a *Accumulator) Samples() []float64 { return a.samples }
-
-// ensureSorted (re)builds the private ascending copy of the samples.
-func (a *Accumulator) ensureSorted() {
-	if a.sortedValid {
-		return
-	}
-	a.sorted = append(a.sorted[:0], a.samples...)
-	sort.Float64s(a.sorted)
-	a.sortedValid = true
-}
-
-// quantileSorted interpolates the q'th quantile of an ascending
-// sample vector.
-func quantileSorted(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Summary snapshots the characteristics of an output distribution.
 // Summaries are the payloads stored with basis distributions; MapAffine
 // produces the summary of a mapped distribution without resampling.
@@ -261,76 +205,36 @@ type Summary struct {
 	StdDev float64
 	// Min and Max bound the observed samples.
 	Min, Max float64
-	// Quantiles holds selected quantile estimates keyed by q (e.g.
-	// 0.5 for the median); nil when samples were not retained.
-	Quantiles map[float64]float64
-	// Hist is an optional equi-width histogram of the samples.
-	Hist *Histogram
 }
 
-// DefaultQuantiles are the quantiles recorded in summaries when
-// samples are available.
-var DefaultQuantiles = []float64{0.05, 0.25, 0.5, 0.75, 0.95}
-
-// Summarize builds a Summary from the accumulator. Histogram and
-// quantiles are included only when samples were retained; bins <= 0
-// omits the histogram. One sort (cached across calls until the next
-// Add) serves every quantile; the histogram's edges come from the
-// O(1) min/max.
-func (a *Accumulator) Summarize(bins int) Summary {
-	s := Summary{N: a.n, Mean: a.mean, StdDev: a.StdDev(), Min: a.min, Max: a.max}
-	if a.keep && a.n > 0 {
-		a.ensureSorted()
-		s.Quantiles = make(map[float64]float64, len(DefaultQuantiles))
-		for _, q := range DefaultQuantiles {
-			s.Quantiles[q] = quantileSorted(a.sorted, q)
-		}
-		if bins > 0 {
-			s.Hist = NewHistogram(a.min, a.max, bins)
-			for _, x := range a.samples {
-				s.Hist.Add(x)
-			}
-		}
-	}
-	return s
+// Summarize builds a Summary from the accumulator.
+func (a *Accumulator) Summarize() Summary {
+	return Summary{N: a.n, Mean: a.mean, StdDev: a.StdDev(), Min: a.min, Max: a.max}
 }
 
 // MapAffine returns the summary of the distribution αX+β given the
 // summary of X. This is the family of derived mapping functions from
-// §3: Mexpect(E[X]) = αE[X]+β, σ ↦ |α|σ, quantiles map per-point
-// (order reverses when α < 0), histograms remap bin edges.
+// §3: Mexpect(E[X]) = αE[X]+β, σ ↦ |α|σ, and the range's endpoints map
+// (and swap when α < 0).
 func (s Summary) MapAffine(alpha, beta float64) Summary {
-	out := Summary{
-		N:      s.N,
-		Mean:   alpha*s.Mean + beta,
-		StdDev: math.Abs(alpha) * s.StdDev,
-	}
 	lo := alpha*s.Min + beta
 	hi := alpha*s.Max + beta
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	out.Min, out.Max = lo, hi
-	if s.Quantiles != nil {
-		out.Quantiles = make(map[float64]float64, len(s.Quantiles))
-		for q, v := range s.Quantiles {
-			qq := q
-			if alpha < 0 {
-				qq = 1 - q
-			}
-			out.Quantiles[qq] = alpha*v + beta
-		}
+	return Summary{
+		N:      s.N,
+		Mean:   alpha*s.Mean + beta,
+		StdDev: math.Abs(alpha) * s.StdDev,
+		Min:    lo,
+		Max:    hi,
 	}
-	if s.Hist != nil {
-		out.Hist = s.Hist.MapAffine(alpha, beta)
-	}
-	return out
 }
 
 // ConfidenceInterval returns the half-width of the two-sided normal
 // approximation confidence interval for the mean at the given
-// confidence level (e.g. 0.95). The interactive engine uses it to
-// decide when a point's estimate is refined enough.
+// confidence level (e.g. 0.95). The interactive front ends report it
+// beside a point's progressive estimate.
 func (s Summary) ConfidenceInterval(level float64) (float64, error) {
 	if s.N == 0 {
 		return 0, errors.New("stats: no samples")

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +9,7 @@ import (
 )
 
 func TestAccumulatorMoments(t *testing.T) {
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	a.AddAll(xs)
 	if a.N() != 8 {
@@ -30,7 +28,7 @@ func TestAccumulatorMoments(t *testing.T) {
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	if a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
 		t.Fatal("empty accumulator moments non-zero")
 	}
@@ -40,80 +38,40 @@ func TestAccumulatorEmpty(t *testing.T) {
 }
 
 func TestAccumulatorSingleSample(t *testing.T) {
-	a := NewAccumulator(true)
+	a := NewAccumulator()
 	a.Add(3)
 	if a.Variance() != 0 {
 		t.Fatal("variance of single sample != 0")
 	}
-	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
-		t.Fatalf("median of single sample = %g", q)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	sorted := make([]float64, 100)
-	for i := range sorted {
-		sorted[i] = float64(i + 1)
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {1, 100}, {0.5, 50.5}, {0.25, 25.75}, {0.75, 75.25},
-	} {
-		if got := quantileSorted(sorted, tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Fatalf("quantileSorted(%g) = %g, want %g", tc.q, got, tc.want)
-		}
-	}
-}
-
-func TestQuantileAfterInterleavedAdds(t *testing.T) {
-	a := NewAccumulator(true)
-	a.AddAll([]float64{5, 1, 3})
-	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
-		t.Fatalf("median = %g", q)
-	}
-	a.Add(0)
-	a.Add(10)
-	if q := a.Summarize(0).Quantiles[0.5]; q != 3 {
-		t.Fatalf("median after re-add = %g", q)
+	if got, want := a.Summarize(), (Summary{N: 1, Mean: 3, Min: 3, Max: 3}); got != want {
+		t.Fatalf("summary of single sample = %+v, want %+v", got, want)
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	a := NewAccumulator(true)
+	a := NewAccumulator()
 	for i := 0; i < 1000; i++ {
 		a.Add(float64(i % 10))
 	}
-	s := a.Summarize(10)
+	s := a.Summarize()
 	if s.N != 1000 {
 		t.Fatalf("N = %d", s.N)
 	}
 	if math.Abs(s.Mean-4.5) > 1e-9 {
 		t.Fatalf("Mean = %g", s.Mean)
 	}
-	if s.Hist == nil || s.Hist.Total() != 1000 {
-		t.Fatal("histogram missing or short")
-	}
-	if len(s.Quantiles) != len(DefaultQuantiles) {
-		t.Fatalf("quantiles = %v", s.Quantiles)
-	}
-	// bins <= 0 omits the histogram.
-	if got := a.Summarize(0); got.Hist != nil {
-		t.Fatal("bins=0 still produced a histogram")
-	}
-	// Without samples retained, no quantiles or histogram.
-	b := NewAccumulator(false)
-	b.Add(1)
-	if got := b.Summarize(10); got.Hist != nil || got.Quantiles != nil {
-		t.Fatal("sample-free summary has distribution detail")
+	if want := (Summary{N: a.N(), Mean: a.Mean(), StdDev: a.StdDev(), Min: 0, Max: 9}); s != want {
+		t.Fatalf("Summarize = %+v, want %+v", s, want)
 	}
 }
 
 func TestMapAffinePositiveAlpha(t *testing.T) {
-	a := NewAccumulator(true)
+	a := NewAccumulator()
 	r := rng.New(1)
 	for i := 0; i < 20000; i++ {
 		a.Add(r.Normal(2, 3))
 	}
-	s := a.Summarize(32)
+	s := a.Summarize()
 	m := s.MapAffine(2, 5)
 	if math.Abs(m.Mean-(2*s.Mean+5)) > 1e-12 {
 		t.Fatalf("mapped mean = %g", m.Mean)
@@ -124,17 +82,14 @@ func TestMapAffinePositiveAlpha(t *testing.T) {
 	if m.Min != 2*s.Min+5 || m.Max != 2*s.Max+5 {
 		t.Fatal("mapped bounds wrong")
 	}
-	if math.Abs(m.Quantiles[0.5]-(2*s.Quantiles[0.5]+5)) > 1e-12 {
-		t.Fatal("mapped median wrong")
-	}
 }
 
 func TestMapAffineNegativeAlpha(t *testing.T) {
-	a := NewAccumulator(true)
+	a := NewAccumulator()
 	for i := 1; i <= 100; i++ {
 		a.Add(float64(i))
 	}
-	s := a.Summarize(10)
+	s := a.Summarize()
 	m := s.MapAffine(-1, 0)
 	if math.Abs(m.Mean+s.Mean) > 1e-12 {
 		t.Fatalf("mapped mean = %g", m.Mean)
@@ -145,9 +100,51 @@ func TestMapAffineNegativeAlpha(t *testing.T) {
 	if m.Min != -100 || m.Max != -1 {
 		t.Fatalf("mapped bounds = %g..%g", m.Min, m.Max)
 	}
-	// Quantile q of X becomes quantile 1-q of -X.
-	if math.Abs(m.Quantiles[0.95]+s.Quantiles[0.05]) > 1e-12 {
-		t.Fatal("quantile reflection wrong")
+}
+
+func TestMapAffineZeroAlpha(t *testing.T) {
+	// α = 0 maps every sample to β: a point mass, whatever X was.
+	a := NewAccumulator()
+	for i := 1; i <= 10; i++ {
+		a.Add(float64(i))
+	}
+	m := a.Summarize().MapAffine(0, 7)
+	if want := (Summary{N: 10, Mean: 7, StdDev: 0, Min: 7, Max: 7}); m != want {
+		t.Fatalf("MapAffine(0, 7) = %+v, want %+v", m, want)
+	}
+}
+
+func TestSummarizeMatchesTwoPass(t *testing.T) {
+	// Add's streaming update and AddBlock's fused reduction both agree
+	// with the textbook two-pass moments of the same samples.
+	r := rng.New(42)
+	xs := make([]float64, 500)
+	for i := range xs {
+		xs[i] = r.Normal(10, 2)
+	}
+	var sum float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
+		sum += x
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	mean := sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	sd := math.Sqrt(ss / float64(len(xs)-1))
+
+	stream, block := NewAccumulator(), NewAccumulator()
+	stream.AddAll(xs)
+	block.AddBlock(xs)
+	for name, s := range map[string]Summary{"Add": stream.Summarize(), "AddBlock": block.Summarize()} {
+		if s.N != len(xs) || s.Min != lo || s.Max != hi {
+			t.Fatalf("%s: N/Min/Max = %d/%g/%g, want %d/%g/%g", name, s.N, s.Min, s.Max, len(xs), lo, hi)
+		}
+		if math.Abs(s.Mean-mean) > 1e-12*mean || math.Abs(s.StdDev-sd) > 1e-12*sd {
+			t.Fatalf("%s: mean/σ = %.17g/%.17g, two-pass %.17g/%.17g", name, s.Mean, s.StdDev, mean, sd)
+		}
 	}
 }
 
@@ -162,14 +159,14 @@ func TestQuickMapAffineCommutes(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Normal(1, 2)
 		}
-		direct := NewAccumulator(false)
-		mapped := NewAccumulator(false)
+		direct := NewAccumulator()
+		mapped := NewAccumulator()
 		for _, x := range xs {
 			direct.Add(x)
 			mapped.Add(alpha*x + beta)
 		}
-		got := direct.Summarize(0).MapAffine(alpha, beta)
-		want := mapped.Summarize(0)
+		got := direct.Summarize().MapAffine(alpha, beta)
+		want := mapped.Summarize()
 		tol := 1e-9 * (1 + math.Abs(want.Mean))
 		return math.Abs(got.Mean-want.Mean) < tol &&
 			math.Abs(got.StdDev-want.StdDev) < 1e-9*(1+want.StdDev) &&
@@ -219,7 +216,7 @@ func TestNormalQuantile(t *testing.T) {
 func TestWelfordNumericalStability(t *testing.T) {
 	// Large offset + small variance is the classic catastrophic
 	// cancellation case for naive sum-of-squares.
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	r := rng.New(5)
 	const offset = 1e9
 	for i := 0; i < 10000; i++ {
@@ -230,76 +227,35 @@ func TestWelfordNumericalStability(t *testing.T) {
 	}
 }
 
-func TestQuantileDoesNotReorderSamples(t *testing.T) {
-	a := NewAccumulator(true)
-	in := []float64{9, 1, 7, 3, 5}
-	a.AddAll(in)
-	a.Summarize(0)
-	got := a.Samples()
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("Summarize reordered Samples(): %v", got)
-		}
-	}
-	// And the quantiles are still right.
-	if med := a.Summarize(0).Quantiles[0.5]; med != 5 {
-		t.Fatalf("median = %g", med)
-	}
-}
-
 func TestAccumulatorReset(t *testing.T) {
-	a := NewAccumulator(true)
+	a := NewAccumulator()
 	a.AddAll([]float64{1, 2, 3, 4})
-	a.Summarize(0)
-	a.Reset(true)
+	a.Reset()
 	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 {
 		t.Fatal("Reset left moments behind")
 	}
 	if !math.IsInf(a.Min(), 1) || !math.IsInf(a.Max(), -1) {
 		t.Fatal("Reset left bounds behind")
 	}
-	if len(a.Samples()) != 0 {
-		t.Fatal("Reset left samples behind")
-	}
 	a.AddAll([]float64{10, 30, 20})
-	if med := a.Summarize(0).Quantiles[0.5]; med != 20 {
-		t.Fatalf("post-Reset median = %g", med)
-	}
-	// Reset to keep=false must stop retaining.
-	a.Reset(false)
-	a.Add(1)
-	if a.Samples() != nil && len(a.Samples()) != 0 {
-		t.Fatal("Reset(false) still retains samples")
-	}
-}
-
-func TestSummarizeMatchesQuantile(t *testing.T) {
-	a := NewAccumulator(true)
-	r := rng.New(42)
-	for i := 0; i < 500; i++ {
-		a.Add(r.Normal(10, 2))
-	}
-	s := a.Summarize(0)
-	sorted := slices.Clone(a.Samples())
-	slices.Sort(sorted)
-	for _, q := range DefaultQuantiles {
-		if want := quantileSorted(sorted, q); s.Quantiles[q] != want {
-			t.Fatalf("Summarize q=%g: %g != quantileSorted %g", q, s.Quantiles[q], want)
-		}
+	fresh := NewAccumulator()
+	fresh.AddAll([]float64{10, 30, 20})
+	if got, want := a.Summarize(), fresh.Summarize(); got != want {
+		t.Fatalf("post-Reset summary = %+v, want %+v", got, want)
 	}
 }
 
 func TestAccumulatorReuseAfterResetZeroAlloc(t *testing.T) {
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	xs := make([]float64, 1000)
 	for i := range xs {
 		xs[i] = float64(i)
 	}
 	a.AddAll(xs) // warm
 	allocs := testing.AllocsPerRun(50, func() {
-		a.Reset(false)
+		a.Reset()
 		a.AddAll(xs)
-		_ = a.Summarize(0)
+		_ = a.Summarize()
 	})
 	if allocs != 0 {
 		t.Fatalf("Reset+AddAll+Summarize allocates %.1f, want 0", allocs)
@@ -309,17 +265,17 @@ func TestAccumulatorReuseAfterResetZeroAlloc(t *testing.T) {
 func TestAddBlockMatchesAddAll(t *testing.T) {
 	// AddBlock's lane reduction rounds differently from streaming Add,
 	// but the moments must agree to near machine precision, and the
-	// exact-by-construction fields (n, min, max, retained samples)
-	// must match bit-for-bit.
+	// exact-by-construction fields (n, min, max) must match
+	// bit-for-bit.
 	r := rng.New(0xadd)
 	for _, n := range []int{0, 1, 15, 16, 17, 100, 1000} {
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = r.Normal(30, 3)
 		}
-		stream := NewAccumulator(true)
+		stream := NewAccumulator()
 		stream.AddAll(xs)
-		block := NewAccumulator(true)
+		block := NewAccumulator()
 		block.AddBlock(xs)
 
 		if block.N() != stream.N() || block.Min() != stream.Min() || block.Max() != stream.Max() {
@@ -334,9 +290,6 @@ func TestAddBlockMatchesAddAll(t *testing.T) {
 				t.Fatalf("n=%d: variance diverged: %g vs %g", n, block.Variance(), stream.Variance())
 			}
 		}
-		if !reflect.DeepEqual(block.Samples(), stream.Samples()) {
-			t.Fatalf("n=%d: retained samples diverged", n)
-		}
 	}
 }
 
@@ -346,9 +299,9 @@ func TestAddBlockDeterministic(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.StdNormal()
 	}
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	a.AddBlock(xs)
-	b := NewAccumulator(false)
+	b := NewAccumulator()
 	b.AddBlock(xs)
 	if a.Mean() != b.Mean() || a.Variance() != b.Variance() || a.Min() != b.Min() || a.Max() != b.Max() {
 		t.Fatal("AddBlock is not deterministic for identical input")
@@ -367,10 +320,10 @@ func TestAddBlockCombinesWithPriorState(t *testing.T) {
 	for i := range second {
 		second[i] = r.Normal(9, 1)
 	}
-	combined := NewAccumulator(false)
+	combined := NewAccumulator()
 	combined.AddBlock(first)
 	combined.AddBlock(second)
-	stream := NewAccumulator(false)
+	stream := NewAccumulator()
 	stream.AddAll(first)
 	stream.AddAll(second)
 	if combined.N() != stream.N() {
@@ -389,13 +342,36 @@ func TestAddBlockAllocFree(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	allocs := testing.AllocsPerRun(50, func() {
-		a.Reset(false)
+		a.Reset()
 		a.AddBlock(xs)
 	})
 	if allocs != 0 {
 		t.Errorf("AddBlock allocates %.1f per block, want 0", allocs)
+	}
+}
+
+// TestSummaryZeroAlloc pins the per-point estimator cost the engine
+// pays: recycling an accumulator over a block, summarizing it and
+// mapping the summary allocate nothing.
+func TestSummaryZeroAlloc(t *testing.T) {
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	a := NewAccumulator()
+	var sink Summary
+	allocs := testing.AllocsPerRun(50, func() {
+		a.Reset()
+		a.AddBlock(xs)
+		sink = a.Summarize().MapAffine(-2, 3)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset+AddBlock+Summarize+MapAffine allocates %.1f, want 0", allocs)
+	}
+	if sink.N != len(xs) {
+		t.Fatalf("N = %d", sink.N)
 	}
 }
 
@@ -405,10 +381,10 @@ func BenchmarkAddBlock(b *testing.B) {
 	for i := range xs {
 		xs[i] = r.StdNormal()
 	}
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Reset(false)
+		a.Reset()
 		a.AddBlock(xs)
 	}
 }
@@ -419,10 +395,10 @@ func BenchmarkAddAll1000(b *testing.B) {
 	for i := range xs {
 		xs[i] = r.StdNormal()
 	}
-	a := NewAccumulator(false)
+	a := NewAccumulator()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Reset(false)
+		a.Reset()
 		a.AddAll(xs)
 	}
 }

@@ -198,14 +198,12 @@ var (
 type (
 	// Summary holds the estimator outputs for a distribution.
 	Summary = stats.Summary
-	// Histogram is a binned sample summary.
-	Histogram = stats.Histogram
 	// Accumulator ingests samples incrementally.
 	Accumulator = stats.Accumulator
 )
 
 // NewAccumulator returns a sample accumulator.
-func NewAccumulator(keepSamples bool) *Accumulator { return stats.NewAccumulator(keepSamples) }
+func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 
 // ---------- Monte Carlo engine ----------
 
