@@ -161,25 +161,6 @@ func (s *Scenario) HasColumn(name string) bool {
 // Chains returns the CHAIN declarations.
 func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
 
-// EvalRow evaluates all result columns for one world, in order, into
-// out (len(out) must equal len(Columns)). A point that does not bind
-// every parameter the row reads is an error.
-func (s *Scenario) EvalRow(p param.Point, r *rng.Rand, out []float64) error {
-	if len(out) != len(s.evals) {
-		return fmt.Errorf("exec: row buffer %d != %d columns", len(out), len(s.evals))
-	}
-	for _, ps := range s.params {
-		if _, ok := p[ps.name]; !ok {
-			return fmt.Errorf("exec: point %v does not bind @%s", p, ps.name)
-		}
-	}
-	row := make([]float64, s.width)
-	s.BindRow(p, row)
-	s.FillRow(r, row)
-	copy(out, row)
-	return nil
-}
-
 // RowLen is the length of the row vector: one slot per column, in
 // Columns order, then the call sites' argument regions and the
 // parameters' slots.
@@ -228,12 +209,12 @@ func (s *Scenario) column(name string) (int, error) {
 	return idx, nil
 }
 
-// ColumnEval returns an mc.PointBinder producing the named column:
-// the one-column projection of FillRow. Every sample evaluates the
-// full row (one world of the whole scenario) and keeps one slot — the
+// ColumnEval returns an mc.PointEval producing the named column: the
+// one-column projection of FillRow. Every sample evaluates the full
+// row (one world of the whole scenario) and keeps one slot — the
 // simulation is a single stochastic function; columns are views of
 // it. Sweeps of several columns share rows instead (SweepColumns).
-func (s *Scenario) ColumnEval(name string) (mc.PointBinder, error) {
+func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
 	idx, err := s.column(name)
 	if err != nil {
 		return nil, err
@@ -241,23 +222,14 @@ func (s *Scenario) ColumnEval(name string) (mc.PointBinder, error) {
 	return &columnEval{s: s, idx: idx}, nil
 }
 
-// columnEval is one column of a scenario as an mc.PointBinder: the
+// columnEval is one column of a scenario as an mc.PointEval: the
 // bound arguments are a row with the point's parameter slots written.
 type columnEval struct {
 	s   *Scenario
 	idx int
 }
 
-// EvalPoint implements mc.PointEval (the unbatched path: one binding
-// per sample).
-func (c *columnEval) EvalPoint(p param.Point, r *rng.Rand) float64 {
-	row := make([]float64, c.s.width)
-	c.s.BindRow(p, row)
-	c.s.FillRow(r, row)
-	return row[c.idx]
-}
-
-// BindPoint implements mc.PointBinder: buf becomes a row whose
+// BindPoint implements mc.PointEval: buf becomes a row whose
 // parameter slots hold p's values.
 func (c *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
 	if cap(buf) < c.s.width {
@@ -268,7 +240,7 @@ func (c *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBlockBound implements mc.PointBinder. The binding is shared by
+// EvalBlockBound implements mc.PointEval. The binding is shared by
 // concurrent blocks, so each block fills a row of its own, copied from
 // it once.
 func (c *columnEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -45,6 +46,15 @@ func compileFig1(t *testing.T) *Scenario {
 	return s
 }
 
+// evalRow binds p into a fresh row, fills it from r and returns its
+// column slots: one world of the whole scenario.
+func evalRow(s *Scenario, p param.Point, r *rng.Rand) []float64 {
+	row := make([]float64, s.RowLen())
+	s.BindRow(p, row)
+	s.FillRow(r, row)
+	return row[:len(s.Columns)]
+}
+
 func TestCompileFigure1(t *testing.T) {
 	s := compileFig1(t)
 	if s.Into != "results" {
@@ -71,10 +81,7 @@ func TestCompileFigure1(t *testing.T) {
 func TestEvalRowMatchesDirectModels(t *testing.T) {
 	s := compileFig1(t)
 	p := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16, "feature_release": 12}
-	slots := make([]float64, 3)
-	if err := s.EvalRow(p, rng.New(99), slots); err != nil {
-		t.Fatal(err)
-	}
+	slots := evalRow(s, p, rng.New(99))
 	// Replay by hand with the same stream.
 	r := rng.New(99)
 	demand := blackbox.NewDemand().Eval([]float64{30, 12}, r)
@@ -85,18 +92,6 @@ func TestEvalRowMatchesDirectModels(t *testing.T) {
 	}
 	if slots[0] != demand || slots[1] != capacity || slots[2] != overload {
 		t.Fatalf("row = %v, want [%g %g %g]", slots, demand, capacity, overload)
-	}
-}
-
-func TestEvalRowBufferValidation(t *testing.T) {
-	s := compileFig1(t)
-	if err := s.EvalRow(param.Point{}, rng.New(1), make([]float64, 1)); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	p := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}
-	err := s.EvalRow(p, rng.New(1), make([]float64, 3))
-	if err == nil || !strings.Contains(err.Error(), "@feature_release") {
-		t.Fatalf("point missing @feature_release: err = %v", err)
 	}
 }
 
@@ -119,8 +114,9 @@ func TestColumnEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
-	v := ev.EvalPoint(p, rng.New(3))
-	if v != 0 && v != 1 {
+	var out [1]float64
+	ev.EvalBlockBound(ev.BindPoint(p, nil), out[:], []uint64{3})
+	if v := out[0]; v != 0 && v != 1 {
 		t.Fatalf("overload = %g", v)
 	}
 	if _, err := s.ColumnEval("missing"); err == nil {
@@ -128,11 +124,11 @@ func TestColumnEval(t *testing.T) {
 	}
 }
 
-// TestColumnEvalBlockMatchesEvalPoint restates the mc.PointBinder
+// TestColumnEvalBlockMatchesEvalPoint restates the mc.PointEval
 // contract for compiled columns: one binding per point and one
-// EvalBlockBound per block are bit-identical to reseeding per sample
-// and calling EvalPoint, for every column and block size, and leave
-// the shared binding as it was.
+// EvalBlockBound per block are bit-identical to a direct loop that
+// binds a row and fills it once per reseeded sample, for every column
+// and block size, and leave the shared binding as it was.
 func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 	s := compileFig1(t)
 	seeds := make([]uint64, 300)
@@ -149,12 +145,16 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			idx := slices.Index(s.Columns, col)
 			var r rng.Rand
+			row := make([]float64, s.RowLen())
 			for _, p := range points {
 				want := make([]float64, len(seeds))
+				s.BindRow(p, row)
 				for j, seed := range seeds {
 					r.Seed(seed)
-					want[j] = ev.EvalPoint(p, &r)
+					s.FillRow(&r, row)
+					want[j] = row[idx]
 				}
 				args := ev.BindPoint(p, nil)
 				bound := slices.Clone(args)
@@ -166,7 +166,7 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 					}
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("at %v, block size %d: sample %d = %v, EvalPoint %v", p, bs, j, got[j], want[j])
+							t.Fatalf("at %v, block size %d: sample %d = %v, FillRow %v", p, bs, j, got[j], want[j])
 						}
 					}
 					if !slices.Equal(args, bound) {
@@ -279,10 +279,7 @@ func TestCompileOperatorsAndBuiltins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := make([]float64, len(s.Columns))
-	if err := s.EvalRow(param.Point{}, rng.New(1), slots); err != nil {
-		t.Fatal(err)
-	}
+	slots := evalRow(s, param.Point{}, rng.New(1))
 	want := []float64{14, 5, 3, 7, 10, 0, 0, 1, 0, -2}
 	for i, w := range want {
 		if slots[i] != w {
@@ -307,16 +304,10 @@ func TestCaseConsumesStreamOnAllArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The "after" column must see the same stream position regardless
-	// of which arm was taken: compare week 10 (first arm) and week 50
-	// (second arm) — after differs only through its own @w argument.
-	slots10 := make([]float64, 2)
-	slots50 := make([]float64, 2)
-	if err := s.EvalRow(param.Point{"w": 10}, rng.New(5), slots10); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EvalRow(param.Point{"w": 50}, rng.New(5), slots50); err != nil {
-		t.Fatal(err)
-	}
+	// of which arm was taken. Week 50 takes the ELSE arm, after the
+	// WHEN arm's model call — after differs only through its own @w
+	// argument.
+	slots50 := evalRow(s, param.Point{"w": 50}, rng.New(5))
 	// Replay "after" by hand: two DemandModel draws then the third.
 	r := rng.New(5)
 	blackbox.NewDemand().Eval([]float64{50, 99}, r)
@@ -334,11 +325,11 @@ func TestUnboundParameterSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("unbound parameter did not panic through PointEval")
+		if v := recover(); !strings.Contains(fmt.Sprint(v), "@feature_release") {
+			t.Fatalf("point missing @feature_release: recovered %v, want a panic naming it", v)
 		}
 	}()
-	ev.EvalPoint(param.Point{}, rng.New(1))
+	ev.BindPoint(param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}, nil)
 }
 
 func TestScenarioSweepReuse(t *testing.T) {
@@ -390,10 +381,7 @@ func TestCompileSubqueryColumns(t *testing.T) {
 	if len(s.Columns) != 2 || s.Columns[0] != "demand" || s.Columns[1] != "doubled" {
 		t.Fatalf("columns = %v", s.Columns)
 	}
-	slots := make([]float64, 2)
-	if err := s.EvalRow(param.Point{"w": 5}, rng.New(7), slots); err != nil {
-		t.Fatal(err)
-	}
+	slots := evalRow(s, param.Point{"w": 5}, rng.New(7))
 	if slots[1] != slots[0]*2 {
 		t.Fatalf("doubled = %g, demand = %g", slots[1], slots[0])
 	}
@@ -404,8 +392,8 @@ func TestCompileSubqueryColumns(t *testing.T) {
 
 // FuzzCompileScenario checks that CompileScenario never panics and
 // that a scenario it accepts without a CHAIN evaluates a row at its
-// space's first point without error: every name resolves at compile
-// time.
+// space's first point without panicking: every name resolves at
+// compile time.
 func FuzzCompileScenario(f *testing.F) {
 	for _, src := range []string{figure1Source, figure5Source, subquerySource, figure1Source + graphSource} {
 		f.Add(src)
@@ -420,8 +408,6 @@ func FuzzCompileScenario(f *testing.F) {
 		if err != nil || len(s.Chains()) > 0 {
 			return
 		}
-		if err := s.EvalRow(s.Space.Point(0), rng.New(1), make([]float64, len(s.Columns))); err != nil {
-			t.Fatalf("compiled scenario fails at its first point: %v", err)
-		}
+		evalRow(s, s.Space.Point(0), rng.New(1))
 	})
 }

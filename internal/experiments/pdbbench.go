@@ -83,7 +83,7 @@ func pdbBenchQueries(cfg Config) ([]pdbBenchQuery, error) {
 		return nil, err
 	}
 	userPlan, err := pdb.NewAggregatePlan(scan,
-		[]pdb.AggSpec{{Kind: pdb.AggSum, Arg: usage, Name: "total"}})
+		[]pdb.AggSpec{{Arg: usage, Name: "total"}})
 	if err != nil {
 		return nil, err
 	}

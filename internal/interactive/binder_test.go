@@ -7,7 +7,6 @@ import (
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
-	"jigsaw/internal/rng"
 )
 
 // runSession drives a fresh session through a fixed focus/tick script
@@ -42,11 +41,12 @@ func runSession(t *testing.T, eval mc.PointEval) ([]float64, Stats) {
 }
 
 // TestSessionBinderMatchesPlainEval checks that a session reaches a
-// bit-identical state whether its batches draw through the
-// PointBinder block path (one binding, one EvalBlockBound per batch)
-// or reseed a plain EvalFunc per sample. Demand draws through its
-// vectorized kernel; SynthBasis, with no native kernel, through the
-// scalar block adapter, over one basis per class.
+// bit-identical state whether its batches draw through a box's native
+// block kernel or through the reseed-per-sample reference: the same
+// model behind a blackbox.Func, which the scalar block adapter draws
+// one reseeded Eval at a time. Demand has a vectorized kernel;
+// SynthBasis, with none, draws through the scalar adapter either way,
+// over one basis per class.
 func TestSessionBinderMatchesPlainEval(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -60,17 +60,8 @@ func TestSessionBinderMatchesPlainEval(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box := tc.box
-			plain := mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-				args := make([]float64, len(tc.args))
-				for i, n := range tc.args {
-					args[i] = p.MustGet(n)
-				}
-				return box.Eval(args, r)
-			})
+			plain := mc.MustBindBox(blackbox.Func{FuncName: box.Name(), NArgs: box.Arity(), Fn: box.Eval}, tc.args...)
 			bound := mc.MustBindBox(box, tc.args...)
-			if _, ok := bound.(mc.PointBinder); !ok {
-				t.Fatal("BindBox evaluator is not a PointBinder")
-			}
 			wantMeans, wantStats := runSession(t, plain)
 			means, st := runSession(t, bound)
 			if !reflect.DeepEqual(wantMeans, means) {

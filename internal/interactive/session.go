@@ -122,7 +122,9 @@ type pointState struct {
 
 // Stats counts session work.
 type Stats struct {
-	// Evaluations is the number of black-box invocations.
+	// Evaluations is the number of samples drawn and kept: every
+	// black-box invocation, except that a validation batch's draws
+	// past its first mismatch are dropped uncounted.
 	Evaluations int
 	// Refinements, Validations, Explorations count completed tasks.
 	Refinements, Validations, Explorations int
@@ -149,8 +151,8 @@ type Session struct {
 	taskTurn int
 	stats    Stats
 
-	// argBuf is the bound-argument scratch for PointBinder evaluators:
-	// sessions are single-goroutine, so one buffer serves every batch.
+	// argBuf is the bound-argument scratch of drawBatch: sessions are
+	// single-goroutine, so one buffer serves every batch.
 	argBuf []float64
 }
 
@@ -203,26 +205,16 @@ func (s *Session) SetFocus(p param.Point) error {
 func (s *Session) Focus() param.Point { return s.focus.Clone() }
 
 // drawBatch evaluates the given sample ids for p on the calling
-// goroutine and returns the values in id-slice order. A PointBinder
-// evaluator binds p once and draws the batch through EvalBlockBound;
-// any other evaluator reseeds per sample — bit-identical by
-// PointBinder's contract. Draws are counted by the caller.
+// goroutine and returns the values in id-slice order: p is bound once
+// and the batch draws as one block. Draws are counted by the caller.
 func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
 	seeds := make([]uint64, len(ids))
 	for k, id := range ids {
 		seeds[k] = s.seeds.SampleSeed(s.opts.MasterSeed, id)
 	}
-	if pb, ok := s.eval.(mc.PointBinder); ok {
-		s.argBuf = pb.BindPoint(p, s.argBuf)
-		pb.EvalBlockBound(s.argBuf, out, seeds)
-		return out
-	}
-	var r rng.Rand
-	for k, seed := range seeds {
-		r.Seed(seed)
-		out[k] = s.eval.EvalPoint(p, &r)
-	}
+	s.argBuf = s.eval.BindPoint(p, s.argBuf)
+	s.eval.EvalBlockBound(s.argBuf, out, seeds)
 	return out
 }
 
@@ -385,7 +377,9 @@ func (s *Session) refine(ps *pointState) {
 // basis value invalidates the mapping: the point detaches onto its own
 // basis built from everything it has drawn directly (§5 "if the new
 // points do not match the values mapped from the basis distribution,
-// Jigsaw finds or creates a new basis distribution").
+// Jigsaw finds or creates a new basis distribution"). The batch draws
+// as one block; draws past the first mismatch are dropped, so the
+// point keeps, and the counters count, only the samples compared.
 func (s *Session) validate(ps *pointState) {
 	b := s.bases[ps.basisID]
 	key := ps.point.Key()
@@ -404,8 +398,9 @@ func (s *Session) validate(ps *pointState) {
 		s.refine(ps)
 		return
 	}
-	for _, id := range ids {
-		v := s.eval.EvalPoint(ps.point, rng.New(s.seeds.SampleSeed(s.opts.MasterSeed, id)))
+	vals := s.drawBatch(ps.point, ids)
+	for k, id := range ids {
+		v := vals[k]
 		ps.drawn[id] = v
 		ps.validated[id] = true
 		s.stats.Evaluations++

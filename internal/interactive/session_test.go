@@ -2,25 +2,25 @@ package interactive
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
 // linearEval is affine in "week": all points share one basis.
-var linearEval = mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	w := p.MustGet("week")
+var linearEval = weekEval(func(w float64, r *rng.Rand) float64 {
 	return r.Normal(2*w, 0.5*w+1)
 })
 
 // forkEval switches distributions at week 10 in a way that linear
 // mappings cannot absorb (noise from different draw counts), forcing
 // distinct bases and exercising validation.
-var forkEval = mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	w := p.MustGet("week")
+var forkEval = weekEval(func(w float64, r *rng.Rand) float64 {
 	if w < 10 {
 		return r.Normal(w, 1)
 	}
@@ -28,6 +28,14 @@ var forkEval = mc.EvalFunc(func(p param.Point, r *rng.Rand) float64 {
 	b := r.Normal(w, 2)
 	return a*a + b
 })
+
+// weekEval binds a plain model of the "week" parameter.
+func weekEval(fn func(w float64, r *rng.Rand) float64) mc.PointEval {
+	return mc.MustBindBox(blackbox.Func{
+		FuncName: "week", NArgs: 1,
+		Fn: func(a []float64, r *rng.Rand) float64 { return fn(a[0], r) },
+	}, "week")
+}
 
 func newTestSession(t *testing.T, eval mc.PointEval, lo, hi float64) *Session {
 	t.Helper()
@@ -252,6 +260,75 @@ func TestValidationDetachesFalseMatch(t *testing.T) {
 	}
 	if math.Abs(re.Mean-13) > 2.5 {
 		t.Fatalf("right estimate %g, want ~13", re.Mean)
+	}
+}
+
+// TestValidationStopsAtFirstMismatch pins what a validation batch
+// keeps: it draws as one block, but the point keeps, and Evaluations
+// counts, only the samples up to and including the first one its
+// mapping fails to reproduce, and that failure rebinds the point.
+func TestValidationStopsAtFirstMismatch(t *testing.T) {
+	s := newTestSession(t, linearEval, 1, 20)
+	if err := s.SetFocus(param.Point{"week": 5}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, _, err := s.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetFocus(param.Point{"week": 12}); err != nil {
+		t.Fatal(err)
+	}
+	ps := s.points[param.Point{"week": 12}.Key()]
+	b := s.bases[ps.basisID]
+	// A first, clean batch reproduces the fingerprint ids the point
+	// has already drawn, so the next one draws only fresh samples.
+	rebinds := s.Stats().Rebinds
+	s.validate(ps)
+	if s.Stats().Rebinds != rebinds || ps.basisID != b.id {
+		t.Fatal("a clean validation batch rebound the point")
+	}
+	// The batch validate draws next: the basis' foreign, unvalidated
+	// ids in order, at most BatchSize of them.
+	var ids []int
+	for id := range b.samples {
+		if b.contributor[id] != ps.point.Key() && !ps.validated[id] {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	ids = ids[:min(len(ids), s.opts.BatchSize)]
+	const bad = 2
+	if len(ids) <= bad+1 {
+		t.Fatalf("only %d foreign samples to validate", len(ids))
+	}
+	for _, id := range ids {
+		if _, ok := ps.drawn[id]; ok {
+			t.Fatalf("sample %d drawn before validation", id)
+		}
+	}
+	b.samples[ids[bad]] += 1000
+	before := s.Stats()
+	drawnBefore := len(ps.drawn)
+	s.validate(ps)
+	after := s.Stats()
+	if got := after.Evaluations - before.Evaluations; got != bad+1 {
+		t.Fatalf("validation counted %d evaluations, want %d (through the first mismatch)", got, bad+1)
+	}
+	if after.Rebinds != before.Rebinds+1 {
+		t.Fatalf("rebinds %d -> %d, want one more", before.Rebinds, after.Rebinds)
+	}
+	if got := len(ps.drawn) - drawnBefore; got != bad+1 {
+		t.Fatalf("point kept %d new samples, want %d", got, bad+1)
+	}
+	for k, id := range ids {
+		if _, ok := ps.drawn[id]; ok != (k <= bad) {
+			t.Fatalf("sample %d (batch position %d) kept = %v", id, k, ok)
+		}
+	}
+	if ps.basisID == b.id {
+		t.Fatal("mismatched point still on its old basis")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/core"
 	"jigsaw/internal/param"
-	"jigsaw/internal/rng"
 )
 
 // The block pipeline's engine-level guarantee: the block size is a
@@ -87,15 +86,14 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 
 func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
 	// A BoundBox routes through the vectorized kernel; the same model
-	// wrapped as a plain EvalFunc takes the scalar fallback in
-	// sampleBlock. Both must produce bit-identical sweeps — the
-	// engine-level restatement of the PointBinder contract.
+	// behind a blackbox.Func takes the scalar block adapter, which
+	// reseeds and calls Eval once per sample. Both must produce
+	// bit-identical sweeps — the engine-level restatement of
+	// blackbox.BlockBox's contract.
 	space := blockSweepSpace(t)
 	d := blackbox.NewDemand()
 	block := MustBindBox(d, "current_week", "feature_release")
-	scalar := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		return d.Eval([]float64{p.MustGet("current_week"), p.MustGet("feature_release")}, r)
-	})
+	scalar := MustBindBox(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, "current_week", "feature_release")
 
 	opts := Options{
 		Samples: 300, FingerprintLen: 10, MasterSeed: 0x5161,

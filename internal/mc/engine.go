@@ -20,49 +20,22 @@ import (
 	"jigsaw/internal/stats"
 )
 
-// PointEval evaluates one sample of the simulated quantity at a
-// parameter point; it is the stochastic function F(P, σ) of §3.1 with
-// the seed carried by the generator. The full Monte Carlo simulation of
+// PointEval is the stochastic function F(P, σ) of §3.1 at one
+// parameter point: a point is bound once (BindPoint), then sampled in
+// seed blocks (EvalBlockBound). The full Monte Carlo simulation of
 // Fig. 3's dashed box is "the stochastic function F" being
 // fingerprinted (§3: "Taken to one extreme, the entire Monte Carlo
 // simulation ... can be treated as the stochastic function F").
 //
-// Implementations must be safe for concurrent EvalPoint calls (the
-// engine spreads points over workers). Plain functions adapt via
-// EvalFunc; evaluators that can separate argument binding from
-// sampling should additionally implement PointBinder, which the
-// engine's hot loops use to bind a point once and sample it in blocks.
+// Every sample must be a function of the bound arguments and its own
+// seed alone: out[j] depends on args and seeds[j], never on the other
+// seeds of its block. The engine relies on that to keep results
+// independent of block size (see DESIGN.md, "Block-sampling
+// pipeline"). Implementations must be safe for concurrent calls (the
+// engine spreads points over workers). BindBox adapts any black box,
+// plain functions included (blackbox.Func), and a compiled scenario
+// column is one too (exec's Scenario.ColumnEval).
 type PointEval interface {
-	// EvalPoint draws one sample at p using r as the sole randomness
-	// source.
-	EvalPoint(p param.Point, r *rng.Rand) float64
-}
-
-// EvalFunc adapts a plain function to PointEval.
-type EvalFunc func(p param.Point, r *rng.Rand) float64
-
-// EvalPoint implements PointEval.
-func (f EvalFunc) EvalPoint(p param.Point, r *rng.Rand) float64 { return f(p, r) }
-
-// PointBinder is the one optional PointEval capability: evaluators
-// whose per-sample work factors into "resolve the point's arguments"
-// and "run the model on resolved arguments" implement it, and the
-// engine binds each point once and then draws its samples in pooled
-// seed blocks (fingerprints, full simulations, match validation) — no
-// per-sample map lookups, no per-sample allocation, and a vectorized
-// kernel where the model has one. EvalBlockBound must be bit-identical
-// to the reseed-per-sample loop over EvalPoint
-//
-//	for i := range seeds { r.Seed(seeds[i]); out[i] = EvalPoint(p, r) }
-//
-// with args = BindPoint(p, ...) — the engine relies on that to keep
-// results independent of block size and to mix binder and plain
-// evaluators freely (see DESIGN.md, "Block-sampling pipeline").
-// BindBox's evaluators implement it for every box (natively
-// block-capable or through the scalar adapter), and so does a compiled
-// scenario column (exec's Scenario.ColumnEval).
-type PointBinder interface {
-	PointEval
 	// BindPoint appends p's resolved arguments to buf (growing it as
 	// needed) and returns the bound slice for EvalBlockBound. The
 	// implementation must not retain buf.
@@ -98,23 +71,15 @@ type RowEval interface {
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional
-// arguments to named parameters. It implements PointBinder, so engine
-// hot loops resolve the parameter names once per point and sample in
-// blocks (vectorized when the box has a native blackbox.BlockBox
-// kernel, reference scalar loop otherwise).
+// arguments to named parameters: the parameter names resolve once per
+// point, and blocks draw through the box's native blackbox.BlockBox
+// kernel, or the reference scalar loop when it has none.
 type BoundBox struct {
-	box   blackbox.Box
 	block blackbox.BlockBox
 	names []string
 }
 
-// EvalPoint implements PointEval (the unbatched path: one binding per
-// sample).
-func (b *BoundBox) EvalPoint(p param.Point, r *rng.Rand) float64 {
-	return b.box.Eval(b.BindPoint(p, nil), r)
-}
-
-// BindPoint implements PointBinder.
+// BindPoint implements PointEval.
 func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 	buf = buf[:0]
 	for _, n := range b.names {
@@ -123,7 +88,7 @@ func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBlockBound implements PointBinder.
+// EvalBlockBound implements PointEval.
 func (b *BoundBox) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
 	b.block.EvalBlock(args, out, seeds)
 }
@@ -134,7 +99,7 @@ func BindBox(b blackbox.Box, argNames ...string) (PointEval, error) {
 	if len(argNames) != b.Arity() {
 		return nil, fmt.Errorf("mc: %s expects %d args, got %d names", b.Name(), b.Arity(), len(argNames))
 	}
-	return &BoundBox{box: b, block: blackbox.AsBlock(b), names: append([]string(nil), argNames...)}, nil
+	return &BoundBox{block: blackbox.AsBlock(b), names: append([]string(nil), argNames...)}, nil
 }
 
 // MustBindBox is BindBox, panicking on arity mismatch.

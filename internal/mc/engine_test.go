@@ -16,10 +16,17 @@ import (
 // gaussEval is a PointEval drawing N(week, (0.1*week)^2+1): affine in
 // the week parameter under a fixed seed, so every point maps onto one
 // basis.
-var gaussEval = EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	w := p.MustGet("week")
+var gaussEval = funcEval(func(a []float64, r *rng.Rand) float64 {
+	w := a[0]
 	return r.Normal(w, 0.1*w+1)
-})
+}, "week")
+
+// funcEval binds a plain model of the named parameters: a[i] is the
+// point's value of names[i]. It draws through the scalar block
+// adapter, one reseeded Eval per sample.
+func funcEval(fn func(a []float64, r *rng.Rand) float64, names ...string) PointEval {
+	return MustBindBox(blackbox.Func{FuncName: "test", NArgs: len(names), Fn: fn}, names...)
+}
 
 func weekSpace(t *testing.T, lo, hi, step float64) *param.Space {
 	t.Helper()
@@ -36,10 +43,11 @@ func TestBindBox(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := param.Point{"week": 10, "feature": 52}
-	a := f.EvalPoint(p, rng.New(3))
+	var a [1]float64
+	f.EvalBlockBound(f.BindPoint(p, nil), a[:], []uint64{3})
 	b := blackbox.NewDemand().Eval([]float64{10, 52}, rng.New(3))
-	if a != b {
-		t.Fatalf("bound eval %g != direct eval %g", a, b)
+	if a[0] != b {
+		t.Fatalf("bound eval %g != direct eval %g", a[0], b)
 	}
 	if _, err := BindBox(blackbox.NewDemand(), "week"); err == nil {
 		t.Fatal("arity mismatch accepted")
@@ -223,7 +231,7 @@ func TestKeepSamplesPayload(t *testing.T) {
 	// The retained samples are the ones the point's summary was taken
 	// over, and a later miss's simulation does not overwrite them.
 	want := append([]float64(nil), payload.Samples...)
-	square := EvalFunc(func(_ param.Point, r *rng.Rand) float64 {
+	square := funcEval(func(_ []float64, r *rng.Rand) float64 {
 		x := r.StdNormal()
 		return x * x
 	})
@@ -244,10 +252,10 @@ func TestEvaluatePointMapsSummary(t *testing.T) {
 	// A reused point's summary is its basis' summary pushed through
 	// the found mapping: the mean and range endpoints map, σ scales by
 	// |α|, and the endpoints swap when α < 0.
-	flip := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		w := p.MustGet("week")
+	flip := funcEval(func(a []float64, r *rng.Rand) float64 {
+		w := a[0]
 		return w + (10-w/2)*r.StdNormal() // week 40 = -2·(week 10) + 60
-	})
+	}, "week")
 	for _, tc := range []struct {
 		name     string
 		ev       PointEval

@@ -73,13 +73,7 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						row := &panicRow{bad: bad, at: at}
 						var err error
 						if k == 1 {
-							f := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-								var out [4]float64
-								row.BindRow(p, out[:])
-								row.FillRow(r, out[:])
-								return out[0]
-							})
-							_, _, err = MustNew(opts).SweepBatch(f, tc.points)
+							_, _, err = MustNew(opts).SweepBatch(rowSlotEval{row, 0}, tc.points)
 						} else {
 							engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
 							_, _, err = SweepRows(context.Background(), engines, row, []int{0, 1, 2}, tc.points)

@@ -19,11 +19,12 @@ import (
 // steady-state allocations, and a point's samples draw on one
 // goroutine.
 
-// cancelAfterEval wraps an evaluator and cancels a context on the
-// k-th model evaluation, steering the cancellation into a chosen
-// sweep phase by choosing k: phase A's prefixes are evaluations
-// n·(m+v) and earlier (v validation rounds, 0 without validation),
-// phase C1's full simulations follow, and phase B evaluates nothing.
+// cancelAfterEval wraps an evaluator and cancels a context in the
+// block that draws the k-th model evaluation, steering the
+// cancellation into a chosen sweep phase by choosing k: phase A's
+// prefixes are evaluations n·(m+v) and earlier (v validation rounds, 0
+// without validation), phase C1's full simulations follow, and phase B
+// evaluates nothing.
 type cancelAfterEval struct {
 	inner  PointEval
 	at     int64
@@ -31,11 +32,16 @@ type cancelAfterEval struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfterEval) EvalPoint(p param.Point, r *rng.Rand) float64 {
-	if c.count.Add(1) == c.at {
+func (c *cancelAfterEval) BindPoint(p param.Point, buf []float64) []float64 {
+	return c.inner.BindPoint(p, buf)
+}
+
+func (c *cancelAfterEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
+	n := int64(len(seeds))
+	if to := c.count.Add(n); to-n < c.at && c.at <= to {
 		c.cancel()
 	}
-	return c.inner.EvalPoint(p, r)
+	c.inner.EvalBlockBound(args, out, seeds)
 }
 
 // countEvals runs one full sweep with a counting wrapper and reports
@@ -184,8 +190,6 @@ type blockLenEval struct {
 	mu   sync.Mutex
 	lens map[int]bool
 }
-
-func (b *blockLenEval) EvalPoint(_ param.Point, r *rng.Rand) float64 { return r.Uniform(0, 1) }
 
 func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
 

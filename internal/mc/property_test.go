@@ -20,10 +20,10 @@ func TestQuickReuseEqualsNaiveOnAffineFamilies(t *testing.T) {
 		// kept positive so the family is nondegenerate.
 		as := float64(aSlope%50)/10 + 0.1
 		bs := float64(bSlope%30)/10 + 0.1
-		eval := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-			w := p.MustGet("w")
+		eval := funcEval(func(a []float64, r *rng.Rand) float64 {
+			w := a[0]
 			return as*w + (bs*w+1)*r.StdNormal()
-		})
+		}, "w")
 		reuse := MustNew(Options{Samples: 64, Reuse: true, Workers: 1, MasterSeed: seed})
 		naive := MustNew(Options{Samples: 64, Reuse: false, Workers: 1, MasterSeed: seed})
 		var fullSims int
@@ -54,13 +54,13 @@ func TestQuickReuseEqualsNaiveOnAffineFamilies(t *testing.T) {
 // anything (including themselves), so every NaN point is simulated
 // fully and reuse soundness is preserved for the healthy points.
 func TestNaNModelOutputsNeverMatch(t *testing.T) {
-	eval := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		w := p.MustGet("w")
+	eval := funcEval(func(a []float64, r *rng.Rand) float64 {
+		w := a[0]
 		if w == 3 || w == 5 {
 			return math.NaN()
 		}
 		return r.Normal(w, 1)
-	})
+	}, "w")
 	e := MustNew(Options{Samples: 32, Reuse: true, Workers: 1})
 	nanPoints := 0
 	var st SweepStats
@@ -86,12 +86,12 @@ func TestNaNModelOutputsNeverMatch(t *testing.T) {
 // TestInfiniteModelOutputs injects ±Inf outputs; the engine must not
 // wedge and must keep Inf points out of healthy reuse.
 func TestInfiniteModelOutputs(t *testing.T) {
-	eval := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-		if p.MustGet("w") == 2 {
+	eval := funcEval(func(a []float64, r *rng.Rand) float64 {
+		if a[0] == 2 {
 			return math.Inf(1)
 		}
-		return r.Normal(p.MustGet("w"), 1)
-	})
+		return r.Normal(a[0], 1)
+	}, "w")
 	e := MustNew(Options{Samples: 16, Reuse: true, Workers: 1})
 	for w := 1.0; w <= 4; w++ {
 		res, _ := e.EvaluatePoint(eval, param.Point{"w": w})
@@ -116,10 +116,10 @@ func TestInfiniteModelOutputs(t *testing.T) {
 func TestQuickIndexKindsAgreeOnRandomFamilies(t *testing.T) {
 	f := func(seed uint64, shape uint8) bool {
 		k := float64(shape%5) + 1
-		eval := EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-			w := p.MustGet("w")
+		eval := funcEval(func(a []float64, r *rng.Rand) float64 {
+			w := a[0]
 			return k*w + math.Sqrt(w)*r.StdNormal()
-		})
+		}, "w")
 		var ref []float64
 		for _, kind := range []IndexKind{IndexArray, IndexNormalization, IndexSortedSID} {
 			e := MustNew(Options{Samples: 48, Reuse: true, Workers: 1, MasterSeed: seed, Index: kind})

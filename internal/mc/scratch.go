@@ -32,8 +32,8 @@ type scratch struct {
 	samples [][]float64
 	// dsts is the per-output destination list handed to a sampler.
 	dsts [][]float64
-	// args is the bound-argument buffer for PointBinder evaluators:
-	// the point is bound into it once, not once per sample.
+	// args is the bound-argument buffer for PointEval evaluators: the
+	// point is bound into it once, not once per sample.
 	args []float64
 	// row is the row buffer for RowEval evaluators: bound once per
 	// point, then every sample's row is evaluated into it and
@@ -43,8 +43,8 @@ type scratch struct {
 	// materialized one block at a time instead of one cursor call per
 	// sample.
 	seeds []uint64
-	// r is the worker's generator, reseeded per sample on the row and
-	// scalar paths (PointBinder evaluators never touch it).
+	// r is the worker's generator, reseeded per sample on the row path
+	// (PointEval evaluators never touch it).
 	r rng.Rand
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
@@ -98,13 +98,11 @@ func (sc *scratch) seedBuf(n int) []uint64 {
 
 // evaluator is the sampling loops' view of what a sweep evaluates: k
 // outputs per sample, output c being slot slots[c] of the row that
-// rows fills. A single-output PointEval is a one-output evaluator:
-// through its block kernel when it is a PointBinder, one EvalPoint
-// per sample otherwise.
+// rows fills. A single-output PointEval is a one-output evaluator,
+// drawn through its block kernel.
 type evaluator struct {
 	rows  RowEval
-	pb    PointBinder
-	f     PointEval
+	point PointEval
 	slots []int
 }
 
@@ -113,61 +111,47 @@ var firstSlot = []int{0}
 
 // pointEvaluator wraps a single-output PointEval.
 func pointEvaluator(f PointEval) evaluator {
-	if pb, ok := f.(PointBinder); ok {
-		return evaluator{pb: pb, slots: firstSlot}
-	}
-	return evaluator{f: f, slots: firstSlot}
+	return evaluator{point: f, slots: firstSlot}
 }
 
-// bind binds the evaluator to p on sc: a PointBinder's arguments are
+// bind binds the evaluator to p on sc: a PointEval's arguments are
 // resolved once into sc.args, a row evaluator's row buffer is sized
 // and bound once (RowEval.BindRow).
 func (ev *evaluator) bind(p param.Point, sc *scratch) sampler {
-	switch {
-	case ev.pb != nil:
-		sc.args = ev.pb.BindPoint(p, sc.args)
-	case ev.rows != nil:
+	if ev.point != nil {
+		sc.args = ev.point.BindPoint(p, sc.args)
+	} else {
 		sc.row = grow(sc.row, ev.rows.RowLen())
 		ev.rows.BindRow(p, sc.row)
 	}
-	return sampler{ev: *ev, p: p, sc: sc}
+	return sampler{ev: *ev, sc: sc}
 }
 
 // sampler is an evaluator bound to one parameter point on one
 // worker's scratch.
 type sampler struct {
 	ev evaluator
-	p  param.Point
 	sc *scratch
 }
 
 // sampleBlock evaluates one simulation round per seed: output c of
 // the round seeded by seeds[j] lands in dsts[c][off+j], and outputs
-// whose dsts entry is nil are dropped. A row evaluator fills its bound
-// row once per seed for all outputs at once; binders take their block
-// kernel;
-// plain evaluators fall back to a reseed-per-sample loop, so the
-// results are bit-identical either way (PointBinder's contract).
+// whose dsts entry is nil are dropped. A PointEval draws the block
+// through its kernel; a row evaluator fills its bound row once per
+// seed for all outputs at once.
 func (s sampler) sampleBlock(dsts [][]float64, off int, seeds []uint64) {
 	sc := s.sc
-	switch {
-	case s.ev.rows != nil:
-		for j, seed := range seeds {
-			sc.r.Seed(seed)
-			s.ev.rows.FillRow(&sc.r, sc.row)
-			for c, dst := range dsts {
-				if dst != nil {
-					dst[off+j] = sc.row[s.ev.slots[c]]
-				}
+	if s.ev.point != nil {
+		s.ev.point.EvalBlockBound(sc.args, dsts[0][off:off+len(seeds)], seeds)
+		return
+	}
+	for j, seed := range seeds {
+		sc.r.Seed(seed)
+		s.ev.rows.FillRow(&sc.r, sc.row)
+		for c, dst := range dsts {
+			if dst != nil {
+				dst[off+j] = sc.row[s.ev.slots[c]]
 			}
-		}
-	case s.ev.pb != nil:
-		s.ev.pb.EvalBlockBound(sc.args, dsts[0][off:off+len(seeds)], seeds)
-	default:
-		dst := dsts[0][off : off+len(seeds)]
-		for j, seed := range seeds {
-			sc.r.Seed(seed)
-			dst[j] = s.ev.f.EvalPoint(s.p, &sc.r)
 		}
 	}
 }

@@ -90,12 +90,7 @@ func (e *Engine) SweepContext(ctx context.Context, f PointEval, space *param.Spa
 // compose points themselves: the optimizer's (group × sweep) product,
 // a graph statement's domain walk, or an interactive prefetch batch.
 func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	return e.SweepBatchContext(context.Background(), f, points)
-}
-
-// SweepBatchContext is SweepBatch with cancellation.
-func (e *Engine) SweepBatchContext(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	return e.sweep(ctx, f, points)
+	return e.sweep(context.Background(), f, points)
 }
 
 // sweep is the single-output sweep: the k=1 case of the row sweep.

@@ -44,9 +44,7 @@ func sweepOptions(workers int) Options {
 // reversed-key probe. The sample identity is recovered from the
 // reseeded generator's first draw, keeping the fingerprint a pure
 // function of (point, seed) on the scalar evaluation path.
-var famEval = EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	return famModel([]float64{p.MustGet("fam"), p.MustGet("a"), p.MustGet("b")}, r)
-})
+var famEval = funcEval(famModel, "fam", "a", "b")
 
 // famModel is famEval on bound arguments (fam, a, b).
 func famModel(args []float64, r *rng.Rand) float64 {

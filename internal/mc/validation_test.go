@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,12 +17,12 @@ import (
 // indicatorEval emulates an overload-style boolean column whose
 // success probability is the "risk" parameter: the fingerprint
 // false-positive testbed of §6.2.
-var indicatorEval = EvalFunc(func(p param.Point, r *rng.Rand) float64 {
-	if r.Bernoulli(p.MustGet("risk")) {
+var indicatorEval = funcEval(func(a []float64, r *rng.Rand) float64 {
+	if r.Bernoulli(a[0]) {
 		return 1
 	}
 	return 0
-})
+}, "risk")
 
 func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	// Without validation: a rare-risk point's all-zero fingerprint
@@ -143,15 +144,28 @@ func (r transformRow) FillRow(rr *rng.Rand, row []float64) {
 	}
 }
 
-// slot is output j of the row as a single-output evaluator that binds
-// a fresh row per sample.
-func (r transformRow) slot(j int) PointEval {
-	return EvalFunc(func(p param.Point, rr *rng.Rand) float64 {
-		row := make([]float64, r.RowLen())
-		r.BindRow(p, row)
-		r.FillRow(rr, row)
-		return row[j]
-	})
+// rowSlotEval is output j of a row evaluator as a single-output
+// PointEval: the binding is the bound row, and each block fills its
+// own copy of it once per seed.
+type rowSlotEval struct {
+	rows RowEval
+	j    int
+}
+
+func (e rowSlotEval) BindPoint(p param.Point, buf []float64) []float64 {
+	buf = grow(buf, e.rows.RowLen())
+	e.rows.BindRow(p, buf)
+	return buf
+}
+
+func (e rowSlotEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
+	row := slices.Clone(args)
+	var r rng.Rand
+	for i, seed := range seeds {
+		r.Seed(seed)
+		e.rows.FillRow(&r, row)
+		out[i] = row[e.j]
+	}
 }
 
 // TestSweepRowsMixedValidation sweeps outputs whose engines validate
@@ -197,7 +211,7 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 					}
 					var want SweepStats
 					for c, ref := range refs {
-						refRes, refSt, err := ref.SweepBatch(row.slot(c), tc.points)
+						refRes, refSt, err := ref.SweepBatch(rowSlotEval{row, c}, tc.points)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -19,6 +19,25 @@ import (
 // the budgets pin, over nRows data rows.
 func allocPipeline(t *testing.T, nRows int) Plan {
 	t.Helper()
+	ext, env := usersUsagePlan(t, nRows)
+	pred := mustBind(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
+	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "join_week > -1"}
+	arg := mustBind(t, Col{"usage"}, sel.Schema(), env)
+	plan, err := NewAggregatePlan(sel, []AggSpec{
+		{Arg: arg, Name: "total"},
+		{Arg: mustBind(t, Lit{Float(1)}, sel.Schema(), env), Name: "n"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// usersUsagePlan is Scan(users) → Extend(usage = UserUsage(@week, ...))
+// over nRows generated users: one result row per user, each cell
+// aggregated across worlds.
+func usersUsagePlan(t *testing.T, nRows int) (Plan, *Env) {
+	t.Helper()
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.UserUsage{})
 	users := blackbox.GenerateUsers(nRows, 17)
@@ -38,17 +57,7 @@ func allocPipeline(t *testing.T, nRows int) Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := mustBind(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
-	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "join_week > -1"}
-	arg := mustBind(t, Col{"usage"}, sel.Schema(), env)
-	plan, err := NewAggregatePlan(sel, []AggSpec{
-		{Kind: AggSum, Arg: arg, Name: "total"},
-		{Kind: AggCount, Arg: nil, Name: "n"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
+	return ext, env
 }
 
 // columnarAllocBudgetPerWorld bounds steady-state allocations per
@@ -110,5 +119,37 @@ func TestColumnarSingleVGAllocsPerWorld(t *testing.T) {
 	if perWorld := allocs / worlds; perWorld > columnarAllocBudgetPerWorld {
 		t.Errorf("single-VG query allocates %.3f/world (%.0f/run), budget %.2f/world",
 			perWorld, allocs, columnarAllocBudgetPerWorld)
+	}
+}
+
+// TestResultCellsAllocsFlatInRows pins that a run's allocations do not
+// grow with its result cells: the commit loop folds every cell into
+// one flat accumulator array and one backing summary array, and a
+// block context reuses its row-pointer chunks, so a 2000-row answer
+// allocates no more than a 200-row one plus a small constant (its
+// larger buffers are still one allocation each).
+func TestResultCellsAllocsFlatInRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
+	}
+	params := map[string]float64{"week": 40}
+	opts := WorldsOptions{Worlds: 256, MasterSeed: 0x5161, Workers: 1}
+	perRun := func(rows int) float64 {
+		plan, _ := usersUsagePlan(t, rows)
+		if _, err := RunDistribution(plan, params, opts); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunDistribution(plan, params, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const slack = 4
+	small, large := perRun(200), perRun(2000)
+	t.Logf("allocs per run: %.0f at 200 rows, %.0f at 2000 rows", small, large)
+	if large > small+slack {
+		t.Errorf("a 2000-row answer allocates %.0f per run, a 200-row one %.0f: more than %d apart, so some allocation grows with the result cells",
+			large, small, slack)
 	}
 }

@@ -70,8 +70,12 @@ type BlockCtx struct {
 	vecsUsed  int
 	masks     []Mask
 	masksUsed int
-	rowPtrs   []*Vec // bump chunk for BlockRow backing
-	floatBuf  []float64
+	// rowPtrs is the chunk newRow bumps through; rowChunks holds
+	// every chunk allocated so far, handed out again in order.
+	rowPtrs    []*Vec
+	rowChunks  [][]*Vec
+	chunksUsed int
+	floatBuf   []float64
 }
 
 // reset prepares the context for a new block over seeds (one world
@@ -85,7 +89,8 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 	c.flags = flags
 	c.vecsUsed = 0
 	c.masksUsed = 0
-	c.rowPtrs = c.rowPtrs[:0]
+	c.rowPtrs = nil
+	c.chunksUsed = 0
 	if cap(c.Rands) < c.W {
 		c.Rands = make([]rng.Rand, c.W)
 	}
@@ -206,17 +211,30 @@ func (c *BlockCtx) newMask(src Mask) Mask {
 func (c *BlockCtx) newRow(n int) BlockRow {
 	start := len(c.rowPtrs)
 	if start+n > cap(c.rowPtrs) {
-		// Fresh chunk: older rows keep referencing the old backing
-		// array, so growing never invalidates them.
-		chunk := 1024
-		if n > chunk {
-			chunk = n
-		}
-		c.rowPtrs = make([]*Vec, 0, chunk)
+		// Next chunk: older rows keep referencing theirs, so moving on
+		// never invalidates them.
+		c.rowPtrs = c.rowChunk(n)
 		start = 0
 	}
 	c.rowPtrs = c.rowPtrs[:start+n]
 	return c.rowPtrs[start : start+n : start+n]
+}
+
+// rowChunk returns the block's next empty pointer chunk with room for
+// n slots, allocating one only when the chunks of earlier blocks run
+// out.
+func (c *BlockCtx) rowChunk(n int) []*Vec {
+	for c.chunksUsed < len(c.rowChunks) {
+		ch := c.rowChunks[c.chunksUsed]
+		c.chunksUsed++
+		if cap(ch) >= n {
+			return ch[:0]
+		}
+	}
+	ch := make([]*Vec, 0, max(1024, n))
+	c.rowChunks = append(c.rowChunks, ch)
+	c.chunksUsed++
+	return ch
 }
 
 // floats returns an n-sized float scratch slice.

@@ -102,21 +102,20 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
-func TestColumnarAggregateKindsOverVGDraws(t *testing.T) {
-	// Data-dependent draws (one per row per world) and every aggregate
-	// kind at once.
+func TestColumnarAggregateSumsOverVGDraws(t *testing.T) {
+	// Data-dependent draws (one per row per world) under several sums
+	// at once: a drawn one, a deterministic one, and SUM(1).
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
 	noisy := mustBind(t, BinOp{"*", Col{"volume"},
 		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}, scan.Schema(), db.Env())
 	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
+	one := mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env())
 	plan, err := NewAggregatePlan(scan,
 		[]AggSpec{
-			{Kind: AggSum, Arg: noisy, Name: "total"},
-			{Kind: AggCount, Arg: nil, Name: "n"},
-			{Kind: AggAvg, Arg: noisy, Name: "avg"},
-			{Kind: AggMin, Arg: week, Name: "wmin"},
-			{Kind: AggMax, Arg: week, Name: "wmax"},
+			{Arg: noisy, Name: "total"},
+			{Arg: one, Name: "n"},
+			{Arg: week, Name: "weeks"},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +159,8 @@ func TestColumnarMaskedAggregate(t *testing.T) {
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "vg > week"}
 	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
 	plan, err := NewAggregatePlan(sel, []AggSpec{
-		{Kind: AggSum, Arg: arg, Name: "total"},
-		{Kind: AggCount, Arg: nil, Name: "n"},
+		{Arg: arg, Name: "total"},
+		{Arg: mustBind(t, Lit{Float(1)}, sel.Schema(), db.Env()), Name: "n"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,19 +261,14 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 func TestColumnarAggregateOverWorldVaryingNulls(t *testing.T) {
 	// An argument that is NULL in some worlds and not others (each
 	// draw lands above its week about half the time, so some worlds
-	// keep no row): each world's COUNT, AVG, MIN and MAX fold only its
-	// own non-NULL lanes.
+	// keep no row): each world's SUM folds only its own non-NULL lanes,
+	// and is NULL in a world that has none.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
 	draw := Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}
 	arg := mustBind(t, Case{When: BinOp{">", draw, Col{"week"}}, Then: Col{"volume"}},
 		scan.Schema(), db.Env())
-	plan, err := NewAggregatePlan(scan, []AggSpec{
-		{Kind: AggCount, Arg: arg, Name: "n"},
-		{Kind: AggAvg, Arg: arg, Name: "avg"},
-		{Kind: AggMin, Arg: arg, Name: "lo"},
-		{Kind: AggMax, Arg: arg, Name: "hi"},
-	})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: arg, Name: "sum"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +283,8 @@ func TestColumnarAggregateErrorParity(t *testing.T) {
 	scan, _ := db.Scan("purchases")
 	ext := vgExtendPlan(t, db, scan, "vg")
 	plan, err := NewAggregatePlan(ext, []AggSpec{
-		{Kind: AggSum, Arg: mustBind(t, Col{"vg"}, ext.Schema(), db.Env()), Name: "total"},
-		{Kind: AggMax, Arg: mustBind(t, Col{"region"}, ext.Schema(), db.Env()), Name: "last"},
+		{Arg: mustBind(t, Col{"vg"}, ext.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, Col{"region"}, ext.Schema(), db.Env()), Name: "regions"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +326,7 @@ func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
 		args = append(args, mustBind(t, e, scan.Schema(), nil))
 	}
 	usage := mustBind(t, Call{"UserUsage", argExprs}, scan.Schema(), db.Env())
-	tree, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	tree, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +371,7 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 	usage := mustBind(t, Call{"UserUsage", []Expr{
 		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
 	}}, scan.Schema(), db.Env())
-	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,15 +148,13 @@ func TestExtendPlanSeesEarlierOutputs(t *testing.T) {
 	}
 }
 
-func TestAggregatePlanKinds(t *testing.T) {
+func TestAggregatePlanSums(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	aggs := []AggSpec{
-		{Kind: AggSum, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
-		{Kind: AggCount, Arg: nil, Name: "n"},
-		{Kind: AggMin, Arg: mustBind(t, Col{"week"}, scan.Schema(), db.Env()), Name: "first_week"},
-		{Kind: AggMax, Arg: mustBind(t, Col{"week"}, scan.Schema(), db.Env()), Name: "last_week"},
-		{Kind: AggAvg, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "avg_vol"},
+		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env()), Name: "n"},
+		{Arg: mustBind(t, BinOp{"*", Col{"week"}, Col{"volume"}}, scan.Schema(), db.Env()), Name: "weighted"},
 	}
 	plan, err := NewAggregatePlan(scan, aggs)
 	if err != nil {
@@ -166,7 +164,7 @@ func TestAggregatePlanKinds(t *testing.T) {
 	if out.Len() != 1 {
 		t.Fatalf("aggregate rows = %d", out.Len())
 	}
-	for i, want := range []float64{120, 3, 10, 30, 40} {
+	for i, want := range []float64{120, 3, 2200} {
 		if f, _ := out.Rows[0][i].AsFloat(); f != want {
 			t.Fatalf("%s = %g, want %g", aggs[i].Name, f, want)
 		}
@@ -179,8 +177,8 @@ func TestAggregatePlanOnEmptyInput(t *testing.T) {
 	empty := &SelectPlan{Child: scan,
 		Pred: mustBind(t, Lit{Bool(false)}, scan.Schema(), db.Env()), Desc: "false"}
 	plan, err := NewAggregatePlan(empty, []AggSpec{
-		{Kind: AggCount, Name: "n"},
-		{Kind: AggSum, Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env()), Name: "n"},
+		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,36 +187,26 @@ func TestAggregatePlanOnEmptyInput(t *testing.T) {
 	if out.Len() != 1 {
 		t.Fatalf("global aggregate rows = %d", out.Len())
 	}
-	if f, _ := out.Rows[0][0].AsFloat(); f != 0 {
-		t.Fatal("COUNT over empty input != 0")
-	}
-	if !out.Rows[0][1].IsNull() {
-		t.Fatal("SUM over empty input should be NULL")
+	for i, v := range out.Rows[0] {
+		if !v.IsNull() {
+			t.Fatalf("%s over empty input = %v, want NULL", plan.Aggs[i].Name, v)
+		}
 	}
 }
 
 func TestAggregatePlanValidation(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	if _, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggCount, Name: ""}}); err == nil {
+	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
+	if _, err := NewAggregatePlan(scan, []AggSpec{{Arg: week, Name: ""}}); err == nil {
 		t.Fatal("unnamed aggregate accepted")
 	}
-	if _, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Name: "x"}}); err == nil {
+	if _, err := NewAggregatePlan(scan, []AggSpec{{Name: "x"}}); err == nil {
 		t.Fatal("SUM without arg accepted")
 	}
 	if _, err := NewAggregatePlan(scan,
-		[]AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggCount, Name: "n"}}); err == nil {
+		[]AggSpec{{Arg: week, Name: "n"}, {Arg: week, Name: "n"}}); err == nil {
 		t.Fatal("duplicate agg name accepted")
-	}
-}
-
-func TestAggKindString(t *testing.T) {
-	for kind, want := range map[AggKind]string{
-		AggSum: "SUM", AggCount: "COUNT", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX", AggKind(9): "AggKind(9)",
-	} {
-		if got := kind.String(); got != want {
-			t.Fatalf("AggKind(%d).String() = %q, want %q", int(kind), got, want)
-		}
 	}
 }
 
@@ -229,19 +217,13 @@ func TestNullsSkippedByAggregates(t *testing.T) {
 	tbl.MustAppend(Row{Float(20)})
 	scan := NewScanPlan("t", tbl)
 	arg := mustBind(t, Col{"v"}, scan.Schema(), nil)
-	plan, err := NewAggregatePlan(scan, []AggSpec{
-		{Kind: AggAvg, Arg: arg, Name: "avg"},
-		{Kind: AggCount, Arg: arg, Name: "cnt"},
-	})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: arg, Name: "sum"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := execute(t, plan)
-	if f, _ := out.Rows[0][0].AsFloat(); f != 15 {
-		t.Fatalf("avg with NULL = %g, want 15", f)
-	}
-	if f, _ := out.Rows[0][1].AsFloat(); f != 2 {
-		t.Fatalf("count(v) with NULL = %g, want 2", f)
+	if f, _ := out.Rows[0][0].AsFloat(); f != 30 {
+		t.Fatalf("sum with NULL = %v, want 30", out.Rows[0][0])
 	}
 }
 
@@ -272,19 +254,14 @@ func (maskedRowsPlan) ExecuteBlock(c *BlockCtx) (*BlockTable, error) {
 
 func TestAggregatePlanFoldsPerWorldMasks(t *testing.T) {
 	// Each world folds only the rows its mask keeps: world 2 keeps
-	// just the NULL row, so COUNT(*) sees it and the rest are NULL.
+	// just the NULL row, so SUM(1) counts it and SUM(v) is NULL there.
 	var child maskedRowsPlan
-	arg := mustBind(t, Col{"v"}, child.Schema(), nil)
 	cases := []struct {
 		spec AggSpec
 		want []Value
 	}{
-		{AggSpec{Kind: AggCount, Name: "star"}, []Value{Float(3), Float(2), Float(1)}},
-		{AggSpec{Kind: AggCount, Arg: arg, Name: "cnt"}, []Value{Float(2), Float(1), Float(0)}},
-		{AggSpec{Kind: AggSum, Arg: arg, Name: "sum"}, []Value{Float(12), Float(5), Null()}},
-		{AggSpec{Kind: AggMin, Arg: arg, Name: "min"}, []Value{Float(5), Float(5), Null()}},
-		{AggSpec{Kind: AggMax, Arg: arg, Name: "max"}, []Value{Float(7), Float(5), Null()}},
-		{AggSpec{Kind: AggAvg, Arg: arg, Name: "avg"}, []Value{Float(6), Float(5), Null()}},
+		{AggSpec{Arg: mustBind(t, Lit{Float(1)}, child.Schema(), nil), Name: "rows"}, []Value{Float(3), Float(2), Float(1)}},
+		{AggSpec{Arg: mustBind(t, Col{"v"}, child.Schema(), nil), Name: "sum"}, []Value{Float(12), Float(5), Null()}},
 	}
 	aggs := make([]AggSpec, len(cases))
 	for i, tc := range cases {
@@ -316,8 +293,8 @@ func TestAggregatePlanRejectsNonNumericArg(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	plan, err := NewAggregatePlan(scan, []AggSpec{
-		{Kind: AggCount, Name: "n"},
-		{Kind: AggSum, Arg: mustBind(t, Col{"region"}, scan.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "n"},
+		{Arg: mustBind(t, Col{"region"}, scan.Schema(), db.Env()), Name: "total"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +314,8 @@ func TestPlanStrings(t *testing.T) {
 	if (ValuesPlan{}).String() != "Values()" {
 		t.Fatal("values string")
 	}
-	agg, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggCount, Name: "m"}})
+	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
+	agg, err := NewAggregatePlan(scan, []AggSpec{{Arg: week, Name: "n"}, {Arg: week, Name: "m"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,22 +191,18 @@ func (w *refWorld) plan(p Plan) (*Table, error) {
 }
 
 // aggregate interprets an AggregatePlan: NULLs skipped, one row also
-// over no input.
+// over no input (a NULL sum).
 func (w *refWorld) aggregate(p *AggregatePlan) (*Table, error) {
 	in, err := w.plan(p.Child)
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*aggState, len(p.Aggs))
-	for i, a := range p.Aggs {
-		states[i] = &aggState{kind: a.Kind, min: math.Inf(1), max: math.Inf(-1)}
+	states := make([]*sumState, len(p.Aggs))
+	for i := range p.Aggs {
+		states[i] = &sumState{}
 	}
 	for _, row := range in.Rows {
 		for i, a := range p.Aggs {
-			if a.Arg == nil {
-				states[i].n++ // COUNT(*)
-				continue
-			}
 			v, err := w.eval(a.Arg, row)
 			if err != nil {
 				return nil, err
@@ -223,15 +219,13 @@ func (w *refWorld) aggregate(p *AggregatePlan) (*Table, error) {
 	return &Table{Schema: p.Schema(), Rows: []Row{out}}, nil
 }
 
-// aggState is the oracle's scalar fold of one aggregate in one world.
-type aggState struct {
-	kind     AggKind
-	n        int
-	sum      float64
-	min, max float64
+// sumState is the oracle's scalar fold of one SUM in one world.
+type sumState struct {
+	n   int
+	sum float64
 }
 
-func (a *aggState) add(v Value) error {
+func (a *sumState) add(v Value) error {
 	if v.IsNull() {
 		return nil
 	}
@@ -241,30 +235,14 @@ func (a *aggState) add(v Value) error {
 	}
 	a.n++
 	a.sum += f
-	if f < a.min {
-		a.min = f
-	}
-	if f > a.max {
-		a.max = f
-	}
 	return nil
 }
 
-func (a *aggState) result() Value {
-	switch {
-	case a.kind == AggCount:
-		return Float(float64(a.n))
-	case a.n == 0:
+func (a *sumState) result() Value {
+	if a.n == 0 {
 		return Null()
-	case a.kind == AggSum:
-		return Float(a.sum)
-	case a.kind == AggAvg:
-		return Float(a.sum / float64(a.n))
-	case a.kind == AggMin:
-		return Float(a.min)
-	default:
-		return Float(a.max)
 	}
+	return Float(a.sum)
 }
 
 // truth evaluates a predicate; NULL is false.

@@ -324,25 +324,24 @@ func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 // commitBlocks accumulates block outputs, in world order, into the
 // Distribution: per-world positional compaction of masked rows, the
 // cardinality check, string cells carried as KeyRows, and one batched
-// AddBlock per cell per block.
+// AddBlock per cell per block. The cells' accumulators and summaries
+// are two flat arrays, row-major, so a run allocates the same whatever
+// its row count.
 func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 	var dist *Distribution
-	var accs [][]*stats.Accumulator
-	nrows := 0
+	var accs []stats.Accumulator
+	nrows, ncols := 0, 0
 	var scratch []float64
 	var keyRows []Row
 	var rowMap []int
 
 	for _, out := range outs {
 		if dist == nil {
-			nrows = out.counts[0]
+			nrows, ncols = out.counts[0], out.ncols
 			dist = &Distribution{Schema: out.schema, Worlds: opts.Worlds}
-			accs = make([][]*stats.Accumulator, nrows)
+			accs = make([]stats.Accumulator, nrows*ncols)
 			for i := range accs {
-				accs[i] = make([]*stats.Accumulator, out.ncols)
-				for j := range accs[i] {
-					accs[i][j] = stats.NewAccumulator()
-				}
+				accs[i].Reset()
 			}
 			scratch = make([]float64, 0, out.w)
 		}
@@ -394,7 +393,7 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 						}
 					}
 				}
-				accs[k][c].AddBlock(scratch)
+				accs[k*ncols+c].AddBlock(scratch)
 			}
 		}
 	}
@@ -403,12 +402,13 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 		return nil, errors.New("pdb: zero worlds requested")
 	}
 	dist.KeyRows = keyRows
-	dist.Cells = make([][]stats.Summary, len(accs))
+	cells := make([]stats.Summary, len(accs))
 	for i := range accs {
-		dist.Cells[i] = make([]stats.Summary, len(accs[i]))
-		for j := range accs[i] {
-			dist.Cells[i][j] = accs[i][j].Summarize()
-		}
+		cells[i] = accs[i].Summarize()
+	}
+	dist.Cells = make([][]stats.Summary, nrows)
+	for k := range dist.Cells {
+		dist.Cells[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
 	}
 	return dist, nil
 }

@@ -226,7 +226,7 @@ func TestRunDistributionAggregateQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: noisy, Name: "weighted"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: noisy, Name: "weighted"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +245,52 @@ func TestRunDistributionAggregateQuery(t *testing.T) {
 	// = 40·10 + 60·20 + 20·30 = 2200.
 	if math.Abs(total.Mean-2200) > 25 {
 		t.Fatalf("weighted mean = %g ± %g, want ~2200", total.Mean, total.StdDev)
+	}
+}
+
+// TestDistributionCellRowsAreDisjoint pins the layout of a multi-row,
+// multi-column answer: every cell lands in its own (row, column), and
+// each row of Cells is clipped to its width, so appending to one row
+// never overwrites the next one's cells.
+func TestDistributionCellRowsAreDisjoint(t *testing.T) {
+	db := fixtureDB(t)
+	scan, _ := db.Scan("purchases")
+	noisy, err := (BinOp{"*", Col{"volume"},
+		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}).Bind(scan.Schema(), db.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewExtendPlan(scan, []NamedBound{{Name: "noisy", Expr: noisy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := RunDistribution(plan, nil, WorldsOptions{Worlds: 1000, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ncols := len(plan.Schema())
+	wantWeek, wantVol := []float64{10, 20, 30}, []float64{40, 60, 20}
+	if dist.NumRows() != len(wantWeek) {
+		t.Fatalf("rows = %d, want %d", dist.NumRows(), len(wantWeek))
+	}
+	for k, row := range dist.Cells {
+		if len(row) != ncols || cap(row) != ncols {
+			t.Fatalf("row %d: len %d cap %d, want both %d", k, len(row), cap(row), ncols)
+		}
+		week, _ := dist.CellByName(k, "week")
+		vol, _ := dist.CellByName(k, "volume")
+		if week.Mean != wantWeek[k] || week.StdDev != 0 || vol.Mean != wantVol[k] {
+			t.Fatalf("row %d: week %+v, volume %+v, want %g and %g", k, week, vol, wantWeek[k], wantVol[k])
+		}
+		// E[volume·demand@week] = volume·week.
+		if got, _ := dist.CellByName(k, "noisy"); math.Abs(got.Mean-wantVol[k]*wantWeek[k]) > 0.05*wantVol[k]*wantWeek[k] {
+			t.Fatalf("row %d: noisy mean %g, want ~%g", k, got.Mean, wantVol[k]*wantWeek[k])
+		}
+	}
+	next := dist.Cells[1][0]
+	_ = append(dist.Cells[0], stats.Summary{N: -1})
+	if dist.Cells[1][0] != next {
+		t.Fatal("appending to row 0 overwrote row 1")
 	}
 }
 
@@ -273,7 +319,7 @@ func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewAggregatePlan(scan, []AggSpec{{Kind: AggSum, Arg: usage, Name: "total"}})
+	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
 	}

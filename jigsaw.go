@@ -37,9 +37,8 @@
 //
 // Sweeps parallelize across parameter points: set
 // EngineOptions.Workers (0 = all cores) and Engine.Sweep,
-// Engine.SweepBatch and their context-aware variants
-// Engine.SweepContext / Engine.SweepBatchContext spread the points
-// over a worker pool while returning results bit-identical for every
+// Engine.SweepBatch and the context-aware Engine.SweepContext spread
+// the points over a worker pool while returning results bit-identical for every
 // worker count, equal to evaluating the points one by one with
 // Engine.EvaluatePoint. Every call returns its own SweepStats (sum
 // several with SweepStats.Add); the engine keeps no running counters.
@@ -209,22 +208,18 @@ func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 
 type (
 	// Engine is the Monte Carlo engine with fingerprint reuse (the
-	// dashed box of Fig. 3). Its Sweep, SweepContext, SweepBatch and
-	// SweepBatchContext methods evaluate parameter points on a worker
-	// pool sized by EngineOptions.Workers, deterministically: results
-	// are bit-identical for every worker count.
+	// dashed box of Fig. 3). Its Sweep, SweepContext and SweepBatch
+	// methods evaluate parameter points on a worker pool sized by
+	// EngineOptions.Workers, deterministically: results are
+	// bit-identical for every worker count.
 	Engine = mc.Engine
 	// EngineOptions configures an Engine.
 	EngineOptions = mc.Options
-	// PointEval evaluates one sample at a parameter point.
+	// PointEval is a stochastic model at a parameter point: the
+	// engine and interactive sessions bind a point once (BindPoint)
+	// and draw its samples in seed blocks (EvalBlockBound). BindBox
+	// builds one from any Box, a BoxFunc included.
 	PointEval = mc.PointEval
-	// EvalFunc adapts a plain function to PointEval.
-	EvalFunc = mc.EvalFunc
-	// PointBinder is the one optional PointEval capability: the
-	// engine's hot loops and interactive sessions bind a point's
-	// arguments once per point and draw its samples in seed blocks
-	// through EvalBlockBound (BindBox evaluators implement it).
-	PointBinder = mc.PointBinder
 	// PointResult is the engine's per-point answer.
 	PointResult = mc.PointResult
 	// SweepStats reports one engine call's reuse accounting.
