@@ -81,6 +81,23 @@ func (d *Demand) EvalBlock(args []float64, out []float64, seeds []uint64) {
 	rng.FillNormalVar(out, mu, variance, seeds)
 }
 
+// BoundLen implements PointBox: the bound state is (µ, σ).
+func (*Demand) BoundLen() int { return 2 }
+
+// Bind implements PointBox: it resolves the week's (µ, σ) once, as
+// EvalBlock does, so a bound sample is a single normal draw.
+func (d *Demand) Bind(args, state []float64) {
+	checkArity(d.Name(), d.Arity(), args)
+	mu, variance := d.params(args[0], args[1])
+	state[0], state[1] = mu, math.Sqrt(variance)
+}
+
+// EvalBound implements PointBox. NormalVar(µ, σ²) is Normal(µ, √σ²),
+// so the draw matches Eval's bit for bit.
+func (*Demand) EvalBound(state []float64, r *rng.Rand) float64 {
+	return r.Normal(state[0], state[1])
+}
+
 // Capacity simulates a series of purchases, each increasing cluster
 // capacity after an exponentially distributed bring-up delay (Fig. 6).
 // Away from purchase events the output is the stable base + volume
@@ -128,17 +145,22 @@ func (*Capacity) Name() string { return "CapacityModel" }
 // Arity implements Box.
 func (*Capacity) Arity() int { return 3 }
 
-// Eval implements Box. The random stream is consumed in a fixed order
-// (noise, failures, per-purchase delay) regardless of argument values,
-// so invocations at different parameter points stay comparable under a
-// common seed.
+// Eval implements Box.
 func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 	checkArity(c.Name(), c.Arity(), args)
-	week := args[0]
+	return c.draw(args[0], args[1:], 1/c.MeanDelay, r)
+}
+
+// draw is one sample of the model, the single source of Eval and every
+// kernel. The random stream is consumed in a fixed order (noise,
+// failures, per-purchase delay at the exponential rate) regardless of
+// argument values, so invocations at different parameter points stay
+// comparable under a common seed.
+func (c *Capacity) draw(week float64, purchases []float64, rate float64, r *rng.Rand) float64 {
 	capacity := c.Base + r.Normal(0, c.BaseNoise)
 	capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-	for _, purchase := range args[1:] {
-		delay := r.Exponential(1 / c.MeanDelay)
+	for _, purchase := range purchases {
+		delay := r.Exponential(rate)
 		if week >= purchase+delay {
 			capacity += c.PurchaseVolume
 		}
@@ -149,27 +171,34 @@ func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 // EvalBlock implements BlockBox. Capacity's stream mixes normal,
 // Bernoulli and exponential draws, so the kernel keeps one local
 // generator and replays Eval's exact sequence per seed; the block
-// form hoists the argument decode, arity check and exponential rate
-// out of the loop and drops the per-sample interface dispatch.
+// form hoists the arity check and exponential rate out of the loop
+// and drops the per-sample interface dispatch.
 func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
 	checkArity(c.Name(), c.Arity(), args)
 	checkBlock(c.Name(), out, seeds)
-	week := args[0]
-	purchases := args[1:]
 	rate := 1 / c.MeanDelay
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
-		capacity := c.Base + r.Normal(0, c.BaseNoise)
-		capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-		for _, purchase := range purchases {
-			delay := r.Exponential(rate)
-			if week >= purchase+delay {
-				capacity += c.PurchaseVolume
-			}
-		}
-		out[i] = capacity
+		out[i] = c.draw(args[0], args[1:], rate, &r)
 	}
+}
+
+// BoundLen implements PointBox: the bound state is the arguments
+// followed by the exponential rate.
+func (c *Capacity) BoundLen() int { return c.Arity() + 1 }
+
+// Bind implements PointBox.
+func (c *Capacity) Bind(args, state []float64) {
+	checkArity(c.Name(), c.Arity(), args)
+	copy(state, args)
+	state[len(args)] = 1 / c.MeanDelay
+}
+
+// EvalBound implements PointBox.
+func (c *Capacity) EvalBound(state []float64, r *rng.Rand) float64 {
+	n := len(state) - 1
+	return c.draw(state[0], state[1:n], state[n], r)
 }
 
 // Overload is the black box synthesized from Capacity and Demand

@@ -96,23 +96,12 @@ func (d *Demand) EvalStream(args []float64, out []float64, rands []rng.Rand, act
 func (c *Capacity) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity(c.Name(), c.Arity(), args)
 	checkStream(c.Name(), out, rands, active)
-	week := args[0]
-	purchases := args[1:]
 	rate := 1 / c.MeanDelay
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		r := &rands[w]
-		capacity := c.Base + r.Normal(0, c.BaseNoise)
-		capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-		for _, purchase := range purchases {
-			delay := r.Exponential(rate)
-			if week >= purchase+delay {
-				capacity += c.PurchaseVolume
-			}
-		}
-		out[w] = capacity
+		out[w] = c.draw(args[0], args[1:], rate, &rands[w])
 	}
 }
 

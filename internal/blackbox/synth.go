@@ -166,4 +166,8 @@ var (
 	_ BlockBox = (*Capacity)(nil)
 	_ BlockBox = (*Overload)(nil)
 	_ BlockBox = (*MarkovStepBox)(nil)
+
+	_ PointBox = (*Demand)(nil)
+	_ PointBox = (*Capacity)(nil)
+	_ PointBox = (*UserSelection)(nil)
 )

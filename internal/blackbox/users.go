@@ -68,27 +68,65 @@ func (*UserSelection) Name() string { return "UserSelection" }
 func (*UserSelection) Arity() int { return 1 }
 
 // Eval implements Box tuple-at-a-time: one pass over the dataset per
-// sample, drawing each active user's weekly usage.
+// sample, drawing each active user's weekly usage. Inactive users draw
+// nothing and consume no randomness, mirroring how a per-user VG
+// function would simply not be invoked for absent rows.
 func (u *UserSelection) Eval(args []float64, r *rng.Rand) float64 {
 	checkArity(u.Name(), u.Arity(), args)
 	week := args[0]
 	total := 0.0
 	for i := range u.Users {
-		total += u.userUsage(&u.Users[i], week, r)
+		usr := &u.Users[i]
+		if mean, ok := usr.mean(week); ok {
+			total += usage(mean, usr.Volatility, r)
+		}
 	}
 	return total
 }
 
-// userUsage draws one user's usage for the week. Inactive users draw
-// nothing and consume no randomness, mirroring how a per-user VG
-// function would simply not be invoked for absent rows.
-func (u *UserSelection) userUsage(usr *User, week float64, r *rng.Rand) float64 {
+// mean is the user's expected usage in the week — base cores grown by
+// the tenure — and whether the user has joined by then.
+func (usr *User) mean(week float64) (float64, bool) {
 	if week < usr.JoinWeek {
-		return 0
+		return 0, false
 	}
-	tenure := week - usr.JoinWeek
-	mean := usr.BaseCores * math.Pow(usr.GrowthRate, tenure)
-	return mean * r.LogNormal(0, usr.Volatility)
+	return usr.BaseCores * math.Pow(usr.GrowthRate, week-usr.JoinWeek), true
+}
+
+// usage draws an active user's weekly usage around its mean.
+func usage(mean, vol float64, r *rng.Rand) float64 {
+	return mean * r.LogNormal(0, vol)
+}
+
+// BoundLen implements PointBox: the bound state is the active-user
+// count, then one (mean, volatility) pair per user.
+func (u *UserSelection) BoundLen() int { return 1 + 2*len(u.Users) }
+
+// Bind implements PointBox: the activity test and the tenure growth,
+// which Eval repeats on every sample, run once for the week, and the
+// state keeps only the active users, in dataset order.
+func (u *UserSelection) Bind(args, state []float64) {
+	checkArity(u.Name(), u.Arity(), args)
+	n := 0
+	for i := range u.Users {
+		usr := &u.Users[i]
+		if mean, ok := usr.mean(args[0]); ok {
+			state[1+2*n], state[2+2*n] = mean, usr.Volatility
+			n++
+		}
+	}
+	state[0] = float64(n)
+}
+
+// EvalBound implements PointBox: Eval's draws for the active users
+// Bind kept, in the same order.
+func (*UserSelection) EvalBound(state []float64, r *rng.Rand) float64 {
+	pairs := state[1 : 1+2*int(state[0])]
+	total := 0.0
+	for i := 0; i < len(pairs); i += 2 {
+		total += usage(pairs[i], pairs[i+1], r)
+	}
+	return total
 }
 
 // String describes the dataset size for experiment logs.

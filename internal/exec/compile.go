@@ -34,14 +34,16 @@ type Scenario struct {
 	// evals computes each column in order into the row vector.
 	evals []colEval
 	// width is the row vector's length: one slot per column, then the
-	// call sites' argument regions and the parameters' slots, in the
-	// order compilation reaches them.
+	// call sites' argument regions, the bound call sites' state regions
+	// and the parameters' slots, in the order compilation reaches them.
 	width int
 	// params are the parameters the row reads, in first-reference
 	// order, with their row slots; chainParam is the first of them
 	// declared as a CHAIN ("" when the row reads none).
 	params     []paramSlot
 	chainParam string
+	// binds are the bound call sites, in compilation order.
+	binds []boundCall
 }
 
 // paramSlot is a parameter the row reads and the row slot BindRow
@@ -49,6 +51,17 @@ type Scenario struct {
 type paramSlot struct {
 	name string
 	slot int
+}
+
+// boundCall is a call site whose box is a blackbox.PointBox and whose
+// arguments read only parameters, constants and builtins, so they are
+// fixed once the point is: BindRow evaluates the arguments into the
+// site's region row[lo:hi] and binds them into its state region
+// row[state:end], and the site's colEval only draws (EvalBound).
+type boundCall struct {
+	box                blackbox.PointBox
+	args               []colEval
+	lo, hi, state, end int
 }
 
 // colEval is the lightweight engine's compiled expression form: a
@@ -101,7 +114,7 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 		s.Columns = append(s.Columns, name)
 		s.evals = append(s.evals, ev)
 	}
-	s.width, s.params, s.chainParam = c.width, c.params, c.chainParam
+	s.width, s.params, s.chainParam, s.binds = c.width, c.params, c.chainParam, c.binds
 	return s, nil
 }
 
@@ -162,16 +175,18 @@ func (s *Scenario) HasColumn(name string) bool {
 func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
 
 // RowLen is the length of the row vector: one slot per column, in
-// Columns order, then the call sites' argument regions and the
-// parameters' slots.
+// Columns order, then the call sites' argument regions, the bound call
+// sites' state regions and the parameters' slots.
 func (s *Scenario) RowLen() int { return s.width }
 
 // BindRow writes p's value of every parameter the row reads into its
-// slot of row (len(row) == RowLen()). A sweep binds a point once, then
-// calls FillRow once per sample on the same row. It panics when p does
-// not bind one of them: every point a Space or ScenarioChain builds
-// binds the declared parameters, and a sweep returns the panic as an
-// error naming the point.
+// slot of row (len(row) == RowLen()), then binds each bound call site:
+// it evaluates the site's arguments from those slots and has the box
+// write its state region. It draws nothing. A sweep binds a point
+// once, then calls FillRow once per sample on the same row. It panics
+// when p does not bind one of the parameters: every point a Space or
+// ScenarioChain builds binds the declared parameters, and a sweep
+// returns the panic as an error naming the point.
 func (s *Scenario) BindRow(p param.Point, row []float64) {
 	for _, ps := range s.params {
 		v, ok := p[ps.name]
@@ -180,11 +195,21 @@ func (s *Scenario) BindRow(p param.Point, row []float64) {
 		}
 		row[ps.slot] = v
 	}
+	for _, b := range s.binds {
+		buf := row[b.lo:b.hi]
+		for i, a := range b.args {
+			// A bound site's arguments draw nothing (pointOnly), so
+			// they need no generator.
+			buf[i] = a(row, nil)
+		}
+		b.box.Bind(buf, row[b.state:b.end])
+	}
 }
 
 // FillRow evaluates one world of the whole scenario into a row that
 // BindRow has bound; column i lands in row[i]. It reads only the
-// parameter slots BindRow wrote and the slots it writes itself, and
+// parameter slots and state regions BindRow wrote and the slots it
+// writes itself, and
 // allocates nothing. With a per-worker row it is the scenario's
 // mc.RowEval: a sweep evaluates each sampled row once for all of its
 // columns.
@@ -266,6 +291,7 @@ type compiler struct {
 	// params and chainParam become the Scenario's fields.
 	params     []paramSlot
 	chainParam string
+	binds      []boundCall
 }
 
 // expr lowers a parsed expression to the direct interpreter form.
@@ -380,12 +406,13 @@ func (c *compiler) binary(n *sqlparse.Binary) (colEval, error) {
 	}, nil
 }
 
-// caseExpr compiles all arms. Arms are evaluated in order; note that
-// unlike SQL's lazy CASE, *model calls inside untaken arms are still
-// evaluated* so the generator stream advances identically on every
-// code path — the fixed stream-consumption discipline that keeps
-// fingerprints comparable across parameter values (§3.1). Scenario
-// authors pay a little wasted work for deterministic alignment.
+// caseExpr compiles all arms. Arms are evaluated in order, the ELSE
+// arm last; note that unlike SQL's lazy CASE, *model calls inside
+// untaken arms, ELSE included, are still evaluated* so the generator
+// stream advances identically on every code path — the fixed
+// stream-consumption discipline that keeps fingerprints comparable
+// across parameter values (§3.1). Scenario authors pay a little wasted
+// work for deterministic alignment.
 func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
 	type arm struct{ when, then colEval }
 	arms := make([]arm, 0, len(n.Whens))
@@ -418,8 +445,10 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
 				result = then
 			}
 		}
-		if !chosen && elseEv != nil {
-			return elseEv(v, r)
+		if elseEv != nil {
+			if e := elseEv(v, r); !chosen {
+				result = e
+			}
 		}
 		return result
 	}, nil
@@ -428,7 +457,9 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
 // call compiles a builtin or black-box call. The call site owns a
 // fixed region of the row vector for its arguments; nested calls get
 // their own regions, so evaluating an argument never overwrites
-// another.
+// another. A call to a blackbox.PointBox whose arguments are pointOnly
+// is a bound call site: it also owns a state region, BindRow binds it
+// once per point, and a sample only draws from it.
 func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 	if n.Name == "NULL" {
 		return nil, errors.New("NULL is not supported by the lightweight engine")
@@ -457,6 +488,15 @@ func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 		}
 		args[i] = ev
 	}
+	if pb, ok := box.(blackbox.PointBox); ok && pointOnly(n.Args...) {
+		state := c.width
+		end := state + pb.BoundLen()
+		c.width = end
+		c.binds = append(c.binds, boundCall{box: pb, args: args, lo: lo, hi: hi, state: state, end: end})
+		return func(v []float64, r *rng.Rand) float64 {
+			return pb.EvalBound(v[state:end], r)
+		}, nil
+	}
 	return func(v []float64, r *rng.Rand) float64 {
 		buf := v[lo:hi]
 		for i, a := range args {
@@ -464,6 +504,36 @@ func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 		}
 		return box.Eval(buf, r)
 	}, nil
+}
+
+// pointOnly reports whether every expression reads only parameters,
+// constants and builtins: its value is fixed once the point is, and
+// evaluating it draws nothing. A column reference or a model call makes
+// it per-sample.
+func pointOnly(es ...sqlparse.Expr) bool {
+	for _, e := range es {
+		var ok bool
+		switch n := e.(type) {
+		case *sqlparse.NumberLit, *sqlparse.ParamRef:
+			ok = true
+		case *sqlparse.Unary:
+			ok = pointOnly(n.E)
+		case *sqlparse.Binary:
+			ok = pointOnly(n.Left, n.Right)
+		case *sqlparse.CaseExpr:
+			ok = n.Else == nil || pointOnly(n.Else)
+			for _, a := range n.Whens {
+				ok = ok && pointOnly(a.When, a.Then)
+			}
+		case *sqlparse.FuncCall:
+			_, builtin := scalarBuiltin(n.Name)
+			ok = builtin && pointOnly(n.Args...)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // scalarBuiltin returns the deterministic builtin of that name as a

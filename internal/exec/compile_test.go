@@ -304,17 +304,25 @@ func TestCaseConsumesStreamOnAllArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The "after" column must see the same stream position regardless
-	// of which arm was taken. Week 50 takes the ELSE arm, after the
-	// WHEN arm's model call — after differs only through its own @w
-	// argument.
-	slots50 := evalRow(s, param.Point{"w": 50}, rng.New(5))
-	// Replay "after" by hand: two DemandModel draws then the third.
-	r := rng.New(5)
-	blackbox.NewDemand().Eval([]float64{50, 99}, r)
-	blackbox.NewDemand().Eval([]float64{50, 99}, r)
-	want := blackbox.NewDemand().Eval([]float64{50, 99}, r)
-	if slots50[1] != want {
-		t.Fatalf("stream misaligned: after = %g, want %g", slots50[1], want)
+	// of which arm was taken: the third draw, after both arms' model
+	// calls. Week 50 takes the ELSE arm, after the WHEN arm's model
+	// call; week 10 takes the WHEN arm, and the ELSE arm's model call
+	// still runs.
+	for _, w := range []float64{50, 10} {
+		slots := evalRow(s, param.Point{"w": w}, rng.New(5))
+		// Replay the row by hand: three DemandModel draws.
+		r := rng.New(5)
+		var draws [3]float64
+		for i := range draws {
+			draws[i] = blackbox.NewDemand().Eval([]float64{w, 99}, r)
+		}
+		v := draws[0]
+		if w >= 30 {
+			v = draws[1] * 2
+		}
+		if slots[0] != v || slots[1] != draws[2] {
+			t.Fatalf("week %g: row = %v, want [%g %g]", w, slots, v, draws[2])
+		}
 	}
 }
 
@@ -393,12 +401,16 @@ func TestCompileSubqueryColumns(t *testing.T) {
 // FuzzCompileScenario checks that CompileScenario never panics and
 // that a scenario it accepts without a CHAIN evaluates a row at its
 // space's first point without panicking: every name resolves at
-// compile time.
+// compile time. That row, with its call sites bound, must equal the row
+// of the same script compiled with PointBox hidden, bit for bit.
 func FuzzCompileScenario(f *testing.F) {
 	for _, src := range []string{figure1Source, figure5Source, subquerySource, figure1Source + graphSource} {
 		f.Add(src)
 	}
-	reg := fig5Registry()
+	for _, tc := range boundSources {
+		f.Add(tc.src)
+	}
+	reg, hidden := pointBoxRegistries(boundModels()...)
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sqlparse.Parse(src)
 		if err != nil {
@@ -408,6 +420,13 @@ func FuzzCompileScenario(f *testing.F) {
 		if err != nil || len(s.Chains()) > 0 {
 			return
 		}
-		evalRow(s, s.Space.Point(0), rng.New(1))
+		h, err := CompileScenario(script, hidden)
+		if err != nil {
+			t.Fatalf("compiles with PointBox but not without: %v", err)
+		}
+		p := s.Space.Point(0)
+		if got, want := evalRow(s, p, rng.New(1)), evalRow(h, p, rng.New(1)); !sameColumns(got, want, len(got)) {
+			t.Fatalf("at %v: bound row %v, Eval row %v", p, got, want)
+		}
 	})
 }
