@@ -14,7 +14,6 @@ package blackbox
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"jigsaw/internal/rng"
 )
@@ -108,14 +107,4 @@ func (reg *Registry) Lookup(name string) (Box, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBox, name)
 	}
 	return b, nil
-}
-
-// Names returns the registered names, sorted.
-func (reg *Registry) Names() []string {
-	out := make([]string, 0, len(reg.boxes))
-	for n := range reg.boxes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -20,7 +20,8 @@ import (
 // Scenario is a compiled SELECT ... INTO definition: a parameter space
 // plus a row evaluator producing all result columns for one sampled
 // world. The whole row evaluation is "the stochastic function F" that
-// Jigsaw fingerprints (§3); Scenario implements mc.RowEval.
+// Jigsaw fingerprints (§3); ColumnEval and SweepColumns draw it as an
+// mc.PointEval whose outputs are columns.
 type Scenario struct {
 	// Script is the source AST.
 	Script *sqlparse.Script
@@ -210,9 +211,8 @@ func (s *Scenario) BindRow(p param.Point, row []float64) {
 // BindRow has bound; column i lands in row[i]. It reads only the
 // parameter slots and state regions BindRow wrote and the slots it
 // writes itself, and
-// allocates nothing. With a per-worker row it is the scenario's
-// mc.RowEval: a sweep evaluates each sampled row once for all of its
-// columns.
+// allocates nothing. A sweep draws each sampled row once for all of
+// its columns (SweepColumns).
 func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
 	for i, ev := range s.evals {
 		row[i] = ev(row, r)
@@ -240,23 +240,23 @@ func (s *Scenario) column(name string) (int, error) {
 // simulation is a single stochastic function; columns are views of
 // it. Sweeps of several columns share rows instead (SweepColumns).
 func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
-	idx, err := s.column(name)
+	slot, err := s.column(name)
 	if err != nil {
 		return nil, err
 	}
-	return &columnEval{s: s, idx: idx}, nil
+	return &columns{s: s, slots: []int{slot}}, nil
 }
 
-// columnEval is one column of a scenario as an mc.PointEval: the
-// bound arguments are a row with the point's parameter slots written.
-type columnEval struct {
-	s   *Scenario
-	idx int
+// columns is a scenario row as an mc.PointEval whose output c is row
+// slot slots[c]: the binding is a row BindRow has bound, and each
+// sample fills it in place from the lent generator, reseeded.
+type columns struct {
+	s     *Scenario
+	slots []int
 }
 
-// BindPoint implements mc.PointEval: buf becomes a row whose
-// parameter slots hold p's values.
-func (c *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
+// BindPoint implements mc.PointEval.
+func (c *columns) BindPoint(p param.Point, buf []float64) []float64 {
 	if cap(buf) < c.s.width {
 		buf = make([]float64, c.s.width)
 	}
@@ -265,16 +265,17 @@ func (c *columnEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBlockBound implements mc.PointEval. The binding is shared by
-// concurrent blocks, so each block fills a row of its own, copied from
-// it once.
-func (c *columnEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
-	row := slices.Clone(args)
-	r := new(rng.Rand)
+// EvalBlockBound implements mc.PointEval. FillRow writes only the
+// slots BindRow leaves alone, so the binding survives the block.
+func (c *columns) EvalBlockBound(row []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
 	for j, seed := range seeds {
 		r.Seed(seed)
 		c.s.FillRow(r, row)
-		out[j] = row[c.idx]
+		for i, out := range outs {
+			if out != nil {
+				out[j] = row[c.slots[i]]
+			}
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func TestColumnEval(t *testing.T) {
 	}
 	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
 	var out [1]float64
-	ev.EvalBlockBound(ev.BindPoint(p, nil), out[:], []uint64{3})
+	ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{out[:]}, []uint64{3}, new(rng.Rand))
 	if v := out[0]; v != 0 && v != 1 {
 		t.Fatalf("overload = %g", v)
 	}
@@ -128,7 +128,7 @@ func TestColumnEval(t *testing.T) {
 // contract for compiled columns: one binding per point and one
 // EvalBlockBound per block are bit-identical to a direct loop that
 // binds a row and fills it once per reseeded sample, for every column
-// and block size, and leave the shared binding as it was.
+// and block size, and leave what BindRow wrote in the binding.
 func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 	s := compileFig1(t)
 	seeds := make([]uint64, 300)
@@ -156,21 +156,23 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 					s.FillRow(&r, row)
 					want[j] = row[idx]
 				}
-				args := ev.BindPoint(p, nil)
-				bound := slices.Clone(args)
+				bound := ev.BindPoint(p, nil)
+				var lent rng.Rand
 				for _, bs := range []int{1, 7, len(seeds)} {
 					got := make([]float64, len(seeds))
 					for lo := 0; lo < len(seeds); lo += bs {
 						hi := min(lo+bs, len(seeds))
-						ev.EvalBlockBound(args, got[lo:hi], seeds[lo:hi])
+						ev.EvalBlockBound(bound, [][]float64{got[lo:hi]}, seeds[lo:hi], &lent)
 					}
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("at %v, block size %d: sample %d = %v, FillRow %v", p, bs, j, got[j], want[j])
 						}
 					}
-					if !slices.Equal(args, bound) {
-						t.Fatal("EvalBlockBound wrote to the shared binding")
+					rebound := slices.Clone(bound)
+					s.BindRow(p, rebound)
+					if !slices.Equal(rebound, bound) {
+						t.Fatal("EvalBlockBound overwrote what BindRow wrote into the binding")
 					}
 				}
 			}
@@ -179,8 +181,8 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 }
 
 // TestColumnEvalBlockAllocs pins the block path's allocation budget: a
-// block allocates its own row and generator, O(1) and flat in the
-// block size, and nothing per sample.
+// block fills the binding in place from the lent generator, so it
+// allocates nothing, per block or per sample.
 func TestColumnEvalBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector")
@@ -190,15 +192,62 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := ev.BindPoint(param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}, nil)
+	bound := ev.BindPoint(param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}, nil)
+	var r rng.Rand
 	perBlock := func(n int) float64 {
-		out, seeds := make([]float64, n), make([]uint64, n)
-		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(args, out, seeds) })
+		outs, seeds := [][]float64{make([]float64, n)}, make([]uint64, n)
+		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, seeds, &r) })
 	}
-	const budget = 2
+	const budget = 0
 	small, large := perBlock(16), perBlock(1024)
 	if large > budget || large != small {
 		t.Fatalf("EvalBlockBound allocates %.1f per 16-sample block and %.1f per 1024-sample block, budget %d flat", small, large, budget)
+	}
+}
+
+// TestColumnsMatchOneSlotEvals: a k-slot columns evaluator, the one
+// SweepColumns draws, writes bit for bit what k one-slot ColumnEvals
+// draw, whatever the slot order, and skips a nil outs entry.
+func TestColumnsMatchOneSlotEvals(t *testing.T) {
+	s := compileFig1(t)
+	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	seeds := make([]uint64, 64)
+	for i := range seeds {
+		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	slots := make([]int, len(s.Columns))
+	for c := range slots {
+		slots[c] = len(slots) - 1 - c
+	}
+	rows := &columns{s: s, slots: slots}
+	var r rng.Rand
+	for skip := range slots {
+		outs := make([][]float64, len(slots))
+		for c := range outs {
+			if c != skip {
+				outs[c] = make([]float64, len(seeds))
+			}
+		}
+		rows.EvalBlockBound(rows.BindPoint(p, nil), outs, seeds, &r)
+		if outs[skip] != nil {
+			t.Fatalf("nil output %d was replaced", skip)
+		}
+		for c, slot := range slots {
+			if c == skip {
+				continue
+			}
+			ev, err := s.ColumnEval(s.Columns[slot])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, len(seeds))
+			ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{want}, seeds, &r)
+			for j := range want {
+				if math.Float64bits(outs[c][j]) != math.Float64bits(want[j]) {
+					t.Fatalf("output %d (%s), sample %d = %v, ColumnEval drew %v", c, s.Columns[slot], j, outs[c][j], want[j])
+				}
+			}
+		}
 	}
 }
 

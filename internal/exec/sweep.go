@@ -18,10 +18,10 @@ import (
 // batch swept — the whole (group × sweep) space of an OPTIMIZE, which
 // is where the two-orders-of-magnitude wins of §6.2 come from.
 type ColumnSweep struct {
-	scenario *Scenario
-	// slots and engines hold one entry per distinct column, in the
-	// order the columns first appear: its row slot and its engine.
-	slots   []int
+	// rows and engines hold one entry per distinct column, in the
+	// order the columns first appear: its row slot (an output of
+	// rows) and its engine.
+	rows    columns
 	engines []*mc.Engine
 	// column maps each requested name, by position, to its distinct
 	// column.
@@ -33,7 +33,7 @@ type ColumnSweep struct {
 // SweepColumns builds the sweep of the named columns. A name may
 // repeat; its column is swept once.
 func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, error) {
-	cs := &ColumnSweep{scenario: s, column: make([]int, len(names))}
+	cs := &ColumnSweep{rows: columns{s: s}, column: make([]int, len(names))}
 	for i, name := range names {
 		if j := slices.Index(names[:i], name); j >= 0 {
 			cs.column[i] = cs.column[j]
@@ -48,7 +48,7 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 			return nil, err
 		}
 		cs.column[i] = len(cs.engines)
-		cs.slots = append(cs.slots, slot)
+		cs.rows.slots = append(cs.rows.slots, slot)
 		cs.engines = append(cs.engines, eng)
 	}
 	return cs, nil
@@ -62,7 +62,7 @@ func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
 	if len(cs.engines) == 0 { // an OPTIMIZE without WHERE
 		return nil, nil
 	}
-	swept, st, err := mc.SweepRows(context.Background(), cs.engines, cs.scenario, cs.slots, batch)
+	swept, st, err := mc.SweepRows(context.Background(), cs.engines, &cs.rows, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -151,9 +151,13 @@ type Session struct {
 	taskTurn int
 	stats    Stats
 
-	// argBuf is the bound-argument scratch of drawBatch: sessions are
-	// single-goroutine, so one buffer serves every batch.
-	argBuf []float64
+	// bound, r and outs are drawBatch's scratch, lent to the
+	// evaluator: the binding, the generator, and the one-entry output
+	// list (a session draws output 0). Sessions are single-goroutine,
+	// so one set serves every batch.
+	bound []float64
+	r     rng.Rand
+	outs  [1][]float64
 }
 
 // NewSession builds a session for the given column evaluator.
@@ -213,8 +217,9 @@ func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	for k, id := range ids {
 		seeds[k] = s.seeds.SampleSeed(s.opts.MasterSeed, id)
 	}
-	s.argBuf = s.eval.BindPoint(p, s.argBuf)
-	s.eval.EvalBlockBound(s.argBuf, out, seeds)
+	s.bound = s.eval.BindPoint(p, s.bound)
+	s.outs[0] = out
+	s.eval.EvalBlockBound(s.bound, s.outs[:], seeds, &s.r)
 	return out
 }
 

@@ -29,8 +29,7 @@ func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := make(core.Fingerprint, e.seeds.Len())
-	ev := pointEvaluator(f)
-	e.fingerprints(&ev, p, [][]float64{fp}, len(fp), sc)
+	e.fingerprints(f, p, [][]float64{fp}, len(fp), sc)
 	return fp
 }
 

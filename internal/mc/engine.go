@@ -25,49 +25,34 @@ import (
 // seed blocks (EvalBlockBound). The full Monte Carlo simulation of
 // Fig. 3's dashed box is "the stochastic function F" being
 // fingerprinted (§3: "Taken to one extreme, the entire Monte Carlo
-// simulation ... can be treated as the stochastic function F").
+// simulation ... can be treated as the stochastic function F"). One
+// sample of F may yield several outputs — every result column of one
+// sampled world of a compiled scenario — and SweepRows fingerprints and
+// simulates each sample once for all of them; Sweep, SweepBatch and
+// EvaluatePoint read output 0.
 //
-// Every sample must be a function of the bound arguments and its own
-// seed alone: out[j] depends on args and seeds[j], never on the other
-// seeds of its block. The engine relies on that to keep results
-// independent of block size (see DESIGN.md, "Block-sampling
-// pipeline"). Implementations must be safe for concurrent calls (the
-// engine spreads points over workers). BindBox adapts any black box,
-// plain functions included (blackbox.Func), and a compiled scenario
-// column is one too (exec's Scenario.ColumnEval).
+// Every sample must be a function of the binding and its own seed
+// alone: outs[c][j] depends on what BindPoint wrote and seeds[j],
+// never on the other seeds of its block. The engine relies on that to
+// keep results independent of block size (see DESIGN.md,
+// "Block-sampling pipeline"). Implementations must be safe for
+// concurrent calls on distinct bindings (the engine spreads points
+// over workers, each with a binding of its own). BindBox adapts any
+// black box, plain functions included (blackbox.Func), and compiled
+// scenario columns are one too (exec's Scenario.ColumnEval).
 type PointEval interface {
-	// BindPoint appends p's resolved arguments to buf (growing it as
-	// needed) and returns the bound slice for EvalBlockBound. The
-	// implementation must not retain buf.
+	// BindPoint writes what sampling needs of p into buf (growing it
+	// as needed) and returns the binding for EvalBlockBound. It draws
+	// nothing, and the implementation must not retain buf.
 	BindPoint(p param.Point, buf []float64) []float64
-	// EvalBlockBound draws one sample per seed against arguments
-	// previously bound by BindPoint. len(out) must equal len(seeds).
-	// It must treat args as read-only: concurrent blocks share one
-	// binding.
-	EvalBlockBound(args []float64, out []float64, seeds []uint64)
-}
-
-// RowEval evaluates several outputs of one sample at once: a row, such
-// as every result column of one sampled world of a compiled scenario.
-// SweepRows fingerprints and simulates the row once per seed and
-// projects it onto its outputs, instead of re-evaluating the row once
-// per output. A point is bound into the row once (BindRow), then
-// sampled once per seed on the same row (FillRow), so no sample
-// resolves the point's parameters again.
-//
-// Implementations must be safe for concurrent calls on distinct row
-// buffers. Neither method may retain row.
-type RowEval interface {
-	// RowLen is the length of the row buffer the methods write.
-	RowLen() int
-	// BindRow writes what the row needs of p into row (len(row) ==
-	// RowLen()). It draws nothing.
-	BindRow(p param.Point, row []float64)
-	// FillRow draws one sample, using r as the sole randomness source,
-	// into a row BindRow has bound. It may read only what BindRow
-	// wrote, so every sample of a bound row depends on the point and
-	// its seed alone.
-	FillRow(r *rng.Rand, row []float64)
+	// EvalBlockBound draws one sample per seed against a binding
+	// BindPoint returned: output c of the sample seeded by seeds[j]
+	// goes to outs[c][j] (len(outs[c]) == len(seeds)), and nothing is
+	// written for a nil outs[c]. r is a generator the caller lends, for
+	// evaluators that reseed once per sample. It may use the binding as
+	// scratch, provided what BindPoint wrote survives: one goroutine
+	// draws a given binding at a time.
+	EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand)
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional
@@ -88,9 +73,11 @@ func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBlockBound implements PointEval.
-func (b *BoundBox) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
-	b.block.EvalBlock(args, out, seeds)
+// EvalBlockBound implements PointEval: output 0 is the box's draw.
+func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, _ *rng.Rand) {
+	if outs[0] != nil {
+		b.block.EvalBlock(bound, outs[0], seeds)
+	}
 }
 
 // BindBox adapts a black box to a PointEval by binding its positional
@@ -363,13 +350,14 @@ func (e *Engine) Options() Options { return e.opts }
 // Seeds returns the engine's global seed set.
 func (e *Engine) Seeds() *rng.SeedSet { return e.seeds }
 
-// fingerprints computes ev's output prefixes at p — simulation rounds
+// fingerprints computes f's output prefixes at p — simulation rounds
 // 0 to w−1 — into dsts (dsts[c], of length w, for output c), binding
-// the point once. The first m rounds are the fingerprint (§3.1); a
-// sweep that validates matches draws the validation rounds m to w−1
-// along with it (see rowSweep.w).
-func (e *Engine) fingerprints(ev *evaluator, p param.Point, dsts [][]float64, w int, sc *scratch) {
-	e.sampleRange(ev.bind(p, sc), dsts, 0, w)
+// the point once into sc.bound. The first m rounds are the fingerprint
+// (§3.1); a sweep that validates matches draws the validation rounds m
+// to w−1 along with it (see rowSweep.w).
+func (e *Engine) fingerprints(f PointEval, p param.Point, dsts [][]float64, w int, sc *scratch) {
+	sc.bound = f.BindPoint(p, sc.bound)
+	e.sampleRange(f, sc.bound, dsts, 0, w, sc)
 }
 
 // EvaluatePoint runs the Monte Carlo estimation for one point,
@@ -378,12 +366,11 @@ func (e *Engine) fingerprints(ev *evaluator, p param.Point, dsts [][]float64, w 
 func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
-	ev := pointEvaluator(f)
 	fp := sc.fingerprint(e.seeds.Len())
 	dsts := sc.outputs(1)
 	dsts[0] = fp
 	m := len(fp)
-	e.fingerprints(&ev, p, dsts, m, sc)
+	e.fingerprints(f, p, dsts, m, sc)
 
 	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
@@ -396,10 +383,11 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 			if v := e.validationRounds(); v > 0 {
 				// The targets land in the scratch sample buffer; on a
 				// failed validation the full simulation overwrites it.
+				// The fingerprint's binding is still in sc.bound.
 				targets := sc.floats(0, m+v)
 				dsts = sc.outputs(1)
 				dsts[0] = targets
-				e.sampleRange(ev.bind(p, sc), dsts, m, m+v)
+				e.sampleRange(f, sc.bound, dsts, m, m+v, sc)
 				valid = e.validateMatch(mapping, basis.Payload.(*BasisPayload).Samples, targets, v)
 			}
 			if valid {
@@ -413,7 +401,7 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	copy(samples, fp)
 	dsts = sc.outputs(1)
 	dsts[0] = samples
-	e.simulateRows(&ev, p, dsts, m, sc)
+	e.simulateRows(f, p, dsts, m, sc)
 	res := e.summarize(p, samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
@@ -492,33 +480,42 @@ func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointR
 }
 
 // simulateRows runs the rounds from lo to n−1 on the calling
-// goroutine, one row per round for all of ev's outputs: output c's
-// samples land in dsts[c][lo:n], whose first lo entries the caller
-// fills with rounds it drew already (the fingerprint, or a sweep's
-// whole prefix); nil entries are skipped. Parallelism lives outside a
-// point: a sweep spreads its points over the pool, and the PDB spreads
-// blocks of worlds.
-func (e *Engine) simulateRows(ev *evaluator, p param.Point, dsts [][]float64, lo int, sc *scratch) {
-	e.sampleRange(ev.bind(p, sc), dsts, lo, e.opts.Samples)
+// goroutine, binding p once into sc.bound, one sample per round for
+// all of f's outputs: output c's samples land in dsts[c][lo:n], whose
+// first lo entries the caller fills with rounds it drew already (the
+// fingerprint, or a sweep's whole prefix); nil entries are skipped.
+// Parallelism lives outside a point: a sweep spreads its points over
+// the pool, and the PDB spreads blocks of worlds.
+func (e *Engine) simulateRows(f PointEval, p param.Point, dsts [][]float64, lo int, sc *scratch) {
+	sc.bound = f.BindPoint(p, sc.bound)
+	e.sampleRange(f, sc.bound, dsts, lo, e.opts.Samples, sc)
 }
 
 // sampleRange draws the rounds with ids [lo, hi) into dsts[c][lo:hi],
-// one block at a time: each block's seeds are materialized into the
-// sampler's seed buffer and handed to its block kernel. Block
-// boundaries are invisible in the output because each sample's
-// seed depends only on its id.
-func (e *Engine) sampleRange(sm sampler, dsts [][]float64, lo, hi int) {
+// one block at a time: each block's seeds are materialized into sc's
+// seed buffer and handed to f with the block's views of dsts (nil
+// entries stay nil) and sc's generator. Block boundaries are invisible
+// in the output because each sample's seed depends only on its id.
+func (e *Engine) sampleRange(f PointEval, bound []float64, dsts [][]float64, lo, hi int, sc *scratch) {
 	bs := min(e.blockSize, hi-lo)
 	if bs <= 0 {
 		return
 	}
-	seeds := sm.sc.seedBuf(bs)
+	seeds := sc.seedBuf(bs)
+	sc.outs = grow(sc.outs, len(dsts))
+	outs := sc.outs
 	st := e.seeds.Stream(e.opts.MasterSeed)
 	st.Skip(lo)
 	for off := lo; off < hi; off += bs {
 		blk := seeds[:min(bs, hi-off)]
 		st.FillSeeds(blk)
-		sm.sampleBlock(dsts, off, blk)
+		for c, dst := range dsts {
+			outs[c] = nil
+			if dst != nil {
+				outs[c] = dst[off : off+len(blk)]
+			}
+		}
+		f.EvalBlockBound(bound, outs, blk, &sc.r)
 	}
 }
 

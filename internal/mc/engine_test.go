@@ -44,7 +44,7 @@ func TestBindBox(t *testing.T) {
 	}
 	p := param.Point{"week": 10, "feature": 52}
 	var a [1]float64
-	f.EvalBlockBound(f.BindPoint(p, nil), a[:], []uint64{3})
+	f.EvalBlockBound(f.BindPoint(p, nil), [][]float64{a[:]}, []uint64{3}, new(rng.Rand))
 	b := blackbox.NewDemand().Eval([]float64{10, 52}, rng.New(3))
 	if a[0] != b {
 		t.Fatalf("bound eval %g != direct eval %g", a[0], b)

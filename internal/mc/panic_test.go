@@ -14,7 +14,7 @@ import (
 	"jigsaw/internal/rng"
 )
 
-// panicRow is a three-output row evaluator that panics on its at-th
+// panicRow is a three-output row model that panics on its at-th
 // evaluation at the point whose week is bad: at ≤ m lands in phase A
 // (fingerprints), at = m+1 in phase C1 (the point's full simulation;
 // its outputs map onto no other point's, so it always misses). The
@@ -73,10 +73,10 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						row := &panicRow{bad: bad, at: at}
 						var err error
 						if k == 1 {
-							_, _, err = MustNew(opts).SweepBatch(rowSlotEval{row, 0}, tc.points)
+							_, _, err = MustNew(opts).SweepBatch(rowEval{row, []int{0}}, tc.points)
 						} else {
 							engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
-							_, _, err = SweepRows(context.Background(), engines, row, []int{0, 1, 2}, tc.points)
+							_, _, err = SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, tc.points)
 						}
 						var perr *pool.PanicError
 						if !errors.As(err, &perr) || perr.Value != "model failure" {
@@ -97,20 +97,15 @@ func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
 	opts := Options{Samples: 100, FingerprintLen: 10, MasterSeed: 1, Workers: 1}
 	other := opts
 	other.MasterSeed = 2
-	row := &panicRow{bad: -1}
+	f := rowEval{&panicRow{bad: -1}, []int{0, 1}}
 	points := []param.Point{{"week": 1}}
 	e := MustNew(opts)
-	for name, tc := range map[string]struct {
-		engines []*Engine
-		slots   []int
-	}{
-		"no outputs":      {nil, nil},
-		"slot count":      {[]*Engine{e}, []int{0, 1}},
-		"master seed":     {[]*Engine{e, MustNew(other)}, []int{0, 1}},
-		"repeated engine": {[]*Engine{e, e}, []int{0, 1}},
-		"slot range":      {[]*Engine{e}, []int{4}},
+	for name, engines := range map[string][]*Engine{
+		"no outputs":      nil,
+		"master seed":     {e, MustNew(other)},
+		"repeated engine": {e, e},
 	} {
-		if _, _, err := SweepRows(context.Background(), tc.engines, row, tc.slots, points); err == nil {
+		if _, _, err := SweepRows(context.Background(), engines, f, points); err == nil {
 			t.Errorf("%s: SweepRows accepted it", name)
 		}
 	}

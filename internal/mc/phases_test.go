@@ -36,12 +36,12 @@ func (c *cancelAfterEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return c.inner.BindPoint(p, buf)
 }
 
-func (c *cancelAfterEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
+func (c *cancelAfterEval) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
 	n := int64(len(seeds))
 	if to := c.count.Add(n); to-n < c.at && c.at <= to {
 		c.cancel()
 	}
-	c.inner.EvalBlockBound(args, out, seeds)
+	c.inner.EvalBlockBound(bound, outs, seeds, r)
 }
 
 // countEvals runs one full sweep with a counting wrapper and reports
@@ -193,14 +193,13 @@ type blockLenEval struct {
 
 func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
 
-func (b *blockLenEval) EvalBlockBound(_ []float64, out []float64, seeds []uint64) {
+func (b *blockLenEval) EvalBlockBound(_ []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
 	b.mu.Lock()
 	b.lens[len(seeds)] = true
 	b.mu.Unlock()
-	var r rng.Rand
 	for i, s := range seeds {
 		r.Seed(s)
-		out[i] = r.Uniform(0, 1)
+		outs[0][i] = r.Uniform(0, 1)
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 // (or an explicit batch of points) on the engine's worker pool, with
 // results bit-identical for every worker count. There is one sweep
 // implementation, over k outputs of one evaluator: SweepRows sweeps
-// the k columns of a row evaluator, each on its own engine, and Sweep
-// and SweepBatch are its k=1 case. The pool spreads points, never a
-// point's samples: each row of a point draws on the worker that holds
-// the point. At Workers: 1 the pool degrades to a plain loop on the
-// calling goroutine (pool.ForWorker) and the phases below run back to
-// back.
+// the k outputs of a PointEval, each on its own engine, and Sweep and
+// SweepBatch are its k=1 case. The pool spreads points, never a
+// point's samples: each row (one sample, all k outputs) of a point
+// draws on the worker that holds the point. At Workers: 1 the pool
+// degrades to a plain loop on the calling goroutine (pool.ForWorker)
+// and the phases below run back to back.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
@@ -46,8 +46,8 @@ import (
 // phase B visits the points of every output in order), and the
 // sweep's statistics are the sum of those loops' per-call statistics.
 // Sharing a row between outputs is sound because the engines agree on
-// Samples, FingerprintLen and MasterSeed: sample j of an output is its
-// slot of row j. Phase B costs one probe per point and output, small
+// Samples, FingerprintLen and MasterSeed: sample j of output c is
+// output c of row j. Phase B costs one probe per point and output, small
 // against the model evaluations of phases A and C. Match validation
 // (ValidationSamples with KeepSamples — off by default) adds only
 // comparisons to it: an output's v validation targets are the point's
@@ -61,7 +61,7 @@ import (
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: prefixes fill one backing array held
 // by worker 0's scratch, probes reuse candidate buffers, and simulations
-// reuse the row and one sample buffer per output — the steady-state
+// reuse the binding and one sample buffer per output — the steady-state
 // allocation per point is O(1) (see scratch.go). A panicking
 // evaluator stops the sweep with an error naming its point.
 
@@ -95,29 +95,25 @@ func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, S
 
 // sweep is the single-output sweep: the k=1 case of the row sweep.
 func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	results, st, err := sweepRows(ctx, []*Engine{e}, pointEvaluator(f), points)
+	results, st, err := sweepRows(ctx, []*Engine{e}, f, points)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
 	return results[0], st, nil
 }
 
-// SweepRows sweeps k outputs of one row evaluator over points, in
-// slice order: output c is slot slots[c] of f's row, answered by
-// engines[c] — its own basis store, and its own options for reuse,
-// validation and summaries. Each sampled row is evaluated once for
-// all k outputs. results[c] holds output c's per-point results, and
-// they and the returned statistics (summed over the outputs) are
-// bit-identical to k separate SweepBatch calls, engine c sweeping slot
-// slots[c] of f. The engines must be distinct and agree on Samples,
-// FingerprintLen and MasterSeed; the sweep runs on engines[0]'s
-// worker pool.
-func SweepRows(ctx context.Context, engines []*Engine, f RowEval, slots []int, points []param.Point) ([][]PointResult, SweepStats, error) {
-	switch {
-	case len(engines) == 0:
+// SweepRows sweeps the k = len(engines) outputs of f over points, in
+// slice order: output c is answered by engines[c] — its own basis
+// store, and its own options for reuse, validation and summaries. Each
+// sample is drawn once for all k outputs. results[c] holds output c's
+// per-point results, and they and the returned statistics (summed over
+// the outputs) are bit-identical to k separate SweepBatch calls,
+// engine c sweeping output c of f alone. The engines must be distinct
+// and agree on Samples, FingerprintLen and MasterSeed; the sweep runs
+// on engines[0]'s worker pool.
+func SweepRows(ctx context.Context, engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
+	if len(engines) == 0 {
 		return nil, SweepStats{}, errors.New("mc: SweepRows needs at least one output")
-	case len(slots) != len(engines):
-		return nil, SweepStats{}, fmt.Errorf("mc: %d slots for %d engines", len(slots), len(engines))
 	}
 	lead := engines[0].opts
 	for c, e := range engines {
@@ -129,11 +125,8 @@ func SweepRows(ctx context.Context, engines []*Engine, f RowEval, slots []int, p
 				return nil, SweepStats{}, fmt.Errorf("mc: engine %d repeats an earlier output's engine", c)
 			}
 		}
-		if slots[c] < 0 || slots[c] >= f.RowLen() {
-			return nil, SweepStats{}, fmt.Errorf("mc: slot %d outside the row of %d", slots[c], f.RowLen())
-		}
 	}
-	return sweepRows(ctx, engines, evaluator{rows: f, slots: slots}, points)
+	return sweepRows(ctx, engines, f, points)
 }
 
 // pointPlan is one (output, point) pair's record through the phases:
@@ -152,7 +145,7 @@ type pointPlan struct {
 // rowSweep is one sweep call's state over k outputs and n points.
 type rowSweep struct {
 	engines []*Engine
-	ev      evaluator
+	f       PointEval
 	points  []param.Point
 	k, n, m int
 	// w is the prefix width: m plus the widest output's validation
@@ -188,7 +181,7 @@ func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
 
 // sweepRows is the phased sweep. See the file comment for the phase
 // structure and DESIGN.md for the determinism argument.
-func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []param.Point) ([][]PointResult, SweepStats, error) {
+func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
 	lead := engines[0]
 	k, n, m := len(engines), len(points), lead.seeds.Len()
 	width := m
@@ -198,7 +191,7 @@ func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []pa
 	// At least one worker, so an empty job still has a scratch to pin.
 	workers := max(1, min(lead.opts.Workers, n))
 	s := &rowSweep{
-		engines: engines, ev: ev, points: points, k: k, n: n, m: m, w: width,
+		engines: engines, f: f, points: points, k: k, n: n, m: m, w: width,
 		plans:   make([]pointPlan, k*n),
 		results: make([][]PointResult, k),
 		pending: make([]map[int]int, k),
@@ -241,7 +234,7 @@ func sweepRows(ctx context.Context, engines []*Engine, ev evaluator, points []pa
 		for c := range dsts {
 			dsts[c] = s.prefix(c, i)
 		}
-		lead.fingerprints(&s.ev, points[i], dsts, width, scratches[w])
+		lead.fingerprints(f, points[i], dsts, width, scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
@@ -358,7 +351,7 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 		return
 	}
 	p := s.points[i]
-	s.engines[0].simulateRows(&s.ev, p, dsts, s.w, sc)
+	s.engines[0].simulateRows(s.f, p, dsts, s.w, sc)
 	for c, e := range s.engines {
 		if dsts[c] == nil {
 			continue

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,27 +143,38 @@ func (r transformRow) FillRow(rr *rng.Rand, row []float64) {
 	}
 }
 
-// rowSlotEval is output j of a row evaluator as a single-output
-// PointEval: the binding is the bound row, and each block fills its
-// own copy of it once per seed.
-type rowSlotEval struct {
-	rows RowEval
-	j    int
+// rowModel is the shape of the row test doubles: a point is bound into
+// a row once, then every sample fills the row from one reseeded
+// generator.
+type rowModel interface {
+	RowLen() int
+	BindRow(p param.Point, row []float64)
+	FillRow(r *rng.Rand, row []float64)
 }
 
-func (e rowSlotEval) BindPoint(p param.Point, buf []float64) []float64 {
+// rowEval draws a rowModel as a PointEval whose output c is row slot
+// slots[c]: the binding is the bound row, and each seed reseeds the
+// lent generator and fills the row in place.
+type rowEval struct {
+	rows  rowModel
+	slots []int
+}
+
+func (e rowEval) BindPoint(p param.Point, buf []float64) []float64 {
 	buf = grow(buf, e.rows.RowLen())
 	e.rows.BindRow(p, buf)
 	return buf
 }
 
-func (e rowSlotEval) EvalBlockBound(args []float64, out []float64, seeds []uint64) {
-	row := slices.Clone(args)
-	var r rng.Rand
-	for i, seed := range seeds {
+func (e rowEval) EvalBlockBound(row []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+	for j, seed := range seeds {
 		r.Seed(seed)
-		e.rows.FillRow(&r, row)
-		out[i] = row[e.j]
+		e.rows.FillRow(r, row)
+		for c, out := range outs {
+			if out != nil {
+				out[j] = row[e.slots[c]]
+			}
+		}
 	}
 }
 
@@ -205,13 +215,13 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 					refs[c] = MustNew(options(workers, c))
 				}
 				for round := 0; round < 2; round++ {
-					res, st, err := SweepRows(context.Background(), engines, row, []int{0, 1, 2}, tc.points)
+					res, st, err := SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, tc.points)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var want SweepStats
 					for c, ref := range refs {
-						refRes, refSt, err := ref.SweepBatch(rowSlotEval{row, c}, tc.points)
+						refRes, refSt, err := ref.SweepBatch(rowEval{row, []int{c}}, tc.points)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -255,7 +265,7 @@ func (r *countingRow) FillRow(rr *rng.Rand, row []float64) {
 	r.transformRow.FillRow(rr, row)
 }
 
-// TestSweepRowsBindsOncePerPoint pins the RowEval contract's cost: a
+// TestSweepRowsBindsOncePerPoint pins the PointEval contract's cost: a
 // sweep binds a point once when phase A draws its prefix and once more
 // when phase C1 simulates it (if any output missed there), never once
 // per sample, and the results are the same at every worker count.
@@ -272,7 +282,7 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 				opts.ValidationSamples = validation
 				engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
 				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
-				res, st, err := SweepRows(context.Background(), engines, row, []int{0, 1, 2}, points)
+				res, st, err := SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, points)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -111,36 +111,6 @@ func (t *Table) MustAppend(row Row) {
 // Len returns the row count.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Column extracts a column as a value slice.
-func (t *Table) Column(name string) ([]Value, error) {
-	i, err := t.Schema.IndexOf(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Value, len(t.Rows))
-	for r, row := range t.Rows {
-		out[r] = row[i]
-	}
-	return out, nil
-}
-
-// FloatColumn extracts a numeric column.
-func (t *Table) FloatColumn(name string) ([]float64, error) {
-	vals, err := t.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		f, err := v.AsFloat()
-		if err != nil {
-			return nil, fmt.Errorf("pdb: column %q row %d: %w", name, i, err)
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
 // String renders a bounded preview of the table.
 func (t *Table) String() string {
 	var b strings.Builder

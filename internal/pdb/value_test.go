@@ -159,16 +159,6 @@ func TestTableConstruction(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Fatal("Len broken")
 	}
-	col, err := tbl.FloatColumn("x")
-	if err != nil || len(col) != 2 || col[1] != 2 {
-		t.Fatalf("FloatColumn = %v, %v", col, err)
-	}
-	if _, err := tbl.FloatColumn("y"); err == nil {
-		t.Fatal("string FloatColumn succeeded")
-	}
-	if _, err := tbl.Column("zzz"); err == nil {
-		t.Fatal("missing Column succeeded")
-	}
 	if s := tbl.String(); !strings.Contains(s, "x, y") {
 		t.Fatalf("Table.String = %q", s)
 	}

@@ -80,19 +80,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// State returns the full internal state, allowing a generator to be
-// checkpointed and restored (used by the Markov engine when rebuilding
-// chain state).
+// State returns the full internal state; tests compare it to check
+// that two generators are at the same point of their streams.
 func (r *Rand) State() [4]uint64 {
 	return r.s
-}
-
-// Restore overwrites the internal state with a checkpoint produced by
-// State. The Gaussian cache is discarded: checkpoints are only taken at
-// black-box boundaries where the cache is empty by construction.
-func (r *Rand) Restore(s [4]uint64) {
-	r.s = s
-	r.hasGauss = false
 }
 
 // ErrEmptySeedSet is returned by NewSeedSet when m < 1.
@@ -143,25 +134,6 @@ func (s *SeedSet) Seed(k int) uint64 {
 		panic(fmt.Sprintf("rng: seed index %d out of range [0,%d)", k, len(s.seeds)))
 	}
 	return s.seeds[k]
-}
-
-// Extend returns a seed set with n >= s.Len() seeds sharing s's prefix.
-// The receiver is unmodified.
-func (s *SeedSet) Extend(master uint64, n int) (*SeedSet, error) {
-	if n < s.Len() {
-		return nil, fmt.Errorf("rng: cannot shrink seed set from %d to %d", s.Len(), n)
-	}
-	full, err := NewSeedSet(master, n)
-	if err != nil {
-		return nil, err
-	}
-	// Verify the prefix property: the caller must pass the same master.
-	for i, v := range s.seeds {
-		if full.seeds[i] != v {
-			return nil, errors.New("rng: Extend called with a different master seed")
-		}
-	}
-	return full, nil
 }
 
 // SampleSeed derives the seed for Monte Carlo sample id beyond the

@@ -67,24 +67,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestStateRestoreRoundTrip(t *testing.T) {
-	r := New(21)
-	for i := 0; i < 17; i++ {
-		r.Uint64()
-	}
-	snap := r.State()
-	want := make([]uint64, 32)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	r.Restore(snap)
-	for i := range want {
-		if got := r.Uint64(); got != want[i] {
-			t.Fatalf("restored stream diverged at %d", i)
-		}
-	}
-}
-
 func TestSeedSetStable(t *testing.T) {
 	a := MustSeedSet(1234, 10)
 	b := MustSeedSet(1234, 10)
@@ -102,28 +84,6 @@ func TestSeedSetPrefixProperty(t *testing.T) {
 		if small.Seed(i) != big.Seed(i) {
 			t.Fatalf("prefix property violated at %d", i)
 		}
-	}
-}
-
-func TestSeedSetExtend(t *testing.T) {
-	small := MustSeedSet(55, 10)
-	big, err := small.Extend(55, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Len() != 32 {
-		t.Fatalf("Extend length = %d, want 32", big.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if small.Seed(i) != big.Seed(i) {
-			t.Fatalf("Extend broke prefix at %d", i)
-		}
-	}
-	if _, err := small.Extend(56, 32); err == nil {
-		t.Fatal("Extend with wrong master seed did not error")
-	}
-	if _, err := small.Extend(55, 5); err == nil {
-		t.Fatal("Extend shrinking did not error")
 	}
 }
 

@@ -215,10 +215,12 @@ type (
 	Engine = mc.Engine
 	// EngineOptions configures an Engine.
 	EngineOptions = mc.Options
-	// PointEval is a stochastic model at a parameter point: the
-	// engine and interactive sessions bind a point once (BindPoint)
-	// and draw its samples in seed blocks (EvalBlockBound). BindBox
-	// builds one from any Box, a BoxFunc included.
+	// PointEval is a stochastic model at a parameter point, the
+	// engine's one evaluator contract: the engine and interactive
+	// sessions bind a point once (BindPoint) and draw its samples in
+	// seed blocks (EvalBlockBound), each sample writing one value per
+	// output; Sweep, SweepBatch and EvaluatePoint read output 0.
+	// BindBox builds one from any Box, a BoxFunc included.
 	PointEval = mc.PointEval
 	// PointResult is the engine's per-point answer.
 	PointResult = mc.PointResult
