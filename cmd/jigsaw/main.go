@@ -93,6 +93,11 @@ func main() {
 
 	fmt.Printf("scenario: results(%s) over %d parameter points\n",
 		strings.Join(scenario.Columns, ", "), scenario.Space.Size())
+	if shared, why := scenario.SharesDraws(); shared {
+		fmt.Println("draws shared per sample: yes")
+	} else {
+		fmt.Printf("draws shared per sample: no (%s)\n", why)
+	}
 
 	switch {
 	case script.Optimize != nil:

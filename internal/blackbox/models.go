@@ -66,9 +66,9 @@ func (d *Demand) params(week, feature float64) (mu, variance float64) {
 // distribution for its entire parameter space (§6.2: "requires only
 // one basis distribution for its entire ∼5000 point parameter space").
 func (d *Demand) Eval(args []float64, r *rng.Rand) float64 {
-	checkArity(d.Name(), d.Arity(), args)
-	mu, variance := d.params(args[0], args[1])
-	return r.NormalVar(mu, variance)
+	var state [2]float64
+	d.Bind(args, state[:])
+	return d.EvalBound(state[:], r)
 }
 
 // EvalBlock implements BlockBox. Demand's distribution parameters
@@ -92,10 +92,24 @@ func (d *Demand) Bind(args, state []float64) {
 	state[0], state[1] = mu, math.Sqrt(variance)
 }
 
-// EvalBound implements PointBox. NormalVar(µ, σ²) is Normal(µ, √σ²),
-// so the draw matches Eval's bit for bit.
-func (*Demand) EvalBound(state []float64, r *rng.Rand) float64 {
-	return r.Normal(state[0], state[1])
+// EvalBound implements PointBox: one sample of the model, which Eval
+// and EvalStream draw through. NormalVar(µ, σ²) is Normal(µ, √σ²), so
+// it matches the block kernel's FillNormalVar bit for bit.
+func (d *Demand) EvalBound(state []float64, r *rng.Rand) float64 {
+	var z [1]float64
+	d.Draw(r, z[:])
+	return d.Apply(state, z[:])
+}
+
+// Draws implements DrawBox: one standard normal.
+func (*Demand) Draws() int { return 1 }
+
+// Draw implements DrawBox.
+func (*Demand) Draw(r *rng.Rand, d []float64) { d[0] = r.StdNormal() }
+
+// Apply implements DrawBox: Normal(µ, σ) is µ + σ·z.
+func (*Demand) Apply(state, d []float64) float64 {
+	return rng.NormalFrom(state[0], state[1], d[0])
 }
 
 // Capacity simulates a series of purchases, each increasing cluster
@@ -143,44 +157,31 @@ func NewCapacity() *Capacity {
 func (*Capacity) Name() string { return "CapacityModel" }
 
 // Arity implements Box.
-func (*Capacity) Arity() int { return 3 }
+func (*Capacity) Arity() int { return 1 + capacityPurchases }
+
+// capacityPurchases is the number of purchase-week arguments.
+const capacityPurchases = 2
 
 // Eval implements Box.
 func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
-	checkArity(c.Name(), c.Arity(), args)
-	return c.draw(args[0], args[1:], 1/c.MeanDelay, r)
-}
-
-// draw is one sample of the model, the single source of Eval and every
-// kernel. The random stream is consumed in a fixed order (noise,
-// failures, per-purchase delay at the exponential rate) regardless of
-// argument values, so invocations at different parameter points stay
-// comparable under a common seed.
-func (c *Capacity) draw(week float64, purchases []float64, rate float64, r *rng.Rand) float64 {
-	capacity := c.Base + r.Normal(0, c.BaseNoise)
-	capacity -= float64(r.Binomial(c.FailTrials, c.FailRate))
-	for _, purchase := range purchases {
-		delay := r.Exponential(rate)
-		if week >= purchase+delay {
-			capacity += c.PurchaseVolume
-		}
-	}
-	return capacity
+	var state [capacityPurchases + 2]float64
+	c.Bind(args, state[:])
+	return c.EvalBound(state[:], r)
 }
 
 // EvalBlock implements BlockBox. Capacity's stream mixes normal,
 // Bernoulli and exponential draws, so the kernel keeps one local
 // generator and replays Eval's exact sequence per seed; the block
-// form hoists the arity check and exponential rate out of the loop
-// and drops the per-sample interface dispatch.
+// form binds the arguments and exponential rate once and drops the
+// per-sample interface dispatch.
 func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	checkArity(c.Name(), c.Arity(), args)
+	var state [capacityPurchases + 2]float64
+	c.Bind(args, state[:])
 	checkBlock(c.Name(), out, seeds)
-	rate := 1 / c.MeanDelay
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
-		out[i] = c.draw(args[0], args[1:], rate, &r)
+		out[i] = c.EvalBound(state[:], &r)
 	}
 }
 
@@ -195,10 +196,44 @@ func (c *Capacity) Bind(args, state []float64) {
 	state[len(args)] = 1 / c.MeanDelay
 }
 
-// EvalBound implements PointBox.
+// EvalBound implements PointBox: one sample of the model, which Eval
+// and every kernel draw through.
 func (c *Capacity) EvalBound(state []float64, r *rng.Rand) float64 {
+	var d [capacityPurchases + 2]float64
+	c.Draw(r, d[:])
+	return c.Apply(state, d[:])
+}
+
+// Draws implements DrawBox: the noise variate, the failure count and
+// one Exp(1) delay variate per purchase.
+func (*Capacity) Draws() int { return capacityPurchases + 2 }
+
+// Draw implements DrawBox. The random stream is consumed in a fixed
+// order (noise, failures, per-purchase delay) regardless of argument
+// values, so invocations at different parameter points stay
+// comparable under a common seed.
+func (c *Capacity) Draw(r *rng.Rand, d []float64) {
+	d[0] = r.StdNormal()
+	d[1] = float64(r.Binomial(c.FailTrials, c.FailRate))
+	for i := 2; i < len(d); i++ {
+		d[i] = r.StdExponential()
+	}
+}
+
+// Apply implements DrawBox: the noisy base less the failures, plus
+// each purchase whose exponential bring-up delay has elapsed by the
+// week.
+func (c *Capacity) Apply(state, d []float64) float64 {
 	n := len(state) - 1
-	return c.draw(state[0], state[1:n], state[n], r)
+	week, rate := state[0], state[n]
+	capacity := c.Base + rng.NormalFrom(0, c.BaseNoise, d[0])
+	capacity -= d[1]
+	for i, purchase := range state[1:n] {
+		if week >= purchase+rng.ExponentialFrom(rate, d[2+i]) {
+			capacity += c.PurchaseVolume
+		}
+	}
+	return capacity
 }
 
 // Overload is the black box synthesized from Capacity and Demand

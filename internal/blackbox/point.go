@@ -25,3 +25,31 @@ type PointBox interface {
 	// EvalBound draws one sample from a state Bind wrote.
 	EvalBound(state []float64, r *rng.Rand) float64
 }
+
+// DrawBox is the optional draw/apply capability of a PointBox: it
+// splits EvalBound into the draws, which depend on the generator
+// alone, and the arithmetic that combines them with the bound state,
+// which draws nothing. For any state Bind wrote and any generator
+// state,
+//
+//	b.Draw(r, d); v := b.Apply(state, d)   // len(d) == b.Draws()
+//
+// returns EvalBound(state, r)'s bits and leaves r where EvalBound
+// would, cached polar variate included. Draw consumes the same
+// stream whatever the point, so under common random numbers (§3.1)
+// the draws of the sample seeded by σ are one vector for every point:
+// a compiled scenario whose every model call is a bound DrawBox draws
+// it once per seed and applies it at each point (DESIGN.md,
+// "Scenario compilation").
+type DrawBox interface {
+	PointBox
+	// Draws is the length of the draw vector.
+	Draws() int
+	// Draw fills d (len(d) == Draws()) from r, taking exactly the
+	// draws EvalBound takes.
+	Draw(r *rng.Rand, d []float64)
+	// Apply combines a state Bind wrote with a draw vector Draw
+	// filled. It draws nothing, and panics on an invalid model
+	// constant as Eval does.
+	Apply(state, d []float64) float64
+}

@@ -73,35 +73,33 @@ func checkStream(name string, out []float64, rands []rng.Rand, active []bool) {
 }
 
 // EvalStream implements StreamBox. Demand's distribution parameters
-// depend only on the arguments, so (µ, σ²) and the √σ² resolve once
-// per column and the loop body is a bare cached-pair normal draw —
-// the same ops Eval performs (NormalVar = µ + √σ²·StdNormal), so the
-// stream positions and Gaussian caches stay bit-identical.
+// depend only on the arguments, so (µ, σ) bind once per column and the
+// loop body is a bare cached-pair normal draw — EvalBound, the same
+// ops Eval performs, so the stream positions and Gaussian caches stay
+// bit-identical.
 func (d *Demand) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
-	checkArity(d.Name(), d.Arity(), args)
+	var state [2]float64
+	d.Bind(args, state[:])
 	checkStream(d.Name(), out, rands, active)
-	mu, variance := d.params(args[0], args[1])
-	sigma := math.Sqrt(variance)
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		out[w] = mu + sigma*rands[w].StdNormal()
+		out[w] = d.EvalBound(state[:], &rands[w])
 	}
 }
 
 // EvalStream implements StreamBox: Eval's exact draw sequence per
-// world with the argument decode and exponential rate hoisted out of
-// the loop.
+// world with the argument decode and exponential rate bound once.
 func (c *Capacity) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
-	checkArity(c.Name(), c.Arity(), args)
+	var state [capacityPurchases + 2]float64
+	c.Bind(args, state[:])
 	checkStream(c.Name(), out, rands, active)
-	rate := 1 / c.MeanDelay
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		out[w] = c.draw(args[0], args[1:], rate, &rands[w])
+		out[w] = c.EvalBound(state[:], &rands[w])
 	}
 }
 
@@ -160,4 +158,7 @@ var (
 	_ StreamBox = (*Capacity)(nil)
 	_ StreamBox = (*Overload)(nil)
 	_ StreamBox = UserUsage{}
+
+	_ DrawBox = (*Demand)(nil)
+	_ DrawBox = (*Capacity)(nil)
 )

@@ -34,9 +34,10 @@ type Scenario struct {
 
 	// evals computes each column in order into the row vector.
 	evals []colEval
-	// width is the row vector's length: one slot per column, then the
-	// call sites' argument regions, the bound call sites' state regions
-	// and the parameters' slots, in the order compilation reaches them.
+	// width is the row vector's length: one slot per column, then a
+	// seed-only row's draw block, then the call sites' argument
+	// regions, the bound call sites' state regions and the parameters'
+	// slots, in the order compilation reaches them.
 	width int
 	// params are the parameters the row reads, in first-reference
 	// order, with their row slots; chainParam is the first of them
@@ -45,6 +46,22 @@ type Scenario struct {
 	chainParam string
 	// binds are the bound call sites, in compilation order.
 	binds []boundCall
+	// draws are a seed-only row's call sites, in evaluation order, and
+	// row[drawLo:drawHi] is its draw block, which they partition;
+	// unshared names the call site that keeps any other row's draws
+	// per point. table holds a seed-only row's draw vectors by seed.
+	draws          []drawSite
+	drawLo, drawHi int
+	unshared       string
+	table          *drawTable
+}
+
+// drawSite is a seed-only row's call site: its box draws into
+// block[lo:hi] of the row's draw block, and the site's colEval applies
+// that region to its state region.
+type drawSite struct {
+	box    blackbox.DrawBox
+	lo, hi int
 }
 
 // paramSlot is a parameter the row reads and the row slot BindRow
@@ -105,6 +122,13 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 
 	s := &Scenario{Script: script, Space: space, Into: sel.Into}
 	c := &compiler{space: space, boxes: boxes, slots: map[string]int{}, width: len(items)}
+	// A seed-only row's draw block follows the columns; its sites claim
+	// their regions in order as compilation reaches them.
+	draws := 0
+	if draws, c.unshared = c.drawSharing(items); c.unshared == "" {
+		c.drawLo, c.drawNext = len(items), len(items)
+		c.width += draws
+	}
 	for i, item := range items {
 		name := item.Name()
 		ev, err := c.expr(item.Expr)
@@ -116,7 +140,51 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 		s.evals = append(s.evals, ev)
 	}
 	s.width, s.params, s.chainParam, s.binds = c.width, c.params, c.chainParam, c.binds
+	s.draws, s.drawLo, s.drawHi, s.unshared = c.draws, c.drawLo, c.drawNext, c.unshared
+	if draws > 0 {
+		s.table = newDrawTable(draws)
+	}
 	return s, nil
+}
+
+// drawSharing reports whether the row is seed-only: every model call
+// (builtins draw nothing) is a bound call site — its arguments are
+// pointOnly — of a blackbox.DrawBox. Then draws is the row's total
+// draw count; otherwise why names the first call site, walking the
+// items in order and a call before its arguments, that keeps the
+// row's draws per point.
+func (c *compiler) drawSharing(items []sqlparse.SelectItem) (draws int, why string) {
+	for _, item := range items {
+		sqlparse.Walk(item.Expr, func(e sqlparse.Expr) {
+			call, ok := e.(*sqlparse.FuncCall)
+			if !ok || why != "" {
+				return
+			}
+			if _, builtin := scalarBuiltin(call.Name); builtin {
+				return
+			}
+			var box blackbox.Box
+			if c.boxes != nil {
+				box, _ = c.boxes.Lookup(call.Name)
+			}
+			_, bindable := box.(blackbox.PointBox)
+			db, drawable := box.(blackbox.DrawBox)
+			switch { // an unknown name fails compilation after this
+			case !pointOnly(call.Args...):
+				why = call.Name + ": its arguments vary per sample"
+			case !bindable:
+				why = call.Name + ": does not bind per point"
+			case !drawable:
+				why = call.Name + ": draws depend on its arguments"
+			default:
+				draws += db.Draws()
+			}
+		})
+	}
+	if why != "" {
+		return 0, why
+	}
+	return draws, ""
 }
 
 // scenarioItems appends stmt's result columns to items in evaluation
@@ -210,13 +278,39 @@ func (s *Scenario) BindRow(p param.Point, row []float64) {
 // FillRow evaluates one world of the whole scenario into a row that
 // BindRow has bound; column i lands in row[i]. It reads only the
 // parameter slots and state regions BindRow wrote and the slots it
-// writes itself, and
-// allocates nothing. A sweep draws each sampled row once for all of
-// its columns (SweepColumns).
+// writes itself, and allocates nothing. A seed-only row first draws
+// its draw block, then evaluates its columns, which draw nothing;
+// any other row draws as its columns reach each model call. A sweep
+// draws each sampled row once for all of its columns (SweepColumns).
 func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
+	s.drawRow(r, row[s.drawLo:s.drawHi])
+	s.applyRow(row, r)
+}
+
+// drawRow fills a seed-only row's draw block from r, each site's
+// region in evaluation order, so the stream (the polar method's cached
+// variate included) runs from one site's draws into the next as the
+// sites' EvalBound calls would. It draws nothing for any other row.
+func (s *Scenario) drawRow(r *rng.Rand, block []float64) {
+	for _, d := range s.draws {
+		d.box.Draw(r, block[d.lo:d.hi])
+	}
+}
+
+// applyRow evaluates the columns into row in order.
+func (s *Scenario) applyRow(row []float64, r *rng.Rand) {
 	for i, ev := range s.evals {
 		row[i] = ev(row, r)
 	}
+}
+
+// SharesDraws reports whether the row is seed-only: every model call
+// is a bound call site of a blackbox.DrawBox, so a sample's draws
+// depend on its seed alone, and ColumnEval and SweepColumns draw each
+// seed's variates once for every point. When they are not shared, why
+// names the first call site that keeps them per point.
+func (s *Scenario) SharesDraws() (shared bool, why string) {
+	return s.unshared == "", s.unshared
 }
 
 // column returns the row slot of a column a sweep can evaluate at a
@@ -249,7 +343,10 @@ func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
 
 // columns is a scenario row as an mc.PointEval whose output c is row
 // slot slots[c]: the binding is a row BindRow has bound, and each
-// sample fills it in place from the lent generator, reseeded.
+// sample fills it in place. A seed-only row copies the sample's draw
+// vector from the scenario's table into its draw block, drawing it
+// first from the lent generator if the table lacks it; any other row
+// reseeds the lent generator and draws the row through FillRow.
 type columns struct {
 	s     *Scenario
 	slots []int
@@ -265,12 +362,34 @@ func (c *columns) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-// EvalBlockBound implements mc.PointEval. FillRow writes only the
+// EvalBlockBound implements mc.PointEval. A sample writes only the
 // slots BindRow leaves alone, so the binding survives the block.
 func (c *columns) EvalBlockBound(row []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+	s, t := c.s, c.s.table
+	var snap *drawSnap
+	if t != nil {
+		snap = t.snap.Load()
+	}
+	block := row[s.drawLo:s.drawHi]
 	for j, seed := range seeds {
-		r.Seed(seed)
-		c.s.FillRow(r, row)
+		if t == nil {
+			r.Seed(seed)
+			s.FillRow(r, row)
+		} else {
+			d := snap.find(seed, t.width)
+			if d == nil {
+				snap = t.fill(s, seeds[j:], r)
+				d = snap.find(seed, t.width)
+			}
+			if d != nil {
+				copy(block, d)
+			} else { // the table is full
+				r.Seed(seed)
+				s.drawRow(r, block)
+			}
+			// A seed-only row's columns draw nothing.
+			s.applyRow(row, nil)
+		}
 		for i, out := range outs {
 			if out != nil {
 				out[j] = row[c.slots[i]]
@@ -289,10 +408,15 @@ type compiler struct {
 	slots map[string]int
 	// width is the row vector's length so far.
 	width int
-	// params and chainParam become the Scenario's fields.
-	params     []paramSlot
-	chainParam string
-	binds      []boundCall
+	// params, chainParam, binds, draws, drawLo and unshared become
+	// the Scenario's fields; drawNext is the next free slot of the
+	// draw block, and its end once compilation is done.
+	params           []paramSlot
+	chainParam       string
+	binds            []boundCall
+	draws            []drawSite
+	drawLo, drawNext int
+	unshared         string
 }
 
 // expr lowers a parsed expression to the direct interpreter form.
@@ -494,6 +618,16 @@ func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
 		end := state + pb.BoundLen()
 		c.width = end
 		c.binds = append(c.binds, boundCall{box: pb, args: args, lo: lo, hi: hi, state: state, end: end})
+		if c.unshared == "" {
+			// Seed-only: drawRow fills the site's draw region first.
+			db := pb.(blackbox.DrawBox)
+			dlo, dhi := c.drawNext, c.drawNext+db.Draws()
+			c.drawNext = dhi
+			c.draws = append(c.draws, drawSite{box: db, lo: dlo - c.drawLo, hi: dhi - c.drawLo})
+			return func(v []float64, _ *rng.Rand) float64 {
+				return db.Apply(v[state:end], v[dlo:dhi])
+			}, nil
+		}
 		return func(v []float64, r *rng.Rand) float64 {
 			return pb.EvalBound(v[state:end], r)
 		}, nil

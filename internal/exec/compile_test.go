@@ -460,6 +460,8 @@ func FuzzCompileScenario(f *testing.F) {
 		f.Add(tc.src)
 	}
 	reg, hidden := pointBoxRegistries(boundModels()...)
+	drawHidden := drawHiddenRegistry(boundModels()...)
+	seeds := sampleSeeds(8)
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sqlparse.Parse(src)
 		if err != nil {
@@ -473,9 +475,32 @@ func FuzzCompileScenario(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiles with PointBox but not without: %v", err)
 		}
+		d, err := CompileScenario(script, drawHidden)
+		if err != nil {
+			t.Fatalf("compiles with DrawBox but not without: %v", err)
+		}
 		p := s.Space.Point(0)
-		if got, want := evalRow(s, p, rng.New(1)), evalRow(h, p, rng.New(1)); !sameColumns(got, want, len(got)) {
+		got := evalRow(s, p, rng.New(1))
+		if want := evalRow(h, p, rng.New(1)); !sameColumns(got, want, len(got)) {
 			t.Fatalf("at %v: bound row %v, Eval row %v", p, got, want)
+		}
+		if want := evalRow(d, p, rng.New(1)); !sameColumns(got, want, len(got)) {
+			t.Fatalf("at %v: row %v, with DrawBox hidden %v", p, got, want)
+		}
+		// A seed-only row's ColumnEval draws through the table.
+		col := s.Columns[len(s.Columns)-1]
+		sev, err := s.ColumnEval(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := d.ColumnEval(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if got, want := drawBlocks(sev, p, seeds, 3), drawBlocks(dev, p, seeds, 3); !sameColumns(got, want, len(got)) {
+				t.Fatalf("at %v: column %s draws %v, with DrawBox hidden %v", p, col, got, want)
+			}
 		}
 	})
 }

@@ -20,10 +20,18 @@ import (
 // is cached, so a pair of Normal calls consumes a deterministic number
 // of uniforms for a given seed.
 func (r *Rand) Normal(mu, sigma float64) float64 {
+	return NormalFrom(mu, sigma, r.StdNormal())
+}
+
+// NormalFrom is the N(mu, sigma²) sample whose standard normal variate
+// is z: Normal is NormalFrom(mu, sigma, r.StdNormal()). A caller that
+// draws z once and scales it for many (mu, sigma) pairs gets Normal's
+// bits for each. It panics when sigma < 0, as Normal does.
+func NormalFrom(mu, sigma, z float64) float64 {
 	if sigma < 0 {
-		panic(fmt.Sprintf("rng: Normal called with negative sigma %g", sigma))
+		badParam("Normal called with negative sigma", sigma)
 	}
-	return mu + sigma*r.StdNormal()
+	return mu + sigma*z
 }
 
 // StdNormal returns a sample from the standard normal distribution.
@@ -59,11 +67,32 @@ func (r *Rand) NormalVar(mu, variance float64) float64 {
 // Exponential returns a sample from Exp(rate); mean is 1/rate. The
 // Capacity model uses it for hardware bring-up delays.
 func (r *Rand) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("rng: Exponential called with non-positive rate %g", rate))
-	}
+	return ExponentialFrom(rate, r.StdExponential())
+}
+
+// StdExponential returns a sample from Exp(1): the variate Exponential
+// scales by 1/rate.
+func (r *Rand) StdExponential() float64 {
 	// 1-Float64() is in (0,1], avoiding log(0).
-	return -math.Log(1-r.Float64()) / rate
+	return -math.Log(1 - r.Float64())
+}
+
+// ExponentialFrom is the Exp(rate) sample whose Exp(1) variate is e:
+// Exponential is ExponentialFrom(rate, r.StdExponential()). It panics
+// when rate <= 0, as Exponential does.
+func ExponentialFrom(rate, e float64) float64 {
+	if rate <= 0 {
+		badParam("Exponential called with non-positive rate", rate)
+	}
+	return e / rate
+}
+
+// badParam panics on an invalid distribution parameter. It is kept out
+// of line so the scaling helpers above stay small enough to inline.
+//
+//go:noinline
+func badParam(msg string, v float64) {
+	panic(fmt.Sprintf("rng: %s %g", msg, v))
 }
 
 // Bernoulli returns true with probability p. p outside [0,1] is
