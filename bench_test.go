@@ -101,7 +101,7 @@ func BenchmarkFigure7DemandCore(b *testing.B) {
 }
 
 // BenchmarkFigure7UserSelectWrapper measures the data-dependent model
-// through the PDB's set-oriented bulk operator — the row where the
+// through the PDB's columnar Scan → SUM tree — the row where the
 // wrapper wins.
 func BenchmarkFigure7UserSelectWrapper(b *testing.B) {
 	users := blackbox.NewUserSelection(2000, 0xD5)
@@ -110,21 +110,23 @@ func BenchmarkFigure7UserSelectWrapper(b *testing.B) {
 		tbl.MustAppend(pdb.Row{pdb.Float(u.JoinWeek), pdb.Float(u.BaseCores),
 			pdb.Float(u.GrowthRate), pdb.Float(u.Volatility)})
 	}
+	db := pdb.NewDB()
+	db.Boxes.MustRegister(blackbox.UserUsage{})
 	scan := pdb.NewScanPlan("users", tbl)
-	var args []pdb.BoundExpr
-	for _, e := range []pdb.Expr{pdb.Param{Name: "w"}, pdb.Col{Name: "join_week"},
-		pdb.Col{Name: "base"}, pdb.Col{Name: "growth"}, pdb.Col{Name: "vol"}} {
-		bound, err := e.Bind(scan.Schema(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		args = append(args, bound)
+	usage, err := (pdb.Call{Name: "UserUsage", Args: []pdb.Expr{pdb.Param{Name: "w"},
+		pdb.Col{Name: "join_week"}, pdb.Col{Name: "base"}, pdb.Col{Name: "growth"},
+		pdb.Col{Name: "vol"}}}).Bind(scan.Schema(), db.Env())
+	if err != nil {
+		b.Fatal(err)
 	}
-	plan := &pdb.BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
+	plan, err := pdb.NewAggregatePlan(scan, []pdb.AggSpec{{Arg: usage, Name: "total"}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	params := map[string]float64{"w": 30}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.RunSummary(params, pdb.WorldsOptions{Worlds: benchSamples, MasterSeed: benchSeed}); err != nil {
+		if _, err := pdb.RunDistribution(plan, params, pdb.WorldsOptions{Worlds: benchSamples, MasterSeed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}

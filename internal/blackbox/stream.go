@@ -103,28 +103,6 @@ func (c *Capacity) EvalStream(args []float64, out []float64, rands []rng.Rand, a
 	}
 }
 
-// EvalStream implements StreamBox: the demand argument vector Eval
-// rebuilds per call is hoisted to a stack buffer; the composed models
-// share each world's generator exactly as Eval does.
-func (o *Overload) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
-	checkArity(o.Name(), o.Arity(), args)
-	checkStream(o.Name(), out, rands, active)
-	dargs := [2]float64{args[0], o.NoFeature}
-	for w := range rands {
-		if active != nil && !active[w] {
-			continue
-		}
-		r := &rands[w]
-		demand := o.DemandModel.Eval(dargs[:], r)
-		capacity := o.CapacityModel.Eval(args, r)
-		if capacity < demand {
-			out[w] = 1
-		} else {
-			out[w] = 0
-		}
-	}
-}
-
 // EvalStream implements StreamBox: the activity test and mean
 // (including the expensive growth power) compute once per row-column,
 // and the per-world body is a bare LogNormal draw — set-oriented
@@ -156,7 +134,6 @@ func (UserUsage) EvalStream(args []float64, out []float64, rands []rng.Rand, act
 var (
 	_ StreamBox = (*Demand)(nil)
 	_ StreamBox = (*Capacity)(nil)
-	_ StreamBox = (*Overload)(nil)
 	_ StreamBox = UserUsage{}
 
 	_ DrawBox = (*Demand)(nil)

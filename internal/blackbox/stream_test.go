@@ -22,7 +22,6 @@ func streamCases() []struct {
 		{"Demand", NewDemand(), []float64{20, 12}},
 		{"Demand/preRelease", NewDemand(), []float64{8, 12}},
 		{"Capacity", NewCapacity(), []float64{26, 8, 24}},
-		{"Overload", NewOverload(), []float64{26, 8, 24}},
 		{"UserUsage", UserUsage{}, []float64{30, 4, 2.5, 1.01, 0.2}},
 		{"UserUsage/inactive", UserUsage{}, []float64{3, 10, 2.5, 1.01, 0.2}},
 	}

@@ -100,13 +100,6 @@ func (m *MarkovStepBox) Eval(args []float64, r *rng.Rand) float64 {
 	return m.Inner.Eval(args, r)
 }
 
-// EvalBlock implements BlockBox by delegating to the inner Demand
-// model's block kernel (the arities agree).
-func (m *MarkovStepBox) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	checkArity(m.Name(), m.Arity(), args)
-	m.Inner.EvalBlock(args, out, seeds)
-}
-
 // MarkovBranch is Fig. 6's synthetic divergence model: at each step a
 // state counter is incremented by one with a predefined probability
 // (the branching factor of Fig. 12). It isolates the relationship
@@ -165,7 +158,6 @@ var (
 	_ BlockBox = (*Demand)(nil)
 	_ BlockBox = (*Capacity)(nil)
 	_ BlockBox = (*Overload)(nil)
-	_ BlockBox = (*MarkovStepBox)(nil)
 
 	_ PointBox = (*Demand)(nil)
 	_ PointBox = (*Capacity)(nil)

@@ -35,8 +35,9 @@ type fig7Case struct {
 // Figure7 reproduces the §6.1 two-prototype comparison. For the
 // model-only queries the wrapper pays per-invocation parse/plan and
 // per-world interpretation costs; for the data-dependent UserSelect
-// it wins through set-oriented bulk VG evaluation (see DESIGN.md's
-// substitution notes).
+// it wins by running the columnar Scan → SUM tree, which draws each
+// row's VG column across a block of worlds at once (DESIGN.md,
+// "Columnar PDB execution").
 func Figure7(cfg Config) ([]Fig7Row, *Table, error) {
 	cfg = cfg.withDefaults()
 
@@ -70,7 +71,7 @@ func Figure7(cfg Config) ([]Fig7Row, *Table, error) {
 		Notes: []string{
 			"wrapper = full SQL parse + plan + per-world PDB interpretation (paper: C# + MS SQL)",
 			"core = direct engine evaluation (paper: Ruby prototype)",
-			"UserSelect wrapper uses set-oriented bulk VG evaluation — the data-management win",
+			"UserSelect wrapper runs the columnar Scan → SUM tree, one VG column per row across a world block — the data-management win",
 		},
 	}
 	for _, r := range rows {
@@ -148,33 +149,12 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 		return param.Point{"current_week": float64(10 + i*10)}
 	})
 
-	// UserSelect wrapper: users table + bulk SUM(UserUsage(...)).
-	userTable := pdb.MustNewTable("join_week", "base", "growth", "vol")
-	for _, u := range users.Users {
-		userTable.MustAppend(pdb.Row{
-			pdb.Float(u.JoinWeek), pdb.Float(u.BaseCores),
-			pdb.Float(u.GrowthRate), pdb.Float(u.Volatility),
-		})
-	}
-	if err := db.CreateTable("users", userTable); err != nil {
-		return nil, err
-	}
-	scan, err := db.Scan("users")
+	// UserSelect wrapper: the users table under one prebuilt
+	// Scan → SUM(UserUsage(...)) tree.
+	userPlan, err := usersSumPlan(db, users.Users)
 	if err != nil {
 		return nil, err
 	}
-	var bulkArgs []pdb.BoundExpr
-	for _, e := range []pdb.Expr{
-		pdb.Param{Name: "current_week"}, pdb.Col{Name: "join_week"},
-		pdb.Col{Name: "base"}, pdb.Col{Name: "growth"}, pdb.Col{Name: "vol"},
-	} {
-		b, err := e.Bind(scan.Schema(), db.Env())
-		if err != nil {
-			return nil, err
-		}
-		bulkArgs = append(bulkArgs, b)
-	}
-	bulkPlan := &pdb.BulkVGSumPlan{Source: userTable, Box: blackbox.UserUsage{}, Args: bulkArgs}
 
 	return []fig7Case{
 		{
@@ -207,7 +187,7 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 			name:   "UserSelect",
 			points: userPts,
 			wrapper: func(p param.Point) {
-				if _, err := bulkPlan.RunSummary(map[string]float64(p), worlds); err != nil {
+				if _, err := pdb.RunDistribution(userPlan, map[string]float64(p), worlds); err != nil {
 					panic(err)
 				}
 			},

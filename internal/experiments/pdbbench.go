@@ -41,15 +41,8 @@ func pdbBenchQueries(cfg Config) ([]pdbBenchQuery, error) {
 	db.Boxes.MustRegister(blackbox.NewCapacity())
 	db.Boxes.MustRegister(blackbox.UserUsage{})
 
-	users := blackbox.GenerateUsers(cfg.Users, 0xD5)
-	userTable := pdb.MustNewTable("join_week", "base", "growth", "vol")
-	for _, u := range users {
-		userTable.MustAppend(pdb.Row{
-			pdb.Float(u.JoinWeek), pdb.Float(u.BaseCores),
-			pdb.Float(u.GrowthRate), pdb.Float(u.Volatility),
-		})
-	}
-	if err := db.CreateTable("users", userTable); err != nil {
+	userPlan, err := usersSumPlan(db, blackbox.GenerateUsers(cfg.Users, 0xD5))
+	if err != nil {
 		return nil, err
 	}
 
@@ -71,6 +64,30 @@ func pdbBenchQueries(cfg Config) ([]pdbBenchQuery, error) {
 		return nil, err
 	}
 
+	mid := float64(cfg.Weeks / 2)
+	return []pdbBenchQuery{
+		{"demand", demand, map[string]float64{"current_week": mid, "feature_release": 12}},
+		{"overload", overload, map[string]float64{"current_week": mid, "purchase1": 8, "purchase2": 24}},
+		{"users", userPlan, map[string]float64{"current_week": 40}},
+	}, nil
+}
+
+// usersSumPlan stores users as db's "users" table and builds
+// Scan → Aggregate(SUM(UserUsage(@current_week, join_week, base,
+// growth, vol)) AS total): the data-dependent query of Fig. 7's
+// UserSelect wrapper and of the users cell. db must have UserUsage
+// registered.
+func usersSumPlan(db *pdb.DB, users []blackbox.User) (pdb.Plan, error) {
+	userTable := pdb.MustNewTable("join_week", "base", "growth", "vol")
+	for _, u := range users {
+		userTable.MustAppend(pdb.Row{
+			pdb.Float(u.JoinWeek), pdb.Float(u.BaseCores),
+			pdb.Float(u.GrowthRate), pdb.Float(u.Volatility),
+		})
+	}
+	if err := db.CreateTable("users", userTable); err != nil {
+		return nil, err
+	}
 	scan, err := db.Scan("users")
 	if err != nil {
 		return nil, err
@@ -82,18 +99,7 @@ func pdbBenchQueries(cfg Config) ([]pdbBenchQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	userPlan, err := pdb.NewAggregatePlan(scan,
-		[]pdb.AggSpec{{Arg: usage, Name: "total"}})
-	if err != nil {
-		return nil, err
-	}
-
-	mid := float64(cfg.Weeks / 2)
-	return []pdbBenchQuery{
-		{"demand", demand, map[string]float64{"current_week": mid, "feature_release": 12}},
-		{"overload", overload, map[string]float64{"current_week": mid, "purchase1": 8, "purchase2": 24}},
-		{"users", userPlan, map[string]float64{"current_week": 40}},
-	}, nil
+	return pdb.NewAggregatePlan(scan, []pdb.AggSpec{{Arg: usage, Name: "total"}})
 }
 
 // measurePDBCell benchmarks one grid cell and normalizes per world.

@@ -53,7 +53,7 @@ type scratch struct {
 
 // newScratchPool builds the engine's scratch pool.
 func newScratchPool() *pool.Pool[scratch] {
-	return pool.NewPool[scratch](nil)
+	return pool.NewPool[scratch]()
 }
 
 // grow returns buf resliced to length n, reallocated when its

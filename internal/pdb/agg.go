@@ -55,8 +55,30 @@ func newBlockSumState(w int) *blockSumState {
 }
 
 // addVec folds one row's argument column into the state, over the
-// active worlds. NULL lanes are skipped; non-numeric lanes error.
+// active worlds. NULL lanes are skipped; non-numeric lanes error. A
+// materialized column folds straight from its kind and payload lanes:
+// this loop is the set-oriented SUM of a data-dependent VG column
+// (Fig. 7's UserSelect), so it runs once per row per world.
 func (st *blockSumState) addVec(v *Vec, mask Mask, w int) error {
+	if !v.uniform {
+		kinds, fs := v.kind[:w], v.f[:w]
+		seen, sum := st.seen[:w], st.sum[:w]
+		for lane, k := range kinds {
+			if mask != nil && !mask[lane] {
+				continue
+			}
+			switch Kind(k) {
+			case KindFloat, KindBool:
+				seen[lane] = true
+				sum[lane] += fs[lane]
+			case KindNull:
+			default:
+				_, _, err := v.laneFloat(lane)
+				return err
+			}
+		}
+		return nil
+	}
 	for lane := 0; lane < w; lane++ {
 		if mask != nil && !mask[lane] {
 			continue
@@ -89,7 +111,10 @@ func (st *blockSumState) resultVec(ctx *BlockCtx) *Vec {
 // ExecuteBlock implements Plan. Each row's aggregate arguments
 // evaluate column-wise in row order, aggregate by aggregate — the
 // per-world interpretation order — and fold straight into the states
-// under the row's mask.
+// under the row's mask. Once a row is folded nothing references the
+// Vecs its arguments allocated, so the next row reuses them: a VG
+// argument then draws every row into the same cache-hot lanes instead
+// of walking a fresh W-lane column per row.
 func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
@@ -99,6 +124,7 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	for j := range p.Aggs {
 		states[j] = newBlockSumState(ctx.W)
 	}
+	mark := ctx.vecsUsed
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
 		for j, a := range p.Aggs {
@@ -110,6 +136,7 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 				return nil, err
 			}
 		}
+		ctx.vecsUsed = mark
 	}
 	row := ctx.newRow(len(states))
 	for j, st := range states {

@@ -153,3 +153,32 @@ func TestResultCellsAllocsFlatInRows(t *testing.T) {
 			large, small, slack)
 	}
 }
+
+// TestAggregateReusesArgumentColumns pins that a SUM over a VG
+// argument leaves two materialized columns in the block arena, the
+// argument's and the result's, not one per row: the aggregate hands
+// each folded row's Vecs back, so the next row draws into the same
+// lanes.
+func TestAggregateReusesArgumentColumns(t *testing.T) {
+	const rows, worlds = 500, 64
+	ext, _ := usersUsagePlan(t, rows)
+	usage := ext.(*ExtendPlan).Outputs[0].Expr
+	plan, err := NewAggregatePlan(ext.(*ExtendPlan).Child, []AggSpec{{Arg: usage, Name: "total"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &BlockCtx{}
+	ctx.reset(worldSeeds(0x5161, worlds), map[string]float64{"week": 40}, nil)
+	if _, err := plan.ExecuteBlock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	columns := 0
+	for _, v := range ctx.vecs {
+		if cap(v.f) >= worlds {
+			columns++
+		}
+	}
+	if columns > 2 {
+		t.Errorf("a %d-row SUM left %d materialized columns in the arena, want 2", rows, columns)
+	}
+}

@@ -161,6 +161,39 @@ func (c *BlockCtx) uniformVec(val Value) *Vec {
 
 // lanesVec returns a materialized Vec with every lane NULL.
 func (c *BlockCtx) lanesVec() *Vec {
+	v := c.shapedVec()
+	clear(v.kind)
+	return v
+}
+
+// floatVec returns a materialized Vec whose lanes are floats in the
+// worlds active in mask (nil = every world) and NULL in the rest, for
+// a kernel that then writes every active lane's payload. It sets each
+// kind once, where lanesVec then setFloat would write it twice.
+func (c *BlockCtx) floatVec(mask Mask) *Vec {
+	v := c.shapedVec()
+	if mask == nil && len(v.kind) > 0 {
+		// Doubling copies (memmove) beat a byte loop; a VG column over
+		// a table takes this path once per row.
+		v.kind[0] = uint8(KindFloat)
+		for n := 1; n < len(v.kind); n *= 2 {
+			copy(v.kind[n:], v.kind[:n])
+		}
+		return v
+	}
+	for w := range v.kind {
+		if mask == nil || mask[w] {
+			v.kind[w] = uint8(KindFloat)
+		} else {
+			v.kind[w] = uint8(KindNull)
+		}
+	}
+	return v
+}
+
+// shapedVec returns a materialized Vec of W lanes whose kinds and
+// payloads are left as the arena last held them.
+func (c *BlockCtx) shapedVec() *Vec {
 	v := c.newVec()
 	v.uniform = false
 	v.u = Value{}
@@ -170,9 +203,6 @@ func (c *BlockCtx) lanesVec() *Vec {
 	} else {
 		v.kind = v.kind[:c.W]
 		v.f = v.f[:c.W]
-		for i := range v.kind {
-			v.kind[i] = 0
-		}
 	}
 	v.s = nil
 	return v

@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -307,59 +308,18 @@ func TestColumnarAggregateErrorParity(t *testing.T) {
 	}
 }
 
-func TestColumnarBulkVGSumBitIdentical(t *testing.T) {
-	// BulkVGSumPlan's fused fold must reproduce, bit for bit, the
-	// oracle's per-world sums over the equivalent SUM(UserUsage(...))
-	// tree, at every block size and worker count.
+func TestColumnarVGSumBitIdentical(t *testing.T) {
+	// SELECT SUM(UserUsage(@week, join_week, base, growth, vol)) FROM
+	// users, the tree Fig. 7's UserSelect wrapper runs: one draw per
+	// row per world, folded straight from the VG column's lanes. A row
+	// with a NULL argument sits mid-table: it draws nothing, so every
+	// later row's draws would shift if it did, and it adds nothing.
 	users := blackbox.GenerateUsers(60, 11)
 	tbl := MustNewTable("join_week", "base", "growth", "vol")
-	for _, u := range users {
-		tbl.MustAppend(Row{Float(u.JoinWeek), Float(u.BaseCores), Float(u.GrowthRate), Float(u.Volatility)})
-	}
-	tbl.MustAppend(Row{Float(0), Null(), Float(1), Float(0.1)}) // NULL row: no draw, no contribution
-	db := NewDB()
-	db.Boxes.MustRegister(blackbox.UserUsage{})
-	scan := NewScanPlan("users", tbl)
-	argExprs := []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}}
-	var args []BoundExpr
-	for _, e := range argExprs {
-		args = append(args, mustBind(t, e, scan.Schema(), nil))
-	}
-	usage := mustBind(t, Call{"UserUsage", argExprs}, scan.Schema(), db.Env())
-	tree, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]float64{"week": 40}
-	const worlds, master = 300, 9
-	want := make([]float64, worlds)
-	for k, seed := range worldSeeds(master, worlds) {
-		out, err := refRun(tree, params, seed)
-		if err != nil {
-			t.Fatal(err)
+	for i, u := range users {
+		if i == len(users)/2 {
+			tbl.MustAppend(Row{Float(0), Null(), Float(1), Float(0.1)})
 		}
-		want[k], _ = out.Rows[0][0].AsFloat() // NULL (no live rows) sums to 0
-	}
-	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
-	for _, bw := range columnarBlockSizes {
-		for _, workers := range columnarWorkers {
-			got, err := bulk.Run(params, WorldsOptions{Worlds: worlds, MasterSeed: master, BlockWorlds: bw, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("bw=%d workers=%d: bulk sums diverge from the oracle", bw, workers)
-			}
-		}
-	}
-}
-
-func TestColumnarSubsumesBulkPlan(t *testing.T) {
-	// The general columnar executor over the explicit plan tree must
-	// agree with BulkVGSumPlan exactly — it *is* the same machinery.
-	users := blackbox.GenerateUsers(40, 3)
-	tbl := MustNewTable("join_week", "base", "growth", "vol")
-	for _, u := range users {
 		tbl.MustAppend(Row{Float(u.JoinWeek), Float(u.BaseCores), Float(u.GrowthRate), Float(u.Volatility)})
 	}
 	db := NewDB()
@@ -375,42 +335,109 @@ func TestColumnarSubsumesBulkPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One subtest per grid point, so a divergence names its block size
+	// and worker count and the other points still run.
 	params := map[string]float64{"week": 40}
-	opts := WorldsOptions{Worlds: 200, MasterSeed: 5}
-	dist, err := RunDistribution(plan, params, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, bw := range columnarBlockSizes {
+		opts := WorldsOptions{Worlds: 300, MasterSeed: 0x1234, BlockWorlds: bw}
+		want, err := refDistribution(plan, params, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range columnarWorkers {
+			opts.Workers = workers
+			t.Run(fmt.Sprintf("bw=%d/workers=%d", bw, workers), func(t *testing.T) {
+				got, err := RunDistribution(plan, params, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatal("Distribution diverges from the oracle")
+				}
+			})
+		}
 	}
-	cell, err := dist.CellByName(0, "total")
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	var args []BoundExpr
-	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		args = append(args, mustBind(t, e, scan.Schema(), db.Env()))
+func TestColumnarVGSumWorldDependentArgs(t *testing.T) {
+	// SUM(UserUsage(...)) with base drawn per world: the VG column's
+	// arguments are no longer uniform across the block, so the call
+	// takes the per-lane path rather than one argument vector per row.
+	// "null" is NULL in every world, but a draw decided that, so no row
+	// contributes; "mixed" is NULL in the worlds whose draw (mean @week)
+	// falls at or below @week, about half of them, so each row draws in
+	// the other worlds alone.
+	users := blackbox.GenerateUsers(40, 3)
+	tbl := MustNewTable("join_week", "base", "growth", "vol")
+	for _, u := range users {
+		tbl.MustAppend(Row{Float(u.JoinWeek), Float(u.BaseCores), Float(u.GrowthRate), Float(u.Volatility)})
 	}
-	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
-	sums, err := bulk.Run(params, opts)
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.NewDemand())
+	db.Boxes.MustRegister(blackbox.UserUsage{})
+	if err := db.CreateTable("users", tbl); err != nil {
+		t.Fatal(err)
+	}
+	scan, _ := db.Scan("users")
+	demand := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(99)}}}
+	for _, tc := range []struct {
+		name string
+		base Expr
+	}{
+		{"float", demand},
+		{"null", Case{When: BinOp{"<", demand, Lit{Float(-1e9)}}, Then: Lit{Float(1)}}},
+		{"mixed", Case{When: BinOp{">", demand, Param{"week"}}, Then: Col{"base"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			usage := mustBind(t, Call{"UserUsage", []Expr{
+				Param{"week"}, Col{"join_week"}, tc.base, Col{"growth"}, Col{"vol"},
+			}}, scan.Schema(), db.Env())
+			plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, plan, map[string]float64{"week": 40}, 300)
+		})
+	}
+}
+
+func TestColumnarSumOverNullLanesUnderMasks(t *testing.T) {
+	// Extend → Select → Aggregate: SUMs over materialized columns on
+	// rows a world-varying selection keeps in only some worlds. high is
+	// NULL in the worlds whose draw fell at or below the week, so a
+	// kept row carries NULL lanes too; redraw is a VG call over high,
+	// so it draws, and is non-NULL, only where high is; is_high has
+	// bool lanes, which sum as 0/1. The fold must skip masked-off
+	// worlds and NULL lanes.
+	db := columnarDB(t)
+	scan, _ := db.Scan("purchases")
+	ext := vgExtendPlan(t, db, scan, "vg")
+	above := BinOp{">", Col{"vg"}, Param{"week"}}
+	ext2, err := NewExtendPlan(ext, []NamedBound{
+		{Name: "high", Expr: mustBind(t, Case{When: above, Then: Col{"vg"}}, ext.Schema(), db.Env())},
+		{Name: "is_high", Expr: mustBind(t, above, ext.Schema(), db.Env())},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) != opts.Worlds {
-		t.Fatalf("bulk returned %d sums for %d worlds", len(sums), opts.Worlds)
+	redraw := Call{"DemandModel", []Expr{Col{"high"}, Lit{Float(52)}}}
+	ext3, err := NewExtendPlan(ext2, []NamedBound{
+		{Name: "redraw", Expr: mustBind(t, redraw, ext2.Schema(), db.Env())},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same draws ⇒ same per-world sums ⇒ same min/max exactly.
-	mn, mx := sums[0], sums[0]
-	for _, s := range sums {
-		if s < mn {
-			mn = s
-		}
-		if s > mx {
-			mx = s
-		}
+	pred := mustBind(t, BinOp{"<", Col{"vg"}, BinOp{"+", Param{"week"}, Lit{Float(1)}}}, ext3.Schema(), db.Env())
+	sel := &SelectPlan{Child: ext3, Pred: pred, Desc: "vg < week + 1"}
+	plan, err := NewAggregatePlan(sel, []AggSpec{
+		{Arg: mustBind(t, Col{"high"}, sel.Schema(), db.Env()), Name: "high"},
+		{Arg: mustBind(t, Col{"redraw"}, sel.Schema(), db.Env()), Name: "redraw"},
+		{Arg: mustBind(t, Col{"is_high"}, sel.Schema(), db.Env()), Name: "n_high"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cell.Min != mn || cell.Max != mx {
-		t.Fatalf("bulk sums [%g,%g] vs distribution cell [%g,%g]", mn, mx, cell.Min, cell.Max)
-	}
+	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
 }
 
 // namedExpr pairs an output name with an unbound expression.

@@ -647,34 +647,27 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 			return ctx.uniformVec(Null()), nil
 		}
 		argv := ctx.floats(len(args))
-		dst := ctx.lanesVec()
 		if allUniform {
 			for i, v := range vecs {
 				if argv[i], err = v.u.AsFloat(); err != nil {
 					return nil, err
 				}
 			}
+			dst := ctx.floatVec(cur)
 			if cur == nil && ctx.freshLaneOpen() {
 				// First draw of every world in the block: a freshly
 				// seeded generator per world is exactly what BlockBox
 				// kernels amortize, so dispatch straight to them (for
 				// Demand this is one bulk FillNormal over the block).
 				blackbox.AsBlock(box).EvalBlock(argv, dst.f, ctx.Seeds)
-				for w := range dst.kind {
-					dst.kind[w] = uint8(KindFloat)
-				}
 				ctx.noteFreshDraw(box, argv)
 				return dst, nil
 			}
 			ctx.materialize()
 			blackbox.EvalStream(box, argv, dst.f, ctx.Rands, cur)
-			for w := 0; w < ctx.W; w++ {
-				if cur == nil || cur[w] {
-					dst.kind[w] = uint8(KindFloat)
-				}
-			}
 			return dst, nil
 		}
+		dst := ctx.lanesVec()
 		ctx.materialize()
 		for w := 0; w < ctx.W; w++ {
 			if cur != nil && !cur[w] {

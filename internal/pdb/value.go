@@ -9,7 +9,8 @@
 // "C# + MS SQL Server" prototype in the Fig. 7 comparison: queries go
 // through the full parse → plan → execute stack over every sampled
 // world, paying DB overhead on tiny models but winning on
-// data-dependent ones through set-oriented (bulk) VG evaluation.
+// data-dependent ones by drawing each row's VG column across a block
+// of worlds at once.
 package pdb
 
 import (

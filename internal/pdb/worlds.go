@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"jigsaw/internal/blackbox"
 	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/stats"
@@ -122,8 +121,8 @@ type blockOut struct {
 }
 
 var (
-	blockCtxPool = pool.NewPool[BlockCtx](nil)
-	blockOutPool = pool.NewPool[blockOut](nil)
+	blockCtxPool = pool.NewPool[BlockCtx]()
+	blockOutPool = pool.NewPool[blockOut]()
 )
 
 // reset shapes the output for a block of w worlds starting at lo.
@@ -422,159 +421,4 @@ func worldSeeds(master uint64, n int) []uint64 {
 		panic(err) // a one-seed set cannot fail
 	}
 	return set.StreamSeeds(master, n)
-}
-
-// BulkVGSumPlan is the set-oriented fast path for the pattern
-//
-//	SELECT SUM(VG(args...)) FROM table
-//
-// the execution shape that wins the "wrapper" its UserSelection row
-// in Fig. 7 (§6.1). Draws follow the per-world stream discipline, so
-// its sums are bit-identical to per-world interpretation of the
-// equivalent Scan → Extend(VG) → SUM plan tree.
-type BulkVGSumPlan struct {
-	// Source is the scanned table.
-	Source *Table
-	// Box is the per-row VG function.
-	Box blackbox.Box
-	// Args are the VG arguments, bound against Source's schema. They
-	// must be deterministic (columns, parameters, constants).
-	Args []BoundExpr
-}
-
-// validate checks the box/argument wiring.
-func (p *BulkVGSumPlan) validate() error {
-	if p.Box == nil {
-		return errors.New("pdb: bulk plan without box")
-	}
-	if len(p.Args) != p.Box.Arity() {
-		return fmt.Errorf("pdb: bulk plan arity %d != box arity %d", len(p.Args), p.Box.Arity())
-	}
-	return nil
-}
-
-// resolveArgs evaluates every source row's argument vector once,
-// through the block evaluator over a one-world context. live[r] is
-// false for rows with a NULL argument (SQL SUM skips them, and they
-// draw nothing).
-func (p *BulkVGSumPlan) resolveArgs(params map[string]float64) (argvs []float64, live []bool, err error) {
-	ctx := blockCtxPool.Get()
-	defer blockCtxPool.Put(ctx)
-	ctx.reset([]uint64{0}, params, nil)
-	src, err := NewScanPlan("bulk", p.Source).ExecuteBlock(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	arity := len(p.Args)
-	argvs = make([]float64, len(src.Rows)*arity)
-	live = make([]bool, len(src.Rows))
-	vecs := make([]*Vec, arity)
-	for r, row := range src.Rows {
-		_, allUniform, dead, err := evalArgColumns(p.Args, vecs, row, nil, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		// World-dependence is checked first: a world-dependent argument
-		// that is NULL in this one world is still an error, not a skip.
-		if !allUniform {
-			return nil, nil, fmt.Errorf("pdb: bulk plan row %d: %s arguments must be deterministic", r, p.Box.Name())
-		}
-		if dead {
-			continue
-		}
-		for i, v := range vecs {
-			if argvs[r*arity+i], err = v.u.AsFloat(); err != nil {
-				return nil, nil, err
-			}
-		}
-		live[r] = true
-	}
-	return argvs, live, nil
-}
-
-// Run produces the per-world sums (0 when every row's contribution is
-// NULL). It is a fused fold: the deterministic argument vectors
-// resolve once per row, and each row's world column streams through
-// the box's kernel straight into the sums — no intermediate block
-// table at all. The fold consumes each world's stream in exactly the
-// order the equivalent plan tree does (rows outer, worlds inner, NULL
-// rows drawing nothing), which TestColumnarBulkVGSumBitIdentical pins
-// against the per-world test oracle.
-func (p *BulkVGSumPlan) Run(params map[string]float64, opts WorldsOptions) ([]float64, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	argvs, live, err := p.resolveArgs(params)
-	if err != nil {
-		return nil, err
-	}
-	arity := len(p.Args)
-	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
-	sums := make([]float64, opts.Worlds)
-	bw := opts.BlockWorlds
-	nblocks := (opts.Worlds + bw - 1) / bw
-	// Each block owns the disjoint sums[lo:hi) range, so the fold is
-	// race-free and bit-identical for any worker count.
-	if err := pool.For(context.Background(), nblocks, opts.Workers, func(b int) {
-		lo := b * bw
-		hi := lo + bw
-		if hi > opts.Worlds {
-			hi = opts.Worlds
-		}
-		w := hi - lo
-		sc := bulkScratchPool.Get()
-		defer bulkScratchPool.Put(sc)
-		if cap(sc.rands) < w {
-			sc.rands = make([]rng.Rand, w)
-			sc.out = make([]float64, w)
-		}
-		rands, out := sc.rands[:w], sc.out[:w]
-		for i := range rands {
-			rands[i].Seed(seeds[lo+i])
-		}
-		for r, ok := range live {
-			if !ok {
-				continue
-			}
-			blackbox.EvalStream(p.Box, argvs[r*arity:(r+1)*arity], out, rands, nil)
-			for i, v := range out {
-				sums[lo+i] += v
-			}
-		}
-	}); err != nil {
-		return nil, fmt.Errorf("pdb: %w", err)
-	}
-	return sums, nil
-}
-
-// bulkScratch is the pooled per-worker state of the fused bulk fold.
-type bulkScratch struct {
-	rands []rng.Rand
-	out   []float64
-}
-
-var bulkScratchPool = pool.NewPool[bulkScratch](nil)
-
-// RunSummary aggregates the per-world sums into a Summary bit-identical
-// to the SUM cell RunDistribution reports for the equivalent plan tree:
-// the sums are bit-identical, and they fold the way commitBlocks folds
-// a cell, one AddBlock per block of BlockWorlds worlds.
-func (p *BulkVGSumPlan) RunSummary(params map[string]float64, opts WorldsOptions) (stats.Summary, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	sums, err := p.Run(params, opts)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	acc := stats.NewAccumulator()
-	for lo := 0; lo < len(sums); lo += opts.BlockWorlds {
-		acc.AddBlock(sums[lo:min(lo+opts.BlockWorlds, len(sums))])
-	}
-	return acc.Summarize(), nil
 }

@@ -1,7 +1,6 @@
 package pdb
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -116,8 +115,6 @@ func TestRunDistributionNilPlan(t *testing.T) {
 func TestWorldsOptionsValidation(t *testing.T) {
 	// A negative world count is an error at entry (it used to panic in
 	// seed derivation); zero still selects the default.
-	bulk := &BulkVGSumPlan{Source: MustNewTable("a"), Box: blackbox.UserUsage{},
-		Args: make([]BoundExpr, blackbox.UserUsage{}.Arity())}
 	for _, tc := range []struct {
 		worlds  int
 		wantErr bool
@@ -131,18 +128,12 @@ func TestWorldsOptionsValidation(t *testing.T) {
 		if _, err := RunDistribution(ValuesPlan{}, nil, opts); (err != nil) != tc.wantErr {
 			t.Errorf("RunDistribution(Worlds: %d): err = %v, want error %v", tc.worlds, err, tc.wantErr)
 		}
-		if _, err := bulk.Run(nil, opts); (err != nil) != tc.wantErr {
-			t.Errorf("BulkVGSumPlan.Run(Worlds: %d): err = %v, want error %v", tc.worlds, err, tc.wantErr)
-		}
 	}
 }
 
 // TestWorldsOptionsRejectNegative checks the knobs no default repairs
-// are errors at entry, on both the plan and the fused-sum executor,
-// while zero keeps selecting the default.
+// are errors at entry, while zero keeps selecting the default.
 func TestWorldsOptionsRejectNegative(t *testing.T) {
-	bulk := &BulkVGSumPlan{Source: MustNewTable("a"), Box: blackbox.UserUsage{},
-		Args: make([]BoundExpr, blackbox.UserUsage{}.Arity())}
 	for _, tc := range []struct {
 		name string
 		opts WorldsOptions
@@ -154,50 +145,14 @@ func TestWorldsOptionsRejectNegative(t *testing.T) {
 		{"zero defaults", WorldsOptions{Worlds: 4}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, planErr := RunDistribution(ValuesPlan{}, nil, tc.opts)
-			_, bulkErr := bulk.Run(nil, tc.opts)
-			for _, err := range []error{planErr, bulkErr} {
-				switch {
-				case tc.want == "" && err != nil:
-					t.Fatalf("rejected: %v", err)
-				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-					t.Fatalf("err = %v, want one naming %s", err, tc.want)
-				}
+			_, err := RunDistribution(ValuesPlan{}, nil, tc.opts)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one naming %s", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestBulkVGSumRejectsWorldDependentArgs(t *testing.T) {
-	// Argument vectors resolve once, so a world-dependent argument is an
-	// error — also when it happens to be NULL, which for a deterministic
-	// argument would skip the row.
-	tbl := MustNewTable("join_week", "base", "growth", "vol")
-	tbl.MustAppend(Row{Float(0), Float(1), Float(1), Float(0.1)})
-	scan := NewScanPlan("users", tbl)
-	db := NewDB()
-	db.Boxes.MustRegister(blackbox.NewDemand())
-	var args []BoundExpr
-	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		args = append(args, mustBind(t, e, scan.Schema(), nil))
-	}
-	demand := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(99)}}}
-	for _, tc := range []struct {
-		name string
-		arg  Expr
-	}{
-		{"float", demand},
-		// No world takes the branch, so the argument is NULL in every
-		// world, but a draw decided that.
-		{"null", Case{When: BinOp{"<", demand, Lit{Float(-1e9)}}, Then: Lit{Float(1)}}},
-	} {
-		bulkArgs := append([]BoundExpr(nil), args...)
-		bulkArgs[2] = mustBind(t, tc.arg, scan.Schema(), db.Env())
-		bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: bulkArgs}
-		_, err := bulk.Run(map[string]float64{"week": 40}, WorldsOptions{Worlds: 10})
-		if err == nil || !strings.Contains(err.Error(), "must be deterministic") {
-			t.Errorf("%s VG argument: err = %v, want a determinism error", tc.name, err)
-		}
 	}
 }
 
@@ -291,104 +246,6 @@ func TestDistributionCellRowsAreDisjoint(t *testing.T) {
 	_ = append(dist.Cells[0], stats.Summary{N: -1})
 	if dist.Cells[1][0] != next {
 		t.Fatal("appending to row 0 overwrote row 1")
-	}
-}
-
-func TestBulkVGSumMatchesPerWorldDistribution(t *testing.T) {
-	// The fused fast path draws the same per-world sums as per-world
-	// execution of the equivalent plan and folds them block by block
-	// the same way, so its summary equals the SUM cell bit for bit at
-	// every block size and worker count.
-	users := blackbox.GenerateUsers(300, 11)
-	tbl := MustNewTable("join_week", "base", "growth", "vol")
-	for _, u := range users {
-		tbl.MustAppend(Row{Float(u.JoinWeek), Float(u.BaseCores), Float(u.GrowthRate), Float(u.Volatility)})
-	}
-	db := NewDB()
-	db.Boxes.MustRegister(blackbox.UserUsage{})
-	if err := db.CreateTable("users", tbl); err != nil {
-		t.Fatal(err)
-	}
-	env := db.Env()
-	scan, _ := db.Scan("users")
-
-	// Per-world plan: SELECT SUM(UserUsage(@week, join_week, base, growth, vol)).
-	usage, err := (Call{"UserUsage", []Expr{
-		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
-	}}).Bind(scan.Schema(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]float64{"week": 40}
-	var bulkArgs []BoundExpr
-	for _, e := range []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		b, err := e.Bind(scan.Schema(), env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bulkArgs = append(bulkArgs, b)
-	}
-	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: bulkArgs}
-	for _, bw := range []int{1, 7, 256} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("bw=%d/workers=%d", bw, workers), func(t *testing.T) {
-				opts := WorldsOptions{Worlds: 1500, MasterSeed: 9, BlockWorlds: bw, Workers: workers}
-				dist, err := RunDistribution(plan, params, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				perWorld, err := dist.CellByName(0, "total")
-				if err != nil {
-					t.Fatal(err)
-				}
-				bulkSummary, err := bulk.RunSummary(params, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bulkSummary != perWorld {
-					t.Fatalf("bulk summary %+v, per-world cell %+v", bulkSummary, perWorld)
-				}
-			})
-		}
-	}
-}
-
-func TestBulkVGSumValidation(t *testing.T) {
-	bulk := &BulkVGSumPlan{Source: MustNewTable("a"), Box: nil}
-	if _, err := bulk.Run(nil, WorldsOptions{}); err == nil {
-		t.Fatal("nil box accepted")
-	}
-	bulk2 := &BulkVGSumPlan{Source: MustNewTable("a"), Box: blackbox.UserUsage{}, Args: nil}
-	if _, err := bulk2.Run(nil, WorldsOptions{}); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-}
-
-func TestBulkVGSumSkipsNullRows(t *testing.T) {
-	tbl := MustNewTable("join_week", "base", "growth", "vol")
-	tbl.MustAppend(Row{Float(0), Null(), Float(1), Float(0.1)})
-	scan := NewScanPlan("t", tbl)
-	var args []BoundExpr
-	for _, e := range []Expr{Lit{Float(10)}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}} {
-		b, err := e.Bind(scan.Schema(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		args = append(args, b)
-	}
-	bulk := &BulkVGSumPlan{Source: tbl, Box: blackbox.UserUsage{}, Args: args}
-	sums, err := bulk.Run(nil, WorldsOptions{Worlds: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sums {
-		if s != 0 {
-			t.Fatalf("NULL row contributed %g", s)
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package pool provides the concurrency primitives shared by the
-// hot paths: a worker-pool fan-out over an index range (For /
-// ForWorker) with atomic work-stealing, so expensive items
-// load-balance instead of pinning a fixed stripe to a slow worker,
-// and a typed free list (Pool) for per-worker scratch state.
+// hot paths: a worker-pool fan-out over an index range (ForWorker)
+// with atomic work-stealing, so expensive items load-balance instead
+// of pinning a fixed stripe to a slow worker, and a typed free list
+// (Pool) for per-worker scratch state.
 package pool
 
 import (
@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a panic recovered from fn by For or ForWorker: the
-// index whose call panicked, the panic value and the panicking
-// goroutine's stack.
+// PanicError is a panic recovered from fn by ForWorker: the index
+// whose call panicked, the panic value and the panicking goroutine's
+// stack.
 type PanicError struct {
 	Index int
 	Value any
@@ -32,9 +32,9 @@ func (e *PanicError) Unwrap() error {
 }
 
 // call runs fn(w, i) and returns its panic, if any, as a *PanicError.
-// A value that is already a *PanicError (a nested For re-panicking on
-// its caller's goroutine) keeps its value and stack under the outer
-// index.
+// A value that is already a *PanicError (a nested ForWorker
+// re-panicking on its caller's goroutine) keeps its value and stack
+// under the outer index.
 func call(fn func(worker, i int), w, i int) (perr *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -49,18 +49,6 @@ func call(fn func(worker, i int), w, i int) (perr *PanicError) {
 	return nil
 }
 
-// For runs fn(i) for every i in [0, n) on up to workers goroutines.
-// With workers <= 1 (or n <= 1) it degrades to a plain loop on the
-// calling goroutine. It stops scheduling new indexes once ctx is
-// cancelled and returns ctx.Err(); indexes already picked up still
-// finish, so fn never races with the caller after For returns. A
-// panic in fn does not kill the process: For recovers it, stops the
-// other workers from picking up further indexes, and returns it as a
-// *PanicError (the first one recovered, when several workers panic).
-func For(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForWorker(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
 // forChunkTarget and forChunkMax bound the work-stealing grain: each
 // atomic claim hands a worker a contiguous run of indexes sized so a
 // worker makes ~forChunkTarget claims over the whole job (bounded by
@@ -73,11 +61,18 @@ const (
 	forChunkMax    = 64
 )
 
-// ForWorker is For with the worker's identity passed to fn: the first
-// argument is a stable id in [0, workers) naming the goroutine that
-// picked the index up (always 0 on the degenerate sequential path).
-// Hot loops use it to give each worker private scratch state — two
-// calls with the same worker id never run concurrently.
+// ForWorker runs fn(worker, i) for every i in [0, n) on up to workers
+// goroutines. worker is a stable id in [0, workers) naming the
+// goroutine that picked the index up; hot loops use it to give each
+// worker private scratch state, since two calls with the same worker
+// id never run concurrently. With workers <= 1 (or n <= 1) it
+// degrades to a plain loop on the calling goroutine, as worker 0. It
+// stops scheduling new indexes once ctx is cancelled and returns
+// ctx.Err(); indexes already picked up still finish, so fn never races
+// with the caller after ForWorker returns. A panic in fn does not kill
+// the process: ForWorker recovers it, stops the other workers from
+// picking up further indexes, and returns it as a *PanicError (the
+// first one recovered, when several workers panic).
 func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
@@ -137,24 +132,17 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 }
 
 // Pool is a typed free list over sync.Pool: Get returns a recycled *T
-// (or a fresh one from New), Put recycles it. The Monte Carlo engine
-// keeps its per-worker scratch structs here so steady-state sweeps
-// run allocation-free regardless of how many goroutines call in.
+// (or a new zero T), Put recycles it. The Monte Carlo engine keeps its
+// per-worker scratch structs here so steady-state sweeps run
+// allocation-free regardless of how many goroutines call in.
 type Pool[T any] struct {
-	p   sync.Pool
-	New func() *T
+	p sync.Pool
 }
 
-// NewPool returns a pool constructing values with newT (which may be
-// nil when the zero value of T is usable).
-func NewPool[T any](newT func() *T) *Pool[T] {
-	pl := &Pool[T]{New: newT}
-	pl.p.New = func() any {
-		if pl.New != nil {
-			return pl.New()
-		}
-		return new(T)
-	}
+// NewPool returns an empty pool of *T.
+func NewPool[T any]() *Pool[T] {
+	pl := &Pool[T]{}
+	pl.p.New = func() any { return new(T) }
 	return pl
 }
 

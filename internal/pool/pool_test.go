@@ -12,7 +12,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 57
 		var hits [n]atomic.Int32
-		if err := For(context.Background(), n, workers, func(i int) {
+		if err := ForWorker(context.Background(), n, workers, func(_, i int) {
 			hits[i].Add(1)
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -26,7 +26,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForZeroItems(t *testing.T) {
-	if err := For(context.Background(), 0, 4, func(int) { t.Fatal("fn called") }); err != nil {
+	if err := ForWorker(context.Background(), 0, 4, func(int, int) { t.Fatal("fn called") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestForCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := For(ctx, 1000, 4, func(int) { ran.Add(1) })
+	err := ForWorker(ctx, 1000, 4, func(int, int) { ran.Add(1) })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -80,30 +80,24 @@ func TestForWorkerSequentialUsesWorkerZero(t *testing.T) {
 
 func TestPoolRecycles(t *testing.T) {
 	type buf struct{ xs []int }
-	built := 0
-	p := NewPool[buf](func() *buf {
-		built++
-		return &buf{xs: make([]int, 0, 8)}
-	})
-	a := p.Get()
-	a.xs = append(a.xs, 1, 2, 3)
-	p.Put(a)
-	b := p.Get()
-	// Same object back (single goroutine, no GC in between): capacity
-	// is retained, which is the entire point of pooling scratch.
-	if cap(b.xs) < 3 {
-		t.Fatalf("recycled buffer lost capacity: %d", cap(b.xs))
+	p := NewPool[buf]()
+	// sync.Pool may drop a Put (under the race detector it drops one in
+	// four on purpose), so offer a value several times: a pool that
+	// never hands one back, capacity and all, pools nothing.
+	for i := 0; i < 20; i++ {
+		a := &buf{xs: make([]int, 0, 8)}
+		p.Put(a)
+		if p.Get() == a {
+			return
+		}
 	}
-	if built > 2 {
-		t.Fatalf("constructor ran %d times for 2 Gets", built)
-	}
+	t.Fatal("pool never handed a recycled value back")
 }
 
-func TestPoolNilConstructor(t *testing.T) {
-	p := NewPool[int](nil)
-	x := p.Get()
-	if x == nil || *x != 0 {
-		t.Fatal("nil-constructor pool did not produce zero value")
+func TestPoolEmptyGetIsZero(t *testing.T) {
+	p := NewPool[int]()
+	if x := p.Get(); x == nil || *x != 0 {
+		t.Fatal("an empty pool did not produce a zero value")
 	}
 }
 
@@ -138,11 +132,11 @@ func TestForWorkerRecoversPanic(t *testing.T) {
 
 func TestNestedPanicKeepsInnerValue(t *testing.T) {
 	cause := errors.New("model failure")
-	err := For(context.Background(), 3, 2, func(i int) {
+	err := ForWorker(context.Background(), 3, 2, func(_, i int) {
 		if i != 2 {
 			return
 		}
-		if err := For(context.Background(), 8, 2, func(j int) {
+		if err := ForWorker(context.Background(), 8, 2, func(_, j int) {
 			if j == 5 {
 				panic(cause)
 			}

@@ -210,21 +210,3 @@ func FillNormalVar(out []float64, mu, variance float64, seeds []uint64) {
 	}
 	FillNormal(out, mu, math.Sqrt(variance), seeds)
 }
-
-// FillUniform sets out[i] to the U[lo, hi) sample a freshly seeded
-// generator would draw: bit-identical to
-// r.Seed(seeds[i]); out[i] = r.Uniform(lo, hi). A single uniform
-// consumes only the generator's first output, which depends on just
-// one of the four seed words, so seeding collapses to one finalizer.
-func FillUniform(out []float64, lo, hi float64, seeds []uint64) {
-	if hi < lo {
-		panic(fmt.Sprintf("rng: Uniform called with hi %g < lo %g", hi, lo))
-	}
-	checkFill("FillUniform", out, seeds)
-	scale := hi - lo
-	for i, seed := range seeds {
-		s1 := smMix(seed + smGamma2)
-		u := float64((bits.RotateLeft64(s1*5, 7)*9)>>11) * inv53
-		out[i] = lo + scale*u
-	}
-}

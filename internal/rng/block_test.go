@@ -117,23 +117,6 @@ func TestFillNormalVarBitIdentical(t *testing.T) {
 	}
 }
 
-func TestFillUniformBitIdentical(t *testing.T) {
-	var r Rand
-	seeds := testSeeds(t, 512)
-	for _, c := range []struct{ lo, hi float64 }{
-		{0, 1}, {-3, 7}, {5, 5}, {0, 1e9},
-	} {
-		got := make([]float64, len(seeds))
-		FillUniform(got, c.lo, c.hi, seeds)
-		for i, seed := range seeds {
-			r.Seed(seed)
-			if want := r.Uniform(c.lo, c.hi); got[i] != want {
-				t.Fatalf("lo=%g hi=%g sample %d: block %v, scalar %v", c.lo, c.hi, i, got[i], want)
-			}
-		}
-	}
-}
-
 func TestFillersPanicLikeScalars(t *testing.T) {
 	seeds := []uint64{1}
 	out := make([]float64, 1)
@@ -148,9 +131,7 @@ func TestFillersPanicLikeScalars(t *testing.T) {
 	}
 	expectPanic("FillNormal(sigma<0)", func() { FillNormal(out, 0, -1, seeds) })
 	expectPanic("FillNormalVar(var<0)", func() { FillNormalVar(out, 0, -1, seeds) })
-	expectPanic("FillUniform(hi<lo)", func() { FillUniform(out, 1, 0, seeds) })
 	expectPanic("FillNormal(len mismatch)", func() { FillNormal(make([]float64, 2), 0, 1, seeds) })
-	expectPanic("FillUniform(len mismatch)", func() { FillUniform(make([]float64, 2), 0, 1, seeds) })
 }
 
 func TestBlockFillersAllocFree(t *testing.T) {
@@ -162,7 +143,6 @@ func TestBlockFillersAllocFree(t *testing.T) {
 		st := set.Stream(0x5161)
 		st.FillSeeds(buf)
 		FillNormalVar(out, 30, 3, seeds)
-		FillUniform(out, 0, 1, seeds)
 	})
 	if allocs != 0 {
 		t.Errorf("block fillers allocate %.1f per block, want 0", allocs)
