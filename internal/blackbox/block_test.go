@@ -10,22 +10,22 @@ import (
 // bit-identical to the reseed-per-sample scalar Eval loop, for every
 // model and every block size. A model whose block kernel drifted from
 // its scalar form would silently change fingerprints and sweep
-// results, so this test enumerates every built-in box (native block
-// kernels and scalar-fallback adapters alike) across the block sizes
-// the issue pins: {1, 7, 64, 1000}.
+// results, so these tests enumerate every native block kernel across
+// block sizes {1, 7, 64, 1000}. A box without one is drawn by that
+// scalar loop itself.
 
 var blockSizes = []int{1, 7, 64, 1000}
 
-// blockCases enumerates every built-in model with argument vectors
-// covering its interesting branches.
+// blockCases enumerates every built-in model with a native block
+// kernel, with argument vectors covering its interesting branches.
 func blockCases() []struct {
 	name string
-	box  Box
+	box  BlockBox
 	args [][]float64
 } {
 	return []struct {
 		name string
-		box  Box
+		box  BlockBox
 		args [][]float64
 	}{
 		{"Demand", NewDemand(), [][]float64{
@@ -39,44 +39,20 @@ func blockCases() []struct {
 			{15, 10, 20}, // mid-horizon, first purchase may have landed
 			{52, 1, 2},   // both purchases long since landed
 		}},
-		{"Overload", NewOverload(), [][]float64{
-			{0, 10, 20},
-			{26, 10, 20},
-			{52, 1, 2},
-		}},
-		{"UserSelection", NewUserSelection(64, 0xabcd), [][]float64{
-			{0}, {26}, {51},
-		}},
-		{"SynthBasis", NewSynthBasis(5), [][]float64{
-			{0}, {3}, {17},
-		}},
-		{"MarkovStep", NewMarkovStepBox(), [][]float64{
-			{5, 52}, {30, 12},
-		}},
-		{"MarkovBranch", NewMarkovBranch(0.3), [][]float64{
-			{0}, {4},
-		}},
-		{"Func", Func{FuncName: "unit", NArgs: 1, Fn: func(args []float64, r *rng.Rand) float64 {
-			return args[0] + r.StdNormal() + r.Float64()
-		}}, [][]float64{
-			{0}, {7},
-		}},
 	}
 }
 
 func TestEvalBlockBitIdenticalToScalar(t *testing.T) {
 	for _, tc := range blockCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			bb := AsBlock(tc.box)
 			var r rng.Rand
 			for _, args := range tc.args {
 				for _, n := range blockSizes {
 					seeds := make([]uint64, n)
-					st := rng.MustSeedSet(0x5161, 10).Stream(0x5161)
-					st.FillSeeds(seeds)
+					rng.FillSeeds(0x5161, 0, seeds)
 
 					got := make([]float64, n)
-					bb.EvalBlock(args, got, seeds)
+					tc.box.EvalBlock(args, got, seeds)
 
 					for i, seed := range seeds {
 						r.Seed(seed)
@@ -97,23 +73,18 @@ func TestEvalBlockChunkingInvariant(t *testing.T) {
 	// same samples as one shot — the property that makes the engine's
 	// block size a pure performance knob.
 	for _, tc := range blockCases() {
-		bb := AsBlock(tc.box)
 		args := tc.args[0]
 		seeds := make([]uint64, 100)
-		st := rng.MustSeedSet(0x99, 4).Stream(0x99)
-		st.FillSeeds(seeds)
+		rng.FillSeeds(0x99, 0, seeds)
 
 		whole := make([]float64, len(seeds))
-		bb.EvalBlock(args, whole, seeds)
+		tc.box.EvalBlock(args, whole, seeds)
 
 		for _, chunk := range []int{1, 7, 33, 100} {
 			got := make([]float64, len(seeds))
 			for lo := 0; lo < len(seeds); lo += chunk {
-				hi := lo + chunk
-				if hi > len(seeds) {
-					hi = len(seeds)
-				}
-				bb.EvalBlock(args, got[lo:hi], seeds[lo:hi])
+				hi := min(lo+chunk, len(seeds))
+				tc.box.EvalBlock(args, got[lo:hi], seeds[lo:hi])
 			}
 			for i := range whole {
 				if got[i] != whole[i] {
@@ -121,17 +92,6 @@ func TestEvalBlockChunkingInvariant(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAsBlockIdentity(t *testing.T) {
-	d := NewDemand()
-	if AsBlock(d) != BlockBox(d) {
-		t.Fatal("AsBlock wrapped a native BlockBox")
-	}
-	f := Func{FuncName: "f", NArgs: 0, Fn: func([]float64, *rng.Rand) float64 { return 0 }}
-	if _, ok := AsBlock(f).(scalarBlock); !ok {
-		t.Fatal("AsBlock did not adapt a scalar-only box")
 	}
 }
 
@@ -148,8 +108,7 @@ func TestEvalBlockArityPanics(t *testing.T) {
 func BenchmarkEvalBlockDemand(b *testing.B) {
 	d := NewDemand()
 	seeds := make([]uint64, 1000)
-	st := rng.MustSeedSet(0x5161, 10).Stream(0x5161)
-	st.FillSeeds(seeds)
+	rng.FillSeeds(0x5161, 0, seeds)
 	out := make([]float64, 1000)
 	args := []float64{30, 52}
 	b.ReportAllocs()
@@ -161,8 +120,7 @@ func BenchmarkEvalBlockDemand(b *testing.B) {
 func BenchmarkEvalBlockCapacity(b *testing.B) {
 	c := NewCapacity()
 	seeds := make([]uint64, 1000)
-	st := rng.MustSeedSet(0x5161, 10).Stream(0x5161)
-	st.FillSeeds(seeds)
+	rng.FillSeeds(0x5161, 0, seeds)
 	out := make([]float64, 1000)
 	args := []float64{30, 10, 20}
 	b.ReportAllocs()
@@ -174,8 +132,7 @@ func BenchmarkEvalBlockCapacity(b *testing.B) {
 func BenchmarkEvalScalarCapacity(b *testing.B) {
 	c := NewCapacity()
 	seeds := make([]uint64, 1000)
-	st := rng.MustSeedSet(0x5161, 10).Stream(0x5161)
-	st.FillSeeds(seeds)
+	rng.FillSeeds(0x5161, 0, seeds)
 	out := make([]float64, 1000)
 	args := []float64{30, 10, 20}
 	var r rng.Rand

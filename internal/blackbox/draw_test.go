@@ -65,8 +65,7 @@ func TestDrawBoxMatchesEval(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -4, 0, 12, 13, 30, 52}
 	demand, capacity := NewDemand(), NewCapacity()
 	seeds := make([]uint64, 40)
-	st := rng.MustSeedSet(0xd7a3, 10).Stream(0xd7a3)
-	st.FillSeeds(seeds)
+	rng.FillSeeds(0xd7a3, 0, seeds)
 	bits := math.Float64bits
 	same := func(a, b float64) bool { return bits(a) == bits(b) }
 	for _, tc := range []struct {

@@ -271,32 +271,11 @@ func (*Overload) Arity() int { return 3 }
 // Eval implements Box.
 func (o *Overload) Eval(args []float64, r *rng.Rand) float64 {
 	checkArity(o.Name(), o.Arity(), args)
-	demand := o.DemandModel.Eval([]float64{args[0], o.NoFeature}, r)
+	dargs := [2]float64{args[0], o.NoFeature}
+	demand := o.DemandModel.Eval(dargs[:], r)
 	capacity := o.CapacityModel.Eval(args, r)
 	if capacity < demand {
 		return 1
 	}
 	return 0
-}
-
-// EvalBlock implements BlockBox. The composed models share one
-// generator per sample (Capacity's noise draw consumes the second
-// polar variate Demand's draw cached), so the kernel replays Eval's
-// call sequence against a local generator; the demand argument vector
-// Eval rebuilds per sample is hoisted to a stack buffer.
-func (o *Overload) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	checkArity(o.Name(), o.Arity(), args)
-	checkBlock(o.Name(), out, seeds)
-	dargs := [2]float64{args[0], o.NoFeature}
-	var r rng.Rand
-	for i, seed := range seeds {
-		r.Seed(seed)
-		demand := o.DemandModel.Eval(dargs[:], &r)
-		capacity := o.CapacityModel.Eval(args, &r)
-		if capacity < demand {
-			out[i] = 1
-		} else {
-			out[i] = 0
-		}
-	}
 }

@@ -33,8 +33,7 @@ func TestPointBoxMatchesEval(t *testing.T) {
 		}},
 	}
 	seeds := make([]uint64, 200)
-	st := rng.MustSeedSet(0x5161, 10).Stream(0x5161)
-	st.FillSeeds(seeds)
+	rng.FillSeeds(0x5161, 0, seeds)
 	bits := math.Float64bits
 	for _, tc := range cases {
 		name := tc.box.Name()

@@ -157,7 +157,6 @@ var (
 
 	_ BlockBox = (*Demand)(nil)
 	_ BlockBox = (*Capacity)(nil)
-	_ BlockBox = (*Overload)(nil)
 
 	_ PointBox = (*Demand)(nil)
 	_ PointBox = (*Capacity)(nil)

@@ -7,12 +7,10 @@ import (
 	"jigsaw/internal/rng"
 )
 
-var synthSeeds = rng.MustSeedSet(0x5EED, 10)
-
 func fingerprintOf(b Box, args ...float64) core.Fingerprint {
 	return core.Compute(func(seed uint64) float64 {
 		return b.Eval(args, rng.New(seed))
-	}, synthSeeds)
+	}, 0x5EED, 10)
 }
 
 func TestSynthBasisClassCount(t *testing.T) {

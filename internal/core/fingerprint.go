@@ -35,14 +35,15 @@ type Func func(seed uint64) float64
 // Fingerprint is the output vector of a Func under the global seed set.
 type Fingerprint []float64
 
-// Compute evaluates f under every seed in the set, producing its
-// fingerprint. The k'th entry is also the k'th Monte Carlo sample, so
-// computing a fingerprint performs the first m rounds of simulation
-// rather than wasted extra work (§3.1).
-func Compute(f Func, seeds *rng.SeedSet) Fingerprint {
-	fp := make(Fingerprint, seeds.Len())
+// Compute evaluates f under the global seeds σ0 … σm−1 of master
+// (rng.SampleSeed), producing its m-entry fingerprint. The k'th entry
+// is also the k'th Monte Carlo sample, so computing a fingerprint
+// performs the first m rounds of simulation rather than wasted extra
+// work (§3.1).
+func Compute(f Func, master uint64, m int) Fingerprint {
+	fp := make(Fingerprint, m)
 	for k := range fp {
-		fp[k] = f(seeds.Seed(k))
+		fp[k] = f(rng.SampleSeed(master, k))
 	}
 	return fp
 }

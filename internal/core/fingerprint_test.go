@@ -9,7 +9,12 @@ import (
 	"jigsaw/internal/rng"
 )
 
-var testSeeds = rng.MustSeedSet(0xABCDEF, 10)
+// testMaster and testM name the global seed set the tests fingerprint
+// against: σ0 … σ9 of master 0xABCDEF.
+const (
+	testMaster = 0xABCDEF
+	testM      = 10
+)
 
 // gaussianBox builds a Func sampling N(mu, sigma^2) under the seed.
 func gaussianBox(mu, sigma float64) Func {
@@ -20,12 +25,12 @@ func gaussianBox(mu, sigma float64) Func {
 
 func TestComputeDeterministic(t *testing.T) {
 	f := gaussianBox(5, 2)
-	a := Compute(f, testSeeds)
-	b := Compute(f, testSeeds)
+	a := Compute(f, testMaster, testM)
+	b := Compute(f, testMaster, testM)
 	if !a.ApproxEqual(b, 0) {
 		t.Fatalf("fingerprint not deterministic: %v vs %v", a, b)
 	}
-	if len(a) != testSeeds.Len() {
+	if len(a) != testM {
 		t.Fatalf("fingerprint length = %d", len(a))
 	}
 }
@@ -33,8 +38,8 @@ func TestComputeDeterministic(t *testing.T) {
 func TestComputeIsAffineAcrossParams(t *testing.T) {
 	// N(mu, sigma) = mu + sigma*Z with Z fixed per seed, so the
 	// fingerprints of two Gaussian boxes are exact affine images.
-	fp1 := Compute(gaussianBox(0, 1), testSeeds)
-	fp2 := Compute(gaussianBox(10, 3), testSeeds)
+	fp1 := Compute(gaussianBox(0, 1), testMaster, testM)
+	fp2 := Compute(gaussianBox(10, 3), testMaster, testM)
 	for k := range fp1 {
 		want := 10 + 3*fp1[k]
 		if math.Abs(fp2[k]-want) > 1e-9*(1+math.Abs(want)) {
@@ -171,7 +176,7 @@ func TestQuickValidateExactImages(t *testing.T) {
 	f := func(seed uint64, alphaRaw, betaRaw int16) bool {
 		alpha := float64(alphaRaw)/64 + 0.01 // avoid alpha == 0
 		beta := float64(betaRaw) / 64
-		fp := Compute(gaussianBox(1, 2), rng.MustSeedSet(seed, 8))
+		fp := Compute(gaussianBox(1, 2), seed, 8)
 		m := Linear{Alpha: alpha, Beta: beta}
 		return Validate(m, fp, fp.MappedBy(m), 1e-9)
 	}

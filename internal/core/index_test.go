@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"jigsaw/internal/rng"
 )
 
 func containsID(ids []int, id int) bool {
@@ -29,7 +27,7 @@ func allIndexes() map[string]func() Index {
 func TestIndexNoFalseNegativesUnderLinearMaps(t *testing.T) {
 	// The index contract (§3.2): candidates must contain every basis
 	// that the mapping class can map onto the probe.
-	base := Compute(gaussianBox(2, 1), testSeeds)
+	base := Compute(gaussianBox(2, 1), testMaster, testM)
 	maps := []Linear{
 		Identity(), Shift(5), {Alpha: 3}, {Alpha: -2, Beta: 7}, {Alpha: 0.001, Beta: -4},
 	}
@@ -196,7 +194,7 @@ func TestQuickIndexCompleteness(t *testing.T) {
 			return true
 		}
 		beta := float64(betaRaw) / 64
-		fp := Compute(gaussianBox(1, 2), rng.MustSeedSet(seed, 10))
+		fp := Compute(gaussianBox(1, 2), seed, 10)
 		probe := fp.MappedBy(Linear{Alpha: alpha, Beta: beta})
 
 		norm := NewNormalizationIndex(6, DefaultTolerance)

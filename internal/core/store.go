@@ -140,7 +140,7 @@ type ProbeScratch struct {
 //   - accept filters candidates before mapping discovery; a rejected
 //     basis is skipped (not scanned, not returned) rather than ending
 //     the search. The Monte Carlo engine uses it to step over bases
-//     whose payloads a concurrent — or cancelled — sweep never
+//     whose payloads a concurrent — or abandoned — sweep never
 //     finished filling in, so an abandoned registration costs one
 //     redundant simulation instead of shadowing its fingerprint
 //     family forever. nil accepts every basis.

@@ -8,7 +8,7 @@ import (
 
 func TestStoreAddAndMatch(t *testing.T) {
 	s := NewStore(LinearClass{}, NewArrayIndex(), DefaultTolerance)
-	base := Compute(gaussianBox(0, 1), testSeeds)
+	base := Compute(gaussianBox(0, 1), testMaster, testM)
 	b, err := s.Add(base, "p0", "metrics-p0")
 	if err != nil {
 		t.Fatal(err)
@@ -17,7 +17,7 @@ func TestStoreAddAndMatch(t *testing.T) {
 		t.Fatalf("basis id/len = %d/%d", b.ID, s.Len())
 	}
 
-	probe := Compute(gaussianBox(4, 2.5), testSeeds)
+	probe := Compute(gaussianBox(4, 2.5), testMaster, testM)
 	got, m, ok, _ := s.Match(probe, nil, nil)
 	if !ok {
 		t.Fatal("affinely related fingerprint did not match")

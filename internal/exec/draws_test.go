@@ -71,10 +71,9 @@ func compileDraws(t testing.TB, src string) (stock, hidden *Scenario) {
 // sampleSeeds returns the seeds of n sample ids spread over a long
 // stream, as an interactive session or a deep sweep draws them.
 func sampleSeeds(n int) []uint64 {
-	set := rng.MustSeedSet(0x5161, 10)
 	seeds := make([]uint64, n)
 	for i := range seeds {
-		seeds[i] = set.SampleSeed(0x5161, i*i%997)
+		seeds[i] = rng.SampleSeed(0x5161, i*i%997)
 	}
 	return seeds
 }
@@ -279,7 +278,7 @@ func TestDrawTablePanicIsPointError(t *testing.T) {
 	const master = 0x5161
 	opts := drawOpts(master, 2)
 	// Sample 200 is drawn in the full simulations, after the prefix.
-	bad := rng.New(rng.MustSeedSet(master, 10).SampleSeed(master, 200)).State()
+	bad := rng.New(rng.SampleSeed(master, 200)).State()
 	armed := new(atomic.Bool)
 	reg := blackbox.NewRegistry()
 	reg.MustRegister(panicDemand{Demand: blackbox.NewDemand(), bad: bad, armed: armed})

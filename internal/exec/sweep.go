@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"slices"
 
 	"jigsaw/internal/mc"
@@ -62,7 +61,7 @@ func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
 	if len(cs.engines) == 0 { // an OPTIMIZE without WHERE
 		return nil, nil
 	}
-	swept, st, err := mc.SweepRows(context.Background(), cs.engines, &cs.rows, batch)
+	swept, st, err := mc.SweepRows(cs.engines, &cs.rows, batch)
 	if err != nil {
 		return nil, err
 	}

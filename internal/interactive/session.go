@@ -60,7 +60,8 @@ type Options struct {
 	// FingerprintLen is the size of the initial-guess fingerprint
 	// (§5 uses a very small one, e.g. 10).
 	FingerprintLen int
-	// MasterSeed derives the global sample-seed stream.
+	// MasterSeed names the sample seeds: sample id draws from
+	// rng.SampleSeed(MasterSeed, id), as in the mc engine.
 	MasterSeed uint64
 	// Tolerance is the mapping validation tolerance.
 	Tolerance float64
@@ -141,7 +142,6 @@ type Session struct {
 	eval  mc.PointEval
 	space *param.Space
 	opts  Options
-	seeds *rng.SeedSet
 
 	store  *core.Store
 	bases  []*basis
@@ -172,15 +172,10 @@ func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, 
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	seeds, err := rng.NewSeedSet(opts.MasterSeed, opts.FingerprintLen)
-	if err != nil {
-		return nil, err
-	}
 	return &Session{
 		eval:   eval,
 		space:  space,
 		opts:   opts,
-		seeds:  seeds,
 		store:  core.NewStore(core.LinearClass{}, core.NewNormalizationIndex(6, opts.Tolerance), opts.Tolerance),
 		points: map[string]*pointState{},
 	}, nil
@@ -215,7 +210,7 @@ func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
 	seeds := make([]uint64, len(ids))
 	for k, id := range ids {
-		seeds[k] = s.seeds.SampleSeed(s.opts.MasterSeed, id)
+		seeds[k] = rng.SampleSeed(s.opts.MasterSeed, id)
 	}
 	s.bound = s.eval.BindPoint(p, s.bound)
 	s.outs[0] = out

@@ -2,6 +2,8 @@ package markov
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/rng"
@@ -20,7 +22,19 @@ type JumpOptions struct {
 	Tolerance float64
 }
 
-func (o JumpOptions) withDefaults() JumpOptions {
+// withDefaults fills in unset fields after rejecting values no default
+// repairs, as mc.Options does: negative counts, which would panic
+// deep in the evaluation, and a non-finite Tolerance, with which a NaN
+// would never map a step and +Inf would map every one.
+func (o JumpOptions) withDefaults() (JumpOptions, error) {
+	switch {
+	case o.Instances < 0:
+		return o, fmt.Errorf("markov: negative Instances %d", o.Instances)
+	case o.FingerprintLen < 0:
+		return o, fmt.Errorf("markov: negative FingerprintLen %d", o.FingerprintLen)
+	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
+		return o, fmt.Errorf("markov: non-finite Tolerance %g", o.Tolerance)
+	}
 	if o.Instances == 0 {
 		o.Instances = 1000
 	}
@@ -30,7 +44,7 @@ func (o JumpOptions) withDefaults() JumpOptions {
 	if o.Tolerance <= 0 {
 		o.Tolerance = core.DefaultTolerance
 	}
-	return o
+	return o, nil
 }
 
 // JumpStats records the work performed, in chain-step invocations —
@@ -66,7 +80,10 @@ func (s JumpStats) TotalStepInvocations() int {
 // "Naive" baseline of Fig. 12. Each (instance, step) uses the same
 // seed Jump would use, so results are directly comparable.
 func NaiveEvaluate(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, JumpStats{}, err
+	}
 	if target < 0 {
 		return nil, JumpStats{}, errors.New("markov: negative target step")
 	}
@@ -101,7 +118,10 @@ func NaiveEvaluate(c Chain, target int, opts JumpOptions) ([]State, JumpStats, e
 // within a region (the paper's event-style models), Jump's final
 // states equal NaiveEvaluate's exactly.
 func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, JumpStats{}, err
+	}
 	if target < 0 {
 		return nil, JumpStats{}, errors.New("markov: negative target step")
 	}

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/core"
@@ -39,6 +40,43 @@ func TestJumpRejectsBadFingerprintLen(t *testing.T) {
 	_, _, err := Jump(NewBranchChain(0), 5, JumpOptions{Instances: 4, FingerprintLen: 8})
 	if err == nil {
 		t.Fatal("m > n accepted")
+	}
+}
+
+// badJumpOptions are option values no default repairs, each with the
+// field its error must name. Before JumpOptions was validated the
+// negative counts panicked (makeslice, or a slice bound), a NaN
+// Tolerance never mapped a step and +Inf mapped every one.
+var badJumpOptions = []struct {
+	name string
+	opts JumpOptions
+	want string
+}{
+	{"negative instances", JumpOptions{Instances: -1}, "Instances"},
+	{"negative instances and fingerprint", JumpOptions{Instances: -5, FingerprintLen: -10}, "Instances"},
+	{"negative fingerprint length", JumpOptions{FingerprintLen: -2}, "FingerprintLen"},
+	{"NaN tolerance", JumpOptions{Tolerance: math.NaN()}, "Tolerance"},
+	{"+Inf tolerance", JumpOptions{Tolerance: math.Inf(1)}, "Tolerance"},
+	{"-Inf tolerance", JumpOptions{Tolerance: math.Inf(-1)}, "Tolerance"},
+}
+
+func TestJumpOptionsRejected(t *testing.T) {
+	for _, tc := range badJumpOptions {
+		for name, run := range map[string]func(Chain, int, JumpOptions) ([]State, JumpStats, error){
+			"Jump": Jump, "NaiveEvaluate": NaiveEvaluate,
+		} {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("panicked: %v", v)
+					}
+				}()
+				_, _, err := run(NewBranchChain(0.3), 64, tc.opts)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want an error naming %s", err, tc.want)
+				}
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/param"
+	"jigsaw/internal/rng"
 )
 
 // The sweep hot path must be (amortized) allocation-free per reused
@@ -71,5 +72,34 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 				t.Errorf("full simulation allocates %.1f per point, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestBindBoxBlockAllocs pins that a box without a native block
+// kernel draws a block through the generator the engine lends, with
+// nothing allocated per block: SynthBasis, whose Eval reseeds a
+// sub-generator of its own, and Overload, which composes two models
+// on one generator.
+func TestBindBoxBlockAllocs(t *testing.T) {
+	seeds := make([]uint64, DefaultBlockSize)
+	rng.FillSeeds(0x5161, 0, seeds)
+	outs := [][]float64{make([]float64, len(seeds))}
+	var r rng.Rand
+	for _, tc := range []struct {
+		box   blackbox.Box
+		names []string
+		p     param.Point
+	}{
+		{blackbox.NewSynthBasis(5), []string{"point"}, param.Point{"point": 7}},
+		{blackbox.NewOverload(), []string{"week", "p1", "p2"}, param.Point{"week": 26, "p1": 10, "p2": 20}},
+	} {
+		ev := MustBindBox(tc.box, tc.names...)
+		bound := ev.BindPoint(tc.p, nil)
+		allocs := testing.AllocsPerRun(20, func() {
+			ev.EvalBlockBound(bound, outs, seeds, &r)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a %d-seed block allocates %.1f, want 0", tc.box.Name(), len(seeds), allocs)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func mustNewBlockSize(opts Options, bs int) *Engine {
 func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
-	fp := make(core.Fingerprint, e.seeds.Len())
+	fp := make(core.Fingerprint, e.opts.FingerprintLen)
 	e.fingerprints(f, p, [][]float64{fp}, len(fp), sc)
 	return fp
 }
@@ -85,8 +85,8 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 
 func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
 	// A BoundBox routes through the vectorized kernel; the same model
-	// behind a blackbox.Func takes the scalar block adapter, which
-	// reseeds and calls Eval once per sample. Both must produce
+	// behind a blackbox.Func has none, so its BoundBox reseeds the lent
+	// generator and calls Eval once per sample. Both must produce
 	// bit-identical sweeps — the engine-level restatement of
 	// blackbox.BlockBox's contract.
 	space := blockSweepSpace(t)

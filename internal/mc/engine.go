@@ -58,9 +58,11 @@ type PointEval interface {
 // BoundBox adapts a black box to a PointEval by binding its positional
 // arguments to named parameters: the parameter names resolve once per
 // point, and blocks draw through the box's native blackbox.BlockBox
-// kernel, or the reference scalar loop when it has none.
+// kernel when it has one, otherwise through the generator the engine
+// lends, reseeded once per sample.
 type BoundBox struct {
-	block blackbox.BlockBox
+	box   blackbox.Box
+	block blackbox.BlockBox // box's native kernel, or nil
 	names []string
 }
 
@@ -74,9 +76,17 @@ func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 }
 
 // EvalBlockBound implements PointEval: output 0 is the box's draw.
-func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, _ *rng.Rand) {
-	if outs[0] != nil {
-		b.block.EvalBlock(bound, outs[0], seeds)
+func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+	out := outs[0]
+	switch {
+	case out == nil: // output 0 not requested
+	case b.block != nil:
+		b.block.EvalBlock(bound, out, seeds)
+	default:
+		for j, seed := range seeds {
+			r.Seed(seed)
+			out[j] = b.box.Eval(bound, r)
+		}
 	}
 }
 
@@ -86,7 +96,8 @@ func BindBox(b blackbox.Box, argNames ...string) (PointEval, error) {
 	if len(argNames) != b.Arity() {
 		return nil, fmt.Errorf("mc: %s expects %d args, got %d names", b.Name(), b.Arity(), len(argNames))
 	}
-	return &BoundBox{block: blackbox.AsBlock(b), names: append([]string(nil), argNames...)}, nil
+	block, _ := b.(blackbox.BlockBox)
+	return &BoundBox{box: b, block: block, names: append([]string(nil), argNames...)}, nil
 }
 
 // MustBindBox is BindBox, panicking on arity mismatch.
@@ -132,7 +143,9 @@ type Options struct {
 	Samples int
 	// FingerprintLen is m; it must not exceed Samples.
 	FingerprintLen int
-	// MasterSeed derives the global seed set {σk}.
+	// MasterSeed names the sample seeds: sample k draws from
+	// rng.SampleSeed(MasterSeed, k), and the first FingerprintLen of
+	// them are the global seed set {σk}.
 	MasterSeed uint64
 	// Reuse enables fingerprint-based work reuse; disabled it yields
 	// the "Full Evaluation" baseline of Fig. 8.
@@ -203,6 +216,10 @@ func (o Options) withDefaults() Options {
 // (-Inf).
 func (o Options) validate() error {
 	switch {
+	case o.Samples < 0:
+		return fmt.Errorf("mc: negative Samples %d", o.Samples)
+	case o.FingerprintLen < 0:
+		return fmt.Errorf("mc: negative FingerprintLen %d", o.FingerprintLen)
 	case o.Workers < 0:
 		return fmt.Errorf("mc: negative Workers %d", o.Workers)
 	case o.ValidationSamples < 0:
@@ -254,10 +271,11 @@ func (p *BasisPayload) complete() { p.pending.Store(0) }
 
 // Ready reports whether the payload's fields may be read. A payload
 // is not ready while the sweep that registered it is still filling it
-// in — or indefinitely, if that sweep was cancelled mid-flight. The
-// engine's match filter (payloadReady) skips not-ready bases, so an
-// abandoned registration costs one redundant simulation (the next
-// miss registers a usable duplicate) and never a wrong answer.
+// in — or indefinitely, if a panicking evaluator abandoned that sweep
+// mid-flight. The engine's match filter (payloadReady) skips not-ready
+// bases, so an abandoned registration costs one redundant simulation
+// (the next miss registers a usable duplicate) and never a wrong
+// answer.
 func (p *BasisPayload) Ready() bool { return p.pending.Load() == 0 }
 
 // payloadReady is the engine's Store.Match accept filter: bases whose
@@ -298,7 +316,6 @@ type PointResult struct {
 // also makes their results bit-identical for every Workers setting.
 type Engine struct {
 	opts  Options
-	seeds *rng.SeedSet
 	store *core.Store
 
 	// scratches recycles per-worker hot-path buffers (see scratch.go).
@@ -318,13 +335,8 @@ func New(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("mc: fingerprint length %d exceeds sample count %d",
 			opts.FingerprintLen, opts.Samples)
 	}
-	seeds, err := rng.NewSeedSet(opts.MasterSeed, opts.FingerprintLen)
-	if err != nil {
-		return nil, err
-	}
 	return &Engine{
 		opts:      opts,
-		seeds:     seeds,
 		store:     core.NewStore(opts.Class, opts.newIndex(), opts.Tolerance),
 		scratches: newScratchPool(),
 		blockSize: DefaultBlockSize,
@@ -347,9 +359,6 @@ func (e *Engine) Store() *core.Store { return e.store }
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Seeds returns the engine's global seed set.
-func (e *Engine) Seeds() *rng.SeedSet { return e.seeds }
-
 // fingerprints computes f's output prefixes at p — simulation rounds
 // 0 to w−1 — into dsts (dsts[c], of length w, for output c), binding
 // the point once into sc.bound. The first m rounds are the fingerprint
@@ -366,7 +375,7 @@ func (e *Engine) fingerprints(f PointEval, p param.Point, dsts [][]float64, w in
 func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
-	fp := sc.fingerprint(e.seeds.Len())
+	fp := sc.fingerprint(e.opts.FingerprintLen)
 	dsts := sc.outputs(1)
 	dsts[0] = fp
 	m := len(fp)
@@ -437,7 +446,7 @@ func (e *Engine) validationRounds() int {
 // Rounds the basis did not retain are not compared, so a basis
 // without retained samples is trusted as-is (the paper's behavior).
 func (e *Engine) validateMatch(mapping core.Linear, basis, targets []float64, v int) bool {
-	m := e.seeds.Len()
+	m := e.opts.FingerprintLen
 	for i := m; i < min(m+v, len(basis)); i++ {
 		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i], e.opts.Tolerance) {
 			return false
@@ -504,11 +513,9 @@ func (e *Engine) sampleRange(f PointEval, bound []float64, dsts [][]float64, lo,
 	seeds := sc.seedBuf(bs)
 	sc.outs = grow(sc.outs, len(dsts))
 	outs := sc.outs
-	st := e.seeds.Stream(e.opts.MasterSeed)
-	st.Skip(lo)
 	for off := lo; off < hi; off += bs {
 		blk := seeds[:min(bs, hi-off)]
-		st.FillSeeds(blk)
+		rng.FillSeeds(e.opts.MasterSeed, off, blk)
 		for c, dst := range dsts {
 			outs[c] = nil
 			if dst != nil {

@@ -72,9 +72,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Class != (core.LinearClass{}) {
 		t.Fatal("default class not linear")
 	}
-	if e.Seeds().Len() != 10 {
-		t.Fatal("seed set length wrong")
-	}
 }
 
 func TestNewRejectsFingerprintLongerThanSamples(t *testing.T) {
@@ -89,6 +86,9 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		opts Options
 		want string
 	}{
+		{"negative samples", Options{Samples: -5}, "negative Samples"},
+		{"negative samples and fingerprint", Options{Samples: -5, FingerprintLen: -10}, "negative Samples"},
+		{"negative fingerprint length", Options{FingerprintLen: -2}, "negative FingerprintLen"},
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative validation samples", Options{ValidationSamples: -1}, "ValidationSamples"},
 		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -76,7 +75,7 @@ func TestSweepPanicReturnsError(t *testing.T) {
 							_, _, err = MustNew(opts).SweepBatch(rowEval{row, []int{0}}, tc.points)
 						} else {
 							engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
-							_, _, err = SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, tc.points)
+							_, _, err = SweepRows(engines, rowEval{row, []int{0, 1, 2}}, tc.points)
 						}
 						var perr *pool.PanicError
 						if !errors.As(err, &perr) || perr.Value != "model failure" {
@@ -105,7 +104,7 @@ func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
 		"master seed":     {e, MustNew(other)},
 		"repeated engine": {e, e},
 	} {
-		if _, _, err := SweepRows(context.Background(), engines, f, points); err == nil {
+		if _, _, err := SweepRows(engines, f, points); err == nil {
 			t.Errorf("%s: SweepRows accepted it", name)
 		}
 	}

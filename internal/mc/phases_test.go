@@ -1,7 +1,7 @@
 package mc
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -10,53 +10,46 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/param"
+	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 )
 
 // Tests for the phased sweep beyond determinism (which
-// TestSweepParallelDeterminism pins): cancellation in every phase
-// leaves the engine and store reusable, the phases add no per-point
-// steady-state allocations, and a point's samples draw on one
-// goroutine.
+// TestSweepParallelDeterminism pins): a sweep abandoned in any phase
+// that draws leaves the engine and store reusable, the phases add no
+// per-point steady-state allocations, and a point's samples draw on
+// one goroutine.
 
-// cancelAfterEval wraps an evaluator and cancels a context in the
-// block that draws the k-th model evaluation, steering the
-// cancellation into a chosen sweep phase by choosing k: phase A's
-// prefixes are evaluations n·(m+v) and earlier (v validation rounds, 0
-// without validation), phase C1's full simulations follow, and phase B
-// evaluates nothing.
-type cancelAfterEval struct {
-	inner  PointEval
-	at     int64
-	count  atomic.Int64
-	cancel context.CancelFunc
+// panicAtEval wraps an evaluator and panics in the block that draws
+// the k-th model evaluation, steering the failure into a chosen sweep
+// phase by choosing k: phase A's prefixes are evaluations n·(m+v) and
+// earlier (v validation rounds, 0 without validation), and phase C1's
+// full simulations follow. Phase B evaluates nothing, so no panic can
+// land there.
+type panicAtEval struct {
+	inner PointEval
+	at    int64
+	count atomic.Int64
 }
 
-func (c *cancelAfterEval) BindPoint(p param.Point, buf []float64) []float64 {
+func (c *panicAtEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return c.inner.BindPoint(p, buf)
 }
 
-func (c *cancelAfterEval) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+func (c *panicAtEval) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
 	n := int64(len(seeds))
 	if to := c.count.Add(n); to-n < c.at && c.at <= to {
-		c.cancel()
+		panic("model failure")
 	}
 	c.inner.EvalBlockBound(bound, outs, seeds, r)
 }
 
-// countEvals runs one full sweep with a counting wrapper and reports
-// the total number of model evaluations it performs.
-func countEvals(t *testing.T, opts Options, space *param.Space) int64 {
-	t.Helper()
-	eng := MustNew(opts)
-	ce := &cancelAfterEval{inner: MustBindBox(blackbox.NewDemand(), "current_week", "feature_release"), at: -1, cancel: func() {}}
-	if _, _, err := eng.Sweep(ce, space); err != nil {
-		t.Fatal(err)
-	}
-	return ce.count.Load()
-}
-
-func TestSweepPhaseCancellation(t *testing.T) {
+// TestSweepPhasePanicLeavesEngineUsable abandons a sweep by a panic in
+// phase A (with and without validation) and in phase C1, and then
+// requires the same engine to sweep the space completely, with reuse
+// working: the pending bases the abandoned sweep registered are never
+// reused and never shadow their family.
+func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 	space := sweepSpace(t)
 	points := int64(space.Size())
 	const m, v = 10, 16
@@ -65,13 +58,12 @@ func TestSweepPhaseCancellation(t *testing.T) {
 	validating := base
 	validating.KeepSamples = true
 	validating.ValidationSamples = v
-	totalPlain := countEvals(t, base, space)
 
 	for _, tc := range []struct {
 		name string
 		opts Options
-		// at is the evaluation count on which the context is
-		// cancelled, placing the cancellation inside a specific phase.
+		// at is the evaluation count on which the evaluator panics,
+		// placing the failure inside a specific phase.
 		at int64
 	}{
 		// Mid-fingerprinting: half the points are fingerprinted.
@@ -81,41 +73,34 @@ func TestSweepPhaseCancellation(t *testing.T) {
 		// halfway through the middle point's validation rows; on four
 		// workers it lands among the prefixes all the same.
 		{"phaseA/validation", validating, points/2*(m+v) + m + v/2},
-		// The last prefix row: cancellation lands on the A→B
-		// boundary, observed by A's pool exit or by the serial match
-		// loop of phase B, which itself evaluates nothing.
-		{"phaseB", validating, points * (m + v)},
 		// Without validation, evaluations after the fingerprints are
-		// phase C1's full simulations.
+		// phase C1's full simulations, whose bases phase B registered
+		// as pending.
 		{"phaseC1", base, points*m + 5},
-		// The very last evaluation of the sweep: cancellation lands on
-		// the C1→C2 boundary, observed by C1's pool exit or C2's.
-		{"phaseC2boundary", base, totalPlain},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := MustNew(tc.opts)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ce := &cancelAfterEval{
-				inner:  MustBindBox(blackbox.NewDemand(), "current_week", "feature_release"),
-				at:     tc.at,
-				cancel: cancel,
+			pe := &panicAtEval{
+				inner: MustBindBox(blackbox.NewDemand(), "current_week", "feature_release"),
+				at:    tc.at,
 			}
-			if _, _, err := eng.SweepContext(ctx, ce, space); err != context.Canceled {
-				t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+			_, _, err := eng.Sweep(pe, space)
+			var perr *pool.PanicError
+			if !errors.As(err, &perr) || perr.Value != "model failure" {
+				t.Fatalf("abandoned sweep returned %v, want the recovered panic", err)
 			}
-			if ce.count.Load() < tc.at {
-				t.Fatalf("sweep stopped after %d evaluations, before the trigger at %d — cancellation did not land in the intended phase",
-					ce.count.Load(), tc.at)
+			if pe.count.Load() < tc.at {
+				t.Fatalf("sweep stopped after %d evaluations, before the trigger at %d — the panic did not land in the intended phase",
+					pe.count.Load(), tc.at)
 			}
 
-			// The engine and store must remain fully usable: a cancelled
-			// sweep may leave pending bases behind, but they are benign
-			// (never reused, never shadowing their family). The recovery
-			// sweep must complete with every point answered and reuse
-			// working.
-			ce.at = -1 // disarm
-			res, st, err := eng.Sweep(ce, space)
+			// The engine and store must remain fully usable: an
+			// abandoned sweep may leave pending bases behind, but they
+			// are benign (never reused, never shadowing their family).
+			// The recovery sweep must complete with every point
+			// answered and reuse working.
+			pe.at = -1 // disarm
+			res, st, err := eng.Sweep(pe, space)
 			if err != nil {
 				t.Fatalf("recovery sweep failed: %v", err)
 			}

@@ -37,9 +37,8 @@ type scratch struct {
 	// bound is the PointEval binding: the point is bound into it once,
 	// not once per sample.
 	bound []float64
-	// seeds is the per-block sample-seed buffer: the seed stream is
-	// materialized one block at a time instead of one cursor call per
-	// sample.
+	// seeds is the per-block sample-seed buffer, which
+	// rng.FillSeeds fills one block at a time.
 	seeds []uint64
 	// r is the worker's generator, lent to EvalBlockBound for
 	// evaluators that reseed it once per sample.

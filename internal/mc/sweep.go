@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -72,16 +71,10 @@ import (
 // (Options.Workers); results and statistics are bit-identical for
 // every worker count.
 func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
-	return e.SweepContext(context.Background(), f, space)
-}
-
-// SweepContext is Sweep with cancellation: it stops early (returning
-// ctx.Err()) when the context is cancelled.
-func (e *Engine) SweepContext(ctx context.Context, f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
 	if space == nil {
 		return nil, SweepStats{}, errors.New("mc: nil parameter space")
 	}
-	return e.sweep(ctx, f, space.Points())
+	return e.sweep(f, space.Points())
 }
 
 // SweepBatch evaluates an explicit list of parameter points through
@@ -90,12 +83,12 @@ func (e *Engine) SweepContext(ctx context.Context, f PointEval, space *param.Spa
 // compose points themselves: the optimizer's (group × sweep) product,
 // a graph statement's domain walk, or an interactive prefetch batch.
 func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	return e.sweep(context.Background(), f, points)
+	return e.sweep(f, points)
 }
 
 // sweep is the single-output sweep: the k=1 case of the row sweep.
-func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	results, st, err := sweepRows(ctx, []*Engine{e}, f, points)
+func (e *Engine) sweep(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+	results, st, err := sweepRows([]*Engine{e}, f, points)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
@@ -111,7 +104,7 @@ func (e *Engine) sweep(ctx context.Context, f PointEval, points []param.Point) (
 // engine c sweeping output c of f alone. The engines must be distinct
 // and agree on Samples, FingerprintLen and MasterSeed; the sweep runs
 // on engines[0]'s worker pool.
-func SweepRows(ctx context.Context, engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
+func SweepRows(engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
 	if len(engines) == 0 {
 		return nil, SweepStats{}, errors.New("mc: SweepRows needs at least one output")
 	}
@@ -126,7 +119,7 @@ func SweepRows(ctx context.Context, engines []*Engine, f PointEval, points []par
 			}
 		}
 	}
-	return sweepRows(ctx, engines, f, points)
+	return sweepRows(engines, f, points)
 }
 
 // pointPlan is one (output, point) pair's record through the phases:
@@ -181,9 +174,9 @@ func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
 
 // sweepRows is the phased sweep. See the file comment for the phase
 // structure and DESIGN.md for the determinism argument.
-func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
+func sweepRows(engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
 	lead := engines[0]
-	k, n, m := len(engines), len(points), lead.seeds.Len()
+	k, n, m := len(engines), len(points), lead.opts.FingerprintLen
 	width := m
 	for _, e := range engines {
 		width = max(width, m+e.validationRounds())
@@ -202,8 +195,8 @@ func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []par
 		pending := make(map[int]int)
 		s.pending[c] = pending
 		// Accept this sweep's own pending bases (phase C fills them
-		// before C2 reads); skip bases another — possibly cancelled —
-		// sweep never completed.
+		// before C2 reads); skip bases another sweep — one a panicking
+		// evaluator abandoned — never completed.
 		s.accept[c] = func(b *core.Basis) bool {
 			if _, ownPending := pending[b.ID]; ownPending {
 				return true
@@ -229,7 +222,7 @@ func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []par
 
 	// Phase A: prefixes, embarrassingly parallel; each of a point's w
 	// rows fills all k.
-	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
+	if err := pool.ForWorker(n, workers, func(w, i int) {
 		dsts := scratches[w].outputs(k)
 		for c := range dsts {
 			dsts[c] = s.prefix(c, i)
@@ -244,7 +237,7 @@ func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []par
 	// call. It tallies the call's probe accounting (queries, hits,
 	// candidates scanned, registrations) as it decides.
 	st := SweepStats{Points: k * n}
-	if err := pool.ForWorker(ctx, n, 1, func(_, i int) {
+	if err := pool.ForWorker(n, 1, func(_, i int) {
 		for c := range engines {
 			s.decide(c, i, scratches[0], &st)
 		}
@@ -255,14 +248,14 @@ func sweepRows(ctx context.Context, engines []*Engine, f PointEval, points []par
 	// Phase C1: full simulations for the misses, in parallel. Simulated
 	// payloads must be complete before any reuse point maps from them,
 	// hence the barrier before C2.
-	if err := pool.ForWorker(ctx, n, workers, func(w, i int) {
+	if err := pool.ForWorker(n, workers, func(w, i int) {
 		s.complete(i, scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
 
 	// Phase C2: mapped results for the hits.
-	if err := pool.ForWorker(ctx, n, workers, func(_, i int) {
+	if err := pool.ForWorker(n, workers, func(_, i int) {
 		s.mapHits(i)
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -295,7 +294,7 @@ func TestSweepStatsArePerCall(t *testing.T) {
 }
 
 // TestAbandonedPendingBasisDoesNotShadow reproduces the state a
-// cancelled sweep leaves behind — a registered basis whose
+// sweep abandoned by a panic leaves behind — a registered basis whose
 // payload was never completed — and checks it neither gets reused nor
 // permanently shadows its fingerprint family: the next miss registers
 // a usable duplicate and later points reuse that.
@@ -305,7 +304,7 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	p := param.Point{"current_week": 5, "feature_release": 20}
 
 	abandoned := &BasisPayload{}
-	abandoned.markPending() // what a sweep cancelled between phases B and C leaves
+	abandoned.markPending() // what a sweep abandoned between phases B and C leaves
 	if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "abandoned", abandoned); err != nil {
 		t.Fatal(err)
 	}
@@ -348,20 +347,5 @@ func TestForeignPayloadBasisIsNeverScanned(t *testing.T) {
 	}
 	if results[0].Reused || st.Store.CandidatesScanned != 0 || st.Store.Hits != 0 {
 		t.Fatalf("SweepBatch: reused %v, stats %+v; want a simulation and no scan", results[0].Reused, st.Store)
-	}
-}
-
-// TestSweepContextCancel checks a cancelled context aborts the sweep
-// at one worker and at several.
-func TestSweepContextCancel(t *testing.T) {
-	space := sweepSpace(t)
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		eng := MustNew(sweepOptions(workers))
-		if _, _, err := eng.SweepContext(ctx, ev, space); err != context.Canceled {
-			t.Fatalf("workers=%d: got error %v, want context.Canceled", workers, err)
-		}
 	}
 }

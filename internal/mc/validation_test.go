@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -90,7 +89,7 @@ func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			eng := MustNew(Options{Samples: n, Reuse: true, Workers: workers, MasterSeed: 77,
 				KeepSamples: true, ValidationSamples: tc.validation})
-			ce := &cancelAfterEval{inner: indicatorEval, at: -1, cancel: func() {}}
+			ce := &panicAtEval{inner: indicatorEval, at: -1}
 			res, st, err := eng.SweepBatch(ce, points)
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +214,7 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 					refs[c] = MustNew(options(workers, c))
 				}
 				for round := 0; round < 2; round++ {
-					res, st, err := SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, tc.points)
+					res, st, err := SweepRows(engines, rowEval{row, []int{0, 1, 2}}, tc.points)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -282,7 +281,7 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 				opts.ValidationSamples = validation
 				engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
 				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
-				res, st, err := SweepRows(context.Background(), engines, rowEval{row, []int{0, 1, 2}}, points)
+				res, st, err := SweepRows(engines, rowEval{row, []int{0, 1, 2}}, points)
 				if err != nil {
 					t.Fatal(err)
 				}

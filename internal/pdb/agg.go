@@ -142,7 +142,9 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	for j, st := range states {
 		row[j] = st.resultVec(ctx)
 	}
-	return &BlockTable{Schema: p.schema, Rows: []BlockRow{row}}, nil
+	out := ctx.newTable(p.schema, 1)
+	out.Rows[0] = row
+	return out, nil
 }
 
 func (p *AggregatePlan) String() string {

@@ -182,3 +182,36 @@ func TestAggregateReusesArgumentColumns(t *testing.T) {
 		t.Errorf("a %d-row SUM left %d materialized columns in the arena, want 2", rows, columns)
 	}
 }
+
+// TestOperatorBlockAllocs pins that a steady-state block of
+// Scan → Extend(VG) → Select → Project allocates nothing: every
+// operator takes its block table and row slice, and Select its mask
+// list, from the block context's arena. The predicate varies by world,
+// so Select keeps a mask per row.
+func TestOperatorBlockAllocs(t *testing.T) {
+	ext, env := usersUsagePlan(t, 300)
+	pred := mustBind(t, BinOp{">", Col{"usage"}, Col{"base"}}, ext.Schema(), env)
+	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "usage > base"}
+	usage := mustBind(t, Col{"usage"}, sel.Schema(), env)
+	plan, err := NewProjectPlan(sel, []NamedBound{{Name: "usage", Expr: usage}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := worldSeeds(0x5161, 64)
+	params := map[string]float64{"week": 40}
+	ctx := &BlockCtx{}
+	var out *BlockTable
+	run := func() {
+		ctx.reset(seeds, params, nil)
+		if out, err = plan.ExecuteBlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if !out.masked() || len(out.Rows) == 0 {
+		t.Fatalf("the block kept %d rows, masked %v; the plan must keep rows in some worlds only", len(out.Rows), out.masked())
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("a steady-state Scan → Extend → Select → Project block allocates %.1f, want 0", allocs)
+	}
+}

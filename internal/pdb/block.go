@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"jigsaw/internal/blackbox"
@@ -76,6 +77,13 @@ type BlockCtx struct {
 	rowChunks  [][]*Vec
 	chunksUsed int
 	floatBuf   []float64
+	// tables and maskLists hold the operators' block tables and
+	// Select's per-row mask lists, handed out again in order. A
+	// table's Rows is always its own slice, grown by newTable.
+	tables        []*BlockTable
+	tablesUsed    int
+	maskLists     [][]Mask
+	maskListsUsed int
 }
 
 // reset prepares the context for a new block over seeds (one world
@@ -91,6 +99,8 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 	c.masksUsed = 0
 	c.rowPtrs = nil
 	c.chunksUsed = 0
+	c.tablesUsed = 0
+	c.maskListsUsed = 0
 	if cap(c.Rands) < c.W {
 		c.Rands = make([]rng.Rand, c.W)
 	}
@@ -265,6 +275,30 @@ func (c *BlockCtx) rowChunk(n int) []*Vec {
 	c.rowChunks = append(c.rowChunks, ch)
 	c.chunksUsed++
 	return ch
+}
+
+// newTable returns a block table over schema s with n rows for the
+// caller to fill (or capacity for n, resliced to fewer) and no
+// selection, reusing the row slice an earlier block grew.
+func (c *BlockCtx) newTable(s Schema, n int) *BlockTable {
+	if c.tablesUsed == len(c.tables) {
+		c.tables = append(c.tables, &BlockTable{})
+	}
+	t := c.tables[c.tablesUsed]
+	c.tablesUsed++
+	*t = BlockTable{Schema: s, Rows: slices.Grow(t.Rows[:0], n)[:n]}
+	return t
+}
+
+// maskList returns an empty mask list with capacity for n rows.
+func (c *BlockCtx) maskList(n int) []Mask {
+	if c.maskListsUsed == len(c.maskLists) {
+		c.maskLists = append(c.maskLists, nil)
+	}
+	l := slices.Grow(c.maskLists[c.maskListsUsed][:0], n)
+	c.maskLists[c.maskListsUsed] = l
+	c.maskListsUsed++
+	return l
 }
 
 // floats returns an n-sized float scratch slice.

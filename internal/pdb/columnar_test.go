@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/rng"
 )
 
 // The columnar executor's contract is bit-identity: for every
@@ -101,6 +103,45 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
+}
+
+// countingBox is a model with neither a BlockBox nor a StreamBox
+// kernel that counts its Eval calls.
+type countingBox struct{ evals *atomic.Int64 }
+
+func (countingBox) Name() string { return "Counted" }
+func (countingBox) Arity() int   { return 1 }
+func (b countingBox) Eval(args []float64, r *rng.Rand) float64 {
+	b.evals.Add(1)
+	return args[0] + r.StdNormal()
+}
+
+// TestScalarFirstVGEvaluatesOncePerWorld: the fresh lane opens only for
+// a native BlockBox kernel, so in a one-block query whose first VG
+// column has none and whose second forces live streams, the first box
+// runs once per world — not once in the lane and again when the
+// second column's materialize replays it — and the answer still
+// matches the oracle.
+func TestScalarFirstVGEvaluatesOncePerWorld(t *testing.T) {
+	const worlds = 200
+	evals := new(atomic.Int64)
+	db := columnarDB(t)
+	db.Boxes.MustRegister(countingBox{evals})
+	counted := mustBind(t, Call{"Counted", []Expr{Param{"week"}}}, Schema{}, db.Env())
+	ext, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "counted", Expr: counted}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := vgExtendPlan(t, db, ext, "demand")
+	params := map[string]float64{"week": 20}
+	opts := WorldsOptions{Worlds: worlds, MasterSeed: 0x1234, Workers: 1}
+	if _, err := RunDistribution(plan, params, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := evals.Load(); got != worlds {
+		t.Errorf("one block of %d worlds evaluated the first VG column %d times, want %d", worlds, got, worlds)
+	}
+	assertBitIdentical(t, plan, params, worlds)
 }
 
 func TestColumnarAggregateSumsOverVGDraws(t *testing.T) {

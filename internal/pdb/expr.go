@@ -633,10 +633,11 @@ func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) Bound
 // columns of a data-dependent model are uniform across worlds (they
 // come from stored tables and parameters), so the argument decode
 // happens once per row-block and the draws go through a kernel —
-// BlockBox + bulk rng fills while the world streams are untouched
-// (first draw of each world), StreamBox on live streams afterwards —
-// instead of W interface dispatches.
+// a native BlockBox kernel (bulk rng fills) while the world streams
+// are untouched (first draw of each world), StreamBox on live streams
+// otherwise — instead of W interface dispatches.
 func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
+	block, _ := box.(blackbox.BlockBox)
 	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
@@ -654,12 +655,14 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 				}
 			}
 			dst := ctx.floatVec(cur)
-			if cur == nil && ctx.freshLaneOpen() {
+			if block != nil && cur == nil && ctx.freshLaneOpen() {
 				// First draw of every world in the block: a freshly
 				// seeded generator per world is exactly what BlockBox
 				// kernels amortize, so dispatch straight to them (for
 				// Demand this is one bulk FillNormal over the block).
-				blackbox.AsBlock(box).EvalBlock(argv, dst.f, ctx.Seeds)
+				// A box without a kernel would gain nothing here, and
+				// a later draw would make materialize replay it.
+				block.EvalBlock(argv, dst.f, ctx.Seeds)
 				ctx.noteFreshDraw(box, argv)
 				return dst, nil
 			}

@@ -28,7 +28,9 @@ func (ValuesPlan) Schema() Schema { return Schema{} }
 
 // ExecuteBlock implements Plan.
 func (ValuesPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
-	return &BlockTable{Schema: Schema{}, Rows: []BlockRow{ctx.newRow(0)}}, nil
+	out := ctx.newTable(Schema{}, 1)
+	out.Rows[0] = ctx.newRow(0)
+	return out, nil
 }
 
 func (ValuesPlan) String() string { return "Values()" }
@@ -51,7 +53,7 @@ func (s *ScanPlan) Schema() Schema { return s.table.Schema }
 // every cell blocks into a uniform Vec — no per-world storage at all.
 func (s *ScanPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	nc := len(s.table.Schema)
-	out := &BlockTable{Schema: s.table.Schema, Rows: make([]BlockRow, len(s.table.Rows))}
+	out := ctx.newTable(s.table.Schema, len(s.table.Rows))
 	for r, src := range s.table.Rows {
 		row := ctx.newRow(nc)
 		for c := range row {
@@ -85,8 +87,9 @@ func (p *SelectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &BlockTable{Schema: in.Schema}
-	var sels []Mask
+	out := ctx.newTable(in.Schema, len(in.Rows))
+	out.Rows = out.Rows[:0]
+	sels := ctx.maskList(len(in.Rows))
 	anyMask := false
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
@@ -185,7 +188,8 @@ func (p *ProjectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &BlockTable{Schema: p.schema, Rows: make([]BlockRow, len(in.Rows)), Sel: in.Sel}
+	out := ctx.newTable(p.schema, len(in.Rows))
+	out.Sel = in.Sel
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
 		nr := ctx.newRow(len(p.Outputs))
@@ -248,7 +252,8 @@ func (p *ExtendPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 		return nil, err
 	}
 	base := len(in.Schema)
-	out := &BlockTable{Schema: p.schema, Rows: make([]BlockRow, len(in.Rows)), Sel: in.Sel}
+	out := ctx.newTable(p.schema, len(in.Rows))
+	out.Sel = in.Sel
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
 		nr := ctx.newRow(len(p.schema))

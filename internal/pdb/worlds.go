@@ -1,7 +1,6 @@
 package pdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -19,9 +18,10 @@ type WorldsOptions struct {
 	// Worlds is the number of sampled possible worlds (default 1000,
 	// the paper's §6 setup).
 	Worlds int
-	// MasterSeed derives the per-world seeds; worlds k < len(SeedSet)
-	// reuse the fingerprint seeds so PDB answers are comparable with
-	// engine fingerprints.
+	// MasterSeed names the per-world seeds: world k draws from
+	// rng.SampleSeed(MasterSeed, k), as sample k of an mc engine with
+	// the same MasterSeed does, so PDB answers are comparable with
+	// engine fingerprints and samples.
 	MasterSeed uint64
 	// BlockWorlds is the number of worlds per execution block (0
 	// means DefaultBlockWorlds, negative values are rejected). Results are bit-identical across
@@ -266,7 +266,7 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 	}
 	outs := make([]*blockOut, nblocks)
 	flags := &runFlags{}
-	if err := pool.ForWorker(context.Background(), nblocks, opts.Workers, func(_, b int) {
+	if err := pool.ForWorker(nblocks, opts.Workers, func(_, b int) {
 		lo := b * bw
 		hi := lo + bw
 		if hi > opts.Worlds {
@@ -412,13 +412,12 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 	return dist, nil
 }
 
-// worldSeeds derives one seed per world from the master seed using the
-// same stream the mc engine uses, so world k of a PDB run and sample k
-// of an engine run observe identical randomness.
+// worldSeeds returns one seed per world: world k draws from
+// rng.SampleSeed(master, k), the seed the mc engine gives sample k, so
+// world k of a PDB run and sample k of an engine run observe identical
+// randomness.
 func worldSeeds(master uint64, n int) []uint64 {
-	set, err := rng.NewSeedSet(master, 1)
-	if err != nil {
-		panic(err) // a one-seed set cannot fail
-	}
-	return set.StreamSeeds(master, n)
+	seeds := make([]uint64, n)
+	rng.FillSeeds(master, 0, seeds)
+	return seeds
 }

@@ -253,13 +253,9 @@ func TestWorldSeedsAlignWithEngineSeeds(t *testing.T) {
 	// World k and engine sample k must share a seed so PDB-layer and
 	// engine-layer results are comparable under one master seed.
 	seeds := worldSeeds(42, 16)
-	set, err := rng.NewSeedSet(42, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		if seeds[k] != set.Seed(k) {
-			t.Fatalf("world seed %d diverges from fingerprint seed", k)
+	for k, seed := range seeds {
+		if seed != rng.SampleSeed(42, k) {
+			t.Fatalf("world seed %d diverges from sample seed %d", k, k)
 		}
 	}
 	_ = stats.Summary{} // document the stats linkage used elsewhere

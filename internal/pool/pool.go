@@ -6,7 +6,6 @@
 package pool
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -66,22 +65,18 @@ const (
 // goroutine that picked the index up; hot loops use it to give each
 // worker private scratch state, since two calls with the same worker
 // id never run concurrently. With workers <= 1 (or n <= 1) it
-// degrades to a plain loop on the calling goroutine, as worker 0. It
-// stops scheduling new indexes once ctx is cancelled and returns
-// ctx.Err(); indexes already picked up still finish, so fn never races
-// with the caller after ForWorker returns. A panic in fn does not kill
-// the process: ForWorker recovers it, stops the other workers from
-// picking up further indexes, and returns it as a *PanicError (the
-// first one recovered, when several workers panic).
-func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+// degrades to a plain loop on the calling goroutine, as worker 0. A
+// panic in fn does not kill the process: ForWorker recovers it, stops
+// the other workers from picking up further indexes, and returns it as
+// a *PanicError (the first one recovered, when several workers panic).
+// Indexes already picked up still finish, so fn never races with the
+// caller after ForWorker returns.
+func ForWorker(n, workers int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if perr := call(fn, 0, i); perr != nil {
 				return perr
 			}
@@ -103,7 +98,7 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ctx.Err() == nil && failed.Load() == nil {
+			for failed.Load() == nil {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
@@ -113,7 +108,7 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if ctx.Err() != nil || failed.Load() != nil {
+					if failed.Load() != nil {
 						return
 					}
 					if perr := call(fn, w, i); perr != nil {
@@ -128,7 +123,7 @@ func ForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) erro
 	if perr := failed.Load(); perr != nil {
 		return perr
 	}
-	return ctx.Err()
+	return nil
 }
 
 // Pool is a typed free list over sync.Pool: Get returns a recycled *T

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 57
 		var hits [n]atomic.Int32
-		if err := ForWorker(context.Background(), n, workers, func(_, i int) {
+		if err := ForWorker(n, workers, func(_, i int) {
 			hits[i].Add(1)
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -26,21 +25,8 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForZeroItems(t *testing.T) {
-	if err := ForWorker(context.Background(), 0, 4, func(int, int) { t.Fatal("fn called") }); err != nil {
+	if err := ForWorker(0, 4, func(int, int) { t.Fatal("fn called") }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestForCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int32
-	err := ForWorker(ctx, 1000, 4, func(int, int) { ran.Add(1) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() == 1000 {
-		t.Fatal("cancellation scheduled every index")
 	}
 }
 
@@ -49,7 +35,7 @@ func TestForWorkerIdsAreStableAndBounded(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		var hits [n]atomic.Int32
 		var badWorker atomic.Int32
-		if err := ForWorker(context.Background(), n, workers, func(w, i int) {
+		if err := ForWorker(n, workers, func(w, i int) {
 			if w < 0 || w >= workers {
 				badWorker.Store(1)
 			}
@@ -69,7 +55,7 @@ func TestForWorkerIdsAreStableAndBounded(t *testing.T) {
 }
 
 func TestForWorkerSequentialUsesWorkerZero(t *testing.T) {
-	if err := ForWorker(context.Background(), 5, 1, func(w, _ int) {
+	if err := ForWorker(5, 1, func(w, _ int) {
 		if w != 0 {
 			t.Fatalf("sequential path worker id = %d", w)
 		}
@@ -105,7 +91,7 @@ func TestForWorkerRecoversPanic(t *testing.T) {
 	const n, bad = 500, 17
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForWorker(context.Background(), n, workers, func(_, i int) {
+		err := ForWorker(n, workers, func(_, i int) {
 			ran.Add(1)
 			if i == bad {
 				panic("boom")
@@ -132,11 +118,11 @@ func TestForWorkerRecoversPanic(t *testing.T) {
 
 func TestNestedPanicKeepsInnerValue(t *testing.T) {
 	cause := errors.New("model failure")
-	err := ForWorker(context.Background(), 3, 2, func(_, i int) {
+	err := ForWorker(3, 2, func(_, i int) {
 		if i != 2 {
 			return
 		}
-		if err := ForWorker(context.Background(), 8, 2, func(_, j int) {
+		if err := ForWorker(8, 2, func(_, j int) {
 			if j == 5 {
 				panic(cause)
 			}

@@ -54,21 +54,13 @@ func smMix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// FillSeeds writes the next len(dst) sample seeds at the cursor and
-// advances it — the bulk form of repeated Next calls. The splitmix64
-// counter is materialized once and stepped additively, so the per-seed
-// cost is one finalizer instead of a cursor method call; the seed-set
-// prefix (sample ids below m) is copied directly.
-func (st *SeedStream) FillSeeds(dst []uint64) {
-	id := st.id
-	st.id += len(dst)
-	n := 0
-	if pre := st.set.seeds; id < len(pre) {
-		n = copy(dst, pre[id:])
-		id += n
-	}
-	state := st.master + uint64(id)*smGamma
-	for i := n; i < len(dst); i++ {
+// FillSeeds writes the seeds of samples lo to lo+len(dst)−1 into dst:
+// dst[i] = SampleSeed(master, lo+i). The splitmix64 counter is
+// materialized once and stepped additively, so the per-seed cost is
+// one finalizer.
+func FillSeeds(master uint64, lo int, dst []uint64) {
+	state := master + uint64(lo)*smGamma
+	for i := range dst {
 		state += smGamma
 		dst[i] = smMix(state)
 	}

@@ -14,40 +14,23 @@ var blockSizes = []int{1, 7, 64, 1000}
 
 func testSeeds(t *testing.T, n int) []uint64 {
 	t.Helper()
-	set, err := NewSeedSet(0xb10c, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := set.Stream(0xb10c)
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = st.Next()
-	}
+	FillSeeds(0xb10c, 0, out)
 	return out
 }
 
-func TestFillSeedsMatchesStream(t *testing.T) {
-	set := MustSeedSet(0x5161, 10)
+// TestFillSeedsMatchesSampleSeed checks FillSeeds(master, lo, dst)
+// against SampleSeed at every lo of a range that spans a fingerprint
+// prefix, for several block lengths.
+func TestFillSeedsMatchesSampleSeed(t *testing.T) {
 	for _, n := range blockSizes {
-		for _, skip := range []int{0, 3, 10, 17} {
-			ref := set.Stream(0x5161)
-			ref.Skip(skip)
-			want := make([]uint64, n)
-			for i := range want {
-				want[i] = ref.Next()
-			}
-
-			st := set.Stream(0x5161)
-			st.Skip(skip)
-			got := make([]uint64, n)
-			st.FillSeeds(got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d skip=%d: seed %d = %#x, want %#x", n, skip, i, got[i], want[i])
+		got := make([]uint64, n)
+		for lo := 0; lo < 40; lo++ {
+			FillSeeds(0x5161, lo, got)
+			for i := range got {
+				if want := SampleSeed(0x5161, lo+i); got[i] != want {
+					t.Fatalf("n=%d lo=%d: seed %d = %#x, want %#x", n, lo, i, got[i], want)
 				}
-			}
-			if st.Pos() != skip+n {
-				t.Fatalf("n=%d skip=%d: cursor at %d, want %d", n, skip, st.Pos(), skip+n)
 			}
 		}
 	}
@@ -57,19 +40,12 @@ func TestFillSeedsChunkingInvariant(t *testing.T) {
 	// Splitting one FillSeeds call into arbitrary chunks yields the
 	// same seed sequence — the property the engine's block loop
 	// relies on when the block size does not divide the sample count.
-	set := MustSeedSet(0x77, 4)
 	whole := make([]uint64, 100)
-	st := set.Stream(0x77)
-	st.FillSeeds(whole)
-	for _, chunk := range []int{1, 3, 32, 99} {
+	FillSeeds(0x77, 0, whole)
+	for _, chunk := range []int{1, 3, 32, 99, 100} {
 		got := make([]uint64, 100)
-		st := set.Stream(0x77)
 		for lo := 0; lo < len(got); lo += chunk {
-			hi := lo + chunk
-			if hi > len(got) {
-				hi = len(got)
-			}
-			st.FillSeeds(got[lo:hi])
+			FillSeeds(0x77, lo, got[lo:min(lo+chunk, len(got))])
 		}
 		for i := range whole {
 			if got[i] != whole[i] {
@@ -137,11 +113,9 @@ func TestFillersPanicLikeScalars(t *testing.T) {
 func TestBlockFillersAllocFree(t *testing.T) {
 	seeds := testSeeds(t, 256)
 	out := make([]float64, 256)
-	set := MustSeedSet(0x5161, 10)
 	buf := make([]uint64, 256)
 	allocs := testing.AllocsPerRun(20, func() {
-		st := set.Stream(0x5161)
-		st.FillSeeds(buf)
+		FillSeeds(0x5161, 10, buf)
 		FillNormalVar(out, 30, 3, seeds)
 	})
 	if allocs != 0 {
@@ -150,10 +124,8 @@ func TestBlockFillersAllocFree(t *testing.T) {
 }
 
 func BenchmarkFillNormal(b *testing.B) {
-	set := MustSeedSet(0x5161, 10)
 	seeds := make([]uint64, 1000)
-	st := set.Stream(0x5161)
-	st.FillSeeds(seeds)
+	FillSeeds(0x5161, 0, seeds)
 	out := make([]float64, 1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -162,10 +134,8 @@ func BenchmarkFillNormal(b *testing.B) {
 }
 
 func BenchmarkScalarNormalReseed(b *testing.B) {
-	set := MustSeedSet(0x5161, 10)
 	seeds := make([]uint64, 1000)
-	st := set.Stream(0x5161)
-	st.FillSeeds(seeds)
+	FillSeeds(0x5161, 0, seeds)
 	out := make([]float64, 1000)
 	var r Rand
 	b.ReportAllocs()
@@ -178,11 +148,9 @@ func BenchmarkScalarNormalReseed(b *testing.B) {
 }
 
 func BenchmarkFillSeeds(b *testing.B) {
-	set := MustSeedSet(0x5161, 10)
 	buf := make([]uint64, 1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st := set.Stream(0x5161)
-		st.FillSeeds(buf)
+		FillSeeds(0x5161, 0, buf)
 	}
 }

@@ -67,61 +67,64 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestSeedSetStable(t *testing.T) {
-	a := MustSeedSet(1234, 10)
-	b := MustSeedSet(1234, 10)
-	for i := 0; i < 10; i++ {
-		if a.Seed(i) != b.Seed(i) {
-			t.Fatalf("seed set not deterministic at %d", i)
+// sampleSeedGolden pins SampleSeed for fixed (master, id) pairs, ids
+// below and above a fingerprint length of 10. The values were
+// recorded from the seed-set implementation SampleSeed replaced (a
+// stored prefix of m seeds, then the closed form), so every stored
+// answer keyed by a sample seed still draws the same sample.
+var sampleSeedGolden = []struct {
+	master uint64
+	id     int
+	seed   uint64
+}{
+	{0x0, 0, 0xe220a8397b1dcdaf},
+	{0x0, 1, 0x6e789e6aa1b965f4},
+	{0x0, 9, 0xf3b8488c368cb0a6},
+	{0x0, 10, 0x657eecdd3cb13d09},
+	{0x0, 11, 0xc2d326e0055bdef6},
+	{0x0, 999, 0x14e0abb2bfcf7c3e},
+	{0x0, 123456, 0xffa63c58868826a1},
+	{0x2a, 0, 0xbdd732262feb6e95},
+	{0x2a, 1, 0x28efe333b266f103},
+	{0x2a, 9, 0x9e54d738297f77ae},
+	{0x2a, 10, 0x3474724a775b19bf},
+	{0x2a, 11, 0x7e348a0e451650be},
+	{0x2a, 999, 0x66091ca85313fa68},
+	{0x2a, 123456, 0xeb4a9292eae31d06},
+	{0x5161, 0, 0xeac5d5e9a1c78968},
+	{0x5161, 1, 0xc41a4806d4ddbc97},
+	{0x5161, 9, 0xf65657179957ec23},
+	{0x5161, 10, 0xb413e788d473c3c9},
+	{0x5161, 11, 0x98635d1aee342623},
+	{0x5161, 999, 0x8889cc377e7e45d0},
+	{0x5161, 123456, 0xd504ed7426bcb4e9},
+	{0xdeadbeefcafef00d, 0, 0x901d4f652fb472cb},
+	{0xdeadbeefcafef00d, 1, 0xa7ce246440f74527},
+	{0xdeadbeefcafef00d, 9, 0xaf37028b26c31cdc},
+	{0xdeadbeefcafef00d, 10, 0x82464fad85d028d0},
+	{0xdeadbeefcafef00d, 11, 0xf3173c6ef7a844af},
+	{0xdeadbeefcafef00d, 999, 0xa3220f51953df2cf},
+	{0xdeadbeefcafef00d, 123456, 0xb338560f7c07167e},
+}
+
+func TestSampleSeedGolden(t *testing.T) {
+	for _, g := range sampleSeedGolden {
+		if got := SampleSeed(g.master, g.id); got != g.seed {
+			t.Errorf("SampleSeed(%#x, %d) = %#x, want %#x", g.master, g.id, got, g.seed)
 		}
 	}
 }
 
-func TestSeedSetPrefixProperty(t *testing.T) {
-	small := MustSeedSet(55, 10)
-	big := MustSeedSet(55, 100)
-	for i := 0; i < 10; i++ {
-		if small.Seed(i) != big.Seed(i) {
-			t.Fatalf("prefix property violated at %d", i)
-		}
-	}
-}
-
-func TestSeedSetErrors(t *testing.T) {
-	if _, err := NewSeedSet(1, 0); err == nil {
-		t.Fatal("NewSeedSet(1,0) did not error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Seed out of range did not panic")
-		}
-	}()
-	MustSeedSet(1, 3).Seed(3)
-}
-
-func TestSampleSeedMatchesStream(t *testing.T) {
-	s := MustSeedSet(777, 10)
-	// Fingerprint prefix.
-	for i := 0; i < 10; i++ {
-		if s.SampleSeed(777, i) != s.Seed(i) {
-			t.Fatalf("SampleSeed(%d) != fingerprint seed", i)
-		}
-	}
-	// Tail must match StreamSeeds.
-	stream := s.StreamSeeds(777, 64)
-	for i := 10; i < 64; i++ {
-		if s.SampleSeed(777, i) != stream[i] {
-			t.Fatalf("SampleSeed(%d) disagrees with StreamSeeds", i)
-		}
-	}
-}
-
-func TestStreamSeedsPrefixIsFingerprint(t *testing.T) {
-	s := MustSeedSet(777, 10)
-	stream := s.StreamSeeds(777, 5)
-	for i := range stream {
-		if stream[i] != s.Seed(i) {
-			t.Fatalf("StreamSeeds prefix mismatch at %d", i)
+// TestSampleSeedIsSplitmixStream checks the O(1) closed form against
+// the definitional splitmix64 walk from master, at every id up to one
+// far beyond any fingerprint prefix.
+func TestSampleSeedIsSplitmixStream(t *testing.T) {
+	for _, master := range []uint64{0, 55, 0xABCD} {
+		sm := master
+		for id := 0; id <= 100000; id++ {
+			if want := splitmix64(&sm); SampleSeed(master, id) != want {
+				t.Fatalf("SampleSeed(%#x, %d) = %#x, want %#x", master, id, SampleSeed(master, id), want)
+			}
 		}
 	}
 }
@@ -165,65 +168,5 @@ func TestNormalMomentsAndDeterminism(t *testing.T) {
 	}
 	if math.Abs(variance-4) > 0.1 {
 		t.Fatalf("Normal variance = %g, want ~4", variance)
-	}
-}
-
-func TestSeedStreamMatchesSampleSeed(t *testing.T) {
-	s := MustSeedSet(777, 10)
-	st := s.Stream(777)
-	for i := 0; i < 64; i++ {
-		if got := st.Next(); got != s.SampleSeed(777, i) {
-			t.Fatalf("stream id %d disagrees with SampleSeed", i)
-		}
-	}
-}
-
-func TestSeedStreamSkip(t *testing.T) {
-	s := MustSeedSet(99, 10)
-	// Skipping k ids must land exactly where k Next calls would.
-	for _, k := range []int{0, 1, 5, 10, 37, 1000} {
-		skipped := s.Stream(99)
-		skipped.Skip(k)
-		if skipped.Pos() != k {
-			t.Fatalf("Skip(%d): Pos = %d", k, skipped.Pos())
-		}
-		walked := s.Stream(99)
-		for i := 0; i < k; i++ {
-			walked.Next()
-		}
-		if a, b := skipped.Next(), walked.Next(); a != b {
-			t.Fatalf("Skip(%d) diverges from %d Next calls: %x vs %x", k, k, a, b)
-		}
-	}
-}
-
-func TestSeedStreamZeroAlloc(t *testing.T) {
-	s := MustSeedSet(5, 10)
-	var sink uint64
-	allocs := testing.AllocsPerRun(100, func() {
-		st := s.Stream(5)
-		st.Skip(10)
-		for i := 0; i < 100; i++ {
-			sink ^= st.Next()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SeedStream allocates %.1f per 100 seeds, want 0", allocs)
-	}
-	_ = sink
-}
-
-func TestSampleSeedConstantTime(t *testing.T) {
-	// The O(1) closed form must agree with the definitional splitmix64
-	// walk for ids far beyond the fingerprint prefix.
-	s := MustSeedSet(0xABCD, 4)
-	sm := uint64(0xABCD)
-	var want uint64
-	const id = 100000
-	for i := 0; i <= id; i++ {
-		want = splitmix64(&sm)
-	}
-	if got := s.SampleSeed(0xABCD, id); got != want {
-		t.Fatalf("SampleSeed(%d) = %x, want %x", id, got, want)
 	}
 }

@@ -36,11 +36,10 @@
 // # Concurrency
 //
 // Sweeps parallelize across parameter points: set
-// EngineOptions.Workers (0 = all cores) and Engine.Sweep,
-// Engine.SweepBatch and the context-aware Engine.SweepContext spread
-// the points over a worker pool while returning results bit-identical for every
-// worker count, equal to evaluating the points one by one with
-// Engine.EvaluatePoint. Every call returns its own SweepStats (sum
+// EngineOptions.Workers (0 = all cores) and Engine.Sweep and
+// Engine.SweepBatch spread the points over a worker pool while
+// returning results bit-identical for every worker count, equal to
+// evaluating the points one by one with Engine.EvaluatePoint. Every call returns its own SweepStats (sum
 // several with SweepStats.Add); the engine keeps no running counters.
 // The basis store is guarded by one read-write lock, so engines may
 // also be shared between goroutines calling EvaluatePoint. A point's
@@ -70,19 +69,12 @@ import (
 
 // ---------- Randomness ----------
 
-type (
-	// Rand is the deterministic generator black boxes draw from; all
-	// model randomness must come from it (§3.1).
-	Rand = rng.Rand
-	// SeedSet is the global fixed seed vector {σk}.
-	SeedSet = rng.SeedSet
-)
+// Rand is the deterministic generator black boxes draw from; all
+// model randomness must come from it (§3.1).
+type Rand = rng.Rand
 
 // NewRand returns a generator for the given seed.
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
-
-// NewSeedSet derives m seeds from a master seed.
-func NewSeedSet(master uint64, m int) (*SeedSet, error) { return rng.NewSeedSet(master, m) }
 
 // ---------- Black boxes ----------
 
@@ -171,9 +163,10 @@ type (
 	FingerprintIndex = core.Index
 )
 
-// ComputeFingerprint evaluates f under every seed of the set.
-func ComputeFingerprint(f func(seed uint64) float64, seeds *SeedSet) Fingerprint {
-	return core.Compute(f, seeds)
+// ComputeFingerprint evaluates f under the m global seeds σ0 … σm−1
+// of master: its fingerprint, the first m simulation rounds.
+func ComputeFingerprint(f func(seed uint64) float64, master uint64, m int) Fingerprint {
+	return core.Compute(f, master, m)
 }
 
 // NewBasisStore builds a basis store with the given class and index
@@ -208,7 +201,7 @@ func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 
 type (
 	// Engine is the Monte Carlo engine with fingerprint reuse (the
-	// dashed box of Fig. 3). Its Sweep, SweepContext and SweepBatch
+	// dashed box of Fig. 3). Its Sweep and SweepBatch
 	// methods evaluate parameter points on a worker pool sized by
 	// EngineOptions.Workers, deterministically: results are
 	// bit-identical for every worker count.

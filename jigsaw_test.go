@@ -216,18 +216,41 @@ func TestPublicAPISession(t *testing.T) {
 	}
 }
 
+// TestMarkovFacadeRejectsBadOptions checks that invalid JumpOptions
+// come back from MarkovJump and MarkovNaive as errors, not panics.
+func TestMarkovFacadeRejectsBadOptions(t *testing.T) {
+	for _, opts := range []jigsaw.JumpOptions{
+		{Instances: -1},
+		{Instances: -5, FingerprintLen: -10},
+		{FingerprintLen: -2},
+		{Tolerance: math.NaN()},
+		{Tolerance: math.Inf(1)},
+	} {
+		for name, run := range map[string]func(jigsaw.Chain, int, jigsaw.JumpOptions) ([]jigsaw.ChainState, jigsaw.JumpStats, error){
+			"MarkovJump": jigsaw.MarkovJump, "MarkovNaive": jigsaw.MarkovNaive,
+		} {
+			func() {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Errorf("%s(%+v) panicked: %v", name, opts, v)
+					}
+				}()
+				if _, _, err := run(jigsaw.NewBranchChain(0.3), 64, opts); err == nil {
+					t.Errorf("%s(%+v) accepted invalid options", name, opts)
+				}
+			}()
+		}
+	}
+}
+
 // TestPublicAPIFingerprints exercises the §3 primitives directly.
 func TestPublicAPIFingerprints(t *testing.T) {
-	seeds, err := jigsaw.NewSeedSet(42, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fpA := jigsaw.ComputeFingerprint(func(seed uint64) float64 {
 		return jigsaw.NewRand(seed).Normal(0, 1)
-	}, seeds)
+	}, 42, 10)
 	fpB := jigsaw.ComputeFingerprint(func(seed uint64) float64 {
 		return jigsaw.NewRand(seed).Normal(5, 3)
-	}, seeds)
+	}, 42, 10)
 	store := jigsaw.NewBasisStore(jigsaw.LinearMappingClass{}, jigsaw.NewNormalizationIndex(6, 0), 0)
 	if _, err := store.Add(fpA, "A", "payload"); err != nil {
 		t.Fatal(err)
