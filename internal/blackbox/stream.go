@@ -2,7 +2,6 @@ package blackbox
 
 import (
 	"fmt"
-	"math"
 
 	"jigsaw/internal/rng"
 )
@@ -111,23 +110,16 @@ func (c *Capacity) EvalStream(args []float64, out []float64, rands []rng.Rand, a
 func (UserUsage) EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool) {
 	checkArity("UserUsage", 5, args)
 	checkStream("UserUsage", out, rands, active)
-	week, join, base, growth, vol := args[0], args[1], args[2], args[3], args[4]
-	if week < join {
-		// Inactive users draw nothing, exactly like Eval.
-		for w := range rands {
-			if active != nil && !active[w] {
-				continue
-			}
-			out[w] = 0
-		}
-		return
-	}
-	mean := base * math.Pow(growth, week-join)
+	mean, ok := usageMean(args)
 	for w := range rands {
 		if active != nil && !active[w] {
 			continue
 		}
-		out[w] = mean * rands[w].LogNormal(0, vol)
+		if ok {
+			out[w] = usage(mean, args[4], &rands[w])
+		} else {
+			out[w] = 0 // an inactive user draws nothing, exactly like Eval
+		}
 	}
 }
 

@@ -155,10 +155,17 @@ func (UserUsage) Arity() int { return 5 }
 // Eval implements Box (tuple-at-a-time form).
 func (UserUsage) Eval(args []float64, r *rng.Rand) float64 {
 	checkArity("UserUsage", 5, args)
-	week, join, base, growth, vol := args[0], args[1], args[2], args[3], args[4]
-	if week < join {
+	mean, ok := usageMean(args)
+	if !ok {
 		return 0
 	}
-	mean := base * math.Pow(growth, week-join)
-	return mean * r.LogNormal(0, vol)
+	return usage(mean, args[4], r)
+}
+
+// usageMean reads UserUsage's arguments as a row of the users dataset
+// and returns that user's mean in the week, as UserSelection computes
+// it.
+func usageMean(args []float64) (float64, bool) {
+	usr := User{JoinWeek: args[1], BaseCores: args[2], GrowthRate: args[3]}
+	return usr.mean(args[0])
 }

@@ -43,33 +43,24 @@ func NewAggregatePlan(child Plan, aggs []AggSpec) (*AggregatePlan, error) {
 // Schema implements Plan.
 func (p *AggregatePlan) Schema() Schema { return p.schema }
 
-// blockSumState accumulates one SUM over a block: one lane of (seen,
-// sum) per world. NULLs are skipped, as SQL aggregates skip them.
-type blockSumState struct {
-	seen []bool
-	sum  []float64
-}
-
-func newBlockSumState(w int) *blockSumState {
-	return &blockSumState{seen: make([]bool, w), sum: make([]float64, w)}
-}
-
-// addVec folds one row's argument column into the state, over the
-// active worlds. NULL lanes are skipped; non-numeric lanes error. A
-// materialized column folds straight from its kind and payload lanes:
-// this loop is the set-oriented SUM of a data-dependent VG column
-// (Fig. 7's UserSelect), so it runs once per row per world.
-func (st *blockSumState) addVec(v *Vec, mask Mask, w int) error {
+// addSum folds one row's argument column into the per-world sums in
+// dst, over the active worlds: a lane that folds a value turns from
+// NULL to FLOAT, so a world that folds none keeps a NULL sum. NULL
+// lanes are skipped, as SQL aggregates skip them; non-numeric lanes
+// error. A materialized column folds straight from its kind and
+// payload lanes: this loop is the set-oriented SUM of a data-dependent
+// VG column (Fig. 7's UserSelect), so it runs once per row per world.
+func addSum(dst, v *Vec, mask Mask, w int) error {
+	kind, sum := dst.kind[:w], dst.f[:w]
 	if !v.uniform {
 		kinds, fs := v.kind[:w], v.f[:w]
-		seen, sum := st.seen[:w], st.sum[:w]
 		for lane, k := range kinds {
 			if mask != nil && !mask[lane] {
 				continue
 			}
 			switch Kind(k) {
 			case KindFloat, KindBool:
-				seen[lane] = true
+				kind[lane] = uint8(KindFloat)
 				sum[lane] += fs[lane]
 			case KindNull:
 			default:
@@ -90,39 +81,30 @@ func (st *blockSumState) addVec(v *Vec, mask Mask, w int) error {
 		if !ok {
 			continue
 		}
-		st.seen[lane] = true
-		st.sum[lane] += f
+		kind[lane] = uint8(KindFloat)
+		sum[lane] += f
 	}
 	return nil
 }
 
-// resultVec renders the per-world sums, NULL in a world that folded
-// no value.
-func (st *blockSumState) resultVec(ctx *BlockCtx) *Vec {
-	dst := ctx.lanesVec()
-	for lane := 0; lane < ctx.W; lane++ {
-		if st.seen[lane] {
-			dst.setFloat(lane, st.sum[lane])
-		}
-	}
-	return dst
-}
-
 // ExecuteBlock implements Plan. Each row's aggregate arguments
 // evaluate column-wise in row order, aggregate by aggregate — the
-// per-world interpretation order — and fold straight into the states
-// under the row's mask. Once a row is folded nothing references the
-// Vecs its arguments allocated, so the next row reuses them: a VG
-// argument then draws every row into the same cache-hot lanes instead
-// of walking a fresh W-lane column per row.
+// per-world interpretation order — and fold straight into the result
+// Vecs under the row's mask. The result row is taken from the arena
+// first; once a row is folded nothing references the Vecs its
+// arguments allocated, so the next row reuses them: a VG argument then
+// draws every row into the same cache-hot lanes instead of walking a
+// fresh W-lane column per row.
 func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*blockSumState, len(p.Aggs))
-	for j := range p.Aggs {
-		states[j] = newBlockSumState(ctx.W)
+	sums := ctx.newRow(len(p.Aggs))
+	for j := range sums {
+		// Every lane NULL, over a zero payload addSum adds to.
+		sums[j] = ctx.lanesVec()
+		clear(sums[j].f)
 	}
 	mark := ctx.vecsUsed
 	for r, row := range in.Rows {
@@ -132,18 +114,14 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := states[j].addVec(v, m, ctx.W); err != nil {
+			if err := addSum(sums[j], v, m, ctx.W); err != nil {
 				return nil, err
 			}
 		}
 		ctx.vecsUsed = mark
 	}
-	row := ctx.newRow(len(states))
-	for j, st := range states {
-		row[j] = st.resultVec(ctx)
-	}
 	out := ctx.newTable(p.schema, 1)
-	out.Rows[0] = row
+	out.Rows[0] = sums
 	return out, nil
 }
 

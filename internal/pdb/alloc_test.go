@@ -215,3 +215,50 @@ func TestOperatorBlockAllocs(t *testing.T) {
 		t.Errorf("a steady-state Scan → Extend → Select → Project block allocates %.1f, want 0", allocs)
 	}
 }
+
+// blockAllocs returns the steady-state allocations of one block of
+// plan at the given world count.
+func blockAllocs(t *testing.T, plan Plan, params map[string]float64, worlds int) float64 {
+	t.Helper()
+	seeds := worldSeeds(0x5161, worlds)
+	ctx := &BlockCtx{}
+	run := func() {
+		ctx.reset(seeds, params, nil)
+		if _, err := plan.ExecuteBlock(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	return testing.AllocsPerRun(10, run)
+}
+
+// TestAggregateBlockAllocs pins that a steady-state block of
+// Scan → SUM(UserUsage) allocates nothing: the per-world sums live in
+// the result Vecs, which come from the block context's arena.
+func TestAggregateBlockAllocs(t *testing.T) {
+	ext, _ := usersUsagePlan(t, 300)
+	usage := ext.(*ExtendPlan).Outputs[0].Expr
+	plan, err := NewAggregatePlan(ext.(*ExtendPlan).Child, []AggSpec{{Arg: usage, Name: "total"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := blockAllocs(t, plan, map[string]float64{"week": 40}, 256); allocs != 0 {
+		t.Errorf("a steady-state Scan → SUM(UserUsage) block allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestFreshDrawBlockAllocs pins that a fresh-lane draw allocates
+// nothing: the block context keeps the one deferred draw and its
+// argument buffer.
+func TestFreshDrawBlockAllocs(t *testing.T) {
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.NewDemand())
+	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, Schema{}, db.Env())
+	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "demand", Expr: bound}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := blockAllocs(t, plan, map[string]float64{"week": 20}, 256); allocs != 0 {
+		t.Errorf("a steady-state SELECT DemandModel(@week, 52) block allocates %.1f, want 0", allocs)
+	}
+}

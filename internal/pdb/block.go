@@ -36,7 +36,8 @@ type runFlags struct {
 // deferredDraw records a VG column evaluated through the fresh-stream
 // fast lane: if the block later needs live per-world generators, the
 // draw is replayed against them so stream positions match per-world
-// interpretation.
+// interpretation. A nil box means no draw is deferred; args is the
+// context's own buffer, reused across blocks.
 type deferredDraw struct {
 	box  blackbox.Box
 	args []float64
@@ -62,7 +63,7 @@ type BlockCtx struct {
 	// state; until then generators are logically "freshly seeded but
 	// not yet constructed".
 	live     bool
-	deferred *deferredDraw
+	deferred deferredDraw
 	flags    *runFlags
 
 	// Scratch arena: free lists reset per block, so steady-state
@@ -77,6 +78,7 @@ type BlockCtx struct {
 	rowChunks  [][]*Vec
 	chunksUsed int
 	floatBuf   []float64
+	intBuf     []int
 	// tables and maskLists hold the operators' block tables and
 	// Select's per-row mask lists, handed out again in order. A
 	// table's Rows is always its own slice, grown by newTable.
@@ -93,7 +95,7 @@ func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFl
 	c.Seeds = seeds
 	c.Params = params
 	c.live = false
-	c.deferred = nil
+	c.deferred.box = nil
 	c.flags = flags
 	c.vecsUsed = 0
 	c.masksUsed = 0
@@ -117,11 +119,11 @@ func (c *BlockCtx) materialize() {
 	for w := 0; w < c.W; w++ {
 		c.Rands[w].Seed(c.Seeds[w])
 	}
-	if d := c.deferred; d != nil {
+	if d := &c.deferred; d.box != nil {
 		for w := 0; w < c.W; w++ {
 			d.box.Eval(d.args, &c.Rands[w])
 		}
-		c.deferred = nil
+		d.box = nil
 		// The fast lane cost a full replay: this plan has more than
 		// one draw per world, so later blocks go straight to streams.
 		if c.flags != nil {
@@ -135,15 +137,15 @@ func (c *BlockCtx) materialize() {
 // fresh-stream fast lane: no world stream consumed yet, no draw
 // already deferred, and no earlier block demoted the lane.
 func (c *BlockCtx) freshLaneOpen() bool {
-	return !c.live && c.deferred == nil && (c.flags == nil || !c.flags.freshOff.Load())
+	return !c.live && c.deferred.box == nil && (c.flags == nil || !c.flags.freshOff.Load())
 }
 
 // noteFreshDraw records that out was produced by box's BlockBox
 // kernel against the fresh world seeds, deferring the stream-state
 // update until someone needs live generators.
 func (c *BlockCtx) noteFreshDraw(box blackbox.Box, args []float64) {
-	saved := append([]float64(nil), args...)
-	c.deferred = &deferredDraw{box: box, args: saved}
+	c.deferred.box = box
+	c.deferred.args = append(c.deferred.args[:0], args...)
 }
 
 // ---------- Arena ----------
@@ -307,4 +309,12 @@ func (c *BlockCtx) floats(n int) []float64 {
 		c.floatBuf = make([]float64, n)
 	}
 	return c.floatBuf[:n]
+}
+
+// ints returns an n-sized int scratch slice.
+func (c *BlockCtx) ints(n int) []int {
+	if cap(c.intBuf) < n {
+		c.intBuf = make([]int, n)
+	}
+	return c.intBuf[:n]
 }

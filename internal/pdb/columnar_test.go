@@ -191,6 +191,59 @@ func TestColumnarWorldVaryingSelect(t *testing.T) {
 	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 250)
 }
 
+// peekBox is a model that reads its world's next uniform without
+// consuming it: every call in a world sees the same value, so rows
+// can be kept or dropped together in one world and differently in
+// another.
+type peekBox struct{}
+
+func (peekBox) Name() string { return "Peek" }
+func (peekBox) Arity() int   { return 0 }
+func (peekBox) Eval(_ []float64, r *rng.Rand) float64 {
+	c := *r
+	return c.Float64()
+}
+
+func TestColumnarMaskedRowsCompactPerWorld(t *testing.T) {
+	// Two rows, and each world keeps exactly one of them, chosen by a
+	// draw both rows see, so the result has one row whose physical
+	// source differs across worlds. A VG column after the WHERE draws
+	// only in the kept row. Result row 0 of world w must be that
+	// world's one kept row: its sign, its draw, and in world 0 its
+	// tag.
+	db := columnarDB(t)
+	db.Boxes.MustRegister(peekBox{})
+	scan, _ := db.Scan("signs")
+	pred := mustBind(t, BinOp{">", BinOp{"*", Col{"sign"}, BinOp{"-", Call{"Peek", nil}, Lit{Float(0.5)}}}, Lit{Float(0)}},
+		scan.Schema(), db.Env())
+	sel := &SelectPlan{Child: scan, Pred: pred, Desc: "sign*(Peek()-0.5) > 0"}
+	plan := vgExtendPlan(t, db, sel, "vg")
+	params := map[string]float64{"week": 20}
+	assertBitIdentical(t, plan, params, 300)
+	// Over a few master seeds, world 0 keeps each side at least once,
+	// so its key row must follow the kept row too.
+	tags := map[string]bool{}
+	for seed := uint64(0); seed < 8; seed++ {
+		opts := WorldsOptions{Worlds: 20, MasterSeed: seed, BlockWorlds: 7}
+		want, _ := refDistribution(plan, params, opts)
+		got, err := RunDistribution(plan, params, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("master seed %d: Distribution diverges from the oracle", seed)
+		}
+		if s := got.Cells[0][0]; got.NumRows() != 1 || s.Min != -1 || s.Max != 1 {
+			t.Fatalf("master seed %d: %d rows, sign range [%g, %g]; want one row kept from either side", seed, got.NumRows(), s.Min, s.Max)
+		}
+		tag, _ := got.KeyRows[0][1].Text()
+		tags[tag] = true
+	}
+	if !tags["pos"] || !tags["neg"] {
+		t.Fatalf("world 0 kept only %v over 8 master seeds; want both sides", tags)
+	}
+}
+
 func TestColumnarMaskedAggregate(t *testing.T) {
 	// A world-varying selection under a global aggregate: per-world
 	// masks flow into the fold, and the output is always one row.

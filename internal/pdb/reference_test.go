@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jigsaw/internal/rng"
+	"jigsaw/internal/stats"
 )
 
 // The reference oracle: a per-world interpreter that evaluates a plan
@@ -16,9 +17,11 @@ import (
 // its aggregate fold is its own. Plans are interpreted by a type
 // switch over the built-in operators; expressions by walking the
 // *unbound* Expr tree that mustBind records, so the oracle never runs
-// the closures Bind produced. Per-world tables feed the production
-// commit (blockOut → commitBlocks), so a Distribution from the oracle
-// is comparable with reflect.DeepEqual to one from RunDistribution.
+// the closures Bind produced. The oracle folds its per-world tables
+// into per-cell block moments itself (refFold: its own positional
+// alignment, gather and key rows) and shares only the ordered merge
+// with production (commitBlocks), so a Distribution from the oracle is
+// comparable with reflect.DeepEqual to one from RunDistribution.
 
 // astBound is what mustBind returns: the production evaluator plus the
 // expression, schema and environment it was bound from. The executor
@@ -77,52 +80,48 @@ func refDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 				return nil, fmt.Errorf("pdb: world %d: %w", lo+lane, err)
 			}
 		}
-		out := &blockOut{}
-		out.reset(lo, hi-lo)
-		refFlatten(out, plan.Schema(), tables)
-		outs = append(outs, out)
+		outs = append(outs, refFold(lo, plan.Schema(), tables))
 	}
 	return commitBlocks(outs, opts)
 }
 
-// refFlatten writes one block's per-world tables into the commit
-// representation. Worlds with fewer rows than the widest get a
-// presence mask, so the commit reports the cardinality error.
-func refFlatten(out *blockOut, schema Schema, tables []*Table) {
-	w := len(tables)
-	nrows := 0
-	for _, t := range tables {
-		if len(t.Rows) > nrows {
-			nrows = len(t.Rows)
+// refFold is the oracle's own summary of one block's per-world tables:
+// world 0's row count and the first world whose count differs; when
+// none does, each cell's non-NULL numeric values in world order
+// through one AddBlock, and world 0's string cells as keys.
+func refFold(lo int, schema Schema, tables []*Table) *blockOut {
+	out := &blockOut{lo: lo, schema: schema, rows: len(tables[0].Rows), odd: -1}
+	for lane, t := range tables {
+		if len(t.Rows) != out.rows {
+			out.odd, out.oddRows = lane, len(t.Rows)
+			return out
 		}
 	}
-	out.shape(schema, nrows)
-	varying := false
-	for lane, t := range tables {
-		out.counts[lane] = len(t.Rows)
-		varying = varying || len(t.Rows) != nrows
-		for ri, row := range t.Rows {
-			for c, v := range row {
-				idx := (ri*out.ncols+c)*w + lane
-				out.kinds[idx] = uint8(v.Kind())
-				switch v.Kind() {
-				case KindFloat, KindBool:
-					out.vals[idx], _ = v.AsFloat() // bools as 0/1
-				case KindString:
-					s, _ := v.Text()
-					out.setStr(idx, s)
+	ncols := len(schema)
+	out.cells = make([]stats.Accumulator, out.rows*ncols)
+	for k := 0; k < out.rows; k++ {
+		for c := 0; c < ncols; c++ {
+			var xs []float64
+			for _, t := range tables {
+				if v := t.Rows[k][c]; v.Kind() == KindFloat || v.Kind() == KindBool {
+					f, _ := v.AsFloat() // bools as 0/1
+					xs = append(xs, f)
 				}
 			}
-		}
-	}
-	if varying {
-		out.sel = make([]bool, nrows*w)
-		for ri := 0; ri < nrows; ri++ {
-			for lane := 0; lane < w; lane++ {
-				out.sel[ri*w+lane] = ri < out.counts[lane]
+			out.cells[k*ncols+c].Reset()
+			out.cells[k*ncols+c].AddBlock(xs)
+			if v := tables[0].Rows[k][c]; lo == 0 && v.Kind() == KindString {
+				if out.keys == nil {
+					out.keys = make([]Row, out.rows)
+				}
+				if out.keys[k] == nil {
+					out.keys[k] = make(Row, ncols)
+				}
+				out.keys[k][c] = v
 			}
 		}
 	}
+	return out
 }
 
 // plan interprets one operator (and its inputs) in this world.

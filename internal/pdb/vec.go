@@ -74,6 +74,18 @@ func (v *Vec) setFloat(w int, f float64) {
 	v.f[w] = f
 }
 
+// laneNum returns lane w's kind and, for a float or bool lane, its
+// numeric payload (bools as 0/1).
+func (v *Vec) laneNum(w int) (Kind, float64) {
+	if !v.uniform {
+		return Kind(v.kind[w]), v.f[w]
+	}
+	if v.u.kind == KindBool && v.u.b {
+		return KindBool, 1
+	}
+	return v.u.kind, v.u.f
+}
+
 // laneFloat unwraps lane w as a float with Value.AsFloat semantics
 // (bools coerce to 0/1). ok=false means NULL; a non-numeric lane
 // returns the conversion error.
@@ -145,8 +157,8 @@ type BlockRow []*Vec
 // BlockTable is a world-blocked columnar relation: Rows[r][c] holds
 // column c of row r across every world of the block, and Sel (when
 // non-nil) carries each row's world mask. It is the intermediate
-// representation of the columnar executor; the worlds layer flattens
-// the final BlockTable of each block into accumulator feeds.
+// representation of the columnar executor; the worker that ran a
+// block folds its final BlockTable into per-cell moments (worlds.go).
 type BlockTable struct {
 	// Schema describes the columns.
 	Schema Schema

@@ -3,6 +3,7 @@ package pdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
@@ -24,10 +25,15 @@ type WorldsOptions struct {
 	// engine fingerprints and samples.
 	MasterSeed uint64
 	// BlockWorlds is the number of worlds per execution block (0
-	// means DefaultBlockWorlds, negative values are rejected). Results are bit-identical across
-	// Workers for a fixed BlockWorlds; across *different* block sizes,
-	// cell moments may differ in final-ulp rounding (the batched
-	// reduction is split-dependent, like the engine's).
+	// means DefaultBlockWorlds, negative values are rejected). Each
+	// block summarizes each cell on its own and the blocks merge in
+	// order, so results are bit-identical across Workers for a fixed
+	// BlockWorlds; across *different* block sizes, cell moments may
+	// differ in final-ulp rounding (the batched reduction is
+	// split-dependent, like the engine's). A block that feeds a cell
+	// fewer than 16 values summarizes them by Welford's update from
+	// empty before the merge, so small blocks, a short trailing block
+	// or NULL-heavy cells round differently from larger ones.
 	BlockWorlds int
 	// Workers sizes the worker pool world blocks execute on (0 or 1 =
 	// sequential, negative values are rejected). Blocks are committed
@@ -100,24 +106,25 @@ func (d *Distribution) CellByName(row int, col string) (stats.Summary, error) {
 	return d.Cell(row, i)
 }
 
-// blockOut is one block's flattened result: per-world row counts and
-// the lane matrix of the block's final table, the only state the
-// ordered commit needs. The test oracle produces it from per-world
-// tables, so its Distributions go through the same accumulation.
+// blockOut is one block's folded result, all the ordered commit
+// needs: each cell's moments over the block's worlds, world 0's string
+// cells and the block's row count. The test oracle folds its
+// per-world tables into the same shape, so its Distributions go
+// through the same ordered merge.
 type blockOut struct {
 	err    error
 	lo     int // first world id
-	w      int // worlds in block
-	nrows  int // block-table rows (≥ per-world counts under masks)
-	ncols  int
 	schema Schema
-	counts []int // active rows per world
-	// Lane matrix, indexed (r*ncols+c)*w + lane.
-	kinds []uint8
-	vals  []float64
-	strs  []string // non-nil only when a string lane exists
-	// sel is nil when every row exists in every world, else r*w+lane.
-	sel []bool
+	rows   int // rows in the block's first world
+	// odd is the first world, counted from lo, whose row count differs
+	// from rows (-1 when none), and oddRows its count. Such a block is
+	// not folded: the commit rejects it.
+	odd, oddRows int
+	// cells holds one accumulator per result cell, row-major.
+	cells []stats.Accumulator
+	// keys holds world 0's string cells (block 0 only; nil when there
+	// are none).
+	keys []Row
 }
 
 var (
@@ -125,130 +132,99 @@ var (
 	blockOutPool = pool.NewPool[blockOut]()
 )
 
-// reset shapes the output for a block of w worlds starting at lo.
-func (o *blockOut) reset(lo, w int) {
-	o.err = nil
-	o.lo = lo
-	o.w = w
-	o.nrows, o.ncols = 0, 0
-	o.schema = nil
-	o.counts = o.counts[:0]
-	o.kinds = o.kinds[:0]
-	o.vals = o.vals[:0]
-	o.strs = nil
-	o.sel = nil
+// reset empties the output for the block starting at world lo.
+func (o *blockOut) reset(lo int) {
+	*o = blockOut{lo: lo, odd: -1, cells: o.cells[:0]}
 }
 
-// shape sizes the lane matrix for nrows×ncols cells.
-func (o *blockOut) shape(schema Schema, nrows int) {
-	o.schema = schema
-	o.nrows, o.ncols = nrows, len(schema)
-	n := nrows * o.ncols * o.w
-	if cap(o.kinds) < n {
-		o.kinds = make([]uint8, n)
-		o.vals = make([]float64, n)
-	} else {
-		o.kinds = o.kinds[:n]
-		o.vals = o.vals[:n]
-		for i := range o.kinds {
-			o.kinds[i] = 0
-		}
-	}
-	if cap(o.counts) < o.w {
-		o.counts = make([]int, o.w)
-	} else {
-		o.counts = o.counts[:o.w]
-	}
-	for i := range o.counts {
-		o.counts[i] = nrows
-	}
-}
-
-// setStr records a string lane.
-func (o *blockOut) setStr(idx int, s string) {
-	if o.strs == nil {
-		o.strs = make([]string, len(o.kinds))
-	}
-	o.strs[idx] = s
-}
-
-// flattenBlockTable lowers a block's final BlockTable into the commit
-// representation.
-func (o *blockOut) flattenBlockTable(bt *BlockTable) {
-	o.shape(bt.Schema, len(bt.Rows))
-	w := o.w
-	for r, row := range bt.Rows {
-		for c, v := range row {
-			base := (r*o.ncols + c) * w
-			if v.uniform {
-				k := uint8(v.u.Kind())
-				switch Kind(k) {
-				case KindFloat:
-					for lane := 0; lane < w; lane++ {
-						o.kinds[base+lane] = k
-						o.vals[base+lane] = v.u.f
-					}
-				case KindBool:
-					f := 0.0
-					if v.u.b {
-						f = 1
-					}
-					for lane := 0; lane < w; lane++ {
-						o.kinds[base+lane] = k
-						o.vals[base+lane] = f
-					}
-				case KindString:
-					for lane := 0; lane < w; lane++ {
-						o.kinds[base+lane] = k
-						o.setStr(base+lane, v.u.s)
-					}
-				}
-				continue
-			}
-			copy(o.kinds[base:base+w], v.kind)
-			copy(o.vals[base:base+w], v.f)
-			if v.s != nil {
-				for lane := 0; lane < w; lane++ {
-					if Kind(v.kind[lane]) == KindString {
-						o.setStr(base+lane, v.s[lane])
-					}
-				}
-			}
-		}
-	}
+// fold summarizes a block's final table into per-cell moments. Result
+// row k in world w is that world's k-th present row; each cell's
+// non-NULL numeric lanes (bools as 0/1) feed one AddBlock, in world
+// order, and string cells are carried as keys, not aggregated.
+func (o *blockOut) fold(bt *BlockTable, ctx *BlockCtx) {
+	w, ncols := ctx.W, len(bt.Schema)
+	o.schema = bt.Schema
+	o.rows = len(bt.Rows)
+	// pos[lane] is world lane's present row for the current result
+	// row; nil when every row exists in every world.
+	var pos []int
 	if bt.masked() {
-		if cap(o.sel) < len(bt.Rows)*w {
-			o.sel = make([]bool, len(bt.Rows)*w)
-		} else {
-			o.sel = o.sel[:len(bt.Rows)*w]
-		}
-		for lane := 0; lane < w; lane++ {
-			o.counts[lane] = 0
-		}
-		for r := range bt.Rows {
-			m := bt.rowMask(r)
-			for lane := 0; lane < w; lane++ {
-				on := m == nil || m[lane]
-				o.sel[r*w+lane] = on
-				if on {
-					o.counts[lane]++
+		pos = ctx.ints(w)
+		clear(pos)
+		for _, m := range bt.Sel {
+			for lane := range pos {
+				if m == nil || m[lane] {
+					pos[lane]++
 				}
 			}
 		}
+		o.rows = pos[0]
+		for lane, n := range pos {
+			if n != o.rows {
+				o.odd, o.oddRows = lane, n
+				return
+			}
+		}
+		for lane := range pos {
+			pos[lane] = -1
+		}
 	}
+	o.cells = slices.Grow(o.cells, o.rows*ncols)[:o.rows*ncols]
+	xs := ctx.floats(w)
+	for k := 0; k < o.rows; k++ {
+		for lane := range pos {
+			r := pos[lane] + 1
+			for bt.Sel[r] != nil && !bt.Sel[r][lane] {
+				r++
+			}
+			pos[lane] = r
+		}
+		for c := 0; c < ncols; c++ {
+			n := 0
+			for lane := 0; lane < w; lane++ {
+				r := k
+				if pos != nil {
+					r = pos[lane]
+				}
+				switch kind, f := bt.Rows[r][c].laneNum(lane); kind {
+				case KindFloat, KindBool:
+					xs[n] = f
+					n++
+				case KindString:
+					if o.lo == 0 && lane == 0 {
+						o.key(k, c, ncols, bt.Rows[r][c].Lane(0))
+					}
+				}
+			}
+			acc := &o.cells[k*ncols+c]
+			acc.Reset()
+			acc.AddBlock(xs[:n])
+		}
+	}
+}
+
+// key records world 0's string cell (k, c).
+func (o *blockOut) key(k, c, ncols int, v Value) {
+	if o.keys == nil {
+		o.keys = make([]Row, o.rows)
+	}
+	if o.keys[k] == nil {
+		o.keys[k] = make(Row, ncols)
+	}
+	o.keys[k][c] = v
 }
 
 // runBlock executes one world block.
 func runBlock(plan Plan, params map[string]float64, seeds []uint64, lo int, flags *runFlags) *blockOut {
 	out := blockOutPool.Get()
-	out.reset(lo, len(seeds))
+	out.reset(lo)
 	bctx := blockCtxPool.Get()
 	bctx.reset(seeds, params, flags)
 	bt, err := plan.ExecuteBlock(bctx)
 	if err != nil {
 		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, lo+len(seeds)-1, err)
 	} else {
-		out.flattenBlockTable(bt)
+		out.fold(bt, bctx)
 	}
 	blockCtxPool.Put(bctx)
 	return out
@@ -320,92 +296,39 @@ func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 	return commitBlocks(outs, opts)
 }
 
-// commitBlocks accumulates block outputs, in world order, into the
-// Distribution: per-world positional compaction of masked rows, the
-// cardinality check, string cells carried as KeyRows, and one batched
-// AddBlock per cell per block. The cells' accumulators and summaries
-// are two flat arrays, row-major, so a run allocates the same whatever
-// its row count.
+// commitBlocks merges the blocks' cell moments, in world order, into
+// the Distribution, after checking that every world produced world
+// 0's row count. The cells' accumulators and summaries are two flat
+// arrays, row-major, so a run allocates the same whatever its row
+// count.
 func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
-	var dist *Distribution
-	var accs []stats.Accumulator
-	nrows, ncols := 0, 0
-	var scratch []float64
-	var keyRows []Row
-	var rowMap []int
-
-	for _, out := range outs {
-		if dist == nil {
-			nrows, ncols = out.counts[0], out.ncols
-			dist = &Distribution{Schema: out.schema, Worlds: opts.Worlds}
-			accs = make([]stats.Accumulator, nrows*ncols)
-			for i := range accs {
-				accs[i].Reset()
-			}
-			scratch = make([]float64, 0, out.w)
-		}
-		for lane := 0; lane < out.w; lane++ {
-			if out.counts[lane] != nrows {
-				return nil, fmt.Errorf("pdb: world %d produced %d rows, world 0 produced %d; "+
-					"result cardinality must be world-invariant", out.lo+lane, out.counts[lane], nrows)
-			}
-		}
-		if out.sel != nil {
-			// Per-world positional compaction: result position k in
-			// world w is that world's k-th present row.
-			if cap(rowMap) < nrows*out.w {
-				rowMap = make([]int, nrows*out.w)
-			}
-			rowMap = rowMap[:nrows*out.w]
-			for lane := 0; lane < out.w; lane++ {
-				k := 0
-				for r := 0; r < out.nrows; r++ {
-					if out.sel[r*out.w+lane] {
-						rowMap[k*out.w+lane] = r
-						k++
-					}
-				}
-			}
-		}
-		for k := 0; k < nrows; k++ {
-			for c := 0; c < out.ncols; c++ {
-				scratch = scratch[:0]
-				for lane := 0; lane < out.w; lane++ {
-					r := k
-					if out.sel != nil {
-						r = rowMap[k*out.w+lane]
-					}
-					idx := (r*out.ncols+c)*out.w + lane
-					switch Kind(out.kinds[idx]) {
-					case KindFloat, KindBool:
-						scratch = append(scratch, out.vals[idx])
-					case KindString:
-						// Carried as a key, not aggregated.
-						if out.lo == 0 && lane == 0 {
-							if keyRows == nil {
-								keyRows = make([]Row, nrows)
-							}
-							if keyRows[k] == nil {
-								keyRows[k] = make(Row, out.ncols)
-							}
-							keyRows[k][c] = Str(out.strs[idx])
-						}
-					}
-				}
-				accs[k*ncols+c].AddBlock(scratch)
-			}
-		}
-	}
-
-	if dist == nil {
+	if len(outs) == 0 {
 		return nil, errors.New("pdb: zero worlds requested")
 	}
-	dist.KeyRows = keyRows
+	first := outs[0]
+	nrows, ncols := first.rows, len(first.schema)
+	for _, out := range outs {
+		lane, n := out.odd, out.oddRows
+		if out.rows != nrows {
+			lane, n = 0, out.rows
+		}
+		if lane >= 0 {
+			return nil, fmt.Errorf("pdb: world %d produced %d rows, world 0 produced %d; "+
+				"result cardinality must be world-invariant", out.lo+lane, n, nrows)
+		}
+	}
+	accs := slices.Clone(first.cells)
+	for _, out := range outs[1:] {
+		for i := range accs {
+			accs[i].Merge(&out.cells[i])
+		}
+	}
 	cells := make([]stats.Summary, len(accs))
 	for i := range accs {
 		cells[i] = accs[i].Summarize()
 	}
-	dist.Cells = make([][]stats.Summary, nrows)
+	dist := &Distribution{Schema: first.schema, Worlds: opts.Worlds, KeyRows: first.keys,
+		Cells: make([][]stats.Summary, nrows)}
 	for k := range dist.Cells {
 		dist.Cells[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
 	}

@@ -151,22 +151,33 @@ func (a *Accumulator) AddBlock(xs []float64) {
 		q0 += d * d
 	}
 	m2 := (q0 + q1) + (q2 + q3)
+	a.Merge(&Accumulator{n: len(xs), mean: mean, m2: m2, min: mn, max: mx})
+}
 
+// Merge folds b's samples into a by the parallel-variance combine of
+// Chan et al. Merging an empty accumulator changes nothing, and
+// merging into an empty one copies b, so Reset + AddBlock + Merge is
+// bit-identical to AddBlock for a batch of at least blockMin samples.
+// Merge is how per-block moments computed apart combine in order.
+func (a *Accumulator) Merge(b *Accumulator) {
+	if b.n == 0 {
+		return
+	}
 	if a.n == 0 {
-		a.mean, a.m2 = mean, m2
-	} else {
-		na := float64(a.n)
-		tot := na + n
-		delta := mean - a.mean
-		a.mean += delta * n / tot
-		a.m2 += m2 + delta*delta*na*n/tot
+		*a = *b
+		return
 	}
-	a.n += len(xs)
-	if mn < a.min {
-		a.min = mn
+	na, nb := float64(a.n), float64(b.n)
+	tot := na + nb
+	delta := b.mean - a.mean
+	a.mean += delta * nb / tot
+	a.m2 += b.m2 + delta*delta*na*nb/tot
+	a.n += b.n
+	if b.min < a.min {
+		a.min = b.min
 	}
-	if mx > a.max {
-		a.max = mx
+	if b.max > a.max {
+		a.max = b.max
 	}
 }
 

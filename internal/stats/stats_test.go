@@ -337,6 +337,54 @@ func TestAddBlockCombinesWithPriorState(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesAddBlock pins the contract the PDB commit relies on:
+// a batch of at least blockMin samples summarized apart and merged
+// onto prior state gives AddBlock's bits, whatever the prior state.
+func TestMergeMatchesAddBlock(t *testing.T) {
+	r := rng.New(0x3e7)
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Normal(4, 2)
+		}
+		return xs
+	}
+	for _, prior := range []int{0, 1, 5, 16, 300} {
+		for _, n := range []int{blockMin, blockMin + 1, 37, 256, 1000} {
+			before, batch := draw(prior), draw(n)
+			want := NewAccumulator()
+			want.AddAll(before)
+			got := *want
+			want.AddBlock(batch)
+			var part Accumulator
+			part.Reset()
+			part.AddBlock(batch)
+			got.Merge(&part)
+			if got != *want {
+				t.Errorf("prior %d, batch %d: merged %+v, AddBlock %+v", prior, n, got, *want)
+			}
+		}
+	}
+}
+
+func TestMergeEmpty(t *testing.T) {
+	xs := []float64{3, -1, 4, 1, -5}
+	a := NewAccumulator()
+	a.AddAll(xs)
+	want := *a
+	// Merging an empty accumulator changes nothing.
+	a.Merge(NewAccumulator())
+	if *a != want {
+		t.Errorf("merging an empty accumulator moved %+v to %+v", want, *a)
+	}
+	// Merging into an empty accumulator copies.
+	b := NewAccumulator()
+	b.Merge(a)
+	if *b != want {
+		t.Errorf("merging into an empty accumulator gave %+v, want %+v", *b, want)
+	}
+}
+
 func TestAddBlockAllocFree(t *testing.T) {
 	xs := make([]float64, 1000)
 	for i := range xs {
