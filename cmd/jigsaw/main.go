@@ -77,7 +77,6 @@ func main() {
 		MasterSeed:        *seed,
 		Reuse:             !*noReuse,
 		ValidationSamples: *validate,
-		KeepSamples:       *validate > 0,
 		Workers:           *workers,
 	}
 	switch *indexKind {

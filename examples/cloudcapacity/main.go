@@ -69,7 +69,6 @@ func main() {
 	res, err := jigsaw.Optimize(compiled, script.Optimize, jigsaw.EngineOptions{
 		Samples:           1000,
 		Reuse:             true,
-		KeepSamples:       true,
 		ValidationSamples: 64, // guard the boolean overload column
 	})
 	if err != nil {

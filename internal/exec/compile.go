@@ -49,7 +49,8 @@ type Scenario struct {
 	// draws are a seed-only row's call sites, in evaluation order, and
 	// row[drawLo:drawHi] is its draw block, which they partition;
 	// unshared names the call site that keeps any other row's draws
-	// per point. table holds a seed-only row's draw vectors by seed.
+	// per point. table holds a seed-only row's draw vectors by sample
+	// id.
 	draws          []drawSite
 	drawLo, drawHi int
 	unshared       string
@@ -344,9 +345,9 @@ func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
 // columns is a scenario row as an mc.PointEval whose output c is row
 // slot slots[c]: the binding is a row BindRow has bound, and each
 // sample fills it in place. A seed-only row copies the sample's draw
-// vector from the scenario's table into its draw block, drawing it
-// first from the lent generator if the table lacks it; any other row
-// reseeds the lent generator and draws the row through FillRow.
+// vector from the scenario's table into its draw block; any other row,
+// and a sample past the table's bound, reseeds the lent generator and
+// draws the row through FillRow.
 type columns struct {
 	s     *Scenario
 	slots []int
@@ -364,31 +365,22 @@ func (c *columns) BindPoint(p param.Point, buf []float64) []float64 {
 
 // EvalBlockBound implements mc.PointEval. A sample writes only the
 // slots BindRow leaves alone, so the binding survives the block.
-func (c *columns) EvalBlockBound(row []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
-	s, t := c.s, c.s.table
-	var snap *drawSnap
-	if t != nil {
-		snap = t.snap.Load()
+func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
+	s := c.s
+	var vals []float64 // sample id's draws at vals[id*w:], ids below len(vals)/w
+	if s.table != nil {
+		vals = s.table.load(s, master, ids, r)
 	}
 	block := row[s.drawLo:s.drawHi]
-	for j, seed := range seeds {
-		if t == nil {
-			r.Seed(seed)
-			s.FillRow(r, row)
-		} else {
-			d := snap.find(seed, t.width)
-			if d == nil {
-				snap = t.fill(s, seeds[j:], r)
-				d = snap.find(seed, t.width)
-			}
-			if d != nil {
-				copy(block, d)
-			} else { // the table is full
-				r.Seed(seed)
-				s.drawRow(r, block)
-			}
+	w := len(block)
+	for j, id := range ids {
+		if id*w < len(vals) {
+			copy(block, vals[id*w:])
 			// A seed-only row's columns draw nothing.
 			s.applyRow(row, nil)
+		} else {
+			r.Seed(rng.SampleSeed(master, id))
+			s.FillRow(r, row)
 		}
 		for i, out := range outs {
 			if out != nil {

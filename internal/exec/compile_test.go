@@ -115,7 +115,7 @@ func TestColumnEval(t *testing.T) {
 	}
 	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
 	var out [1]float64
-	ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{out[:]}, []uint64{3}, new(rng.Rand))
+	ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{out[:]}, 0x5161, []int{3}, new(rng.Rand))
 	if v := out[0]; v != 0 && v != 1 {
 		t.Fatalf("overload = %g", v)
 	}
@@ -131,10 +131,8 @@ func TestColumnEval(t *testing.T) {
 // and block size, and leave what BindRow wrote in the binding.
 func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 	s := compileFig1(t)
-	seeds := make([]uint64, 300)
-	for i := range seeds {
-		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
+	const master = 0x5161
+	ids := sampleIDs(300)
 	points := []param.Point{
 		{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12},
 		{"current_week": 20, "purchase1": 48, "purchase2": 52, "feature_release": 36},
@@ -149,20 +147,20 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 			var r rng.Rand
 			row := make([]float64, s.RowLen())
 			for _, p := range points {
-				want := make([]float64, len(seeds))
+				want := make([]float64, len(ids))
 				s.BindRow(p, row)
-				for j, seed := range seeds {
-					r.Seed(seed)
+				for j, id := range ids {
+					r.Seed(rng.SampleSeed(master, id))
 					s.FillRow(&r, row)
 					want[j] = row[idx]
 				}
 				bound := ev.BindPoint(p, nil)
 				var lent rng.Rand
-				for _, bs := range []int{1, 7, len(seeds)} {
-					got := make([]float64, len(seeds))
-					for lo := 0; lo < len(seeds); lo += bs {
-						hi := min(lo+bs, len(seeds))
-						ev.EvalBlockBound(bound, [][]float64{got[lo:hi]}, seeds[lo:hi], &lent)
+				for _, bs := range []int{1, 7, len(ids)} {
+					got := make([]float64, len(ids))
+					for lo := 0; lo < len(ids); lo += bs {
+						hi := min(lo+bs, len(ids))
+						ev.EvalBlockBound(bound, [][]float64{got[lo:hi]}, master, ids[lo:hi], &lent)
 					}
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
@@ -195,8 +193,8 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 	bound := ev.BindPoint(param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}, nil)
 	var r rng.Rand
 	perBlock := func(n int) float64 {
-		outs, seeds := [][]float64{make([]float64, n)}, make([]uint64, n)
-		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, seeds, &r) })
+		outs, ids := [][]float64{make([]float64, n)}, sampleIDs(n)
+		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) })
 	}
 	const budget = 0
 	small, large := perBlock(16), perBlock(1024)
@@ -211,10 +209,7 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 func TestColumnsMatchOneSlotEvals(t *testing.T) {
 	s := compileFig1(t)
 	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
-	seeds := make([]uint64, 64)
-	for i := range seeds {
-		seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
+	ids := sampleIDs(64)
 	slots := make([]int, len(s.Columns))
 	for c := range slots {
 		slots[c] = len(slots) - 1 - c
@@ -225,10 +220,10 @@ func TestColumnsMatchOneSlotEvals(t *testing.T) {
 		outs := make([][]float64, len(slots))
 		for c := range outs {
 			if c != skip {
-				outs[c] = make([]float64, len(seeds))
+				outs[c] = make([]float64, len(ids))
 			}
 		}
-		rows.EvalBlockBound(rows.BindPoint(p, nil), outs, seeds, &r)
+		rows.EvalBlockBound(rows.BindPoint(p, nil), outs, 0x5161, ids, &r)
 		if outs[skip] != nil {
 			t.Fatalf("nil output %d was replaced", skip)
 		}
@@ -240,8 +235,8 @@ func TestColumnsMatchOneSlotEvals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float64, len(seeds))
-			ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{want}, seeds, &r)
+			want := make([]float64, len(ids))
+			ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{want}, 0x5161, ids, &r)
 			for j := range want {
 				if math.Float64bits(outs[c][j]) != math.Float64bits(want[j]) {
 					t.Fatalf("output %d (%s), sample %d = %v, ColumnEval drew %v", c, s.Columns[slot], j, outs[c][j], want[j])
@@ -461,7 +456,7 @@ func FuzzCompileScenario(f *testing.F) {
 	}
 	reg, hidden := pointBoxRegistries(boundModels()...)
 	drawHidden := drawHiddenRegistry(boundModels()...)
-	seeds := sampleSeeds(8)
+	ids := sampleIDs(8)
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sqlparse.Parse(src)
 		if err != nil {
@@ -498,7 +493,7 @@ func FuzzCompileScenario(f *testing.F) {
 			t.Fatal(err)
 		}
 		for range 2 {
-			if got, want := drawBlocks(sev, p, seeds, 3), drawBlocks(dev, p, seeds, 3); !sameColumns(got, want, len(got)) {
+			if got, want := drawBlocks(sev, p, 0x5161, ids, 3), drawBlocks(dev, p, 0x5161, ids, 3); !sameColumns(got, want, len(got)) {
 				t.Fatalf("at %v: column %s draws %v, with DrawBox hidden %v", p, col, got, want)
 			}
 		}

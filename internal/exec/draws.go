@@ -7,142 +7,98 @@ import (
 	"jigsaw/internal/rng"
 )
 
-// drawTable maps a sample seed to a seed-only row's draw vector (see
-// Scenario.SharesDraws): under common random numbers the sample
-// seeded by σ takes the same draws at every point, so a scenario draws
-// each seed's vector once and every later point copies it into the
-// row. A draw vector is a pure function of its seed, so the seed
-// itself is the key: engines with different master seeds, interactive
-// sessions drawing scattered sample ids and concurrent sweeps all
-// share one table without a wrong hit.
+// drawTable holds a seed-only row's draw vectors by sample id (see
+// Scenario.SharesDraws): under common random numbers sample (master,
+// id) takes the same draws at every point, so a scenario draws each
+// sample's vector once and every later point copies it into the row.
+// The table holds one master's samples 0 to n−1 densely; a block under
+// another master replaces it. Every caller that exists draws under one
+// master per call (perfbench compiles a Scenario per answer, and
+// cmd/jigsaw, sessions, optimize.Run and RunGraph use one master
+// each), so a replacement costs only interleaved callers their reuse,
+// never a wrong value.
 //
-// Readers take no lock: they look seeds up in an immutable snapshot
-// loaded through an atomic pointer. A reader that misses calls fill,
-// which under mu draws every missing seed of its block into a new
-// snapshot and publishes it, so a sweep publishes about once per block
-// of new seeds and never in steady state. The table lives as long as
-// its Scenario and stops admitting entries at maxTableBytes; a seed
-// beyond that is drawn into the row on every use.
+// Readers take no lock: they index an immutable snapshot loaded
+// through an atomic pointer. A block whose largest id the snapshot
+// lacks calls fill, which under mu draws the missing ids up to it into
+// a new snapshot and publishes it, so a sweep publishes about once per
+// block of new ids and never in steady state. The table lives as long
+// as its Scenario and holds at most maxTableBytes of draws; an id past
+// that bound is drawn into the row on every use.
 type drawTable struct {
-	// width is the draw vector's length, and max the entry bound.
+	// width is the draw vector's length, and max the id bound.
 	width, max int
 	mu         sync.Mutex
 	snap       atomic.Pointer[drawSnap]
 }
 
-// drawSnap is one published state of a drawTable. Entries are only
-// appended: a later snapshot may share vals' backing array and write
-// past this one's length, which no reader of this one reads, so what
-// a snapshot shows never changes.
+// drawSnap is one published state of a drawTable: sample id's draws
+// under master at vals[id*width : (id+1)*width]. Entries are only
+// appended: a later snapshot of the same master may share vals'
+// backing array and write past this one's length, which no reader of
+// this one reads, so what a snapshot shows never changes.
 type drawSnap struct {
-	// slots is an open-addressing index keyed on a seed's low bits
-	// (seeds are splitmix64 outputs, so the low bits are uniform). Its
-	// length is a power of two, at least twice the entry count.
-	slots []drawSlot
-	// vals holds entry e's draws at vals[e*width : (e+1)*width].
-	vals []float64
-}
-
-// drawSlot tags an entry with its seed; entry is the entry index + 1,
-// or 0 for an empty slot.
-type drawSlot struct {
-	seed  uint64
-	entry int32
+	master uint64
+	vals   []float64
 }
 
 const (
-	// maxTableBytes bounds a table's memory: entries and index.
+	// maxTableBytes bounds a table's draws.
 	maxTableBytes = 4 << 20
 	// minTableEntries is the capacity a table first allocates, enough
-	// for every seed of a 1000-sample sweep.
+	// for every sample of a 1000-sample sweep.
 	minTableEntries = 1024
 )
 
 func newDrawTable(width int) *drawTable {
-	// An entry costs its draws and, at most, two 16-byte slots.
-	t := &drawTable{width: width, max: maxTableBytes / (8*width + 32)}
-	t.snap.Store(&drawSnap{slots: make([]drawSlot, 1)})
+	t := &drawTable{width: width, max: maxTableBytes / (8 * width)}
+	t.snap.Store(&drawSnap{})
 	return t
 }
 
-// find returns seed's draw vector, or nil when the snapshot lacks it.
-func (sn *drawSnap) find(seed uint64, width int) []float64 {
-	mask := uint64(len(sn.slots) - 1)
-	for h := seed & mask; ; h = (h + 1) & mask {
-		sl := sn.slots[h]
-		if sl.entry == 0 {
-			return nil
-		}
-		if sl.seed == seed {
-			e := int(sl.entry) - 1
-			return sn.vals[e*width : (e+1)*width : (e+1)*width]
-		}
+// load returns the draws of master's samples 0 to n−1, n covering
+// every id of ids below the bound, filling the table first when its
+// snapshot falls short.
+func (t *drawTable) load(s *Scenario, master uint64, ids []int, r *rng.Rand) []float64 {
+	top := -1
+	for _, id := range ids {
+		top = max(top, id)
 	}
+	n := min(top+1, t.max)
+	sn := t.snap.Load()
+	if sn.master != master || len(sn.vals) < n*t.width {
+		sn = t.fill(s, master, n, r)
+	}
+	return sn.vals
 }
 
-// insert indexes a slot; the slot index must have room.
-func (sn *drawSnap) insert(sl drawSlot) {
-	mask := uint64(len(sn.slots) - 1)
-	h := sl.seed & mask
-	for sn.slots[h].entry != 0 {
-		h = (h + 1) & mask
-	}
-	sn.slots[h] = sl
-}
-
-// fill draws every seed of seeds the table lacks, while it has room,
-// and returns the snapshot it publishes (the current one when nothing
-// was missing). Each seed is drawn from r, freshly seeded, through
-// s.drawRow. A panicking Draw publishes nothing, so no reader ever
-// sees a half-drawn entry; the lock is held across the draws, which
-// are pure functions of the generator and cannot reach the table.
-func (t *drawTable) fill(s *Scenario, seeds []uint64, r *rng.Rand) *drawSnap {
+// fill draws master's samples up to id n−1 that the table lacks,
+// replacing a table of another master, and returns the snapshot it
+// publishes (the current one when nothing was missing). Each sample is
+// drawn from r, seeded with its seed, through s.drawRow. A panicking
+// Draw publishes nothing, so no reader ever sees a half-drawn entry;
+// the lock is held across the draws, which are pure functions of the
+// generator and cannot reach the table.
+func (t *drawTable) fill(s *Scenario, master uint64, n int, r *rng.Rand) *drawSnap {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.snap.Load()
-	n := len(old.vals) / t.width
-	add := 0
-	for _, seed := range seeds {
-		if old.find(seed, t.width) == nil {
-			add++
+	next := &drawSnap{master: master}
+	if old.master == master {
+		if len(old.vals) >= n*t.width {
+			return old
 		}
+		next.vals = old.vals
 	}
-	add = min(add, t.max-n)
-	if add == 0 {
-		return old
+	have := len(next.vals) / t.width
+	if cap(next.vals) < n*t.width {
+		c := min(max(n, 2*cap(next.vals)/t.width, minTableEntries), t.max)
+		next.vals = append(make([]float64, 0, c*t.width), next.vals...)
 	}
-	next := &drawSnap{vals: old.vals}
-	if want := (n + add) * t.width; cap(next.vals) < want {
-		c := min(max(n+add, 2*cap(old.vals)/t.width, minTableEntries), t.max)
-		next.vals = append(make([]float64, 0, c*t.width), old.vals...)
-	}
-	size := len(old.slots)
-	for size < 2*(n+add) {
-		size *= 2
-	}
-	next.slots = make([]drawSlot, size)
-	if size == len(old.slots) {
-		copy(next.slots, old.slots)
-	} else {
-		for _, sl := range old.slots {
-			if sl.entry != 0 {
-				next.insert(sl)
-			}
-		}
-	}
-	e := n
-	for _, seed := range seeds {
-		if e == n+add {
-			break
-		}
-		if next.find(seed, t.width) != nil {
-			continue
-		}
-		next.vals = next.vals[:(e+1)*t.width]
-		r.Seed(seed)
-		s.drawRow(r, next.vals[e*t.width:])
-		next.insert(drawSlot{seed: seed, entry: int32(e + 1)})
-		e++
+	next.vals = next.vals[:n*t.width]
+	for id := have; id < n; id++ {
+		r.Seed(rng.SampleSeed(master, id))
+		s.drawRow(r, next.vals[id*t.width:])
 	}
 	t.snap.Store(next)
 	return next

@@ -68,23 +68,24 @@ func compileDraws(t testing.TB, src string) (stock, hidden *Scenario) {
 	return stock, hidden
 }
 
-// sampleSeeds returns the seeds of n sample ids spread over a long
-// stream, as an interactive session or a deep sweep draws them.
-func sampleSeeds(n int) []uint64 {
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = rng.SampleSeed(0x5161, i*i%997)
+// sampleIDs returns n sample ids scattered over the first 997, out of
+// order (and repeating past n = 498), as an interactive session draws
+// them.
+func sampleIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i * i % 997
 	}
-	return seeds
+	return ids
 }
 
 // TestSeedOnlyColumnEvalMatchesGeneratorPath: a seed-only row's
-// ColumnEval, which draws each seed once into the scenario's table and
-// copies it at every point, is bit-identical to the same script with
-// DrawBox hidden, which draws every sample at every point, for every
-// column and block size, on a fresh table and a warm one.
+// ColumnEval, which draws each sample once into the scenario's table
+// and copies it at every point, is bit-identical to the same script
+// with DrawBox hidden, which draws every sample at every point, for
+// every column and block size, on a fresh table and a warm one.
 func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
-	seeds := sampleSeeds(300)
+	ids := sampleIDs(300)
 	for _, tc := range seedOnlySources {
 		for _, bs := range []int{1, 7, 256} {
 			stock, hidden := compileDraws(t, tc.src)
@@ -100,7 +101,7 @@ func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
 				n := stock.Space.Size()
 				for i := 0; i < n; i += max(1, n/13) {
 					p := stock.Space.Point(i)
-					got, want := drawBlocks(sev, p, seeds, bs), drawBlocks(hev, p, seeds, bs)
+					got, want := drawBlocks(sev, p, 0x5161, ids, bs), drawBlocks(hev, p, 0x5161, ids, bs)
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("%s, block size %d, column %s at %v: sample %d = %v, generator path %v",
@@ -113,16 +114,65 @@ func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
 	}
 }
 
-// drawBlocks draws ev at p over seeds in blocks of bs.
-func drawBlocks(ev mc.PointEval, p param.Point, seeds []uint64, bs int) []float64 {
-	out := make([]float64, len(seeds))
+// drawBlocks draws ev at p over master's samples ids in blocks of bs.
+func drawBlocks(ev mc.PointEval, p param.Point, master uint64, ids []int, bs int) []float64 {
+	return drawColumns(ev, 1, p, master, ids, bs)[0]
+}
+
+// drawColumns draws all k outputs of ev at p over master's samples ids
+// in blocks of bs.
+func drawColumns(ev mc.PointEval, k int, p param.Point, master uint64, ids []int, bs int) [][]float64 {
+	outs := make([][]float64, k)
+	for c := range outs {
+		outs[c] = make([]float64, len(ids))
+	}
 	bound := ev.BindPoint(p, nil)
 	var r rng.Rand
-	for lo := 0; lo < len(seeds); lo += bs {
-		hi := min(lo+bs, len(seeds))
-		ev.EvalBlockBound(bound, [][]float64{out[lo:hi]}, seeds[lo:hi], &r)
+	blk := make([][]float64, len(outs))
+	for lo := 0; lo < len(ids); lo += bs {
+		hi := min(lo+bs, len(ids))
+		for c := range outs {
+			blk[c] = outs[c][lo:hi]
+		}
+		ev.EvalBlockBound(bound, blk, master, ids[lo:hi], &r)
 	}
-	return out
+	return outs
+}
+
+// TestDrawTablePastBound: ids that straddle the table's bound, out of
+// order and far apart, under masters that alternate, draw bit for bit
+// what the generator path draws at every block size. An id past the
+// bound is drawn into the row, and the table never holds more than
+// the bound.
+func TestDrawTablePastBound(t *testing.T) {
+	stock, hidden := compileDraws(t, figure1Source)
+	top := maxTableBytes / (8 * stock.table.width)
+	ids := []int{top + 3, 5, top - 1, 2 * top, 0, top, 997, top - 2, top + 1, 3 * top / 4, 1, top + 1000}
+	all := make([]int, len(stock.Columns))
+	for c := range all {
+		all[c] = c
+	}
+	sev, hev := &columns{s: stock, slots: all}, &columns{s: hidden, slots: all}
+	for _, bs := range []int{1, 7, 256} {
+		for _, master := range []uint64{1, 2, 1} {
+			for i := 0; i < stock.Space.Size(); i += stock.Space.Size() / 3 {
+				p := stock.Space.Point(i)
+				got, want := drawColumns(sev, len(all), p, master, ids, bs), drawColumns(hev, len(all), p, master, ids, bs)
+				for c := range want {
+					for j := range want[c] {
+						if math.Float64bits(got[c][j]) != math.Float64bits(want[c][j]) {
+							t.Fatalf("block size %d, master %d, at %v: %s of sample %d = %v, generator path %v",
+								bs, master, p, stock.Columns[c], ids[j], got[c][j], want[c][j])
+						}
+					}
+				}
+			}
+			if snap := stock.table.snap.Load(); snap.master != master || len(snap.vals) != top*stock.table.width {
+				t.Fatalf("block size %d, master %d: table holds %d draws under master %d, want %d of %d",
+					bs, master, len(snap.vals), snap.master, top*stock.table.width, master)
+			}
+		}
+	}
 }
 
 // sweepAll sweeps names over every batch and returns the results.
@@ -190,7 +240,8 @@ func TestSeedOnlySweepMatchesGeneratorPath(t *testing.T) {
 
 // TestDrawTableAcrossMasterSeeds: one Scenario swept in turn by
 // engines with different MasterSeed values returns each engine's own
-// answers: the table is keyed on the sample seed, not the sample id.
+// answers: a sweep under a new master replaces the table rather than
+// reading another master's draws.
 func TestDrawTableAcrossMasterSeeds(t *testing.T) {
 	stock, hidden := compileDraws(t, figure1Source)
 	names := []string{"overload", "demand"}
@@ -314,12 +365,12 @@ func TestDrawTablePanicIsPointError(t *testing.T) {
 	}
 }
 
-// TestDrawTableFlatInPoints: the table holds one entry per distinct
-// seed, so its footprint depends on the samples drawn, not the points
-// swept: sweeping 2 points or 120 leaves the same table, and a second
-// sweep over new points publishes nothing new.
+// TestDrawTableFlatInPoints: the table holds one entry per sample id,
+// so its footprint depends on the samples drawn, not the points swept:
+// sweeping 2 points or 120 leaves the same table, and a second sweep
+// over new points publishes nothing new.
 func TestDrawTableFlatInPoints(t *testing.T) {
-	footprint := func(points int) (*drawSnap, [2]int) {
+	footprint := func(points int) (*drawSnap, int) {
 		s := compileFig1(t)
 		batch := s.Space.Points()[:points]
 		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][]param.Point{batch}); err != nil {
@@ -332,13 +383,13 @@ func TestDrawTableFlatInPoints(t *testing.T) {
 		if s.table.snap.Load() != snap {
 			t.Fatalf("%d points: a sweep over new points rebuilt the warm table", points)
 		}
-		return snap, [2]int{len(snap.slots), cap(snap.vals)}
+		return snap, cap(snap.vals)
 	}
 	few, small := footprint(2)
 	many, large := footprint(120)
 	width := compileFig1(t).table.width
 	if len(few.vals) != 300*width || len(many.vals) != 300*width || small != large {
-		t.Fatalf("table after 2 points: %d draws, (slots, draw cap) %v; after 120: %d draws, %v; want 300 entries of %d and the same footprint",
+		t.Fatalf("table after 2 points: %d draws, capacity %d; after 120: %d draws, %d; want 300 entries of %d and the same footprint",
 			len(few.vals), small, len(many.vals), large, width)
 	}
 }
@@ -394,10 +445,43 @@ func TestGeneratorPathBlockAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := ev.BindPoint(s.Space.Point(s.Space.Size()/2), nil)
-		outs, seeds := [][]float64{make([]float64, 64)}, sampleSeeds(64)
+		outs, ids := [][]float64{make([]float64, 64)}, sampleIDs(64)
 		var r rng.Rand
-		if n := testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, seeds, &r) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) }); n != 0 {
 			t.Errorf("%v: a generator-path block allocates %.1f, want 0", s.Columns, n)
 		}
+	}
+}
+
+// BenchmarkSeedOnlyColumnBlock draws Fig. 1's overload column at one
+// bound point, 1000 sample ids per op: through the warm draw table,
+// and with DrawBox hidden, through the generator.
+func BenchmarkSeedOnlyColumnBlock(b *testing.B) {
+	stock, hidden := compileDraws(b, figure1Source)
+	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	ids := make([]int, 1000)
+	for i := range ids {
+		ids[i] = i
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Scenario
+	}{{"table", stock}, {"generator", hidden}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ev, err := tc.s.ColumnEval("overload")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bound := ev.BindPoint(p, nil)
+			outs := [][]float64{make([]float64, len(ids))}
+			var r rng.Rand
+			ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) // warm the table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				ev.EvalBlockBound(bound, outs, 0x5161, ids, &r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/sample")
+		})
 	}
 }

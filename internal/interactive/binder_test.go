@@ -1,12 +1,16 @@
 package interactive
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/exec"
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
+	"jigsaw/internal/sqlparse"
 )
 
 // runSession drives a fresh session through a fixed focus/tick script
@@ -74,5 +78,88 @@ func TestSessionBinderMatchesPlainEval(t *testing.T) {
 				t.Fatal("session drew nothing")
 			}
 		})
+	}
+}
+
+// pointOnlyBox shows a model's PointBox capability and hides DrawBox,
+// so a scenario row of it draws its samples through the generator.
+type pointOnlyBox struct{ blackbox.PointBox }
+
+// compileFig1 compiles the Fig. 1 scenario with the stock models, or
+// with their DrawBox capability hidden.
+func compileFig1(t *testing.T, hideDraws bool) *exec.Scenario {
+	t.Helper()
+	script, err := sqlparse.Parse(figure1Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := blackbox.NewRegistry()
+	for _, b := range []blackbox.PointBox{blackbox.NewDemand(), blackbox.NewCapacity()} {
+		if hideDraws {
+			b = pointOnlyBox{b}
+		}
+		reg.MustRegister(b)
+	}
+	s, err := exec.CompileScenario(script, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared, _ := s.SharesDraws(); shared == hideDraws {
+		t.Fatalf("DrawBox hidden %v, but the row shares draws %v", hideDraws, shared)
+	}
+	return s
+}
+
+// TestSeedOnlySessionMatchesGeneratorPath: a session over a seed-only
+// Fig. 1 column, whose scattered sample ids draw through the
+// scenario's draw table, reaches bit for bit the estimates and
+// counters of the same column with DrawBox hidden, through focus moves
+// and ticks.
+func TestSeedOnlySessionMatchesGeneratorPath(t *testing.T) {
+	focuses := []param.Point{
+		{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12},
+		{"current_week": 30, "purchase1": 8, "purchase2": 16, "feature_release": 36},
+		{"current_week": 31, "purchase1": 8, "purchase2": 16, "feature_release": 36},
+		{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12},
+	}
+	run := func(col string, hideDraws bool) ([]uint64, Stats) {
+		scenario := compileFig1(t, hideDraws)
+		ev, err := scenario.ColumnEval(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(ev, scenario.Space, Options{MasterSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, focus := range focuses {
+			if err := s.SetFocus(focus); err != nil {
+				t.Fatal(err)
+			}
+			for range 9 {
+				_, p, err := s.Tick()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range []param.Point{focus, p} {
+					est, _ := s.Estimate(q)
+					for _, v := range []float64{est.Mean, est.StdDev, est.Min, est.Max} {
+						bits = append(bits, math.Float64bits(v))
+					}
+				}
+			}
+		}
+		return bits, s.Stats()
+	}
+	for _, col := range []string{"overload", "capacity"} {
+		got, gotStats := run(col, false)
+		want, wantStats := run(col, true)
+		if !slices.Equal(got, want) || gotStats != wantStats {
+			t.Fatalf("%s: seed-only session diverged from the generator path: stats %+v, want %+v", col, gotStats, wantStats)
+		}
+		if gotStats.Evaluations == 0 {
+			t.Fatalf("%s: session drew nothing", col)
+		}
 	}
 }

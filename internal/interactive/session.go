@@ -60,8 +60,8 @@ type Options struct {
 	// FingerprintLen is the size of the initial-guess fingerprint
 	// (§5 uses a very small one, e.g. 10).
 	FingerprintLen int
-	// MasterSeed names the sample seeds: sample id draws from
-	// rng.SampleSeed(MasterSeed, id), as in the mc engine.
+	// MasterSeed names the samples as mc.Options.MasterSeed does:
+	// sample id of a session is sample id of an engine.
 	MasterSeed uint64
 	// Tolerance is the mapping validation tolerance.
 	Tolerance float64
@@ -208,13 +208,9 @@ func (s *Session) Focus() param.Point { return s.focus.Clone() }
 // and the batch draws as one block. Draws are counted by the caller.
 func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
 	out := make([]float64, len(ids))
-	seeds := make([]uint64, len(ids))
-	for k, id := range ids {
-		seeds[k] = rng.SampleSeed(s.opts.MasterSeed, id)
-	}
 	s.bound = s.eval.BindPoint(p, s.bound)
 	s.outs[0] = out
-	s.eval.EvalBlockBound(s.bound, s.outs[:], seeds, &s.r)
+	s.eval.EvalBlockBound(s.bound, s.outs[:], s.opts.MasterSeed, ids, &s.r)
 	return out
 }
 

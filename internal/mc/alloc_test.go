@@ -51,7 +51,7 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 	}
 	// Unless a basis payload keeps the sample vector, the
 	// block-pipeline cold path must be allocation-free at steady
-	// state: sample blocks, seed blocks, bound arguments and the
+	// state: sample blocks, id blocks, bound arguments and the
 	// accumulator all come from pooled scratch. KeepSamples without
 	// Reuse keeps no vector, so it draws into scratch too (a fresh
 	// vector would be 1 per point). Budget 0: the scratch outlives a
@@ -81,9 +81,11 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 // sub-generator of its own, and Overload, which composes two models
 // on one generator.
 func TestBindBoxBlockAllocs(t *testing.T) {
-	seeds := make([]uint64, DefaultBlockSize)
-	rng.FillSeeds(0x5161, 0, seeds)
-	outs := [][]float64{make([]float64, len(seeds))}
+	ids := make([]int, DefaultBlockSize)
+	for i := range ids {
+		ids[i] = i
+	}
+	outs := [][]float64{make([]float64, len(ids))}
 	var r rng.Rand
 	for _, tc := range []struct {
 		box   blackbox.Box
@@ -96,10 +98,10 @@ func TestBindBoxBlockAllocs(t *testing.T) {
 		ev := MustBindBox(tc.box, tc.names...)
 		bound := ev.BindPoint(tc.p, nil)
 		allocs := testing.AllocsPerRun(20, func() {
-			ev.EvalBlockBound(bound, outs, seeds, &r)
+			ev.EvalBlockBound(bound, outs, 0x5161, ids, &r)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: a %d-seed block allocates %.1f, want 0", tc.box.Name(), len(seeds), allocs)
+			t.Errorf("%s: a %d-sample block allocates %.1f, want 0", tc.box.Name(), len(ids), allocs)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"jigsaw/internal/blackbox"
@@ -22,37 +23,41 @@ import (
 
 // PointEval is the stochastic function F(P, σ) of §3.1 at one
 // parameter point: a point is bound once (BindPoint), then sampled in
-// seed blocks (EvalBlockBound). The full Monte Carlo simulation of
-// Fig. 3's dashed box is "the stochastic function F" being
-// fingerprinted (§3: "Taken to one extreme, the entire Monte Carlo
-// simulation ... can be treated as the stochastic function F"). One
-// sample of F may yield several outputs — every result column of one
-// sampled world of a compiled scenario — and SweepRows fingerprints and
-// simulates each sample once for all of them; Sweep, SweepBatch and
-// EvaluatePoint read output 0.
+// blocks of sample ids (EvalBlockBound). The full Monte Carlo
+// simulation of Fig. 3's dashed box is "the stochastic function F"
+// being fingerprinted (§3: "Taken to one extreme, the entire Monte
+// Carlo simulation ... can be treated as the stochastic function F").
+// One sample of F may yield several outputs — every result column of
+// one sampled world of a compiled scenario — and SweepRows
+// fingerprints and simulates each sample once for all of them; Sweep,
+// SweepBatch and EvaluatePoint read output 0.
 //
-// Every sample must be a function of the binding and its own seed
-// alone: outs[c][j] depends on what BindPoint wrote and seeds[j],
-// never on the other seeds of its block. The engine relies on that to
-// keep results independent of block size (see DESIGN.md,
-// "Block-sampling pipeline"). Implementations must be safe for
-// concurrent calls on distinct bindings (the engine spreads points
-// over workers, each with a binding of its own). BindBox adapts any
-// black box, plain functions included (blackbox.Func), and compiled
-// scenario columns are one too (exec's Scenario.ColumnEval).
+// A sample is named by (master, id), and its seed is
+// rng.SampleSeed(master, id). Every sample must be a function of the
+// binding and its own seed alone: outs[c][j] depends on what
+// BindPoint wrote and the seed of ids[j], never on the other ids of
+// its block. The engine relies on that to keep results independent of
+// block size (see DESIGN.md, "Block-sampling pipeline").
+// Implementations must be safe for concurrent calls on distinct
+// bindings (the engine spreads points over workers, each with a
+// binding of its own). BindBox adapts any black box, plain functions
+// included (blackbox.Func), and compiled scenario columns are one too
+// (exec's Scenario.ColumnEval).
 type PointEval interface {
 	// BindPoint writes what sampling needs of p into buf (growing it
 	// as needed) and returns the binding for EvalBlockBound. It draws
 	// nothing, and the implementation must not retain buf.
 	BindPoint(p param.Point, buf []float64) []float64
-	// EvalBlockBound draws one sample per seed against a binding
-	// BindPoint returned: output c of the sample seeded by seeds[j]
-	// goes to outs[c][j] (len(outs[c]) == len(seeds)), and nothing is
-	// written for a nil outs[c]. r is a generator the caller lends, for
-	// evaluators that reseed once per sample. It may use the binding as
-	// scratch, provided what BindPoint wrote survives: one goroutine
-	// draws a given binding at a time.
-	EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand)
+	// EvalBlockBound draws one sample per id against a binding
+	// BindPoint returned: output c of sample ids[j], seeded by
+	// rng.SampleSeed(master, ids[j]), goes to outs[c][j]
+	// (len(outs[c]) == len(ids)), and nothing is written for a nil
+	// outs[c]. The ids need be neither consecutive nor sorted. r is a
+	// generator the caller lends, for evaluators that reseed once per
+	// sample. It may use the binding as scratch, provided what
+	// BindPoint wrote survives: one goroutine draws a given binding at
+	// a time.
+	EvalBlockBound(bound []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand)
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional
@@ -75,16 +80,29 @@ func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
+// seedChunks lends a BoundBox the seed buffer its native kernel
+// reads: a block's seeds are derived one chunk at a time, so a block
+// allocates nothing.
+var seedChunks = sync.Pool{New: func() any { return new([DefaultBlockSize]uint64) }}
+
 // EvalBlockBound implements PointEval: output 0 is the box's draw.
-func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
 	out := outs[0]
 	switch {
 	case out == nil: // output 0 not requested
 	case b.block != nil:
-		b.block.EvalBlock(bound, out, seeds)
+		chunk := seedChunks.Get().(*[DefaultBlockSize]uint64)
+		for lo := 0; lo < len(ids); lo += len(chunk) {
+			seeds := chunk[:min(len(chunk), len(ids)-lo)]
+			for j := range seeds {
+				seeds[j] = rng.SampleSeed(master, ids[lo+j])
+			}
+			b.block.EvalBlock(bound, out[lo:lo+len(seeds)], seeds)
+		}
+		seedChunks.Put(chunk)
 	default:
-		for j, seed := range seeds {
-			r.Seed(seed)
+		for j, id := range ids {
+			r.Seed(rng.SampleSeed(master, id))
 			out[j] = b.box.Eval(bound, r)
 		}
 	}
@@ -158,8 +176,9 @@ type Options struct {
 	// Tolerance is the mapping validation tolerance (default
 	// core.DefaultTolerance).
 	Tolerance float64
-	// KeepSamples retains each basis' sample vector in its payload,
-	// which ValidationSamples compares a match against.
+	// KeepSamples retains each basis' sample vector in its payload
+	// (with Reuse). Reuse with ValidationSamples > 0 retains them
+	// whatever KeepSamples says, and Options reports it set.
 	KeepSamples bool
 	// ValidationSamples extends every successful fingerprint match
 	// with that many additional paired samples before trusting it —
@@ -171,9 +190,9 @@ type Options struct {
 	// Samples−FingerprintLen). A sweep draws them for every point in its
 	// parallel fingerprint phase, so the cost is v extra rounds per
 	// point, and a point that is simulated after all keeps them as its
-	// samples; a lone EvaluatePoint draws them only on a match. Requires
-	// KeepSamples so bases retain their seed-aligned sample vectors.
-	// 0 (the default) reproduces the paper's behavior exactly.
+	// samples; a lone EvaluatePoint draws them only on a match. With
+	// Reuse, bases retain their seed-aligned sample vectors to compare
+	// against. 0 (the default) reproduces the paper's behavior exactly.
 	ValidationSamples int
 	// Workers sizes the point pool of Sweep and SweepBatch; 0 means
 	// GOMAXPROCS, 1 runs the sweep on the calling goroutine, negative
@@ -186,8 +205,8 @@ type Options struct {
 
 // DefaultBlockSize is the number of samples the engine draws per
 // batch through the block pipeline: large enough to amortize
-// per-block setup (seed fill, kernel dispatch, binding checks) to
-// noise, small enough that a block's seeds and samples stay
+// per-block setup (id fill, kernel dispatch, binding checks) to
+// noise, small enough that a block's ids and samples stay
 // L1-resident (4 KiB together). Every sample's seed depends only on
 // its id, so results are bit-identical for every block size (see
 // DESIGN.md, "Block-sampling pipeline").
@@ -206,6 +225,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	if o.Reuse && o.ValidationSamples > 0 {
+		o.KeepSamples = true // validation compares against them
 	}
 	return o
 }
@@ -249,9 +271,9 @@ func (o Options) newIndex() core.Index {
 type BasisPayload struct {
 	// Summary holds the estimator output oi for the basis point.
 	Summary stats.Summary
-	// Samples holds the basis' seed-aligned draws when
-	// Options.KeepSamples is set; validation compares matches against
-	// them.
+	// Samples holds the basis' seed-aligned draws when the engine's
+	// effective Options.KeepSamples is set (always, when it validates);
+	// validation compares matches against them.
 	Samples []float64
 
 	// pending is nonzero between a sweep registering the basis (phase
@@ -430,10 +452,10 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 // validationRounds is v, the number of paired rounds past the
 // fingerprint on which a match is validated: ValidationSamples,
 // clamped to the n−m rounds there are, or 0 when the engine trusts
-// matches as-is (no reuse, no retained samples, or no validation).
+// matches as-is (no reuse or no validation).
 func (e *Engine) validationRounds() int {
 	o := e.opts
-	if !o.Reuse || !o.KeepSamples || o.ValidationSamples <= 0 {
+	if !o.Reuse || o.ValidationSamples <= 0 {
 		return 0
 	}
 	return min(o.ValidationSamples, o.Samples-o.FingerprintLen)
@@ -501,28 +523,31 @@ func (e *Engine) simulateRows(f PointEval, p param.Point, dsts [][]float64, lo i
 }
 
 // sampleRange draws the rounds with ids [lo, hi) into dsts[c][lo:hi],
-// one block at a time: each block's seeds are materialized into sc's
-// seed buffer and handed to f with the block's views of dsts (nil
-// entries stay nil) and sc's generator. Block boundaries are invisible
-// in the output because each sample's seed depends only on its id.
+// one block at a time: each block's ids are written into sc's id
+// buffer and handed to f with the engine's master seed, the block's
+// views of dsts (nil entries stay nil) and sc's generator. Block
+// boundaries are invisible in the output because each sample's seed
+// depends only on its id.
 func (e *Engine) sampleRange(f PointEval, bound []float64, dsts [][]float64, lo, hi int, sc *scratch) {
 	bs := min(e.blockSize, hi-lo)
 	if bs <= 0 {
 		return
 	}
-	seeds := sc.seedBuf(bs)
+	sc.ids = grow(sc.ids, bs)
 	sc.outs = grow(sc.outs, len(dsts))
 	outs := sc.outs
 	for off := lo; off < hi; off += bs {
-		blk := seeds[:min(bs, hi-off)]
-		rng.FillSeeds(e.opts.MasterSeed, off, blk)
+		ids := sc.ids[:min(bs, hi-off)]
+		for j := range ids {
+			ids[j] = off + j
+		}
 		for c, dst := range dsts {
 			outs[c] = nil
 			if dst != nil {
-				outs[c] = dst[off : off+len(blk)]
+				outs[c] = dst[off : off+len(ids)]
 			}
 		}
-		f.EvalBlockBound(bound, outs, blk, &sc.r)
+		f.EvalBlockBound(bound, outs, e.opts.MasterSeed, ids, &sc.r)
 	}
 }
 

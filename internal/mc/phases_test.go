@@ -36,12 +36,12 @@ func (c *panicAtEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return c.inner.BindPoint(p, buf)
 }
 
-func (c *panicAtEval) EvalBlockBound(bound []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
-	n := int64(len(seeds))
+func (c *panicAtEval) EvalBlockBound(bound []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
+	n := int64(len(ids))
 	if to := c.count.Add(n); to-n < c.at && c.at <= to {
 		panic("model failure")
 	}
-	c.inner.EvalBlockBound(bound, outs, seeds, r)
+	c.inner.EvalBlockBound(bound, outs, master, ids, r)
 }
 
 // TestSweepPhasePanicLeavesEngineUsable abandons a sweep by a panic in
@@ -168,7 +168,7 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 }
 
 // blockLenEval is a block evaluator that records the lengths of the
-// seed blocks it is handed. Block boundaries restart at every chunk
+// id blocks it is handed. Block boundaries restart at every chunk
 // of a fanned-out full simulation, so the recorded lengths reveal how
 // many goroutines drew the samples.
 type blockLenEval struct {
@@ -178,12 +178,12 @@ type blockLenEval struct {
 
 func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
 
-func (b *blockLenEval) EvalBlockBound(_ []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
+func (b *blockLenEval) EvalBlockBound(_ []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
 	b.mu.Lock()
-	b.lens[len(seeds)] = true
+	b.lens[len(ids)] = true
 	b.mu.Unlock()
-	for i, s := range seeds {
-		r.Seed(s)
+	for i, id := range ids {
+		r.Seed(rng.SampleSeed(master, id))
 		outs[0][i] = r.Uniform(0, 1)
 	}
 }

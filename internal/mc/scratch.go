@@ -37,9 +37,8 @@ type scratch struct {
 	// bound is the PointEval binding: the point is bound into it once,
 	// not once per sample.
 	bound []float64
-	// seeds is the per-block sample-seed buffer, which
-	// rng.FillSeeds fills one block at a time.
-	seeds []uint64
+	// ids is the per-block sample-id buffer.
+	ids []int
 	// r is the worker's generator, lent to EvalBlockBound for
 	// evaluators that reseed it once per sample.
 	r rng.Rand
@@ -85,10 +84,4 @@ func (sc *scratch) outputs(k int) [][]float64 {
 func (sc *scratch) fingerprint(m int) core.Fingerprint {
 	sc.fp = grow(sc.fp, m)
 	return sc.fp
-}
-
-// seedBuf returns sc.seeds grown to length n (values undefined).
-func (sc *scratch) seedBuf(n int) []uint64 {
-	sc.seeds = grow(sc.seeds, n)
-	return sc.seeds
 }

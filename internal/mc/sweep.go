@@ -48,11 +48,12 @@ import (
 // Samples, FingerprintLen and MasterSeed: sample j of output c is
 // output c of row j. Phase B costs one probe per point and output, small
 // against the model evaluations of phases A and C. Match validation
-// (ValidationSamples with KeepSamples — off by default) adds only
+// (ValidationSamples with Reuse — off by default) adds only
 // comparisons to it: an output's v validation targets are the point's
 // rows m to m+v−1, which depend on the point and the seeds alone, so
 // phase A draws them with the fingerprint. They are compared against
-// the matched basis' retained samples — or, for a basis this sweep
+// the matched basis' retained samples (a validating engine retains
+// them whatever KeepSamples says) — or, for a basis this sweep
 // registered and has not simulated yet, against its owner's prefix,
 // which holds the same rows. A miss keeps its whole prefix as the
 // first w of its samples, so no row is drawn twice.

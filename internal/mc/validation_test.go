@@ -66,14 +66,31 @@ func TestValidationAcceptsTrueMatches(t *testing.T) {
 	}
 }
 
-func TestValidationNoopWithoutSamples(t *testing.T) {
-	// ValidationSamples without KeepSamples degrades to trusting the
-	// match (there is nothing to validate against).
-	e := MustNew(Options{Samples: 200, Reuse: true, Workers: 1, ValidationSamples: 64})
-	e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
-	if !r.Reused {
-		t.Fatal("sample-less validation should trust the match")
+// TestValidationWithoutKeepSamples: ValidationSamples validates with
+// or without KeepSamples. The indicator false positive of
+// TestValidationCatchesIndicatorFalsePositive is rejected either way,
+// through EvaluatePoint and through a sweep, and the basis it was
+// checked against retains its samples.
+func TestValidationWithoutKeepSamples(t *testing.T) {
+	points := []param.Point{{"risk": 0}, {"risk": 0.05}}
+	for _, keep := range []bool{true, false} {
+		opts := Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
+			KeepSamples: keep, ValidationSamples: 128}
+		e := MustNew(opts)
+		base, _ := e.EvaluatePoint(indicatorEval, points[0])
+		if risky, _ := e.EvaluatePoint(indicatorEval, points[1]); risky.Reused {
+			t.Errorf("KeepSamples=%v: EvaluatePoint trusted the false positive", keep)
+		}
+		if b, _ := e.Store().Get(base.BasisID); len(b.Payload.(*BasisPayload).Samples) != opts.Samples {
+			t.Errorf("KeepSamples=%v: the basis retained %d samples, want %d", keep, len(b.Payload.(*BasisPayload).Samples), opts.Samples)
+		}
+		res, st, err := MustNew(opts).SweepBatch(indicatorEval, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[1].Reused || st.Store.Hits != 1 {
+			t.Errorf("KeepSamples=%v: the sweep reused %v after %d hits, want the one hit rejected", keep, res[1].Reused, st.Store.Hits)
+		}
 	}
 }
 
@@ -165,9 +182,9 @@ func (e rowEval) BindPoint(p param.Point, buf []float64) []float64 {
 	return buf
 }
 
-func (e rowEval) EvalBlockBound(row []float64, outs [][]float64, seeds []uint64, r *rng.Rand) {
-	for j, seed := range seeds {
-		r.Seed(seed)
+func (e rowEval) EvalBlockBound(row []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
+	for j, id := range ids {
+		r.Seed(rng.SampleSeed(master, id))
 		e.rows.FillRow(r, row)
 		for c, out := range outs {
 			if out != nil {

@@ -206,14 +206,19 @@ type (
 	// EngineOptions.Workers, deterministically: results are
 	// bit-identical for every worker count.
 	Engine = mc.Engine
-	// EngineOptions configures an Engine.
+	// EngineOptions configures an Engine. Its MasterSeed names the
+	// samples: sample id is seeded by σ_id of MasterSeed, the seed
+	// ComputeFingerprint gives round id. With Reuse,
+	// ValidationSamples validates every match, whatever KeepSamples
+	// says.
 	EngineOptions = mc.Options
 	// PointEval is a stochastic model at a parameter point, the
 	// engine's one evaluator contract: the engine and interactive
 	// sessions bind a point once (BindPoint) and draw its samples in
-	// seed blocks (EvalBlockBound), each sample writing one value per
-	// output; Sweep, SweepBatch and EvaluatePoint read output 0.
-	// BindBox builds one from any Box, a BoxFunc included.
+	// blocks of sample ids under one master seed (EvalBlockBound),
+	// each sample writing one value per output; Sweep, SweepBatch and
+	// EvaluatePoint read output 0. BindBox builds one from any Box, a
+	// BoxFunc included.
 	PointEval = mc.PointEval
 	// PointResult is the engine's per-point answer.
 	PointResult = mc.PointResult
