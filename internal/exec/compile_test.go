@@ -304,8 +304,8 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestCompileOperatorsAndBuiltins(t *testing.T) {
-	src := `SELECT 2 + 3 * 4 AS a,
+// operatorsSource exercises every operator and builtin on constants.
+const operatorsSource = `SELECT 2 + 3 * 4 AS a,
 	               ABS(0 - 5) AS b,
 	               MINV(3, 7) AS c,
 	               MAXV(3, 7) AS d,
@@ -315,7 +315,9 @@ func TestCompileOperatorsAndBuiltins(t *testing.T) {
 	               (1 < 2) AND (3 >= 3) AS h,
 	               (1 <> 1) OR (2 <= 1) AS i,
 	               -(4 / 2) AS j`
-	script, err := sqlparse.Parse(src)
+
+func TestCompileOperatorsAndBuiltins(t *testing.T) {
+	script, err := sqlparse.Parse(operatorsSource)
 	if err != nil {
 		t.Fatal(err)
 	}
