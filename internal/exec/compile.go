@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
@@ -32,40 +33,27 @@ type Scenario struct {
 	// Into is the results table name ("" when anonymous).
 	Into string
 
-	// evals computes each column in order into the row vector.
-	evals []colEval
-	// width is the row vector's length: one slot per column, then a
-	// seed-only row's draw block, then the call sites' argument
-	// regions, the bound call sites' state regions and the parameters'
-	// slots, in the order compilation reaches them.
-	width int
+	// prog is the row's kernels in evaluation order; column i is lane
+	// slot i.
+	prog []kernel
+	// lanes is the number of lane slots and width the point region's
+	// length (see rowLen).
+	lanes, width int
 	// params are the parameters the row reads, in first-reference
-	// order, with their row slots; chainParam is the first of them
+	// order, with their point slots; chainParam is the first of them
 	// declared as a CHAIN ("" when the row reads none).
 	params     []paramSlot
 	chainParam string
 	// binds are the bound call sites, in compilation order.
 	binds []boundCall
-	// draws are a seed-only row's call sites, in evaluation order, and
-	// row[drawLo:drawHi] is its draw block, which they partition;
-	// unshared names the call site that keeps any other row's draws
-	// per point. table holds a seed-only row's draw vectors by sample
-	// id.
-	draws          []drawSite
-	drawLo, drawHi int
-	unshared       string
-	table          *drawTable
+	// unshared names the call site that keeps the row's draws per
+	// point ("" for a seed-only row); table holds a seed-only row's draw
+	// vectors by sample id.
+	unshared string
+	table    *drawTable
 }
 
-// drawSite is a seed-only row's call site: its box draws into
-// block[lo:hi] of the row's draw block, and the site's colEval applies
-// that region to its state region.
-type drawSite struct {
-	box    blackbox.DrawBox
-	lo, hi int
-}
-
-// paramSlot is a parameter the row reads and the row slot BindRow
+// paramSlot is a parameter the row reads and the point slot BindRow
 // writes it to.
 type paramSlot struct {
 	name string
@@ -74,25 +62,66 @@ type paramSlot struct {
 
 // boundCall is a call site whose box is a blackbox.PointBox and whose
 // arguments read only parameters, constants and builtins, so they are
-// fixed once the point is: BindRow evaluates the arguments into the
-// site's region row[lo:hi] and binds them into its state region
-// row[state:end], and the site's colEval only draws (EvalBound).
+// fixed once the point is: BindRow runs prog, which evaluates the
+// arguments into the site's point region pt[lo:hi], and binds them
+// into its state region pt[state:end]; the site's kernel only draws.
+// When the box is a blackbox.DrawBox too, draw is the box, and in a
+// seed-only row the site's draws are d[dlo:dhi] of a sample's draw
+// vector d, which the bound sites partition in order.
 type boundCall struct {
 	box                blackbox.PointBox
-	args               []colEval
+	draw               blackbox.DrawBox
+	prog               []kernel
 	lo, hi, state, end int
+	dlo, dhi           int
 }
 
-// colEval is the lightweight engine's compiled expression form: a
-// direct float interpreter with no value boxing, table materialization
-// or NULL bookkeeping — the "Ruby prototype" analogue of §6.1. v is
-// the row vector (see Scenario.width): a column reads earlier columns
-// and the bound parameters from it, and a call site writes its
-// arguments to its own region, so a row evaluation allocates nothing
-// and looks nothing up: v is the caller's (in a sweep, a worker's
-// scratch row, bound once per point). Every name is resolved to a
-// slot at compile time, so evaluation cannot fail.
-type colEval func(v []float64, r *rng.Rand) float64
+// kernel is the lightweight engine's compiled expression form, one per
+// node of the row: it computes its node for every lane of a block, one
+// lane per sample, into the node's lane slot — a direct float
+// interpreter with no value boxing, table materialization or NULL
+// bookkeeping, the "Ruby prototype" analogue of §6.1, run a column at a
+// time (the tuple-bundle shape of MCDB and U-relations). Every name is
+// resolved to a slot at compile time, so evaluation cannot fail, and a
+// block allocates nothing. The block is passed by value so that it
+// stays on the caller's stack.
+type kernel func(b block)
+
+// block is what a kernel sees of n lanes of a row (see rowLen): lane
+// slot s at row[s*stride:][:n] and the point region pt. A call site
+// draws lane j from gens[j], or, when gens is nil, applies the draw
+// vector draws[ids[j]*w:] of sample ids[j] in a seed-only row's table
+// of width w.
+type block struct {
+	row       []float64
+	stride, n int
+	pt        []float64
+	gens      []rng.Rand
+	draws     []float64
+	ids       []int
+}
+
+// lane returns slot s's n lanes.
+func (b block) lane(s int) []float64 { return b.row[s*b.stride:][:b.n] }
+
+// rowLen is the length of a row of stride lanes: the lane slots
+// (columns first) at stride floats each, then the point region BindRow
+// fills — the parameters' slots, the bound call sites' arguments and
+// state, the unbound call sites' argument buffers and the slots the
+// bound sites' argument expressions compute in.
+func (s *Scenario) rowLen(stride int) int { return s.lanes*stride + s.width }
+
+// block returns the first n lanes of a row of stride lanes.
+func (s *Scenario) block(row []float64, stride, n int) block {
+	return block{row: row, stride: stride, n: n, pt: row[s.lanes*stride:]}
+}
+
+// run evaluates the row's kernels over b's lanes.
+func (s *Scenario) run(b block) {
+	for _, k := range s.prog {
+		k(b)
+	}
+}
 
 // CompileScenario compiles the script's SELECT statements against a
 // black-box registry. Multiple SELECTs are allowed; the scenario is
@@ -121,71 +150,20 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 		return nil, err
 	}
 
-	s := &Scenario{Script: script, Space: space, Into: sel.Into}
-	c := &compiler{space: space, boxes: boxes, slots: map[string]int{}, width: len(items)}
-	// A seed-only row's draw block follows the columns; its sites claim
-	// their regions in order as compilation reaches them.
-	draws := 0
-	if draws, c.unshared = c.drawSharing(items); c.unshared == "" {
-		c.drawLo, c.drawNext = len(items), len(items)
-		c.width += draws
-	}
+	s := &Scenario{Script: script, Space: space, Into: sel.Into, lanes: len(items)}
+	c := &compiler{Scenario: s, boxes: boxes, slots: map[string]int{}, into: &s.prog}
 	for i, item := range items {
 		name := item.Name()
-		ev, err := c.expr(item.Expr)
-		if err != nil {
+		if _, err := c.expr(item.Expr, i); err != nil {
 			return nil, fmt.Errorf("exec: column %q: %w", name, err)
 		}
 		c.slots[name] = i
 		s.Columns = append(s.Columns, name)
-		s.evals = append(s.evals, ev)
 	}
-	s.width, s.params, s.chainParam, s.binds = c.width, c.params, c.chainParam, c.binds
-	s.draws, s.drawLo, s.drawHi, s.unshared = c.draws, c.drawLo, c.drawNext, c.unshared
-	if draws > 0 {
-		s.table = newDrawTable(draws)
+	if s.unshared == "" && c.drawNext > 0 {
+		s.table = newDrawTable(c.drawNext)
 	}
 	return s, nil
-}
-
-// drawSharing reports whether the row is seed-only: every model call
-// (builtins draw nothing) is a bound call site — its arguments are
-// pointOnly — of a blackbox.DrawBox. Then draws is the row's total
-// draw count; otherwise why names the first call site, walking the
-// items in order and a call before its arguments, that keeps the
-// row's draws per point.
-func (c *compiler) drawSharing(items []sqlparse.SelectItem) (draws int, why string) {
-	for _, item := range items {
-		sqlparse.Walk(item.Expr, func(e sqlparse.Expr) {
-			call, ok := e.(*sqlparse.FuncCall)
-			if !ok || why != "" {
-				return
-			}
-			if _, builtin := scalarBuiltin(call.Name); builtin {
-				return
-			}
-			var box blackbox.Box
-			if c.boxes != nil {
-				box, _ = c.boxes.Lookup(call.Name)
-			}
-			_, bindable := box.(blackbox.PointBox)
-			db, drawable := box.(blackbox.DrawBox)
-			switch { // an unknown name fails compilation after this
-			case !pointOnly(call.Args...):
-				why = call.Name + ": its arguments vary per sample"
-			case !bindable:
-				why = call.Name + ": does not bind per point"
-			case !drawable:
-				why = call.Name + ": draws depend on its arguments"
-			default:
-				draws += db.Draws()
-			}
-		})
-	}
-	if why != "" {
-		return 0, why
-	}
-	return draws, ""
 }
 
 // scenarioItems appends stmt's result columns to items in evaluation
@@ -244,66 +222,67 @@ func (s *Scenario) HasColumn(name string) bool {
 // Chains returns the CHAIN declarations.
 func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
 
-// RowLen is the length of the row vector: one slot per column, in
-// Columns order, then the call sites' argument regions, the bound call
-// sites' state regions and the parameters' slots.
-func (s *Scenario) RowLen() int { return s.width }
+// RowLen is the length of a row of one lane: column i lands in row[i]
+// (see rowLen for the rest of the layout).
+func (s *Scenario) RowLen() int { return s.rowLen(1) }
 
 // BindRow writes p's value of every parameter the row reads into its
-// slot of row (len(row) == RowLen()), then binds each bound call site:
-// it evaluates the site's arguments from those slots and has the box
+// slot of row's point region (len(row) == RowLen(), or a binding
+// ColumnEval's BindPoint grew), then binds each bound call site: it
+// evaluates the site's arguments from those slots and has the box
 // write its state region. It draws nothing. A sweep binds a point
-// once, then calls FillRow once per sample on the same row. It panics
-// when p does not bind one of the parameters: every point a Space or
+// once, then draws blocks of samples on the same row. It panics when p
+// does not bind one of the parameters: every point a Space or
 // ScenarioChain builds binds the declared parameters, and a sweep
 // returns the panic as an error naming the point.
 func (s *Scenario) BindRow(p param.Point, row []float64) {
+	pt := row[len(row)-s.width:]
 	for _, ps := range s.params {
 		v, ok := p[ps.name]
 		if !ok {
 			panic(fmt.Sprintf("exec: point %v does not bind @%s", p, ps.name))
 		}
-		row[ps.slot] = v
+		pt[ps.slot] = v
 	}
-	for _, b := range s.binds {
-		buf := row[b.lo:b.hi]
-		for i, a := range b.args {
-			// A bound site's arguments draw nothing (pointOnly), so
-			// they need no generator.
-			buf[i] = a(row, nil)
+	// A bound site's argument kernels compute in the point region, one
+	// lane wide, and draw nothing (pointOnly).
+	b := block{row: pt, stride: 1, n: 1, pt: pt}
+	for _, bc := range s.binds {
+		for _, k := range bc.prog {
+			k(b)
 		}
-		b.box.Bind(buf, row[b.state:b.end])
+		bc.box.Bind(pt[bc.lo:bc.hi], pt[bc.state:bc.end])
 	}
 }
 
-// FillRow evaluates one world of the whole scenario into a row that
-// BindRow has bound; column i lands in row[i]. It reads only the
-// parameter slots and state regions BindRow wrote and the slots it
-// writes itself, and allocates nothing. A seed-only row first draws
-// its draw block, then evaluates its columns, which draw nothing;
-// any other row draws as its columns reach each model call. A sweep
-// draws each sampled row once for all of its columns (SweepColumns).
+// FillRow evaluates one world of the whole scenario into a row of
+// RowLen that BindRow has bound, as a block of one lane whose generator
+// continues r's stream: column i lands in row[i], and r is left where
+// the sample's draws leave it. It allocates nothing. A sweep draws
+// blocks of samples through ColumnEval and SweepColumns instead.
 func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
-	s.drawRow(r, row[s.drawLo:s.drawHi])
-	s.applyRow(row, r)
+	gens := genChunks.Get().(*[mc.DefaultBlockSize]rng.Rand)
+	gens[0] = *r
+	b := s.block(row, 1, 1)
+	b.gens = gens[:1]
+	s.run(b)
+	*r = gens[0]
+	genChunks.Put(gens)
 }
 
-// drawRow fills a seed-only row's draw block from r, each site's
+// drawRow fills a seed-only row's draw vector d from r, each site's
 // region in evaluation order, so the stream (the polar method's cached
 // variate included) runs from one site's draws into the next as the
-// sites' EvalBound calls would. It draws nothing for any other row.
-func (s *Scenario) drawRow(r *rng.Rand, block []float64) {
-	for _, d := range s.draws {
-		d.box.Draw(r, block[d.lo:d.hi])
+// sites' EvalBound calls would.
+func (s *Scenario) drawRow(r *rng.Rand, d []float64) {
+	for _, bc := range s.binds {
+		bc.draw.Draw(r, d[bc.dlo:bc.dhi])
 	}
 }
 
-// applyRow evaluates the columns into row in order.
-func (s *Scenario) applyRow(row []float64, r *rng.Rand) {
-	for i, ev := range s.evals {
-		row[i] = ev(row, r)
-	}
-}
+// genChunks lends a block its lanes' generators, so a block allocates
+// nothing.
+var genChunks = sync.Pool{New: func() any { return new([mc.DefaultBlockSize]rng.Rand) }}
 
 // SharesDraws reports whether the row is seed-only: every model call
 // is a bound call site of a blackbox.DrawBox, so a sample's draws
@@ -314,7 +293,7 @@ func (s *Scenario) SharesDraws() (shared bool, why string) {
 	return s.unshared == "", s.unshared
 }
 
-// column returns the row slot of a column a sweep can evaluate at a
+// column returns the lane slot of a column a sweep can evaluate at a
 // plain parameter point. A row that reads a CHAIN parameter has no
 // value there; NewScenarioChain evaluates it.
 func (s *Scenario) column(name string) (int, error) {
@@ -330,8 +309,8 @@ func (s *Scenario) column(name string) (int, error) {
 }
 
 // ColumnEval returns an mc.PointEval producing the named column: the
-// one-column projection of FillRow. Every sample evaluates the full
-// row (one world of the whole scenario) and keeps one slot — the
+// one-column projection of the row. Every sample evaluates the full
+// row (one world of the whole scenario) and keeps one column — the
 // simulation is a single stochastic function; columns are views of
 // it. Sweeps of several columns share rows instead (SweepColumns).
 func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
@@ -342,12 +321,14 @@ func (s *Scenario) ColumnEval(name string) (mc.PointEval, error) {
 	return &columns{s: s, slots: []int{slot}}, nil
 }
 
-// columns is a scenario row as an mc.PointEval whose output c is row
-// slot slots[c]: the binding is a row BindRow has bound, and each
-// sample fills it in place. A seed-only row copies the sample's draw
-// vector from the scenario's table into its draw block; any other row,
-// and a sample past the table's bound, reseeds the lent generator and
-// draws the row through FillRow.
+// columns is a scenario row as an mc.PointEval whose output c is lane
+// slot slots[c]: the binding is a row of mc.DefaultBlockSize lanes
+// BindRow has bound, and a block runs the row's kernels over up to that
+// many samples at a time. A seed-only row's sites read each sample's
+// draw vector from the scenario's table. Any other row, and a block
+// with a sample past the table's bound, gives each lane a generator
+// seeded with its sample's seed, which the sites draw from in
+// evaluation order.
 type columns struct {
 	s     *Scenario
 	slots []int
@@ -355,282 +336,406 @@ type columns struct {
 
 // BindPoint implements mc.PointEval.
 func (c *columns) BindPoint(p param.Point, buf []float64) []float64 {
-	if cap(buf) < c.s.width {
-		buf = make([]float64, c.s.width)
+	n := c.s.rowLen(mc.DefaultBlockSize)
+	if cap(buf) < n {
+		buf = make([]float64, n)
 	}
-	buf = buf[:c.s.width]
+	buf = buf[:n]
 	c.s.BindRow(p, buf)
 	return buf
 }
 
-// EvalBlockBound implements mc.PointEval. A sample writes only the
-// slots BindRow leaves alone, so the binding survives the block.
+// EvalBlockBound implements mc.PointEval. A block writes only the lanes
+// and the unbound call sites' argument buffers, which BindRow leaves
+// alone, so the binding survives it.
 func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
 	s := c.s
-	var vals []float64 // sample id's draws at vals[id*w:], ids below len(vals)/w
-	if s.table != nil {
-		vals = s.table.load(s, master, ids, r)
+	var vals []float64 // sample id's draws at vals[id*width:]
+	table := s.table != nil
+	if table {
+		vals, table = s.table.load(s, master, ids, r)
 	}
-	block := row[s.drawLo:s.drawHi]
-	w := len(block)
-	for j, id := range ids {
-		if id*w < len(vals) {
-			copy(block, vals[id*w:])
-			// A seed-only row's columns draw nothing.
-			s.applyRow(row, nil)
+	var gens *[mc.DefaultBlockSize]rng.Rand
+	if !table {
+		gens = genChunks.Get().(*[mc.DefaultBlockSize]rng.Rand)
+	}
+	for lo := 0; lo < len(ids); lo += mc.DefaultBlockSize {
+		chunk := ids[lo:min(lo+mc.DefaultBlockSize, len(ids))]
+		b := s.block(row, mc.DefaultBlockSize, len(chunk))
+		if table {
+			b.draws, b.ids = vals, chunk
 		} else {
-			r.Seed(rng.SampleSeed(master, id))
-			s.FillRow(r, row)
+			b.gens = gens[:len(chunk)]
+			for j, id := range chunk {
+				b.gens[j].Seed(rng.SampleSeed(master, id))
+			}
 		}
+		s.run(b)
 		for i, out := range outs {
 			if out != nil {
-				out[j] = row[c.slots[i]]
+				copy(out[lo:], b.lane(c.slots[i]))
 			}
 		}
 	}
+	if gens != nil {
+		genChunks.Put(gens)
+	}
 }
 
-// compiler lowers one scenario's expressions to colEvals: it resolves
-// every column, parameter and function name and lays out the row
-// vector.
+// compiler lowers one scenario's expressions to kernels: it resolves
+// every column, parameter and function name and lays out the row of
+// the Scenario it fills in.
 type compiler struct {
-	space *param.Space
+	*Scenario
 	boxes *blackbox.Registry
-	// slots maps each compiled column to its row-vector index.
+	// slots maps each compiled column to its lane slot.
 	slots map[string]int
-	// width is the row vector's length so far.
-	width int
-	// params, chainParam, binds, draws, drawLo and unshared become
-	// the Scenario's fields; drawNext is the next free slot of the
-	// draw block, and its end once compilation is done.
-	params           []paramSlot
-	chainParam       string
-	binds            []boundCall
-	draws            []drawSite
-	drawLo, drawNext int
-	unshared         string
+	// into is the program kernels go to: the row's, or a bound call
+	// site's while bind is set; then new slots are point slots, one
+	// lane wide, rather than lane slots.
+	into *[]kernel
+	bind bool
+	// drawNext is the next free variate of a seed-only row's draw
+	// vector.
+	drawNext int
 }
 
-// expr lowers a parsed expression to the direct interpreter form.
-// Booleans are represented as 0/1 floats.
-func (c *compiler) expr(e sqlparse.Expr) (colEval, error) {
+// slot returns dst, or a new slot when dst < 0.
+func (c *compiler) slot(dst int) int {
+	switch {
+	case dst >= 0:
+		return dst
+	case c.bind:
+		c.width++
+		return c.width - 1
+	default:
+		c.lanes++
+		return c.lanes - 1
+	}
+}
+
+// emit appends k to the program being compiled.
+func (c *compiler) emit(k kernel) { *c.into = append(*c.into, k) }
+
+// alias returns slot src, or copies it into dst when dst ≥ 0.
+func (c *compiler) alias(src, dst int) int {
+	if dst < 0 {
+		return src
+	}
+	c.emit(func(b block) { copy(b.lane(dst), b.lane(src)) })
+	return dst
+}
+
+// expr lowers a parsed expression to kernels that leave its value in
+// slot dst (a new slot when dst < 0) and returns that slot. Booleans
+// are represented as 0/1 floats.
+func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 	switch n := e.(type) {
 	case *sqlparse.NumberLit:
-		v := n.Value
-		return func([]float64, *rng.Rand) float64 { return v }, nil
+		v, d := n.Value, c.slot(dst)
+		c.emit(func(b block) { fill(b.lane(d), v) })
+		return d, nil
 	case *sqlparse.StringLit:
-		return nil, errors.New("string literals are not numeric")
+		return 0, errors.New("string literals are not numeric")
 	case *sqlparse.ColRef:
 		idx, ok := c.slots[n.Name]
 		if !ok {
-			return nil, fmt.Errorf("unknown column %q", n.Name)
+			return 0, fmt.Errorf("unknown column %q", n.Name)
 		}
-		return slotRead(idx), nil
+		return c.alias(idx, dst), nil
 	case *sqlparse.ParamRef:
-		return c.param(n.Name)
-	case *sqlparse.Unary:
-		inner, err := c.expr(n.E)
+		ps, err := c.param(n.Name)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		if c.bind { // the point region is the bind program's lanes
+			return c.alias(ps, dst), nil
+		}
+		d := c.slot(dst)
+		c.emit(func(b block) { fill(b.lane(d), b.pt[ps]) })
+		return d, nil
+	case *sqlparse.Unary:
 		if n.Op == "NOT" {
-			return func(v []float64, r *rng.Rand) float64 {
-				return b2f(inner(v, r) == 0)
-			}, nil
+			return c.op(opNot, dst, n.E)
 		}
-		return func(v []float64, r *rng.Rand) float64 {
-			return -inner(v, r)
-		}, nil
+		return c.op(opNeg, dst, n.E)
 	case *sqlparse.Binary:
-		return c.binary(n)
+		op, ok := binaryOps[n.Op]
+		if !ok {
+			return 0, fmt.Errorf("unsupported operator %q", n.Op)
+		}
+		return c.op(op, dst, n.Left, n.Right)
 	case *sqlparse.CaseExpr:
-		return c.caseExpr(n)
+		return c.caseExpr(n, dst)
 	case *sqlparse.FuncCall:
-		return c.call(n)
+		return c.call(n, dst)
 	default:
-		return nil, fmt.Errorf("unsupported expression %T", e)
+		return 0, fmt.Errorf("unsupported expression %T", e)
 	}
 }
 
 // param resolves a parameter reference against the declarations to
-// its row slot.
-func (c *compiler) param(name string) (colEval, error) {
-	d, ok := c.space.Decl(name)
+// its point slot.
+func (c *compiler) param(name string) (int, error) {
+	d, ok := c.Space.Decl(name)
 	if !ok {
-		return nil, fmt.Errorf("undeclared parameter @%s", name)
+		return 0, fmt.Errorf("undeclared parameter @%s", name)
 	}
 	if d.Kind == param.KindChain && c.chainParam == "" {
 		c.chainParam = name
 	}
 	i := slices.IndexFunc(c.params, func(ps paramSlot) bool { return ps.name == name })
 	if i < 0 {
-		// The parameter's first reference claims the next free slot;
-		// BindRow fills it once per point.
+		// The parameter's first reference claims the next free point
+		// slot; BindRow fills it once per point.
 		i = len(c.params)
 		c.params = append(c.params, paramSlot{name: name, slot: c.width})
 		c.width++
 	}
-	return slotRead(c.params[i].slot), nil
+	return c.params[i].slot, nil
 }
 
-// slotRead reads row slot idx: a column computed earlier in the row,
-// or a parameter BindRow wrote.
-func slotRead(idx int) colEval {
-	return func(v []float64, _ *rng.Rand) float64 { return v[idx] }
+// The operators and builtins a kernel applies lane by lane.
+const (
+	opAdd = iota
+	opSub
+	opMul
+	opDiv
+	opLt
+	opLe
+	opGt
+	opGe
+	opEq
+	opNe
+	opAnd
+	opOr
+	opMin
+	opMax
+	opNeg
+	opNot
+	opAbs
+)
+
+var binaryOps = map[string]int{
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
+	"<": opLt, "<=": opLe, ">": opGt, ">=": opGe, "=": opEq, "<>": opNe,
+	"AND": opAnd, "OR": opOr,
 }
 
-func (c *compiler) binary(n *sqlparse.Binary) (colEval, error) {
-	l, err := c.expr(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.expr(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	var op func(a, b float64) float64
-	switch n.Op {
-	case "+":
-		op = func(a, b float64) float64 { return a + b }
-	case "-":
-		op = func(a, b float64) float64 { return a - b }
-	case "*":
-		op = func(a, b float64) float64 { return a * b }
-	case "/":
-		op = func(a, b float64) float64 { return a / b }
-	case "<":
-		op = func(a, b float64) float64 { return b2f(a < b) }
-	case "<=":
-		op = func(a, b float64) float64 { return b2f(a <= b) }
-	case ">":
-		op = func(a, b float64) float64 { return b2f(a > b) }
-	case ">=":
-		op = func(a, b float64) float64 { return b2f(a >= b) }
-	case "=":
-		op = func(a, b float64) float64 { return b2f(a == b) }
-	case "<>":
-		op = func(a, b float64) float64 { return b2f(a != b) }
-	case "AND":
-		op = func(a, b float64) float64 { return b2f(a != 0 && b != 0) }
-	case "OR":
-		op = func(a, b float64) float64 { return b2f(a != 0 || b != 0) }
-	default:
-		return nil, fmt.Errorf("unsupported operator %q", n.Op)
-	}
-	return func(v []float64, rr *rng.Rand) float64 {
-		a := l(v, rr)
-		return op(a, r(v, rr))
-	}, nil
+// builtins are the deterministic builtin functions, by name: their op
+// and arity. They draw nothing from the generator.
+var builtins = map[string][2]int{
+	"ABS": {opAbs, 1}, "abs": {opAbs, 1},
+	"MINV": {opMin, 2}, "minv": {opMin, 2}, "MAXV": {opMax, 2}, "maxv": {opMax, 2},
 }
 
-// caseExpr compiles all arms. Arms are evaluated in order, the ELSE
-// arm last; note that unlike SQL's lazy CASE, *model calls inside
-// untaken arms, ELSE included, are still evaluated* so the generator
-// stream advances identically on every code path — the fixed
-// stream-consumption discipline that keeps fingerprints comparable
-// across parameter values (§3.1). Scenario authors pay a little wasted
-// work for deterministic alignment.
-func (c *compiler) caseExpr(n *sqlparse.CaseExpr) (colEval, error) {
-	type arm struct{ when, then colEval }
-	arms := make([]arm, 0, len(n.Whens))
-	for _, a := range n.Whens {
-		w, err := c.expr(a.When)
-		if err != nil {
-			return nil, err
+// op compiles op's arguments, then emits the kernel applying op to
+// their lanes (the first alone for a unary op) into slot dst.
+func (c *compiler) op(op, dst int, args ...sqlparse.Expr) (int, error) {
+	var in [2]int
+	for i, a := range args {
+		var err error
+		if in[i], err = c.expr(a, -1); err != nil {
+			return 0, err
 		}
-		t, err := c.expr(a.Then)
-		if err != nil {
-			return nil, err
-		}
-		arms = append(arms, arm{w, t})
 	}
-	var elseEv colEval
+	l, r, d := in[0], in[len(args)-1], c.slot(dst)
+	c.emit(func(b block) {
+		x, y, z := b.lane(l), b.lane(r), b.lane(d)
+		for j := range z {
+			a, v := x[j], y[j]
+			switch op {
+			case opAdd:
+				v = a + v
+			case opSub:
+				v = a - v
+			case opMul:
+				v = a * v
+			case opDiv:
+				v = a / v
+			case opLt:
+				v = b2f(a < v)
+			case opLe:
+				v = b2f(a <= v)
+			case opGt:
+				v = b2f(a > v)
+			case opGe:
+				v = b2f(a >= v)
+			case opEq:
+				v = b2f(a == v)
+			case opNe:
+				v = b2f(a != v)
+			case opAnd:
+				v = b2f(a != 0 && v != 0)
+			case opOr:
+				v = b2f(a != 0 || v != 0)
+			case opMin:
+				if a < v {
+					v = a
+				}
+			case opMax:
+				if a > v {
+					v = a
+				}
+			case opNeg:
+				v = -a
+			case opNot:
+				v = b2f(a == 0)
+			case opAbs:
+				if v = a; a < 0 {
+					v = -a
+				}
+			}
+			z[j] = v
+		}
+	})
+	return d, nil
+}
+
+// caseExpr compiles all arms. Every lane evaluates every arm, in order
+// and the ELSE arm last, before the kernel selects each lane's value:
+// unlike SQL's lazy CASE, *model calls inside untaken arms, ELSE
+// included, are still evaluated* so the generator stream advances
+// identically on every code path — the fixed stream-consumption
+// discipline that keeps fingerprints comparable across parameter
+// values (§3.1). Scenario authors pay a little wasted work for
+// deterministic alignment.
+func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
+	arms := make([][2]int, len(n.Whens))
+	for i, a := range n.Whens {
+		var err error
+		if arms[i][0], err = c.expr(a.When, -1); err != nil {
+			return 0, err
+		}
+		if arms[i][1], err = c.expr(a.Then, -1); err != nil {
+			return 0, err
+		}
+	}
+	els := -1
 	if n.Else != nil {
 		var err error
-		if elseEv, err = c.expr(n.Else); err != nil {
-			return nil, err
+		if els, err = c.expr(n.Else, -1); err != nil {
+			return 0, err
 		}
 	}
-	return func(v []float64, r *rng.Rand) float64 {
-		chosen := false
-		result := 0.0
-		for _, a := range arms {
-			cond := a.when(v, r)
-			then := a.then(v, r)
-			if !chosen && cond != 0 {
-				chosen = true
-				result = then
+	d := c.slot(dst)
+	c.emit(func(b block) {
+		z := b.lane(d)
+		if els < 0 {
+			clear(z)
+		} else {
+			copy(z, b.lane(els))
+		}
+		// The first arm whose condition holds is written last.
+		for i := len(arms) - 1; i >= 0; i-- {
+			when, then := b.lane(arms[i][0]), b.lane(arms[i][1])
+			for j := range z {
+				if when[j] != 0 {
+					z[j] = then[j]
+				}
 			}
 		}
-		if elseEv != nil {
-			if e := elseEv(v, r); !chosen {
-				result = e
-			}
-		}
-		return result
-	}, nil
+	})
+	return d, nil
 }
 
-// call compiles a builtin or black-box call. The call site owns a
-// fixed region of the row vector for its arguments; nested calls get
-// their own regions, so evaluating an argument never overwrites
-// another. A call to a blackbox.PointBox whose arguments are pointOnly
-// is a bound call site: it also owns a state region, BindRow binds it
-// once per point, and a sample only draws from it.
-func (c *compiler) call(n *sqlparse.FuncCall) (colEval, error) {
+// call compiles a builtin or black-box call. A model call site owns a
+// fixed argument region of the point region. A call to a
+// blackbox.PointBox whose arguments are pointOnly is a bound call
+// site: its arguments compile to its own program, which BindRow runs
+// into that region once per point before binding the site's state
+// region, and a block only draws from the state — from the draw table
+// in a seed-only row, from each lane's generator otherwise. Any other
+// call gathers each lane's arguments into its region and calls Eval
+// with the lane's generator.
+func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 	if n.Name == "NULL" {
-		return nil, errors.New("NULL is not supported by the lightweight engine")
+		return 0, errors.New("NULL is not supported by the lightweight engine")
 	}
-	box, ok := scalarBuiltin(n.Name)
-	if !ok {
-		if c.boxes == nil {
-			return nil, fmt.Errorf("unknown function %q (no registry)", n.Name)
+	if op, ok := builtins[n.Name]; ok {
+		if op[1] != len(n.Args) {
+			return 0, fmt.Errorf("%s expects %d args, got %d", n.Name, op[1], len(n.Args))
 		}
-		var err error
-		if box, err = c.boxes.Lookup(n.Name); err != nil {
-			return nil, err
-		}
+		return c.op(op[0], dst, n.Args...)
+	}
+	if c.boxes == nil {
+		return 0, fmt.Errorf("unknown function %q (no registry)", n.Name)
+	}
+	box, err := c.boxes.Lookup(n.Name)
+	if err != nil {
+		return 0, err
 	}
 	if box.Arity() != len(n.Args) {
-		return nil, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(n.Args))
+		return 0, fmt.Errorf("%s expects %d args, got %d", n.Name, box.Arity(), len(n.Args))
+	}
+	pb, bindable := box.(blackbox.PointBox)
+	db, drawable := box.(blackbox.DrawBox)
+	bound := bindable && pointOnly(n.Args...)
+	switch { // the first call site, a call before its arguments, that keeps the draws per point
+	case c.unshared != "":
+	case !pointOnly(n.Args...):
+		c.unshared = n.Name + ": its arguments vary per sample"
+	case !bindable:
+		c.unshared = n.Name + ": does not bind per point"
+	case !drawable:
+		c.unshared = n.Name + ": draws depend on its arguments"
 	}
 	lo := c.width
 	hi := lo + len(n.Args)
 	c.width = hi
-	args := make([]colEval, len(n.Args))
-	for i, a := range n.Args {
-		ev, err := c.expr(a)
-		if err != nil {
-			return nil, err
+	if bound {
+		bc := boundCall{box: pb, draw: db, lo: lo, hi: hi}
+		into := c.into
+		c.into, c.bind = &bc.prog, true
+		for i, a := range n.Args {
+			if _, err := c.expr(a, lo+i); err != nil {
+				return 0, err
+			}
 		}
-		args[i] = ev
-	}
-	if pb, ok := box.(blackbox.PointBox); ok && pointOnly(n.Args...) {
+		c.into, c.bind = into, false
 		state := c.width
 		end := state + pb.BoundLen()
-		c.width = end
-		c.binds = append(c.binds, boundCall{box: pb, args: args, lo: lo, hi: hi, state: state, end: end})
-		if c.unshared == "" {
-			// Seed-only: drawRow fills the site's draw region first.
-			db := pb.(blackbox.DrawBox)
-			dlo, dhi := c.drawNext, c.drawNext+db.Draws()
-			c.drawNext = dhi
-			c.draws = append(c.draws, drawSite{box: db, lo: dlo - c.drawLo, hi: dhi - c.drawLo})
-			return func(v []float64, _ *rng.Rand) float64 {
-				return db.Apply(v[state:end], v[dlo:dhi])
-			}, nil
+		bc.state, bc.end, c.width = state, end, end
+		if drawable {
+			bc.dlo, bc.dhi = c.drawNext, c.drawNext+db.Draws()
+			c.drawNext = bc.dhi
 		}
-		return func(v []float64, r *rng.Rand) float64 {
-			return pb.EvalBound(v[state:end], r)
-		}, nil
+		c.binds = append(c.binds, bc)
+		d, s, dlo, dhi := c.slot(dst), c.Scenario, bc.dlo, bc.dhi
+		c.emit(func(b block) {
+			z, st := b.lane(d), b.pt[state:end]
+			if b.gens != nil {
+				for j := range z {
+					z[j] = pb.EvalBound(st, &b.gens[j])
+				}
+				return
+			}
+			// A seed-only row: apply the site's region of each
+			// sample's draws in the table.
+			draws, w := b.draws, s.table.width
+			for j, id := range b.ids {
+				z[j] = db.Apply(st, draws[id*w+dlo:id*w+dhi])
+			}
+		})
+		return d, nil
 	}
-	return func(v []float64, r *rng.Rand) float64 {
-		buf := v[lo:hi]
-		for i, a := range args {
-			buf[i] = a(v, r)
+	args := make([]int, len(n.Args))
+	for i, a := range n.Args {
+		if args[i], err = c.expr(a, -1); err != nil {
+			return 0, err
 		}
-		return box.Eval(buf, r)
-	}, nil
+	}
+	d := c.slot(dst)
+	c.emit(func(b block) {
+		z, buf := b.lane(d), b.pt[lo:hi]
+		for j := range z {
+			for i, a := range args {
+				buf[i] = b.row[a*b.stride+j]
+			}
+			z[j] = box.Eval(buf, &b.gens[j])
+		}
+	})
+	return d, nil
 }
 
 // pointOnly reports whether every expression reads only parameters,
@@ -653,7 +758,7 @@ func pointOnly(es ...sqlparse.Expr) bool {
 				ok = ok && pointOnly(a.When, a.Then)
 			}
 		case *sqlparse.FuncCall:
-			_, builtin := scalarBuiltin(n.Name)
+			_, builtin := builtins[n.Name]
 			ok = builtin && pointOnly(n.Args...)
 		}
 		if !ok {
@@ -663,39 +768,11 @@ func pointOnly(es ...sqlparse.Expr) bool {
 	return true
 }
 
-// scalarBuiltin returns the deterministic builtin of that name as a
-// box; builtins draw nothing from the generator.
-func scalarBuiltin(name string) (blackbox.Box, bool) {
-	switch name {
-	case "ABS", "abs":
-		return builtin(name, 1, func(a []float64) float64 {
-			if a[0] < 0 {
-				return -a[0]
-			}
-			return a[0]
-		}), true
-	case "MINV", "minv":
-		return builtin(name, 2, func(a []float64) float64 {
-			if a[0] < a[1] {
-				return a[0]
-			}
-			return a[1]
-		}), true
-	case "MAXV", "maxv":
-		return builtin(name, 2, func(a []float64) float64 {
-			if a[0] > a[1] {
-				return a[0]
-			}
-			return a[1]
-		}), true
-	default:
-		return nil, false
+// fill sets every lane of z to v.
+func fill(z []float64, v float64) {
+	for j := range z {
+		z[j] = v
 	}
-}
-
-func builtin(name string, arity int, fn func([]float64) float64) blackbox.Box {
-	return blackbox.Func{FuncName: name, NArgs: arity,
-		Fn: func(a []float64, _ *rng.Rand) float64 { return fn(a) }}
 }
 
 func b2f(b bool) float64 {

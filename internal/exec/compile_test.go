@@ -203,6 +203,48 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 	}
 }
 
+// TestColumnKernelBlockAllocs pins each kind of block at 0
+// allocations, at 16 ids and at 1024 (four chunks of
+// mc.DefaultBlockSize lanes): a seed-only row reading a warm draw
+// table, a row whose lanes draw from pooled per-lane generators
+// (graph_users, and Fig. 1 with DrawBox hidden), and a seed-only row
+// whose block has ids past the table's bound.
+func TestColumnKernelBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
+	}
+	fig1, hidden := compileDraws(t, figure1Source)
+	users, _ := compileBoth(t, usersSource)
+	top := fig1.table.max
+	for _, tc := range []struct {
+		name string
+		s    *Scenario
+		ids  func(n int) []int
+	}{
+		{"seed-only", fig1, sampleIDs},
+		{"per-lane generators", users, sampleIDs},
+		{"per-lane generators, DrawBox hidden", hidden, sampleIDs},
+		{"past the table bound", fig1, func(n int) []int {
+			ids := sampleIDs(n)
+			ids[n/2] = top + n
+			return ids
+		}},
+	} {
+		ev, err := tc.s.ColumnEval("overload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := ev.BindPoint(tc.s.Space.Point(tc.s.Space.Size()/2), nil)
+		var r rng.Rand
+		for _, n := range []int{16, 1024} {
+			outs, ids := [][]float64{make([]float64, n)}, tc.ids(n)
+			if a := testing.AllocsPerRun(10, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) }); a != 0 {
+				t.Errorf("%s: a %d-id block allocates %.1f, want 0", tc.name, n, a)
+			}
+		}
+	}
+}
+
 // TestColumnsMatchOneSlotEvals: a k-slot columns evaluator, the one
 // SweepColumns draws, writes bit for bit what k one-slot ColumnEvals
 // draw, whatever the slot order, and skips a nil outs entry.
@@ -368,6 +410,54 @@ func TestCaseConsumesStreamOnAllArms(t *testing.T) {
 		}
 		if slots[0] != v || slots[1] != draws[2] {
 			t.Fatalf("week %g: row = %v, want [%g %g]", w, slots, v, draws[2])
+		}
+	}
+}
+
+// TestCaseConsumesStreamOnAllArmsPerLane extends the test above from
+// one row to a block: a row that draws per sample (DrawBox hidden, and
+// PointBox hidden too), with model calls in both CASE arms and one
+// after the CASE, drawn over a block of scattered sample ids. Each lane
+// must equal a hand replay of its own sample: seed with
+// rng.SampleSeed(master, id), then call each box's Eval in evaluation
+// order, whichever arm the point takes.
+func TestCaseConsumesStreamOnAllArmsPerLane(t *testing.T) {
+	src := `DECLARE PARAMETER @w AS RANGE 0 TO 60 STEP BY 1;
+	SELECT CASE WHEN @w < 30 THEN DemandModel(@w, 99) ELSE CapacityModel(@w, 10, 20) * 2 END AS v,
+	       DemandModel(@w, 36) AS after`
+	script, err := sqlparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []blackbox.Box{blackbox.NewDemand(), blackbox.NewCapacity()}
+	_, pointHidden := pointBoxRegistries(models...)
+	const master = 0x5161
+	ids := sampleIDs(300)
+	for name, reg := range map[string]*blackbox.Registry{"DrawBox hidden": drawHiddenRegistry(models...), "PointBox hidden": pointHidden} {
+		s, err := CompileScenario(script, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared, _ := s.SharesDraws(); shared {
+			t.Fatalf("%s: the row is seed-only", name)
+		}
+		rows := &columns{s: s, slots: []int{0, 1}}
+		for _, w := range []float64{10, 50} {
+			got := drawColumns(rows, 2, param.Point{"w": w}, master, ids, len(ids))
+			var r rng.Rand
+			for j, id := range ids {
+				r.Seed(rng.SampleSeed(master, id))
+				d := models[0].Eval([]float64{w, 99}, &r)
+				c := models[1].Eval([]float64{w, 10, 20}, &r)
+				after := models[0].Eval([]float64{w, 36}, &r)
+				v := d
+				if w >= 30 {
+					v = c * 2
+				}
+				if got[0][j] != v || got[1][j] != after {
+					t.Fatalf("%s, week %g, sample %d: lane = [%g %g], hand replay [%g %g]", name, w, id, got[0][j], got[1][j], v, after)
+				}
+			}
 		}
 	}
 }

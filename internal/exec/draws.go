@@ -10,7 +10,7 @@ import (
 // drawTable holds a seed-only row's draw vectors by sample id (see
 // Scenario.SharesDraws): under common random numbers sample (master,
 // id) takes the same draws at every point, so a scenario draws each
-// sample's vector once and every later point copies it into the row.
+// sample's vector once and every later point's sites read it here.
 // The table holds one master's samples 0 to n−1 densely; a block under
 // another master replaces it. Every caller that exists draws under one
 // master per call (perfbench compiles a Scenario per answer, and
@@ -24,7 +24,7 @@ import (
 // a new snapshot and publishes it, so a sweep publishes about once per
 // block of new ids and never in steady state. The table lives as long
 // as its Scenario and holds at most maxTableBytes of draws; an id past
-// that bound is drawn into the row on every use.
+// that bound is drawn into the row's draw block on every use.
 type drawTable struct {
 	// width is the draw vector's length, and max the id bound.
 	width, max int
@@ -58,8 +58,8 @@ func newDrawTable(width int) *drawTable {
 
 // load returns the draws of master's samples 0 to n−1, n covering
 // every id of ids below the bound, filling the table first when its
-// snapshot falls short.
-func (t *drawTable) load(s *Scenario, master uint64, ids []int, r *rng.Rand) []float64 {
+// snapshot falls short; all reports that no id is past the bound.
+func (t *drawTable) load(s *Scenario, master uint64, ids []int, r *rng.Rand) (vals []float64, all bool) {
 	top := -1
 	for _, id := range ids {
 		top = max(top, id)
@@ -69,7 +69,7 @@ func (t *drawTable) load(s *Scenario, master uint64, ids []int, r *rng.Rand) []f
 	if sn.master != master || len(sn.vals) < n*t.width {
 		sn = t.fill(s, master, n, r)
 	}
-	return sn.vals
+	return sn.vals, top < t.max
 }
 
 // fill draws master's samples up to id n−1 that the table lacks,
