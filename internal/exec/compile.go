@@ -82,10 +82,8 @@ type boundCall struct {
 // interpreter with no value boxing, table materialization or NULL
 // bookkeeping, the "Ruby prototype" analogue of §6.1, run a column at a
 // time (the tuple-bundle shape of MCDB and U-relations). Every name is
-// resolved to a slot at compile time, so evaluation cannot fail, and a
-// block allocates nothing. The block is passed by value so that it
-// stays on the caller's stack.
-type kernel func(b block)
+// resolved to a slot at compile time, so evaluation cannot fail.
+type kernel func(b *block)
 
 // block is what a kernel sees of n lanes of a row (see rowLen): lane
 // slot s at row[s*stride:][:n] and the point region pt. A call site
@@ -102,7 +100,24 @@ type block struct {
 }
 
 // lane returns slot s's n lanes.
-func (b block) lane(s int) []float64 { return b.row[s*b.stride:][:b.n] }
+func (b *block) lane(s int) []float64 { return b.row[s*b.stride:][:b.n] }
+
+// lanes is what a block lends its kernels: its view of the row and its
+// lanes' generators. Blocks take them from a pool, so a block
+// allocates nothing.
+type lanes struct {
+	b    block
+	gens [mc.DefaultBlockSize]rng.Rand
+}
+
+var lanePool = sync.Pool{New: func() any { return new(lanes) }}
+
+// release returns l to the pool, dropping its view of the row so the
+// pool keeps no binding or table snapshot alive.
+func (l *lanes) release() {
+	l.b = block{}
+	lanePool.Put(l)
+}
 
 // rowLen is the length of a row of stride lanes: the lane slots
 // (columns first) at stride floats each, then the point region BindRow
@@ -117,7 +132,7 @@ func (s *Scenario) block(row []float64, stride, n int) block {
 }
 
 // run evaluates the row's kernels over b's lanes.
-func (s *Scenario) run(b block) {
+func (s *Scenario) run(b *block) {
 	for _, k := range s.prog {
 		k(b)
 	}
@@ -246,13 +261,15 @@ func (s *Scenario) BindRow(p param.Point, row []float64) {
 	}
 	// A bound site's argument kernels compute in the point region, one
 	// lane wide, and draw nothing (pointOnly).
-	b := block{row: pt, stride: 1, n: 1, pt: pt}
+	l := lanePool.Get().(*lanes)
+	l.b = block{row: pt, stride: 1, n: 1, pt: pt}
 	for _, bc := range s.binds {
 		for _, k := range bc.prog {
-			k(b)
+			k(&l.b)
 		}
 		bc.box.Bind(pt[bc.lo:bc.hi], pt[bc.state:bc.end])
 	}
+	l.release()
 }
 
 // FillRow evaluates one world of the whole scenario into a row of
@@ -261,13 +278,13 @@ func (s *Scenario) BindRow(p param.Point, row []float64) {
 // the sample's draws leave it. It allocates nothing. A sweep draws
 // blocks of samples through ColumnEval and SweepColumns instead.
 func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
-	gens := genChunks.Get().(*[mc.DefaultBlockSize]rng.Rand)
-	gens[0] = *r
-	b := s.block(row, 1, 1)
-	b.gens = gens[:1]
-	s.run(b)
-	*r = gens[0]
-	genChunks.Put(gens)
+	l := lanePool.Get().(*lanes)
+	l.gens[0] = *r
+	l.b = s.block(row, 1, 1)
+	l.b.gens = l.gens[:1]
+	s.run(&l.b)
+	*r = l.gens[0]
+	l.release()
 }
 
 // drawRow fills a seed-only row's draw vector d from r, each site's
@@ -279,10 +296,6 @@ func (s *Scenario) drawRow(r *rng.Rand, d []float64) {
 		bc.draw.Draw(r, d[bc.dlo:bc.dhi])
 	}
 }
-
-// genChunks lends a block its lanes' generators, so a block allocates
-// nothing.
-var genChunks = sync.Pool{New: func() any { return new([mc.DefaultBlockSize]rng.Rand) }}
 
 // SharesDraws reports whether the row is seed-only: every model call
 // is a bound call site of a blackbox.DrawBox, so a sample's draws
@@ -355,17 +368,15 @@ func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64,
 	if table {
 		vals, table = s.table.load(s, master, ids, r)
 	}
-	var gens *[mc.DefaultBlockSize]rng.Rand
-	if !table {
-		gens = genChunks.Get().(*[mc.DefaultBlockSize]rng.Rand)
-	}
+	l := lanePool.Get().(*lanes)
+	b := &l.b
 	for lo := 0; lo < len(ids); lo += mc.DefaultBlockSize {
 		chunk := ids[lo:min(lo+mc.DefaultBlockSize, len(ids))]
-		b := s.block(row, mc.DefaultBlockSize, len(chunk))
+		*b = s.block(row, mc.DefaultBlockSize, len(chunk))
 		if table {
 			b.draws, b.ids = vals, chunk
 		} else {
-			b.gens = gens[:len(chunk)]
+			b.gens = l.gens[:len(chunk)]
 			for j, id := range chunk {
 				b.gens[j].Seed(rng.SampleSeed(master, id))
 			}
@@ -377,9 +388,7 @@ func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64,
 			}
 		}
 	}
-	if gens != nil {
-		genChunks.Put(gens)
-	}
+	l.release()
 }
 
 // compiler lowers one scenario's expressions to kernels: it resolves
@@ -422,7 +431,7 @@ func (c *compiler) alias(src, dst int) int {
 	if dst < 0 {
 		return src
 	}
-	c.emit(func(b block) { copy(b.lane(dst), b.lane(src)) })
+	c.emit(func(b *block) { copy(b.lane(dst), b.lane(src)) })
 	return dst
 }
 
@@ -433,7 +442,7 @@ func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 	switch n := e.(type) {
 	case *sqlparse.NumberLit:
 		v, d := n.Value, c.slot(dst)
-		c.emit(func(b block) { fill(b.lane(d), v) })
+		c.emit(func(b *block) { fill(b.lane(d), v) })
 		return d, nil
 	case *sqlparse.StringLit:
 		return 0, errors.New("string literals are not numeric")
@@ -452,7 +461,7 @@ func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 			return c.alias(ps, dst), nil
 		}
 		d := c.slot(dst)
-		c.emit(func(b block) { fill(b.lane(d), b.pt[ps]) })
+		c.emit(func(b *block) { fill(b.lane(d), b.pt[ps]) })
 		return d, nil
 	case *sqlparse.Unary:
 		if n.Op == "NOT" {
@@ -472,6 +481,18 @@ func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 	default:
 		return 0, fmt.Errorf("unsupported expression %T", e)
 	}
+}
+
+// exprs lowers es in order, each to a new slot, and returns the slots.
+func (c *compiler) exprs(es ...sqlparse.Expr) ([]int, error) {
+	in := make([]int, len(es))
+	for i, e := range es {
+		var err error
+		if in[i], err = c.expr(e, -1); err != nil {
+			return nil, err
+		}
+	}
+	return in, nil
 }
 
 // param resolves a parameter reference against the declarations to
@@ -532,15 +553,12 @@ var builtins = map[string][2]int{
 // op compiles op's arguments, then emits the kernel applying op to
 // their lanes (the first alone for a unary op) into slot dst.
 func (c *compiler) op(op, dst int, args ...sqlparse.Expr) (int, error) {
-	var in [2]int
-	for i, a := range args {
-		var err error
-		if in[i], err = c.expr(a, -1); err != nil {
-			return 0, err
-		}
+	in, err := c.exprs(args...)
+	if err != nil {
+		return 0, err
 	}
-	l, r, d := in[0], in[len(args)-1], c.slot(dst)
-	c.emit(func(b block) {
+	l, r, d := in[0], in[len(in)-1], c.slot(dst)
+	c.emit(func(b *block) {
 		x, y, z := b.lane(l), b.lane(r), b.lane(d)
 		for j := range z {
 			a, v := x[j], y[j]
@@ -601,25 +619,23 @@ func (c *compiler) op(op, dst int, args ...sqlparse.Expr) (int, error) {
 // values (§3.1). Scenario authors pay a little wasted work for
 // deterministic alignment.
 func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
-	arms := make([][2]int, len(n.Whens))
-	for i, a := range n.Whens {
-		var err error
-		if arms[i][0], err = c.expr(a.When, -1); err != nil {
-			return 0, err
-		}
-		if arms[i][1], err = c.expr(a.Then, -1); err != nil {
-			return 0, err
-		}
+	arms := make([]sqlparse.Expr, 0, 2*len(n.Whens)+1)
+	for _, a := range n.Whens {
+		arms = append(arms, a.When, a.Then)
 	}
-	els := -1
 	if n.Else != nil {
-		var err error
-		if els, err = c.expr(n.Else, -1); err != nil {
-			return 0, err
-		}
+		arms = append(arms, n.Else)
+	}
+	in, err := c.exprs(arms...)
+	if err != nil {
+		return 0, err
+	}
+	els, last := -1, 2*len(n.Whens)-2 // the ELSE arm's slot; in[last] is the last WHEN's
+	if n.Else != nil {
+		els = in[len(in)-1]
 	}
 	d := c.slot(dst)
-	c.emit(func(b block) {
+	c.emit(func(b *block) {
 		z := b.lane(d)
 		if els < 0 {
 			clear(z)
@@ -627,8 +643,8 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
 			copy(z, b.lane(els))
 		}
 		// The first arm whose condition holds is written last.
-		for i := len(arms) - 1; i >= 0; i-- {
-			when, then := b.lane(arms[i][0]), b.lane(arms[i][1])
+		for i := last; i >= 0; i -= 2 {
+			when, then := b.lane(in[i]), b.lane(in[i+1])
 			for j := range z {
 				if when[j] != 0 {
 					z[j] = then[j]
@@ -702,7 +718,7 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 		}
 		c.binds = append(c.binds, bc)
 		d, s, dlo, dhi := c.slot(dst), c.Scenario, bc.dlo, bc.dhi
-		c.emit(func(b block) {
+		c.emit(func(b *block) {
 			z, st := b.lane(d), b.pt[state:end]
 			if b.gens != nil {
 				for j := range z {
@@ -719,14 +735,12 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 		})
 		return d, nil
 	}
-	args := make([]int, len(n.Args))
-	for i, a := range n.Args {
-		if args[i], err = c.expr(a, -1); err != nil {
-			return 0, err
-		}
+	args, err := c.exprs(n.Args...)
+	if err != nil {
+		return 0, err
 	}
 	d := c.slot(dst)
-	c.emit(func(b block) {
+	c.emit(func(b *block) {
 		z, buf := b.lane(d), b.pt[lo:hi]
 		for j := range z {
 			for i, a := range args {
