@@ -113,9 +113,11 @@ func BenchmarkFigure7UserSelectWrapper(b *testing.B) {
 	db := pdb.NewDB()
 	db.Boxes.MustRegister(blackbox.UserUsage{})
 	scan := pdb.NewScanPlan("users", tbl)
-	usage, err := (pdb.Call{Name: "UserUsage", Args: []pdb.Expr{pdb.Param{Name: "w"},
-		pdb.Col{Name: "join_week"}, pdb.Col{Name: "base"}, pdb.Col{Name: "growth"},
-		pdb.Col{Name: "vol"}}}).Bind(scan.Schema(), db.Env())
+	script, err := sqlparse.Parse(`SELECT UserUsage(@w, join_week, base, growth, vol) AS usage`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	usage, err := pdb.Bind(script.Selects[0].Items[0].Expr, scan.Schema(), db.Boxes)
 	if err != nil {
 		b.Fatal(err)
 	}

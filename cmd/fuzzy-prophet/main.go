@@ -4,6 +4,10 @@
 // in the background (Algorithm 5), and results render as ASCII charts
 // (standing in for the Fig. 2 GUI).
 //
+// It pre-registers the models cmd/jigsaw does (jigsaw.NewStockRegistry,
+// with UserSelection over cmd/jigsaw's default 2000 users), so it runs
+// the same scripts.
+//
 // Usage:
 //
 //	fuzzy-prophet -query scenario.jsq [-column overload] [-samples-per-tick 10]
@@ -50,13 +54,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	reg := jigsaw.NewRegistry()
-	for _, box := range []jigsaw.Box{
-		jigsaw.NewDemandModel(), jigsaw.NewCapacityModel(), jigsaw.NewOverloadModel(),
-	} {
-		if err := reg.Register(box); err != nil {
-			fatal(err)
-		}
+	reg, err := jigsaw.NewStockRegistry(2000)
+	if err != nil {
+		fatal(err)
 	}
 	scenario, err := jigsaw.Compile(script, reg)
 	if err != nil {

@@ -3,8 +3,9 @@
 // statement (batch mode, Fig. 1 of the paper) or a GRAPH statement
 // (interactive-mode data, rendered as an ASCII chart).
 //
-// The stock model suite (Fig. 6) is pre-registered: DemandModel,
-// CapacityModel, OverloadModel, UserSelection, SynthBasis.
+// The stock model suite (Fig. 6, jigsaw.NewStockRegistry) is
+// pre-registered: DemandModel, CapacityModel, OverloadModel,
+// UserSelection, SynthBasis.
 //
 // Usage:
 //
@@ -53,19 +54,10 @@ func main() {
 		fatal(err)
 	}
 
-	reg := jigsaw.NewRegistry()
-	for _, box := range []jigsaw.Box{
-		jigsaw.NewDemandModel(),
-		jigsaw.NewCapacityModel(),
-		jigsaw.NewOverloadModel(),
-		jigsaw.NewUserSelectionModel(*users, 0xD5),
-		jigsaw.NewSynthBasisModel(10),
-	} {
-		if err := reg.Register(box); err != nil {
-			fatal(err)
-		}
+	reg, err := jigsaw.NewStockRegistry(*users)
+	if err != nil {
+		fatal(err)
 	}
-
 	scenario, err := jigsaw.Compile(script, reg)
 	if err != nil {
 		fatal(err)

@@ -8,6 +8,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -464,10 +465,13 @@ func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 		c.emit(func(b *block) { fill(b.lane(d), b.pt[ps]) })
 		return d, nil
 	case *sqlparse.Unary:
-		if n.Op == "NOT" {
+		switch n.Op {
+		case "NOT":
 			return c.op(opNot, dst, n.E)
+		case "-":
+			return c.op(opNeg, dst, n.E)
 		}
-		return c.op(opNeg, dst, n.E)
+		return 0, fmt.Errorf("unsupported operator %q", n.Op)
 	case *sqlparse.Binary:
 		op, ok := binaryOps[n.Op]
 		if !ok {
@@ -535,6 +539,8 @@ const (
 	opNeg
 	opNot
 	opAbs
+	opSqrt
+	opPow
 )
 
 var binaryOps = map[string]int{
@@ -543,12 +549,9 @@ var binaryOps = map[string]int{
 	"AND": opAnd, "OR": opOr,
 }
 
-// builtins are the deterministic builtin functions, by name: their op
-// and arity. They draw nothing from the generator.
-var builtins = map[string][2]int{
-	"ABS": {opAbs, 1}, "abs": {opAbs, 1},
-	"MINV": {opMin, 2}, "minv": {opMin, 2}, "MAXV": {opMax, 2}, "maxv": {opMax, 2},
-}
+// builtinOps implement sqlparse.Builtins, by canonical name. They
+// draw nothing from the generator.
+var builtinOps = map[string]int{"ABS": opAbs, "SQRT": opSqrt, "POW": opPow, "MINV": opMin, "MAXV": opMax}
 
 // op compiles op's arguments, then emits the kernel applying op to
 // their lanes (the first alone for a unary op) into slot dst. The
@@ -591,21 +594,19 @@ func (c *compiler) op(op, dst int, args ...sqlparse.Expr) (int, error) {
 			case opOr:
 				v = b2f(a != 0 || v != 0)
 			case opMin:
-				if a < v {
-					v = a
-				}
+				v = math.Min(a, v)
 			case opMax:
-				if a > v {
-					v = a
-				}
+				v = math.Max(a, v)
 			case opNeg:
 				v = -a
 			case opNot:
 				v = b2f(a == 0)
 			case opAbs:
-				if v = a; a < 0 {
-					v = -a
-				}
+				v = math.Abs(a)
+			case opSqrt:
+				v = math.Sqrt(a)
+			case opPow:
+				v = math.Pow(a, v)
 			}
 			z[j] = v
 		}
@@ -622,6 +623,9 @@ func (c *compiler) op(op, dst int, args ...sqlparse.Expr) (int, error) {
 // values (§3.1). Scenario authors pay a little wasted work for
 // deterministic alignment.
 func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
+	if len(n.Whens) == 0 {
+		return 0, errors.New("CASE with no WHEN arm")
+	}
 	arms := make([]sqlparse.Expr, 0, 2*len(n.Whens)+1)
 	for _, a := range n.Whens {
 		arms = append(arms, a.When, a.Then)
@@ -671,11 +675,11 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 	if n.Name == "NULL" {
 		return 0, errors.New("NULL is not supported by the lightweight engine")
 	}
-	if op, ok := builtins[n.Name]; ok {
-		if op[1] != len(n.Args) {
-			return 0, fmt.Errorf("%s expects %d args, got %d", n.Name, op[1], len(n.Args))
+	if name, arity, ok := sqlparse.Builtin(n.Name); ok {
+		if arity != len(n.Args) {
+			return 0, fmt.Errorf("%s expects %d args, got %d", name, arity, len(n.Args))
 		}
-		return c.op(op[0], dst, n.Args...)
+		return c.op(builtinOps[name], dst, n.Args...)
 	}
 	if c.boxes == nil {
 		return 0, fmt.Errorf("unknown function %q (no registry)", n.Name)
@@ -775,7 +779,7 @@ func pointOnly(es ...sqlparse.Expr) bool {
 				ok = ok && pointOnly(a.When, a.Then)
 			}
 		case *sqlparse.FuncCall:
-			_, builtin := builtins[n.Name]
+			_, _, builtin := sqlparse.Builtin(n.Name)
 			ok = builtin && pointOnly(n.Args...)
 		}
 		if !ok {

@@ -344,6 +344,18 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := CompileScenario(nil, nil); err == nil {
 		t.Error("nil script accepted")
 	}
+	// The parser builds none of these, but CompileScenario takes any
+	// script.
+	for name, item := range map[string]sqlparse.SelectItem{
+		"empty CASE": {Expr: &sqlparse.CaseExpr{}},
+		"nil expr":   {},
+		"unary plus": {Expr: &sqlparse.Unary{Op: "+", E: &sqlparse.NumberLit{Value: 3}}},
+	} {
+		script := &sqlparse.Script{Selects: []*sqlparse.SelectStmt{{Items: []sqlparse.SelectItem{item}}}}
+		if _, err := CompileScenario(script, nil); err == nil {
+			t.Errorf("%s: compile accepted", name)
+		}
+	}
 }
 
 // operatorsSource exercises every operator and builtin on constants.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -143,6 +145,82 @@ func TestBuildPDBPlanErrors(t *testing.T) {
 		if _, err := BuildPDBPlan(script.Selects[0], db); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	// The parser builds neither, but BuildPDBPlan takes any statement.
+	for name, item := range map[string]sqlparse.SelectItem{
+		"empty CASE": {Expr: &sqlparse.CaseExpr{}},
+		"nil expr":   {},
+	} {
+		stmt := &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{item}}
+		if _, err := BuildPDBPlan(stmt, db); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// builtinPoints are the (@x, @y) points TestBuiltinsAgreeAcrossEngines
+// applies every builtin to: signs, fractions, both signed zeros, huge
+// and tiny magnitudes and a NaN-producing square root.
+var builtinPoints = [][2]float64{
+	{2.25, 3}, {0.49, -1.5}, {-2.5, 3}, {16, 0.5},
+	{0, math.Copysign(0, -1)}, {math.Copysign(0, -1), 0}, {1e-300, 1e300},
+}
+
+// TestBuiltinsAgreeAcrossEngines checks that both engines accept every
+// builtin of sqlparse.Builtins in any letter case and give it the same
+// bits: through ColumnEval and through a one-world Values plan (whose
+// cell Min is the world's value, bit for bit).
+func TestBuiltinsAgreeAcrossEngines(t *testing.T) {
+	names := make([]string, 0, len(sqlparse.Builtins))
+	for name := range sqlparse.Builtins {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			args := "@x"
+			if sqlparse.Builtins[name] == 2 {
+				args = "@x, @y"
+			}
+			var items []string
+			for _, fn := range []string{name, strings.ToLower(name), name[:1] + strings.ToLower(name[1:])} {
+				items = append(items, fmt.Sprintf("%s(%s) AS %s", fn, args, fn))
+			}
+			script, err := sqlparse.Parse(`DECLARE PARAMETER @x AS SET (1);
+DECLARE PARAMETER @y AS SET (1);
+SELECT ` + strings.Join(items, ", "))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := CompileScenario(script, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := BuildPDBPlan(script.Selects[0], pdb.NewDB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, xy := range builtinPoints {
+				params := map[string]float64{"x": xy[0], "y": xy[1]}
+				dist, err := pdb.RunDistribution(plan, params, pdb.WorldsOptions{Worlds: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, col := range s.Columns {
+					ev, err := s.ColumnEval(col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := drawBlocks(ev, toPoint(params), 1, []int{0}, 1)[0]
+					cell := dist.Cells[0][c]
+					if want := cell.Min; math.Float64bits(got) != math.Float64bits(want) &&
+						!(math.IsNaN(got) && math.IsNaN(cell.Mean)) {
+						t.Errorf("%s at %v: lightweight %g (%#x), PDB %g (%#x)",
+							col, xy, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -92,10 +92,10 @@ func usersSumPlan(db *pdb.DB, users []blackbox.User) (pdb.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	usage, err := (pdb.Call{Name: "UserUsage", Args: []pdb.Expr{
-		pdb.Param{Name: "current_week"}, pdb.Col{Name: "join_week"},
-		pdb.Col{Name: "base"}, pdb.Col{Name: "growth"}, pdb.Col{Name: "vol"},
-	}}).Bind(scan.Schema(), db.Env())
+	usage, err := pdb.Bind(&sqlparse.FuncCall{Name: "UserUsage", Args: []sqlparse.Expr{
+		&sqlparse.ParamRef{Name: "current_week"}, &sqlparse.ColRef{Name: "join_week"},
+		&sqlparse.ColRef{Name: "base"}, &sqlparse.ColRef{Name: "growth"}, &sqlparse.ColRef{Name: "vol"},
+	}}, scan.Schema(), db.Boxes)
 	if err != nil {
 		return nil, err
 	}

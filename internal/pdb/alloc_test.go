@@ -19,13 +19,13 @@ import (
 // the budgets pin, over nRows data rows.
 func allocPipeline(t *testing.T, nRows int) Plan {
 	t.Helper()
-	ext, env := usersUsagePlan(t, nRows)
-	pred := mustBind(t, BinOp{">", Col{"join_week"}, Lit{Float(-1)}}, ext.Schema(), env)
+	ext, boxes := usersUsagePlan(t, nRows)
+	pred := mustBind(t, "join_week > -1", ext.Schema(), boxes)
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "join_week > -1"}
-	arg := mustBind(t, Col{"usage"}, sel.Schema(), env)
+	arg := mustBind(t, "usage", sel.Schema(), boxes)
 	plan, err := NewAggregatePlan(sel, []AggSpec{
 		{Arg: arg, Name: "total"},
-		{Arg: mustBind(t, Lit{Float(1)}, sel.Schema(), env), Name: "n"},
+		{Arg: mustBind(t, "1", sel.Schema(), boxes), Name: "n"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func allocPipeline(t *testing.T, nRows int) Plan {
 // usersUsagePlan is Scan(users) → Extend(usage = UserUsage(@week, ...))
 // over nRows generated users: one result row per user, each cell
 // aggregated across worlds.
-func usersUsagePlan(t *testing.T, nRows int) (Plan, *Env) {
+func usersUsagePlan(t *testing.T, nRows int) (Plan, *blackbox.Registry) {
 	t.Helper()
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.UserUsage{})
@@ -49,15 +49,13 @@ func usersUsagePlan(t *testing.T, nRows int) (Plan, *Env) {
 		t.Fatal(err)
 	}
 	scan, _ := db.Scan("users")
-	env := db.Env()
-	usage := mustBind(t, Call{"UserUsage", []Expr{
-		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
-	}}, scan.Schema(), env)
+	boxes := db.Boxes
+	usage := mustBind(t, "UserUsage(@week, join_week, base, growth, vol)", scan.Schema(), boxes)
 	ext, err := NewExtendPlan(scan, []NamedBound{{Name: "usage", Expr: usage}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ext, env
+	return ext, boxes
 }
 
 // columnarAllocBudgetPerWorld bounds steady-state allocations per
@@ -101,7 +99,7 @@ func TestColumnarSingleVGAllocsPerWorld(t *testing.T) {
 	const worlds = 1000
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())
-	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, Schema{}, db.Env())
+	bound := mustBind(t, "DemandModel(@week, 52)", Schema{}, db.Boxes)
 	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "demand", Expr: bound}})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +187,10 @@ func TestAggregateReusesArgumentColumns(t *testing.T) {
 // list, from the block context's arena. The predicate varies by world,
 // so Select keeps a mask per row.
 func TestOperatorBlockAllocs(t *testing.T) {
-	ext, env := usersUsagePlan(t, 300)
-	pred := mustBind(t, BinOp{">", Col{"usage"}, Col{"base"}}, ext.Schema(), env)
+	ext, boxes := usersUsagePlan(t, 300)
+	pred := mustBind(t, "usage > base", ext.Schema(), boxes)
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "usage > base"}
-	usage := mustBind(t, Col{"usage"}, sel.Schema(), env)
+	usage := mustBind(t, "usage", sel.Schema(), boxes)
 	plan, err := NewProjectPlan(sel, []NamedBound{{Name: "usage", Expr: usage}})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +251,7 @@ func TestAggregateBlockAllocs(t *testing.T) {
 func TestFreshDrawBlockAllocs(t *testing.T) {
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())
-	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, Schema{}, db.Env())
+	bound := mustBind(t, "DemandModel(@week, 52)", Schema{}, db.Boxes)
 	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "demand", Expr: bound}})
 	if err != nil {
 		t.Fatal(err)

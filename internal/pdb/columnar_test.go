@@ -66,7 +66,7 @@ func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worl
 // given base plan.
 func vgExtendPlan(t *testing.T, db *DB, base Plan, name string) *ExtendPlan {
 	t.Helper()
-	bound := mustBind(t, Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}, base.Schema(), db.Env())
+	bound := mustBind(t, "DemandModel(@week, 52)", base.Schema(), db.Boxes)
 	ext, err := NewExtendPlan(base, []NamedBound{{Name: name, Expr: bound}})
 	if err != nil {
 		t.Fatal(err)
@@ -89,15 +89,15 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	db := columnarDB(t)
 	ext1 := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	capacity := mustBind(t,
-		Call{"CapacityModel", []Expr{Param{"week"}, Lit{Float(8)}, Lit{Float(24)}}},
-		ext1.Schema(), db.Env())
+		"CapacityModel(@week, 8, 24)",
+		ext1.Schema(), db.Boxes)
 	ext2, err := NewExtendPlan(ext1, []NamedBound{{Name: "capacity", Expr: capacity}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	over := mustBind(t,
-		Case{When: BinOp{"<", Col{"capacity"}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}},
-		ext2.Schema(), db.Env())
+		"CASE WHEN capacity < demand THEN 1 ELSE 0 END",
+		ext2.Schema(), db.Boxes)
 	ext3, err := NewExtendPlan(ext2, []NamedBound{{Name: "overload", Expr: over}})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestScalarFirstVGEvaluatesOncePerWorld(t *testing.T) {
 	evals := new(atomic.Int64)
 	db := columnarDB(t)
 	db.Boxes.MustRegister(countingBox{evals})
-	counted := mustBind(t, Call{"Counted", []Expr{Param{"week"}}}, Schema{}, db.Env())
+	counted := mustBind(t, "Counted(@week)", Schema{}, db.Boxes)
 	ext, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "counted", Expr: counted}})
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +149,9 @@ func TestColumnarAggregateSumsOverVGDraws(t *testing.T) {
 	// at once: a drawn one, a deterministic one, and SUM(1).
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	noisy := mustBind(t, BinOp{"*", Col{"volume"},
-		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}, scan.Schema(), db.Env())
-	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
-	one := mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env())
+	noisy := mustBind(t, "volume * DemandModel(week, 99)", scan.Schema(), db.Boxes)
+	week := mustBind(t, "week", scan.Schema(), db.Boxes)
+	one := mustBind(t, "1", scan.Schema(), db.Boxes)
 	plan, err := NewAggregatePlan(scan,
 		[]AggSpec{
 			{Arg: noisy, Name: "total"},
@@ -175,9 +174,7 @@ func signSelectPlan(t *testing.T, db *DB) Plan {
 	t.Helper()
 	scan, _ := db.Scan("signs")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBind(t, BinOp{">",
-		BinOp{"*", Col{"sign"}, BinOp{"-", Col{"vg"}, Param{"week"}}},
-		Lit{Float(0)}}, ext.Schema(), db.Env())
+	pred := mustBind(t, "sign * (vg - @week) > 0", ext.Schema(), db.Boxes)
 	return &SelectPlan{Child: ext, Pred: pred, Desc: "sign*(vg-week) > 0"}
 }
 
@@ -214,8 +211,8 @@ func TestColumnarMaskedRowsCompactPerWorld(t *testing.T) {
 	db := columnarDB(t)
 	db.Boxes.MustRegister(peekBox{})
 	scan, _ := db.Scan("signs")
-	pred := mustBind(t, BinOp{">", BinOp{"*", Col{"sign"}, BinOp{"-", Call{"Peek", nil}, Lit{Float(0.5)}}}, Lit{Float(0)}},
-		scan.Schema(), db.Env())
+	pred := mustBind(t, "sign * (Peek() - 0.5) > 0",
+		scan.Schema(), db.Boxes)
 	sel := &SelectPlan{Child: scan, Pred: pred, Desc: "sign*(Peek()-0.5) > 0"}
 	plan := vgExtendPlan(t, db, sel, "vg")
 	params := map[string]float64{"week": 20}
@@ -250,12 +247,12 @@ func TestColumnarMaskedAggregate(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("signs")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	pred := mustBind(t, BinOp{">", Col{"vg"}, Param{"week"}}, ext.Schema(), db.Env())
+	pred := mustBind(t, "vg > @week", ext.Schema(), db.Boxes)
 	sel := &SelectPlan{Child: ext, Pred: pred, Desc: "vg > week"}
-	arg := mustBind(t, Col{"vg"}, sel.Schema(), db.Env())
+	arg := mustBind(t, "vg", sel.Schema(), db.Boxes)
 	plan, err := NewAggregatePlan(sel, []AggSpec{
 		{Arg: arg, Name: "total"},
-		{Arg: mustBind(t, Lit{Float(1)}, sel.Schema(), db.Env()), Name: "n"},
+		{Arg: mustBind(t, "1", sel.Schema(), db.Boxes), Name: "n"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,14 +265,12 @@ func TestColumnarCaseBranchDraws(t *testing.T) {
 	// worlds that take it. A trailing draw observes each world's stream
 	// position, so an extra draw in either branch shows up.
 	db := columnarDB(t)
-	when := BinOp{">", Col{"demand"}, Param{"week"}}
-	capacity := Call{"CapacityModel", []Expr{Param{"week"}, Lit{Float(8)}, Lit{Float(24)}}}
-	for _, c := range []Case{
-		{When: when, Then: capacity, Else: Lit{Float(0)}},
-		{When: when, Then: Lit{Float(0)}, Else: capacity},
+	for _, c := range []string{
+		"CASE WHEN demand > @week THEN CapacityModel(@week, 8, 24) ELSE 0 END",
+		"CASE WHEN demand > @week THEN 0 ELSE CapacityModel(@week, 8, 24) END",
 	} {
 		ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-		plan, err := NewExtendPlan(ext, []NamedBound{{Name: "c", Expr: mustBind(t, c, ext.Schema(), db.Env())}})
+		plan, err := NewExtendPlan(ext, []NamedBound{{Name: "c", Expr: mustBind(t, c, ext.Schema(), db.Boxes)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,16 +285,16 @@ func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
 	tbl.MustAppend(Row{Null(), Float(3)})
 	tbl.MustAppend(Row{Float(9), Null()})
 	scan := NewScanPlan("t", tbl)
-	env := db.Env()
+	boxes := db.Boxes
 	outs := []NamedBound{
-		{Name: "s", Expr: mustBind(t, Call{"SQRT", []Expr{Col{"a"}}}, scan.Schema(), env)},
-		{Name: "p", Expr: mustBind(t, Call{"POW", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "m", Expr: mustBind(t, Call{"MINV", []Expr{Col{"a"}, Param{"week"}}}, scan.Schema(), env)},
-		{Name: "q", Expr: mustBind(t, BinOp{"/", Col{"a"}, BinOp{"-", Col{"b"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "n", Expr: mustBind(t, Neg{Col{"a"}}, scan.Schema(), env)},
-		{Name: "vgnull", Expr: mustBind(t, Call{"DemandModel", []Expr{Col{"a"}, Col{"b"}}}, scan.Schema(), env)},
-		{Name: "cmp", Expr: mustBind(t, BinOp{">=", Col{"a"}, Col{"b"}}, scan.Schema(), env)},
-		{Name: "lg", Expr: mustBind(t, BinOp{"AND", BinOp{">", Col{"a"}, Lit{Float(0)}}, Not{BinOp{"<", Col{"b"}, Lit{Float(0)}}}}, scan.Schema(), env)},
+		{Name: "s", Expr: mustBind(t, "SQRT(a)", scan.Schema(), boxes)},
+		{Name: "p", Expr: mustBind(t, "POW(a, b)", scan.Schema(), boxes)},
+		{Name: "m", Expr: mustBind(t, "MINV(a, @week)", scan.Schema(), boxes)},
+		{Name: "q", Expr: mustBind(t, "a / (b - b)", scan.Schema(), boxes)},
+		{Name: "n", Expr: mustBind(t, "-a", scan.Schema(), boxes)},
+		{Name: "vgnull", Expr: mustBind(t, "DemandModel(a, b)", scan.Schema(), boxes)},
+		{Name: "cmp", Expr: mustBind(t, "a >= b", scan.Schema(), boxes)},
+		{Name: "lg", Expr: mustBind(t, "a > 0 AND NOT b < 0", scan.Schema(), boxes)},
 	}
 	plan, err := NewExtendPlan(scan, outs)
 	if err != nil {
@@ -337,7 +332,7 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 	// oracle.
 	db := columnarDB(t)
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	pred := mustBind(t, BinOp{">", Col{"demand"}, Param{"week"}}, ext.Schema(), db.Env())
+	pred := mustBind(t, "demand > @week", ext.Schema(), db.Boxes)
 	plan := &SelectPlan{Child: ext, Pred: pred, Desc: "demand > week"}
 	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, BlockWorlds: 64}
 	_, wantErr := refDistribution(plan, map[string]float64{"week": 20}, opts)
@@ -360,9 +355,8 @@ func TestColumnarAggregateOverWorldVaryingNulls(t *testing.T) {
 	// and is NULL in a world that has none.
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
-	draw := Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}
-	arg := mustBind(t, Case{When: BinOp{">", draw, Col{"week"}}, Then: Col{"volume"}},
-		scan.Schema(), db.Env())
+	arg := mustBind(t, "CASE WHEN DemandModel(week, 99) > week THEN volume END",
+		scan.Schema(), db.Boxes)
 	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: arg, Name: "sum"}})
 	if err != nil {
 		t.Fatal(err)
@@ -378,8 +372,8 @@ func TestColumnarAggregateErrorParity(t *testing.T) {
 	scan, _ := db.Scan("purchases")
 	ext := vgExtendPlan(t, db, scan, "vg")
 	plan, err := NewAggregatePlan(ext, []AggSpec{
-		{Arg: mustBind(t, Col{"vg"}, ext.Schema(), db.Env()), Name: "total"},
-		{Arg: mustBind(t, Col{"region"}, ext.Schema(), db.Env()), Name: "regions"},
+		{Arg: mustBind(t, "vg", ext.Schema(), db.Boxes), Name: "total"},
+		{Arg: mustBind(t, "region", ext.Schema(), db.Boxes), Name: "regions"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -422,9 +416,7 @@ func TestColumnarVGSumBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan, _ := db.Scan("users")
-	usage := mustBind(t, Call{"UserUsage", []Expr{
-		Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"},
-	}}, scan.Schema(), db.Env())
+	usage := mustBind(t, "UserUsage(@week, join_week, base, growth, vol)", scan.Schema(), db.Boxes)
 	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
 	if err != nil {
 		t.Fatal(err)
@@ -473,19 +465,17 @@ func TestColumnarVGSumWorldDependentArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan, _ := db.Scan("users")
-	demand := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(99)}}}
 	for _, tc := range []struct {
 		name string
-		base Expr
+		base string
 	}{
-		{"float", demand},
-		{"null", Case{When: BinOp{"<", demand, Lit{Float(-1e9)}}, Then: Lit{Float(1)}}},
-		{"mixed", Case{When: BinOp{">", demand, Param{"week"}}, Then: Col{"base"}}},
+		{"float", "DemandModel(@week, 99)"},
+		{"null", "CASE WHEN DemandModel(@week, 99) < -1e9 THEN 1 END"},
+		{"mixed", "CASE WHEN DemandModel(@week, 99) > @week THEN base END"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			usage := mustBind(t, Call{"UserUsage", []Expr{
-				Param{"week"}, Col{"join_week"}, tc.base, Col{"growth"}, Col{"vol"},
-			}}, scan.Schema(), db.Env())
+			usage := mustBind(t, "UserUsage(@week, join_week, "+tc.base+", growth, vol)",
+				scan.Schema(), db.Boxes)
 			plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: usage, Name: "total"}})
 			if err != nil {
 				t.Fatal(err)
@@ -506,27 +496,25 @@ func TestColumnarSumOverNullLanesUnderMasks(t *testing.T) {
 	db := columnarDB(t)
 	scan, _ := db.Scan("purchases")
 	ext := vgExtendPlan(t, db, scan, "vg")
-	above := BinOp{">", Col{"vg"}, Param{"week"}}
 	ext2, err := NewExtendPlan(ext, []NamedBound{
-		{Name: "high", Expr: mustBind(t, Case{When: above, Then: Col{"vg"}}, ext.Schema(), db.Env())},
-		{Name: "is_high", Expr: mustBind(t, above, ext.Schema(), db.Env())},
+		{Name: "high", Expr: mustBind(t, "CASE WHEN vg > @week THEN vg END", ext.Schema(), db.Boxes)},
+		{Name: "is_high", Expr: mustBind(t, "vg > @week", ext.Schema(), db.Boxes)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	redraw := Call{"DemandModel", []Expr{Col{"high"}, Lit{Float(52)}}}
 	ext3, err := NewExtendPlan(ext2, []NamedBound{
-		{Name: "redraw", Expr: mustBind(t, redraw, ext2.Schema(), db.Env())},
+		{Name: "redraw", Expr: mustBind(t, "DemandModel(high, 52)", ext2.Schema(), db.Boxes)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := mustBind(t, BinOp{"<", Col{"vg"}, BinOp{"+", Param{"week"}, Lit{Float(1)}}}, ext3.Schema(), db.Env())
+	pred := mustBind(t, "vg < @week + 1", ext3.Schema(), db.Boxes)
 	sel := &SelectPlan{Child: ext3, Pred: pred, Desc: "vg < week + 1"}
 	plan, err := NewAggregatePlan(sel, []AggSpec{
-		{Arg: mustBind(t, Col{"high"}, sel.Schema(), db.Env()), Name: "high"},
-		{Arg: mustBind(t, Col{"redraw"}, sel.Schema(), db.Env()), Name: "redraw"},
-		{Arg: mustBind(t, Col{"is_high"}, sel.Schema(), db.Env()), Name: "n_high"},
+		{Arg: mustBind(t, "high", sel.Schema(), db.Boxes), Name: "high"},
+		{Arg: mustBind(t, "redraw", sel.Schema(), db.Boxes), Name: "redraw"},
+		{Arg: mustBind(t, "is_high", sel.Schema(), db.Boxes), Name: "n_high"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -534,22 +522,22 @@ func TestColumnarSumOverNullLanesUnderMasks(t *testing.T) {
 	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
 }
 
-// namedExpr pairs an output name with an unbound expression.
+// namedExpr pairs an output name with an expression's SQL text.
 type namedExpr struct {
 	name string
-	expr Expr
+	expr string
 }
 
 // loweredPlan hand-builds the Base → Extend → Select → Project shape
 // exec.BuildPDBPlan lowers a SELECT to: extend the computed items
 // (later items read earlier ones), filter, then project exactly the
-// SELECT list. A nil where omits the Select.
-func loweredPlan(t *testing.T, db *DB, base Plan, extend []namedExpr, where Expr, finals []string) Plan {
+// SELECT list. An empty where omits the Select.
+func loweredPlan(t *testing.T, db *DB, base Plan, extend []namedExpr, where string, finals []string) Plan {
 	t.Helper()
 	var outs []NamedBound
 	schema := base.Schema()
 	for _, e := range extend {
-		outs = append(outs, NamedBound{Name: e.name, Expr: mustBind(t, e.expr, schema, db.Env())})
+		outs = append(outs, NamedBound{Name: e.name, Expr: mustBind(t, e.expr, schema, db.Boxes)})
 		schema = schema.Concat(Schema{{Name: e.name}})
 	}
 	var top Plan
@@ -557,12 +545,12 @@ func loweredPlan(t *testing.T, db *DB, base Plan, extend []namedExpr, where Expr
 	if err != nil {
 		t.Fatal(err)
 	}
-	if where != nil {
-		top = &SelectPlan{Child: top, Pred: mustBind(t, where, top.Schema(), db.Env()), Desc: where.String()}
+	if where != "" {
+		top = &SelectPlan{Child: top, Pred: mustBind(t, where, top.Schema(), db.Boxes), Desc: where}
 	}
 	var proj []NamedBound
 	for _, name := range finals {
-		proj = append(proj, NamedBound{Name: name, Expr: mustBind(t, Col{name}, top.Schema(), db.Env())})
+		proj = append(proj, NamedBound{Name: name, Expr: mustBind(t, name, top.Schema(), db.Boxes)})
 	}
 	plan, err := NewProjectPlan(top, proj)
 	if err != nil {
@@ -577,27 +565,26 @@ func TestColumnarLoweredShapes(t *testing.T) {
 	tbl.MustAppend(Row{Float(10), Float(40)})
 	tbl.MustAppend(Row{Float(20), Float(60)})
 	scan := NewScanPlan("lowered", tbl)
-	vg := Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}
 	// SELECT week, volume * DemandModel(week, 99) AS noisy
 	//   FROM lowered WHERE volume > 15
 	from := loweredPlan(t, db, scan,
-		[]namedExpr{{"noisy", BinOp{"*", Col{"volume"}, vg}}},
-		BinOp{">", Col{"volume"}, Lit{Float(15)}}, []string{"week", "noisy"})
+		[]namedExpr{{"noisy", "volume * DemandModel(week, 99)"}},
+		"volume > 15", []string{"week", "noisy"})
 	assertBitIdentical(t, from, nil, 300)
 	// SELECT volume AS v FROM lowered WHERE DemandModel(week, 99) > 0
 	where := loweredPlan(t, db, scan,
-		[]namedExpr{{"v", Col{"volume"}}},
-		BinOp{">", vg, Lit{Float(0)}}, []string{"v"})
+		[]namedExpr{{"v", "volume"}},
+		"DemandModel(week, 99) > 0", []string{"v"})
 	assertBitIdentical(t, where, nil, 300)
 	// Fig. 1: one Extend whose CASE reads the two VG outputs before it
 	// in the same operator, under a Project and no FROM.
 	fig1 := loweredPlan(t, db, ValuesPlan{},
 		[]namedExpr{
-			{"demand", Call{"DemandModel", []Expr{Param{"current_week"}, Param{"feature_release"}}}},
-			{"capacity", Call{"CapacityModel", []Expr{Param{"current_week"}, Param{"purchase1"}, Param{"purchase2"}}}},
-			{"overload", Case{When: BinOp{"<", Col{"capacity"}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}}},
+			{"demand", "DemandModel(@current_week, @feature_release)"},
+			{"capacity", "CapacityModel(@current_week, @purchase1, @purchase2)"},
+			{"overload", "CASE WHEN capacity < demand THEN 1 ELSE 0 END"},
 		},
-		nil, []string{"demand", "capacity", "overload"})
+		"", []string{"demand", "capacity", "overload"})
 	assertBitIdentical(t, fig1, map[string]float64{
 		"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36,
 	}, 300)

@@ -52,7 +52,3 @@ func (db *DB) Scan(name string) (*ScanPlan, error) {
 	}
 	return NewScanPlan(name, t), nil
 }
-
-// Env returns the bind-time environment for expressions against this
-// database.
-func (db *DB) Env() *Env { return &Env{Boxes: db.Boxes} }

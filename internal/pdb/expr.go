@@ -1,34 +1,24 @@
 package pdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/sqlparse"
 )
 
-// Expr is an unbound scalar expression. Expressions are compiled
-// against a schema (Bind) before evaluation, resolving column names to
-// positions once rather than per row — the standard interpreted-engine
-// compromise between a full compiler and per-row name lookup.
-type Expr interface {
-	// Bind resolves names against the schema, returning an evaluator.
-	Bind(s Schema, env *Env) (BoundExpr, error)
-	// String renders the expression in SQL-ish syntax.
-	String() string
-}
-
 // BoundExpr is a compiled expression: it evaluates over a whole
-// world block at once, one Vec per call. Every built-in Expr binds to
-// a blockExpr.
+// world block at once, one Vec per call. Every expression Bind
+// compiles is a blockExpr.
 type BoundExpr interface {
 	// EvalBlock evaluates against one block row over the worlds active
 	// in mask (nil = every world of the block).
 	EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 }
 
-// blockExpr is the form every built-in expression compiles to.
+// blockExpr is the form every bound expression compiles to.
 type blockExpr func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 
 // EvalBlock implements BoundExpr.
@@ -36,74 +26,76 @@ func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, erro
 	return f(row, mask, ctx)
 }
 
-// Env carries bind-time context: the black-box registry for VG calls.
-type Env struct {
-	// Boxes resolves VG-function names; nil forbids VG calls.
-	Boxes *blackbox.Registry
+// Bind compiles a parsed expression against schema s, resolving
+// column names to positions and function names to builtins or to
+// boxes' VG-functions once rather than per row — the standard
+// interpreted-engine compromise between a full compiler and per-row
+// name lookup. A nil boxes forbids VG calls.
+func Bind(e sqlparse.Expr, s Schema, boxes *blackbox.Registry) (BoundExpr, error) {
+	switch n := e.(type) {
+	case nil:
+		return nil, errors.New("pdb: nil expression")
+	case *sqlparse.NumberLit:
+		return constant(Float(n.Value)), nil
+	case *sqlparse.StringLit:
+		return constant(Str(n.Value)), nil
+	case *sqlparse.ColRef:
+		i, err := s.IndexOf(n.Name)
+		if err != nil {
+			return nil, err
+		}
+		return blockExpr(func(row BlockRow, _ Mask, _ *BlockCtx) (*Vec, error) { return row[i], nil }), nil
+	case *sqlparse.ParamRef:
+		// A parameter is uniform across the block's worlds.
+		name := n.Name
+		return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
+			v, ok := ctx.Params[name]
+			if !ok {
+				return nil, fmt.Errorf("pdb: unbound parameter @%s", name)
+			}
+			return ctx.uniformVec(Float(v)), nil
+		}), nil
+	case *sqlparse.Unary:
+		inner, err := Bind(n.E, s, boxes)
+		if err != nil {
+			return nil, err
+		}
+		switch n.Op {
+		case "-":
+			return unaryBlock(inner, negValue), nil
+		case "NOT":
+			return unaryBlock(inner, notValue), nil
+		}
+		return nil, fmt.Errorf("pdb: unknown operator %q", n.Op)
+	case *sqlparse.Binary:
+		return bindBinary(n, s, boxes)
+	case *sqlparse.CaseExpr:
+		return bindCase(n, s, boxes)
+	case *sqlparse.FuncCall:
+		if n.Name == "NULL" {
+			return constant(Null()), nil
+		}
+		return bindCall(n, s, boxes)
+	}
+	return nil, fmt.Errorf("pdb: unsupported expression %T", e)
 }
 
-// ---------- Literals, columns, parameters ----------
-
-// Lit is a constant.
-type Lit struct{ Val Value }
-
-// Bind implements Expr.
-func (l Lit) Bind(Schema, *Env) (BoundExpr, error) {
-	v := l.Val
+// constant is a literal: uniform across the block's worlds.
+func constant(v Value) BoundExpr {
 	return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
 		return ctx.uniformVec(v), nil
-	}), nil
+	})
 }
-
-func (l Lit) String() string { return l.Val.String() }
-
-// Col references a column by name.
-type Col struct{ Name string }
-
-// Bind implements Expr.
-func (c Col) Bind(s Schema, _ *Env) (BoundExpr, error) {
-	i, err := s.IndexOf(c.Name)
-	if err != nil {
-		return nil, err
-	}
-	return blockExpr(func(row BlockRow, _ Mask, _ *BlockCtx) (*Vec, error) { return row[i], nil }), nil
-}
-
-func (c Col) String() string { return c.Name }
-
-// Param references a declared @parameter.
-type Param struct{ Name string }
-
-// Bind implements Expr. A parameter is uniform across the block's
-// worlds.
-func (p Param) Bind(Schema, *Env) (BoundExpr, error) {
-	name := p.Name
-	return blockExpr(func(_ BlockRow, _ Mask, ctx *BlockCtx) (*Vec, error) {
-		v, ok := ctx.Params[name]
-		if !ok {
-			return nil, fmt.Errorf("pdb: unbound parameter @%s", name)
-		}
-		return ctx.uniformVec(Float(v)), nil
-	}), nil
-}
-
-func (p Param) String() string { return "@" + p.Name }
 
 // ---------- Operators ----------
 
-// BinOp is a binary operator.
-type BinOp struct {
-	Op          string // + - * / < <= > >= = <> AND OR
-	Left, Right Expr
-}
-
-// Bind implements Expr.
-func (b BinOp) Bind(s Schema, env *Env) (BoundExpr, error) {
-	l, err := b.Left.Bind(s, env)
+// bindBinary binds a binary operator: + - * / < <= > >= = <> AND OR.
+func bindBinary(b *sqlparse.Binary, s Schema, boxes *blackbox.Registry) (BoundExpr, error) {
+	l, err := Bind(b.Left, s, boxes)
 	if err != nil {
 		return nil, err
 	}
-	r, err := b.Right.Bind(s, env)
+	r, err := Bind(b.Right, s, boxes)
 	if err != nil {
 		return nil, err
 	}
@@ -118,10 +110,6 @@ func (b BinOp) Bind(s Schema, env *Env) (BoundExpr, error) {
 	default:
 		return nil, fmt.Errorf("pdb: unknown operator %q", op)
 	}
-}
-
-func (b BinOp) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.Left, b.Op, b.Right)
 }
 
 // arithValues is the value-level core of arithmetic: the uniform fast
@@ -328,18 +316,6 @@ func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockExpr {
 	}
 }
 
-// Neg is unary minus.
-type Neg struct{ E Expr }
-
-// Bind implements Expr.
-func (n Neg) Bind(s Schema, env *Env) (BoundExpr, error) {
-	e, err := n.E.Bind(s, env)
-	if err != nil {
-		return nil, err
-	}
-	return unaryBlock(e, negValue), nil
-}
-
 // negValue is the value-level core of unary minus.
 func negValue(v Value) (Value, error) {
 	if v.IsNull() {
@@ -350,20 +326,6 @@ func negValue(v Value) (Value, error) {
 		return Null(), err
 	}
 	return Float(-f), nil
-}
-
-func (n Neg) String() string { return fmt.Sprintf("(-%s)", n.E) }
-
-// Not is logical negation.
-type Not struct{ E Expr }
-
-// Bind implements Expr.
-func (n Not) Bind(s Schema, env *Env) (BoundExpr, error) {
-	e, err := n.E.Bind(s, env)
-	if err != nil {
-		return nil, err
-	}
-	return unaryBlock(e, notValue), nil
 }
 
 // notValue is the value-level core of logical negation.
@@ -378,30 +340,38 @@ func notValue(v Value) (Value, error) {
 	return Bool(!b), nil
 }
 
-func (n Not) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
-
-// Case is CASE WHEN cond THEN a [ELSE b] END (single-arm form, as the
-// paper's Fig. 1 query uses; chained arms desugar to nesting).
-type Case struct {
-	When, Then, Else Expr // Else may be nil → NULL
-}
-
-// Bind implements Expr.
-func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
-	w, err := c.When.Bind(s, env)
-	if err != nil {
-		return nil, err
+// bindCase binds CASE WHEN c1 THEN t1 [WHEN ...]* [ELSE e] END as
+// nested single-arm cases: the ELSE of arm i is arm i+1's case, and
+// the last arm's is e (nil → NULL).
+func bindCase(c *sqlparse.CaseExpr, s Schema, boxes *blackbox.Registry) (BoundExpr, error) {
+	if len(c.Whens) == 0 {
+		return nil, errors.New("pdb: CASE with no WHEN arm")
 	}
-	t, err := c.Then.Bind(s, env)
-	if err != nil {
-		return nil, err
+	arms := make([]BoundExpr, 0, 2*len(c.Whens))
+	for _, a := range c.Whens {
+		for _, e := range [2]sqlparse.Expr{a.When, a.Then} {
+			b, err := Bind(e, s, boxes)
+			if err != nil {
+				return nil, err
+			}
+			arms = append(arms, b)
+		}
 	}
-	var e BoundExpr
+	var out BoundExpr
 	if c.Else != nil {
-		if e, err = c.Else.Bind(s, env); err != nil {
+		var err error
+		if out, err = Bind(c.Else, s, boxes); err != nil {
 			return nil, err
 		}
 	}
+	for i := len(arms) - 2; i >= 0; i -= 2 {
+		out = caseBlock(arms[i], arms[i+1], out)
+	}
+	return out, nil
+}
+
+// caseBlock is CASE WHEN w THEN t [ELSE e] END; a nil e is NULL.
+func caseBlock(w, t, e BoundExpr) BoundExpr {
 	// The condition evaluates once over the block, then each branch
 	// only over the worlds that take it — so branch randomness (a VG
 	// call inside THEN) is consumed in exactly the worlds a per-world
@@ -470,14 +440,7 @@ func (c Case) Bind(s Schema, env *Env) (BoundExpr, error) {
 			}
 		}
 		return dst, nil
-	}), nil
-}
-
-func (c Case) String() string {
-	if c.Else == nil {
-		return fmt.Sprintf("CASE WHEN %s THEN %s END", c.When, c.Then)
-	}
-	return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", c.When, c.Then, c.Else)
+	})
 }
 
 // laneIsNull reports whether world w's lane is NULL.
@@ -488,47 +451,37 @@ func (v *Vec) laneIsNull(w int) bool {
 	return Kind(v.kind[w]) == KindNull
 }
 
-// Call invokes either a scalar builtin (ABS, SQRT, MIN, MAX, POW) or a
-// registered VG-function (stochastic black box). VG calls draw from
-// each world's generator.
-type Call struct {
-	Name string
-	Args []Expr
+// scalarBuiltins implement sqlparse.Builtins, by canonical name.
+var scalarBuiltins = map[string]func(a []float64) float64{
+	"ABS":  func(a []float64) float64 { return math.Abs(a[0]) },
+	"SQRT": func(a []float64) float64 { return math.Sqrt(a[0]) },
+	"POW":  func(a []float64) float64 { return math.Pow(a[0], a[1]) },
+	"MINV": func(a []float64) float64 { return math.Min(a[0], a[1]) },
+	"MAXV": func(a []float64) float64 { return math.Max(a[0], a[1]) },
 }
 
-// scalarBuiltins are deterministic functions usable anywhere.
-var scalarBuiltins = map[string]func(args []float64) (float64, error){
-	"ABS":  func(a []float64) (float64, error) { return math.Abs(a[0]), nil },
-	"SQRT": func(a []float64) (float64, error) { return math.Sqrt(a[0]), nil },
-	"POW":  func(a []float64) (float64, error) { return math.Pow(a[0], a[1]), nil },
-	"MINV": func(a []float64) (float64, error) { return math.Min(a[0], a[1]), nil },
-	"MAXV": func(a []float64) (float64, error) { return math.Max(a[0], a[1]), nil },
-}
-
-// builtinArity maps builtin names to expected argument counts.
-var builtinArity = map[string]int{"ABS": 1, "SQRT": 1, "POW": 2, "MINV": 2, "MAXV": 2}
-
-// Bind implements Expr.
-func (c Call) Bind(s Schema, env *Env) (BoundExpr, error) {
+// bindCall binds a call of a scalar builtin (sqlparse.Builtins) or of
+// a VG-function registered in boxes (a stochastic black box); VG calls
+// draw from each world's generator.
+func bindCall(c *sqlparse.FuncCall, s Schema, boxes *blackbox.Registry) (BoundExpr, error) {
 	args := make([]BoundExpr, len(c.Args))
 	for i, a := range c.Args {
-		b, err := a.Bind(s, env)
+		b, err := Bind(a, s, boxes)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = b
 	}
-	upper := strings.ToUpper(c.Name)
-	if fn, ok := scalarBuiltins[upper]; ok {
-		if want := builtinArity[upper]; want != len(args) {
-			return nil, fmt.Errorf("pdb: %s expects %d args, got %d", upper, want, len(args))
+	if name, arity, ok := sqlparse.Builtin(c.Name); ok {
+		if arity != len(args) {
+			return nil, fmt.Errorf("pdb: %s expects %d args, got %d", name, arity, len(args))
 		}
-		return bindScalarCall(fn, args), nil
+		return bindScalarCall(scalarBuiltins[name], args), nil
 	}
-	if env == nil || env.Boxes == nil {
+	if boxes == nil {
 		return nil, fmt.Errorf("pdb: unknown function %q (no VG registry bound)", c.Name)
 	}
-	box, err := env.Boxes.Lookup(c.Name)
+	box, err := boxes.Lookup(c.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +537,7 @@ func evalArgColumns(args []BoundExpr, vecs []*Vec, row BlockRow, mask Mask, ctx 
 	return cur, allUniform, false, nil
 }
 
-func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) BoundExpr {
+func bindScalarCall(fn func([]float64) float64, args []BoundExpr) BoundExpr {
 	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
@@ -601,11 +554,7 @@ func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) Bound
 					return nil, err
 				}
 			}
-			f, err := fn(argv)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.uniformVec(Float(f)), nil
+			return ctx.uniformVec(Float(fn(argv))), nil
 		}
 		dst := ctx.lanesVec()
 		for w := 0; w < ctx.W; w++ {
@@ -619,11 +568,7 @@ func bindScalarCall(fn func([]float64) (float64, error), args []BoundExpr) Bound
 				}
 				argv[i] = f
 			}
-			f, err := fn(argv)
-			if err != nil {
-				return nil, err
-			}
-			dst.setFloat(w, f)
+			dst.setFloat(w, fn(argv))
 		}
 		return dst, nil
 	})
@@ -687,12 +632,4 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 		}
 		return dst, nil
 	})
-}
-
-func (c Call) String() string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", c.Name, strings.Join(parts, ", "))
 }

@@ -1,26 +1,22 @@
 package pdb
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/rng"
+	"jigsaw/internal/sqlparse"
 )
 
-// evalExpr binds e against schema and evaluates it on row in one
-// world of the block executor.
-func evalExpr(t *testing.T, e Expr, s Schema, row Row, params map[string]float64) Value {
+// evalExpr parses and binds the expression src against schema and
+// evaluates it on row in one world of the block executor.
+func evalExpr(t *testing.T, src string, s Schema, row Row, params map[string]float64) Value {
 	t.Helper()
-	b, err := e.Bind(s, testEnv())
+	v, err := evalWorld(mustBind(t, src, s, testBoxes()), row, params, 1)
 	if err != nil {
-		t.Fatalf("bind %s: %v", e, err)
-	}
-	v, err := evalWorld(b, row, params, 1)
-	if err != nil {
-		t.Fatalf("eval %s: %v", e, err)
+		t.Fatalf("eval %s: %v", src, err)
 	}
 	return v
 }
@@ -52,32 +48,35 @@ func evalIn(ctx *BlockCtx, b BoundExpr, row Row) (Value, error) {
 	return v.Lane(0), nil
 }
 
-func testEnv() *Env {
+func testBoxes() *blackbox.Registry {
 	reg := blackbox.NewRegistry()
 	reg.MustRegister(blackbox.NewDemand())
-	return &Env{Boxes: reg}
+	return reg
 }
 
 func TestLiteralAndColumn(t *testing.T) {
 	s := Schema{{Name: "a"}, {Name: "b"}}
 	row := Row{Float(3), Str("x")}
-	if v := evalExpr(t, Lit{Float(7)}, s, row, nil); !v.Equal(Float(7)) {
+	if v := evalExpr(t, "7", s, row, nil); !v.Equal(Float(7)) {
 		t.Fatal("literal broken")
 	}
-	if v := evalExpr(t, Col{"b"}, s, row, nil); !v.Equal(Str("x")) {
+	if v := evalExpr(t, "'x'", s, row, nil); !v.Equal(Str("x")) {
+		t.Fatal("string literal broken")
+	}
+	if v := evalExpr(t, "b", s, row, nil); !v.Equal(Str("x")) {
 		t.Fatal("column broken")
 	}
-	if _, err := (Col{"zzz"}).Bind(s, nil); err == nil {
+	if _, err := Bind(sqlExpr(t, "zzz"), s, nil); err == nil {
 		t.Fatal("missing column bound")
 	}
 }
 
 func TestParamRef(t *testing.T) {
-	v := evalExpr(t, Param{"week"}, Schema{}, Row{}, map[string]float64{"week": 12})
+	v := evalExpr(t, "@week", Schema{}, Row{}, map[string]float64{"week": 12})
 	if !v.Equal(Float(12)) {
 		t.Fatalf("param = %v", v)
 	}
-	b, _ := Param{"missing"}.Bind(Schema{}, nil)
+	b := mustBind(t, "@missing", Schema{}, nil)
 	if _, err := evalWorld(b, Row{}, map[string]float64{}, 1); err == nil {
 		t.Fatal("unbound param evaluated")
 	}
@@ -88,7 +87,7 @@ func TestParamRef(t *testing.T) {
 // two names, evaluated in one context reset with new values, sees the
 // new values, and a name the block does not bind is an error naming it.
 func TestParamReadsBlockParams(t *testing.T) {
-	b := mustBind(t, BinOp{"-", Param{"a"}, Param{"b"}}, Schema{}, nil)
+	b := mustBind(t, "@a - @b", Schema{}, nil)
 	ctx := &BlockCtx{}
 	for _, params := range []map[string]float64{{"a": 5, "b": 2}, {"a": 1, "b": 4}} {
 		ctx.reset([]uint64{1}, params, nil)
@@ -110,42 +109,41 @@ func TestArithmetic(t *testing.T) {
 	s := Schema{{Name: "a"}}
 	row := Row{Float(10)}
 	cases := []struct {
-		e    Expr
+		src  string
 		want float64
 	}{
-		{BinOp{"+", Col{"a"}, Lit{Float(2)}}, 12},
-		{BinOp{"-", Col{"a"}, Lit{Float(2)}}, 8},
-		{BinOp{"*", Col{"a"}, Lit{Float(2)}}, 20},
-		{BinOp{"/", Col{"a"}, Lit{Float(4)}}, 2.5},
-		{Neg{Col{"a"}}, -10},
+		{"a + 2", 12},
+		{"a - 2", 8},
+		{"a * 2", 20},
+		{"a / 4", 2.5},
+		{"-a", -10},
 	}
 	for _, tc := range cases {
-		v := evalExpr(t, tc.e, s, row, nil)
+		v := evalExpr(t, tc.src, s, row, nil)
 		f, err := v.AsFloat()
 		if err != nil || f != tc.want {
-			t.Fatalf("%s = %v, want %g", tc.e, v, tc.want)
+			t.Fatalf("%s = %v, want %g", tc.src, v, tc.want)
 		}
 	}
 }
 
 func TestDivisionByZeroIsNull(t *testing.T) {
-	v := evalExpr(t, BinOp{"/", Lit{Float(1)}, Lit{Float(0)}}, Schema{}, Row{}, nil)
+	v := evalExpr(t, "1 / 0", Schema{}, Row{}, nil)
 	if !v.IsNull() {
 		t.Fatalf("1/0 = %v, want NULL", v)
 	}
 }
 
 func TestNullPropagation(t *testing.T) {
-	exprs := []Expr{
-		BinOp{"+", Lit{Null()}, Lit{Float(1)}},
-		BinOp{"<", Lit{Null()}, Lit{Float(1)}},
-		BinOp{"AND", Lit{Null()}, Lit{Bool(true)}},
-		Neg{Lit{Null()}},
-		Not{Lit{Null()}},
-	}
-	for _, e := range exprs {
-		if v := evalExpr(t, e, Schema{}, Row{}, nil); !v.IsNull() {
-			t.Fatalf("%s = %v, want NULL", e, v)
+	for _, src := range []string{
+		"NULL + 1",
+		"NULL < 1",
+		"NULL AND 1 = 1",
+		"-NULL",
+		"NOT NULL",
+	} {
+		if v := evalExpr(t, src, Schema{}, Row{}, nil); !v.IsNull() {
+			t.Fatalf("%s = %v, want NULL", src, v)
 		}
 	}
 }
@@ -158,28 +156,28 @@ func TestComparisons(t *testing.T) {
 		{"<", true}, {"<=", true}, {">", false}, {">=", false}, {"=", false}, {"<>", true},
 	}
 	for _, tc := range cases {
-		e := BinOp{tc.op, Lit{Float(1)}, Lit{Float(2)}}
-		v := evalExpr(t, e, Schema{}, Row{}, nil)
+		src := "1 " + tc.op + " 2"
+		v := evalExpr(t, src, Schema{}, Row{}, nil)
 		b, err := v.AsBool()
 		if err != nil || b != tc.want {
-			t.Fatalf("%s = %v, want %v", e, v, tc.want)
+			t.Fatalf("%s = %v, want %v", src, v, tc.want)
 		}
 	}
-	if v := evalExpr(t, BinOp{"=", Lit{Str("a")}, Lit{Str("a")}}, Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
+	if v := evalExpr(t, "'a' = 'a'", Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
 		t.Fatal("string equality broken")
 	}
 }
 
+// No SQL text is a boolean literal; 1 = 1 and 1 = 2 stand for TRUE and
+// FALSE.
 func TestLogic(t *testing.T) {
-	tt := Lit{Bool(true)}
-	ff := Lit{Bool(false)}
-	if v := evalExpr(t, BinOp{"AND", tt, ff}, Schema{}, Row{}, nil); !v.Equal(Bool(false)) {
+	if v := evalExpr(t, "1 = 1 AND 1 = 2", Schema{}, Row{}, nil); !v.Equal(Bool(false)) {
 		t.Fatal("AND broken")
 	}
-	if v := evalExpr(t, BinOp{"OR", tt, ff}, Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
+	if v := evalExpr(t, "1 = 1 OR 1 = 2", Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
 		t.Fatal("OR broken")
 	}
-	if v := evalExpr(t, Not{ff}, Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
+	if v := evalExpr(t, "NOT 1 = 2", Schema{}, Row{}, nil); !v.Equal(Bool(true)) {
 		t.Fatal("NOT broken")
 	}
 }
@@ -213,10 +211,7 @@ func TestThreeValuedLogic(t *testing.T) {
 	vals := threeValued.vals
 	s := Schema{{Name: "a"}, {Name: "b"}}
 	for op, want := range threeValued.want {
-		b, err := BinOp{op, Col{"a"}, Col{"b"}}.Bind(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := mustBind(t, "a "+op+" b", s, nil)
 		for i, a := range vals {
 			for j, c := range vals {
 				v, err := evalWorld(b, Row{a, c}, nil, 1)
@@ -247,7 +242,7 @@ func TestThreeValuedLogic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := evalWorld(mustBind(t, BinOp{"AND", Lit{Bool(false)}, Lit{Str("x")}}, Schema{}, nil), Row{}, nil, 1); err == nil {
+	if _, err := evalWorld(mustBind(t, "1 = 2 AND 'x'", Schema{}, nil), Row{}, nil, 1); err == nil {
 		t.Error("FALSE AND 'x' evaluated; a non-boolean operand must be an error")
 	}
 }
@@ -260,9 +255,9 @@ func TestWhereNotAndNull(t *testing.T) {
 	for _, a := range []float64{1, 10, 3} {
 		tbl.MustAppend(Row{Float(a)})
 	}
-	pred := Not{BinOp{"AND", BinOp{">", Col{"a"}, Lit{Float(5)}}, Lit{Null()}}}
+	pred := "NOT (a > 5 AND NULL)"
 	scan := NewScanPlan("t", tbl)
-	out := execute(t, &SelectPlan{Child: scan, Pred: mustBind(t, pred, scan.Schema(), nil), Desc: pred.String()})
+	out := execute(t, &SelectPlan{Child: scan, Pred: mustBind(t, pred, scan.Schema(), nil), Desc: pred})
 	var got []float64
 	for _, row := range out.Rows {
 		f, _ := row[0].AsFloat()
@@ -273,20 +268,39 @@ func TestWhereNotAndNull(t *testing.T) {
 	}
 }
 
+// TestUnknownOperator binds hand-built trees: the parser produces no
+// other operator, but Bind accepts any tree.
 func TestUnknownOperator(t *testing.T) {
-	if _, err := (BinOp{"%", Lit{Float(1)}, Lit{Float(1)}}).Bind(Schema{}, nil); err == nil {
-		t.Fatal("unknown operator bound")
+	one := &sqlparse.NumberLit{Value: 1}
+	if _, err := Bind(&sqlparse.Binary{Op: "%", Left: one, Right: one}, Schema{}, nil); err == nil {
+		t.Fatal("unknown binary operator bound")
+	}
+	if _, err := Bind(&sqlparse.Unary{Op: "+", E: one}, Schema{}, nil); err == nil {
+		t.Fatal("unknown unary operator bound")
+	}
+}
+
+// TestBindRejectsMalformedTrees checks that trees the parser never
+// builds bind to errors, not to evaluators that panic: a nil
+// expression, anywhere in the tree, and a CASE with no WHEN arm.
+func TestBindRejectsMalformedTrees(t *testing.T) {
+	for name, e := range map[string]sqlparse.Expr{
+		"nil":           nil,
+		"nil operand":   &sqlparse.Binary{Op: "+", Left: &sqlparse.NumberLit{Value: 1}},
+		"nil argument":  &sqlparse.FuncCall{Name: "ABS", Args: []sqlparse.Expr{nil}},
+		"empty CASE":    &sqlparse.CaseExpr{},
+		"CASE nil WHEN": &sqlparse.CaseExpr{Whens: []sqlparse.CaseArm{{Then: &sqlparse.NumberLit{Value: 1}}}},
+	} {
+		if _, err := Bind(e, Schema{}, nil); err == nil {
+			t.Errorf("%s: bound", name)
+		}
 	}
 }
 
 func TestCaseExpr(t *testing.T) {
 	// Fig. 1's CASE WHEN capacity < demand THEN 1 ELSE 0 END.
 	s := Schema{{Name: "capacity"}, {Name: "demand"}}
-	e := Case{
-		When: BinOp{"<", Col{"capacity"}, Col{"demand"}},
-		Then: Lit{Float(1)},
-		Else: Lit{Float(0)},
-	}
+	e := "CASE WHEN capacity < demand THEN 1 ELSE 0 END"
 	if v := evalExpr(t, e, s, Row{Float(5), Float(9)}, nil); !v.Equal(Float(1)) {
 		t.Fatal("CASE then-branch broken")
 	}
@@ -294,45 +308,51 @@ func TestCaseExpr(t *testing.T) {
 		t.Fatal("CASE else-branch broken")
 	}
 	// Missing ELSE yields NULL; NULL condition selects ELSE path.
-	noElse := Case{When: Lit{Bool(false)}, Then: Lit{Float(1)}}
-	if v := evalExpr(t, noElse, Schema{}, Row{}, nil); !v.IsNull() {
+	if v := evalExpr(t, "CASE WHEN 1 = 2 THEN 1 END", Schema{}, Row{}, nil); !v.IsNull() {
 		t.Fatal("CASE without ELSE should yield NULL")
 	}
-	nullCond := Case{When: Lit{Null()}, Then: Lit{Float(1)}, Else: Lit{Float(2)}}
-	if v := evalExpr(t, nullCond, Schema{}, Row{}, nil); !v.Equal(Float(2)) {
+	if v := evalExpr(t, "CASE WHEN NULL THEN 1 ELSE 2 END", Schema{}, Row{}, nil); !v.Equal(Float(2)) {
 		t.Fatal("NULL condition should select ELSE")
+	}
+	// Arms are tried in order: the first that holds wins.
+	arms := "CASE WHEN capacity < 0 THEN 1 WHEN capacity < 10 THEN 2 WHEN capacity < 20 THEN 3 END"
+	for _, tc := range []struct {
+		capacity float64
+		want     Value
+	}{{-1, Float(1)}, {5, Float(2)}, {15, Float(3)}, {25, Null()}} {
+		if v := evalExpr(t, arms, s, Row{Float(tc.capacity), Float(0)}, nil); v != tc.want {
+			t.Fatalf("capacity %g: %s = %v, want %v", tc.capacity, arms, v, tc.want)
+		}
 	}
 }
 
 func TestScalarBuiltins(t *testing.T) {
 	cases := []struct {
-		e    Expr
+		src  string
 		want float64
 	}{
-		{Call{"ABS", []Expr{Lit{Float(-3)}}}, 3},
-		{Call{"SQRT", []Expr{Lit{Float(9)}}}, 3},
-		{Call{"POW", []Expr{Lit{Float(2)}, Lit{Float(10)}}}, 1024},
-		{Call{"MINV", []Expr{Lit{Float(2)}, Lit{Float(5)}}}, 2},
-		{Call{"MAXV", []Expr{Lit{Float(2)}, Lit{Float(5)}}}, 5},
+		{"ABS(-3)", 3},
+		{"SQRT(9)", 3},
+		{"POW(2, 10)", 1024},
+		{"MINV(2, 5)", 2},
+		{"MAXV(2, 5)", 5},
+		{"abs(-3)", 3},
+		{"Sqrt(9)", 3},
 	}
 	for _, tc := range cases {
-		v := evalExpr(t, tc.e, Schema{}, Row{}, nil)
+		v := evalExpr(t, tc.src, Schema{}, Row{}, nil)
 		f, err := v.AsFloat()
 		if err != nil || f != tc.want {
-			t.Fatalf("%s = %v, want %g", tc.e, v, tc.want)
+			t.Fatalf("%s = %v, want %g", tc.src, v, tc.want)
 		}
 	}
-	if _, err := (Call{"ABS", []Expr{Lit{Float(1)}, Lit{Float(2)}}}).Bind(Schema{}, nil); err == nil {
+	if _, err := Bind(sqlExpr(t, "ABS(1, 2)"), Schema{}, nil); err == nil {
 		t.Fatal("builtin arity violation bound")
 	}
 }
 
 func TestVGCall(t *testing.T) {
-	e := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}
-	b, err := e.Bind(Schema{}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustBind(t, "DemandModel(@week, 52)", Schema{}, testBoxes())
 	v, err := evalWorld(b, Row{}, map[string]float64{"week": 10}, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -346,23 +366,20 @@ func TestVGCall(t *testing.T) {
 
 func TestVGCallErrors(t *testing.T) {
 	// Unknown function without registry.
-	if _, err := (Call{"Nope", nil}).Bind(Schema{}, nil); err == nil {
-		t.Fatal("unknown function bound without env")
+	if _, err := Bind(sqlExpr(t, "Nope()"), Schema{}, nil); err == nil {
+		t.Fatal("unknown function bound without registry")
 	}
-	if _, err := (Call{"Nope", nil}).Bind(Schema{}, testEnv()); err == nil {
+	if _, err := Bind(sqlExpr(t, "Nope()"), Schema{}, testBoxes()); err == nil {
 		t.Fatal("unknown function bound")
 	}
 	// Arity mismatch.
-	if _, err := (Call{"DemandModel", []Expr{Lit{Float(1)}}}).Bind(Schema{}, testEnv()); err == nil {
+	if _, err := Bind(sqlExpr(t, "DemandModel(1)"), Schema{}, testBoxes()); err == nil {
 		t.Fatal("VG arity violation bound")
 	}
 }
 
 func TestVGCallNullArgSkipsInvocation(t *testing.T) {
-	b, err := (Call{"DemandModel", []Expr{Lit{Null()}, Lit{Float(2)}}}).Bind(Schema{}, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustBind(t, "DemandModel(NULL, 2)", Schema{}, testBoxes())
 	ctx := oneWorldCtx(1, nil)
 	v, err := evalIn(ctx, b, Row{})
 	if err != nil || !v.IsNull() {
@@ -373,25 +390,5 @@ func TestVGCallNullArgSkipsInvocation(t *testing.T) {
 	ctx.materialize()
 	if ctx.Rands[0].State() != rng.New(1).State() {
 		t.Fatal("NULL-arg call consumed randomness")
-	}
-}
-
-func TestExprStrings(t *testing.T) {
-	e := Case{
-		When: BinOp{"<", Col{"a"}, Param{"p"}},
-		Then: Lit{Float(1)},
-		Else: Neg{Call{"ABS", []Expr{Col{"a"}}}},
-	}
-	s := e.String()
-	for _, frag := range []string{"CASE WHEN", "(a < @p)", "ABS(a)", "ELSE"} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("String %q missing %q", s, frag)
-		}
-	}
-	if (Not{Lit{Bool(true)}}).String() != "(NOT true)" {
-		t.Fatal("Not string broken")
-	}
-	if !math.Signbit(-1) { // keep math import honest in minimal builds
-		t.Fatal("impossible")
 	}
 }

@@ -65,16 +65,16 @@ func goldenUsersDB(t *testing.T) *DB {
 }
 
 func TestGoldenDistributions(t *testing.T) {
-	usage := Call{"UserUsage", []Expr{Param{"week"}, Col{"join_week"}, Col{"base"}, Col{"growth"}, Col{"vol"}}}
+	usage := "UserUsage(@week, join_week, base, growth, vol)"
 
 	// Fig. 1's Values query.
 	fig1 := loweredPlan(t, columnarDB(t), ValuesPlan{},
 		[]namedExpr{
-			{"demand", Call{"DemandModel", []Expr{Param{"current_week"}, Param{"feature_release"}}}},
-			{"capacity", Call{"CapacityModel", []Expr{Param{"current_week"}, Param{"purchase1"}, Param{"purchase2"}}}},
-			{"overload", Case{When: BinOp{"<", Col{"capacity"}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}}},
+			{"demand", "DemandModel(@current_week, @feature_release)"},
+			{"capacity", "CapacityModel(@current_week, @purchase1, @purchase2)"},
+			{"overload", "CASE WHEN capacity < demand THEN 1 ELSE 0 END"},
 		},
-		nil, []string{"demand", "capacity", "overload"})
+		"", []string{"demand", "capacity", "overload"})
 
 	// SELECT name, join_week, UserUsage(...) AS usage FROM users
 	//   WHERE join_week < @week
@@ -82,18 +82,18 @@ func TestGoldenDistributions(t *testing.T) {
 	scan, _ := db.Scan("users")
 	users := loweredPlan(t, db, scan,
 		[]namedExpr{{"usage", usage}},
-		BinOp{"<", Col{"join_week"}, Param{"week"}}, []string{"name", "join_week", "usage"})
+		"join_week < @week", []string{"name", "join_week", "usage"})
 
 	// SELECT SUM(usage), SUM(1) FROM users WHERE usage > base: the
 	// WHERE keeps each row in the worlds whose draw clears its base.
-	ext, err := NewExtendPlan(scan, []NamedBound{{Name: "usage", Expr: mustBind(t, usage, scan.Schema(), db.Env())}})
+	ext, err := NewExtendPlan(scan, []NamedBound{{Name: "usage", Expr: mustBind(t, usage, scan.Schema(), db.Boxes)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := &SelectPlan{Child: ext, Pred: mustBind(t, BinOp{">", Col{"usage"}, Col{"base"}}, ext.Schema(), db.Env()), Desc: "usage > base"}
+	sel := &SelectPlan{Child: ext, Pred: mustBind(t, "usage > base", ext.Schema(), db.Boxes), Desc: "usage > base"}
 	varying, err := NewAggregatePlan(sel, []AggSpec{
-		{Arg: mustBind(t, Col{"usage"}, sel.Schema(), db.Env()), Name: "total"},
-		{Arg: mustBind(t, Lit{Float(1)}, sel.Schema(), db.Env()), Name: "n"},
+		{Arg: mustBind(t, "usage", sel.Schema(), db.Boxes), Name: "total"},
+		{Arg: mustBind(t, "1", sel.Schema(), db.Boxes), Name: "n"},
 	})
 	if err != nil {
 		t.Fatal(err)

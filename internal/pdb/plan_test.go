@@ -88,7 +88,7 @@ func TestScanAndValues(t *testing.T) {
 func TestSelectPlan(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	pred := mustBind(t, BinOp{">", Col{"volume"}, Lit{Float(30)}}, scan.Schema(), db.Env())
+	pred := mustBind(t, "volume > 30", scan.Schema(), db.Boxes)
 	out := execute(t, &SelectPlan{Child: scan, Pred: pred, Desc: "volume > 30"})
 	if out.Len() != 2 {
 		t.Fatalf("filtered rows = %d", out.Len())
@@ -99,8 +99,8 @@ func TestProjectPlan(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	proj, err := NewProjectPlan(scan, []NamedBound{
-		{Name: "wk", Expr: mustBind(t, Col{"week"}, scan.Schema(), db.Env())},
-		{Name: "double_vol", Expr: mustBind(t, BinOp{"*", Col{"volume"}, Lit{Float(2)}}, scan.Schema(), db.Env())},
+		{Name: "wk", Expr: mustBind(t, "week", scan.Schema(), db.Boxes)},
+		{Name: "double_vol", Expr: mustBind(t, "volume * 2", scan.Schema(), db.Boxes)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,14 +126,14 @@ func TestExtendPlanSeesEarlierOutputs(t *testing.T) {
 	// (overload references capacity and demand).
 	db := fixtureDB(t)
 	base := ValuesPlan{}
-	demand := mustBind(t, Lit{Float(9)}, base.Schema(), db.Env())
+	demand := mustBind(t, "9", base.Schema(), db.Boxes)
 	ext1, err := NewExtendPlan(base, []NamedBound{{Name: "demand", Expr: demand}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	overload := mustBind(t,
-		Case{When: BinOp{"<", Lit{Float(5)}, Col{"demand"}}, Then: Lit{Float(1)}, Else: Lit{Float(0)}},
-		ext1.Schema(), db.Env())
+		"CASE WHEN 5 < demand THEN 1 ELSE 0 END",
+		ext1.Schema(), db.Boxes)
 	ext2, err := NewExtendPlan(ext1, []NamedBound{{Name: "overload", Expr: overload}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +152,9 @@ func TestAggregatePlanSums(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	aggs := []AggSpec{
-		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
-		{Arg: mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env()), Name: "n"},
-		{Arg: mustBind(t, BinOp{"*", Col{"week"}, Col{"volume"}}, scan.Schema(), db.Env()), Name: "weighted"},
+		{Arg: mustBind(t, "volume", scan.Schema(), db.Boxes), Name: "total"},
+		{Arg: mustBind(t, "1", scan.Schema(), db.Boxes), Name: "n"},
+		{Arg: mustBind(t, "week * volume", scan.Schema(), db.Boxes), Name: "weighted"},
 	}
 	plan, err := NewAggregatePlan(scan, aggs)
 	if err != nil {
@@ -175,10 +175,10 @@ func TestAggregatePlanOnEmptyInput(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	empty := &SelectPlan{Child: scan,
-		Pred: mustBind(t, Lit{Bool(false)}, scan.Schema(), db.Env()), Desc: "false"}
+		Pred: mustBind(t, "1 = 2", scan.Schema(), db.Boxes), Desc: "false"}
 	plan, err := NewAggregatePlan(empty, []AggSpec{
-		{Arg: mustBind(t, Lit{Float(1)}, scan.Schema(), db.Env()), Name: "n"},
-		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, "1", scan.Schema(), db.Boxes), Name: "n"},
+		{Arg: mustBind(t, "volume", scan.Schema(), db.Boxes), Name: "total"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestAggregatePlanOnEmptyInput(t *testing.T) {
 func TestAggregatePlanValidation(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
+	week := mustBind(t, "week", scan.Schema(), db.Boxes)
 	if _, err := NewAggregatePlan(scan, []AggSpec{{Arg: week, Name: ""}}); err == nil {
 		t.Fatal("unnamed aggregate accepted")
 	}
@@ -216,7 +216,7 @@ func TestNullsSkippedByAggregates(t *testing.T) {
 	tbl.MustAppend(Row{Null()})
 	tbl.MustAppend(Row{Float(20)})
 	scan := NewScanPlan("t", tbl)
-	arg := mustBind(t, Col{"v"}, scan.Schema(), nil)
+	arg := mustBind(t, "v", scan.Schema(), nil)
 	plan, err := NewAggregatePlan(scan, []AggSpec{{Arg: arg, Name: "sum"}})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +260,8 @@ func TestAggregatePlanFoldsPerWorldMasks(t *testing.T) {
 		spec AggSpec
 		want []Value
 	}{
-		{AggSpec{Arg: mustBind(t, Lit{Float(1)}, child.Schema(), nil), Name: "rows"}, []Value{Float(3), Float(2), Float(1)}},
-		{AggSpec{Arg: mustBind(t, Col{"v"}, child.Schema(), nil), Name: "sum"}, []Value{Float(12), Float(5), Null()}},
+		{AggSpec{Arg: mustBind(t, "1", child.Schema(), nil), Name: "rows"}, []Value{Float(3), Float(2), Float(1)}},
+		{AggSpec{Arg: mustBind(t, "v", child.Schema(), nil), Name: "sum"}, []Value{Float(12), Float(5), Null()}},
 	}
 	aggs := make([]AggSpec, len(cases))
 	for i, tc := range cases {
@@ -293,8 +293,8 @@ func TestAggregatePlanRejectsNonNumericArg(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
 	plan, err := NewAggregatePlan(scan, []AggSpec{
-		{Arg: mustBind(t, Col{"volume"}, scan.Schema(), db.Env()), Name: "n"},
-		{Arg: mustBind(t, Col{"region"}, scan.Schema(), db.Env()), Name: "total"},
+		{Arg: mustBind(t, "volume", scan.Schema(), db.Boxes), Name: "n"},
+		{Arg: mustBind(t, "region", scan.Schema(), db.Boxes), Name: "total"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPlanStrings(t *testing.T) {
 	if (ValuesPlan{}).String() != "Values()" {
 		t.Fatal("values string")
 	}
-	week := mustBind(t, Col{"week"}, scan.Schema(), db.Env())
+	week := mustBind(t, "week", scan.Schema(), db.Boxes)
 	agg, err := NewAggregatePlan(scan, []AggSpec{{Arg: week, Name: "n"}, {Arg: week, Name: "m"}})
 	if err != nil {
 		t.Fatal(err)

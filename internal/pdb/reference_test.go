@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"jigsaw/internal/blackbox"
 	"jigsaw/internal/rng"
+	"jigsaw/internal/sqlparse"
 	"jigsaw/internal/stats"
 )
 
@@ -16,7 +18,7 @@ import (
 // (arithValues, compareValues, logicValues and the Value methods);
 // its aggregate fold is its own. Plans are interpreted by a type
 // switch over the built-in operators; expressions by walking the
-// *unbound* Expr tree that mustBind records, so the oracle never runs
+// parsed sqlparse tree that mustBind records, so the oracle never runs
 // the closures Bind produced. The oracle folds its per-world tables
 // into per-cell block moments itself (refFold: its own positional
 // alignment, gather and key rows) and shares only the ordered merge
@@ -24,24 +26,36 @@ import (
 // comparable with reflect.DeepEqual to one from RunDistribution.
 
 // astBound is what mustBind returns: the production evaluator plus the
-// expression, schema and environment it was bound from. The executor
-// calls the embedded BoundExpr; the oracle reads the AST.
+// parsed expression, schema and registry it was bound from. The
+// executor calls the embedded BoundExpr; the oracle reads the AST.
 type astBound struct {
 	BoundExpr
-	expr   Expr
+	expr   sqlparse.Expr
 	schema Schema
-	env    *Env
+	boxes  *blackbox.Registry
 }
 
-// mustBind binds an expression, failing the test on error, and records
-// its AST for the oracle.
-func mustBind(t *testing.T, e Expr, s Schema, env *Env) BoundExpr {
+// sqlExpr parses src as one SQL expression: the parser's tree is the
+// tree Bind compiles.
+func sqlExpr(t testing.TB, src string) sqlparse.Expr {
 	t.Helper()
-	b, err := e.Bind(s, env)
+	script, err := sqlparse.Parse("SELECT " + src + " AS e")
 	if err != nil {
-		t.Fatalf("bind %s: %v", e, err)
+		t.Fatalf("parse %q: %v", src, err)
 	}
-	return astBound{BoundExpr: b, expr: e, schema: s, env: env}
+	return script.Selects[0].Items[0].Expr
+}
+
+// mustBind parses and binds the expression src, failing the test on
+// error, and records its AST for the oracle.
+func mustBind(t testing.TB, src string, s Schema, boxes *blackbox.Registry) BoundExpr {
+	t.Helper()
+	e := sqlExpr(t, src)
+	b, err := Bind(e, s, boxes)
+	if err != nil {
+		t.Fatalf("bind %s: %v", src, err)
+	}
+	return astBound{BoundExpr: b, expr: e, schema: s, boxes: boxes}
 }
 
 // refWorld interprets plans within one world: every draw comes from
@@ -257,35 +271,37 @@ func (w *refWorld) truth(e BoundExpr, row Row) (bool, error) {
 // recorded.
 func (w *refWorld) eval(e BoundExpr, row Row) (Value, error) {
 	if e, ok := e.(astBound); ok {
-		return w.expr(e.expr, e.schema, e.env, row)
+		return w.expr(e.expr, e.schema, e.boxes, row)
 	}
 	return Null(), fmt.Errorf("oracle: expression %T was not bound through mustBind", e)
 }
 
-// expr interprets an unbound expression against row, resolving names
-// in schema s.
-func (w *refWorld) expr(e Expr, s Schema, env *Env, row Row) (Value, error) {
+// expr interprets a parsed expression against row, resolving names in
+// schema s. A multi-arm CASE tries its arms in order.
+func (w *refWorld) expr(e sqlparse.Expr, s Schema, boxes *blackbox.Registry, row Row) (Value, error) {
 	switch e := e.(type) {
-	case Lit:
-		return e.Val, nil
-	case Col:
+	case *sqlparse.NumberLit:
+		return Float(e.Value), nil
+	case *sqlparse.StringLit:
+		return Str(e.Value), nil
+	case *sqlparse.ColRef:
 		i, err := s.IndexOf(e.Name)
 		if err != nil {
 			return Null(), err
 		}
 		return row[i], nil
-	case Param:
+	case *sqlparse.ParamRef:
 		v, ok := w.params[e.Name]
 		if !ok {
 			return Null(), fmt.Errorf("oracle: unbound parameter @%s", e.Name)
 		}
 		return Float(v), nil
-	case BinOp:
-		l, err := w.expr(e.Left, s, env, row)
+	case *sqlparse.Binary:
+		l, err := w.expr(e.Left, s, boxes, row)
 		if err != nil {
 			return Null(), err
 		}
-		r, err := w.expr(e.Right, s, env, row)
+		r, err := w.expr(e.Right, s, boxes, row)
 		if err != nil {
 			return Null(), err
 		}
@@ -297,40 +313,42 @@ func (w *refWorld) expr(e Expr, s Schema, env *Env, row Row) (Value, error) {
 		default:
 			return compareValues(e.Op, l, r)
 		}
-	case Neg:
-		v, err := w.expr(e.E, s, env, row)
+	case *sqlparse.Unary:
+		v, err := w.expr(e.E, s, boxes, row)
 		if err != nil || v.IsNull() {
 			return Null(), err
+		}
+		if e.Op == "NOT" {
+			b, err := v.AsBool()
+			return Bool(!b), err
 		}
 		f, err := v.AsFloat()
 		return Float(-f), err
-	case Not:
-		v, err := w.expr(e.E, s, env, row)
-		if err != nil || v.IsNull() {
-			return Null(), err
-		}
-		b, err := v.AsBool()
-		return Bool(!b), err
-	case Case:
-		cond, err := w.expr(e.When, s, env, row)
-		if err != nil {
-			return Null(), err
-		}
-		taken := false
-		if !cond.IsNull() {
-			if taken, err = cond.AsBool(); err != nil {
+	case *sqlparse.CaseExpr:
+		for _, arm := range e.Whens {
+			cond, err := w.expr(arm.When, s, boxes, row)
+			if err != nil {
 				return Null(), err
 			}
-		}
-		if taken {
-			return w.expr(e.Then, s, env, row)
+			taken := false
+			if !cond.IsNull() {
+				if taken, err = cond.AsBool(); err != nil {
+					return Null(), err
+				}
+			}
+			if taken {
+				return w.expr(arm.Then, s, boxes, row)
+			}
 		}
 		if e.Else == nil {
 			return Null(), nil
 		}
-		return w.expr(e.Else, s, env, row)
-	case Call:
-		return w.call(e, s, env, row)
+		return w.expr(e.Else, s, boxes, row)
+	case *sqlparse.FuncCall:
+		if e.Name == "NULL" {
+			return Null(), nil
+		}
+		return w.call(e, s, boxes, row)
 	}
 	return Null(), fmt.Errorf("oracle: no interpretation for expression %T", e)
 }
@@ -338,10 +356,10 @@ func (w *refWorld) expr(e Expr, s Schema, env *Env, row Row) (Value, error) {
 // call interprets a builtin or VG call: arguments evaluate left to
 // right and a NULL argument yields NULL without evaluating the rest
 // or invoking the function.
-func (w *refWorld) call(c Call, s Schema, env *Env, row Row) (Value, error) {
+func (w *refWorld) call(c *sqlparse.FuncCall, s Schema, boxes *blackbox.Registry, row Row) (Value, error) {
 	vals := make([]Value, len(c.Args))
 	for i, a := range c.Args {
-		v, err := w.expr(a, s, env, row)
+		v, err := w.expr(a, s, boxes, row)
 		if err != nil {
 			return Null(), err
 		}
@@ -370,7 +388,7 @@ func (w *refWorld) call(c Call, s Schema, env *Env, row Row) (Value, error) {
 	case "MAXV":
 		return Float(math.Max(args[0], args[1])), nil
 	}
-	box, err := env.Boxes.Lookup(c.Name)
+	box, err := boxes.Lookup(c.Name)
 	if err != nil {
 		return Null(), err
 	}

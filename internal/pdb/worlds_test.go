@@ -14,8 +14,7 @@ import (
 // minimal Fig. 1-style uncertain query.
 func demandQueryPlan(t *testing.T, db *DB) Plan {
 	t.Helper()
-	expr := Call{"DemandModel", []Expr{Param{"week"}, Lit{Float(52)}}}
-	bound, err := expr.Bind(Schema{}, db.Env())
+	bound, err := Bind(sqlExpr(t, "DemandModel(@week, 52)"), Schema{}, db.Boxes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestRunDistributionPanicReturnsError(t *testing.T) {
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.Func{FuncName: "Explode", NArgs: 1,
 		Fn: func([]float64, *rng.Rand) float64 { panic("model failure") }})
-	bound, err := Call{"Explode", []Expr{Param{"week"}}}.Bind(Schema{}, db.Env())
+	bound, err := Bind(sqlExpr(t, "Explode(@week)"), Schema{}, db.Boxes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestRunDistributionRejectsUnstableCardinality(t *testing.T) {
 	// counts, which the positional estimator must reject.
 	db := fixtureDB(t)
 	inner := demandQueryPlan(t, db)
-	pred, err := (BinOp{">", Col{"demand"}, Lit{Float(20)}}).Bind(inner.Schema(), db.Env())
+	pred, err := Bind(sqlExpr(t, "demand > 20"), inner.Schema(), db.Boxes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +175,7 @@ func TestRunDistributionAggregateQuery(t *testing.T) {
 	// SELECT SUM(volume * DemandModel(week, 99)) FROM purchases.
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	noisy, err := (BinOp{"*", Col{"volume"},
-		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}).Bind(scan.Schema(), db.Env())
+	noisy, err := Bind(sqlExpr(t, "volume * DemandModel(week, 99)"), scan.Schema(), db.Boxes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +208,7 @@ func TestRunDistributionAggregateQuery(t *testing.T) {
 func TestDistributionCellRowsAreDisjoint(t *testing.T) {
 	db := fixtureDB(t)
 	scan, _ := db.Scan("purchases")
-	noisy, err := (BinOp{"*", Col{"volume"},
-		Call{"DemandModel", []Expr{Col{"week"}, Lit{Float(99)}}}}).Bind(scan.Schema(), db.Env())
+	noisy, err := Bind(sqlExpr(t, "volume * DemandModel(week, 99)"), scan.Schema(), db.Boxes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type SelectItem struct {
 // Name returns the output column name (alias, or a best-effort
 // rendering of the expression).
 func (s SelectItem) Name() string {
-	if s.Alias != "" {
+	if s.Alias != "" || s.Expr == nil {
 		return s.Alias
 	}
 	if c, ok := s.Expr.(*ColRef); ok {
@@ -251,6 +251,19 @@ func (f *FuncCall) String() string {
 		parts[i] = a.String()
 	}
 	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(parts, ", "))
+}
+
+// Builtins are the language's deterministic scalar functions — by
+// canonical (upper-case) name, their arity. Both engines implement
+// every one; any other called name is a VG-function.
+var Builtins = map[string]int{"ABS": 1, "SQRT": 1, "POW": 2, "MINV": 2, "MAXV": 2}
+
+// Builtin resolves a called name, in any letter case, to its builtin's
+// canonical name and arity; ok is false for a name that is not one.
+func Builtin(name string) (canonical string, arity int, ok bool) {
+	canonical = strings.ToUpper(name)
+	arity, ok = Builtins[canonical]
+	return canonical, arity, ok
 }
 
 // Walk visits e and every sub-expression in depth-first order.

@@ -113,6 +113,26 @@ var (
 	GenerateUsers = blackbox.GenerateUsers
 )
 
+// NewStockRegistry returns a registry of the stock models the command
+// line tools run scripts against: DemandModel, CapacityModel,
+// OverloadModel, UserSelection over a dataset of users synthetic users
+// (seed 0xD5) and SynthBasis with 10 basis distributions.
+func NewStockRegistry(users int) (*Registry, error) {
+	reg := NewRegistry()
+	for _, box := range []Box{
+		NewDemandModel(),
+		NewCapacityModel(),
+		NewOverloadModel(),
+		NewUserSelectionModel(users, 0xD5),
+		NewSynthBasisModel(10),
+	} {
+		if err := reg.Register(box); err != nil {
+			return nil, err
+		}
+	}
+	return reg, nil
+}
+
 // ---------- Parameters ----------
 
 type (

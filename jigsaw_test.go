@@ -2,6 +2,7 @@ package jigsaw_test
 
 import (
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -265,5 +266,34 @@ func TestPublicAPIFingerprints(t *testing.T) {
 	alpha, beta := mapping.Alpha, mapping.Beta
 	if math.Abs(alpha-3) > 1e-6 || math.Abs(beta-5) > 1e-6 {
 		t.Fatalf("mapping = %g·x+%g, want 3x+5", alpha, beta)
+	}
+}
+
+// TestStockRegistryRunsTheCLIScripts compiles both perfbench scripts
+// against the registry cmd/jigsaw and cmd/fuzzy-prophet share, and
+// takes a ColumnEval of each column, as fuzzy-prophet does.
+func TestStockRegistryRunsTheCLIScripts(t *testing.T) {
+	reg, err := jigsaw.NewStockRegistry(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"perfbench/scripts/fig1_optimize.jsq", "perfbench/scripts/graph_users.jsq"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, err := jigsaw.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := jigsaw.Compile(script, reg)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, col := range s.Columns {
+			if _, err := s.ColumnEval(col); err != nil {
+				t.Errorf("%s: column %s: %v", path, col, err)
+			}
+		}
 	}
 }
