@@ -484,47 +484,18 @@ func BenchmarkColumnSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndexQuantization probes normalization-index digit
-// counts: coarser keys risk false positives (rejected by FindMapping),
-// finer keys risk missed matches (costing full simulations).
-func BenchmarkAblationIndexQuantization(b *testing.B) {
-	ev := mc.MustBindBox(blackbox.NewSynthBasis(100), "point")
-	d, err := param.Range("point", 0, 999, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	space := param.MustSpace(d)
-	for _, digits := range []int{3, 6, 9} {
-		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				store := core.NewStore(core.LinearClass{},
-					core.NewNormalizationIndex(digits, core.DefaultTolerance), core.DefaultTolerance)
-				eng := mc.MustNew(mc.Options{
-					Samples: 200, FingerprintLen: benchM, MasterSeed: benchSeed,
-					Reuse: true, Workers: 1,
-				})
-				_ = store // store construction cost is included; engine uses its own
-				if _, _, err := eng.Sweep(ev, space); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFingerprintMatch isolates the §3 primitives: mapping
 // discovery against stores of growing size.
 func BenchmarkFingerprintMatch(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		for _, mk := range map[string]func() core.Index{
 			"array": func() core.Index { return core.NewArrayIndex() },
-			"norm":  func() core.Index { return core.NewNormalizationIndex(6, core.DefaultTolerance) },
-			"sid":   func() core.Index { return core.NewSortedSIDIndex(core.DefaultTolerance, true) },
+			"norm":  func() core.Index { return core.NewNormalizationIndex() },
+			"sid":   func() core.Index { return core.NewSortedSIDIndex() },
 		} {
 			name := fmt.Sprintf("bases=%d/%s", n, mk().Name())
 			b.Run(name, func(b *testing.B) {
-				store := core.NewStore(core.LinearClass{}, mk(), core.DefaultTolerance)
+				store := core.NewStore(core.LinearClass{}, mk())
 				base := make(core.Fingerprint, benchM)
 				for class := 0; class < n; class++ {
 					for k := range base {

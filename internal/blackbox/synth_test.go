@@ -1,6 +1,7 @@
 package blackbox
 
 import (
+	"slices"
 	"testing"
 
 	"jigsaw/internal/core"
@@ -18,7 +19,7 @@ func TestSynthBasisClassCount(t *testing.T) {
 	// points: points within a class map linearly, across classes never.
 	const B = 5
 	s := NewSynthBasis(B)
-	store := core.NewStore(core.LinearClass{}, core.NewArrayIndex(), core.DefaultTolerance)
+	store := core.NewStore(core.LinearClass{}, core.NewArrayIndex())
 	for p := 0; p < 200; p++ {
 		fp := fingerprintOf(s, float64(p))
 		if _, _, ok, _ := store.Match(fp, nil, nil); !ok {
@@ -38,12 +39,12 @@ func TestSynthBasisWithinClassMapping(t *testing.T) {
 	// Points 3 and 3+B share a class.
 	fpA := fingerprintOf(s, 3)
 	fpB := fingerprintOf(s, 3+B)
-	if _, ok := (core.LinearClass{}).Find(fpA, fpB, core.DefaultTolerance); !ok {
+	if _, ok := (core.LinearClass{}).Find(fpA, fpB); !ok {
 		t.Fatal("same-class points not linearly mappable")
 	}
 	// Points 3 and 4 are in different classes.
 	fpC := fingerprintOf(s, 4)
-	if _, ok := (core.LinearClass{}).Find(fpA, fpC, core.DefaultTolerance); ok {
+	if _, ok := (core.LinearClass{}).Find(fpA, fpC); ok {
 		t.Fatal("cross-class points unexpectedly mappable")
 	}
 }
@@ -129,7 +130,7 @@ func TestSynthBasisFingerprintDeterminism(t *testing.T) {
 	s := NewSynthBasis(7)
 	a := fingerprintOf(s, 13)
 	b := fingerprintOf(s, 13)
-	if !a.ApproxEqual(b, 0) {
+	if !slices.Equal(a, b) {
 		t.Fatal("SynthBasis fingerprints not reproducible")
 	}
 }

@@ -31,10 +31,10 @@ func TestMatchWithScratchZeroAlloc(t *testing.T) {
 	// candidate scan, mapping discovery and validation — allocates
 	// nothing: the mapping comes back by value.
 	for name, mk := range map[string]func() Index{
-		"norm": func() Index { return NewNormalizationIndex(6, DefaultTolerance) },
-		"sid":  func() Index { return NewSortedSIDIndex(DefaultTolerance, true) },
+		"norm": func() Index { return NewNormalizationIndex() },
+		"sid":  func() Index { return NewSortedSIDIndex() },
 	} {
-		s := NewStore(LinearClass{}, mk(), DefaultTolerance)
+		s := NewStore(LinearClass{}, mk())
 		base := Fingerprint{3, 1, 4, 1.5, 9, 2.6, 5.3, 5.8, 9.7, 9.3}
 		if _, err := s.Add(base, "b", nil); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ func TestFindRejectedCandidateAllocs(t *testing.T) {
 	hit := Fingerprint{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 	c := LinearClass{}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := c.Find(from, to, DefaultTolerance); ok {
+		if _, ok := c.Find(from, to); ok {
 			t.Fatal("unexpected match")
 		}
 	})
@@ -16,7 +16,7 @@ func TestFindRejectedCandidateAllocs(t *testing.T) {
 		t.Errorf("rejected Find allocates %.1f, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, ok := c.Find(from, hit, DefaultTolerance); !ok {
+		if _, ok := c.Find(from, hit); !ok {
 			t.Fatal("expected match")
 		}
 	})

@@ -53,42 +53,35 @@ func (fp Fingerprint) Clone() Fingerprint {
 	return append(Fingerprint(nil), fp...)
 }
 
-// IsConstant reports whether every entry equals the first within tol.
-// Constant fingerprints need special-casing in mapping discovery: the
-// paper's Algorithm 2 divides by θ1[1]−θ1[2], which a constant
-// fingerprint makes degenerate.
-func (fp Fingerprint) IsConstant(tol float64) bool {
-	for _, v := range fp[1:] {
-		if !approxEqual(v, fp[0], tol) {
-			return false
-		}
-	}
-	return true
+// IsConstant reports whether every entry equals the first
+// (ApproxEqual). Constant fingerprints need special-casing in mapping
+// discovery: the paper's Algorithm 2 divides by θ1[1]−θ1[2], which a
+// constant fingerprint makes degenerate.
+func (fp Fingerprint) IsConstant() bool {
+	_, _, ok := fp.FirstTwoDistinct()
+	return !ok
 }
 
 // FirstTwoDistinct returns the indices of the first entry and of the
-// first later entry that differs from it by more than tol. ok is false
-// for constant fingerprints.
-func (fp Fingerprint) FirstTwoDistinct(tol float64) (i, j int, ok bool) {
-	if len(fp) == 0 {
-		return 0, 0, false
-	}
+// first later entry not ApproxEqual to it. ok is false for constant
+// fingerprints.
+func (fp Fingerprint) FirstTwoDistinct() (i, j int, ok bool) {
 	for k := 1; k < len(fp); k++ {
-		if !approxEqual(fp[k], fp[0], tol) {
+		if !ApproxEqual(fp[k], fp[0]) {
 			return 0, k, true
 		}
 	}
 	return 0, 0, false
 }
 
-// ApproxEqual reports element-wise equality within the relative
-// tolerance tol.
-func (fp Fingerprint) ApproxEqual(other Fingerprint, tol float64) bool {
+// ApproxEqual reports whether the fingerprints have the same length
+// and pairwise ApproxEqual entries.
+func (fp Fingerprint) ApproxEqual(other Fingerprint) bool {
 	if len(fp) != len(other) {
 		return false
 	}
 	for i := range fp {
-		if !approxEqual(fp[i], other[i], tol) {
+		if !ApproxEqual(fp[i], other[i]) {
 			return false
 		}
 	}
@@ -108,20 +101,28 @@ func (fp Fingerprint) String() string {
 	return fmt.Sprintf("fp%v", []float64(fp))
 }
 
-// ApproxEqual compares two scalars with the package's relative
-// tolerance semantics. It is the single source of truth for every
-// tolerance comparison in the system — mapping validation, index tie
-// grouping, the engine's match-validation draws and the interactive
-// session's sample checks all share it, so they can never drift apart.
-func ApproxEqual(a, b, tol float64) bool { return approxEqual(a, b, tol) }
+// DefaultTolerance is the relative tolerance of ApproxEqual. Affine
+// reuse of a deterministic stream is exact up to floating-point
+// rounding; 1e-9 accommodates rounding while remaining far below any
+// model-level signal. It is a constant, not an option: the indexes'
+// no-false-negatives contract (§3.2) holds only if they group ties
+// and detect constants at the same tolerance the mapping class
+// validates at.
+const DefaultTolerance = 1e-9
 
-// approxEqual compares with relative tolerance: |a−b| ≤ tol·max(1,|a|,|b|).
+// ApproxEqual compares two scalars with relative tolerance:
+// |a−b| ≤ DefaultTolerance·max(1,|a|,|b|). It is the single source of
+// truth for every tolerance comparison in the system — mapping
+// validation, constant detection, index tie grouping, the engine's
+// match-validation draws and the interactive session's sample checks
+// all share it, so they can never drift apart.
+//
 // The max(1,·) floor makes comparisons near zero behave absolutely,
 // which matters for indicator-style model outputs (0/1 overload flags).
 // A NaN equals nothing and an infinity only itself: with an infinite
 // operand the relative bound would be infinite too, and +Inf would
 // "equal" −Inf and every finite value.
-func approxEqual(a, b, tol float64) bool {
+func ApproxEqual(a, b float64) bool {
 	if a == b {
 		return true
 	}
@@ -129,5 +130,5 @@ func approxEqual(a, b, tol float64) bool {
 		return false
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
+	return math.Abs(a-b) <= DefaultTolerance*scale
 }

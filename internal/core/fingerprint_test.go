@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,7 +28,7 @@ func TestComputeDeterministic(t *testing.T) {
 	f := gaussianBox(5, 2)
 	a := Compute(f, testMaster, testM)
 	b := Compute(f, testMaster, testM)
-	if !a.ApproxEqual(b, 0) {
+	if !slices.Equal(a, b) {
 		t.Fatalf("fingerprint not deterministic: %v vs %v", a, b)
 	}
 	if len(a) != testM {
@@ -58,42 +59,45 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestIsConstant(t *testing.T) {
-	if !(Fingerprint{2, 2, 2}).IsConstant(1e-9) {
+	if !(Fingerprint{2, 2, 2}).IsConstant() {
 		t.Fatal("constant fingerprint not detected")
 	}
-	if (Fingerprint{2, 2, 2.1}).IsConstant(1e-9) {
+	if (Fingerprint{2, 2, 2.1}).IsConstant() {
 		t.Fatal("non-constant fingerprint detected as constant")
 	}
-	if !(Fingerprint{1e12, 1e12 + 1e-3}).IsConstant(1e-9) {
+	if !(Fingerprint{1e12, 1e12 + 1e-3}).IsConstant() {
 		t.Fatal("relative tolerance not applied at large magnitudes")
+	}
+	if !(Fingerprint{}).IsConstant() {
+		t.Fatal("empty fingerprint not vacuously constant")
 	}
 }
 
 func TestFirstTwoDistinct(t *testing.T) {
-	i, j, ok := Fingerprint{5, 5, 5, 7, 9}.FirstTwoDistinct(1e-9)
+	i, j, ok := Fingerprint{5, 5, 5, 7, 9}.FirstTwoDistinct()
 	if !ok || i != 0 || j != 3 {
 		t.Fatalf("FirstTwoDistinct = (%d,%d,%v)", i, j, ok)
 	}
-	if _, _, ok := (Fingerprint{4, 4, 4}).FirstTwoDistinct(1e-9); ok {
+	if _, _, ok := (Fingerprint{4, 4, 4}).FirstTwoDistinct(); ok {
 		t.Fatal("constant fingerprint reported distinct entries")
 	}
-	if _, _, ok := (Fingerprint{}).FirstTwoDistinct(1e-9); ok {
+	if _, _, ok := (Fingerprint{}).FirstTwoDistinct(); ok {
 		t.Fatal("empty fingerprint reported distinct entries")
 	}
 }
 
 func TestApproxEqual(t *testing.T) {
 	a := Fingerprint{1, 2, 3}
-	if !a.ApproxEqual(Fingerprint{1, 2, 3 + 1e-12}, 1e-9) {
+	if !a.ApproxEqual(Fingerprint{1, 2, 3 + 1e-12}) {
 		t.Fatal("tiny perturbation rejected")
 	}
-	if a.ApproxEqual(Fingerprint{1, 2}, 1e-9) {
+	if a.ApproxEqual(Fingerprint{1, 2}) {
 		t.Fatal("length mismatch accepted")
 	}
-	if a.ApproxEqual(Fingerprint{1, 2, 4}, 1e-9) {
+	if a.ApproxEqual(Fingerprint{1, 2, 4}) {
 		t.Fatal("different fingerprint accepted")
 	}
-	if a.ApproxEqual(Fingerprint{1, 2, math.NaN()}, 1e-9) {
+	if a.ApproxEqual(Fingerprint{1, 2, math.NaN()}) {
 		t.Fatal("NaN accepted")
 	}
 	inf := math.Inf(1)
@@ -109,7 +113,7 @@ func TestApproxEqual(t *testing.T) {
 		{math.MaxFloat64, inf, false},
 	} {
 		for _, pair := range [][2]float64{{tc.a, tc.b}, {tc.b, tc.a}} {
-			if got := ApproxEqual(pair[0], pair[1], 1e-9); got != tc.want {
+			if got := ApproxEqual(pair[0], pair[1]); got != tc.want {
 				t.Errorf("ApproxEqual(%v, %v) = %v, want %v", pair[0], pair[1], got, tc.want)
 			}
 		}
@@ -120,7 +124,7 @@ func TestMappedBy(t *testing.T) {
 	fp := Fingerprint{0, 1, 2}
 	got := fp.MappedBy(Linear{Alpha: 2, Beta: 1})
 	want := Fingerprint{1, 3, 5}
-	if !got.ApproxEqual(want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("MappedBy = %v, want %v", got, want)
 	}
 }
@@ -158,14 +162,14 @@ func TestValidate(t *testing.T) {
 	from := Fingerprint{0, 1, 2, 3}
 	m := Linear{Alpha: 3, Beta: 1}
 	to := from.MappedBy(m)
-	if !Validate(m, from, to, 1e-9) {
+	if !Validate(m, from, to) {
 		t.Fatal("valid mapping rejected")
 	}
 	to[2] += 0.5
-	if Validate(m, from, to, 1e-9) {
+	if Validate(m, from, to) {
 		t.Fatal("invalid mapping accepted")
 	}
-	if Validate(m, from, to[:3], 1e-9) {
+	if Validate(m, from, to[:3]) {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -178,7 +182,7 @@ func TestQuickValidateExactImages(t *testing.T) {
 		beta := float64(betaRaw) / 64
 		fp := Compute(gaussianBox(1, 2), seed, 8)
 		m := Linear{Alpha: alpha, Beta: beta}
-		return Validate(m, fp, fp.MappedBy(m), 1e-9)
+		return Validate(m, fp, fp.MappedBy(m))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ func containsID(ids []int, id int) bool {
 func allIndexes() map[string]func() Index {
 	return map[string]func() Index{
 		"array": func() Index { return NewArrayIndex() },
-		"norm":  func() Index { return NewNormalizationIndex(6, DefaultTolerance) },
-		"sid":   func() Index { return NewSortedSIDIndex(DefaultTolerance, true) },
+		"norm":  func() Index { return NewNormalizationIndex() },
+		"sid":   func() Index { return NewSortedSIDIndex() },
 	}
 }
 
@@ -51,14 +51,14 @@ func TestIndexSelectivity(t *testing.T) {
 	// index by design does not.
 	a := Fingerprint{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := Fingerprint{1, 4, 9, 16, 25, 36, 49, 64, 81, 100} // not linear in a
-	norm := NewNormalizationIndex(6, DefaultTolerance)
+	norm := NewNormalizationIndex()
 	norm.Insert(0, a)
 	if containsID(norm.Candidates(b, nil), 0) {
 		t.Error("normalization index returned unrelated candidate")
 	}
 	// b is monotone in a, so SID keys collide — that is the documented
 	// false-positive mode of SID indexing, discarded by FindMapping.
-	sid := NewSortedSIDIndex(DefaultTolerance, true)
+	sid := NewSortedSIDIndex()
 	shuffled := Fingerprint{3, 1, 4, 1.5, 9, 2.6, 5.3, 5.8, 9.7, 9.3}
 	sid.Insert(0, a)
 	if containsID(sid.Candidates(shuffled, nil), 0) {
@@ -67,7 +67,7 @@ func TestIndexSelectivity(t *testing.T) {
 }
 
 func TestNormalizationConstantBucket(t *testing.T) {
-	idx := NewNormalizationIndex(6, DefaultTolerance)
+	idx := NewNormalizationIndex()
 	idx.Insert(0, Fingerprint{5, 5, 5})
 	// Equal constants share a bucket (the only constants a sound
 	// mapping class can relate)…
@@ -85,29 +85,24 @@ func TestNormalizationConstantBucket(t *testing.T) {
 }
 
 func TestStoreSkipsConstantProbeUnderStrictClass(t *testing.T) {
-	s := NewStore(LinearClass{StrictConstants: true}, NewArrayIndex(), DefaultTolerance)
+	s := NewStore(LinearClass{StrictConstants: true}, NewArrayIndex())
 	if _, err := s.Add(Fingerprint{0, 0, 0}, "zero", nil); err != nil {
 		t.Fatal(err)
 	}
-	_, _, ok, n := s.Match(Fingerprint{0, 0, 0}, nil, nil)
-	if ok {
-		t.Fatal("strict class matched a constant")
-	}
-	if n != 0 {
-		t.Fatalf("constant probe scanned %d candidates under strict class", n)
-	}
-}
-
-func TestNormalizationDigitsDefault(t *testing.T) {
-	idx := NewNormalizationIndex(0, DefaultTolerance)
-	if idx.digits != 6 {
-		t.Fatalf("default digits = %d", idx.digits)
+	for _, probe := range []Fingerprint{{0, 0, 0}, {}} {
+		_, _, ok, n := s.Match(probe, nil, nil)
+		if ok {
+			t.Fatalf("strict class matched constant %v", probe)
+		}
+		if n != 0 {
+			t.Fatalf("constant probe %v scanned %d candidates under strict class", probe, n)
+		}
 	}
 }
 
 func TestQuantize(t *testing.T) {
 	pair := func(x float64) [2]int64 {
-		m, e := quantize(x, 6)
+		m, e := quantize(x)
 		return [2]int64{m, int64(e)}
 	}
 	if pair(0) != pair(math.Copysign(0, -1)) {
@@ -138,25 +133,27 @@ func TestSortedSIDDecreasingMapping(t *testing.T) {
 	base := Fingerprint{3, 1, 4, 1.5, 9}
 	probe := base.MappedBy(Linear{Alpha: -2, Beta: 0})
 
-	bidi := NewSortedSIDIndex(DefaultTolerance, true)
-	bidi.Insert(0, base)
-	if !containsID(bidi.Candidates(probe, nil), 0) {
-		t.Fatal("bidirectional SID index missed decreasing mapping")
-	}
-	uni := NewSortedSIDIndex(DefaultTolerance, false)
-	uni.Insert(0, base)
-	if containsID(uni.Candidates(probe, nil), 0) {
-		t.Fatal("unidirectional SID index matched decreasing mapping")
+	idx := NewSortedSIDIndex()
+	idx.Insert(0, base)
+	if !containsID(idx.Candidates(probe, nil), 0) {
+		t.Fatal("SID index missed decreasing mapping")
 	}
 }
 
 func TestSortedSIDTieGrouping(t *testing.T) {
-	// Ties within tolerance must hash identically regardless of the
-	// incidental order a sort would give them.
-	idx := NewSortedSIDIndex(1e-6, false)
-	idx.Insert(0, Fingerprint{1, 1 + 1e-9, 2})
-	if !containsID(idx.Candidates(Fingerprint{1 + 1e-9, 1, 2}, nil), 0) {
+	// ApproxEqual entries form a tie group, which must hash
+	// identically regardless of the incidental order a sort would give
+	// its members.
+	idx := NewSortedSIDIndex()
+	idx.Insert(0, Fingerprint{1, 1 + 1e-10, 2})
+	if !containsID(idx.Candidates(Fingerprint{1 + 1e-10, 1, 2}, nil), 0) {
 		t.Fatal("tie permutation changed SID key")
+	}
+	// Entries 1e-8 apart are no tie: their order is part of the key, so
+	// swapping them yields a different key in both probe directions.
+	idx.Insert(1, Fingerprint{1, 1 + 1e-8, 2})
+	if containsID(idx.Candidates(Fingerprint{1 + 1e-8, 1, 2}, nil), 1) {
+		t.Fatal("entries 1e-8 apart grouped as a tie")
 	}
 }
 
@@ -175,10 +172,10 @@ func TestArrayIndexReturnsAll(t *testing.T) {
 }
 
 func TestIndexNames(t *testing.T) {
-	if NewNormalizationIndex(6, 1e-9).Name() != "Normalization" {
+	if NewNormalizationIndex().Name() != "Normalization" {
 		t.Fatal("normalization name")
 	}
-	if NewSortedSIDIndex(1e-9, true).Name() != "SortedSID" {
+	if NewSortedSIDIndex().Name() != "SortedSID" {
 		t.Fatal("SID name")
 	}
 }
@@ -197,12 +194,12 @@ func TestQuickIndexCompleteness(t *testing.T) {
 		fp := Compute(gaussianBox(1, 2), seed, 10)
 		probe := fp.MappedBy(Linear{Alpha: alpha, Beta: beta})
 
-		norm := NewNormalizationIndex(6, DefaultTolerance)
+		norm := NewNormalizationIndex()
 		norm.Insert(7, fp)
 		if !containsID(norm.Candidates(probe, nil), 7) {
 			return false
 		}
-		sid := NewSortedSIDIndex(DefaultTolerance, true)
+		sid := NewSortedSIDIndex()
 		sid.Insert(7, fp)
 		return containsID(sid.Candidates(probe, nil), 7)
 	}

@@ -27,8 +27,8 @@ type LinearClass struct {
 //     of the source fingerprint rather than blindly from entries 1 and
 //     2, avoiding a division by ~0 when a model returns repeated
 //     values (overload indicators, quantized capacities).
-//  2. Validation uses a relative tolerance instead of exact equality;
-//     reuse across parameter points is exact only up to rounding.
+//  2. Validation uses ApproxEqual instead of exact equality; reuse
+//     across parameter points is exact only up to rounding.
 //
 // Constant fingerprints are handled explicitly and conservatively:
 // only an *identical* constant fingerprint matches (identity mapping).
@@ -45,21 +45,22 @@ type LinearClass struct {
 //
 // Every mapping Find returns is invertible: α is finite and non-zero,
 // and β, 1/α and β/α are finite, so Linear.Inverse is total on them.
-func (c LinearClass) Find(from, to Fingerprint, tol float64) (Linear, bool) {
+func (c LinearClass) Find(from, to Fingerprint) (Linear, bool) {
 	if len(from) != len(to) || len(from) < 2 {
 		return Linear{}, false
 	}
-	i, j, ok := from.FirstTwoDistinct(tol)
+	i, j, ok := from.FirstTwoDistinct()
 	if !ok {
-		// Element-wise, not just from[0] against to[0]: tolerance is
-		// not transitive, so two near-constant fingerprints can agree
-		// at their first entries and still differ by up to 2·tol.
-		if !c.StrictConstants && to.IsConstant(tol) && from.ApproxEqual(to, tol) {
+		// Element-wise, not just from[0] against to[0]: ApproxEqual
+		// is not transitive, so two near-constant fingerprints can
+		// agree at their first entries and still differ by up to twice
+		// the tolerance.
+		if !c.StrictConstants && to.IsConstant() && from.ApproxEqual(to) {
 			return Identity(), true
 		}
 		return Linear{}, false
 	}
-	if to.IsConstant(tol) {
+	if to.IsConstant() {
 		return Linear{}, false
 	}
 	num, den := to[i]-to[j], from[i]-from[j]
@@ -71,7 +72,7 @@ func (c LinearClass) Find(from, to Fingerprint, tol float64) (Linear, bool) {
 	}
 	alpha := num / den
 	lin := Linear{Alpha: alpha, Beta: to[i] - alpha*from[i]}
-	if !lin.invertible() || !Validate(lin, from, to, tol) {
+	if !lin.invertible() || !Validate(lin, from, to) {
 		return Linear{}, false
 	}
 	return lin, true

@@ -11,7 +11,7 @@ func TestFindLinearMappingRecoversCoefficients(t *testing.T) {
 	// +0.1 shift.
 	theta1 := Fingerprint{0, 1.2, 2.3, 1.3, 1.5}
 	theta2 := Fingerprint{0.1, 1.3, 2.4, 1.4, 1.6}
-	m, ok := LinearClass{}.Find(theta1, theta2, 1e-9)
+	m, ok := LinearClass{}.Find(theta1, theta2)
 	if !ok {
 		t.Fatal("no mapping found for paper's example")
 	}
@@ -24,7 +24,7 @@ func TestFindLinearMappingRecoversCoefficients(t *testing.T) {
 func TestFindLinearMappingGeneral(t *testing.T) {
 	from := Fingerprint{-1, 0.5, 2, 7, 3.25}
 	want := Linear{Alpha: -2.5, Beta: 4}
-	m, ok := LinearClass{}.Find(from, from.MappedBy(want), 1e-9)
+	m, ok := LinearClass{}.Find(from, from.MappedBy(want))
 	if !ok {
 		t.Fatal("no mapping found")
 	}
@@ -37,7 +37,7 @@ func TestFindLinearMappingGeneral(t *testing.T) {
 func TestFindLinearMappingRejectsNonLinear(t *testing.T) {
 	from := Fingerprint{1, 2, 3, 4}
 	to := Fingerprint{1, 4, 9, 16} // quadratic image
-	if _, ok := (LinearClass{}).Find(from, to, 1e-9); ok {
+	if _, ok := (LinearClass{}).Find(from, to); ok {
 		t.Fatal("quadratic relation accepted as linear")
 	}
 }
@@ -48,7 +48,7 @@ func TestFindLinearMappingLeadingTies(t *testing.T) {
 	// distinct pair.
 	from := Fingerprint{5, 5, 5, 8, 11}
 	want := Linear{Alpha: 2, Beta: -1}
-	m, ok := LinearClass{}.Find(from, from.MappedBy(want), 1e-9)
+	m, ok := LinearClass{}.Find(from, from.MappedBy(want))
 	if !ok {
 		t.Fatal("no mapping found despite leading ties")
 	}
@@ -63,7 +63,7 @@ func TestFindLinearMappingConstants(t *testing.T) {
 	c2 := Fingerprint{7, 7, 7}
 	// Identical constants match via identity: an all-zero overload
 	// fingerprint may reuse another all-zero point's simulation.
-	m, ok := LinearClass{}.Find(c1, Fingerprint{3, 3, 3}, 1e-9)
+	m, ok := LinearClass{}.Find(c1, Fingerprint{3, 3, 3})
 	if !ok || m != Identity() {
 		t.Fatal("identical constants should match via identity")
 	}
@@ -71,25 +71,25 @@ func TestFindLinearMappingConstants(t *testing.T) {
 	// certify a point-mass distribution, so a shift would fabricate
 	// statistics (e.g. mapping an all-ones overload point onto an
 	// all-zeros basis).
-	if _, ok := (LinearClass{}).Find(c1, c2, 1e-9); ok {
+	if _, ok := (LinearClass{}).Find(c1, c2); ok {
 		t.Fatal("different constants matched")
 	}
 	// Constant source cannot reach a varying target.
-	if _, ok := (LinearClass{}).Find(c1, Fingerprint{1, 2, 3}, 1e-9); ok {
+	if _, ok := (LinearClass{}).Find(c1, Fingerprint{1, 2, 3}); ok {
 		t.Fatal("constant source mapped onto varying target")
 	}
 	// Varying source must not be collapsed onto a constant (alpha=0).
-	if _, ok := (LinearClass{}).Find(Fingerprint{1, 2, 3}, c2, 1e-9); ok {
+	if _, ok := (LinearClass{}).Find(Fingerprint{1, 2, 3}, c2); ok {
 		t.Fatal("varying source collapsed onto constant target")
 	}
 }
 
 func TestFindLinearMappingDegenerateInputs(t *testing.T) {
 	cls := LinearClass{}
-	if _, ok := cls.Find(Fingerprint{1}, Fingerprint{2}, 1e-9); ok {
+	if _, ok := cls.Find(Fingerprint{1}, Fingerprint{2}); ok {
 		t.Fatal("length-1 fingerprints accepted")
 	}
-	if _, ok := cls.Find(Fingerprint{1, 2}, Fingerprint{1, 2, 3}, 1e-9); ok {
+	if _, ok := cls.Find(Fingerprint{1, 2}, Fingerprint{1, 2, 3}); ok {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -103,10 +103,10 @@ func TestFindRejectsNonInvertibleMapping(t *testing.T) {
 		{Fingerprint{0, 1e308, 5e307, 0}, Fingerprint{0, 2e-9, 1e-9, 0}},
 		{Fingerprint{1e308, -1e308, 0, 5e307}, Fingerprint{1, 1 - 4e-9, 1 - 2e-9, 1 - 1e-9}},
 	} {
-		if m, ok := (LinearClass{}).Find(tc.from, tc.to, DefaultTolerance); ok {
+		if m, ok := (LinearClass{}).Find(tc.from, tc.to); ok {
 			t.Errorf("Find(%v, %v) = %v with inverse %v, want no mapping", tc.from, tc.to, m, m.Inverse())
 		}
-		s := NewStore(LinearClass{}, NewNormalizationIndex(6, DefaultTolerance), DefaultTolerance)
+		s := NewStore(LinearClass{}, NewNormalizationIndex())
 		if _, err := s.Add(tc.from, "from", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestQuickFindLinearRoundTrip(t *testing.T) {
 		for i, v := range vals {
 			from[i] = float64(v) / 32
 		}
-		if from.IsConstant(1e-9) {
+		if from.IsConstant() {
 			return true // vacuous
 		}
 		alpha := float64(alphaRaw)/16 + 0.03125
@@ -136,11 +136,11 @@ func TestQuickFindLinearRoundTrip(t *testing.T) {
 		beta := float64(betaRaw) / 16
 		want := Linear{Alpha: alpha, Beta: beta}
 		to := from.MappedBy(want)
-		m, ok := LinearClass{}.Find(from, to, 1e-9)
+		m, ok := LinearClass{}.Find(from, to)
 		if !ok {
 			return false
 		}
-		return Validate(m, from, to, 1e-9)
+		return Validate(m, from, to)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -35,16 +35,16 @@ func Identity() Linear { return Linear{Alpha: 1} }
 // Shift returns the pure-translation mapping x+β.
 func Shift(beta float64) Linear { return Linear{Alpha: 1, Beta: beta} }
 
-// Validate checks that l maps from onto to element-wise within tol.
+// Validate checks that l maps from onto to element-wise (ApproxEqual).
 // Mapping discovery parameterizes M from two fingerprint entries and
 // validates on the rest (Algorithm 2); Validate is that second half.
 // It allocates nothing, so rejecting a candidate is free.
-func Validate(l Linear, from, to Fingerprint, tol float64) bool {
+func Validate(l Linear, from, to Fingerprint) bool {
 	if len(from) != len(to) {
 		return false
 	}
 	for i := range from {
-		if !approxEqual(l.Apply(from[i]), to[i], tol) {
+		if !ApproxEqual(l.Apply(from[i]), to[i]) {
 			return false
 		}
 	}

@@ -48,7 +48,7 @@ func countingAccept(calls *int) func(*Basis) bool {
 func TestMatchScannedCountsAcceptedCandidates(t *testing.T) {
 	for name, mk := range allIndexes() {
 		t.Run(name, func(t *testing.T) {
-			s := NewStore(LinearClass{}, mk(), 0)
+			s := NewStore(LinearClass{}, mk())
 			baseA, baseB := matchBase(1.0), matchBase(-7.3)
 			for k := 0; k < 3; k++ {
 				if _, err := s.Add(matchFamily(baseA, k), fmt.Sprintf("a%d", k), k); err != nil {
@@ -165,7 +165,7 @@ func FuzzStoreMatch(f *testing.F) {
 		a, b := decodeFuzzFingerprints(data)
 		for name, mk := range allIndexes() {
 			for _, class := range []LinearClass{{}, {StrictConstants: true}} {
-				s := NewStore(class, mk(), DefaultTolerance)
+				s := NewStore(class, mk())
 				if _, err := s.Add(a, "a", nil); err != nil {
 					t.Fatal(err)
 				}
@@ -180,13 +180,13 @@ func FuzzStoreMatch(f *testing.F) {
 						t.Fatalf("%s %+v: mapping %v has no finite inverse (%v)", name, class, mapping, inv)
 					}
 					for k, v := range basis.Fingerprint {
-						if !ApproxEqual(mapping.Apply(v), b[k], s.Tolerance()) {
+						if !ApproxEqual(mapping.Apply(v), b[k]) {
 							t.Fatalf("%s %+v: mapping %v sends %v to %v, probe has %v at %d",
 								name, class, mapping, v, mapping.Apply(v), b[k], k)
 						}
 					}
 				}
-				if isFinite(a) && !a.IsConstant(s.Tolerance()) {
+				if isFinite(a) && !a.IsConstant() {
 					if _, _, ok, _ := s.Match(a, nil, nil); !ok {
 						t.Fatalf("%s %+v: %v does not match itself", name, class, a)
 					}

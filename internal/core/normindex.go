@@ -17,7 +17,7 @@ import "math"
 // decreasing α alike.
 //
 // Bucket keys are 64-bit FNV-1a hashes over the normal form quantized
-// to a fixed number of significant decimal digits — a binary encoding,
+// to normDigits significant decimal digits — a binary encoding,
 // computed without allocating. Quantization tolerates the
 // floating-point rounding inherent in "exact" affine reuse; a value
 // landing on a quantization boundary can still produce a missed
@@ -26,23 +26,17 @@ import "math"
 type NormalizationIndex struct {
 	buckets map[uint64][]int
 	n       int
-	digits  int
-	tol     float64
 }
 
-// NewNormalizationIndex returns an index quantizing normal forms to
-// `digits` significant decimal digits (6 is a good default against a
-// 1e-9 validation tolerance) and treating fingerprints as constant
-// below relative tolerance tol.
-func NewNormalizationIndex(digits int, tol float64) *NormalizationIndex {
-	if digits < 1 {
-		digits = 6
-	}
-	return &NormalizationIndex{
-		buckets: make(map[uint64][]int),
-		digits:  digits,
-		tol:     tol,
-	}
+// normDigits is the number of significant decimal digits normal-form
+// entries are quantized to: far coarser than the 1e-9 validation
+// tolerance, so the rounding noise of an affine image rarely crosses
+// a quantization boundary.
+const normDigits = 6
+
+// NewNormalizationIndex returns an empty normalization index.
+func NewNormalizationIndex() *NormalizationIndex {
+	return &NormalizationIndex{buckets: make(map[uint64][]int)}
 }
 
 // Insert implements Index.
@@ -77,40 +71,40 @@ const (
 // constants — e.g. the all-zeros and all-ones seas of a boolean model —
 // stay apart instead of piling into one bucket.
 func (n *NormalizationIndex) key(fp Fingerprint) uint64 {
-	i, j, ok := fp.FirstTwoDistinct(n.tol)
+	i, j, ok := fp.FirstTwoDistinct()
 	if !ok {
 		v := 0.0
 		if len(fp) > 0 {
 			v = fp[0]
 		}
-		return hashQuantized(fnvWord(fnvOffset64, normKeyConst), v, n.digits)
+		return hashQuantized(fnvWord(fnvOffset64, normKeyConst), v)
 	}
 	base := fp[i]
 	span := fp[j] - fp[i]
 	h := fnvWord(fnvOffset64, normKeyVector)
 	for _, v := range fp {
-		h = hashQuantized(h, (v-base)/span, n.digits)
+		h = hashQuantized(h, (v-base)/span)
 	}
 	return h
 }
 
-// hashQuantized folds x quantized to the given number of significant
-// decimal digits into the hash, as a (mantissa, exponent) pair of
+// hashQuantized folds x quantized to normDigits significant decimal
+// digits into the hash, as a (mantissa, exponent) pair of
 // words. Negative zero and (sub)normal dust collapse to zero so values
 // that are zero for all practical purposes share a key — the binary
-// equivalent of rendering with strconv.FormatFloat(x, 'e', digits-1)
+// equivalent of rendering with strconv.FormatFloat(x, 'e', normDigits-1)
 // and hashing the string, at no allocation.
-func hashQuantized(h uint64, x float64, digits int) uint64 {
-	mant, exp := quantize(x, digits)
+func hashQuantized(h uint64, x float64) uint64 {
+	mant, exp := quantize(x)
 	return fnvWord(fnvWord(h, uint64(mant)), uint64(int64(exp)))
 }
 
-// quantize reduces x to an integer decimal mantissa of `digits`
+// quantize reduces x to an integer decimal mantissa of normDigits
 // significant digits and a base-10 exponent. Values within half an ulp
 // of the decimal grid land on the same pair, so near-equal normal-form
 // entries share hash keys. Non-finite values are mapped to sentinel
 // pairs (their raw bits) — deterministic, if meaningless, keys.
-func quantize(x float64, digits int) (mant int64, exp int) {
+func quantize(x float64) (mant int64, exp int) {
 	if math.Abs(x) < 1e-300 {
 		return 0, 0
 	}
@@ -118,10 +112,10 @@ func quantize(x float64, digits int) (mant int64, exp int) {
 		return int64(math.Float64bits(x)), math.MaxInt32
 	}
 	exp = int(math.Floor(math.Log10(math.Abs(x))))
-	m := math.Round(x * math.Pow(10, float64(digits-1-exp)))
-	// Rounding can push the mantissa to 10^digits (e.g. 0.9999995 at 6
-	// digits); renormalize so every value has a canonical pair.
-	if limit := math.Pow(10, float64(digits)); m >= limit || m <= -limit {
+	m := math.Round(x * math.Pow(10, float64(normDigits-1-exp)))
+	// Rounding can push the mantissa to 10^normDigits (e.g. 0.9999995);
+	// renormalize so every value has a canonical pair.
+	if limit := math.Pow(10, normDigits); m >= limit || m <= -limit {
 		m /= 10
 		exp++
 	}

@@ -5,37 +5,27 @@ package core
 // assign each fingerprint entry its sample identifier (its position),
 // sort the entries by value, and use the resulting SID sequence as the
 // hash key. A monotonically increasing mapping preserves the sort
-// order, so mappable fingerprints share a key; for merely monotone
-// (possibly decreasing) classes, the lookup also probes the reversed
-// sequence, per the paper's "comparing both the SID sequence and its
-// inverse".
+// order, so mappable fingerprints share a key; because the linear
+// class also admits decreasing mappings (α < 0), the lookup probes the
+// reversed sequence too, per the paper's "comparing both the SID
+// sequence and its inverse".
 //
 // Keys are 64-bit FNV-1a hashes over the tie-grouped SID sequence —
 // computed into a stack buffer, so probes allocate nothing.
 //
 // Ties are the failure mode of SID indexing: equal values sort into an
 // arbitrary SID order that a mapping need not preserve. Entries are
-// therefore grouped: values equal within the tolerance share a tie
-// group, and groups are hashed as sorted SID clusters so any
-// tie-permutation yields the same key.
+// therefore grouped: ApproxEqual values share a tie group, and groups
+// are hashed as sorted SID clusters so any tie-permutation yields the
+// same key.
 type SortedSIDIndex struct {
 	buckets map[uint64][]int
 	n       int
-	tol     float64
-	// bidirectional controls whether Candidates also probes the
-	// reversed key (needed for decreasing monotone mappings, e.g.
-	// linear maps with α<0).
-	bidirectional bool
 }
 
-// NewSortedSIDIndex returns a Sorted-SID index. Set bidirectional for
-// mapping classes containing decreasing mappings.
-func NewSortedSIDIndex(tol float64, bidirectional bool) *SortedSIDIndex {
-	return &SortedSIDIndex{
-		buckets:       make(map[uint64][]int),
-		tol:           tol,
-		bidirectional: bidirectional,
-	}
+// NewSortedSIDIndex returns an empty Sorted-SID index.
+func NewSortedSIDIndex() *SortedSIDIndex {
+	return &SortedSIDIndex{buckets: make(map[uint64][]int)}
 }
 
 // Insert implements Index.
@@ -52,10 +42,8 @@ func (s *SortedSIDIndex) Insert(id int, fp Fingerprint) {
 func (s *SortedSIDIndex) Candidates(fp Fingerprint, buf []int) []int {
 	fwd := s.key(fp, false)
 	buf = append(buf, s.buckets[fwd]...)
-	if s.bidirectional {
-		if rev := s.key(fp, true); rev != fwd {
-			buf = append(buf, s.buckets[rev]...)
-		}
+	if rev := s.key(fp, true); rev != fwd {
+		buf = append(buf, s.buckets[rev]...)
 	}
 	return buf
 }
@@ -106,7 +94,7 @@ func (s *SortedSIDIndex) key(fp Fingerprint, reversed bool) uint64 {
 	h := uint64(fnvOffset64)
 	lo := 0
 	for i := 1; i <= len(sids); i++ {
-		if i < len(sids) && approxEqual(fp[sids[i]], fp[sids[i-1]], s.tol) {
+		if i < len(sids) && ApproxEqual(fp[sids[i]], fp[sids[i-1]]) {
 			continue
 		}
 		// Tie group [lo, i): hash its SIDs in ascending order so any

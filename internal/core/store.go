@@ -34,7 +34,6 @@ type Basis struct {
 // work, never a wrong answer.
 type Store struct {
 	class LinearClass
-	tol   float64
 
 	// mu guards bases, fpLen and index. The bases slice is
 	// append-only and Basis values are immutable after Add, so a
@@ -46,26 +45,14 @@ type Store struct {
 	index Index
 }
 
-// DefaultTolerance is the relative tolerance used to validate mappings
-// and compare fingerprint entries. Affine reuse of a deterministic
-// stream is exact up to floating-point rounding; 1e-9 accommodates
-// rounding while remaining far below any model-level signal.
-const DefaultTolerance = 1e-9
-
 // NewStore creates a store using the given mapping class and index
 // strategy. A nil index defaults to the naive array scan.
-func NewStore(class LinearClass, index Index, tol float64) *Store {
+func NewStore(class LinearClass, index Index) *Store {
 	if index == nil {
 		index = NewArrayIndex()
 	}
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	return &Store{class: class, tol: tol, index: index}
+	return &Store{class: class, index: index}
 }
-
-// Tolerance returns the store's relative tolerance.
-func (s *Store) Tolerance() float64 { return s.tol }
 
 // Len returns the number of basis distributions.
 func (s *Store) Len() int {
@@ -152,7 +139,7 @@ func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeSc
 	// candidate scan (boolean-output models produce mostly constant
 	// fingerprints, which would otherwise pile into one bucket and
 	// turn every probe into a full scan).
-	if s.class.StrictConstants && fp.IsConstant(s.tol) {
+	if s.class.StrictConstants && fp.IsConstant() {
 		return nil, Linear{}, false, 0
 	}
 	if scratch == nil {
@@ -176,7 +163,7 @@ func (s *Store) Match(fp Fingerprint, accept func(*Basis) bool, scratch *ProbeSc
 			continue
 		}
 		scanned++
-		if m, found := s.class.Find(b.Fingerprint, fp, s.tol); found {
+		if m, found := s.class.Find(b.Fingerprint, fp); found {
 			return b, m, true, scanned
 		}
 	}

@@ -35,12 +35,12 @@ func TestStoreConcurrentStress(t *testing.T) {
 	)
 	indexes := map[string]func() Index{
 		"array": func() Index { return NewArrayIndex() },
-		"norm":  func() Index { return NewNormalizationIndex(6, DefaultTolerance) },
-		"sid":   func() Index { return NewSortedSIDIndex(DefaultTolerance, true) },
+		"norm":  func() Index { return NewNormalizationIndex() },
+		"sid":   func() Index { return NewSortedSIDIndex() },
 	}
 	for name, mk := range indexes {
 		t.Run(name, func(t *testing.T) {
-			store := NewStore(LinearClass{}, mk(), DefaultTolerance)
+			store := NewStore(LinearClass{}, mk())
 			workers := runtime.GOMAXPROCS(0) * 2
 			if workers < 4 {
 				workers = 4
@@ -58,7 +58,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						beta := float64(i % 5)
 						fp := stressFingerprint(family, m, alpha, beta)
 						if b, mapping, ok, _ := store.Match(fp, nil, nil); ok {
-							if !Validate(mapping, b.Fingerprint, fp, store.Tolerance()) {
+							if !Validate(mapping, b.Fingerprint, fp) {
 								errs <- fmt.Errorf("worker %d: invalid mapping %v returned for family %d", w, mapping, family)
 								return
 							}
@@ -111,11 +111,13 @@ func TestStoreConcurrentStress(t *testing.T) {
 // TestStoreShardRouting checks that every index routes a probe to its
 // family: with many families stored, each affine image of a family
 // member — increasing and decreasing — must match a basis through a
-// valid mapping.
+// valid mapping. A near-constant probe must find the identity match
+// the array scan finds: the indexes detect constants and group ties
+// by the same ApproxEqual the mapping class validates with.
 func TestStoreShardRouting(t *testing.T) {
 	for name, mk := range allIndexes() {
 		t.Run(name, func(t *testing.T) {
-			store := NewStore(LinearClass{}, mk(), DefaultTolerance)
+			store := NewStore(LinearClass{}, mk())
 			const families = 64
 			for f := 0; f < families; f++ {
 				if _, err := store.Add(stressFingerprint(f, 10, 1, 0), "", nil); err != nil {
@@ -129,10 +131,18 @@ func TestStoreShardRouting(t *testing.T) {
 					if !ok {
 						t.Fatalf("family %d probe %v missed", f, mapping)
 					}
-					if !Validate(m, b.Fingerprint, probe, store.Tolerance()) {
+					if !Validate(m, b.Fingerprint, probe) {
 						t.Fatalf("family %d: invalid mapping %v", f, m)
 					}
 				}
+			}
+
+			flat := NewStore(LinearClass{}, mk())
+			if _, err := flat.Add(Fingerprint{5, 5, 5, 5}, "", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, m, ok, _ := flat.Match(Fingerprint{5, 5 + 1e-12, 5, 5}, nil, nil); !ok || m != Identity() {
+				t.Fatalf("near-constant probe: mapping %v, ok=%v; want the identity", m, ok)
 			}
 		})
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestStoreAddAndMatch(t *testing.T) {
-	s := NewStore(LinearClass{}, NewArrayIndex(), DefaultTolerance)
+	s := NewStore(LinearClass{}, NewArrayIndex())
 	base := Compute(gaussianBox(0, 1), testMaster, testM)
 	b, err := s.Add(base, "p0", "metrics-p0")
 	if err != nil {
@@ -35,7 +35,7 @@ func TestStoreAddAndMatch(t *testing.T) {
 }
 
 func TestStoreMissThenAdd(t *testing.T) {
-	s := NewStore(LinearClass{}, NewNormalizationIndex(6, DefaultTolerance), DefaultTolerance)
+	s := NewStore(LinearClass{}, NewNormalizationIndex())
 	fpA := Fingerprint{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 	fpB := Fingerprint{1, 4, 9, 16, 25, 36, 49, 64, 81, 100}
 	if _, err := s.Add(fpA, "A", nil); err != nil {
@@ -55,15 +55,8 @@ func TestStoreMissThenAdd(t *testing.T) {
 	}
 }
 
-func TestStoreDefaults(t *testing.T) {
-	s := NewStore(LinearClass{}, nil, 0)
-	if s.Tolerance() != DefaultTolerance {
-		t.Fatal("default tolerance wrong")
-	}
-}
-
 func TestStoreFingerprintLengthEnforced(t *testing.T) {
-	s := NewStore(LinearClass{}, nil, 0)
+	s := NewStore(LinearClass{}, nil)
 	if _, err := s.Add(Fingerprint{1, 2, 3}, "a", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +74,7 @@ func TestStoreFingerprintLengthEnforced(t *testing.T) {
 }
 
 func TestStoreGet(t *testing.T) {
-	s := NewStore(LinearClass{}, nil, 0)
+	s := NewStore(LinearClass{}, nil)
 	b, _ := s.Add(Fingerprint{1, 2}, "x", 42)
 	got, ok := s.Get(b.ID)
 	if !ok || got.Payload.(int) != 42 {
@@ -102,7 +95,7 @@ func TestStoreMatchPrefersValidatedCandidate(t *testing.T) {
 	// With the SID index, a monotone-but-not-linear basis shares the
 	// probe's bucket; FindMapping must reject it and fall through to
 	// the genuinely linear basis.
-	s := NewStore(LinearClass{}, NewSortedSIDIndex(DefaultTolerance, true), DefaultTolerance)
+	s := NewStore(LinearClass{}, NewSortedSIDIndex())
 	monotone := Fingerprint{1, 2, 4, 8, 16}
 	linearBase := Fingerprint{1, 2, 3, 4, 5}
 	if _, err := s.Add(monotone, "mono", nil); err != nil {
@@ -136,7 +129,7 @@ func TestStoreMatchRejectsInfiniteMismatch(t *testing.T) {
 		{Fingerprint{inf, 1, 2, 3}, Fingerprint{-inf, inf, 1, 2}},               // via the identity
 		{Fingerprint{1, inf, 2, 3}, Fingerprint{0, math.Copysign(0, -1), 1, 2}}, // via x − 1
 	} {
-		s := NewStore(LinearClass{}, NewArrayIndex(), DefaultTolerance)
+		s := NewStore(LinearClass{}, NewArrayIndex())
 		if _, err := s.Add(tc.basis, "inf", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +140,7 @@ func TestStoreMatchRejectsInfiniteMismatch(t *testing.T) {
 }
 
 func TestStoreMatchEmpty(t *testing.T) {
-	s := NewStore(LinearClass{}, nil, 0)
+	s := NewStore(LinearClass{}, nil)
 	if _, _, ok, _ := s.Match(Fingerprint{1, 2, 3}, nil, nil); ok {
 		t.Fatal("empty store matched")
 	}

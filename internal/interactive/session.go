@@ -12,7 +12,6 @@ package interactive
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"jigsaw/internal/core"
@@ -63,37 +62,24 @@ type Options struct {
 	// MasterSeed names the samples as mc.Options.MasterSeed does:
 	// sample id of a session is sample id of an engine.
 	MasterSeed uint64
-	// Tolerance is the mapping validation tolerance.
-	Tolerance float64
 }
 
-// validate rejects option values that no default repairs. It runs
-// before withDefaults, so a non-finite Tolerance is caught instead of
-// silently breaking validation (NaN) or being replaced by the default
-// (-Inf).
-func (o Options) validate() error {
+// withDefaults rejects option values that no default repairs and
+// returns a copy with unset fields defaulted.
+func (o Options) withDefaults() (Options, error) {
 	switch {
 	case o.BatchSize < 0:
-		return fmt.Errorf("interactive: negative BatchSize %d", o.BatchSize)
+		return o, fmt.Errorf("interactive: negative BatchSize %d", o.BatchSize)
 	case o.FingerprintLen < 0:
-		return fmt.Errorf("interactive: negative FingerprintLen %d", o.FingerprintLen)
-	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
-		return fmt.Errorf("interactive: non-finite Tolerance %g", o.Tolerance)
+		return o, fmt.Errorf("interactive: negative FingerprintLen %d", o.FingerprintLen)
 	}
-	return nil
-}
-
-func (o Options) withDefaults() Options {
 	if o.BatchSize == 0 {
 		o.BatchSize = 10
 	}
 	if o.FingerprintLen == 0 {
 		o.FingerprintLen = 10
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = core.DefaultTolerance
-	}
-	return o
+	return o, nil
 }
 
 // basis is a shared sample pool in basis space: every mapped point
@@ -168,15 +154,15 @@ func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, 
 	if space == nil {
 		return nil, errors.New("interactive: nil space")
 	}
-	if err := opts.validate(); err != nil {
+	opts, err := opts.withDefaults()
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	return &Session{
 		eval:   eval,
 		space:  space,
 		opts:   opts,
-		store:  core.NewStore(core.LinearClass{}, core.NewNormalizationIndex(6, opts.Tolerance), opts.Tolerance),
+		store:  core.NewStore(core.LinearClass{}, core.NewNormalizationIndex()),
 		points: map[string]*pointState{},
 	}, nil
 }
@@ -400,7 +386,7 @@ func (s *Session) validate(ps *pointState) {
 		ps.drawn[id] = v
 		ps.validated[id] = true
 		s.stats.Evaluations++
-		if !core.ApproxEqual(v, ps.mapping.Apply(b.samples[id]), s.opts.Tolerance) {
+		if !core.ApproxEqual(v, ps.mapping.Apply(b.samples[id])) {
 			s.rebind(ps)
 			return
 		}

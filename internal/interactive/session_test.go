@@ -71,9 +71,6 @@ func TestNewSessionRejectsInvalidOptions(t *testing.T) {
 	}{
 		{"negative batch size", Options{BatchSize: -1}, "BatchSize"},
 		{"negative fingerprint length", Options{FingerprintLen: -3}, "FingerprintLen"},
-		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
-		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
-		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSession(linearEval, space, tc.opts)

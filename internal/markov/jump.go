@@ -3,7 +3,6 @@ package markov
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/rng"
@@ -18,31 +17,23 @@ type JumpOptions struct {
 	FingerprintLen int
 	// MasterSeed derives all per-(instance, step) seeds.
 	MasterSeed uint64
-	// Tolerance is the mapping validation tolerance.
-	Tolerance float64
 }
 
 // withDefaults fills in unset fields after rejecting values no default
 // repairs, as mc.Options does: negative counts, which would panic
-// deep in the evaluation, and a non-finite Tolerance, with which a NaN
-// would never map a step and +Inf would map every one.
+// deep in the evaluation.
 func (o JumpOptions) withDefaults() (JumpOptions, error) {
 	switch {
 	case o.Instances < 0:
 		return o, fmt.Errorf("markov: negative Instances %d", o.Instances)
 	case o.FingerprintLen < 0:
 		return o, fmt.Errorf("markov: negative FingerprintLen %d", o.FingerprintLen)
-	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
-		return o, fmt.Errorf("markov: non-finite Tolerance %g", o.Tolerance)
 	}
 	if o.Instances == 0 {
 		o.Instances = 1000
 	}
 	if o.FingerprintLen == 0 {
 		o.FingerprintLen = 10
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = core.DefaultTolerance
 	}
 	return o, nil
 }
@@ -176,7 +167,7 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 			}
 		}
 		tryStep := func(s int) (core.Linear, bool) {
-			return core.LinearClass{}.Find(estFingerprint(s), trueFp[s], opts.Tolerance)
+			return core.LinearClass{}.Find(estFingerprint(s), trueFp[s])
 		}
 
 		lastValid := base

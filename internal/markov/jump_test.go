@@ -45,8 +45,7 @@ func TestJumpRejectsBadFingerprintLen(t *testing.T) {
 
 // badJumpOptions are option values no default repairs, each with the
 // field its error must name. Before JumpOptions was validated the
-// negative counts panicked (makeslice, or a slice bound), a NaN
-// Tolerance never mapped a step and +Inf mapped every one.
+// negative counts panicked (makeslice, or a slice bound).
 var badJumpOptions = []struct {
 	name string
 	opts JumpOptions
@@ -55,9 +54,6 @@ var badJumpOptions = []struct {
 	{"negative instances", JumpOptions{Instances: -1}, "Instances"},
 	{"negative instances and fingerprint", JumpOptions{Instances: -5, FingerprintLen: -10}, "Instances"},
 	{"negative fingerprint length", JumpOptions{FingerprintLen: -2}, "FingerprintLen"},
-	{"NaN tolerance", JumpOptions{Tolerance: math.NaN()}, "Tolerance"},
-	{"+Inf tolerance", JumpOptions{Tolerance: math.Inf(1)}, "Tolerance"},
-	{"-Inf tolerance", JumpOptions{Tolerance: math.Inf(-1)}, "Tolerance"},
 }
 
 func TestJumpOptionsRejected(t *testing.T) {

@@ -8,7 +8,6 @@ package mc
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -173,9 +172,6 @@ type Options struct {
 	// Class is the mapping class; its zero value is the paper's
 	// linear class with identical constants matched via identity.
 	Class core.LinearClass
-	// Tolerance is the mapping validation tolerance (default
-	// core.DefaultTolerance).
-	Tolerance float64
 	// KeepSamples retains each basis' sample vector in its payload
 	// (with Reuse). Reuse with ValidationSamples > 0 retains them
 	// whatever KeepSamples says, and Options reports it set.
@@ -212,16 +208,26 @@ type Options struct {
 // DESIGN.md, "Block-sampling pipeline").
 const DefaultBlockSize = 256
 
-// withDefaults returns a copy with unset fields defaulted.
-func (o Options) withDefaults() Options {
+// withDefaults rejects option values that no default repairs and
+// returns a copy with unset fields defaulted.
+func (o Options) withDefaults() (Options, error) {
+	switch {
+	case o.Samples < 0:
+		return o, fmt.Errorf("mc: negative Samples %d", o.Samples)
+	case o.FingerprintLen < 0:
+		return o, fmt.Errorf("mc: negative FingerprintLen %d", o.FingerprintLen)
+	case o.Workers < 0:
+		return o, fmt.Errorf("mc: negative Workers %d", o.Workers)
+	case o.ValidationSamples < 0:
+		return o, fmt.Errorf("mc: negative ValidationSamples %d", o.ValidationSamples)
+	case o.Index < IndexArray || o.Index > IndexSortedSID:
+		return o, fmt.Errorf("mc: unknown index %v", o.Index)
+	}
 	if o.Samples == 0 {
 		o.Samples = 1000
 	}
 	if o.FingerprintLen == 0 {
 		o.FingerprintLen = 10
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = core.DefaultTolerance
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -229,38 +235,16 @@ func (o Options) withDefaults() Options {
 	if o.Reuse && o.ValidationSamples > 0 {
 		o.KeepSamples = true // validation compares against them
 	}
-	return o
-}
-
-// validate rejects option values that no default repairs. It runs
-// before withDefaults, so a non-finite Tolerance is caught instead of
-// silently disabling reuse (NaN) or being replaced by the default
-// (-Inf).
-func (o Options) validate() error {
-	switch {
-	case o.Samples < 0:
-		return fmt.Errorf("mc: negative Samples %d", o.Samples)
-	case o.FingerprintLen < 0:
-		return fmt.Errorf("mc: negative FingerprintLen %d", o.FingerprintLen)
-	case o.Workers < 0:
-		return fmt.Errorf("mc: negative Workers %d", o.Workers)
-	case o.ValidationSamples < 0:
-		return fmt.Errorf("mc: negative ValidationSamples %d", o.ValidationSamples)
-	case math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0):
-		return fmt.Errorf("mc: non-finite Tolerance %g", o.Tolerance)
-	case o.Index < IndexArray || o.Index > IndexSortedSID:
-		return fmt.Errorf("mc: unknown index %v", o.Index)
-	}
-	return nil
+	return o, nil
 }
 
 // newIndex instantiates the configured index strategy.
 func (o Options) newIndex() core.Index {
 	switch o.Index {
 	case IndexNormalization:
-		return core.NewNormalizationIndex(6, o.Tolerance)
+		return core.NewNormalizationIndex()
 	case IndexSortedSID:
-		return core.NewSortedSIDIndex(o.Tolerance, true)
+		return core.NewSortedSIDIndex()
 	default:
 		return core.NewArrayIndex()
 	}
@@ -349,17 +333,17 @@ type Engine struct {
 
 // New constructs an engine.
 func New(opts Options) (*Engine, error) {
-	if err := opts.validate(); err != nil {
+	opts, err := opts.withDefaults()
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	if opts.FingerprintLen > opts.Samples {
 		return nil, fmt.Errorf("mc: fingerprint length %d exceeds sample count %d",
 			opts.FingerprintLen, opts.Samples)
 	}
 	return &Engine{
 		opts:      opts,
-		store:     core.NewStore(opts.Class, opts.newIndex(), opts.Tolerance),
+		store:     core.NewStore(opts.Class, opts.newIndex()),
 		scratches: newScratchPool(),
 		blockSize: DefaultBlockSize,
 	}, nil
@@ -470,7 +454,7 @@ func (e *Engine) validationRounds() int {
 func (e *Engine) validateMatch(mapping core.Linear, basis, targets []float64, v int) bool {
 	m := e.opts.FingerprintLen
 	for i := m; i < min(m+v, len(basis)); i++ {
-		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i], e.opts.Tolerance) {
+		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i]) {
 			return false
 		}
 	}

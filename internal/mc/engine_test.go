@@ -91,9 +91,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"negative fingerprint length", Options{FingerprintLen: -2}, "negative FingerprintLen"},
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative validation samples", Options{ValidationSamples: -1}, "ValidationSamples"},
-		{"NaN tolerance", Options{Tolerance: math.NaN()}, "Tolerance"},
-		{"+Inf tolerance", Options{Tolerance: math.Inf(1)}, "Tolerance"},
-		{"-Inf tolerance", Options{Tolerance: math.Inf(-1)}, "Tolerance"},
 		{"unknown index", Options{Index: 7}, "index"},
 		{"negative index", Options{Index: -1}, "index"},
 		{"fingerprint longer than samples", Options{Samples: 5, FingerprintLen: 10}, "fingerprint length"},

@@ -190,18 +190,21 @@ func ComputeFingerprint(f func(seed uint64) float64, master uint64, m int) Finge
 }
 
 // NewBasisStore builds a basis store with the given class and index
-// (a nil index and a non-positive tol select the defaults).
-func NewBasisStore(class LinearMappingClass, index FingerprintIndex, tol float64) *BasisStore {
-	return core.NewStore(class, index, tol)
+// (a nil index selects the array scan). Matches validate at the fixed
+// relative tolerance core.DefaultTolerance (1e-9).
+func NewBasisStore(class LinearMappingClass, index FingerprintIndex) *BasisStore {
+	return core.NewStore(class, index)
 }
 
 // Index constructors for the three §3.2 strategies.
 var (
 	// NewArrayIndex scans every basis (the baseline).
 	NewArrayIndex = core.NewArrayIndex
-	// NewNormalizationIndex hashes affine normal forms.
+	// NewNormalizationIndex hashes affine normal forms quantized to 6
+	// significant digits.
 	NewNormalizationIndex = core.NewNormalizationIndex
-	// NewSortedSIDIndex hashes sorted sample-identifier sequences.
+	// NewSortedSIDIndex hashes sorted sample-identifier sequences and
+	// probes both sort directions, so decreasing mappings are found.
 	NewSortedSIDIndex = core.NewSortedSIDIndex
 )
 

@@ -224,8 +224,6 @@ func TestMarkovFacadeRejectsBadOptions(t *testing.T) {
 		{Instances: -1},
 		{Instances: -5, FingerprintLen: -10},
 		{FingerprintLen: -2},
-		{Tolerance: math.NaN()},
-		{Tolerance: math.Inf(1)},
 	} {
 		for name, run := range map[string]func(jigsaw.Chain, int, jigsaw.JumpOptions) ([]jigsaw.ChainState, jigsaw.JumpStats, error){
 			"MarkovJump": jigsaw.MarkovJump, "MarkovNaive": jigsaw.MarkovNaive,
@@ -252,7 +250,7 @@ func TestPublicAPIFingerprints(t *testing.T) {
 	fpB := jigsaw.ComputeFingerprint(func(seed uint64) float64 {
 		return jigsaw.NewRand(seed).Normal(5, 3)
 	}, 42, 10)
-	store := jigsaw.NewBasisStore(jigsaw.LinearMappingClass{}, jigsaw.NewNormalizationIndex(6, 0), 0)
+	store := jigsaw.NewBasisStore(jigsaw.LinearMappingClass{}, jigsaw.NewNormalizationIndex())
 	if _, err := store.Add(fpA, "A", "payload"); err != nil {
 		t.Fatal(err)
 	}
