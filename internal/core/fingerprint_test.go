@@ -120,6 +120,34 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
+// TestApproxEqualBoundary pins the one equality rule every match
+// uses, |a−b| ≤ DefaultTolerance·max(1,|a|,|b|), on both sides of its
+// bound: absolute below magnitude 1, relative above it.
+func TestApproxEqualBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b float64
+		want bool
+	}{
+		{"signed zeros", 0, math.Copysign(0, -1), true},
+		{"rounding noise", 1, 1 + 1e-12, true},
+		{"one tolerance from zero", 0, DefaultTolerance, true},
+		{"two tolerances from zero", 0, 2 * DefaultTolerance, false},
+		{"1e-8 apart at 1", 1, 1 + 1e-8, false},
+		{"relative at 1e6", 1e6, 1e6 + 1e-4, true},
+		{"beyond relative at 1e6", 1e6, 1e6 + 1e-2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := ApproxEqual(tc.a, tc.b); got != tc.want {
+				t.Errorf("ApproxEqual(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+			}
+			if got := ApproxEqual(tc.b, tc.a); got != tc.want {
+				t.Errorf("ApproxEqual(%v, %v) = %v, want %v", tc.b, tc.a, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestMappedBy(t *testing.T) {
 	fp := Fingerprint{0, 1, 2}
 	got := fp.MappedBy(Linear{Alpha: 2, Beta: 1})

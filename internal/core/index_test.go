@@ -129,6 +129,27 @@ func TestQuantize(t *testing.T) {
 	}
 }
 
+func TestQuantizeSixDigits(t *testing.T) {
+	// The normalization index keys on 6 significant digits: values that
+	// agree to 6 digits share a key, values that differ in the 6th do not.
+	for _, tc := range []struct {
+		a, b float64
+		same bool
+	}{
+		{123456.1, 123456.4, true},
+		{1.2345671, 1.2345674, true},
+		{123456, 123457, false},
+		{1.23456, 1.23457, false},
+	} {
+		ma, ea := quantize(tc.a)
+		mb, eb := quantize(tc.b)
+		if same := ma == mb && ea == eb; same != tc.same {
+			t.Errorf("quantize(%v) = (%d,%d), quantize(%v) = (%d,%d); same = %v, want %v",
+				tc.a, ma, ea, tc.b, mb, eb, same, tc.same)
+		}
+	}
+}
+
 func TestSortedSIDDecreasingMapping(t *testing.T) {
 	base := Fingerprint{3, 1, 4, 1.5, 9}
 	probe := base.MappedBy(Linear{Alpha: -2, Beta: 0})

@@ -136,13 +136,35 @@ func TestStoreShardRouting(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
 
-			flat := NewStore(LinearClass{}, mk())
-			if _, err := flat.Add(Fingerprint{5, 5, 5, 5}, "", nil); err != nil {
+// TestStoreNearConstantProbe checks that every index agrees with the
+// mapping class on near-constant fingerprints: a probe that differs
+// from a constant basis only by rounding noise, in any position, is
+// that constant, so every index must return the basis and the match
+// must be the identity.
+func TestStoreNearConstantProbe(t *testing.T) {
+	const noise = 1e-12
+	probes := map[string]Fingerprint{"exact": {5, 5, 5, 5}}
+	for i := 0; i < 4; i++ {
+		probe := Fingerprint{5, 5, 5, 5}
+		probe[i] += noise
+		probes[fmt.Sprintf("noise@%d", i)] = probe
+	}
+	for name, mk := range allIndexes() {
+		t.Run(name, func(t *testing.T) {
+			store := NewStore(LinearClass{}, mk())
+			if _, err := store.Add(Fingerprint{5, 5, 5, 5}, "", nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, m, ok, _ := flat.Match(Fingerprint{5, 5 + 1e-12, 5, 5}, nil, nil); !ok || m != Identity() {
-				t.Fatalf("near-constant probe: mapping %v, ok=%v; want the identity", m, ok)
+			for pname, probe := range probes {
+				t.Run(pname, func(t *testing.T) {
+					if _, m, ok, _ := store.Match(probe, nil, nil); !ok || m != Identity() {
+						t.Fatalf("probe %v: mapping %v, ok=%v; want the identity", probe, m, ok)
+					}
+				})
 			}
 		})
 	}

@@ -84,6 +84,20 @@ func TestNewSessionRejectsInvalidOptions(t *testing.T) {
 	}
 }
 
+func TestOptionsDefaults(t *testing.T) {
+	o, err := Options{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.BatchSize != 10 || o.FingerprintLen != 10 {
+		t.Fatalf("defaults = %+v", o)
+	}
+	set := Options{BatchSize: 3, FingerprintLen: 4, MasterSeed: 9}
+	if o, err := set.withDefaults(); err != nil || o != set {
+		t.Fatalf("withDefaults(%+v) = %+v, %v; want it unchanged", set, o, err)
+	}
+}
+
 func TestTickRequiresFocus(t *testing.T) {
 	s := newTestSession(t, linearEval, 0, 5)
 	if _, _, err := s.Tick(); err != ErrNoFocus {

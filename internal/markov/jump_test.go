@@ -56,6 +56,20 @@ var badJumpOptions = []struct {
 	{"negative fingerprint length", JumpOptions{FingerprintLen: -2}, "FingerprintLen"},
 }
 
+func TestJumpOptionsDefaults(t *testing.T) {
+	o, err := JumpOptions{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Instances != 1000 || o.FingerprintLen != 10 {
+		t.Fatalf("defaults = %+v", o)
+	}
+	set := JumpOptions{Instances: 3, FingerprintLen: 2, MasterSeed: 9}
+	if o, err := set.withDefaults(); err != nil || o != set {
+		t.Fatalf("withDefaults(%+v) = %+v, %v; want it unchanged", set, o, err)
+	}
+}
+
 func TestJumpOptionsRejected(t *testing.T) {
 	for _, tc := range badJumpOptions {
 		for name, run := range map[string]func(Chain, int, JumpOptions) ([]State, JumpStats, error){
