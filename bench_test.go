@@ -36,15 +36,6 @@ func benchEngine(reuse bool, kind mc.IndexKind, class core.LinearClass) *mc.Engi
 	})
 }
 
-func weekSpace(b *testing.B, weeks int) *param.Space {
-	b.Helper()
-	d, err := param.Range("current_week", 0, float64(weeks), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return param.MustSpace(d)
-}
-
 func capacitySpace(b *testing.B) *param.Space {
 	b.Helper()
 	wk, err := param.Range("current_week", 0, 52, 1)
@@ -92,8 +83,8 @@ func BenchmarkFigure7DemandWrapper(b *testing.B) {
 // lightweight engine (the paper's "Offline" Ruby-analogue column).
 func BenchmarkFigure7DemandCore(b *testing.B) {
 	eng := benchEngine(false, mc.IndexArray, core.LinearClass{})
-	ev := mc.MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	p := param.Point{"current_week": 30, "feature_release": 12}
+	ev := mc.MustBindBox(blackbox.NewDemand(), demandSpace(b), "current_week", "feature_release")
+	p := []float64{30, 12} // current_week, feature_release
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.EvaluatePoint(ev, p)
@@ -139,8 +130,12 @@ func BenchmarkFigure7UserSelectWrapper(b *testing.B) {
 func BenchmarkFigure7UserSelectCore(b *testing.B) {
 	users := blackbox.NewUserSelection(2000, 0xD5)
 	eng := benchEngine(false, mc.IndexArray, core.LinearClass{})
-	ev := mc.MustBindBox(users, "w")
-	p := param.Point{"w": 30}
+	w, err := param.Set("w", 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := mc.MustBindBox(users, param.MustSpace(w), "w")
+	p := []float64{30}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.EvaluatePoint(ev, p)
@@ -151,7 +146,7 @@ func BenchmarkFigure7UserSelectCore(b *testing.B) {
 
 func benchSweep(b *testing.B, box blackbox.Box, space *param.Space, reuse bool, class core.LinearClass, names ...string) {
 	b.Helper()
-	ev := mc.MustBindBox(box, names...)
+	ev := mc.MustBindBox(box, space, names...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := benchEngine(reuse, mc.IndexNormalization, class)
@@ -234,8 +229,8 @@ func BenchmarkFigure9(b *testing.B) {
 			b.Run(fmt.Sprintf("structure=%d/%s", size, kind), func(b *testing.B) {
 				capModel := blackbox.NewCapacity()
 				capModel.MeanDelay = float64(size) / 2.5
-				ev := mc.MustBindBox(capModel, "current_week", "purchase1", "purchase2")
 				space := capacitySpace(b)
+				ev := mc.MustBindBox(capModel, space, "current_week", "purchase1", "purchase2")
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
@@ -257,12 +252,12 @@ func BenchmarkFigure10(b *testing.B) {
 			b.Run(fmt.Sprintf("bases=%d/%s", bases, kind), func(b *testing.B) {
 				box := blackbox.NewSynthBasis(bases)
 				box.Work = 40
-				ev := mc.MustBindBox(box, "point")
 				d, err := param.Range("point", 0, points-1, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
 				space := param.MustSpace(d)
+				ev := mc.MustBindBox(box, space, "point")
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
@@ -282,12 +277,12 @@ func BenchmarkFigure11(b *testing.B) {
 			b.Run(fmt.Sprintf("bases=%d/%s", bases, kind), func(b *testing.B) {
 				box := blackbox.NewSynthBasis(bases)
 				box.Work = 40
-				ev := mc.MustBindBox(box, "point")
 				d, err := param.Range("point", 0, float64(points-1), 1)
 				if err != nil {
 					b.Fatal(err)
 				}
 				space := param.MustSpace(d)
+				ev := mc.MustBindBox(box, space, "point")
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
@@ -336,7 +331,7 @@ func BenchmarkFigure12(b *testing.B) {
 // (§6.2 accuracy discussion).
 func BenchmarkAblationFingerprintLength(b *testing.B) {
 	space := capacitySpace(b)
-	ev := mc.MustBindBox(blackbox.NewCapacity(), "current_week", "purchase1", "purchase2")
+	ev := mc.MustBindBox(blackbox.NewCapacity(), space, "current_week", "purchase1", "purchase2")
 	for _, m := range []int{2, 10, 50} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
@@ -356,8 +351,7 @@ func BenchmarkAblationFingerprintLength(b *testing.B) {
 // BenchmarkAblationValidation measures the cost of the match-
 // validation guard on a workload where every match is genuine.
 func BenchmarkAblationValidation(b *testing.B) {
-	space := weekSpace(b, 259)
-	ev := mc.MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := mc.MustBindBox(blackbox.NewDemand(), demandSpace(b), "current_week", "feature_release")
 	for _, v := range []int{0, 64, 256} {
 		b.Run(fmt.Sprintf("validate=%d", v), func(b *testing.B) {
 			b.ReportAllocs()
@@ -366,11 +360,9 @@ func BenchmarkAblationValidation(b *testing.B) {
 					Samples: benchSamples, FingerprintLen: benchM, MasterSeed: benchSeed,
 					Reuse: true, Workers: 1, KeepSamples: true, ValidationSamples: v,
 				})
-				space.Each(func(p param.Point) bool {
-					p["feature_release"] = 300
-					eng.EvaluatePoint(ev, p)
-					return true
-				})
+				for w := 0.0; w <= 259; w++ {
+					eng.EvaluatePoint(ev, []float64{w, 300}) // current_week, feature_release
+				}
 			}
 		})
 	}
@@ -384,12 +376,12 @@ func BenchmarkAblationValidation(b *testing.B) {
 // (TestSweepParallelDeterminism in internal/mc asserts the latter).
 func BenchmarkSweepWorkers(b *testing.B) {
 	users := blackbox.NewUserSelection(500, 0xD5)
-	ev := mc.MustBindBox(users, "w")
 	d, err := param.Range("w", 0, 31, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	space := param.MustSpace(d)
+	ev := mc.MustBindBox(users, space, "w")
 	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -410,8 +402,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // opposite workload: Demand reuses almost every point, so the
 // parallel win comes from fingerprint computation (phase A) alone.
 func BenchmarkSweepWorkersReuseHeavy(b *testing.B) {
-	ev := mc.MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
 	space := demandSpace(b)
+	ev := mc.MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -457,10 +449,11 @@ func BenchmarkColumnSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	week, _ := s.Space.Decl("current_week")
-	var batch []param.Point
+	pos, _ := s.Space.Position("current_week")
+	week := s.Space.Decls()[pos]
+	var batch [][]float64
 	for _, w := range week.Domain() {
-		batch = append(batch, param.Point{"current_week": w, "feature_release": 36})
+		batch = append(batch, []float64{w, 36}) // current_week, feature_release
 	}
 	for _, cols := range [][]string{{"usage"}, {"usage", "demand", "overload"}} {
 		for _, workers := range []int{1, 2} {
@@ -505,7 +498,7 @@ func BenchmarkFingerprintMatch(b *testing.B) {
 						// quadratic term vanishes.
 						base[k] = float64(class*31) + float64(k) + float64((k*k*(class+3))%17)
 					}
-					if _, err := store.Add(base.Clone(), "", nil); err != nil {
+					if _, err := store.Add(base.Clone(), nil); err != nil {
 						b.Fatal(err)
 					}
 				}

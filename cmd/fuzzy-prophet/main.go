@@ -186,13 +186,13 @@ func renderGraph(sess *jigsaw.Session, scenario *jigsaw.Scenario, script *jigsaw
 	} else {
 		over = scenario.Space.Decls()[0].Name
 	}
-	decl, ok := scenario.Space.Decl(over)
+	pos, ok := scenario.Space.Position(over)
 	if !ok {
 		fmt.Printf("no sweepable parameter @%s\n", over)
 		return
 	}
 	var xs, ys []float64
-	for _, x := range decl.Domain() {
+	for _, x := range scenario.Space.Decls()[pos].Domain() {
 		p := focus.With(over, x)
 		if err := sess.SetFocus(p); err != nil {
 			continue

@@ -20,15 +20,14 @@ func main() {
 	// The model under exploration: weekly capacity given one purchase
 	// date. Moving the purchase date is the slider.
 	capacity := jigsaw.NewCapacityModel()
-	eval, err := jigsaw.BindBox(capacity, "week", "purchase", "purchase2")
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	week, _ := jigsaw.RangeParam("week", 0, 52, 1)
 	purchase, _ := jigsaw.RangeParam("purchase", 0, 52, 4)
 	fixed2, _ := jigsaw.SetParam("purchase2", 99) // second purchase disabled
 	space, err := jigsaw.NewSpace(week, purchase, fixed2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(capacity, space, "week", "purchase", "purchase2")
 	if err != nil {
 		log.Fatal(err)
 	}

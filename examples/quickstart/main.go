@@ -24,16 +24,15 @@ func main() {
 			return r.Normal(1.5*week, 0.1*week+1)
 		},
 	}
-	eval, err := jigsaw.BindBox(demand, "week")
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	week, err := jigsaw.RangeParam("week", 0, 259, 1) // five years, weekly
 	if err != nil {
 		log.Fatal(err)
 	}
 	space, err := jigsaw.NewSpace(week)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(demand, space, "week")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSynthBasisClassCount(t *testing.T) {
 	for p := 0; p < 200; p++ {
 		fp := fingerprintOf(s, float64(p))
 		if _, _, ok, _ := store.Match(fp, nil, nil); !ok {
-			if _, err := store.Add(fp, "", nil); err != nil {
+			if _, err := store.Add(fp, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

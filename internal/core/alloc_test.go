@@ -36,7 +36,7 @@ func TestMatchWithScratchZeroAlloc(t *testing.T) {
 	} {
 		s := NewStore(LinearClass{}, mk())
 		base := Fingerprint{3, 1, 4, 1.5, 9, 2.6, 5.3, 5.8, 9.7, 9.3}
-		if _, err := s.Add(base, "b", nil); err != nil {
+		if _, err := s.Add(base, nil); err != nil {
 			t.Fatal(err)
 		}
 		probe := base.MappedBy(Linear{Alpha: 2, Beta: -1})

@@ -86,7 +86,7 @@ func TestNormalizationConstantBucket(t *testing.T) {
 
 func TestStoreSkipsConstantProbeUnderStrictClass(t *testing.T) {
 	s := NewStore(LinearClass{StrictConstants: true}, NewArrayIndex())
-	if _, err := s.Add(Fingerprint{0, 0, 0}, "zero", nil); err != nil {
+	if _, err := s.Add(Fingerprint{0, 0, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, probe := range []Fingerprint{{0, 0, 0}, {}} {

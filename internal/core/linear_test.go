@@ -107,7 +107,7 @@ func TestFindRejectsNonInvertibleMapping(t *testing.T) {
 			t.Errorf("Find(%v, %v) = %v with inverse %v, want no mapping", tc.from, tc.to, m, m.Inverse())
 		}
 		s := NewStore(LinearClass{}, NewNormalizationIndex())
-		if _, err := s.Add(tc.from, "from", nil); err != nil {
+		if _, err := s.Add(tc.from, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, m, ok, _ := s.Match(tc.to, nil, nil); ok {

@@ -51,11 +51,11 @@ func TestMatchScannedCountsAcceptedCandidates(t *testing.T) {
 			s := NewStore(LinearClass{}, mk())
 			baseA, baseB := matchBase(1.0), matchBase(-7.3)
 			for k := 0; k < 3; k++ {
-				if _, err := s.Add(matchFamily(baseA, k), fmt.Sprintf("a%d", k), k); err != nil {
+				if _, err := s.Add(matchFamily(baseA, k), k); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := s.Add(matchFamily(baseB, 0), "b0", 99); err != nil {
+			if _, err := s.Add(matchFamily(baseB, 0), 99); err != nil {
 				t.Fatal(err)
 			}
 
@@ -166,7 +166,7 @@ func FuzzStoreMatch(f *testing.F) {
 		for name, mk := range allIndexes() {
 			for _, class := range []LinearClass{{}, {StrictConstants: true}} {
 				s := NewStore(class, mk())
-				if _, err := s.Add(a, "a", nil); err != nil {
+				if _, err := s.Add(a, nil); err != nil {
 					t.Fatal(err)
 				}
 				calls := 0

@@ -15,8 +15,6 @@ type Basis struct {
 	ID int
 	// Fingerprint is the basis fingerprint θi.
 	Fingerprint Fingerprint
-	// Label describes the originating parameter point for diagnostics.
-	Label string
 	// Payload holds the simulated output metrics oi.
 	Payload any
 }
@@ -86,7 +84,7 @@ var ErrFingerprintLength = errors.New("core: fingerprint length differs from sto
 // Add registers a fully simulated point as a new basis distribution
 // and returns it. The first Add fixes the store's fingerprint length.
 // The basis is visible to Get and Match as soon as Add returns.
-func (s *Store) Add(fp Fingerprint, label string, payload any) (*Basis, error) {
+func (s *Store) Add(fp Fingerprint, payload any) (*Basis, error) {
 	if len(fp) == 0 {
 		return nil, errors.New("core: empty fingerprint")
 	}
@@ -97,7 +95,7 @@ func (s *Store) Add(fp Fingerprint, label string, payload any) (*Basis, error) {
 	} else if len(fp) != s.fpLen {
 		return nil, fmt.Errorf("%w: got %d, store uses %d", ErrFingerprintLength, len(fp), s.fpLen)
 	}
-	b := &Basis{ID: len(s.bases), Fingerprint: fp.Clone(), Label: label, Payload: payload}
+	b := &Basis{ID: len(s.bases), Fingerprint: fp.Clone(), Payload: payload}
 	s.bases = append(s.bases, b)
 	s.index.Insert(b.ID, b.Fingerprint)
 	return b, nil

@@ -65,7 +65,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 							hits.Add(1)
 							continue
 						}
-						if _, err := store.Add(fp, fmt.Sprintf("w%d/i%d", w, i), family); err != nil {
+						if _, err := store.Add(fp, family); err != nil {
 							errs <- fmt.Errorf("worker %d: Add: %v", w, err)
 							return
 						}
@@ -120,7 +120,7 @@ func TestStoreShardRouting(t *testing.T) {
 			store := NewStore(LinearClass{}, mk())
 			const families = 64
 			for f := 0; f < families; f++ {
-				if _, err := store.Add(stressFingerprint(f, 10, 1, 0), "", nil); err != nil {
+				if _, err := store.Add(stressFingerprint(f, 10, 1, 0), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -156,7 +156,7 @@ func TestStoreNearConstantProbe(t *testing.T) {
 	for name, mk := range allIndexes() {
 		t.Run(name, func(t *testing.T) {
 			store := NewStore(LinearClass{}, mk())
-			if _, err := store.Add(Fingerprint{5, 5, 5, 5}, "", nil); err != nil {
+			if _, err := store.Add(Fingerprint{5, 5, 5, 5}, nil); err != nil {
 				t.Fatal(err)
 			}
 			for pname, probe := range probes {

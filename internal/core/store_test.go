@@ -9,7 +9,7 @@ import (
 func TestStoreAddAndMatch(t *testing.T) {
 	s := NewStore(LinearClass{}, NewArrayIndex())
 	base := Compute(gaussianBox(0, 1), testMaster, testM)
-	b, err := s.Add(base, "p0", "metrics-p0")
+	b, err := s.Add(base, "metrics-p0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +38,13 @@ func TestStoreMissThenAdd(t *testing.T) {
 	s := NewStore(LinearClass{}, NewNormalizationIndex())
 	fpA := Fingerprint{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 	fpB := Fingerprint{1, 4, 9, 16, 25, 36, 49, 64, 81, 100}
-	if _, err := s.Add(fpA, "A", nil); err != nil {
+	if _, err := s.Add(fpA, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, _ := s.Match(fpB, nil, nil); ok {
 		t.Fatal("unrelated fingerprint matched")
 	}
-	if _, err := s.Add(fpB, "B", nil); err != nil {
+	if _, err := s.Add(fpB, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, _ := s.Match(fpB.MappedBy(Shift(3)), nil, nil); !ok {
@@ -57,14 +57,14 @@ func TestStoreMissThenAdd(t *testing.T) {
 
 func TestStoreFingerprintLengthEnforced(t *testing.T) {
 	s := NewStore(LinearClass{}, nil)
-	if _, err := s.Add(Fingerprint{1, 2, 3}, "a", nil); err != nil {
+	if _, err := s.Add(Fingerprint{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Add(Fingerprint{1, 2}, "b", nil)
+	_, err := s.Add(Fingerprint{1, 2}, nil)
 	if !errors.Is(err, ErrFingerprintLength) {
 		t.Fatalf("err = %v, want ErrFingerprintLength", err)
 	}
-	if _, err := s.Add(Fingerprint{}, "c", nil); err == nil {
+	if _, err := s.Add(Fingerprint{}, nil); err == nil {
 		t.Fatal("empty fingerprint accepted")
 	}
 	// Wrong-length probes must miss, not panic.
@@ -75,7 +75,7 @@ func TestStoreFingerprintLengthEnforced(t *testing.T) {
 
 func TestStoreGet(t *testing.T) {
 	s := NewStore(LinearClass{}, nil)
-	b, _ := s.Add(Fingerprint{1, 2}, "x", 42)
+	b, _ := s.Add(Fingerprint{1, 2}, 42)
 	got, ok := s.Get(b.ID)
 	if !ok || got.Payload.(int) != 42 {
 		t.Fatal("Get broken")
@@ -98,10 +98,11 @@ func TestStoreMatchPrefersValidatedCandidate(t *testing.T) {
 	s := NewStore(LinearClass{}, NewSortedSIDIndex())
 	monotone := Fingerprint{1, 2, 4, 8, 16}
 	linearBase := Fingerprint{1, 2, 3, 4, 5}
-	if _, err := s.Add(monotone, "mono", nil); err != nil {
+	if _, err := s.Add(monotone, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(linearBase, "lin", nil); err != nil {
+	lin, err := s.Add(linearBase, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	probe := linearBase.MappedBy(Linear{Alpha: 2, Beta: 1})
@@ -109,8 +110,8 @@ func TestStoreMatchPrefersValidatedCandidate(t *testing.T) {
 	if !ok {
 		t.Fatal("no match found")
 	}
-	if b.Label != "lin" {
-		t.Fatalf("matched %q, want lin", b.Label)
+	if b != lin {
+		t.Fatalf("matched basis %d, want the linear basis %d", b.ID, lin.ID)
 	}
 	if n < 2 {
 		t.Fatalf("expected the false positive to be scanned, scanned %d", n)
@@ -130,7 +131,7 @@ func TestStoreMatchRejectsInfiniteMismatch(t *testing.T) {
 		{Fingerprint{1, inf, 2, 3}, Fingerprint{0, math.Copysign(0, -1), 1, 2}}, // via x − 1
 	} {
 		s := NewStore(LinearClass{}, NewArrayIndex())
-		if _, err := s.Add(tc.basis, "inf", nil); err != nil {
+		if _, err := s.Add(tc.basis, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, m, ok, _ := s.Match(tc.probe, nil, nil); ok {

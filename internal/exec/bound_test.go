@@ -110,7 +110,7 @@ func TestBoundRowsMatchEval(t *testing.T) {
 			n := stock.Space.Size()
 			var sr, hr rng.Rand
 			for i := 0; i < n; i += max(1, n/97) {
-				p := stock.Space.Point(i)
+				p := stock.Space.Values(i, nil)
 				stock.BindRow(p, srow)
 				hidden.BindRow(p, hrow)
 				for seed := uint64(1); seed <= 5; seed++ {
@@ -128,6 +128,24 @@ func TestBoundRowsMatchEval(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBoundBareArgumentsCompileNoKernel: BindRow writes a bound call
+// site's bare @param arguments straight into its argument slots, so
+// the sites of Fig. 1 and graph_users, whose arguments are all bare
+// parameters, compile no argument kernel; other arguments still do.
+func TestBoundBareArgumentsCompileNoKernel(t *testing.T) {
+	for _, tc := range boundSources {
+		s, _ := compileBoth(t, tc.src)
+		kernels := 0
+		for _, bc := range s.binds {
+			kernels += len(bc.prog)
+		}
+		bare := tc.name == "fig1" || tc.name == "graph_users"
+		if bare != (kernels == 0) {
+			t.Errorf("%s: its bound sites compile %d argument kernels", tc.name, kernels)
+		}
 	}
 }
 
@@ -168,7 +186,7 @@ func TestBoundRowAllocs(t *testing.T) {
 	for _, tc := range boundSources {
 		s, _ := compileBoth(t, tc.src)
 		row := make([]float64, s.RowLen())
-		p := s.Space.Point(s.Space.Size() / 2)
+		p := s.Space.Values(s.Space.Size()/2, nil)
 		r := rng.New(1)
 		if n := testing.AllocsPerRun(100, func() {
 			s.BindRow(p, row)

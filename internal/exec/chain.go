@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/markov"
@@ -18,18 +20,25 @@ import (
 type ScenarioChain struct {
 	scenario *Scenario
 	decl     param.Decl
-	// fixed binds the scenario's remaining (non-driver) parameters.
-	fixed param.Point
+	// fixed is the value row of every step (see BindRow) but for the
+	// driver's entry and the chain parameter's, the last; Step sets them.
+	fixed  []float64
+	driver int
 	// outputIdx and chainIdx locate the columns in the row buffer.
 	outputIdx, chainIdx int
-	// outputCol names the scalar the chain reports.
-	outputCol string
+	// rows lends each Step a *chainRow, so concurrent Steps stay safe
+	// and a step allocates only the State it returns.
+	rows sync.Pool
 }
+
+// chainRow is a Step's value row and scenario row.
+type chainRow struct{ vals, row []float64 }
 
 // NewScenarioChain builds the chain for the scenario's single CHAIN
 // declaration. outputCol selects the reported column (the "interesting
 // output" of §4.2, demand in Fig. 5); fixed must bind every declared
-// parameter other than the driver and the chain.
+// parameter other than the driver and the chain, to any value, in its
+// domain or not.
 func NewScenarioChain(s *Scenario, outputCol string, fixed param.Point) (*ScenarioChain, error) {
 	chains := s.Space.Chains()
 	if len(chains) == 0 {
@@ -39,38 +48,51 @@ func NewScenarioChain(s *Scenario, outputCol string, fixed param.Point) (*Scenar
 		return nil, errors.New("exec: multiple CHAIN parameters are not supported")
 	}
 	decl := chains[0]
-	chainIdx := -1
-	outputIdx := -1
-	for i, c := range s.Columns {
-		if c == decl.ChainColumn {
-			chainIdx = i
-		}
-		if c == outputCol {
-			outputIdx = i
-		}
-	}
+	chainIdx := slices.Index(s.Columns, decl.ChainColumn)
 	if chainIdx < 0 {
 		return nil, fmt.Errorf("exec: chain column %q is not produced by the scenario", decl.ChainColumn)
 	}
+	outputIdx := slices.Index(s.Columns, outputCol)
 	if outputIdx < 0 {
 		return nil, fmt.Errorf("exec: output column %q is not produced by the scenario", outputCol)
 	}
-	if _, ok := s.Space.Decl(decl.DriverName); !ok {
-		return nil, fmt.Errorf("exec: chain driver @%s is not declared", decl.DriverName)
+	driver, ok := s.Space.Position(decl.DriverName)
+	if !ok {
+		return nil, fmt.Errorf("exec: chain driver @%s is not an enumerable parameter", decl.DriverName)
 	}
-	for _, d := range s.Space.Decls() {
-		if _, ok := fixed[d.Name]; !ok && d.Name != decl.DriverName {
-			return nil, fmt.Errorf("exec: chain requires a fixed value for @%s", d.Name)
-		}
+	vals, err := s.fixedRow(fixed, decl.DriverName, "chain")
+	if err != nil {
+		return nil, err
 	}
-	return &ScenarioChain{
+	c := &ScenarioChain{
 		scenario:  s,
 		decl:      decl,
-		fixed:     fixed.Clone(),
+		fixed:     append(vals, 0), // the chain parameter follows the Decls
+		driver:    driver,
 		outputIdx: outputIdx,
 		chainIdx:  chainIdx,
-		outputCol: outputCol,
-	}, nil
+	}
+	c.rows.New = func() any {
+		return &chainRow{vals: slices.Clone(c.fixed), row: make([]float64, s.RowLen())}
+	}
+	return c, nil
+}
+
+// fixedRow returns fixed as a value row of the scenario's Space (see
+// BindRow). Every enumerable parameter but free, whose value the
+// caller sets, must be bound, to any value: a fixed value need not lie
+// in its domain. what names the caller in errors.
+func (s *Scenario) fixedRow(fixed param.Point, free, what string) ([]float64, error) {
+	decls := s.Space.Decls()
+	vals := make([]float64, len(decls))
+	for i, d := range decls {
+		v, ok := fixed[d.Name]
+		if !ok && d.Name != free {
+			return nil, fmt.Errorf("exec: %s requires a fixed value for @%s", what, d.Name)
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // Initial implements markov.Chain: state = (chain initial value, zero
@@ -81,12 +103,14 @@ func (c *ScenarioChain) Initial() markov.State {
 
 // Step implements markov.Chain.
 func (c *ScenarioChain) Step(step int, prev markov.State, r *rng.Rand) markov.State {
-	p := c.fixed.With(c.decl.DriverName, float64(step))
-	p[c.decl.Name] = prev[0] // chain parameter = fed-back value
-	v := make([]float64, c.scenario.RowLen())
-	c.scenario.BindRow(p, v)
-	c.scenario.FillRow(r, v)
-	return markov.State{v[c.chainIdx], v[c.outputIdx]}
+	b := c.rows.Get().(*chainRow)
+	b.vals[c.driver] = float64(step)
+	b.vals[len(b.vals)-1] = prev[0] // chain parameter = fed-back value
+	c.scenario.BindRow(b.vals, b.row)
+	c.scenario.FillRow(r, b.row)
+	next := markov.State{b.row[c.chainIdx], b.row[c.outputIdx]}
+	c.rows.Put(b)
+	return next
 }
 
 // Output implements markov.Chain: the designated output column.

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -65,8 +67,8 @@ func compileFig5(t *testing.T) *Scenario {
 
 func TestScenarioChainBasics(t *testing.T) {
 	s := compileFig5(t)
-	if len(s.Chains()) != 1 {
-		t.Fatalf("chains = %d", len(s.Chains()))
+	if len(s.Space.Chains()) != 1 {
+		t.Fatalf("chains = %d", len(s.Space.Chains()))
 	}
 	c, err := NewScenarioChain(s, "demand", param.Point{})
 	if err != nil {
@@ -145,6 +147,66 @@ INTO results`)
 	base := c0.Step(5, c0.Initial(), rng.New(4))
 	if got[1] != base[1]+10 {
 		t.Fatalf("demand with @bump=10 is %g, with @bump=0 %g", got[1], base[1])
+	}
+	// A fixed value need not lie in the declared domain, SET (0, 10).
+	c25, err := NewScenarioChain(s, "demand", param.Point{"bump": 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c25.Step(5, c25.Initial(), rng.New(4)); got[1] != base[1]+25 {
+		t.Fatalf("demand with @bump=25 is %g, with @bump=0 %g", got[1], base[1])
+	}
+}
+
+// TestScenarioChainConcurrentSteps: Steps on one chain from several
+// goroutines each take their own pooled rows, so every goroutine's
+// states equal a sequential run's with the same seed.
+func TestScenarioChainConcurrentSteps(t *testing.T) {
+	c, err := NewScenarioChain(compileFig5(t), "demand", param.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := func(seed uint64) []markov.State {
+		r, st := rng.New(seed), c.Initial()
+		var out []markov.State
+		for step := 1; step <= 52; step++ {
+			st = c.Step(step, st, r)
+			out = append(out, st)
+		}
+		return out
+	}
+	const n = 4
+	var got [n][]markov.State
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = walk(uint64(g + 1))
+		}()
+	}
+	wg.Wait()
+	for g := range n {
+		if want := walk(uint64(g + 1)); !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("seed %d: concurrent states differ from a sequential walk", g+1)
+		}
+	}
+}
+
+// TestScenarioChainStepAllocs: a step binds and fills a pooled row, so
+// it allocates only the State it returns.
+func TestScenarioChainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
+	}
+	c, err := NewScenarioChain(compileFig5(t), "demand", param.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	st := c.Step(1, c.Initial(), r) // warm the pool
+	if n := testing.AllocsPerRun(100, func() { st = c.Step(7, st, r) }); n > 1 {
+		t.Errorf("Step allocates %.1f per call, want at most its State", n)
 	}
 }
 

@@ -40,9 +40,9 @@ type Scenario struct {
 	// lanes is the number of lane slots and width the point region's
 	// length (see rowLen).
 	lanes, width int
-	// params are the parameters the row reads, in first-reference
-	// order, with their point slots; chainParam is the first of them
-	// declared as a CHAIN ("" when the row reads none).
+	// params are the point slots BindRow writes parameter values to, in
+	// compilation order; chainParam is the first parameter the row
+	// reads that is declared as a CHAIN ("" when the row reads none).
 	params     []paramSlot
 	chainParam string
 	// binds are the bound call sites, in compilation order.
@@ -54,18 +54,20 @@ type Scenario struct {
 	table    *drawTable
 }
 
-// paramSlot is a parameter the row reads and the point slot BindRow
-// writes it to.
+// paramSlot is a point slot BindRow writes a value row's entry pos
+// to. A parameter has a slot per bound call site's bare argument that
+// reads it, and one of its own when another expression reads it; a
+// reference reads the first, as all hold its value once bound.
 type paramSlot struct {
-	name string
-	slot int
+	pos, slot int
 }
 
 // boundCall is a call site whose box is a blackbox.PointBox and whose
 // arguments read only parameters, constants and builtins, so they are
-// fixed once the point is: BindRow runs prog, which evaluates the
-// arguments into the site's point region pt[lo:hi], and binds them
-// into its state region pt[state:end]; the site's kernel only draws.
+// fixed once the point is: BindRow writes its bare parameter arguments
+// into the site's point region pt[lo:hi] and runs prog, which
+// evaluates the other arguments there, then binds them into its state
+// region pt[state:end]; the site's kernel only draws.
 // When the box is a blackbox.DrawBox too, draw is the box, and in a
 // seed-only row the site's draws are d[dlo:dhi] of a sample's draw
 // vector d, which the bound sites partition in order.
@@ -167,7 +169,8 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 	}
 
 	s := &Scenario{Script: script, Space: space, Into: sel.Into, lanes: len(items)}
-	c := &compiler{Scenario: s, boxes: boxes, slots: map[string]int{}, into: &s.prog}
+	c := &compiler{Scenario: s, boxes: boxes, slots: map[string]int{}, into: &s.prog,
+		rowDecls: append(space.Decls(), space.Chains()...)}
 	for i, item := range items {
 		name := item.Name()
 		if _, err := c.expr(item.Expr, i); err != nil {
@@ -235,30 +238,23 @@ func (s *Scenario) HasColumn(name string) bool {
 	return slices.Contains(s.Columns, name)
 }
 
-// Chains returns the CHAIN declarations.
-func (s *Scenario) Chains() []param.Decl { return s.Space.Chains() }
-
 // RowLen is the length of a row of one lane: column i lands in row[i]
 // (see rowLen for the rest of the layout).
 func (s *Scenario) RowLen() int { return s.rowLen(1) }
 
-// BindRow writes p's value of every parameter the row reads into its
-// slot of row's point region (len(row) == RowLen(), or a binding
-// ColumnEval's BindPoint grew), then binds each bound call site: it
-// evaluates the site's arguments from those slots and has the box
-// write its state region. It draws nothing. A sweep binds a point
-// once, then draws blocks of samples on the same row. It panics when p
-// does not bind one of the parameters: every point a Space or
-// ScenarioChain builds binds the declared parameters, and a sweep
-// returns the panic as an error naming the point.
-func (s *Scenario) BindRow(p param.Point, row []float64) {
+// BindRow binds the point whose value row is vals into row's point
+// region (len(row) == RowLen(), or a binding ColumnEval's BindPoint
+// grew). vals holds the point's values in Space.Decls order, then the
+// CHAIN parameters' in Space.Chains order; a row that reads no CHAIN
+// parameter needs only the former. BindRow writes each value to every
+// slot that reads it, then binds each bound call site: it evaluates
+// the site's other arguments from those slots and has the box write
+// its state region. It draws nothing. A sweep binds a point once, then
+// draws blocks of samples on the same row.
+func (s *Scenario) BindRow(vals, row []float64) {
 	pt := row[len(row)-s.width:]
 	for _, ps := range s.params {
-		v, ok := p[ps.name]
-		if !ok {
-			panic(fmt.Sprintf("exec: point %v does not bind @%s", p, ps.name))
-		}
-		pt[ps.slot] = v
+		pt[ps.slot] = vals[ps.pos]
 	}
 	// A bound site's argument kernels compute in the point region, one
 	// lane wide, and draw nothing (pointOnly).
@@ -349,13 +345,13 @@ type columns struct {
 }
 
 // BindPoint implements mc.PointEval.
-func (c *columns) BindPoint(p param.Point, buf []float64) []float64 {
+func (c *columns) BindPoint(vals, buf []float64) []float64 {
 	n := c.s.rowLen(mc.DefaultBlockSize)
 	if cap(buf) < n {
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
-	c.s.BindRow(p, buf)
+	c.s.BindRow(vals, buf)
 	return buf
 }
 
@@ -398,6 +394,8 @@ func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64,
 type compiler struct {
 	*Scenario
 	boxes *blackbox.Registry
+	// rowDecls are the declarations in value-row order (see BindRow).
+	rowDecls []param.Decl
 	// slots maps each compiled column to its lane slot.
 	slots map[string]int
 	// into is the program kernels go to: the row's, or a bound call
@@ -454,12 +452,12 @@ func (c *compiler) expr(e sqlparse.Expr, dst int) (int, error) {
 		}
 		return c.alias(idx, dst), nil
 	case *sqlparse.ParamRef:
-		ps, err := c.param(n.Name)
+		if c.bind { // the point region is the bind program's lanes
+			return c.param(n.Name, dst)
+		}
+		ps, err := c.param(n.Name, -1)
 		if err != nil {
 			return 0, err
-		}
-		if c.bind { // the point region is the bind program's lanes
-			return c.alias(ps, dst), nil
 		}
 		d := c.slot(dst)
 		c.emit(func(b *block) { fill(b.lane(d), b.pt[ps]) })
@@ -499,25 +497,27 @@ func (c *compiler) exprs(es ...sqlparse.Expr) ([]int, error) {
 	return in, nil
 }
 
-// param resolves a parameter reference against the declarations to
-// its point slot.
-func (c *compiler) param(name string) (int, error) {
-	d, ok := c.Space.Decl(name)
-	if !ok {
+// param resolves a parameter reference to a point slot BindRow writes
+// its value to once per point: dst when dst ≥ 0 (a bound call site's
+// bare argument), otherwise the first such slot, or a new one.
+func (c *compiler) param(name string, dst int) (int, error) {
+	pos := slices.IndexFunc(c.rowDecls, func(d param.Decl) bool { return d.Name == name })
+	if pos < 0 {
 		return 0, fmt.Errorf("undeclared parameter @%s", name)
 	}
-	if d.Kind == param.KindChain && c.chainParam == "" {
+	if c.rowDecls[pos].Kind == param.KindChain && c.chainParam == "" {
 		c.chainParam = name
 	}
-	i := slices.IndexFunc(c.params, func(ps paramSlot) bool { return ps.name == name })
-	if i < 0 {
-		// The parameter's first reference claims the next free point
-		// slot; BindRow fills it once per point.
-		i = len(c.params)
-		c.params = append(c.params, paramSlot{name: name, slot: c.width})
+	i := slices.IndexFunc(c.params, func(ps paramSlot) bool { return ps.pos == pos })
+	if i >= 0 && dst < 0 {
+		return c.params[i].slot, nil
+	}
+	if dst < 0 {
+		dst = c.width
 		c.width++
 	}
-	return c.params[i].slot, nil
+	c.params = append(c.params, paramSlot{pos: pos, slot: dst})
+	return dst, nil
 }
 
 // The operators and builtins a kernel applies lane by lane.
@@ -665,12 +665,12 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
 // call compiles a builtin or black-box call. A model call site owns a
 // fixed argument region of the point region. A call to a
 // blackbox.PointBox whose arguments are pointOnly is a bound call
-// site: its arguments compile to its own program, which BindRow runs
-// into that region once per point before binding the site's state
-// region, and a block only draws from the state — from the draw table
-// in a seed-only row, from each lane's generator otherwise. Any other
-// call gathers each lane's arguments into its region and calls Eval
-// with the lane's generator.
+// site: once per point, BindRow writes its bare parameter arguments
+// into that region and runs the program its other arguments compile
+// to, before binding the site's state region, and a block only draws
+// from the state — from the draw table in a seed-only row, from each
+// lane's generator otherwise. Any other call gathers each lane's
+// arguments into its region and calls Eval with the lane's generator.
 func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 	if n.Name == "NULL" {
 		return 0, errors.New("NULL is not supported by the lightweight engine")

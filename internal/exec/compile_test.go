@@ -9,7 +9,6 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
-	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/sqlparse"
 )
@@ -46,11 +45,11 @@ func compileFig1(t *testing.T) *Scenario {
 	return s
 }
 
-// evalRow binds p into a fresh row, fills it from r and returns its
-// column slots: one world of the whole scenario.
-func evalRow(s *Scenario, p param.Point, r *rng.Rand) []float64 {
+// evalRow binds the value row vals into a fresh row, fills it from r
+// and returns its column slots: one world of the whole scenario.
+func evalRow(s *Scenario, vals []float64, r *rng.Rand) []float64 {
 	row := make([]float64, s.RowLen())
-	s.BindRow(p, row)
+	s.BindRow(vals, row)
 	s.FillRow(r, row)
 	return row[:len(s.Columns)]
 }
@@ -80,7 +79,7 @@ func TestCompileFigure1(t *testing.T) {
 
 func TestEvalRowMatchesDirectModels(t *testing.T) {
 	s := compileFig1(t)
-	p := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16, "feature_release": 12}
+	p := []float64{30, 8, 16, 12}
 	slots := evalRow(s, p, rng.New(99))
 	// Replay by hand with the same stream.
 	r := rng.New(99)
@@ -113,7 +112,7 @@ func TestColumnEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	p := []float64{50, 0, 4, 12}
 	var out [1]float64
 	ev.EvalBlockBound(ev.BindPoint(p, nil), [][]float64{out[:]}, 0x5161, []int{3}, new(rng.Rand))
 	if v := out[0]; v != 0 && v != 1 {
@@ -133,9 +132,9 @@ func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 	s := compileFig1(t)
 	const master = 0x5161
 	ids := sampleIDs(300)
-	points := []param.Point{
-		{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12},
-		{"current_week": 20, "purchase1": 48, "purchase2": 52, "feature_release": 36},
+	points := [][]float64{
+		{50, 0, 4, 12},
+		{20, 48, 52, 36},
 	}
 	for _, col := range s.Columns {
 		t.Run(col, func(t *testing.T) {
@@ -190,7 +189,7 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := ev.BindPoint(param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}, nil)
+	bound := ev.BindPoint([]float64{50, 0, 4, 12}, nil)
 	var r rng.Rand
 	perBlock := func(n int) float64 {
 		outs, ids := [][]float64{make([]float64, n)}, sampleIDs(n)
@@ -234,7 +233,7 @@ func TestColumnKernelBlockAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := ev.BindPoint(tc.s.Space.Point(tc.s.Space.Size()/2), nil)
+		bound := ev.BindPoint(tc.s.Space.Values(tc.s.Space.Size()/2, nil), nil)
 		var r rng.Rand
 		for _, n := range []int{16, 1024} {
 			outs, ids := [][]float64{make([]float64, n)}, tc.ids(n)
@@ -250,7 +249,7 @@ func TestColumnKernelBlockAllocs(t *testing.T) {
 // draw, whatever the slot order, and skips a nil outs entry.
 func TestColumnsMatchOneSlotEvals(t *testing.T) {
 	s := compileFig1(t)
-	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	p := []float64{50, 0, 4, 12}
 	ids := sampleIDs(64)
 	slots := make([]int, len(s.Columns))
 	for c := range slots {
@@ -288,19 +287,20 @@ func TestColumnsMatchOneSlotEvals(t *testing.T) {
 	}
 }
 
-// TestSweepUnboundParameterReturnsError: a swept point that does not
-// bind a parameter the row reads panics in BindRow on a worker, and
-// the sweep returns that as an error naming the point, for the joint
-// column sweep and a single column's binder, at one worker and two.
-func TestSweepUnboundParameterReturnsError(t *testing.T) {
+// TestSweepShortRowReturnsError: a swept value row too short for the
+// parameters the row reads panics in BindRow on a worker, and the
+// sweep returns that as an error naming the point by its batch
+// position and values, for the joint column sweep and a single
+// column's evaluator, at one worker and two.
+func TestSweepShortRowReturnsError(t *testing.T) {
 	s := compileFig1(t)
-	bad := param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}
-	batch := append(fig1Batches()[0], bad)
+	short := []float64{30, 8, 16} // no @feature_release
+	batch := append(fig1Batches()[0], short)
+	want := fmt.Sprintf("point %d [30 8 16]: panic: ", len(batch)-1)
 	check := func(what string, err error) {
 		t.Helper()
-		if err == nil || !strings.HasPrefix(err.Error(), "point "+bad.Key()+": ") ||
-			!strings.Contains(err.Error(), "does not bind @feature_release") {
-			t.Fatalf("%s: err = %v, want the unbound @feature_release at point %s", what, err, bad.Key())
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: err = %v, want prefix %q and an index out of range", what, err, want)
 		}
 	}
 	for _, workers := range []int{1, 2} {
@@ -379,7 +379,7 @@ func TestCompileOperatorsAndBuiltins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := evalRow(s, param.Point{}, rng.New(1))
+	slots := evalRow(s, nil, rng.New(1))
 	want := []float64{14, 5, 3, 7, 10, 0, 0, 1, 0, -2}
 	for i, w := range want {
 		if slots[i] != w {
@@ -409,7 +409,7 @@ func TestCaseConsumesStreamOnAllArms(t *testing.T) {
 	// call; week 10 takes the WHEN arm, and the ELSE arm's model call
 	// still runs.
 	for _, w := range []float64{50, 10} {
-		slots := evalRow(s, param.Point{"w": w}, rng.New(5))
+		slots := evalRow(s, []float64{w}, rng.New(5))
 		// Replay the row by hand: three DemandModel draws.
 		r := rng.New(5)
 		var draws [3]float64
@@ -455,7 +455,7 @@ func TestCaseConsumesStreamOnAllArmsPerLane(t *testing.T) {
 		}
 		rows := &columns{s: s, slots: []int{0, 1}}
 		for _, w := range []float64{10, 50} {
-			got := drawColumns(rows, 2, param.Point{"w": w}, master, ids, len(ids))
+			got := drawColumns(rows, 2, []float64{w}, master, ids, len(ids))
 			var r rng.Rand
 			for j, id := range ids {
 				r.Seed(rng.SampleSeed(master, id))
@@ -474,20 +474,6 @@ func TestCaseConsumesStreamOnAllArmsPerLane(t *testing.T) {
 	}
 }
 
-func TestUnboundParameterSurfacesError(t *testing.T) {
-	s := compileFig1(t)
-	ev, err := s.ColumnEval("demand")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if v := recover(); !strings.Contains(fmt.Sprint(v), "@feature_release") {
-			t.Fatalf("point missing @feature_release: recovered %v, want a panic naming it", v)
-		}
-	}()
-	ev.BindPoint(param.Point{"current_week": 30, "purchase1": 8, "purchase2": 16}, nil)
-}
-
 func TestScenarioSweepReuse(t *testing.T) {
 	// End-to-end: sweeping Fig. 1's demand over a year must find very
 	// few bases (the §6.2 Demand result: one basis for ~5000 points).
@@ -497,11 +483,10 @@ func TestScenarioSweepReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mc.MustNew(mc.Options{Samples: 200, Reuse: true, Workers: 1})
-	fixed := param.Point{"purchase1": 0, "purchase2": 0}
 	full := 0
 	for week := 0.0; week <= 52; week++ {
 		for _, fr := range []float64{12, 36, 44} {
-			pr, _ := eng.EvaluatePoint(ev, fixed.With("current_week", week).With("feature_release", fr))
+			pr, _ := eng.EvaluatePoint(ev, []float64{week, 0, 0, fr}) // purchases at week 0
 			if !pr.Reused {
 				full++
 			}
@@ -537,7 +522,7 @@ func TestCompileSubqueryColumns(t *testing.T) {
 	if len(s.Columns) != 2 || s.Columns[0] != "demand" || s.Columns[1] != "doubled" {
 		t.Fatalf("columns = %v", s.Columns)
 	}
-	slots := evalRow(s, param.Point{"w": 5}, rng.New(7))
+	slots := evalRow(s, []float64{5}, rng.New(7))
 	if slots[1] != slots[0]*2 {
 		t.Fatalf("doubled = %g, demand = %g", slots[1], slots[0])
 	}
@@ -567,7 +552,7 @@ func FuzzCompileScenario(f *testing.F) {
 			return
 		}
 		s, err := CompileScenario(script, reg)
-		if err != nil || len(s.Chains()) > 0 {
+		if err != nil || len(s.Space.Chains()) > 0 {
 			return
 		}
 		h, err := CompileScenario(script, hidden)
@@ -578,7 +563,7 @@ func FuzzCompileScenario(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiles with DrawBox but not without: %v", err)
 		}
-		p := s.Space.Point(0)
+		p := s.Space.Values(0, nil)
 		got := evalRow(s, p, rng.New(1))
 		if want := evalRow(h, p, rng.New(1)); !sameColumns(got, want, len(got)) {
 			t.Fatalf("at %v: bound row %v, Eval row %v", p, got, want)

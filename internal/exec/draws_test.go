@@ -11,7 +11,6 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
-	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/sqlparse"
 )
@@ -100,7 +99,7 @@ func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
 				}
 				n := stock.Space.Size()
 				for i := 0; i < n; i += max(1, n/13) {
-					p := stock.Space.Point(i)
+					p := stock.Space.Values(i, nil)
 					got, want := drawBlocks(sev, p, 0x5161, ids, bs), drawBlocks(hev, p, 0x5161, ids, bs)
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
@@ -114,14 +113,15 @@ func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
 	}
 }
 
-// drawBlocks draws ev at p over master's samples ids in blocks of bs.
-func drawBlocks(ev mc.PointEval, p param.Point, master uint64, ids []int, bs int) []float64 {
+// drawBlocks draws ev at the value row p over master's samples ids in
+// blocks of bs.
+func drawBlocks(ev mc.PointEval, p []float64, master uint64, ids []int, bs int) []float64 {
 	return drawColumns(ev, 1, p, master, ids, bs)[0]
 }
 
-// drawColumns draws all k outputs of ev at p over master's samples ids
-// in blocks of bs.
-func drawColumns(ev mc.PointEval, k int, p param.Point, master uint64, ids []int, bs int) [][]float64 {
+// drawColumns draws all k outputs of ev at the value row p over
+// master's samples ids in blocks of bs.
+func drawColumns(ev mc.PointEval, k int, p []float64, master uint64, ids []int, bs int) [][]float64 {
 	outs := make([][]float64, k)
 	for c := range outs {
 		outs[c] = make([]float64, len(ids))
@@ -156,7 +156,7 @@ func TestDrawTablePastBound(t *testing.T) {
 	for _, bs := range []int{1, 7, 256} {
 		for _, master := range []uint64{1, 2, 1} {
 			for i := 0; i < stock.Space.Size(); i += stock.Space.Size() / 3 {
-				p := stock.Space.Point(i)
+				p := stock.Space.Values(i, nil)
 				got, want := drawColumns(sev, len(all), p, master, ids, bs), drawColumns(hev, len(all), p, master, ids, bs)
 				for c := range want {
 					for j := range want[c] {
@@ -176,7 +176,7 @@ func TestDrawTablePastBound(t *testing.T) {
 }
 
 // sweepAll sweeps names over every batch and returns the results.
-func sweepAll(t *testing.T, s *Scenario, names []string, opts mc.Options, batches [][]param.Point) ([][][]mc.PointResult, error) {
+func sweepAll(t *testing.T, s *Scenario, names []string, opts mc.Options, batches [][][]float64) ([][][]mc.PointResult, error) {
 	t.Helper()
 	cs, err := s.SweepColumns(names, opts)
 	if err != nil {
@@ -372,12 +372,12 @@ func TestDrawTablePanicIsPointError(t *testing.T) {
 func TestDrawTableFlatInPoints(t *testing.T) {
 	footprint := func(points int) (*drawSnap, int) {
 		s := compileFig1(t)
-		batch := s.Space.Points()[:points]
-		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][]param.Point{batch}); err != nil {
+		batch := spaceRows(s.Space, 0, points)
+		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][][]float64{batch}); err != nil {
 			t.Fatal(err)
 		}
 		snap := s.table.snap.Load()
-		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][]param.Point{s.Space.Points()[points : 2*points]}); err != nil {
+		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][][]float64{spaceRows(s.Space, points, 2*points)}); err != nil {
 			t.Fatal(err)
 		}
 		if s.table.snap.Load() != snap {
@@ -444,7 +444,7 @@ func TestGeneratorPathBlockAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := ev.BindPoint(s.Space.Point(s.Space.Size()/2), nil)
+		bound := ev.BindPoint(s.Space.Values(s.Space.Size()/2, nil), nil)
 		outs, ids := [][]float64{make([]float64, 64)}, sampleIDs(64)
 		var r rng.Rand
 		if n := testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) }); n != 0 {
@@ -458,7 +458,7 @@ func TestGeneratorPathBlockAllocs(t *testing.T) {
 // and with DrawBox hidden, through the generator.
 func BenchmarkSeedOnlyColumnBlock(b *testing.B) {
 	stock, hidden := compileDraws(b, figure1Source)
-	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	p := []float64{50, 0, 4, 12}
 	ids := make([]int, 1000)
 	for i := range ids {
 		ids[i] = i

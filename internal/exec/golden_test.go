@@ -66,7 +66,7 @@ func columnDigest(t *testing.T, s *Scenario, ids []int, bs int) string {
 	g := newGoldenHash()
 	n := s.Space.Size()
 	for _, i := range []int{0, n / 2, n - 1} {
-		p := s.Space.Point(i)
+		p := s.Space.Values(i, nil)
 		for _, col := range s.Columns {
 			ev, err := s.ColumnEval(col)
 			if err != nil {
@@ -90,10 +90,10 @@ func sweepDigest(t *testing.T, s *Scenario, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch []param.Point
+	var batch [][]float64
 	n := s.Space.Size()
 	for i := 0; i < n; i += max(1, n/40) {
-		batch = append(batch, s.Space.Point(i))
+		batch = append(batch, s.Space.Values(i, nil))
 	}
 	res, err := cs.Sweep(batch)
 	if err != nil {

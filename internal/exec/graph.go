@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jigsaw/internal/mc"
 	"jigsaw/internal/param"
@@ -36,18 +37,13 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 	if g == nil {
 		return nil, errors.New("exec: nil GRAPH statement")
 	}
-	decl, ok := s.Space.Decl(g.Over)
-	if !ok || decl.Kind == param.KindChain {
+	over, ok := s.Space.Position(g.Over)
+	if !ok {
 		return nil, fmt.Errorf("exec: GRAPH OVER @%s: not an enumerable parameter", g.Over)
 	}
-	// Validate fixed bindings cover the other parameters.
-	for _, d := range s.Space.Decls() {
-		if d.Name == g.Over {
-			continue
-		}
-		if _, bound := fixed.Get(d.Name); !bound {
-			return nil, fmt.Errorf("exec: GRAPH requires a fixed value for @%s", d.Name)
-		}
+	vals, err := s.fixedRow(fixed, g.Over, "GRAPH")
+	if err != nil {
+		return nil, err
 	}
 
 	cols := make([]string, len(g.Series))
@@ -58,10 +54,11 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 	if err != nil {
 		return nil, err
 	}
-	domain := decl.Domain()
-	batch := make([]param.Point, 0, len(domain))
-	for _, x := range domain {
-		batch = append(batch, fixed.With(g.Over, x))
+	domain := s.Space.Decls()[over].Domain()
+	batch := make([][]float64, len(domain))
+	for j, x := range domain {
+		batch[j] = slices.Clone(vals)
+		batch[j][over] = x
 	}
 	swept, err := sweep.Sweep(batch)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"jigsaw/internal/mc"
@@ -14,13 +15,37 @@ func mustEngine(t testing.TB, samples int, seed uint64) *mc.Engine {
 	return mc.MustNew(mc.Options{Samples: samples, MasterSeed: seed, Workers: 1})
 }
 
-// toPoint converts a plain map to a param.Point.
-func toPoint(m map[string]float64) param.Point {
-	p := param.Point{}
-	for k, v := range m {
-		p[k] = v
+// TestRunGraphFixedOutsideDomain: a fixed value need not lie in its
+// parameter's domain. The sweep evaluates rows holding it: every
+// plotted value equals a lone evaluation of that row.
+func TestRunGraphFixedOutsideDomain(t *testing.T) {
+	script, err := sqlparse.Parse(figure1Source + graphSource)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	s, err := CompileScenario(script, stdRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// feature_release is declared SET (12,36,44).
+	fixed := param.Point{"purchase1": 8, "purchase2": 24, "feature_release": 30}
+	opts := mc.Options{Samples: 100, MasterSeed: 3, Workers: 2}
+	res, err := RunGraph(s, script.Graph, fixed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := s.ColumnEval("demand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mc.MustNew(opts)
+	stdSeries := res.Series[2]
+	for j, week := range stdSeries.X {
+		pr, _ := eng.EvaluatePoint(ev, []float64{week, 8, 24, 30})
+		if math.Float64bits(pr.Summary.StdDev) != math.Float64bits(stdSeries.Y[j]) {
+			t.Fatalf("week %g: graph σ %g, lone evaluation %g", week, stdSeries.Y[j], pr.Summary.StdDev)
+		}
+	}
 }
 
 const graphSource = `

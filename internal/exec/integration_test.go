@@ -52,7 +52,7 @@ func TestEnginesAgreeAcrossTheSpace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _ := light[col].EvaluatePoint(ev, p)
+			res, _ := light[col].EvaluatePoint(ev, valueRow(scenario, p))
 			got := res.Summary
 			want, err := dist.CellByName(0, col)
 			if err != nil {

@@ -87,7 +87,7 @@ func TestPDBPlanAgreesWithLightweightEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := mustEngine(t, 500, 11)
-	pr, _ := eng.EvaluatePoint(ev, toPoint(params))
+	pr, _ := eng.EvaluatePoint(ev, valueRow(s, params))
 	if math.Abs(pr.Summary.Mean-wrapDemand.Mean) > 1e-9 {
 		t.Fatalf("engines disagree: %g vs %g", pr.Summary.Mean, wrapDemand.Mean)
 	}
@@ -211,7 +211,7 @@ SELECT ` + strings.Join(items, ", "))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := drawBlocks(ev, toPoint(params), 1, []int{0}, 1)[0]
+					got := drawBlocks(ev, valueRow(s, params), 1, []int{0}, 1)[0]
 					cell := dist.Cells[0][c]
 					if want := cell.Min; math.Float64bits(got) != math.Float64bits(want) &&
 						!(math.IsNaN(got) && math.IsNaN(cell.Mean)) {

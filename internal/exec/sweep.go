@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"jigsaw/internal/mc"
-	"jigsaw/internal/param"
 )
 
 // ColumnSweep sweeps scenario columns through the Monte Carlo engine
@@ -53,11 +52,12 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 	return cs, nil
 }
 
-// Sweep evaluates each distinct column at every point of batch, in one
-// joint sweep on the engines' worker pool (Options.Workers), and
-// returns one result slice per name given to SweepColumns, in batch
-// order. Names of the same column share its slice.
-func (cs *ColumnSweep) Sweep(batch []param.Point) ([][]mc.PointResult, error) {
+// Sweep evaluates each distinct column at every point of batch, each
+// a value row of the scenario's Space, in one joint sweep on the
+// engines' worker pool (Options.Workers), and returns one result slice
+// per name given to SweepColumns, in batch order. Names of the same
+// column share its slice.
+func (cs *ColumnSweep) Sweep(batch [][]float64) ([][]mc.PointResult, error) {
 	if len(cs.engines) == 0 { // an OPTIMIZE without WHERE
 		return nil, nil
 	}

@@ -43,7 +43,7 @@ func newColumnEngines(t *testing.T, s *Scenario, names []string, opts mc.Options
 	return ref
 }
 
-func (ref *columnEngines) sweep(t *testing.T, batch []param.Point) [][]mc.PointResult {
+func (ref *columnEngines) sweep(t *testing.T, batch [][]float64) [][]mc.PointResult {
 	t.Helper()
 	swept := make([][]mc.PointResult, len(ref.engines))
 	for c, eng := range ref.engines {
@@ -68,16 +68,34 @@ func sameSummary(a, b stats.Summary) bool {
 		bits(a.Min) == bits(b.Min) && bits(a.Max) == bits(b.Max)
 }
 
+// spaceRows returns the value rows of s's points lo to hi−1.
+func spaceRows(s *param.Space, lo, hi int) [][]float64 {
+	rows := make([][]float64, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		rows = append(rows, s.Values(i, nil))
+	}
+	return rows
+}
+
+// valueRow returns p as a value row of s's Space.
+func valueRow(s *Scenario, p param.Point) []float64 {
+	decls := s.Space.Decls()
+	row := make([]float64, len(decls))
+	for i, d := range decls {
+		row[i] = p.MustGet(d.Name)
+	}
+	return row
+}
+
 // fig1Batches returns OPTIMIZE-shaped batches over the Fig. 1
 // scenario: one batch per purchase1 group, each sweeping the weeks.
-func fig1Batches() [][]param.Point {
-	var batches [][]param.Point
+func fig1Batches() [][][]float64 {
+	var batches [][][]float64
 	for _, p1 := range []float64{0, 8, 16} {
-		var batch []param.Point
+		var batch [][]float64
 		for w := 0.0; w <= 52; w += 4 {
-			batch = append(batch, param.Point{
-				"current_week": w, "purchase1": p1, "purchase2": 24, "feature_release": 12,
-			})
+			// current_week, purchase1, purchase2, feature_release
+			batch = append(batch, []float64{w, p1, 24, 12})
 		}
 		batches = append(batches, batch)
 	}
@@ -116,7 +134,7 @@ func TestColumnSweepMatchesPerColumnEngines(t *testing.T) {
 	}
 }
 
-func checkJointSweep(t *testing.T, s *Scenario, names []string, opts mc.Options, batches [][]param.Point) {
+func checkJointSweep(t *testing.T, s *Scenario, names []string, opts mc.Options, batches [][][]float64) {
 	cs, err := s.SweepColumns(names, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +159,7 @@ func checkJointSweep(t *testing.T, s *Scenario, names []string, opts mc.Options,
 					t.Fatalf("batch %d column %s point %v: joint %+v, per-column %+v", b, names[c], batch[i], g, w)
 				}
 				if !g.Reused {
-					misses[c][batch[i].Key()] = true
+					misses[c][fmt.Sprint(batch[i])] = true
 				}
 			}
 		}

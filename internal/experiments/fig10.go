@@ -34,12 +34,12 @@ type Fig11Row struct {
 func runSynthSweep(cfg Config, b, points int, kind mc.IndexKind) (secPerPoint float64, scanned, bases int) {
 	box := blackbox.NewSynthBasis(b)
 	box.Work = 40 // emulate a heavier model so lookup cost is visible but not everything
-	ev := mc.MustBindBox(box, "point")
 	d, err := param.Range("point", 0, float64(points-1), 1)
 	if err != nil {
 		panic(err)
 	}
 	space := param.MustSpace(d)
+	ev := mc.MustBindBox(box, space, "point")
 	var st mc.SweepStats
 	elapsed := timeIt(cfg.Trials, func() {
 		eng := mc.MustNew(mc.Options{

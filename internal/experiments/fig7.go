@@ -24,12 +24,14 @@ type Fig7Row struct {
 	CoreSecPerPC float64
 }
 
-// fig7Case describes one model's two execution paths.
+// fig7Case describes one model's two execution paths over the points
+// of a space: the wrapper takes a point by name, the core its value
+// row.
 type fig7Case struct {
 	name    string
-	points  []param.Point
+	space   *param.Space
 	wrapper func(p param.Point)
-	core    func(p param.Point)
+	core    func(vals []float64)
 }
 
 // Figure7 reproduces the §6.1 two-prototype comparison. For the
@@ -47,21 +49,25 @@ func Figure7(cfg Config) ([]Fig7Row, *Table, error) {
 	}
 	var rows []Fig7Row
 	for _, c := range cases {
+		n := c.space.Size()
+		points, valueRows := make([]param.Point, n), make([][]float64, n)
+		for i := range points {
+			points[i], valueRows[i] = c.space.Point(i), c.space.Values(i, nil)
+		}
 		wrapper := timeIt(cfg.Trials, func() {
-			for _, p := range c.points {
+			for _, p := range points {
 				c.wrapper(p)
 			}
 		})
 		core := timeIt(cfg.Trials, func() {
-			for _, p := range c.points {
-				c.core(p)
+			for _, vals := range valueRows {
+				c.core(vals)
 			}
 		})
-		n := time.Duration(len(c.points))
 		rows = append(rows, Fig7Row{
 			Model:           c.name,
-			WrapperSecPerPC: (wrapper / n).Seconds(),
-			CoreSecPerPC:    (core / n).Seconds(),
+			WrapperSecPerPC: (wrapper / time.Duration(n)).Seconds(),
+			CoreSecPerPC:    (core / time.Duration(n)).Seconds(),
 		})
 	}
 
@@ -86,7 +92,7 @@ func Figure7(cfg Config) ([]Fig7Row, *Table, error) {
 }
 
 // fig7Cases builds the four benchmark models with both execution
-// paths. Point lists are small slices of the full spaces: Fig. 7
+// paths. Their spaces are small slices of the full spaces: Fig. 7
 // reports per-point costs, which are flat across the space.
 func fig7Cases(cfg Config) ([]fig7Case, error) {
 	reg := blackbox.NewRegistry()
@@ -124,30 +130,26 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 
 	// Core runners: one naive engine per model (no reuse — Fig. 7
 	// compares substrates, not fingerprinting).
-	coreRun := func(box blackbox.Box, names ...string) func(param.Point) {
+	coreRun := func(box blackbox.Box, space *param.Space, names ...string) func([]float64) {
 		eng := mc.MustNew(engineOpts)
-		ev := mc.MustBindBox(box, names...)
-		return func(p param.Point) { eng.EvaluatePoint(ev, p) }
+		ev := mc.MustBindBox(box, space, names...)
+		return func(vals []float64) { eng.EvaluatePoint(ev, vals) }
 	}
 
-	weekPoints := func(n int, mk func(i int) param.Point) []param.Point {
-		pts := make([]param.Point, 0, n)
-		for i := 0; i < n; i++ {
-			pts = append(pts, mk(i))
+	set := func(name string, values ...float64) param.Decl {
+		d, err := param.Set(name, values...)
+		if err != nil {
+			panic(err)
 		}
-		return pts
+		return d
 	}
-	span := cfg.Weeks
-
-	demandPts := weekPoints(8, func(i int) param.Point {
-		return param.Point{"current_week": float64(i * span / 8), "feature_release": 12}
-	})
-	capacityPts := weekPoints(8, func(i int) param.Point {
-		return param.Point{"current_week": float64(i * span / 8), "purchase1": 8, "purchase2": 24}
-	})
-	userPts := weekPoints(3, func(i int) param.Point {
-		return param.Point{"current_week": float64(10 + i*10)}
-	})
+	var eighths []float64
+	for i := 0; i < 8; i++ {
+		eighths = append(eighths, float64(i*cfg.Weeks/8))
+	}
+	demandSpace := param.MustSpace(set("current_week", eighths...), set("feature_release", 12))
+	capacitySpace := param.MustSpace(set("current_week", eighths...), set("purchase1", 8), set("purchase2", 24))
+	userSpace := param.MustSpace(set("current_week", 10, 20, 30))
 
 	// UserSelect wrapper: the users table under one prebuilt
 	// Scan → SUM(UserUsage(...)) tree.
@@ -158,40 +160,40 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 
 	return []fig7Case{
 		{
-			name:   "Demand",
-			points: demandPts,
+			name:  "Demand",
+			space: demandSpace,
 			wrapper: func(p param.Point) {
 				wrapperRun(`SELECT DemandModel(@current_week, @feature_release) AS demand`, db, p)
 			},
-			core: coreRun(blackbox.NewDemand(), "current_week", "feature_release"),
+			core: coreRun(blackbox.NewDemand(), demandSpace, "current_week", "feature_release"),
 		},
 		{
-			name:   "Capacity",
-			points: capacityPts,
+			name:  "Capacity",
+			space: capacitySpace,
 			wrapper: func(p param.Point) {
 				wrapperRun(`SELECT CapacityModel(@current_week, @purchase1, @purchase2) AS capacity`, db, p)
 			},
-			core: coreRun(blackbox.NewCapacity(), "current_week", "purchase1", "purchase2"),
+			core: coreRun(blackbox.NewCapacity(), capacitySpace, "current_week", "purchase1", "purchase2"),
 		},
 		{
-			name:   "Overload",
-			points: capacityPts,
+			name:  "Overload",
+			space: capacitySpace,
 			wrapper: func(p param.Point) {
 				wrapperRun(`SELECT DemandModel(@current_week, 99999) AS demand,
 				  CapacityModel(@current_week, @purchase1, @purchase2) AS capacity,
 				  CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload`, db, p)
 			},
-			core: coreRun(blackbox.NewOverload(), "current_week", "purchase1", "purchase2"),
+			core: coreRun(blackbox.NewOverload(), capacitySpace, "current_week", "purchase1", "purchase2"),
 		},
 		{
-			name:   "UserSelect",
-			points: userPts,
+			name:  "UserSelect",
+			space: userSpace,
 			wrapper: func(p param.Point) {
 				if _, err := pdb.RunDistribution(userPlan, map[string]float64(p), worlds); err != nil {
 					panic(err)
 				}
 			},
-			core: coreRun(users, "current_week"),
+			core: coreRun(users, userSpace, "current_week"),
 		},
 	}, nil
 }

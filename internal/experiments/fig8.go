@@ -125,7 +125,7 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 	sweep := func(box blackbox.Box, space *param.Space, names ...string) func(bool) (int, int, int) {
 		return func(reuse bool) (int, int, int) {
 			eng := mc.MustNew(engineOpts(reuse))
-			ev := mc.MustBindBox(box, names...)
+			ev := mc.MustBindBox(box, space, names...)
 			_, st, err := eng.Sweep(ev, space)
 			if err != nil {
 				panic(err)

@@ -61,7 +61,7 @@ func Figure9(cfg Config) ([]Fig9Row, *Table, error) {
 				// The visible structure spans roughly 2-3 mean delays.
 				capModel.MeanDelay = float64(size) / 2.5
 			}
-			ev := mc.MustBindBox(capModel, "current_week", "purchase1", "purchase2")
+			ev := mc.MustBindBox(capModel, space, "current_week", "purchase1", "purchase2")
 			var bases int
 			elapsed := timeIt(cfg.Trials, func() {
 				eng := mc.MustNew(mc.Options{

@@ -183,7 +183,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := mc.MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := mc.MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 
 	// The grid always includes a workers>1 column so the parallel
 	// sweep path is on the recorded trajectory even on single-core
@@ -270,7 +270,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 	// sweep's phase B sees registrations throughout the sweep
 	// rather than only at the start.
 	manySpace := param.MustSpace(mustRange("point_index", 0, float64(manyBasesPoints-1), 1))
-	manyEv := mc.MustBindBox(blackbox.NewSynthBasis(manyBasesFamilies), "point_index")
+	manyEv := mc.MustBindBox(blackbox.NewSynthBasis(manyBasesFamilies), manySpace, "point_index")
 	for _, c := range []mc.IndexKind{mc.IndexArray, mc.IndexNormalization, mc.IndexSortedSID} {
 		for _, workers := range workerGrid {
 			opts := mc.Options{
@@ -300,7 +300,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := param.Point{"current_week": float64(cfg.Weeks / 2), "feature_release": float64(cfg.Weeks / 4)}
+	p := []float64{float64(cfg.Weeks / 2), float64(cfg.Weeks / 4)} // current_week, feature_release
 	procs := runtime.GOMAXPROCS(cellProcs(1))
 	eng.EvaluatePoint(ev, p) // warm the scratch pool
 	res := testing.Benchmark(func(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/exec"
-	"jigsaw/internal/param"
 	"jigsaw/internal/sqlparse"
 )
 
@@ -46,14 +45,15 @@ func TestDrawBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := param.Point{"current_week": 50, "purchase1": 0, "purchase2": 4, "feature_release": 12}
+	// current_week, purchase1, purchase2, feature_release
+	ps := &pointState{vals: []float64{50, 0, 4, 12}}
 	perBatch := func(n int) float64 {
 		ids := make([]int, n)
 		for i := range ids {
 			ids[i] = i
 		}
-		s.drawBatch(p, ids) // size the session's binding
-		return testing.AllocsPerRun(20, func() { s.drawBatch(p, ids) })
+		s.drawBatch(ps, ids) // size the session's binding
+		return testing.AllocsPerRun(20, func() { s.drawBatch(ps, ids) })
 	}
 	const budget = 1
 	small, large := perBatch(10), perBatch(100)

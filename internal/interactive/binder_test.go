@@ -64,8 +64,8 @@ func TestSessionBinderMatchesPlainEval(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box := tc.box
-			plain := mc.MustBindBox(blackbox.Func{FuncName: box.Name(), NArgs: box.Arity(), Fn: box.Eval}, tc.args...)
-			bound := mc.MustBindBox(box, tc.args...)
+			plain := mc.MustBindBox(blackbox.Func{FuncName: box.Name(), NArgs: box.Arity(), Fn: box.Eval}, weekRows, tc.args...)
+			bound := mc.MustBindBox(box, weekRows, tc.args...)
 			wantMeans, wantStats := runSession(t, plain)
 			means, st := runSession(t, bound)
 			if !reflect.DeepEqual(wantMeans, means) {

@@ -89,13 +89,15 @@ type basis struct {
 	id int
 	// samples maps sampleID → basis-space value.
 	samples map[int]float64
-	// contributor records which point key supplied each sample.
-	contributor map[int]string
+	// contributor records the Space index of each sample's point.
+	contributor map[int]int
 }
 
 // pointState tracks one visited parameter point.
 type pointState struct {
-	point param.Point
+	// idx is the point's Space index and vals its value row.
+	idx  int
+	vals []float64
 	// fingerprint is the point's own first-m sample vector.
 	fingerprint core.Fingerprint
 	// drawn holds every sample drawn directly for this point
@@ -129,11 +131,12 @@ type Session struct {
 	space *param.Space
 	opts  Options
 
-	store  *core.Store
-	bases  []*basis
-	points map[string]*pointState
-
-	focus    param.Point
+	store *core.Store
+	bases []*basis
+	// points holds the visited points by Space index; focus is the
+	// point of interest (nil before SetFocus).
+	points   map[int]*pointState
+	focus    *pointState
 	taskTurn int
 	stats    Stats
 
@@ -146,7 +149,8 @@ type Session struct {
 	outs  [1][]float64
 }
 
-// NewSession builds a session for the given column evaluator.
+// NewSession builds a session for the given column evaluator, which
+// must read value rows of space (build it against space).
 func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, error) {
 	if eval == nil {
 		return nil, errors.New("interactive: nil evaluator")
@@ -163,7 +167,7 @@ func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, 
 		space:  space,
 		opts:   opts,
 		store:  core.NewStore(core.LinearClass{}, core.NewNormalizationIndex()),
-		points: map[string]*pointState{},
+		points: map[int]*pointState{},
 	}, nil
 }
 
@@ -178,71 +182,71 @@ func (s *Session) Stats() Stats {
 // Fig. 2 GUI). The point is initialized immediately so the user gets a
 // first estimate after one fingerprint-sized batch.
 func (s *Session) SetFocus(p param.Point) error {
-	if _, err := s.space.Index(p); err != nil {
+	idx, err := s.space.Index(p)
+	if err != nil {
 		return fmt.Errorf("interactive: focus outside the parameter space: %w", err)
 	}
-	s.focus = p.Clone()
-	_, err := s.ensurePoint(s.focus)
-	return err
+	s.focus = s.ensurePoint(idx)
+	return nil
 }
 
-// Focus returns the current point of interest.
-func (s *Session) Focus() param.Point { return s.focus.Clone() }
+// Focus returns the current point of interest (nil before SetFocus).
+func (s *Session) Focus() param.Point {
+	if s.focus == nil {
+		return nil
+	}
+	return s.space.Point(s.focus.idx)
+}
 
-// drawBatch evaluates the given sample ids for p on the calling
-// goroutine and returns the values in id-slice order: p is bound once
-// and the batch draws as one block. Draws are counted by the caller.
-func (s *Session) drawBatch(p param.Point, ids []int) []float64 {
+// drawBatch evaluates the given sample ids for ps on the calling
+// goroutine and returns the values in id-slice order: the point is
+// bound once and the batch draws as one block. Draws are counted by
+// the caller.
+func (s *Session) drawBatch(ps *pointState, ids []int) []float64 {
 	out := make([]float64, len(ids))
-	s.bound = s.eval.BindPoint(p, s.bound)
+	s.bound = s.eval.BindPoint(ps.vals, s.bound)
 	s.outs[0] = out
 	s.eval.EvalBlockBound(s.bound, s.outs[:], s.opts.MasterSeed, ids, &s.r)
 	return out
 }
 
-// ensurePoint initializes a point: compute its fingerprint (its first
-// m samples), match it against the basis set, and either attach it
-// (reusing precomputed samples for the initial guess, §5) or register
-// a new basis seeded with the fingerprint.
-func (s *Session) ensurePoint(p param.Point) (*pointState, error) {
-	key := p.Key()
-	if ps, ok := s.points[key]; ok {
-		return ps, nil
+// ensurePoint initializes the idx'th point: compute its fingerprint
+// (its first m samples), match it against the basis set, and either
+// attach it (reusing precomputed samples for the initial guess, §5) or
+// register a new basis seeded with the fingerprint.
+func (s *Session) ensurePoint(idx int) *pointState {
+	if ps, ok := s.points[idx]; ok {
+		return ps
 	}
 	ids := make([]int, s.opts.FingerprintLen)
 	for k := range ids {
 		ids[k] = k
 	}
-	vals := s.drawBatch(p, ids)
+	ps := &pointState{idx: idx, vals: s.space.Values(idx, nil), validated: map[int]bool{}}
+	fp := core.Fingerprint(s.drawBatch(ps, ids))
 	s.stats.Evaluations += len(ids)
-	fp := core.Fingerprint(vals)
-	drawn := make(map[int]float64, len(fp))
+	ps.fingerprint, ps.drawn = fp, make(map[int]float64, len(fp))
 	for k, v := range fp {
-		drawn[k] = v
-	}
-	ps := &pointState{
-		point:       p.Clone(),
-		fingerprint: fp,
-		drawn:       drawn,
-		validated:   map[int]bool{},
+		ps.drawn[k] = v
 	}
 	if b, mapping, ok, _ := s.store.Match(fp, nil, nil); ok {
 		ps.basisID = b.Payload.(*basis).id
 		ps.mapping = mapping
 	} else {
-		ps.basisID = s.newBasis(key, fp)
+		ps.basisID = s.newBasis(idx, fp)
 		ps.mapping = core.Identity()
 	}
-	s.points[key] = ps
-	return ps, nil
+	s.points[idx] = ps
+	return ps
 }
 
-// newBasis registers a basis seeded with the point's fingerprint.
-func (s *Session) newBasis(contributor string, fp core.Fingerprint) int {
+// newBasis registers a basis seeded with the fingerprint of the point
+// whose Space index is contributor.
+func (s *Session) newBasis(contributor int, fp core.Fingerprint) int {
 	b := &basis{
 		id:          len(s.bases),
 		samples:     make(map[int]float64, len(fp)),
-		contributor: make(map[int]string, len(fp)),
+		contributor: make(map[int]int, len(fp)),
 	}
 	for k, v := range fp {
 		b.samples[k] = v
@@ -250,7 +254,7 @@ func (s *Session) newBasis(contributor string, fp core.Fingerprint) int {
 	}
 	s.bases = append(s.bases, b)
 	// The store's basis payload is the live sample pool.
-	if _, err := s.store.Add(fp, contributor, b); err != nil {
+	if _, err := s.store.Add(fp, b); err != nil {
 		// Fingerprint lengths are fixed per session; Add can only fail
 		// on an engine bug.
 		panic(err)
@@ -262,8 +266,9 @@ func (s *Session) newBasis(contributor string, fp core.Fingerprint) int {
 // basis sample pool mapped through the point's mapping. ok is false
 // for points the session has not touched.
 func (s *Session) Estimate(p param.Point) (stats.Summary, bool) {
-	ps, ok := s.points[p.Key()]
-	if !ok {
+	idx, err := s.space.Index(p)
+	ps, ok := s.points[idx]
+	if err != nil || !ok {
 		return stats.Summary{}, false
 	}
 	b := s.bases[ps.basisID]
@@ -288,26 +293,21 @@ func (s *Session) Tick() (Task, param.Point, error) {
 	if s.focus == nil {
 		return 0, nil, ErrNoFocus
 	}
-	ps, err := s.ensurePoint(s.focus)
-	if err != nil {
-		return 0, nil, err
-	}
+	ps := s.focus
 	task := s.taskHeuristic()
 	s.taskTurn++
 	switch task {
 	case TaskRefinement:
 		s.refine(ps)
 		s.stats.Refinements++
-		return task, ps.point.Clone(), nil
 	case TaskValidation:
 		s.validate(ps)
 		s.stats.Validations++
-		return task, ps.point.Clone(), nil
 	default:
-		np := s.explore(ps)
+		ps = s.explore(ps)
 		s.stats.Explorations++
-		return task, np, nil
 	}
+	return task, s.space.Point(ps.idx), nil
 }
 
 // taskHeuristic is Algorithm 5's TaskHeuristic: a fair rotation that
@@ -345,12 +345,12 @@ func (s *Session) refine(ps *pointState) {
 		ids = append(ids, id)
 		id++
 	}
-	vals := s.drawBatch(ps.point, ids)
+	vals := s.drawBatch(ps, ids)
 	s.stats.Evaluations += len(ids)
 	for k, id := range ids {
 		ps.drawn[id] = vals[k]
 		b.samples[id] = inv.Apply(vals[k])
-		b.contributor[id] = ps.point.Key()
+		b.contributor[id] = ps.idx
 	}
 }
 
@@ -364,10 +364,9 @@ func (s *Session) refine(ps *pointState) {
 // point keeps, and the counters count, only the samples compared.
 func (s *Session) validate(ps *pointState) {
 	b := s.bases[ps.basisID]
-	key := ps.point.Key()
 	ids := make([]int, 0, len(b.samples))
 	for id := range b.samples {
-		if b.contributor[id] != key && !ps.validated[id] {
+		if b.contributor[id] != ps.idx && !ps.validated[id] {
 			ids = append(ids, id)
 		}
 	}
@@ -380,7 +379,7 @@ func (s *Session) validate(ps *pointState) {
 		s.refine(ps)
 		return
 	}
-	vals := s.drawBatch(ps.point, ids)
+	vals := s.drawBatch(ps, ids)
 	for k, id := range ids {
 		v := vals[k]
 		ps.drawn[id] = v
@@ -399,11 +398,11 @@ func (s *Session) rebind(ps *pointState) {
 	s.stats.Rebinds++
 	fp := make(core.Fingerprint, s.opts.FingerprintLen)
 	copy(fp, ps.fingerprint)
-	id := s.newBasis(ps.point.Key(), fp)
+	id := s.newBasis(ps.idx, fp)
 	b := s.bases[id]
 	for sid, v := range ps.drawn {
 		b.samples[sid] = v
-		b.contributor[sid] = ps.point.Key()
+		b.contributor[sid] = ps.idx
 	}
 	ps.basisID = id
 	ps.mapping = core.Identity()
@@ -413,35 +412,34 @@ func (s *Session) rebind(ps *pointState) {
 // explore initializes (or refines) a neighbor of the focus, returning
 // the point worked on. Preference: uninitialized neighbors first, then
 // the neighbor with the smallest basis pool.
-func (s *Session) explore(ps *pointState) param.Point {
-	neighbors := s.space.Neighbors(ps.point)
-	var target param.Point
+func (s *Session) explore(ps *pointState) *pointState {
+	neighbors := s.space.Neighbors(ps.idx, nil)
+	target := -1
 	for _, n := range neighbors {
-		if _, seen := s.points[n.Key()]; !seen {
+		if _, seen := s.points[n]; !seen {
 			target = n
 			break
 		}
 	}
-	if target == nil {
+	if target < 0 {
 		best := -1
 		for _, n := range neighbors {
-			nps := s.points[n.Key()]
-			size := len(s.bases[nps.basisID].samples)
+			size := len(s.bases[s.points[n].basisID].samples)
 			if best < 0 || size < best {
 				best = size
 				target = n
 			}
 		}
 	}
-	if target == nil {
+	if target < 0 {
 		// Isolated point (single-point space): refine instead.
 		s.refine(ps)
-		return ps.point.Clone()
+		return ps
 	}
-	nps, err := s.ensurePoint(target)
-	if err == nil && len(nps.drawn) >= s.opts.FingerprintLen {
+	nps := s.ensurePoint(target)
+	if len(nps.drawn) >= s.opts.FingerprintLen {
 		// Already fingerprinted: extend its basis a little.
 		s.refine(nps)
 	}
-	return target.Clone()
+	return nps
 }

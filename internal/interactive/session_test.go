@@ -29,12 +29,29 @@ var forkEval = weekEval(func(w float64, r *rng.Rand) float64 {
 	return a*a + b
 })
 
+// weekRows is a space declaring "week" alone: every such space has
+// the same value rows, so evaluators of week bind against it.
+var weekRows = func() *param.Space {
+	d, _ := param.Set("week", 0)
+	return param.MustSpace(d)
+}()
+
 // weekEval binds a plain model of the "week" parameter.
 func weekEval(fn func(w float64, r *rng.Rand) float64) mc.PointEval {
 	return mc.MustBindBox(blackbox.Func{
 		FuncName: "week", NArgs: 1,
 		Fn: func(a []float64, r *rng.Rand) float64 { return fn(a[0], r) },
-	}, "week")
+	}, weekRows, "week")
+}
+
+// state returns the session's state of point p, nil when unvisited.
+func state(t *testing.T, s *Session, p param.Point) *pointState {
+	t.Helper()
+	idx, err := s.space.Index(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.points[idx]
 }
 
 func newTestSession(t *testing.T, eval mc.PointEval, lo, hi float64) *Session {
@@ -258,8 +275,8 @@ func TestValidationDetachesFalseMatch(t *testing.T) {
 			}
 		}
 	}
-	left := s.points[param.Point{"week": 8}.Key()]
-	right := s.points[param.Point{"week": 12}.Key()]
+	left := state(t, s, param.Point{"week": 8})
+	right := state(t, s, param.Point{"week": 12})
 	if left.basisID == right.basisID {
 		t.Fatal("cross-regime points share a basis after validation")
 	}
@@ -291,7 +308,7 @@ func TestValidationStopsAtFirstMismatch(t *testing.T) {
 	if err := s.SetFocus(param.Point{"week": 12}); err != nil {
 		t.Fatal(err)
 	}
-	ps := s.points[param.Point{"week": 12}.Key()]
+	ps := state(t, s, param.Point{"week": 12})
 	b := s.bases[ps.basisID]
 	// A first, clean batch reproduces the fingerprint ids the point
 	// has already drawn, so the next one draws only fresh samples.
@@ -304,7 +321,7 @@ func TestValidationStopsAtFirstMismatch(t *testing.T) {
 	// ids in order, at most BatchSize of them.
 	var ids []int
 	for id := range b.samples {
-		if b.contributor[id] != ps.point.Key() && !ps.validated[id] {
+		if b.contributor[id] != ps.idx && !ps.validated[id] {
 			ids = append(ids, id)
 		}
 	}

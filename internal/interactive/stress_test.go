@@ -23,7 +23,7 @@ func TestFocusRandomWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	walk := rng.New(777)
-	visited := map[string]bool{}
+	visited := map[float64]bool{}
 	lastEvals := 0
 	week := 15.0
 	for step := 0; step < 200; step++ {
@@ -40,7 +40,7 @@ func TestFocusRandomWalk(t *testing.T) {
 		if err := s.SetFocus(p); err != nil {
 			t.Fatal(err)
 		}
-		visited[p.Key()] = true
+		visited[week] = true
 		for i := 0; i < int(walk.Uint64()%4); i++ {
 			if _, _, err := s.Tick(); err != nil {
 				t.Fatal(err)
@@ -54,13 +54,13 @@ func TestFocusRandomWalk(t *testing.T) {
 		if st.Bases > len(s.points) {
 			t.Fatalf("bases %d exceed visited points %d", st.Bases, len(s.points))
 		}
-		for key := range visited {
-			ps := s.points[key]
-			if ps == nil {
-				t.Fatalf("visited point %s lost", key)
+		for w := range visited {
+			p := param.Point{"week": w}
+			if state(t, s, p) == nil {
+				t.Fatalf("visited point %v lost", p)
 			}
-			if _, ok := s.Estimate(ps.point); !ok {
-				t.Fatalf("no estimate for visited point %s", key)
+			if _, ok := s.Estimate(p); !ok {
+				t.Fatalf("no estimate for visited point %v", p)
 			}
 		}
 	}

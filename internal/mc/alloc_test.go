@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
@@ -28,10 +27,10 @@ func TestEvaluatePointReusedAllocs(t *testing.T) {
 		Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexNormalization, Workers: 1,
 	})
-	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
+	ev := bindNames(blackbox.NewDemand(), "week", "feature")
 	// First point registers the basis.
-	e.EvaluatePoint(ev, param.Point{"week": 10, "feature": 52})
-	p := param.Point{"week": 30, "feature": 52}
+	e.EvaluatePoint(ev, []float64{10, 52})
+	p := []float64{30, 52}
 	if res, _ := e.EvaluatePoint(ev, p); !res.Reused {
 		t.Fatal("second point not reused; test needs a mappable pair")
 	}
@@ -62,8 +61,8 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 				Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
 				Reuse: false, KeepSamples: keep, Workers: 1,
 			})
-			ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
-			p := param.Point{"week": 30, "feature": 52}
+			ev := bindNames(blackbox.NewDemand(), "week", "feature")
+			p := []float64{30, 52}
 			e.EvaluatePoint(ev, p) // warm the pool
 			allocs := testing.AllocsPerRun(20, func() {
 				e.EvaluatePoint(ev, p)
@@ -90,12 +89,12 @@ func TestBindBoxBlockAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		box   blackbox.Box
 		names []string
-		p     param.Point
+		p     []float64
 	}{
-		{blackbox.NewSynthBasis(5), []string{"point"}, param.Point{"point": 7}},
-		{blackbox.NewOverload(), []string{"week", "p1", "p2"}, param.Point{"week": 26, "p1": 10, "p2": 20}},
+		{blackbox.NewSynthBasis(5), []string{"point"}, []float64{7}},
+		{blackbox.NewOverload(), []string{"week", "p1", "p2"}, []float64{26, 10, 20}},
 	} {
-		ev := MustBindBox(tc.box, tc.names...)
+		ev := bindNames(tc.box, tc.names...)
 		bound := ev.BindPoint(tc.p, nil)
 		allocs := testing.AllocsPerRun(20, func() {
 			ev.EvalBlockBound(bound, outs, 0x5161, ids, &r)

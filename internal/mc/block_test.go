@@ -25,7 +25,7 @@ func mustNewBlockSize(opts Options, bs int) *Engine {
 
 // fingerprintOf computes the fingerprint of f at p — the first m
 // simulation rounds (§3.1) — through the engine's own fill path.
-func fingerprintOf(e *Engine, f PointEval, p param.Point) core.Fingerprint {
+func fingerprintOf(e *Engine, f PointEval, p []float64) core.Fingerprint {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := make(core.Fingerprint, e.opts.FingerprintLen)
@@ -50,7 +50,7 @@ func blockSweepSpace(t *testing.T) *param.Space {
 
 func TestSweepBlockSizeInvariance(t *testing.T) {
 	space := blockSweepSpace(t)
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 
 	base := Options{
 		Samples: 500, FingerprintLen: 10, MasterSeed: 0x5161,
@@ -91,8 +91,8 @@ func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
 	// blackbox.BlockBox's contract.
 	space := blockSweepSpace(t)
 	d := blackbox.NewDemand()
-	block := MustBindBox(d, "current_week", "feature_release")
-	scalar := MustBindBox(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, "current_week", "feature_release")
+	block := bindNames(d, "current_week", "feature_release")
+	scalar := bindNames(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, "current_week", "feature_release")
 
 	opts := Options{
 		Samples: 300, FingerprintLen: 10, MasterSeed: 0x5161,
@@ -124,7 +124,7 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 	// pipeline; the accept/reject decisions (and hence reuse counts)
 	// must not depend on block size.
 	space := blockSweepSpace(t)
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 	base := Options{
 		Samples: 200, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, KeepSamples: true, ValidationSamples: 16, Workers: 1,
@@ -147,8 +147,8 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 }
 
 func TestFingerprintUnchangedByBlockSize(t *testing.T) {
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	p := param.Point{"current_week": 17, "feature_release": 4}
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	p := []float64{17, 4}
 	var want []float64
 	for _, bs := range []int{1, 3, 64} {
 		e := mustNewBlockSize(Options{Samples: 100, FingerprintLen: 12, MasterSeed: 0x5161, Workers: 1}, bs)
@@ -165,8 +165,8 @@ func TestFingerprintUnchangedByBlockSize(t *testing.T) {
 
 func BenchmarkColdPointDemand(b *testing.B) {
 	e := MustNew(Options{Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161, Reuse: false, Workers: 1})
-	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
-	p := param.Point{"week": 30, "feature": 52}
+	ev := bindNames(blackbox.NewDemand(), "week", "feature")
+	p := []float64{30, 52}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.EvaluatePoint(ev, p)
@@ -175,8 +175,8 @@ func BenchmarkColdPointDemand(b *testing.B) {
 
 func BenchmarkColdPointCapacity(b *testing.B) {
 	e := MustNew(Options{Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161, Reuse: false, Workers: 1})
-	ev := MustBindBox(blackbox.NewCapacity(), "week", "p1", "p2")
-	p := param.Point{"week": 30, "p1": 10, "p2": 20}
+	ev := bindNames(blackbox.NewCapacity(), "week", "p1", "p2")
+	p := []float64{30, 10, 20}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.EvaluatePoint(ev, p)
@@ -185,8 +185,8 @@ func BenchmarkColdPointCapacity(b *testing.B) {
 
 func BenchmarkColdPointOverload(b *testing.B) {
 	e := MustNew(Options{Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161, Reuse: false, Workers: 1})
-	ev := MustBindBox(blackbox.NewOverload(), "week", "p1", "p2")
-	p := param.Point{"week": 30, "p1": 10, "p2": 20}
+	ev := bindNames(blackbox.NewOverload(), "week", "p1", "p2")
+	p := []float64{30, 10, 20}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.EvaluatePoint(ev, p)

@@ -22,7 +22,9 @@ import (
 
 // PointEval is the stochastic function F(P, σ) of §3.1 at one
 // parameter point: a point is bound once (BindPoint), then sampled in
-// blocks of sample ids (EvalBlockBound). The full Monte Carlo
+// blocks of sample ids (EvalBlockBound). A point is a value row: its
+// values in the Decls order of the param.Space the evaluator resolved
+// its parameter names against when it was built. The full Monte Carlo
 // simulation of Fig. 3's dashed box is "the stochastic function F"
 // being fingerprinted (§3: "Taken to one extreme, the entire Monte
 // Carlo simulation ... can be treated as the stochastic function F").
@@ -43,10 +45,10 @@ import (
 // included (blackbox.Func), and compiled scenario columns are one too
 // (exec's Scenario.ColumnEval).
 type PointEval interface {
-	// BindPoint writes what sampling needs of p into buf (growing it
-	// as needed) and returns the binding for EvalBlockBound. It draws
-	// nothing, and the implementation must not retain buf.
-	BindPoint(p param.Point, buf []float64) []float64
+	// BindPoint writes what sampling needs of the value row vals into
+	// buf (growing it as needed) and returns the binding for
+	// EvalBlockBound. It draws nothing and retains neither slice.
+	BindPoint(vals, buf []float64) []float64
 	// EvalBlockBound draws one sample per id against a binding
 	// BindPoint returned: output c of sample ids[j], seeded by
 	// rng.SampleSeed(master, ids[j]), goes to outs[c][j]
@@ -60,21 +62,21 @@ type PointEval interface {
 }
 
 // BoundBox adapts a black box to a PointEval by binding its positional
-// arguments to named parameters: the parameter names resolve once per
-// point, and blocks draw through the box's native blackbox.BlockBox
-// kernel when it has one, otherwise through the generator the engine
-// lends, reseeded once per sample.
+// arguments to parameters of a space: the parameter names resolve to
+// value-row positions once, in BindBox, and blocks draw through the
+// box's native blackbox.BlockBox kernel when it has one, otherwise
+// through the generator the engine lends, reseeded once per sample.
 type BoundBox struct {
 	box   blackbox.Box
 	block blackbox.BlockBox // box's native kernel, or nil
-	names []string
+	pos   []int             // argument i is vals[pos[i]]
 }
 
 // BindPoint implements PointEval.
-func (b *BoundBox) BindPoint(p param.Point, buf []float64) []float64 {
+func (b *BoundBox) BindPoint(vals, buf []float64) []float64 {
 	buf = buf[:0]
-	for _, n := range b.names {
-		buf = append(buf, p.MustGet(n))
+	for _, i := range b.pos {
+		buf = append(buf, vals[i])
 	}
 	return buf
 }
@@ -107,19 +109,27 @@ func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, master uint
 	}
 }
 
-// BindBox adapts a black box to a PointEval by binding its positional
-// arguments to named parameters.
-func BindBox(b blackbox.Box, argNames ...string) (PointEval, error) {
+// BindBox adapts a black box to a PointEval over space's value rows by
+// binding its positional arguments to the named enumerable parameters.
+// It rejects a name the space does not declare.
+func BindBox(b blackbox.Box, space *param.Space, argNames ...string) (PointEval, error) {
 	if len(argNames) != b.Arity() {
 		return nil, fmt.Errorf("mc: %s expects %d args, got %d names", b.Name(), b.Arity(), len(argNames))
 	}
+	pos := make([]int, len(argNames))
+	for i, name := range argNames {
+		var ok bool
+		if pos[i], ok = space.Position(name); !ok {
+			return nil, fmt.Errorf("mc: %s: the space declares no enumerable parameter @%s", b.Name(), name)
+		}
+	}
 	block, _ := b.(blackbox.BlockBox)
-	return &BoundBox{box: b, block: block, names: append([]string(nil), argNames...)}, nil
+	return &BoundBox{box: b, block: block, pos: pos}, nil
 }
 
-// MustBindBox is BindBox, panicking on arity mismatch.
-func MustBindBox(b blackbox.Box, argNames ...string) PointEval {
-	f, err := BindBox(b, argNames...)
+// MustBindBox is BindBox, panicking on error.
+func MustBindBox(b blackbox.Box, space *param.Space, argNames ...string) PointEval {
+	f, err := BindBox(b, space, argNames...)
 	if err != nil {
 		panic(err)
 	}
@@ -295,8 +305,6 @@ func payloadReady(b *core.Basis) bool {
 
 // PointResult is the engine's answer for one parameter point.
 type PointResult struct {
-	// Point is the evaluated parameter valuation.
-	Point param.Point
 	// Summary is the estimated output distribution characteristics.
 	Summary stats.Summary
 	// Reused reports whether the result was mapped from a basis
@@ -365,27 +373,27 @@ func (e *Engine) Store() *core.Store { return e.store }
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// fingerprints computes f's output prefixes at p — simulation rounds
+// fingerprints computes f's output prefixes at vals — simulation rounds
 // 0 to w−1 — into dsts (dsts[c], of length w, for output c), binding
 // the point once into sc.bound. The first m rounds are the fingerprint
 // (§3.1); a sweep that validates matches draws the validation rounds m
 // to w−1 along with it (see rowSweep.w).
-func (e *Engine) fingerprints(f PointEval, p param.Point, dsts [][]float64, w int, sc *scratch) {
-	sc.bound = f.BindPoint(p, sc.bound)
+func (e *Engine) fingerprints(f PointEval, vals []float64, dsts [][]float64, w int, sc *scratch) {
+	sc.bound = f.BindPoint(vals, sc.bound)
 	e.sampleRange(f, sc.bound, dsts, 0, w, sc)
 }
 
-// EvaluatePoint runs the Monte Carlo estimation for one point,
+// EvaluatePoint runs the Monte Carlo estimation for one value row,
 // reusing a basis distribution when the store yields a mapping, and
 // returns the point's result with this call's statistics (Points: 1).
-func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepStats) {
+func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := sc.fingerprint(e.opts.FingerprintLen)
 	dsts := sc.outputs(1)
 	dsts[0] = fp
 	m := len(fp)
-	e.fingerprints(f, p, dsts, m, sc)
+	e.fingerprints(f, vals, dsts, m, sc)
 
 	st := SweepStats{Points: 1}
 	if e.opts.Reuse {
@@ -407,7 +415,7 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 			}
 			if valid {
 				st.Reused = 1
-				return e.mapBasis(basis, mapping, p), st
+				return e.mapBasis(basis, mapping), st
 			}
 		}
 	}
@@ -416,15 +424,15 @@ func (e *Engine) EvaluatePoint(f PointEval, p param.Point) (PointResult, SweepSt
 	copy(samples, fp)
 	dsts = sc.outputs(1)
 	dsts[0] = samples
-	e.simulateRows(f, p, dsts, m, sc)
-	res := e.summarize(p, samples, sc)
+	e.simulateRows(f, vals, dsts, m, sc)
+	res := e.summarize(samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
 		payload := &BasisPayload{Summary: res.Summary}
 		if e.opts.KeepSamples {
 			payload.Samples = samples
 		}
-		basis, err := e.store.Add(fp, p.Key(), payload)
+		basis, err := e.store.Add(fp, payload)
 		if err == nil {
 			res.BasisID = basis.ID
 			st.Store.Bases = 1
@@ -464,9 +472,8 @@ func (e *Engine) validateMatch(mapping core.Linear, basis, targets []float64, v 
 // mapBasis derives the point's result from a matched basis by pushing
 // the mapping through its summary. The basis' payload must be a
 // complete *BasisPayload, which the engine's match filters guarantee.
-func (e *Engine) mapBasis(basis *core.Basis, mapping core.Linear, p param.Point) PointResult {
+func (e *Engine) mapBasis(basis *core.Basis, mapping core.Linear) PointResult {
 	return PointResult{
-		Point:   p,
 		Summary: basis.Payload.(*BasisPayload).Summary.MapAffine(mapping.Alpha, mapping.Beta),
 		Reused:  true,
 		BasisID: basis.ID,
@@ -487,22 +494,22 @@ func (e *Engine) sampleVector(c int, sc *scratch) []float64 {
 }
 
 // summarize returns the result of a fully simulated point.
-func (e *Engine) summarize(p param.Point, samples []float64, sc *scratch) PointResult {
+func (e *Engine) summarize(samples []float64, sc *scratch) PointResult {
 	acc := &sc.acc
 	acc.Reset()
 	acc.AddBlock(samples)
-	return PointResult{Point: p, Summary: acc.Summarize(), BasisID: -1}
+	return PointResult{Summary: acc.Summarize(), BasisID: -1}
 }
 
 // simulateRows runs the rounds from lo to n−1 on the calling
-// goroutine, binding p once into sc.bound, one sample per round for
+// goroutine, binding vals once into sc.bound, one sample per round for
 // all of f's outputs: output c's samples land in dsts[c][lo:n], whose
 // first lo entries the caller fills with rounds it drew already (the
 // fingerprint, or a sweep's whole prefix); nil entries are skipped.
 // Parallelism lives outside a point: a sweep spreads its points over
 // the pool, and the PDB spreads blocks of worlds.
-func (e *Engine) simulateRows(f PointEval, p param.Point, dsts [][]float64, lo int, sc *scratch) {
-	sc.bound = f.BindPoint(p, sc.bound)
+func (e *Engine) simulateRows(f PointEval, vals []float64, dsts [][]float64, lo int, sc *scratch) {
+	sc.bound = f.BindPoint(vals, sc.bound)
 	e.sampleRange(f, sc.bound, dsts, lo, e.opts.Samples, sc)
 }
 

@@ -25,7 +25,32 @@ var gaussEval = funcEval(func(a []float64, r *rng.Rand) float64 {
 // point's value of names[i]. It draws through the scalar block
 // adapter, one reseeded Eval per sample.
 func funcEval(fn func(a []float64, r *rng.Rand) float64, names ...string) PointEval {
-	return MustBindBox(blackbox.Func{FuncName: "test", NArgs: len(names), Fn: fn}, names...)
+	return bindNames(blackbox.Func{FuncName: "test", NArgs: len(names), Fn: fn}, names...)
+}
+
+// rowSpace declares names, in order, as one-value SETs: the space an
+// evaluator of hand-built value rows binds against, where row[i] holds
+// names[i]'s value.
+func rowSpace(names ...string) *param.Space {
+	decls := make([]param.Decl, len(names))
+	for i, name := range names {
+		decls[i], _ = param.Set(name, 0)
+	}
+	return param.MustSpace(decls...)
+}
+
+// bindNames binds box's arguments to names over rowSpace(names...).
+func bindNames(box blackbox.Box, names ...string) PointEval {
+	return MustBindBox(box, rowSpace(names...), names...)
+}
+
+// spaceRows returns the value rows of s's points in enumeration order.
+func spaceRows(s *param.Space) [][]float64 {
+	rows := make([][]float64, s.Size())
+	for i := range rows {
+		rows[i] = s.Values(i, nil)
+	}
+	return rows
 }
 
 func weekSpace(t *testing.T, lo, hi, step float64) *param.Space {
@@ -38,19 +63,29 @@ func weekSpace(t *testing.T, lo, hi, step float64) *param.Space {
 }
 
 func TestBindBox(t *testing.T) {
-	f, err := BindBox(blackbox.NewDemand(), "week", "feature")
+	// The names resolve to value-row positions, in any order.
+	space := rowSpace("other", "feature", "week")
+	f, err := BindBox(blackbox.NewDemand(), space, "week", "feature")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := param.Point{"week": 10, "feature": 52}
+	p := []float64{-1, 52, 10}
 	var a [1]float64
 	f.EvalBlockBound(f.BindPoint(p, nil), [][]float64{a[:]}, 0x5161, []int{3}, new(rng.Rand))
 	b := blackbox.NewDemand().Eval([]float64{10, 52}, rng.New(rng.SampleSeed(0x5161, 3)))
 	if a[0] != b {
 		t.Fatalf("bound eval %g != direct eval %g", a[0], b)
 	}
-	if _, err := BindBox(blackbox.NewDemand(), "week"); err == nil {
+	if _, err := BindBox(blackbox.NewDemand(), space, "week"); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+	chain, _ := param.Chain("rw", "rw", "week", -1, 52)
+	week, _ := param.Set("week", 1)
+	for _, s := range []*param.Space{space, param.MustSpace(week, chain)} {
+		_, err := BindBox(blackbox.NewDemand(), s, "week", "rw")
+		if err == nil || !strings.Contains(err.Error(), "@rw") {
+			t.Fatalf("BindBox to an undeclared or CHAIN name: err = %v, want one naming @rw", err)
+		}
 	}
 }
 
@@ -60,7 +95,7 @@ func TestMustBindBoxPanics(t *testing.T) {
 			t.Fatal("MustBindBox did not panic")
 		}
 	}()
-	MustBindBox(blackbox.NewDemand(), "week")
+	MustBindBox(blackbox.NewDemand(), rowSpace("week"), "week")
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -120,7 +155,7 @@ func TestIndexKindString(t *testing.T) {
 
 func TestEvaluatePointFullSimulation(t *testing.T) {
 	e := MustNew(Options{Samples: 2000, Reuse: false, Workers: 1})
-	res, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 20})
+	res, _ := e.EvaluatePoint(gaussEval, []float64{20})
 	if res.Reused {
 		t.Fatal("reuse disabled but result reused")
 	}
@@ -141,8 +176,8 @@ func TestReuseProducesExactMappedMetrics(t *testing.T) {
 	reuse := MustNew(Options{Samples: 500, Reuse: true, Workers: 1})
 	naive := MustNew(Options{Samples: 500, Reuse: false, Workers: 1})
 
-	p1 := param.Point{"week": 10}
-	p2 := param.Point{"week": 30}
+	p1 := []float64{10}
+	p2 := []float64{30}
 
 	r1, _ := reuse.EvaluatePoint(gaussEval, p1)
 	if r1.Reused {
@@ -205,7 +240,7 @@ func TestNaiveSweepNeverReuses(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	seq := MustNew(Options{Samples: 3000, Reuse: false, Workers: 1})
 	par := MustNew(Options{Samples: 3000, Reuse: false, Workers: 8})
-	p := param.Point{"week": 15}
+	p := []float64{15}
 	a, _ := seq.EvaluatePoint(gaussEval, p)
 	b, _ := par.EvaluatePoint(gaussEval, p)
 	if a.Summary.Mean != b.Summary.Mean || a.Summary.StdDev != b.Summary.StdDev {
@@ -216,7 +251,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestKeepSamplesPayload(t *testing.T) {
 	e := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: true, Workers: 1})
-	res, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 5})
+	res, _ := e.EvaluatePoint(gaussEval, []float64{5})
 	basis, ok := e.Store().Get(res.BasisID)
 	if !ok {
 		t.Fatal("basis not stored")
@@ -232,7 +267,7 @@ func TestKeepSamplesPayload(t *testing.T) {
 		x := r.StdNormal()
 		return x * x
 	})
-	if miss, _ := e.EvaluatePoint(square, param.Point{"week": 5}); miss.Reused {
+	if miss, _ := e.EvaluatePoint(square, []float64{5}); miss.Reused {
 		t.Fatal("a squared normal matched the Gaussian basis")
 	}
 	acc := stats.NewAccumulator()
@@ -263,8 +298,8 @@ func TestEvaluatePointMapsSummary(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1})
-			basis, _ := e.EvaluatePoint(tc.ev, param.Point{"week": 10})
-			mapped, _ := e.EvaluatePoint(tc.ev, param.Point{"week": 40})
+			basis, _ := e.EvaluatePoint(tc.ev, []float64{10})
+			mapped, _ := e.EvaluatePoint(tc.ev, []float64{40})
 			if basis.Reused || !mapped.Reused || mapped.BasisID != basis.BasisID {
 				t.Fatalf("want week 40 mapped from week 10's basis: %+v, %+v", basis, mapped)
 			}
@@ -290,7 +325,7 @@ func TestFingerprintIsPrefixOfSimulation(t *testing.T) {
 	// §3.1: the fingerprint is the first m simulation rounds, so a
 	// full simulation and the fingerprint agree on those samples.
 	e := MustNew(Options{Samples: 32, KeepSamples: true, Reuse: true, Workers: 1})
-	p := param.Point{"week": 9}
+	p := []float64{9}
 	fp := fingerprintOf(e, gaussEval, p)
 	res, _ := e.EvaluatePoint(gaussEval, p)
 	basis, _ := e.Store().Get(res.BasisID)
@@ -330,7 +365,7 @@ func TestCapacitySweepFindsFewBases(t *testing.T) {
 	// The Capacity model over a whole year needs only a handful of
 	// basis distributions (Fig. 8's point).
 	cap := blackbox.NewCapacity()
-	f := MustBindBox(cap, "week", "p1", "p2")
+	f := bindNames(cap, "week", "p1", "p2")
 	wk, _ := param.Range("week", 0, 51, 1)
 	p1, _ := param.Set("p1", 10)
 	p2, _ := param.Set("p2", 30)

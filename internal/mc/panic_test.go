@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"jigsaw/internal/param"
 	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 )
@@ -16,8 +15,8 @@ import (
 // panicRow is a three-output row model that panics on its at-th
 // evaluation at the point whose week is bad: at ≤ m lands in phase A
 // (fingerprints), at = m+1 in phase C1 (the point's full simulation;
-// its outputs map onto no other point's, so it always misses). The
-// week is bound into slot 3.
+// its outputs map onto no other point's, so it always misses). A value
+// row holds the week alone; it is bound into slot 3.
 type panicRow struct {
 	bad   float64
 	at    int64
@@ -26,7 +25,7 @@ type panicRow struct {
 
 func (r *panicRow) RowLen() int { return 4 }
 
-func (r *panicRow) BindRow(p param.Point, row []float64) { row[3] = p.MustGet("week") }
+func (r *panicRow) BindRow(vals, row []float64) { row[3] = vals[0] }
 
 func (r *panicRow) FillRow(rr *rng.Rand, row []float64) {
 	w := row[3]
@@ -46,19 +45,20 @@ func (r *panicRow) FillRow(rr *rng.Rand, row []float64) {
 // process.
 func TestSweepPanicReturnsError(t *testing.T) {
 	const m, bad = 10, 7
-	var points []param.Point
+	var points [][]float64
 	for w := 0; w < 20; w++ {
-		points = append(points, param.Point{"week": float64(w)})
+		points = append(points, []float64{float64(w)})
 	}
 	for _, tc := range []struct {
 		name    string
 		samples int
-		points  []param.Point
+		points  [][]float64
+		badAt   int // the bad point's batch position
 	}{
-		{"batch", 200, points},
+		{"batch", 200, points, bad},
 		// A one-point batch draws its samples on the one worker
 		// that holds the point.
-		{"one-point", 1024 + m, []param.Point{{"week": bad}}},
+		{"one-point", 1024 + m, [][]float64{{bad}}, 0},
 	} {
 		for _, workers := range []int{1, 2} {
 			for _, at := range []int64{1, m + 1} {
@@ -81,7 +81,7 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						if !errors.As(err, &perr) || perr.Value != "model failure" {
 							t.Fatalf("err = %v, want the recovered panic", err)
 						}
-						want := fmt.Sprintf("point %s: ", param.Point{"week": bad}.Key())
+						want := fmt.Sprintf("point %d [%d]: ", tc.badAt, bad)
 						if !strings.HasPrefix(err.Error(), want) {
 							t.Fatalf("err = %q, want prefix %q", err, want)
 						}
@@ -97,7 +97,7 @@ func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
 	other := opts
 	other.MasterSeed = 2
 	f := rowEval{&panicRow{bad: -1}, []int{0, 1}}
-	points := []param.Point{{"week": 1}}
+	points := [][]float64{{1}}
 	e := MustNew(opts)
 	for name, engines := range map[string][]*Engine{
 		"no outputs":      nil,

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/param"
 	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 )
@@ -32,8 +31,8 @@ type panicAtEval struct {
 	count atomic.Int64
 }
 
-func (c *panicAtEval) BindPoint(p param.Point, buf []float64) []float64 {
-	return c.inner.BindPoint(p, buf)
+func (c *panicAtEval) BindPoint(vals, buf []float64) []float64 {
+	return c.inner.BindPoint(vals, buf)
 }
 
 func (c *panicAtEval) EvalBlockBound(bound []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
@@ -81,7 +80,7 @@ func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := MustNew(tc.opts)
 			pe := &panicAtEval{
-				inner: MustBindBox(blackbox.NewDemand(), "current_week", "feature_release"),
+				inner: bindNames(blackbox.NewDemand(), "current_week", "feature_release"),
 				at:    tc.at,
 			}
 			_, _, err := eng.Sweep(pe, space)
@@ -108,7 +107,7 @@ func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 				t.Fatalf("recovery sweep returned %d results, want %d", len(res), space.Size())
 			}
 			for i, r := range res {
-				if r.Point == nil {
+				if r.Summary.N == 0 {
 					t.Fatalf("recovery sweep left point %d unanswered", i)
 				}
 			}
@@ -129,8 +128,8 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
 	space := sweepSpace(t)
-	points := space.Points()
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	points := spaceRows(space)
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 
 	perPoint := func(workers int, validate bool, run func(*Engine)) float64 {
 		opts := sweepOptions(workers)
@@ -176,7 +175,7 @@ type blockLenEval struct {
 	lens map[int]bool
 }
 
-func (b *blockLenEval) BindPoint(_ param.Point, buf []float64) []float64 { return buf[:0] }
+func (b *blockLenEval) BindPoint(_, buf []float64) []float64 { return buf[:0] }
 
 func (b *blockLenEval) EvalBlockBound(_ []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
 	b.mu.Lock()
@@ -195,7 +194,7 @@ func (b *blockLenEval) EvalBlockBound(_ []float64, outs [][]float64, master uint
 // draws 300, 300, 300, 124; a 212-sample block would appear only if
 // the samples were split into two chunks of 512.
 func TestOneWideSweepDrawsSamplesOnOneGoroutine(t *testing.T) {
-	p := param.Point{"week": 1}
+	p := []float64{1}
 	want := map[int]bool{10: true, 300: true, 124: true}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -204,7 +203,7 @@ func TestOneWideSweepDrawsSamplesOnOneGoroutine(t *testing.T) {
 				MasterSeed: 0x5161, Workers: workers,
 			}, 300)
 			ev := &blockLenEval{lens: map[int]bool{}}
-			res, _, err := eng.SweepBatch(ev, []param.Point{p})
+			res, _, err := eng.SweepBatch(ev, [][]float64{p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,8 +226,8 @@ func TestFullSimulationSmallStaysSequential(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
-	ev := MustBindBox(blackbox.NewDemand(), "week", "feature")
-	p := param.Point{"week": 30, "feature": 52}
+	ev := bindNames(blackbox.NewDemand(), "week", "feature")
+	p := []float64{30, 52}
 	for _, samples := range []int{1000, 4096} {
 		t.Run(fmt.Sprintf("n=%d", samples), func(t *testing.T) {
 			e := MustNew(Options{

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
@@ -28,7 +27,7 @@ func TestQuickReuseEqualsNaiveOnAffineFamilies(t *testing.T) {
 		naive := MustNew(Options{Samples: 64, Reuse: false, Workers: 1, MasterSeed: seed})
 		var fullSims int
 		for w := 1.0; w <= 8; w++ {
-			p := param.Point{"w": w}
+			p := []float64{w}
 			ra, st := reuse.EvaluatePoint(eval, p)
 			rb, _ := naive.EvaluatePoint(eval, p)
 			a, b := ra.Summary, rb.Summary
@@ -65,7 +64,7 @@ func TestNaNModelOutputsNeverMatch(t *testing.T) {
 	nanPoints := 0
 	var st SweepStats
 	for w := 1.0; w <= 8; w++ {
-		res, pst := e.EvaluatePoint(eval, param.Point{"w": w})
+		res, pst := e.EvaluatePoint(eval, []float64{w})
 		st.Add(pst)
 		if math.IsNaN(res.Summary.Mean) {
 			nanPoints++
@@ -94,7 +93,7 @@ func TestInfiniteModelOutputs(t *testing.T) {
 	}, "w")
 	e := MustNew(Options{Samples: 16, Reuse: true, Workers: 1})
 	for w := 1.0; w <= 4; w++ {
-		res, _ := e.EvaluatePoint(eval, param.Point{"w": w})
+		res, _ := e.EvaluatePoint(eval, []float64{w})
 		if w == 2 {
 			// Welford's recurrence turns an all-Inf stream into NaN
 			// (Inf−Inf); either non-finite form is acceptable — the
@@ -125,7 +124,7 @@ func TestQuickIndexKindsAgreeOnRandomFamilies(t *testing.T) {
 			e := MustNew(Options{Samples: 48, Reuse: true, Workers: 1, MasterSeed: seed, Index: kind})
 			var means []float64
 			for w := 1.0; w <= 6; w++ {
-				res, _ := e.EvaluatePoint(eval, param.Point{"w": w})
+				res, _ := e.EvaluatePoint(eval, []float64{w})
 				means = append(means, res.Summary.Mean)
 			}
 			if ref == nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the sweep: the evaluation of a parameter space
-// (or an explicit batch of points) on the engine's worker pool, with
-// results bit-identical for every worker count. There is one sweep
+// (or an explicit batch of value rows) on the engine's worker pool,
+// with results bit-identical for every worker count. There is one sweep
 // implementation, over k outputs of one evaluator: SweepRows sweeps
 // the k outputs of a PointEval, each on its own engine, and Sweep and
 // SweepBatch are its k=1 case. The pool spreads points, never a
@@ -75,20 +75,20 @@ func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepSta
 	if space == nil {
 		return nil, SweepStats{}, errors.New("mc: nil parameter space")
 	}
-	return e.sweep(f, space.Points())
+	points := make([][]float64, space.Size())
+	for i := range points {
+		points[i] = space.Values(i, nil)
+	}
+	return e.SweepBatch(f, points)
 }
 
-// SweepBatch evaluates an explicit list of parameter points through
-// the engine's worker pool, in slice order, with the same determinism
-// guarantee as Sweep. It is the building block for callers that
-// compose points themselves: the optimizer's (group × sweep) product,
-// a graph statement's domain walk, or an interactive prefetch batch.
-func (e *Engine) SweepBatch(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
-	return e.sweep(f, points)
-}
-
-// sweep is the single-output sweep: the k=1 case of the row sweep.
-func (e *Engine) sweep(f PointEval, points []param.Point) ([]PointResult, SweepStats, error) {
+// SweepBatch evaluates an explicit list of points, value rows of the
+// space f was built against, through the engine's worker pool, in
+// slice order, with the same determinism guarantee as Sweep. It is the
+// building block for callers that compose points themselves: the
+// optimizer's (group × sweep) product, a graph statement's domain
+// walk. A row too short for f comes back as an error naming it.
+func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, SweepStats, error) {
 	results, st, err := sweepRows([]*Engine{e}, f, points)
 	if err != nil {
 		return nil, SweepStats{}, err
@@ -105,7 +105,7 @@ func (e *Engine) sweep(f PointEval, points []param.Point) ([]PointResult, SweepS
 // engine c sweeping output c of f alone. The engines must be distinct
 // and agree on Samples, FingerprintLen and MasterSeed; the sweep runs
 // on engines[0]'s worker pool.
-func SweepRows(engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
+func SweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointResult, SweepStats, error) {
 	if len(engines) == 0 {
 		return nil, SweepStats{}, errors.New("mc: SweepRows needs at least one output")
 	}
@@ -140,7 +140,7 @@ type pointPlan struct {
 type rowSweep struct {
 	engines []*Engine
 	f       PointEval
-	points  []param.Point
+	points  [][]float64 // value rows
 	k, n, m int
 	// w is the prefix width: m plus the widest output's validation
 	// rounds.
@@ -175,7 +175,7 @@ func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
 
 // sweepRows is the phased sweep. See the file comment for the phase
 // structure and DESIGN.md for the determinism argument.
-func sweepRows(engines []*Engine, f PointEval, points []param.Point) ([][]PointResult, SweepStats, error) {
+func sweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointResult, SweepStats, error) {
 	lead := engines[0]
 	k, n, m := len(engines), len(points), lead.opts.FingerprintLen
 	width := m
@@ -272,11 +272,12 @@ func sweepRows(engines []*Engine, f PointEval, points []param.Point) ([][]PointR
 	return s.results, st, nil
 }
 
-// pointError names the point whose evaluation panicked.
+// pointError names the point whose evaluation panicked by its batch
+// position and values.
 func (s *rowSweep) pointError(err error) error {
 	var perr *pool.PanicError
 	if errors.As(err, &perr) {
-		return fmt.Errorf("point %s: %w", s.points[perr.Index].Key(), err)
+		return fmt.Errorf("point %d %v: %w", perr.Index, s.points[perr.Index], err)
 	}
 	return err
 }
@@ -320,7 +321,7 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 	if e.opts.Reuse {
 		payload := &BasisPayload{}
 		payload.markPending()
-		if basis, err := e.store.Add(fp, s.points[i].Key(), payload); err == nil {
+		if basis, err := e.store.Add(fp, payload); err == nil {
 			plan.basis = basis
 			s.pending[c][basis.ID] = i
 			st.Store.Bases++
@@ -344,14 +345,13 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 	if !need {
 		return
 	}
-	p := s.points[i]
-	s.engines[0].simulateRows(s.f, p, dsts, s.w, sc)
+	s.engines[0].simulateRows(s.f, s.points[i], dsts, s.w, sc)
 	for c, e := range s.engines {
 		if dsts[c] == nil {
 			continue
 		}
 		plan := s.plan(c, i)
-		res := e.summarize(p, dsts[c], sc)
+		res := e.summarize(dsts[c], sc)
 		if plan.basis != nil {
 			payload := plan.basis.Payload.(*BasisPayload)
 			payload.Summary = res.Summary
@@ -371,7 +371,7 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 func (s *rowSweep) mapHits(i int) {
 	for c, e := range s.engines {
 		if plan := s.plan(c, i); !plan.simulate {
-			s.results[c][i] = e.mapBasis(plan.basis, plan.mapping, s.points[i])
+			s.results[c][i] = e.mapBasis(plan.basis, plan.mapping)
 		}
 	}
 }

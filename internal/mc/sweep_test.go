@@ -88,7 +88,7 @@ func synthSpace(t *testing.T, n int) *param.Space {
 // every point in order, with the per-point statistics summed. It
 // shares no code with the phased pipeline beyond the per-point
 // primitives (fingerprint, Store.Match, simulation, mapping).
-func evaluateLoop(eng *Engine, ev PointEval, points []param.Point) ([]PointResult, SweepStats) {
+func evaluateLoop(eng *Engine, ev PointEval, points [][]float64) ([]PointResult, SweepStats) {
 	res := make([]PointResult, len(points))
 	var st SweepStats
 	for i, p := range points {
@@ -107,8 +107,8 @@ func evaluateLoop(eng *Engine, ev PointEval, points []param.Point) ([]PointResul
 // engine, for every worker count including one.
 func TestSweepParallelDeterminism(t *testing.T) {
 	demandSpace := sweepSpace(t)
-	demand := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	synth := MustBindBox(blackbox.NewSynthBasis(16), "point_index")
+	demand := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	synth := bindNames(blackbox.NewSynthBasis(16), "point_index")
 
 	for _, tc := range []struct {
 		name   string
@@ -137,7 +137,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 			refOpts := sweepOptions(1)
 			tc.mutate(&refOpts)
 			refEng := MustNew(refOpts)
-			points := tc.space.Points()
+			points := spaceRows(tc.space)
 			// Two rounds per engine: the first runs against an empty
 			// store (phase B registers bases as it goes), the second
 			// against a warmed one (mostly hits).
@@ -183,7 +183,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 // same path as a space sweep.
 func TestSweepBatchMatchesSweep(t *testing.T) {
 	space := sweepSpace(t)
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 
 	spaceEng := MustNew(sweepOptions(4))
 	fromSpace, spaceStats, err := spaceEng.Sweep(ev, space)
@@ -191,12 +191,12 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchEng := MustNew(sweepOptions(4))
-	fromBatch, batchStats, err := batchEng.SweepBatch(ev, space.Points())
+	fromBatch, batchStats, err := batchEng.SweepBatch(ev, spaceRows(space))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fromSpace, fromBatch) {
-		t.Fatal("SweepBatch over space.Points() differs from Sweep over the space")
+		t.Fatal("SweepBatch over the space's rows differs from Sweep over the space")
 	}
 	if !reflect.DeepEqual(spaceStats, batchStats) {
 		t.Fatalf("stats diverged: %+v vs %+v", spaceStats, batchStats)
@@ -209,8 +209,8 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 // account for every evaluation.
 func TestSweepSharedEngineRace(t *testing.T) {
 	space := sweepSpace(t)
-	points := space.Points()
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	points := spaceRows(space)
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 	eng := MustNew(sweepOptions(2))
 
 	var wg sync.WaitGroup
@@ -252,9 +252,9 @@ func TestSweepSharedEngineRace(t *testing.T) {
 // halves reproduces the whole batch's statistics on a fresh engine.
 func TestSweepStatsArePerCall(t *testing.T) {
 	space := sweepSpace(t)
-	points := space.Points()
+	points := spaceRows(space)
 	n := len(points)
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 
 	eng := MustNew(sweepOptions(2))
 	for round := 0; round < 2; round++ {
@@ -278,7 +278,7 @@ func TestSweepStatsArePerCall(t *testing.T) {
 	}
 	halves := MustNew(sweepOptions(2))
 	var sum SweepStats
-	for _, half := range [][]param.Point{points[:n/2], points[n/2:]} {
+	for _, half := range [][][]float64{points[:n/2], points[n/2:]} {
 		_, st, err := halves.SweepBatch(ev, half)
 		if err != nil {
 			t.Fatal(err)
@@ -300,12 +300,12 @@ func TestSweepStatsArePerCall(t *testing.T) {
 // a usable duplicate and later points reuse that.
 func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	eng := MustNew(sweepOptions(1))
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	p := param.Point{"current_week": 5, "feature_release": 20}
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	p := []float64{5, 20}
 
 	abandoned := &BasisPayload{}
 	abandoned.markPending() // what a sweep abandoned between phases B and C leaves
-	if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "abandoned", abandoned); err != nil {
+	if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), abandoned); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +313,7 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 	if res1.Reused {
 		t.Fatal("reused a basis whose payload was never filled")
 	}
-	res2, _ := eng.EvaluatePoint(ev, param.Point{"current_week": 9, "feature_release": 20})
+	res2, _ := eng.EvaluatePoint(ev, []float64{9, 20})
 	if !res2.Reused {
 		t.Fatal("abandoned basis shadowed its fingerprint family: mappable point did not reuse")
 	}
@@ -327,11 +327,11 @@ func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
 // both skip it during candidate scanning and simulate the point, so a
 // matched basis always carries an engine payload.
 func TestForeignPayloadBasisIsNeverScanned(t *testing.T) {
-	ev := MustBindBox(blackbox.NewDemand(), "current_week", "feature_release")
-	p := param.Point{"current_week": 5, "feature_release": 20}
+	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	p := []float64{5, 20}
 	newEngine := func() *Engine {
 		eng := MustNew(sweepOptions(1))
-		if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "foreign", "not a BasisPayload"); err != nil {
+		if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), "not a BasisPayload"); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -341,7 +341,7 @@ func TestForeignPayloadBasisIsNeverScanned(t *testing.T) {
 	if res.Reused || st.Store.CandidatesScanned != 0 || st.Store.Hits != 0 {
 		t.Fatalf("EvaluatePoint: reused %v, stats %+v; want a simulation and no scan", res.Reused, st.Store)
 	}
-	results, st, err := newEngine().SweepBatch(ev, []param.Point{p})
+	results, st, err := newEngine().SweepBatch(ev, [][]float64{p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
-	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
@@ -26,11 +25,11 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	// Without validation: a rare-risk point's all-zero fingerprint
 	// matches the zero-risk basis and inherits its ~0 mean.
 	plain := MustNew(Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77})
-	base, _ := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0})
+	base, _ := plain.EvaluatePoint(indicatorEval, []float64{0})
 	if base.Summary.Mean != 0 {
 		t.Fatalf("zero-risk mean = %g", base.Summary.Mean)
 	}
-	risky, _ := plain.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
+	risky, _ := plain.EvaluatePoint(indicatorEval, []float64{0.05})
 	if !risky.Reused {
 		// The all-zero fingerprint occurs with probability .95^10 ≈ .60;
 		// seed 77 is chosen to hit it. If this fires, the engine's
@@ -45,8 +44,8 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	// and force a full simulation.
 	guarded := MustNew(Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
 		KeepSamples: true, ValidationSamples: 128})
-	guarded.EvaluatePoint(indicatorEval, param.Point{"risk": 0})
-	gr, _ := guarded.EvaluatePoint(indicatorEval, param.Point{"risk": 0.05})
+	guarded.EvaluatePoint(indicatorEval, []float64{0})
+	gr, _ := guarded.EvaluatePoint(indicatorEval, []float64{0.05})
 	if gr.Reused {
 		t.Fatal("validation failed to reject the false positive")
 	}
@@ -59,8 +58,8 @@ func TestValidationAcceptsTrueMatches(t *testing.T) {
 	// Genuinely affine reuse must survive validation untouched.
 	e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1,
 		KeepSamples: true, ValidationSamples: 64})
-	e.EvaluatePoint(gaussEval, param.Point{"week": 10})
-	r, _ := e.EvaluatePoint(gaussEval, param.Point{"week": 30})
+	e.EvaluatePoint(gaussEval, []float64{10})
+	r, _ := e.EvaluatePoint(gaussEval, []float64{30})
 	if !r.Reused {
 		t.Fatal("validation rejected an exact affine match")
 	}
@@ -72,7 +71,7 @@ func TestValidationAcceptsTrueMatches(t *testing.T) {
 // through EvaluatePoint and through a sweep, and the basis it was
 // checked against retains its samples.
 func TestValidationWithoutKeepSamples(t *testing.T) {
-	points := []param.Point{{"risk": 0}, {"risk": 0.05}}
+	points := [][]float64{{0}, {0.05}}
 	for _, keep := range []bool{true, false} {
 		opts := Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
 			KeepSamples: keep, ValidationSamples: 128}
@@ -101,7 +100,7 @@ func TestValidationWithoutKeepSamples(t *testing.T) {
 // — a rejected match does not draw its validation rows a second time.
 func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
 	const n, m = 800, 10
-	points := []param.Point{{"risk": 0}, {"risk": 0.05}, {"risk": 0}, {"risk": 0.05}}
+	points := [][]float64{{0}, {0.05}, {0}, {0.05}}
 	for _, tc := range []struct{ validation, v int }{{128, 128}, {2 * n, n - m}} {
 		for _, workers := range []int{1, 2} {
 			eng := MustNew(Options{Samples: n, Reuse: true, Workers: workers, MasterSeed: 77,
@@ -146,10 +145,8 @@ var rowTransforms = [3]func(x float64) float64{
 
 func (r transformRow) RowLen() int { return len(rowTransforms) + len(r.names) }
 
-func (r transformRow) BindRow(p param.Point, row []float64) {
-	for i, name := range r.names {
-		row[len(rowTransforms)+i] = p.MustGet(name)
-	}
+func (r transformRow) BindRow(vals, row []float64) {
+	copy(row[len(rowTransforms):], vals[:len(r.names)])
 }
 
 func (r transformRow) FillRow(rr *rng.Rand, row []float64) {
@@ -164,7 +161,7 @@ func (r transformRow) FillRow(rr *rng.Rand, row []float64) {
 // generator.
 type rowModel interface {
 	RowLen() int
-	BindRow(p param.Point, row []float64)
+	BindRow(vals, row []float64)
 	FillRow(r *rng.Rand, row []float64)
 }
 
@@ -176,9 +173,9 @@ type rowEval struct {
 	slots []int
 }
 
-func (e rowEval) BindPoint(p param.Point, buf []float64) []float64 {
+func (e rowEval) BindPoint(vals, buf []float64) []float64 {
 	buf = grow(buf, e.rows.RowLen())
-	e.rows.BindRow(p, buf)
+	e.rows.BindRow(vals, buf)
 	return buf
 }
 
@@ -215,10 +212,10 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		row    transformRow
-		points []param.Point
+		points [][]float64
 	}{
-		{"families", transformRow{famModel, []string{"fam", "a", "b"}}, famSpace(t).Points()},
-		{"synth", transformRow{blackbox.NewSynthBasis(16).Eval, []string{"point_index"}}, synthSpace(t, 120).Points()},
+		{"families", transformRow{famModel, []string{"fam", "a", "b"}}, spaceRows(famSpace(t))},
+		{"synth", transformRow{blackbox.NewSynthBasis(16).Eval, []string{"point_index"}}, spaceRows(synthSpace(t, 120))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			row := tc.row
@@ -269,11 +266,11 @@ type countingRow struct {
 	fills atomic.Int64
 }
 
-func (r *countingRow) BindRow(p param.Point, row []float64) {
+func (r *countingRow) BindRow(vals, row []float64) {
 	r.mu.Lock()
-	r.binds[p.Key()]++
+	r.binds[fmt.Sprint(vals)]++
 	r.mu.Unlock()
-	r.transformRow.BindRow(p, row)
+	r.transformRow.BindRow(vals, row)
 }
 
 func (r *countingRow) FillRow(rr *rng.Rand, row []float64) {
@@ -286,7 +283,7 @@ func (r *countingRow) FillRow(rr *rng.Rand, row []float64) {
 // when phase C1 simulates it (if any output missed there), never once
 // per sample, and the results are the same at every worker count.
 func TestSweepRowsBindsOncePerPoint(t *testing.T) {
-	points := famSpace(t).Points()
+	points := spaceRows(famSpace(t))
 	for _, validation := range []int{0, 16} {
 		var refRes [][]PointResult
 		var refSt SweepStats
@@ -309,7 +306,7 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 					if !res[0][i].Reused || !res[1][i].Reused || !res[2][i].Reused {
 						want, rows = 2, opts.Samples
 					}
-					if got := row.binds[p.Key()]; got != want {
+					if got := row.binds[fmt.Sprint(p)]; got != want {
 						t.Fatalf("point %d bound %d times, want %d", i, got, want)
 					}
 					fills += int64(rows)

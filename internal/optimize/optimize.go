@@ -10,7 +10,6 @@ package optimize
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"jigsaw/internal/exec"
 	"jigsaw/internal/mc"
@@ -58,55 +57,46 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 		return nil, err
 	}
 	res := &Result{Groups: q.groups.Size()}
-	sweeps := q.sweeps.Points()
-	per := len(sweeps)
-	// A batch's point maps are refilled for every batch: the sweep
-	// keeps no point past its call (a basis records its point's key),
-	// and flush aggregates a batch's results before the next batch
-	// overwrites them.
-	batch := make([]param.Point, min(batchGroups, res.Groups)*per)
+	per, d := q.sweeps.Size(), len(s.Space.Decls())
+	// A batch's value rows are refilled for every batch: the sweep
+	// keeps no row past its call, and a batch's results are aggregated
+	// before the next batch overwrites them. A row's swept values
+	// depend only on its place in its group, so they are written once.
+	batch := make([][]float64, min(batchGroups, res.Groups)*per)
+	var vals []float64
 	for i := range batch {
-		batch[i] = make(param.Point, len(s.Space.Decls()))
+		batch[i] = make([]float64, d)
+		vals = q.sweeps.Values(i%per, vals)
+		scatter(batch[i], q.sweepPos, vals)
 	}
-	groups := make([]param.Point, 0, batchGroups)
-	// flush sweeps the gathered groups in one call, then aggregates
-	// each group's slice of the results in enumeration order; the
-	// earliest of equally good feasible groups is kept.
-	flush := func() error {
-		swept, err := q.sweep.Sweep(batch[:len(groups)*per])
-		if err != nil {
-			return err
+	best := -1
+	for first := 0; first < res.Groups; first += batchGroups {
+		n := min(batchGroups, res.Groups-first)
+		for gi := range n {
+			vals = q.groups.Values(first+gi, vals)
+			for _, row := range batch[gi*per : (gi+1)*per] {
+				scatter(row, q.groupPos, vals)
+			}
 		}
-		for gi, g := range groups {
+		swept, err := q.sweep.Sweep(batch[:n*per])
+		if err != nil {
+			return nil, err
+		}
+		// Each group's slice of the results aggregates in enumeration
+		// order; the earliest of equally good feasible groups is kept.
+		for gi := range n {
 			values, ok := q.score(swept, gi*per, (gi+1)*per)
 			if !ok {
 				continue
 			}
 			res.Feasible++
-			if res.Chosen == nil || goalsBetter(stmt.Goals, g, res.Chosen) {
-				res.Chosen, res.ConstraintValues = g, values
+			if g := first + gi; best < 0 || q.better(g, best) {
+				best, res.ConstraintValues = g, values
 			}
 		}
-		groups = groups[:0]
-		return nil
 	}
-	q.groups.Each(func(g param.Point) bool {
-		for j, sp := range sweeps {
-			p := batch[len(groups)*per+j]
-			maps.Copy(p, g)
-			maps.Copy(p, sp)
-		}
-		groups = append(groups, g)
-		if len(groups) == batchGroups {
-			err = flush()
-		}
-		return err == nil
-	})
-	if err == nil && len(groups) > 0 {
-		err = flush()
-	}
-	if err != nil {
-		return nil, err
+	if best >= 0 {
+		res.Chosen = q.groups.Point(best)
 	}
 	res.Stats = q.sweep.Stats()
 	res.PointsEvaluated = res.Stats.Points
@@ -114,12 +104,24 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 }
 
 // query is a validated OPTIMIZE statement: the grouped parameters'
-// space, the swept parameters' space, and the sweep of the constraint
-// columns.
+// space, the swept parameters' space, where their values go in the
+// scenario's value rows, and the sweep of the constraint columns.
 type query struct {
 	stmt           *sqlparse.OptimizeStmt
 	groups, sweeps *param.Space
-	sweep          *exec.ColumnSweep
+	// groupPos and sweepPos place the groups' and sweeps' values in a
+	// scenario value row; goalPos places each goal in a group's values.
+	groupPos, sweepPos, goalPos []int
+	sweep                       *exec.ColumnSweep
+	// a and b are better's scratch value rows.
+	a, b []float64
+}
+
+// scatter writes vals[k] to row[pos[k]] for each k.
+func scatter(row []float64, pos []int, vals []float64) {
+	for k, p := range pos {
+		row[p] = vals[k]
+	}
 }
 
 // newQuery checks stmt against the scenario and partitions its
@@ -151,17 +153,20 @@ func newQuery(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*
 			return nil, fmt.Errorf("optimize: goal parameter @%s is not in GROUP BY", g.Param)
 		}
 	}
+	q := &query{stmt: stmt}
 	var groupDecls, sweepDecls []param.Decl
-	for _, d := range s.Space.Decls() {
+	for i, d := range s.Space.Decls() {
 		if grouped[d.Name] {
 			groupDecls = append(groupDecls, d)
+			q.groupPos = append(q.groupPos, i)
 		} else {
 			sweepDecls = append(sweepDecls, d)
+			q.sweepPos = append(q.sweepPos, i)
 		}
 	}
 	for g := range grouped {
-		if _, ok := s.Space.Decl(g); !ok {
-			return nil, fmt.Errorf("optimize: GROUP BY references undeclared parameter %q", g)
+		if _, ok := s.Space.Position(g); !ok {
+			return nil, fmt.Errorf("optimize: GROUP BY references %q, not an enumerable parameter", g)
 		}
 	}
 	for _, c := range stmt.Constraints {
@@ -170,24 +175,26 @@ func newQuery(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*
 		}
 	}
 
-	groupSpace, err := param.NewSpace(groupDecls...)
-	if err != nil {
+	var err error
+	if q.groups, err = param.NewSpace(groupDecls...); err != nil {
 		return nil, err
 	}
-	sweepSpace, err := param.NewSpace(sweepDecls...)
-	if err != nil {
+	if q.sweeps, err = param.NewSpace(sweepDecls...); err != nil {
 		return nil, err
+	}
+	for _, g := range stmt.Goals { // grouped, so enumerable
+		pos, _ := q.groups.Position(g.Param)
+		q.goalPos = append(q.goalPos, pos)
 	}
 
 	cols := make([]string, len(stmt.Constraints))
 	for i, c := range stmt.Constraints {
 		cols[i] = c.Column
 	}
-	sweep, err := s.SweepColumns(cols, opts)
-	if err != nil {
+	if q.sweep, err = s.SweepColumns(cols, opts); err != nil {
 		return nil, err
 	}
-	return &query{stmt: stmt, groups: groupSpace, sweeps: sweepSpace, sweep: sweep}, nil
+	return q, nil
 }
 
 // score aggregates one group's swept results — entries lo to hi−1 of
@@ -211,11 +218,12 @@ func (q *query) score(swept [][]mc.PointResult, lo, hi int) ([]float64, bool) {
 	return values, ok
 }
 
-// goalsBetter reports whether a beats b under the lexicographic goals.
-func goalsBetter(goals []sqlparse.Goal, a, b param.Point) bool {
-	for _, g := range goals {
-		av := a.MustGet(g.Param)
-		bv := b.MustGet(g.Param)
+// better reports whether group a beats group b under the
+// lexicographic goals.
+func (q *query) better(a, b int) bool {
+	q.a, q.b = q.groups.Values(a, q.a), q.groups.Values(b, q.b)
+	for i, g := range q.stmt.Goals {
+		av, bv := q.a[q.goalPos[i]], q.b[q.goalPos[i]]
 		if av == bv {
 			continue
 		}

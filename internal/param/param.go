@@ -11,7 +11,7 @@
 // Each parameter has a discrete, finite domain (footnote 1 of the
 // paper: a discrete-finite domain is assumed). A Space is the cartesian
 // product of the declared domains; the Parameter Enumerator (Fig. 3)
-// iterates its Points.
+// walks its points by index, each as a value row (Space.Values).
 package param
 
 import (

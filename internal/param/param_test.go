@@ -2,6 +2,7 @@ package param
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,27 +147,16 @@ func TestPointCloneWithKey(t *testing.T) {
 	if p["a"] != 1 || q["a"] != 9 || q["b"] != 2 {
 		t.Fatal("With mutated receiver or dropped bindings")
 	}
-	if p.Key() != "a=1;b=2" {
-		t.Fatalf("Key = %q", p.Key())
-	}
 	if p.String() != "{a=1;b=2}" {
 		t.Fatalf("String = %q", p.String())
 	}
-	c := p.Clone()
-	c["a"] = 7
-	if p["a"] != 1 {
-		t.Fatal("Clone aliases receiver")
+	if got := Point(nil).With("a", 1); got["a"] != 1 {
+		t.Fatalf("nil point With = %v", got)
 	}
 }
 
 func TestPointGetters(t *testing.T) {
 	p := Point{"x": 3}
-	if v, ok := p.Get("x"); !ok || v != 3 {
-		t.Fatal("Get broken")
-	}
-	if _, ok := p.Get("y"); ok {
-		t.Fatal("Get found missing binding")
-	}
 	if p.MustGet("x") != 3 {
 		t.Fatal("MustGet broken")
 	}
@@ -192,19 +182,16 @@ func TestSpaceSizeAndEnumeration(t *testing.T) {
 	if s.Size() != 24 {
 		t.Fatalf("Size = %d, want 24", s.Size())
 	}
-	pts := s.Points()
-	if len(pts) != 24 {
-		t.Fatalf("Points len = %d", len(pts))
-	}
 	seen := make(map[string]bool)
-	for _, p := range pts {
+	for i := 0; i < s.Size(); i++ {
+		p := s.Point(i)
 		if len(p) != 3 {
 			t.Fatalf("point binds %d params: %v", len(p), p)
 		}
-		if seen[p.Key()] {
+		if seen[p.String()] {
 			t.Fatalf("duplicate point %v", p)
 		}
-		seen[p.Key()] = true
+		seen[p.String()] = true
 	}
 }
 
@@ -252,7 +239,7 @@ func TestSpaceRowMajorOrder(t *testing.T) {
 		{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 2},
 	}
 	for i, w := range want {
-		if got := s.Point(i); got.Key() != w.Key() {
+		if got := s.Point(i); got.String() != w.String() {
 			t.Fatalf("Point(%d) = %v, want %v", i, got, w)
 		}
 	}
@@ -279,28 +266,16 @@ func TestSpaceSizeOverflowRejected(t *testing.T) {
 	}
 }
 
-func TestSpaceEachEarlyStop(t *testing.T) {
-	s := mustSpaceT(t)
-	n := 0
-	s.Each(func(Point) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("Each visited %d points, want 5", n)
-	}
-}
-
 func TestSpaceDeclLookupAndAccessors(t *testing.T) {
 	s := mustSpaceT(t)
-	if d, ok := s.Decl("p1"); !ok || d.Name != "p1" {
-		t.Fatal("Decl lookup failed for enumerable param")
+	if pos, ok := s.Position("p1"); !ok || pos != 1 {
+		t.Fatalf("Position(p1) = %d, %v; want 1", pos, ok)
 	}
-	if d, ok := s.Decl("rw"); !ok || d.Kind != KindChain {
-		t.Fatal("Decl lookup failed for chain param")
-	}
-	if _, ok := s.Decl("zzz"); ok {
-		t.Fatal("Decl lookup found missing param")
+	// A CHAIN parameter has no place in a value row.
+	for _, name := range []string{"rw", "zzz"} {
+		if _, ok := s.Position(name); ok {
+			t.Fatalf("Position found %s", name)
+		}
 	}
 	if len(s.Decls()) != 3 || len(s.Chains()) != 1 {
 		t.Fatalf("accessor lengths = %d, %d", len(s.Decls()), len(s.Chains()))
@@ -320,19 +295,66 @@ func TestEmptySpace(t *testing.T) {
 func TestNeighbors(t *testing.T) {
 	a, _ := Range("a", 0, 4, 1)
 	b, _ := Set("b", 10, 20, 30)
-	s := MustSpace(a, b)
+	one, _ := Set("c", 7)
+	s := MustSpace(a, b, one)
+	neighbors := func(p Point) []Point {
+		idx, err := s.Index(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Point
+		for _, n := range s.Neighbors(idx, nil) {
+			out = append(out, s.Point(n))
+		}
+		return out
+	}
+	// One domain step along each axis, lower first, in declaration
+	// order; the one-value axis has no neighbors.
+	got := neighbors(Point{"a": 2, "b": 20, "c": 7})
+	want := []Point{
+		{"a": 1, "b": 20, "c": 7}, {"a": 3, "b": 20, "c": 7},
+		{"a": 2, "b": 10, "c": 7}, {"a": 2, "b": 30, "c": 7},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("interior neighbors = %v, want %v", got, want)
+	}
+	got = neighbors(Point{"a": 0, "b": 30, "c": 7})
+	want = []Point{{"a": 1, "b": 30, "c": 7}, {"a": 0, "b": 20, "c": 7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("corner neighbors = %v, want %v", got, want)
+	}
+	if n := MustSpace().Neighbors(0, nil); len(n) != 0 {
+		t.Fatalf("the empty space's point has neighbors %v", n)
+	}
+}
 
-	n := s.Neighbors(Point{"a": 2, "b": 20})
-	if len(n) != 4 {
-		t.Fatalf("interior point has %d neighbors, want 4: %v", len(n), n)
-	}
-	n = s.Neighbors(Point{"a": 0, "b": 10})
-	if len(n) != 2 {
-		t.Fatalf("corner point has %d neighbors, want 2: %v", len(n), n)
-	}
-	// Unbound and off-domain values are skipped rather than fabricated.
-	if got := s.Neighbors(Point{"a": 2.5}); len(got) != 0 {
-		t.Fatalf("off-domain neighbors = %v", got)
+// TestSpaceValues checks that Values is Point's value row, in Decls
+// order, and round-trips with Index, for every index of a mixed
+// RANGE/SET space with a one-value SET, and of the empty space.
+func TestSpaceValues(t *testing.T) {
+	a, _ := Range("a", 0, 2, 1)
+	one, _ := Set("one", 5)
+	b, _ := Set("b", -1, 3)
+	for _, s := range []*Space{mustSpaceT(t), MustSpace(a, one, b), MustSpace()} {
+		decls := s.Decls()
+		var vals []float64
+		for i := 0; i < s.Size(); i++ {
+			vals = s.Values(i, vals)
+			p := s.Point(i)
+			if len(vals) != len(decls) || len(p) != len(decls) {
+				t.Fatalf("point %d: %d values, %d bindings, %d decls", i, len(vals), len(p), len(decls))
+			}
+			back := Point{}
+			for k, d := range decls {
+				if vals[k] != p[d.Name] {
+					t.Fatalf("point %d: Values[%d] = %g, Point binds @%s = %g", i, k, vals[k], d.Name, p[d.Name])
+				}
+				back[d.Name] = vals[k]
+			}
+			if j, err := s.Index(back); err != nil || j != i {
+				t.Fatalf("Index(Values(%d)) = %d, %v", i, j, err)
+			}
+		}
 	}
 }
 

@@ -2,38 +2,26 @@ package param
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Point is one valuation of the declared parameters: a mapping from
-// parameter name to value. Points are the unit of work for the Monte
-// Carlo engine — each Point corresponds to one full PDB invocation in
-// the naive execution strategy (Fig. 3).
+// Point is one valuation of the declared parameters by name: the form
+// a point takes at the edges (fixed values, chosen groups, a session's
+// focus). Each point corresponds to one full PDB invocation in the
+// naive execution strategy (Fig. 3); the sweep works on its value row
+// (Space.Values), which evaluators read by position.
 type Point map[string]float64
-
-// Clone returns an independent copy of the point.
-func (p Point) Clone() Point {
-	out := make(Point, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
 
 // With returns a copy of the point with name set to v.
 func (p Point) With(name string, v float64) Point {
-	out := p.Clone()
+	out := make(Point, len(p)+1)
+	maps.Copy(out, p)
 	out[name] = v
 	return out
-}
-
-// Get returns the value of the named parameter, with ok=false when the
-// point does not bind it.
-func (p Point) Get(name string) (float64, bool) {
-	v, ok := p[name]
-	return v, ok
 }
 
 // MustGet returns the value of the named parameter and panics when the
@@ -46,26 +34,24 @@ func (p Point) MustGet(name string) float64 {
 	return v
 }
 
-// Key returns a canonical string form of the point, usable as a map
-// key. Names are sorted so two equal points always produce equal keys.
-func (p Point) Key() string {
+// String implements fmt.Stringer: the bindings sorted by name, as in
+// {a=1;b=2}, so equal points print alike.
+func (p Point) String() string {
 	names := make([]string, 0, len(p))
 	for k := range p {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	var b strings.Builder
+	b.WriteByte('{')
 	for i, n := range names {
 		if i > 0 {
 			b.WriteByte(';')
 		}
 		fmt.Fprintf(&b, "%s=%g", n, p[n])
 	}
-	return b.String()
+	return b.String() + "}"
 }
-
-// String implements fmt.Stringer using the canonical key form.
-func (p Point) String() string { return "{" + p.Key() + "}" }
 
 // Space is the cartesian product of enumerable parameter domains. It
 // implements the brute-force Parameter Enumerator of Fig. 3: black-box
@@ -75,14 +61,14 @@ type Space struct {
 	decls   []Decl // enumerable (range/set) declarations, in declaration order
 	chains  []Decl // chain declarations, carried but not enumerated
 	domains [][]float64
+	size    int // the product of the domains' lengths
 }
 
 // NewSpace builds a Space from declarations. Duplicate names are
 // rejected.
 func NewSpace(decls ...Decl) (*Space, error) {
 	seen := make(map[string]bool, len(decls))
-	s := &Space{}
-	size := 1
+	s := &Space{size: 1}
 	for _, d := range decls {
 		if seen[d.Name] {
 			return nil, fmt.Errorf("param: duplicate parameter @%s", d.Name)
@@ -96,10 +82,10 @@ func NewSpace(decls ...Decl) (*Space, error) {
 		if len(dom) == 0 {
 			return nil, fmt.Errorf("param: @%s has an empty domain", d.Name)
 		}
-		if len(dom) > math.MaxInt/size {
+		if len(dom) > math.MaxInt/s.size {
 			return nil, fmt.Errorf("param: the space has more than %d points", math.MaxInt)
 		}
-		size *= len(dom)
+		s.size *= len(dom)
 		s.decls = append(s.decls, d)
 		s.domains = append(s.domains, dom)
 	}
@@ -121,43 +107,43 @@ func (s *Space) Decls() []Decl { return append([]Decl(nil), s.decls...) }
 // Chains returns the chain declarations in declaration order.
 func (s *Space) Chains() []Decl { return append([]Decl(nil), s.chains...) }
 
-// Decl returns the declaration with the given name.
-func (s *Space) Decl(name string) (Decl, bool) {
-	for _, d := range s.decls {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	for _, d := range s.chains {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Decl{}, false
+// Position returns the position of the enumerable parameter name in
+// Decls order: where a value row (see Values) holds its value.
+func (s *Space) Position(name string) (int, bool) {
+	i := slices.IndexFunc(s.decls, func(d Decl) bool { return d.Name == name })
+	return i, i >= 0
 }
 
 // Size returns the number of points in the space (the product of
 // domain cardinalities). An empty space has size 1: the single empty
 // point.
-func (s *Space) Size() int {
-	n := 1
-	for _, dom := range s.domains {
-		n *= len(dom)
-	}
-	return n
-}
+func (s *Space) Size() int { return s.size }
 
-// Point materializes the idx'th point in row-major order (the last
-// declared parameter varies fastest). idx must be in [0, Size()).
-func (s *Space) Point(idx int) Point {
-	if idx < 0 || idx >= s.Size() {
-		panic(fmt.Sprintf("param: point index %d out of range [0,%d)", idx, s.Size()))
+// Values writes the idx'th point's values into dst, one per
+// declaration in Decls order, growing dst as needed, and returns it.
+// Points are numbered in row-major order (the last declared parameter
+// varies fastest); idx must be in [0, Size()). A value row is the
+// sweep's point form: evaluators resolve parameter names to row
+// positions once, when they are built.
+func (s *Space) Values(idx int, dst []float64) []float64 {
+	if idx < 0 || idx >= s.size {
+		panic(fmt.Sprintf("param: point index %d out of range [0,%d)", idx, s.size))
 	}
-	p := make(Point, len(s.decls))
+	dst = slices.Grow(dst[:0], len(s.domains))[:len(s.domains)]
 	for i := len(s.domains) - 1; i >= 0; i-- {
 		dom := s.domains[i]
-		p[s.decls[i].Name] = dom[idx%len(dom)]
+		dst[i] = dom[idx%len(dom)]
 		idx /= len(dom)
+	}
+	return dst
+}
+
+// Point materializes the idx'th point (see Values) as a map.
+func (s *Space) Point(idx int) Point {
+	vals := s.Values(idx, nil)
+	p := make(Point, len(vals))
+	for i, d := range s.decls {
+		p[d.Name] = vals[i]
 	}
 	return p
 }
@@ -186,55 +172,22 @@ func (s *Space) Index(p Point) (int, error) {
 	return idx, nil
 }
 
-// Points returns every point in the space in row-major order. For
-// large spaces prefer Each, which avoids materializing the slice.
-func (s *Space) Points() []Point {
-	out := make([]Point, 0, s.Size())
-	s.Each(func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-// Each visits every point in row-major order until fn returns false.
-func (s *Space) Each(fn func(Point) bool) {
-	n := s.Size()
-	for i := 0; i < n; i++ {
-		if !fn(s.Point(i)) {
-			return
-		}
-	}
-}
-
-// Neighbors returns the points adjacent to p along each parameter axis
-// (one domain step in each direction). The interactive engine's
-// exploration heuristic (§5) uses it to prefetch points the user is
-// likely to inspect next.
-func (s *Space) Neighbors(p Point) []Point {
-	var out []Point
-	for i, d := range s.decls {
-		dom := s.domains[i]
-		v, ok := p[d.Name]
-		if !ok {
-			continue
-		}
-		pos := -1
-		for j, dv := range dom {
-			if dv == v {
-				pos = j
-				break
-			}
-		}
-		if pos < 0 {
-			continue
-		}
+// Neighbors appends to dst the indices of the points adjacent to the
+// idx'th, idx in [0, Size()), along each parameter axis (one domain
+// step in each direction, the lower first), in declaration order, and
+// returns it. The interactive engine's exploration heuristic (§5)
+// uses it to prefetch points the user is likely to inspect next.
+func (s *Space) Neighbors(idx int, dst []int) []int {
+	stride := s.size
+	for _, dom := range s.domains {
+		stride /= len(dom)
+		pos := idx / stride % len(dom)
 		if pos > 0 {
-			out = append(out, p.With(d.Name, dom[pos-1]))
+			dst = append(dst, idx-stride)
 		}
 		if pos < len(dom)-1 {
-			out = append(out, p.With(d.Name, dom[pos+1]))
+			dst = append(dst, idx+stride)
 		}
 	}
-	return out
+	return dst
 }

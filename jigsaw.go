@@ -27,10 +27,10 @@
 //			return r.Normal(args[0], 0.1*args[0]+1)
 //		},
 //	}
-//	eval, _ := jigsaw.BindBox(demand, "week")
-//	eng, _ := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 1000, Reuse: true})
 //	week, _ := jigsaw.RangeParam("week", 0, 52, 1)
 //	space, _ := jigsaw.NewSpace(week)
+//	eval, _ := jigsaw.BindBox(demand, space, "week")
+//	eng, _ := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 1000, Reuse: true})
 //	results, stats, _ := eng.Sweep(eval, space)
 //
 // # Concurrency
@@ -39,8 +39,9 @@
 // EngineOptions.Workers (0 = all cores) and Engine.Sweep and
 // Engine.SweepBatch spread the points over a worker pool while
 // returning results bit-identical for every worker count, equal to
-// evaluating the points one by one with Engine.EvaluatePoint. Every call returns its own SweepStats (sum
-// several with SweepStats.Add); the engine keeps no running counters.
+// evaluating the points one by one with Engine.EvaluatePoint. Every
+// call returns its own SweepStats (sum several with SweepStats.Add);
+// the engine keeps no running counters.
 // The basis store is guarded by one read-write lock, so engines may
 // also be shared between goroutines calling EvaluatePoint. A point's
 // own samples draw on one goroutine, in a sweep, in a lone
@@ -136,7 +137,7 @@ func NewStockRegistry(users int) (*Registry, error) {
 // ---------- Parameters ----------
 
 type (
-	// Point is one parameter valuation.
+	// Point is one parameter valuation by name.
 	Point = param.Point
 	// ParamDecl is a declared parameter (RANGE/SET/CHAIN).
 	ParamDecl = param.Decl
@@ -237,11 +238,11 @@ type (
 	EngineOptions = mc.Options
 	// PointEval is a stochastic model at a parameter point, the
 	// engine's one evaluator contract: the engine and interactive
-	// sessions bind a point once (BindPoint) and draw its samples in
-	// blocks of sample ids under one master seed (EvalBlockBound),
-	// each sample writing one value per output; Sweep, SweepBatch and
-	// EvaluatePoint read output 0. BindBox builds one from any Box, a
-	// BoxFunc included.
+	// sessions bind a point's value row once (BindPoint) and draw its
+	// samples in blocks of sample ids under one master seed
+	// (EvalBlockBound), each sample writing one value per output;
+	// Sweep, SweepBatch and EvaluatePoint read output 0. BindBox
+	// builds one from any Box, a BoxFunc included.
 	PointEval = mc.PointEval
 	// PointResult is the engine's per-point answer.
 	PointResult = mc.PointResult
@@ -261,9 +262,11 @@ const (
 // NewEngine builds a Monte Carlo engine.
 func NewEngine(opts EngineOptions) (*Engine, error) { return mc.New(opts) }
 
-// BindBox adapts a Box to a PointEval by binding its positional
-// arguments to named parameters.
-func BindBox(b Box, argNames ...string) (PointEval, error) { return mc.BindBox(b, argNames...) }
+// BindBox adapts a Box to a PointEval over space's value rows by
+// binding its positional arguments to named parameters of the space.
+func BindBox(b Box, space *Space, argNames ...string) (PointEval, error) {
+	return mc.BindBox(b, space, argNames...)
+}
 
 // ---------- Markov processes (§4) ----------
 

@@ -18,10 +18,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			return r.Normal(args[0], 0.1*args[0]+1)
 		},
 	}
-	eval, err := jigsaw.BindBox(demand, "week")
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 300, Reuse: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +29,13 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	space, err := jigsaw.NewSpace(week)
 	if err != nil {
 		t.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(demand, space, "week")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jigsaw.BindBox(demand, space, "weeks"); err == nil {
+		t.Fatal("BindBox accepted a name the space does not declare")
 	}
 	results, st, err := eng.Sweep(eval, space)
 	if err != nil {
@@ -53,13 +56,13 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // contract: a sweep over all cores returns bit-identical results and
 // statistics to a one-worker sweep.
 func TestPublicAPIConcurrentSweep(t *testing.T) {
-	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), "week", "release")
-	if err != nil {
-		t.Fatal(err)
-	}
 	week, _ := jigsaw.RangeParam("week", 1, 40, 1)
 	release, _ := jigsaw.SetParam("release", 10, 99)
 	space, err := jigsaw.NewSpace(week, release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), space, "week", "release")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +188,13 @@ func TestPublicAPIPDB(t *testing.T) {
 
 // TestPublicAPISession exercises the interactive path.
 func TestPublicAPISession(t *testing.T) {
-	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), "week", "release")
-	if err != nil {
-		t.Fatal(err)
-	}
 	week, _ := jigsaw.RangeParam("week", 1, 20, 1)
 	release, _ := jigsaw.SetParam("release", 99)
 	space, err := jigsaw.NewSpace(week, release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), space, "week", "release")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +254,15 @@ func TestPublicAPIFingerprints(t *testing.T) {
 		return jigsaw.NewRand(seed).Normal(5, 3)
 	}, 42, 10)
 	store := jigsaw.NewBasisStore(jigsaw.LinearMappingClass{}, jigsaw.NewNormalizationIndex())
-	if _, err := store.Add(fpA, "A", "payload"); err != nil {
+	if _, err := store.Add(fpA, "payload"); err != nil {
 		t.Fatal(err)
 	}
 	basis, mapping, ok, _ := store.Match(fpB, nil, nil)
 	if !ok {
 		t.Fatal("affine fingerprints did not match")
 	}
-	if basis.Label != "A" {
-		t.Fatalf("matched %q", basis.Label)
+	if basis.Payload != "payload" {
+		t.Fatalf("matched payload %v", basis.Payload)
 	}
 	alpha, beta := mapping.Alpha, mapping.Beta
 	if math.Abs(alpha-3) > 1e-6 || math.Abs(beta-5) > 1e-6 {
