@@ -150,7 +150,7 @@ func benchSweep(b *testing.B, box blackbox.Box, space *param.Space, reuse bool, 
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := benchEngine(reuse, mc.IndexNormalization, class)
-		if _, _, err := eng.Sweep(ev, space); err != nil {
+		if _, _, err := eng.Sweep(ev); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func BenchmarkFigure9(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
-					if _, _, err := eng.Sweep(ev, space); err != nil {
+					if _, _, err := eng.Sweep(ev); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -261,7 +261,7 @@ func BenchmarkFigure10(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
-					if _, _, err := eng.Sweep(ev, space); err != nil {
+					if _, _, err := eng.Sweep(ev); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -286,7 +286,7 @@ func BenchmarkFigure11(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					eng := benchEngine(true, kind, core.LinearClass{})
-					if _, _, err := eng.Sweep(ev, space); err != nil {
+					if _, _, err := eng.Sweep(ev); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -340,7 +340,7 @@ func BenchmarkAblationFingerprintLength(b *testing.B) {
 					Samples: benchSamples, FingerprintLen: m, MasterSeed: benchSeed,
 					Reuse: true, Index: mc.IndexNormalization, Workers: 1,
 				})
-				if _, _, err := eng.Sweep(ev, space); err != nil {
+				if _, _, err := eng.Sweep(ev); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,7 +390,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 					Samples: 200, FingerprintLen: benchM, MasterSeed: benchSeed,
 					Reuse: true, Index: mc.IndexNormalization, Workers: workers,
 				})
-				if _, _, err := eng.Sweep(ev, space); err != nil {
+				if _, _, err := eng.Sweep(ev); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -412,7 +412,7 @@ func BenchmarkSweepWorkersReuseHeavy(b *testing.B) {
 					Samples: benchSamples, FingerprintLen: benchM, MasterSeed: benchSeed,
 					Reuse: true, Index: mc.IndexNormalization, Workers: workers,
 				})
-				if _, _, err := eng.Sweep(ev, space); err != nil {
+				if _, _, err := eng.Sweep(ev); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sess, err := jigsaw.NewSession(eval, scenario.Space, jigsaw.SessionOptions{
+	sess, err := jigsaw.NewSession(eval, jigsaw.SessionOptions{
 		BatchSize:  *batch,
 		MasterSeed: *seed,
 	})

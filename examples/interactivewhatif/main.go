@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sess, err := jigsaw.NewSession(eval, space, jigsaw.SessionOptions{BatchSize: 10})
+	sess, err := jigsaw.NewSession(eval, jigsaw.SessionOptions{BatchSize: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		results, stats, err := eng.Sweep(eval, space)
+		results, stats, err := eng.Sweep(eval)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -344,6 +344,9 @@ type columns struct {
 	slots []int
 }
 
+// Space implements mc.PointEval: the scenario's space.
+func (c *columns) Space() *param.Space { return c.s.Space }
+
 // BindPoint implements mc.PointEval.
 func (c *columns) BindPoint(vals, buf []float64) []float64 {
 	n := c.s.rowLen(mc.DefaultBlockSize)

@@ -7,31 +7,35 @@ import (
 )
 
 // ColumnSweep sweeps scenario columns through the Monte Carlo engine
-// for OPTIMIZE constraints and GRAPH series. It owns one engine, and
-// so one basis store, per distinct column: different columns are
-// different stochastic functions, so a basis of one must never answer
-// for another. The columns are swept jointly (mc.SweepRows): each
-// sampled row of the scenario is evaluated once and feeds every
-// column. Engines persist across Sweep calls, so reuse spans every
-// batch swept — the whole (group × sweep) space of an OPTIMIZE, which
-// is where the two-orders-of-magnitude wins of §6.2 come from.
+// for OPTIMIZE constraints and GRAPH series. Each distinct column is an
+// output of one row evaluator, and the engine keeps one basis store
+// per output: different columns are different stochastic functions, so
+// a basis of one must never answer for another. The columns are swept
+// jointly (Engine.SweepRows): each sampled row of the scenario is
+// evaluated once and feeds every column. The engine persists across
+// Sweep calls, so reuse spans every batch swept — the whole (group ×
+// sweep) space of an OPTIMIZE, which is where the
+// two-orders-of-magnitude wins of §6.2 come from.
 type ColumnSweep struct {
-	// rows and engines hold one entry per distinct column, in the
-	// order the columns first appear: its row slot (an output of
-	// rows) and its engine.
-	rows    columns
-	engines []*mc.Engine
+	// rows holds one row slot (an output) per distinct column, in the
+	// order the columns first appear.
+	rows columns
+	eng  *mc.Engine
 	// column maps each requested name, by position, to its distinct
 	// column.
 	column []int
-	// stats sums every engine's per-call statistics over every Sweep.
+	// stats sums the engine's per-call statistics over every Sweep.
 	stats mc.SweepStats
 }
 
 // SweepColumns builds the sweep of the named columns. A name may
 // repeat; its column is swept once.
 func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, error) {
-	cs := &ColumnSweep{rows: columns{s: s}, column: make([]int, len(names))}
+	eng, err := mc.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	cs := &ColumnSweep{rows: columns{s: s}, eng: eng, column: make([]int, len(names))}
 	for i, name := range names {
 		if j := slices.Index(names[:i], name); j >= 0 {
 			cs.column[i] = cs.column[j]
@@ -41,27 +45,22 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 		if err != nil {
 			return nil, err
 		}
-		eng, err := mc.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		cs.column[i] = len(cs.engines)
+		cs.column[i] = len(cs.rows.slots)
 		cs.rows.slots = append(cs.rows.slots, slot)
-		cs.engines = append(cs.engines, eng)
 	}
 	return cs, nil
 }
 
 // Sweep evaluates each distinct column at every point of batch, each
 // a value row of the scenario's Space, in one joint sweep on the
-// engines' worker pool (Options.Workers), and returns one result slice
+// engine's worker pool (Options.Workers), and returns one result slice
 // per name given to SweepColumns, in batch order. Names of the same
 // column share its slice.
 func (cs *ColumnSweep) Sweep(batch [][]float64) ([][]mc.PointResult, error) {
-	if len(cs.engines) == 0 { // an OPTIMIZE without WHERE
+	if len(cs.rows.slots) == 0 { // an OPTIMIZE without WHERE
 		return nil, nil
 	}
-	swept, st, err := mc.SweepRows(cs.engines, &cs.rows, batch)
+	swept, st, err := cs.eng.SweepRows(&cs.rows, len(cs.rows.slots), batch)
 	if err != nil {
 		return nil, err
 	}

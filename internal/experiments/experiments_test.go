@@ -192,16 +192,18 @@ func TestFigure11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Array per-point time grows with basis count; the hash indexes
-	// must grow strictly slower end to end.
-	first, last := rows[0], rows[len(rows)-1]
-	arrayGrowth := last.SecPerPoint["Array"] / first.SecPerPoint["Array"]
-	normGrowth := last.SecPerPoint["Normalization"] / first.SecPerPoint["Normalization"]
-	if arrayGrowth < 1.5 {
-		t.Skipf("array growth %.2fx too small to discriminate on this machine", arrayGrowth)
+	// The array scan's work grows with the basis count; the
+	// normalization index's must grow strictly less. Candidate counts
+	// are deterministic, so the claim holds on any machine, where the
+	// wall times behind it drown in a loaded host's noise.
+	first, last := rows[0].CandidatesScanned, rows[len(rows)-1].CandidatesScanned
+	if last["Array"] <= first["Array"] {
+		t.Fatalf("array scans %d -> %d do not grow with the basis count", first["Array"], last["Array"])
 	}
-	if normGrowth >= arrayGrowth {
-		t.Errorf("normalization growth %.2fx not below array growth %.2fx", normGrowth, arrayGrowth)
+	// normGrowth < arrayGrowth, cross-multiplied.
+	if last["Normalization"]*first["Array"] >= last["Array"]*first["Normalization"] {
+		t.Errorf("normalization scans %d -> %d grow no less than array scans %d -> %d",
+			first["Normalization"], last["Normalization"], first["Array"], last["Array"])
 	}
 }
 

@@ -26,6 +26,9 @@ type Fig11Row struct {
 	Bases int
 	// SecPerPoint maps strategy → seconds per point.
 	SecPerPoint map[string]float64
+	// CandidatesScanned maps strategy → FindMapping attempts, the
+	// work the indexes exist to avoid.
+	CandidatesScanned map[string]int
 }
 
 // runSynthSweep sweeps SynthBasis with B classes over a space of the
@@ -46,7 +49,7 @@ func runSynthSweep(cfg Config, b, points int, kind mc.IndexKind) (secPerPoint fl
 			Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
 			MasterSeed: cfg.MasterSeed, Reuse: true, Index: kind, Workers: cfg.Workers,
 		})
-		_, st, err = eng.Sweep(ev, space)
+		_, st, err = eng.Sweep(ev)
 		if err != nil {
 			panic(err)
 		}
@@ -107,10 +110,11 @@ func Figure11(cfg Config) ([]Fig11Row, *Table, error) {
 	var rows []Fig11Row
 	for _, b := range basisCounts {
 		points := b * 10
-		row := Fig11Row{Bases: b, SecPerPoint: map[string]float64{}}
+		row := Fig11Row{Bases: b, SecPerPoint: map[string]float64{}, CandidatesScanned: map[string]int{}}
 		for _, kind := range []mc.IndexKind{mc.IndexArray, mc.IndexNormalization, mc.IndexSortedSID} {
-			sec, _, bases := runSynthSweep(cfg, b, points, kind)
+			sec, scanned, bases := runSynthSweep(cfg, b, points, kind)
 			row.SecPerPoint[kind.String()] = sec
+			row.CandidatesScanned[kind.String()] = scanned
 			if bases != b {
 				return nil, nil, fmt.Errorf("experiments: SynthBasis produced %d bases, want %d", bases, b)
 			}
@@ -120,7 +124,7 @@ func Figure11(cfg Config) ([]Fig11Row, *Table, error) {
 
 	table := &Table{
 		Title:   "Figure 11: indexing, growing the parameter space with basis size (s/point)",
-		Columns: []string{"Bases", "Array s/pt", "Normalization s/pt", "SortedSID s/pt"},
+		Columns: []string{"Bases", "Array s/pt", "Normalization s/pt", "SortedSID s/pt", "Array scans", "Norm scans", "SID scans"},
 		Notes: []string{
 			"space = 10 × bases; array scan scales linearly with basis size, hash indexes sub-linearly",
 		},
@@ -131,6 +135,9 @@ func Figure11(cfg Config) ([]Fig11Row, *Table, error) {
 			fmt.Sprintf("%.6f", r.SecPerPoint["Array"]),
 			fmt.Sprintf("%.6f", r.SecPerPoint["Normalization"]),
 			fmt.Sprintf("%.6f", r.SecPerPoint["SortedSID"]),
+			fmt.Sprint(r.CandidatesScanned["Array"]),
+			fmt.Sprint(r.CandidatesScanned["Normalization"]),
+			fmt.Sprint(r.CandidatesScanned["SortedSID"]),
 		})
 	}
 	return rows, table, nil

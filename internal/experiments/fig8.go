@@ -126,7 +126,7 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 		return func(reuse bool) (int, int, int) {
 			eng := mc.MustNew(engineOpts(reuse))
 			ev := mc.MustBindBox(box, space, names...)
-			_, st, err := eng.Sweep(ev, space)
+			_, st, err := eng.Sweep(ev)
 			if err != nil {
 				panic(err)
 			}

@@ -68,7 +68,7 @@ func Figure9(cfg Config) ([]Fig9Row, *Table, error) {
 					Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
 					MasterSeed: cfg.MasterSeed, Reuse: true, Index: kind, Workers: cfg.Workers,
 				})
-				_, st, err := eng.Sweep(ev, space)
+				_, st, err := eng.Sweep(ev)
 				if err != nil {
 					panic(err)
 				}

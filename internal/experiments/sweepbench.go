@@ -112,13 +112,13 @@ func mustRange(name string, lo, hi, step float64) param.Decl {
 // reports the reuse rate, then the engine is rebuilt per iteration so
 // every timed sweep starts from an empty store (what a fresh sweep
 // costs, not a warmed one).
-func measureSweepCell(name string, opts mc.Options, ev mc.PointEval, space *param.Space) (SweepBenchResult, error) {
+func measureSweepCell(name string, opts mc.Options, ev mc.PointEval) (SweepBenchResult, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cellProcs(opts.Workers)))
 	eng, err := mc.New(opts)
 	if err != nil {
 		return SweepBenchResult{}, err
 	}
-	_, st, err := eng.Sweep(ev, space)
+	_, st, err := eng.Sweep(ev)
 	if err != nil {
 		return SweepBenchResult{}, err
 	}
@@ -136,7 +136,7 @@ func measureSweepCell(name string, opts mc.Options, ev mc.PointEval, space *para
 				sweepErr = err
 				return
 			}
-			if _, _, err := eng.Sweep(ev, space); err != nil {
+			if _, _, err := eng.Sweep(ev); err != nil {
 				sweepErr = err
 				return
 			}
@@ -145,13 +145,13 @@ func measureSweepCell(name string, opts mc.Options, ev mc.PointEval, space *para
 	if sweepErr != nil {
 		return SweepBenchResult{}, sweepErr
 	}
-	points := float64(space.Size())
+	points := float64(ev.Space().Size())
 	return SweepBenchResult{
 		Name:           name,
 		Index:          opts.Index.String(),
 		Reuse:          opts.Reuse,
 		Workers:        opts.Workers,
-		Points:         space.Size(),
+		Points:         ev.Space().Size(),
 		NsPerPoint:     float64(res.NsPerOp()) / points,
 		AllocsPerPoint: float64(res.AllocsPerOp()) / points,
 		BytesPerPoint:  float64(res.AllocedBytesPerOp()) / points,
@@ -254,7 +254,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 			}
 			name := fmt.Sprintf("sweep/index=%s/reuse=%t/workers=%d",
 				c.index, c.reuse, workers)
-			cell, err := measureSweepCell(name, opts, ev, space)
+			cell, err := measureSweepCell(name, opts, ev)
 			if err != nil {
 				return nil, err
 			}
@@ -280,7 +280,7 @@ func SweepBench(cfg Config) (*SweepBenchReport, error) {
 			}
 			name := fmt.Sprintf("sweep/index=%s/reuse=true/bases=%d/workers=%d",
 				c, manyBasesFamilies, workers)
-			cell, err := measureSweepCell(name, opts, manyEv, manySpace)
+			cell, err := measureSweepCell(name, opts, manyEv)
 			if err != nil {
 				return nil, err
 			}

@@ -41,7 +41,7 @@ func TestDrawBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(ev, scenario.Space, Options{MasterSeed: 7})
+	s, err := NewSession(ev, Options{MasterSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,7 @@ import (
 // and returns the estimates it saw plus the final counters.
 func runSession(t *testing.T, eval mc.PointEval) ([]float64, Stats) {
 	t.Helper()
-	d, err := param.Range("week", 0, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(eval, param.MustSpace(d), Options{MasterSeed: 3})
+	s, err := NewSession(eval, Options{MasterSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +60,9 @@ func TestSessionBinderMatchesPlainEval(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box := tc.box
-			plain := mc.MustBindBox(blackbox.Func{FuncName: box.Name(), NArgs: box.Arity(), Fn: box.Eval}, weekRows, tc.args...)
-			bound := mc.MustBindBox(box, weekRows, tc.args...)
+			space := weeks(t, 0, 20)
+			plain := mc.MustBindBox(blackbox.Func{FuncName: box.Name(), NArgs: box.Arity(), Fn: box.Eval}, space, tc.args...)
+			bound := mc.MustBindBox(box, space, tc.args...)
 			wantMeans, wantStats := runSession(t, plain)
 			means, st := runSession(t, bound)
 			if !reflect.DeepEqual(wantMeans, means) {
@@ -128,7 +125,7 @@ func TestSeedOnlySessionMatchesGeneratorPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSession(ev, scenario.Space, Options{MasterSeed: 7})
+		s, err := NewSession(ev, Options{MasterSeed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ package interactive
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/mc"
@@ -87,10 +86,18 @@ func (o Options) withDefaults() (Options, error) {
 // any point sharpens all points on the same basis (§5).
 type basis struct {
 	id int
-	// samples maps sampleID → basis-space value.
-	samples map[int]float64
-	// contributor records the Space index of each sample's point.
-	contributor map[int]int
+	// samples is the pool by sample id, in basis space; size counts
+	// its samples.
+	samples pool
+	size    int
+}
+
+// add sets sample id of the pool to v, drawn by the point at Space
+// index from.
+func (b *basis) add(id int, v float64, from int) {
+	if b.samples.put(id, v, from) {
+		b.size++
+	}
 }
 
 // pointState tracks one visited parameter point.
@@ -100,13 +107,38 @@ type pointState struct {
 	vals []float64
 	// fingerprint is the point's own first-m sample vector.
 	fingerprint core.Fingerprint
-	// drawn holds every sample drawn directly for this point
-	// (point-space), keyed by sampleID.
-	drawn map[int]float64
-	// validated marks basis sample ids this point has reproduced.
-	validated map[int]bool
-	basisID   int
-	mapping   core.Linear // basis → point
+	// drawn holds, by sample id, every sample drawn directly for this
+	// point (point-space).
+	drawn   pool
+	basisID int
+	mapping core.Linear // basis → point
+}
+
+// sample is one entry of a pool indexed by sample id: its value, when
+// ok, and the Space index of the point that drew it; in a point's own
+// pool, validated marks a sample that reproduced its basis' sample.
+type sample struct {
+	v             float64
+	from          int
+	ok, validated bool
+}
+
+// pool holds samples by id.
+type pool []sample
+
+// has reports whether the pool holds sample id.
+func (p pool) has(id int) bool { return id < len(p) && p[id].ok }
+
+// put sets sample id to v, drawn by the point at Space index from,
+// growing the pool as needed, and reports whether id is new.
+func (p *pool) put(id int, v float64, from int) bool {
+	if n := id + 1 - len(*p); n > 0 {
+		*p = append(*p, make([]sample, n)...)
+	}
+	e := &(*p)[id]
+	added := !e.ok
+	e.v, e.from, e.ok = v, from, true
+	return added
 }
 
 // Stats counts session work.
@@ -127,9 +159,8 @@ type Stats struct {
 // Session is an online exploration session over one scenario column.
 // Sessions are not safe for concurrent use.
 type Session struct {
-	eval  mc.PointEval
-	space *param.Space
-	opts  Options
+	eval mc.PointEval
+	opts Options
 
 	store *core.Store
 	bases []*basis
@@ -149,14 +180,14 @@ type Session struct {
 	outs  [1][]float64
 }
 
-// NewSession builds a session for the given column evaluator, which
-// must read value rows of space (build it against space).
-func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, error) {
+// NewSession builds a session over the points of the given column
+// evaluator's space.
+func NewSession(eval mc.PointEval, opts Options) (*Session, error) {
 	if eval == nil {
 		return nil, errors.New("interactive: nil evaluator")
 	}
-	if space == nil {
-		return nil, errors.New("interactive: nil space")
+	if eval.Space() == nil {
+		return nil, errors.New("interactive: the evaluator has no parameter space")
 	}
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -164,7 +195,6 @@ func NewSession(eval mc.PointEval, space *param.Space, opts Options) (*Session, 
 	}
 	return &Session{
 		eval:   eval,
-		space:  space,
 		opts:   opts,
 		store:  core.NewStore(core.LinearClass{}, core.NewNormalizationIndex()),
 		points: map[int]*pointState{},
@@ -182,7 +212,7 @@ func (s *Session) Stats() Stats {
 // Fig. 2 GUI). The point is initialized immediately so the user gets a
 // first estimate after one fingerprint-sized batch.
 func (s *Session) SetFocus(p param.Point) error {
-	idx, err := s.space.Index(p)
+	idx, err := s.eval.Space().Index(p)
 	if err != nil {
 		return fmt.Errorf("interactive: focus outside the parameter space: %w", err)
 	}
@@ -195,7 +225,7 @@ func (s *Session) Focus() param.Point {
 	if s.focus == nil {
 		return nil
 	}
-	return s.space.Point(s.focus.idx)
+	return s.eval.Space().Point(s.focus.idx)
 }
 
 // drawBatch evaluates the given sample ids for ps on the calling
@@ -222,12 +252,12 @@ func (s *Session) ensurePoint(idx int) *pointState {
 	for k := range ids {
 		ids[k] = k
 	}
-	ps := &pointState{idx: idx, vals: s.space.Values(idx, nil), validated: map[int]bool{}}
+	ps := &pointState{idx: idx, vals: s.eval.Space().Values(idx, nil)}
 	fp := core.Fingerprint(s.drawBatch(ps, ids))
 	s.stats.Evaluations += len(ids)
-	ps.fingerprint, ps.drawn = fp, make(map[int]float64, len(fp))
+	ps.fingerprint = fp
 	for k, v := range fp {
-		ps.drawn[k] = v
+		ps.drawn.put(k, v, idx)
 	}
 	if b, mapping, ok, _ := s.store.Match(fp, nil, nil); ok {
 		ps.basisID = b.Payload.(*basis).id
@@ -243,14 +273,9 @@ func (s *Session) ensurePoint(idx int) *pointState {
 // newBasis registers a basis seeded with the fingerprint of the point
 // whose Space index is contributor.
 func (s *Session) newBasis(contributor int, fp core.Fingerprint) int {
-	b := &basis{
-		id:          len(s.bases),
-		samples:     make(map[int]float64, len(fp)),
-		contributor: make(map[int]int, len(fp)),
-	}
+	b := &basis{id: len(s.bases)}
 	for k, v := range fp {
-		b.samples[k] = v
-		b.contributor[k] = contributor
+		b.add(k, v, contributor)
 	}
 	s.bases = append(s.bases, b)
 	// The store's basis payload is the live sample pool.
@@ -266,20 +291,16 @@ func (s *Session) newBasis(contributor int, fp core.Fingerprint) int {
 // basis sample pool mapped through the point's mapping. ok is false
 // for points the session has not touched.
 func (s *Session) Estimate(p param.Point) (stats.Summary, bool) {
-	idx, err := s.space.Index(p)
+	idx, err := s.eval.Space().Index(p)
 	ps, ok := s.points[idx]
 	if err != nil || !ok {
 		return stats.Summary{}, false
 	}
-	b := s.bases[ps.basisID]
 	acc := stats.NewAccumulator()
-	ids := make([]int, 0, len(b.samples))
-	for id := range b.samples {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		acc.Add(ps.mapping.Apply(b.samples[id]))
+	for _, smp := range s.bases[ps.basisID].samples {
+		if smp.ok {
+			acc.Add(ps.mapping.Apply(smp.v))
+		}
 	}
 	return acc.Summarize(), true
 }
@@ -307,7 +328,7 @@ func (s *Session) Tick() (Task, param.Point, error) {
 		ps = s.explore(ps)
 		s.stats.Explorations++
 	}
-	return task, s.space.Point(ps.idx), nil
+	return task, s.eval.Space().Point(ps.idx), nil
 }
 
 // taskHeuristic is Algorithm 5's TaskHeuristic: a fair rotation that
@@ -334,12 +355,7 @@ func (s *Session) refine(ps *pointState) {
 	id := 0
 	for len(ids) < s.opts.BatchSize {
 		// Next id unused by both the basis and the point.
-		for {
-			_, inBasis := b.samples[id]
-			_, inPoint := ps.drawn[id]
-			if !inBasis && !inPoint {
-				break
-			}
+		for b.samples.has(id) || ps.drawn.has(id) {
 			id++
 		}
 		ids = append(ids, id)
@@ -348,31 +364,29 @@ func (s *Session) refine(ps *pointState) {
 	vals := s.drawBatch(ps, ids)
 	s.stats.Evaluations += len(ids)
 	for k, id := range ids {
-		ps.drawn[id] = vals[k]
-		b.samples[id] = inv.Apply(vals[k])
-		b.contributor[id] = ps.idx
+		ps.drawn.put(id, vals[k], ps.idx)
+		b.add(id, inv.Apply(vals[k]), ps.idx)
 	}
 }
 
 // validate reproduces up to BatchSize basis samples contributed by
-// other points. A reproduced sample that disagrees with the mapped
-// basis value invalidates the mapping: the point detaches onto its own
-// basis built from everything it has drawn directly (§5 "if the new
-// points do not match the values mapped from the basis distribution,
-// Jigsaw finds or creates a new basis distribution"). The batch draws
-// as one block; draws past the first mismatch are dropped, so the
-// point keeps, and the counters count, only the samples compared.
+// other points, lowest ids first. A reproduced sample that disagrees
+// with the mapped basis value invalidates the mapping: the point
+// detaches onto its own basis built from everything it has drawn
+// directly (§5 "if the new points do not match the values mapped from
+// the basis distribution, Jigsaw finds or creates a new basis
+// distribution"). The batch draws as one block; draws past the first
+// mismatch are dropped, so the point keeps, and the counters count,
+// only the samples compared.
 func (s *Session) validate(ps *pointState) {
 	b := s.bases[ps.basisID]
-	ids := make([]int, 0, len(b.samples))
-	for id := range b.samples {
-		if b.contributor[id] != ps.idx && !ps.validated[id] {
-			ids = append(ids, id)
+	ids := make([]int, 0, s.opts.BatchSize)
+	for id, smp := range b.samples {
+		if smp.ok && smp.from != ps.idx && !(ps.drawn.has(id) && ps.drawn[id].validated) {
+			if ids = append(ids, id); len(ids) == s.opts.BatchSize {
+				break
+			}
 		}
-	}
-	sort.Ints(ids)
-	if len(ids) > s.opts.BatchSize {
-		ids = ids[:s.opts.BatchSize]
 	}
 	if len(ids) == 0 {
 		// Nothing foreign to validate; spend the tick refining.
@@ -382,10 +396,10 @@ func (s *Session) validate(ps *pointState) {
 	vals := s.drawBatch(ps, ids)
 	for k, id := range ids {
 		v := vals[k]
-		ps.drawn[id] = v
-		ps.validated[id] = true
+		ps.drawn.put(id, v, ps.idx)
+		ps.drawn[id].validated = true
 		s.stats.Evaluations++
-		if !core.ApproxEqual(v, ps.mapping.Apply(b.samples[id])) {
+		if !core.ApproxEqual(v, ps.mapping.Apply(b.samples[id].v)) {
 			s.rebind(ps)
 			return
 		}
@@ -396,24 +410,24 @@ func (s *Session) validate(ps *pointState) {
 // drawn samples become a fresh basis.
 func (s *Session) rebind(ps *pointState) {
 	s.stats.Rebinds++
-	fp := make(core.Fingerprint, s.opts.FingerprintLen)
-	copy(fp, ps.fingerprint)
-	id := s.newBasis(ps.idx, fp)
+	id := s.newBasis(ps.idx, ps.fingerprint) // the store clones it
 	b := s.bases[id]
-	for sid, v := range ps.drawn {
-		b.samples[sid] = v
-		b.contributor[sid] = ps.idx
+	for sid := range ps.drawn {
+		if d := &ps.drawn[sid]; d.ok {
+			b.add(sid, d.v, ps.idx)
+			d.validated = false
+		}
 	}
 	ps.basisID = id
 	ps.mapping = core.Identity()
-	ps.validated = map[int]bool{}
 }
 
-// explore initializes (or refines) a neighbor of the focus, returning
-// the point worked on. Preference: uninitialized neighbors first, then
-// the neighbor with the smallest basis pool.
+// explore refines a neighbor of the focus, fingerprinting it first if
+// it is new, and returns the point worked on. Preference:
+// uninitialized neighbors first, then the neighbor with the smallest
+// basis pool.
 func (s *Session) explore(ps *pointState) *pointState {
-	neighbors := s.space.Neighbors(ps.idx, nil)
+	neighbors := s.eval.Space().Neighbors(ps.idx, nil)
 	target := -1
 	for _, n := range neighbors {
 		if _, seen := s.points[n]; !seen {
@@ -424,7 +438,7 @@ func (s *Session) explore(ps *pointState) *pointState {
 	if target < 0 {
 		best := -1
 		for _, n := range neighbors {
-			size := len(s.bases[s.points[n].basisID].samples)
+			size := s.bases[s.points[n].basisID].size
 			if best < 0 || size < best {
 				best = size
 				target = n
@@ -437,9 +451,6 @@ func (s *Session) explore(ps *pointState) *pointState {
 		return ps
 	}
 	nps := s.ensurePoint(target)
-	if len(nps.drawn) >= s.opts.FingerprintLen {
-		// Already fingerprinted: extend its basis a little.
-		s.refine(nps)
-	}
+	s.refine(nps)
 	return nps
 }

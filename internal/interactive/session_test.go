@@ -2,7 +2,6 @@ package interactive
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,75 +11,74 @@ import (
 	"jigsaw/internal/rng"
 )
 
-// linearEval is affine in "week": all points share one basis.
-var linearEval = weekEval(func(w float64, r *rng.Rand) float64 {
-	return r.Normal(2*w, 0.5*w+1)
-})
+// linear is affine in "week": all points share one basis.
+func linear(w float64, r *rng.Rand) float64 { return r.Normal(2*w, 0.5*w+1) }
 
-// forkEval switches distributions at week 10 in a way that linear
+// fork switches distributions at week 10 in a way that linear
 // mappings cannot absorb (noise from different draw counts), forcing
 // distinct bases and exercising validation.
-var forkEval = weekEval(func(w float64, r *rng.Rand) float64 {
+func fork(w float64, r *rng.Rand) float64 {
 	if w < 10 {
 		return r.Normal(w, 1)
 	}
 	a := r.Normal(0, 1)
 	b := r.Normal(w, 2)
 	return a*a + b
-})
+}
 
-// weekRows is a space declaring "week" alone: every such space has
-// the same value rows, so evaluators of week bind against it.
-var weekRows = func() *param.Space {
-	d, _ := param.Set("week", 0)
+// weeks is the space of one "week" parameter from lo to hi.
+func weeks(t *testing.T, lo, hi float64) *param.Space {
+	t.Helper()
+	d, err := param.Range("week", lo, hi, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return param.MustSpace(d)
-}()
+}
 
-// weekEval binds a plain model of the "week" parameter.
-func weekEval(fn func(w float64, r *rng.Rand) float64) mc.PointEval {
+// weekEval binds a plain model of the "week" parameter over space.
+func weekEval(space *param.Space, fn func(w float64, r *rng.Rand) float64) mc.PointEval {
 	return mc.MustBindBox(blackbox.Func{
 		FuncName: "week", NArgs: 1,
 		Fn: func(a []float64, r *rng.Rand) float64 { return fn(a[0], r) },
-	}, weekRows, "week")
+	}, space, "week")
 }
 
 // state returns the session's state of point p, nil when unvisited.
 func state(t *testing.T, s *Session, p param.Point) *pointState {
 	t.Helper()
-	idx, err := s.space.Index(p)
+	idx, err := s.eval.Space().Index(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s.points[idx]
 }
 
-func newTestSession(t *testing.T, eval mc.PointEval, lo, hi float64) *Session {
+func newTestSession(t *testing.T, fn func(w float64, r *rng.Rand) float64, lo, hi float64) *Session {
 	t.Helper()
-	d, err := param.Range("week", lo, hi, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(eval, param.MustSpace(d), Options{MasterSeed: 3})
+	s, err := NewSession(weekEval(weeks(t, lo, hi), fn), Options{MasterSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// spaceless is an evaluator that reports no parameter space.
+type spaceless struct{ mc.PointEval }
+
+func (spaceless) Space() *param.Space { return nil }
+
 func TestNewSessionValidation(t *testing.T) {
-	d, _ := param.Range("week", 0, 5, 1)
-	space := param.MustSpace(d)
-	if _, err := NewSession(nil, space, Options{}); err == nil {
+	if _, err := NewSession(nil, Options{}); err == nil {
 		t.Fatal("nil eval accepted")
 	}
-	if _, err := NewSession(linearEval, nil, Options{}); err == nil {
-		t.Fatal("nil space accepted")
+	if _, err := NewSession(spaceless{weekEval(weeks(t, 0, 5), linear)}, Options{}); err == nil {
+		t.Fatal("an evaluator without a space accepted")
 	}
 }
 
 func TestNewSessionRejectsInvalidOptions(t *testing.T) {
-	d, _ := param.Range("week", 0, 5, 1)
-	space := param.MustSpace(d)
+	eval := weekEval(weeks(t, 0, 5), linear)
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -90,7 +88,7 @@ func TestNewSessionRejectsInvalidOptions(t *testing.T) {
 		{"negative fingerprint length", Options{FingerprintLen: -3}, "FingerprintLen"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSession(linearEval, space, tc.opts)
+			s, err := NewSession(eval, tc.opts)
 			if err == nil {
 				t.Fatalf("NewSession(%+v) accepted invalid options (session %v)", tc.opts, s != nil)
 			}
@@ -116,14 +114,14 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestTickRequiresFocus(t *testing.T) {
-	s := newTestSession(t, linearEval, 0, 5)
+	s := newTestSession(t, linear, 0, 5)
 	if _, _, err := s.Tick(); err != ErrNoFocus {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSetFocusValidatesPoint(t *testing.T) {
-	s := newTestSession(t, linearEval, 0, 5)
+	s := newTestSession(t, linear, 0, 5)
 	if err := s.SetFocus(param.Point{"week": 99}); err == nil {
 		t.Fatal("off-domain focus accepted")
 	}
@@ -133,10 +131,16 @@ func TestSetFocusValidatesPoint(t *testing.T) {
 	if s.Focus().MustGet("week") != 3 {
 		t.Fatal("focus not recorded")
 	}
+	if err := s.SetFocus(param.Point{"week": 4, "nosuch": 3}); err == nil {
+		t.Fatal("focus binding an undeclared name accepted")
+	}
+	if f := s.Focus(); len(f) != 1 || f.MustGet("week") != 3 {
+		t.Fatalf("a rejected focus moved it to %v", f)
+	}
 }
 
 func TestImmediateEstimateAfterFocus(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +157,7 @@ func TestImmediateEstimateAfterFocus(t *testing.T) {
 }
 
 func TestSecondPointReusesBasisInstantly(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func TestSecondPointReusesBasisInstantly(t *testing.T) {
 }
 
 func TestRefinementSharpensEstimate(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func TestRefinementSharpensEstimate(t *testing.T) {
 }
 
 func TestTaskRotation(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +240,7 @@ func TestTaskRotation(t *testing.T) {
 }
 
 func TestExplorationPrefetchesNeighbors(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +259,12 @@ func TestExplorationPrefetchesNeighbors(t *testing.T) {
 }
 
 func TestValidationDetachesFalseMatch(t *testing.T) {
-	// forkEval's two regimes can produce fingerprints that match by
+	// fork's two regimes can produce fingerprints that match by
 	// accident at m=10 but diverge on later samples; after enough
 	// validation ticks every surviving mapping must be genuine. Run on
 	// both sides of the fork and require that cross-regime points do
 	// not share a basis at the end.
-	d, _ := param.Range("week", 8, 12, 1)
-	s, err := NewSession(forkEval, param.MustSpace(d), Options{MasterSeed: 5})
+	s, err := NewSession(weekEval(weeks(t, 8, 12), fork), Options{MasterSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,7 @@ func TestValidationDetachesFalseMatch(t *testing.T) {
 // counts, only the samples up to and including the first one its
 // mapping fails to reproduce, and that failure rebinds the point.
 func TestValidationStopsAtFirstMismatch(t *testing.T) {
-	s := newTestSession(t, linearEval, 1, 20)
+	s := newTestSession(t, linear, 1, 20)
 	if err := s.SetFocus(param.Point{"week": 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -320,25 +323,24 @@ func TestValidationStopsAtFirstMismatch(t *testing.T) {
 	// The batch validate draws next: the basis' foreign, unvalidated
 	// ids in order, at most BatchSize of them.
 	var ids []int
-	for id := range b.samples {
-		if b.contributor[id] != ps.idx && !ps.validated[id] {
+	for id, smp := range b.samples {
+		if smp.ok && smp.from != ps.idx && !(ps.drawn.has(id) && ps.drawn[id].validated) {
 			ids = append(ids, id)
 		}
 	}
-	slices.Sort(ids)
 	ids = ids[:min(len(ids), s.opts.BatchSize)]
 	const bad = 2
 	if len(ids) <= bad+1 {
 		t.Fatalf("only %d foreign samples to validate", len(ids))
 	}
 	for _, id := range ids {
-		if _, ok := ps.drawn[id]; ok {
+		if ps.drawn.has(id) {
 			t.Fatalf("sample %d drawn before validation", id)
 		}
 	}
-	b.samples[ids[bad]] += 1000
+	b.samples[ids[bad]].v += 1000
 	before := s.Stats()
-	drawnBefore := len(ps.drawn)
+	drawnBefore := drawnCount(ps)
 	s.validate(ps)
 	after := s.Stats()
 	if got := after.Evaluations - before.Evaluations; got != bad+1 {
@@ -347,11 +349,11 @@ func TestValidationStopsAtFirstMismatch(t *testing.T) {
 	if after.Rebinds != before.Rebinds+1 {
 		t.Fatalf("rebinds %d -> %d, want one more", before.Rebinds, after.Rebinds)
 	}
-	if got := len(ps.drawn) - drawnBefore; got != bad+1 {
+	if got := drawnCount(ps) - drawnBefore; got != bad+1 {
 		t.Fatalf("point kept %d new samples, want %d", got, bad+1)
 	}
 	for k, id := range ids {
-		if _, ok := ps.drawn[id]; ok != (k <= bad) {
+		if ok := ps.drawn.has(id); ok != (k <= bad) {
 			t.Fatalf("sample %d (batch position %d) kept = %v", id, k, ok)
 		}
 	}
@@ -360,9 +362,19 @@ func TestValidationStopsAtFirstMismatch(t *testing.T) {
 	}
 }
 
+// drawnCount is the number of samples drawn directly for ps.
+func drawnCount(ps *pointState) int {
+	n := 0
+	for _, d := range ps.drawn {
+		if d.ok {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSinglePointSpaceExploration(t *testing.T) {
-	d, _ := param.Range("week", 5, 5, 1)
-	s, err := NewSession(linearEval, param.MustSpace(d), Options{})
+	s, err := NewSession(weekEval(weeks(t, 5, 5), linear), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +407,7 @@ func TestTaskString(t *testing.T) {
 
 func TestEstimateDeterministicGivenTicks(t *testing.T) {
 	run := func() float64 {
-		s := newTestSession(t, linearEval, 1, 20)
+		s := newTestSession(t, linear, 1, 20)
 		if err := s.SetFocus(param.Point{"week": 7}); err != nil {
 			t.Fatal(err)
 		}

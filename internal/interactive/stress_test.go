@@ -13,12 +13,7 @@ import (
 // estimate, bases never exceed visited points, the evaluation counter
 // is monotone, and each basis pool only grows.
 func TestFocusRandomWalk(t *testing.T) {
-	d, err := param.Range("week", 0, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := param.MustSpace(d)
-	s, err := NewSession(linearEval, space, Options{MasterSeed: 13})
+	s, err := NewSession(weekEval(weeks(t, 0, 30), linear), Options{MasterSeed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +70,7 @@ func TestFocusRandomWalk(t *testing.T) {
 // focus and requires the confidence interval to shrink monotonically
 // over long windows (allowing local noise).
 func TestEstimatesConvergeUnderSustainedTicks(t *testing.T) {
-	d, _ := param.Range("week", 1, 10, 1)
-	s, err := NewSession(linearEval, param.MustSpace(d), Options{MasterSeed: 4})
+	s, err := NewSession(weekEval(weeks(t, 1, 10), linear), Options{MasterSeed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

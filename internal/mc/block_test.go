@@ -29,7 +29,7 @@ func fingerprintOf(e *Engine, f PointEval, p []float64) core.Fingerprint {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
 	fp := make(core.Fingerprint, e.opts.FingerprintLen)
-	e.fingerprints(f, p, [][]float64{fp}, len(fp), sc)
+	e.drawRows(f, p, [][]float64{fp}, 0, len(fp), sc)
 	return fp
 }
 
@@ -50,14 +50,14 @@ func blockSweepSpace(t *testing.T) *param.Space {
 
 func TestSweepBlockSizeInvariance(t *testing.T) {
 	space := blockSweepSpace(t)
-	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 
 	base := Options{
 		Samples: 500, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexNormalization, Workers: 1,
 	}
 	ref := MustNew(base) // DefaultBlockSize
-	refRes, refStats, err := ref.Sweep(ev, space)
+	refRes, refStats, err := ref.Sweep(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 				opts := base
 				opts.Workers = workers
 				eng := mustNewBlockSize(opts, bs)
-				res, stats, err := eng.Sweep(ev, space)
+				res, stats, err := eng.Sweep(ev)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,18 +91,18 @@ func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
 	// blackbox.BlockBox's contract.
 	space := blockSweepSpace(t)
 	d := blackbox.NewDemand()
-	block := bindNames(d, "current_week", "feature_release")
-	scalar := bindNames(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, "current_week", "feature_release")
+	block := MustBindBox(d, space, "current_week", "feature_release")
+	scalar := MustBindBox(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, space, "current_week", "feature_release")
 
 	opts := Options{
 		Samples: 300, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexSortedSID, Workers: 1,
 	}
-	a, aStats, err := MustNew(opts).Sweep(block, space)
+	a, aStats, err := MustNew(opts).Sweep(block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bStats, err := MustNew(opts).Sweep(scalar, space)
+	b, bStats, err := MustNew(opts).Sweep(scalar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +124,19 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 	// pipeline; the accept/reject decisions (and hence reuse counts)
 	// must not depend on block size.
 	space := blockSweepSpace(t)
-	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 	base := Options{
 		Samples: 200, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, KeepSamples: true, ValidationSamples: 16, Workers: 1,
 	}
 	ref := MustNew(base)
-	refRes, refStats, err := ref.Sweep(ev, space)
+	refRes, refStats, err := ref.Sweep(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{1, 7, 64} {
 		eng := mustNewBlockSize(base, bs)
-		res, stats, err := eng.Sweep(ev, space)
+		res, stats, err := eng.Sweep(ev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,15 +23,15 @@ import (
 // PointEval is the stochastic function F(P, σ) of §3.1 at one
 // parameter point: a point is bound once (BindPoint), then sampled in
 // blocks of sample ids (EvalBlockBound). A point is a value row: its
-// values in the Decls order of the param.Space the evaluator resolved
-// its parameter names against when it was built. The full Monte Carlo
-// simulation of Fig. 3's dashed box is "the stochastic function F"
-// being fingerprinted (§3: "Taken to one extreme, the entire Monte
-// Carlo simulation ... can be treated as the stochastic function F").
-// One sample of F may yield several outputs — every result column of
-// one sampled world of a compiled scenario — and SweepRows
-// fingerprints and simulates each sample once for all of them; Sweep,
-// SweepBatch and EvaluatePoint read output 0.
+// values in the Decls order of the evaluator's Space, the space it
+// resolved its parameter names against when it was built. The full
+// Monte Carlo simulation of Fig. 3's dashed box is "the stochastic
+// function F" being fingerprinted (§3: "Taken to one extreme, the
+// entire Monte Carlo simulation ... can be treated as the stochastic
+// function F"). One sample of F may yield several outputs — every
+// result column of one sampled world of a compiled scenario — and
+// Engine.SweepRows fingerprints and simulates each sample once for all
+// of them; Sweep, SweepBatch and EvaluatePoint read output 0.
 //
 // A sample is named by (master, id), and its seed is
 // rng.SampleSeed(master, id). Every sample must be a function of the
@@ -45,6 +45,9 @@ import (
 // included (blackbox.Func), and compiled scenario columns are one too
 // (exec's Scenario.ColumnEval).
 type PointEval interface {
+	// Space is the parameter space whose value rows the evaluator
+	// reads.
+	Space() *param.Space
 	// BindPoint writes what sampling needs of the value row vals into
 	// buf (growing it as needed) and returns the binding for
 	// EvalBlockBound. It draws nothing and retains neither slice.
@@ -69,8 +72,12 @@ type PointEval interface {
 type BoundBox struct {
 	box   blackbox.Box
 	block blackbox.BlockBox // box's native kernel, or nil
-	pos   []int             // argument i is vals[pos[i]]
+	space *param.Space
+	pos   []int // argument i is vals[pos[i]]
 }
+
+// Space implements PointEval.
+func (b *BoundBox) Space() *param.Space { return b.space }
 
 // BindPoint implements PointEval.
 func (b *BoundBox) BindPoint(vals, buf []float64) []float64 {
@@ -111,9 +118,12 @@ func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, master uint
 
 // BindBox adapts a black box to a PointEval over space's value rows by
 // binding its positional arguments to the named enumerable parameters.
-// It rejects a name the space does not declare.
+// It rejects a nil space and a name the space does not declare.
 func BindBox(b blackbox.Box, space *param.Space, argNames ...string) (PointEval, error) {
-	if len(argNames) != b.Arity() {
+	switch {
+	case space == nil:
+		return nil, fmt.Errorf("mc: %s: nil parameter space", b.Name())
+	case len(argNames) != b.Arity():
 		return nil, fmt.Errorf("mc: %s expects %d args, got %d names", b.Name(), b.Arity(), len(argNames))
 	}
 	pos := make([]int, len(argNames))
@@ -124,7 +134,7 @@ func BindBox(b blackbox.Box, space *param.Space, argNames ...string) (PointEval,
 		}
 	}
 	block, _ := b.(blackbox.BlockBox)
-	return &BoundBox{box: b, block: block, pos: pos}, nil
+	return &BoundBox{box: b, block: block, space: space, pos: pos}, nil
 }
 
 // MustBindBox is BindBox, panicking on error.
@@ -317,10 +327,12 @@ type PointResult struct {
 	Mapping core.Linear
 }
 
-// Engine evaluates parameter points with optional fingerprint reuse.
+// Engine evaluates parameter points with optional fingerprint reuse,
+// against one basis store per evaluator output (outputs are different
+// stochastic functions), each kept for the engine's life.
 //
-// An Engine is safe for concurrent use: the basis store is guarded by
-// one read-write lock, every call returns its own statistics, and
+// An Engine is safe for concurrent use: each basis store is guarded by
+// a read-write lock, every call returns its own statistics, and
 // per-worker scratch state is pooled, so independent goroutines (e.g.
 // interactive sessions sharing a warmed store) may call EvaluatePoint
 // concurrently. Note that concurrent EvaluatePoint callers race
@@ -329,8 +341,9 @@ type PointResult struct {
 // that by sequencing all store decisions in enumeration order, which
 // also makes their results bit-identical for every Workers setting.
 type Engine struct {
-	opts  Options
-	store *core.Store
+	opts   Options
+	mu     sync.Mutex    // guards the growth of stores
+	stores []*core.Store // output c's basis store at c
 
 	// scratches recycles per-worker hot-path buffers (see scratch.go).
 	scratches *pool.Pool[scratch]
@@ -351,8 +364,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	return &Engine{
 		opts:      opts,
-		store:     core.NewStore(opts.Class, opts.newIndex()),
-		scratches: newScratchPool(),
+		scratches: pool.NewPool[scratch](),
 		blockSize: DefaultBlockSize,
 	}, nil
 }
@@ -366,21 +378,31 @@ func MustNew(opts Options) *Engine {
 	return e
 }
 
-// Store exposes the basis store for read-only inspection of its bases
-// and size.
-func (e *Engine) Store() *core.Store { return e.store }
+// Store exposes output 0's basis store, the one Sweep, SweepBatch and
+// EvaluatePoint use, for read-only inspection of its bases and size.
+func (e *Engine) Store() *core.Store { return e.outputStores(1)[0] }
+
+// outputStores returns the basis stores of outputs 0 to k−1, creating
+// those not used before (stores are never replaced).
+func (e *Engine) outputStores(k int) []*core.Store {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for len(e.stores) < k {
+		e.stores = append(e.stores, core.NewStore(e.opts.Class, e.opts.newIndex()))
+	}
+	return e.stores[:k:k]
+}
 
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// fingerprints computes f's output prefixes at vals — simulation rounds
-// 0 to w−1 — into dsts (dsts[c], of length w, for output c), binding
-// the point once into sc.bound. The first m rounds are the fingerprint
-// (§3.1); a sweep that validates matches draws the validation rounds m
-// to w−1 along with it (see rowSweep.w).
-func (e *Engine) fingerprints(f PointEval, vals []float64, dsts [][]float64, w int, sc *scratch) {
+// drawRows binds vals once into sc.bound and draws the rounds lo to
+// hi−1 into dsts[c][lo:hi] for each non-nil output c, on the calling
+// goroutine: parallelism lives outside a point (a sweep spreads its
+// points over the pool). Rounds 0 to m−1 are the fingerprint (§3.1).
+func (e *Engine) drawRows(f PointEval, vals []float64, dsts [][]float64, lo, hi int, sc *scratch) {
 	sc.bound = f.BindPoint(vals, sc.bound)
-	e.sampleRange(f, sc.bound, dsts, 0, w, sc)
+	e.sampleRange(f, sc.bound, dsts, lo, hi, sc)
 }
 
 // EvaluatePoint runs the Monte Carlo estimation for one value row,
@@ -393,11 +415,12 @@ func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepS
 	dsts := sc.outputs(1)
 	dsts[0] = fp
 	m := len(fp)
-	e.fingerprints(f, vals, dsts, m, sc)
+	e.drawRows(f, vals, dsts, 0, m, sc)
 
 	st := SweepStats{Points: 1}
+	store := e.Store()
 	if e.opts.Reuse {
-		basis, mapping, ok, scanned := e.store.Match(fp, payloadReady, &sc.probe)
+		basis, mapping, ok, scanned := store.Match(fp, payloadReady, &sc.probe)
 		st.Store.Queries = 1
 		st.Store.CandidatesScanned = scanned
 		if ok {
@@ -424,7 +447,7 @@ func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepS
 	copy(samples, fp)
 	dsts = sc.outputs(1)
 	dsts[0] = samples
-	e.simulateRows(f, vals, dsts, m, sc)
+	e.sampleRange(f, sc.bound, dsts, m, e.opts.Samples, sc) // the binding is still in sc.bound
 	res := e.summarize(samples, sc)
 	st.FullSimulations = 1
 	if e.opts.Reuse {
@@ -432,7 +455,7 @@ func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepS
 		if e.opts.KeepSamples {
 			payload.Samples = samples
 		}
-		basis, err := e.store.Add(fp, payload)
+		basis, err := store.Add(fp, payload)
 		if err == nil {
 			res.BasisID = basis.ID
 			st.Store.Bases = 1
@@ -499,18 +522,6 @@ func (e *Engine) summarize(samples []float64, sc *scratch) PointResult {
 	acc.Reset()
 	acc.AddBlock(samples)
 	return PointResult{Summary: acc.Summarize(), BasisID: -1}
-}
-
-// simulateRows runs the rounds from lo to n−1 on the calling
-// goroutine, binding vals once into sc.bound, one sample per round for
-// all of f's outputs: output c's samples land in dsts[c][lo:n], whose
-// first lo entries the caller fills with rounds it drew already (the
-// fingerprint, or a sweep's whole prefix); nil entries are skipped.
-// Parallelism lives outside a point: a sweep spreads its points over
-// the pool, and the PDB spreads blocks of worlds.
-func (e *Engine) simulateRows(f PointEval, vals []float64, dsts [][]float64, lo int, sc *scratch) {
-	sc.bound = f.BindPoint(vals, sc.bound)
-	e.sampleRange(f, sc.bound, dsts, lo, e.opts.Samples, sc)
 }
 
 // sampleRange draws the rounds with ids [lo, hi) into dsts[c][lo:hi],

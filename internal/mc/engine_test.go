@@ -13,13 +13,15 @@ import (
 	"jigsaw/internal/stats"
 )
 
-// gaussEval is a PointEval drawing N(week, (0.1*week)^2+1): affine in
-// the week parameter under a fixed seed, so every point maps onto one
-// basis.
-var gaussEval = funcEval(func(a []float64, r *rng.Rand) float64 {
+// gaussBox draws N(week, (0.1*week)^2+1): affine in the week
+// parameter under a fixed seed, so every point maps onto one basis.
+var gaussBox = blackbox.Func{FuncName: "gauss", NArgs: 1, Fn: func(a []float64, r *rng.Rand) float64 {
 	w := a[0]
 	return r.Normal(w, 0.1*w+1)
-}, "week")
+}}
+
+// gaussEval is gaussBox over value rows holding the week alone.
+var gaussEval = bindNames(gaussBox, "week")
 
 // funcEval binds a plain model of the named parameters: a[i] is the
 // point's value of names[i]. It draws through the scalar block
@@ -76,8 +78,14 @@ func TestBindBox(t *testing.T) {
 	if a[0] != b {
 		t.Fatalf("bound eval %g != direct eval %g", a[0], b)
 	}
+	if f.Space() != space {
+		t.Fatal("the bound box does not carry its space")
+	}
 	if _, err := BindBox(blackbox.NewDemand(), space, "week"); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+	if _, err := BindBox(blackbox.NewDemand(), nil, "week", "feature"); err == nil {
+		t.Fatal("nil space accepted")
 	}
 	chain, _ := param.Chain("rw", "rw", "week", -1, 52)
 	week, _ := param.Set("week", 1)
@@ -199,8 +207,7 @@ func TestReuseProducesExactMappedMetrics(t *testing.T) {
 
 func TestSweepReuseCounts(t *testing.T) {
 	e := MustNew(Options{Samples: 200, Reuse: true, Workers: 1})
-	space := weekSpace(t, 1, 50, 1)
-	results, st, err := e.Sweep(gaussEval, space)
+	results, st, err := e.Sweep(MustBindBox(gaussBox, weekSpace(t, 1, 50, 1), "week"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +227,14 @@ func TestSweepReuseCounts(t *testing.T) {
 
 func TestSweepNilSpace(t *testing.T) {
 	e := MustNew(Options{})
-	if _, _, err := e.Sweep(gaussEval, nil); err == nil {
-		t.Fatal("nil space accepted")
+	if _, _, err := e.Sweep(rowEval{}); err == nil {
+		t.Fatal("an evaluator without a space swept")
 	}
 }
 
 func TestNaiveSweepNeverReuses(t *testing.T) {
 	e := MustNew(Options{Samples: 50, Reuse: false, Workers: 1})
-	space := weekSpace(t, 1, 10, 1)
-	_, st, err := e.Sweep(gaussEval, space)
+	_, st, err := e.Sweep(MustBindBox(gaussBox, weekSpace(t, 1, 10, 1), "week"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +346,11 @@ func TestFingerprintIsPrefixOfSimulation(t *testing.T) {
 func TestIndexStrategiesAgree(t *testing.T) {
 	// All three index strategies must produce identical sweep results
 	// (indexes only prune candidates, never change answers).
-	space := weekSpace(t, 1, 30, 1)
+	ev := MustBindBox(gaussBox, weekSpace(t, 1, 30, 1), "week")
 	var ref []PointResult
 	for _, kind := range []IndexKind{IndexArray, IndexNormalization, IndexSortedSID} {
 		e := MustNew(Options{Samples: 100, Reuse: true, Index: kind, Workers: 1})
-		results, _, err := e.Sweep(gaussEval, space)
+		results, _, err := e.Sweep(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,15 +370,13 @@ func TestIndexStrategiesAgree(t *testing.T) {
 func TestCapacitySweepFindsFewBases(t *testing.T) {
 	// The Capacity model over a whole year needs only a handful of
 	// basis distributions (Fig. 8's point).
-	cap := blackbox.NewCapacity()
-	f := bindNames(cap, "week", "p1", "p2")
 	wk, _ := param.Range("week", 0, 51, 1)
 	p1, _ := param.Set("p1", 10)
 	p2, _ := param.Set("p2", 30)
-	space := param.MustSpace(wk, p1, p2)
+	f := MustBindBox(blackbox.NewCapacity(), param.MustSpace(wk, p1, p2), "week", "p1", "p2")
 
 	e := MustNew(Options{Samples: 300, Reuse: true, Workers: 1})
-	_, st, err := e.Sweep(f, space)
+	_, st, err := e.Sweep(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,7 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						if k == 1 {
 							_, _, err = MustNew(opts).SweepBatch(rowEval{row, []int{0}}, tc.points)
 						} else {
-							engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
-							_, _, err = SweepRows(engines, rowEval{row, []int{0, 1, 2}}, tc.points)
+							_, _, err = MustNew(opts).SweepRows(rowEval{row, []int{0, 1, 2}}, 3, tc.points)
 						}
 						var perr *pool.PanicError
 						if !errors.As(err, &perr) || perr.Value != "model failure" {
@@ -92,20 +91,12 @@ func TestSweepPanicReturnsError(t *testing.T) {
 	}
 }
 
-func TestSweepRowsRejectsMismatchedEngines(t *testing.T) {
-	opts := Options{Samples: 100, FingerprintLen: 10, MasterSeed: 1, Workers: 1}
-	other := opts
-	other.MasterSeed = 2
-	f := rowEval{&panicRow{bad: -1}, []int{0, 1}}
-	points := [][]float64{{1}}
-	e := MustNew(opts)
-	for name, engines := range map[string][]*Engine{
-		"no outputs":      nil,
-		"master seed":     {e, MustNew(other)},
-		"repeated engine": {e, e},
-	} {
-		if _, _, err := SweepRows(engines, f, points); err == nil {
-			t.Errorf("%s: SweepRows accepted it", name)
+func TestSweepRowsRejectsNoOutputs(t *testing.T) {
+	e := MustNew(Options{Samples: 100, FingerprintLen: 10, MasterSeed: 1, Workers: 1})
+	f := rowEval{&panicRow{bad: -1}, nil}
+	for _, k := range []int{0, -1} {
+		if _, _, err := e.SweepRows(f, k, [][]float64{{1}}); err == nil {
+			t.Errorf("SweepRows of %d outputs accepted", k)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/param"
 	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 )
@@ -30,6 +31,8 @@ type panicAtEval struct {
 	at    int64
 	count atomic.Int64
 }
+
+func (c *panicAtEval) Space() *param.Space { return c.inner.Space() }
 
 func (c *panicAtEval) BindPoint(vals, buf []float64) []float64 {
 	return c.inner.BindPoint(vals, buf)
@@ -80,10 +83,10 @@ func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := MustNew(tc.opts)
 			pe := &panicAtEval{
-				inner: bindNames(blackbox.NewDemand(), "current_week", "feature_release"),
+				inner: MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release"),
 				at:    tc.at,
 			}
-			_, _, err := eng.Sweep(pe, space)
+			_, _, err := eng.Sweep(pe)
 			var perr *pool.PanicError
 			if !errors.As(err, &perr) || perr.Value != "model failure" {
 				t.Fatalf("abandoned sweep returned %v, want the recovered panic", err)
@@ -99,7 +102,7 @@ func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 			// The recovery sweep must complete with every point
 			// answered and reuse working.
 			pe.at = -1 // disarm
-			res, st, err := eng.Sweep(pe, space)
+			res, st, err := eng.Sweep(pe)
 			if err != nil {
 				t.Fatalf("recovery sweep failed: %v", err)
 			}
@@ -174,6 +177,10 @@ type blockLenEval struct {
 	mu   sync.Mutex
 	lens map[int]bool
 }
+
+// Space implements PointEval: blockLenEval sweeps hand-built batches
+// only.
+func (b *blockLenEval) Space() *param.Space { return nil }
 
 func (b *blockLenEval) BindPoint(_, buf []float64) []float64 { return buf[:0] }
 

@@ -11,7 +11,6 @@ package mc
 
 import (
 	"jigsaw/internal/core"
-	"jigsaw/internal/pool"
 	"jigsaw/internal/rng"
 	"jigsaw/internal/stats"
 )
@@ -47,11 +46,6 @@ type scratch struct {
 	// prefixes backs every point's prefix rows in a sweep that pins
 	// this scratch as worker 0's (see rowSweep.prefixes).
 	prefixes []float64
-}
-
-// newScratchPool builds the engine's scratch pool.
-func newScratchPool() *pool.Pool[scratch] {
-	return pool.NewPool[scratch]()
 }
 
 // grow returns buf resliced to length n, reallocated when its

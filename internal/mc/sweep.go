@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"jigsaw/internal/core"
-	"jigsaw/internal/param"
 	"jigsaw/internal/pool"
 )
 
@@ -13,12 +12,12 @@ import (
 // (or an explicit batch of value rows) on the engine's worker pool,
 // with results bit-identical for every worker count. There is one sweep
 // implementation, over k outputs of one evaluator: SweepRows sweeps
-// the k outputs of a PointEval, each on its own engine, and Sweep and
-// SweepBatch are its k=1 case. The pool spreads points, never a
-// point's samples: each row (one sample, all k outputs) of a point
-// draws on the worker that holds the point. At Workers: 1 the pool
-// degrades to a plain loop on the calling goroutine (pool.ForWorker)
-// and the phases below run back to back.
+// the k outputs of a PointEval, each against its own basis store, and
+// Sweep and SweepBatch are its k=1 case. The pool spreads points,
+// never a point's samples: each row (one sample, all k outputs) of a
+// point draws on the worker that holds the point. At Workers: 1 the
+// pool degrades to a plain loop on the calling goroutine
+// (pool.ForWorker) and the phases below run back to back.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
@@ -40,23 +39,22 @@ import (
 //	   for the hits, each deterministic given phase B.
 //
 // The reference semantics is, per output, a loop of EvaluatePoint
-// calls in enumeration order on that output's engine: each store sees
-// exactly that loop's Match/Add sequence (stores are per output, and
-// phase B visits the points of every output in order), and the
-// sweep's statistics are the sum of those loops' per-call statistics.
-// Sharing a row between outputs is sound because the engines agree on
-// Samples, FingerprintLen and MasterSeed: sample j of output c is
-// output c of row j. Phase B costs one probe per point and output, small
-// against the model evaluations of phases A and C. Match validation
-// (ValidationSamples with Reuse — off by default) adds only
-// comparisons to it: an output's v validation targets are the point's
-// rows m to m+v−1, which depend on the point and the seeds alone, so
-// phase A draws them with the fingerprint. They are compared against
-// the matched basis' retained samples (a validating engine retains
-// them whatever KeepSamples says) — or, for a basis this sweep
-// registered and has not simulated yet, against its owner's prefix,
-// which holds the same rows. A miss keeps its whole prefix as the
-// first w of its samples, so no row is drawn twice.
+// calls in enumeration order on an engine of the same options sweeping
+// that output alone: each store sees exactly that loop's Match/Add
+// sequence (stores are per output, and phase B visits the points of
+// every output in order), and the sweep's statistics are the sum of
+// those loops' per-call statistics. Sample j of output c is output c
+// of row j, so one row serves every output. Phase B costs one probe
+// per point and output, small against the model evaluations of phases
+// A and C. Match validation (ValidationSamples with Reuse — off by
+// default) adds only comparisons to it: an output's v validation
+// targets are the point's rows m to m+v−1, which depend on the point
+// and the seeds alone, so phase A draws them with the fingerprint.
+// They are compared against the matched basis' retained samples (a
+// validating engine retains them whatever KeepSamples says) — or, for
+// a basis this sweep registered and has not simulated yet, against its
+// owner's prefix, which holds the same rows. A miss keeps its whole
+// prefix as the first w of its samples, so no row is drawn twice.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: prefixes fill one backing array held
@@ -65,15 +63,16 @@ import (
 // allocation per point is O(1) (see scratch.go). A panicking
 // evaluator stops the sweep with an error naming its point.
 
-// Sweep evaluates every point of the space in enumeration order and
+// Sweep evaluates every point of f's space in enumeration order and
 // returns per-point results plus this call's reuse statistics. This
 // is Jigsaw's batch-mode inner loop (Fig. 3): Parameter Enumerator →
 // PDB → basis reuse. The points are spread over the engine's worker pool
 // (Options.Workers); results and statistics are bit-identical for
 // every worker count.
-func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepStats, error) {
+func (e *Engine) Sweep(f PointEval) ([]PointResult, SweepStats, error) {
+	space := f.Space()
 	if space == nil {
-		return nil, SweepStats{}, errors.New("mc: nil parameter space")
+		return nil, SweepStats{}, errors.New("mc: evaluator has no parameter space")
 	}
 	points := make([][]float64, space.Size())
 	for i := range points {
@@ -89,38 +88,11 @@ func (e *Engine) Sweep(f PointEval, space *param.Space) ([]PointResult, SweepSta
 // optimizer's (group × sweep) product, a graph statement's domain
 // walk. A row too short for f comes back as an error naming it.
 func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, SweepStats, error) {
-	results, st, err := sweepRows([]*Engine{e}, f, points)
+	results, st, err := e.SweepRows(f, 1, points)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
 	return results[0], st, nil
-}
-
-// SweepRows sweeps the k = len(engines) outputs of f over points, in
-// slice order: output c is answered by engines[c] — its own basis
-// store, and its own options for reuse, validation and summaries. Each
-// sample is drawn once for all k outputs. results[c] holds output c's
-// per-point results, and they and the returned statistics (summed over
-// the outputs) are bit-identical to k separate SweepBatch calls,
-// engine c sweeping output c of f alone. The engines must be distinct
-// and agree on Samples, FingerprintLen and MasterSeed; the sweep runs
-// on engines[0]'s worker pool.
-func SweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointResult, SweepStats, error) {
-	if len(engines) == 0 {
-		return nil, SweepStats{}, errors.New("mc: SweepRows needs at least one output")
-	}
-	lead := engines[0].opts
-	for c, e := range engines {
-		if o := e.opts; o.Samples != lead.Samples || o.FingerprintLen != lead.FingerprintLen || o.MasterSeed != lead.MasterSeed {
-			return nil, SweepStats{}, fmt.Errorf("mc: engine %d samples differently from engine 0 (Samples, FingerprintLen, MasterSeed)", c)
-		}
-		for _, prev := range engines[:c] {
-			if prev == e {
-				return nil, SweepStats{}, fmt.Errorf("mc: engine %d repeats an earlier output's engine", c)
-			}
-		}
-	}
-	return sweepRows(engines, f, points)
 }
 
 // pointPlan is one (output, point) pair's record through the phases:
@@ -138,12 +110,12 @@ type pointPlan struct {
 
 // rowSweep is one sweep call's state over k outputs and n points.
 type rowSweep struct {
-	engines []*Engine
+	e       *Engine
+	stores  []*core.Store // output c's basis store
 	f       PointEval
 	points  [][]float64 // value rows
 	k, n, m int
-	// w is the prefix width: m plus the widest output's validation
-	// rounds.
+	// w is the prefix width: m plus the validation rounds.
 	w int
 	// prefixes backs all k·n prefixes, on worker 0's scratch: misses
 	// donate their fingerprints to the store, which clones them, and
@@ -156,7 +128,10 @@ type rowSweep struct {
 	// pending maps, per output, a basis ID registered during this
 	// sweep to the index of the point that owns its simulation.
 	pending []map[int]int
-	// accept is output c's Store.Match filter.
+	// accept is output c's Store.Match filter: it admits this sweep's
+	// own pending bases (phase C fills them before C2 reads) and skips
+	// bases another sweep — one a panicking evaluator abandoned —
+	// never completed.
 	accept []func(*core.Basis) bool
 }
 
@@ -173,36 +148,35 @@ func (s *rowSweep) fingerprint(c, i int) core.Fingerprint {
 
 func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
 
-// sweepRows is the phased sweep. See the file comment for the phase
-// structure and DESIGN.md for the determinism argument.
-func sweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointResult, SweepStats, error) {
-	lead := engines[0]
-	k, n, m := len(engines), len(points), lead.opts.FingerprintLen
-	width := m
-	for _, e := range engines {
-		width = max(width, m+e.validationRounds())
+// SweepRows sweeps the k outputs of f over points, in slice order,
+// output c against its own basis store. Each sample is drawn once for
+// all k outputs. results[c] holds output c's per-point results, and
+// they and the returned statistics (summed over the outputs) are
+// bit-identical to k separate SweepBatch calls on engines of the same
+// options, each sweeping one output of f alone. See the file comment
+// for the phase structure and DESIGN.md for the determinism argument.
+func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointResult, SweepStats, error) {
+	if k < 1 {
+		return nil, SweepStats{}, fmt.Errorf("mc: SweepRows of %d outputs", k)
 	}
+	n, m := len(points), e.opts.FingerprintLen
+	width := m + e.validationRounds()
 	// At least one worker, so an empty job still has a scratch to pin.
-	workers := max(1, min(lead.opts.Workers, n))
+	workers := max(1, min(e.opts.Workers, n))
 	s := &rowSweep{
-		engines: engines, f: f, points: points, k: k, n: n, m: m, w: width,
+		e: e, stores: e.outputStores(k), f: f, points: points, k: k, n: n, m: m, w: width,
 		plans:   make([]pointPlan, k*n),
 		results: make([][]PointResult, k),
 		pending: make([]map[int]int, k),
 		accept:  make([]func(*core.Basis) bool, k),
 	}
-	for c := range engines {
+	for c := range k {
 		s.results[c] = make([]PointResult, n)
 		pending := make(map[int]int)
 		s.pending[c] = pending
-		// Accept this sweep's own pending bases (phase C fills them
-		// before C2 reads); skip bases another sweep — one a panicking
-		// evaluator abandoned — never completed.
 		s.accept[c] = func(b *core.Basis) bool {
-			if _, ownPending := pending[b.ID]; ownPending {
-				return true
-			}
-			return payloadReady(b)
+			_, own := pending[b.ID]
+			return own || payloadReady(b)
 		}
 	}
 
@@ -211,11 +185,11 @@ func sweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointRes
 	// are reused point after point without synchronization.
 	scratches := make([]*scratch, workers)
 	for w := range scratches {
-		scratches[w] = lead.scratches.Get()
+		scratches[w] = e.scratches.Get()
 	}
 	defer func() {
 		for _, sc := range scratches {
-			lead.scratches.Put(sc)
+			e.scratches.Put(sc)
 		}
 	}()
 	scratches[0].prefixes = grow(scratches[0].prefixes, k*n*width)
@@ -228,18 +202,18 @@ func sweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointRes
 		for c := range dsts {
 			dsts[c] = s.prefix(c, i)
 		}
-		lead.fingerprints(f, points[i], dsts, width, scratches[w])
+		e.drawRows(f, points[i], dsts, 0, width, scratches[w])
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
 
 	// Phase B: one store lookup per point and output, strictly in
 	// enumeration order, on the calling goroutine, and no evaluator
-	// call. It tallies the call's probe accounting (queries, hits,
-	// candidates scanned, registrations) as it decides.
+	// call. It tallies the call's accounting (queries, hits, candidates
+	// scanned, reuses, registrations) as it decides.
 	st := SweepStats{Points: k * n}
 	if err := pool.ForWorker(n, 1, func(_, i int) {
-		for c := range engines {
+		for c := range k {
 			s.decide(c, i, scratches[0], &st)
 		}
 	}); err != nil {
@@ -261,13 +235,6 @@ func sweepRows(engines []*Engine, f PointEval, points [][]float64) ([][]PointRes
 	}); err != nil {
 		return nil, SweepStats{}, s.pointError(err)
 	}
-	for _, results := range s.results {
-		for i := range results {
-			if results[i].Reused {
-				st.Reused++
-			}
-		}
-	}
 	st.FullSimulations = st.Points - st.Reused
 	return s.results, st, nil
 }
@@ -284,13 +251,13 @@ func (s *rowSweep) pointError(err error) error {
 
 // decide is phase B for output c at point i: one store lookup, then
 // reuse the match or register the point as a pending basis — the
-// decision an EvaluatePoint loop on output c's engine would make.
+// decision an EvaluatePoint loop over output c alone would make.
 func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
-	e := s.engines[c]
+	e := s.e
 	plan := s.plan(c, i)
 	fp := s.fingerprint(c, i)
 	if e.opts.Reuse {
-		basis, mapping, ok, scanned := e.store.Match(fp, s.accept[c], &sc.probe)
+		basis, mapping, ok, scanned := s.stores[c].Match(fp, s.accept[c], &sc.probe)
 		st.Store.Queries++
 		st.Store.CandidatesScanned += scanned
 		if ok {
@@ -313,6 +280,7 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 			if valid {
 				plan.basis = basis
 				plan.mapping = mapping
+				st.Reused++
 				return
 			}
 		}
@@ -321,7 +289,7 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 	if e.opts.Reuse {
 		payload := &BasisPayload{}
 		payload.markPending()
-		if basis, err := e.store.Add(fp, payload); err == nil {
+		if basis, err := s.stores[c].Add(fp, payload); err == nil {
 			plan.basis = basis
 			s.pending[c][basis.ID] = i
 			st.Store.Bases++
@@ -333,9 +301,10 @@ func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
 // once — for every output that missed there, fills the bases their
 // plans registered, and records their results.
 func (s *rowSweep) complete(i int, sc *scratch) {
+	e := s.e
 	dsts := sc.outputs(s.k)
 	need := false
-	for c, e := range s.engines {
+	for c := range s.k {
 		if s.plan(c, i).simulate {
 			dsts[c] = e.sampleVector(c, sc)
 			copy(dsts[c], s.prefix(c, i))
@@ -345,8 +314,8 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 	if !need {
 		return
 	}
-	s.engines[0].simulateRows(s.f, s.points[i], dsts, s.w, sc)
-	for c, e := range s.engines {
+	e.drawRows(s.f, s.points[i], dsts, s.w, e.opts.Samples, sc)
+	for c := range s.k {
 		if dsts[c] == nil {
 			continue
 		}
@@ -369,9 +338,9 @@ func (s *rowSweep) complete(i int, sc *scratch) {
 // that hit there. Every basis reused by this sweep was either ready
 // at phase B or completed by this sweep before the C1→C2 barrier.
 func (s *rowSweep) mapHits(i int) {
-	for c, e := range s.engines {
+	for c := range s.k {
 		if plan := s.plan(c, i); !plan.simulate {
-			s.results[c][i] = e.mapBasis(plan.basis, plan.mapping)
+			s.results[c][i] = s.e.mapBasis(plan.basis, plan.mapping)
 		}
 	}
 }

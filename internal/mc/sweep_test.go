@@ -36,23 +36,21 @@ func sweepOptions(workers int) Options {
 	}
 }
 
-// famEval is a multi-family test workload: parameter fam selects a
-// distinct nonlinear shape (families are not mappable onto each other),
-// while a and b place the point inside its family's affine orbit —
-// including negative a, so the SortedSID index exercises its
-// reversed-key probe. The sample identity is recovered from the
-// reseeded generator's first draw, keeping the fingerprint a pure
-// function of (point, seed) on the scalar evaluation path.
-var famEval = funcEval(famModel, "fam", "a", "b")
-
-// famModel is famEval on bound arguments (fam, a, b).
+// famModel is a multi-family test workload on bound arguments (fam,
+// a, b): parameter fam selects a distinct nonlinear shape (families
+// are not mappable onto each other), while a and b place the point
+// inside its family's affine orbit — including negative a, so the
+// SortedSID index exercises its reversed-key probe. The sample
+// identity is recovered from the reseeded generator's first draw,
+// keeping the fingerprint a pure function of (point, seed) on the
+// scalar evaluation path.
 func famModel(args []float64, r *rng.Rand) float64 {
 	u := r.Uniform(0, 1)
 	g := math.Sin((args[0]+1)*2.7 + u*7)
 	return args[1]*g + args[2]
 }
 
-// famSpace enumerates famEval's space with fam varying slowest, so
+// famSpace enumerates famModel's space with fam varying slowest, so
 // each new family — and therefore each basis registration — appears
 // mid-sweep rather than in an initial burst.
 func famSpace(t *testing.T) *param.Space {
@@ -106,38 +104,37 @@ func evaluateLoop(eng *Engine, ev PointEval, points [][]float64) ([]PointResult,
 // SweepStats bit-identical to an EvaluatePoint loop on a Workers: 1
 // engine, for every worker count including one.
 func TestSweepParallelDeterminism(t *testing.T) {
-	demandSpace := sweepSpace(t)
-	demand := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
-	synth := bindNames(blackbox.NewSynthBasis(16), "point_index")
+	demand := MustBindBox(blackbox.NewDemand(), sweepSpace(t), "current_week", "feature_release")
+	synth := MustBindBox(blackbox.NewSynthBasis(16), synthSpace(t, 200), "point_index")
+	families := MustBindBox(blackbox.Func{FuncName: "fam", NArgs: 3, Fn: famModel}, famSpace(t), "fam", "a", "b")
 
 	for _, tc := range []struct {
 		name   string
 		ev     PointEval
-		space  *param.Space
 		mutate func(*Options)
 	}{
-		{"reuse/array", demand, demandSpace, func(o *Options) { o.Index = IndexArray }},
-		{"reuse/norm", demand, demandSpace, func(o *Options) { o.Index = IndexNormalization }},
-		{"reuse/sid", demand, demandSpace, func(o *Options) { o.Index = IndexSortedSID }},
-		{"noreuse", demand, demandSpace, func(o *Options) { o.Reuse = false }},
-		{"keepsamples", demand, demandSpace, func(o *Options) { o.KeepSamples = true }},
-		{"validation", demand, demandSpace, func(o *Options) { o.KeepSamples = true; o.ValidationSamples = 16 }},
-		{"midsweep/array", synth, synthSpace(t, 200), func(o *Options) { o.Index = IndexArray }},
-		{"midsweep/norm", synth, synthSpace(t, 200), func(o *Options) { o.Index = IndexNormalization }},
-		{"midsweep/sid", synth, synthSpace(t, 200), func(o *Options) { o.Index = IndexSortedSID }},
-		{"midsweep/validation", synth, synthSpace(t, 200), func(o *Options) {
+		{"reuse/array", demand, func(o *Options) { o.Index = IndexArray }},
+		{"reuse/norm", demand, func(o *Options) { o.Index = IndexNormalization }},
+		{"reuse/sid", demand, func(o *Options) { o.Index = IndexSortedSID }},
+		{"noreuse", demand, func(o *Options) { o.Reuse = false }},
+		{"keepsamples", demand, func(o *Options) { o.KeepSamples = true }},
+		{"validation", demand, func(o *Options) { o.KeepSamples = true; o.ValidationSamples = 16 }},
+		{"midsweep/array", synth, func(o *Options) { o.Index = IndexArray }},
+		{"midsweep/norm", synth, func(o *Options) { o.Index = IndexNormalization }},
+		{"midsweep/sid", synth, func(o *Options) { o.Index = IndexSortedSID }},
+		{"midsweep/validation", synth, func(o *Options) {
 			o.Index = IndexNormalization
 			o.KeepSamples = true
 			o.ValidationSamples = 16
 		}},
-		{"families/norm", famEval, famSpace(t), func(o *Options) { o.Index = IndexNormalization }},
-		{"families/sid", famEval, famSpace(t), func(o *Options) { o.Index = IndexSortedSID }},
+		{"families/norm", families, func(o *Options) { o.Index = IndexNormalization }},
+		{"families/sid", families, func(o *Options) { o.Index = IndexSortedSID }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			refOpts := sweepOptions(1)
 			tc.mutate(&refOpts)
 			refEng := MustNew(refOpts)
-			points := spaceRows(tc.space)
+			points := spaceRows(tc.ev.Space())
 			// Two rounds per engine: the first runs against an empty
 			// store (phase B registers bases as it goes), the second
 			// against a warmed one (mostly hits).
@@ -152,7 +149,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 				tc.mutate(&opts)
 				eng := MustNew(opts)
 				for round := range refRes {
-					res, st, err := eng.Sweep(tc.ev, tc.space)
+					res, st, err := eng.Sweep(tc.ev)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -183,10 +180,10 @@ func TestSweepParallelDeterminism(t *testing.T) {
 // same path as a space sweep.
 func TestSweepBatchMatchesSweep(t *testing.T) {
 	space := sweepSpace(t)
-	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 
 	spaceEng := MustNew(sweepOptions(4))
-	fromSpace, spaceStats, err := spaceEng.Sweep(ev, space)
+	fromSpace, spaceStats, err := spaceEng.Sweep(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,24 +200,27 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestSweepSharedEngineRace drives concurrent SweepBatch calls into one
-// shared engine; under -race this exercises the store's lock on the
-// real hot path, and the four calls' returned statistics must still
-// account for every evaluation.
+// TestSweepSharedEngineRace drives concurrent sweeps of one, two and
+// three outputs into one shared engine; under -race this exercises the
+// guard on the engine's per-output stores as they are created and each
+// store's lock on the real hot path, and the calls' returned
+// statistics must still account for every evaluation.
 func TestSweepSharedEngineRace(t *testing.T) {
-	space := sweepSpace(t)
-	points := spaceRows(space)
-	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	points := spaceRows(famSpace(t))
+	row := rowEval{transformRow{famModel, []string{"fam", "a", "b"}}, []int{0, 1, 2}}
 	eng := MustNew(sweepOptions(2))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	stats := make([]SweepStats, 4)
+	want := 0
 	for g := range stats {
+		k := g%3 + 1
+		want += k * len(points)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, st, err := eng.SweepBatch(ev, points)
+			_, st, err := eng.SweepRows(row, k, points)
 			if err != nil {
 				errs <- err
 			}
@@ -236,12 +236,14 @@ func TestSweepSharedEngineRace(t *testing.T) {
 	for _, gst := range stats {
 		st.Add(gst)
 	}
-	if st.Points != 4*len(points) || st.Store.Queries != st.Points {
-		t.Fatalf("points %d, queries %d, want %d each", st.Points, st.Store.Queries, 4*len(points))
+	if st.Points != want || st.Store.Queries != st.Points {
+		t.Fatalf("points %d, queries %d, want %d each", st.Points, st.Store.Queries, want)
 	}
-	if st.FullSimulations+st.Reused != 4*len(points) {
-		t.Fatalf("full (%d) + reused (%d) != total evaluations (%d)",
-			st.FullSimulations, st.Reused, 4*len(points))
+	if st.FullSimulations+st.Reused != want {
+		t.Fatalf("full (%d) + reused (%d) != total evaluations (%d)", st.FullSimulations, st.Reused, want)
+	}
+	if len(eng.stores) != 3 {
+		t.Fatalf("engine holds %d stores, want one per output (3)", len(eng.stores))
 	}
 }
 
@@ -254,11 +256,11 @@ func TestSweepStatsArePerCall(t *testing.T) {
 	space := sweepSpace(t)
 	points := spaceRows(space)
 	n := len(points)
-	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
+	ev := MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 
 	eng := MustNew(sweepOptions(2))
 	for round := 0; round < 2; round++ {
-		_, st, err := eng.Sweep(ev, space)
+		_, st, err := eng.Sweep(ev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jigsaw/internal/blackbox"
+	"jigsaw/internal/param"
 	"jigsaw/internal/rng"
 )
 
@@ -173,6 +174,9 @@ type rowEval struct {
 	slots []int
 }
 
+// Space implements PointEval: rowEval sweeps hand-built batches only.
+func (rowEval) Space() *param.Space { return nil }
+
 func (e rowEval) BindPoint(vals, buf []float64) []float64 {
 	buf = grow(buf, e.rows.RowLen())
 	e.rows.BindRow(vals, buf)
@@ -191,22 +195,19 @@ func (e rowEval) EvalBlockBound(row []float64, outs [][]float64, master uint64, 
 	}
 }
 
-// TestSweepRowsMixedValidation sweeps outputs whose engines validate
-// differently — 16 rounds, none, and more than the n−m rounds there
-// are (clamped) — from one shared row: the prefix is as wide as the
-// widest output's, so outputs that validate less (or not at all) get
-// rows past their own validation rounds in phase A. Every output must
-// still match a separate SweepBatch on its own engine, on a fresh
-// store and a warmed one, at every worker count.
+// TestSweepRowsMixedValidation sweeps three outputs from one shared
+// row under each validation setting — 16 rounds, none, and more than
+// the n−m rounds there are (clamped). Every output must match a
+// separate SweepBatch of that output alone on an engine of the same
+// options, on a fresh store and a warmed one, at every worker count.
 func TestSweepRowsMixedValidation(t *testing.T) {
 	const samples = 200
-	validation := []int{16, 0, samples}
-	options := func(workers, c int) Options {
+	options := func(workers, validation int) Options {
 		o := sweepOptions(workers)
 		o.Samples = samples
 		o.Index = IndexNormalization
 		o.KeepSamples = true
-		o.ValidationSamples = validation[c]
+		o.ValidationSamples = validation
 		return o
 	}
 	for _, tc := range []struct {
@@ -220,33 +221,36 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			row := tc.row
 			rejected := false
-			for _, workers := range []int{1, 2, 4, 7} {
-				engines := make([]*Engine, len(validation))
-				refs := make([]*Engine, len(validation))
-				for c := range engines {
-					engines[c] = MustNew(options(workers, c))
-					refs[c] = MustNew(options(workers, c))
-				}
-				for round := 0; round < 2; round++ {
-					res, st, err := SweepRows(engines, rowEval{row, []int{0, 1, 2}}, tc.points)
-					if err != nil {
-						t.Fatal(err)
+			for _, validation := range []int{16, 0, samples} {
+				for _, workers := range []int{1, 2, 4, 7} {
+					eng := MustNew(options(workers, validation))
+					refs := []*Engine{
+						MustNew(options(workers, validation)),
+						MustNew(options(workers, validation)),
+						MustNew(options(workers, validation)),
 					}
-					var want SweepStats
-					for c, ref := range refs {
-						refRes, refSt, err := ref.SweepBatch(rowEval{row, []int{c}}, tc.points)
+					for round := 0; round < 2; round++ {
+						res, st, err := eng.SweepRows(rowEval{row, []int{0, 1, 2}}, 3, tc.points)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(res[c], refRes) {
-							t.Fatalf("workers=%d round %d: output %d (ValidationSamples %d) differs from its own SweepBatch",
-								workers, round, c, validation[c])
+						var want SweepStats
+						for c, ref := range refs {
+							refRes, refSt, err := ref.SweepBatch(rowEval{row, []int{c}}, tc.points)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(res[c], refRes) {
+								t.Fatalf("ValidationSamples %d workers=%d round %d: output %d differs from its own SweepBatch",
+									validation, workers, round, c)
+							}
+							rejected = rejected || refSt.Store.Hits > refSt.Reused
+							want.Add(refSt)
 						}
-						rejected = rejected || refSt.Store.Hits > refSt.Reused
-						want.Add(refSt)
-					}
-					if !reflect.DeepEqual(st, want) {
-						t.Fatalf("workers=%d round %d: stats %+v, separate sweeps sum to %+v", workers, round, st, want)
+						if !reflect.DeepEqual(st, want) {
+							t.Fatalf("ValidationSamples %d workers=%d round %d: stats %+v, separate sweeps sum to %+v",
+								validation, workers, round, st, want)
+						}
 					}
 				}
 			}
@@ -293,9 +297,8 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 				opts.Index = IndexNormalization
 				opts.KeepSamples = true
 				opts.ValidationSamples = validation
-				engines := []*Engine{MustNew(opts), MustNew(opts), MustNew(opts)}
 				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
-				res, st, err := SweepRows(engines, rowEval{row, []int{0, 1, 2}}, points)
+				res, st, err := MustNew(opts).SweepRows(rowEval{row, []int{0, 1, 2}}, 3, points)
 				if err != nil {
 					t.Fatal(err)
 				}

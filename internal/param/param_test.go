@@ -217,6 +217,10 @@ func TestSpaceIndexErrors(t *testing.T) {
 	if _, err := s.Index(Point{"week": 0.5, "p1": 0, "fr": 12}); err == nil {
 		t.Fatal("off-domain value accepted")
 	}
+	p := s.Point(0).With("nosuch", 3)
+	if _, err := s.Index(p); err == nil || !strings.Contains(err.Error(), "nosuch=3") {
+		t.Fatalf("Index of a point binding an undeclared name: err = %v, want one naming nosuch", err)
+	}
 }
 
 func TestSpacePointPanicsOutOfRange(t *testing.T) {

@@ -149,7 +149,8 @@ func (s *Space) Point(idx int) Point {
 }
 
 // Index is the inverse of Point: it returns the row-major index of a
-// point whose bindings all lie in the respective domains.
+// point whose bindings all lie in the respective domains. It rejects a
+// point that binds a name the space does not declare as enumerable.
 func (s *Space) Index(p Point) (int, error) {
 	idx := 0
 	for i, d := range s.decls {
@@ -168,6 +169,9 @@ func (s *Space) Index(p Point) (int, error) {
 			return 0, fmt.Errorf("param: value %g not in domain of @%s", v, d.Name)
 		}
 		idx = idx*len(s.domains[i]) + pos
+	}
+	if len(p) > len(s.decls) { // it binds every declared name, and more
+		return 0, fmt.Errorf("param: point %v binds a name the space does not declare as enumerable", p)
 	}
 	return idx, nil
 }

@@ -21,17 +21,9 @@
 //
 // # Quick start
 //
-//	demand := jigsaw.BoxFunc{
-//		FuncName: "Demand", NArgs: 1,
-//		Fn: func(args []float64, r *jigsaw.Rand) float64 {
-//			return r.Normal(args[0], 0.1*args[0]+1)
-//		},
-//	}
-//	week, _ := jigsaw.RangeParam("week", 0, 52, 1)
-//	space, _ := jigsaw.NewSpace(week)
-//	eval, _ := jigsaw.BindBox(demand, space, "week")
-//	eng, _ := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 1000, Reuse: true})
-//	results, stats, _ := eng.Sweep(eval, space)
+// Bind a model to a parameter space and sweep it (see Example):
+// jigsaw.BindBox(model, space, "week") returns an evaluator that
+// carries its space, and Engine.Sweep evaluates every point of it.
 //
 // # Concurrency
 //
@@ -42,7 +34,7 @@
 // evaluating the points one by one with Engine.EvaluatePoint. Every
 // call returns its own SweepStats (sum several with SweepStats.Add);
 // the engine keeps no running counters.
-// The basis store is guarded by one read-write lock, so engines may
+// Each basis store is guarded by a read-write lock, so engines may
 // also be shared between goroutines calling EvaluatePoint. A point's
 // own samples draw on one goroutine, in a sweep, in a lone
 // EvaluatePoint and in an interactive session's ticks alike.
@@ -54,6 +46,8 @@
 package jigsaw
 
 import (
+	"fmt"
+
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/core"
 	"jigsaw/internal/exec"
@@ -117,8 +111,12 @@ var (
 // NewStockRegistry returns a registry of the stock models the command
 // line tools run scripts against: DemandModel, CapacityModel,
 // OverloadModel, UserSelection over a dataset of users synthetic users
-// (seed 0xD5) and SynthBasis with 10 basis distributions.
+// (seed 0xD5) and SynthBasis with 10 basis distributions. A negative
+// users is an error.
 func NewStockRegistry(users int) (*Registry, error) {
+	if users < 0 {
+		return nil, fmt.Errorf("jigsaw: negative user count %d", users)
+	}
 	reg := NewRegistry()
 	for _, box := range []Box{
 		NewDemandModel(),
@@ -225,8 +223,9 @@ func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 
 type (
 	// Engine is the Monte Carlo engine with fingerprint reuse (the
-	// dashed box of Fig. 3). Its Sweep and SweepBatch
-	// methods evaluate parameter points on a worker pool sized by
+	// dashed box of Fig. 3), with one basis store per evaluator
+	// output. Its Sweep, SweepBatch and SweepRows methods evaluate
+	// parameter points on a worker pool sized by
 	// EngineOptions.Workers, deterministically: results are
 	// bit-identical for every worker count.
 	Engine = mc.Engine
@@ -237,7 +236,8 @@ type (
 	// says.
 	EngineOptions = mc.Options
 	// PointEval is a stochastic model at a parameter point, the
-	// engine's one evaluator contract: the engine and interactive
+	// engine's one evaluator contract: it carries the Space whose
+	// value rows it reads (Space), and the engine and interactive
 	// sessions bind a point's value row once (BindPoint) and draw its
 	// samples in blocks of sample ids under one master seed
 	// (EvalBlockBound), each sample writing one value per output;
@@ -264,6 +264,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) { return mc.New(opts) }
 
 // BindBox adapts a Box to a PointEval over space's value rows by
 // binding its positional arguments to named parameters of the space.
+// It rejects a nil space and a name the space does not declare.
 func BindBox(b Box, space *Space, argNames ...string) (PointEval, error) {
 	return mc.BindBox(b, space, argNames...)
 }
@@ -423,7 +424,8 @@ type (
 	SessionTask = interactive.Task
 )
 
-// NewSession builds an interactive session over one scenario column.
-func NewSession(eval PointEval, space *Space, opts SessionOptions) (*Session, error) {
-	return interactive.NewSession(eval, space, opts)
+// NewSession builds an interactive session over one scenario column,
+// exploring the points of the evaluator's space.
+func NewSession(eval PointEval, opts SessionOptions) (*Session, error) {
+	return interactive.NewSession(eval, opts)
 }

@@ -1,6 +1,7 @@
 package jigsaw_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -10,7 +11,28 @@ import (
 	"jigsaw"
 )
 
-// TestPublicAPIQuickstart is the doc-comment quick start, end to end.
+// Example is the package's quick start: bind a model to a parameter
+// space, then sweep every point of it with fingerprint reuse.
+func Example() {
+	demand := jigsaw.BoxFunc{
+		FuncName: "Demand", NArgs: 1,
+		Fn: func(args []float64, r *jigsaw.Rand) float64 {
+			return r.Normal(args[0], 0.1*args[0]+1)
+		},
+	}
+	week, _ := jigsaw.RangeParam("week", 0, 52, 1)
+	space, _ := jigsaw.NewSpace(week)
+	eval, _ := jigsaw.BindBox(demand, space, "week")
+	eng, _ := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 1000, Reuse: true})
+	results, stats, _ := eng.Sweep(eval)
+	fmt.Printf("%d points, %d simulated, %d reused\n", stats.Points, stats.FullSimulations, stats.Reused)
+	fmt.Printf("E[demand @ week 52] = %.0f\n", results[52].Summary.Mean)
+	// Output:
+	// 53 points, 1 simulated, 52 reused
+	// E[demand @ week 52] = 52
+}
+
+// TestPublicAPIQuickstart is the quick start, end to end.
 func TestPublicAPIQuickstart(t *testing.T) {
 	demand := jigsaw.BoxFunc{
 		FuncName: "Demand", NArgs: 1,
@@ -37,7 +59,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if _, err := jigsaw.BindBox(demand, space, "weeks"); err == nil {
 		t.Fatal("BindBox accepted a name the space does not declare")
 	}
-	results, st, err := eng.Sweep(eval, space)
+	results, st, err := eng.Sweep(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +93,7 @@ func TestPublicAPIConcurrentSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, st, err := eng.Sweep(eval, space)
+		results, st, err := eng.Sweep(eval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +220,7 @@ func TestPublicAPISession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := jigsaw.NewSession(eval, space, jigsaw.SessionOptions{})
+	sess, err := jigsaw.NewSession(eval, jigsaw.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +239,64 @@ func TestPublicAPISession(t *testing.T) {
 	}
 	if math.Abs(sum.Mean-10) > 2.5 {
 		t.Fatalf("estimate mean = %g, want ~10", sum.Mean)
+	}
+}
+
+// TestEvaluatorCarriesItsSpace is a model bound over a space that
+// declares its parameters in the other order than its arguments: a
+// session and a sweep both read the points of the evaluator's own
+// space, so E[demand @ week 50, release 12] is the name-keyed 57.6,
+// not the 12 of the swapped arguments.
+func TestEvaluatorCarriesItsSpace(t *testing.T) {
+	release, _ := jigsaw.SetParam("release", 12)
+	week, _ := jigsaw.RangeParam("week", 40, 60, 1)
+	space, err := jigsaw.NewSpace(release, week)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := jigsaw.BindBox(jigsaw.NewDemandModel(), space, "week", "release")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 50 + 0.2*(50-12) // Algorithm 1's mean at week 50
+	sess, err := jigsaw.NewSession(eval, jigsaw.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	focus := jigsaw.Point{"week": 50, "release": 12}
+	if err := sess.SetFocus(focus); err != nil {
+		t.Fatal(err)
+	}
+	for range 30 {
+		if _, _, err := sess.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if est, ok := sess.Estimate(focus); !ok || math.Abs(est.Mean-want) > 3 {
+		t.Fatalf("session E[demand @ week 50] = %g (ok %v), want ~%g", est.Mean, ok, want)
+	}
+	eng, err := jigsaw.NewEngine(jigsaw.EngineOptions{Samples: 1000, Reuse: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := eng.Sweep(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := space.Index(focus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[idx].Summary.Mean; math.Abs(got-want) > 1 {
+		t.Fatalf("sweep E[demand @ week 50] = %g, want ~%g", got, want)
+	}
+}
+
+// TestStockRegistryRejectsNegativeUsers checks that a negative user
+// count (cmd/jigsaw -users -5) is an error, not a panic.
+func TestStockRegistryRejectsNegativeUsers(t *testing.T) {
+	if reg, err := jigsaw.NewStockRegistry(-5); err == nil {
+		t.Fatalf("NewStockRegistry(-5) = %v, want an error", reg)
 	}
 }
 
