@@ -175,7 +175,9 @@ func parseFixed(s string) (jigsaw.Point, error) {
 	return p, nil
 }
 
+// fatal prints err once prefixed with the command's name (errors from
+// the facade carry that prefix already) and exits non-zero.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "jigsaw:", err)
+	fmt.Fprintln(os.Stderr, "jigsaw:", strings.TrimPrefix(err.Error(), "jigsaw: "))
 	os.Exit(1)
 }

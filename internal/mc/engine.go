@@ -3,7 +3,8 @@
 // §3: for each parameter point the engine computes a fingerprint (the
 // first m simulation rounds), probes the basis-distribution store, and
 // either maps an existing basis' metrics onto the point (a "hit") or
-// completes the remaining n−m rounds and registers a new basis.
+// registers the point as a new basis and completes its remaining
+// rounds.
 package mc
 
 import (
@@ -203,12 +204,12 @@ type Options struct {
 	// where m identical samples (e.g. ten zeros of a rare overload
 	// flag) can match a basis whose true distribution differs. The
 	// validation rounds are rounds m to m+v−1, v = min(ValidationSamples,
-	// Samples−FingerprintLen). A sweep draws them for every point in its
-	// parallel fingerprint phase, so the cost is v extra rounds per
-	// point, and a point that is simulated after all keeps them as its
-	// samples; a lone EvaluatePoint draws them only on a match. With
-	// Reuse, bases retain their seed-aligned sample vectors to compare
-	// against. 0 (the default) reproduces the paper's behavior exactly.
+	// Samples−FingerprintLen). Every point draws them with its
+	// fingerprint, as its prefix, so the cost is v extra rounds per
+	// reused point, and a point that is simulated after all keeps them
+	// as its samples. With Reuse, bases retain their seed-aligned
+	// sample vectors to compare against. 0 (the default) reproduces the
+	// paper's behavior exactly.
 	ValidationSamples int
 	// Workers sizes the point pool of Sweep and SweepBatch; 0 means
 	// GOMAXPROCS, 1 runs the sweep on the calling goroutine, negative
@@ -277,14 +278,18 @@ type BasisPayload struct {
 	Summary stats.Summary
 	// Samples holds the basis' seed-aligned draws when the engine's
 	// effective Options.KeepSamples is set (always, when it validates);
-	// validation compares matches against them.
+	// validation compares matches against them. While the payload is
+	// pending it holds the owner point's prefix, rows 0 to w−1.
 	Samples []float64
 
-	// pending is nonzero between a sweep registering the basis (phase
-	// B) and filling in its simulation results (phase C).
+	// pending is nonzero between the engine registering the basis at a
+	// miss (decide) and filling in its simulation results (complete).
 	// Everywhere else payloads are constructed complete, so the zero
 	// value reads as ready.
 	pending atomic.Uint32
+	// owner is the token of the engine call that registered the basis:
+	// a sweep's, from Engine.sweeps, or 0 for EvaluatePoint.
+	owner uint64
 }
 
 // markPending flags the payload as incomplete; it must be called
@@ -295,16 +300,17 @@ func (p *BasisPayload) markPending() { p.pending.Store(1) }
 // preceding plain writes before any reader that observes Ready.
 func (p *BasisPayload) complete() { p.pending.Store(0) }
 
-// Ready reports whether the payload's fields may be read. A payload
-// is not ready while the sweep that registered it is still filling it
-// in — or indefinitely, if a panicking evaluator abandoned that sweep
-// mid-flight. The engine's match filter (payloadReady) skips not-ready
-// bases, so an abandoned registration costs one redundant simulation
-// (the next miss registers a usable duplicate) and never a wrong
-// answer.
+// Ready reports whether the payload's Summary and Samples are final. A
+// payload is not ready while the engine call that registered it is
+// still simulating its point, and Samples then holds that point's
+// prefix; it stays not ready indefinitely if a panicking evaluator
+// abandoned the call mid-flight. The engine's match filters skip bases
+// that are not ready, except a sweep's own, so an abandoned
+// registration costs one redundant simulation (the next miss registers
+// a usable duplicate) and never a wrong answer.
 func (p *BasisPayload) Ready() bool { return p.pending.Load() == 0 }
 
-// payloadReady is the engine's Store.Match accept filter: bases whose
+// payloadReady is EvaluatePoint's Store.Match accept filter: bases whose
 // payloads are still (or forever) incomplete, and bases whose payload
 // is not a *BasisPayload at all, are skipped during candidate
 // scanning. Every basis a match returns can therefore be mapped.
@@ -336,14 +342,19 @@ type PointResult struct {
 // per-worker scratch state is pooled, so independent goroutines (e.g.
 // interactive sessions sharing a warmed store) may call EvaluatePoint
 // concurrently. Note that concurrent EvaluatePoint callers race
-// benignly on basis registration — both may fully simulate the same
-// fingerprint family before either Adds it. Sweep and SweepBatch avoid
-// that by sequencing all store decisions in enumeration order, which
-// also makes their results bit-identical for every Workers setting.
+// benignly on basis registration: a caller skips a basis another
+// caller registered but has not finished simulating, so both may
+// fully simulate the same fingerprint family. Sweep and SweepBatch
+// avoid that by sequencing all store decisions in enumeration order,
+// which also makes their results bit-identical for every Workers
+// setting.
 type Engine struct {
 	opts   Options
 	mu     sync.Mutex    // guards the growth of stores
 	stores []*core.Store // output c's basis store at c
+	// sweeps hands each sweep the token that marks the pending bases
+	// it owns (from 1; EvaluatePoint owns as 0).
+	sweeps atomic.Uint64
 
 	// scratches recycles per-worker hot-path buffers (see scratch.go).
 	scratches *pool.Pool[scratch]
@@ -408,100 +419,34 @@ func (e *Engine) drawRows(f PointEval, vals []float64, dsts [][]float64, lo, hi 
 // EvaluatePoint runs the Monte Carlo estimation for one value row,
 // reusing a basis distribution when the store yields a mapping, and
 // returns the point's result with this call's statistics (Points: 1).
+// It runs a sweep's phases on its one point, on the calling goroutine.
 func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepStats) {
 	sc := e.scratches.Get()
 	defer e.scratches.Put(sc)
-	fp := sc.fingerprint(e.opts.FingerprintLen)
-	dsts := sc.outputs(1)
-	dsts[0] = fp
-	m := len(fp)
-	e.drawRows(f, vals, dsts, 0, m, sc)
-
+	sc.prefixes = grow(sc.prefixes, e.prefixLen())
+	var plans [1]pointPlan
+	var res [1]PointResult
+	results := [][]PointResult{res[:]}
 	st := SweepStats{Points: 1}
-	store := e.Store()
-	if e.opts.Reuse {
-		basis, mapping, ok, scanned := store.Match(fp, payloadReady, &sc.probe)
-		st.Store.Queries = 1
-		st.Store.CandidatesScanned = scanned
-		if ok {
-			st.Store.Hits = 1
-			valid := true
-			if v := e.validationRounds(); v > 0 {
-				// The targets land in the scratch sample buffer; on a
-				// failed validation the full simulation overwrites it.
-				// The fingerprint's binding is still in sc.bound.
-				targets := sc.floats(0, m+v)
-				dsts = sc.outputs(1)
-				dsts[0] = targets
-				e.sampleRange(f, sc.bound, dsts, m, m+v, sc)
-				valid = e.validateMatch(mapping, basis.Payload.(*BasisPayload).Samples, targets, v)
-			}
-			if valid {
-				st.Reused = 1
-				return e.mapBasis(basis, mapping), st
-			}
-		}
-	}
-
-	samples := e.sampleVector(0, sc)
-	copy(samples, fp)
-	dsts = sc.outputs(1)
-	dsts[0] = samples
-	e.sampleRange(f, sc.bound, dsts, m, e.opts.Samples, sc) // the binding is still in sc.bound
-	res := e.summarize(samples, sc)
-	st.FullSimulations = 1
-	if e.opts.Reuse {
-		payload := &BasisPayload{Summary: res.Summary}
-		if e.opts.KeepSamples {
-			payload.Samples = samples
-		}
-		basis, err := store.Add(fp, payload)
-		if err == nil {
-			res.BasisID = basis.ID
-			st.Store.Bases = 1
-		}
-	}
-	return res, st
+	e.drawPrefixes(f, vals, sc.prefixes, 1, sc)
+	e.decide(e.outputStores(1), 0, payloadReady, plans[:], sc.prefixes, sc, &st)
+	e.complete(f, vals, plans[:], sc.prefixes, results, 0, sc)
+	e.mapHits(plans[:], results, 0)
+	st.FullSimulations = st.Points - st.Reused
+	return res[0], st
 }
 
-// validationRounds is v, the number of paired rounds past the
-// fingerprint on which a match is validated: ValidationSamples,
-// clamped to the n−m rounds there are, or 0 when the engine trusts
-// matches as-is (no reuse or no validation).
-func (e *Engine) validationRounds() int {
+// prefixLen is w, the rows of a point drawn before its reuse
+// decision: the m fingerprint rounds, then v, the paired rounds on
+// which a match is validated — ValidationSamples clamped to the n−m
+// rounds there are, or 0 when the engine trusts matches as-is (no
+// reuse or no validation).
+func (e *Engine) prefixLen() int {
 	o := e.opts
 	if !o.Reuse || o.ValidationSamples <= 0 {
-		return 0
+		return o.FingerprintLen
 	}
-	return min(o.ValidationSamples, o.Samples-o.FingerprintLen)
-}
-
-// validateMatch re-validates a fingerprint match on the v paired
-// rounds after the fingerprint, m to m+v−1: the mapping must carry
-// round i of the basis' samples onto round i of the point's own
-// targets (both indexed by round id, so the pairs share a seed).
-// Rounds the basis did not retain are not compared, so a basis
-// without retained samples is trusted as-is (the paper's behavior).
-func (e *Engine) validateMatch(mapping core.Linear, basis, targets []float64, v int) bool {
-	m := e.opts.FingerprintLen
-	for i := m; i < min(m+v, len(basis)); i++ {
-		if !core.ApproxEqual(mapping.Apply(basis[i]), targets[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// mapBasis derives the point's result from a matched basis by pushing
-// the mapping through its summary. The basis' payload must be a
-// complete *BasisPayload, which the engine's match filters guarantee.
-func (e *Engine) mapBasis(basis *core.Basis, mapping core.Linear) PointResult {
-	return PointResult{
-		Summary: basis.Payload.(*BasisPayload).Summary.MapAffine(mapping.Alpha, mapping.Beta),
-		Reused:  true,
-		BasisID: basis.ID,
-		Mapping: mapping,
-	}
+	return min(o.FingerprintLen+o.ValidationSamples, o.Samples)
 }
 
 // sampleVector returns the buffer for output c's n samples: freshly

@@ -156,7 +156,7 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 
 	// The EvaluatePoint loop allocates ~1 per reused point (the boxed
 	// mapping). The sweep boxes the same mapping in phase B; everything
-	// else it adds — plans, the prefix backing array, the pending map —
+	// else it adds — plans, the prefix backing array, the match filter —
 	// must amortize to O(1) per sweep, leaving headroom only for fixed
 	// per-sweep and per-goroutine bookkeeping.
 	for _, validate := range []bool{false, true} {

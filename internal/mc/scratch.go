@@ -3,9 +3,9 @@ package mc
 // Per-worker scratch state for the engine's hot path. The paper's pitch
 // is that fingerprint reuse makes sweep points cheap (§3, Figs. 8–9);
 // that only holds if a reused point does not spend its savings in the
-// allocator. Every buffer the per-point pipeline needs — fingerprint,
-// candidate ids, binding, one sample vector per output, accumulator, a
-// sweep's prefixes — lives here and is recycled through a typed pool,
+// allocator. Every buffer the per-point pipeline needs — prefixes,
+// candidate ids, binding, one sample vector per output, accumulator —
+// lives here and is recycled through a typed pool,
 // so the steady-state cost of a reused point is a hash probe and a
 // mapping validation, with (amortized) zero allocations.
 
@@ -21,8 +21,6 @@ import (
 type scratch struct {
 	// probe carries the store's candidate-id buffer.
 	probe core.ProbeScratch
-	// fp is the fingerprint buffer for probe-only fingerprints.
-	fp core.Fingerprint
 	// samples holds one full-simulation sample buffer per output,
 	// reused unless a basis payload keeps the vector (Reuse with
 	// KeepSamples: ownership transfers to the payload, so it must be
@@ -43,8 +41,8 @@ type scratch struct {
 	r rng.Rand
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
-	// prefixes backs every point's prefix rows in a sweep that pins
-	// this scratch as worker 0's (see rowSweep.prefixes).
+	// prefixes backs the prefix rows of an EvaluatePoint's point, or
+	// of every point of a sweep that pins this scratch as worker 0's.
 	prefixes []float64
 }
 
@@ -72,10 +70,4 @@ func (sc *scratch) outputs(k int) [][]float64 {
 	sc.dsts = grow(sc.dsts, k)
 	clear(sc.dsts)
 	return sc.dsts
-}
-
-// fingerprint returns sc.fp grown to length m (values undefined).
-func (sc *scratch) fingerprint(m int) core.Fingerprint {
-	sc.fp = grow(sc.fp, m)
-	return sc.fp
 }

@@ -23,20 +23,23 @@ import (
 // point finishes first registers the basis, and every other mappable
 // point's result depends on that timing. Instead the sweep runs in
 // three phases (DESIGN.md, "Concurrency model" and "Deterministic
-// sweep"):
+// sweep"), each an engine method on one point that EvaluatePoint
+// runs too, back to back on its one point:
 //
-//	A. every point's prefix, in parallel — no store access: its rows
-//	   0 to w−1, whose first m are the k fingerprints and the rest the
-//	   match-validation targets (w = m without validation);
-//	B. a serial loop in enumeration order, point-major: for each point
-//	   and each output, one Store.Match against that output's store
-//	   (plus match validation, when enabled), then the decision —
-//	   reuse the matched basis, or register the point as a new basis
-//	   whose payload stays pending until phase C1 fills it. Phase B
-//	   calls no evaluator;
-//	C. full simulations in parallel — a point's remaining n−w rows
-//	   once, for every output that missed there — then mapped results
-//	   for the hits, each deterministic given phase B.
+//	A. drawPrefixes: every point's prefix, in parallel — no store
+//	   access: its rows 0 to w−1, whose first m are the k fingerprints
+//	   and the rest the match-validation targets (w = m without
+//	   validation);
+//	B. decide: a serial loop in enumeration order, point-major: for
+//	   each point and each output, one Store.Match against that
+//	   output's store (plus match validation, when enabled), then the
+//	   decision — reuse the matched basis, or register the point as a
+//	   new basis whose payload stays pending, holding the point's
+//	   prefix, until phase C1 fills it. Phase B calls no evaluator;
+//	C. complete: full simulations in parallel — a point's remaining
+//	   n−w rows once, for every output that missed there — then
+//	   mapHits: mapped results for the hits, each deterministic given
+//	   phase B.
 //
 // The reference semantics is, per output, a loop of EvaluatePoint
 // calls in enumeration order on an engine of the same options sweeping
@@ -50,11 +53,14 @@ import (
 // default) adds only comparisons to it: an output's v validation
 // targets are the point's rows m to m+v−1, which depend on the point
 // and the seeds alone, so phase A draws them with the fingerprint.
-// They are compared against the matched basis' retained samples (a
-// validating engine retains them whatever KeepSamples says) — or, for
-// a basis this sweep registered and has not simulated yet, against its
-// owner's prefix, which holds the same rows. A miss keeps its whole
-// prefix as the first w of its samples, so no row is drawn twice.
+// They are compared against the rows the matched basis' payload holds
+// in its Samples: the retained samples of a complete basis (a
+// validating engine retains them whatever KeepSamples says), or the
+// owner's prefix of a basis this sweep registered and has not
+// simulated yet, which holds the same rows. The sweep's match filter
+// admits its own pending bases, by the owner token their payloads
+// carry, and skips every other call's. A miss keeps its whole prefix
+// as the first w of its samples, so no row is drawn twice.
 //
 // Every phase runs on pool.ForWorker so each worker id owns one
 // scratch for the whole sweep: prefixes fill one backing array held
@@ -95,59 +101,6 @@ func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, Swe
 	return results[0], st, nil
 }
 
-// pointPlan is one (output, point) pair's record through the phases:
-// phase B's decision, which phases C1 and C2 carry out.
-type pointPlan struct {
-	// basis and mapping hold the decision: the matched basis and its
-	// mapping (reuse), or the newly registered basis (simulate, with
-	// reuse enabled; nil otherwise).
-	basis   *core.Basis
-	mapping core.Linear
-	// simulate marks a miss: the output is fully simulated at the
-	// point in phase C1.
-	simulate bool
-}
-
-// rowSweep is one sweep call's state over k outputs and n points.
-type rowSweep struct {
-	e       *Engine
-	stores  []*core.Store // output c's basis store
-	f       PointEval
-	points  [][]float64 // value rows
-	k, n, m int
-	// w is the prefix width: m plus the validation rounds.
-	w int
-	// prefixes backs all k·n prefixes, on worker 0's scratch: misses
-	// donate their fingerprints to the store, which clones them, and
-	// copy their prefixes into their sample vectors, so nothing
-	// outlives the sweep.
-	prefixes []float64
-	// plans and results are indexed by output, then point.
-	plans   []pointPlan
-	results [][]PointResult
-	// pending maps, per output, a basis ID registered during this
-	// sweep to the index of the point that owns its simulation.
-	pending []map[int]int
-	// accept is output c's Store.Match filter: it admits this sweep's
-	// own pending bases (phase C fills them before C2 reads) and skips
-	// bases another sweep — one a panicking evaluator abandoned —
-	// never completed.
-	accept []func(*core.Basis) bool
-}
-
-// prefix is output c's rows 0 to w−1 at point i.
-func (s *rowSweep) prefix(c, i int) []float64 {
-	lo := (c*s.n + i) * s.w
-	return s.prefixes[lo : lo+s.w : lo+s.w]
-}
-
-// fingerprint is the first m rows of output c's prefix at point i.
-func (s *rowSweep) fingerprint(c, i int) core.Fingerprint {
-	return s.prefix(c, i)[:s.m:s.m]
-}
-
-func (s *rowSweep) plan(c, i int) *pointPlan { return &s.plans[c*s.n+i] }
-
 // SweepRows sweeps the k outputs of f over points, in slice order,
 // output c against its own basis store. Each sample is drawn once for
 // all k outputs. results[c] holds output c's per-point results, and
@@ -159,25 +112,22 @@ func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointRes
 	if k < 1 {
 		return nil, SweepStats{}, fmt.Errorf("mc: SweepRows of %d outputs", k)
 	}
-	n, m := len(points), e.opts.FingerprintLen
-	width := m + e.validationRounds()
+	n, w := len(points), e.prefixLen()
 	// At least one worker, so an empty job still has a scratch to pin.
 	workers := max(1, min(e.opts.Workers, n))
-	s := &rowSweep{
-		e: e, stores: e.outputStores(k), f: f, points: points, k: k, n: n, m: m, w: width,
-		plans:   make([]pointPlan, k*n),
-		results: make([][]PointResult, k),
-		pending: make([]map[int]int, k),
-		accept:  make([]func(*core.Basis) bool, k),
+	stores, owner := e.outputStores(k), e.sweeps.Add(1)
+	// accept admits ready bases and this sweep's own pending ones
+	// (phase C1 fills them before C2 maps from them), and skips bases
+	// another call has not completed — or, if a panicking evaluator
+	// abandoned it, never will.
+	accept := func(b *core.Basis) bool {
+		p, ok := b.Payload.(*BasisPayload)
+		return ok && (p.owner == owner || p.Ready())
 	}
-	for c := range k {
-		s.results[c] = make([]PointResult, n)
-		pending := make(map[int]int)
-		s.pending[c] = pending
-		s.accept[c] = func(b *core.Basis) bool {
-			_, own := pending[b.ID]
-			return own || payloadReady(b)
-		}
+	plans := make([]pointPlan, n*k)
+	results := make([][]PointResult, k)
+	for c := range results {
+		results[c] = make([]PointResult, n)
 	}
 
 	// One scratch per worker id, pinned for all three phases: a
@@ -192,19 +142,32 @@ func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointRes
 			e.scratches.Put(sc)
 		}
 	}()
-	scratches[0].prefixes = grow(scratches[0].prefixes, k*n*width)
-	s.prefixes = scratches[0].prefixes
+	// Plans and prefixes are point-major: point i's k plans and k
+	// prefixes are contiguous. Misses donate their fingerprints to the
+	// store, which clones them, and copy their prefixes into their
+	// sample vectors, so nothing outlives the sweep.
+	scratches[0].prefixes = grow(scratches[0].prefixes, n*k*w)
+	prefixes := scratches[0].prefixes
+	point := func(i int) ([]pointPlan, []float64) {
+		return plans[i*k : (i+1)*k], prefixes[i*k*w : (i+1)*k*w]
+	}
+	// fail names the point whose evaluation panicked by its batch
+	// position and values.
+	fail := func(err error) ([][]PointResult, SweepStats, error) {
+		var perr *pool.PanicError
+		if errors.As(err, &perr) {
+			err = fmt.Errorf("point %d %v: %w", perr.Index, points[perr.Index], err)
+		}
+		return nil, SweepStats{}, err
+	}
 
 	// Phase A: prefixes, embarrassingly parallel; each of a point's w
 	// rows fills all k.
-	if err := pool.ForWorker(n, workers, func(w, i int) {
-		dsts := scratches[w].outputs(k)
-		for c := range dsts {
-			dsts[c] = s.prefix(c, i)
-		}
-		e.drawRows(f, points[i], dsts, 0, width, scratches[w])
+	if err := pool.ForWorker(n, workers, func(wk, i int) {
+		_, pre := point(i)
+		e.drawPrefixes(f, points[i], pre, k, scratches[wk])
 	}); err != nil {
-		return nil, SweepStats{}, s.pointError(err)
+		return fail(err)
 	}
 
 	// Phase B: one store lookup per point and output, strictly in
@@ -213,134 +176,161 @@ func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointRes
 	// scanned, reuses, registrations) as it decides.
 	st := SweepStats{Points: k * n}
 	if err := pool.ForWorker(n, 1, func(_, i int) {
-		for c := range k {
-			s.decide(c, i, scratches[0], &st)
-		}
+		pl, pre := point(i)
+		e.decide(stores, owner, accept, pl, pre, scratches[0], &st)
 	}); err != nil {
-		return nil, SweepStats{}, s.pointError(err)
+		return fail(err)
 	}
 
 	// Phase C1: full simulations for the misses, in parallel. Simulated
 	// payloads must be complete before any reuse point maps from them,
 	// hence the barrier before C2.
-	if err := pool.ForWorker(n, workers, func(w, i int) {
-		s.complete(i, scratches[w])
+	if err := pool.ForWorker(n, workers, func(wk, i int) {
+		pl, pre := point(i)
+		e.complete(f, points[i], pl, pre, results, i, scratches[wk])
 	}); err != nil {
-		return nil, SweepStats{}, s.pointError(err)
+		return fail(err)
 	}
 
 	// Phase C2: mapped results for the hits.
 	if err := pool.ForWorker(n, workers, func(_, i int) {
-		s.mapHits(i)
+		pl, _ := point(i)
+		e.mapHits(pl, results, i)
 	}); err != nil {
-		return nil, SweepStats{}, s.pointError(err)
+		return fail(err)
 	}
 	st.FullSimulations = st.Points - st.Reused
-	return s.results, st, nil
+	return results, st, nil
 }
 
-// pointError names the point whose evaluation panicked by its batch
-// position and values.
-func (s *rowSweep) pointError(err error) error {
-	var perr *pool.PanicError
-	if errors.As(err, &perr) {
-		return fmt.Errorf("point %d %v: %w", perr.Index, s.points[perr.Index], err)
+// pointPlan is one (point, output) pair's reuse decision, which
+// complete and mapHits carry out.
+type pointPlan struct {
+	// basis and mapping hold the decision: the matched basis and its
+	// mapping (reuse), or the newly registered basis (simulate, with
+	// reuse enabled; nil otherwise).
+	basis   *core.Basis
+	mapping core.Linear
+	// simulate marks a miss: the output is fully simulated at the
+	// point.
+	simulate bool
+}
+
+// drawPrefixes is phase A at one point: it draws rows 0 to w−1 of its
+// k outputs into prefixes, output c's at prefixes[c·w:(c+1)·w]. The
+// first m rows of a prefix are the output's fingerprint, the rest its
+// match-validation targets.
+func (e *Engine) drawPrefixes(f PointEval, vals, prefixes []float64, k int, sc *scratch) {
+	w := e.prefixLen()
+	dsts := sc.outputs(k)
+	for c := range dsts {
+		dsts[c] = prefixes[c*w : (c+1)*w]
 	}
-	return err
+	e.drawRows(f, vals, dsts, 0, w, sc)
 }
 
-// decide is phase B for output c at point i: one store lookup, then
-// reuse the match or register the point as a pending basis — the
-// decision an EvaluatePoint loop over output c alone would make.
-func (s *rowSweep) decide(c, i int, sc *scratch, st *SweepStats) {
-	e := s.e
-	plan := s.plan(c, i)
-	fp := s.fingerprint(c, i)
-	if e.opts.Reuse {
-		basis, mapping, ok, scanned := s.stores[c].Match(fp, s.accept[c], &sc.probe)
+// decide is phase B at one point: for each output c, one lookup in
+// stores[c] through accept, validated on the prefix's rows m to w−1,
+// then plans[c] either reuses the match or registers the point as a
+// basis pending until complete fills it. The pending payload is marked
+// with owner and keeps the prefix as its Samples, so a later point of
+// the same call validates against it. decide calls no evaluator and
+// tallies the decisions into st.
+func (e *Engine) decide(stores []*core.Store, owner uint64, accept func(*core.Basis) bool, plans []pointPlan, prefixes []float64, sc *scratch, st *SweepStats) {
+	m, w := e.opts.FingerprintLen, e.prefixLen()
+	for c := range plans {
+		plans[c] = pointPlan{simulate: true}
+		if !e.opts.Reuse {
+			continue
+		}
+		prefix := prefixes[c*w : (c+1)*w : (c+1)*w]
+		fp := prefix[:m:m]
+		basis, mapping, ok, scanned := stores[c].Match(fp, accept, &sc.probe)
 		st.Store.Queries++
 		st.Store.CandidatesScanned += scanned
 		if ok {
 			st.Store.Hits++
-			owner, ownPending := s.pending[c][basis.ID]
-			valid := true
-			if v := e.validationRounds(); v > 0 {
-				// A basis registered earlier in this sweep is not
-				// simulated yet, but its owner's prefix holds the rows
-				// the EvaluatePoint loop would have retained for it by
-				// point i.
-				var samples []float64
-				if ownPending {
-					samples = s.prefix(c, owner)
-				} else {
-					samples = basis.Payload.(*BasisPayload).Samples
-				}
-				valid = e.validateMatch(mapping, samples, s.prefix(c, i), v)
-			}
-			if valid {
-				plan.basis = basis
-				plan.mapping = mapping
+			if e.validateMatch(mapping, basis.Payload.(*BasisPayload).Samples, prefix) {
+				plans[c] = pointPlan{basis: basis, mapping: mapping}
 				st.Reused++
-				return
+				continue
 			}
 		}
-	}
-	plan.simulate = true
-	if e.opts.Reuse {
-		payload := &BasisPayload{}
+		payload := &BasisPayload{Samples: prefix, owner: owner}
 		payload.markPending()
-		if basis, err := s.stores[c].Add(fp, payload); err == nil {
-			plan.basis = basis
-			s.pending[c][basis.ID] = i
+		if basis, err := stores[c].Add(fp, payload); err == nil {
+			plans[c].basis = basis
 			st.Store.Bases++
 		}
 	}
 }
 
-// complete runs point i's full simulation — its remaining n−w rows,
-// once — for every output that missed there, fills the bases their
-// plans registered, and records their results.
-func (s *rowSweep) complete(i int, sc *scratch) {
-	e := s.e
-	dsts := sc.outputs(s.k)
+// validateMatch re-validates a fingerprint match on the paired rounds
+// after the fingerprint, m to w−1: the mapping must carry round i of
+// the basis' samples onto round i of the point's own prefix (both
+// indexed by round id, so the pairs share a seed). Rounds the basis
+// did not retain are not compared, so a basis without retained samples
+// is trusted as-is (the paper's behavior).
+func (e *Engine) validateMatch(mapping core.Linear, basis, prefix []float64) bool {
+	for i := e.opts.FingerprintLen; i < min(len(prefix), len(basis)); i++ {
+		if !core.ApproxEqual(mapping.Apply(basis[i]), prefix[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// complete is phase C1 at point i: it draws the point's remaining
+// rows w to n−1, once, for every output that missed there, fills the
+// bases their plans registered and writes their results to
+// results[c][i]. A filled payload keeps the full sample vector under
+// KeepSamples and none otherwise.
+func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefixes []float64, results [][]PointResult, i int, sc *scratch) {
+	w := e.prefixLen()
+	dsts := sc.outputs(len(plans))
 	need := false
-	for c := range s.k {
-		if s.plan(c, i).simulate {
+	for c := range plans {
+		if plans[c].simulate {
 			dsts[c] = e.sampleVector(c, sc)
-			copy(dsts[c], s.prefix(c, i))
+			copy(dsts[c], prefixes[c*w:(c+1)*w])
 			need = true
 		}
 	}
 	if !need {
 		return
 	}
-	e.drawRows(s.f, s.points[i], dsts, s.w, e.opts.Samples, sc)
-	for c := range s.k {
-		if dsts[c] == nil {
+	e.drawRows(f, vals, dsts, w, e.opts.Samples, sc)
+	for c, samples := range dsts {
+		if samples == nil {
 			continue
 		}
-		plan := s.plan(c, i)
-		res := e.summarize(dsts[c], sc)
-		if plan.basis != nil {
-			payload := plan.basis.Payload.(*BasisPayload)
-			payload.Summary = res.Summary
+		res := e.summarize(samples, sc)
+		if b := plans[c].basis; b != nil {
+			payload := b.Payload.(*BasisPayload)
+			payload.Summary, payload.Samples = res.Summary, nil
 			if e.opts.KeepSamples {
-				payload.Samples = dsts[c]
+				payload.Samples = samples
 			}
 			payload.complete()
-			res.BasisID = plan.basis.ID
+			res.BasisID = b.ID
 		}
-		s.results[c][i] = res
+		results[c][i] = res
 	}
 }
 
-// mapHits is phase C2 at point i: mapped results for every output
-// that hit there. Every basis reused by this sweep was either ready
-// at phase B or completed by this sweep before the C1→C2 barrier.
-func (s *rowSweep) mapHits(i int) {
-	for c := range s.k {
-		if plan := s.plan(c, i); !plan.simulate {
-			s.results[c][i] = s.e.mapBasis(plan.basis, plan.mapping)
+// mapHits is phase C2 at point i: the mapped result of every output
+// that hit there, pushing the mapping through the basis' summary. A
+// basis reused by a sweep was either ready at its decision or
+// completed by the same sweep before mapHits runs.
+func (e *Engine) mapHits(plans []pointPlan, results [][]PointResult, i int) {
+	for c, plan := range plans {
+		if !plan.simulate {
+			results[c][i] = PointResult{
+				Summary: plan.basis.Payload.(*BasisPayload).Summary.MapAffine(plan.mapping.Alpha, plan.mapping.Beta),
+				Reused:  true,
+				BasisID: plan.basis.ID,
+				Mapping: plan.mapping,
+			}
 		}
 	}
 }

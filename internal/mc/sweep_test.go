@@ -201,23 +201,39 @@ func TestSweepBatchMatchesSweep(t *testing.T) {
 }
 
 // TestSweepSharedEngineRace drives concurrent sweeps of one, two and
-// three outputs into one shared engine; under -race this exercises the
-// guard on the engine's per-output stores as they are created and each
-// store's lock on the real hot path, and the calls' returned
-// statistics must still account for every evaluation.
+// three outputs, and EvaluatePoint loops over output 0, into one shared
+// validating engine; under -race this exercises the guard on the
+// engine's per-output stores as they are created, each store's lock on
+// the real hot path, and the match filters that keep a call from
+// reading a payload another call is still filling, and the calls'
+// returned statistics must still account for every evaluation.
 func TestSweepSharedEngineRace(t *testing.T) {
 	points := spaceRows(famSpace(t))
 	row := rowEval{transformRow{famModel, []string{"fam", "a", "b"}}, []int{0, 1, 2}}
-	eng := MustNew(sweepOptions(2))
+	opts := sweepOptions(2)
+	opts.ValidationSamples = 16
+	eng := MustNew(opts)
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	stats := make([]SweepStats, 4)
+	errs := make(chan error, 6)
+	stats := make([]SweepStats, 6)
 	want := 0
 	for g := range stats {
+		wg.Add(1)
+		if g >= 4 { // an EvaluatePoint loop over output 0
+			want += len(points)
+			go func() {
+				defer wg.Done()
+				ev := rowEval{row.rows, []int{0}}
+				for _, p := range points {
+					_, st := eng.EvaluatePoint(ev, p)
+					stats[g].Add(st)
+				}
+			}()
+			continue
+		}
 		k := g%3 + 1
 		want += k * len(points)
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, st, err := eng.SweepRows(row, k, points)
@@ -295,32 +311,63 @@ func TestSweepStatsArePerCall(t *testing.T) {
 	}
 }
 
-// TestAbandonedPendingBasisDoesNotShadow reproduces the state a
-// sweep abandoned by a panic leaves behind — a registered basis whose
+// TestAbandonedPendingBasisDoesNotShadow reproduces the state a call
+// abandoned by a panic leaves behind — a registered basis whose
 // payload was never completed — and checks it neither gets reused nor
-// permanently shadows its fingerprint family: the next miss registers
-// a usable duplicate and later points reuse that.
+// permanently shadows its fingerprint family: the same point simulates
+// to the Reuse: false summary, registering a usable duplicate, and a
+// mappable neighbour reuses that. The abandoned basis is registered by
+// hand, as a sweep abandoned between phases B and C leaves it, or by an
+// EvaluatePoint whose evaluator panics past the point's prefix; that
+// panic reaches the caller.
 func TestAbandonedPendingBasisDoesNotShadow(t *testing.T) {
-	eng := MustNew(sweepOptions(1))
 	ev := bindNames(blackbox.NewDemand(), "current_week", "feature_release")
 	p := []float64{5, 20}
-
-	abandoned := &BasisPayload{}
-	abandoned.markPending() // what a sweep abandoned between phases B and C leaves
-	if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), abandoned); err != nil {
-		t.Fatal(err)
-	}
-
-	res1, _ := eng.EvaluatePoint(ev, p)
-	if res1.Reused {
-		t.Fatal("reused a basis whose payload was never filled")
-	}
-	res2, _ := eng.EvaluatePoint(ev, []float64{9, 20})
-	if !res2.Reused {
-		t.Fatal("abandoned basis shadowed its fingerprint family: mappable point did not reuse")
-	}
-	if res2.BasisID == 0 {
-		t.Fatalf("reused the abandoned basis %d", res2.BasisID)
+	noReuse := sweepOptions(1)
+	noReuse.Reuse = false
+	want, _ := MustNew(noReuse).EvaluatePoint(ev, p)
+	for _, tc := range []struct {
+		name    string
+		abandon func(t *testing.T, eng *Engine)
+	}{
+		{"sweep", func(t *testing.T, eng *Engine) {
+			abandoned := &BasisPayload{}
+			abandoned.markPending()
+			if _, err := eng.Store().Add(fingerprintOf(eng, ev, p), abandoned); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EvaluatePoint", func(t *testing.T, eng *Engine) {
+			defer func() {
+				if r := recover(); r != "model failure" {
+					t.Fatalf("EvaluatePoint's caller recovered %v, want the evaluator's panic", r)
+				}
+			}()
+			// The first evaluation past the prefix panics.
+			eng.EvaluatePoint(&panicAtEval{inner: ev, at: int64(eng.prefixLen()) + 1}, p)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := MustNew(sweepOptions(1))
+			tc.abandon(t, eng)
+			if b, ok := eng.Store().Get(0); !ok || b.Payload.(*BasisPayload).Ready() {
+				t.Fatal("no abandoned pending basis in the store")
+			}
+			res1, _ := eng.EvaluatePoint(ev, p)
+			if res1.Reused {
+				t.Fatal("reused a basis whose payload was never filled")
+			}
+			if res1.Summary != want.Summary {
+				t.Fatalf("summary %+v after the abandoned basis, want the Reuse: false summary %+v", res1.Summary, want.Summary)
+			}
+			res2, _ := eng.EvaluatePoint(ev, []float64{9, 20})
+			if !res2.Reused {
+				t.Fatal("abandoned basis shadowed its fingerprint family: mappable point did not reuse")
+			}
+			if res2.BasisID != res1.BasisID {
+				t.Fatalf("reused basis %d, want the duplicate %d", res2.BasisID, res1.BasisID)
+			}
+		})
 	}
 }
 

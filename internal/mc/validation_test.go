@@ -99,10 +99,21 @@ func TestValidationWithoutKeepSamples(t *testing.T) {
 // validation rows, m+v each (v clamped to the n−m rows there are), and
 // a point that is fully simulated draws only its remaining n−m−v rows
 // — a rejected match does not draw its validation rows a second time.
+// EvaluatePoint runs the same phases on its one point, so its rejected
+// match draws n rows, not n+v.
 func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
 	const n, m = 800, 10
 	points := [][]float64{{0}, {0.05}, {0}, {0.05}}
 	for _, tc := range []struct{ validation, v int }{{128, 128}, {2 * n, n - m}} {
+		eng := MustNew(Options{Samples: n, Reuse: true, Workers: 1, MasterSeed: 77, ValidationSamples: tc.validation})
+		eng.EvaluatePoint(indicatorEval, points[0])
+		ce := &panicAtEval{inner: indicatorEval, at: -1}
+		if res, st := eng.EvaluatePoint(ce, points[1]); res.Reused || st.Store.Hits != 1 {
+			t.Fatalf("ValidationSamples=%d: EvaluatePoint reused %v after %d hits, want the one hit rejected", tc.validation, res.Reused, st.Store.Hits)
+		}
+		if got := ce.count.Load(); got != n {
+			t.Errorf("ValidationSamples=%d: EvaluatePoint's rejected match made %d evaluations, want n = %d", tc.validation, got, n)
+		}
 		for _, workers := range []int{1, 2} {
 			eng := MustNew(Options{Samples: n, Reuse: true, Workers: workers, MasterSeed: 77,
 				KeepSamples: true, ValidationSamples: tc.validation})

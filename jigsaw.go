@@ -31,11 +31,13 @@
 // EngineOptions.Workers (0 = all cores) and Engine.Sweep and
 // Engine.SweepBatch spread the points over a worker pool while
 // returning results bit-identical for every worker count, equal to
-// evaluating the points one by one with Engine.EvaluatePoint. Every
-// call returns its own SweepStats (sum several with SweepStats.Add);
-// the engine keeps no running counters.
+// evaluating the points one by one with Engine.EvaluatePoint, which
+// runs a sweep's reuse step on its one point. Every call returns its
+// own SweepStats (sum several with SweepStats.Add); the engine keeps
+// no running counters.
 // Each basis store is guarded by a read-write lock, so engines may
-// also be shared between goroutines calling EvaluatePoint. A point's
+// also be shared between goroutines calling EvaluatePoint; a caller
+// skips a basis another is still simulating. A point's
 // own samples draw on one goroutine, in a sweep, in a lone
 // EvaluatePoint and in an interactive session's ticks alike.
 // DESIGN.md ("Concurrency model") describes the sweep's phases and the
