@@ -180,11 +180,15 @@ func showEstimate(sess *jigsaw.Session, focus jigsaw.Point, col string) {
 // renderGraph sweeps the GRAPH statement's Over parameter using the
 // session's cheap estimates where available.
 func renderGraph(sess *jigsaw.Session, scenario *jigsaw.Scenario, script *jigsaw.Script, focus jigsaw.Point, col string) {
-	over := ""
-	if script.Graph != nil {
+	var over string
+	switch decls := scenario.Space.Decls(); {
+	case script.Graph != nil:
 		over = script.Graph.Over
-	} else {
-		over = scenario.Space.Decls()[0].Name
+	case len(decls) == 0:
+		fmt.Println("no parameter to sweep")
+		return
+	default:
+		over = decls[0].Name
 	}
 	pos, ok := scenario.Space.Position(over)
 	if !ok {

@@ -84,7 +84,7 @@ func TestDrawBoxMatchesEval(t *testing.T) {
 				eval.Seed(seed)
 				bound.Seed(seed)
 				got.Seed(seed)
-				w, e, b, g := evalRef(tc.box, args, &want), tc.box.Eval(args, &eval), tc.box.EvalBound(state, &bound), drawApply(tc.box, args, &got)
+				w, e, b, g := evalRef(tc.box, args, &want), tc.box.Eval(args, &eval), evalBound1(tc.box, state, &bound), drawApply(tc.box, args, &got)
 				if !same(w, g) || !same(e, g) || !same(b, g) {
 					t.Fatalf("%s%v seed %#x: Draw+Apply = %v, oracle = %v, Eval = %v, EvalBound = %v", tc.box.Name(), args, seed, g, w, e, b)
 				}

@@ -67,8 +67,10 @@ func (d *Demand) params(week, feature float64) (mu, variance float64) {
 // one basis distribution for its entire ∼5000 point parameter space").
 func (d *Demand) Eval(args []float64, r *rng.Rand) float64 {
 	var state [2]float64
+	var z [1]float64
 	d.Bind(args, state[:])
-	return d.EvalBound(state[:], r)
+	d.Draw(r, z[:])
+	return d.Apply(state[:], z[:])
 }
 
 // EvalBlock implements BlockBox. Demand's distribution parameters
@@ -92,13 +94,18 @@ func (d *Demand) Bind(args, state []float64) {
 	state[0], state[1] = mu, math.Sqrt(variance)
 }
 
-// EvalBound implements PointBox: one sample of the model, which Eval
-// and EvalStream draw through. NormalVar(µ, σ²) is Normal(µ, √σ²), so
-// it matches the block kernel's FillNormalVar bit for bit.
-func (d *Demand) EvalBound(state []float64, r *rng.Rand) float64 {
+// EvalBound implements PointBox: one normal draw per lane.
+// NormalVar(µ, σ²) is Normal(µ, √σ²), so it matches the block
+// kernel's FillNormalVar bit for bit.
+func (d *Demand) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
+	checkLanes(d.Name(), out, rands, active)
 	var z [1]float64
-	d.Draw(r, z[:])
-	return d.Apply(state, z[:])
+	for j := range rands {
+		if active == nil || active[j] {
+			d.Draw(&rands[j], z[:])
+			out[j] = d.Apply(state, z[:])
+		}
+	}
 }
 
 // Draws implements DrawBox: one standard normal.
@@ -164,9 +171,10 @@ const capacityPurchases = 2
 
 // Eval implements Box.
 func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
-	var state [capacityPurchases + 2]float64
+	var state, d [capacityPurchases + 2]float64
 	c.Bind(args, state[:])
-	return c.EvalBound(state[:], r)
+	c.Draw(r, d[:])
+	return c.Apply(state[:], d[:])
 }
 
 // EvalBlock implements BlockBox. Capacity's stream mixes normal,
@@ -175,13 +183,14 @@ func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 // form binds the arguments and exponential rate once and drops the
 // per-sample interface dispatch.
 func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	var state [capacityPurchases + 2]float64
+	var state, d [capacityPurchases + 2]float64
 	c.Bind(args, state[:])
 	checkBlock(c.Name(), out, seeds)
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
-		out[i] = c.EvalBound(state[:], &r)
+		c.Draw(&r, d[:])
+		out[i] = c.Apply(state[:], d[:])
 	}
 }
 
@@ -196,12 +205,16 @@ func (c *Capacity) Bind(args, state []float64) {
 	state[len(args)] = 1 / c.MeanDelay
 }
 
-// EvalBound implements PointBox: one sample of the model, which Eval
-// and every kernel draw through.
-func (c *Capacity) EvalBound(state []float64, r *rng.Rand) float64 {
+// EvalBound implements PointBox: Eval's draws per lane.
+func (c *Capacity) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
+	checkLanes(c.Name(), out, rands, active)
 	var d [capacityPurchases + 2]float64
-	c.Draw(r, d[:])
-	return c.Apply(state, d[:])
+	for j := range rands {
+		if active == nil || active[j] {
+			c.Draw(&rands[j], d[:])
+			out[j] = c.Apply(state, d[:])
+		}
+	}
 }
 
 // Draws implements DrawBox: the noise variate, the failure count and

@@ -1,19 +1,27 @@
 package blackbox
 
-import "jigsaw/internal/rng"
+import (
+	"fmt"
+
+	"jigsaw/internal/rng"
+)
 
 // PointBox is the optional bind-once capability of a Box: it splits
 // Eval into the work that depends on the arguments alone, done once
-// per parameter point, and the draws, done once per sample. Bind
-// followed by EvalBound is bit-identical to Eval —
+// per parameter point or table row, and the draws, done for a block
+// of lanes at a time. For every lane j with active[j] (a nil active
+// means every lane),
 //
-//	b.Bind(args, state); v := b.EvalBound(state, r)
+//	b.Bind(args, state); b.EvalBound(state, out, rands, active)
 //
-// returns Eval(args, r)'s bits, takes the same draws from r and leaves
-// r in the same state — so a compiled scenario row, which runs one
-// generator stream through all of its call sites, can bind a call
-// whose arguments are fixed at the point and still draw exactly what
-// Eval would (DESIGN.md, "Scenario compilation").
+// writes Eval(args, &rands[j])'s bits to out[j], takes the same draws
+// from rands[j] and leaves it in the same state, cached polar variate
+// included; a masked lane is neither drawn from nor written. So a
+// compiled scenario row, which runs one generator stream per sample
+// through all of its call sites, and the PDB, which continues one
+// stream per world, can bind a call whose arguments are fixed and
+// still draw exactly what Eval would (DESIGN.md, "Scenario
+// compilation" and "Columnar PDB execution").
 type PointBox interface {
 	Box
 	// BoundLen is the length of the state Bind writes.
@@ -22,34 +30,59 @@ type PointBox interface {
 	// (len(state) == BoundLen()). It draws nothing and panics on an
 	// arity violation, as Eval does.
 	Bind(args, state []float64)
-	// EvalBound draws one sample from a state Bind wrote.
-	EvalBound(state []float64, r *rng.Rand) float64
+	// EvalBound draws one sample per active lane from a state Bind
+	// wrote, lane j from rands[j]. len(out) must equal len(rands), and
+	// active must be nil or at least as long; it panics otherwise, as
+	// it does on an arity violation.
+	EvalBound(state, out []float64, rands []rng.Rand, active []bool)
 }
 
 // DrawBox is the optional draw/apply capability of a PointBox: it
-// splits EvalBound into the draws, which depend on the generator
-// alone, and the arithmetic that combines them with the bound state,
-// which draws nothing. For any state Bind wrote and any generator
-// state,
+// splits a lane of EvalBound into the draws, which depend on the
+// generator alone, and the arithmetic that combines them with the
+// bound state, which draws nothing. For any state Bind wrote and any
+// generator state,
 //
 //	b.Draw(r, d); v := b.Apply(state, d)   // len(d) == b.Draws()
 //
-// returns EvalBound(state, r)'s bits and leaves r where EvalBound
-// would, cached polar variate included. Draw consumes the same
-// stream whatever the point, so under common random numbers (§3.1)
-// the draws of the sample seeded by σ are one vector for every point:
-// a compiled scenario whose every model call is a bound DrawBox draws
-// it once per seed and applies it at each point (DESIGN.md,
-// "Scenario compilation").
+// returns the bits EvalBound writes to a lane that draws from r, and
+// leaves r where EvalBound would, cached polar variate included.
+// Draw consumes the same stream whatever the point, so under common
+// random numbers (§3.1) the draws of the sample seeded by σ are one
+// vector for every point: a compiled scenario whose every model call
+// is a bound DrawBox draws it once per seed and applies it at each
+// point (DESIGN.md, "Scenario compilation").
 type DrawBox interface {
 	PointBox
 	// Draws is the length of the draw vector.
 	Draws() int
 	// Draw fills d (len(d) == Draws()) from r, taking exactly the
-	// draws EvalBound takes.
+	// draws a lane of EvalBound takes.
 	Draw(r *rng.Rand, d []float64)
 	// Apply combines a state Bind wrote with a draw vector Draw
 	// filled. It draws nothing, and panics on an invalid model
 	// constant as Eval does.
 	Apply(state, d []float64) float64
+}
+
+// StreamBox was the PDB's continuing-stream capability, which
+// PointBox.EvalBound now covers: draw one sample per active world
+// from that world's own generator, bit-identical to per-world Eval.
+// Nothing in this module implements or calls it. It stays declared
+// only because perfbench's counting wrapper names it; it goes when the
+// benchmark drops that name.
+type StreamBox interface {
+	Box
+	EvalStream(args []float64, out []float64, rands []rng.Rand, active []bool)
+}
+
+// checkLanes panics on an out/rands/active length mismatch (an engine
+// plumbing bug, like an arity violation).
+func checkLanes(name string, out []float64, rands []rng.Rand, active []bool) {
+	if len(out) != len(rands) {
+		panic(fmt.Sprintf("blackbox: %s: out has %d lanes for %d generators", name, len(out), len(rands)))
+	}
+	if active != nil && len(active) < len(rands) {
+		panic(fmt.Sprintf("blackbox: %s: mask has %d lanes for %d generators", name, len(active), len(rands)))
+	}
 }

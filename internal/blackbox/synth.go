@@ -161,4 +161,8 @@ var (
 	_ PointBox = (*Demand)(nil)
 	_ PointBox = (*Capacity)(nil)
 	_ PointBox = (*UserSelection)(nil)
+	_ PointBox = UserUsage{}
+
+	_ DrawBox = (*Demand)(nil)
+	_ DrawBox = (*Capacity)(nil)
 )

@@ -118,15 +118,21 @@ func (u *UserSelection) Bind(args, state []float64) {
 	state[0] = float64(n)
 }
 
-// EvalBound implements PointBox: Eval's draws for the active users
-// Bind kept, in the same order.
-func (*UserSelection) EvalBound(state []float64, r *rng.Rand) float64 {
+// EvalBound implements PointBox: per lane, Eval's draws for the
+// active users Bind kept, in the same order.
+func (u *UserSelection) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
+	checkLanes(u.Name(), out, rands, active)
 	pairs := state[1 : 1+2*int(state[0])]
-	total := 0.0
-	for i := 0; i < len(pairs); i += 2 {
-		total += usage(pairs[i], pairs[i+1], r)
+	for j := range rands {
+		if active != nil && !active[j] {
+			continue
+		}
+		r, total := &rands[j], 0.0
+		for i := 0; i < len(pairs); i += 2 {
+			total += usage(pairs[i], pairs[i+1], r)
+		}
+		out[j] = total
 	}
-	return total
 }
 
 // String describes the dataset size for experiment logs.
@@ -136,11 +142,10 @@ func (u *UserSelection) String() string {
 
 // UserUsage is the per-row VG function behind UserSelection, as the
 // PDB substrate consumes it: the users dataset is a table and each
-// row's weekly usage is an uncertain attribute. Its StreamBox kernel
-// (stream.go) is what lets the set-oriented engine amortize the
-// deterministic per-row work (activity test, tenure growth) across
-// all worlds — the Fig. 7 "wrapper wins on data-dependent models"
-// effect.
+// row's weekly usage is an uncertain attribute. Its PointBox binding
+// is what lets the set-oriented engine amortize the deterministic
+// per-row work (activity test, tenure growth) across all worlds — the
+// Fig. 7 "wrapper wins on data-dependent models" effect.
 //
 // Arguments: (current_week, join_week, base_cores, growth_rate,
 // volatility).
@@ -160,6 +165,37 @@ func (UserUsage) Eval(args []float64, r *rng.Rand) float64 {
 		return 0
 	}
 	return usage(mean, args[4], r)
+}
+
+// BoundLen implements PointBox: the bound state is whether the user
+// has joined by the week (1 or 0), its mean and its volatility.
+func (UserUsage) BoundLen() int { return 3 }
+
+// Bind implements PointBox: the activity test and the tenure growth
+// run once per row.
+func (UserUsage) Bind(args, state []float64) {
+	checkArity("UserUsage", 5, args)
+	mean, ok := usageMean(args)
+	state[0], state[1], state[2] = 0, mean, args[4]
+	if ok {
+		state[0] = 1
+	}
+}
+
+// EvalBound implements PointBox: a bare LogNormal draw per lane for a
+// joined user; a user who has not joined draws nothing and reads 0,
+// as in Eval.
+func (UserUsage) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
+	checkLanes("UserUsage", out, rands, active)
+	for j := range rands {
+		switch {
+		case active != nil && !active[j]:
+		case state[0] == 0:
+			out[j] = 0
+		default:
+			out[j] = usage(state[1], state[2], &rands[j])
+		}
+	}
 }
 
 // usageMean reads UserUsage's arguments as a row of the users dataset

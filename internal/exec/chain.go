@@ -81,8 +81,18 @@ func NewScenarioChain(s *Scenario, outputCol string, fixed param.Point) (*Scenar
 // fixedRow returns fixed as a value row of the scenario's Space (see
 // BindRow). Every enumerable parameter but free, whose value the
 // caller sets, must be bound, to any value: a fixed value need not lie
-// in its domain. what names the caller in errors.
+// in its domain. A name the scenario declares as neither an
+// enumerable nor a CHAIN parameter is an error, as it is for
+// Space.Index: a misspelt name must not fall back to a default. what
+// names the caller in errors.
 func (s *Scenario) fixedRow(fixed param.Point, free, what string) ([]float64, error) {
+	chains := s.Space.Chains()
+	for name := range fixed {
+		_, enumerable := s.Space.Position(name)
+		if !enumerable && !slices.ContainsFunc(chains, func(d param.Decl) bool { return d.Name == name }) {
+			return nil, fmt.Errorf("exec: %s fixes @%s, which the scenario does not declare", what, name)
+		}
+	}
 	decls := s.Space.Decls()
 	vals := make([]float64, len(decls))
 	for i, d := range decls {

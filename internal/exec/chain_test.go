@@ -148,6 +148,14 @@ INTO results`)
 	if got[1] != base[1]+10 {
 		t.Fatalf("demand with @bump=10 is %g, with @bump=0 %g", got[1], base[1])
 	}
+	// The driver and the CHAIN parameter may be named too; Step sets
+	// both. A name the script does not declare is refused.
+	if _, err := NewScenarioChain(s, "demand", param.Point{"bump": 0, "current_week": 3, "release_week": 9}); err != nil {
+		t.Fatalf("fixing the driver and the CHAIN parameter: %v", err)
+	}
+	if _, err := NewScenarioChain(s, "demand", param.Point{"bump": 0, "bmp": 10}); err == nil || !strings.Contains(err.Error(), "@bmp,") {
+		t.Fatalf("chain with a misspelt fixed name: err = %v", err)
+	}
 	// A fixed value need not lie in the declared domain, SET (0, 10).
 	c25, err := NewScenarioChain(s, "demand", param.Point{"bump": 25})
 	if err != nil {

@@ -286,8 +286,8 @@ func (s *Scenario) FillRow(r *rng.Rand, row []float64) {
 
 // drawRow fills a seed-only row's draw vector d from r, each site's
 // region in evaluation order, so the stream (the polar method's cached
-// variate included) runs from one site's draws into the next as the
-// sites' EvalBound calls would.
+// variate included) runs from one site's draws into the next as it
+// does through the sites' EvalBound calls on a lane's generator.
 func (s *Scenario) drawRow(r *rng.Rand, d []float64) {
 	for _, bc := range s.binds {
 		bc.draw.Draw(r, d[bc.dlo:bc.dhi])
@@ -671,9 +671,10 @@ func (c *compiler) caseExpr(n *sqlparse.CaseExpr, dst int) (int, error) {
 // site: once per point, BindRow writes its bare parameter arguments
 // into that region and runs the program its other arguments compile
 // to, before binding the site's state region, and a block only draws
-// from the state — from the draw table in a seed-only row, from each
-// lane's generator otherwise. Any other call gathers each lane's
-// arguments into its region and calls Eval with the lane's generator.
+// from the state — from the draw table in a seed-only row, otherwise
+// by one EvalBound call over the lanes' generators. Any other call
+// gathers each lane's arguments into its region and calls Eval with
+// the lane's generator.
 func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 	if n.Name == "NULL" {
 		return 0, errors.New("NULL is not supported by the lightweight engine")
@@ -731,9 +732,7 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 		c.emit(func(b *block) {
 			z, st := b.lane(d), b.pt[state:end]
 			if b.gens != nil {
-				for j := range z {
-					z[j] = pb.EvalBound(st, &b.gens[j])
-				}
+				pb.EvalBound(st, z, b.gens, nil)
 				return
 			}
 			// A seed-only row: apply the site's region of each

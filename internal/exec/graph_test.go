@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"jigsaw/internal/mc"
@@ -123,6 +124,17 @@ func TestRunGraphValidation(t *testing.T) {
 	// Missing fixed binding.
 	if _, err := RunGraph(s, script.Graph, param.Point{"purchase1": 0}, opts); err == nil {
 		t.Fatal("missing fixed bindings accepted")
+	}
+	// A misspelt fixed name is refused, not dropped for a default;
+	// the swept parameter itself may be bound (its value is ignored).
+	if _, err := RunGraph(s, script.Graph,
+		param.Point{"purchase1": 0, "purchase2": 0, "feature_release": 12, "feature_releas": 36}, opts); err == nil ||
+		!strings.Contains(err.Error(), "@feature_releas,") {
+		t.Fatalf("misspelt fixed name: err = %v", err)
+	}
+	if _, err := RunGraph(s, script.Graph,
+		param.Point{"purchase1": 0, "purchase2": 0, "feature_release": 12, "current_week": 3}, opts); err != nil {
+		t.Fatalf("fixing the swept parameter: %v", err)
 	}
 	// Unknown over parameter.
 	bad := &sqlparse.GraphStmt{Over: "zzz", Series: script.Graph.Series}

@@ -31,7 +31,7 @@ type pdbBenchQuery struct {
 //   - demand: the minimal VG-heavy model query (one draw per world) —
 //     the fresh-lane bulk-kernel case.
 //   - overload: Fig. 1's dependent column list (two draws per world
-//     plus a CASE over both) — the live-stream kernel case.
+//     plus a CASE over both) — the bound draw on live streams.
 //   - users: the data-dependent aggregate over cfg.Users rows (one
 //     draw per row per world into a SUM) — the set-oriented case the
 //     wrapper wins Fig. 7 with.

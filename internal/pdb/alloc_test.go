@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"fmt"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -258,5 +259,26 @@ func TestFreshDrawBlockAllocs(t *testing.T) {
 	}
 	if allocs := blockAllocs(t, plan, map[string]float64{"week": 20}, 256); allocs != 0 {
 		t.Errorf("a steady-state SELECT DemandModel(@week, 52) block allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestBoundVGBlockAllocs pins that PointBox VG calls on live streams
+// allocate nothing in a steady-state block: each binds into the block
+// context's scratch and draws by one EvalBound call.
+func TestBoundVGBlockAllocs(t *testing.T) {
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.NewDemand())
+	db.Boxes.MustRegister(blackbox.NewCapacity())
+	db.Boxes.MustRegister(blackbox.NewUserSelection(60, 9))
+	var outs []NamedBound
+	for i, src := range []string{"DemandModel(@week, 52)", "CapacityModel(@week, 8, 24)", "UserSelection(@week)"} {
+		outs = append(outs, NamedBound{Name: fmt.Sprintf("c%d", i), Expr: mustBind(t, src, Schema{}, db.Boxes)})
+	}
+	plan, err := NewExtendPlan(ValuesPlan{}, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := blockAllocs(t, plan, map[string]float64{"week": 20}, 256); allocs != 0 {
+		t.Errorf("a steady-state block of bound Capacity and UserSelection draws allocates %.1f, want 0", allocs)
 	}
 }

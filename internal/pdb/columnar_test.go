@@ -17,8 +17,8 @@ import (
 // (reference_test.go) produces — cells, key rows, schema, everything.
 // These tests pin that across a query zoo covering every built-in
 // operator and the interesting randomness disciplines (fresh-lane
-// kernel dispatch, stream kernels, branch-masked draws, world-varying
-// selections).
+// kernel dispatch, bound draws on live streams, branch-masked draws,
+// world-varying selections).
 
 var columnarBlockSizes = []int{1, 7, 256, 1000}
 var columnarWorkers = []int{1, 4}
@@ -44,12 +44,18 @@ func columnarDB(t *testing.T) *DB {
 // the oracle's (or an error from both).
 func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worlds int) {
 	t.Helper()
-	for _, bw := range columnarBlockSizes {
+	assertBitIdenticalOn(t, plan, params, worlds, columnarBlockSizes, columnarWorkers)
+}
+
+// assertBitIdenticalOn is assertBitIdentical over the given grid.
+func assertBitIdenticalOn(t *testing.T, plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts []int) {
+	t.Helper()
+	for _, bw := range blockSizes {
 		opts := WorldsOptions{
 			Worlds: worlds, MasterSeed: 0x1234, BlockWorlds: bw,
 		}
 		want, wantErr := refDistribution(plan, params, opts)
-		for _, workers := range columnarWorkers {
+		for _, workers := range workerCounts {
 			opts.Workers = workers
 			got, gotErr := RunDistribution(plan, params, opts)
 			if (wantErr == nil) != (gotErr == nil) {
@@ -105,8 +111,8 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
-// countingBox is a model with neither a BlockBox nor a StreamBox
-// kernel that counts its Eval calls.
+// countingBox is a model with neither a BlockBox kernel nor a
+// PointBox binding that counts its Eval calls.
 type countingBox struct{ evals *atomic.Int64 }
 
 func (countingBox) Name() string { return "Counted" }
@@ -276,6 +282,42 @@ func TestColumnarCaseBranchDraws(t *testing.T) {
 		}
 		assertBitIdentical(t, vgExtendPlan(t, db, plan, "after"), map[string]float64{"week": 20}, 300)
 	}
+}
+
+// TestColumnarFuncVGOnLiveStreams: a box that is not a PointBox draws
+// through the per-world Eval loop, on live streams after a first draw
+// and under a CASE mask, as the oracle does.
+func TestColumnarFuncVGOnLiveStreams(t *testing.T) {
+	db := columnarDB(t)
+	db.Boxes.MustRegister(blackbox.Func{FuncName: "Lin", NArgs: 1, Fn: func(a []float64, r *rng.Rand) float64 {
+		return a[0] + r.Uniform(0, 1)
+	}})
+	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
+	plan, err := NewExtendPlan(ext, []NamedBound{
+		{Name: "lin", Expr: mustBind(t, "Lin(@week)", ext.Schema(), db.Boxes)},
+		{Name: "masked", Expr: mustBind(t, "CASE WHEN demand > @week THEN Lin(2) END", ext.Schema(), db.Boxes)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, vgExtendPlan(t, db, plan, "after"), map[string]float64{"week": 20}, 300)
+}
+
+// TestColumnarUserSelectionBoundPerRow: UserSelection with an argument
+// uniform across worlds binds once per row and draws every world's
+// lane by one EvalBound call, bit-identical to the oracle's per-world
+// Eval; a trailing draw observes each world's stream position.
+func TestColumnarUserSelectionBoundPerRow(t *testing.T) {
+	db := columnarDB(t)
+	db.Boxes.MustRegister(blackbox.NewUserSelection(60, 9))
+	scan, _ := db.Scan("purchases")
+	sel := mustBind(t, "UserSelection(week + @current_week)", scan.Schema(), db.Boxes)
+	ext, err := NewExtendPlan(scan, []NamedBound{{Name: "sel", Expr: sel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := vgExtendPlan(t, db, ext, "after")
+	assertBitIdenticalOn(t, plan, map[string]float64{"current_week": 20, "week": 30}, 300, []int{7, 256}, []int{1, 2})
 }
 
 func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {

@@ -577,12 +577,19 @@ func bindScalarCall(fn func([]float64) float64, args []BoundExpr) BoundExpr {
 // bindVGCall is where the block pipeline pays off: the argument
 // columns of a data-dependent model are uniform across worlds (they
 // come from stored tables and parameters), so the argument decode
-// happens once per row-block and the draws go through a kernel —
-// a native BlockBox kernel (bulk rng fills) while the world streams
-// are untouched (first draw of each world), StreamBox on live streams
-// otherwise — instead of W interface dispatches.
+// happens once per row-block and the draws go through a kernel — a
+// native BlockBox kernel (bulk rng fills) while the world streams are
+// untouched (first draw of each world), otherwise a PointBox bound
+// into the context's scratch and drawn on the live streams by one
+// EvalBound call — instead of W interface dispatches. Any other box,
+// and arguments that vary by world, take a per-world Eval loop.
 func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 	block, _ := box.(blackbox.BlockBox)
+	point, _ := box.(blackbox.PointBox)
+	boundLen := 0
+	if point != nil {
+		boundLen = point.BoundLen()
+	}
 	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
@@ -592,14 +599,14 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 		if dead {
 			return ctx.uniformVec(Null()), nil
 		}
-		argv := ctx.floats(len(args))
+		scratch := ctx.floats(len(args) + boundLen)
+		argv, state := scratch[:len(args)], scratch[len(args):]
 		if allUniform {
 			for i, v := range vecs {
 				if argv[i], err = v.u.AsFloat(); err != nil {
 					return nil, err
 				}
 			}
-			dst := ctx.floatVec(cur)
 			if block != nil && cur == nil && ctx.freshLaneOpen() {
 				// First draw of every world in the block: a freshly
 				// seeded generator per world is exactly what BlockBox
@@ -607,13 +614,18 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 				// Demand this is one bulk FillNormal over the block).
 				// A box without a kernel would gain nothing here, and
 				// a later draw would make materialize replay it.
+				dst := ctx.floatVec(nil)
 				block.EvalBlock(argv, dst.f, ctx.Seeds)
 				ctx.noteFreshDraw(box, argv)
 				return dst, nil
 			}
-			ctx.materialize()
-			blackbox.EvalStream(box, argv, dst.f, ctx.Rands, cur)
-			return dst, nil
+			if point != nil {
+				dst := ctx.floatVec(cur)
+				ctx.materialize()
+				point.Bind(argv, state)
+				point.EvalBound(state, dst.f, ctx.Rands, cur)
+				return dst, nil
+			}
 		}
 		dst := ctx.lanesVec()
 		ctx.materialize()
