@@ -131,20 +131,25 @@ func runGraph(scenario *jigsaw.Scenario, script *jigsaw.Script, opts jigsaw.Engi
 		fatal(err)
 	}
 	// Default unfixed parameters (other than the swept one) to the
-	// first value of their domain.
+	// first value of their domain. Graph validates the fixed names, so
+	// the defaults are reported only once it has accepted them.
+	var notes []string
 	for _, d := range scenario.Space.Decls() {
 		if d.Name == script.Graph.Over {
 			continue
 		}
 		if _, ok := fixed[d.Name]; !ok {
 			fixed[d.Name] = d.Domain()[0]
-			fmt.Printf("note: @%s not fixed; using %g\n", d.Name, fixed[d.Name])
+			notes = append(notes, fmt.Sprintf("note: @%s not fixed; using %g", d.Name, fixed[d.Name]))
 		}
 	}
 	start := time.Now()
 	res, err := jigsaw.Graph(scenario, script.Graph, fixed, opts)
 	if err != nil {
 		fatal(err)
+	}
+	for _, note := range notes {
+		fmt.Println(note)
 	}
 	fmt.Printf("\nGRAPH OVER @%s (%d points, %v; %d reused of %d)\n\n",
 		res.Over, len(res.Series[0].X), time.Since(start), res.Stats.Reused, res.Stats.Points)

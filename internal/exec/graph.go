@@ -31,8 +31,8 @@ type GraphResult struct {
 
 // RunGraph evaluates a GRAPH statement over the scenario: the Over
 // parameter is swept across its domain while fixed binds every other
-// enumerable parameter. A ColumnSweep over the series' columns
-// provides fingerprint reuse along the domain.
+// enumerable parameter. One stream of a ColumnSweep over the series'
+// columns provides fingerprint reuse along the domain.
 func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Options) (*GraphResult, error) {
 	if g == nil {
 		return nil, errors.New("exec: nil GRAPH statement")
@@ -55,34 +55,36 @@ func RunGraph(s *Scenario, g *sqlparse.GraphStmt, fixed param.Point, opts mc.Opt
 		return nil, err
 	}
 	domain := s.Space.Decls()[over].Domain()
-	batch := make([][]float64, len(domain))
-	for j, x := range domain {
-		batch[j] = slices.Clone(vals)
-		batch[j][over] = x
-	}
-	swept, err := sweep.Sweep(batch)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &GraphResult{Over: g.Over, Stats: sweep.Stats()}
-	for i, series := range g.Series {
-		out := Series{
+	res := &GraphResult{Over: g.Over}
+	for _, series := range g.Series {
+		res.Series = append(res.Series, Series{
 			Label:  fmt.Sprintf("%s %s", series.Metric, series.Column),
 			Metric: series.Metric,
 			Column: series.Column,
 			Style:  series.Style,
-			X:      append([]float64(nil), domain...),
-			Y:      make([]float64, len(swept[i])),
-		}
-		for j, pr := range swept[i] {
-			if series.Metric == sqlparse.MetricStdDev {
-				out.Y[j] = pr.Summary.StdDev
+			X:      slices.Clone(domain),
+			Y:      make([]float64, len(domain)),
+		})
+	}
+	// Point j is the fixed row with the swept parameter at domain[j].
+	row := func(j int, dst []float64) []float64 {
+		dst = append(dst, vals...)
+		dst[over] = domain[j]
+		return dst
+	}
+	err = sweep.Stream(len(domain), row, func(j int, pr []mc.PointResult) {
+		for i := range res.Series {
+			out := &res.Series[i]
+			if out.Metric == sqlparse.MetricStdDev {
+				out.Y[j] = pr[i].Summary.StdDev
 			} else {
-				out.Y[j] = pr.Summary.Mean
+				out.Y[j] = pr[i].Summary.Mean
 			}
 		}
-		res.Series = append(res.Series, out)
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Stats = sweep.Stats()
 	return res, nil
 }

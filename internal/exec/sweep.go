@@ -11,11 +11,11 @@ import (
 // output of one row evaluator, and the engine keeps one basis store
 // per output: different columns are different stochastic functions, so
 // a basis of one must never answer for another. The columns are swept
-// jointly (Engine.SweepRows): each sampled row of the scenario is
+// jointly (Engine.SweepStream): each sampled row of the scenario is
 // evaluated once and feeds every column. The engine persists across
-// Sweep calls, so reuse spans every batch swept — the whole (group ×
-// sweep) space of an OPTIMIZE, which is where the
-// two-orders-of-magnitude wins of §6.2 come from.
+// calls, so reuse spans all of them; an OPTIMIZE streams its whole
+// (group × sweep) space through one call, and reuse across that space
+// is where the two-orders-of-magnitude wins of §6.2 come from.
 type ColumnSweep struct {
 	// rows holds one row slot (an output) per distinct column, in the
 	// order the columns first appear.
@@ -24,7 +24,7 @@ type ColumnSweep struct {
 	// column maps each requested name, by position, to its distinct
 	// column.
 	column []int
-	// stats sums the engine's per-call statistics over every Sweep.
+	// stats sums the engine's per-call statistics over every call.
 	stats mc.SweepStats
 }
 
@@ -72,7 +72,31 @@ func (cs *ColumnSweep) Sweep(batch [][]float64) ([][]mc.PointResult, error) {
 	return out, nil
 }
 
-// Stats returns the reuse accounting summed over every Sweep so far.
+// Stream sweeps each distinct column at points 0 to n−1, value rows of
+// the scenario's Space that row returns, in one joint sweep on the
+// engine's workers, and hands emit each point's results in enumeration
+// order, one per name given to SweepColumns; see mc.Engine.SweepStream
+// for the row and emit contracts.
+func (cs *ColumnSweep) Stream(n int, row func(i int, dst []float64) []float64, emit func(i int, res []mc.PointResult)) error {
+	if len(cs.rows.slots) == 0 { // an OPTIMIZE without WHERE
+		return nil
+	}
+	named := make([]mc.PointResult, len(cs.column))
+	st, err := cs.eng.SweepStream(&cs.rows, len(cs.rows.slots), n, row, func(i int, res []mc.PointResult) {
+		for j, c := range cs.column {
+			named[j] = res[c]
+		}
+		emit(i, named)
+	})
+	if err != nil {
+		return err
+	}
+	cs.stats.Add(st)
+	return nil
+}
+
+// Stats returns the reuse accounting summed over every Sweep and
+// Stream so far.
 // Points counts column-points swept: each distinct column once per
 // batch point.
 func (cs *ColumnSweep) Stats() mc.SweepStats { return cs.stats }

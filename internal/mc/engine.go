@@ -31,8 +31,9 @@ import (
 // entire Monte Carlo simulation ... can be treated as the stochastic
 // function F"). One sample of F may yield several outputs — every
 // result column of one sampled world of a compiled scenario — and
-// Engine.SweepRows fingerprints and simulates each sample once for all
-// of them; Sweep, SweepBatch and EvaluatePoint read output 0.
+// Engine.SweepStream (and SweepRows, which collects it) fingerprints
+// and simulates each sample once for all of them; Sweep, SweepBatch
+// and EvaluatePoint read output 0.
 //
 // A sample is named by (master, id), and its seed is
 // rng.SampleSeed(master, id). Every sample must be a function of the
@@ -211,8 +212,9 @@ type Options struct {
 	// sample vectors to compare against. 0 (the default) reproduces the
 	// paper's behavior exactly.
 	ValidationSamples int
-	// Workers sizes the point pool of Sweep and SweepBatch; 0 means
-	// GOMAXPROCS, 1 runs the sweep on the calling goroutine, negative
+	// Workers is the number of goroutines a sweep spreads its points
+	// over, the calling goroutine included; 0 means GOMAXPROCS, 1 runs
+	// the sweep on the calling goroutine alone, negative
 	// values are rejected. A point's own samples always draw on one
 	// goroutine, so a lone EvaluatePoint ignores Workers. Results are
 	// deterministic for any worker count (see DESIGN.md, "Concurrency
@@ -278,8 +280,10 @@ type BasisPayload struct {
 	Summary stats.Summary
 	// Samples holds the basis' seed-aligned draws when the engine's
 	// effective Options.KeepSamples is set (always, when it validates);
-	// validation compares matches against them. While the payload is
-	// pending it holds the owner point's prefix, rows 0 to w−1.
+	// validation compares matches against them. The vector is set at
+	// registration, its first w rows the owner point's prefix; while
+	// the payload is pending its other rows are the owner's simulation
+	// in progress.
 	Samples []float64
 
 	// pending is nonzero between the engine registering the basis at a
@@ -302,9 +306,8 @@ func (p *BasisPayload) complete() { p.pending.Store(0) }
 
 // Ready reports whether the payload's Summary and Samples are final. A
 // payload is not ready while the engine call that registered it is
-// still simulating its point, and Samples then holds that point's
-// prefix; it stays not ready indefinitely if a panicking evaluator
-// abandoned the call mid-flight. The engine's match filters skip bases
+// still simulating its point; it stays not ready indefinitely if a
+// panicking evaluator abandoned the call mid-flight. The engine's match filters skip bases
 // that are not ready, except a sweep's own, so an abandoned
 // registration costs one redundant simulation (the next miss registers
 // a usable duplicate) and never a wrong answer.
@@ -344,10 +347,9 @@ type PointResult struct {
 // concurrently. Note that concurrent EvaluatePoint callers race
 // benignly on basis registration: a caller skips a basis another
 // caller registered but has not finished simulating, so both may
-// fully simulate the same fingerprint family. Sweep and SweepBatch
-// avoid that by sequencing all store decisions in enumeration order,
-// which also makes their results bit-identical for every Workers
-// setting.
+// fully simulate the same fingerprint family. Sweeps avoid that by
+// sequencing all store decisions in enumeration order, which also
+// makes their results bit-identical for every Workers setting.
 type Engine struct {
 	opts   Options
 	mu     sync.Mutex    // guards the growth of stores
@@ -426,12 +428,11 @@ func (e *Engine) EvaluatePoint(f PointEval, vals []float64) (PointResult, SweepS
 	sc.prefixes = grow(sc.prefixes, e.prefixLen())
 	var plans [1]pointPlan
 	var res [1]PointResult
-	results := [][]PointResult{res[:]}
 	st := SweepStats{Points: 1}
 	e.drawPrefixes(f, vals, sc.prefixes, 1, sc)
 	e.decide(e.outputStores(1), 0, payloadReady, plans[:], sc.prefixes, sc, &st)
-	e.complete(f, vals, plans[:], sc.prefixes, results, 0, sc)
-	e.mapHits(plans[:], results, 0)
+	e.complete(f, vals, plans[:], sc.prefixes, res[:], sc)
+	e.mapHits(plans[:], res[:])
 	st.FullSimulations = st.Points - st.Reused
 	return res[0], st
 }
@@ -447,18 +448,6 @@ func (e *Engine) prefixLen() int {
 		return o.FingerprintLen
 	}
 	return min(o.FingerprintLen+o.ValidationSamples, o.Samples)
-}
-
-// sampleVector returns the buffer for output c's n samples: freshly
-// allocated when a basis payload will keep it (Reuse with
-// KeepSamples; ownership transfers to the payload), the scratch's
-// buffer for output c otherwise, in which case it must not outlive the
-// point.
-func (e *Engine) sampleVector(c int, sc *scratch) []float64 {
-	if e.opts.Reuse && e.opts.KeepSamples {
-		return make([]float64, e.opts.Samples)
-	}
-	return sc.floats(c, e.opts.Samples)
 }
 
 // summarize returns the result of a fully simulated point.

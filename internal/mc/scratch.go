@@ -16,15 +16,14 @@ import (
 )
 
 // scratch is one worker's reusable state. A scratch is owned by one
-// goroutine at a time: engines hand them out via a pool.Pool
-// (EvaluatePoint) or pin one per worker id (the sweep).
+// goroutine at a time: engines hand them out via a pool.Pool, and a
+// sweep pins one per goroutine for its whole stream.
 type scratch struct {
 	// probe carries the store's candidate-id buffer.
 	probe core.ProbeScratch
 	// samples holds one full-simulation sample buffer per output,
-	// reused unless a basis payload keeps the vector (Reuse with
-	// KeepSamples: ownership transfers to the payload, so it must be
-	// freshly allocated).
+	// used unless a basis payload keeps the vector (Reuse with
+	// KeepSamples: decide allocates it with the payload).
 	samples [][]float64
 	// dsts is the per-output destination list handed to sampleRange.
 	dsts [][]float64
@@ -42,8 +41,14 @@ type scratch struct {
 	// acc accumulates sample statistics, Reset between points.
 	acc stats.Accumulator
 	// prefixes backs the prefix rows of an EvaluatePoint's point, or
-	// of every point of a sweep that pins this scratch as worker 0's.
+	// of a sweep's window when the sweep's calling goroutine holds this
+	// scratch; rows, stages, plans and results back the rest of that
+	// window (see sweep.go).
 	prefixes []float64
+	rows     [][]float64
+	stages   []uint8
+	plans    []pointPlan
+	results  []PointResult
 }
 
 // grow returns buf resliced to length n, reallocated when its

@@ -3,43 +3,51 @@ package mc
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"jigsaw/internal/core"
 	"jigsaw/internal/pool"
 )
 
-// This file implements the sweep: the evaluation of a parameter space
-// (or an explicit batch of value rows) on the engine's worker pool,
-// with results bit-identical for every worker count. There is one sweep
-// implementation, over k outputs of one evaluator: SweepRows sweeps
-// the k outputs of a PointEval, each against its own basis store, and
-// Sweep and SweepBatch are its k=1 case. The pool spreads points,
-// never a point's samples: each row (one sample, all k outputs) of a
-// point draws on the worker that holds the point. At Workers: 1 the
-// pool degrades to a plain loop on the calling goroutine
-// (pool.ForWorker) and the phases below run back to back.
+// This file implements the sweep: the evaluation of a stream of value
+// rows on the engine's workers, with results bit-identical for every
+// worker count. There is one sweep implementation, SweepStream, over k
+// outputs of one evaluator, each against its own basis store; SweepRows,
+// SweepBatch and Sweep are collecting wrappers over it. Workers spread
+// points, never a point's samples: each row (one sample, all k outputs)
+// of a point draws on the goroutine that holds the point.
 //
 // A naive parallel sweep would race on the basis store: whichever
 // point finishes first registers the basis, and every other mappable
-// point's result depends on that timing. Instead the sweep runs in
-// three phases (DESIGN.md, "Concurrency model" and "Deterministic
-// sweep"), each an engine method on one point that EvaluatePoint
-// runs too, back to back on its one point:
+// point's result depends on that timing. Instead each point passes
+// through three phases (DESIGN.md, "Concurrency model" and
+// "Deterministic sweep"), each an engine method on one point that
+// EvaluatePoint runs too, back to back on its one point:
 //
-//	A. drawPrefixes: every point's prefix, in parallel — no store
-//	   access: its rows 0 to w−1, whose first m are the k fingerprints
-//	   and the rest the match-validation targets (w = m without
-//	   validation);
-//	B. decide: a serial loop in enumeration order, point-major: for
-//	   each point and each output, one Store.Match against that
-//	   output's store (plus match validation, when enabled), then the
-//	   decision — reuse the matched basis, or register the point as a
-//	   new basis whose payload stays pending, holding the point's
-//	   prefix, until phase C1 fills it. Phase B calls no evaluator;
-//	C. complete: full simulations in parallel — a point's remaining
-//	   n−w rows once, for every output that missed there — then
-//	   mapHits: mapped results for the hits, each deterministic given
-//	   phase B.
+//	A. drawPrefixes: the point's prefix — no store access: its rows
+//	   0 to w−1, whose first m are the k fingerprints and the rest the
+//	   match-validation targets (w = m without validation);
+//	B. decide: for each output, one Store.Match against that output's
+//	   store (plus match validation, when enabled), then the decision —
+//	   reuse the matched basis, or register the point as a new basis
+//	   whose payload stays pending until phase C1 fills it. Phase B
+//	   calls no evaluator;
+//	C. complete: the full simulation — the point's remaining n−w rows
+//	   once, for every output that missed there — then mapHits: mapped
+//	   results for the hits, each deterministic given phase B.
+//
+// The sweep pipelines the phases over a window of points in flight.
+// Workers draw prefixes ahead, a chunk of consecutive points at a time,
+// and run each miss's simulation as soon as it is decided. The calling
+// goroutine decides points strictly in enumeration order as their
+// prefixes land, maps a point's hits when the point's turn comes, hands
+// its results to emit in enumeration order, and only then recycles the
+// point's window slot. It is one of the Workers: whenever it has
+// nothing to decide or emit it runs a queued draw or simulation, and
+// it blocks on a channel when nothing is queued. There are no
+// barriers between phases, and at Workers: 1 the calling goroutine is
+// the only one.
 //
 // The reference semantics is, per output, a loop of EvaluatePoint
 // calls in enumeration order on an engine of the same options sweeping
@@ -47,32 +55,46 @@ import (
 // sequence (stores are per output, and phase B visits the points of
 // every output in order), and the sweep's statistics are the sum of
 // those loops' per-call statistics. Sample j of output c is output c
-// of row j, so one row serves every output. Phase B costs one probe
-// per point and output, small against the model evaluations of phases
-// A and C. Match validation (ValidationSamples with Reuse — off by
-// default) adds only comparisons to it: an output's v validation
-// targets are the point's rows m to m+v−1, which depend on the point
-// and the seeds alone, so phase A draws them with the fingerprint.
-// They are compared against the rows the matched basis' payload holds
-// in its Samples: the retained samples of a complete basis (a
-// validating engine retains them whatever KeepSamples says), or the
-// owner's prefix of a basis this sweep registered and has not
-// simulated yet, which holds the same rows. The sweep's match filter
-// admits its own pending bases, by the owner token their payloads
-// carry, and skips every other call's. A miss keeps its whole prefix
-// as the first w of its samples, so no row is drawn twice.
+// of row j, so one row serves every output. Match validation
+// (ValidationSamples with Reuse — off by default) adds only
+// comparisons to phase B: an output's v validation targets are the
+// point's rows m to m+v−1, which depend on the point and the seeds
+// alone, so phase A draws them with the fingerprint. They are compared
+// against the rows the matched basis holds: the retained Samples of a
+// ready basis (a validating engine retains them whatever KeepSamples
+// says), or, while its simulation is still running, its owner's
+// prefix, which holds the same rows and which nothing writes until the
+// owner is emitted. The sweep's match filter admits its own pending
+// bases, by the owner token their payloads carry, and skips every
+// other call's. A miss keeps its whole prefix as the first w of its
+// samples, so no row is drawn twice. A hit maps from a basis whose
+// owner came earlier in the stream, so the owner has been emitted, and
+// its payload is complete, by the time the hit's turn comes.
 //
-// Every phase runs on pool.ForWorker so each worker id owns one
-// scratch for the whole sweep: prefixes fill one backing array held
-// by worker 0's scratch, probes reuse candidate buffers, and simulations
-// reuse the binding and one sample buffer per output — the steady-state
-// allocation per point is O(1) (see scratch.go). A panicking
-// evaluator stops the sweep with an error naming its point.
+// Each goroutine owns one scratch for the whole sweep: the window's
+// prefixes fill one backing array held by the calling goroutine's
+// scratch, probes reuse candidate buffers, and simulations reuse the
+// binding and one sample buffer per output — the steady-state
+// allocation per point is O(1) (see scratch.go). A panicking evaluator
+// stops the sweep with an error naming its point.
+
+// window is the number of points a sweep holds in flight — drawn ahead,
+// decided, simulating or waiting to be emitted — or the sweep's point
+// count, when that is smaller. Point i lives in slot i mod window,
+// which holds its value row, prefix, plans and results, until it is
+// emitted. It is fixed, not tied to Workers, and results cannot depend
+// on it: phase B decides in enumeration order whatever is in flight.
+const window = 128
+
+// chunk is the number of consecutive points one prefix task draws, so
+// that a point pays a fraction of a task's channel round trip. It
+// divides window, so the window holds whole chunks.
+const chunk = 8
 
 // Sweep evaluates every point of f's space in enumeration order and
 // returns per-point results plus this call's reuse statistics. This
 // is Jigsaw's batch-mode inner loop (Fig. 3): Parameter Enumerator →
-// PDB → basis reuse. The points are spread over the engine's worker pool
+// PDB → basis reuse. The points are spread over the engine's workers
 // (Options.Workers); results and statistics are bit-identical for
 // every worker count.
 func (e *Engine) Sweep(f PointEval) ([]PointResult, SweepStats, error) {
@@ -80,19 +102,20 @@ func (e *Engine) Sweep(f PointEval) ([]PointResult, SweepStats, error) {
 	if space == nil {
 		return nil, SweepStats{}, errors.New("mc: evaluator has no parameter space")
 	}
-	points := make([][]float64, space.Size())
-	for i := range points {
-		points[i] = space.Values(i, nil)
+	results := make([]PointResult, space.Size())
+	st, err := e.SweepStream(f, 1, len(results), space.Values, func(i int, res []PointResult) {
+		results[i] = res[0]
+	})
+	if err != nil {
+		return nil, SweepStats{}, err
 	}
-	return e.SweepBatch(f, points)
+	return results, st, nil
 }
 
 // SweepBatch evaluates an explicit list of points, value rows of the
-// space f was built against, through the engine's worker pool, in
-// slice order, with the same determinism guarantee as Sweep. It is the
-// building block for callers that compose points themselves: the
-// optimizer's (group × sweep) product, a graph statement's domain
-// walk. A row too short for f comes back as an error naming it.
+// space f was built against, in slice order, with the same determinism
+// guarantee as Sweep. A row too short for f comes back as an error
+// naming it.
 func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, SweepStats, error) {
 	results, st, err := e.SweepRows(f, 1, points)
 	if err != nil {
@@ -101,106 +124,320 @@ func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, Swe
 	return results[0], st, nil
 }
 
-// SweepRows sweeps the k outputs of f over points, in slice order,
-// output c against its own basis store. Each sample is drawn once for
-// all k outputs. results[c] holds output c's per-point results, and
-// they and the returned statistics (summed over the outputs) are
+// SweepRows sweeps the k outputs of f over points, in slice order, and
+// collects the stream: results[c] holds output c's per-point results.
+// They and the returned statistics (summed over the outputs) are
 // bit-identical to k separate SweepBatch calls on engines of the same
-// options, each sweeping one output of f alone. See the file comment
-// for the phase structure and DESIGN.md for the determinism argument.
+// options, each sweeping one output of f alone.
 func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointResult, SweepStats, error) {
-	if k < 1 {
-		return nil, SweepStats{}, fmt.Errorf("mc: SweepRows of %d outputs", k)
-	}
-	n, w := len(points), e.prefixLen()
-	// At least one worker, so an empty job still has a scratch to pin.
-	workers := max(1, min(e.opts.Workers, n))
-	stores, owner := e.outputStores(k), e.sweeps.Add(1)
-	// accept admits ready bases and this sweep's own pending ones
-	// (phase C1 fills them before C2 maps from them), and skips bases
-	// another call has not completed — or, if a panicking evaluator
-	// abandoned it, never will.
-	accept := func(b *core.Basis) bool {
-		p, ok := b.Payload.(*BasisPayload)
-		return ok && (p.owner == owner || p.Ready())
-	}
-	plans := make([]pointPlan, n*k)
-	results := make([][]PointResult, k)
+	results := make([][]PointResult, max(k, 0))
 	for c := range results {
-		results[c] = make([]PointResult, n)
+		results[c] = make([]PointResult, len(points))
 	}
-
-	// One scratch per worker id, pinned for all three phases: a
-	// worker id never runs two points concurrently, so its buffers
-	// are reused point after point without synchronization.
-	scratches := make([]*scratch, workers)
-	for w := range scratches {
-		scratches[w] = e.scratches.Get()
-	}
-	defer func() {
-		for _, sc := range scratches {
-			e.scratches.Put(sc)
+	row := func(i int, dst []float64) []float64 { return append(dst, points[i]...) }
+	st, err := e.SweepStream(f, k, len(points), row, func(i int, res []PointResult) {
+		for c := range results {
+			results[c][i] = res[c]
 		}
-	}()
-	// Plans and prefixes are point-major: point i's k plans and k
-	// prefixes are contiguous. Misses donate their fingerprints to the
-	// store, which clones them, and copy their prefixes into their
-	// sample vectors, so nothing outlives the sweep.
-	scratches[0].prefixes = grow(scratches[0].prefixes, n*k*w)
-	prefixes := scratches[0].prefixes
-	point := func(i int) ([]pointPlan, []float64) {
-		return plans[i*k : (i+1)*k], prefixes[i*k*w : (i+1)*k*w]
-	}
-	// fail names the point whose evaluation panicked by its batch
-	// position and values.
-	fail := func(err error) ([][]PointResult, SweepStats, error) {
-		var perr *pool.PanicError
-		if errors.As(err, &perr) {
-			err = fmt.Errorf("point %d %v: %w", perr.Index, points[perr.Index], err)
-		}
+	})
+	if err != nil {
 		return nil, SweepStats{}, err
 	}
-
-	// Phase A: prefixes, embarrassingly parallel; each of a point's w
-	// rows fills all k.
-	if err := pool.ForWorker(n, workers, func(wk, i int) {
-		_, pre := point(i)
-		e.drawPrefixes(f, points[i], pre, k, scratches[wk])
-	}); err != nil {
-		return fail(err)
-	}
-
-	// Phase B: one store lookup per point and output, strictly in
-	// enumeration order, on the calling goroutine, and no evaluator
-	// call. It tallies the call's accounting (queries, hits, candidates
-	// scanned, reuses, registrations) as it decides.
-	st := SweepStats{Points: k * n}
-	if err := pool.ForWorker(n, 1, func(_, i int) {
-		pl, pre := point(i)
-		e.decide(stores, owner, accept, pl, pre, scratches[0], &st)
-	}); err != nil {
-		return fail(err)
-	}
-
-	// Phase C1: full simulations for the misses, in parallel. Simulated
-	// payloads must be complete before any reuse point maps from them,
-	// hence the barrier before C2.
-	if err := pool.ForWorker(n, workers, func(wk, i int) {
-		pl, pre := point(i)
-		e.complete(f, points[i], pl, pre, results, i, scratches[wk])
-	}); err != nil {
-		return fail(err)
-	}
-
-	// Phase C2: mapped results for the hits.
-	if err := pool.ForWorker(n, workers, func(_, i int) {
-		pl, _ := point(i)
-		e.mapHits(pl, results, i)
-	}); err != nil {
-		return fail(err)
-	}
-	st.FullSimulations = st.Points - st.Reused
 	return results, st, nil
+}
+
+// SweepStream sweeps the k outputs of f over points 0 to n−1, output c
+// against its own basis store, drawing each sample once for all k
+// outputs, and returns the call's statistics, summed over the outputs.
+// row(i, dst) appends point i's value row to dst, an empty buffer the
+// sweep owns, and returns it. emit(i, res) receives point
+// i's results, output c's at res[c], valid only during the call. Both
+// run on the calling goroutine, row in enumeration order a window's
+// length ahead of emit, emit in enumeration order; nothing of the sweep
+// runs after SweepStream returns. Results are bit-identical for every
+// worker count. A panicking evaluator stops the sweep with an error
+// naming the point, `point <i> [<values>]: panic: <value>`, after
+// which emit is not called again. See the file comment for the
+// pipeline and DESIGN.md for the determinism argument.
+func (e *Engine) SweepStream(f PointEval, k, n int, row func(i int, dst []float64) []float64, emit func(i int, res []PointResult)) (SweepStats, error) {
+	if k < 1 {
+		return SweepStats{}, fmt.Errorf("mc: sweep of %d outputs", k)
+	}
+	s := e.newStream(f, k, n)
+	defer s.close()
+	published, decided, emitted := 0, 0, 0
+	for emitted < n {
+		progress := false
+		// Publish whole chunks while the window has room for them.
+		for published < n {
+			hi := min(published+chunk, n)
+			if hi-emitted > s.slots {
+				break
+			}
+			for i := published; i < hi; i++ {
+				j := s.slot(i)
+				s.rows[j] = row(i, s.rows[j][:0])
+				s.stages[j] = slotDrawing
+			}
+			s.draws <- published
+			published, progress = hi, true
+		}
+		// Phase B, strictly in enumeration order.
+		for decided < published && s.stages[s.slot(decided)] == slotDrawn {
+			s.decide(decided)
+			decided, progress = decided+1, true
+		}
+		// Phase C2 and emission, in enumeration order.
+		for emitted < decided && s.stages[s.slot(emitted)] == slotDone {
+			j := s.slot(emitted)
+			res := s.results[j*k : (j+1)*k]
+			e.mapHits(s.plans[j*k:(j+1)*k], res)
+			emit(emitted, res)
+			emitted, progress = emitted+1, true
+		}
+		if progress {
+			continue
+		}
+		if perr := s.wait(); perr != nil {
+			return SweepStats{}, fmt.Errorf("point %d %v: %w", perr.Index, s.rows[s.slot(perr.Index)], perr)
+		}
+	}
+	s.st.FullSimulations = s.st.Points - s.st.Reused
+	return s.st, nil
+}
+
+// Slot stages: a published point's progress. A slot's stage is read
+// and written on the calling goroutine only; workers learn of a slot
+// through the tasks they are handed.
+const (
+	slotDrawing    uint8 = iota // its chunk's prefix task is queued or running
+	slotDrawn                   // prefix drawn, awaiting its decision
+	slotSimulating              // decided; a miss's simulation is queued or running
+	slotDone                    // results complete, awaiting emission
+)
+
+// stream is one SweepStream call's state.
+type stream struct {
+	e    *Engine
+	f    PointEval
+	k, w int
+	// n is the number of points, slots the window's size: window, or n
+	// when that is smaller.
+	n, slots int
+	stores   []*core.Store
+	owner    uint64
+	accept   func(*core.Basis) bool
+	st       SweepStats
+
+	// The window, held by the calling goroutine's scratch: slot j's
+	// entries are rows[j], stages[j], plans[j·k:], results[j·k:] and
+	// prefixes[j·k·w:] (point-major: a point's k plans and k prefixes
+	// are contiguous).
+	rows     [][]float64
+	stages   []uint8
+	plans    []pointPlan
+	results  []PointResult
+	prefixes []float64
+
+	// scratches[g] is goroutine g's, the calling goroutine's at 0.
+	scratches []*scratch
+	// A task is a point index: draws queues the first point of each
+	// chunk to draw (phase A), sims each decided point to simulate
+	// (phase C1), and done carries back the task each worker finished.
+	// draws and sims hold every task the window can have outstanding,
+	// so the calling goroutine never blocks on a send. done holds a
+	// window's worth of chunks: a worker waits on it only while the
+	// calling goroutine is busy, and gives up once the sweep stops.
+	draws, sims, done chan int
+	// stop closes when the sweep ends; failed holds the first panic a
+	// task recovered, and the workers start no task once it is set.
+	stop    chan struct{}
+	failed  atomic.Pointer[pool.PanicError]
+	workers sync.WaitGroup
+}
+
+// newStream sets up a sweep of n points and starts its workers: with
+// the calling goroutine, Workers goroutines, at most one per point.
+func (e *Engine) newStream(f PointEval, k, n int) *stream {
+	w, slots := e.prefixLen(), max(1, min(window, n))
+	owner := e.sweeps.Add(1)
+	s := &stream{
+		e: e, f: f, k: k, w: w, n: n, slots: slots,
+		stores: e.outputStores(k),
+		owner:  owner,
+		// accept admits ready bases and this sweep's own pending ones
+		// (their owners are emitted, and so complete, before any hit
+		// on them is mapped), and skips bases another call has not
+		// completed — or, if a panicking evaluator abandoned it,
+		// never will.
+		accept: func(b *core.Basis) bool {
+			p, ok := b.Payload.(*BasisPayload)
+			return ok && (p.owner == owner || p.Ready())
+		},
+		st:        SweepStats{Points: k * n},
+		scratches: make([]*scratch, max(1, min(e.opts.Workers, n))),
+		draws:     make(chan int, window/chunk),
+		sims:      make(chan int, slots),
+		done:      make(chan int, window/chunk),
+		stop:      make(chan struct{}),
+	}
+	for g := range s.scratches {
+		s.scratches[g] = e.scratches.Get()
+	}
+	sc := s.scratches[0]
+	sc.rows = grow(sc.rows, slots)
+	sc.stages = grow(sc.stages, slots)
+	sc.plans = grow(sc.plans, slots*k)
+	sc.results = grow(sc.results, slots*k)
+	sc.prefixes = grow(sc.prefixes, slots*k*w)
+	s.rows, s.stages, s.plans, s.results, s.prefixes = sc.rows, sc.stages, sc.plans, sc.results, sc.prefixes
+	for g := 1; g < len(s.scratches); g++ {
+		s.workers.Add(1)
+		go s.work(g)
+	}
+	return s
+}
+
+// close stops the workers, once they finish what they are running, and
+// recycles the scratches; nothing of the sweep runs past it.
+func (s *stream) close() {
+	close(s.stop)
+	s.workers.Wait()
+	for _, sc := range s.scratches {
+		s.e.scratches.Put(sc)
+	}
+}
+
+// take returns a queued task without waiting. A worker takes a
+// simulation before a draw, so a decided miss starts at once; the
+// calling goroutine takes a draw first, a chunk of short prefixes,
+// and so gets back to its decisions sooner.
+func (s *stream) take(caller bool) (i int, sim, ok bool) {
+	first, second := s.sims, s.draws
+	if caller {
+		first, second = s.draws, s.sims
+	}
+	select {
+	case i = <-first:
+		return i, first == s.sims, true
+	default:
+	}
+	select {
+	case i = <-second:
+		return i, second == s.sims, true
+	default:
+		return 0, false, false
+	}
+}
+
+// work is worker g's loop: it runs queued tasks and reports each
+// back, until the sweep ends or a task panics.
+func (s *stream) work(g int) {
+	defer s.workers.Done()
+	for {
+		i, sim, ok := s.take(false)
+		if !ok {
+			select {
+			case i = <-s.sims:
+				sim = true
+			case i = <-s.draws:
+			case <-s.stop:
+				return
+			}
+		}
+		if s.failed.Load() != nil {
+			return
+		}
+		if perr := s.run(i, sim, g); perr != nil {
+			s.failed.CompareAndSwap(nil, perr)
+		}
+		select {
+		case s.done <- i:
+		case <-s.stop:
+			return
+		}
+	}
+}
+
+// wait is the calling goroutine's turn when it has nothing to publish,
+// decide or emit: it finishes a task a worker finished, else one it
+// takes and runs itself, else the next one a worker finishes (only the
+// calling goroutine queues tasks, so none appears while it waits). It
+// returns the sweep's first panic, if there is one.
+func (s *stream) wait() *pool.PanicError {
+	var i int
+	select {
+	case i = <-s.done:
+	default:
+		var sim, ok bool
+		if i, sim, ok = s.take(true); !ok {
+			i = <-s.done
+		} else if perr := s.run(i, sim, 0); perr != nil {
+			s.failed.CompareAndSwap(nil, perr)
+		}
+	}
+	s.finish(i)
+	return s.failed.Load()
+}
+
+// run carries out a task on goroutine g: the simulation of point i, or
+// the prefixes of the chunk that starts at i. It returns the panic of
+// the point that panicked.
+func (s *stream) run(i int, sim bool, g int) *pool.PanicError {
+	fn, hi := s.drawPoint, min(i+chunk, s.n)
+	if sim {
+		fn, hi = s.simulatePoint, i+1
+	}
+	for ; i < hi; i++ {
+		if perr := pool.Call(fn, g, i); perr != nil {
+			return perr
+		}
+	}
+	return nil
+}
+
+// slot returns point i's window slot.
+func (s *stream) slot(i int) int { return i % s.slots }
+
+// finish records, on the calling goroutine, that the task at point i
+// is done: the chunk that starts there is drawn, or the point is
+// simulated.
+func (s *stream) finish(i int) {
+	if j := s.slot(i); s.stages[j] == slotSimulating {
+		s.stages[j] = slotDone
+		return
+	}
+	for hi := min(i+chunk, s.n); i < hi; i++ {
+		s.stages[s.slot(i)] = slotDrawn
+	}
+}
+
+// drawPoint is phase A at point i, on goroutine g.
+func (s *stream) drawPoint(g, i int) {
+	j, k := s.slot(i), s.k
+	s.e.drawPrefixes(s.f, s.rows[j], s.prefixes[j*k*s.w:(j+1)*k*s.w], k, s.scratches[g])
+}
+
+// simulatePoint is phase C1 at point i, on goroutine g.
+func (s *stream) simulatePoint(g, i int) {
+	j, k := s.slot(i), s.k
+	s.e.complete(s.f, s.rows[j], s.plans[j*k:(j+1)*k], s.prefixes[j*k*s.w:(j+1)*k*s.w], s.results[j*k:(j+1)*k], s.scratches[g])
+}
+
+// decide is phase B at point i, on the calling goroutine: it decides
+// the point's outputs and queues the simulation of its misses.
+func (s *stream) decide(i int) {
+	j, k := s.slot(i), s.k
+	plans := s.plans[j*k : (j+1)*k]
+	s.e.decide(s.stores, s.owner, s.accept, plans, s.prefixes[j*k*s.w:(j+1)*k*s.w], s.scratches[0], &s.st)
+	s.stages[j] = slotDone
+	for _, pl := range plans {
+		if pl.simulate {
+			s.stages[j] = slotSimulating
+			s.sims <- i
+			return
+		}
+	}
 }
 
 // pointPlan is one (point, output) pair's reuse decision, which
@@ -233,9 +470,10 @@ func (e *Engine) drawPrefixes(f PointEval, vals, prefixes []float64, k int, sc *
 // stores[c] through accept, validated on the prefix's rows m to w−1,
 // then plans[c] either reuses the match or registers the point as a
 // basis pending until complete fills it. The pending payload is marked
-// with owner and keeps the prefix as its Samples, so a later point of
-// the same call validates against it. decide calls no evaluator and
-// tallies the decisions into st.
+// with owner, and a payload that keeps samples gets its sample vector
+// here, the prefix its first w rows: a later point of the same call
+// validates against those rows while complete fills the rest. decide
+// calls no evaluator and tallies the decisions into st.
 func (e *Engine) decide(stores []*core.Store, owner uint64, accept func(*core.Basis) bool, plans []pointPlan, prefixes []float64, sc *scratch, st *SweepStats) {
 	m, w := e.opts.FingerprintLen, e.prefixLen()
 	for c := range plans {
@@ -256,7 +494,11 @@ func (e *Engine) decide(stores []*core.Store, owner uint64, accept func(*core.Ba
 				continue
 			}
 		}
-		payload := &BasisPayload{Samples: prefix, owner: owner}
+		payload := &BasisPayload{owner: owner}
+		if e.opts.KeepSamples {
+			payload.Samples = make([]float64, e.opts.Samples)
+			copy(payload.Samples, prefix)
+		}
 		payload.markPending()
 		if basis, err := stores[c].Add(fp, payload); err == nil {
 			plans[c].basis = basis
@@ -280,21 +522,26 @@ func (e *Engine) validateMatch(mapping core.Linear, basis, prefix []float64) boo
 	return true
 }
 
-// complete is phase C1 at point i: it draws the point's remaining
+// complete is phase C1 at one point: it draws the point's remaining
 // rows w to n−1, once, for every output that missed there, fills the
-// bases their plans registered and writes their results to
-// results[c][i]. A filled payload keeps the full sample vector under
-// KeepSamples and none otherwise.
-func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefixes []float64, results [][]PointResult, i int, sc *scratch) {
+// bases their plans registered and writes their results to res[c]. An
+// output draws into its payload's sample vector when the payload keeps
+// one (its prefix is there already), into scratch otherwise.
+func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefixes []float64, res []PointResult, sc *scratch) {
 	w := e.prefixLen()
 	dsts := sc.outputs(len(plans))
 	need := false
-	for c := range plans {
-		if plans[c].simulate {
-			dsts[c] = e.sampleVector(c, sc)
-			copy(dsts[c], prefixes[c*w:(c+1)*w])
-			need = true
+	for c, plan := range plans {
+		if !plan.simulate {
+			continue
 		}
+		need = true
+		if plan.basis != nil && e.opts.KeepSamples {
+			dsts[c] = plan.basis.Payload.(*BasisPayload).Samples
+			continue
+		}
+		dsts[c] = sc.floats(c, e.opts.Samples)
+		copy(dsts[c], prefixes[c*w:(c+1)*w])
 	}
 	if !need {
 		return
@@ -304,28 +551,26 @@ func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefix
 		if samples == nil {
 			continue
 		}
-		res := e.summarize(samples, sc)
+		r := e.summarize(samples, sc)
 		if b := plans[c].basis; b != nil {
 			payload := b.Payload.(*BasisPayload)
-			payload.Summary, payload.Samples = res.Summary, nil
-			if e.opts.KeepSamples {
-				payload.Samples = samples
-			}
+			payload.Summary = r.Summary
 			payload.complete()
-			res.BasisID = b.ID
+			r.BasisID = b.ID
 		}
-		results[c][i] = res
+		res[c] = r
 	}
 }
 
-// mapHits is phase C2 at point i: the mapped result of every output
+// mapHits is phase C2 at one point: the mapped result of every output
 // that hit there, pushing the mapping through the basis' summary. A
 // basis reused by a sweep was either ready at its decision or
-// completed by the same sweep before mapHits runs.
-func (e *Engine) mapHits(plans []pointPlan, results [][]PointResult, i int) {
+// registered by an earlier point of the same sweep, which is complete
+// by the time mapHits runs.
+func (e *Engine) mapHits(plans []pointPlan, res []PointResult) {
 	for c, plan := range plans {
 		if !plan.simulate {
-			results[c][i] = PointResult{
+			res[c] = PointResult{
 				Summary: plan.basis.Payload.(*BasisPayload).Summary.MapAffine(plan.mapping.Alpha, plan.mapping.Beta),
 				Reused:  true,
 				BasisID: plan.basis.ID,

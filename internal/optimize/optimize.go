@@ -10,6 +10,7 @@ package optimize
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jigsaw/internal/exec"
 	"jigsaw/internal/mc"
@@ -37,20 +38,11 @@ type Result struct {
 	Stats mc.SweepStats
 }
 
-// batchGroups is the number of whole groups one ColumnSweep.Sweep call
-// evaluates. A sweep call pays four phase barriers, so one call per
-// 27-point group leaves workers idle; a batch of groups amortizes
-// them. Results cannot depend on it: phase B visits the points in
-// enumeration order whatever the batch boundaries are (see DESIGN.md,
-// "Deterministic sweep"). It is fixed, not tied to Workers, so a run
-// sweeps the same batches at every worker count. Larger batches wait
-// less at barriers but keep more of a batch live (its prefixes,
-// batchGroups × 27 points × 74 rows at fig1's scale, its points and
-// its results): on fig1, 16 groups answered 9% faster than 4 but
-// raised the peak resident set by 9%, where 4 left it within noise.
-const batchGroups = 4
-
-// Run executes stmt against the compiled scenario.
+// Run executes stmt against the compiled scenario. It streams the
+// whole (group × sweep) space through one sweep of the constraint
+// columns, point i being sweep point i mod per of group i / per, and
+// scores each group when its last point is emitted; the earliest of
+// equally good feasible groups is kept.
 func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Result, error) {
 	q, err := newQuery(s, stmt, opts)
 	if err != nil {
@@ -58,42 +50,40 @@ func Run(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*Resul
 	}
 	res := &Result{Groups: q.groups.Size()}
 	per, d := q.sweeps.Size(), len(s.Space.Decls())
-	// A batch's value rows are refilled for every batch: the sweep
-	// keeps no row past its call, and a batch's results are aggregated
-	// before the next batch overwrites them. A row's swept values
-	// depend only on its place in its group, so they are written once.
-	batch := make([][]float64, min(batchGroups, res.Groups)*per)
-	var vals []float64
-	for i := range batch {
-		batch[i] = make([]float64, d)
-		vals = q.sweeps.Values(i%per, vals)
-		scatter(batch[i], q.sweepPos, vals)
+	// A point's swept values depend only on its place in its group, so
+	// they are decoded once; a group's are decoded when the row of its
+	// first point is built.
+	swept := make([][]float64, per)
+	for j := range swept {
+		swept[j] = q.sweeps.Values(j, nil)
+	}
+	group, groupVals := -1, []float64(nil)
+	row := func(i int, dst []float64) []float64 {
+		if g := i / per; g != group {
+			group, groupVals = g, q.groups.Values(g, groupVals)
+		}
+		dst = slices.Grow(dst, d)[:d]
+		scatter(dst, q.groupPos, groupVals)
+		scatter(dst, q.sweepPos, swept[i%per])
+		return dst
 	}
 	best := -1
-	for first := 0; first < res.Groups; first += batchGroups {
-		n := min(batchGroups, res.Groups-first)
-		for gi := range n {
-			vals = q.groups.Values(first+gi, vals)
-			for _, row := range batch[gi*per : (gi+1)*per] {
-				scatter(row, q.groupPos, vals)
-			}
+	err = q.sweep.Stream(res.Groups*per, row, func(i int, pr []mc.PointResult) {
+		q.add(pr)
+		if i%per != per-1 {
+			return
 		}
-		swept, err := q.sweep.Sweep(batch[:n*per])
-		if err != nil {
-			return nil, err
+		values, ok := q.score()
+		if !ok {
+			return
 		}
-		// Each group's slice of the results aggregates in enumeration
-		// order; the earliest of equally good feasible groups is kept.
-		for gi := range n {
-			values, ok := q.score(swept, gi*per, (gi+1)*per)
-			if !ok {
-				continue
-			}
-			res.Feasible++
-			if g := first + gi; best < 0 || q.better(g, best) {
-				best, res.ConstraintValues = g, values
-			}
+		res.Feasible++
+		if g := i / per; best < 0 || q.better(g, best) {
+			best, res.ConstraintValues = g, slices.Clone(values)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if best >= 0 {
 		res.Chosen = q.groups.Point(best)
@@ -113,6 +103,10 @@ type query struct {
 	// scenario value row; goalPos places each goal in a group's values.
 	groupPos, sweepPos, goalPos []int
 	sweep                       *exec.ColumnSweep
+	// aggs aggregates each constraint's metric over the current
+	// group's points, and values holds score's result.
+	aggs   []outerAgg
+	values []float64
 	// a and b are better's scratch value rows.
 	a, b []float64
 }
@@ -188,8 +182,11 @@ func newQuery(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*
 	}
 
 	cols := make([]string, len(stmt.Constraints))
+	q.aggs = make([]outerAgg, len(stmt.Constraints))
+	q.values = make([]float64, len(stmt.Constraints))
 	for i, c := range stmt.Constraints {
 		cols[i] = c.Column
+		q.aggs[i] = outerAgg{kind: c.Outer}
 	}
 	if q.sweep, err = s.SweepColumns(cols, opts); err != nil {
 		return nil, err
@@ -197,25 +194,30 @@ func newQuery(s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) (*
 	return q, nil
 }
 
-// score aggregates one group's swept results — entries lo to hi−1 of
-// every constraint's slice — into each constraint's value, and reports
-// whether the group satisfies them all.
-func (q *query) score(swept [][]mc.PointResult, lo, hi int) ([]float64, bool) {
-	values := make([]float64, len(q.stmt.Constraints))
+// add folds one point's results, one per constraint, into the
+// current group's aggregates.
+func (q *query) add(res []mc.PointResult) {
+	for ci, c := range q.stmt.Constraints {
+		metric := res[ci].Summary.Mean
+		if c.Metric == sqlparse.MetricStdDev {
+			metric = res[ci].Summary.StdDev
+		}
+		q.aggs[ci].add(metric)
+	}
+}
+
+// score returns each constraint's value over the points added since
+// the last score, and whether the group they make up satisfies every
+// constraint, and starts the next group. The values are valid until the
+// next score.
+func (q *query) score() ([]float64, bool) {
 	ok := true
 	for ci, c := range q.stmt.Constraints {
-		agg := newOuterAgg(c.Outer)
-		for _, pr := range swept[ci][lo:hi] {
-			metric := pr.Summary.Mean
-			if c.Metric == sqlparse.MetricStdDev {
-				metric = pr.Summary.StdDev
-			}
-			agg.add(metric)
-		}
-		values[ci] = agg.result()
-		ok = ok && satisfies(values[ci], c.Op, c.Bound)
+		q.values[ci] = q.aggs[ci].result()
+		q.aggs[ci] = outerAgg{kind: c.Outer}
+		ok = ok && satisfies(q.values[ci], c.Op, c.Bound)
 	}
-	return values, ok
+	return q.values, ok
 }
 
 // better reports whether group a beats group b under the
@@ -258,8 +260,6 @@ type outerAgg struct {
 	sum  float64
 	best float64
 }
-
-func newOuterAgg(kind string) *outerAgg { return &outerAgg{kind: kind} }
 
 func (a *outerAgg) add(v float64) {
 	if a.n == 0 {

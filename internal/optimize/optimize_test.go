@@ -1,16 +1,23 @@
 package optimize
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/exec"
 	"jigsaw/internal/mc"
+	"jigsaw/internal/pool"
+	"jigsaw/internal/rng"
 	"jigsaw/internal/sqlparse"
 )
 
@@ -302,8 +309,15 @@ func runPerGroup(t *testing.T, s *exec.Scenario, stmt *sqlparse.OptimizeStmt, op
 		if err != nil {
 			t.Fatal(err)
 		}
-		if values, ok := q.score(swept, 0, len(batch)); ok {
-			feasible = append(feasible, group{g, values})
+		pr := make([]mc.PointResult, len(swept))
+		for j := range batch {
+			for ci := range swept {
+				pr[ci] = swept[ci][j]
+			}
+			q.add(pr)
+		}
+		if values, ok := q.score(); ok {
+			feasible = append(feasible, group{g, slices.Clone(values)})
 		}
 	}
 	res := &Result{Groups: q.groups.Size(), Feasible: len(feasible), Stats: q.sweep.Stats()}
@@ -320,15 +334,16 @@ func runPerGroup(t *testing.T, s *exec.Scenario, stmt *sqlparse.OptimizeStmt, op
 	return res
 }
 
-// TestRunBatchedMatchesPerGroupSweeps checks that sweeping batchGroups
-// groups per call, tail batch included, is exact: the chosen group,
+// TestRunStreamMatchesPerGroupSweeps checks that streaming the whole
+// (group × sweep) space through one sweep is exact: the chosen group,
 // its constraint values, the counts and the reuse statistics are
-// bit-identical to one sweep per group, with reuse on and off, with
-// and without match validation, at every worker count. Fig. 1's 588
-// groups fill whole batches of 4, so the tail cases drop purchase2's
-// last value: 546 groups leave a tail batch for batches of 4, 8 or 16.
-func TestRunBatchedMatchesPerGroupSweeps(t *testing.T) {
-	tailSource := strings.Replace(fig1Source, "@purchase2 AS RANGE 0 TO 52", "@purchase2 AS RANGE 0 TO 48", 1)
+// bit-identical to one sweep per group, with reuse on and off, with and
+// without match validation, at every worker count. Neither point count
+// is a whole number of the sweep's 128-point windows: Fig. 1's 588
+// groups of 27 weeks are 15876 = 124·128 + 4 points, and dropping
+// purchase2's last value leaves 546 groups, 14742 = 115·128 + 22.
+func TestRunStreamMatchesPerGroupSweeps(t *testing.T) {
+	smallSource := strings.Replace(fig1Source, "@purchase2 AS RANGE 0 TO 52", "@purchase2 AS RANGE 0 TO 48", 1)
 	for _, tc := range []struct {
 		name              string
 		src               string
@@ -337,31 +352,30 @@ func TestRunBatchedMatchesPerGroupSweeps(t *testing.T) {
 		validationSamples int
 	}{
 		{"fig1/reuse/validation", fig1Source, 14 * 14 * 3, true, 16},
-		{"tail/noreuse", tailSource, 14 * 13 * 3, false, 0},
-		{"tail/reuse", tailSource, 14 * 13 * 3, true, 0},
-		{"tail/reuse/validation", tailSource, 14 * 13 * 3, true, 16},
+		{"546groups/noreuse", smallSource, 14 * 13 * 3, false, 0},
+		{"546groups/reuse", smallSource, 14 * 13 * 3, true, 0},
+		{"546groups/reuse/validation", smallSource, 14 * 13 * 3, true, 16},
 	} {
 		s, script := compileScenario(t, tc.src)
-		if strings.HasPrefix(tc.name, "tail/") && (tc.groups <= batchGroups || tc.groups%batchGroups == 0) {
-			t.Fatalf("%s: %d groups in batches of %d: no tail batch to exercise", tc.name, tc.groups, batchGroups)
+		opts := mc.Options{Samples: 40, MasterSeed: 3, Reuse: tc.reuse, Workers: 1,
+			Index: mc.IndexNormalization, KeepSamples: true, ValidationSamples: tc.validationSamples}
+		want := runPerGroup(t, s, script.Optimize, opts)
+		if want.Groups != tc.groups || want.Chosen == nil {
+			t.Fatalf("%s: %d groups, oracle chose %v", tc.name, want.Groups, want.Chosen)
 		}
-		for _, workers := range []int{1, 2, 4} {
+		if tc.reuse && (want.Stats.Reused == 0 || want.Stats.Reused == want.Stats.Points) {
+			t.Fatalf("%s: oracle reused %d of %d points", tc.name, want.Stats.Reused, want.Stats.Points)
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				opts := mc.Options{Samples: 40, MasterSeed: 3, Reuse: tc.reuse, Workers: workers,
-					Index: mc.IndexNormalization, KeepSamples: true, ValidationSamples: tc.validationSamples}
+				opts := opts
+				opts.Workers = workers
 				got, err := Run(s, script.Optimize, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := runPerGroup(t, s, script.Optimize, opts)
-				if got.Groups != tc.groups || want.Chosen == nil {
-					t.Fatalf("%d groups, oracle chose %v", got.Groups, want.Chosen)
-				}
-				if tc.reuse && (want.Stats.Reused == 0 || want.Stats.Reused == want.Stats.Points) {
-					t.Fatalf("oracle reused %d of %d points; nothing crosses a batch", want.Stats.Reused, want.Stats.Points)
-				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batched run\n%+v\nper-group sweeps\n%+v", got, want)
+					t.Fatalf("streamed run\n%+v\nper-group sweeps\n%+v", got, want)
 				}
 				for i, v := range want.ConstraintValues {
 					if math.Float64bits(got.ConstraintValues[i]) != math.Float64bits(v) {
@@ -373,12 +387,95 @@ func TestRunBatchedMatchesPerGroupSweeps(t *testing.T) {
 	}
 }
 
+// fragileSource sweeps FragileModel over 7 × 2 groups of 27 weeks, 378
+// points: more than one sweep window.
+const fragileSource = `
+DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 2;
+DECLARE PARAMETER @purchase1 AS RANGE 0 TO 48 STEP BY 8;
+DECLARE PARAMETER @feature_release AS SET (12, 36);
+SELECT FragileModel(@current_week, @purchase1, @feature_release) AS risk
+INTO results;
+OPTIMIZE SELECT @purchase1, @feature_release
+FROM results
+WHERE MAX(EXPECT risk) < 1000
+GROUP BY purchase1, feature_release
+FOR MAX @purchase1
+`
+
+// TestRunPanicNamesEnumerationIndex makes a registered model panic at
+// one point of an OPTIMIZE, while its prefix is drawn (phase A) and
+// while it is simulated (phase C1), and requires an error naming the
+// point by its index in the (group × sweep) enumeration and its value
+// row, no goroutine left behind, and a clean run of the same scenario
+// afterwards.
+func TestRunPanicNamesEnumerationIndex(t *testing.T) {
+	// Group (purchase1 24, feature_release 36) is group 3·2 + 1 = 7 and
+	// week 30 is sweep point 15, so the point is 7·27 + 15 = 204; its
+	// value row, in declaration order, is [30 24 36].
+	bad := []float64{30, 24, 36}
+	const want = "point 204 [30 24 36]: panic: model failure"
+	var at, count atomic.Int64
+	reg := blackbox.NewRegistry()
+	reg.MustRegister(blackbox.Func{FuncName: "FragileModel", NArgs: 3, Fn: func(a []float64, r *rng.Rand) float64 {
+		u := r.Uniform(0, 1)
+		if !slices.Equal(a, bad) {
+			return u*(a[0]+1) + a[1]
+		}
+		if count.Add(1) == at.Load() {
+			panic("model failure")
+		}
+		return math.Exp(3 * u) // no other point maps onto it: it is simulated
+	}})
+	script, err := sqlparse.Parse(fragileSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := exec.CompileScenario(script, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 10
+	for _, phase := range []struct {
+		name string
+		at   int64 // the bad point's evaluation that panics
+	}{{"A", 1}, {"C1", m + 1}} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("phase%s/workers=%d", phase.name, workers), func(t *testing.T) {
+				opts := mc.Options{Samples: 200, FingerprintLen: m, MasterSeed: 3, Reuse: true,
+					Index: mc.IndexNormalization, Workers: workers}
+				baseline := runtime.NumGoroutine()
+				count.Store(0)
+				at.Store(phase.at)
+				_, err := Run(s, script.Optimize, opts)
+				var perr *pool.PanicError
+				if !errors.As(err, &perr) || perr.Value != "model failure" || err.Error() != want {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+				if got := count.Load(); got != phase.at {
+					t.Fatalf("the bad point ran %d evaluations, want the panic at %d", got, phase.at)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > baseline {
+					t.Fatalf("%d goroutines after the failed run, %d before", n, baseline)
+				}
+				at.Store(0) // disarm
+				res, err := Run(s, script.Optimize, opts)
+				if err != nil || res.PointsEvaluated != 378 || res.Chosen == nil {
+					t.Fatalf("run after the failure: %+v, %v", res, err)
+				}
+			})
+		}
+	}
+}
+
 // TestRunAllocsPerPoint pins Run's allocation budget per (group ×
-// sweep) point over the Fig. 1 script. The batch's value rows and
-// result slices are per batch, and a reused point's mapped summary is
-// a value, so what remains per point is a kept basis' sample vector —
-// and nothing per sample, so the count is the same at 40 samples as
-// at 400.
+// sweep) point over the Fig. 1 script. The sweep's window is per call,
+// and a reused point's mapped summary is a value, so what remains per
+// point is a kept basis' sample vector — and nothing per sample, so
+// the count is the same at 40 samples as at 400.
 func TestRunAllocsPerPoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")

@@ -30,11 +30,12 @@ func (e *PanicError) Unwrap() error {
 	return err
 }
 
-// call runs fn(w, i) and returns its panic, if any, as a *PanicError.
-// A value that is already a *PanicError (a nested ForWorker
+// Call runs fn(w, i) and returns its panic, if any, as a *PanicError
+// naming i. A value that is already a *PanicError (a nested ForWorker
 // re-panicking on its caller's goroutine) keeps its value and stack
-// under the outer index.
-func call(fn func(worker, i int), w, i int) (perr *PanicError) {
+// under the outer index. ForWorker runs every index through it, and so
+// does any loop of its own that must not die with its fn.
+func Call(fn func(worker, i int), w, i int) (perr *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
 			if inner, ok := v.(*PanicError); ok {
@@ -77,7 +78,7 @@ func ForWorker(n, workers int, fn func(worker, i int)) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if perr := call(fn, 0, i); perr != nil {
+			if perr := Call(fn, 0, i); perr != nil {
 				return perr
 			}
 		}
@@ -111,7 +112,7 @@ func ForWorker(n, workers int, fn func(worker, i int)) error {
 					if failed.Load() != nil {
 						return
 					}
-					if perr := call(fn, w, i); perr != nil {
+					if perr := Call(fn, w, i); perr != nil {
 						failed.CompareAndSwap(nil, perr)
 						return
 					}

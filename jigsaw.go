@@ -226,10 +226,11 @@ func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 type (
 	// Engine is the Monte Carlo engine with fingerprint reuse (the
 	// dashed box of Fig. 3), with one basis store per evaluator
-	// output. Its Sweep, SweepBatch and SweepRows methods evaluate
-	// parameter points on a worker pool sized by
-	// EngineOptions.Workers, deterministically: results are
-	// bit-identical for every worker count.
+	// output. Its SweepStream method streams parameter points through
+	// EngineOptions.Workers goroutines and emits their results in
+	// order, and Sweep, SweepBatch and SweepRows collect such a
+	// stream, deterministically: results are bit-identical for every
+	// worker count.
 	Engine = mc.Engine
 	// EngineOptions configures an Engine. Its MasterSeed names the
 	// samples: sample id is seeded by σ_id of MasterSeed, the seed
