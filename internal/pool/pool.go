@@ -1,8 +1,9 @@
 // Package pool provides the concurrency primitives shared by the
 // hot paths: a worker-pool fan-out over an index range (ForWorker)
 // with atomic work-stealing, so expensive items load-balance instead
-// of pinning a fixed stripe to a slow worker, and a typed free list
-// (Pool) for per-worker scratch state.
+// of pinning a fixed stripe to a slow worker, the panic recovery each
+// item runs through (Call), and a typed free list (Pool) for
+// per-worker scratch state.
 package pool
 
 import (
@@ -12,9 +13,9 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is a panic recovered from fn by ForWorker: the index
-// whose call panicked, the panic value and the panicking goroutine's
-// stack.
+// PanicError is a panic recovered from fn by Call (and so by
+// ForWorker): the index whose call panicked, the panic value and the
+// panicking goroutine's stack.
 type PanicError struct {
 	Index int
 	Value any
@@ -53,8 +54,7 @@ func Call(fn func(worker, i int), w, i int) (perr *PanicError) {
 // atomic claim hands a worker a contiguous run of indexes sized so a
 // worker makes ~forChunkTarget claims over the whole job (bounded by
 // forChunkMax so uneven items still load-balance). For cheap per-item
-// fn — a sweep's fingerprints of a cheap model, or its mapped results
-// — per-item claims would spend a visible fraction of the phase in the
+// fn, per-item claims would spend a visible fraction of the job in the
 // contended counter.
 const (
 	forChunkTarget = 32
