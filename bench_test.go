@@ -455,6 +455,7 @@ func BenchmarkColumnSweep(b *testing.B) {
 	for _, w := range week.Domain() {
 		batch = append(batch, []float64{w, 36}) // current_week, feature_release
 	}
+	row := func(i int, dst []float64) []float64 { return append(dst, batch[i]...) }
 	for _, cols := range [][]string{{"usage"}, {"usage", "demand", "overload"}} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("k=%d/workers=%d", len(cols), workers), func(b *testing.B) {
@@ -467,7 +468,7 @@ func BenchmarkColumnSweep(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := sweep.Sweep(batch); err != nil {
+					if err := sweep.Stream(len(batch), row, func(int, []mc.PointResult) {}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package blackbox
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -23,13 +24,52 @@ func drawArgs(arity int, vals []float64) [][]float64 {
 	return out
 }
 
-// drawApply is one sample through the DrawBox split: bind, draw, apply.
+// drawApply is one sample through the DrawBox split: bind, draw, and
+// apply a block of one lane.
 func drawApply(b DrawBox, args []float64, r *rng.Rand) float64 {
 	state := make([]float64, b.BoundLen())
 	d := make([]float64, b.Draws())
 	b.Bind(args, state)
 	b.Draw(r, d)
-	return b.Apply(state, d)
+	return apply1(b, state, d)
+}
+
+// apply1 applies the one draw vector d to state.
+func apply1(b DrawBox, state, d []float64) float64 {
+	var out [1]float64
+	b.Apply(state, d, 0, []int{0}, out[:])
+	return out[0]
+}
+
+// drawTable is a seed-only row's draw table as exec lays it out: one
+// vector per seed, width floats apart, b's region at offset off, and
+// every slot b does not own poisoned with NaN.
+func drawTable(b DrawBox, seeds []uint64, width, off int) []float64 {
+	table := make([]float64, len(seeds)*width)
+	for i := range table {
+		table[i] = math.NaN()
+	}
+	var r rng.Rand
+	for i, seed := range seeds {
+		r.Seed(seed)
+		b.Draw(&r, table[i*width+off:][:b.Draws()])
+	}
+	return table
+}
+
+// applyLaneCounts are the block sizes the block Apply is checked at:
+// empty, one lane, and a full and a ragged exec block.
+var applyLaneCounts = []int{0, 1, 127, 128}
+
+// shuffledIDs returns n sample ids below m, shuffled and (for n > m)
+// repeated.
+func shuffledIDs(n, m int, salt uint64) []int {
+	r := rng.New(salt)
+	ids := make([]int, n)
+	for j := range ids {
+		ids[j] = int(r.Uint64() % uint64(m))
+	}
+	return ids
 }
 
 // evalRef is each model's sample written out against the generator's
@@ -58,12 +98,19 @@ func evalRef(b DrawBox, args []float64, r *rng.Rand) float64 {
 // a purchase or release and after it, Bind+Draw+Apply returns the bits
 // of Eval, of Bind+EvalBound and of the scalar oracle, and leaves the
 // generator in the oracle's state with the same cached polar variate.
-// It runs each model on a fresh generator and then Demand followed by
-// Capacity on one generator, so Capacity's noise draw takes the
-// variate Demand's draw cached, as in the Fig. 1 row.
+// The block Apply, reading a table whose vectors sit wider apart than
+// Draws() at a non-zero site offset, writes every lane of 0, 1, 127
+// and 128 shuffled and repeated ids the oracle's bits for its seed,
+// and nothing past its lanes. It runs each model on a fresh generator
+// and then Demand followed by Capacity on one generator, so Capacity's
+// noise draw takes the variate Demand's draw cached, as in the Fig. 1
+// row.
 func TestDrawBoxMatchesEval(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -4, 0, 12, 13, 30, 52}
 	demand, capacity := NewDemand(), NewCapacity()
+	// A −0 base with no noise and no failures keeps its sign only where
+	// the noise term is not rng.NormalFrom's 0 + σ·z, which is +0.
+	signedZero := &Capacity{Base: math.Copysign(0, -1), PurchaseVolume: 40, MeanDelay: 2, FailTrials: 10}
 	seeds := make([]uint64, 40)
 	rng.FillSeeds(0xd7a3, 0, seeds)
 	bits := math.Float64bits
@@ -74,11 +121,17 @@ func TestDrawBoxMatchesEval(t *testing.T) {
 	}{
 		{demand, drawArgs(2, vals)},
 		{capacity, drawArgs(3, vals)},
+		{signedZero, drawArgs(3, vals)},
 	} {
 		state := make([]float64, tc.box.BoundLen())
+		const off = 2
+		width := tc.box.Draws() + 3
+		table := drawTable(tc.box, seeds, width, off)
+		ref := make([]float64, len(seeds))
+		out := make([]float64, 129)
 		for _, args := range tc.args {
 			tc.box.Bind(args, state)
-			for _, seed := range seeds {
+			for i, seed := range seeds {
 				var want, eval, bound, got rng.Rand
 				want.Seed(seed)
 				eval.Seed(seed)
@@ -90,6 +143,22 @@ func TestDrawBoxMatchesEval(t *testing.T) {
 				}
 				if want.State() != got.State() || !same(want.StdNormal(), got.StdNormal()) {
 					t.Fatalf("%s%v seed %#x: generator differs after Draw+Apply", tc.box.Name(), args, seed)
+				}
+				ref[i] = w
+			}
+			for _, n := range applyLaneCounts {
+				ids := shuffledIDs(n, len(seeds), uint64(n))
+				for j := range out {
+					out[j] = -1
+				}
+				tc.box.Apply(state, table[off:], width, ids, out[:n])
+				for j, id := range ids {
+					if !same(out[j], ref[id]) {
+						t.Fatalf("%s%v, %d lanes: lane %d (id %d) = %v, oracle = %v", tc.box.Name(), args, n, j, id, out[j], ref[id])
+					}
+				}
+				if out[n] != -1 {
+					t.Fatalf("%s%v, %d lanes: Apply wrote past its lanes", tc.box.Name(), args, n)
 				}
 			}
 		}
@@ -132,7 +201,7 @@ func TestCapacityDelayBoundary(t *testing.T) {
 			w := c.Eval(args, &want)
 			c.Bind(args, state)
 			c.Draw(&got, d)
-			if g := c.Apply(state, d); math.Float64bits(g) != math.Float64bits(w) {
+			if g := apply1(c, state, d); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("seed %d week %v (landing %v): Draw+Apply = %v, Eval = %v", seed, week, landed, g, w)
 			}
 		}
@@ -145,7 +214,10 @@ func TestCapacityDelayBoundary(t *testing.T) {
 }
 
 // TestDrawBoxPanicParity: a negative BaseNoise or MeanDelay panics
-// through Eval and through Draw+Apply alike, with the rng's message.
+// with the rng's message through Eval, EvalBlock, EvalBound, and
+// Draw+Apply over a block of 1, 127 or 128 lanes alike. A block with
+// no lane, like an EvalBound whose every lane is masked, draws and
+// applies nothing and does not panic.
 func TestDrawBoxPanicParity(t *testing.T) {
 	panicOf := func(f func()) (msg string) {
 		defer func() {
@@ -163,7 +235,11 @@ func TestDrawBoxPanicParity(t *testing.T) {
 	noisy.BaseNoise = -1
 	late := NewCapacity()
 	late.MeanDelay = -2
+	both := NewCapacity()
+	both.BaseNoise, both.MeanDelay = -1, -2
 	args := []float64{20, 10, 30}
+	seeds := make([]uint64, 128)
+	rng.FillSeeds(0x9a1c, 0, seeds)
 	for _, tc := range []struct {
 		name string
 		c    *Capacity
@@ -171,18 +247,75 @@ func TestDrawBoxPanicParity(t *testing.T) {
 	}{
 		{"negative BaseNoise", noisy, "negative sigma"},
 		{"negative MeanDelay", late, "non-positive rate"},
+		{"both", both, "negative sigma"},
 	} {
+		state := make([]float64, tc.c.BoundLen())
+		tc.c.Bind(args, state)
+		width := tc.c.Draws()
+		table := drawTable(tc.c, seeds, width, 0)
 		eval := panicOf(func() { tc.c.Eval(args, rng.New(3)) })
-		split := panicOf(func() { drawApply(tc.c, args, rng.New(3)) })
-		if !strings.Contains(eval, tc.want) || eval != split {
-			t.Errorf("%s: Eval panics %q, Draw+Apply %q; want both to mention %q", tc.name, eval, split, tc.want)
+		if !strings.Contains(eval, tc.want) {
+			t.Fatalf("%s: Eval panics %q, want it to mention %q", tc.name, eval, tc.want)
+		}
+		// Seeded generators: a zero xoshiro state never leaves the
+		// polar method's rejection loop.
+		lanes := func() []rng.Rand {
+			rands := make([]rng.Rand, 4)
+			advance(rands, 0x7)
+			return rands
+		}
+		paths := map[string]func(){
+			"Draw+Apply": func() { drawApply(tc.c, args, rng.New(3)) },
+			"EvalBlock":  func() { tc.c.EvalBlock(args, make([]float64, 4), seeds[:4]) },
+			"EvalBound":  func() { tc.c.EvalBound(state, make([]float64, 4), lanes(), nil) },
+		}
+		for _, n := range applyLaneCounts[1:] {
+			paths[fmt.Sprintf("Apply, %d lanes", n)] = func() {
+				tc.c.Apply(state, table, width, shuffledIDs(n, len(seeds), 5), make([]float64, n))
+			}
+		}
+		for path, f := range paths {
+			if got := panicOf(f); got != eval {
+				t.Errorf("%s: %s panics %q, Eval %q", tc.name, path, got, eval)
+			}
+		}
+		for path, f := range map[string]func(){
+			"Apply, 0 lanes":        func() { tc.c.Apply(state, table, width, nil, nil) },
+			"EvalBound, all masked": func() { tc.c.EvalBound(state, make([]float64, 4), lanes(), make([]bool, 4)) },
+			"EvalBlock, 0 seeds":    func() { tc.c.EvalBlock(args, nil, nil) },
+		} {
+			if got := panicOf(f); got != "" {
+				t.Errorf("%s: %s panics %q, want no panic: it has no lane", tc.name, path, got)
+			}
 		}
 	}
 }
 
-// TestDrawApplyAllocs: drawing and applying a sample allocate nothing.
+// TestApplyLengthMismatchPanics: an out that is not one lane per id is
+// a plumbing bug, and Apply panics on it naming the box.
+func TestApplyLengthMismatchPanics(t *testing.T) {
+	for _, b := range []DrawBox{NewDemand(), NewCapacity()} {
+		state := make([]float64, b.BoundLen())
+		d := make([]float64, b.Draws())
+		for _, out := range []int{0, 2} {
+			func() {
+				defer func() {
+					if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), b.Name()) {
+						t.Fatalf("%s: out %d for 1 id recovered %v, want a panic naming the box", b.Name(), out, v)
+					}
+				}()
+				b.Apply(state, d, 0, []int{0}, make([]float64, out))
+			}()
+		}
+	}
+}
+
+// TestDrawApplyAllocs: drawing a sample and applying a block of draw
+// vectors allocate nothing.
 func TestDrawApplyAllocs(t *testing.T) {
 	r := rng.New(7)
+	ids := shuffledIDs(128, 16, 1)
+	out := make([]float64, len(ids))
 	for _, tc := range []struct {
 		box  DrawBox
 		args []float64
@@ -191,13 +324,14 @@ func TestDrawApplyAllocs(t *testing.T) {
 		{NewCapacity(), []float64{20, 10, 30}},
 	} {
 		state := make([]float64, tc.box.BoundLen())
-		d := make([]float64, tc.box.Draws())
+		width := tc.box.Draws()
+		table := make([]float64, 16*width)
 		tc.box.Bind(tc.args, state)
 		if n := testing.AllocsPerRun(100, func() {
-			tc.box.Draw(r, d)
-			tc.box.Apply(state, d)
+			tc.box.Draw(r, table[:width])
+			tc.box.Apply(state, table, width, ids, out)
 		}); n != 0 {
-			t.Errorf("%s: Draw+Apply allocate %.1f per sample, want 0", tc.box.Name(), n)
+			t.Errorf("%s: Draw+Apply allocate %.1f per block, want 0", tc.box.Name(), n)
 		}
 	}
 }

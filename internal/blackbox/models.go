@@ -70,7 +70,9 @@ func (d *Demand) Eval(args []float64, r *rng.Rand) float64 {
 	var z [1]float64
 	d.Bind(args, state[:])
 	d.Draw(r, z[:])
-	return d.Apply(state[:], z[:])
+	l := d.lane(state[:])
+	l.check()
+	return l.at(z[0])
 }
 
 // EvalBlock implements BlockBox. Demand's distribution parameters
@@ -99,11 +101,13 @@ func (d *Demand) Bind(args, state []float64) {
 // kernel's FillNormalVar bit for bit.
 func (d *Demand) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(d.Name(), out, rands, active)
+	l := d.lane(state)
 	var z [1]float64
 	for j := range rands {
 		if active == nil || active[j] {
 			d.Draw(&rands[j], z[:])
-			out[j] = d.Apply(state, z[:])
+			l.check()
+			out[j] = l.at(z[0])
 		}
 	}
 }
@@ -114,10 +118,34 @@ func (*Demand) Draws() int { return 1 }
 // Draw implements DrawBox.
 func (*Demand) Draw(r *rng.Rand, d []float64) { d[0] = r.StdNormal() }
 
-// Apply implements DrawBox: Normal(µ, σ) is µ + σ·z.
-func (*Demand) Apply(state, d []float64) float64 {
-	return rng.NormalFrom(state[0], state[1], d[0])
+// Apply implements DrawBox: µ and σ are read, and σ checked, once for
+// the block.
+func (d *Demand) Apply(state, draws []float64, width int, ids []int, out []float64) {
+	if !applyLanes(d.Name(), ids, out) {
+		return
+	}
+	l := d.lane(state)
+	l.check()
+	out = out[:len(ids)]
+	for j, id := range ids {
+		out[j] = l.at(draws[id*width])
+	}
 }
+
+// demandLane is a bound Demand sample's arithmetic, written once:
+// Eval, EvalBound and Apply read a state into one and sample through
+// at, so they agree bit for bit.
+type demandLane struct{ mu, sigma float64 }
+
+// lane reads a state Bind wrote.
+func (*Demand) lane(state []float64) demandLane { return demandLane{state[0], state[1]} }
+
+// check panics on a negative σ, as rng.NormalFrom does.
+func (l demandLane) check() { rng.CheckSigma(l.sigma) }
+
+// at is the sample whose standard normal variate is z: Normal(µ, σ) is
+// µ + σ·z.
+func (l demandLane) at(z float64) float64 { return l.mu + l.sigma*z }
 
 // Capacity simulates a series of purchases, each increasing cluster
 // capacity after an exponentially distributed bring-up delay (Fig. 6).
@@ -174,7 +202,9 @@ func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 	var state, d [capacityPurchases + 2]float64
 	c.Bind(args, state[:])
 	c.Draw(r, d[:])
-	return c.Apply(state[:], d[:])
+	l := c.lane(state[:])
+	l.check()
+	return l.at(d[:])
 }
 
 // EvalBlock implements BlockBox. Capacity's stream mixes normal,
@@ -186,11 +216,13 @@ func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
 	var state, d [capacityPurchases + 2]float64
 	c.Bind(args, state[:])
 	checkBlock(c.Name(), out, seeds)
+	l := c.lane(state[:])
 	var r rng.Rand
 	for i, seed := range seeds {
 		r.Seed(seed)
 		c.Draw(&r, d[:])
-		out[i] = c.Apply(state[:], d[:])
+		l.check()
+		out[i] = l.at(d[:])
 	}
 }
 
@@ -208,11 +240,13 @@ func (c *Capacity) Bind(args, state []float64) {
 // EvalBound implements PointBox: Eval's draws per lane.
 func (c *Capacity) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(c.Name(), out, rands, active)
+	l := c.lane(state)
 	var d [capacityPurchases + 2]float64
 	for j := range rands {
 		if active == nil || active[j] {
 			c.Draw(&rands[j], d[:])
-			out[j] = c.Apply(state, d[:])
+			l.check()
+			out[j] = l.at(d[:])
 		}
 	}
 }
@@ -233,17 +267,54 @@ func (c *Capacity) Draw(r *rng.Rand, d []float64) {
 	}
 }
 
-// Apply implements DrawBox: the noisy base less the failures, plus
-// each purchase whose exponential bring-up delay has elapsed by the
-// week.
-func (c *Capacity) Apply(state, d []float64) float64 {
-	n := len(state) - 1
-	week, rate := state[0], state[n]
-	capacity := c.Base + rng.NormalFrom(0, c.BaseNoise, d[0])
+// Apply implements DrawBox: the state and the model constants are read,
+// and the noise σ and delay rate checked, once for the block.
+func (c *Capacity) Apply(state, draws []float64, width int, ids []int, out []float64) {
+	if !applyLanes(c.Name(), ids, out) {
+		return
+	}
+	l := c.lane(state)
+	l.check()
+	out = out[:len(ids)]
+	for j, id := range ids {
+		out[j] = l.at(draws[id*width:])
+	}
+}
+
+// capacityLane is a bound Capacity sample's arithmetic, written once:
+// Eval, EvalBlock, EvalBound and Apply read a state and the model
+// constants into one and sample through at, so they agree bit for bit.
+type capacityLane struct {
+	base, noise, volume, week, rate float64
+	purchases                       [capacityPurchases]float64
+}
+
+// lane reads a state Bind wrote.
+func (c *Capacity) lane(state []float64) capacityLane {
+	l := capacityLane{base: c.Base, noise: c.BaseNoise, volume: c.PurchaseVolume,
+		week: state[0], rate: state[1+capacityPurchases]}
+	copy(l.purchases[:], state[1:])
+	return l
+}
+
+// check panics on a negative noise σ or a non-positive delay rate, as
+// rng.NormalFrom and then rng.ExponentialFrom do.
+func (l *capacityLane) check() {
+	rng.CheckSigma(l.noise)
+	rng.CheckRate(l.rate)
+}
+
+// at is the sample whose draw vector is d: the noisy base
+// (rng.NormalFrom's µ + σ·z) less the failures, plus each purchase
+// whose exponential bring-up delay (rng.ExponentialFrom's e/rate) has
+// elapsed by the week.
+func (l *capacityLane) at(d []float64) float64 {
+	d = d[:2+capacityPurchases]
+	capacity := l.base + (0 + l.noise*d[0])
 	capacity -= d[1]
-	for i, purchase := range state[1:n] {
-		if week >= purchase+rng.ExponentialFrom(rate, d[2+i]) {
-			capacity += c.PurchaseVolume
+	for i, purchase := range l.purchases {
+		if l.week >= purchase+d[2+i]/l.rate {
+			capacity += l.volume
 		}
 	}
 	return capacity

@@ -40,18 +40,20 @@ type PointBox interface {
 // DrawBox is the optional draw/apply capability of a PointBox: it
 // splits a lane of EvalBound into the draws, which depend on the
 // generator alone, and the arithmetic that combines them with the
-// bound state, which draws nothing. For any state Bind wrote and any
-// generator state,
+// bound state, which draws nothing and runs a block of lanes at a
+// time. For any state Bind wrote and any generator state,
 //
-//	b.Draw(r, d); v := b.Apply(state, d)   // len(d) == b.Draws()
+//	b.Draw(r, d)                            // len(d) == b.Draws()
+//	b.Apply(state, d, 0, []int{0}, out[:1]) // out[0] = the sample
 //
-// returns the bits EvalBound writes to a lane that draws from r, and
-// leaves r where EvalBound would, cached polar variate included.
+// writes the bits EvalBound writes to a lane that draws from r, and
+// Draw leaves r where EvalBound would, cached polar variate included.
 // Draw consumes the same stream whatever the point, so under common
 // random numbers (§3.1) the draws of the sample seeded by σ are one
 // vector for every point: a compiled scenario whose every model call
-// is a bound DrawBox draws it once per seed and applies it at each
-// point (DESIGN.md, "Scenario compilation").
+// is a bound DrawBox draws it once per seed into a table and applies a
+// block of the table's vectors at each point (DESIGN.md, "Seed-only
+// rows").
 type DrawBox interface {
 	PointBox
 	// Draws is the length of the draw vector.
@@ -59,10 +61,15 @@ type DrawBox interface {
 	// Draw fills d (len(d) == Draws()) from r, taking exactly the
 	// draws a lane of EvalBound takes.
 	Draw(r *rng.Rand, d []float64)
-	// Apply combines a state Bind wrote with a draw vector Draw
-	// filled. It draws nothing, and panics on an invalid model
-	// constant as Eval does.
-	Apply(state, d []float64) float64
+	// Apply combines a state Bind wrote with a block of draw vectors
+	// Draw filled: lane j's vector is draws[ids[j]*width:][:Draws()],
+	// read in place (width >= Draws(); ids may repeat and come in any
+	// order), and its sample goes to out[j]. len(out) must equal
+	// len(ids); it panics otherwise. It draws nothing, reads the state
+	// and the model constants once per block, and panics on an invalid
+	// model constant exactly when a lane's Eval would: once, when the
+	// block has a lane.
+	Apply(state, draws []float64, width int, ids []int, out []float64)
 }
 
 // StreamBox was the PDB's continuing-stream capability, which
@@ -85,4 +92,13 @@ func checkLanes(name string, out []float64, rands []rng.Rand, active []bool) {
 	if active != nil && len(active) < len(rands) {
 		panic(fmt.Sprintf("blackbox: %s: mask has %d lanes for %d generators", name, len(active), len(rands)))
 	}
+}
+
+// applyLanes panics on an out/ids length mismatch, and reports whether
+// a DrawBox.Apply has a lane to write.
+func applyLanes(name string, ids []int, out []float64) bool {
+	if len(out) != len(ids) {
+		panic(fmt.Sprintf("blackbox: %s: out has %d lanes for %d draw vectors", name, len(out), len(ids)))
+	}
+	return len(ids) > 0
 }

@@ -728,7 +728,7 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 			c.drawNext = bc.dhi
 		}
 		c.binds = append(c.binds, bc)
-		d, s, dlo, dhi := c.slot(dst), c.Scenario, bc.dlo, bc.dhi
+		d, s, dlo := c.slot(dst), c.Scenario, bc.dlo
 		c.emit(func(b *block) {
 			z, st := b.lane(d), b.pt[state:end]
 			if b.gens != nil {
@@ -736,11 +736,8 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 				return
 			}
 			// A seed-only row: apply the site's region of each
-			// sample's draws in the table.
-			draws, w := b.draws, s.table.width
-			for j, id := range b.ids {
-				z[j] = db.Apply(st, draws[id*w+dlo:id*w+dhi])
-			}
+			// sample's draws in the table, in place.
+			db.Apply(st, b.draws[dlo:], s.table.width, b.ids, z)
 		})
 		return d, nil
 	}

@@ -309,8 +309,8 @@ func TestSweepShortRowReturnsError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = cs.Sweep(batch)
-		check("ColumnSweep.Sweep", err)
+		_, err = streamBatch(cs, batch)
+		check("ColumnSweep.Stream", err)
 		ev, err := s.ColumnEval("overload")
 		if err != nil {
 			t.Fatal(err)

@@ -184,7 +184,7 @@ func sweepAll(t *testing.T, s *Scenario, names []string, opts mc.Options, batche
 	}
 	var out [][][]mc.PointResult
 	for _, batch := range batches {
-		res, err := cs.Sweep(batch)
+		res, err := streamBatch(cs, batch)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +287,7 @@ func TestConcurrentSweepsShareDrawTable(t *testing.T) {
 			}
 			var got [][][]mc.PointResult
 			for _, batch := range fig1Batches() {
-				res, err := cs.Sweep(batch)
+				res, err := streamBatch(cs, batch)
 				if err != nil {
 					errs[g] = err
 					return

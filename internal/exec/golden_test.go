@@ -95,7 +95,7 @@ func sweepDigest(t *testing.T, s *Scenario, workers int) string {
 	for i := 0; i < n; i += max(1, n/40) {
 		batch = append(batch, s.Space.Values(i, nil))
 	}
-	res, err := cs.Sweep(batch)
+	res, err := streamBatch(cs, batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,27 +51,6 @@ func (s *Scenario) SweepColumns(names []string, opts mc.Options) (*ColumnSweep, 
 	return cs, nil
 }
 
-// Sweep evaluates each distinct column at every point of batch, each
-// a value row of the scenario's Space, in one joint sweep on the
-// engine's worker pool (Options.Workers), and returns one result slice
-// per name given to SweepColumns, in batch order. Names of the same
-// column share its slice.
-func (cs *ColumnSweep) Sweep(batch [][]float64) ([][]mc.PointResult, error) {
-	if len(cs.rows.slots) == 0 { // an OPTIMIZE without WHERE
-		return nil, nil
-	}
-	swept, st, err := cs.eng.SweepRows(&cs.rows, len(cs.rows.slots), batch)
-	if err != nil {
-		return nil, err
-	}
-	cs.stats.Add(st)
-	out := make([][]mc.PointResult, len(cs.column))
-	for i, c := range cs.column {
-		out[i] = swept[c]
-	}
-	return out, nil
-}
-
 // Stream sweeps each distinct column at points 0 to n−1, value rows of
 // the scenario's Space that row returns, in one joint sweep on the
 // engine's workers, and hands emit each point's results in enumeration
@@ -95,8 +74,7 @@ func (cs *ColumnSweep) Stream(n int, row func(i int, dst []float64) []float64, e
 	return nil
 }
 
-// Stats returns the reuse accounting summed over every Sweep and
-// Stream so far.
+// Stats returns the reuse accounting summed over every Stream so far.
 // Points counts column-points swept: each distinct column once per
-// batch point.
+// point.
 func (cs *ColumnSweep) Stats() mc.SweepStats { return cs.stats }

@@ -11,6 +11,23 @@ import (
 	"jigsaw/internal/stats"
 )
 
+// streamBatch collects one Stream of cs over batch, value rows of the
+// scenario's Space: one result slice per name given to SweepColumns,
+// in batch order.
+func streamBatch(cs *ColumnSweep, batch [][]float64) ([][]mc.PointResult, error) {
+	out := make([][]mc.PointResult, len(cs.column))
+	for i := range out {
+		out[i] = make([]mc.PointResult, len(batch))
+	}
+	row := func(i int, dst []float64) []float64 { return append(dst, batch[i]...) }
+	err := cs.Stream(len(batch), row, func(i int, res []mc.PointResult) {
+		for c, pr := range res {
+			out[c][i] = pr
+		}
+	})
+	return out, err
+}
+
 // columnEngines is the per-column reference for ColumnSweep: one
 // engine per distinct column, each sweeping its own ColumnEval — a
 // projection that evaluates the whole row for one slot. The joint
@@ -147,7 +164,7 @@ func checkJointSweep(t *testing.T, s *Scenario, names []string, opts mc.Options,
 		misses[i] = map[string]bool{}
 	}
 	for b, batch := range batches {
-		got, err := cs.Sweep(batch)
+		got, err := streamBatch(cs, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +216,7 @@ func TestColumnSweepAllocsPerPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		sweep := func() {
-			if _, err := cs.Sweep(batch); err != nil {
+			if _, err := streamBatch(cs, batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +235,7 @@ func TestColumnSweepAllocsPerPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		sweep := func() {
-			if _, err := cs.Sweep(batch); err != nil {
+			if _, err := streamBatch(cs, batch); err != nil {
 				t.Fatal(err)
 			}
 		}

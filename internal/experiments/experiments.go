@@ -13,8 +13,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
+
+	"jigsaw/internal/core"
+	"jigsaw/internal/mc"
 )
 
 // Config scales the experiments. The zero value is completed by
@@ -183,3 +187,51 @@ func fmtSeconds(d time.Duration) string {
 
 // fmtRatio renders a dimensionless ratio.
 func fmtRatio(r float64) string { return fmt.Sprintf("%.3g", r) }
+
+// AnswerError is how far a reuse sweep's point means lie from those of
+// the same sweep with reuse off: the error a reuse figure's speedup
+// costs.
+type AnswerError struct {
+	// Points is the number of points compared; 0 means the figure
+	// made no comparison.
+	Points int
+	// Off counts the points whose mean is off by more than
+	// core.DefaultTolerance, that is by more than one tolerance unit.
+	Off int
+	// WorstTol is the largest deviation in tolerance units,
+	// |reuse − full| / (DefaultTolerance·(1 + |full|)), perfbench's
+	// answer_err scale.
+	WorstTol float64
+	// WorstSE is the largest deviation in standard errors of the
+	// reuse-off mean, StdDev/√N (+Inf for a deviation from a constant).
+	WorstSE float64
+}
+
+// answerError compares each point's mean under reuse with the same
+// point's mean with reuse off.
+func answerError(reuse, full []mc.PointResult) AnswerError {
+	e := AnswerError{Points: len(full)}
+	for i, f := range full {
+		dev := math.Abs(reuse[i].Summary.Mean - f.Summary.Mean)
+		if dev == 0 {
+			continue
+		}
+		units := dev / (core.DefaultTolerance * (1 + math.Abs(f.Summary.Mean)))
+		if !(units <= 1) { // a NaN mean is off
+			e.Off++
+		}
+		se := dev / (f.Summary.StdDev / math.Sqrt(float64(f.Summary.N)))
+		e.WorstTol, e.WorstSE = math.Max(e.WorstTol, units), math.Max(e.WorstSE, se)
+	}
+	return e
+}
+
+// cells renders the error as the table's three cells: points off (of
+// those compared), worst tolerance units and worst standard errors,
+// each "-" when nothing was compared.
+func (e AnswerError) cells() []string {
+	if e.Points == 0 {
+		return []string{"-", "-", "-"}
+	}
+	return []string{fmt.Sprintf("%d/%d", e.Off, e.Points), fmt.Sprintf("%.3g", e.WorstTol), fmt.Sprintf("%.3g", e.WorstSE)}
+}

@@ -124,6 +124,13 @@ func TestFigure8Shape(t *testing.T) {
 		t.Errorf("Overload work ratio %g >= Capacity work ratio %g; boolean limit lost",
 			byName["Overload"].WorkRatio(), byName["Capacity"].WorkRatio())
 	}
+	// Usage's weekly totals are exact scale images of one another, so
+	// its reuse costs no answer: every point is compared, none is off.
+	// Capacity's and Overload's errors are reported, not bounded: their
+	// affine matches are not certified on every sample.
+	if e := byName["Usage"].Err; e.Points != byName["Usage"].Points || e.Off != 0 {
+		t.Errorf("Usage answer error = %+v over %d points, want every point compared and none off", e, byName["Usage"].Points)
+	}
 	// MarkovStep benefits from jumps.
 	if byName["MarkovStep"].WorkRatio() < 2 {
 		t.Errorf("MarkovStep work ratio = %g, want > 2", byName["MarkovStep"].WorkRatio())

@@ -30,6 +30,10 @@ type Fig8Row struct {
 	// Points is the number of parameter points (or chain steps for
 	// MarkovStep).
 	Points int
+	// Err is the reuse run's answer error against the full run, point
+	// by point; MarkovStep's is not compared (Fig. 12 reports its
+	// bias).
+	Err AnswerError
 }
 
 // Speedup returns FullSec/JigsawSec.
@@ -88,9 +92,15 @@ func (u *usageBox) Eval(args []float64, r *rng.Rand) float64 {
 func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 	cfg = cfg.withDefaults()
 
+	// run is one run of a workload: its points, bases and work, and
+	// a parameter sweep's per-point results.
+	type run struct {
+		points, bases, work int
+		results             []mc.PointResult
+	}
 	type workload struct {
 		name string
-		run  func(reuse bool) (points, bases, work int)
+		run  func(reuse bool) run
 	}
 	engineOpts := func(reuse bool) mc.Options {
 		return mc.Options{
@@ -122,17 +132,17 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 	// A sweep draws every point's m fingerprint rounds and the
 	// remaining n−m for each point it simulates; without reuse that is
 	// n per point.
-	sweep := func(box blackbox.Box, space *param.Space, names ...string) func(bool) (int, int, int) {
-		return func(reuse bool) (int, int, int) {
+	sweep := func(box blackbox.Box, space *param.Space, names ...string) func(bool) run {
+		return func(reuse bool) run {
 			eng := mc.MustNew(engineOpts(reuse))
 			ev := mc.MustBindBox(box, space, names...)
-			_, st, err := eng.Sweep(ev)
+			res, st, err := eng.Sweep(ev)
 			if err != nil {
 				panic(err)
 			}
 			o := eng.Options()
 			draws := st.Points*o.FingerprintLen + st.FullSimulations*(o.Samples-o.FingerprintLen)
-			return st.Points, st.Store.Bases, draws
+			return run{st.Points, st.Store.Bases, draws, res}
 		}
 	}
 
@@ -141,7 +151,7 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 	capacitySpace := param.MustSpace(weekDecl(), purchaseDecl("purchase1"), purchaseDecl("purchase2"))
 
 	markovSteps := cfg.MarkovSteps * 4 // Fig. 8 evaluates MarkovStep over a long chain
-	markovRun := func(reuse bool) (int, int, int) {
+	markovRun := func(reuse bool) run {
 		chain := markov.NewDemandReleaseChain()
 		opts := markov.JumpOptions{
 			Instances:      cfg.MarkovInstances,
@@ -153,13 +163,13 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 			if err != nil {
 				panic(err)
 			}
-			return markovSteps, st.Regions, st.TotalStepInvocations()
+			return run{markovSteps, st.Regions, st.TotalStepInvocations(), nil}
 		}
 		_, st, err := markov.NaiveEvaluate(chain, markovSteps, opts)
 		if err != nil {
 			panic(err)
 		}
-		return markovSteps, 0, st.TotalStepInvocations()
+		return run{markovSteps, 0, st.TotalStepInvocations(), nil}
 	}
 
 	workloads := []workload{
@@ -171,35 +181,41 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 
 	var rows []Fig8Row
 	for _, w := range workloads {
-		var points, bases, fullWork, jigWork int
-		full := timeIt(cfg.Trials, func() { points, _, fullWork = w.run(false) })
-		jig := timeIt(cfg.Trials, func() { points, bases, jigWork = w.run(true) })
+		var full, jig run
+		fullT := timeIt(cfg.Trials, func() { full = w.run(false) })
+		jigT := timeIt(cfg.Trials, func() { jig = w.run(true) })
 		rows = append(rows, Fig8Row{
 			Model:      w.name,
-			FullSec:    full.Seconds(),
-			JigsawSec:  jig.Seconds(),
-			FullWork:   fullWork,
-			JigsawWork: jigWork,
-			Bases:      bases,
-			Points:     points,
+			FullSec:    fullT.Seconds(),
+			JigsawSec:  jigT.Seconds(),
+			FullWork:   full.work,
+			JigsawWork: jig.work,
+			Bases:      jig.bases,
+			Points:     jig.points,
+			Err:        answerError(jig.results, full.results),
 		})
 	}
 
 	table := &Table{
 		Title:   "Figure 8: Jigsaw vs fully exploring the parameter space",
-		Columns: []string{"Model", "Full s", "Jigsaw s", "Speedup", "Work ratio", "Bases", "Points"},
+		Columns: []string{"Model", "Full s", "Jigsaw s", "Speedup", "Off", "Worst tol", "Worst SE", "Work ratio", "Bases", "Points"},
 		Notes: []string{
 			"paper reports minutes on 2008 hardware; compare speedup shape, not absolutes",
+			"off = points whose Jigsaw mean misses the full run's by more than core.DefaultTolerance; " +
+				"worst tol = largest miss in tolerance units (perfbench's answer_err), worst SE = in standard errors " +
+				"(MarkovStep: see Fig. 12)",
 			"work ratio = full / Jigsaw model draws (MarkovStep: chain Step calls), free of timing noise",
 			"Overload's boolean output limits reuse (paper: ~2x); MarkovStep bases column = estimator regions",
 		},
 	}
 	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{
+		cells := []string{
 			r.Model, fmtSeconds(time.Duration(r.FullSec * float64(time.Second))),
 			fmtSeconds(time.Duration(r.JigsawSec * float64(time.Second))),
-			fmtRatio(r.Speedup()), fmtRatio(r.WorkRatio()), fmt.Sprint(r.Bases), fmt.Sprint(r.Points),
-		})
+			fmtRatio(r.Speedup()),
+		}
+		cells = append(cells, r.Err.cells()...)
+		table.Rows = append(table.Rows, append(cells, fmtRatio(r.WorkRatio()), fmt.Sprint(r.Bases), fmt.Sprint(r.Points)))
 	}
 	return rows, table, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/mc"
@@ -23,6 +22,9 @@ type Fig9Row struct {
 	Bases int
 	// Points is the swept space size.
 	Points int
+	// Err is the reuse sweeps' answer error against a sweep with reuse
+	// off, the worst over the strategies.
+	Err AnswerError
 }
 
 // Figure9 reproduces the Capacity structure-size experiment: larger
@@ -52,51 +54,59 @@ func Figure9(cfg Config) ([]Fig9Row, *Table, error) {
 	var rows []Fig9Row
 	for _, size := range sizes {
 		row := Fig9Row{StructureSize: size, MsPerPoint: map[string]float64{}, Points: space.Size()}
-		for _, kind := range kinds {
-			capModel := blackbox.NewCapacity()
-			if size == 0 {
-				// Degenerate structure: hardware online immediately.
-				capModel.MeanDelay = 1e-9
-			} else {
-				// The visible structure spans roughly 2-3 mean delays.
-				capModel.MeanDelay = float64(size) / 2.5
-			}
-			ev := mc.MustBindBox(capModel, space, "current_week", "purchase1", "purchase2")
-			var bases int
-			elapsed := timeIt(cfg.Trials, func() {
-				eng := mc.MustNew(mc.Options{
-					Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
-					MasterSeed: cfg.MasterSeed, Reuse: true, Index: kind, Workers: cfg.Workers,
-				})
-				_, st, err := eng.Sweep(ev)
-				if err != nil {
-					panic(err)
-				}
-				bases = st.Store.Bases
+		capModel := blackbox.NewCapacity()
+		if size == 0 {
+			// Degenerate structure: hardware online immediately.
+			capModel.MeanDelay = 1e-9
+		} else {
+			// The visible structure spans roughly 2-3 mean delays.
+			capModel.MeanDelay = float64(size) / 2.5
+		}
+		ev := mc.MustBindBox(capModel, space, "current_week", "purchase1", "purchase2")
+		sweep := func(reuse bool, kind mc.IndexKind) ([]mc.PointResult, mc.SweepStats) {
+			eng := mc.MustNew(mc.Options{
+				Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,
+				MasterSeed: cfg.MasterSeed, Reuse: reuse, Index: kind, Workers: cfg.Workers,
 			})
+			res, st, err := eng.Sweep(ev)
+			if err != nil {
+				panic(err)
+			}
+			return res, st
+		}
+		full, _ := sweep(false, mc.IndexArray)
+		for _, kind := range kinds {
+			var res []mc.PointResult
+			var st mc.SweepStats
+			elapsed := timeIt(cfg.Trials, func() { res, st = sweep(true, kind) })
 			row.MsPerPoint[kind.String()] =
 				elapsed.Seconds() * 1000 / float64(space.Size())
-			row.Bases = bases
+			row.Bases = st.Store.Bases
+			if e := answerError(res, full); e.Off >= row.Err.Off {
+				row.Err = e
+			}
 		}
 		rows = append(rows, row)
 	}
 
 	table := &Table{
 		Title:   "Figure 9: computation time vs structure size (Capacity model)",
-		Columns: []string{"Structure", "Array ms/pt", "Normalization ms/pt", "SortedSID ms/pt", "Bases"},
+		Columns: []string{"Structure", "Array ms/pt", "Normalization ms/pt", "SortedSID ms/pt", "Off", "Worst tol", "Worst SE", "Bases"},
 		Notes: []string{
 			"basis count grows sub-linearly with structure size (offset reuse across purchases)",
+			"off = points whose reuse mean misses the reuse-off sweep's by more than core.DefaultTolerance " +
+				"(worst strategy); worst tol in tolerance units (perfbench's answer_err), worst SE in standard errors",
 		},
 	}
 	for _, r := range rows {
-		table.Rows = append(table.Rows, []string{
+		cells := []string{
 			fmt.Sprint(r.StructureSize),
 			fmt.Sprintf("%.4f", r.MsPerPoint["Array"]),
 			fmt.Sprintf("%.4f", r.MsPerPoint["Normalization"]),
 			fmt.Sprintf("%.4f", r.MsPerPoint["SortedSID"]),
-			fmt.Sprint(r.Bases),
-		})
+		}
+		cells = append(cells, r.Err.cells()...)
+		table.Rows = append(table.Rows, append(cells, fmt.Sprint(r.Bases)))
 	}
-	_ = time.Duration(0)
 	return rows, table, nil
 }

@@ -31,9 +31,8 @@ import (
 // entire Monte Carlo simulation ... can be treated as the stochastic
 // function F"). One sample of F may yield several outputs — every
 // result column of one sampled world of a compiled scenario — and
-// Engine.SweepStream (and SweepRows, which collects it) fingerprints
-// and simulates each sample once for all of them; Sweep, SweepBatch
-// and EvaluatePoint read output 0.
+// Engine.SweepStream fingerprints and simulates each sample once for
+// all of them; Sweep, SweepBatch and EvaluatePoint read output 0.
 //
 // A sample is named by (master, id), and its seed is
 // rng.SampleSeed(master, id). Every sample must be a function of the
@@ -488,10 +487,10 @@ func (e *Engine) sampleRange(f PointEval, bound []float64, dsts [][]float64, lo,
 }
 
 // SweepStats is the reuse accounting of one engine call: an
-// EvaluatePoint, a Sweep or a SweepBatch. Every count covers that
-// call alone, so a call's Points == FullSimulations + Reused (and ==
-// Store.Queries with reuse on) on a fresh engine or a warmed one;
-// Add sums calls.
+// EvaluatePoint, a SweepStream, a Sweep or a SweepBatch. Every count
+// covers that call alone, so a call's Points == FullSimulations +
+// Reused (and == Store.Queries with reuse on) on a fresh engine or a
+// warmed one; Add sums calls.
 type SweepStats struct {
 	// Points is the number of points evaluated.
 	Points int

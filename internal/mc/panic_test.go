@@ -74,7 +74,7 @@ func TestSweepPanicReturnsError(t *testing.T) {
 						if k == 1 {
 							_, _, err = MustNew(opts).SweepBatch(rowEval{row, []int{0}}, tc.points)
 						} else {
-							_, _, err = MustNew(opts).SweepRows(rowEval{row, []int{0, 1, 2}}, 3, tc.points)
+							_, _, err = sweepRows(MustNew(opts), rowEval{row, []int{0, 1, 2}}, 3, tc.points)
 						}
 						var perr *pool.PanicError
 						if !errors.As(err, &perr) || perr.Value != "model failure" {
@@ -91,12 +91,13 @@ func TestSweepPanicReturnsError(t *testing.T) {
 	}
 }
 
-func TestSweepRowsRejectsNoOutputs(t *testing.T) {
+func TestSweepStreamRejectsNoOutputs(t *testing.T) {
 	e := MustNew(Options{Samples: 100, FingerprintLen: 10, MasterSeed: 1, Workers: 1})
 	f := rowEval{&panicRow{bad: -1}, nil}
+	row := func(_ int, dst []float64) []float64 { return append(dst, 1) }
 	for _, k := range []int{0, -1} {
-		if _, _, err := e.SweepRows(f, k, [][]float64{{1}}); err == nil {
-			t.Errorf("SweepRows of %d outputs accepted", k)
+		if _, err := e.SweepStream(f, k, 1, row, func(int, []PointResult) {}); err == nil {
+			t.Errorf("SweepStream of %d outputs accepted", k)
 		}
 	}
 }

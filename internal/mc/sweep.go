@@ -13,8 +13,8 @@ import (
 // This file implements the sweep: the evaluation of a stream of value
 // rows on the engine's workers, with results bit-identical for every
 // worker count. There is one sweep implementation, SweepStream, over k
-// outputs of one evaluator, each against its own basis store; SweepRows,
-// SweepBatch and Sweep are collecting wrappers over it. Workers spread
+// outputs of one evaluator, each against its own basis store; Sweep
+// and SweepBatch collect its one-output case. Workers spread
 // points, never a point's samples: each row (one sample, all k outputs)
 // of a point draws on the goroutine that holds the point.
 //
@@ -117,28 +117,10 @@ func (e *Engine) Sweep(f PointEval) ([]PointResult, SweepStats, error) {
 // guarantee as Sweep. A row too short for f comes back as an error
 // naming it.
 func (e *Engine) SweepBatch(f PointEval, points [][]float64) ([]PointResult, SweepStats, error) {
-	results, st, err := e.SweepRows(f, 1, points)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return results[0], st, nil
-}
-
-// SweepRows sweeps the k outputs of f over points, in slice order, and
-// collects the stream: results[c] holds output c's per-point results.
-// They and the returned statistics (summed over the outputs) are
-// bit-identical to k separate SweepBatch calls on engines of the same
-// options, each sweeping one output of f alone.
-func (e *Engine) SweepRows(f PointEval, k int, points [][]float64) ([][]PointResult, SweepStats, error) {
-	results := make([][]PointResult, max(k, 0))
-	for c := range results {
-		results[c] = make([]PointResult, len(points))
-	}
+	results := make([]PointResult, len(points))
 	row := func(i int, dst []float64) []float64 { return append(dst, points[i]...) }
-	st, err := e.SweepStream(f, k, len(points), row, func(i int, res []PointResult) {
-		for c := range results {
-			results[c][i] = res[c]
-		}
+	st, err := e.SweepStream(f, 1, len(points), row, func(i int, res []PointResult) {
+		results[i] = res[0]
 	})
 	if err != nil {
 		return nil, SweepStats{}, err

@@ -97,6 +97,23 @@ func evaluateLoop(eng *Engine, ev PointEval, points [][]float64) ([]PointResult,
 	return res, st
 }
 
+// sweepRows sweeps the k outputs of f over points through one
+// SweepStream and collects the stream: results[c] holds output c's
+// per-point results.
+func sweepRows(e *Engine, f PointEval, k int, points [][]float64) ([][]PointResult, SweepStats, error) {
+	results := make([][]PointResult, k)
+	for c := range results {
+		results[c] = make([]PointResult, len(points))
+	}
+	row := func(i int, dst []float64) []float64 { return append(dst, points[i]...) }
+	st, err := e.SweepStream(f, k, len(points), row, func(i int, res []PointResult) {
+		for c := range results {
+			results[c][i] = res[c]
+		}
+	})
+	return results, st, err
+}
+
 // TestSweepParallelDeterminism is the core guarantee of the sweep: for
 // every index strategy, with reuse on and off, with basis registrations
 // forced throughout the sweep (multi-family workloads) and against both
@@ -236,7 +253,7 @@ func TestSweepSharedEngineRace(t *testing.T) {
 		want += k * len(points)
 		go func() {
 			defer wg.Done()
-			_, st, err := eng.SweepRows(row, k, points)
+			_, st, err := sweepRows(eng, row, k, points)
 			if err != nil {
 				errs <- err
 			}

@@ -241,7 +241,7 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 						MustNew(options(workers, validation)),
 					}
 					for round := 0; round < 2; round++ {
-						res, st, err := eng.SweepRows(rowEval{row, []int{0, 1, 2}}, 3, tc.points)
+						res, st, err := sweepRows(eng, rowEval{row, []int{0, 1, 2}}, 3, tc.points)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -309,7 +309,7 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 				opts.KeepSamples = true
 				opts.ValidationSamples = validation
 				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
-				res, st, err := MustNew(opts).SweepRows(rowEval{row, []int{0, 1, 2}}, 3, points)
+				res, st, err := sweepRows(MustNew(opts), rowEval{row, []int{0, 1, 2}}, 3, points)
 				if err != nil {
 					t.Fatal(err)
 				}

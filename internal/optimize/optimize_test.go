@@ -281,7 +281,7 @@ FOR MAX @purchase1, MAX @purchase2
 `
 
 // runPerGroup is Run's test oracle: the loop Run replaced, one
-// ColumnSweep.Sweep per group, keeping every feasible group and then
+// ColumnSweep.Stream per group, keeping every feasible group and then
 // the goal-best of them (the earliest among equals).
 func runPerGroup(t *testing.T, s *exec.Scenario, stmt *sqlparse.OptimizeStmt, opts mc.Options) *Result {
 	t.Helper()
@@ -305,16 +305,9 @@ func runPerGroup(t *testing.T, s *exec.Scenario, stmt *sqlparse.OptimizeStmt, op
 			}
 			batch = append(batch, row)
 		}
-		swept, err := q.sweep.Sweep(batch)
-		if err != nil {
+		row := func(j int, dst []float64) []float64 { return append(dst, batch[j]...) }
+		if err := q.sweep.Stream(len(batch), row, func(_ int, pr []mc.PointResult) { q.add(pr) }); err != nil {
 			t.Fatal(err)
-		}
-		pr := make([]mc.PointResult, len(swept))
-		for j := range batch {
-			for ci := range swept {
-				pr[ci] = swept[ci][j]
-			}
-			q.add(pr)
 		}
 		if values, ok := q.score(); ok {
 			feasible = append(feasible, group{g, slices.Clone(values)})

@@ -28,10 +28,16 @@ func (r *Rand) Normal(mu, sigma float64) float64 {
 // draws z once and scales it for many (mu, sigma) pairs gets Normal's
 // bits for each. It panics when sigma < 0, as Normal does.
 func NormalFrom(mu, sigma, z float64) float64 {
+	CheckSigma(sigma)
+	return mu + sigma*z
+}
+
+// CheckSigma panics when sigma < 0, with NormalFrom's message: a caller
+// that scales a block of variates by one sigma checks it once.
+func CheckSigma(sigma float64) {
 	if sigma < 0 {
 		badParam("Normal called with negative sigma", sigma)
 	}
-	return mu + sigma*z
 }
 
 // StdNormal returns a sample from the standard normal distribution.
@@ -81,14 +87,21 @@ func (r *Rand) StdExponential() float64 {
 // Exponential is ExponentialFrom(rate, r.StdExponential()). It panics
 // when rate <= 0, as Exponential does.
 func ExponentialFrom(rate, e float64) float64 {
-	if rate <= 0 {
-		badParam("Exponential called with non-positive rate", rate)
-	}
+	CheckRate(rate)
 	return e / rate
 }
 
+// CheckRate panics when rate <= 0, with ExponentialFrom's message: a
+// caller that scales a block of variates by one rate checks it once.
+func CheckRate(rate float64) {
+	if rate <= 0 {
+		badParam("Exponential called with non-positive rate", rate)
+	}
+}
+
 // badParam panics on an invalid distribution parameter. It is kept out
-// of line so the scaling helpers above stay small enough to inline.
+// of line so the checks and scaling helpers above stay small enough to
+// inline.
 //
 //go:noinline
 func badParam(msg string, v float64) {

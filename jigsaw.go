@@ -228,9 +228,9 @@ type (
 	// dashed box of Fig. 3), with one basis store per evaluator
 	// output. Its SweepStream method streams parameter points through
 	// EngineOptions.Workers goroutines and emits their results in
-	// order, and Sweep, SweepBatch and SweepRows collect such a
-	// stream, deterministically: results are bit-identical for every
-	// worker count.
+	// order, and Sweep and SweepBatch collect a one-output stream,
+	// deterministically: results are bit-identical for every worker
+	// count.
 	Engine = mc.Engine
 	// EngineOptions configures an Engine. Its MasterSeed names the
 	// samples: sample id is seeded by σ_id of MasterSeed, the seed
