@@ -214,10 +214,10 @@ func TestCapacityDelayBoundary(t *testing.T) {
 }
 
 // TestDrawBoxPanicParity: a negative BaseNoise or MeanDelay panics
-// with the rng's message through Eval, EvalBlock, EvalBound, and
-// Draw+Apply over a block of 1, 127 or 128 lanes alike. A block with
-// no lane, like an EvalBound whose every lane is masked, draws and
-// applies nothing and does not panic.
+// with the rng's message through Eval, EvalBound, and Draw+Apply over
+// a block of 1, 127 or 128 lanes alike. A block with no lane, like an
+// EvalBound whose every lane is masked, draws and applies nothing and
+// does not panic.
 func TestDrawBoxPanicParity(t *testing.T) {
 	panicOf := func(f func()) (msg string) {
 		defer func() {
@@ -266,7 +266,6 @@ func TestDrawBoxPanicParity(t *testing.T) {
 		}
 		paths := map[string]func(){
 			"Draw+Apply": func() { drawApply(tc.c, args, rng.New(3)) },
-			"EvalBlock":  func() { tc.c.EvalBlock(args, make([]float64, 4), seeds[:4]) },
 			"EvalBound":  func() { tc.c.EvalBound(state, make([]float64, 4), lanes(), nil) },
 		}
 		for _, n := range applyLaneCounts[1:] {
@@ -282,7 +281,6 @@ func TestDrawBoxPanicParity(t *testing.T) {
 		for path, f := range map[string]func(){
 			"Apply, 0 lanes":        func() { tc.c.Apply(state, table, width, nil, nil) },
 			"EvalBound, all masked": func() { tc.c.EvalBound(state, make([]float64, 4), lanes(), make([]bool, 4)) },
-			"EvalBlock, 0 seeds":    func() { tc.c.EvalBlock(args, nil, nil) },
 		} {
 			if got := panicOf(f); got != "" {
 				t.Errorf("%s: %s panics %q, want no panic: it has no lane", tc.name, path, got)

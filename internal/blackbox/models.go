@@ -44,9 +44,8 @@ func (*Demand) Name() string { return "DemandModel" }
 // Arity implements Box.
 func (*Demand) Arity() int { return 2 }
 
-// params derives the week's combined (µ, σ²) — the single source of
-// Algorithm 1's distribution parameters for both the scalar and block
-// paths, whose outputs must stay bit-identical.
+// params derives the week's combined (µ, σ²), Algorithm 1's
+// distribution parameters.
 func (d *Demand) params(week, feature float64) (mu, variance float64) {
 	mu = d.BaseRate * week
 	variance = math.Max(0, d.BaseVarRate*week)
@@ -75,21 +74,11 @@ func (d *Demand) Eval(args []float64, r *rng.Rand) float64 {
 	return l.at(z[0])
 }
 
-// EvalBlock implements BlockBox. Demand's distribution parameters
-// depend only on the arguments, so the block kernel resolves (µ, σ²)
-// once and hands the whole block to the bulk normal filler — the
-// arity check, branch, and √σ² all leave the per-sample loop.
-func (d *Demand) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	checkArity(d.Name(), d.Arity(), args)
-	mu, variance := d.params(args[0], args[1])
-	rng.FillNormalVar(out, mu, variance, seeds)
-}
-
 // BoundLen implements PointBox: the bound state is (µ, σ).
 func (*Demand) BoundLen() int { return 2 }
 
-// Bind implements PointBox: it resolves the week's (µ, σ) once, as
-// EvalBlock does, so a bound sample is a single normal draw.
+// Bind implements PointBox: it resolves the week's (µ, σ) once, so a
+// bound sample is a single normal draw.
 func (d *Demand) Bind(args, state []float64) {
 	checkArity(d.Name(), d.Arity(), args)
 	mu, variance := d.params(args[0], args[1])
@@ -97,8 +86,6 @@ func (d *Demand) Bind(args, state []float64) {
 }
 
 // EvalBound implements PointBox: one normal draw per lane.
-// NormalVar(µ, σ²) is Normal(µ, √σ²), so it matches the block
-// kernel's FillNormalVar bit for bit.
 func (d *Demand) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(d.Name(), out, rands, active)
 	l := d.lane(state)
@@ -207,25 +194,6 @@ func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 	return l.at(d[:])
 }
 
-// EvalBlock implements BlockBox. Capacity's stream mixes normal,
-// Bernoulli and exponential draws, so the kernel keeps one local
-// generator and replays Eval's exact sequence per seed; the block
-// form binds the arguments and exponential rate once and drops the
-// per-sample interface dispatch.
-func (c *Capacity) EvalBlock(args []float64, out []float64, seeds []uint64) {
-	var state, d [capacityPurchases + 2]float64
-	c.Bind(args, state[:])
-	checkBlock(c.Name(), out, seeds)
-	l := c.lane(state[:])
-	var r rng.Rand
-	for i, seed := range seeds {
-		r.Seed(seed)
-		c.Draw(&r, d[:])
-		l.check()
-		out[i] = l.at(d[:])
-	}
-}
-
 // BoundLen implements PointBox: the bound state is the arguments
 // followed by the exponential rate.
 func (c *Capacity) BoundLen() int { return c.Arity() + 1 }
@@ -282,8 +250,8 @@ func (c *Capacity) Apply(state, draws []float64, width int, ids []int, out []flo
 }
 
 // capacityLane is a bound Capacity sample's arithmetic, written once:
-// Eval, EvalBlock, EvalBound and Apply read a state and the model
-// constants into one and sample through at, so they agree bit for bit.
+// Eval, EvalBound and Apply read a state and the model constants into
+// one and sample through at, so they agree bit for bit.
 type capacityLane struct {
 	base, noise, volume, week, rate float64
 	purchases                       [capacityPurchases]float64

@@ -50,13 +50,14 @@ type PointBox interface {
 // Draw leaves r where EvalBound would, cached polar variate included.
 // Draw consumes the same stream whatever the point, so under common
 // random numbers (§3.1) the draws of the sample seeded by σ are one
-// vector for every point: a compiled scenario whose every model call
-// is a bound DrawBox draws it once per seed into a table and applies a
-// block of the table's vectors at each point (DESIGN.md, "Seed-only
-// rows").
+// vector for every point: its callers draw it once per seed into a
+// DrawTable and apply a block of the table's vectors at each point — a
+// compiled scenario whose every model call is a bound DrawBox
+// (DESIGN.md, "Seed-only rows"), mc's BoundBox and the PDB's fresh
+// lane.
 type DrawBox interface {
 	PointBox
-	// Draws is the length of the draw vector.
+	// Draws is the length of the draw vector, at least 1.
 	Draws() int
 	// Draw fills d (len(d) == Draws()) from r, taking exactly the
 	// draws a lane of EvalBound takes.
@@ -70,6 +71,17 @@ type DrawBox interface {
 	// model constant exactly when a lane's Eval would: once, when the
 	// block has a lane.
 	Apply(state, draws []float64, width int, ids []int, out []float64)
+}
+
+// BlockBox was the block-at-a-time capability of a Box: for a fixed
+// argument vector, out[i] = Eval(args, a generator seeded with
+// seeds[i]). The DrawBox contract and a DrawTable now serve what it
+// served. Nothing in this module implements or calls it. It stays
+// declared only because perfbench's counting wrapper names it; it goes
+// when the benchmark drops that name.
+type BlockBox interface {
+	Box
+	EvalBlock(args []float64, out []float64, seeds []uint64)
 }
 
 // StreamBox was the PDB's continuing-stream capability, which

@@ -155,9 +155,6 @@ var (
 	_ Box = (*MarkovBranch)(nil)
 	_ Box = Func{}
 
-	_ BlockBox = (*Demand)(nil)
-	_ BlockBox = (*Capacity)(nil)
-
 	_ PointBox = (*Demand)(nil)
 	_ PointBox = (*Capacity)(nil)
 	_ PointBox = (*UserSelection)(nil)

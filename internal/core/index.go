@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Index accelerates the search for candidate basis fingerprints (§3.2).
 // The contract mirrors the paper's: Candidates must return a superset
 // of the basis ids whose fingerprints the mapping class can map onto
@@ -44,11 +42,6 @@ func fnvWord(h, w uint64) uint64 {
 		w >>= 8
 	}
 	return h
-}
-
-// fnvFloat folds a float64's bit pattern into the hash.
-func fnvFloat(h uint64, x float64) uint64 {
-	return fnvWord(h, math.Float64bits(x))
 }
 
 // ArrayIndex is the naive strategy: scan every basis distribution. It

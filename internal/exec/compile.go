@@ -51,7 +51,7 @@ type Scenario struct {
 	// point ("" for a seed-only row); table holds a seed-only row's draw
 	// vectors by sample id.
 	unshared string
-	table    *drawTable
+	table    *blackbox.DrawTable
 }
 
 // paramSlot is a point slot BindRow writes a value row's entry pos
@@ -180,7 +180,7 @@ func CompileScenario(script *sqlparse.Script, boxes *blackbox.Registry) (*Scenar
 		s.Columns = append(s.Columns, name)
 	}
 	if s.unshared == "" && c.drawNext > 0 {
-		s.table = newDrawTable(c.drawNext)
+		s.table = blackbox.NewDrawTable(c.drawNext, s.drawRow)
 	}
 	return s, nil
 }
@@ -366,7 +366,7 @@ func (c *columns) EvalBlockBound(row []float64, outs [][]float64, master uint64,
 	var vals []float64 // sample id's draws at vals[id*width:]
 	table := s.table != nil
 	if table {
-		vals, table = s.table.load(s, master, ids, r)
+		vals, table = s.table.Load(master, ids)
 	}
 	l := ctxPool.Get().(*blockCtx)
 	b := &l.b
@@ -737,7 +737,7 @@ func (c *compiler) call(n *sqlparse.FuncCall, dst int) (int, error) {
 			}
 			// A seed-only row: apply the site's region of each
 			// sample's draws in the table, in place.
-			db.Apply(st, b.draws[dlo:], s.table.width, b.ids, z)
+			db.Apply(st, b.draws[dlo:], s.table.Width(), b.ids, z)
 		})
 		return d, nil
 	}

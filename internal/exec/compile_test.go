@@ -131,7 +131,7 @@ func TestColumnEval(t *testing.T) {
 func TestColumnEvalBlockMatchesEvalPoint(t *testing.T) {
 	s := compileFig1(t)
 	const master = 0x5161
-	ids := sampleIDs(300)
+	ids := blockIDs(300)
 	points := [][]float64{
 		{50, 0, 4, 12},
 		{20, 48, 52, 36},
@@ -192,7 +192,7 @@ func TestColumnEvalBlockAllocs(t *testing.T) {
 	bound := ev.BindPoint([]float64{50, 0, 4, 12}, nil)
 	var r rng.Rand
 	perBlock := func(n int) float64 {
-		outs, ids := [][]float64{make([]float64, n)}, sampleIDs(n)
+		outs, ids := [][]float64{make([]float64, n)}, blockIDs(n)
 		return testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) })
 	}
 	const budget = 0
@@ -214,18 +214,18 @@ func TestColumnKernelBlockAllocs(t *testing.T) {
 	}
 	fig1, hidden := compileDraws(t, figure1Source)
 	users, _ := compileBoth(t, usersSource)
-	top := fig1.table.max
+	top := fig1.table.Bound()
 	for _, tc := range []struct {
 		name string
 		s    *Scenario
 		ids  func(n int) []int
 	}{
-		{"seed-only", fig1, sampleIDs},
-		{"per-lane generators", users, sampleIDs},
-		{"per-lane generators, DrawBox hidden", hidden, sampleIDs},
+		{"seed-only", fig1, blockIDs},
+		{"per-lane generators", users, blockIDs},
+		{"per-lane generators, DrawBox hidden", hidden, blockIDs},
 		{"past the table bound", fig1, func(n int) []int {
-			ids := sampleIDs(n)
-			ids[n/2] = top + n
+			ids := blockIDs(n)
+			ids[n-1] = top + n
 			return ids
 		}},
 	} {
@@ -250,7 +250,7 @@ func TestColumnKernelBlockAllocs(t *testing.T) {
 func TestColumnsMatchOneSlotEvals(t *testing.T) {
 	s := compileFig1(t)
 	p := []float64{50, 0, 4, 12}
-	ids := sampleIDs(64)
+	ids := blockIDs(64)
 	slots := make([]int, len(s.Columns))
 	for c := range slots {
 		slots[c] = len(slots) - 1 - c
@@ -444,7 +444,7 @@ func TestCaseConsumesStreamOnAllArmsPerLane(t *testing.T) {
 	models := []blackbox.Box{blackbox.NewDemand(), blackbox.NewCapacity()}
 	_, pointHidden := pointBoxRegistries(models...)
 	const master = 0x5161
-	ids := sampleIDs(300)
+	ids := blockIDs(300)
 	for name, reg := range map[string]*blackbox.Registry{"DrawBox hidden": drawHiddenRegistry(models...), "PointBox hidden": pointHidden} {
 		s, err := CompileScenario(script, reg)
 		if err != nil {
@@ -545,7 +545,7 @@ func FuzzCompileScenario(f *testing.F) {
 	}
 	reg, hidden := pointBoxRegistries(boundModels()...)
 	drawHidden := drawHiddenRegistry(boundModels()...)
-	ids := sampleIDs(8)
+	ids := blockIDs(8)
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sqlparse.Parse(src)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,13 +69,21 @@ func compileDraws(t testing.TB, src string) (stock, hidden *Scenario) {
 }
 
 // sampleIDs returns n sample ids scattered over the first 997, out of
-// order (and repeating past n = 498), as an interactive session draws
-// them.
+// order (and repeating past n = 498): the order TestGoldenRows' digests
+// read them in.
 func sampleIDs(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i * i % 997
 	}
+	return ids
+}
+
+// blockIDs returns sampleIDs(n) ascending, as an engine or a session
+// hands a block its ids: scattered, and repeating past n = 498.
+func blockIDs(n int) []int {
+	ids := sampleIDs(n)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -84,7 +93,7 @@ func sampleIDs(n int) []int {
 // with DrawBox hidden, which draws every sample at every point, for
 // every column and block size, on a fresh table and a warm one.
 func TestSeedOnlyColumnEvalMatchesGeneratorPath(t *testing.T) {
-	ids := sampleIDs(300)
+	ids := blockIDs(300)
 	for _, tc := range seedOnlySources {
 		for _, bs := range []int{1, 7, 256} {
 			stock, hidden := compileDraws(t, tc.src)
@@ -139,15 +148,14 @@ func drawColumns(ev mc.PointEval, k int, p []float64, master uint64, ids []int, 
 	return outs
 }
 
-// TestDrawTablePastBound: ids that straddle the table's bound, out of
-// order and far apart, under masters that alternate, draw bit for bit
-// what the generator path draws at every block size. An id past the
-// bound is drawn into the row, and the table never holds more than
-// the bound.
+// TestDrawTablePastBound: ids that straddle the table's bound, far
+// apart and with a repeat, under masters that alternate, draw bit for
+// bit what the generator path draws at every block size: a block whose
+// last id is past the bound draws every lane into the row.
 func TestDrawTablePastBound(t *testing.T) {
 	stock, hidden := compileDraws(t, figure1Source)
-	top := maxTableBytes / (8 * stock.table.width)
-	ids := []int{top + 3, 5, top - 1, 2 * top, 0, top, 997, top - 2, top + 1, 3 * top / 4, 1, top + 1000}
+	top := stock.table.Bound()
+	ids := []int{0, 1, 5, 997, 3 * top / 4, top - 2, top - 1, top, top + 1, top + 1, top + 3, top + 1000, 2 * top}
 	all := make([]int, len(stock.Columns))
 	for c := range all {
 		all[c] = c
@@ -166,10 +174,6 @@ func TestDrawTablePastBound(t *testing.T) {
 						}
 					}
 				}
-			}
-			if snap := stock.table.snap.Load(); snap.master != master || len(snap.vals) != top*stock.table.width {
-				t.Fatalf("block size %d, master %d: table holds %d draws under master %d, want %d of %d",
-					bs, master, len(snap.vals), snap.master, top*stock.table.width, master)
 			}
 		}
 	}
@@ -365,32 +369,45 @@ func TestDrawTablePanicIsPointError(t *testing.T) {
 	}
 }
 
+// countingDemand is Demand counting its Draw calls.
+type countingDemand struct {
+	*blackbox.Demand
+	draws *atomic.Int64
+}
+
+func (c countingDemand) Draw(r *rng.Rand, d []float64) {
+	c.draws.Add(1)
+	c.Demand.Draw(r, d)
+}
+
 // TestDrawTableFlatInPoints: the table holds one entry per sample id,
-// so its footprint depends on the samples drawn, not the points swept:
-// sweeping 2 points or 120 leaves the same table, and a second sweep
-// over new points publishes nothing new.
+// so what it draws depends on the samples, not the points swept:
+// sweeping 2 points or 120 draws each of the 300 samples once, and a
+// second sweep over new points draws nothing.
 func TestDrawTableFlatInPoints(t *testing.T) {
-	footprint := func(points int) (*drawSnap, int) {
-		s := compileFig1(t)
-		batch := spaceRows(s.Space, 0, points)
-		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][][]float64{batch}); err != nil {
+	script, err := sqlparse.Parse(figure1Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, points := range []int{2, 120} {
+		draws := new(atomic.Int64)
+		reg := blackbox.NewRegistry()
+		reg.MustRegister(countingDemand{blackbox.NewDemand(), draws})
+		reg.MustRegister(blackbox.NewCapacity())
+		s, err := CompileScenario(script, reg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		snap := s.table.snap.Load()
+		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][][]float64{spaceRows(s.Space, 0, points)}); err != nil {
+			t.Fatal(err)
+		}
+		first := draws.Load()
 		if _, err := sweepAll(t, s, []string{"overload"}, drawOpts(9, 1), [][][]float64{spaceRows(s.Space, points, 2*points)}); err != nil {
 			t.Fatal(err)
 		}
-		if s.table.snap.Load() != snap {
-			t.Fatalf("%d points: a sweep over new points rebuilt the warm table", points)
+		if again := draws.Load() - first; first != 300 || again != 0 {
+			t.Fatalf("%d points: the table drew %d Demand vectors, then %d for new points; want 300, then 0", points, first, again)
 		}
-		return snap, cap(snap.vals)
-	}
-	few, small := footprint(2)
-	many, large := footprint(120)
-	width := compileFig1(t).table.width
-	if len(few.vals) != 300*width || len(many.vals) != 300*width || small != large {
-		t.Fatalf("table after 2 points: %d draws, capacity %d; after 120: %d draws, %d; want 300 entries of %d and the same footprint",
-			len(few.vals), small, len(many.vals), large, width)
 	}
 }
 
@@ -445,7 +462,7 @@ func TestGeneratorPathBlockAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := ev.BindPoint(s.Space.Values(s.Space.Size()/2, nil), nil)
-		outs, ids := [][]float64{make([]float64, 64)}, sampleIDs(64)
+		outs, ids := [][]float64{make([]float64, 64)}, blockIDs(64)
 		var r rng.Rand
 		if n := testing.AllocsPerRun(20, func() { ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) }); n != 0 {
 			t.Errorf("%v: a generator-path block allocates %.1f, want 0", s.Columns, n)

@@ -176,7 +176,7 @@ func TestGoldenRows(t *testing.T) {
 			}
 			top := 1 << 17
 			if stock.table != nil {
-				top = stock.table.max
+				top = stock.table.Bound()
 			}
 			ids := goldenIDs(top)
 			for name, reg := range regs {

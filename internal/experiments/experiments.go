@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"jigsaw/internal/blackbox"
 	"jigsaw/internal/core"
 	"jigsaw/internal/mc"
 )
@@ -118,6 +119,14 @@ func (c Config) withDefaults() Config {
 		c.Workers = d.Workers
 	}
 	return c
+}
+
+// opaque hides every capability of b but Box, so the engine draws it
+// by reseeding a generator and calling Eval once per sample: the
+// paper's black-box cost model, which Figs. 7–9 measure (a DrawBox
+// would otherwise be served from its draw table).
+func opaque(b blackbox.Box) blackbox.Func {
+	return blackbox.Func{FuncName: b.Name(), NArgs: b.Arity(), Fn: b.Eval}
 }
 
 // timeIt runs fn Trials times and returns the mean duration.

@@ -165,7 +165,7 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 			wrapper: func(p param.Point) {
 				wrapperRun(`SELECT DemandModel(@current_week, @feature_release) AS demand`, db, p)
 			},
-			core: coreRun(blackbox.NewDemand(), demandSpace, "current_week", "feature_release"),
+			core: coreRun(opaque(blackbox.NewDemand()), demandSpace, "current_week", "feature_release"),
 		},
 		{
 			name:  "Capacity",
@@ -173,7 +173,7 @@ func fig7Cases(cfg Config) ([]fig7Case, error) {
 			wrapper: func(p param.Point) {
 				wrapperRun(`SELECT CapacityModel(@current_week, @purchase1, @purchase2) AS capacity`, db, p)
 			},
-			core: coreRun(blackbox.NewCapacity(), capacitySpace, "current_week", "purchase1", "purchase2"),
+			core: coreRun(opaque(blackbox.NewCapacity()), capacitySpace, "current_week", "purchase1", "purchase2"),
 		},
 		{
 			name:  "Overload",

@@ -174,7 +174,7 @@ func Figure8(cfg Config) ([]Fig8Row, *Table, error) {
 
 	workloads := []workload{
 		{"Usage", sweep(usage, usageSpace, "current_week")},
-		{"Capacity", sweep(blackbox.NewCapacity(), capacitySpace, "current_week", "purchase1", "purchase2")},
+		{"Capacity", sweep(opaque(blackbox.NewCapacity()), capacitySpace, "current_week", "purchase1", "purchase2")},
 		{"Overload", sweep(blackbox.NewOverload(), capacitySpace, "current_week", "purchase1", "purchase2")},
 		{"MarkovStep", markovRun},
 	}

@@ -62,7 +62,7 @@ func Figure9(cfg Config) ([]Fig9Row, *Table, error) {
 			// The visible structure spans roughly 2-3 mean delays.
 			capModel.MeanDelay = float64(size) / 2.5
 		}
-		ev := mc.MustBindBox(capModel, space, "current_week", "purchase1", "purchase2")
+		ev := mc.MustBindBox(opaque(capModel), space, "current_week", "purchase1", "purchase2")
 		sweep := func(reuse bool, kind mc.IndexKind) ([]mc.PointResult, mc.SweepStats) {
 			eng := mc.MustNew(mc.Options{
 				Samples: cfg.Samples, FingerprintLen: cfg.FingerprintLen,

@@ -29,7 +29,7 @@ type pdbBenchQuery struct {
 // pdbBenchQueries builds the three workload shapes:
 //
 //   - demand: the minimal VG-heavy model query (one draw per world) —
-//     the fresh-lane bulk-kernel case.
+//     the fresh-lane case, served from the call site's draw table.
 //   - overload: Fig. 1's dependent column list (two draws per world
 //     plus a CASE over both) — the bound draw on live streams.
 //   - users: the data-dependent aggregate over cfg.Users rows (one

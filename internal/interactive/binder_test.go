@@ -41,12 +41,11 @@ func runSession(t *testing.T, eval mc.PointEval) ([]float64, Stats) {
 }
 
 // TestSessionBinderMatchesPlainEval checks that a session reaches a
-// bit-identical state whether its batches draw through a box's native
-// block kernel or through the reseed-per-sample reference: the same
-// model behind a blackbox.Func, which the scalar block adapter draws
-// one reseeded Eval at a time. Demand has a vectorized kernel;
-// SynthBasis, with none, draws through the scalar adapter either way,
-// over one basis per class.
+// bit-identical state whether its batches draw through a DrawBox's
+// draw table or through the reseed-per-sample reference: the same
+// model behind a blackbox.Func, which its BoundBox draws one reseeded
+// Eval at a time. Demand is a DrawBox; SynthBasis, which is not, draws
+// one reseeded Eval at a time either way, over one basis per class.
 func TestSessionBinderMatchesPlainEval(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -74,11 +74,11 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 	}
 }
 
-// TestBindBoxBlockAllocs pins that a box without a native block
-// kernel draws a block through the generator the engine lends, with
-// nothing allocated per block: SynthBasis, whose Eval reseeds a
-// sub-generator of its own, and Overload, which composes two models
-// on one generator.
+// TestBindBoxBlockAllocs pins that a box that is not a DrawBox draws
+// a block through the generator the engine lends, with nothing
+// allocated per block: SynthBasis, whose Eval reseeds a sub-generator
+// of its own, and Overload, which composes two models on one
+// generator.
 func TestBindBoxBlockAllocs(t *testing.T) {
 	ids := make([]int, DefaultBlockSize)
 	for i := range ids {
@@ -101,6 +101,36 @@ func TestBindBoxBlockAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: a %d-sample block allocates %.1f, want 0", tc.box.Name(), len(ids), allocs)
+		}
+	}
+}
+
+// TestBoundBoxDrawBlockAllocs pins that a BoundBox of a DrawBox,
+// Demand and Capacity, applies a block of its warm table's draw
+// vectors with nothing allocated.
+func TestBoundBoxDrawBlockAllocs(t *testing.T) {
+	ids := make([]int, DefaultBlockSize)
+	for i := range ids {
+		ids[i] = 3 * i
+	}
+	outs := [][]float64{make([]float64, len(ids))}
+	var r rng.Rand
+	for _, tc := range []struct {
+		box   blackbox.Box
+		names []string
+		p     []float64
+	}{
+		{blackbox.NewDemand(), []string{"week", "feature"}, []float64{30, 12}},
+		{blackbox.NewCapacity(), []string{"week", "p1", "p2"}, []float64{26, 10, 20}},
+	} {
+		ev := bindNames(tc.box, tc.names...)
+		bound := ev.BindPoint(tc.p, nil)
+		ev.EvalBlockBound(bound, outs, 0x5161, ids, &r) // warm the table
+		allocs := testing.AllocsPerRun(20, func() {
+			ev.EvalBlockBound(bound, outs, 0x5161, ids, &r)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm %d-sample block allocates %.1f, want 0", tc.box.Name(), len(ids), allocs)
 		}
 	}
 }

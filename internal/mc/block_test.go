@@ -2,12 +2,14 @@ package mc
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"jigsaw/internal/blackbox"
 	"jigsaw/internal/core"
 	"jigsaw/internal/param"
+	"jigsaw/internal/rng"
 )
 
 // The block pipeline's engine-level guarantee: the block size is a
@@ -84,38 +86,67 @@ func TestSweepBlockSizeInvariance(t *testing.T) {
 }
 
 func TestBlockAndScalarEvaluatorsAgree(t *testing.T) {
-	// A BoundBox routes through the vectorized kernel; the same model
-	// behind a blackbox.Func has none, so its BoundBox reseeds the lent
-	// generator and calls Eval once per sample. Both must produce
-	// bit-identical sweeps — the engine-level restatement of
-	// blackbox.BlockBox's contract.
-	space := blockSweepSpace(t)
-	d := blackbox.NewDemand()
-	block := MustBindBox(d, space, "current_week", "feature_release")
-	scalar := MustBindBox(blackbox.Func{FuncName: d.Name(), NArgs: d.Arity(), Fn: d.Eval}, space, "current_week", "feature_release")
-
+	// A BoundBox of a DrawBox applies its samples' draw vectors from
+	// its table; the same model behind a blackbox.Func has none, so its
+	// BoundBox reseeds the lent generator and calls Eval once per
+	// sample. Both must produce bit-identical sweeps, and bit-identical
+	// blocks whose ids pass the table's bound, as a long interactive
+	// session's may (the table path then falls back to Eval too) — the
+	// engine-level restatement of blackbox.DrawBox's contract.
+	week, err := param.Range("current_week", 0, 24, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	purchase, err := param.Set("purchase", 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{
 		Samples: 300, FingerprintLen: 10, MasterSeed: 0x5161,
 		Reuse: true, Index: IndexSortedSID, Workers: 1,
 	}
-	a, aStats, err := MustNew(opts).Sweep(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bStats, err := MustNew(opts).Sweep(scalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i].Summary, b[i].Summary) || a[i].Reused != b[i].Reused || a[i].BasisID != b[i].BasisID {
-			t.Fatalf("point %d diverged:\nblock:  %+v\nscalar: %+v", i, a[i], b[i])
+	for _, tc := range []struct {
+		box   blackbox.Box
+		space *param.Space
+		names []string
+	}{
+		{blackbox.NewDemand(), blockSweepSpace(t), []string{"current_week", "feature_release"}},
+		{blackbox.NewCapacity(), param.MustSpace(week, purchase), []string{"current_week", "purchase", "purchase"}},
+	} {
+		block := MustBindBox(tc.box, tc.space, tc.names...)
+		scalar := MustBindBox(blackbox.Func{FuncName: tc.box.Name(), NArgs: tc.box.Arity(), Fn: tc.box.Eval}, tc.space, tc.names...)
+		a, aStats, err := MustNew(opts).Sweep(block)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !reflect.DeepEqual(aStats, bStats) {
-		t.Fatalf("stats diverged: %+v vs %+v", aStats, bStats)
+		b, bStats, err := MustNew(opts).Sweep(scalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("%s: result counts differ: %d vs %d", tc.box.Name(), len(a), len(b))
+		}
+		for i := range a {
+			if !reflect.DeepEqual(a[i].Summary, b[i].Summary) || a[i].Reused != b[i].Reused || a[i].BasisID != b[i].BasisID {
+				t.Fatalf("%s: point %d diverged:\nblock:  %+v\nscalar: %+v", tc.box.Name(), i, a[i], b[i])
+			}
+		}
+		if !reflect.DeepEqual(aStats, bStats) {
+			t.Fatalf("%s: stats diverged: %+v vs %+v", tc.box.Name(), aStats, bStats)
+		}
+
+		top := block.(*BoundBox).table.Bound()
+		for _, ids := range [][]int{{3, 40, top - 1}, {7, top - 1, top, top + 5}} {
+			vals := tc.space.Values(tc.space.Size()/2, nil)
+			got, want := make([]float64, len(ids)), make([]float64, len(ids))
+			block.EvalBlockBound(block.BindPoint(vals, nil), [][]float64{got}, opts.MasterSeed, ids, new(rng.Rand))
+			scalar.EvalBlockBound(scalar.BindPoint(vals, nil), [][]float64{want}, opts.MasterSeed, ids, new(rng.Rand))
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: ids %v: sample %d = %v, Eval %v", tc.box.Name(), ids, ids[j], got[j], want[j])
+				}
+			}
+		}
 	}
 }
 

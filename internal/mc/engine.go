@@ -10,6 +10,7 @@ package mc
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +58,8 @@ type PointEval interface {
 	// BindPoint returned: output c of sample ids[j], seeded by
 	// rng.SampleSeed(master, ids[j]), goes to outs[c][j]
 	// (len(outs[c]) == len(ids)), and nothing is written for a nil
-	// outs[c]. The ids need be neither consecutive nor sorted. r is a
+	// outs[c]. The ids ascend (a repeat is allowed), so the last is the
+	// largest, but need not be consecutive. r is a
 	// generator the caller lends, for evaluators that reseed once per
 	// sample. It may use the binding as scratch, provided what
 	// BindPoint wrote survives: one goroutine draws a given binding at
@@ -67,12 +69,16 @@ type PointEval interface {
 
 // BoundBox adapts a black box to a PointEval by binding its positional
 // arguments to parameters of a space: the parameter names resolve to
-// value-row positions once, in BindBox, and blocks draw through the
-// box's native blackbox.BlockBox kernel when it has one, otherwise
-// through the generator the engine lends, reseeded once per sample.
+// value-row positions once, in BindBox. A blackbox.DrawBox binds once
+// per point (the binding is the arguments, then the state Bind wrote)
+// and draws a block by one Apply of its samples' draw vectors, which
+// the BoundBox's DrawTable holds by sample id; a block with an id past
+// the table's bound, and any other box, draws through the generator
+// the engine lends, reseeded once per sample.
 type BoundBox struct {
 	box   blackbox.Box
-	block blackbox.BlockBox // box's native kernel, or nil
+	draw  blackbox.DrawBox    // box as a DrawBox, or nil
+	table *blackbox.DrawTable // draw's vectors by sample id
 	space *param.Space
 	pos   []int // argument i is vals[pos[i]]
 }
@@ -82,38 +88,36 @@ func (b *BoundBox) Space() *param.Space { return b.space }
 
 // BindPoint implements PointEval.
 func (b *BoundBox) BindPoint(vals, buf []float64) []float64 {
-	buf = buf[:0]
-	for _, i := range b.pos {
-		buf = append(buf, vals[i])
+	n, m := len(b.pos), len(b.pos)
+	if b.draw != nil {
+		m += b.draw.BoundLen()
+	}
+	buf = slices.Grow(buf[:0], m)[:m]
+	for j, i := range b.pos {
+		buf[j] = vals[i]
+	}
+	if b.draw != nil {
+		b.draw.Bind(buf[:n], buf[n:])
 	}
 	return buf
 }
 
-// seedChunks lends a BoundBox the seed buffer its native kernel
-// reads: a block's seeds are derived one chunk at a time, so a block
-// allocates nothing.
-var seedChunks = sync.Pool{New: func() any { return new([DefaultBlockSize]uint64) }}
-
 // EvalBlockBound implements PointEval: output 0 is the box's draw.
 func (b *BoundBox) EvalBlockBound(bound []float64, outs [][]float64, master uint64, ids []int, r *rng.Rand) {
 	out := outs[0]
-	switch {
-	case out == nil: // output 0 not requested
-	case b.block != nil:
-		chunk := seedChunks.Get().(*[DefaultBlockSize]uint64)
-		for lo := 0; lo < len(ids); lo += len(chunk) {
-			seeds := chunk[:min(len(chunk), len(ids)-lo)]
-			for j := range seeds {
-				seeds[j] = rng.SampleSeed(master, ids[lo+j])
-			}
-			b.block.EvalBlock(bound, out[lo:lo+len(seeds)], seeds)
+	if out == nil { // output 0 not requested
+		return
+	}
+	args := bound[:len(b.pos)]
+	if b.table != nil {
+		if vals, all := b.table.Load(master, ids); all {
+			b.draw.Apply(bound[len(args):], vals, b.table.Width(), ids, out)
+			return
 		}
-		seedChunks.Put(chunk)
-	default:
-		for j, id := range ids {
-			r.Seed(rng.SampleSeed(master, id))
-			out[j] = b.box.Eval(bound, r)
-		}
+	}
+	for j, id := range ids {
+		r.Seed(rng.SampleSeed(master, id))
+		out[j] = b.box.Eval(args, r)
 	}
 }
 
@@ -134,8 +138,11 @@ func BindBox(b blackbox.Box, space *param.Space, argNames ...string) (PointEval,
 			return nil, fmt.Errorf("mc: %s: the space declares no enumerable parameter @%s", b.Name(), name)
 		}
 	}
-	block, _ := b.(blackbox.BlockBox)
-	return &BoundBox{box: b, block: block, space: space, pos: pos}, nil
+	bb := &BoundBox{box: b, space: space, pos: pos}
+	if d, ok := b.(blackbox.DrawBox); ok {
+		bb.draw, bb.table = d, blackbox.NewDrawTable(d.Draws(), d.Draw)
+	}
+	return bb, nil
 }
 
 // MustBindBox is BindBox, panicking on error.

@@ -95,8 +95,8 @@ func TestColumnarSingleVGAllocsPerWorld(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
 	// The fresh-lane model query (SELECT DemandModel(@w, 52)): the
-	// whole block goes through one bulk kernel dispatch, so the run
-	// cost is dominated by the fixed result machinery.
+	// whole block is one Apply of the call site's draw table, so the
+	// run cost is dominated by the fixed result machinery.
 	const worlds = 1000
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())
@@ -167,7 +167,7 @@ func TestAggregateReusesArgumentColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &BlockCtx{}
-	ctx.reset(worldSeeds(0x5161, worlds), map[string]float64{"week": 40}, nil)
+	ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, nil)
 	if _, err := plan.ExecuteBlock(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,11 @@ func TestOperatorBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := worldSeeds(0x5161, 64)
 	params := map[string]float64{"week": 40}
 	ctx := &BlockCtx{}
 	var out *BlockTable
 	run := func() {
-		ctx.reset(seeds, params, nil)
+		ctx.reset(0x5161, 0, 64, params, nil)
 		if out, err = plan.ExecuteBlock(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -219,10 +218,9 @@ func TestOperatorBlockAllocs(t *testing.T) {
 // plan at the given world count.
 func blockAllocs(t *testing.T, plan Plan, params map[string]float64, worlds int) float64 {
 	t.Helper()
-	seeds := worldSeeds(0x5161, worlds)
 	ctx := &BlockCtx{}
 	run := func() {
-		ctx.reset(seeds, params, nil)
+		ctx.reset(0x5161, 0, worlds, params, nil)
 		if _, err := plan.ExecuteBlock(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -23,12 +23,12 @@ import (
 // reference_test.go) for any block size and any worker count.
 
 // runFlags carries cross-block, cross-worker execution hints. The
-// fresh-stream fast lane (dispatching a VG column to BlockBox kernels
-// while world generators are still unseeded) costs a per-world replay
-// when a later draw forces materialization; once one block observes
-// that, later blocks skip the lane. The flag is purely a performance
-// hint — both lanes are bit-identical — so a benign race between
-// workers is acceptable.
+// fresh-stream fast lane (applying a VG column's draws from its call
+// site's draw table while world generators are still unseeded) costs
+// a per-world replay when a later draw forces materialization; once
+// one block observes that, later blocks skip the lane. The flag is
+// purely a performance hint — both lanes are bit-identical — so a
+// benign race between workers is acceptable.
 type runFlags struct {
 	freshOff atomic.Bool
 }
@@ -43,15 +43,19 @@ type deferredDraw struct {
 	args []float64
 }
 
-// BlockCtx carries per-block evaluation state: the block's world
+// BlockCtx carries per-block evaluation state: the block's world ids,
 // seeds and generators, the parameter bindings, and the scratch arena
 // every operator allocates from. A BlockCtx is single-goroutine state;
 // the worlds layer pools one per worker.
 type BlockCtx struct {
 	// W is the number of worlds in this block.
 	W int
-	// Seeds holds the block's world seeds (σ_lo … σ_hi−1).
-	Seeds []uint64
+	// Master is the run's master seed, and IDs holds the block's world
+	// ids lo … hi−1: world w of a run is sample w, so Seeds[i] is
+	// rng.SampleSeed(Master, IDs[i]).
+	Master uint64
+	IDs    []int
+	Seeds  []uint64
 	// Rands holds the per-world generators; they are materialized
 	// lazily (see materialize) so blocks whose only draws go through
 	// the fresh-stream fast lane never seed them at all.
@@ -88,11 +92,17 @@ type BlockCtx struct {
 	maskListsUsed int
 }
 
-// reset prepares the context for a new block over seeds (one world
-// per seed), reusing all scratch capacity.
-func (c *BlockCtx) reset(seeds []uint64, params map[string]float64, flags *runFlags) {
-	c.W = len(seeds)
-	c.Seeds = seeds
+// reset prepares the context for the block of master's worlds lo to
+// lo+n−1, reusing all scratch capacity.
+func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, flags *runFlags) {
+	c.W = n
+	c.Master = master
+	c.IDs = slices.Grow(c.IDs[:0], n)[:n]
+	for i := range c.IDs {
+		c.IDs[i] = lo + i
+	}
+	c.Seeds = slices.Grow(c.Seeds[:0], n)[:n]
+	rng.FillSeeds(master, lo, c.Seeds)
 	c.Params = params
 	c.live = false
 	c.deferred.box = nil
@@ -140,9 +150,9 @@ func (c *BlockCtx) freshLaneOpen() bool {
 	return !c.live && c.deferred.box == nil && (c.flags == nil || !c.flags.freshOff.Load())
 }
 
-// noteFreshDraw records that out was produced by box's BlockBox
-// kernel against the fresh world seeds, deferring the stream-state
-// update until someone needs live generators.
+// noteFreshDraw records that box's draws at args were applied from
+// its draw table against the fresh world seeds, deferring the
+// stream-state update until someone needs live generators.
 func (c *BlockCtx) noteFreshDraw(box blackbox.Box, args []float64) {
 	c.deferred.box = box
 	c.deferred.args = append(c.deferred.args[:0], args...)

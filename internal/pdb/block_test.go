@@ -8,8 +8,7 @@ import "testing"
 // and a block that fits in the chunks already held allocates nothing.
 func TestBlockCtxReusesRowChunks(t *testing.T) {
 	ctx := &BlockCtx{}
-	seeds := make([]uint64, 4)
-	ctx.reset(seeds, nil, nil)
+	ctx.reset(0, 0, 4, nil, nil)
 	a := ctx.newRow(3)
 	b := ctx.newRow(1000) // still fits the first 1024-slot chunk
 	ctx.newRow(50)        // opens a second chunk
@@ -27,7 +26,7 @@ func TestBlockCtxReusesRowChunks(t *testing.T) {
 		t.Fatalf("first block holds %d chunks, want 3", len(ctx.rowChunks))
 	}
 
-	ctx.reset(seeds, nil, nil)
+	ctx.reset(0, 0, 4, nil, nil)
 	if got := ctx.newRow(3); &got[0] != &a[0] {
 		t.Fatal("reset block did not start on the first chunk")
 	}
@@ -41,7 +40,7 @@ func TestBlockCtxReusesRowChunks(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
-		ctx.reset(seeds, nil, nil)
+		ctx.reset(0, 0, 4, nil, nil)
 		ctx.newRow(3)
 		ctx.newRow(1000)
 		ctx.newRow(50)

@@ -17,8 +17,8 @@ import (
 // (reference_test.go) produces — cells, key rows, schema, everything.
 // These tests pin that across a query zoo covering every built-in
 // operator and the interesting randomness disciplines (fresh-lane
-// kernel dispatch, bound draws on live streams, branch-masked draws,
-// world-varying selections).
+// draws from a call site's table, bound draws on live streams,
+// branch-masked draws, world-varying selections).
 
 var columnarBlockSizes = []int{1, 7, 256, 1000}
 var columnarWorkers = []int{1, 4}
@@ -81,17 +81,18 @@ func vgExtendPlan(t *testing.T, db *DB, base Plan, name string) *ExtendPlan {
 }
 
 func TestColumnarSingleVG(t *testing.T) {
-	// The fresh-lane case: one VG draw per world dispatches to the
-	// BlockBox kernel (bulk FillNormal) with no stream materialization.
+	// The fresh-lane case: one VG draw per world applies its draw
+	// vectors from the call site's table with no stream
+	// materialization.
 	db := columnarDB(t)
 	plan := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
 }
 
 func TestColumnarMultiVGWithCase(t *testing.T) {
-	// Two draws per world: the fresh-lane kernel result must be
-	// replayed into live streams before the second draw, and the CASE
-	// must combine both columns.
+	// Two draws per world: the fresh-lane draw must be replayed into
+	// live streams before the second draw, and the CASE must combine
+	// both columns.
 	db := columnarDB(t)
 	ext1 := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	capacity := mustBind(t,
@@ -111,8 +112,39 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
-// countingBox is a model with neither a BlockBox kernel nor a
-// PointBox binding that counts its Eval calls.
+// TestFreshLaneAcrossMasterSeeds: one plan run under master seed A,
+// then B, then A again, at one worker and two, returns each run what a
+// freshly built plan and the oracle return: a run under a new master
+// replaces the call site's draw table rather than reading another
+// master's draws.
+func TestFreshLaneAcrossMasterSeeds(t *testing.T) {
+	db := columnarDB(t)
+	params := map[string]float64{"week": 20}
+	plan := vgExtendPlan(t, db, ValuesPlan{}, "demand")
+	for _, workers := range []int{1, 2} {
+		for _, master := range []uint64{0xA, 0xB, 0xA} {
+			opts := WorldsOptions{Worlds: 700, MasterSeed: master, Workers: workers}
+			got, err := RunDistribution(plan, params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := RunDistribution(vgExtendPlan(t, db, ValuesPlan{}, "demand"), params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := refDistribution(plan, params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, fresh) || !reflect.DeepEqual(got, ref) {
+				t.Fatalf("workers %d, master %#x: the reused plan's answer differs from a fresh plan's or the oracle's", workers, master)
+			}
+		}
+	}
+}
+
+// countingBox is a model with neither a DrawBox table nor a PointBox
+// binding that counts its Eval calls.
 type countingBox struct{ evals *atomic.Int64 }
 
 func (countingBox) Name() string { return "Counted" }
@@ -123,11 +155,10 @@ func (b countingBox) Eval(args []float64, r *rng.Rand) float64 {
 }
 
 // TestScalarFirstVGEvaluatesOncePerWorld: the fresh lane opens only for
-// a native BlockBox kernel, so in a one-block query whose first VG
-// column has none and whose second forces live streams, the first box
-// runs once per world — not once in the lane and again when the
-// second column's materialize replays it — and the answer still
-// matches the oracle.
+// a DrawBox, so in a one-block query whose first VG column is none and
+// whose second forces live streams, the first box runs once per world
+// — not once in the lane and again when the second column's
+// materialize replays it — and the answer still matches the oracle.
 func TestScalarFirstVGEvaluatesOncePerWorld(t *testing.T) {
 	const worlds = 200
 	evals := new(atomic.Int64)

@@ -577,18 +577,23 @@ func bindScalarCall(fn func([]float64) float64, args []BoundExpr) BoundExpr {
 // bindVGCall is where the block pipeline pays off: the argument
 // columns of a data-dependent model are uniform across worlds (they
 // come from stored tables and parameters), so the argument decode
-// happens once per row-block and the draws go through a kernel — a
-// native BlockBox kernel (bulk rng fills) while the world streams are
-// untouched (first draw of each world), otherwise a PointBox bound
-// into the context's scratch and drawn on the live streams by one
-// EvalBound call — instead of W interface dispatches. Any other box,
-// and arguments that vary by world, take a per-world Eval loop.
+// happens once per row-block, and a PointBox binds them once into the
+// context's scratch and draws every world by one call instead of W
+// interface dispatches. While the world streams are untouched (the
+// first draw of each world) a DrawBox applies each world's draw vector
+// from the call site's DrawTable, world w being sample w; otherwise
+// one EvalBound call draws the live streams. Any other box, and
+// arguments that vary by world, take a per-world Eval loop.
 func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
-	block, _ := box.(blackbox.BlockBox)
 	point, _ := box.(blackbox.PointBox)
+	draw, _ := box.(blackbox.DrawBox)
 	boundLen := 0
 	if point != nil {
 		boundLen = point.BoundLen()
+	}
+	var table *blackbox.DrawTable
+	if draw != nil {
+		table = blackbox.NewDrawTable(draw.Draws(), draw.Draw)
 	}
 	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
@@ -607,22 +612,21 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 					return nil, err
 				}
 			}
-			if block != nil && cur == nil && ctx.freshLaneOpen() {
-				// First draw of every world in the block: a freshly
-				// seeded generator per world is exactly what BlockBox
-				// kernels amortize, so dispatch straight to them (for
-				// Demand this is one bulk FillNormal over the block).
-				// A box without a kernel would gain nothing here, and
-				// a later draw would make materialize replay it.
-				dst := ctx.floatVec(nil)
-				block.EvalBlock(argv, dst.f, ctx.Seeds)
-				ctx.noteFreshDraw(box, argv)
-				return dst, nil
-			}
 			if point != nil {
 				dst := ctx.floatVec(cur)
-				ctx.materialize()
 				point.Bind(argv, state)
+				if table != nil && cur == nil && ctx.freshLaneOpen() {
+					// First draw of every world in the block: a freshly
+					// seeded generator per world draws exactly the
+					// table's vector, so apply the block from it. A
+					// later draw makes materialize replay this one.
+					if vals, all := table.Load(ctx.Master, ctx.IDs); all {
+						draw.Apply(state, vals, table.Width(), ctx.IDs, dst.f)
+						ctx.noteFreshDraw(box, argv)
+						return dst, nil
+					}
+				}
+				ctx.materialize()
 				point.EvalBound(state, dst.f, ctx.Rands, cur)
 				return dst, nil
 			}

@@ -21,18 +21,17 @@ func evalExpr(t *testing.T, src string, s Schema, row Row, params map[string]flo
 	return v
 }
 
-// oneWorldCtx returns a block context holding the single world seeded
-// by seed.
-func oneWorldCtx(seed uint64, params map[string]float64) *BlockCtx {
+// oneWorldCtx returns a block context holding world 0 of master, which
+// draws from rng.SampleSeed(master, 0).
+func oneWorldCtx(master uint64, params map[string]float64) *BlockCtx {
 	ctx := &BlockCtx{}
-	ctx.reset([]uint64{seed}, params, nil)
+	ctx.reset(master, 0, 1, params, nil)
 	return ctx
 }
 
-// evalWorld evaluates a bound expression on row in a one-world block
-// seeded by seed.
-func evalWorld(b BoundExpr, row Row, params map[string]float64, seed uint64) (Value, error) {
-	return evalIn(oneWorldCtx(seed, params), b, row)
+// evalWorld evaluates a bound expression on row in world 0 of master.
+func evalWorld(b BoundExpr, row Row, params map[string]float64, master uint64) (Value, error) {
+	return evalIn(oneWorldCtx(master, params), b, row)
 }
 
 // evalIn evaluates b on row (as uniform columns) in ctx's first world.
@@ -90,7 +89,7 @@ func TestParamReadsBlockParams(t *testing.T) {
 	b := mustBind(t, "@a - @b", Schema{}, nil)
 	ctx := &BlockCtx{}
 	for _, params := range []map[string]float64{{"a": 5, "b": 2}, {"a": 1, "b": 4}} {
-		ctx.reset([]uint64{1}, params, nil)
+		ctx.reset(1, 0, 1, params, nil)
 		v, err := evalIn(ctx, b, Row{})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +98,7 @@ func TestParamReadsBlockParams(t *testing.T) {
 			t.Fatalf("@a - @b with %v = %v, want %v", params, v, want)
 		}
 	}
-	ctx.reset([]uint64{1}, map[string]float64{"a": 1}, nil)
+	ctx.reset(1, 0, 1, map[string]float64{"a": 1}, nil)
 	if _, err := evalIn(ctx, b, Row{}); err == nil || !strings.Contains(err.Error(), "@b") {
 		t.Fatalf("unbound @b: err = %v", err)
 	}
@@ -225,7 +224,7 @@ func TestThreeValuedLogic(t *testing.T) {
 		}
 		// World 3i+j holds the pair (vals[i], vals[j]).
 		ctx := &BlockCtx{}
-		ctx.reset(make([]uint64, 9), nil, nil)
+		ctx.reset(0, 0, 9, nil, nil)
 		row := ctx.newRow(2)
 		row[0], row[1] = ctx.lanesVec(), ctx.lanesVec()
 		for w := 0; w < 9; w++ {
@@ -357,7 +356,7 @@ func TestVGCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := blackbox.NewDemand().Eval([]float64{10, 52}, rng.New(5))
+	want := blackbox.NewDemand().Eval([]float64{10, 52}, rng.New(rng.SampleSeed(5, 0)))
 	f, _ := v.AsFloat()
 	if f != want {
 		t.Fatalf("VG call = %g, want %g", f, want)
@@ -388,7 +387,7 @@ func TestVGCallNullArgSkipsInvocation(t *testing.T) {
 	// Materializing replays any draw the call made; an untouched
 	// stream is exactly a freshly seeded generator.
 	ctx.materialize()
-	if ctx.Rands[0].State() != rng.New(1).State() {
+	if ctx.Rands[0].State() != rng.New(rng.SampleSeed(1, 0)).State() {
 		t.Fatal("NULL-arg call consumed randomness")
 	}
 }

@@ -272,7 +272,7 @@ func TestAggregatePlanFoldsPerWorldMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &BlockCtx{}
-	ctx.reset([]uint64{1, 2, 3}, nil, nil)
+	ctx.reset(1, 0, 3, nil, nil)
 	bt, err := plan.ExecuteBlock(ctx)
 	if err != nil {
 		t.Fatal(err)

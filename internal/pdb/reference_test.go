@@ -81,7 +81,6 @@ func refDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 	if err != nil {
 		return nil, err
 	}
-	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
 	var outs []*blockOut
 	for lo := 0; lo < opts.Worlds; lo += opts.BlockWorlds {
 		hi := lo + opts.BlockWorlds
@@ -90,7 +89,7 @@ func refDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 		}
 		tables := make([]*Table, hi-lo)
 		for lane := range tables {
-			if tables[lane], err = refRun(plan, params, seeds[lo+lane]); err != nil {
+			if tables[lane], err = refRun(plan, params, rng.SampleSeed(opts.MasterSeed, lo+lane)); err != nil {
 				return nil, fmt.Errorf("pdb: world %d: %w", lo+lane, err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"jigsaw/internal/pool"
-	"jigsaw/internal/rng"
 	"jigsaw/internal/stats"
 )
 
@@ -214,15 +213,15 @@ func (o *blockOut) key(k, c, ncols int, v Value) {
 	o.keys[k][c] = v
 }
 
-// runBlock executes one world block.
-func runBlock(plan Plan, params map[string]float64, seeds []uint64, lo int, flags *runFlags) *blockOut {
+// runBlock executes the block of master's worlds lo to hi−1.
+func runBlock(plan Plan, params map[string]float64, master uint64, lo, hi int, flags *runFlags) *blockOut {
 	out := blockOutPool.Get()
 	out.reset(lo)
 	bctx := blockCtxPool.Get()
-	bctx.reset(seeds, params, flags)
+	bctx.reset(master, lo, hi-lo, params, flags)
 	bt, err := plan.ExecuteBlock(bctx)
 	if err != nil {
-		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, lo+len(seeds)-1, err)
+		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, hi-1, err)
 	} else {
 		out.fold(bt, bctx)
 	}
@@ -234,7 +233,6 @@ func runBlock(plan Plan, params map[string]float64, seeds []uint64, lo int, flag
 // worker pool, and returns the outputs in block order (the first
 // failing block's error wins, deterministically).
 func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blockOut, error) {
-	seeds := worldSeeds(opts.MasterSeed, opts.Worlds)
 	bw := opts.BlockWorlds
 	nblocks := 0
 	if opts.Worlds > 0 {
@@ -244,11 +242,7 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 	flags := &runFlags{}
 	if err := pool.ForWorker(nblocks, opts.Workers, func(_, b int) {
 		lo := b * bw
-		hi := lo + bw
-		if hi > opts.Worlds {
-			hi = opts.Worlds
-		}
-		outs[b] = runBlock(plan, params, seeds[lo:hi], lo, flags)
+		outs[b] = runBlock(plan, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds), flags)
 	}); err != nil {
 		// A panicking block: the pool stopped early, so some blocks
 		// never ran.
@@ -333,14 +327,4 @@ func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
 		dist.Cells[k] = cells[k*ncols : (k+1)*ncols : (k+1)*ncols]
 	}
 	return dist, nil
-}
-
-// worldSeeds returns one seed per world: world k draws from
-// rng.SampleSeed(master, k), the seed the mc engine gives sample k, so
-// world k of a PDB run and sample k of an engine run observe identical
-// randomness.
-func worldSeeds(master uint64, n int) []uint64 {
-	seeds := make([]uint64, n)
-	rng.FillSeeds(master, 0, seeds)
-	return seeds
 }

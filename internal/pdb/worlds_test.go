@@ -248,11 +248,14 @@ func TestDistributionCellRowsAreDisjoint(t *testing.T) {
 
 func TestWorldSeedsAlignWithEngineSeeds(t *testing.T) {
 	// World k and engine sample k must share a seed so PDB-layer and
-	// engine-layer results are comparable under one master seed.
-	seeds := worldSeeds(42, 16)
-	for k, seed := range seeds {
-		if seed != rng.SampleSeed(42, k) {
-			t.Fatalf("world seed %d diverges from sample seed %d", k, k)
+	// engine-layer results are comparable under one master seed; a
+	// block of worlds 5 to 20 seeds world k as sample k.
+	var ctx BlockCtx
+	ctx.reset(42, 5, 16, nil, nil)
+	for i, seed := range ctx.Seeds {
+		if k := ctx.IDs[i]; k != 5+i || seed != rng.SampleSeed(42, k) {
+			t.Fatalf("world %d of the block is world %d with seed %#x, want world %d with sample seed %#x",
+				i, k, seed, 5+i, rng.SampleSeed(42, 5+i))
 		}
 	}
 	_ = stats.Summary{} // document the stats linkage used elsewhere
