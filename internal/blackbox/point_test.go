@@ -189,3 +189,20 @@ func TestEvalBoundLengthMismatchPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestBindArityPanics: Bind, which mc's BoundBox and the PDB call
+// without Eval, panics on a wrong arity as Eval does.
+func TestBindArityPanics(t *testing.T) {
+	for _, b := range []PointBox{NewDemand(), NewCapacity(), NewUserSelection(4, 1), UserUsage{}} {
+		for _, n := range []int{b.Arity() - 1, b.Arity() + 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: Bind of %d args did not panic", b.Name(), n)
+					}
+				}()
+				b.Bind(make([]float64, n), make([]float64, b.BoundLen()))
+			}()
+		}
+	}
+}
