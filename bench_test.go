@@ -358,7 +358,7 @@ func BenchmarkAblationValidation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := mc.MustNew(mc.Options{
 					Samples: benchSamples, FingerprintLen: benchM, MasterSeed: benchSeed,
-					Reuse: true, Workers: 1, KeepSamples: true, ValidationSamples: v,
+					Reuse: true, Workers: 1, ValidationSamples: v,
 				})
 				for w := 0.0; w <= 259; w++ {
 					eng.EvaluatePoint(ev, []float64{w, 300}) // current_week, feature_release

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -129,21 +130,38 @@ func drawBlocks(ev mc.PointEval, p []float64, master uint64, ids []int, bs int) 
 }
 
 // drawColumns draws all k outputs of ev at the value row p over
-// master's samples ids in blocks of bs.
+// master's samples ids in blocks of bs. A block's ids go to ev
+// ascending, as the PointEval contract asks, and each output lands at
+// its id's position in ids, so ids need not ascend.
 func drawColumns(ev mc.PointEval, k int, p []float64, master uint64, ids []int, bs int) [][]float64 {
 	outs := make([][]float64, k)
+	blk := make([][]float64, k)
 	for c := range outs {
 		outs[c] = make([]float64, len(ids))
+		blk[c] = make([]float64, min(bs, len(ids)))
 	}
 	bound := ev.BindPoint(p, nil)
 	var r rng.Rand
-	blk := make([][]float64, len(outs))
+	var order, sorted []int
 	for lo := 0; lo < len(ids); lo += bs {
 		hi := min(lo+bs, len(ids))
-		for c := range outs {
-			blk[c] = outs[c][lo:hi]
+		order, sorted = order[:0], sorted[:0]
+		for pos := lo; pos < hi; pos++ {
+			order = append(order, pos)
 		}
-		ev.EvalBlockBound(bound, blk, master, ids[lo:hi], &r)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+		for _, pos := range order {
+			sorted = append(sorted, ids[pos])
+		}
+		for c := range blk {
+			blk[c] = blk[c][:hi-lo]
+		}
+		ev.EvalBlockBound(bound, blk, master, sorted, &r)
+		for c := range outs {
+			for j, pos := range order {
+				outs[c][pos] = blk[c][j]
+			}
+		}
 	}
 	return outs
 }
@@ -217,7 +235,7 @@ func drawOpts(master uint64, workers int) mc.Options {
 	return mc.Options{
 		Samples: 300, FingerprintLen: 10, MasterSeed: master,
 		Reuse: true, Index: mc.IndexNormalization, Workers: workers,
-		ValidationSamples: 16, KeepSamples: true,
+		ValidationSamples: 16,
 	}
 }
 

@@ -55,7 +55,8 @@ func (g goldenHash) floats(vs ...float64) {
 func (g goldenHash) sum() string { return hex.EncodeToString(g.h.Sum(nil)) }
 
 // goldenIDs are 400 scattered ids below the draw table's bound top and
-// ids on both sides of it.
+// ids on both sides of it, in no order: drawColumns hands each block
+// to ColumnEval ascending.
 func goldenIDs(top int) []int {
 	return append(sampleIDs(400), top-2, top+1, top-1, top, 2*top+5)
 }
@@ -180,15 +181,21 @@ func TestGoldenRows(t *testing.T) {
 			}
 			ids := goldenIDs(top)
 			for name, reg := range regs {
-				s, err := CompileScenario(script, reg)
-				if err != nil {
-					t.Fatal(err)
+				compile := func() *Scenario {
+					s, err := CompileScenario(script, reg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
 				}
+				// A fresh Scenario per block size: each starts from an
+				// empty draw table.
 				for _, bs := range []int{1, 7, 256, 1000} {
-					if got := columnDigest(t, s, ids, bs); got != tc.columns {
+					if got := columnDigest(t, compile(), ids, bs); got != tc.columns {
 						t.Errorf("%s, block size %d: ColumnEval digest %s, want %s", name, bs, got, tc.columns)
 					}
 				}
+				s := compile()
 				for _, workers := range []int{1, 2} {
 					if got := sweepDigest(t, s, workers); got != tc.sweep {
 						t.Errorf("%s, workers %d: SweepColumns digest %s, want %s", name, workers, got, tc.sweep)

@@ -88,8 +88,7 @@ func TestGraphReuseMatchesNaiveGraph(t *testing.T) {
 	}
 	fixed := param.Point{"purchase1": 4, "purchase2": 20, "feature_release": 36}
 	withReuse, err := RunGraph(s, script.Graph, fixed,
-		mc.Options{Samples: 150, Reuse: true, Workers: 1,
-			KeepSamples: true, ValidationSamples: 140})
+		mc.Options{Samples: 150, Reuse: true, Workers: 1, ValidationSamples: 140})
 	if err != nil {
 		t.Fatal(err)
 	}

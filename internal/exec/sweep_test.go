@@ -140,7 +140,7 @@ func TestColumnSweepMatchesPerColumnEngines(t *testing.T) {
 					opts := mc.Options{
 						Samples: 300, FingerprintLen: 10, MasterSeed: 0x5161,
 						Reuse: reuse, Index: mc.IndexNormalization, Workers: workers,
-						ValidationSamples: validation, KeepSamples: validation > 0,
+						ValidationSamples: validation,
 					}
 					name := fmt.Sprintf("%v/workers=%d/reuse=%v/validation=%d", names, workers, reuse, validation)
 					t.Run(name, func(t *testing.T) {

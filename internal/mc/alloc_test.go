@@ -1,7 +1,7 @@
 package mc
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
 
 	"jigsaw/internal/blackbox"
@@ -48,29 +48,70 @@ func TestFullSimulationScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
-	// Unless a basis payload keeps the sample vector, the
-	// block-pipeline cold path must be allocation-free at steady
-	// state: sample blocks, id blocks, bound arguments and the
-	// accumulator all come from pooled scratch. KeepSamples without
-	// Reuse keeps no vector, so it draws into scratch too (a fresh
-	// vector would be 1 per point). Budget 0: the scratch outlives a
-	// GC in the pool's victim cache, and AllocsPerRun floors the mean.
-	for _, keep := range []bool{false, true} {
-		t.Run(fmt.Sprintf("KeepSamples=%v", keep), func(t *testing.T) {
-			e := MustNew(Options{
-				Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
-				Reuse: false, KeepSamples: keep, Workers: 1,
-			})
-			ev := bindNames(blackbox.NewDemand(), "week", "feature")
-			p := []float64{30, 52}
-			e.EvaluatePoint(ev, p) // warm the pool
-			allocs := testing.AllocsPerRun(20, func() {
-				e.EvaluatePoint(ev, p)
-			})
-			if allocs != 0 {
-				t.Errorf("full simulation allocates %.1f per point, want 0", allocs)
-			}
-		})
+	// The block-pipeline cold path must be allocation-free at steady
+	// state: sample vectors, id blocks, bound arguments and the
+	// accumulator all come from pooled scratch. Budget 0: the scratch
+	// outlives a GC in the pool's victim cache, and AllocsPerRun floors
+	// the mean.
+	e := MustNew(Options{
+		Samples: 1000, FingerprintLen: 10, MasterSeed: 0x5161,
+		Reuse: false, Workers: 1,
+	})
+	ev := bindNames(blackbox.NewDemand(), "week", "feature")
+	p := []float64{30, 52}
+	e.EvaluatePoint(ev, p) // warm the pool
+	allocs := testing.AllocsPerRun(20, func() {
+		e.EvaluatePoint(ev, p)
+	})
+	if allocs != 0 {
+		t.Errorf("full simulation allocates %.1f per point, want 0", allocs)
+	}
+}
+
+// TestValidatingSweepBasisAllocs pins that the bytes a validating
+// sweep allocates per basis it registers do not grow with the sample
+// count: a basis retains its m+v-row prefix, and the rest of its
+// simulation lives in pooled scratch. Every measured point is a class
+// of its own, so each registers a basis; a first sweep over other
+// classes warms the scratches.
+func TestValidatingSweepBasisAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
+	}
+	const points = 512
+	ev := MustBindBox(blackbox.NewSynthBasis(1<<20), synthSpace(t, 2*points), "point_index")
+	rows := func(lo int) [][]float64 {
+		rows := make([][]float64, points)
+		for i := range rows {
+			rows[i] = []float64{float64(lo + i)}
+		}
+		return rows
+	}
+	perBasis := func(samples int) float64 {
+		opts := sweepOptions(2)
+		opts.Samples = samples
+		opts.Index = IndexNormalization
+		opts.ValidationSamples = 64
+		eng := MustNew(opts)
+		if _, _, err := eng.SweepBatch(ev, rows(points)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, st, err := eng.SweepBatch(ev, rows(0))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Store.Bases != points {
+			t.Fatalf("%d samples: %d bases registered, want %d", samples, st.Store.Bases, points)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / points
+	}
+	small, large := perBasis(1000), perBasis(8000)
+	t.Logf("%.0f bytes per basis at 1000 samples, %.0f at 8000", small, large)
+	if large > 1.25*small {
+		t.Errorf("%.0f bytes per basis at 8000 samples vs %.0f at 1000: a basis' footprint grows with the sample count", large, small)
 	}
 }
 

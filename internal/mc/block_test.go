@@ -158,7 +158,7 @@ func TestValidationBlockSizeInvariance(t *testing.T) {
 	ev := MustBindBox(blackbox.NewDemand(), space, "current_week", "feature_release")
 	base := Options{
 		Samples: 200, FingerprintLen: 10, MasterSeed: 0x5161,
-		Reuse: true, KeepSamples: true, ValidationSamples: 16, Workers: 1,
+		Reuse: true, ValidationSamples: 16, Workers: 1,
 	}
 	ref := MustNew(base)
 	refRes, refStats, err := ref.Sweep(ev)

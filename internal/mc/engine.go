@@ -200,9 +200,9 @@ type Options struct {
 	// Class is the mapping class; its zero value is the paper's
 	// linear class with identical constants matched via identity.
 	Class core.LinearClass
-	// KeepSamples retains each basis' sample vector in its payload
-	// (with Reuse). Reuse with ValidationSamples > 0 retains them
-	// whatever KeepSamples says, and Options reports it set.
+	// KeepSamples is ignored: a basis retains the rows match
+	// validation reads and no others (see BasisPayload.Samples). The
+	// field stays declared only for callers that still set it.
 	KeepSamples bool
 	// ValidationSamples extends every successful fingerprint match
 	// with that many additional paired samples before trusting it —
@@ -214,9 +214,9 @@ type Options struct {
 	// Samples−FingerprintLen). Every point draws them with its
 	// fingerprint, as its prefix, so the cost is v extra rounds per
 	// reused point, and a point that is simulated after all keeps them
-	// as its samples. With Reuse, bases retain their seed-aligned
-	// sample vectors to compare against. 0 (the default) reproduces the
-	// paper's behavior exactly.
+	// as its samples. With Reuse, each basis retains its first m+v
+	// rounds to compare against, not all Samples. 0 (the default)
+	// reproduces the paper's behavior exactly.
 	ValidationSamples int
 	// Workers is the number of goroutines a sweep spreads its points
 	// over, the calling goroutine included; 0 means GOMAXPROCS, 1 runs
@@ -261,9 +261,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Reuse && o.ValidationSamples > 0 {
-		o.KeepSamples = true // validation compares against them
-	}
 	return o, nil
 }
 
@@ -280,16 +277,17 @@ func (o Options) newIndex() core.Index {
 }
 
 // BasisPayload is what the engine stores with each basis distribution:
-// the summary metrics plus (optionally) the raw samples behind them.
+// the summary metrics plus, when the engine validates matches, the
+// first rows of the samples behind them.
 type BasisPayload struct {
 	// Summary holds the estimator output oi for the basis point.
 	Summary stats.Summary
-	// Samples holds the basis' seed-aligned draws when the engine's
-	// effective Options.KeepSamples is set (always, when it validates);
-	// validation compares matches against them. The vector is set at
-	// registration, its first w rows the owner point's prefix; while
-	// the payload is pending its other rows are the owner's simulation
-	// in progress.
+	// Samples holds the basis' seed-aligned rounds 0 to m+v−1, its
+	// owner point's prefix, when the engine validates (Reuse with
+	// ValidationSamples > 0), and is nil otherwise: validation compares
+	// matches on rounds m to m+v−1, and nothing reads later rounds. It
+	// is set at registration and never written afterwards, so it is
+	// final even while the payload is pending.
 	Samples []float64
 
 	// pending is nonzero between the engine registering the basis at a
@@ -310,7 +308,7 @@ func (p *BasisPayload) markPending() { p.pending.Store(1) }
 // preceding plain writes before any reader that observes Ready.
 func (p *BasisPayload) complete() { p.pending.Store(0) }
 
-// Ready reports whether the payload's Summary and Samples are final. A
+// Ready reports whether the payload's Summary is final. A
 // payload is not ready while the engine call that registered it is
 // still simulating its point; it stays not ready indefinitely if a
 // panicking evaluator abandoned the call mid-flight. The engine's match filters skip bases

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -255,34 +256,73 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestKeepSamplesPayload(t *testing.T) {
-	e := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: true, Workers: 1})
-	res, _ := e.EvaluatePoint(gaussEval, []float64{5})
-	basis, ok := e.Store().Get(res.BasisID)
-	if !ok {
-		t.Fatal("basis not stored")
-	}
-	payload := basis.Payload.(*BasisPayload)
-	if len(payload.Samples) != 64 {
-		t.Fatalf("payload samples = %d", len(payload.Samples))
-	}
-	// The retained samples are the ones the point's summary was taken
-	// over, and a later miss's simulation does not overwrite them.
-	want := append([]float64(nil), payload.Samples...)
-	square := funcEval(func(_ []float64, r *rng.Rand) float64 {
-		x := r.StdNormal()
-		return x * x
+// TestValidatingBasisRetainsWindow: a validating engine's basis
+// retains exactly its owner's prefix, rows 0 to w−1 (w = m+v), through
+// EvaluatePoint and through a pipelined sweep, and a later miss's
+// simulation leaves them alone; a non-validating engine's basis
+// retains nothing, whatever KeepSamples (ignored) says.
+func TestValidatingBasisRetainsWindow(t *testing.T) {
+	t.Run("EvaluatePoint", func(t *testing.T) {
+		e := MustNew(Options{Samples: 64, Reuse: true, ValidationSamples: 16, Workers: 1})
+		p := []float64{5}
+		res, _ := e.EvaluatePoint(gaussEval, p)
+		basis, ok := e.Store().Get(res.BasisID)
+		if !ok {
+			t.Fatal("basis not stored")
+		}
+		payload := basis.Payload.(*BasisPayload)
+		full := simulate(gaussEval, p, 0, 64)
+		if w := e.prefixLen(); w != 26 || !slices.Equal(payload.Samples, full[:w]) {
+			t.Fatalf("the basis retained %d samples, want its %d-row prefix exactly", len(payload.Samples), w)
+		}
+		if payload.Summary != res.Summary {
+			t.Fatalf("payload summary %+v, result %+v", payload.Summary, res.Summary)
+		}
+		want := slices.Clone(payload.Samples)
+		square := funcEval(func(_ []float64, r *rng.Rand) float64 {
+			x := r.StdNormal()
+			return x * x
+		})
+		if miss, _ := e.EvaluatePoint(square, p); miss.Reused {
+			t.Fatal("a squared normal matched the Gaussian basis")
+		}
+		if !slices.Equal(payload.Samples, want) {
+			t.Fatal("a later point overwrote the payload's samples")
+		}
 	})
-	if miss, _ := e.EvaluatePoint(square, []float64{5}); miss.Reused {
-		t.Fatal("a squared normal matched the Gaussian basis")
-	}
-	acc := stats.NewAccumulator()
-	acc.AddBlock(payload.Samples)
-	if got := acc.Summarize(); got != res.Summary || payload.Summary != res.Summary {
-		t.Fatalf("payload samples summarize to %+v, payload summary %+v, result %+v", got, payload.Summary, res.Summary)
-	}
-	if !slices.Equal(payload.Samples, want) {
-		t.Fatal("a later point overwrote the payload's samples")
+	t.Run("sweep", func(t *testing.T) {
+		opts := sweepOptions(4)
+		opts.ValidationSamples = 16
+		e := MustNew(opts)
+		ev := MustBindBox(blackbox.NewSynthBasis(16), synthSpace(t, 200), "point_index")
+		res, st, err := e.Sweep(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, misses := e.prefixLen(), 0
+		for i, r := range res {
+			if r.Reused {
+				continue
+			}
+			misses++
+			b, _ := e.Store().Get(r.BasisID)
+			p := []float64{float64(i)}
+			if got, want := b.Payload.(*BasisPayload).Samples, simulate(ev, p, opts.MasterSeed, w); !slices.Equal(got, want) {
+				t.Fatalf("point %d's basis retained %d samples, want its %d-row prefix exactly", i, len(got), w)
+			}
+		}
+		if misses != st.Store.Bases || st.Reused == 0 {
+			t.Fatalf("%d misses, %d bases, %d reused: want every miss a basis, and reuse", misses, st.Store.Bases, st.Reused)
+		}
+	})
+	for _, keep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("plain/KeepSamples=%v", keep), func(t *testing.T) {
+			plain := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: keep, Workers: 1})
+			res, _ := plain.EvaluatePoint(gaussEval, []float64{5})
+			if b, _ := plain.Store().Get(res.BasisID); b.Payload.(*BasisPayload).Samples != nil {
+				t.Errorf("a non-validating basis retained %d samples", len(b.Payload.(*BasisPayload).Samples))
+			}
+		})
 	}
 }
 
@@ -327,19 +367,36 @@ func TestEvaluatePointMapsSummary(t *testing.T) {
 	}
 }
 
+// simulate draws rounds 0 to n−1 of f at p under master through the
+// evaluator alone, in one block.
+func simulate(f PointEval, p []float64, master uint64, n int) []float64 {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	out := make([]float64, n)
+	var r rng.Rand
+	f.EvalBlockBound(f.BindPoint(p, nil), [][]float64{out}, master, ids, &r)
+	return out
+}
+
 func TestFingerprintIsPrefixOfSimulation(t *testing.T) {
 	// §3.1: the fingerprint is the first m simulation rounds, so a
-	// full simulation and the fingerprint agree on those samples.
-	e := MustNew(Options{Samples: 32, KeepSamples: true, Reuse: true, Workers: 1})
+	// full simulation and the fingerprint agree on those samples, and
+	// the engine's simulated point summarizes that simulation.
+	e := MustNew(Options{Samples: 32, Reuse: true, Workers: 1})
 	p := []float64{9}
 	fp := fingerprintOf(e, gaussEval, p)
-	res, _ := e.EvaluatePoint(gaussEval, p)
-	basis, _ := e.Store().Get(res.BasisID)
-	samples := basis.Payload.(*BasisPayload).Samples
+	samples := simulate(gaussEval, p, 0, 32)
 	for k := range fp {
 		if samples[k] != fp[k] {
 			t.Fatalf("sample %d = %g, fingerprint %g", k, samples[k], fp[k])
 		}
+	}
+	acc := stats.NewAccumulator()
+	acc.AddBlock(samples)
+	if res, _ := e.EvaluatePoint(gaussEval, p); res.Summary != acc.Summarize() {
+		t.Fatalf("simulated point %+v, want the simulation's %+v", res.Summary, acc.Summarize())
 	}
 }
 

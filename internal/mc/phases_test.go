@@ -58,7 +58,6 @@ func TestSweepPhasePanicLeavesEngineUsable(t *testing.T) {
 
 	base := sweepOptions(4)
 	validating := base
-	validating.KeepSamples = true
 	validating.ValidationSamples = v
 
 	for _, tc := range []struct {
@@ -138,7 +137,6 @@ func TestSweepReuseSteadyStateAllocs(t *testing.T) {
 		opts := sweepOptions(workers)
 		opts.Index = IndexNormalization
 		if validate {
-			opts.KeepSamples = true
 			opts.ValidationSamples = 16
 		}
 		eng := MustNew(opts)

@@ -21,9 +21,7 @@ import (
 type scratch struct {
 	// probe carries the store's candidate-id buffer.
 	probe core.ProbeScratch
-	// samples holds one full-simulation sample buffer per output,
-	// used unless a basis payload keeps the vector (Reuse with
-	// KeepSamples: decide allocates it with the payload).
+	// samples holds one full-simulation sample buffer per output.
 	samples [][]float64
 	// dsts is the per-output destination list handed to sampleRange.
 	dsts [][]float64

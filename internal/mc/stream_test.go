@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -142,18 +143,18 @@ func (g *gatedEval) overlapped() bool { return g.ownerOK.Load() && g.laterOK.Loa
 
 // TestSweepValidatesAgainstSimulatingOwner pins the one hazard of the
 // pipelined sweep: phase B validating a match on a pending basis while
-// the basis' owner fills the same payload in phase C1. Point 0 (risk
-// 0) registers the basis; the zero-risk points after it reuse it,
-// validated on its prefix rows; point 40 (risk 0.05, whose fingerprint
-// under seed 77 is all zeros too) matches it and is rejected by its
-// validation rows while point 0 is simulating. The results and
-// statistics must equal the EvaluatePoint loop's, and under -race the
-// concurrent reads and writes of the payload must not race. A run in
+// the basis' owner simulates in phase C1. Point 0 (risk 0) registers
+// the basis; the zero-risk points after it reuse it, validated on its
+// retained prefix; point 40 (risk 0.05, whose fingerprint under seed
+// 77 is all zeros too) matches it and is rejected by its validation
+// rows while point 0 is simulating. The results and statistics must
+// equal the EvaluatePoint loop's, and under -race the owner's
+// simulation must not race with the validation's reads. A run in
 // which the owner simulated on the deciding goroutine does not
 // overlap, so the test retries until one does.
 func TestSweepValidatesAgainstSimulatingOwner(t *testing.T) {
 	const n, later = 6 * chunk, 5 * chunk
-	opts := Options{Samples: 800, MasterSeed: 77, Reuse: true, KeepSamples: true, ValidationSamples: 128}
+	opts := Options{Samples: 800, MasterSeed: 77, Reuse: true, ValidationSamples: 128}
 	inner := funcEval(func(a []float64, r *rng.Rand) float64 {
 		if r.Bernoulli(a[0]) {
 			return 1
@@ -232,7 +233,17 @@ func TestSweepStreamAllocs(t *testing.T) {
 						}
 					}
 					sweep() // register the bases, warm the scratches
-					return testing.AllocsPerRun(5, sweep)
+					// The least of five one-run counts: a pooled scratch
+					// grows its buffers the first time its goroutine draws
+					// or simulates, which the scheduler may put off to any
+					// call (6 allocations in one run of five, now and
+					// then), while a per-call or per-point cost shows in
+					// every run.
+					least := math.Inf(1)
+					for range 5 {
+						least = min(least, testing.AllocsPerRun(1, sweep))
+					}
+					return least
 				}
 				small, large := perCall(256), perCall(4096)
 				t.Logf("%.1f allocations per call at 256 points, %.1f at 4096", small, large)

@@ -3,6 +3,7 @@ package mc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,16 +61,16 @@ import (
 // comparisons to phase B: an output's v validation targets are the
 // point's rows m to m+v−1, which depend on the point and the seeds
 // alone, so phase A draws them with the fingerprint. They are compared
-// against the rows the matched basis holds: the retained Samples of a
-// ready basis (a validating engine retains them whatever KeepSamples
-// says), or, while its simulation is still running, its owner's
-// prefix, which holds the same rows and which nothing writes until the
-// owner is emitted. The sweep's match filter admits its own pending
-// bases, by the owner token their payloads carry, and skips every
-// other call's. A miss keeps its whole prefix as the first w of its
-// samples, so no row is drawn twice. A hit maps from a basis whose
-// owner came earlier in the stream, so the owner has been emitted, and
-// its payload is complete, by the time the hit's turn comes.
+// against the rows the matched basis retained: a validating engine
+// gives each new basis a copy of its owner's prefix at registration,
+// and nothing writes that copy afterwards, so a pending basis
+// validates as a ready one does. The sweep's match filter admits its
+// own pending bases, by the owner token their payloads carry, and
+// skips every other call's. A miss keeps its whole prefix as the first
+// w of its samples, so no row is drawn twice. A hit maps from a basis
+// whose owner came earlier in the stream, so the owner has been
+// emitted, and its payload is complete, by the time the hit's turn
+// comes.
 //
 // Each goroutine owns one scratch for the whole sweep: the window's
 // prefixes fill one backing array held by the calling goroutine's
@@ -451,11 +452,11 @@ func (e *Engine) drawPrefixes(f PointEval, vals, prefixes []float64, k int, sc *
 // decide is phase B at one point: for each output c, one lookup in
 // stores[c] through accept, validated on the prefix's rows m to w−1,
 // then plans[c] either reuses the match or registers the point as a
-// basis pending until complete fills it. The pending payload is marked
-// with owner, and a payload that keeps samples gets its sample vector
-// here, the prefix its first w rows: a later point of the same call
-// validates against those rows while complete fills the rest. decide
-// calls no evaluator and tallies the decisions into st.
+// basis whose Summary stays pending until complete fills it. The
+// pending payload is marked with owner and, when the engine validates
+// (w > m), retains a copy of the prefix, the rows a later match is
+// validated on. decide calls no evaluator and tallies the decisions
+// into st.
 func (e *Engine) decide(stores []*core.Store, owner uint64, accept func(*core.Basis) bool, plans []pointPlan, prefixes []float64, sc *scratch, st *SweepStats) {
 	m, w := e.opts.FingerprintLen, e.prefixLen()
 	for c := range plans {
@@ -477,9 +478,8 @@ func (e *Engine) decide(stores []*core.Store, owner uint64, accept func(*core.Ba
 			}
 		}
 		payload := &BasisPayload{owner: owner}
-		if e.opts.KeepSamples {
-			payload.Samples = make([]float64, e.opts.Samples)
-			copy(payload.Samples, prefix)
+		if w > m {
+			payload.Samples = slices.Clone(prefix)
 		}
 		payload.markPending()
 		if basis, err := stores[c].Add(fp, payload); err == nil {
@@ -505,10 +505,9 @@ func (e *Engine) validateMatch(mapping core.Linear, basis, prefix []float64) boo
 }
 
 // complete is phase C1 at one point: it draws the point's remaining
-// rows w to n−1, once, for every output that missed there, fills the
-// bases their plans registered and writes their results to res[c]. An
-// output draws into its payload's sample vector when the payload keeps
-// one (its prefix is there already), into scratch otherwise.
+// rows w to n−1, once, for every output that missed there, into
+// scratch after its prefix, then fills the summaries of the bases
+// their plans registered and writes their results to res[c].
 func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefixes []float64, res []PointResult, sc *scratch) {
 	w := e.prefixLen()
 	dsts := sc.outputs(len(plans))
@@ -518,10 +517,6 @@ func (e *Engine) complete(f PointEval, vals []float64, plans []pointPlan, prefix
 			continue
 		}
 		need = true
-		if plan.basis != nil && e.opts.KeepSamples {
-			dsts[c] = plan.basis.Payload.(*BasisPayload).Samples
-			continue
-		}
 		dsts[c] = sc.floats(c, e.opts.Samples)
 		copy(dsts[c], prefixes[c*w:(c+1)*w])
 	}

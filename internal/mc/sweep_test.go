@@ -134,14 +134,12 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		{"reuse/norm", demand, func(o *Options) { o.Index = IndexNormalization }},
 		{"reuse/sid", demand, func(o *Options) { o.Index = IndexSortedSID }},
 		{"noreuse", demand, func(o *Options) { o.Reuse = false }},
-		{"keepsamples", demand, func(o *Options) { o.KeepSamples = true }},
-		{"validation", demand, func(o *Options) { o.KeepSamples = true; o.ValidationSamples = 16 }},
+		{"validation", demand, func(o *Options) { o.ValidationSamples = 16 }},
 		{"midsweep/array", synth, func(o *Options) { o.Index = IndexArray }},
 		{"midsweep/norm", synth, func(o *Options) { o.Index = IndexNormalization }},
 		{"midsweep/sid", synth, func(o *Options) { o.Index = IndexSortedSID }},
 		{"midsweep/validation", synth, func(o *Options) {
 			o.Index = IndexNormalization
-			o.KeepSamples = true
 			o.ValidationSamples = 16
 		}},
 		{"families/norm", families, func(o *Options) { o.Index = IndexNormalization }},

@@ -44,7 +44,7 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 	// With validation: the extra paired samples expose the mismatch
 	// and force a full simulation.
 	guarded := MustNew(Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
-		KeepSamples: true, ValidationSamples: 128})
+		ValidationSamples: 128})
 	guarded.EvaluatePoint(indicatorEval, []float64{0})
 	gr, _ := guarded.EvaluatePoint(indicatorEval, []float64{0.05})
 	if gr.Reused {
@@ -57,8 +57,7 @@ func TestValidationCatchesIndicatorFalsePositive(t *testing.T) {
 
 func TestValidationAcceptsTrueMatches(t *testing.T) {
 	// Genuinely affine reuse must survive validation untouched.
-	e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1,
-		KeepSamples: true, ValidationSamples: 64})
+	e := MustNew(Options{Samples: 400, Reuse: true, Workers: 1, ValidationSamples: 64})
 	e.EvaluatePoint(gaussEval, []float64{10})
 	r, _ := e.EvaluatePoint(gaussEval, []float64{30})
 	if !r.Reused {
@@ -66,31 +65,28 @@ func TestValidationAcceptsTrueMatches(t *testing.T) {
 	}
 }
 
-// TestValidationWithoutKeepSamples: ValidationSamples validates with
-// or without KeepSamples. The indicator false positive of
-// TestValidationCatchesIndicatorFalsePositive is rejected either way,
-// through EvaluatePoint and through a sweep, and the basis it was
-// checked against retains its samples.
+// TestValidationWithoutKeepSamples: ValidationSamples alone validates
+// matches. The indicator false positive of
+// TestValidationCatchesIndicatorFalsePositive is rejected through
+// EvaluatePoint and through a sweep, and the basis it was checked
+// against retains its first w = m+v = 138 samples, no more.
 func TestValidationWithoutKeepSamples(t *testing.T) {
 	points := [][]float64{{0}, {0.05}}
-	for _, keep := range []bool{true, false} {
-		opts := Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77,
-			KeepSamples: keep, ValidationSamples: 128}
-		e := MustNew(opts)
-		base, _ := e.EvaluatePoint(indicatorEval, points[0])
-		if risky, _ := e.EvaluatePoint(indicatorEval, points[1]); risky.Reused {
-			t.Errorf("KeepSamples=%v: EvaluatePoint trusted the false positive", keep)
-		}
-		if b, _ := e.Store().Get(base.BasisID); len(b.Payload.(*BasisPayload).Samples) != opts.Samples {
-			t.Errorf("KeepSamples=%v: the basis retained %d samples, want %d", keep, len(b.Payload.(*BasisPayload).Samples), opts.Samples)
-		}
-		res, st, err := MustNew(opts).SweepBatch(indicatorEval, points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[1].Reused || st.Store.Hits != 1 {
-			t.Errorf("KeepSamples=%v: the sweep reused %v after %d hits, want the one hit rejected", keep, res[1].Reused, st.Store.Hits)
-		}
+	opts := Options{Samples: 800, Reuse: true, Workers: 1, MasterSeed: 77, ValidationSamples: 128}
+	e := MustNew(opts)
+	base, _ := e.EvaluatePoint(indicatorEval, points[0])
+	if risky, _ := e.EvaluatePoint(indicatorEval, points[1]); risky.Reused {
+		t.Error("EvaluatePoint trusted the false positive")
+	}
+	if b, _ := e.Store().Get(base.BasisID); len(b.Payload.(*BasisPayload).Samples) != 138 {
+		t.Errorf("the basis retained %d samples, want 138", len(b.Payload.(*BasisPayload).Samples))
+	}
+	res, st, err := MustNew(opts).SweepBatch(indicatorEval, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1].Reused || st.Store.Hits != 1 {
+		t.Errorf("the sweep reused %v after %d hits, want the one hit rejected", res[1].Reused, st.Store.Hits)
 	}
 }
 
@@ -116,7 +112,7 @@ func TestValidationSweepDrawsEachRowOnce(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			eng := MustNew(Options{Samples: n, Reuse: true, Workers: workers, MasterSeed: 77,
-				KeepSamples: true, ValidationSamples: tc.validation})
+				ValidationSamples: tc.validation})
 			ce := &panicAtEval{inner: indicatorEval, at: -1}
 			res, st, err := eng.SweepBatch(ce, points)
 			if err != nil {
@@ -217,7 +213,6 @@ func TestSweepRowsMixedValidation(t *testing.T) {
 		o := sweepOptions(workers)
 		o.Samples = samples
 		o.Index = IndexNormalization
-		o.KeepSamples = true
 		o.ValidationSamples = validation
 		return o
 	}
@@ -306,7 +301,6 @@ func TestSweepRowsBindsOncePerPoint(t *testing.T) {
 			t.Run(fmt.Sprintf("validation=%d/workers=%d", validation, workers), func(t *testing.T) {
 				opts := sweepOptions(workers)
 				opts.Index = IndexNormalization
-				opts.KeepSamples = true
 				opts.ValidationSamples = validation
 				row := &countingRow{transformRow: transformRow{famModel, []string{"fam", "a", "b"}}, binds: map[string]int{}}
 				res, st, err := sweepRows(MustNew(opts), rowEval{row, []int{0, 1, 2}}, 3, points)

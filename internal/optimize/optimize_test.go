@@ -65,8 +65,7 @@ func testOpts() mc.Options {
 	// ValidationSamples guards the boolean overload column against the
 	// §6.2 false-positive mode (an all-zero fingerprint matching an
 	// all-zero basis whose true risk differs).
-	return mc.Options{Samples: 400, Reuse: true, Workers: 1, MasterSeed: 5,
-		KeepSamples: true, ValidationSamples: 64}
+	return mc.Options{Samples: 400, Reuse: true, Workers: 1, MasterSeed: 5, ValidationSamples: 64}
 }
 
 func TestRunOptimizeFindsLatestSafePurchase(t *testing.T) {
@@ -351,7 +350,7 @@ func TestRunStreamMatchesPerGroupSweeps(t *testing.T) {
 	} {
 		s, script := compileScenario(t, tc.src)
 		opts := mc.Options{Samples: 40, MasterSeed: 3, Reuse: tc.reuse, Workers: 1,
-			Index: mc.IndexNormalization, KeepSamples: true, ValidationSamples: tc.validationSamples}
+			Index: mc.IndexNormalization, ValidationSamples: tc.validationSamples}
 		want := runPerGroup(t, s, script.Optimize, opts)
 		if want.Groups != tc.groups || want.Chosen == nil {
 			t.Fatalf("%s: %d groups, oracle chose %v", tc.name, want.Groups, want.Chosen)
@@ -467,19 +466,17 @@ func TestRunPanicNamesEnumerationIndex(t *testing.T) {
 // TestRunAllocsPerPoint pins Run's allocation budget per (group ×
 // sweep) point over the Fig. 1 script. The sweep's window is per call,
 // and a reused point's mapped summary is a value, so what remains per
-// point is a kept basis' sample vector — and nothing per sample, so
-// the count is the same at 40 samples as at 400.
+// point is a new basis' payload (with validation, its retained prefix)
+// — and nothing per sample, so the count is the same at 40 samples as
+// at 400.
 func TestRunAllocsPerPoint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budgets are meaningless under the race detector (sync.Pool drops puts)")
 	}
 	s, script := compileScenario(t, fig1Source)
-	perPoint := func(samples int, keep bool) float64 {
+	perPoint := func(samples, validation int) float64 {
 		opts := mc.Options{Samples: samples, MasterSeed: 3, Reuse: true, Workers: 1,
-			Index: mc.IndexNormalization, KeepSamples: keep}
-		if keep {
-			opts.ValidationSamples = 16
-		}
+			Index: mc.IndexNormalization, ValidationSamples: validation}
 		points := 0
 		allocs := testing.AllocsPerRun(2, func() {
 			res, err := Run(s, script.Optimize, opts)
@@ -490,11 +487,10 @@ func TestRunAllocsPerPoint(t *testing.T) {
 		})
 		return allocs / float64(points)
 	}
-	// Observed with Go 1.24: 0.20 per point, 0.30 keeping samples and
-	// validating.
-	for _, keep := range []bool{false, true} {
-		t.Run(fmt.Sprintf("KeepSamples=%v", keep), func(t *testing.T) {
-			small, large := perPoint(40, keep), perPoint(400, keep)
+	// Observed with Go 1.24: 0.20 per point, 0.30 validating.
+	for _, validation := range []int{0, 16} {
+		t.Run(fmt.Sprintf("validation=%d", validation), func(t *testing.T) {
+			small, large := perPoint(40, validation), perPoint(400, validation)
 			t.Logf("%.2f per point at 40 samples, %.2f at 400", small, large)
 			if large > 1 {
 				t.Errorf("Run allocates %.2f per point, budget 1", large)

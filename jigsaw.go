@@ -235,8 +235,8 @@ type (
 	// EngineOptions configures an Engine. Its MasterSeed names the
 	// samples: sample id is seeded by σ_id of MasterSeed, the seed
 	// ComputeFingerprint gives round id. With Reuse,
-	// ValidationSamples validates every match, whatever KeepSamples
-	// says.
+	// ValidationSamples validates every match against the first m+v
+	// rounds each basis retains; KeepSamples is ignored.
 	EngineOptions = mc.Options
 	// PointEval is a stochastic model at a parameter point, the
 	// engine's one evaluator contract: it carries the Space whose
