@@ -68,9 +68,14 @@ def run(binary, workload, seed, seconds, trace, spans):
     """Runs perfbench once and returns its closing JSON object, with the
     report's host line (nproc, GOMAXPROCS, Go version, workers) added
     as "host"."""
+    # perfbench's peak_rss_mb is getrusage's ru_maxrss, which survives
+    # exec: a process started straight from this interpreter reports at
+    # least the interpreter's resident set. A shell that must fork (its
+    # last command is `exit`) starts it from the shell's small image.
     lines = subprocess.run(
-        [binary, "-workload", workload, "-seed", str(seed),
-         "-seconds", str(seconds), "-trace", str(trace), "-spans", spans],
+        ["/bin/sh", "-c", '"$@"; exit $?', "sh", binary, "-workload", workload,
+         "-seed", str(seed), "-seconds", str(seconds), "-trace", str(trace),
+         "-spans", spans],
         check=True, capture_output=True, text=True).stdout.strip().splitlines()
     res = json.loads(lines[-1])
     res["host"] = next((l for l in lines if l.startswith("host:")), None)
