@@ -2,9 +2,9 @@ package mc
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,17 +233,18 @@ func TestSweepStreamAllocs(t *testing.T) {
 						}
 					}
 					sweep() // register the bases, warm the scratches
-					// The least of five one-run counts: a pooled scratch
+					// The median of five one-run counts: a pooled scratch
 					// grows its buffers the first time its goroutine draws
 					// or simulates, which the scheduler may put off to any
 					// call (6 allocations in one run of five, now and
 					// then), while a per-call or per-point cost shows in
-					// every run.
-					least := math.Inf(1)
-					for range 5 {
-						least = min(least, testing.AllocsPerRun(1, sweep))
+					// most runs.
+					runs := make([]float64, 5)
+					for i := range runs {
+						runs[i] = testing.AllocsPerRun(1, sweep)
 					}
-					return least
+					slices.Sort(runs)
+					return runs[len(runs)/2]
 				}
 				small, large := perCall(256), perCall(4096)
 				t.Logf("%.1f allocations per call at 256 points, %.1f at 4096", small, large)

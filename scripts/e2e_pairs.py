@@ -4,21 +4,25 @@
 Usage, from the repository root:
 
     python3 scripts/e2e_pairs.py --base HEAD~1 --change HEAD \\
-        --pairs 10 --seconds 10 --seed 101 --out BENCH_e2e.json
+        --pairs 10 --seed 101 --out BENCH_e2e.json
 
 Each revision is exported with `git archive` into the work directory
-(the repository's own worktree and index are left alone), and its
-perfbench is built once. Then, for each workload, pair i runs both
-binaries with run seed `--seed` + i for `--seconds` each, the base first
-on even pairs and the change first on odd ones. With `--traced`, one
-traced run per side and workload (seed `--seed`) adds its per-layer
-metrics.
+(the repository's own worktree and index are left alone). Every run is
+the benchmark's own command, `bash perfbench/run.sh`, inside a side's
+tree: its first run builds perfbench into that tree's .bench_build/,
+later ones hit the build cache, and the run length is perfbench's
+default. For each workload, pair i runs both sides with run seed
+`--seed` + i, the base first on even pairs and the change first on odd
+ones. With `--traced`, one traced run per side and workload (seed
+`--seed`) adds its per-layer metrics.
 
 For every end-to-end metric BENCHMARK.json declares, the output holds
 each side's values, median and quartiles, the pairs the change won (ties
 count for neither) and a verdict:
-  - "gain": the change won at least nine tenths of the pairs, and the
-    medians differ by more than the base's quartile distance;
+  - "gain": the change's answers are correct, it fails no more
+    operations than the base, it won at least nine tenths of the pairs,
+    and its median is better than the base's by more than the base's
+    quartile distance;
   - "worse": the change's median is worse than the base's by more than
     the metric's bound (a fraction of the base's median);
   - "unresolved": neither, and a side's quartile distance exceeds the
@@ -32,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,36 +52,32 @@ def git(*args):
 
 
 def export(rev, dest):
-    """Extracts the tree of rev into dest."""
-    os.makedirs(dest, exist_ok=True)
+    """Extracts the tree of rev into dest, which appears only once whole."""
+    part = dest + ".part"
+    shutil.rmtree(part, ignore_errors=True)
+    os.makedirs(part)
     with tempfile.TemporaryFile() as tar:
         subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                        check=True, stdout=tar)
         tar.seek(0)
         with tarfile.open(fileobj=tar) as tf:
-            tf.extractall(dest)  # a tree of this repository
+            tf.extractall(part)  # a tree of this repository
+    os.rename(part, dest)
 
 
-def build(src, binary):
-    env = dict(os.environ, GOTOOLCHAIN="local", GOPROXY="off",
-               GOFLAGS="-mod=mod", GOWORK="off", GOTELEMETRY="off")
-    subprocess.run(["go", "build", "-o", binary, "."], check=True,
-                   cwd=os.path.join(src, "perfbench"), env=env)
-
-
-def run(binary, workload, seed, seconds, trace, spans):
-    """Runs perfbench once and returns its closing JSON object, with the
-    report's host line (nproc, GOMAXPROCS, Go version, workers) added
-    as "host"."""
+def run(tree, workload, seed, trace):
+    """Runs perfbench/run.sh once in tree and returns perfbench's closing
+    JSON object, with the report's host line (nproc, GOMAXPROCS, Go
+    version, workers) added as "host"."""
     # perfbench's peak_rss_mb is getrusage's ru_maxrss, which survives
     # exec: a process started straight from this interpreter reports at
     # least the interpreter's resident set. A shell that must fork (its
-    # last command is `exit`) starts it from the shell's small image.
+    # last command is `exit`) starts run.sh from the shell's small image.
     lines = subprocess.run(
-        ["/bin/sh", "-c", '"$@"; exit $?', "sh", binary, "-workload", workload,
-         "-seed", str(seed), "-seconds", str(seconds), "-trace", str(trace),
-         "-spans", spans],
-        check=True, capture_output=True, text=True).stdout.strip().splitlines()
+        ["/bin/sh", "-c", 'bash perfbench/run.sh "$@"; exit $?', "sh",
+         "-workload", workload, "-seed", str(seed), "-trace", str(trace)],
+        cwd=tree, check=True, capture_output=True,
+        text=True).stdout.strip().splitlines()
     res = json.loads(lines[-1])
     res["host"] = next((l for l in lines if l.startswith("host:")), None)
     return res
@@ -89,7 +90,7 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def summarize(metric, base, change):
+def summarize(metric, base, change, correct, failed):
     lower = metric["better"] == "lower"
     better = (lambda a, b: a < b) if lower else (lambda a, b: a > b)
     bq, cq = quartiles(base), quartiles(change)
@@ -100,7 +101,9 @@ def summarize(metric, base, change):
     spread = max((bq[2] - bq[0]) / bq[1] if bq[1] else 0,
                  (cq[2] - cq[0]) / cq[1] if cq[1] else 0)
     dominates = all(better(c, b) for c in change for b in base)
-    if wins >= 0.9 * pairs and abs(cq[1] - bq[1]) > bq[2] - bq[0]:
+    if (correct["change"] and failed["change"] <= failed["base"]
+            and wins >= 0.9 * pairs and worse_by < 0
+            and abs(cq[1] - bq[1]) > bq[2] - bq[0]):
         verdict = "gain"
     elif worse_by > bound:
         verdict = "worse"
@@ -145,7 +148,6 @@ def main():
     ap.add_argument("--base", required=True, help="git revision of the parent")
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--seed", type=int, default=101, help="run seed of pair 0")
     ap.add_argument("--workloads", default="",
                     help="comma-separated workloads (default: all of BENCHMARK.json)")
@@ -159,26 +161,22 @@ def main():
         bench = json.load(f)
     workloads = [w for w in args.workloads.split(",") if w] or \
         [w["name"] for w in bench["workloads"]]
-    spans = os.path.join(args.workdir, "spans")
-    os.makedirs(spans, exist_ok=True)
 
     sides = {}
     for side in ("base", "change"):
         rev = getattr(args, side)
         sha = git("rev-parse", rev)
-        src = os.path.join(args.workdir, side + "-" + sha[:12])
-        binary = os.path.join(args.workdir, "perfbench-" + sha[:12])
-        if not os.path.exists(binary):
-            export(sha, src)
-            build(src, binary)
+        tree = os.path.join(args.workdir, side + "-" + sha[:12])
+        if not os.path.exists(tree):
+            export(sha, tree)
         sides[side] = {"rev": sha, "subject": git("log", "-1", "--format=%s", sha),
-                       "binary": binary}
+                       "tree": tree}
 
     report = {
         "base": {k: sides["base"][k] for k in ("rev", "subject")},
         "change": {k: sides["change"][k] for k in ("rev", "subject")},
         "host": host_facts(),
-        "runs": {"pairs": args.pairs, "seconds": args.seconds,
+        "runs": {"pairs": args.pairs,
                  "seeds": [args.seed + i for i in range(args.pairs)],
                  "order": "base first on even pairs, change first on odd"},
         "workloads": {},
@@ -191,7 +189,7 @@ def main():
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                res = run(sides[side]["binary"], w, args.seed + i, args.seconds, 0, spans)
+                res = run(sides[side]["tree"], w, args.seed + i, 0)
                 report["host"]["perfbench"] = res["host"]
                 vals[side].append(res["metrics"])
                 correct[side] = correct[side] and res["correct"]
@@ -204,13 +202,14 @@ def main():
             "correct": correct, "failed": failed, "attempted": attempted,
             "metrics": {m["name"]: summarize(
                 m, [v[m["name"]]["value"] for v in vals["base"]],
-                [v[m["name"]]["value"] for v in vals["change"]])
+                [v[m["name"]]["value"] for v in vals["change"]],
+                correct, failed)
                 for m in bench["end_to_end"]},
         }
         if args.traced:
             entry["traced"] = {
                 side: {k: v["value"] for k, v in run(
-                    sides[side]["binary"], w, args.seed, args.seconds, 1, spans)["metrics"].items()}
+                    sides[side]["tree"], w, args.seed, 1)["metrics"].items()}
                 for side in ("base", "change")}
         report["workloads"][w] = entry
 
