@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -260,7 +259,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // retains exactly its owner's prefix, rows 0 to w−1 (w = m+v), through
 // EvaluatePoint and through a pipelined sweep, and a later miss's
 // simulation leaves them alone; a non-validating engine's basis
-// retains nothing, whatever KeepSamples (ignored) says.
+// retains nothing.
 func TestValidatingBasisRetainsWindow(t *testing.T) {
 	t.Run("EvaluatePoint", func(t *testing.T) {
 		e := MustNew(Options{Samples: 64, Reuse: true, ValidationSamples: 16, Workers: 1})
@@ -315,15 +314,13 @@ func TestValidatingBasisRetainsWindow(t *testing.T) {
 			t.Fatalf("%d misses, %d bases, %d reused: want every miss a basis, and reuse", misses, st.Store.Bases, st.Reused)
 		}
 	})
-	for _, keep := range []bool{false, true} {
-		t.Run(fmt.Sprintf("plain/KeepSamples=%v", keep), func(t *testing.T) {
-			plain := MustNew(Options{Samples: 64, Reuse: true, KeepSamples: keep, Workers: 1})
-			res, _ := plain.EvaluatePoint(gaussEval, []float64{5})
-			if b, _ := plain.Store().Get(res.BasisID); b.Payload.(*BasisPayload).Samples != nil {
-				t.Errorf("a non-validating basis retained %d samples", len(b.Payload.(*BasisPayload).Samples))
-			}
-		})
-	}
+	t.Run("plain", func(t *testing.T) {
+		plain := MustNew(Options{Samples: 64, Reuse: true, Workers: 1})
+		res, _ := plain.EvaluatePoint(gaussEval, []float64{5})
+		if b, _ := plain.Store().Get(res.BasisID); b.Payload.(*BasisPayload).Samples != nil {
+			t.Errorf("a non-validating basis retained %d samples", len(b.Payload.(*BasisPayload).Samples))
+		}
+	})
 }
 
 func TestEvaluatePointMapsSummary(t *testing.T) {
