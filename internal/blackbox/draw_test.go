@@ -93,6 +93,15 @@ func evalRef(b DrawBox, args []float64, r *rng.Rand) float64 {
 	panic("evalRef: unknown model")
 }
 
+// sampleSeeds returns the seeds of master's samples 0 to n−1.
+func sampleSeeds(master uint64, n int) []uint64 {
+	seeds := make([]uint64, n)
+	for k := range seeds {
+		seeds[k] = rng.SampleSeed(master, k)
+	}
+	return seeds
+}
+
 // TestDrawBoxMatchesEval pins the DrawBox contract for Demand and
 // Capacity: over argument grids that include NaN, ±Inf, weeks before
 // a purchase or release and after it, Bind+Draw+Apply returns the bits
@@ -111,8 +120,7 @@ func TestDrawBoxMatchesEval(t *testing.T) {
 	// A −0 base with no noise and no failures keeps its sign only where
 	// the noise term is not rng.NormalFrom's 0 + σ·z, which is +0.
 	signedZero := &Capacity{Base: math.Copysign(0, -1), PurchaseVolume: 40, MeanDelay: 2, FailTrials: 10}
-	seeds := make([]uint64, 40)
-	rng.FillSeeds(0xd7a3, 0, seeds)
+	seeds := sampleSeeds(0xd7a3, 40)
 	bits := math.Float64bits
 	same := func(a, b float64) bool { return bits(a) == bits(b) }
 	for _, tc := range []struct {
@@ -238,8 +246,7 @@ func TestDrawBoxPanicParity(t *testing.T) {
 	both := NewCapacity()
 	both.BaseNoise, both.MeanDelay = -1, -2
 	args := []float64{20, 10, 30}
-	seeds := make([]uint64, 128)
-	rng.FillSeeds(0x9a1c, 0, seeds)
+	seeds := sampleSeeds(0x9a1c, 128)
 	for _, tc := range []struct {
 		name string
 		c    *Capacity

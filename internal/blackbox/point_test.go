@@ -47,8 +47,7 @@ func TestPointBoxMatchesEval(t *testing.T) {
 			{30, 4, 2.5, 1.01, 0.2}, {4, 4, 2.5, 1.01, 0.2}, {3, 10, 2.5, 1.01, 0.2}, {60, 0, 0, 1.02, 0.1},
 		}},
 	}
-	seeds := make([]uint64, 200)
-	rng.FillSeeds(0x5161, 0, seeds)
+	seeds := sampleSeeds(0x5161, 200)
 	bits := math.Float64bits
 	want := make([]rng.Rand, 2*len(seeds))
 	got := make([]rng.Rand, len(want))

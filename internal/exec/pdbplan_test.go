@@ -328,7 +328,7 @@ func TestBuildPDBPlanTakesColumnarPath(t *testing.T) {
 		params := map[string]float64{
 			"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36,
 		}
-		opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 3, BlockWorlds: 7}
+		opts := pdb.WorldsOptions{Worlds: 600, MasterSeed: 3} // blocks of 256, 256 and 88 worlds
 		want, err := pdb.RunDistribution(plan, params, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -362,9 +362,9 @@ func planShape(p pdb.Plan) string {
 	return fmt.Sprintf("%T", p)
 }
 
-// FuzzBuildPDBPlan checks that a SELECT BuildPDBPlan accepts runs for a
-// few worlds without panicking, with every declared parameter bound to
-// its first value. Errors (unbound names, world-varying cardinality,
+// FuzzBuildPDBPlan checks that a SELECT BuildPDBPlan accepts runs for
+// two blocks of worlds on two workers without panicking, with every
+// declared parameter bound to its first value. Errors (unbound names, world-varying cardinality,
 // type mismatches) are fine; a panic, also one recovered on a worker,
 // is not.
 func FuzzBuildPDBPlan(f *testing.F) {
@@ -382,7 +382,7 @@ FROM users WHERE NOT (join_week > @w)`,
 		f.Add(src)
 	}
 	db := usersDB(fig5Registry())
-	opts := pdb.WorldsOptions{Worlds: 5, BlockWorlds: 3, MasterSeed: 1}
+	opts := pdb.WorldsOptions{Worlds: 300, MasterSeed: 1, Workers: 2}
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sqlparse.Parse(src)
 		if err != nil {

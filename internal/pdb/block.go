@@ -43,19 +43,18 @@ type deferredDraw struct {
 	args []float64
 }
 
-// BlockCtx carries per-block evaluation state: the block's world ids,
-// seeds and generators, the parameter bindings, and the scratch arena
+// BlockCtx carries per-block evaluation state: the block's world ids
+// and generators, the parameter bindings, and the scratch arena
 // every operator allocates from. A BlockCtx is single-goroutine state;
 // the worlds layer pools one per worker.
 type BlockCtx struct {
 	// W is the number of worlds in this block.
 	W int
 	// Master is the run's master seed, and IDs holds the block's world
-	// ids lo … hi−1: world w of a run is sample w, so Seeds[i] is
-	// rng.SampleSeed(Master, IDs[i]).
+	// ids lo … hi−1: world w of a run is sample w, so Rands[i] is
+	// seeded with rng.SampleSeed(Master, IDs[i]).
 	Master uint64
 	IDs    []int
-	Seeds  []uint64
 	// Rands holds the per-world generators; they are materialized
 	// lazily (see materialize) so blocks whose only draws go through
 	// the fresh-stream fast lane never seed them at all.
@@ -101,8 +100,6 @@ func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fl
 	for i := range c.IDs {
 		c.IDs[i] = lo + i
 	}
-	c.Seeds = slices.Grow(c.Seeds[:0], n)[:n]
-	rng.FillSeeds(master, lo, c.Seeds)
 	c.Params = params
 	c.live = false
 	c.deferred.box = nil
@@ -127,7 +124,7 @@ func (c *BlockCtx) materialize() {
 		return
 	}
 	for w := 0; w < c.W; w++ {
-		c.Rands[w].Seed(c.Seeds[w])
+		c.Rands[w].Seed(rng.SampleSeed(c.Master, c.IDs[w]))
 	}
 	if d := &c.deferred; d.box != nil {
 		for w := 0; w < c.W; w++ {

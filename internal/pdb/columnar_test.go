@@ -52,7 +52,7 @@ func assertBitIdenticalOn(t *testing.T, plan Plan, params map[string]float64, wo
 	t.Helper()
 	for _, bw := range blockSizes {
 		opts := WorldsOptions{
-			Worlds: worlds, MasterSeed: 0x1234, BlockWorlds: bw,
+			Worlds: worlds, MasterSeed: 0x1234, blockWorlds: bw,
 		}
 		want, wantErr := refDistribution(plan, params, opts)
 		for _, workers := range workerCounts {
@@ -258,7 +258,7 @@ func TestColumnarMaskedRowsCompactPerWorld(t *testing.T) {
 	// so its key row must follow the kept row too.
 	tags := map[string]bool{}
 	for seed := uint64(0); seed < 8; seed++ {
-		opts := WorldsOptions{Worlds: 20, MasterSeed: seed, BlockWorlds: 7}
+		opts := WorldsOptions{Worlds: 20, MasterSeed: seed, blockWorlds: 7}
 		want, _ := refDistribution(plan, params, opts)
 		got, err := RunDistribution(plan, params, opts)
 		if err != nil {
@@ -407,7 +407,7 @@ func TestColumnarCardinalityErrorParity(t *testing.T) {
 	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
 	pred := mustBind(t, "demand > @week", ext.Schema(), db.Boxes)
 	plan := &SelectPlan{Child: ext, Pred: pred, Desc: "demand > week"}
-	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, BlockWorlds: 64}
+	opts := WorldsOptions{Worlds: 200, MasterSeed: 7, blockWorlds: 64}
 	_, wantErr := refDistribution(plan, map[string]float64{"week": 20}, opts)
 	_, gotErr := RunDistribution(plan, map[string]float64{"week": 20}, opts)
 	if wantErr == nil || gotErr == nil {
@@ -453,7 +453,7 @@ func TestColumnarAggregateErrorParity(t *testing.T) {
 	}
 	params := map[string]float64{"week": 20}
 	for _, bw := range columnarBlockSizes {
-		opts := WorldsOptions{Worlds: 50, MasterSeed: 7, BlockWorlds: bw}
+		opts := WorldsOptions{Worlds: 50, MasterSeed: 7, blockWorlds: bw}
 		_, wantErr := refDistribution(plan, params, opts)
 		_, gotErr := RunDistribution(plan, params, opts)
 		if wantErr == nil || gotErr == nil {
@@ -498,7 +498,7 @@ func TestColumnarVGSumBitIdentical(t *testing.T) {
 	// and worker count and the other points still run.
 	params := map[string]float64{"week": 40}
 	for _, bw := range columnarBlockSizes {
-		opts := WorldsOptions{Worlds: 300, MasterSeed: 0x1234, BlockWorlds: bw}
+		opts := WorldsOptions{Worlds: 300, MasterSeed: 0x1234, blockWorlds: bw}
 		want, err := refDistribution(plan, params, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // merge, so a change to how block moments combine would move both
 // sides alike; these recorded digests catch that. Every block feeds
 // every cell here at least 16 values, so each block takes AddBlock's
-// batched reduction (see WorldsOptions.BlockWorlds for smaller feeds).
+// batched reduction (see WorldsOptions.blockWorlds for smaller feeds).
 
 // goldenDigest hashes every cell's (N, mean, σ, min, max) bits and the
 // key rows of d.
@@ -103,7 +103,7 @@ func TestGoldenDistributions(t *testing.T) {
 		name   string
 		plan   Plan
 		params map[string]float64
-		want   map[int]string // by BlockWorlds
+		want   map[int]string // by blockWorlds
 	}{
 		{"fig1", fig1, map[string]float64{"current_week": 30, "purchase1": 4, "purchase2": 12, "feature_release": 36}, map[int]string{
 			64:  "f466c8b28a1170b1bcc070e045cd58b068f88217151c4a4778034ae98f53eeba",
@@ -121,7 +121,7 @@ func TestGoldenDistributions(t *testing.T) {
 		for _, bw := range []int{64, 256} {
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/bw=%d/workers=%d", tc.name, bw, workers), func(t *testing.T) {
-					d, err := RunDistribution(tc.plan, tc.params, WorldsOptions{Worlds: 1000, MasterSeed: 0x60d, BlockWorlds: bw, Workers: workers})
+					d, err := RunDistribution(tc.plan, tc.params, WorldsOptions{Worlds: 1000, MasterSeed: 0x60d, blockWorlds: bw, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -82,8 +82,8 @@ func refDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 		return nil, err
 	}
 	var outs []*blockOut
-	for lo := 0; lo < opts.Worlds; lo += opts.BlockWorlds {
-		hi := lo + opts.BlockWorlds
+	for lo := 0; lo < opts.Worlds; lo += opts.blockWorlds {
+		hi := lo + opts.blockWorlds
 		if hi > opts.Worlds {
 			hi = opts.Worlds
 		}

@@ -9,9 +9,9 @@ import (
 	"jigsaw/internal/stats"
 )
 
-// DefaultBlockWorlds is the default number of worlds per execution
-// block, matching the Monte Carlo engine's sample-block size.
-const DefaultBlockWorlds = 256
+// worldsPerBlock is the number of worlds per execution block,
+// matching the Monte Carlo engine's sample-block size.
+const worldsPerBlock = 256
 
 // WorldsOptions configures Monte Carlo query execution.
 type WorldsOptions struct {
@@ -23,21 +23,21 @@ type WorldsOptions struct {
 	// the same MasterSeed does, so PDB answers are comparable with
 	// engine fingerprints and samples.
 	MasterSeed uint64
-	// BlockWorlds is the number of worlds per execution block (0
-	// means DefaultBlockWorlds, negative values are rejected). Each
-	// block summarizes each cell on its own and the blocks merge in
-	// order, so results are bit-identical across Workers for a fixed
-	// BlockWorlds; across *different* block sizes, cell moments may
-	// differ in final-ulp rounding (the batched reduction is
-	// split-dependent, like the engine's). A block that feeds a cell
-	// fewer than 16 values summarizes them by Welford's update from
-	// empty before the merge, so small blocks, a short trailing block
-	// or NULL-heavy cells round differently from larger ones.
-	BlockWorlds int
 	// Workers sizes the worker pool world blocks execute on (0 or 1 =
 	// sequential, negative values are rejected). Blocks are committed
 	// in order, so results are bit-identical for any worker count.
 	Workers int
+
+	// blockWorlds is the number of worlds per execution block (0
+	// means worldsPerBlock; tests vary it to pin block-size
+	// behaviour). Each block summarizes each cell on its own and the
+	// blocks merge in order. Across different block sizes, cell
+	// moments may differ in final-ulp rounding (the batched reduction
+	// is split-dependent, like the engine's): a block that feeds a
+	// cell fewer than 16 values summarizes them by Welford's update
+	// from empty before the merge, so small blocks, a short trailing
+	// block or NULL-heavy cells round differently from larger ones.
+	blockWorlds int
 }
 
 // withDefaults validates the options and fills in defaults.
@@ -45,16 +45,14 @@ func (o WorldsOptions) withDefaults() (WorldsOptions, error) {
 	switch {
 	case o.Worlds < 0:
 		return o, fmt.Errorf("pdb: Worlds = %d; want > 0, or 0 for the default", o.Worlds)
-	case o.BlockWorlds < 0:
-		return o, fmt.Errorf("pdb: negative BlockWorlds %d", o.BlockWorlds)
 	case o.Workers < 0:
 		return o, fmt.Errorf("pdb: negative Workers %d", o.Workers)
 	}
 	if o.Worlds == 0 {
 		o.Worlds = 1000
 	}
-	if o.BlockWorlds == 0 {
-		o.BlockWorlds = DefaultBlockWorlds
+	if o.blockWorlds == 0 {
+		o.blockWorlds = worldsPerBlock
 	}
 	if o.Workers == 0 {
 		o.Workers = 1
@@ -233,7 +231,7 @@ func runBlock(plan Plan, params map[string]float64, master uint64, lo, hi int, f
 // worker pool, and returns the outputs in block order (the first
 // failing block's error wins, deterministically).
 func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blockOut, error) {
-	bw := opts.BlockWorlds
+	bw := opts.blockWorlds
 	nblocks := 0
 	if opts.Worlds > 0 {
 		nblocks = (opts.Worlds + bw - 1) / bw
@@ -245,9 +243,10 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 		outs[b] = runBlock(plan, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds), flags)
 	}); err != nil {
 		// A panicking block: the pool stopped early, so some blocks
-		// never ran.
+		// never ran. ForWorker's error names the block.
 		putBlockOuts(outs)
-		return nil, fmt.Errorf("pdb: %w", err)
+		lo := err.(*pool.PanicError).Index * bw
+		return nil, fmt.Errorf("pdb: worlds %d-%d: %w", lo, min(lo+bw, opts.Worlds)-1, err)
 	}
 	for _, out := range outs {
 		if out.err != nil {
@@ -269,11 +268,13 @@ func putBlockOuts(outs []*blockOut) {
 }
 
 // RunDistribution executes the plan across sampled worlds, a block of
-// worlds at a time, and aggregates each numeric cell across worlds.
-// Every world must produce the same number of rows; a query whose
-// cardinality is world-dependent is not positionally alignable and is
-// rejected (wrap it in an aggregate instead). Any Workers setting
-// produces a bit-identical Distribution for a fixed BlockWorlds.
+// 256 worlds at a time, and aggregates each numeric cell across
+// worlds. Every world must produce the same number of rows; a query
+// whose cardinality is world-dependent is not positionally alignable
+// and is rejected (wrap it in an aggregate instead). Any Workers
+// setting produces a bit-identical Distribution. A model that panics
+// comes back as an error naming its block's worlds,
+// "pdb: worlds 256-511: panic: ...".
 func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	if plan == nil {
 		return nil, errors.New("pdb: nil plan")

@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,10 +80,18 @@ func TestRunDistributionPanicReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		_, err := RunDistribution(plan, map[string]float64{"week": 1}, WorldsOptions{Worlds: 500, Workers: workers})
-		if err == nil || !strings.Contains(err.Error(), "panic: model failure") {
-			t.Fatalf("workers=%d: err = %v, want the recovered panic", workers, err)
+	// Every world panics; the error names the failing block's worlds
+	// (either block may fail first on two workers).
+	for _, tc := range []struct {
+		workers int
+		want    []string
+	}{
+		{1, []string{"pdb: worlds 0-255: panic: model failure"}},
+		{2, []string{"pdb: worlds 0-255: panic: model failure", "pdb: worlds 256-499: panic: model failure"}},
+	} {
+		_, err := RunDistribution(plan, map[string]float64{"week": 1}, WorldsOptions{Worlds: 500, Workers: tc.workers})
+		if err == nil || !slices.Contains(tc.want, err.Error()) {
+			t.Fatalf("workers=%d: err = %v, want one of %q", tc.workers, err, tc.want)
 		}
 	}
 }
@@ -139,7 +148,6 @@ func TestWorldsOptionsRejectNegative(t *testing.T) {
 		want string // error substring; empty means accepted
 	}{
 		{"negative worlds", WorldsOptions{Worlds: -1}, "Worlds ="},
-		{"negative block worlds", WorldsOptions{Worlds: 4, BlockWorlds: -1}, "BlockWorlds"},
 		{"negative workers", WorldsOptions{Worlds: 4, Workers: -1}, "Workers"},
 		{"zero defaults", WorldsOptions{Worlds: 4}, ""},
 	} {
@@ -252,11 +260,11 @@ func TestWorldSeedsAlignWithEngineSeeds(t *testing.T) {
 	// block of worlds 5 to 20 seeds world k as sample k.
 	var ctx BlockCtx
 	ctx.reset(42, 5, 16, nil, nil)
-	for i, seed := range ctx.Seeds {
-		if k := ctx.IDs[i]; k != 5+i || seed != rng.SampleSeed(42, k) {
-			t.Fatalf("world %d of the block is world %d with seed %#x, want world %d with sample seed %#x",
-				i, k, seed, 5+i, rng.SampleSeed(42, 5+i))
+	ctx.materialize()
+	for i := range ctx.Rands {
+		k := 5 + i
+		if ctx.IDs[i] != k || ctx.Rands[i].State() != rng.New(rng.SampleSeed(42, k)).State() {
+			t.Fatalf("world %d of the block is world %d, or is not seeded as sample %d", i, ctx.IDs[i], k)
 		}
 	}
-	_ = stats.Summary{} // document the stats linkage used elsewhere
 }

@@ -1,9 +1,9 @@
 // Package pool provides the concurrency primitives shared by the
 // hot paths: a worker-pool fan-out over an index range (ForWorker)
-// with atomic work-stealing, so expensive items load-balance instead
-// of pinning a fixed stripe to a slow worker, the panic recovery each
-// item runs through (Call), and a typed free list (Pool) for
-// per-worker scratch state.
+// whose workers claim one index at a time from a shared counter, so
+// expensive items load-balance instead of pinning a fixed stripe to a
+// slow worker, the panic recovery each item runs through (Call), and
+// a typed free list (Pool) for per-worker scratch state.
 package pool
 
 import (
@@ -50,20 +50,10 @@ func Call(fn func(worker, i int), w, i int) (perr *PanicError) {
 	return nil
 }
 
-// forChunkTarget and forChunkMax bound the work-stealing grain: each
-// atomic claim hands a worker a contiguous run of indexes sized so a
-// worker makes ~forChunkTarget claims over the whole job (bounded by
-// forChunkMax so uneven items still load-balance). For cheap per-item
-// fn, per-item claims would spend a visible fraction of the job in the
-// contended counter.
-const (
-	forChunkTarget = 32
-	forChunkMax    = 64
-)
-
 // ForWorker runs fn(worker, i) for every i in [0, n) on up to workers
-// goroutines. worker is a stable id in [0, workers) naming the
-// goroutine that picked the index up; hot loops use it to give each
+// goroutines, each claiming the next unclaimed index when it finishes
+// one. worker is a stable id in [0, workers) naming the goroutine
+// that picked the index up; hot loops use it to give each
 // worker private scratch state, since two calls with the same worker
 // id never run concurrently. With workers <= 1 (or n <= 1) it
 // degrades to a plain loop on the calling goroutine, as worker 0. A
@@ -84,12 +74,6 @@ func ForWorker(n, workers int, fn func(worker, i int)) error {
 		}
 		return nil
 	}
-	chunk := n / (workers * forChunkTarget)
-	if chunk < 1 {
-		chunk = 1
-	} else if chunk > forChunkMax {
-		chunk = forChunkMax
-	}
 	var next atomic.Int64
 	// failed holds the first recovered panic; every worker stops
 	// claiming indexes once it is set.
@@ -100,22 +84,13 @@ func ForWorker(n, workers int, fn func(worker, i int)) error {
 		go func(w int) {
 			defer wg.Done()
 			for failed.Load() == nil {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if failed.Load() != nil {
-						return
-					}
-					if perr := Call(fn, w, i); perr != nil {
-						failed.CompareAndSwap(nil, perr)
-						return
-					}
+				if perr := Call(fn, w, i); perr != nil {
+					failed.CompareAndSwap(nil, perr)
+					return
 				}
 			}
 		}(w)

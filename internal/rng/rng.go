@@ -30,9 +30,20 @@ type Rand struct {
 	hasGauss bool
 }
 
+// smGamma is splitmix64's additive constant γ.
+const smGamma = 0x9e3779b97f4a7c15
+
+// smMix is the splitmix64 output finalizer applied to a raw counter
+// state (Rand.Seed derives the word for counter seed+kγ as
+// smMix(seed+kγ)).
+func smMix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // splitmix64 advances the given state and returns the next output of
-// the splitmix64 generator (γ and the shared output finalizer live in
-// block.go). It is used solely for seeding.
+// the splitmix64 generator. It is used solely for seeding.
 func splitmix64(state *uint64) uint64 {
 	*state += smGamma
 	return smMix(*state)

@@ -410,8 +410,10 @@ func BuildPDBPlan(stmt *sqlparse.SelectStmt, db *DB) (PDBPlan, error) {
 }
 
 // RunDistribution executes a plan across sampled worlds in
-// world-blocked columnar form (see WorldsOptions.BlockWorlds and
-// Workers); results are bit-identical across worker counts.
+// world-blocked columnar form, blocks of 256 worlds spread over
+// WorldsOptions.Workers; results are bit-identical across worker
+// counts. A panicking model comes back as an error naming its block's
+// worlds.
 func RunDistribution(plan PDBPlan, params map[string]float64, opts WorldsOptions) (*Distribution, error) {
 	return pdb.RunDistribution(plan, params, opts)
 }
