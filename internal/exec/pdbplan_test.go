@@ -364,9 +364,9 @@ func planShape(p pdb.Plan) string {
 
 // FuzzBuildPDBPlan checks that a SELECT BuildPDBPlan accepts runs for
 // two blocks of worlds on two workers without panicking, with every
-// declared parameter bound to its first value. Errors (unbound names, world-varying cardinality,
-// type mismatches) are fine; a panic, also one recovered on a worker,
-// is not.
+// declared parameter bound to its first value. Errors (unbound names,
+// world-varying cardinality, type mismatches) are fine; a panic, also
+// one recovered on a worker, is not.
 func FuzzBuildPDBPlan(f *testing.F) {
 	for _, src := range []string{
 		figure1Source,
