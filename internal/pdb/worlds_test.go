@@ -268,3 +268,74 @@ func TestWorldSeedsAlignWithEngineSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDistributionPanicNamesShortBlock checks that a panic's world
+// range stops at the last world when the block is cut short, and
+// follows the block size when it is not the default.
+func TestRunDistributionPanicNamesShortBlock(t *testing.T) {
+	db := NewDB()
+	db.Boxes.MustRegister(blackbox.Func{FuncName: "Explode", NArgs: 1,
+		Fn: func([]float64, *rng.Rand) float64 { panic("model failure") }})
+	bound, err := Bind(sqlExpr(t, "Explode(@week)"), Schema{}, db.Boxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{{Name: "x", Expr: bound}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts WorldsOptions
+		want string
+	}{
+		{WorldsOptions{Worlds: 5, blockWorlds: 7}, "pdb: worlds 0-4: panic: model failure"},
+		{WorldsOptions{Worlds: 20, blockWorlds: 7}, "pdb: worlds 0-6: panic: model failure"},
+		{WorldsOptions{Worlds: 100}, "pdb: worlds 0-99: panic: model failure"},
+	} {
+		_, err := RunDistribution(plan, map[string]float64{"week": 1}, tc.opts)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("worlds=%d block=%d: err = %v, want %q", tc.opts.Worlds, tc.opts.blockWorlds, err, tc.want)
+		}
+	}
+}
+
+// TestWorldsOptionsDefaults checks that zero options select 1000
+// worlds in blocks of worldsPerBlock on one worker, and that set
+// values are kept.
+func TestWorldsOptionsDefaults(t *testing.T) {
+	got, err := WorldsOptions{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (WorldsOptions{Worlds: 1000, Workers: 1, blockWorlds: worldsPerBlock}); got != want {
+		t.Fatalf("defaults = %+v, want %+v", got, want)
+	}
+	set := WorldsOptions{Worlds: 7, MasterSeed: 9, Workers: 3, blockWorlds: 2}
+	if got, err := set.withDefaults(); err != nil || got != set {
+		t.Fatalf("withDefaults(%+v) = %+v, %v; want it unchanged", set, got, err)
+	}
+}
+
+// TestRecycledBlockCtxReseedsWorlds checks that a pooled BlockCtx,
+// reset for another block after its generators drew, seeds each world
+// afresh: the states match sample seeds and no cached normal deviate
+// survives the reset.
+func TestRecycledBlockCtxReseedsWorlds(t *testing.T) {
+	var ctx BlockCtx
+	ctx.reset(42, 0, 8, nil, nil)
+	ctx.materialize()
+	for w := range ctx.Rands {
+		ctx.Rands[w].StdNormal() // leaves the pair's second deviate cached
+	}
+	ctx.reset(42, 300, 5, nil, nil)
+	ctx.materialize()
+	for i := range ctx.Rands {
+		fresh := rng.New(rng.SampleSeed(42, 300+i))
+		if ctx.Rands[i].State() != fresh.State() {
+			t.Fatalf("world %d: generator state not reseeded as sample %d", ctx.IDs[i], 300+i)
+		}
+		if got, want := ctx.Rands[i].StdNormal(), fresh.StdNormal(); got != want {
+			t.Fatalf("world %d: first normal %v, want %v from a fresh generator", ctx.IDs[i], got, want)
+		}
+	}
+}

@@ -138,3 +138,26 @@ func TestNestedPanicKeepsInnerValue(t *testing.T) {
 		t.Fatalf("err = %q, want the inner panic value", err)
 	}
 }
+
+// TestForWorkerSlowIndexDoesNotHoldBackNext checks that workers claim
+// one index at a time: while index 0 is still running, another worker
+// picks up index 1, however long the job. A worker that claimed a run
+// of indexes would hold index 1 behind index 0.
+func TestForWorkerSlowIndexDoesNotHoldBackNext(t *testing.T) {
+	const n = 8192
+	oneRan := make(chan struct{})
+	if err := ForWorker(n, 2, func(_, i int) {
+		switch i {
+		case 0:
+			select {
+			case <-oneRan:
+			case <-time.After(10 * time.Second):
+				t.Error("index 1 did not run while index 0 was running")
+			}
+		case 1:
+			close(oneRan)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
