@@ -215,11 +215,12 @@ func stepSeed(master uint64, instance, step int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// validateState panics on malformed chain output; a chain returning a
-// wrong-dimension state is an implementation bug that must not be
-// silently propagated into estimates.
-func validateState(got, want State, stage string) {
+// validateState reports malformed chain output as an error: a chain
+// returning a wrong-dimension state is an implementation bug that must
+// not be silently propagated into estimates.
+func validateState(got, want State, stage string) error {
 	if len(got) != len(want) {
-		panic(fmt.Sprintf("markov: %s returned state dim %d, want %d", stage, len(got), len(want)))
+		return fmt.Errorf("markov: %s returned state dim %d, want %d", stage, len(got), len(want))
 	}
+	return nil
 }

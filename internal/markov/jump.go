@@ -83,9 +83,10 @@ func NaiveEvaluate(c Chain, target int, opts JumpOptions) ([]State, JumpStats, e
 	var r rng.Rand
 	for s := 1; s <= target; s++ {
 		for i := range states {
-			r.Seed(stepSeed(opts.MasterSeed, i, s))
-			next := c.Step(s, states[i], &r)
-			validateState(next, states[i], "Step")
+			next, err := seededStep(c, &r, opts.MasterSeed, i, s, states[i])
+			if err != nil {
+				return nil, JumpStats{}, err
+			}
 			states[i] = next
 			st.FullStepEvals++
 		}
@@ -133,17 +134,9 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 		// est evaluates the synthesized estimator for instance i at
 		// step s: one chain step from the frozen state, using the same
 		// seed the true chain would use at (i, s).
-		est := func(i, s int) State {
-			r.Seed(stepSeed(opts.MasterSeed, i, s))
+		est := func(i, s int) (State, error) {
 			st.EstimatorEvals++
-			return c.Step(s, frozen[i], &r)
-		}
-		estFingerprint := func(s int) core.Fingerprint {
-			fp := make(core.Fingerprint, m)
-			for i := 0; i < m; i++ {
-				fp[i] = c.Output(est(i, s))
-			}
-			return fp
+			return seededStep(c, &r, opts.MasterSeed, i, s, frozen[i])
 		}
 
 		// Walk the fingerprint instances forward, recording the true
@@ -151,23 +144,36 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 		// comparisons.
 		fpStates := cloneStates(states[:m])
 		trueFp := map[int]core.Fingerprint{}
-		advanceTo := func(s int) { // advance fpStates up to step s
+		advanceTo := func(s int) error { // advance fpStates up to step s
 			for cur := lastRecorded(trueFp, base); cur < s; cur++ {
 				next := cur + 1
 				fp := make(core.Fingerprint, m)
 				for i := 0; i < m; i++ {
-					r.Seed(stepSeed(opts.MasterSeed, i, next))
-					ns := c.Step(next, fpStates[i], &r)
-					validateState(ns, fpStates[i], "Step")
+					ns, err := seededStep(c, &r, opts.MasterSeed, i, next, fpStates[i])
+					if err != nil {
+						return err
+					}
 					fpStates[i] = ns
 					fp[i] = c.Output(ns)
 					st.FingerprintSteps++
 				}
 				trueFp[next] = fp
 			}
+			return nil
 		}
-		tryStep := func(s int) (core.Linear, bool) {
-			return core.LinearClass{}.Find(estFingerprint(s), trueFp[s])
+		// tryStep compares the estimator's fingerprint at step s with
+		// the true one.
+		tryStep := func(s int) (core.Linear, bool, error) {
+			fp := make(core.Fingerprint, m)
+			for i := 0; i < m; i++ {
+				es, err := est(i, s)
+				if err != nil {
+					return core.Linear{}, false, err
+				}
+				fp[i] = c.Output(es)
+			}
+			mapping, ok := core.LinearClass{}.Find(fp, trueFp[s])
+			return mapping, ok, nil
 		}
 
 		lastValid := base
@@ -180,13 +186,21 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 			if s > target {
 				s = target
 			}
-			advanceTo(s)
-			if mapping, ok := tryStep(s); ok {
+			if err := advanceTo(s); err != nil {
+				return nil, JumpStats{}, err
+			}
+			mapping, ok, err := tryStep(s)
+			if err != nil {
+				return nil, JumpStats{}, err
+			}
+			if ok {
 				lastValid, lastMapping = s, mapping
 				if s >= target {
 					// Estimator valid through the target: rebuild
 					// there and finish (Algorithm 4, lines 6–7).
-					states = rebuild(c, est, mapping, frozen, s, &st)
+					if states, err = rebuild(c, est, mapping, frozen, s, &st); err != nil {
+						return nil, JumpStats{}, err
+					}
 					base = s
 					finished = true
 					break
@@ -196,20 +210,31 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 			}
 			// Mismatch at s: backtrack to the last mappable step
 			// (Algorithm 4, line 11).
-			v, vm, found := binarySearch(lastValid, s, lastMapping, lastValid > base, tryStep)
+			v, vm, found, err := binarySearch(lastValid, s, lastMapping, lastValid > base, tryStep)
+			if err != nil {
+				return nil, JumpStats{}, err
+			}
 			if !found {
 				// Estimator invalid immediately: advance the full
 				// instance set one true step (line 12).
 				next := base + 1
-				advanceTo(next) // keep fingerprint history aligned
+				// Keep the fingerprint history aligned.
+				if err := advanceTo(next); err != nil {
+					return nil, JumpStats{}, err
+				}
 				for i := range states {
-					r.Seed(stepSeed(opts.MasterSeed, i, next))
-					states[i] = c.Step(next, states[i], &r)
+					ns, err := seededStep(c, &r, opts.MasterSeed, i, next, states[i])
+					if err != nil {
+						return nil, JumpStats{}, err
+					}
+					states[i] = ns
 					st.FullStepEvals++
 				}
 				base = next
 			} else {
-				states = rebuild(c, est, vm, frozen, v, &st)
+				if states, err = rebuild(c, est, vm, frozen, v, &st); err != nil {
+					return nil, JumpStats{}, err
+				}
 				base = v
 			}
 			break
@@ -221,37 +246,57 @@ func Jump(c Chain, target int, opts JumpOptions) ([]State, JumpStats, error) {
 	return states, st, nil
 }
 
+// seededStep advances instance i from prev to step s, seeded as both
+// entry points seed (i, s), and rejects a state whose dimension
+// differs from prev's.
+func seededStep(c Chain, r *rng.Rand, master uint64, i, s int, prev State) (State, error) {
+	r.Seed(stepSeed(master, i, s))
+	next := c.Step(s, prev, r)
+	return next, validateState(next, prev, "Step")
+}
+
 // rebuild regenerates the full instance set at step s through the
 // estimator and the validated mapping (Algorithm 4, line 13:
 // state ← M(Fest(state))).
-func rebuild(c Chain, est func(i, s int) State, m core.Linear, frozen []State, s int, st *JumpStats) []State {
+func rebuild(c Chain, est func(i, s int) (State, error), m core.Linear, frozen []State, s int, st *JumpStats) ([]State, error) {
 	out := make([]State, len(frozen))
 	for i := range frozen {
-		es := est(i, s)
+		es, err := est(i, s)
+		if err != nil {
+			return nil, err
+		}
 		st.RebuildEvals++
 		st.EstimatorEvals-- // est() already counted it; reclassify
 		out[i] = c.ApplyMapping(m, es)
+		if err := validateState(out[i], es, "ApplyMapping"); err != nil {
+			return nil, err
+		}
 	}
 	st.Rebuilds++
-	return out
+	return out, nil
 }
 
 // binarySearch finds the largest step in [lo, hi) for which tryStep
 // yields a mapping, given that lo is known valid and hi is known
 // invalid. loFound reports whether lo has a mapping, loMap; it is
 // false when lo is the region base. found reports whether the
-// returned step has a mapping, bestMap.
-func binarySearch(lo, hi int, loMap core.Linear, loFound bool, tryStep func(int) (core.Linear, bool)) (step int, bestMap core.Linear, found bool) {
+// returned step has a mapping, bestMap. A tryStep error ends the
+// search.
+func binarySearch(lo, hi int, loMap core.Linear, loFound bool, tryStep func(int) (core.Linear, bool, error)) (step int, bestMap core.Linear, found bool, err error) {
 	bestMap, found = loMap, loFound
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if mapping, ok := tryStep(mid); ok {
+		mapping, ok, err := tryStep(mid)
+		if err != nil {
+			return 0, core.Linear{}, false, err
+		}
+		if ok {
 			lo, bestMap, found = mid, mapping, true
 		} else {
 			hi = mid
 		}
 	}
-	return lo, bestMap, found
+	return lo, bestMap, found, nil
 }
 
 // lastRecorded returns the highest step with a recorded fingerprint,

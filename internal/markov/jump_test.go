@@ -351,13 +351,63 @@ func TestStepSeedDistinct(t *testing.T) {
 	}
 }
 
-func TestValidateStatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch did not panic")
-		}
-	}()
-	validateState(State{1}, State{1, 2}, "test")
+func TestValidateStateErrors(t *testing.T) {
+	err := validateState(State{1}, State{1, 2}, "test")
+	if err == nil || !strings.Contains(err.Error(), "test returned state dim 1, want 2") {
+		t.Fatalf("dimension mismatch: err = %v", err)
+	}
+	if err := validateState(State{3, 4}, State{1, 2}, "test"); err != nil {
+		t.Fatalf("matching dimensions: %v", err)
+	}
+}
+
+// TestMalformedStateIsError pins that a wrong-dimension state is an
+// error from both entry points, not a panic. The rare chain's Step
+// returns a 1-component state on 0.1% of draws, and reading prev[1]
+// of such a state would panic; Jump meets those draws on the
+// fingerprint instances, in the estimator, in the full step and in
+// rebuild. The mapped chain's ApplyMapping drops a component, which
+// only Jump's rebuild calls.
+func TestMalformedStateIsError(t *testing.T) {
+	rare := &FuncChain{
+		InitialState: State{0, 0},
+		StepFn: func(_ int, prev State, r *rng.Rand) State {
+			u := r.Uniform(0, 1)
+			if u < 0.001 {
+				return State{prev[0]}
+			}
+			return State{prev[0] + u, prev[1]}
+		},
+	}
+	mapped := &FuncChain{
+		InitialState: State{0, 0},
+		StepFn: func(_ int, prev State, _ *rng.Rand) State {
+			return State{prev[0] + 1, prev[1]}
+		},
+		ApplyFn: func(m core.Linear, s State) State { return State{m.Apply(s[0])} },
+	}
+	type entry func(Chain, int, JumpOptions) ([]State, JumpStats, error)
+	for _, tc := range []struct {
+		name  string
+		c     Chain
+		entry entry
+		want  string
+	}{
+		{"rare/naive", rare, NaiveEvaluate, "Step returned state dim 1, want 2"},
+		{"rare/jump", rare, Jump, "Step returned state dim 1, want 2"},
+		{"mapped/jump", mapped, Jump, "ApplyMapping returned state dim 1, want 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := JumpOptions{Instances: 2000, FingerprintLen: 4, MasterSeed: 9}
+			states, _, err := tc.entry(tc.c, 30, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if states != nil {
+				t.Fatalf("a failed run returned %d states", len(states))
+			}
+		})
+	}
 }
 
 func TestOutputsHelper(t *testing.T) {

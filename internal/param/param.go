@@ -17,7 +17,6 @@ package param
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -161,24 +160,6 @@ func (d Decl) Cardinality() int {
 		return len(d.Values)
 	default:
 		return 0
-	}
-}
-
-// Contains reports whether v is in the declared domain (always false
-// for chain parameters).
-func (d Decl) Contains(v float64) bool {
-	switch d.Kind {
-	case KindRange:
-		if v < d.Lo-1e-9 || v > d.Hi+1e-9 {
-			return false
-		}
-		steps := (v - d.Lo) / d.Step
-		return math.Abs(steps-math.Round(steps)) < 1e-9
-	case KindSet:
-		i := sort.SearchFloat64s(d.Values, v)
-		return i < len(d.Values) && d.Values[i] == v
-	default:
-		return false
 	}
 }
 

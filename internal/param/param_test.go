@@ -58,20 +58,6 @@ func TestRangeErrors(t *testing.T) {
 	}
 }
 
-func TestRangeContains(t *testing.T) {
-	d, _ := Range("x", 0, 52, 4)
-	for _, v := range []float64{0, 4, 48, 52} {
-		if !d.Contains(v) {
-			t.Fatalf("Contains(%g) = false", v)
-		}
-	}
-	for _, v := range []float64{-4, 2, 53, 56} {
-		if d.Contains(v) {
-			t.Fatalf("Contains(%g) = true", v)
-		}
-	}
-}
-
 func TestSetDedupAndSort(t *testing.T) {
 	d, err := Set("feature_release", 44, 12, 36, 12)
 	if err != nil {
@@ -86,9 +72,6 @@ func TestSetDedupAndSort(t *testing.T) {
 		if dom[i] != want[i] {
 			t.Fatalf("domain = %v, want %v", dom, want)
 		}
-	}
-	if !d.Contains(36) || d.Contains(35) {
-		t.Fatal("Set Contains broken")
 	}
 }
 
@@ -108,9 +91,6 @@ func TestChainDecl(t *testing.T) {
 	}
 	if d.Kind != KindChain || d.Cardinality() != 0 || d.Domain() != nil {
 		t.Fatalf("chain decl misbehaves: %+v", d)
-	}
-	if d.Contains(52) {
-		t.Fatal("chain Contains should be false")
 	}
 	if _, err := Chain("", "c", "d", 0, 0); err == nil {
 		t.Fatal("empty chain name accepted")
@@ -388,7 +368,7 @@ func TestQuickPointIndexBijective(t *testing.T) {
 	}
 }
 
-// Property: every value a RANGE enumerates satisfies Contains.
+// Property: a RANGE spanning n steps from lo has cardinality n.
 func TestQuickRangeDomainContained(t *testing.T) {
 	f := func(loRaw, stepRaw uint8, nRaw uint8) bool {
 		lo := float64(loRaw) / 4
@@ -399,15 +379,7 @@ func TestQuickRangeDomainContained(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if d.Cardinality() != n {
-			return false
-		}
-		for _, v := range d.Domain() {
-			if !d.Contains(v) {
-				return false
-			}
-		}
-		return true
+		return d.Cardinality() == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

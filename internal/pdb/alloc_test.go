@@ -37,7 +37,7 @@ func allocPipeline(t *testing.T, nRows int) Plan {
 // usersUsagePlan is Scan(users) → Extend(usage = UserUsage(@week, ...))
 // over nRows generated users: one result row per user, each cell
 // aggregated across worlds.
-func usersUsagePlan(t *testing.T, nRows int) (Plan, *blackbox.Registry) {
+func usersUsagePlan(t testing.TB, nRows int) (Plan, *blackbox.Registry) {
 	t.Helper()
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.UserUsage{})
@@ -278,5 +278,21 @@ func TestBoundVGBlockAllocs(t *testing.T) {
 	}
 	if allocs := blockAllocs(t, plan, map[string]float64{"week": 20}, 256); allocs != 0 {
 		t.Errorf("a steady-state block of bound Capacity and UserSelection draws allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestNumericLaneBlockAllocs pins that the numeric lane loop allocates
+// nothing in a steady-state block: unary minus, arithmetic and a
+// builtin over the materialized usage lanes each write into an arena
+// Vec.
+func TestNumericLaneBlockAllocs(t *testing.T) {
+	ext, boxes := usersUsagePlan(t, 300)
+	const src = "-usage * 2 + ABS(usage - base)"
+	plan, err := NewExtendPlan(ext, []NamedBound{{Name: "x", Expr: mustBind(t, src, ext.Schema(), boxes)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := blockAllocs(t, plan, map[string]float64{"week": 40}, 256); allocs != 0 {
+		t.Errorf("a steady-state block evaluating %s allocates %.1f, want 0", src, allocs)
 	}
 }

@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -50,22 +51,65 @@ func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worl
 // assertBitIdenticalOn is assertBitIdentical over the given grid.
 func assertBitIdenticalOn(t *testing.T, plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts []int) {
 	t.Helper()
+	if err := oracleDiff(plan, params, worlds, blockSizes, workerCounts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oracleDiff runs plan through RunDistribution at every block size ×
+// worker grid point and reports the first point where it disagrees
+// with the oracle: one fails and the other does not, or both succeed
+// with Distributions that differ (cells compared by float bits, so NaN
+// cells compare equal). An oracle panic counts as its failure, as a
+// model panic on a worker is the executor's.
+func oracleDiff(plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts []int) error {
 	for _, bw := range blockSizes {
 		opts := WorldsOptions{
 			Worlds: worlds, MasterSeed: 0x1234, blockWorlds: bw,
 		}
-		want, wantErr := refDistribution(plan, params, opts)
+		want, wantErr := func() (d *Distribution, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("oracle: panic: %v", r)
+				}
+			}()
+			return refDistribution(plan, params, opts)
+		}()
 		for _, workers := range workerCounts {
 			opts.Workers = workers
 			got, gotErr := RunDistribution(plan, params, opts)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("bw=%d workers=%d: oracle err %v, executor err %v", bw, workers, wantErr, gotErr)
+				return fmt.Errorf("bw=%d workers=%d: oracle err %v, executor err %v", bw, workers, wantErr, gotErr)
 			}
-			if wantErr == nil && !reflect.DeepEqual(want, got) {
-				t.Fatalf("bw=%d workers=%d: Distribution diverges from the oracle", bw, workers)
+			if wantErr == nil && !sameDistribution(want, got) {
+				return fmt.Errorf("bw=%d workers=%d: Distribution diverges from the oracle", bw, workers)
 			}
 		}
 	}
+	return nil
+}
+
+// sameDistribution reports whether a and b are equal, comparing each
+// cell's moments by their float bits.
+func sameDistribution(a, b *Distribution) bool {
+	if !reflect.DeepEqual(a.Schema, b.Schema) || a.Worlds != b.Worlds ||
+		!reflect.DeepEqual(a.KeyRows, b.KeyRows) || len(a.Cells) != len(b.Cells) {
+		return false
+	}
+	bits := math.Float64bits
+	for r, row := range a.Cells {
+		if len(row) != len(b.Cells[r]) {
+			return false
+		}
+		for c, x := range row {
+			y := b.Cells[r][c]
+			if x.N != y.N || bits(x.Mean) != bits(y.Mean) || bits(x.StdDev) != bits(y.StdDev) ||
+				bits(x.Min) != bits(y.Min) || bits(x.Max) != bits(y.Max) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // vgExtendPlan builds Extend(base, vg=DemandModel(@week, 52)) over the

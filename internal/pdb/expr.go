@@ -62,7 +62,7 @@ func Bind(e sqlparse.Expr, s Schema, boxes *blackbox.Registry) (BoundExpr, error
 		}
 		switch n.Op {
 		case "-":
-			return unaryBlock(inner, negValue), nil
+			return bindNumeric(numericOps["NEG"], []BoundExpr{inner}, false), nil
 		case "NOT":
 			return unaryBlock(inner, notValue), nil
 		}
@@ -102,43 +102,13 @@ func bindBinary(b *sqlparse.Binary, s Schema, boxes *blackbox.Registry) (BoundEx
 	op := b.Op
 	switch op {
 	case "+", "-", "*", "/":
-		return bindArith(op, l, r), nil
+		return bindNumeric(numericOps[op], []BoundExpr{l, r}, false), nil
 	case "<", "<=", ">", ">=", "=", "<>":
 		return binOpBlock(l, r, func(lv, rv Value) (Value, error) { return compareValues(op, lv, rv) }), nil
 	case "AND", "OR":
 		return binOpBlock(l, r, func(lv, rv Value) (Value, error) { return logicValues(op, lv, rv) }), nil
 	default:
 		return nil, fmt.Errorf("pdb: unknown operator %q", op)
-	}
-}
-
-// arithValues is the value-level core of arithmetic: the uniform fast
-// path uses it directly, and the lane loop in bindArith reproduces it
-// bit for bit on unboxed floats.
-func arithValues(op string, lv, rv Value) (Value, error) {
-	if lv.IsNull() || rv.IsNull() {
-		return Null(), nil
-	}
-	lf, err := lv.AsFloat()
-	if err != nil {
-		return Null(), err
-	}
-	rf, err := rv.AsFloat()
-	if err != nil {
-		return Null(), err
-	}
-	switch op {
-	case "+":
-		return Float(lf + rf), nil
-	case "-":
-		return Float(lf - rf), nil
-	case "*":
-		return Float(lf * rf), nil
-	default: // "/"
-		if rf == 0 {
-			return Null(), nil // SQL-style: division by zero yields NULL
-		}
-		return Float(lf / rf), nil
 	}
 }
 
@@ -176,58 +146,6 @@ func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) block
 		}
 		return dst, nil
 	}
-}
-
-func bindArith(op string, l, r BoundExpr) BoundExpr {
-	// The lane loop special-cases the all-numeric case to skip Value
-	// boxing; uniform operands go through the value-level core.
-	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		lv, err := l.EvalBlock(row, mask, ctx)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := r.EvalBlock(row, mask, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if lv.uniform && rv.uniform {
-			val, err := arithValues(op, lv.u, rv.u)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.uniformVec(val), nil
-		}
-		dst := ctx.lanesVec()
-		for w := 0; w < ctx.W; w++ {
-			if mask != nil && !mask[w] {
-				continue
-			}
-			if lv.laneIsNull(w) || rv.laneIsNull(w) {
-				continue // lane stays NULL
-			}
-			lf, _, err := lv.laneFloat(w)
-			if err != nil {
-				return nil, err
-			}
-			rf, _, err := rv.laneFloat(w)
-			if err != nil {
-				return nil, err
-			}
-			switch op {
-			case "+":
-				dst.setFloat(w, lf+rf)
-			case "-":
-				dst.setFloat(w, lf-rf)
-			case "*":
-				dst.setFloat(w, lf*rf)
-			default: // "/"
-				if rf != 0 {
-					dst.setFloat(w, lf/rf)
-				}
-			}
-		}
-		return dst, nil
-	})
 }
 
 // compareValues is the value-level core of comparison.
@@ -316,16 +234,101 @@ func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockExpr {
 	}
 }
 
-// negValue is the value-level core of unary minus.
-func negValue(v Value) (Value, error) {
-	if v.IsNull() {
-		return Null(), nil
+// numericRule is one numeric operator or builtin over its operands x
+// and, for a binary rule, y. ok=false makes the result NULL.
+type numericRule func(x, y float64) (f float64, ok bool)
+
+// numericOps holds every numeric rule: the arithmetic operators, unary
+// minus ("NEG") and the scalar builtins (sqlparse.Builtins), by
+// canonical name.
+var numericOps = map[string]numericRule{
+	"+":    func(x, y float64) (float64, bool) { return x + y, true },
+	"-":    func(x, y float64) (float64, bool) { return x - y, true },
+	"*":    func(x, y float64) (float64, bool) { return x * y, true },
+	"/":    func(x, y float64) (float64, bool) { return x / y, y != 0 }, // SQL-style: division by zero yields NULL
+	"NEG":  func(x, _ float64) (float64, bool) { return -x, true },
+	"ABS":  func(x, _ float64) (float64, bool) { return math.Abs(x), true },
+	"SQRT": func(x, _ float64) (float64, bool) { return math.Sqrt(x), true },
+	"POW":  func(x, y float64) (float64, bool) { return math.Pow(x, y), true },
+	"MINV": func(x, y float64) (float64, bool) { return math.Min(x, y), true },
+	"MAXV": func(x, y float64) (float64, bool) { return math.Max(x, y), true },
+}
+
+// bindNumeric binds a numeric rule over its one or two operands. An
+// operator (narrow=false) evaluates every operand over the active
+// worlds, and a NULL operand makes that world's result NULL. A call
+// (narrow=true) narrows its mask at the first NULL argument
+// (evalArgColumns), so later arguments do not draw in that world.
+// Uniform operands compute once per block.
+func bindNumeric(fn numericRule, args []BoundExpr, narrow bool) BoundExpr {
+	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+		vecs := ctx.newRow(len(args))
+		cur, allUniform, dead := mask, true, false
+		var err error
+		if narrow {
+			cur, allUniform, dead, err = evalArgColumns(args, vecs, row, mask, ctx)
+		} else {
+			for i, a := range args {
+				if vecs[i], err = a.EvalBlock(row, mask, ctx); err != nil {
+					break
+				}
+				allUniform = allUniform && vecs[i].uniform
+			}
+		}
+		switch {
+		case err != nil:
+			return nil, err
+		case dead:
+			return ctx.uniformVec(Null()), nil
+		}
+		if allUniform {
+			f, ok, err := numericLane(fn, vecs, 0)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				return ctx.uniformVec(Null()), nil
+			}
+			return ctx.uniformVec(Float(f)), nil
+		}
+		dst := ctx.lanesVec()
+		for w := 0; w < ctx.W; w++ {
+			if cur != nil && !cur[w] {
+				continue
+			}
+			f, ok, err := numericLane(fn, vecs, w)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				dst.setFloat(w, f)
+			}
+		}
+		return dst, nil
+	})
+}
+
+// numericLane applies fn to world w's operands: NULL (ok=false) at the
+// first NULL operand, and an error at a string operand only when no
+// operand is NULL.
+func numericLane(fn numericRule, vecs []*Vec, w int) (f float64, ok bool, err error) {
+	var x [2]float64
+	str := false
+	for i, v := range vecs {
+		k, f := v.laneNum(w)
+		switch k {
+		case KindNull:
+			return 0, false, nil
+		case KindString:
+			str = true
+		}
+		x[i] = f
 	}
-	f, err := v.AsFloat()
-	if err != nil {
-		return Null(), err
+	if str {
+		return 0, false, errNotNumeric(KindString)
 	}
-	return Float(-f), nil
+	f, ok = fn(x[0], x[1])
+	return f, ok, nil
 }
 
 // notValue is the value-level core of logical negation.
@@ -443,23 +446,6 @@ func caseBlock(w, t, e BoundExpr) BoundExpr {
 	})
 }
 
-// laneIsNull reports whether world w's lane is NULL.
-func (v *Vec) laneIsNull(w int) bool {
-	if v.uniform {
-		return v.u.IsNull()
-	}
-	return Kind(v.kind[w]) == KindNull
-}
-
-// scalarBuiltins implement sqlparse.Builtins, by canonical name.
-var scalarBuiltins = map[string]func(a []float64) float64{
-	"ABS":  func(a []float64) float64 { return math.Abs(a[0]) },
-	"SQRT": func(a []float64) float64 { return math.Sqrt(a[0]) },
-	"POW":  func(a []float64) float64 { return math.Pow(a[0], a[1]) },
-	"MINV": func(a []float64) float64 { return math.Min(a[0], a[1]) },
-	"MAXV": func(a []float64) float64 { return math.Max(a[0], a[1]) },
-}
-
 // bindCall binds a call of a scalar builtin (sqlparse.Builtins) or of
 // a VG-function registered in boxes (a stochastic black box); VG calls
 // draw from each world's generator.
@@ -476,7 +462,7 @@ func bindCall(c *sqlparse.FuncCall, s Schema, boxes *blackbox.Registry) (BoundEx
 		if arity != len(args) {
 			return nil, fmt.Errorf("pdb: %s expects %d args, got %d", name, arity, len(args))
 		}
-		return bindScalarCall(scalarBuiltins[name], args), nil
+		return bindNumeric(numericOps[name], args, true), nil
 	}
 	if boxes == nil {
 		return nil, fmt.Errorf("pdb: unknown function %q (no VG registry bound)", c.Name)
@@ -535,43 +521,6 @@ func evalArgColumns(args []BoundExpr, vecs []*Vec, row BlockRow, mask Mask, ctx 
 		}
 	}
 	return cur, allUniform, false, nil
-}
-
-func bindScalarCall(fn func([]float64) float64, args []BoundExpr) BoundExpr {
-	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
-		vecs := ctx.newRow(len(args))
-		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if dead {
-			return ctx.uniformVec(Null()), nil
-		}
-		argv := ctx.floats(len(args))
-		if allUniform {
-			for i, v := range vecs {
-				if argv[i], err = v.u.AsFloat(); err != nil {
-					return nil, err
-				}
-			}
-			return ctx.uniformVec(Float(fn(argv))), nil
-		}
-		dst := ctx.lanesVec()
-		for w := 0; w < ctx.W; w++ {
-			if cur != nil && !cur[w] {
-				continue
-			}
-			for i, v := range vecs {
-				f, _, err := v.laneFloat(w)
-				if err != nil {
-					return nil, err
-				}
-				argv[i] = f
-			}
-			dst.setFloat(w, fn(argv))
-		}
-		return dst, nil
-	})
 }
 
 // bindVGCall is where the block pipeline pays off: the argument

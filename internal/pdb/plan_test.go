@@ -10,7 +10,7 @@ import (
 )
 
 // fixtureDB builds a small database with a purchases table.
-func fixtureDB(t *testing.T) *DB {
+func fixtureDB(t testing.TB) *DB {
 	t.Helper()
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())

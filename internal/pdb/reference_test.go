@@ -15,8 +15,8 @@ import (
 // The reference oracle: a per-world interpreter that evaluates a plan
 // one world at a time, tuple at a time, against that world's seeded
 // generator. It shares only value-level cores with the executor
-// (arithValues, compareValues, logicValues and the Value methods);
-// its aggregate fold is its own. Plans are interpreted by a type
+// (compareValues, logicValues and the Value methods); its arithmetic
+// (refArith), builtins and aggregate fold are its own. Plans are interpreted by a type
 // switch over the built-in operators; expressions by walking the
 // parsed sqlparse tree that mustBind records, so the oracle never runs
 // the closures Bind produced. The oracle folds its per-world tables
@@ -306,7 +306,7 @@ func (w *refWorld) expr(e sqlparse.Expr, s Schema, boxes *blackbox.Registry, row
 		}
 		switch e.Op {
 		case "+", "-", "*", "/":
-			return arithValues(e.Op, l, r)
+			return refArith(e.Op, l, r)
 		case "AND", "OR":
 			return logicValues(e.Op, l, r)
 		default:
@@ -350,6 +350,37 @@ func (w *refWorld) expr(e sqlparse.Expr, s Schema, boxes *blackbox.Registry, row
 		return w.call(e, s, boxes, row)
 	}
 	return Null(), fmt.Errorf("oracle: no interpretation for expression %T", e)
+}
+
+// refArith is the oracle's arithmetic: NULL when either operand is
+// NULL, else an error at a non-numeric operand, and NULL on a zero
+// divisor.
+func refArith(op string, l, r Value) (Value, error) {
+	if l.IsNull() || r.IsNull() {
+		return Null(), nil
+	}
+	x, err := l.AsFloat()
+	if err != nil {
+		return Null(), err
+	}
+	y, err := r.AsFloat()
+	if err != nil {
+		return Null(), err
+	}
+	switch op {
+	case "+":
+		return Float(x + y), nil
+	case "-":
+		return Float(x - y), nil
+	case "*":
+		return Float(x * y), nil
+	case "/":
+		if y == 0 {
+			return Null(), nil
+		}
+		return Float(x / y), nil
+	}
+	return Null(), fmt.Errorf("oracle: no arithmetic operator %q", op)
 }
 
 // call interprets a builtin or VG call: arguments evaluate left to

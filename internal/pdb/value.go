@@ -16,6 +16,7 @@ package pdb
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Kind discriminates runtime value types. The engine is dynamically
@@ -28,7 +29,7 @@ const (
 	KindNull Kind = iota
 	// KindFloat is a 64-bit float; all model arithmetic uses it.
 	KindFloat
-	// KindBool is a boolean.
+	// KindBool is a boolean, held as 0 or 1 in the float payload.
 	KindBool
 	// KindString is a string.
 	KindString
@@ -50,11 +51,13 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one cell. The zero Value is NULL.
+// Value is one cell. The zero Value is NULL. A float or bool keeps its
+// number in f, a bool as 0 or 1, just as a Vec lane does, so a numeric
+// rule reads both kinds the same way; the kind still tells them apart
+// for Equal and String.
 type Value struct {
 	kind Kind
 	f    float64
-	b    bool
 	s    string
 }
 
@@ -64,8 +67,13 @@ func Null() Value { return Value{} }
 // Float wraps a float64.
 func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
 
-// Bool wraps a bool.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+// Bool wraps a bool as 0 or 1.
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, f: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // String wraps a string. (Use .Text() to unwrap; String() is the
 // fmt.Stringer.)
@@ -77,32 +85,26 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
+// numeric reports whether the value is a float or a bool.
+func (v Value) numeric() bool { return v.kind == KindFloat || v.kind == KindBool }
+
 // AsFloat unwraps a float, converting bools (true=1) as SQL's
 // arithmetic on predicates does in this dialect.
 func (v Value) AsFloat() (float64, error) {
-	switch v.kind {
-	case KindFloat:
-		return v.f, nil
-	case KindBool:
-		if v.b {
-			return 1, nil
-		}
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("pdb: %s is not numeric", v.kind)
+	if !v.numeric() {
+		return 0, errNotNumeric(v.kind)
 	}
+	return v.f, nil
 }
+
+func errNotNumeric(k Kind) error { return fmt.Errorf("pdb: %s is not numeric", k) }
 
 // AsBool unwraps a bool; floats are truthy when non-zero.
 func (v Value) AsBool() (bool, error) {
-	switch v.kind {
-	case KindBool:
-		return v.b, nil
-	case KindFloat:
-		return v.f != 0, nil
-	default:
+	if !v.numeric() {
 		return false, fmt.Errorf("pdb: %s is not boolean", v.kind)
 	}
+	return v.f != 0, nil
 }
 
 // Text unwraps a string value.
@@ -119,68 +121,28 @@ func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind || v.kind == KindNull {
 		return false
 	}
-	switch v.kind {
-	case KindFloat:
-		return v.f == o.f
-	case KindBool:
-		return v.b == o.b
-	case KindString:
+	if v.kind == KindString {
 		return v.s == o.s
 	}
-	return false
+	return v.f == o.f
 }
 
-// Compare orders two non-null values of the same kind: -1, 0, +1.
+// Compare orders two non-null values: two strings by their text, and
+// any two numeric values (floats and bools mixed) by their number:
+// -1, 0, +1.
 func (v Value) Compare(o Value) (int, error) {
-	if v.kind == KindNull || o.kind == KindNull {
+	switch {
+	case v.kind == KindNull || o.kind == KindNull:
 		return 0, fmt.Errorf("pdb: cannot compare NULL")
+	case v.kind == KindString && o.kind == KindString:
+		return strings.Compare(v.s, o.s), nil
+	case !v.numeric() || !o.numeric():
+		return 0, fmt.Errorf("pdb: cannot compare %s with %s", v.kind, o.kind)
 	}
-	if v.kind != o.kind {
-		// Allow float/bool mixing through numeric coercion.
-		vf, err1 := v.AsFloat()
-		of, err2 := o.AsFloat()
-		if err1 != nil || err2 != nil {
-			return 0, fmt.Errorf("pdb: cannot compare %s with %s", v.kind, o.kind)
-		}
-		return cmpFloat(vf, of), nil
-	}
-	switch v.kind {
-	case KindFloat:
-		return cmpFloat(v.f, o.f), nil
-	case KindBool:
-		vb, ob := 0, 0
-		if v.b {
-			vb = 1
-		}
-		if o.b {
-			ob = 1
-		}
-		return cmpInt(vb, ob), nil
-	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1, nil
-		case v.s > o.s:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	return 0, fmt.Errorf("pdb: cannot compare %s", v.kind)
+	return cmpFloat(v.f, o.f), nil
 }
 
 func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpInt(a, b int) int {
 	switch {
 	case a < b:
 		return -1
@@ -199,10 +161,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
+		return strconv.FormatBool(v.f != 0)
 	case KindString:
 		return v.s
 	default:

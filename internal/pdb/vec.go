@@ -36,31 +36,21 @@ func (v *Vec) Lane(w int) Value {
 	if v.uniform {
 		return v.u
 	}
-	switch Kind(v.kind[w]) {
+	switch k := Kind(v.kind[w]); k {
 	case KindNull:
 		return Null()
-	case KindFloat:
-		return Float(v.f[w])
-	case KindBool:
-		return Bool(v.f[w] != 0)
-	default:
+	case KindString:
 		return Str(v.s[w])
+	default:
+		return Value{kind: k, f: v.f[w]}
 	}
 }
 
 // setLane stores val into world w of a materialized Vec.
 func (v *Vec) setLane(w int, val Value) {
 	v.kind[w] = uint8(val.kind)
-	switch val.kind {
-	case KindFloat:
-		v.f[w] = val.f
-	case KindBool:
-		if val.b {
-			v.f[w] = 1
-		} else {
-			v.f[w] = 0
-		}
-	case KindString:
+	v.f[w] = val.f
+	if val.kind == KindString {
 		if v.s == nil {
 			v.s = make([]string, len(v.kind))
 		}
@@ -77,55 +67,37 @@ func (v *Vec) setFloat(w int, f float64) {
 // laneNum returns lane w's kind and, for a float or bool lane, its
 // numeric payload (bools as 0/1).
 func (v *Vec) laneNum(w int) (Kind, float64) {
-	if !v.uniform {
-		return Kind(v.kind[w]), v.f[w]
+	if v.uniform {
+		return v.u.kind, v.u.f
 	}
-	if v.u.kind == KindBool && v.u.b {
-		return KindBool, 1
-	}
-	return v.u.kind, v.u.f
+	return Kind(v.kind[w]), v.f[w]
 }
 
 // laneFloat unwraps lane w as a float with Value.AsFloat semantics
 // (bools coerce to 0/1). ok=false means NULL; a non-numeric lane
 // returns the conversion error.
 func (v *Vec) laneFloat(w int) (f float64, ok bool, err error) {
-	if v.uniform {
-		if v.u.IsNull() {
-			return 0, false, nil
-		}
-		f, err := v.u.AsFloat()
-		return f, err == nil, err
-	}
-	switch Kind(v.kind[w]) {
+	switch k, f := v.laneNum(w); k {
 	case KindNull:
 		return 0, false, nil
-	case KindFloat, KindBool:
-		return v.f[w], true, nil
+	case KindString:
+		return 0, false, errNotNumeric(k)
 	default:
-		_, err := Str(v.s[w]).AsFloat()
-		return 0, false, err
+		return f, true, nil
 	}
 }
 
 // laneBool unwraps lane w as a bool with Value.AsBool semantics
 // (floats are truthy when non-zero). ok=false means NULL.
 func (v *Vec) laneBool(w int) (b bool, ok bool, err error) {
-	if v.uniform {
-		if v.u.IsNull() {
-			return false, false, nil
-		}
-		b, err := v.u.AsBool()
-		return b, err == nil, err
-	}
-	switch Kind(v.kind[w]) {
+	switch k, f := v.laneNum(w); k {
 	case KindNull:
 		return false, false, nil
-	case KindFloat, KindBool:
-		return v.f[w] != 0, true, nil
-	default:
-		_, err := Str(v.s[w]).AsBool()
+	case KindString:
+		_, err := Value{kind: k}.AsBool()
 		return false, false, err
+	default:
+		return f != 0, true, nil
 	}
 }
 

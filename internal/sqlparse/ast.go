@@ -265,42 +265,3 @@ func Builtin(name string) (canonical string, arity int, ok bool) {
 	arity, ok = Builtins[canonical]
 	return canonical, arity, ok
 }
-
-// Walk visits e and every sub-expression in depth-first order.
-func Walk(e Expr, visit func(Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch n := e.(type) {
-	case *Binary:
-		Walk(n.Left, visit)
-		Walk(n.Right, visit)
-	case *Unary:
-		Walk(n.E, visit)
-	case *CaseExpr:
-		for _, arm := range n.Whens {
-			Walk(arm.When, visit)
-			Walk(arm.Then, visit)
-		}
-		Walk(n.Else, visit)
-	case *FuncCall:
-		for _, a := range n.Args {
-			Walk(a, visit)
-		}
-	}
-}
-
-// Params returns the distinct @parameters referenced by e, in first-
-// appearance order.
-func Params(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	Walk(e, func(x Expr) {
-		if p, ok := x.(*ParamRef); ok && !seen[p.Name] {
-			seen[p.Name] = true
-			out = append(out, p.Name)
-		}
-	})
-	return out
-}

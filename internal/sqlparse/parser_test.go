@@ -299,22 +299,6 @@ func TestTokenAndKindStrings(t *testing.T) {
 	}
 }
 
-func TestWalkAndParams(t *testing.T) {
-	e, err := parseExpr("CASE WHEN @a < f(@b, c) THEN -@a ELSE @a + 1 END")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := Params(e)
-	if len(ps) != 2 || ps[0] != "a" || ps[1] != "b" {
-		t.Fatalf("Params = %v", ps)
-	}
-	count := 0
-	Walk(e, func(Expr) { count++ })
-	if count < 8 {
-		t.Fatalf("Walk visited %d nodes", count)
-	}
-}
-
 func TestASTStrings(t *testing.T) {
 	e, err := parseExpr("CASE WHEN a THEN 'x' ELSE f(-1, @p) END")
 	if err != nil {
