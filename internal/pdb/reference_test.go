@@ -16,14 +16,15 @@ import (
 // one world at a time, tuple at a time, against that world's seeded
 // generator. It shares only value-level cores with the executor
 // (compareValues, logicValues and the Value methods); its arithmetic
-// (refArith), builtins and aggregate fold are its own. Plans are interpreted by a type
-// switch over the built-in operators; expressions by walking the
-// parsed sqlparse tree that mustBind records, so the oracle never runs
-// the closures Bind produced. The oracle folds its per-world tables
-// into per-cell block moments itself (refFold: its own positional
-// alignment, gather and key rows) and shares only the ordered merge
-// with production (commitBlocks), so a Distribution from the oracle is
-// comparable with reflect.DeepEqual to one from RunDistribution.
+// (refArith), builtins and aggregate fold are its own. Plans are
+// interpreted by a type switch over the built-in operators;
+// expressions by walking the parsed sqlparse tree that mustBind
+// records, so the oracle never runs the closures Bind produced. The
+// oracle folds its per-world tables into per-cell block moments itself
+// (refFold: its own positional alignment, gather and key rows) and
+// shares only the ordered merge with production (commitBlocks), so a
+// Distribution from the oracle is comparable cell by cell, bit for
+// bit, with one from RunDistribution (sameDistribution).
 
 // astBound is what mustBind returns: the production evaluator plus the
 // parsed expression, schema and registry it was bound from. The
