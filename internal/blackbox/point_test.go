@@ -43,6 +43,9 @@ func TestPointBoxMatchesEval(t *testing.T) {
 		{NewUserSelection(64, 0xabcd), [][]float64{
 			{-1}, {0}, {7}, {26}, {51}, {52}, {104},
 		}},
+		// 240, 483 and 601 active users: one part-full chunk of
+		// EvalBound's 256, then odd counts whose last chunk is part full.
+		{NewUserSelection(601, 0x77), [][]float64{{20}, {40}, {104}}},
 		{UserUsage{}, [][]float64{
 			{30, 4, 2.5, 1.01, 0.2}, {4, 4, 2.5, 1.01, 0.2}, {3, 10, 2.5, 1.01, 0.2}, {60, 0, 0, 1.02, 0.1},
 		}},
@@ -104,6 +107,7 @@ func laneCases() []struct {
 		{"Demand/preRelease", NewDemand(), []float64{8, 12}},
 		{"Capacity", NewCapacity(), []float64{26, 8, 24}},
 		{"UserSelection", NewUserSelection(40, 3), []float64{30}},
+		{"UserSelection/chunks", NewUserSelection(601, 3), []float64{104}},
 		{"UserUsage", UserUsage{}, []float64{30, 4, 2.5, 1.01, 0.2}},
 		{"UserUsage/inactive", UserUsage{}, []float64{3, 10, 2.5, 1.01, 0.2}},
 	}
@@ -203,5 +207,35 @@ func TestBindArityPanics(t *testing.T) {
 				b.Bind(make([]float64, n), make([]float64, b.BoundLen()))
 			}()
 		}
+	}
+}
+
+// TestUserSelectionEvalBoundAllocs: a block of lanes over more users
+// than one chunk allocates nothing; the chunk's variates live on the
+// stack.
+func TestUserSelectionEvalBoundAllocs(t *testing.T) {
+	box := NewUserSelection(601, 9)
+	state := make([]float64, box.BoundLen())
+	box.Bind([]float64{104}, state)
+	rands := make([]rng.Rand, 8)
+	advance(rands, 0x52)
+	out := make([]float64, len(rands))
+	if n := testing.AllocsPerRun(20, func() { box.EvalBound(state, out, rands, nil) }); n != 0 {
+		t.Fatalf("UserSelection.EvalBound allocates %.1f per block, want 0", n)
+	}
+}
+
+// BenchmarkUserSelectionEvalBound draws a block of 64 lanes over 200
+// users, every one active (perfbench's graph_users dataset size).
+func BenchmarkUserSelectionEvalBound(b *testing.B) {
+	box := NewUserSelection(200, 42)
+	state := make([]float64, box.BoundLen())
+	box.Bind([]float64{104}, state)
+	rands := make([]rng.Rand, 64)
+	advance(rands, 0x53)
+	out := make([]float64, len(rands))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		box.EvalBound(state, out, rands, nil)
 	}
 }

@@ -118,18 +118,34 @@ func (u *UserSelection) Bind(args, state []float64) {
 	state[0] = float64(n)
 }
 
+// userChunk is how many active users UserSelection.EvalBound draws per
+// pass, in a stack array.
+const userChunk = 256
+
 // EvalBound implements PointBox: per lane, Eval's draws for the
-// active users Bind kept, in the same order.
+// active users Bind kept, in the same order. A lane takes the users a
+// chunk at a time: it fills the chunk's standard normals, then takes
+// every user's log-normal factor in one Exp pass, then adds mean·factor
+// to the total in user order, so the sum rounds as Eval's does.
 func (u *UserSelection) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(u.Name(), out, rands, active)
 	pairs := state[1 : 1+2*int(state[0])]
+	var e [userChunk]float64
 	for j := range rands {
 		if active != nil && !active[j] {
 			continue
 		}
 		r, total := &rands[j], 0.0
-		for i := 0; i < len(pairs); i += 2 {
-			total += usage(pairs[i], pairs[i+1], r)
+		for lo := 0; lo < len(pairs); lo += 2 * userChunk {
+			p := pairs[lo:min(lo+2*userChunk, len(pairs))]
+			z := e[:len(p)/2]
+			r.FillStdNormal(z)
+			for i := range z {
+				z[i] = math.Exp(rng.NormalFrom(0, p[2*i+1], z[i]))
+			}
+			for i, f := range z {
+				total += p[2*i] * f
+			}
 		}
 		out[j] = total
 	}
@@ -184,7 +200,8 @@ func (UserUsage) Bind(args, state []float64) {
 
 // EvalBound implements PointBox: a bare LogNormal draw per lane for a
 // joined user; a user who has not joined draws nothing and reads 0,
-// as in Eval.
+// as in Eval. A joined user's lanes are drawn in two passes: each
+// active lane's standard normal into out, then one Exp pass.
 func (UserUsage) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes("UserUsage", out, rands, active)
 	for j := range rands {
@@ -193,7 +210,16 @@ func (UserUsage) EvalBound(state, out []float64, rands []rng.Rand, active []bool
 		case state[0] == 0:
 			out[j] = 0
 		default:
-			out[j] = usage(state[1], state[2], &rands[j])
+			out[j] = rands[j].StdNormal()
+		}
+	}
+	if state[0] == 0 {
+		return
+	}
+	mean, vol := state[1], state[2]
+	for j, z := range out[:len(rands)] {
+		if active == nil || active[j] {
+			out[j] = mean * math.Exp(rng.NormalFrom(0, vol, z))
 		}
 	}
 }

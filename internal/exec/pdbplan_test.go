@@ -96,6 +96,45 @@ func TestPDBPlanAgreesWithLightweightEngine(t *testing.T) {
 	}
 }
 
+// TestPDBPlanEqualityMatchesLightweightEngine: "=" and "<>" between a
+// comparison and a number compare by number in the PDB, as exec's
+// kernels do, so both engines read (d > 0) = 1 as true in every world.
+func TestPDBPlanEqualityMatchesLightweightEngine(t *testing.T) {
+	script, err := sqlparse.Parse(`DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+SELECT DemandModel(@current_week, 12) AS d, (d > 0) = 1 AS e, (d > 0) <> 1 AS ne INTO r;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPDBPlan(script.Selects[0], fig1DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]float64{"current_week": 30}
+	dist, err := pdb.RunDistribution(plan, params, pdb.WorldsOptions{Worlds: 500, MasterSeed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := CompileScenario(script, stdRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := mustEngine(t, 500, 11)
+	for col, want := range map[string]float64{"e": 1, "ne": 0} {
+		cell, err := dist.CellByName(0, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := s.ColumnEval(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, _ := eng.EvaluatePoint(ev, valueRow(s, params))
+		if cell.Mean != want || pr.Summary.Mean != want {
+			t.Fatalf("E[%s]: PDB %g, lightweight engine %g, want %g in both", col, cell.Mean, pr.Summary.Mean, want)
+		}
+	}
+}
+
 func TestBuildPDBPlanWithWhereAndFrom(t *testing.T) {
 	db := fig1DB()
 	tbl := pdb.MustNewTable("week", "volume")

@@ -17,7 +17,7 @@ func FuzzBindMatchesOracle(f *testing.F) {
 	for _, src := range []string{
 		"v + volume", "v - week", "v * b", "v / (week - 10)", "-v", "-n",
 		"ABS(n - v)", "SQRT(v - week)", "POW(n, 2)", "MINV(n, v)", "MAXV(v, b)",
-		"v < week", "v <= n", "n > 0", "v >= volume", "b = 1", "b <> (n > 0)",
+		"v < week", "v <= n", "n > 0", "v >= volume", "b = 1", "b <> (n > 0)", "(v > 0) = 1",
 		"region = 'east'", "region < 'f'", "b AND n > 0", "n > 0 OR b", "NOT b",
 		"NULL", "NULL + v", "n + region", "region * 2", "-region", "ABS(region)",
 		"'x'", "CASE WHEN b THEN v ELSE n END", "CASE WHEN n > 1 THEN region END",

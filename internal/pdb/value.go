@@ -54,7 +54,7 @@ func (k Kind) String() string {
 // Value is one cell. The zero Value is NULL. A float or bool keeps its
 // number in f, a bool as 0 or 1, just as a Vec lane does, so a numeric
 // rule reads both kinds the same way; the kind still tells them apart
-// for Equal and String.
+// for String.
 type Value struct {
 	kind Kind
 	f    float64
@@ -116,15 +116,17 @@ func (v Value) Text() (string, error) {
 }
 
 // Equal compares two values; NULL equals nothing (including NULL),
-// mirroring SQL three-valued comparison collapsed to false.
+// mirroring SQL three-valued comparison collapsed to false. Two numeric
+// values (floats and bools mixed) compare by their number, as Compare
+// orders them, so TRUE = 1; a string equals only a string.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind || v.kind == KindNull {
-		return false
-	}
-	if v.kind == KindString {
+	switch {
+	case v.numeric() && o.numeric():
+		return v.f == o.f
+	case v.kind == KindString && o.kind == KindString:
 		return v.s == o.s
 	}
-	return v.f == o.f
+	return false
 }
 
 // Compare orders two non-null values: two strings by their text, and

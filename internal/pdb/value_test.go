@@ -79,7 +79,12 @@ func TestEqual(t *testing.T) {
 	if Null().Equal(Null()) {
 		t.Fatal("NULL must not equal NULL")
 	}
-	if Float(1).Equal(Bool(true)) {
+	// Numeric values compare by number across float and bool, as
+	// Compare and exec's "=" do; a string never equals a number.
+	if !Float(1).Equal(Bool(true)) || !Bool(false).Equal(Float(0)) || Float(2).Equal(Bool(true)) {
+		t.Fatal("float/bool equality is not numeric")
+	}
+	if Str("1").Equal(Float(1)) || Float(1).Equal(Str("1")) {
 		t.Fatal("cross-kind equality")
 	}
 }
