@@ -124,7 +124,7 @@ const userChunk = 256
 
 // EvalBound implements PointBox: per lane, Eval's draws for the
 // active users Bind kept, in the same order. A lane takes the users a
-// chunk at a time: it draws the chunk's standard normals, then takes
+// chunk at a time: it fills the chunk's standard normals, then takes
 // every user's log-normal factor in one Exp pass, then adds mean·factor
 // to the total in user order, so the sum rounds as Eval's does.
 func (u *UserSelection) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
@@ -139,9 +139,7 @@ func (u *UserSelection) EvalBound(state, out []float64, rands []rng.Rand, active
 		for lo := 0; lo < len(pairs); lo += 2 * userChunk {
 			p := pairs[lo:min(lo+2*userChunk, len(pairs))]
 			z := e[:len(p)/2]
-			for i := range z {
-				z[i] = r.StdNormal()
-			}
+			r.FillStdNormal(z)
 			for i := range z {
 				z[i] = math.Exp(rng.NormalFrom(0, p[2*i+1], z[i]))
 			}

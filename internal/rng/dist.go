@@ -53,11 +53,66 @@ func (r *Rand) StdNormal() float64 {
 		if s >= 1 || s == 0 {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
+		f := polarScale(s)
 		r.gauss = v * f
 		r.hasGauss = true
 		return u * f
 	}
+}
+
+// FillStdNormal fills z with the next len(z) StdNormal variates, bit
+// for bit, and leaves r where those calls leave it, the cached variate
+// included. It runs StdNormal's polar method in two passes: the first
+// draws each accepted (u, v) pair into z, after the cached variate if
+// there is one, and the second scales each pair by sqrt(-2·ln s / s).
+// The second pass reads no generator state, so its Log calls do not
+// wait on one another or on the stream.
+func (r *Rand) FillStdNormal(z []float64) {
+	if len(z) == 0 {
+		return
+	}
+	i := 0
+	if r.hasGauss {
+		r.hasGauss = false
+		z[0] = r.gauss
+		i = 1
+	}
+	first := i
+	var lastV float64 // the v of a pair whose u fills z's last slot
+	for i < len(z) {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s >= 1 || s == 0 {
+			continue
+		}
+		z[i] = u
+		if i+1 < len(z) {
+			z[i+1] = v
+		} else {
+			lastV = v
+		}
+		i += 2
+	}
+	for i = first; i+1 < len(z); i += 2 {
+		u, v := z[i], z[i+1]
+		f := polarScale(u*u + v*v)
+		z[i], z[i+1] = u*f, v*f
+	}
+	switch {
+	case i < len(z): // an odd tail: its pair's v·f is the cached variate
+		u := z[i]
+		f := polarScale(u*u + lastV*lastV)
+		z[i] = u * f
+		r.gauss, r.hasGauss = lastV*f, true
+	case first < len(z): // StdNormal leaves a spent pair's v·f in gauss
+		r.gauss = z[len(z)-1]
+	}
+}
+
+// polarScale is the factor that turns an accepted polar pair (u, v)
+// with s = u*u + v*v into two standard normal variates.
+func polarScale(s float64) float64 {
+	return math.Sqrt(-2 * math.Log(s) / s)
 }
 
 // NormalVar returns a sample from a normal distribution specified by
