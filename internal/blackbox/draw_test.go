@@ -315,12 +315,20 @@ func TestApplyLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestDrawApplyAllocs: drawing a sample and applying a block of draw
-// vectors allocate nothing.
+// TestDrawApplyAllocs: drawing a sample, applying a block of draw
+// vectors, Eval and a masked EvalBound allocate nothing. Eval and
+// EvalBound are Draw then a one-lane Apply, so this also checks that
+// their draw and state arrays stay on the stack.
 func TestDrawApplyAllocs(t *testing.T) {
 	r := rng.New(7)
 	ids := shuffledIDs(128, 16, 1)
 	out := make([]float64, len(ids))
+	rands := make([]rng.Rand, 8)
+	for j := range rands {
+		rands[j].Seed(uint64(j) + 1)
+	}
+	lanes := make([]float64, len(rands))
+	active := []bool{true, false, true, true, false, true, false, true}
 	for _, tc := range []struct {
 		box  DrawBox
 		args []float64
@@ -335,8 +343,10 @@ func TestDrawApplyAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() {
 			tc.box.Draw(r, table[:width])
 			tc.box.Apply(state, table, width, ids, out)
+			tc.box.Eval(tc.args, r)
+			tc.box.EvalBound(state, lanes, rands, active)
 		}); n != 0 {
-			t.Errorf("%s: Draw+Apply allocate %.1f per block, want 0", tc.box.Name(), n)
+			t.Errorf("%s: Draw+Apply, Eval and masked EvalBound allocate %.1f per block, want 0", tc.box.Name(), n)
 		}
 	}
 }

@@ -66,12 +66,11 @@ func (d *Demand) params(week, feature float64) (mu, variance float64) {
 // one basis distribution for its entire ∼5000 point parameter space").
 func (d *Demand) Eval(args []float64, r *rng.Rand) float64 {
 	var state [2]float64
-	var z [1]float64
+	var z, out [1]float64
 	d.Bind(args, state[:])
 	d.Draw(r, z[:])
-	l := d.lane(state[:])
-	l.check()
-	return l.at(z[0])
+	d.Apply(state[:], z[:], 1, []int{0}, out[:])
+	return out[0]
 }
 
 // BoundLen implements PointBox: the bound state is (µ, σ).
@@ -85,16 +84,14 @@ func (d *Demand) Bind(args, state []float64) {
 	state[0], state[1] = mu, math.Sqrt(variance)
 }
 
-// EvalBound implements PointBox: one normal draw per lane.
+// EvalBound implements PointBox: per active lane, Draw then Apply.
 func (d *Demand) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(d.Name(), out, rands, active)
-	l := d.lane(state)
 	var z [1]float64
 	for j := range rands {
 		if active == nil || active[j] {
 			d.Draw(&rands[j], z[:])
-			l.check()
-			out[j] = l.at(z[0])
+			d.Apply(state, z[:], 1, []int{0}, out[j:j+1])
 		}
 	}
 }
@@ -105,34 +102,21 @@ func (*Demand) Draws() int { return 1 }
 // Draw implements DrawBox.
 func (*Demand) Draw(r *rng.Rand, d []float64) { d[0] = r.StdNormal() }
 
-// Apply implements DrawBox: µ and σ are read, and σ checked, once for
-// the block.
+// Apply implements DrawBox, and holds Demand's sample arithmetic: the
+// sample whose standard normal variate is z is Normal(µ, σ)'s µ + σ·z.
+// µ and σ are read, and σ checked (panicking on a negative σ, as
+// rng.NormalFrom does), once for the block.
 func (d *Demand) Apply(state, draws []float64, width int, ids []int, out []float64) {
 	if !applyLanes(d.Name(), ids, out) {
 		return
 	}
-	l := d.lane(state)
-	l.check()
+	mu, sigma := state[0], state[1]
+	rng.CheckSigma(sigma)
 	out = out[:len(ids)]
 	for j, id := range ids {
-		out[j] = l.at(draws[id*width])
+		out[j] = mu + sigma*draws[id*width]
 	}
 }
-
-// demandLane is a bound Demand sample's arithmetic, written once:
-// Eval, EvalBound and Apply read a state into one and sample through
-// at, so they agree bit for bit.
-type demandLane struct{ mu, sigma float64 }
-
-// lane reads a state Bind wrote.
-func (*Demand) lane(state []float64) demandLane { return demandLane{state[0], state[1]} }
-
-// check panics on a negative σ, as rng.NormalFrom does.
-func (l demandLane) check() { rng.CheckSigma(l.sigma) }
-
-// at is the sample whose standard normal variate is z: Normal(µ, σ) is
-// µ + σ·z.
-func (l demandLane) at(z float64) float64 { return l.mu + l.sigma*z }
 
 // Capacity simulates a series of purchases, each increasing cluster
 // capacity after an exponentially distributed bring-up delay (Fig. 6).
@@ -187,11 +171,11 @@ const capacityPurchases = 2
 // Eval implements Box.
 func (c *Capacity) Eval(args []float64, r *rng.Rand) float64 {
 	var state, d [capacityPurchases + 2]float64
+	var out [1]float64
 	c.Bind(args, state[:])
 	c.Draw(r, d[:])
-	l := c.lane(state[:])
-	l.check()
-	return l.at(d[:])
+	c.Apply(state[:], d[:], len(d), []int{0}, out[:])
+	return out[0]
 }
 
 // BoundLen implements PointBox: the bound state is the arguments
@@ -205,16 +189,14 @@ func (c *Capacity) Bind(args, state []float64) {
 	state[len(args)] = 1 / c.MeanDelay
 }
 
-// EvalBound implements PointBox: Eval's draws per lane.
+// EvalBound implements PointBox: per active lane, Draw then Apply.
 func (c *Capacity) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(c.Name(), out, rands, active)
-	l := c.lane(state)
 	var d [capacityPurchases + 2]float64
 	for j := range rands {
 		if active == nil || active[j] {
 			c.Draw(&rands[j], d[:])
-			l.check()
-			out[j] = l.at(d[:])
+			c.Apply(state, d[:], len(d), []int{0}, out[j:j+1])
 		}
 	}
 }
@@ -235,57 +217,35 @@ func (c *Capacity) Draw(r *rng.Rand, d []float64) {
 	}
 }
 
-// Apply implements DrawBox: the state and the model constants are read,
-// and the noise σ and delay rate checked, once for the block.
+// Apply implements DrawBox, and holds Capacity's sample arithmetic:
+// the noisy base (rng.NormalFrom's µ + σ·z) less the failures, plus
+// each purchase whose exponential bring-up delay (rng.ExponentialFrom's
+// e/rate) has elapsed by the week. The state and the model constants
+// are read, and the noise σ and delay rate checked (panicking on a
+// negative σ or a non-positive rate, as rng.NormalFrom and then
+// rng.ExponentialFrom do), once for the block.
 func (c *Capacity) Apply(state, draws []float64, width int, ids []int, out []float64) {
 	if !applyLanes(c.Name(), ids, out) {
 		return
 	}
-	l := c.lane(state)
-	l.check()
+	base, noise, volume := c.Base, c.BaseNoise, c.PurchaseVolume
+	week, rate := state[0], state[1+capacityPurchases]
+	var purchases [capacityPurchases]float64
+	copy(purchases[:], state[1:])
+	rng.CheckSigma(noise)
+	rng.CheckRate(rate)
 	out = out[:len(ids)]
 	for j, id := range ids {
-		out[j] = l.at(draws[id*width:])
-	}
-}
-
-// capacityLane is a bound Capacity sample's arithmetic, written once:
-// Eval, EvalBound and Apply read a state and the model constants into
-// one and sample through at, so they agree bit for bit.
-type capacityLane struct {
-	base, noise, volume, week, rate float64
-	purchases                       [capacityPurchases]float64
-}
-
-// lane reads a state Bind wrote.
-func (c *Capacity) lane(state []float64) capacityLane {
-	l := capacityLane{base: c.Base, noise: c.BaseNoise, volume: c.PurchaseVolume,
-		week: state[0], rate: state[1+capacityPurchases]}
-	copy(l.purchases[:], state[1:])
-	return l
-}
-
-// check panics on a negative noise σ or a non-positive delay rate, as
-// rng.NormalFrom and then rng.ExponentialFrom do.
-func (l *capacityLane) check() {
-	rng.CheckSigma(l.noise)
-	rng.CheckRate(l.rate)
-}
-
-// at is the sample whose draw vector is d: the noisy base
-// (rng.NormalFrom's µ + σ·z) less the failures, plus each purchase
-// whose exponential bring-up delay (rng.ExponentialFrom's e/rate) has
-// elapsed by the week.
-func (l *capacityLane) at(d []float64) float64 {
-	d = d[:2+capacityPurchases]
-	capacity := l.base + (0 + l.noise*d[0])
-	capacity -= d[1]
-	for i, purchase := range l.purchases {
-		if l.week >= purchase+d[2+i]/l.rate {
-			capacity += l.volume
+		d := draws[id*width:][:2+capacityPurchases]
+		capacity := base + (0 + noise*d[0])
+		capacity -= d[1]
+		for i, purchase := range purchases {
+			if week >= purchase+d[2+i]/rate {
+				capacity += volume
+			}
 		}
+		out[j] = capacity
 	}
-	return capacity
 }
 
 // Overload is the black box synthesized from Capacity and Demand

@@ -48,13 +48,16 @@ type PointBox interface {
 //
 // writes the bits EvalBound writes to a lane that draws from r, and
 // Draw leaves r where EvalBound would, cached polar variate included.
+// So a model writes its sample once, in Apply: Demand's and
+// Capacity's Eval and EvalBound are Draw then a one-lane Apply.
 // Draw consumes the same stream whatever the point, so under common
 // random numbers (§3.1) the draws of the sample seeded by σ are one
 // vector for every point: its callers draw it once per seed into a
 // DrawTable and apply a block of the table's vectors at each point — a
 // compiled scenario whose every model call is a bound DrawBox
 // (DESIGN.md, "Seed-only rows"), mc's BoundBox and the PDB's fresh
-// lane.
+// lane, which replays Draw alone to bring a world's live generator to
+// where the applied sample left it.
 type DrawBox interface {
 	PointBox
 	// Draws is the length of the draw vector, at least 1.

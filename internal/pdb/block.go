@@ -25,27 +25,18 @@ import (
 // runFlags carries cross-block, cross-worker execution hints. The
 // fresh-stream fast lane (applying a VG column's draws from its call
 // site's draw table while world generators are still unseeded) costs
-// a per-world replay when a later draw forces materialization; once
-// one block observes that, later blocks skip the lane. The flag is
-// purely a performance hint — both lanes are bit-identical — so a
-// benign race between workers is acceptable.
+// a per-world replay of the column's Draw when a later draw forces
+// materialization; once one block observes that, later blocks skip
+// the lane. The flag is purely a performance hint — both lanes are
+// bit-identical — so a benign race between workers is acceptable.
 type runFlags struct {
 	freshOff atomic.Bool
 }
 
-// deferredDraw records a VG column evaluated through the fresh-stream
-// fast lane: if the block later needs live per-world generators, the
-// draw is replayed against them so stream positions match per-world
-// interpretation. A nil box means no draw is deferred; args is the
-// context's own buffer, reused across blocks.
-type deferredDraw struct {
-	box  blackbox.Box
-	args []float64
-}
-
 // BlockCtx carries per-block evaluation state: the block's world ids
-// and generators, the parameter bindings, and the scratch arena
-// every operator allocates from. A BlockCtx is single-goroutine state;
+// and generators (with the DrawBox of a fresh-lane draw they have not
+// yet taken), the parameter bindings, and the scratch arena every
+// operator allocates from. A BlockCtx is single-goroutine state;
 // the worlds layer pools one per worker.
 type BlockCtx struct {
 	// W is the number of worlds in this block.
@@ -65,8 +56,15 @@ type BlockCtx struct {
 	// live reports whether Rands carries the worlds' current stream
 	// state; until then generators are logically "freshly seeded but
 	// not yet constructed".
-	live     bool
-	deferred deferredDraw
+	live bool
+	// deferred is the DrawBox of a VG column evaluated through the
+	// fresh-stream fast lane, or nil: if the block later needs live
+	// generators, materialize replays its Draw in every world, into
+	// replay (never the floats scratch, which the calling VG column
+	// still holds), so stream positions match per-world
+	// interpretation.
+	deferred blackbox.DrawBox
+	replay   []float64
 	flags    *runFlags
 
 	// Scratch arena: free lists reset per block, so steady-state
@@ -102,7 +100,7 @@ func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fl
 	}
 	c.Params = params
 	c.live = false
-	c.deferred.box = nil
+	c.deferred = nil
 	c.flags = flags
 	c.vecsUsed = 0
 	c.masksUsed = 0
@@ -117,7 +115,8 @@ func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fl
 }
 
 // materialize seeds the per-world generators and replays any deferred
-// fresh-lane draw, bringing Rands to the exact state a per-world
+// fresh-lane draw by its DrawBox's Draw, which leaves each generator
+// where Eval would, bringing Rands to the exact state a per-world
 // interpreter would hold at this point of each world's execution.
 func (c *BlockCtx) materialize() {
 	if c.live {
@@ -126,11 +125,13 @@ func (c *BlockCtx) materialize() {
 	for w := 0; w < c.W; w++ {
 		c.Rands[w].Seed(rng.SampleSeed(c.Master, c.IDs[w]))
 	}
-	if d := &c.deferred; d.box != nil {
+	if c.deferred != nil {
+		n := c.deferred.Draws()
+		c.replay = slices.Grow(c.replay[:0], n)[:n]
 		for w := 0; w < c.W; w++ {
-			d.box.Eval(d.args, &c.Rands[w])
+			c.deferred.Draw(&c.Rands[w], c.replay)
 		}
-		d.box = nil
+		c.deferred = nil
 		// The fast lane cost a full replay: this plan has more than
 		// one draw per world, so later blocks go straight to streams.
 		if c.flags != nil {
@@ -144,15 +145,7 @@ func (c *BlockCtx) materialize() {
 // fresh-stream fast lane: no world stream consumed yet, no draw
 // already deferred, and no earlier block demoted the lane.
 func (c *BlockCtx) freshLaneOpen() bool {
-	return !c.live && c.deferred.box == nil && (c.flags == nil || !c.flags.freshOff.Load())
-}
-
-// noteFreshDraw records that box's draws at args were applied from
-// its draw table against the fresh world seeds, deferring the
-// stream-state update until someone needs live generators.
-func (c *BlockCtx) noteFreshDraw(box blackbox.Box, args []float64) {
-	c.deferred.box = box
-	c.deferred.args = append(c.deferred.args[:0], args...)
+	return !c.live && c.deferred == nil && (c.flags == nil || !c.flags.freshOff.Load())
 }
 
 // ---------- Arena ----------

@@ -156,6 +156,22 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
+// TestFreshLaneReplaysMultiVariateDraw: the fresh lane applies
+// Capacity's 4-variate draw vector, and the second, bound Capacity
+// column makes materialize replay that Draw in every world before it
+// binds its own week and purchases.
+func TestFreshLaneReplaysMultiVariateDraw(t *testing.T) {
+	db := columnarDB(t)
+	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{
+		{Name: "capacity", Expr: mustBind(t, "CapacityModel(@week, 8, 24)", Schema{}, db.Boxes)},
+		{Name: "later", Expr: mustBind(t, "CapacityModel(@week, 16, 32)", Schema{}, db.Boxes)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, plan, map[string]float64{"week": 20}, 300)
+}
+
 // TestFreshLaneAcrossMasterSeeds: one plan run under master seed A,
 // then B, then A again, at one worker and two, returns each run what a
 // freshly built plan and the oracle return: a run under a new master

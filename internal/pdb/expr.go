@@ -571,7 +571,7 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 					// later draw makes materialize replay this one.
 					if vals, all := table.Load(ctx.Master, ctx.IDs); all {
 						draw.Apply(state, vals, table.Width(), ctx.IDs, dst.f)
-						ctx.noteFreshDraw(box, argv)
+						ctx.deferred = draw
 						return dst, nil
 					}
 				}
