@@ -84,14 +84,22 @@ func (d *Demand) Bind(args, state []float64) {
 	state[0], state[1] = mu, math.Sqrt(variance)
 }
 
-// EvalBound implements PointBox: per active lane, Draw then Apply.
+// EvalBound implements PointBox: it draws the active lanes' vectors
+// into a stack block, laneBlock lanes at a time, and applies each block
+// by one Apply.
 func (d *Demand) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(d.Name(), out, rands, active)
-	var z [1]float64
-	for j := range rands {
-		if active == nil || active[j] {
-			d.Draw(&rands[j], z[:])
-			d.Apply(state, z[:], 1, []int{0}, out[j:j+1])
+	var z, vals [laneBlock]float64
+	var lanes [laneBlock]int
+	for j := 0; j < len(rands); {
+		var n int
+		n, j = activeLanes(&lanes, j, len(rands), active)
+		for k, lane := range lanes[:n] {
+			d.Draw(&rands[lane], z[k:k+1])
+		}
+		d.Apply(state, z[:], 1, laneIDs[:n], vals[:n])
+		for k, lane := range lanes[:n] {
+			out[lane] = vals[k]
 		}
 	}
 }
@@ -189,14 +197,24 @@ func (c *Capacity) Bind(args, state []float64) {
 	state[len(args)] = 1 / c.MeanDelay
 }
 
-// EvalBound implements PointBox: per active lane, Draw then Apply.
+// EvalBound implements PointBox: it draws the active lanes' vectors
+// into a stack block, laneBlock lanes at a time, and applies each block
+// by one Apply.
 func (c *Capacity) EvalBound(state, out []float64, rands []rng.Rand, active []bool) {
 	checkLanes(c.Name(), out, rands, active)
-	var d [capacityPurchases + 2]float64
-	for j := range rands {
-		if active == nil || active[j] {
-			c.Draw(&rands[j], d[:])
-			c.Apply(state, d[:], len(d), []int{0}, out[j:j+1])
+	const width = capacityPurchases + 2
+	var d [laneBlock * width]float64
+	var vals [laneBlock]float64
+	var lanes [laneBlock]int
+	for j := 0; j < len(rands); {
+		var n int
+		n, j = activeLanes(&lanes, j, len(rands), active)
+		for k, lane := range lanes[:n] {
+			c.Draw(&rands[lane], d[k*width:(k+1)*width])
+		}
+		c.Apply(state, d[:], width, laneIDs[:n], vals[:n])
+		for k, lane := range lanes[:n] {
+			out[lane] = vals[k]
 		}
 	}
 }

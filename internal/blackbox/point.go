@@ -109,6 +109,31 @@ func checkLanes(name string, out []float64, rands []rng.Rand, active []bool) {
 	}
 }
 
+// laneBlock is the number of lanes a structured model's EvalBound
+// draws into its stack block before one Apply.
+const laneBlock = 64
+
+// laneIDs holds the draw-vector ids 0 … laneBlock−1 of such a block.
+var laneIDs = func() (ids [laneBlock]int) {
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}()
+
+// activeLanes fills lanes with the next active lanes (active nil =
+// every lane) of the n from j on, up to laneBlock of them, and returns
+// how many it found and the lane to resume at.
+func activeLanes(lanes *[laneBlock]int, j, n int, active []bool) (found, next int) {
+	for ; j < n && found < laneBlock; j++ {
+		if active == nil || active[j] {
+			lanes[found] = j
+			found++
+		}
+	}
+	return found, j
+}
+
 // applyLanes panics on an out/ids length mismatch, and reports whether
 // a DrawBox.Apply has a lane to write.
 func applyLanes(name string, ids []int, out []float64) bool {

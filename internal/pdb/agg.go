@@ -16,7 +16,8 @@ type AggSpec struct {
 
 // AggregatePlan computes global sums over its whole input: one output
 // row per world, also over empty input (every SUM NULL) — the SELECT
-// SUM(...) FROM t form.
+// SUM(...) FROM t form. Over a block's chunks of scan rows it folds
+// each chunk into the same sums and emits its row after the last.
 type AggregatePlan struct {
 	Child  Plan
 	Aggs   []AggSpec
@@ -90,23 +91,19 @@ func addSum(dst, v *Vec, mask Mask, w int) error {
 // ExecuteBlock implements Plan. Each row's aggregate arguments
 // evaluate column-wise in row order, aggregate by aggregate — the
 // per-world interpretation order — and fold straight into the result
-// Vecs under the row's mask. The result row is taken from the arena
-// first; once a row is folded nothing references the Vecs its
-// arguments allocated, so the next row reuses them: a VG argument then
-// draws every row into the same cache-hot lanes instead of walking a
-// fresh W-lane column per row.
+// Vecs under the row's mask. The result row is the block context's
+// (sumRow), kept across chunks outside the arena; once a row is folded
+// nothing references the Vecs its arguments allocated, so the next row
+// reuses them: a VG argument then draws every row into the same
+// cache-hot lanes instead of walking a fresh W-lane column per row.
+// Before the block's last chunk it emits no row.
 func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	in, err := p.Child.ExecuteBlock(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sums := ctx.newRow(len(p.Aggs))
-	for j := range sums {
-		// Every lane NULL, over a zero payload addSum adds to.
-		sums[j] = ctx.lanesVec()
-		clear(sums[j].f)
-	}
-	mark := ctx.vecsUsed
+	sums := ctx.sumRow(len(p.Aggs))
+	mark, umark := ctx.vecsUsed, ctx.uniformsUsed
 	for r, row := range in.Rows {
 		m := in.rowMask(r)
 		for j, a := range p.Aggs {
@@ -118,7 +115,10 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 				return nil, err
 			}
 		}
-		ctx.vecsUsed = mark
+		ctx.vecsUsed, ctx.uniformsUsed = mark, umark
+	}
+	if !ctx.lastChunk() {
+		return ctx.newTable(p.schema, 0), nil
 	}
 	out := ctx.newTable(p.schema, 1)
 	out.Rows[0] = sums

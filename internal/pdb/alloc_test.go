@@ -153,6 +153,47 @@ func TestResultCellsAllocsFlatInRows(t *testing.T) {
 	}
 }
 
+// TestBlockScratchFlatInRows pins that a block's arena does not grow
+// with the table: one block of the pdb_users shape, Scan → Extend(VG)
+// → Select → Project, runs its rows a chunk at a time and recycles the
+// arena between chunks, so it leaves as many materialized columns
+// after 8000 rows as after 200.
+func TestBlockScratchFlatInRows(t *testing.T) {
+	const worlds = 256
+	columns := func(rows int) int {
+		ext, boxes := usersUsagePlan(t, rows)
+		sel := &SelectPlan{Child: ext, Pred: mustBind(t, "join_week < @week", ext.Schema(), boxes), Desc: "join_week < week"}
+		plan, err := NewProjectPlan(sel, []NamedBound{
+			{Name: "join_week", Expr: mustBind(t, "join_week", sel.Schema(), boxes)},
+			{Name: "usage", Expr: mustBind(t, "usage", sel.Schema(), boxes)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, out := &BlockCtx{}, &blockOut{}
+		ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, nil)
+		out.reset(0, worlds)
+		if err := out.run(plan, planChunking(plan, 0), ctx); err != nil {
+			t.Fatal(err)
+		}
+		if out.rows == 0 {
+			t.Fatalf("%d users: the block kept no rows", rows)
+		}
+		n := 0
+		for _, v := range ctx.vecs {
+			if cap(v.f) >= worlds {
+				n++
+			}
+		}
+		return n
+	}
+	small, large := columns(200), columns(8000)
+	t.Logf("materialized columns after one block: %d at 200 rows, %d at 8000 rows", small, large)
+	if small != large {
+		t.Errorf("one block left %d materialized columns over 8000 rows and %d over 200: the arena grows with the table", large, small)
+	}
+}
+
 // TestAggregateReusesArgumentColumns pins that a SUM over a VG
 // argument leaves two materialized columns in the block arena, the
 // argument's and the result's, not one per row: the aggregate hands
@@ -212,6 +253,16 @@ func TestOperatorBlockAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Errorf("a steady-state Scan → Extend → Select → Project block allocates %.1f, want 0", allocs)
 	}
+}
+
+// masked reports whether any row carries a non-full mask.
+func (t *BlockTable) masked() bool {
+	for _, m := range t.Sel {
+		if m != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // blockAllocs returns the steady-state allocations of one block of

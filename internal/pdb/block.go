@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // This file holds the execution state of the block executor: the
-// per-block context (world generators, parameter bindings, scratch
-// arena).
+// per-block context (world generators, parameter bindings, the chunk
+// of scan rows in flight, scratch arena).
 //
 // Determinism contract. A block covers a contiguous world range
 // [lo, hi); each world w owns generator state derived from seed σw,
@@ -20,7 +21,10 @@ import (
 // or expression-major all interleave *across* worlds differently
 // while each world's own stream order is fixed — which is why results
 // are bit-identical to a per-world interpreter (the test oracle in
-// reference_test.go) for any block size and any worker count.
+// reference_test.go) for any block size and any worker count. A block
+// may run its plan over chunks of scan rows (worlds.go); it does so
+// only when at most one operator draws, the one case where chunks keep
+// each world's (operator, row, expression) order.
 
 // runFlags carries cross-block, cross-worker execution hints. The
 // fresh-stream fast lane (applying a VG column's draws from its call
@@ -35,9 +39,12 @@ type runFlags struct {
 
 // BlockCtx carries per-block evaluation state: the block's world ids
 // and generators (with the DrawBox of a fresh-lane draw they have not
-// yet taken), the parameter bindings, and the scratch arena every
-// operator allocates from. A BlockCtx is single-goroutine state;
-// the worlds layer pools one per worker.
+// yet taken), the parameter bindings, the chunk of scan rows the plan
+// runs over, and the scratch arena every operator allocates from. The
+// generators, the fresh-lane state and the aggregates' sums persist
+// across a block's chunks; the arena is recycled between them. A
+// BlockCtx is single-goroutine state; the worlds layer pools one per
+// worker.
 type BlockCtx struct {
 	// W is the number of worlds in this block.
 	W int
@@ -67,19 +74,34 @@ type BlockCtx struct {
 	replay   []float64
 	flags    *runFlags
 
-	// Scratch arena: free lists reset per block, so steady-state
-	// blocks allocate nothing.
-	vecs      []*Vec
-	vecsUsed  int
-	masks     []Mask
-	masksUsed int
-	// rowPtrs is the chunk newRow bumps through; rowChunks holds
-	// every chunk allocated so far, handed out again in order.
+	// rowLo and rowHi bound the scan rows of the chunk in flight; the
+	// block's last chunk runs to math.MaxInt.
+	rowLo, rowHi int
+	// sums holds each AggregatePlan's per-world sums, in the order the
+	// plan runs its aggregates: made on the block's first chunk (sumsLive
+	// counts them), handed out again on each later chunk (sumsUsed), and
+	// kept outside the recycled arena.
+	sums               []BlockRow
+	sumsLive, sumsUsed int
+
+	// Scratch arena: free lists reset per chunk, so steady-state
+	// blocks allocate nothing. Materialized Vecs (vecs) and uniform
+	// ones (uniforms) come from separate lists, so a Vec that once
+	// held lanes is never spent on a uniform value: a block's lane
+	// storage is the most materialized Vecs any one chunk takes.
+	vecs         []*Vec
+	vecsUsed     int
+	uniforms     []*Vec
+	uniformsUsed int
+	masks        []Mask
+	masksUsed    int
+	// rowPtrs is the pointer chunk newRow bumps through; rowChunks
+	// holds every pointer chunk allocated so far, handed out again in
+	// order.
 	rowPtrs    []*Vec
 	rowChunks  [][]*Vec
 	chunksUsed int
 	floatBuf   []float64
-	intBuf     []int
 	// tables and maskLists hold the operators' block tables and
 	// Select's per-row mask lists, handed out again in order. A
 	// table's Rows is always its own slice, grown by newTable.
@@ -90,7 +112,8 @@ type BlockCtx struct {
 }
 
 // reset prepares the context for the block of master's worlds lo to
-// lo+n−1, reusing all scratch capacity.
+// lo+n−1, reusing all scratch capacity. Its one chunk covers every
+// scan row until chunk narrows it.
 func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, flags *runFlags) {
 	c.W = n
 	c.Master = master
@@ -102,16 +125,56 @@ func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fl
 	c.live = false
 	c.deferred = nil
 	c.flags = flags
+	c.sumsLive = 0
+	c.chunk(0, math.MaxInt)
+	if cap(c.Rands) < c.W {
+		c.Rands = make([]rng.Rand, c.W)
+	}
+	c.Rands = c.Rands[:c.W]
+}
+
+// chunk points the plan at scan rows lo to hi−1 and recycles the
+// arena: nothing the previous chunk allocated there is read again.
+func (c *BlockCtx) chunk(lo, hi int) {
+	c.rowLo, c.rowHi = lo, hi
+	c.sumsUsed = 0
 	c.vecsUsed = 0
+	c.uniformsUsed = 0
 	c.masksUsed = 0
 	c.rowPtrs = nil
 	c.chunksUsed = 0
 	c.tablesUsed = 0
 	c.maskListsUsed = 0
-	if cap(c.Rands) < c.W {
-		c.Rands = make([]rng.Rand, c.W)
+}
+
+// lastChunk reports whether the chunk in flight is the block's last.
+func (c *BlockCtx) lastChunk() bool { return c.rowHi == math.MaxInt }
+
+// sumRow returns the next aggregate's row of n per-world sums: on the
+// block's first chunk a fresh one, every lane NULL over a zero payload
+// that addSum adds to, and on each later chunk the same row again.
+func (c *BlockCtx) sumRow(n int) BlockRow {
+	i := c.sumsUsed
+	c.sumsUsed++
+	if i < c.sumsLive {
+		return c.sums[i]
 	}
-	c.Rands = c.Rands[:c.W]
+	c.sumsLive++
+	if i == len(c.sums) {
+		c.sums = append(c.sums, nil)
+	}
+	row := c.sums[i]
+	for len(row) < n {
+		row = append(row, &Vec{})
+	}
+	row = row[:n:n]
+	for _, v := range row {
+		v.shape(c.W)
+		clear(v.kind)
+		clear(v.f)
+	}
+	c.sums[i] = row
+	return row
 }
 
 // materialize seeds the per-world generators and replays any deferred
@@ -150,22 +213,23 @@ func (c *BlockCtx) freshLaneOpen() bool {
 
 // ---------- Arena ----------
 
-// newVec returns an unshaped Vec from the arena.
-func (c *BlockCtx) newVec() *Vec {
-	if c.vecsUsed < len(c.vecs) {
-		v := c.vecs[c.vecsUsed]
-		c.vecsUsed++
+// newVec returns the next unshaped Vec of an arena list, of which
+// *used are taken.
+func newVec(list *[]*Vec, used *int) *Vec {
+	if *used < len(*list) {
+		v := (*list)[*used]
+		*used++
 		return v
 	}
 	v := &Vec{}
-	c.vecs = append(c.vecs, v)
-	c.vecsUsed++
+	*list = append(*list, v)
+	*used++
 	return v
 }
 
 // uniformVec returns a uniform Vec holding val.
 func (c *BlockCtx) uniformVec(val Value) *Vec {
-	v := c.newVec()
+	v := newVec(&c.uniforms, &c.uniformsUsed)
 	v.uniform = true
 	v.u = val
 	return v
@@ -206,17 +270,8 @@ func (c *BlockCtx) floatVec(mask Mask) *Vec {
 // shapedVec returns a materialized Vec of W lanes whose kinds and
 // payloads are left as the arena last held them.
 func (c *BlockCtx) shapedVec() *Vec {
-	v := c.newVec()
-	v.uniform = false
-	v.u = Value{}
-	if cap(v.kind) < c.W {
-		v.kind = make([]uint8, c.W)
-		v.f = make([]float64, c.W)
-	} else {
-		v.kind = v.kind[:c.W]
-		v.f = v.f[:c.W]
-	}
-	v.s = nil
+	v := newVec(&c.vecs, &c.vecsUsed)
+	v.shape(c.W)
 	return v
 }
 
@@ -253,8 +308,8 @@ func (c *BlockCtx) newMask(src Mask) Mask {
 func (c *BlockCtx) newRow(n int) BlockRow {
 	start := len(c.rowPtrs)
 	if start+n > cap(c.rowPtrs) {
-		// Next chunk: older rows keep referencing theirs, so moving on
-		// never invalidates them.
+		// Next pointer chunk: older rows keep referencing theirs, so
+		// moving on never invalidates them.
 		c.rowPtrs = c.rowChunk(n)
 		start = 0
 	}
@@ -262,9 +317,9 @@ func (c *BlockCtx) newRow(n int) BlockRow {
 	return c.rowPtrs[start : start+n : start+n]
 }
 
-// rowChunk returns the block's next empty pointer chunk with room for
-// n slots, allocating one only when the chunks of earlier blocks run
-// out.
+// rowChunk returns the next empty pointer chunk with room for n slots,
+// allocating one only when the pointer chunks of earlier row chunks
+// and blocks run out.
 func (c *BlockCtx) rowChunk(n int) []*Vec {
 	for c.chunksUsed < len(c.rowChunks) {
 		ch := c.rowChunks[c.chunksUsed]
@@ -309,12 +364,4 @@ func (c *BlockCtx) floats(n int) []float64 {
 		c.floatBuf = make([]float64, n)
 	}
 	return c.floatBuf[:n]
-}
-
-// ints returns an n-sized int scratch slice.
-func (c *BlockCtx) ints(n int) []int {
-	if cap(c.intBuf) < n {
-		c.intBuf = make([]int, n)
-	}
-	return c.intBuf[:n]
 }

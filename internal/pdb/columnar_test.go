@@ -19,10 +19,12 @@ import (
 // These tests pin that across a query zoo covering every built-in
 // operator and the interesting randomness disciplines (fresh-lane
 // draws from a call site's table, bound draws on live streams,
-// branch-masked draws, world-varying selections).
+// branch-masked draws, world-varying selections), at chunk sizes that
+// make even a two-row table cross a chunk boundary.
 
 var columnarBlockSizes = []int{1, 7, 256, 1000}
 var columnarWorkers = []int{1, 4}
+var columnarChunkSizes = []int{1, rowsPerChunk}
 
 // columnarDB builds the shared fixture: purchases/signs tables plus
 // the full model registry.
@@ -41,28 +43,29 @@ func columnarDB(t *testing.T) *DB {
 }
 
 // assertBitIdentical runs plan through RunDistribution at every block
-// size × worker grid point and requires a Distribution deeply equal to
-// the oracle's (or an error from both).
+// size × worker × chunk size grid point and requires a Distribution
+// deeply equal to the oracle's (or an error from both).
 func assertBitIdentical(t *testing.T, plan Plan, params map[string]float64, worlds int) {
 	t.Helper()
 	assertBitIdenticalOn(t, plan, params, worlds, columnarBlockSizes, columnarWorkers)
 }
 
-// assertBitIdenticalOn is assertBitIdentical over the given grid.
+// assertBitIdenticalOn is assertBitIdentical over the given block sizes
+// and worker counts.
 func assertBitIdenticalOn(t *testing.T, plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts []int) {
 	t.Helper()
-	if err := oracleDiff(plan, params, worlds, blockSizes, workerCounts); err != nil {
+	if err := oracleDiff(plan, params, worlds, blockSizes, workerCounts, columnarChunkSizes); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // oracleDiff runs plan through RunDistribution at every block size ×
-// worker grid point and reports the first point where it disagrees
-// with the oracle: one fails and the other does not, or both succeed
-// with Distributions that differ (cells compared by float bits, so NaN
-// cells compare equal). An oracle panic counts as its failure, as a
-// model panic on a worker is the executor's.
-func oracleDiff(plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts []int) error {
+// worker × chunk size grid point and reports the first point where it
+// disagrees with the oracle: one fails and the other does not, or both
+// succeed with Distributions that differ (cells compared by float
+// bits, so NaN cells compare equal). An oracle panic counts as its
+// failure, as a model panic on a worker is the executor's.
+func oracleDiff(plan Plan, params map[string]float64, worlds int, blockSizes, workerCounts, chunkSizes []int) error {
 	for _, bw := range blockSizes {
 		opts := WorldsOptions{
 			Worlds: worlds, MasterSeed: 0x1234, blockWorlds: bw,
@@ -76,13 +79,15 @@ func oracleDiff(plan Plan, params map[string]float64, worlds int, blockSizes, wo
 			return refDistribution(plan, params, opts)
 		}()
 		for _, workers := range workerCounts {
-			opts.Workers = workers
-			got, gotErr := RunDistribution(plan, params, opts)
-			if (wantErr == nil) != (gotErr == nil) {
-				return fmt.Errorf("bw=%d workers=%d: oracle err %v, executor err %v", bw, workers, wantErr, gotErr)
-			}
-			if wantErr == nil && !sameDistribution(want, got) {
-				return fmt.Errorf("bw=%d workers=%d: Distribution diverges from the oracle", bw, workers)
+			for _, chunk := range chunkSizes {
+				opts.Workers, opts.chunkRows = workers, chunk
+				got, gotErr := RunDistribution(plan, params, opts)
+				if (wantErr == nil) != (gotErr == nil) {
+					return fmt.Errorf("bw=%d workers=%d chunk=%d: oracle err %v, executor err %v", bw, workers, chunk, wantErr, gotErr)
+				}
+				if wantErr == nil && !sameDistribution(want, got) {
+					return fmt.Errorf("bw=%d workers=%d chunk=%d: Distribution diverges from the oracle", bw, workers, chunk)
+				}
 			}
 		}
 	}

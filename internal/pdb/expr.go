@@ -11,19 +11,51 @@ import (
 
 // BoundExpr is a compiled expression: it evaluates over a whole
 // world block at once, one Vec per call. Every expression Bind
-// compiles is a blockExpr.
+// compiles is a blockExpr, wrapped as a vgExpr when it holds a VG
+// call.
 type BoundExpr interface {
 	// EvalBlock evaluates against one block row over the worlds active
 	// in mask (nil = every world of the block).
 	EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 }
 
-// blockExpr is the form every bound expression compiles to.
+// blockExpr is the form every bound expression compiles to; one that
+// holds a VG call is wrapped as a vgExpr.
 type blockExpr func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
 
 // EvalBlock implements BoundExpr.
 func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 	return f(row, mask, ctx)
+}
+
+// drawsVG reports that a blockExpr holds no VG call.
+func (blockExpr) drawsVG() bool { return false }
+
+// vgExpr is a bound expression that holds a VG call, so it may draw
+// from the world streams.
+type vgExpr struct{ blockExpr }
+
+// drawsVG reports that a vgExpr holds a VG call.
+func (vgExpr) drawsVG() bool { return true }
+
+// exprDraws reports whether e may draw from the world streams: Bind
+// records whether an expression holds a VG call, and an expression
+// Bind did not build counts as drawing.
+func exprDraws(e BoundExpr) bool {
+	d, ok := e.(interface{ drawsVG() bool })
+	return !ok || d.drawsVG()
+}
+
+// over returns f as a bound expression that draws when any of the
+// expressions it evaluates does (a nil one, CASE's missing ELSE,
+// draws nothing).
+func over(f blockExpr, kids ...BoundExpr) BoundExpr {
+	for _, k := range kids {
+		if k != nil && exprDraws(k) {
+			return vgExpr{f}
+		}
+	}
+	return f
 }
 
 // Bind compiles a parsed expression against schema s, resolving
@@ -116,8 +148,8 @@ func bindBinary(b *sqlparse.Binary, s Schema, boxes *blackbox.Registry) (BoundEx
 // lane-wise with combine, taking the compute-once shortcut when both
 // sides are uniform (deterministic subtrees evaluate once per block,
 // not once per world).
-func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) blockExpr {
-	return func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) BoundExpr {
+	return over(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		lv, err := l.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
@@ -145,7 +177,7 @@ func binOpBlock(l, r BoundExpr, combine func(Value, Value) (Value, error)) block
 			dst.setLane(w, val)
 		}
 		return dst, nil
-	}
+	}, l, r)
 }
 
 // compareValues is the value-level core of comparison.
@@ -206,8 +238,8 @@ func logicValues(op string, lv, rv Value) (Value, error) {
 
 // unaryBlock applies f lane-wise to e's column (once for a uniform
 // column).
-func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockExpr {
-	return func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+func unaryBlock(e BoundExpr, f func(Value) (Value, error)) BoundExpr {
+	return over(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		v, err := e.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
@@ -231,7 +263,7 @@ func unaryBlock(e BoundExpr, f func(Value) (Value, error)) blockExpr {
 			dst.setLane(w, val)
 		}
 		return dst, nil
-	}
+	}, e)
 }
 
 // numericRule is one numeric operator or builtin over its operands x
@@ -261,7 +293,7 @@ var numericOps = map[string]numericRule{
 // (evalArgColumns), so later arguments do not draw in that world.
 // Uniform operands compute once per block.
 func bindNumeric(fn numericRule, args []BoundExpr, narrow bool) BoundExpr {
-	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return over(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead := mask, true, false
 		var err error
@@ -305,7 +337,7 @@ func bindNumeric(fn numericRule, args []BoundExpr, narrow bool) BoundExpr {
 			}
 		}
 		return dst, nil
-	})
+	}, args...)
 }
 
 // numericLane applies fn to world w's operands: NULL (ok=false) at the
@@ -379,7 +411,7 @@ func caseBlock(w, t, e BoundExpr) BoundExpr {
 	// only over the worlds that take it — so branch randomness (a VG
 	// call inside THEN) is consumed in exactly the worlds a per-world
 	// evaluation would consume it in.
-	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return over(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		cond, err := w.EvalBlock(row, mask, ctx)
 		if err != nil {
 			return nil, err
@@ -443,7 +475,7 @@ func caseBlock(w, t, e BoundExpr) BoundExpr {
 			}
 		}
 		return dst, nil
-	})
+	}, w, t, e)
 }
 
 // bindCall binds a call of a scalar builtin (sqlparse.Builtins) or of
@@ -544,7 +576,7 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 	if draw != nil {
 		table = blackbox.NewDrawTable(draw.Draws(), draw.Draw)
 	}
-	return blockExpr(func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return vgExpr{func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
 		if err != nil {
@@ -596,5 +628,5 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 			dst.setFloat(w, box.Eval(argv, &ctx.Rands[w]))
 		}
 		return dst, nil
-	})
+	}}
 }

@@ -8,11 +8,13 @@ import (
 
 // FuzzBindMatchesOracle binds fuzzed expression text over a small
 // table and requires RunDistribution to agree with the per-world
-// oracle at block sizes {1, 7, 256} × workers {1, 2}: both fail, or
-// both succeed with bit-identical cells. The table holds a VG column
-// (v), a bool that varies by world (b), a column that is NULL in some
-// worlds (n, through CASE), a string column (region) and the stored
-// floats week and volume. Text that does not parse or bind is skipped.
+// oracle at block sizes {1, 7, 256} × workers {1, 2} × chunk sizes
+// {1, 2, rowsPerChunk}: both fail, or both succeed with bit-identical
+// cells. The table holds a VG column (v), a bool that varies by world
+// (b), a column that is NULL in some worlds (n, through CASE), a
+// string column (region) and the stored floats week and volume. Its
+// three rows run in chunks unless the fuzzed column draws too. Text
+// that does not parse or bind is skipped.
 func FuzzBindMatchesOracle(f *testing.F) {
 	for _, src := range []string{
 		"v + volume", "v - week", "v * b", "v / (week - 10)", "-v", "-n",
@@ -57,7 +59,10 @@ func FuzzBindMatchesOracle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := oracleDiff(plan, params, 20, []int{1, 7, 256}, []int{1, 2}); err != nil {
+		if !exprDraws(b) && planChunking(plan, 1).size != 1 {
+			t.Fatalf("%s draws nothing, yet the plan runs in one pass", src)
+		}
+		if err := oracleDiff(plan, params, 20, []int{1, 7, 256}, []int{1, 2}, []int{1, 2, 0}); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 	})

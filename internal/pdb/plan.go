@@ -26,7 +26,8 @@ type ValuesPlan struct{}
 // Schema implements Plan.
 func (ValuesPlan) Schema() Schema { return Schema{} }
 
-// ExecuteBlock implements Plan.
+// ExecuteBlock implements Plan. Its one row never spans chunks, so
+// every block runs it in one.
 func (ValuesPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	out := ctx.newTable(Schema{}, 1)
 	out.Rows[0] = ctx.newRow(0)
@@ -49,15 +50,18 @@ func NewScanPlan(name string, t *Table) *ScanPlan { return &ScanPlan{Name: name,
 // Schema implements Plan.
 func (s *ScanPlan) Schema() Schema { return s.table.Schema }
 
-// ExecuteBlock implements Plan: stored data is deterministic, so
-// every cell blocks into a uniform Vec — no per-world storage at all.
+// ExecuteBlock implements Plan: it emits the stored rows of the chunk
+// in flight. Stored data is deterministic, so every cell blocks into a
+// uniform Vec — no per-world storage at all.
 func (s *ScanPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	nc := len(s.table.Schema)
-	out := ctx.newTable(s.table.Schema, len(s.table.Rows))
-	for r, src := range s.table.Rows {
+	n := len(s.table.Rows)
+	src := s.table.Rows[min(ctx.rowLo, n):min(ctx.rowHi, n)]
+	out := ctx.newTable(s.table.Schema, len(src))
+	for r, cells := range src {
 		row := ctx.newRow(nc)
 		for c := range row {
-			row[c] = ctx.uniformVec(src[c])
+			row[c] = ctx.uniformVec(cells[c])
 		}
 		out.Rows[r] = row
 	}

@@ -36,6 +36,11 @@ type astBound struct {
 	boxes  *blackbox.Registry
 }
 
+// drawsVG forwards Bind's record of whether the expression holds a VG
+// call, so a plan over astBounds runs in chunks exactly when the same
+// plan over Bind's expressions would.
+func (a astBound) drawsVG() bool { return exprDraws(a.BoundExpr) }
+
 // sqlExpr parses src as one SQL expression: the parser's tree is the
 // tree Bind compiles.
 func sqlExpr(t testing.TB, src string) sqlparse.Expr {

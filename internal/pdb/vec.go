@@ -46,6 +46,21 @@ func (v *Vec) Lane(w int) Value {
 	}
 }
 
+// shape makes v a materialized Vec of w lanes whose kinds and payloads
+// are left as its storage last held them.
+func (v *Vec) shape(w int) {
+	v.uniform = false
+	v.u = Value{}
+	if cap(v.kind) < w {
+		v.kind = make([]uint8, w)
+		v.f = make([]float64, w)
+	} else {
+		v.kind = v.kind[:w]
+		v.f = v.f[:w]
+	}
+	v.s = nil
+}
+
 // setLane stores val into world w of a materialized Vec.
 func (v *Vec) setLane(w int, val Value) {
 	v.kind[w] = uint8(val.kind)
@@ -147,17 +162,4 @@ func (t *BlockTable) rowMask(r int) Mask {
 		return nil
 	}
 	return t.Sel[r]
-}
-
-// masked reports whether any row carries a non-full mask.
-func (t *BlockTable) masked() bool {
-	if t.Sel == nil {
-		return false
-	}
-	for _, m := range t.Sel {
-		if m != nil {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package pdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"jigsaw/internal/pool"
@@ -12,6 +13,12 @@ import (
 // worldsPerBlock is the number of worlds per execution block,
 // matching the Monte Carlo engine's sample-block size.
 const worldsPerBlock = 256
+
+// rowsPerChunk is the number of scan rows a block runs its plan over
+// at a time, when the plan lets it run in chunks (planChunking): a
+// block's live lanes are then a chunk's rows × its worlds, whatever
+// the table's size.
+const rowsPerChunk = 64
 
 // WorldsOptions configures Monte Carlo query execution.
 type WorldsOptions struct {
@@ -38,6 +45,10 @@ type WorldsOptions struct {
 	// from empty before the merge, so small blocks, a short trailing
 	// block or NULL-heavy cells round differently from larger ones.
 	blockWorlds int
+	// chunkRows is the number of scan rows per chunk (0 means
+	// rowsPerChunk; tests vary it so small tables cross many chunks).
+	// Chunks never move an answer.
+	chunkRows int
 }
 
 // withDefaults validates the options and fills in defaults.
@@ -114,14 +125,25 @@ type blockOut struct {
 	schema Schema
 	rows   int // rows in the block's first world
 	// odd is the first world, counted from lo, whose row count differs
-	// from rows (-1 when none), and oddRows its count. Such a block is
-	// not folded: the commit rejects it.
+	// from rows (-1 when none), and oddRows its count. The commit
+	// rejects such a block.
 	odd, oddRows int
 	// cells holds one accumulator per result cell, row-major.
 	cells []stats.Accumulator
 	// keys holds world 0's string cells (block 0 only; nil when there
 	// are none).
 	keys []Row
+
+	// The rank carry of an incremental fold. folded counts the result
+	// rows (ranks) folded so far; ahead[lane] counts world lane's
+	// present rows past them, whose cells wait in the window until
+	// every world has reached their rank; top is the largest ahead.
+	// Rank r sits in window slot r−base, a slot being each column's
+	// kind and payload lanes, column-major.
+	folded, top, base int
+	ahead             []int
+	winKind           []uint8
+	winF              []float64
 }
 
 var (
@@ -129,99 +151,233 @@ var (
 	blockOutPool = pool.NewPool[blockOut]()
 )
 
-// reset empties the output for the block starting at world lo.
-func (o *blockOut) reset(lo int) {
-	*o = blockOut{lo: lo, odd: -1, cells: o.cells[:0]}
+// reset empties the output for the block of w worlds starting at world
+// lo.
+func (o *blockOut) reset(lo, w int) {
+	*o = blockOut{lo: lo, odd: -1, cells: o.cells[:0], ahead: slices.Grow(o.ahead[:0], w)[:w],
+		winKind: o.winKind[:0], winF: o.winF[:0]}
+	clear(o.ahead)
 }
 
-// fold summarizes a block's final table into per-cell moments. Result
-// row k in world w is that world's k-th present row; each cell's
-// non-NULL numeric lanes (bools as 0/1) feed one AddBlock, in world
-// order, and string cells are carried as keys, not aggregated.
-func (o *blockOut) fold(bt *BlockTable, ctx *BlockCtx) {
-	w, ncols := ctx.W, len(bt.Schema)
-	o.schema = bt.Schema
-	o.rows = len(bt.Rows)
-	// pos[lane] is world lane's present row for the current result
-	// row; nil when every row exists in every world.
-	var pos []int
-	if bt.masked() {
-		pos = ctx.ints(w)
-		clear(pos)
-		for _, m := range bt.Sel {
-			for lane := range pos {
-				if m == nil || m[lane] {
-					pos[lane]++
-				}
-			}
+// run executes plan over the block's chunks of scan rows, folding each
+// chunk's result rows before the next chunk runs, and closes the fold.
+func (o *blockOut) run(plan Plan, ch chunking, ctx *BlockCtx) error {
+	for lo := 0; ; lo += ch.size {
+		hi := math.MaxInt
+		if ch.size > 0 && ch.rows-lo > ch.size {
+			hi = lo + ch.size
 		}
-		o.rows = pos[0]
-		for lane, n := range pos {
-			if n != o.rows {
-				o.odd, o.oddRows = lane, n
-				return
-			}
+		ctx.chunk(lo, hi)
+		bt, err := plan.ExecuteBlock(ctx)
+		if err != nil {
+			return err
 		}
-		for lane := range pos {
-			pos[lane] = -1
+		o.fold(bt, ctx)
+		if hi == math.MaxInt {
+			break
 		}
 	}
-	o.cells = slices.Grow(o.cells, o.rows*ncols)[:o.rows*ncols]
-	xs := ctx.floats(w)
-	for k := 0; k < o.rows; k++ {
-		for lane := range pos {
-			r := pos[lane] + 1
-			for bt.Sel[r] != nil && !bt.Sel[r][lane] {
-				r++
-			}
-			pos[lane] = r
+	o.finish()
+	return nil
+}
+
+// fold summarizes one chunk's result rows into per-cell moments.
+// Result row k in world w is that world's k-th present row; each
+// cell's non-NULL numeric lanes (bools as 0/1) feed one AddBlock, in
+// world order, and string cells are carried as keys, not aggregated.
+// A row present in every world while no rank is open folds straight
+// from its Vecs. Any other row goes to the rank carry, which copies
+// each world's lanes out of the chunk's arena and folds a rank once
+// every world has reached it, so each cell still gets one AddBlock
+// over its worlds, whatever the chunk boundaries.
+func (o *blockOut) fold(bt *BlockTable, ctx *BlockCtx) {
+	o.schema = bt.Schema
+	xs := ctx.floats(ctx.W)
+	for r, row := range bt.Rows {
+		if m := bt.rowMask(r); m != nil || o.top > 0 {
+			o.carry(row, m, xs)
+			continue
 		}
-		for c := 0; c < ncols; c++ {
+		cells := o.nextRank(len(row))
+		for c, v := range row {
+			if o.lo == 0 {
+				o.key(o.folded-1, c, len(row), v)
+			}
 			n := 0
-			for lane := 0; lane < w; lane++ {
-				r := k
-				if pos != nil {
-					r = pos[lane]
-				}
-				switch kind, f := bt.Rows[r][c].laneNum(lane); kind {
-				case KindFloat, KindBool:
+			for lane := range xs {
+				if kind, f := v.laneNum(lane); kind == KindFloat || kind == KindBool {
 					xs[n] = f
 					n++
-				case KindString:
-					if o.lo == 0 && lane == 0 {
-						o.key(k, c, ncols, bt.Rows[r][c].Lane(0))
-					}
 				}
 			}
-			acc := &o.cells[k*ncols+c]
-			acc.Reset()
-			acc.AddBlock(xs[:n])
+			cells[c].Reset()
+			cells[c].AddBlock(xs[:n])
 		}
+	}
+	if o.top > 0 && o.folded > o.base {
+		// Move the open ranks to the window's front, once per chunk.
+		stride := len(bt.Schema) * len(xs)
+		from, to := (o.folded-o.base)*stride, (o.folded-o.base+o.top)*stride
+		o.winKind = o.winKind[:copy(o.winKind, o.winKind[from:to])]
+		o.winF = o.winF[:copy(o.winF, o.winF[from:to])]
+		o.base = o.folded
 	}
 }
 
-// key records world 0's string cell (k, c).
-func (o *blockOut) key(k, c, ncols int, v Value) {
-	if o.keys == nil {
-		o.keys = make([]Row, o.rows)
+// carry puts row's lanes, in the worlds mask keeps (nil = every
+// world), into each world's next rank's window slot, then folds every
+// rank all worlds have reached.
+func (o *blockOut) carry(row BlockRow, mask Mask, xs []float64) {
+	w, ncols := len(xs), len(row)
+	stride := ncols * w
+	if o.top == 0 {
+		o.base = o.folded
+		o.winKind, o.winF = o.winKind[:0], o.winF[:0]
+	}
+	for lane := range w {
+		if mask != nil && !mask[lane] {
+			continue
+		}
+		rank := o.folded + o.ahead[lane]
+		slot := (rank - o.base) * stride
+		if n := slot + stride; len(o.winF) < n {
+			o.winKind = slices.Grow(o.winKind, n-len(o.winKind))[:n]
+			o.winF = slices.Grow(o.winF, n-len(o.winF))[:n]
+		}
+		for c, v := range row {
+			if lane == 0 && o.lo == 0 {
+				o.key(rank, c, ncols, v)
+			}
+			kind, f := v.laneNum(lane)
+			o.winKind[slot+c*w+lane], o.winF[slot+c*w+lane] = uint8(kind), f
+		}
+		o.ahead[lane]++
+		o.top = max(o.top, o.ahead[lane])
+	}
+	reached := slices.Min(o.ahead)
+	for range reached {
+		slot := (o.folded - o.base) * stride
+		cells := o.nextRank(ncols)
+		for c := range cells {
+			kinds, fs := o.winKind[slot+c*w:][:w], o.winF[slot+c*w:][:w]
+			n := 0
+			for lane, k := range kinds {
+				if Kind(k) == KindFloat || Kind(k) == KindBool {
+					xs[n] = fs[lane]
+					n++
+				}
+			}
+			cells[c].Reset()
+			cells[c].AddBlock(xs[:n])
+		}
+	}
+	for lane := range o.ahead {
+		o.ahead[lane] -= reached
+	}
+	o.top -= reached
+}
+
+// nextRank opens the next result row's ncols cells.
+func (o *blockOut) nextRank(ncols int) []stats.Accumulator {
+	n := len(o.cells)
+	o.cells = slices.Grow(o.cells, ncols)[:n+ncols]
+	o.folded++
+	return o.cells[n:]
+}
+
+// finish closes the fold after the block's last chunk: world 0's
+// present rows are the block's row count, and the first world whose
+// count differs makes the block odd.
+func (o *blockOut) finish() {
+	o.rows = o.folded + o.ahead[0]
+	for lane, a := range o.ahead {
+		if a != o.ahead[0] {
+			o.odd, o.oddRows = lane, o.folded+a
+			return
+		}
+	}
+	if o.keys != nil {
+		o.keys = append(o.keys, make([]Row, o.rows-len(o.keys))...)
+	}
+}
+
+// key records world 0's cell (k, c) of an ncols-column result when v
+// holds a string there.
+func (o *blockOut) key(k, c, ncols int, v *Vec) {
+	if kind, _ := v.laneNum(0); kind != KindString {
+		return
+	}
+	for len(o.keys) <= k {
+		o.keys = append(o.keys, nil)
 	}
 	if o.keys[k] == nil {
 		o.keys[k] = make(Row, ncols)
 	}
-	o.keys[k][c] = v
+	o.keys[k][c] = v.Lane(0)
+}
+
+// chunking is how a block runs its plan: over the leaf's rows, size at
+// a time, or in one pass when size is 0.
+type chunking struct{ rows, size int }
+
+// planChunking decides, once per plan and before any block runs,
+// whether its blocks run in chunks of size scan rows (0 means
+// rowsPerChunk). Per world, draws happen in the order (operator, row,
+// expression); when at most one operator draws, chunks keep that order
+// exactly, so they move no answer. A plan where two or more operators
+// draw, or that holds an operator this package did not define, runs in
+// one pass.
+func planChunking(plan Plan, size int) chunking {
+	rows, drawers, ok := planShape(plan)
+	if !ok || drawers > 1 {
+		return chunking{}
+	}
+	if size == 0 {
+		size = rowsPerChunk
+	}
+	return chunking{rows: rows, size: size}
+}
+
+// planShape walks p down to its leaf: the leaf's row count, the number
+// of operators whose expressions draw, and whether every node is one of
+// this package's operators.
+func planShape(p Plan) (rows, drawers int, ok bool) {
+	var child Plan
+	var draws bool
+	outputsDraw := func(outs []NamedBound) bool {
+		return slices.ContainsFunc(outs, func(o NamedBound) bool { return exprDraws(o.Expr) })
+	}
+	switch p := p.(type) {
+	case ValuesPlan:
+		return 1, 0, true
+	case *ScanPlan:
+		return len(p.table.Rows), 0, true
+	case *SelectPlan:
+		child, draws = p.Child, exprDraws(p.Pred)
+	case *ProjectPlan:
+		child, draws = p.Child, outputsDraw(p.Outputs)
+	case *ExtendPlan:
+		child, draws = p.Child, outputsDraw(p.Outputs)
+	case *AggregatePlan:
+		child, draws = p.Child, slices.ContainsFunc(p.Aggs, func(a AggSpec) bool { return exprDraws(a.Arg) })
+	default:
+		return 0, 0, false
+	}
+	rows, drawers, ok = planShape(child)
+	if draws {
+		drawers++
+	}
+	return rows, drawers, ok
 }
 
 // runBlock executes the block of master's worlds lo to hi−1.
-func runBlock(plan Plan, params map[string]float64, master uint64, lo, hi int, flags *runFlags) *blockOut {
+func runBlock(plan Plan, ch chunking, params map[string]float64, master uint64, lo, hi int, flags *runFlags) *blockOut {
 	out := blockOutPool.Get()
-	out.reset(lo)
+	out.reset(lo, hi-lo)
 	bctx := blockCtxPool.Get()
 	bctx.reset(master, lo, hi-lo, params, flags)
-	bt, err := plan.ExecuteBlock(bctx)
-	if err != nil {
+	if err := out.run(plan, ch, bctx); err != nil {
 		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, hi-1, err)
-	} else {
-		out.fold(bt, bctx)
 	}
 	blockCtxPool.Put(bctx)
 	return out
@@ -238,9 +394,10 @@ func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blo
 	}
 	outs := make([]*blockOut, nblocks)
 	flags := &runFlags{}
+	ch := planChunking(plan, opts.chunkRows)
 	if err := pool.ForWorker(nblocks, opts.Workers, func(_, b int) {
 		lo := b * bw
-		outs[b] = runBlock(plan, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds), flags)
+		outs[b] = runBlock(plan, ch, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds), flags)
 	}); err != nil {
 		// A panicking block: the pool stopped early, so some blocks
 		// never ran. ForWorker's error names the block.
