@@ -172,7 +172,7 @@ func TestBlockScratchFlatInRows(t *testing.T) {
 		}
 		ctx, out := &BlockCtx{}, &blockOut{}
 		ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, nil)
-		out.reset(0, worlds)
+		out.reset(0)
 		if err := out.run(plan, planChunking(plan, 0), ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,7 @@ type ValuesPlan struct{}
 // Schema implements Plan.
 func (ValuesPlan) Schema() Schema { return Schema{} }
 
-// ExecuteBlock implements Plan. Its one row never spans chunks, so
-// every block runs it in one.
+// ExecuteBlock implements Plan.
 func (ValuesPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 	out := ctx.newTable(Schema{}, 1)
 	out.Rows[0] = ctx.newRow(0)

@@ -137,7 +137,8 @@ type blockOut struct {
 	// The rank carry of an incremental fold. folded counts the result
 	// rows (ranks) folded so far; ahead[lane] counts world lane's
 	// present rows past them, whose cells wait in the window until
-	// every world has reached their rank; top is the largest ahead.
+	// every world has reached their rank (empty until a row is
+	// carried); top is the largest ahead.
 	// Rank r sits in window slot r−base, a slot being each column's
 	// kind and payload lanes, column-major.
 	folded, top, base int
@@ -151,12 +152,10 @@ var (
 	blockOutPool = pool.NewPool[blockOut]()
 )
 
-// reset empties the output for the block of w worlds starting at world
-// lo.
-func (o *blockOut) reset(lo, w int) {
-	*o = blockOut{lo: lo, odd: -1, cells: o.cells[:0], ahead: slices.Grow(o.ahead[:0], w)[:w],
+// reset empties the output for the block starting at world lo.
+func (o *blockOut) reset(lo int) {
+	*o = blockOut{lo: lo, odd: -1, cells: o.cells[:0], ahead: o.ahead[:0],
 		winKind: o.winKind[:0], winF: o.winF[:0]}
-	clear(o.ahead)
 }
 
 // run executes plan over the block's chunks of scan rows, folding each
@@ -230,6 +229,10 @@ func (o *blockOut) fold(bt *BlockTable, ctx *BlockCtx) {
 func (o *blockOut) carry(row BlockRow, mask Mask, xs []float64) {
 	w, ncols := len(xs), len(row)
 	stride := ncols * w
+	if len(o.ahead) == 0 {
+		o.ahead = slices.Grow(o.ahead, w)[:w]
+		clear(o.ahead)
+	}
 	if o.top == 0 {
 		o.base = o.folded
 		o.winKind, o.winF = o.winKind[:0], o.winF[:0]
@@ -287,14 +290,15 @@ func (o *blockOut) nextRank(ncols int) []stats.Accumulator {
 
 // finish closes the fold after the block's last chunk: world 0's
 // present rows are the block's row count, and the first world whose
-// count differs makes the block odd.
+// count differs makes the block odd. A rank still open means the
+// counts differ: were they all equal, the carry would have folded it.
 func (o *blockOut) finish() {
-	o.rows = o.folded + o.ahead[0]
-	for lane, a := range o.ahead {
-		if a != o.ahead[0] {
-			o.odd, o.oddRows = lane, o.folded+a
-			return
-		}
+	o.rows = o.folded
+	if o.top > 0 {
+		o.rows += o.ahead[0]
+		o.odd = slices.IndexFunc(o.ahead, func(a int) bool { return a != o.ahead[0] })
+		o.oddRows = o.folded + o.ahead[o.odd]
+		return
 	}
 	if o.keys != nil {
 		o.keys = append(o.keys, make([]Row, o.rows-len(o.keys))...)
@@ -373,7 +377,7 @@ func planShape(p Plan) (rows, drawers int, ok bool) {
 // runBlock executes the block of master's worlds lo to hi−1.
 func runBlock(plan Plan, ch chunking, params map[string]float64, master uint64, lo, hi int, flags *runFlags) *blockOut {
 	out := blockOutPool.Get()
-	out.reset(lo, hi-lo)
+	out.reset(lo)
 	bctx := blockCtxPool.Get()
 	bctx.reset(master, lo, hi-lo, params, flags)
 	if err := out.run(plan, ch, bctx); err != nil {
