@@ -56,8 +56,7 @@ type PointBox interface {
 // DrawTable and apply a block of the table's vectors at each point — a
 // compiled scenario whose every model call is a bound DrawBox
 // (DESIGN.md, "Seed-only rows"), mc's BoundBox and the PDB's fresh
-// lane, which replays Draw alone to bring a world's live generator to
-// where the applied sample left it.
+// lane, which a plan takes when the call is each world's one draw.
 type DrawBox interface {
 	PointBox
 	// Draws is the length of the draw vector, at least 1.

@@ -28,10 +28,12 @@ type pdbBenchQuery struct {
 
 // pdbBenchQueries builds the three workload shapes:
 //
-//   - demand: the minimal VG-heavy model query (one draw per world) —
-//     the fresh-lane case, served from the call site's draw table.
-//   - overload: Fig. 1's dependent column list (two draws per world
-//     plus a CASE over both) — the bound draw on live streams.
+//   - demand: the minimal VG-heavy model query (one call site over
+//     one row, so one draw per world) — the plan takes the fresh lane,
+//     served from the call site's draw table.
+//   - overload: Fig. 1's dependent column list (two call sites plus a
+//     CASE over both) — the plan takes the live streams, each call a
+//     bound draw.
 //   - users: the data-dependent aggregate over cfg.Users rows (one
 //     draw per row per world into a SUM) — the set-oriented case the
 //     wrapper wins Fig. 7 with.

@@ -128,3 +128,11 @@ func (p *AggregatePlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 func (p *AggregatePlan) String() string {
 	return fmt.Sprintf("Aggregate(%s)", p.schema)
 }
+
+func (p *AggregatePlan) shape() planShape {
+	n := 0
+	for _, a := range p.Aggs {
+		n += callsIn(a.Arg)
+	}
+	return p.Child.shape().under(n)
+}

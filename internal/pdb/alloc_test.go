@@ -170,10 +170,10 @@ func TestBlockScratchFlatInRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, out := &BlockCtx{}, &blockOut{}
-		ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, nil)
+		ctx, out, ch := &BlockCtx{}, &blockOut{}, planChunking(plan, 0)
+		ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, ch.fresh)
 		out.reset(0)
-		if err := out.run(plan, planChunking(plan, 0), ctx); err != nil {
+		if err := out.run(plan, ch, ctx); err != nil {
 			t.Fatal(err)
 		}
 		if out.rows == 0 {
@@ -208,7 +208,7 @@ func TestAggregateReusesArgumentColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &BlockCtx{}
-	ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, nil)
+	ctx.reset(0x5161, 0, worlds, map[string]float64{"week": 40}, planChunking(plan, 0).fresh)
 	if _, err := plan.ExecuteBlock(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestOperatorBlockAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[string]float64{"week": 40}
-	ctx := &BlockCtx{}
+	ctx, fresh := &BlockCtx{}, planChunking(plan, 0).fresh
 	var out *BlockTable
 	run := func() {
-		ctx.reset(0x5161, 0, 64, params, nil)
+		ctx.reset(0x5161, 0, 64, params, fresh)
 		if out, err = plan.ExecuteBlock(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -266,12 +266,12 @@ func (t *BlockTable) masked() bool {
 }
 
 // blockAllocs returns the steady-state allocations of one block of
-// plan at the given world count.
+// plan at the given world count, on the plan's own lane.
 func blockAllocs(t *testing.T, plan Plan, params map[string]float64, worlds int) float64 {
 	t.Helper()
-	ctx := &BlockCtx{}
+	ctx, fresh := &BlockCtx{}, planChunking(plan, 0).fresh
 	run := func() {
-		ctx.reset(0x5161, 0, worlds, params, nil)
+		ctx.reset(0x5161, 0, worlds, params, fresh)
 		if _, err := plan.ExecuteBlock(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -296,8 +296,8 @@ func TestAggregateBlockAllocs(t *testing.T) {
 }
 
 // TestFreshDrawBlockAllocs pins that a fresh-lane draw allocates
-// nothing: the block context keeps the one deferred draw and its
-// argument buffer.
+// nothing: the call site applies its draw table into an arena Vec from
+// the block context's argument buffer.
 func TestFreshDrawBlockAllocs(t *testing.T) {
 	db := NewDB()
 	db.Boxes.MustRegister(blackbox.NewDemand())

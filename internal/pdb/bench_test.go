@@ -23,9 +23,9 @@ func BenchmarkScalarLanes(b *testing.B) {
 				plan = ext
 			}
 			params := map[string]float64{"week": 40}
-			ctx := &BlockCtx{}
+			ctx, fresh := &BlockCtx{}, planChunking(plan, 0).fresh
 			block := func() {
-				ctx.reset(0x5161, 0, 256, params, nil)
+				ctx.reset(0x5161, 0, 256, params, fresh)
 				if _, err := plan.ExecuteBlock(ctx); err != nil {
 					b.Fatal(err)
 				}

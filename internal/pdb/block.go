@@ -3,9 +3,7 @@ package pdb
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
-	"jigsaw/internal/blackbox"
 	"jigsaw/internal/rng"
 )
 
@@ -21,30 +19,21 @@ import (
 // or expression-major all interleave *across* worlds differently
 // while each world's own stream order is fixed — which is why results
 // are bit-identical to a per-world interpreter (the test oracle in
-// reference_test.go) for any block size and any worker count. A block
-// may run its plan over chunks of scan rows (worlds.go); it does so
-// only when at most one operator draws, the one case where chunks keep
-// each world's (operator, row, expression) order.
-
-// runFlags carries cross-block, cross-worker execution hints. The
-// fresh-stream fast lane (applying a VG column's draws from its call
-// site's draw table while world generators are still unseeded) costs
-// a per-world replay of the column's Draw when a later draw forces
-// materialization; once one block observes that, later blocks skip
-// the lane. The flag is purely a performance hint — both lanes are
-// bit-identical — so a benign race between workers is acceptable.
-type runFlags struct {
-	freshOff atomic.Bool
-}
+// reference_test.go) for any block size and any worker count. How a
+// block runs its plan is decided once per plan, before the first block
+// runs, from the plan's shape (planChunking in worlds.go), never from
+// what a run observes: it runs over chunks of scan rows only when at
+// most one operator draws, the one case where chunks keep each world's
+// (operator, row, expression) order, and it takes the fresh lane only
+// when each world draws once.
 
 // BlockCtx carries per-block evaluation state: the block's world ids
-// and generators (with the DrawBox of a fresh-lane draw they have not
-// yet taken), the parameter bindings, the chunk of scan rows the plan
-// runs over, and the scratch arena every operator allocates from. The
-// generators, the fresh-lane state and the aggregates' sums persist
-// across a block's chunks; the arena is recycled between them. A
-// BlockCtx is single-goroutine state; the worlds layer pools one per
-// worker.
+// and generators, whether the plan takes the fresh lane, the parameter
+// bindings, the chunk of scan rows the plan runs over, and the scratch
+// arena every operator allocates from. The generators and the
+// aggregates' sums persist across a block's chunks; the arena is
+// recycled between them. A BlockCtx is single-goroutine state; the
+// worlds layer pools one per worker.
 type BlockCtx struct {
 	// W is the number of worlds in this block.
 	W int
@@ -54,8 +43,8 @@ type BlockCtx struct {
 	Master uint64
 	IDs    []int
 	// Rands holds the per-world generators; they are materialized
-	// lazily (see materialize) so blocks whose only draws go through
-	// the fresh-stream fast lane never seed them at all.
+	// lazily (see materialize) so blocks whose one draw goes through
+	// the fresh lane never seed them at all.
 	Rands []rng.Rand
 	// Params holds @parameter values.
 	Params map[string]float64
@@ -64,15 +53,10 @@ type BlockCtx struct {
 	// state; until then generators are logically "freshly seeded but
 	// not yet constructed".
 	live bool
-	// deferred is the DrawBox of a VG column evaluated through the
-	// fresh-stream fast lane, or nil: if the block later needs live
-	// generators, materialize replays its Draw in every world, into
-	// replay (never the floats scratch, which the calling VG column
-	// still holds), so stream positions match per-world
-	// interpretation.
-	deferred blackbox.DrawBox
-	replay   []float64
-	flags    *runFlags
+	// fresh reports that the plan takes the fresh lane: its one VG call
+	// is each world's one draw, so a DrawBox applies the call site's
+	// DrawTable instead of drawing the streams.
+	fresh bool
 
 	// rowLo and rowHi bound the scan rows of the chunk in flight; the
 	// block's last chunk runs to math.MaxInt.
@@ -112,9 +96,10 @@ type BlockCtx struct {
 }
 
 // reset prepares the context for the block of master's worlds lo to
-// lo+n−1, reusing all scratch capacity. Its one chunk covers every
-// scan row until chunk narrows it.
-func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, flags *runFlags) {
+// lo+n−1 of a plan that takes the fresh lane or not, reusing all
+// scratch capacity. Its one chunk covers every scan row until chunk
+// narrows it.
+func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fresh bool) {
 	c.W = n
 	c.Master = master
 	c.IDs = slices.Grow(c.IDs[:0], n)[:n]
@@ -123,8 +108,7 @@ func (c *BlockCtx) reset(master uint64, lo, n int, params map[string]float64, fl
 	}
 	c.Params = params
 	c.live = false
-	c.deferred = nil
-	c.flags = flags
+	c.fresh = fresh
 	c.sumsLive = 0
 	c.chunk(0, math.MaxInt)
 	if cap(c.Rands) < c.W {
@@ -177,10 +161,8 @@ func (c *BlockCtx) sumRow(n int) BlockRow {
 	return row
 }
 
-// materialize seeds the per-world generators and replays any deferred
-// fresh-lane draw by its DrawBox's Draw, which leaves each generator
-// where Eval would, bringing Rands to the exact state a per-world
-// interpreter would hold at this point of each world's execution.
+// materialize seeds the per-world generators on the block's first
+// draw from a live stream.
 func (c *BlockCtx) materialize() {
 	if c.live {
 		return
@@ -188,27 +170,7 @@ func (c *BlockCtx) materialize() {
 	for w := 0; w < c.W; w++ {
 		c.Rands[w].Seed(rng.SampleSeed(c.Master, c.IDs[w]))
 	}
-	if c.deferred != nil {
-		n := c.deferred.Draws()
-		c.replay = slices.Grow(c.replay[:0], n)[:n]
-		for w := 0; w < c.W; w++ {
-			c.deferred.Draw(&c.Rands[w], c.replay)
-		}
-		c.deferred = nil
-		// The fast lane cost a full replay: this plan has more than
-		// one draw per world, so later blocks go straight to streams.
-		if c.flags != nil {
-			c.flags.freshOff.Store(true)
-		}
-	}
 	c.live = true
-}
-
-// freshLaneOpen reports whether a VG column may still use the
-// fresh-stream fast lane: no world stream consumed yet, no draw
-// already deferred, and no earlier block demoted the lane.
-func (c *BlockCtx) freshLaneOpen() bool {
-	return !c.live && c.deferred == nil && (c.flags == nil || !c.flags.freshOff.Load())
 }
 
 // ---------- Arena ----------

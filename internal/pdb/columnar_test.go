@@ -139,8 +139,8 @@ func TestColumnarSingleVG(t *testing.T) {
 }
 
 func TestColumnarMultiVGWithCase(t *testing.T) {
-	// Two draws per world: the fresh-lane draw must be replayed into
-	// live streams before the second draw, and the CASE must combine
+	// Two draws per world: both take the live streams, the second
+	// where the first left each world's, and the CASE must combine
 	// both columns.
 	db := columnarDB(t)
 	ext1 := vgExtendPlan(t, db, ValuesPlan{}, "demand")
@@ -161,11 +161,10 @@ func TestColumnarMultiVGWithCase(t *testing.T) {
 	assertBitIdentical(t, ext3, map[string]float64{"week": 30}, 300)
 }
 
-// TestFreshLaneReplaysMultiVariateDraw: the fresh lane applies
-// Capacity's 4-variate draw vector, and the second, bound Capacity
-// column makes materialize replay that Draw in every world before it
-// binds its own week and purchases.
-func TestFreshLaneReplaysMultiVariateDraw(t *testing.T) {
+// TestMultiVariateDrawThenBoundDraw: two Capacity calls in one row,
+// each drawing a 4-variate vector on the live streams, the second
+// binding its own week and purchases where the first left each world.
+func TestMultiVariateDrawThenBoundDraw(t *testing.T) {
 	db := columnarDB(t)
 	plan, err := NewExtendPlan(ValuesPlan{}, []NamedBound{
 		{Name: "capacity", Expr: mustBind(t, "CapacityModel(@week, 8, 24)", Schema{}, db.Boxes)},
@@ -208,6 +207,73 @@ func TestFreshLaneAcrossMasterSeeds(t *testing.T) {
 	}
 }
 
+// drawCounter is a DrawBox that counts its Draw calls. A call site's
+// draw table fills through Draw; EvalBound and Eval go to the wrapped
+// box, so draws on the live streams are not counted.
+type drawCounter struct {
+	blackbox.DrawBox
+	draws *atomic.Int64
+}
+
+func (b drawCounter) Draw(r *rng.Rand, d []float64) {
+	b.draws.Add(1)
+	b.DrawBox.Draw(r, d)
+}
+
+// TestFreshLaneIsPlanShape pins the fresh lane as a property of the
+// plan, the same in every block at every worker count: a one-row plan
+// with one VG call draws each world once through its call site's
+// table, and a one-row plan with two calls or a 65-row scan with one
+// never fills a table.
+func TestFreshLaneIsPlanShape(t *testing.T) {
+	const worlds = 1000
+	params := map[string]float64{"week": 20}
+	for _, tc := range []struct {
+		name  string
+		rows  int // scan rows; 0 selects from no table
+		calls []string
+		want  int64
+	}{
+		{"one row, one call", 0, []string{"DemandModel(@week, 52)"}, worlds},
+		{"one row, two calls", 0, []string{"DemandModel(@week, 52)", "CapacityModel(@week, 8, 24)"}, 0},
+		{"65 rows, one call", 65, []string{"DemandModel(i, 52)"}, 0},
+	} {
+		for _, workers := range []int{1, 4} {
+			draws := new(atomic.Int64)
+			db := NewDB()
+			db.Boxes.MustRegister(drawCounter{blackbox.NewDemand(), draws})
+			db.Boxes.MustRegister(drawCounter{blackbox.NewCapacity(), draws})
+			base := Plan(ValuesPlan{})
+			if tc.rows > 0 {
+				tbl := MustNewTable("i")
+				for i := range tc.rows {
+					tbl.MustAppend(Row{Float(float64(i))})
+				}
+				base = NewScanPlan("t", tbl)
+			}
+			var outs []NamedBound
+			for i, src := range tc.calls {
+				outs = append(outs, NamedBound{Name: fmt.Sprintf("c%d", i), Expr: mustBind(t, src, base.Schema(), db.Boxes)})
+			}
+			plan, err := NewExtendPlan(base, outs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := WorldsOptions{Worlds: worlds, MasterSeed: 0x1234, Workers: workers}
+			got, err := RunDistribution(plan, params, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := draws.Load(); n != tc.want {
+				t.Errorf("%s, workers %d: %d table draws, want %d", tc.name, workers, n, tc.want)
+			}
+			if want, err := refDistribution(plan, params, opts); err != nil || !sameDistribution(want, got) {
+				t.Errorf("%s, workers %d: Distribution diverges from the oracle (oracle err %v)", tc.name, workers, err)
+			}
+		}
+	}
+}
+
 // countingBox is a model with neither a DrawBox table nor a PointBox
 // binding that counts its Eval calls.
 type countingBox struct{ evals *atomic.Int64 }
@@ -219,11 +285,10 @@ func (b countingBox) Eval(args []float64, r *rng.Rand) float64 {
 	return args[0] + r.StdNormal()
 }
 
-// TestScalarFirstVGEvaluatesOncePerWorld: the fresh lane opens only for
-// a DrawBox, so in a one-block query whose first VG column is none and
-// whose second forces live streams, the first box runs once per world
-// — not once in the lane and again when the second column's
-// materialize replays it — and the answer still matches the oracle.
+// TestScalarFirstVGEvaluatesOncePerWorld: in a one-block query whose
+// first VG column is a box with neither a draw table nor a binding and
+// whose second is Demand, both draw on the live streams, so the first
+// box runs once per world, and the answer matches the oracle.
 func TestScalarFirstVGEvaluatesOncePerWorld(t *testing.T) {
 	const worlds = 200
 	evals := new(atomic.Int64)
@@ -442,27 +507,6 @@ func TestColumnarBuiltinsParamsAndNulls(t *testing.T) {
 	// (vgnull on rows 2 and 3), shifting no stream positions.
 	assertBitIdentical(t, plan, map[string]float64{"week": 3}, 200)
 }
-
-func TestColumnarOpaquePlanFallback(t *testing.T) {
-	// A hand-written Plan (delegating ExecuteBlock) inside a columnar
-	// run: draws after it must continue each world's stream where the
-	// wrapped operator left it.
-	db := columnarDB(t)
-	ext := vgExtendPlan(t, db, ValuesPlan{}, "demand")
-	wrapped := opaquePlan{ext}
-	after := vgExtendPlan(t, db, wrapped, "vg2")
-	assertBitIdentical(t, after, map[string]float64{"week": 15}, 200)
-}
-
-// opaquePlan is a third-party operator: it implements Plan by
-// delegation, so the executor sees a type it does not know.
-type opaquePlan struct{ inner Plan }
-
-func (o opaquePlan) Schema() Schema { return o.inner.Schema() }
-func (o opaquePlan) ExecuteBlock(c *BlockCtx) (*BlockTable, error) {
-	return o.inner.ExecuteBlock(c)
-}
-func (o opaquePlan) String() string { return "Opaque(" + o.inner.String() + ")" }
 
 func TestColumnarCardinalityErrorParity(t *testing.T) {
 	// A filter over an uncertain value with genuinely varying counts

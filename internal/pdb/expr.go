@@ -10,13 +10,15 @@ import (
 )
 
 // BoundExpr is a compiled expression: it evaluates over a whole
-// world block at once, one Vec per call. Every expression Bind
-// compiles is a blockExpr, wrapped as a vgExpr when it holds a VG
-// call.
+// world block at once, one Vec per call. Only Bind builds one: every
+// expression it compiles is a blockExpr, wrapped as a vgExpr when it
+// holds a VG call.
 type BoundExpr interface {
 	// EvalBlock evaluates against one block row over the worlds active
 	// in mask (nil = every world of the block).
 	EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error)
+	// vgCalls is the number of VG call sites the expression holds.
+	vgCalls() int
 }
 
 // blockExpr is the form every bound expression compiles to; one that
@@ -28,32 +30,34 @@ func (f blockExpr) EvalBlock(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, erro
 	return f(row, mask, ctx)
 }
 
-// drawsVG reports that a blockExpr holds no VG call.
-func (blockExpr) drawsVG() bool { return false }
+func (blockExpr) vgCalls() int { return 0 }
 
-// vgExpr is a bound expression that holds a VG call, so it may draw
-// from the world streams.
-type vgExpr struct{ blockExpr }
-
-// drawsVG reports that a vgExpr holds a VG call.
-func (vgExpr) drawsVG() bool { return true }
-
-// exprDraws reports whether e may draw from the world streams: Bind
-// records whether an expression holds a VG call, and an expression
-// Bind did not build counts as drawing.
-func exprDraws(e BoundExpr) bool {
-	d, ok := e.(interface{ drawsVG() bool })
-	return !ok || d.drawsVG()
+// vgExpr is a bound expression that holds calls VG call sites, so it
+// may draw from the world streams.
+type vgExpr struct {
+	blockExpr
+	calls int
 }
 
-// over returns f as a bound expression that draws when any of the
-// expressions it evaluates does (a nil one, CASE's missing ELSE,
-// draws nothing).
-func over(f blockExpr, kids ...BoundExpr) BoundExpr {
-	for _, k := range kids {
-		if k != nil && exprDraws(k) {
-			return vgExpr{f}
+func (e vgExpr) vgCalls() int { return e.calls }
+
+// callsIn counts the VG call sites of exprs (a nil one, CASE's missing
+// ELSE, holds none).
+func callsIn(exprs ...BoundExpr) int {
+	n := 0
+	for _, e := range exprs {
+		if e != nil {
+			n += e.vgCalls()
 		}
+	}
+	return n
+}
+
+// over returns f as a bound expression holding the VG call sites of
+// the expressions it evaluates.
+func over(f blockExpr, kids ...BoundExpr) BoundExpr {
+	if n := callsIn(kids...); n > 0 {
+		return vgExpr{f, n}
 	}
 	return f
 }
@@ -560,11 +564,12 @@ func evalArgColumns(args []BoundExpr, vecs []*Vec, row BlockRow, mask Mask, ctx 
 // come from stored tables and parameters), so the argument decode
 // happens once per row-block, and a PointBox binds them once into the
 // context's scratch and draws every world by one call instead of W
-// interface dispatches. While the world streams are untouched (the
-// first draw of each world) a DrawBox applies each world's draw vector
-// from the call site's DrawTable, world w being sample w; otherwise
-// one EvalBound call draws the live streams. Any other box, and
-// arguments that vary by world, take a per-world Eval loop.
+// interface dispatches. In a plan that takes the fresh lane
+// (planChunking: this call is each world's one draw) a DrawBox applies
+// each world's draw vector from the call site's DrawTable, world w
+// being sample w; otherwise one EvalBound call draws the live streams.
+// Any other box, and arguments that vary by world, take a per-world
+// Eval loop.
 func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 	point, _ := box.(blackbox.PointBox)
 	draw, _ := box.(blackbox.DrawBox)
@@ -576,7 +581,7 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 	if draw != nil {
 		table = blackbox.NewDrawTable(draw.Draws(), draw.Draw)
 	}
-	return vgExpr{func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
+	return vgExpr{calls: 1 + callsIn(args...), blockExpr: func(row BlockRow, mask Mask, ctx *BlockCtx) (*Vec, error) {
 		vecs := ctx.newRow(len(args))
 		cur, allUniform, dead, err := evalArgColumns(args, vecs, row, mask, ctx)
 		if err != nil {
@@ -596,14 +601,12 @@ func bindVGCall(box blackbox.Box, args []BoundExpr) BoundExpr {
 			if point != nil {
 				dst := ctx.floatVec(cur)
 				point.Bind(argv, state)
-				if table != nil && cur == nil && ctx.freshLaneOpen() {
-					// First draw of every world in the block: a freshly
-					// seeded generator per world draws exactly the
-					// table's vector, so apply the block from it. A
-					// later draw makes materialize replay this one.
+				if table != nil && cur == nil && ctx.fresh {
+					// Each world's one draw: a freshly seeded generator
+					// per world draws exactly the table's vector, so
+					// apply the block from it.
 					if vals, all := table.Load(ctx.Master, ctx.IDs); all {
 						draw.Apply(state, vals, table.Width(), ctx.IDs, dst.f)
-						ctx.deferred = draw
 						return dst, nil
 					}
 				}

@@ -25,7 +25,7 @@ func evalExpr(t *testing.T, src string, s Schema, row Row, params map[string]flo
 // draws from rng.SampleSeed(master, 0).
 func oneWorldCtx(master uint64, params map[string]float64) *BlockCtx {
 	ctx := &BlockCtx{}
-	ctx.reset(master, 0, 1, params, nil)
+	ctx.reset(master, 0, 1, params, false)
 	return ctx
 }
 
@@ -89,7 +89,7 @@ func TestParamReadsBlockParams(t *testing.T) {
 	b := mustBind(t, "@a - @b", Schema{}, nil)
 	ctx := &BlockCtx{}
 	for _, params := range []map[string]float64{{"a": 5, "b": 2}, {"a": 1, "b": 4}} {
-		ctx.reset(1, 0, 1, params, nil)
+		ctx.reset(1, 0, 1, params, false)
 		v, err := evalIn(ctx, b, Row{})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestParamReadsBlockParams(t *testing.T) {
 			t.Fatalf("@a - @b with %v = %v, want %v", params, v, want)
 		}
 	}
-	ctx.reset(1, 0, 1, map[string]float64{"a": 1}, nil)
+	ctx.reset(1, 0, 1, map[string]float64{"a": 1}, false)
 	if _, err := evalIn(ctx, b, Row{}); err == nil || !strings.Contains(err.Error(), "@b") {
 		t.Fatalf("unbound @b: err = %v", err)
 	}
@@ -224,7 +224,7 @@ func TestThreeValuedLogic(t *testing.T) {
 		}
 		// World 3i+j holds the pair (vals[i], vals[j]).
 		ctx := &BlockCtx{}
-		ctx.reset(0, 0, 9, nil, nil)
+		ctx.reset(0, 0, 9, nil, false)
 		row := ctx.newRow(2)
 		row[0], row[1] = ctx.lanesVec(), ctx.lanesVec()
 		for w := 0; w < 9; w++ {
@@ -384,8 +384,7 @@ func TestVGCallNullArgSkipsInvocation(t *testing.T) {
 	if err != nil || !v.IsNull() {
 		t.Fatalf("NULL arg: %v, %v", v, err)
 	}
-	// Materializing replays any draw the call made; an untouched
-	// stream is exactly a freshly seeded generator.
+	// An untouched stream is exactly a freshly seeded generator.
 	ctx.materialize()
 	if ctx.Rands[0].State() != rng.New(rng.SampleSeed(1, 0)).State() {
 		t.Fatal("NULL-arg call consumed randomness")

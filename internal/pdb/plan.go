@@ -6,7 +6,8 @@ import "fmt"
 // is one relation per possible world. Plans are built (bound) against
 // a DB, then executed a block of worlds at a time: ExecuteBlock
 // returns the operator's output for every world of the block in
-// world-blocked columnar form.
+// world-blocked columnar form. Only this package's operators implement
+// it.
 type Plan interface {
 	// Schema returns the output schema.
 	Schema() Schema
@@ -15,6 +16,17 @@ type Plan interface {
 	ExecuteBlock(ctx *BlockCtx) (*BlockTable, error)
 	// String renders a one-line operator description.
 	String() string
+	// shape is the plan's shape down to its leaf (planChunking).
+	shape() planShape
+}
+
+// outputCalls counts the VG call sites of a list of outputs.
+func outputCalls(outs []NamedBound) int {
+	n := 0
+	for _, o := range outs {
+		n += callsIn(o.Expr)
+	}
+	return n
 }
 
 // ---------- Leaf operators ----------
@@ -34,6 +46,8 @@ func (ValuesPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 func (ValuesPlan) String() string { return "Values()" }
+
+func (ValuesPlan) shape() planShape { return planShape{rows: 1} }
 
 // ScanPlan reads a stored table. The backing table is shared across
 // worlds (deterministic data); uncertain attributes enter through VG
@@ -68,6 +82,8 @@ func (s *ScanPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 func (s *ScanPlan) String() string { return fmt.Sprintf("Scan(%s)", s.Name) }
+
+func (s *ScanPlan) shape() planShape { return planShape{rows: len(s.table.Rows)} }
 
 // ---------- Unary operators ----------
 
@@ -151,6 +167,8 @@ func (p *SelectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 
 func (p *SelectPlan) String() string { return fmt.Sprintf("Select(%s)", p.Desc) }
 
+func (p *SelectPlan) shape() planShape { return p.Child.shape().under(callsIn(p.Pred)) }
+
 // NamedBound pairs an output column name with its bound expression.
 type NamedBound struct {
 	Name string
@@ -207,6 +225,8 @@ func (p *ProjectPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 func (p *ProjectPlan) String() string { return fmt.Sprintf("Project(%s)", p.schema) }
+
+func (p *ProjectPlan) shape() planShape { return p.Child.shape().under(outputCalls(p.Outputs)) }
 
 // ExtendPlan is projection that keeps the child's columns and appends
 // computed ones — the shape SELECT *, expr AS name produces, and the
@@ -274,3 +294,5 @@ func (p *ExtendPlan) ExecuteBlock(ctx *BlockCtx) (*BlockTable, error) {
 }
 
 func (p *ExtendPlan) String() string { return fmt.Sprintf("Extend(%s)", p.schema) }
+
+func (p *ExtendPlan) shape() planShape { return p.Child.shape().under(outputCalls(p.Outputs)) }

@@ -232,8 +232,9 @@ func TestNullsSkippedByAggregates(t *testing.T) {
 // in every world.
 type maskedRowsPlan struct{}
 
-func (maskedRowsPlan) Schema() Schema { return Schema{{Name: "v"}} }
-func (maskedRowsPlan) String() string { return "MaskedRows" }
+func (maskedRowsPlan) Schema() Schema   { return Schema{{Name: "v"}} }
+func (maskedRowsPlan) String() string   { return "MaskedRows" }
+func (maskedRowsPlan) shape() planShape { return planShape{rows: 3} }
 func (maskedRowsPlan) ExecuteBlock(c *BlockCtx) (*BlockTable, error) {
 	bt := &BlockTable{Schema: Schema{{Name: "v"}}}
 	for _, r := range []struct {
@@ -272,7 +273,7 @@ func TestAggregatePlanFoldsPerWorldMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &BlockCtx{}
-	ctx.reset(1, 0, 3, nil, nil)
+	ctx.reset(1, 0, 3, nil, false)
 	bt, err := plan.ExecuteBlock(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -28,18 +28,15 @@ import (
 
 // astBound is what mustBind returns: the production evaluator plus the
 // parsed expression, schema and registry it was bound from. The
-// executor calls the embedded BoundExpr; the oracle reads the AST.
+// executor calls the embedded BoundExpr, whose record of its VG call
+// sites a plan over astBounds reads as the same plan over Bind's
+// expressions would; the oracle reads the AST.
 type astBound struct {
 	BoundExpr
 	expr   sqlparse.Expr
 	schema Schema
 	boxes  *blackbox.Registry
 }
-
-// drawsVG forwards Bind's record of whether the expression holds a VG
-// call, so a plan over astBounds runs in chunks exactly when the same
-// plan over Bind's expressions would.
-func (a astBound) drawsVG() bool { return exprDraws(a.BoundExpr) }
 
 // sqlExpr parses src as one SQL expression: the parser's tree is the
 // tree Bind compiles.
@@ -150,8 +147,6 @@ func (w *refWorld) plan(p Plan) (*Table, error) {
 		return &Table{Schema: p.Schema(), Rows: []Row{{}}}, nil
 	case *ScanPlan:
 		return &Table{Schema: p.Schema(), Rows: p.table.Rows}, nil
-	case opaquePlan:
-		return w.plan(p.inner)
 	case *SelectPlan:
 		in, err := w.plan(p.Child)
 		if err != nil {

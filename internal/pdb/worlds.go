@@ -321,65 +321,54 @@ func (o *blockOut) key(k, c, ncols int, v *Vec) {
 }
 
 // chunking is how a block runs its plan: over the leaf's rows, size at
-// a time, or in one pass when size is 0.
-type chunking struct{ rows, size int }
+// a time, or in one pass when size is 0; and through the fresh lane or
+// on live streams.
+type chunking struct {
+	rows, size int
+	fresh      bool
+}
 
-// planChunking decides, once per plan and before any block runs,
-// whether its blocks run in chunks of size scan rows (0 means
-// rowsPerChunk). Per world, draws happen in the order (operator, row,
-// expression); when at most one operator draws, chunks keep that order
-// exactly, so they move no answer. A plan where two or more operators
-// draw, or that holds an operator this package did not define, runs in
-// one pass.
+// planChunking decides, once per plan and before any block runs, how
+// its blocks run it. Per world, draws happen in the order (operator,
+// row, expression); when at most one operator draws, chunks of size
+// scan rows (0 means rowsPerChunk) keep that order exactly, so they
+// move no answer, and a plan where two or more operators draw runs in
+// one pass. The plan takes the fresh lane exactly when each world
+// draws once: one VG call site over a leaf of at most one row. The
+// lane pays only when its draw is the world's only one; a later draw
+// would need the world's stream where the lane's draw left it.
 func planChunking(plan Plan, size int) chunking {
-	rows, drawers, ok := planShape(plan)
-	if !ok || drawers > 1 {
+	s := plan.shape()
+	if s.drawers > 1 {
 		return chunking{}
 	}
 	if size == 0 {
 		size = rowsPerChunk
 	}
-	return chunking{rows: rows, size: size}
+	return chunking{rows: s.rows, size: size, fresh: s.rows <= 1 && s.calls == 1}
 }
 
-// planShape walks p down to its leaf: the leaf's row count, the number
-// of operators whose expressions draw, and whether every node is one of
-// this package's operators.
-func planShape(p Plan) (rows, drawers int, ok bool) {
-	var child Plan
-	var draws bool
-	outputsDraw := func(outs []NamedBound) bool {
-		return slices.ContainsFunc(outs, func(o NamedBound) bool { return exprDraws(o.Expr) })
+// planShape is what planChunking reads of a plan: its leaf's row
+// count, the number of its operators whose expressions draw, and the
+// VG call sites those expressions hold.
+type planShape struct{ rows, drawers, calls int }
+
+// under returns the shape of an operator over s whose expressions hold
+// calls VG call sites.
+func (s planShape) under(calls int) planShape {
+	if calls > 0 {
+		s.drawers++
+		s.calls += calls
 	}
-	switch p := p.(type) {
-	case ValuesPlan:
-		return 1, 0, true
-	case *ScanPlan:
-		return len(p.table.Rows), 0, true
-	case *SelectPlan:
-		child, draws = p.Child, exprDraws(p.Pred)
-	case *ProjectPlan:
-		child, draws = p.Child, outputsDraw(p.Outputs)
-	case *ExtendPlan:
-		child, draws = p.Child, outputsDraw(p.Outputs)
-	case *AggregatePlan:
-		child, draws = p.Child, slices.ContainsFunc(p.Aggs, func(a AggSpec) bool { return exprDraws(a.Arg) })
-	default:
-		return 0, 0, false
-	}
-	rows, drawers, ok = planShape(child)
-	if draws {
-		drawers++
-	}
-	return rows, drawers, ok
+	return s
 }
 
 // runBlock executes the block of master's worlds lo to hi−1.
-func runBlock(plan Plan, ch chunking, params map[string]float64, master uint64, lo, hi int, flags *runFlags) *blockOut {
+func runBlock(plan Plan, ch chunking, params map[string]float64, master uint64, lo, hi int) *blockOut {
 	out := blockOutPool.Get()
 	out.reset(lo)
 	bctx := blockCtxPool.Get()
-	bctx.reset(master, lo, hi-lo, params, flags)
+	bctx.reset(master, lo, hi-lo, params, ch.fresh)
 	if err := out.run(plan, ch, bctx); err != nil {
 		out.err = fmt.Errorf("pdb: worlds %d-%d: %w", lo, hi-1, err)
 	}
@@ -392,16 +381,12 @@ func runBlock(plan Plan, ch chunking, params map[string]float64, master uint64, 
 // failing block's error wins, deterministically).
 func runBlocks(plan Plan, params map[string]float64, opts WorldsOptions) ([]*blockOut, error) {
 	bw := opts.blockWorlds
-	nblocks := 0
-	if opts.Worlds > 0 {
-		nblocks = (opts.Worlds + bw - 1) / bw
-	}
+	nblocks := (opts.Worlds + bw - 1) / bw
 	outs := make([]*blockOut, nblocks)
-	flags := &runFlags{}
 	ch := planChunking(plan, opts.chunkRows)
 	if err := pool.ForWorker(nblocks, opts.Workers, func(_, b int) {
 		lo := b * bw
-		outs[b] = runBlock(plan, ch, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds), flags)
+		outs[b] = runBlock(plan, ch, params, opts.MasterSeed, lo, min(lo+bw, opts.Worlds))
 	}); err != nil {
 		// A panicking block: the pool stopped early, so some blocks
 		// never ran. ForWorker's error names the block.
@@ -456,11 +441,9 @@ func RunDistribution(plan Plan, params map[string]float64, opts WorldsOptions) (
 // the Distribution, after checking that every world produced world
 // 0's row count. The cells' accumulators and summaries are two flat
 // arrays, row-major, so a run allocates the same whatever its row
-// count.
+// count. Its callers run withDefaults first, so there is at least one
+// block.
 func commitBlocks(outs []*blockOut, opts WorldsOptions) (*Distribution, error) {
-	if len(outs) == 0 {
-		return nil, errors.New("pdb: zero worlds requested")
-	}
 	first := outs[0]
 	nrows, ncols := first.rows, len(first.schema)
 	for _, out := range outs {

@@ -259,7 +259,7 @@ func TestWorldSeedsAlignWithEngineSeeds(t *testing.T) {
 	// engine-layer results are comparable under one master seed; a
 	// block of worlds 5 to 20 seeds world k as sample k.
 	var ctx BlockCtx
-	ctx.reset(42, 5, 16, nil, nil)
+	ctx.reset(42, 5, 16, nil, false)
 	ctx.materialize()
 	for i := range ctx.Rands {
 		k := 5 + i
@@ -322,12 +322,12 @@ func TestWorldsOptionsDefaults(t *testing.T) {
 // survives the reset.
 func TestRecycledBlockCtxReseedsWorlds(t *testing.T) {
 	var ctx BlockCtx
-	ctx.reset(42, 0, 8, nil, nil)
+	ctx.reset(42, 0, 8, nil, false)
 	ctx.materialize()
 	for w := range ctx.Rands {
 		ctx.Rands[w].StdNormal() // leaves the pair's second deviate cached
 	}
-	ctx.reset(42, 300, 5, nil, nil)
+	ctx.reset(42, 300, 5, nil, false)
 	ctx.materialize()
 	for i := range ctx.Rands {
 		fresh := rng.New(rng.SampleSeed(42, 300+i))
